@@ -22,7 +22,7 @@
 //! interleavings even under injected chaos. Fault-recovery replays
 //! (unlike misspeculation replays, which are part of the normal
 //! protocol) are charged against a per-task retry budget; exhausting it
-//! makes [`CommitUnit::absorb`] demand the sequential fallback instead
+//! makes [`CommitUnit::drain`] demand the sequential fallback instead
 //! of aborting the run.
 //!
 //! Versioned runs ([`NativeExecutor::run_versioned`](super::NativeExecutor::run_versioned))
@@ -41,12 +41,12 @@
 use super::faults::{FaultKind, FaultPlan, RecoveryCounts};
 use super::governor::{BackoffDecision, Governor, GovernorEvent};
 use super::metrics::{NativeReport, WorkerStat};
-use super::stage::{WorkItem, WorkerDone};
+use super::stage::{Board, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
 use super::{ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
-use crate::task::{TaskGraph, TaskId};
+use crate::task::{StageId, TaskGraph, TaskId};
 use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -136,8 +136,16 @@ pub(super) struct CommitUnit<'g> {
     watermark: Arc<AtomicU64>,
     /// Index of the next task to commit.
     next: usize,
-    /// Finished-but-uncommitted results, keyed by task index.
-    buffer: HashMap<u32, WorkerDone>,
+    /// Finished-but-uncommitted results: a ring offset by `next`, so
+    /// slot `i` belongs to task `next + i`. It grows to the furthest
+    /// completion buffered so far — a window, not the graph.
+    buffer: VecDeque<Option<WorkerDone>>,
+    /// Occupied slots of `buffer`.
+    buffered: usize,
+    /// Scratch reused across [`drain`](Self::drain) passes: the run's
+    /// version ids and the batch being committed.
+    versions: Vec<VersionId>,
+    batch: Vec<WorkerDone>,
     output: Vec<u8>,
     attempts: u64,
     squashes: u64,
@@ -150,6 +158,11 @@ pub(super) struct CommitUnit<'g> {
     /// Frontier-side trace events (squashes, commits, speculation
     /// decisions); a no-op recorder when tracing is off.
     trace: TraceBuffer,
+    /// What the accepted completions carried: busy time and attempt
+    /// count per [`Seat::id`](super::stage::Seat), and the workers'
+    /// trace events.
+    seat_stats: Vec<(Duration, u64)>,
+    worker_events: Vec<TraceEvent>,
     /// The versioned memory substrate when this is a
     /// [`run_versioned`](super::NativeExecutor::run_versioned) run:
     /// the frontier's squash source and the publisher of each committed
@@ -177,7 +190,10 @@ impl<'g> CommitUnit<'g> {
             graph,
             watermark,
             next: 0,
-            buffer: HashMap::new(),
+            buffer: VecDeque::new(),
+            buffered: 0,
+            versions: Vec::new(),
+            batch: Vec::new(),
             output: Vec::new(),
             attempts: 0,
             squashes: 0,
@@ -186,6 +202,8 @@ impl<'g> CommitUnit<'g> {
             work: 0,
             recovery: RecoveryCounts::default(),
             retries_by_task: HashMap::new(),
+            seat_stats: Vec::new(),
+            worker_events: Vec::new(),
             trace,
             mem,
             governor,
@@ -331,25 +349,48 @@ impl<'g> CommitUnit<'g> {
         *charged > budget
     }
 
-    /// Buffers one completion, then commits as far in task order as the
-    /// buffer allows, applying the recovery ladder to each attempt that
-    /// reaches the frontier. `oracle(task, attempt)` replays a task
-    /// body sequentially for output validation.
-    ///
-    /// The `attempts` counter is charged here — at frontier processing,
-    /// not at receipt — so it too depends only on the per-task attempt
-    /// sequences, never on arrival order.
-    pub(super) fn absorb(
-        &mut self,
-        done: WorkerDone,
-        sup: &Supervisor<'_>,
-        oracle: &mut dyn FnMut(u32, u32) -> Result<TaskOutput, ExecError>,
-    ) -> Result<Absorbed, ExecError> {
+    /// The buffered completion of `task` (which must be ≥ `next`).
+    fn peek(&self, task: usize) -> Option<&WorkerDone> {
+        self.buffer.get(task - self.next)?.as_ref()
+    }
+
+    /// Takes `task`'s completion out of its slot. The slot itself stays
+    /// until the frontier moves past it ([`advance`](Self::advance)).
+    fn take(&mut self, task: usize) -> Option<WorkerDone> {
+        let done = self.buffer.get_mut(task - self.next)?.take();
+        self.buffered -= usize::from(done.is_some());
+        done
+    }
+
+    /// Moves the frontier `by` tasks on, retiring their slots, and
+    /// publishes the new watermark.
+    fn advance(&mut self, by: usize) {
+        for _ in 0..by {
+            if let Some(Some(_)) = self.buffer.pop_front() {
+                self.buffered -= 1;
+            }
+        }
+        self.next += by;
+        self.watermark.store(self.next as u64, Ordering::Release);
+    }
+
+    /// Takes one completion off the board into the reorder buffer. The
+    /// supervisor accepts everything the workers published and then
+    /// runs one [`drain`](Self::drain) over the lot. Returns a
+    /// redispatch only for an early conflict squash (below).
+    pub(super) fn accept(&mut self, mut done: WorkerDone) -> Option<Redispatch> {
+        if self.seat_stats.len() <= done.seat {
+            self.seat_stats.resize(done.seat + 1, (Duration::ZERO, 0));
+        }
+        let stat = &mut self.seat_stats[done.seat];
+        stat.0 += done.busy;
+        stat.1 += 1;
+        self.worker_events.append(&mut done.events);
         if (done.task as usize) < self.next {
             // Stale completion for an already-committed task (cannot
             // happen under the one-outstanding-attempt-per-task
             // protocol; tolerated defensively).
-            return Ok(Absorbed::Continue(Vec::new()));
+            return None;
         }
         // Early conflict squash (governed versioned runs only): a
         // completion whose version is already doomed need not wait in
@@ -385,25 +426,36 @@ impl<'g> CommitUnit<'g> {
                         reason: SquashReason::MemoryConflict,
                     });
                     m.rollback(v);
-                    let r = self.conflict_redispatch(
+                    return Some(self.conflict_redispatch(
                         done.task,
                         done.attempt,
                         addr,
                         Some(by.0 as u32),
                         false,
-                    );
-                    return Ok(Absorbed::Continue(vec![r]));
+                    ));
                 }
             }
         }
-        self.buffer.insert(done.task, done);
-        self.drain(sup, oracle)
+        let slot = done.task as usize - self.next;
+        if self.buffer.len() <= slot {
+            self.buffer.resize_with(slot + 1, || None);
+        }
+        if self.buffer[slot].replace(done).is_none() {
+            self.buffered += 1;
+        }
+        None
     }
 
     /// Commits as far in task order as the reorder buffer allows,
     /// applying the recovery ladder to each attempt reaching the
-    /// frontier. Also called standalone after a degraded inline commit,
-    /// to flush buffered successors past the advanced frontier.
+    /// frontier. `oracle(task, attempt)` replays a task body
+    /// sequentially for output validation. Called once per batch of
+    /// accepted completions, and after a degraded inline commit to
+    /// flush buffered successors past the advanced frontier.
+    ///
+    /// The `attempts` counter is charged here — at frontier processing,
+    /// not at receipt — so it depends only on the per-task attempt
+    /// sequences, never on arrival order.
     ///
     /// The frontier drains in *batches*: each pass peeks the maximal
     /// consecutive run of buffered non-panicked completions, resolves
@@ -427,24 +479,23 @@ impl<'g> CommitUnit<'g> {
     ) -> Result<Absorbed, ExecError> {
         // Fast path for the governed tight loop: with nothing buffered
         // (the common case while degraded) there is nothing to flush.
-        if self.buffer.is_empty() {
+        if self.buffered == 0 {
             return Ok(Absorbed::Continue(Vec::new()));
         }
         let mut redispatch = Vec::new();
+        let mut versions = std::mem::take(&mut self.versions);
+        let mut batch = std::mem::take(&mut self.batch);
         loop {
             // Peek the consecutive run of non-panicked completions at
             // the frontier. Panicked attempts stop the run: rung 1 owns
             // them, one at a time.
-            let mut run = 0usize;
-            while self
+            let run = self
                 .buffer
-                .get(&((self.next + run) as u32))
-                .is_some_and(|d| !d.panicked)
-            {
-                run += 1;
-            }
+                .iter()
+                .take_while(|d| d.as_ref().is_some_and(|d| !d.panicked))
+                .count();
             if run == 0 {
-                let Some(done) = self.buffer.remove(&(self.next as u32)) else {
+                let Some(done) = self.take(self.next) else {
                     break;
                 };
                 // 1. Worker panic (injected or real): discard like a
@@ -476,19 +527,15 @@ impl<'g> CommitUnit<'g> {
             // conflict squash is never charged against the retry budget.
             let mut ok = run;
             if let Some(m) = self.mem {
-                let vs: Vec<VersionId> = (0..run)
-                    .map(|i| VersionId((self.next + i) as u64))
-                    .collect();
-                let (n, stopped) = m.commit_check_batch(&vs);
+                versions.clear();
+                versions.extend((0..run).map(|i| VersionId((self.next + i) as u64)));
+                let (n, stopped) = m.commit_check_batch(&versions);
                 ok = n;
                 if ok == 0 {
                     // The frontier attempt's own version was invalidated
                     // by an earlier version's conflicting write (or a
                     // rollback's revoked forward): squash and replay it.
-                    let done = self
-                        .buffer
-                        .remove(&(self.next as u32))
-                        .expect("peeked frontier entry");
+                    let done = self.take(self.next).expect("peeked frontier entry");
                     self.attempts += 1;
                     if done.stalled {
                         self.recovery.stalls_absorbed += 1;
@@ -537,14 +584,14 @@ impl<'g> CommitUnit<'g> {
             // Rungs 2a / 3 / 4, per task: bound the committable batch
             // at the first attempt a rung rejects. Rung checks are
             // side-effect-free until an attempt is actually *processed*
-            // (removed from the buffer), so a mid-run failure leaves
+            // (taken from the buffer), so a mid-run failure leaves
             // the failing attempt buffered — it is handled as the
             // frontier task on the next pass, after the clean prefix
             // below commits, exactly as the per-task ladder would.
-            let mut batch: Vec<WorkerDone> = Vec::with_capacity(ok);
             while batch.len() < ok {
-                let t32 = (self.next + batch.len()) as u32;
-                let done = self.buffer.get(&t32).expect("peeked run entry");
+                let at = self.next + batch.len();
+                let t32 = at as u32;
+                let attempt = self.peek(at).expect("peeked run entry").attempt;
                 let task = self.graph.task(TaskId(t32));
                 let violated = self
                     .graph
@@ -562,24 +609,21 @@ impl<'g> CommitUnit<'g> {
                 // so; the simulated twin accounts identically.)
                 // Versioned runs skip this rung entirely: the memory
                 // substrate, not the recording, decides.
-                let fails_misspec = self.mem.is_none() && violated > 0 && done.attempt == 0;
+                let fails_misspec = self.mem.is_none() && violated > 0 && attempt == 0;
                 // 3. Output validation: compare against the body's
                 // replayable sequential oracle (attempt ≥ 1 forces the
                 // non-speculative result).
-                let fails_validation = if !fails_misspec && sup.validate {
-                    let expected = oracle(t32, done.attempt.max(1))?;
-                    self.buffer[&t32].output != expected
-                } else {
-                    false
-                };
+                let fails_validation = !fails_misspec
+                    && sup.validate
+                    && oracle(t32, attempt.max(1))?
+                        != self.peek(at).expect("peeked run entry").output;
                 // 4. Spurious squash: the fault plan discards a
                 // perfectly good attempt at the commit point.
                 let fails_spurious = !fails_misspec
                     && !fails_validation
-                    && sup.faults.fault_at(t32, self.buffer[&t32].attempt)
-                        == Some(FaultKind::SpuriousSquash);
+                    && sup.faults.fault_at(t32, attempt) == Some(FaultKind::SpuriousSquash);
                 if !(fails_misspec || fails_validation || fails_spurious) {
-                    batch.push(self.buffer.remove(&t32).expect("peeked run entry"));
+                    batch.push(self.take(at).expect("peeked run entry"));
                     continue;
                 }
                 if !batch.is_empty() {
@@ -588,7 +632,7 @@ impl<'g> CommitUnit<'g> {
                     break;
                 }
                 // The frontier attempt itself failed a rung: process it.
-                let done = self.buffer.remove(&t32).expect("peeked run entry");
+                let done = self.take(at).expect("peeked run entry");
                 self.attempts += 1;
                 if done.stalled {
                     self.recovery.stalls_absorbed += 1;
@@ -657,9 +701,8 @@ impl<'g> CommitUnit<'g> {
                 // readers — so nothing can doom a batch member between
                 // the check and this sweep, and the batch commit cannot
                 // come up short.
-                let vs: Vec<VersionId> =
-                    batch.iter().map(|d| VersionId(u64::from(d.task))).collect();
-                let (writes, stopped) = m.try_commit_batch(&vs);
+                versions.truncate(batch.len());
+                let (writes, stopped) = m.try_commit_batch(&versions);
                 assert_eq!(
                     writes.len(),
                     batch.len(),
@@ -703,11 +746,13 @@ impl<'g> CommitUnit<'g> {
                 self.output.extend_from_slice(&done.output.bytes);
                 self.work += done.output.work;
             }
-            self.next += batch.len();
-            self.watermark.store(self.next as u64, Ordering::Release);
             let last = batch.last().expect("non-empty batch").task;
+            self.advance(batch.len());
             self.governor_commit_batch(last, batch.len() as u64);
+            batch.clear();
         }
+        self.versions = versions;
+        self.batch = batch;
         Ok(Absorbed::Continue(redispatch))
     }
 
@@ -772,8 +817,7 @@ impl<'g> CommitUnit<'g> {
         });
         self.output.extend_from_slice(&output.bytes);
         self.work += output.work;
-        self.next += 1;
-        self.watermark.store(self.next as u64, Ordering::Release);
+        self.advance(1);
         self.governor_commit(task);
     }
 
@@ -790,26 +834,39 @@ impl<'g> CommitUnit<'g> {
         });
         self.output.extend_from_slice(&output.bytes);
         self.work += output.work;
-        self.next += 1;
-        self.watermark.store(self.next as u64, Ordering::Release);
+        self.advance(1);
     }
 
-    /// Finalizes the run: when tracing was on, the frontier's events are
-    /// stitched with the dispatcher's and every worker's into the
+    /// Finalizes the run: one [`WorkerStat`] per seat of `board` that
+    /// ran an accepted attempt and, when tracing was on, the frontier's
+    /// events stitched with the dispatcher's and the workers' into the
     /// report's [`Timeline`].
     pub(super) fn into_report(
         self,
         wall: Duration,
-        workers: Vec<WorkerStat>,
-        watchdog_trips: u64,
-        fallback_activated: bool,
-        dispatch_events: Vec<TraceEvent>,
-        worker_events: Vec<Vec<TraceEvent>>,
+        board: &Board,
+        (watchdog_trips, fallback_activated): (u64, bool),
+        dispatch_trace: TraceBuffer,
     ) -> NativeReport {
+        let workers = board
+            .seats()
+            .iter()
+            .zip(&self.seat_stats)
+            .filter(|(_, &(_, tasks))| tasks > 0)
+            .map(|(seat, &(busy, tasks))| WorkerStat {
+                core: seat.core,
+                stage: StageId(seat.stage),
+                busy,
+                tasks,
+            })
+            .collect();
         let job = self.trace.job();
         let timeline = self.trace.enabled().then(|| {
-            let mut buffers = vec![self.trace.into_events(), dispatch_events];
-            buffers.extend(worker_events);
+            let buffers = vec![
+                self.trace.into_events(),
+                dispatch_trace.into_events(),
+                self.worker_events,
+            ];
             Timeline::stitch(TimeUnit::Nanos, self.graph.stage_count(), buffers)
         });
         NativeReport {

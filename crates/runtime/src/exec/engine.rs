@@ -17,45 +17,51 @@
 //! Jobs share only the stateless worker threads. Everything stateful
 //! is keyed by the job:
 //!
-//! - every work item carries an `Arc` of its job's shared state, so a
-//!   worker executes each attempt against that job's graph, body,
-//!   substrate, and fault plan — never a neighbour's;
+//! - every ticket carries an `Arc` of its job's shared state, so a
+//!   worker executes each attempt against that job's board, graph,
+//!   body, substrate, and fault plan — never a neighbour's;
 //! - every trace event a worker records is stamped with the job's
-//!   [`JobId`], and events are flushed into per-job ledgers, so the
-//!   [`Timeline`](super::Timeline)s of concurrent jobs never mix;
+//!   [`JobId`] and travels to the job's supervisor inside the attempt's
+//!   completion, so the [`Timeline`](super::Timeline)s of concurrent
+//!   jobs never mix;
 //! - commit frontiers, governors, retry budgets, and watchdogs live on
 //!   the job's supervisor thread; a conflict storm in one job can
 //!   throttle only that job's dispatch window.
 //!
 //! # Scheduling and liveness
 //!
-//! The pool is work-conserving: items from all jobs funnel through one
-//! MPMC injector and land on whichever worker frees up first. Task
-//! bodies never block on other tasks (speculation means running ahead;
-//! ordering is enforced at each job's commit frontier, on its
-//! supervisor thread), so a busy pool delays jobs but cannot deadlock
-//! them. Size the pool at least as large as the widest single plan for
-//! full overlap; an undersized pool degrades to time-slicing. If the
-//! pool ever disappears entirely (the engine was dropped with jobs
-//! still running), each job's watchdog trips and the job completes on
-//! its supervisor thread via the sequential fallback — slower, still
-//! byte-identical.
+//! The injector carries *tickets* — (job, seat) pairs — not tasks. A
+//! worker holding a ticket runs the claim loop of [`super::stage`]
+//! over that job's board, touching no engine-wide state per task, and
+//! gives the ticket up in one of two ways: after one window of claims
+//! (the *ticket quantum*) it requeues the ticket at the injector's
+//! tail, so a pool smaller than the sum of its jobs' seats round-robins
+//! between them; when its lane runs dry it parks the seat on the job's
+//! board, and the job's supervisor hands the ticket back once it has
+//! admitted more work. Task bodies never block on other tasks
+//! (speculation means running ahead; ordering is enforced at each
+//! job's commit frontier, on its supervisor thread), so a busy pool
+//! delays jobs but cannot deadlock them. Size the pool at least as
+//! large as the widest single plan for full overlap; an undersized pool
+//! degrades to time-slicing. If the pool ever disappears entirely (the
+//! engine was dropped with jobs still running), no ticket is served,
+//! nothing is published, each job's watchdog trips and the job
+//! completes on its supervisor thread via the sequential fallback —
+//! slower, still byte-identical.
 
 use super::commit::{CommitUnit, CommitView, Supervisor};
 use super::governor::Governor;
-use super::metrics::WorkerStat;
-use super::stage::{run_attempt, AttemptEnv, WorkItem, WorkerDone};
-use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
+use super::stage::{serve, Board, Injector, JobEnv, Seat};
+use super::trace::{JobId, TraceBuffer, TraceClock};
 use super::{run_supervised, ExecConfig, ExecError, NativeBody, NativeReport, WorkerBackend};
-use crate::plan::{ExecutionPlan, StageAssignment};
-use crate::task::{StageId, TaskGraph, TaskId};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::plan::ExecutionPlan;
+use crate::task::TaskGraph;
+use crossbeam::channel::{bounded, Receiver};
 use seqpar_specmem::ConcurrentVersionedMemory;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Pool parameters for an [`Engine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,9 +108,9 @@ pub struct JobSpec {
     /// across graphs.
     pub mem: Option<Arc<ConcurrentVersionedMemory>>,
     /// Per-job supervision parameters: fault plan, retry budget,
-    /// governor, tracing, validation, watchdog. `queue_capacity` bounds
-    /// the job's per-stage outstanding dispatches into the shared pool,
-    /// mirroring the scoped executor's bounded stage queues.
+    /// governor, tracing, validation, watchdog. `queue_capacity` sizes
+    /// the job's per-stage admission windows, exactly as for a
+    /// [`NativeExecutor`](super::NativeExecutor) run.
     pub config: ExecConfig,
 }
 
@@ -146,68 +152,41 @@ impl JobHandle {
     }
 }
 
-/// Work injected into the shared pool: one attempt of one task of one
-/// job, carrying the job state the attempt must run against.
-struct EngineWork {
-    shared: Arc<JobShared>,
-    item: WorkItem,
+/// What the injector carries: the right to serve one seat of one job,
+/// with the job state its attempts run against.
+struct Ticket {
+    job: Arc<JobShared>,
+    seat: Seat,
 }
 
-/// Everything a pool worker needs to execute one job's attempts, plus
-/// the ledgers it flushes observations into. One per job, shared by
-/// the job's supervisor and every in-flight work item.
+/// Everything a pool worker needs to serve one job's tickets. One per
+/// job, shared by the job's supervisor and its tickets.
 struct JobShared {
     job: JobId,
-    graph: Arc<TaskGraph>,
-    body: Arc<dyn NativeBody>,
+    spec: JobSpec,
     view: CommitView,
-    faults: super::FaultPlan,
     clock: TraceClock,
-    mem: Option<Arc<ConcurrentVersionedMemory>>,
-    done_tx: Sender<WorkerDone>,
-    ledger: Mutex<WorkerLedger>,
+    board: Board,
 }
 
-/// Per-job accumulation of pool-worker observations: timing keyed by
-/// `(pool worker, stage)` — the engine's analogue of one
-/// [`WorkerStat`] per plan core — and the job's worker-side trace
-/// events.
-#[derive(Default)]
-struct WorkerLedger {
-    stats: BTreeMap<(usize, u8), (Duration, u64)>,
-    events: Vec<TraceEvent>,
-}
-
-impl WorkerLedger {
-    fn add(&mut self, worker: usize, stage: u8, busy: Duration, events: Vec<TraceEvent>) {
-        let slot = self.stats.entry((worker, stage)).or_default();
-        slot.0 += busy;
-        slot.1 += 1;
-        self.events.extend(events);
-    }
-
-    fn into_parts(self) -> (Vec<WorkerStat>, Vec<Vec<TraceEvent>>) {
-        let stats = self
-            .stats
-            .into_iter()
-            .map(|((core, stage), (busy, tasks))| WorkerStat {
-                core,
-                stage: StageId(stage),
-                busy,
-                tasks,
-            })
-            .collect();
-        // One buffer: `Timeline::stitch` orders by timestamp anyway.
-        (stats, vec![self.events])
+impl JobShared {
+    fn env(&self) -> JobEnv<'_> {
+        JobEnv {
+            graph: &self.spec.graph,
+            body: &*self.spec.body,
+            view: &self.view,
+            faults: &self.spec.config.fault_plan,
+            mem: self.spec.mem.as_deref(),
+            clock: self.clock,
+            job: self.job,
+        }
     }
 }
 
 struct EngineInner {
     config: EngineConfig,
-    /// `Some` until the engine drops; taking it disconnects the
-    /// injector so pool workers drain and exit.
-    work_tx: Mutex<Option<Sender<EngineWork>>>,
-    work_rx: Receiver<EngineWork>,
+    /// Closed when the engine drops, so pool workers exit.
+    injector: Arc<Injector<Ticket>>,
     spawn: Once,
     workers: Mutex<Vec<JoinHandle<()>>>,
     next_job: AtomicU64,
@@ -218,38 +197,23 @@ impl EngineInner {
         self.spawn.call_once(|| {
             let mut handles = self.workers.lock().expect("engine worker list poisoned");
             for idx in 0..self.config.workers.max(1) {
-                let rx = self.work_rx.clone();
+                let injector = Arc::clone(&self.injector);
                 handles.push(
                     std::thread::Builder::new()
                         .name(format!("seqpar-engine-{idx}"))
-                        .spawn(move || engine_worker(idx, &rx))
+                        .spawn(move || engine_worker(&injector))
                         .expect("spawn engine pool worker"),
                 );
             }
         });
     }
-
-    fn inject(&self, work: EngineWork) {
-        let tx = self.work_tx.lock().expect("engine injector poisoned");
-        if let Some(tx) = tx.as_ref() {
-            // Unbounded channel: never blocks. Send can only fail
-            // after shutdown, where dropping the item is correct —
-            // the job's watchdog takes over.
-            let _ = tx.send(work);
-        }
-    }
 }
 
 impl Drop for EngineInner {
     fn drop(&mut self) {
-        // Disconnect the injector first; blocked workers then see the
-        // channel close and exit, making the joins finite.
-        drop(
-            self.work_tx
-                .lock()
-                .expect("engine injector poisoned")
-                .take(),
-        );
+        // Close the injector first; blocked workers then see it and
+        // exit, making the joins finite.
+        self.injector.close();
         let workers =
             std::mem::take(&mut *self.workers.lock().expect("engine worker list poisoned"));
         for w in workers {
@@ -291,12 +255,10 @@ impl Engine {
     /// No threads start until the first pipelined dispatch (or an
     /// explicit [`Engine::warm`]).
     pub fn new(config: EngineConfig) -> Self {
-        let (work_tx, work_rx) = unbounded();
         Self {
             inner: Arc::new(EngineInner {
                 config,
-                work_tx: Mutex::new(Some(work_tx)),
-                work_rx,
+                injector: Arc::new(Injector::new()),
                 spawn: Once::new(),
                 workers: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
@@ -355,109 +317,32 @@ impl Engine {
     }
 }
 
-/// The engine-backed [`WorkerBackend`]: dispatch pushes into the shared
-/// injector, and per-stage outstanding counters emulate the scoped
-/// executor's bounded stage queues (capacity + one in-service slot per
-/// assigned core), so a job cannot flood the pool past the same
-/// backpressure point the per-run executor enforces.
+/// The engine-backed [`WorkerBackend`]: the pool's threads, and its
+/// shared injector as the way a ticket reaches an idle one.
 struct EngineBackend {
     pool: Arc<EngineInner>,
     shared: Arc<JobShared>,
-    done_rx: Receiver<WorkerDone>,
-    outstanding: Vec<usize>,
-    caps: Vec<usize>,
-}
-
-impl EngineBackend {
-    fn new(
-        pool: Arc<EngineInner>,
-        shared: Arc<JobShared>,
-        plan: &ExecutionPlan,
-        queue_capacity: usize,
-        done_rx: Receiver<WorkerDone>,
-    ) -> Self {
-        let caps = (0..plan.stage_count())
-            .map(|s| {
-                let cores = match plan.stage(s) {
-                    StageAssignment::Serial { .. } => 1,
-                    StageAssignment::Parallel { cores } | StageAssignment::RoundRobin { cores } => {
-                        cores.len()
-                    }
-                };
-                queue_capacity.max(1) + cores
-            })
-            .collect();
-        let outstanding = vec![0; plan.stage_count() as usize];
-        Self {
-            pool,
-            shared,
-            done_rx,
-            outstanding,
-            caps,
-        }
-    }
 }
 
 impl WorkerBackend for EngineBackend {
-    fn try_dispatch(&mut self, stage: usize, item: WorkItem) -> Option<usize> {
-        if self.outstanding[stage] >= self.caps[stage] {
-            return None;
-        }
-        self.pool.inject(EngineWork {
-            shared: Arc::clone(&self.shared),
-            item,
-        });
-        self.outstanding[stage] += 1;
-        Some(self.outstanding[stage])
-    }
-
-    fn ensure_workers(&mut self) {
+    fn hand(&mut self, seat: Seat) {
         self.pool.ensure_workers();
-    }
-
-    fn recv_timeout(&mut self, deadline: Duration) -> Result<WorkerDone, RecvTimeoutError> {
-        let done = self.done_rx.recv_timeout(deadline)?;
-        let stage = self.shared.graph.task(TaskId(done.task)).stage.0 as usize;
-        self.outstanding[stage] = self.outstanding[stage].saturating_sub(1);
-        Ok(done)
+        self.pool.injector.push(Ticket {
+            job: Arc::clone(&self.shared),
+            seat,
+        });
     }
 }
 
-/// One pool worker: drains the shared injector, running each attempt
-/// against *its* job's state and flushing observations into that job's
-/// ledger. Stateless between items — this is what makes the pool
-/// shareable.
-fn engine_worker(idx: usize, rx: &Receiver<EngineWork>) {
-    while let Ok(EngineWork { shared, item }) = rx.recv() {
-        let stage = shared.graph.task(TaskId(item.task)).stage.0;
-        let mut trace = TraceBuffer::for_job(shared.clock, shared.job);
-        // The shared injector has no per-stage occupancy to report;
-        // the job-side `QueuePush` events carry the outstanding count.
-        trace.record(TraceEventKind::QueuePop {
-            stage,
-            task: item.task,
-            attempt: item.attempt,
-            occupancy: 0,
-        });
-        let env = AttemptEnv {
-            graph: &shared.graph,
-            body: &*shared.body,
-            view: &shared.view,
-            faults: &shared.faults,
-            mem: shared.mem.as_deref(),
-            core: idx,
-            stage,
-        };
-        let (done, busy) = run_attempt(&env, item, &mut trace);
-        shared
-            .ledger
-            .lock()
-            .expect("engine job ledger poisoned")
-            .add(idx, stage, busy, trace.into_events());
-        // A completed job's supervisor may already be gone (watchdog
-        // fallback); dropping the completion is correct, the worker
-        // moves on.
-        let _ = shared.done_tx.send(done);
+/// One pool worker: serves whatever ticket the injector hands it, over
+/// *that* job's board and state, and requeues the ticket at the tail
+/// when its quantum is up. Stateless between tickets — this is what
+/// makes the pool shareable.
+fn engine_worker(injector: &Injector<Ticket>) {
+    while let Some(ticket) = injector.pop() {
+        if serve(&ticket.job.board, &ticket.job.env(), ticket.seat) {
+            injector.push(ticket);
+        }
     }
 }
 
@@ -504,51 +389,30 @@ fn run_engine_job(
         validate: spec.config.validate_outputs || faults.can_corrupt(),
     };
 
-    let (done_tx, done_rx) = unbounded::<WorkerDone>();
     let shared = Arc::new(JobShared {
         job,
-        graph: Arc::clone(&spec.graph),
-        body: Arc::clone(&spec.body),
+        spec: spec.clone(),
         view: view.clone(),
-        faults: faults.clone(),
         clock,
-        mem: spec.mem.clone(),
-        done_tx,
-        ledger: Mutex::new(WorkerLedger::default()),
+        board: Board::new(graph, plan, spec.config.queue_capacity),
     });
-    let mut backend = EngineBackend::new(
-        Arc::clone(pool),
-        Arc::clone(&shared),
-        plan,
-        spec.config.queue_capacity,
-        done_rx,
-    );
+    let mut backend = EngineBackend {
+        pool: Arc::clone(pool),
+        shared: Arc::clone(&shared),
+    };
 
     let supervised = run_supervised(
-        graph,
-        &*spec.body,
-        &view,
-        spec.mem.as_deref(),
+        &shared.env(),
+        &shared.board,
         &supervisor,
         spec.config.watchdog_deadline,
         &mut commit,
         &mut dispatch_trace,
         &mut backend,
-    );
-    let (watchdog_trips, fallback) = supervised?;
+    )?;
 
-    // Straggler attempts of this job may still be running on pool
-    // workers (e.g. after a fallback); they flush into the ledger
-    // after this snapshot and are dropped with it — exactly like the
-    // scoped executor abandoning un-joined attempts at scope end.
-    let ledger = std::mem::take(&mut *shared.ledger.lock().expect("engine job ledger poisoned"));
-    let (worker_stats, worker_events) = ledger.into_parts();
-    Ok(commit.into_report(
-        started.elapsed(),
-        worker_stats,
-        watchdog_trips,
-        fallback,
-        dispatch_trace.into_events(),
-        worker_events,
-    ))
+    // After a fallback, straggler attempts of this job may still be
+    // running on pool workers; they publish into a closed board nobody
+    // reads, and are dropped with it.
+    Ok(commit.into_report(started.elapsed(), &shared.board, supervised, dispatch_trace))
 }

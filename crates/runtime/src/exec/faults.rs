@@ -311,7 +311,7 @@ pub struct TaskSupervision {
 /// `violated` says whether the task has at least one violated
 /// speculated dependence (so its genuine attempt 0 gets the normal
 /// misspeculation squash). The decision order per attempt mirrors
-/// `CommitUnit::absorb` exactly: worker panic → misspeculation squash →
+/// `CommitUnit::drain` exactly: worker panic → misspeculation squash →
 /// output validation → spurious squash → commit.
 pub fn supervise_task(
     plan: &FaultPlan,

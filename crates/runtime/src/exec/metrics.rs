@@ -9,7 +9,8 @@ use crate::task::StageId;
 use seqpar_specmem::MemStats;
 use std::time::Duration;
 
-/// Timing for one worker thread (one core of the plan).
+/// Timing for one seat of the plan (one core assigned to one stage),
+/// whichever threads served it.
 #[derive(Clone, Debug)]
 pub struct WorkerStat {
     /// The plan core this worker modelled.
@@ -76,7 +77,10 @@ pub struct NativeReport {
     /// (retry budget exhausted or watchdog tripped) rather than fully
     /// pipelined. The output is byte-identical either way.
     pub fallback_activated: bool,
-    /// Per-worker timing, one entry per plan core.
+    /// Per-seat timing: one entry per plan core that served at least
+    /// one attempt (none at all when every task committed inline on the
+    /// supervisor). Each completion carries its seat and body time, so
+    /// on a run without fallback the `tasks` add up to `attempts`.
     pub workers: Vec<WorkerStat>,
     /// The structured execution timeline, present when the run was
     /// traced ([`ExecConfig::trace`](super::ExecConfig::trace)); `None`
@@ -128,7 +132,7 @@ impl NativeReport {
         }
     }
 
-    /// Worker threads used.
+    /// Plan cores that served at least one attempt.
     pub fn threads(&self) -> usize {
         self.workers.len()
     }

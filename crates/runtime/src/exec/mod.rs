@@ -7,14 +7,23 @@
 //! supplies each task's real computation, and enforces the paper's
 //! execution model with real concurrency primitives:
 //!
-//! * **Bounded queues** (§3.1's 32-entry core-to-core queues): each
-//!   stage's input is a bounded channel of [`ExecConfig::queue_capacity`]
-//!   entries; a producer stage that runs too far ahead blocks.
+//! * **Bounded windows** (§3.1's 32-entry core-to-core queues): each
+//!   stage is a *lane* — its tasks in iteration order, an atomic claim
+//!   cursor the workers advance, and an atomic limit the supervisor
+//!   raises. At most [`ExecConfig::queue_capacity`] attempts plus one
+//!   per assigned core are admitted and not yet absorbed; a stage that
+//!   runs that far ahead of the supervisor finds nothing to claim.
 //! * **Replicated parallel stages** (§3.2's dynamic least-loaded
-//!   assignment): a `Parallel` stage's workers share one MPMC channel,
-//!   so the next task goes to whichever worker frees up first — the
-//!   runnable equivalent of "least work enqueued". `RoundRobin` stages
-//!   get per-worker queues fed statically by iteration number.
+//!   assignment): a `Parallel` stage's workers share one lane, so the
+//!   next task goes to whichever worker frees up first — the runnable
+//!   equivalent of "least work enqueued". `RoundRobin` stages get one
+//!   lane per worker, fed statically by iteration number.
+//! * **A supervisor off the per-task path**: workers publish
+//!   completions into a sequence-numbered ring and wake the supervisor
+//!   only when half a window is pending or claimable work ran out; it
+//!   then absorbs everything published, runs the commit frontier once
+//!   over the lot, raises the limits and goes back to sleep (the board
+//!   and the wake rule are in `stage.rs`).
 //! * **In-order commit**: a reorder buffer releases task outputs in
 //!   task order (the sequential program order), exactly the commit
 //!   discipline the paper's versioned memory enforces.
@@ -77,10 +86,9 @@ use crate::plan::ExecutionPlan;
 use crate::sim::SimError;
 use crate::task::{StageId, TaskGraph, TaskId};
 use commit::{Absorbed, CommitUnit, Redispatch, Release, Supervisor};
-use crossbeam::channel::RecvTimeoutError;
 use governor::Governor;
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
-use stage::{StageQueues, WorkItem, WorkerDone};
+use stage::{Board, Injector, JobEnv, Seat, WorkItem};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
@@ -169,10 +177,9 @@ impl std::error::Error for ExecError {
 pub struct ExecConfig {
     /// Entries per stage input queue (the paper models 32-entry
     /// hardware queues; [`crate::SimConfig::queue_capacity`] is the
-    /// simulated twin of this knob). Values below 1 are clamped to 1 —
-    /// a zero-capacity queue could never transfer an item under this
-    /// try-send/retry protocol, so capacity 0 behaves exactly like
-    /// capacity 1 (see [`ExecConfig::with_queue_capacity`]).
+    /// simulated twin of this knob): a stage's admission window is this
+    /// plus one in-service slot per core assigned to it. Values below 1
+    /// are clamped to 1 (see [`ExecConfig::with_queue_capacity`]).
     pub queue_capacity: usize,
     /// Fault-recovery replays allowed per task (worker panics,
     /// corrupted outputs, spurious squashes — misspeculation replays
@@ -182,7 +189,7 @@ pub struct ExecConfig {
     /// aborting; budget 0 falls back on the first fault.
     pub retry_budget: u32,
     /// Heartbeat deadline for the stall watchdog: when no completion
-    /// arrives for this long while tasks remain, the supervisor
+    /// is published for this long while tasks remain, the supervisor
     /// declares the pipeline wedged and switches to the sequential
     /// fallback.
     pub watchdog_deadline: Duration,
@@ -230,11 +237,9 @@ impl ExecConfig {
     /// A default config whose queues hold `queue_capacity` entries.
     ///
     /// `queue_capacity` is clamped to a minimum of 1 — **explicitly**:
-    /// a 0-capacity queue cannot transfer any item under the
-    /// dispatcher's non-blocking try-send protocol, so every dispatch
-    /// would be refused and the pipeline could never start. Capacity 0
-    /// therefore behaves exactly like capacity 1 (one in-flight item
-    /// per queue, maximum backpressure), which the regression test
+    /// a queue that holds nothing models no hardware. Capacity 0
+    /// therefore behaves exactly like capacity 1 (one queued item
+    /// per stage, maximum backpressure), which the regression test
     /// `zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage`
     /// pins down.
     pub fn with_queue_capacity(queue_capacity: usize) -> Self {
@@ -464,7 +469,7 @@ impl NativeExecutor {
         let view = CommitView::new(Arc::clone(&watermark));
         // One shared clock, one private buffer per recording site: the
         // commit frontier, the dispatcher (this thread), and every
-        // worker. All no-ops when tracing is off.
+        // ticket a worker serves. All no-ops when tracing is off.
         let clock = TraceClock::new(self.config.trace);
         let mut commit = CommitUnit::new(
             graph,
@@ -485,28 +490,29 @@ impl NativeExecutor {
             validate: self.config.validate_outputs || faults.can_corrupt(),
         };
 
-        let queues = StageQueues::new(graph, plan, self.config.queue_capacity);
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<WorkerDone>();
+        let board = Board::new(graph, plan, self.config.queue_capacity);
+        let env = JobEnv {
+            graph,
+            body,
+            view: &view,
+            faults,
+            mem,
+            clock,
+            job: JobId::SOLO,
+        };
+        let injector = Injector::new();
 
         std::thread::scope(|scope| {
             let mut backend = ScopedBackend {
-                queues,
                 scope,
-                graph,
-                body,
-                view: &view,
-                faults,
-                clock,
-                mem,
-                done_tx: Some(done_tx),
-                done_rx,
+                board: &board,
+                env: &env,
+                injector: &injector,
                 workers: Vec::new(),
             };
             let supervised = run_supervised(
-                graph,
-                body,
-                &view,
-                mem,
+                &env,
+                &board,
                 &supervisor,
                 self.config.watchdog_deadline,
                 &mut commit,
@@ -514,162 +520,263 @@ impl NativeExecutor {
                 &mut backend,
             );
 
-            // Shut the pipeline down before surfacing any error:
-            // closing the queues (and dropping the completion channel)
-            // is what lets blocked workers exit so the scope can join
-            // them.
-            let ScopedBackend {
-                queues,
-                done_rx,
-                workers,
-                ..
-            } = backend;
-            queues.close();
-            drop(done_rx);
-            let mut worker_stats = Vec::with_capacity(workers.len());
-            let mut worker_events = Vec::with_capacity(workers.len());
+            // Shut the pool down before surfacing any error: the board
+            // is closed, closing the injector releases the workers
+            // blocked on it, and the scope can join them.
+            injector.close();
             let mut join_failed = false;
-            for w in workers {
-                match w.join() {
-                    Ok((stat, events)) => {
-                        worker_stats.push(stat);
-                        worker_events.push(events);
-                    }
-                    Err(_) => join_failed = true,
-                }
+            for worker in backend.workers {
+                join_failed |= worker.join().is_err();
             }
-            let (watchdog_trips, fallback) = supervised?;
+            let supervised = supervised?;
             if join_failed {
                 return Err(ExecError::WorkersDisconnected {
                     committed: commit.committed_tasks() as u64,
                 });
             }
-            Ok(commit.into_report(
-                started.elapsed(),
-                worker_stats,
-                watchdog_trips,
-                fallback,
-                dispatch_trace.into_events(),
-                worker_events,
-            ))
+            Ok(commit.into_report(started.elapsed(), &board, supervised, dispatch_trace))
         })
     }
 }
 
-/// Where a supervision loop's dispatched work actually runs: either the
-/// per-run scoped worker pool ([`ScopedBackend`], what
-/// [`NativeExecutor::run`] builds) or a persistent shared [`Engine`]
-/// pool (`EngineBackend` in `engine.rs`). The supervision loop itself —
-/// release order, backoff pens, degraded inline issue, the watchdog,
-/// the commit frontier — is backend-agnostic; only dispatch, lazy
-/// worker startup, and completion receipt differ.
+/// What differs between the two owners of worker threads — the per-run
+/// scoped pool ([`ScopedBackend`], what [`NativeExecutor::run`] builds)
+/// and a persistent shared [`Engine`] pool (`EngineBackend` in
+/// `engine.rs`): how an idle worker is handed a seat's ticket, and who
+/// starts the threads. Everything else — the board, the claim loop
+/// ([`stage::serve`]), and the supervision loop — is shared.
 trait WorkerBackend {
-    /// Non-blocking dispatch of `item` to `stage`'s workers. Returns
-    /// the backend's occupancy measure right after the push (queue
-    /// length for scoped workers, outstanding attempts for the engine)
-    /// for the trace's `QueuePush` events, or `None` under
-    /// backpressure — the supervisor retries after the next completion.
-    fn try_dispatch(&mut self, stage: usize, item: WorkItem) -> Option<usize>;
-    /// Makes sure worker threads are running. Called right before the
-    /// first blocking receive with work in flight, so a run that never
-    /// dispatches (governor-degraded end to end) never pays thread
-    /// startup.
-    fn ensure_workers(&mut self);
-    /// Blocks for the next completion, up to the watchdog deadline.
-    fn recv_timeout(&mut self, deadline: Duration) -> Result<WorkerDone, RecvTimeoutError>;
+    /// Queues `seat`'s ticket for the next idle worker, starting the
+    /// worker threads first if this is the first ticket — so a run that
+    /// never dispatches (governor-degraded end to end) never pays
+    /// thread startup.
+    fn hand(&mut self, seat: Seat);
 }
 
-/// The per-run backend: scoped worker threads over bounded stage
-/// queues, spawned lazily into the caller's [`std::thread::scope`] and
-/// joined by `run_inner` after supervision ends.
+/// The per-run backend: one scoped thread per seat over a private
+/// injector, spawned lazily into the caller's [`std::thread::scope`]
+/// and joined by `run_inner` after supervision ends.
 struct ScopedBackend<'scope, 'env> {
-    queues: StageQueues<'scope>,
     scope: &'scope std::thread::Scope<'scope, 'env>,
-    graph: &'scope TaskGraph,
-    body: &'scope dyn NativeBody,
-    view: &'scope CommitView,
-    faults: &'scope FaultPlan,
-    clock: TraceClock,
-    mem: Option<&'scope ConcurrentVersionedMemory>,
-    // Worker threads spawn lazily, on the first pipelined dispatch. A
-    // run the governor holds degraded end-to-end issues every task
-    // inline on the supervisor thread and never pays thread startup at
-    // all — on short loops that fixed cost alone is a double-digit
-    // share of the sequential runtime. The sender lives in an Option so
-    // spawning can drop the supervisor's clone: from then on worker
-    // exits disconnect `done_rx` exactly as an eager spawn would.
-    done_tx: Option<crossbeam::channel::Sender<WorkerDone>>,
-    done_rx: crossbeam::channel::Receiver<WorkerDone>,
-    workers: Vec<std::thread::ScopedJoinHandle<'scope, (WorkerStat, Vec<TraceEvent>)>>,
+    board: &'scope Board,
+    env: &'scope JobEnv<'scope>,
+    injector: &'scope Injector<Seat>,
+    workers: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
 }
 
 impl WorkerBackend for ScopedBackend<'_, '_> {
-    fn try_dispatch(&mut self, stage: usize, item: WorkItem) -> Option<usize> {
-        self.queues.try_send(stage, item)
-    }
-
-    fn ensure_workers(&mut self) {
-        if let Some(tx) = self.done_tx.take() {
-            self.workers = self.queues.spawn_workers(
-                self.scope,
-                self.graph,
-                self.body,
-                self.view,
-                &tx,
-                self.faults,
-                self.clock,
-                self.mem,
-            );
+    fn hand(&mut self, seat: Seat) {
+        if self.workers.is_empty() {
+            let (board, env, injector) = (self.board, self.env, self.injector);
+            self.workers = (0..board.seats().len())
+                .map(|_| {
+                    self.scope.spawn(move || {
+                        while let Some(seat) = injector.pop() {
+                            if stage::serve(board, env, seat) {
+                                injector.push(seat);
+                            }
+                        }
+                    })
+                })
+                .collect();
         }
-    }
-
-    fn recv_timeout(&mut self, deadline: Duration) -> Result<WorkerDone, RecvTimeoutError> {
-        self.done_rx.recv_timeout(deadline)
+        self.injector.push(seat);
     }
 }
 
-/// The supervision loop shared by every execution path: seeds the
-/// release order, matures governor backoffs, issues degraded inline
-/// stretches, dispatches through `backend`, absorbs completions into
-/// the commit frontier, and runs the sequential fallback when a retry
-/// budget or the watchdog demands it. Returns `(watchdog_trips,
-/// fallback_activated)`; the caller collects worker stats from its
-/// backend and builds the report.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// The supervisor's private admission state over a job's [`Board`]:
+/// which tasks are ready, which squashed attempts await readmission,
+/// and how much of each lane's window is in use. Nothing here is
+/// shared; the board carries only what admission publishes.
+struct Dispatcher<'a, B: WorkerBackend> {
+    graph: &'a TaskGraph,
+    board: &'a Board,
+    backend: &'a mut B,
+    /// Outstanding synchronized deps per task. Speculated deps
+    /// deliberately do NOT gate dispatch — running ahead of them is
+    /// what speculation means.
+    deps_left: Vec<usize>,
+    /// The reverse edges, and whether each task's have been followed.
+    dependents: Vec<Vec<u32>>,
+    propagated: Vec<bool>,
+    /// Per lane: squashed attempts awaiting readmission, ahead of any
+    /// fresh work.
+    pending: Vec<VecDeque<WorkItem>>,
+    /// Per lane: fresh tasks before this index are admitted or were
+    /// committed inline.
+    released: Vec<usize>,
+    /// Per lane: attempts admitted and not yet absorbed.
+    outstanding: Vec<usize>,
+    in_flight: Vec<bool>,
+    in_flight_count: usize,
+    /// Scratch for handing parked seats back.
+    seats: Vec<Seat>,
+}
+
+impl<B: WorkerBackend> Dispatcher<'_, B> {
+    fn lane_of(&self, task: u32) -> usize {
+        let t = self.graph.task(TaskId(task));
+        self.board.lane_of(t.stage, t.iter)
+    }
+
+    fn admitted(&mut self, lane: usize, item: WorkItem, occupancy: usize, trace: &mut TraceBuffer) {
+        trace.record(TraceEventKind::QueuePush {
+            stage: self.graph.task(TaskId(item.task)).stage.0,
+            task: item.task,
+            attempt: item.attempt,
+            occupancy,
+        });
+        self.in_flight[item.task as usize] = true;
+        self.in_flight_count += 1;
+        self.outstanding[lane] += 1;
+    }
+
+    /// Admits whatever is ready and fits: per lane, requeued squashes
+    /// first, then the dep-free prefix of fresh tasks, up to the lane's
+    /// window. Then hands parked seats their tickets back. Each
+    /// admission is traced as a `QueuePush` with the lane's claimable
+    /// count right after it.
+    ///
+    /// Without a governor `limit` is `None`. With one, items past the
+    /// dynamic speculation window stay pending (skipped, not popped) so
+    /// a window-blocked front item can never starve an admitted one
+    /// behind it — in particular never the frontier task.
+    fn admit(&mut self, limit: Option<u64>, trace: &mut TraceBuffer) {
+        let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
+        'lanes: for lane in 0..self.board.lane_count() {
+            let cap = self.board.cap(lane);
+            let mut i = 0;
+            while i < self.pending[lane].len() {
+                let item = self.pending[lane][i];
+                if !within(item.task) {
+                    i += 1;
+                    continue;
+                }
+                if self.outstanding[lane] >= cap {
+                    continue 'lanes;
+                }
+                let occupancy = self.board.requeue(lane, item);
+                self.admitted(lane, item, occupancy, trace);
+                self.pending[lane].remove(i);
+            }
+            let from = self.released[lane];
+            let mut to = from;
+            while let Some(task) = self.board.task_at(lane, to) {
+                if self.deps_left[task as usize] > 0
+                    || !within(task)
+                    || self.outstanding[lane] + (to - from) >= cap
+                {
+                    break;
+                }
+                to += 1;
+            }
+            if to > from {
+                self.released[lane] = to;
+                let occupancy = self.board.raise(lane, from, to);
+                for idx in from..to {
+                    let task = self.board.task_at(lane, idx).expect("admitted index");
+                    let item = WorkItem { task, attempt: 0 };
+                    self.admitted(lane, item, occupancy.saturating_sub(to - 1 - idx), trace);
+                }
+            }
+        }
+        self.board.unpark_claimable(&mut self.seats);
+        for seat in self.seats.drain(..) {
+            self.backend.hand(seat);
+        }
+    }
+
+    /// Takes the frontier task for inline execution on the supervisor
+    /// thread, if no worker can reach it: it is the next fresh task of
+    /// its lane, or a squashed attempt awaiting readmission.
+    fn take_inline(&mut self, task: u32) -> bool {
+        if self.in_flight[task as usize] || self.deps_left[task as usize] > 0 {
+            return false;
+        }
+        let lane = self.lane_of(task);
+        if self.board.task_at(lane, self.released[lane]) == Some(task) {
+            // The board hears of it at the lane's next `raise`.
+            self.released[lane] += 1;
+            return true;
+        }
+        let pos = self.pending[lane].iter().position(|w| w.task == task);
+        pos.map(|pos| self.pending[lane].remove(pos)).is_some()
+    }
+
+    /// Books a completion taken off the ring.
+    fn absorbed(&mut self, task: u32) {
+        if self.in_flight[task as usize] {
+            self.in_flight[task as usize] = false;
+            self.in_flight_count -= 1;
+            let lane = self.lane_of(task);
+            self.outstanding[lane] -= 1;
+        }
+    }
+
+    /// Makes `task`'s result count for its synchronized dependents, on
+    /// its first *productive* completion (a panicked attempt ran
+    /// nothing, so its replay's completion propagates instead).
+    fn propagate(&mut self, task: usize) {
+        if !std::mem::replace(&mut self.propagated[task], true) {
+            for &dep in &self.dependents[task] {
+                self.deps_left[dep as usize] -= 1;
+            }
+        }
+    }
+
+    /// Puts a squashed attempt back in line for readmission.
+    fn requeue(&mut self, item: WorkItem) {
+        let lane = self.lane_of(item.task);
+        self.pending[lane].push_back(item);
+    }
+}
+
+/// The supervision loop shared by every execution path: matures
+/// governor backoffs, issues degraded inline stretches, admits work
+/// onto the board, absorbs **every** published completion and runs one
+/// frontier drain over the lot, and runs the sequential fallback when a
+/// retry budget or the watchdog demands it. Between batches it sleeps;
+/// workers wake it per the rule in [`stage`]. Returns `(watchdog_trips,
+/// fallback_activated)`; the caller builds the report from `commit`.
+#[allow(clippy::too_many_lines)]
 fn run_supervised<B: WorkerBackend>(
-    graph: &TaskGraph,
-    body: &dyn NativeBody,
-    view: &CommitView,
-    mem: Option<&ConcurrentVersionedMemory>,
+    env: &JobEnv<'_>,
+    board: &Board,
     supervisor: &Supervisor<'_>,
     watchdog_deadline: Duration,
     commit: &mut CommitUnit<'_>,
     dispatch_trace: &mut TraceBuffer,
     backend: &mut B,
 ) -> Result<(u64, bool), ExecError> {
+    let &JobEnv {
+        graph,
+        body,
+        view,
+        mem,
+        ..
+    } = env;
     let n = graph.len();
-    // Dependence bookkeeping: outstanding synchronized deps per task
-    // and the reverse edges to decrement when a task finishes.
-    // Speculated deps deliberately do NOT gate dispatch — running
-    // ahead of them is what speculation means.
-    let mut deps_left: Vec<usize> = vec![0; n];
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut dispatch = Dispatcher {
+        graph,
+        board,
+        backend,
+        deps_left: vec![0; n],
+        dependents: vec![Vec::new(); n],
+        propagated: vec![false; n],
+        pending: vec![VecDeque::new(); board.lane_count()],
+        released: vec![0; board.lane_count()],
+        outstanding: vec![0; board.lane_count()],
+        in_flight: vec![false; n],
+        in_flight_count: 0,
+        seats: Vec::new(),
+    };
     for (idx, task) in graph.tasks().iter().enumerate() {
         let task_deps = graph.deps(task);
-        deps_left[idx] = task_deps.len();
+        dispatch.deps_left[idx] = task_deps.len();
         for d in task_deps {
-            dependents[d.0 as usize].push(idx as u32);
+            dispatch.dependents[d.0 as usize].push(idx as u32);
         }
     }
-    // Per-stage release cursors: tasks enter their stage queue in
-    // iteration order, like the simulator's list scheduling.
-    let stage_count = graph.stage_count() as usize;
-    let mut stage_tasks: Vec<VecDeque<u32>> = vec![VecDeque::new(); stage_count];
-    for (idx, task) in graph.tasks().iter().enumerate() {
-        stage_tasks[task.stage.0 as usize].push_back(idx as u32);
-    }
-    // Squashed tasks re-enter at the front of the release order.
-    let mut requeue: Vec<VecDeque<WorkItem>> = vec![VecDeque::new(); stage_count];
 
     // Replays the body sequentially on this thread: the validation
     // oracle and the fallback executor. A panic here is unrecoverable —
@@ -690,24 +797,6 @@ fn run_supervised<B: WorkerBackend>(
             .map_err(|_| ExecError::TaskFailed { task: TaskId(task) })
     };
 
-    // Seed: release every stage's dep-free prefix.
-    let mut in_flight = vec![false; n];
-    let mut in_flight_count = 0usize;
-    let limit = commit.dispatch_limit();
-    for s in 0..stage_count {
-        release_ready(
-            s,
-            &mut stage_tasks,
-            &mut requeue,
-            &deps_left,
-            backend,
-            dispatch_trace,
-            limit,
-            &mut in_flight,
-            &mut in_flight_count,
-        );
-    }
-
     let mut watchdog_trips = 0u64;
     let mut fallback = false;
     // Governor backoff holding pens. Delayed items mature at an
@@ -719,44 +808,35 @@ fn run_supervised<B: WorkerBackend>(
     let mut tick = 0u64;
     let mut delayed: Vec<(WorkItem, u64)> = Vec::new();
     let mut parked: Vec<(WorkItem, u32)> = Vec::new();
-    // Readiness is propagated on a task's first *productive*
-    // completion (a panicked attempt ran nothing, so its
-    // replay's completion propagates instead); this flag keeps
-    // it once-per-task.
-    let mut deps_propagated = vec![false; n];
+    // Sequence number of the next completion to take off the ring.
+    let mut head = 0u64;
+    // When the current wait for a publication began; the watchdog
+    // measures from here, so inline stretches and wakes that found
+    // completions never count against the deadline.
+    let mut waiting_since: Option<Instant> = None;
     let supervise = 'sup: loop {
         if commit.committed_tasks() >= n {
             break Ok(());
         }
 
-        // Mature governor backoffs back into the requeues.
+        // Mature governor backoffs back into the pending requeues.
         if !delayed.is_empty() || !parked.is_empty() {
             let next = commit.committed_tasks() as u32;
-            let force = in_flight_count == 0;
-            let mut ripe = |item: WorkItem| {
-                let stage = graph.task(TaskId(item.task)).stage.0 as usize;
-                requeue[stage].push_back(item);
-            };
-            let mut i = 0;
-            while i < delayed.len() {
-                let (item, at) = delayed[i];
-                if tick >= at || item.task <= next || force {
-                    delayed.remove(i);
-                    ripe(item);
-                } else {
-                    i += 1;
+            let force = dispatch.in_flight_count == 0;
+            delayed.retain(|&(item, at)| {
+                let ripe = tick >= at || item.task <= next || force;
+                if ripe {
+                    dispatch.requeue(item);
                 }
-            }
-            let mut i = 0;
-            while i < parked.len() {
-                let (item, behind) = parked[i];
-                if behind < next || item.task <= next || force {
-                    parked.remove(i);
-                    ripe(item);
-                } else {
-                    i += 1;
+                !ripe
+            });
+            parked.retain(|&(item, behind)| {
+                let ripe = behind < next || item.task <= next || force;
+                if ripe {
+                    dispatch.requeue(item);
                 }
-            }
+                !ripe
+            });
         }
 
         // Degraded inline issue: while the governor holds the
@@ -766,44 +846,21 @@ fn run_supervised<B: WorkerBackend>(
         // instead of paying cross-thread dispatch for window-1
         // throughput. The stretch runs as a tight inner loop:
         // per-commit it pays the substrate's inline fast path
-        // plus one buffered-completion check, not the full
-        // dispatch/recv round trip. Straggler completions from
-        // before the collapse still drain through `absorb`
-        // below, and any pending backoff pen breaks the stretch
-        // so maturation at the loop top keeps its liveness rule.
+        // plus one buffered-completion check, not a board round
+        // trip. Straggler completions from before the collapse
+        // still arrive over the ring below, and any pending
+        // backoff pen breaks the stretch so maturation at the
+        // loop top keeps its liveness rule.
         while commit.governor_degraded() {
             let next = commit.committed_tasks();
             if next >= n {
                 break;
             }
             let next32 = next as u32;
-            let stage = graph.task(TaskId(next32)).stage.0 as usize;
-            // The frontier task is almost always the released
-            // order's front while degraded; the positional scans
-            // only run for stragglers and requeued squashes.
-            let taken = !in_flight[next]
-                && deps_left[next] == 0
-                && (if stage_tasks[stage].front() == Some(&next32) {
-                    stage_tasks[stage].pop_front();
-                    true
-                } else {
-                    stage_tasks[stage]
-                        .iter()
-                        .position(|&t| t == next32)
-                        .map(|pos| {
-                            stage_tasks[stage].remove(pos);
-                        })
-                        .is_some()
-                } || requeue[stage]
-                    .iter()
-                    .position(|w| w.task == next32)
-                    .map(|pos| {
-                        requeue[stage].remove(pos);
-                    })
-                    .is_some());
-            if !taken {
+            if !dispatch.take_inline(next32) {
                 break;
             }
+            waiting_since = None;
             let t = graph.task(TaskId(next32));
             // Prefer the substrate's inline fast path: with
             // nothing speculative in flight, per-version
@@ -816,7 +873,7 @@ fn run_supervised<B: WorkerBackend>(
             let mut inline_fast = false;
             if let Some(m) = mem {
                 let v = VersionId(u64::from(next32));
-                inline_fast = in_flight_count == 0 && m.try_begin_inline(v);
+                inline_fast = dispatch.in_flight_count == 0 && m.try_begin_inline(v);
                 if !inline_fast {
                     m.begin(v);
                 }
@@ -841,17 +898,17 @@ fn run_supervised<B: WorkerBackend>(
                     })
                 }
             };
-            if !inline_fast {
-                if let Some(m) = mem {
-                    if let Some(p) = m.probe(VersionId(u64::from(next32))) {
-                        dispatch_trace.record(TraceEventKind::VersionReads {
-                            stage: t.stage.0,
-                            task: next32,
-                            attempt: DEGRADED_ATTEMPT,
-                            reads: p.reads,
-                            forwards: p.forwards,
-                        });
-                    }
+            // The probe costs a registry read lock: only traced runs
+            // pay it.
+            if let (false, true, Some(m)) = (inline_fast, dispatch_trace.enabled(), mem) {
+                if let Some(p) = m.probe(VersionId(u64::from(next32))) {
+                    dispatch_trace.record(TraceEventKind::VersionReads {
+                        stage: t.stage.0,
+                        task: next32,
+                        attempt: DEGRADED_ATTEMPT,
+                        reads: p.reads,
+                        forwards: p.forwards,
+                    });
                 }
             }
             commit.commit_degraded(&output, inline_fast);
@@ -864,17 +921,12 @@ fn run_supervised<B: WorkerBackend>(
                     m.end_inline();
                 }
             }
-            if !deps_propagated[next] {
-                deps_propagated[next] = true;
-                for &dep in &dependents[next] {
-                    deps_left[dep as usize] -= 1;
-                }
-            }
+            dispatch.propagate(next);
             // Flush successors buffered past the frontier.
             match commit.drain(supervisor, &mut oracle) {
                 Ok(Absorbed::Continue(redispatches)) => {
                     for r in redispatches {
-                        sort_redispatch(r, tick, graph, &mut requeue, &mut delayed, &mut parked);
+                        sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
                     }
                 }
                 Ok(Absorbed::Fallback) => {
@@ -895,60 +947,65 @@ fn run_supervised<B: WorkerBackend>(
         }
 
         let limit = commit.dispatch_limit();
-        for s in 0..stage_count {
-            release_ready(
-                s,
-                &mut stage_tasks,
-                &mut requeue,
-                &deps_left,
-                backend,
-                dispatch_trace,
-                limit,
-                &mut in_flight,
-                &mut in_flight_count,
-            );
+        if let Some(limit) = limit {
+            let window = limit.saturating_sub(commit.committed_tasks() as u64);
+            board.set_window(usize::try_from(window).unwrap_or(usize::MAX));
         }
+        dispatch.admit(limit, dispatch_trace);
 
-        if in_flight_count > 0 {
-            backend.ensure_workers();
+        if dispatch.in_flight_count == 0 {
+            // Nothing to wait for: a backoff pen took the frontier's
+            // replay mid-stretch; the loop top force-releases it.
+            continue;
         }
-
-        let done = match backend.recv_timeout(watchdog_deadline) {
-            Ok(done) => done,
-            Err(RecvTimeoutError::Timeout) => {
-                // Heartbeat watchdog: nothing completed for a
-                // whole deadline — a stage is wedged. Degrade
-                // to sequential execution of the rest.
+        // Wait for a batch: a bounded look at the ring, then sleep until
+        // a worker wakes us (the rule is in `stage`). The heartbeat
+        // watchdog trips when no completion was *published* for a whole
+        // deadline — a stage is wedged — and degrades to sequential
+        // execution of the rest; a wake that never came is not
+        // evidence, the ring is.
+        if !board.due_or_spin(head) {
+            let waited = waiting_since.get_or_insert_with(Instant::now).elapsed();
+            if waited >= watchdog_deadline {
                 watchdog_trips += 1;
                 dispatch_trace.record(TraceEventKind::WatchdogTrip);
                 fallback = true;
                 break Ok(());
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                break Err(ExecError::WorkersDisconnected {
-                    committed: commit.committed_tasks() as u64,
-                });
-            }
-        };
-        tick += 1;
-        if in_flight[done.task as usize] {
-            in_flight[done.task as usize] = false;
-            in_flight_count -= 1;
+            std::thread::park_timeout(watchdog_deadline - waited);
         }
-        if !done.panicked && !deps_propagated[done.task as usize] {
-            deps_propagated[done.task as usize] = true;
-            for &dep in &dependents[done.task as usize] {
-                deps_left[dep as usize] -= 1;
+
+        // Absorb every completion the workers have published, then run
+        // the frontier once over the lot.
+        let before = head;
+        while let Some(done) = board.take_published(head) {
+            head += 1;
+            tick += 1;
+            dispatch.absorbed(done.task);
+            if !done.panicked {
+                dispatch.propagate(done.task as usize);
+            }
+            if let Some(r) = commit.accept(done) {
+                sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
             }
         }
-        match commit.absorb(done, supervisor, &mut oracle) {
+        if head == before {
+            continue;
+        }
+        waiting_since = None;
+        board.set_absorbed(head);
+        // The absorbed attempts freed window space and satisfied deps:
+        // admit behind them *before* the frontier runs, so the workers
+        // claim on while this thread commits.
+        dispatch.admit(commit.dispatch_limit(), dispatch_trace);
+        match commit.drain(supervisor, &mut oracle) {
             Ok(Absorbed::Continue(redispatches)) => {
                 for r in redispatches {
                     // Rollback: the discarded attempt's output is
-                    // gone; the task re-enters its stage ahead of
-                    // any not-yet-released work, immediately or
+                    // gone; the task re-enters its lane ahead of
+                    // any not-yet-admitted work, immediately or
                     // behind the governor's backoff.
-                    sort_redispatch(r, tick, graph, &mut requeue, &mut delayed, &mut parked);
+                    sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
                 }
             }
             Ok(Absorbed::Fallback) => {
@@ -958,6 +1015,7 @@ fn run_supervised<B: WorkerBackend>(
             Err(e) => break Err(e),
         }
     };
+    board.close();
 
     // Close any open inline stretch so committed memory state
     // (and the caller's post-run inspection) reflects every
@@ -966,10 +1024,8 @@ fn run_supervised<B: WorkerBackend>(
         m.end_inline();
     }
 
-    let supervise = supervise.and_then(|()| {
-        if !fallback {
-            return Ok(());
-        }
+    supervise?;
+    if fallback {
         // Graceful degradation: commit every remaining task
         // in order on this thread, fault-free and
         // non-speculative — exactly a resumed sequential run.
@@ -980,92 +1036,26 @@ fn run_supervised<B: WorkerBackend>(
             let output = oracle(task as u32, FALLBACK_ATTEMPT)?;
             commit.commit_inline(&output);
         }
-        Ok(())
-    });
-    supervise.map(|()| (watchdog_trips, fallback))
+    }
+    Ok((watchdog_trips, fallback))
 }
 
 /// Route a commit-unit redispatch to its holding structure: `Now`
-/// straight into the stage's requeue (ahead of unreleased fresh
+/// straight into the lane's pending requeue (ahead of unadmitted fresh
 /// work), `AfterTick` into the delayed pen with an absolute
 /// maturity tick, `AfterCommit` into the parked pen keyed by the
 /// committer it must wait out.
-fn sort_redispatch(
+fn sort_redispatch<B: WorkerBackend>(
     r: Redispatch,
     tick: u64,
-    graph: &TaskGraph,
-    requeue: &mut [VecDeque<WorkItem>],
+    dispatch: &mut Dispatcher<'_, B>,
     delayed: &mut Vec<(WorkItem, u64)>,
     parked: &mut Vec<(WorkItem, u32)>,
 ) {
     match r.release {
-        Release::Now => {
-            let stage = graph.task(TaskId(r.item.task)).stage.0 as usize;
-            requeue[stage].push_back(r.item);
-        }
+        Release::Now => dispatch.requeue(r.item),
         Release::AfterTick(d) => delayed.push((r.item, tick.saturating_add(d))),
         Release::AfterCommit(behind) => parked.push((r.item, behind)),
-    }
-}
-
-/// Pushes released-but-unqueued work into stage `s`'s backend without
-/// blocking; anything that does not fit stays pending for the next
-/// event. Requeued (squashed) tasks go first. Each successful push
-/// is traced with the backend's occupancy right after it.
-#[allow(clippy::too_many_arguments)]
-fn release_ready<B: WorkerBackend>(
-    s: usize,
-    stage_tasks: &mut [VecDeque<u32>],
-    requeue: &mut [VecDeque<WorkItem>],
-    deps_left: &[usize],
-    backend: &mut B,
-    trace: &mut TraceBuffer,
-    limit: Option<u64>,
-    in_flight: &mut [bool],
-    in_flight_count: &mut usize,
-) {
-    // Without a governor the limit is `None` and this scan degrades
-    // to the original strict-FIFO drain. With one, items past the
-    // dynamic speculation window stay queued (skipped, not popped)
-    // so a window-blocked front item can never starve an admitted
-    // one behind it — in particular never the frontier task.
-    let admitted = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
-    let mut i = 0;
-    while i < requeue[s].len() {
-        let item = requeue[s][i];
-        if !admitted(item.task) {
-            i += 1;
-            continue;
-        }
-        let Some(occupancy) = backend.try_dispatch(s, item) else {
-            return;
-        };
-        trace.record(TraceEventKind::QueuePush {
-            stage: s as u8,
-            task: item.task,
-            attempt: item.attempt,
-            occupancy,
-        });
-        in_flight[item.task as usize] = true;
-        *in_flight_count += 1;
-        requeue[s].remove(i);
-    }
-    while let Some(&task) = stage_tasks[s].front() {
-        if deps_left[task as usize] > 0 || !admitted(task) {
-            return;
-        }
-        let Some(occupancy) = backend.try_dispatch(s, WorkItem { task, attempt: 0 }) else {
-            return;
-        };
-        trace.record(TraceEventKind::QueuePush {
-            stage: s as u8,
-            task,
-            attempt: 0,
-            occupancy,
-        });
-        in_flight[task as usize] = true;
-        *in_flight_count += 1;
-        stage_tasks[s].pop_front();
     }
 }
 

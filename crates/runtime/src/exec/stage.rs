@@ -1,25 +1,50 @@
-//! Stage queues and worker threads.
+//! The per-job board: stage claim lanes, the completion ring, and the
+//! claim loop every worker runs over them.
 //!
-//! Each pipeline stage gets real bounded channels sized to
-//! [`ExecConfig::queue_capacity`](super::ExecConfig::queue_capacity) and
-//! one OS thread per core the plan assigns it. `Serial` stages own a
-//! single queue and worker; `Parallel` stages share one MPMC queue
-//! between their workers, so work lands on whichever core frees up
-//! first (the dynamic least-loaded discipline of paper §3.2);
-//! `RoundRobin` stages get one queue per worker, fed statically by
-//! iteration number.
+//! A pipeline stage is a [`Lane`]: its tasks in iteration order, an
+//! atomic claim `cursor` the workers advance, and an atomic `limit` the
+//! supervisor raises to admit work. `Serial` and `Parallel` stages own
+//! one lane — so a `Parallel` stage's next task goes to whichever
+//! worker frees up first, the dynamic least-loaded discipline of paper
+//! §3.2 — and a `RoundRobin` stage owns one lane per seat, fed
+//! statically by iteration number. Workers publish completions into a
+//! sequence-numbered ring the supervisor drains in batches. What the
+//! plan calls a core is a [`Seat`]; a worker holding a seat's *ticket*
+//! loops claim → [`run_attempt`] → publish ([`serve`]) and wakes the
+//! supervisor only when half a window of completions is pending or
+//! claimable work ran out.
+//!
+//! Who writes which shared word:
+//!
+//! | word | written by | read by |
+//! |---|---|---|
+//! | `Lane::cursor` | workers (CAS claim); the supervisor only to step over tasks it committed inline, when the lane is fully claimed | both |
+//! | `Lane::limit`, `Lane::requeue` pushes | supervisor | workers |
+//! | ring slot (`seq`, completion), `tail` | the publishing worker | supervisor |
+//! | `absorbed`, `wake_at`, `closed` | supervisor | workers |
+//! | `starved`, `parked` | a worker parking its seat; the supervisor handing seats back | both |
+//!
+//! A completion carries its own accounting (the seat, the body time,
+//! the attempt's trace events), so a worker keeps no per-job state that
+//! outlives a publication and absorbing the last completion of a job
+//! means its timing and trace are complete.
+//!
+//! Every protocol word is `SeqCst`: the two lost-wake arguments below
+//! ([`Board::publish`], [`Board::park`]) are store-then-load on both
+//! sides and need the single total order.
 
 use super::commit::CommitView;
 use super::faults::{corrupt_output, FaultKind, FaultPlan};
-use super::metrics::WorkerStat;
-use super::trace::{TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
+use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
 use super::{NativeBody, TaskCtx, TaskOutput};
 use crate::plan::{ExecutionPlan, StageAssignment};
-use crate::task::{TaskGraph, TaskId};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::task::{StageId, TaskGraph, TaskId};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread::{Scope, ScopedJoinHandle};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// One dispatch of one task.
@@ -48,166 +73,542 @@ pub(super) struct WorkerDone {
     /// the commit unit tallies it when the attempt reaches the
     /// frontier.
     pub stalled: bool,
+    /// [`Seat::id`] of the seat that ran the attempt, and the body time
+    /// to charge to it.
+    pub seat: usize,
+    pub busy: Duration,
+    /// The worker-side trace events of the attempt (empty untraced).
+    pub events: Vec<TraceEvent>,
 }
 
-/// How released work reaches a stage's workers.
-enum Route {
-    /// One queue, drained by the stage's worker(s): `Serial` and
-    /// `Parallel` assignments.
-    Shared(Sender<WorkItem>),
-    /// One queue per worker, selected by `iter % workers`: the
-    /// `RoundRobin` ablation.
-    PerWorker(Vec<Sender<WorkItem>>),
+/// One core of the plan: the unit a worker serves, and the key its
+/// timing and trace events are charged to. A seat's *ticket* is the
+/// right to serve it; exactly one exists, held by a worker, queued in
+/// an [`Injector`], or parked on the [`Board`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Seat {
+    /// Index into the board's seat list (and the per-seat statistics).
+    pub id: usize,
+    /// The lane this seat claims from.
+    pub lane: usize,
+    pub stage: u8,
+    /// The plan core the seat models.
+    pub core: usize,
 }
 
-/// An unstarted worker: the core it models, its stage, and the queue it
-/// drains.
-struct WorkerSeat {
-    stage: u8,
-    core: usize,
-    rx: Receiver<WorkItem>,
+/// Keeps a word the workers hammer off the cache lines the supervisor
+/// writes (and the other way round).
+#[repr(align(64))]
+struct Padded<T>(T);
+
+/// One stage's (or one `RoundRobin` seat's) claimable task sequence.
+struct Lane {
+    /// Task indices in release (= iteration) order.
+    tasks: Vec<u32>,
+    /// The lane's window: at most this many attempts admitted and not
+    /// yet absorbed (`queue_capacity` + the seats serving the lane).
+    cap: usize,
+    /// Next index of `tasks` to claim.
+    cursor: Padded<AtomicUsize>,
+    /// Indices below this are claimable.
+    limit: AtomicUsize,
+    /// Squash redispatches, claimed before the cursor. Small and rare:
+    /// a mutex is fine, and `requeued` keeps the common claim off it.
+    requeue: Mutex<VecDeque<WorkItem>>,
+    requeued: AtomicUsize,
 }
 
-/// All stage queues plus the not-yet-started worker seats.
-pub(super) struct StageQueues<'g> {
-    graph: &'g TaskGraph,
-    routes: Vec<Route>,
-    seats: Vec<WorkerSeat>,
+impl Lane {
+    fn new(cap: usize) -> Self {
+        Self {
+            tasks: Vec::new(),
+            cap,
+            cursor: Padded(AtomicUsize::new(0)),
+            limit: AtomicUsize::new(0),
+            requeue: Mutex::new(VecDeque::new()),
+            requeued: AtomicUsize::new(0),
+        }
+    }
+
+    /// Admitted attempts nobody has claimed yet.
+    fn claimable(&self) -> usize {
+        self.requeued.load(SeqCst)
+            + self
+                .limit
+                .load(SeqCst)
+                .saturating_sub(self.cursor.0.load(SeqCst))
+    }
 }
 
-impl<'g> StageQueues<'g> {
-    /// Builds the queue fabric `plan` describes, each queue bounded to
-    /// `capacity` entries.
-    pub(super) fn new(graph: &'g TaskGraph, plan: &ExecutionPlan, capacity: usize) -> Self {
+/// One entry of the completion ring: filled by the worker that drew
+/// sequence number `seq - 1`, emptied by the supervisor.
+struct Slot {
+    /// `s + 1` once the completion with sequence number `s` is in
+    /// `done`; any other value means "not yet".
+    seq: AtomicU64,
+    done: Mutex<Option<WorkerDone>>,
+}
+
+/// The shared state of one job: claim lanes, completion ring, parked
+/// seats. See the module docs for who writes what.
+pub(super) struct Board {
+    lanes: Vec<Lane>,
+    /// First lane and lane count of each stage (count > 1 only for
+    /// `RoundRobin`).
+    stage_lanes: Vec<(usize, usize)>,
+    seats: Vec<Seat>,
+    /// The smallest lane window: what the wake threshold derives from.
+    narrowest: usize,
+    /// Sized to the sum of the lane windows (rounded up to a power of
+    /// two), so a published completion always finds its slot free.
+    ring: Vec<Slot>,
+    /// Sequence number the next publication draws.
+    tail: Padded<AtomicU64>,
+    /// Completions the supervisor has taken off the ring.
+    absorbed: AtomicU64,
+    /// Pending completions at which a publisher wakes the supervisor.
+    wake_at: AtomicU64,
+    /// Seats parked for lack of claimable work.
+    starved: AtomicUsize,
+    parked: Mutex<Vec<Seat>>,
+    closed: AtomicBool,
+    supervisor: Thread,
+}
+
+/// Locks a board mutex. Nothing panics while holding one (the critical
+/// sections are pushes and pops), so poisoning cannot be observed.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().expect("board lock poisoned")
+}
+
+impl Board {
+    /// Builds the board `plan` describes over `graph`'s tasks, each
+    /// lane's window `capacity` plus its seats. Must be called on the
+    /// supervising thread: that is the thread publishers wake. Every
+    /// seat starts parked; the first admission hands them out.
+    pub(super) fn new(graph: &TaskGraph, plan: &ExecutionPlan, capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let mut routes = Vec::new();
+        let mut lanes = Vec::new();
+        let mut stage_lanes = Vec::new();
         let mut seats = Vec::new();
+        let mut seat = |lane: usize, stage: u8, core: usize| {
+            seats.push(Seat {
+                id: seats.len(),
+                lane,
+                stage,
+                core,
+            });
+        };
         for stage in 0..plan.stage_count() {
+            let first = lanes.len();
             match plan.stage(stage) {
                 StageAssignment::Serial { core } => {
-                    let (tx, rx) = bounded(capacity);
-                    routes.push(Route::Shared(tx));
-                    seats.push(WorkerSeat {
-                        stage,
-                        core: *core,
-                        rx,
-                    });
+                    lanes.push(Lane::new(capacity + 1));
+                    seat(first, stage, *core);
                 }
                 StageAssignment::Parallel { cores } => {
-                    let (tx, rx) = bounded(capacity);
-                    routes.push(Route::Shared(tx));
+                    lanes.push(Lane::new(capacity + cores.len()));
                     for &core in cores {
-                        seats.push(WorkerSeat {
-                            stage,
-                            core,
-                            rx: rx.clone(),
-                        });
+                        seat(first, stage, core);
                     }
                 }
                 StageAssignment::RoundRobin { cores } => {
-                    let mut txs = Vec::with_capacity(cores.len());
                     for &core in cores {
-                        let (tx, rx) = bounded(capacity);
-                        txs.push(tx);
-                        seats.push(WorkerSeat { stage, core, rx });
+                        seat(lanes.len(), stage, core);
+                        lanes.push(Lane::new(capacity + 1));
                     }
-                    routes.push(Route::PerWorker(txs));
                 }
             }
+            stage_lanes.push((first, lanes.len() - first));
         }
+        for (idx, task) in graph.tasks().iter().enumerate() {
+            let (first, count) = stage_lanes[task.stage.0 as usize];
+            lanes[first + (task.iter % count as u64) as usize]
+                .tasks
+                .push(idx as u32);
+        }
+        let window: usize = lanes.iter().map(|l| l.cap).sum();
+        let narrowest = lanes.iter().map(|l| l.cap).min().unwrap_or(1);
         Self {
-            graph,
-            routes,
-            seats,
-        }
-    }
-
-    /// Non-blocking enqueue of `item` on its stage's queue. Returns the
-    /// queue's occupancy right after the push (for the trace's
-    /// `QueuePush` events), or `None` when the queue is full
-    /// (backpressure: the dispatcher retries after the next completion
-    /// event).
-    pub(super) fn try_send(&self, stage: usize, item: WorkItem) -> Option<usize> {
-        let tx = match &self.routes[stage] {
-            Route::Shared(tx) => tx,
-            Route::PerWorker(txs) => {
-                let iter = self.graph.task(TaskId(item.task)).iter;
-                &txs[iter as usize % txs.len()]
-            }
-        };
-        match tx.try_send(item) {
-            Ok(()) => Some(tx.len()),
-            Err(TrySendError::Full(_)) => None,
-            Err(TrySendError::Disconnected(_)) => {
-                unreachable!("stage workers outlive the dispatcher")
-            }
-        }
-    }
-
-    /// Starts one thread per seat. Each worker drains its queue, runs
-    /// the body, and reports completions until the queue disconnects.
-    /// Each worker owns a private [`TraceBuffer`] on `clock` and
-    /// returns its recorded events alongside its timing stat.
-    // Every parameter is one shared facet of the worker environment,
-    // forwarded verbatim into `worker_loop`; a bundling struct would
-    // only rename the same nine things.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn spawn_workers<'scope>(
-        &mut self,
-        scope: &'scope Scope<'scope, '_>,
-        graph: &'scope TaskGraph,
-        body: &'scope dyn NativeBody,
-        view: &'scope CommitView,
-        done_tx: &Sender<WorkerDone>,
-        faults: &'scope FaultPlan,
-        clock: TraceClock,
-        mem: Option<&'scope ConcurrentVersionedMemory>,
-    ) -> Vec<ScopedJoinHandle<'scope, (WorkerStat, Vec<TraceEvent>)>> {
-        std::mem::take(&mut self.seats)
-            .into_iter()
-            .map(|seat| {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    worker_loop(seat, graph, body, view, done_tx, faults, clock, mem)
+            ring: (0..window.next_power_of_two())
+                .map(|_| Slot {
+                    seq: AtomicU64::new(0),
+                    done: Mutex::new(None),
                 })
-            })
-            .collect()
+                .collect(),
+            lanes,
+            stage_lanes,
+            narrowest,
+            tail: Padded(AtomicU64::new(0)),
+            absorbed: AtomicU64::new(0),
+            wake_at: AtomicU64::new((narrowest / 2).max(1) as u64),
+            starved: AtomicUsize::new(seats.len()),
+            parked: Mutex::new(seats.clone()),
+            closed: AtomicBool::new(false),
+            seats,
+            supervisor: std::thread::current(),
+        }
     }
 
-    /// Drops every stage sender, disconnecting the queues so idle
-    /// workers exit their receive loops.
-    pub(super) fn close(self) {}
+    /// The lane a task of `stage` and iteration `iter` is claimed from.
+    pub(super) fn lane_of(&self, stage: StageId, iter: u64) -> usize {
+        let (first, count) = self.stage_lanes[stage.0 as usize];
+        first + (iter % count as u64) as usize
+    }
+
+    pub(super) fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    pub(super) fn seats(&self) -> &[Seat] {
+        &self.seats
+    }
+
+    /// The window of `lane`: its bound on admitted-but-unabsorbed
+    /// attempts, and the ticket quantum of the seats serving it.
+    pub(super) fn cap(&self, lane: usize) -> usize {
+        self.lanes[lane].cap
+    }
+
+    /// The `idx`-th task of `lane` in release order.
+    pub(super) fn task_at(&self, lane: usize, idx: usize) -> Option<u32> {
+        self.lanes[lane].tasks.get(idx).copied()
+    }
+
+    /// Derives the wake threshold from the narrowest lane window,
+    /// further capped by the governor's runahead `window`: half of it,
+    /// at least 1.
+    pub(super) fn set_window(&self, window: usize) {
+        self.wake_at
+            .store((self.narrowest.min(window) / 2).max(1) as u64, SeqCst);
+    }
+
+    // --- supervisor side ------------------------------------------------
+
+    /// Admits `lane`'s fresh tasks at indices `from..to`. Returns the
+    /// lane's claimable count right after, for the trace.
+    ///
+    /// `from` is past the published limit when the supervisor committed
+    /// the tasks in between inline. It can only do that to a task no
+    /// worker can reach — every earlier task of the lane has committed,
+    /// hence was claimed, so `cursor == limit` — which is why stepping
+    /// the cursor over them is safe, and stepping it *first* means a
+    /// racing claim either still sees `cursor >= limit` or loses its CAS.
+    pub(super) fn raise(&self, lane: usize, from: usize, to: usize) -> usize {
+        let l = &self.lanes[lane];
+        let limit = l.limit.load(SeqCst);
+        if limit < from {
+            debug_assert_eq!(
+                l.cursor.0.load(SeqCst),
+                limit,
+                "inline take of a claimable task"
+            );
+            l.cursor.0.store(from, SeqCst);
+        }
+        l.limit.store(to, SeqCst);
+        l.claimable()
+    }
+
+    /// Admits a squash redispatch; workers claim it before the cursor.
+    pub(super) fn requeue(&self, lane: usize, item: WorkItem) -> usize {
+        let l = &self.lanes[lane];
+        let mut q = lock(&l.requeue);
+        q.push_back(item);
+        l.requeued.store(q.len(), SeqCst);
+        drop(q);
+        l.claimable()
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.ring[seq as usize & (self.ring.len() - 1)]
+    }
+
+    /// Whether the completion with sequence number `head` is in its slot.
+    fn is_published(&self, head: u64) -> bool {
+        self.slot(head).seq.load(SeqCst) == head + 1
+    }
+
+    /// Whether, with `head` completions taken, a batch is due: the
+    /// condition under which a publisher wakes the supervisor (half a
+    /// window pending, or anything pending with a seat starved), once
+    /// the batch's first slot is filled.
+    fn due(&self, head: u64) -> bool {
+        let pending = self.tail.0.load(SeqCst).saturating_sub(head);
+        (pending >= self.wake_at.load(SeqCst) || (pending > 0 && self.starved.load(SeqCst) > 0))
+            && self.is_published(head)
+    }
+
+    /// [`due`](Self::due), checked [`SPINS`] times: the supervisor's
+    /// bounded look at the ring before it sleeps.
+    pub(super) fn due_or_spin(&self, head: u64) -> bool {
+        for _ in 0..SPINS {
+            if self.due(head) {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    /// The completion with sequence number `head`, once published.
+    pub(super) fn take_published(&self, head: u64) -> Option<WorkerDone> {
+        self.is_published(head)
+            .then(|| lock(&self.slot(head).done).take())
+            .flatten()
+    }
+
+    /// Tells publishers how far the ring has been drained.
+    pub(super) fn set_absorbed(&self, head: u64) {
+        self.absorbed.store(head, SeqCst);
+    }
+
+    /// Takes back the parked seats that have claimable work again, at
+    /// most one per claimable attempt; the caller hands their tickets
+    /// to its backend. Call after [`raise`](Self::raise) /
+    /// [`requeue`](Self::requeue): those stores precede this load of
+    /// `starved`, [`park`](Self::park) increments `starved` before it
+    /// re-checks the lane, so a parking seat is seen here or sees the
+    /// new work itself.
+    pub(super) fn unpark_claimable(&self, out: &mut Vec<Seat>) {
+        if self.starved.load(SeqCst) == 0 {
+            return;
+        }
+        let mut parked = lock(&self.parked);
+        let mut i = 0;
+        while i < parked.len() {
+            let lane = parked[i].lane;
+            let taken = out.iter().filter(|s| s.lane == lane).count();
+            if self.lanes[lane].claimable() > taken {
+                out.push(parked.swap_remove(i));
+                self.starved.fetch_sub(1, SeqCst);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Ends the job: claims fail from here on and tickets still queued
+    /// anywhere are dropped by whoever pops them.
+    pub(super) fn close(&self) {
+        self.closed.store(true, SeqCst);
+    }
+
+    // --- worker side ----------------------------------------------------
+
+    /// Claims `lane`'s next attempt: a requeued squash first, else the
+    /// cursor's task if it is below the limit. Returns the attempt and
+    /// the lane's claimable count right after the claim.
+    pub(super) fn claim(&self, lane: usize) -> Option<(WorkItem, usize)> {
+        let l = &self.lanes[lane];
+        if l.requeued.load(SeqCst) > 0 {
+            let mut q = lock(&l.requeue);
+            if let Some(item) = q.pop_front() {
+                l.requeued.store(q.len(), SeqCst);
+                drop(q);
+                return Some((item, l.claimable()));
+            }
+        }
+        let mut at = l.cursor.0.load(SeqCst);
+        loop {
+            let limit = l.limit.load(SeqCst);
+            if at >= limit {
+                return None;
+            }
+            match l.cursor.0.compare_exchange_weak(at, at + 1, SeqCst, SeqCst) {
+                Ok(_) => {
+                    let item = WorkItem {
+                        task: l.tasks[at],
+                        attempt: 0,
+                    };
+                    return Some((item, l.requeued.load(SeqCst) + limit - at - 1));
+                }
+                Err(now) => at = now,
+            }
+        }
+    }
+
+    /// [`claim`](Self::claim), retried [`SPINS`] times on an empty
+    /// lane.
+    fn claim_or_spin(&self, lane: usize) -> Option<(WorkItem, usize)> {
+        for _ in 0..SPINS {
+            if let Some(claimed) = self.claim(lane) {
+                return Some(claimed);
+            }
+            if self.closed.load(SeqCst) {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        None
+    }
+
+    /// Publishes a completion and wakes the supervisor if half a window
+    /// is now pending or a seat of the job is starved. `pending` counts
+    /// every sequence number drawn, read *after* this slot is filled: a
+    /// publisher that was slow to fill the ring's head slot then sees
+    /// the completions queued behind it, whose own wake found the head
+    /// empty. No wake is lost: the supervisor stores `absorbed` before
+    /// its last look at the ring, so a stale `absorbed` only over-counts
+    /// `pending`; and `starved` pairs with [`park`](Self::park) (this
+    /// side: fill the slot, then load `starved`; that side: bump
+    /// `starved`, then load `tail`).
+    fn publish(&self, done: WorkerDone) {
+        let seq = self.tail.0.fetch_add(1, SeqCst);
+        let slot = self.slot(seq);
+        *lock(&slot.done) = Some(done);
+        slot.seq.store(seq + 1, SeqCst);
+        let pending = self
+            .tail
+            .0
+            .load(SeqCst)
+            .saturating_sub(self.absorbed.load(SeqCst));
+        if pending >= self.wake_at.load(SeqCst) || self.starved.load(SeqCst) > 0 {
+            self.supervisor.unpark();
+        }
+    }
+
+    /// Parks `seat` for lack of claimable work, unless work turned up
+    /// meanwhile (returns `false`: claim again). A parked seat with
+    /// completions pending wakes the supervisor — it is the one that
+    /// can admit more.
+    fn park(&self, seat: Seat) -> bool {
+        let mut parked = lock(&self.parked);
+        self.starved.fetch_add(1, SeqCst);
+        if self.lanes[seat.lane].claimable() > 0 {
+            self.starved.fetch_sub(1, SeqCst);
+            return false;
+        }
+        parked.push(seat);
+        drop(parked);
+        if self.tail.0.load(SeqCst) > self.absorbed.load(SeqCst) {
+            self.supervisor.unpark();
+        }
+        true
+    }
 }
 
-/// The shared facets of a worker's environment, identical for every
-/// attempt it runs: what to execute, how to observe it, and which
-/// worker slot the attempt is charged to. The scoped per-run workers
-/// and the persistent [`Engine`](super::Engine) pool both drive
-/// attempts through [`run_attempt`] with one of these, so the
+/// A blocking MPMC queue of tickets: how an idle worker is handed a
+/// seat. The engine owns one for all its jobs; a scoped run owns a
+/// private one. Touched once per ticket, never per task.
+pub(super) struct Injector<T> {
+    /// The queue, and whether it has been closed.
+    state: Mutex<(VecDeque<T>, bool)>,
+    ready: Condvar,
+}
+
+impl<T> Injector<T> {
+    pub(super) fn new() -> Self {
+        Self {
+            state: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues `ticket` at the tail (dropped if the injector closed).
+    pub(super) fn push(&self, ticket: T) {
+        let mut state = lock(&self.state);
+        if !state.1 {
+            state.0.push_back(ticket);
+            self.ready.notify_one();
+        }
+    }
+
+    /// Blocks for the next ticket; `None` once closed.
+    pub(super) fn pop(&self) -> Option<T> {
+        let mut state = lock(&self.state);
+        loop {
+            if state.1 {
+                return None;
+            }
+            if let Some(ticket) = state.0.pop_front() {
+                return Some(ticket);
+            }
+            state = self.ready.wait(state).expect("board lock poisoned");
+        }
+    }
+
+    /// Drops every queued ticket and releases every blocked worker.
+    pub(super) fn close(&self) {
+        let mut state = lock(&self.state);
+        state.0.clear();
+        state.1 = true;
+        self.ready.notify_all();
+    }
+}
+
+/// The facets of a job every attempt runs against, identical for both
+/// thread owners (the scoped per-run workers and the persistent
+/// [`Engine`](super::Engine) pool), so the claim loop and the
 /// per-attempt protocol (fault injection, version open, panic capture,
-/// probe and dispatch tracing) cannot drift between the two paths.
-pub(super) struct AttemptEnv<'a> {
+/// probe and dispatch tracing) cannot drift between them.
+pub(super) struct JobEnv<'a> {
     pub graph: &'a TaskGraph,
     pub body: &'a dyn NativeBody,
     pub view: &'a CommitView,
     pub faults: &'a FaultPlan,
     pub mem: Option<&'a ConcurrentVersionedMemory>,
-    /// The plan core (scoped workers) or pool-worker index (engine
-    /// workers) the attempt's trace events and timing are charged to.
-    pub core: usize,
-    /// The stage of the task being attempted.
-    pub stage: u8,
+    pub clock: TraceClock,
+    pub job: JobId,
+}
+
+/// The bounded wait before a sleep, in
+/// [`spin_loop`](std::hint::spin_loop) hints, on both sides of the
+/// board: a worker retries an empty lane this often before it parks its
+/// seat, and the supervisor looks for a due batch this often before it
+/// parks itself. About a microsecond — enough to ride out the other
+/// side being mid-admission or mid-publication on another core, and
+/// nothing on a core the two share.
+const SPINS: u32 = 64;
+
+/// Serves `seat`'s ticket: claim → [`run_attempt`] → publish, until a
+/// window of claims (the ticket quantum), an empty lane, or the end of
+/// the job. Nothing but the publication touches shared state: each
+/// completion carries the attempt's timing and trace events with it.
+///
+/// Returns whether the quantum ran out: the caller then requeues the
+/// ticket at the tail of its injector, so concurrent jobs share a small
+/// pool. Otherwise the ticket is spent — the seat is parked on the
+/// board, whose supervisor will hand it out again, or the job is over.
+pub(super) fn serve(board: &Board, env: &JobEnv<'_>, seat: Seat) -> bool {
+    let mut trace = TraceBuffer::for_job(env.clock, env.job);
+    let mut claims = 0;
+    loop {
+        if board.closed.load(SeqCst) {
+            return false;
+        }
+        if claims >= board.cap(seat.lane) {
+            return true;
+        }
+        let Some((item, occupancy)) = board.claim_or_spin(seat.lane) else {
+            if board.park(seat) {
+                return false;
+            }
+            continue;
+        };
+        claims += 1;
+        trace.record(TraceEventKind::QueuePop {
+            stage: seat.stage,
+            task: item.task,
+            attempt: item.attempt,
+            occupancy,
+        });
+        let mut done = run_attempt(env, seat, item, &mut trace);
+        done.events = trace.take_events();
+        board.publish(done);
+    }
 }
 
 /// Runs one attempt end to end — fault injection, version open, the
 /// body under `catch_unwind`, version probe, output corruption, and the
-/// dispatch/complete trace pair — and returns the completion to report
-/// plus the body time to charge against the worker's busy counter.
+/// dispatch/complete trace pair — and returns the completion to
+/// report, the body time it charges to `seat` included. The events stay
+/// in `trace`; the caller decides how they travel.
 pub(super) fn run_attempt(
-    env: &AttemptEnv<'_>,
+    env: &JobEnv<'_>,
+    seat: Seat,
     item: WorkItem,
     trace: &mut TraceBuffer,
-) -> (WorkerDone, Duration) {
+) -> WorkerDone {
     let fault = env.faults.fault_at(item.task, item.attempt);
     if fault == Some(FaultKind::WorkerPanic) {
         // Injected panic: the attempt dies before the body runs.
@@ -217,33 +618,33 @@ pub(super) fn run_attempt(
         // trace still gets a dispatch/complete pair so the attempt
         // shows up as a (zero-length) slice.
         trace.record(TraceEventKind::Dispatch {
-            core: env.core,
-            stage: env.stage,
+            core: seat.core,
+            stage: seat.stage,
             task: item.task,
             attempt: item.attempt,
         });
         trace.record(TraceEventKind::Complete {
-            core: env.core,
-            stage: env.stage,
+            core: seat.core,
+            stage: seat.stage,
             task: item.task,
             attempt: item.attempt,
             panicked: true,
             stalled: false,
         });
-        return (
-            WorkerDone {
-                task: item.task,
-                attempt: item.attempt,
-                output: TaskOutput::empty(),
-                panicked: true,
-                stalled: false,
-            },
-            Duration::ZERO,
-        );
+        return WorkerDone {
+            task: item.task,
+            attempt: item.attempt,
+            output: TaskOutput::empty(),
+            panicked: true,
+            stalled: false,
+            seat: seat.id,
+            busy: Duration::ZERO,
+            events: Vec::new(),
+        };
     }
     trace.record(TraceEventKind::Dispatch {
-        core: env.core,
-        stage: env.stage,
+        core: seat.core,
+        stage: seat.stage,
         task: item.task,
         attempt: item.attempt,
     });
@@ -262,7 +663,7 @@ pub(super) fn run_attempt(
     if let Some(m) = env.mem {
         m.begin(version);
         trace.record(TraceEventKind::VersionOpen {
-            stage: env.stage,
+            stage: seat.stage,
             task: item.task,
             attempt: item.attempt,
         });
@@ -277,13 +678,14 @@ pub(super) fn run_attempt(
     let started = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| env.body.run(TaskId(item.task), &ctx)));
     let busy = started.elapsed();
-    if let (Some(m), Ok(_)) = (env.mem, &result) {
+    if let (Some(m), Ok(_), true) = (env.mem, &result, trace.enabled()) {
         // What the attempt actually did to its version, recorded
         // from the worker's side while the version is still open
-        // (the frontier decides later whether it commits).
+        // (the frontier decides later whether it commits). The probe
+        // costs a registry read lock, so untraced runs skip it.
         if let Some(probe) = m.probe(version) {
             trace.record(TraceEventKind::VersionReads {
-                stage: env.stage,
+                stage: seat.stage,
                 task: item.task,
                 attempt: item.attempt,
                 reads: probe.reads,
@@ -291,88 +693,30 @@ pub(super) fn run_attempt(
             });
         }
     }
-    let done = match result {
-        Ok(mut output) => {
-            if fault == Some(FaultKind::CorruptOutput) {
-                corrupt_output(&mut output);
-            }
-            WorkerDone {
-                task: item.task,
-                attempt: item.attempt,
-                output,
-                panicked: false,
-                stalled,
-            }
-        }
-        // A real body panic no longer kills the run: the worker
-        // survives and the commit unit squashes and replays the
-        // attempt under the task's retry budget.
-        Err(_) => WorkerDone {
-            task: item.task,
-            attempt: item.attempt,
-            output: TaskOutput::empty(),
-            panicked: true,
-            stalled,
-        },
-    };
+    // A real body panic no longer kills the run: the worker survives
+    // and the commit unit squashes and replays the attempt under the
+    // task's retry budget.
+    let panicked = result.is_err();
+    let mut output = result.unwrap_or_else(|_| TaskOutput::empty());
+    if fault == Some(FaultKind::CorruptOutput) && !panicked {
+        corrupt_output(&mut output);
+    }
     trace.record(TraceEventKind::Complete {
-        core: env.core,
-        stage: env.stage,
-        task: item.task,
-        attempt: item.attempt,
-        panicked: done.panicked,
-        stalled,
-    });
-    (done, busy)
-}
-
-// Takes `seat` and `done_tx` by value on purpose: each worker thread owns
-// its seat's receiver, and dropping its `done_tx` clone on exit is what
-// disconnects the completion channel.
-#[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
-fn worker_loop(
-    seat: WorkerSeat,
-    graph: &TaskGraph,
-    body: &dyn NativeBody,
-    view: &CommitView,
-    done_tx: Sender<WorkerDone>,
-    faults: &FaultPlan,
-    clock: TraceClock,
-    mem: Option<&ConcurrentVersionedMemory>,
-) -> (WorkerStat, Vec<TraceEvent>) {
-    let mut trace = TraceBuffer::new(clock);
-    let mut busy = Duration::ZERO;
-    let mut tasks = 0u64;
-    let env = AttemptEnv {
-        graph,
-        body,
-        view,
-        faults,
-        mem,
         core: seat.core,
         stage: seat.stage,
-    };
-    while let Ok(item) = seat.rx.recv() {
-        trace.record(TraceEventKind::QueuePop {
-            stage: seat.stage,
-            task: item.task,
-            attempt: item.attempt,
-            occupancy: seat.rx.len(),
-        });
-        let (done, attempt_busy) = run_attempt(&env, item, &mut trace);
-        busy += attempt_busy;
-        tasks += 1;
-        if done_tx.send(done).is_err() {
-            break;
-        }
+        task: item.task,
+        attempt: item.attempt,
+        panicked,
+        stalled,
+    });
+    WorkerDone {
+        task: item.task,
+        attempt: item.attempt,
+        output,
+        panicked,
+        stalled,
+        seat: seat.id,
+        busy,
+        events: Vec::new(),
     }
-    (
-        WorkerStat {
-            core: seat.core,
-            stage: crate::task::StageId(seat.stage),
-            busy,
-            tasks,
-        },
-        trace.into_events(),
-    )
 }

@@ -676,3 +676,300 @@ fn versioned_chaos_run_still_commits_sequential_output() {
         }
     }
 }
+
+// --- the board: claim cursors, batched wakes, ticket quantum ------------
+
+use super::stage::Board;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Instant;
+
+/// The lane window and wake threshold of a one-seat `tls(1)` plan at
+/// the default queue capacity: 32 + 1 seat, and half of that.
+const WINDOW: u64 = 33;
+const WAKE_AT: u64 = WINDOW / 2;
+
+/// Runs a counter loop of `iters` tasks on `tls(1)` — one seat, so
+/// nothing but the wake rule and the tail-of-job parking gets the
+/// supervisor out of bed — both through the scoped executor and a
+/// one-worker engine, and asserts the run is prompt, trip-free and
+/// byte-identical. `versioned` threads the counter through the
+/// substrate (conflict replays then make the attempt count a matter of
+/// timing).
+fn run_prompt(iters: u64, faults: FaultPlan, versioned: bool) -> [NativeReport; 2] {
+    let plan = ExecutionPlan::tls(1);
+    let config = ExecConfig::default().with_faults(faults);
+    let check = |started: Instant, report: &NativeReport| {
+        assert!(
+            started.elapsed() < config.watchdog_deadline / 4,
+            "{iters} tasks took {:?}: a wake was lost",
+            started.elapsed()
+        );
+        assert_eq!(report.output, expected_stream(iters), "{iters} tasks");
+        assert_eq!(report.watchdog_trips, 0, "{iters} tasks");
+        assert!(!report.fallback_activated, "{iters} tasks");
+    };
+    let graph = counter_graph(iters);
+    let mem = ConcurrentVersionedMemory::new();
+    let exec = NativeExecutor::new(config.clone());
+    let started = Instant::now();
+    let solo = if versioned {
+        exec.run_versioned(&graph, &plan, &counter_body(), &mem)
+    } else {
+        exec.run(&graph, &plan, &counter_body())
+    }
+    .unwrap();
+    check(started, &solo);
+    if versioned {
+        assert_eq!(mem.committed(Addr(0)), Some(iters));
+    }
+
+    let engine = Engine::new(EngineConfig::with_workers(1));
+    let spec = JobSpec {
+        graph: Arc::new(graph),
+        plan: Arc::new(plan),
+        body: Arc::new(counter_body()),
+        mem: versioned.then(|| Arc::new(ConcurrentVersionedMemory::new())),
+        config: config.clone(),
+    };
+    let started = Instant::now();
+    let shared = engine.run(&spec).unwrap();
+    check(started, &shared);
+    [solo, shared]
+}
+
+#[test]
+fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
+    const N: usize = 20_000;
+    let graph = counter_graph(N as u64);
+    let board = Board::new(&graph, &ExecutionPlan::tls(8), 32);
+    // What the raiser has decided to publish, stored *before* the raise:
+    // a claim of index `i` must find `i < published`.
+    let published = AtomicUsize::new(0);
+    let claimed = AtomicUsize::new(0);
+    let start = Barrier::new(9);
+    let mut all: Vec<u32> = std::thread::scope(|scope| {
+        let claimers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    start.wait();
+                    while claimed.load(Ordering::SeqCst) < N {
+                        let Some((item, _)) = board.claim(0) else {
+                            std::hint::spin_loop();
+                            continue;
+                        };
+                        assert_eq!(item.attempt, 0);
+                        assert!(
+                            (item.task as usize) < published.load(Ordering::SeqCst),
+                            "index {} claimed past the limit",
+                            item.task
+                        );
+                        claimed.fetch_add(1, Ordering::SeqCst);
+                        mine.push(item.task);
+                    }
+                    mine
+                })
+            })
+            .collect();
+        start.wait();
+        let mut limit = 0;
+        while limit < N {
+            // Uneven steps, sometimes outrunning the claimers and
+            // sometimes starving them.
+            let from = limit;
+            limit = (limit + 1 + limit % 37).min(N);
+            published.store(limit, Ordering::SeqCst);
+            board.raise(0, from, limit);
+            if limit % 5 == 0 {
+                while claimed.load(Ordering::SeqCst) < limit {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        claimers
+            .into_iter()
+            .flat_map(|c| c.join().expect("claimer panicked"))
+            .collect()
+    });
+    all.sort_unstable();
+    assert_eq!(all, (0..N as u32).collect::<Vec<_>>());
+}
+
+#[test]
+fn no_wake_is_lost_at_the_tail_of_a_job() {
+    // One task; one short of the wake threshold; exactly the threshold;
+    // one more than the window. None of the first three ever reaches
+    // half a window pending: only the worker running out of claimable
+    // work gets their completions absorbed.
+    for iters in [1, WAKE_AT - 1, WAKE_AT, WINDOW + 1] {
+        run_prompt(iters, FaultPlan::none(), true);
+    }
+}
+
+#[test]
+fn a_spurious_squash_under_a_parked_supervisor_resumes_promptly() {
+    // Task 0 and a task mid-window are discarded at the commit point.
+    // Their replays go out through the requeue lane while the worker
+    // has run on to the limit and parked its seat.
+    let mid = (WAKE_AT + 3) as u32;
+    let faults = FaultPlan::none()
+        .with_forced(0, 0, FaultKind::SpuriousSquash)
+        .with_forced(mid, 0, FaultKind::SpuriousSquash);
+    for report in run_prompt(3 * WINDOW, faults.clone(), false) {
+        assert_eq!(report.recovery.spurious_squashes, 2);
+        assert_eq!(report.recovery.retries, 2);
+        assert_eq!(report.attempts, 3 * WINDOW + 2);
+    }
+    // Through the substrate the replay of task 0 revokes what it
+    // forwarded, so the later fault may lose its attempt to a conflict
+    // squash first; the bytes still may not move.
+    for report in run_prompt(3 * WINDOW, faults.clone(), true) {
+        assert!(report.recovery.spurious_squashes >= 1);
+    }
+}
+
+#[test]
+fn a_starved_stage_does_not_wait_for_half_a_window() {
+    // A is an independent serial stage, so its worker has a window of
+    // claimable work from the start and never runs dry; B_i needs A_i.
+    // From A_8 on, A's body blocks until B_0 has *started* — which it
+    // only can once the supervisor absorbs A_0 and admits it. Eight
+    // pending completions are short of the threshold, so nothing but
+    // the starvation rule (B's seats are parked) gets A_0 absorbed.
+    let iters = 64u64;
+    let mut graph = TaskGraph::new(3);
+    let mut prev_c = None;
+    for i in 0..iters {
+        let a = graph.add_task(0, i, 10, &[], &[]);
+        let b = graph.add_task(1, i, 10, &[a], &[]);
+        let c_deps: Vec<TaskId> = [Some(b), prev_c].into_iter().flatten().collect();
+        prev_c = Some(graph.add_task(2, i, 10, &c_deps, &[]));
+    }
+    let b0_started = AtomicBool::new(false);
+    let gave_up = AtomicBool::new(false);
+    let body = |_: TaskId, ctx: &TaskCtx<'_>| {
+        match ctx.stage.0 {
+            // Long enough for the supervisor's poll to run out, so the
+            // wake has to come from the publishing worker.
+            0 if ctx.iter == 0 => std::thread::sleep(Duration::from_millis(5)),
+            0 if ctx.iter >= 8 => {
+                let since = Instant::now();
+                while !b0_started.load(Ordering::SeqCst) {
+                    if since.elapsed() > Duration::from_secs(10) {
+                        gave_up.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            1 => b0_started.store(true, Ordering::SeqCst),
+            _ => {}
+        }
+        if ctx.stage.0 == 1 {
+            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        } else {
+            TaskOutput::empty()
+        }
+    };
+    let report = NativeExecutor::default()
+        .run(&graph, &ExecutionPlan::three_phase(4), &body)
+        .unwrap();
+    assert!(
+        !gave_up.load(Ordering::SeqCst),
+        "B_0 was not admitted until half a window of A had completed"
+    );
+    assert_eq!(report.output, expected_stream(iters));
+    assert_eq!(report.watchdog_trips, 0);
+}
+
+#[test]
+fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
+    // Job A's supervisor keeps its lane fed, so A's seat never runs dry:
+    // only the quantum — requeue the ticket after a window of claims —
+    // lets B's ticket reach the single worker before A is done.
+    const TASKS: u64 = 4_000;
+    let log: Arc<Mutex<Vec<(u8, u32)>>> = Arc::default();
+    let b_submitted = Arc::new(AtomicBool::new(false));
+    let spec = |job: u8| {
+        let log = Arc::clone(&log);
+        let gate = Arc::clone(&b_submitted);
+        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+            // A does not start until B is in: otherwise a fast A could
+            // finish before B's supervisor has handed out its ticket.
+            while job == 0 && task.0 == 0 && !gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            log.lock().unwrap().push((job, task.0));
+            std::hint::black_box((0..2_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
+            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        };
+        JobSpec {
+            graph: Arc::new(counter_graph(TASKS)),
+            plan: Arc::new(ExecutionPlan::tls(1)),
+            body: Arc::new(body),
+            mem: None,
+            config: ExecConfig::default(),
+        }
+    };
+    let engine = Engine::new(EngineConfig::with_workers(1));
+    let a = engine.submit(spec(0));
+    let b = engine.submit(spec(1));
+    b_submitted.store(true, Ordering::SeqCst);
+    for handle in [a, b] {
+        let report = handle.wait().unwrap();
+        assert_eq!(report.output, expected_stream(TASKS));
+        assert_eq!(report.watchdog_trips, 0);
+        let served: u64 = report.workers.iter().map(|w| w.tasks).sum();
+        assert_eq!(served, report.attempts, "every completion books its seat");
+    }
+    let log = log.lock().unwrap();
+    let first_b = log.iter().position(|&(job, _)| job == 1).unwrap();
+    let last_a = log.iter().rposition(|&(job, _)| job == 0).unwrap();
+    assert!(
+        first_b < last_a,
+        "job B first ran at {first_b}, after job A's last task at {last_a}"
+    );
+    // Interleaved, not merely overlapped at the edges: the worker went
+    // back and forth between the jobs many times.
+    let switches = log.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    assert!(switches >= 8, "only {switches} switches between the jobs");
+}
+
+#[test]
+fn the_watchdog_counts_publications_not_wakes() {
+    let deadline = Duration::from_millis(150);
+    let graph = counter_graph(WAKE_AT - 4);
+    let plan = ExecutionPlan::tls(1);
+    // Slow but publishing: every task takes a good part of the deadline
+    // and the job several deadlines, yet too few completions are ever
+    // pending for a worker to wake the supervisor. Its timed-out sleeps
+    // find the ring moving.
+    let slow = |_: TaskId, ctx: &TaskCtx<'_>| {
+        std::thread::sleep(deadline / 5);
+        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+    };
+    let config = ExecConfig::default().with_watchdog_deadline(deadline);
+    let report = NativeExecutor::new(config.clone())
+        .run(&graph, &plan, &slow)
+        .unwrap();
+    assert!(report.wall > 2 * deadline);
+    assert_eq!(report.watchdog_trips, 0, "a publishing job is not wedged");
+    assert!(!report.fallback_activated);
+    assert_eq!(report.output, expected_stream(WAKE_AT - 4));
+
+    // Wedged: one stall outlasts the deadline with nothing else left to
+    // publish. Still a trip, still the sequential stream.
+    let quick = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+    let stalled = config.with_faults(
+        FaultPlan::none()
+            .with_forced(2, 0, FaultKind::StageStall)
+            .with_stall_duration(deadline * 6),
+    );
+    let report = NativeExecutor::new(stalled)
+        .run(&graph, &plan, &quick)
+        .unwrap();
+    assert_eq!(report.watchdog_trips, 1);
+    assert!(report.fallback_activated);
+    assert_eq!(report.output, expected_stream(WAKE_AT - 4));
+}

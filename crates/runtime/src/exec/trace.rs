@@ -50,7 +50,7 @@ impl fmt::Display for TimeUnit {
 }
 
 /// Why the commit unit discarded an attempt (the decision ladder of
-/// `CommitUnit::absorb`, in ladder order).
+/// `CommitUnit::drain`, in ladder order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SquashReason {
     /// The worker panicked (injected or real); the attempt produced
@@ -417,6 +417,11 @@ impl TraceBuffer {
 
     pub(super) fn into_events(self) -> Vec<TraceEvent> {
         self.events
+    }
+
+    /// Empties the buffer, which keeps recording.
+    pub(super) fn take_events(&mut self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.events)
     }
 }
 

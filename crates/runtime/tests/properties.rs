@@ -50,6 +50,11 @@ fn run_native(graph: &TaskGraph, threads: usize, queue_capacity: usize) -> Nativ
 /// [`run_native`] with a caller-supplied config — the entry point the
 /// chaos properties use to arm a [`FaultPlan`].
 fn run_native_with(graph: &TaskGraph, threads: usize, config: ExecConfig) -> NativeReport {
+    run_native_on(graph, &ExecutionPlan::three_phase(threads), config)
+}
+
+/// [`run_native_with`] under an arbitrary three-stage `plan`.
+fn run_native_on(graph: &TaskGraph, plan: &ExecutionPlan, config: ExecConfig) -> NativeReport {
     let body = |task: TaskId, ctx: &TaskCtx<'_>| {
         let t = graph.task(task);
         if t.stage.0 != 1 {
@@ -66,7 +71,7 @@ fn run_native_with(graph: &TaskGraph, threads: usize, config: ExecConfig) -> Nat
         }
     };
     NativeExecutor::new(config)
-        .run(graph, &ExecutionPlan::three_phase(threads), &body)
+        .run(graph, plan, &body)
         .expect("plan matches graph and every fault is recoverable")
 }
 
@@ -327,6 +332,73 @@ proptest! {
                 + r.recovery.corruptions_caught
                 + r.recovery.spurious_squashes
         );
+    }
+
+    /// The board hands every admitted attempt to exactly one claim,
+    /// whatever the lane shape (one shared lane per `Parallel` stage,
+    /// one lane per seat under `RoundRobin`), the window, or the chaos
+    /// on top: in the trace, admissions (`QueuePush`) and claims
+    /// (`QueuePop`) pair one to one with no attempt admitted or claimed
+    /// twice, no lane is ever admitted past its window, and — every
+    /// completion carrying its seat — the seats' task counts add up to
+    /// the attempts the frontier processed.
+    #[test]
+    fn every_admitted_attempt_is_claimed_exactly_once(
+        costs in proptest::collection::vec((0..100u64, 0..500u64, 0..50u64, any::<bool>()), 1..60),
+        threads in 2usize..7,
+        cap in 1usize..6,
+        round_robin in any::<bool>(),
+        faulted in any::<bool>(),
+        seed in any::<u64>()
+    ) {
+        use seqpar_runtime::TraceEventKind::{QueuePop, QueuePush};
+        let n = costs.len();
+        let g = build_graph(&costs);
+        let plan = if round_robin {
+            ExecutionPlan::three_phase_static(threads)
+        } else {
+            ExecutionPlan::three_phase(threads)
+        };
+        let mut config = ExecConfig::with_queue_capacity(cap).with_tracing(true);
+        if faulted {
+            config = config.with_faults(FaultPlan::seeded(seed));
+        }
+        let r = run_native_on(&g, &plan, config);
+        prop_assert_eq!(&r.output, &expected_stream(n));
+        let timeline = r.timeline.as_ref().expect("traced run carries a timeline");
+        let mut pushed = std::collections::BTreeMap::new();
+        let mut popped = std::collections::BTreeMap::new();
+        for e in timeline.events() {
+            match e.kind {
+                QueuePush { stage, task, attempt, occupancy } => {
+                    *pushed.entry((task, attempt)).or_insert(0u32) += 1;
+                    // A shared lane's window is the capacity plus its
+                    // seats; a per-seat lane's is the capacity plus one.
+                    let seats = match plan.stage(stage) {
+                        seqpar_runtime::StageAssignment::Parallel { cores } => cores.len(),
+                        _ => 1,
+                    };
+                    prop_assert!(
+                        occupancy <= cap + seats,
+                        "stage {} admitted to occupancy {} past its window {}",
+                        stage, occupancy, cap + seats
+                    );
+                }
+                QueuePop { task, attempt, .. } => {
+                    *popped.entry((task, attempt)).or_insert(0u32) += 1;
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(pushed.values().all(|&k| k == 1), "an attempt was admitted twice");
+        if !r.fallback_activated {
+            // (A fallback abandons whatever was admitted but unclaimed.)
+            prop_assert_eq!(&pushed, &popped);
+            let served: u64 = r.workers.iter().map(|w| w.tasks).sum();
+            prop_assert_eq!(served, r.attempts);
+        } else {
+            prop_assert!(popped.iter().all(|(k, &v)| v == 1 && pushed.contains_key(k)));
+        }
     }
 
     /// The governed executor is safe by construction: across arbitrary

@@ -139,9 +139,9 @@ fn job_isolation_keeps_stats_and_traces_apart() {
 }
 
 /// (c) The engine twin of the solo differential: for each workload,
-/// running on a shared engine commits the same bytes and the same
-/// substrate counters as running alone through
-/// [`VersionedJob::execute`].
+/// running on a shared engine commits the same bytes as running alone
+/// through [`VersionedJob::execute`], and on both paths the per-seat
+/// worker stats account for every attempt.
 #[test]
 fn engine_path_matches_solo_path() {
     let engine = Engine::new(EngineConfig::default());
@@ -160,6 +160,14 @@ fn engine_path_matches_solo_path() {
             solo.tasks_committed, shared.tasks_committed,
             "{id}: both paths commit every task exactly once"
         );
+        // Every completion carries its seat and body time to the
+        // supervisor, so on both paths the seats' task counts add up
+        // to the attempts the frontier processed, keyed by plan core.
+        for (path, r) in [("solo", &solo), ("engine", &shared)] {
+            let served: u64 = r.workers.iter().map(|w| w.tasks).sum();
+            assert_eq!(served, r.attempts, "{id}: {path} worker task totals");
+            assert!(r.workers.iter().all(|w| w.core < 4), "{id}: {path} seats");
+        }
     }
 }
 
