@@ -297,7 +297,7 @@ fn multi_job_trace(
         };
         let job = w.versioned_job(size);
         let seq = job.sequential();
-        let (handle, _mem) = job.submit_on(&engine, &exec_plan, config.clone());
+        let handle = engine.submit(job.job_spec(&exec_plan, config.clone()).0);
         submitted.push((w.meta().spec_id, seq, handle));
     }
     let mut timelines = Vec::new();

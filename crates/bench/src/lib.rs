@@ -193,10 +193,9 @@ pub fn native_sweep(
             // still letting pool width bound real parallelism.
             let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
             engine.warm();
-            let report = versioned
-                .execute_on(&engine, &plan, config.clone())
-                .expect("plan matches machine and faults are recoverable")
-                .0;
+            let report = engine
+                .run(&versioned.job_spec(&plan, config.clone()).0)
+                .expect("plan matches machine and faults are recoverable");
             assert_eq!(
                 report.output,
                 seq.output,
@@ -509,8 +508,9 @@ pub fn trace_native(
     let seq = job.sequential();
     let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
     engine.warm();
-    let (mut report, _mem) = job
-        .execute_on(&engine, &plan, config.clone().with_tracing(true))
+    let (spec, _mem) = job.job_spec(&plan, config.clone().with_tracing(true));
+    let mut report = engine
+        .run(&spec)
         .expect("plan matches machine and faults are recoverable");
     assert_eq!(
         report.output,
@@ -589,7 +589,8 @@ pub fn render_trace_summary(timeline: &Timeline, labels: &[String]) -> String {
 /// writes). Built from the timeline's
 /// `VersionOpen`/`VersionReads`/`VersionConflict`/`VersionCommit`
 /// events; returns the empty string when the timeline carries none
-/// (e.g. a trace-driven [`NativeJob`](seqpar_workloads::NativeJob) replay).
+/// (e.g. a replay job, whose [`JobSpec`](seqpar_runtime::JobSpec) has no
+/// substrate).
 pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
     #[derive(Clone, Copy, Default)]
     struct StageMem {
@@ -975,10 +976,9 @@ pub fn conflict_calibration(
     let versioned = w.versioned_job(size);
     let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
     engine.warm();
-    let report = versioned
-        .execute_on(&engine, &plan, ExecConfig::default())
-        .expect("plan matches machine")
-        .0;
+    let report = engine
+        .run(&versioned.job_spec(&plan, ExecConfig::default()).0)
+        .expect("plan matches machine");
     let (violations, commits) = report.mem.map_or((0, 0), |m| (m.violations, m.commits));
     ConflictCalibration {
         spec_id: w.meta().spec_id.to_string(),

@@ -228,8 +228,8 @@ pub fn measure_workload(
             if let Some(g) = governors[ti] {
                 config = config.with_governor(g);
             }
-            let (report, _mem) = job
-                .execute_on(&engines[ti], &ExecutionPlan::tls(t), config)
+            let report = engines[ti]
+                .run(&job.job_spec(&ExecutionPlan::tls(t), config).0)
                 .expect("plan matches graph");
             assert_eq!(
                 &report.output, expected,

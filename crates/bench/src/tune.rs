@@ -207,10 +207,10 @@ impl TunableWorkload {
             shards: candidate.mem.shards,
             reclaim_cadence: candidate.mem.reclaim_cadence,
         });
-        let (report, _mem) = self
+        let (spec, _mem) = self
             .job
-            .execute_on_with_memory(engine, &plan, self.exec_config(candidate), mem)
-            .expect("tuned plan matches the machine");
+            .job_spec_with_memory(&plan, self.exec_config(candidate), mem);
+        let report = engine.run(&spec).expect("tuned plan matches the machine");
         assert_eq!(
             report.output, expected,
             "{}: tuned plan diverged from the sequential oracle",

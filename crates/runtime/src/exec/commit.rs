@@ -25,7 +25,7 @@
 //! makes [`CommitUnit::drain`] demand the sequential fallback instead
 //! of aborting the run.
 //!
-//! Versioned runs ([`NativeExecutor::run_versioned`](super::NativeExecutor::run_versioned))
+//! Jobs with a substrate ([`JobSpec::mem`](super::JobSpec::mem))
 //! swap the misspeculation rung's *source*: instead of replaying the
 //! graph's recorded [`SpecDep`](crate::SpecDep) violations, the frontier
 //! asks the [`ConcurrentVersionedMemory`] whether the attempt's version
@@ -163,10 +163,10 @@ pub(super) struct CommitUnit<'g> {
     /// trace events.
     seat_stats: Vec<(Duration, u64)>,
     worker_events: Vec<TraceEvent>,
-    /// The versioned memory substrate when this is a
-    /// [`run_versioned`](super::NativeExecutor::run_versioned) run:
-    /// the frontier's squash source and the publisher of each committed
-    /// task's write buffer. `None` on trace-driven runs.
+    /// The job's versioned memory substrate
+    /// ([`JobSpec::mem`](super::JobSpec::mem)): the frontier's squash
+    /// source and the publisher of each committed task's write buffer.
+    /// `None` on replay jobs.
     mem: Option<&'g ConcurrentVersionedMemory>,
     /// The speculation governor, when
     /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it

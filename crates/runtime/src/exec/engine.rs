@@ -1,16 +1,15 @@
-//! A persistent multi-job execution engine.
+//! The engine: the one owner of worker threads.
 //!
-//! [`NativeExecutor`](super::NativeExecutor) builds a fresh scoped
-//! worker pool per run and tears it down before returning — the right
-//! shape for a one-shot benchmark, pure overhead for anything that
-//! executes many loops (the autotuner's validation reps, the snapshot
-//! harness's interleaved measurements, a future `seqpar-serve`). An
-//! [`Engine`] instead owns one long-lived pool of OS threads, spawned
-//! lazily on the first dispatch and shared by every job submitted to
-//! it. [`Engine::submit`] returns immediately with a [`JobHandle`];
-//! any number of jobs run concurrently, each supervised on its own
-//! thread with its own commit frontier, governor, fault plan, trace
-//! buffers, and (for versioned jobs) memory substrate.
+//! An [`Engine`] owns one long-lived pool of OS threads, spawned lazily
+//! on the first dispatch and shared by every job handed to it. A job is
+//! a [`JobSpec`]; [`Engine::run`] supervises it on the calling thread,
+//! [`Engine::submit`] on a thread of its own, returning at once with a
+//! [`JobHandle`]. Any number of jobs run concurrently, each with its
+//! own commit frontier, governor, fault plan, trace buffers, and (for
+//! versioned jobs) memory substrate. A caller with one loop to run
+//! builds an engine as wide as the plan, runs the job and drops it; a
+//! harness that runs many keeps one warmed engine and pays thread
+//! start-up once.
 //!
 //! # Job isolation invariants
 //!
@@ -43,17 +42,22 @@
 //! job's commit frontier, on its supervisor thread), so a busy pool
 //! delays jobs but cannot deadlock them. Size the pool at least as
 //! large as the widest single plan for full overlap; an undersized pool
-//! degrades to time-slicing. If the pool ever disappears entirely (the
-//! engine was dropped with jobs still running), no ticket is served,
-//! nothing is published, each job's watchdog trips and the job
-//! completes on its supervisor thread via the sequential fallback —
-//! slower, still byte-identical.
+//! degrades to time-slicing.
+//!
+//! # Lifecycle
+//!
+//! The pool lives as long as anything can still hand it a ticket: the
+//! [`Engine`] handle, and the supervisor thread of every submitted job.
+//! Dropping the handle with jobs in flight therefore costs them
+//! nothing — they finish on the pool, no watchdog trips, no fallback
+//! runs — and the last supervisor to finish closes the injector and
+//! joins the workers.
 
 use super::commit::{CommitUnit, CommitView, Supervisor};
 use super::governor::Governor;
-use super::stage::{serve, Board, Injector, JobEnv, Seat};
+use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
-use super::{run_supervised, ExecConfig, ExecError, NativeBody, NativeReport, WorkerBackend};
+use super::{run_supervised, ExecConfig, ExecError, NativeBody, NativeReport};
 use crate::plan::ExecutionPlan;
 use crate::task::TaskGraph;
 use crossbeam::channel::{bounded, Receiver};
@@ -66,9 +70,10 @@ use std::time::Instant;
 /// Pool parameters for an [`Engine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// OS threads in the shared worker pool (clamped to at least 1).
-    /// Spawned lazily on the first pipelined dispatch, so an engine
-    /// that only ever runs governor-degraded jobs costs no threads.
+    /// OS threads in the shared worker pool ([`Engine::new`] clamps it
+    /// to at least 1). Spawned lazily on the first pipelined dispatch,
+    /// so an engine that only ever runs governor-degraded jobs costs no
+    /// threads.
     pub workers: usize,
 }
 
@@ -81,7 +86,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A pool of exactly `workers` threads.
+    /// A pool of `workers` threads (an engine given 0 runs 1).
     pub fn with_workers(workers: usize) -> Self {
         Self { workers }
     }
@@ -102,15 +107,21 @@ pub struct JobSpec {
     pub plan: Arc<ExecutionPlan>,
     /// The computation behind each task.
     pub body: Arc<dyn NativeBody>,
-    /// The job's private versioned-memory substrate, for conflict-
-    /// driven speculation; `None` runs trace-driven. Never shared
-    /// between jobs — version ids are task indices, which collide
-    /// across graphs.
+    /// The job's private versioned-memory substrate, and with it the
+    /// squash source. `Some`: every attempt runs inside version
+    /// `VersionId(task.0)` of it (handed to the body as
+    /// [`TaskCtx::mem`](super::TaskCtx::mem)), the substrate detects
+    /// conflicts at access granularity, and the graph's recorded
+    /// [`SpecDep`](crate::SpecDep) violations are ignored. `None`:
+    /// *replay* — the recorded violations drive the squashes, so
+    /// squash counts are a function of the graph alone and line up with
+    /// the simulator's. The substrate must be fresh and is never shared
+    /// between jobs: version ids are task indices, which collide across
+    /// graphs.
     pub mem: Option<Arc<ConcurrentVersionedMemory>>,
     /// Per-job supervision parameters: fault plan, retry budget,
     /// governor, tracing, validation, watchdog. `queue_capacity` sizes
-    /// the job's per-stage admission windows, exactly as for a
-    /// [`NativeExecutor`](super::NativeExecutor) run.
+    /// the job's per-stage admission windows.
     pub config: ExecConfig,
 }
 
@@ -126,8 +137,8 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// The engine-assigned id of this job: the `job` field of its
-    /// report and the stamp on all its trace events. Engine ids start
-    /// at 1; [`JobId::SOLO`] (0) is reserved for non-engine runs.
+    /// report and the stamp on all its trace events. Each engine counts
+    /// its jobs from 1; [`JobId::SOLO`] (0) is the simulator's stamp.
     pub fn id(&self) -> JobId {
         self.job
     }
@@ -136,10 +147,10 @@ impl JobHandle {
     ///
     /// # Errors
     ///
-    /// Exactly as for [`NativeExecutor::run`](super::NativeExecutor::run);
-    /// additionally [`ExecError::WorkersDisconnected`] if the job's
-    /// supervisor thread died without producing a report (a runtime
-    /// invariant violation, reported rather than hanging).
+    /// Exactly as for [`Engine::run`]; additionally
+    /// [`ExecError::WorkersDisconnected`] if the job's supervisor
+    /// thread died without producing a report (a runtime invariant
+    /// violation, reported rather than hanging).
     pub fn wait(mut self) -> Result<NativeReport, ExecError> {
         let result = self
             .rx
@@ -159,33 +170,10 @@ struct Ticket {
     seat: Seat,
 }
 
-/// Everything a pool worker needs to serve one job's tickets. One per
-/// job, shared by the job's supervisor and its tickets.
-struct JobShared {
-    job: JobId,
-    spec: JobSpec,
-    view: CommitView,
-    clock: TraceClock,
-    board: Board,
-}
-
-impl JobShared {
-    fn env(&self) -> JobEnv<'_> {
-        JobEnv {
-            graph: &self.spec.graph,
-            body: &*self.spec.body,
-            view: &self.view,
-            faults: &self.spec.config.fault_plan,
-            mem: self.spec.mem.as_deref(),
-            clock: self.clock,
-            job: self.job,
-        }
-    }
-}
-
-struct EngineInner {
+pub(super) struct EngineInner {
     config: EngineConfig,
-    /// Closed when the engine drops, so pool workers exit.
+    /// Closed when the last holder of the pool (the [`Engine`] handle
+    /// or a submitted job's supervisor) drops it, so the workers exit.
     injector: Arc<Injector<Ticket>>,
     spawn: Once,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -193,10 +181,10 @@ struct EngineInner {
 }
 
 impl EngineInner {
-    fn ensure_workers(self: &Arc<Self>) {
+    fn ensure_workers(&self) {
         self.spawn.call_once(|| {
             let mut handles = self.workers.lock().expect("engine worker list poisoned");
-            for idx in 0..self.config.workers.max(1) {
+            for idx in 0..self.config.workers {
                 let injector = Arc::clone(&self.injector);
                 handles.push(
                     std::thread::Builder::new()
@@ -205,6 +193,18 @@ impl EngineInner {
                         .expect("spawn engine pool worker"),
                 );
             }
+        });
+    }
+
+    /// Queues `seat`'s ticket of `job` for the next idle worker,
+    /// starting the pool first if this is the first ticket — so an
+    /// engine whose jobs never dispatch (governor-degraded end to end)
+    /// never pays thread start-up.
+    pub(super) fn hand(&self, job: &Arc<JobShared>, seat: Seat) {
+        self.ensure_workers();
+        self.injector.push(Ticket {
+            job: Arc::clone(job),
+            seat,
         });
     }
 }
@@ -222,15 +222,15 @@ impl Drop for EngineInner {
     }
 }
 
-/// A long-lived, lazily-spawned shared worker pool running multiple
-/// versioned (or trace-driven) jobs concurrently. See the module docs
-/// for the isolation and liveness story.
+/// A long-lived, lazily-spawned shared worker pool running any number
+/// of jobs concurrently. See the module docs for the isolation,
+/// liveness and lifecycle story.
 ///
-/// `Engine` is cheap to clone-by-handle via [`Engine::submit`]'s `&self`
-/// receiver — one engine per process (or per benchmark harness) is the
-/// intended shape. Dropping the engine disconnects the pool and joins
-/// its threads; jobs still running complete via their sequential
-/// fallback.
+/// [`Engine::run`] and [`Engine::submit`] take `&self`, so one engine
+/// serves every thread that can borrow it — one per process (or per
+/// benchmark harness) is the intended shape. Dropping the engine
+/// closes the pool and joins its threads once no submitted job is left
+/// running on it.
 #[derive(Debug)]
 pub struct Engine {
     inner: Arc<EngineInner>,
@@ -251,10 +251,11 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine whose pool will hold `config.workers` threads.
-    /// No threads start until the first pipelined dispatch (or an
-    /// explicit [`Engine::warm`]).
-    pub fn new(config: EngineConfig) -> Self {
+    /// Creates an engine whose pool will hold `config.workers` threads
+    /// (at least 1). No threads start until the first pipelined
+    /// dispatch (or an explicit [`Engine::warm`]).
+    pub fn new(mut config: EngineConfig) -> Self {
+        config.workers = config.workers.max(1);
         Self {
             inner: Arc::new(EngineInner {
                 config,
@@ -282,8 +283,7 @@ impl Engine {
     /// own supervisor thread against the shared pool; call
     /// [`JobHandle::wait`] for the report. Jobs submitted concurrently
     /// execute concurrently; outputs and per-job counters are exactly
-    /// what a dedicated [`NativeExecutor`](super::NativeExecutor) run
-    /// of the same spec would produce.
+    /// what the same spec produces alone on an engine of its own.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         let inner = Arc::clone(&self.inner);
@@ -310,27 +310,19 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Exactly as for [`JobHandle::wait`].
+    /// Returns [`ExecError::Invalid`] when the plan fails validation
+    /// ([`SimError::StageMismatch`](crate::SimError::StageMismatch) when
+    /// plan and graph disagree on stage count,
+    /// [`SimError::EmptyStagePool`](crate::SimError::EmptyStagePool)
+    /// when a stage has no cores — the same checks the simulator
+    /// performs; core- and queue-count limits are physical-machine model
+    /// parameters and do not constrain native execution). Returns
+    /// [`ExecError::TaskFailed`] only when a body panics where no
+    /// replay exists (the sequential fallback or the validation
+    /// oracle); pipelined worker panics are recovered, not raised.
     pub fn run(&self, spec: &JobSpec) -> Result<NativeReport, ExecError> {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         run_engine_job(&self.inner, job, spec)
-    }
-}
-
-/// The engine-backed [`WorkerBackend`]: the pool's threads, and its
-/// shared injector as the way a ticket reaches an idle one.
-struct EngineBackend {
-    pool: Arc<EngineInner>,
-    shared: Arc<JobShared>,
-}
-
-impl WorkerBackend for EngineBackend {
-    fn hand(&mut self, seat: Seat) {
-        self.pool.ensure_workers();
-        self.pool.injector.push(Ticket {
-            job: Arc::clone(&self.shared),
-            seat,
-        });
     }
 }
 
@@ -340,24 +332,25 @@ impl WorkerBackend for EngineBackend {
 /// makes the pool shareable.
 fn engine_worker(injector: &Injector<Ticket>) {
     while let Some(ticket) = injector.pop() {
-        if serve(&ticket.job.board, &ticket.job.env(), ticket.seat) {
+        if serve(&ticket.job, ticket.seat) {
             injector.push(ticket);
         }
     }
 }
 
-/// Supervises one submitted job end to end on the calling (supervisor)
-/// thread: the exact protocol of
-/// [`NativeExecutor::run_versioned`](super::NativeExecutor::run_versioned),
-/// with dispatch routed through the shared pool instead of per-run
-/// scoped workers.
+/// Runs one job end to end on the calling (supervisor) thread — the one
+/// place a job is set up: plan validation, the commit unit, the board,
+/// the supervision loop over the pool, the report.
 fn run_engine_job(
-    pool: &Arc<EngineInner>,
+    pool: &EngineInner,
     job: JobId,
     spec: &JobSpec,
 ) -> Result<NativeReport, ExecError> {
     let graph = &*spec.graph;
     let plan = &*spec.plan;
+    // A plan that was stamped by the static soundness lint must not
+    // have been structurally mutated since: execution would then run
+    // a shape the lint never saw. Unstamped (hand-built) plans pass.
     debug_assert!(
         plan.lint_stamp_intact(),
         "execution plan was mutated after it passed seqpar-lint"
@@ -371,11 +364,13 @@ fn run_engine_job(
     }
 
     let watermark = Arc::new(AtomicU64::new(0));
-    let view = CommitView::new(Arc::clone(&watermark));
+    // One shared clock, one private buffer per recording site: the
+    // commit frontier, the dispatcher (this thread), and every ticket a
+    // worker serves. All no-ops when tracing is off.
     let clock = TraceClock::new(spec.config.trace);
     let mut commit = CommitUnit::new(
         graph,
-        watermark,
+        Arc::clone(&watermark),
         TraceBuffer::for_job(clock, job),
         spec.mem.as_deref(),
         spec.config.governor.map(Governor::new),
@@ -386,30 +381,21 @@ fn run_engine_job(
     let supervisor = Supervisor {
         faults,
         retry_budget: spec.config.retry_budget,
+        // Validation costs one extra body run per commit, so it is
+        // opt-in — but a plan that can corrupt outputs forces it,
+        // otherwise corruption would commit silently.
         validate: spec.config.validate_outputs || faults.can_corrupt(),
     };
 
     let shared = Arc::new(JobShared {
         job,
         spec: spec.clone(),
-        view: view.clone(),
+        view: CommitView::new(watermark),
         clock,
         board: Board::new(graph, plan, spec.config.queue_capacity),
     });
-    let mut backend = EngineBackend {
-        pool: Arc::clone(pool),
-        shared: Arc::clone(&shared),
-    };
 
-    let supervised = run_supervised(
-        &shared.env(),
-        &shared.board,
-        &supervisor,
-        spec.config.watchdog_deadline,
-        &mut commit,
-        &mut dispatch_trace,
-        &mut backend,
-    )?;
+    let supervised = run_supervised(pool, &shared, &supervisor, &mut commit, &mut dispatch_trace)?;
 
     // After a fallback, straggler attempts of this job may still be
     // running on pool workers; they publish into a closed board nobody

@@ -23,7 +23,8 @@ pub struct WorkerStat {
     pub tasks: u64,
 }
 
-/// The result of one [`NativeExecutor::run`](super::NativeExecutor::run).
+/// The result of one job ([`Engine::run`](super::Engine::run) or
+/// [`JobHandle::wait`](super::JobHandle::wait)).
 ///
 /// `violations` and `speculations_survived` are defined identically to
 /// [`SimResult`](crate::SimResult)'s fields — one count per speculated
@@ -39,12 +40,12 @@ pub struct WorkerStat {
 /// stall outlasts the deadline depends on real elapsed time.
 #[derive(Clone, Debug)]
 pub struct NativeReport {
-    /// The job this report describes: [`JobId::SOLO`] for runs through
-    /// [`NativeExecutor`](super::NativeExecutor), the handle's id for
-    /// jobs submitted to an [`Engine`](super::Engine). Every counter,
-    /// trace event, and stat below is scoped to this job alone — an
-    /// engine running many jobs concurrently never bleeds one job's
-    /// numbers into another's report.
+    /// The job this report describes, as numbered by the
+    /// [`Engine`](super::Engine) that ran it (a submitted job's is its
+    /// [`JobHandle::id`](super::JobHandle::id)). Every counter, trace
+    /// event, and stat below is scoped to this job alone — an engine
+    /// running many jobs concurrently never bleeds one job's numbers
+    /// into another's report.
     pub job: JobId,
     /// Wall-clock time for the whole run.
     pub wall: Duration,
@@ -89,9 +90,9 @@ pub struct NativeReport {
     pub timeline: Option<Timeline>,
     /// A snapshot of the concurrent versioned memory's counters
     /// (reads, eager forwards, silent stores suppressed, conflict
-    /// squashes, commits, rollbacks) when the run went through
-    /// [`NativeExecutor::run_versioned`](super::NativeExecutor::run_versioned);
-    /// `None` for trace-driven (non-versioned) runs. Unlike the
+    /// squashes, commits, rollbacks) when the job carried one
+    /// ([`JobSpec::mem`](super::JobSpec::mem)); `None` for replay
+    /// jobs. Unlike the
     /// frontier-decided counters above, conflict counts here are
     /// genuinely timing-dependent — they record real races detected at
     /// access granularity, while the committed output stays

@@ -1,10 +1,15 @@
 //! The real-thread pipelined executor.
 //!
 //! [`Simulator`](crate::Simulator) *estimates* what a plan would do on
-//! the paper's modelled hardware; [`NativeExecutor`] actually *runs* the
-//! plan on OS threads. It consumes the same inputs — an
-//! [`ExecutionPlan`] and a [`TaskGraph`] — plus a [`NativeBody`] that
-//! supplies each task's real computation, and enforces the paper's
+//! the paper's modelled hardware; an [`Engine`] actually *runs* the plan
+//! on OS threads. The paper has one machine (§3.1: cores, queues, one
+//! versioned memory) and so does this module: the engine is the only
+//! owner of worker threads, and a [`JobSpec`] — a
+//! [`TaskGraph`](crate::TaskGraph), the
+//! [`ExecutionPlan`](crate::ExecutionPlan) to run it under, a
+//! [`NativeBody`] supplying each task's real computation, an optional
+//! versioned memory and an [`ExecConfig`] — handed to [`Engine::run`]
+//! or [`Engine::submit`] is the only way in. A run enforces the paper's
 //! execution model with real concurrency primitives:
 //!
 //! * **Bounded windows** (§3.1's 32-entry core-to-core queues): each
@@ -27,42 +32,48 @@
 //! * **In-order commit**: a reorder buffer releases task outputs in
 //!   task order (the sequential program order), exactly the commit
 //!   discipline the paper's versioned memory enforces.
-//! * **Misspeculation rollback**, from one of two squash sources:
-//!   * *Trace-driven* ([`NativeExecutor::run`]): the dynamic dependence
-//!     events recorded in the task graph drive squashes. A task's first
+//! * **Misspeculation rollback**, its squash source a mode of the job
+//!   ([`JobSpec::mem`]):
+//!   * *Conflict-driven* (`mem: Some`, what every workload and every
+//!     benchmark runs): the task bodies route their speculative state
+//!     through the job's [`ConcurrentVersionedMemory`], each attempt
+//!     running inside its own version. Reads eagerly forward
+//!     uncommitted stores from earlier versions; a non-silent write
+//!     that contradicts a value a later version already observed
+//!     squashes that version *at the memory substrate*, at access
+//!     granularity — real conflict detection. The commit frontier
+//!     checks the version
+//!     ([`ConcurrentVersionedMemory::commit_check`]) before
+//!     irrevocably publishing anything, rolls conflicted versions back,
+//!     and re-dispatches.
+//!   * *Replay* (`mem: None`): the dynamic dependence events recorded
+//!     in the task graph drive squashes — the paper's own method of
+//!     replaying the dependences that actually occurred. A task's first
 //!     attempt is dispatched without waiting for its speculated
 //!     producers — that is what makes it speculative — so when a
 //!     speculated dependence *manifested* (a violated
 //!     [`SpecDep`](crate::SpecDep)), the commit unit rejects the
-//!     attempt, discards its output, and re-dispatches the task.
-//!   * *Conflict-driven* ([`NativeExecutor::run_versioned`]): the task
-//!     bodies route their speculative state through a shared
-//!     [`ConcurrentVersionedMemory`], each attempt running inside its
-//!     own version. Reads eagerly forward uncommitted stores from
-//!     earlier versions; a non-silent write that contradicts a value a
-//!     later version already observed squashes that version *at the
-//!     memory substrate*, at access granularity — real conflict
-//!     detection, not a replayed recording. The commit frontier checks
-//!     the version ([`ConcurrentVersionedMemory::commit_check`]) before
-//!     irrevocably publishing anything, rolls conflicted versions back,
-//!     and re-dispatches.
+//!     attempt, discards its output, and re-dispatches the task. It is
+//!     kept as the deterministic reference that ties the native squash,
+//!     violation and recovery counters to the simulator's, and costs
+//!     one rung of the commit ladder and one `Option`.
 //!
 //!   Either way the re-execution starts only after every earlier task
 //!   has committed (commit is in-order), mirroring how a TLS restart
 //!   re-reads committed memory versions.
 //!
-//! Because commit order is fixed and trace-driven squash decisions
-//! depend only on the recorded dependence events — not on thread timing
-//! — [`NativeExecutor::run`]'s output byte stream, squash count, and
-//! per-task work counters are fully deterministic across runs and
-//! thread interleavings. Under [`NativeExecutor::run_versioned`] the
-//! *conflict counts* are genuinely timing-dependent (they record real
-//! races), but the committed output is still byte-identical to
-//! sequential execution: a version only commits when every value it
-//! read matched the state all earlier commits produced. The
-//! differential suites (`tests/differential_native.rs`,
-//! `tests/versioned_native.rs`) check these properties against the
-//! simulator and the sequential oracle for every workload.
+//! Because commit order is fixed and replayed squash decisions depend
+//! only on the recorded dependence events — not on thread timing — a
+//! replay's output byte stream, squash count, and per-task work
+//! counters are fully deterministic across runs and thread
+//! interleavings. On a conflict-driven run the *conflict counts* are
+//! genuinely timing-dependent (they record real races), but the
+//! committed output is still byte-identical to sequential execution: a
+//! version only commits when every value it read matched the state all
+//! earlier commits produced. The differential suites
+//! (`tests/differential_native.rs`, `tests/versioned_native.rs`) check
+//! these properties against the simulator and the sequential oracle for
+//! every workload.
 
 mod commit;
 mod engine;
@@ -82,19 +93,17 @@ pub use trace::{
     TraceDefect, TraceEvent, TraceEventKind,
 };
 
-use crate::plan::ExecutionPlan;
 use crate::sim::SimError;
-use crate::task::{StageId, TaskGraph, TaskId};
+use crate::task::{StageId, TaskId};
 use commit::{Absorbed, CommitUnit, Redispatch, Release, Supervisor};
-use governor::Governor;
+use engine::EngineInner;
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
-use stage::{Board, Injector, JobEnv, Seat, WorkItem};
+use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trace::{TraceBuffer, TraceClock};
+use trace::TraceBuffer;
 
 /// The attempt number the sequential fallback runs tasks at: far above
 /// any pipelined attempt, never speculative, never fault-injected.
@@ -129,10 +138,13 @@ pub enum ExecError {
         /// The task whose body failed.
         task: TaskId,
     },
-    /// Every worker exited while tasks remained uncommitted (a runtime
-    /// invariant violation, reported instead of hanging forever).
+    /// A submitted job's supervisor thread died without producing a
+    /// report (a runtime invariant violation, reported by
+    /// [`JobHandle::wait`] — its one producer — instead of hanging
+    /// forever).
     WorkersDisconnected {
-        /// Tasks committed before the workers vanished.
+        /// Tasks known to have committed before the supervisor vanished
+        /// (0: the count died with it).
         committed: u64,
     },
 }
@@ -327,14 +339,13 @@ pub struct TaskCtx<'a> {
     /// Live view of the in-order commit frontier.
     pub commits: &'a CommitView,
     /// The concurrent versioned memory this attempt's speculative state
-    /// flows through, when the run came in via
-    /// [`NativeExecutor::run_versioned`]. The executor has already
-    /// opened version `VersionId(task.0)` for the attempt; the body
-    /// issues `read`/`write` against it and must **not** begin, commit,
-    /// or roll it back itself. `None` on trace-driven runs *and* on the
-    /// sequential oracle / fallback paths — a versioned body must
-    /// compute its sequential result without the substrate when this is
-    /// `None`.
+    /// flows through, when the job carries one ([`JobSpec::mem`]). The
+    /// executor has already opened version `VersionId(task.0)` for the
+    /// attempt; the body issues `read`/`write` against it and must
+    /// **not** begin, commit, or roll it back itself. `None` on replay
+    /// jobs *and* on the sequential oracle / fallback paths — a
+    /// versioned body must compute its sequential result without the
+    /// substrate when this is `None`.
     pub mem: Option<&'a ConcurrentVersionedMemory>,
 }
 
@@ -370,228 +381,15 @@ where
     }
 }
 
-/// The real-thread pipelined executor.
-#[derive(Clone, Debug, Default)]
-pub struct NativeExecutor {
-    config: ExecConfig,
-}
-
-impl NativeExecutor {
-    /// Creates an executor with the given queue parameters.
-    pub fn new(config: ExecConfig) -> Self {
-        Self { config }
-    }
-
-    /// The queue parameters in use.
-    pub fn config(&self) -> &ExecConfig {
-        &self.config
-    }
-
-    /// Runs `graph` under `plan`, with `body` supplying each task's
-    /// computation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Invalid`] when the plan fails validation
-    /// ([`SimError::StageMismatch`] when plan and graph disagree on
-    /// stage count, [`SimError::EmptyStagePool`] when a stage has no
-    /// cores — the same checks the simulator performs; core- and
-    /// queue-count limits are physical-machine model parameters and do
-    /// not constrain native execution). Returns
-    /// [`ExecError::TaskFailed`] only when a body panics where no
-    /// replay exists (the sequential fallback or the validation
-    /// oracle); pipelined worker panics are recovered, not raised.
-    pub fn run(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-        body: &dyn NativeBody,
-    ) -> Result<NativeReport, ExecError> {
-        self.run_inner(graph, plan, body, None)
-    }
-
-    /// Runs `graph` under `plan` with every attempt's speculative state
-    /// routed through `mem`, a shared [`ConcurrentVersionedMemory`].
-    ///
-    /// This replaces the trace-driven squash source of
-    /// [`NativeExecutor::run`] with real conflict detection at the
-    /// memory substrate: the executor opens version `VersionId(task.0)`
-    /// before each attempt's body runs (handing the substrate to the
-    /// body via [`TaskCtx::mem`]), reads eagerly forward uncommitted
-    /// stores from earlier versions, conflicting non-silent writes
-    /// squash later readers, and the in-order commit frontier publishes
-    /// each surviving version's write buffer
-    /// ([`ConcurrentVersionedMemory::try_commit`]) right as the task
-    /// commits. Conflicted versions are rolled back and their tasks
-    /// re-dispatched — never charged against the retry budget, exactly
-    /// like trace-driven misspeculation.
-    ///
-    /// `mem` must be freshly created (or fully committed/rolled back);
-    /// the caller can inspect [`ConcurrentVersionedMemory::committed`]
-    /// state and [`NativeReport::mem`] counters afterwards. Recorded
-    /// [`SpecDep`](crate::SpecDep) violations in `graph` are *ignored*
-    /// as a squash source here — the substrate decides.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as for [`NativeExecutor::run`].
-    pub fn run_versioned(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-        body: &dyn NativeBody,
-        mem: &ConcurrentVersionedMemory,
-    ) -> Result<NativeReport, ExecError> {
-        self.run_inner(graph, plan, body, Some(mem))
-    }
-
-    fn run_inner(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-        body: &dyn NativeBody,
-        mem: Option<&ConcurrentVersionedMemory>,
-    ) -> Result<NativeReport, ExecError> {
-        // A plan that was stamped by the static soundness lint must not
-        // have been structurally mutated since: execution would then run
-        // a shape the lint never saw. Unstamped (hand-built) plans pass.
-        debug_assert!(
-            plan.lint_stamp_intact(),
-            "execution plan was mutated after it passed seqpar-lint"
-        );
-        crate::diag::PlanShape::of(plan).check_against(graph.stage_count())?;
-        let started = Instant::now();
-        if graph.is_empty() {
-            return Ok(NativeReport::empty(started.elapsed()));
-        }
-
-        let watermark = Arc::new(AtomicU64::new(0));
-        let view = CommitView::new(Arc::clone(&watermark));
-        // One shared clock, one private buffer per recording site: the
-        // commit frontier, the dispatcher (this thread), and every
-        // ticket a worker serves. All no-ops when tracing is off.
-        let clock = TraceClock::new(self.config.trace);
-        let mut commit = CommitUnit::new(
-            graph,
-            watermark,
-            TraceBuffer::new(clock),
-            mem,
-            self.config.governor.map(Governor::new),
-        );
-        let mut dispatch_trace = TraceBuffer::new(clock);
-
-        let faults = &self.config.fault_plan;
-        let supervisor = Supervisor {
-            faults,
-            retry_budget: self.config.retry_budget,
-            // Validation costs one extra body run per commit, so it is
-            // opt-in — but a plan that can corrupt outputs forces it,
-            // otherwise corruption would commit silently.
-            validate: self.config.validate_outputs || faults.can_corrupt(),
-        };
-
-        let board = Board::new(graph, plan, self.config.queue_capacity);
-        let env = JobEnv {
-            graph,
-            body,
-            view: &view,
-            faults,
-            mem,
-            clock,
-            job: JobId::SOLO,
-        };
-        let injector = Injector::new();
-
-        std::thread::scope(|scope| {
-            let mut backend = ScopedBackend {
-                scope,
-                board: &board,
-                env: &env,
-                injector: &injector,
-                workers: Vec::new(),
-            };
-            let supervised = run_supervised(
-                &env,
-                &board,
-                &supervisor,
-                self.config.watchdog_deadline,
-                &mut commit,
-                &mut dispatch_trace,
-                &mut backend,
-            );
-
-            // Shut the pool down before surfacing any error: the board
-            // is closed, closing the injector releases the workers
-            // blocked on it, and the scope can join them.
-            injector.close();
-            let mut join_failed = false;
-            for worker in backend.workers {
-                join_failed |= worker.join().is_err();
-            }
-            let supervised = supervised?;
-            if join_failed {
-                return Err(ExecError::WorkersDisconnected {
-                    committed: commit.committed_tasks() as u64,
-                });
-            }
-            Ok(commit.into_report(started.elapsed(), &board, supervised, dispatch_trace))
-        })
-    }
-}
-
-/// What differs between the two owners of worker threads — the per-run
-/// scoped pool ([`ScopedBackend`], what [`NativeExecutor::run`] builds)
-/// and a persistent shared [`Engine`] pool (`EngineBackend` in
-/// `engine.rs`): how an idle worker is handed a seat's ticket, and who
-/// starts the threads. Everything else — the board, the claim loop
-/// ([`stage::serve`]), and the supervision loop — is shared.
-trait WorkerBackend {
-    /// Queues `seat`'s ticket for the next idle worker, starting the
-    /// worker threads first if this is the first ticket — so a run that
-    /// never dispatches (governor-degraded end to end) never pays
-    /// thread startup.
-    fn hand(&mut self, seat: Seat);
-}
-
-/// The per-run backend: one scoped thread per seat over a private
-/// injector, spawned lazily into the caller's [`std::thread::scope`]
-/// and joined by `run_inner` after supervision ends.
-struct ScopedBackend<'scope, 'env> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    board: &'scope Board,
-    env: &'scope JobEnv<'scope>,
-    injector: &'scope Injector<Seat>,
-    workers: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
-}
-
-impl WorkerBackend for ScopedBackend<'_, '_> {
-    fn hand(&mut self, seat: Seat) {
-        if self.workers.is_empty() {
-            let (board, env, injector) = (self.board, self.env, self.injector);
-            self.workers = (0..board.seats().len())
-                .map(|_| {
-                    self.scope.spawn(move || {
-                        while let Some(seat) = injector.pop() {
-                            if stage::serve(board, env, seat) {
-                                injector.push(seat);
-                            }
-                        }
-                    })
-                })
-                .collect();
-        }
-        self.injector.push(seat);
-    }
-}
-
-/// The supervisor's private admission state over a job's [`Board`]:
+/// The supervisor's private admission state over a job's
+/// [`Board`](stage::Board):
 /// which tasks are ready, which squashed attempts await readmission,
 /// and how much of each lane's window is in use. Nothing here is
 /// shared; the board carries only what admission publishes.
-struct Dispatcher<'a, B: WorkerBackend> {
-    graph: &'a TaskGraph,
-    board: &'a Board,
-    backend: &'a mut B,
+struct Dispatcher<'a> {
+    /// The job, and the pool its seats' tickets are handed to.
+    job: &'a Arc<JobShared>,
+    pool: &'a EngineInner,
     /// Outstanding synchronized deps per task. Speculated deps
     /// deliberately do NOT gate dispatch — running ahead of them is
     /// what speculation means.
@@ -613,15 +411,15 @@ struct Dispatcher<'a, B: WorkerBackend> {
     seats: Vec<Seat>,
 }
 
-impl<B: WorkerBackend> Dispatcher<'_, B> {
+impl Dispatcher<'_> {
     fn lane_of(&self, task: u32) -> usize {
-        let t = self.graph.task(TaskId(task));
-        self.board.lane_of(t.stage, t.iter)
+        let t = self.job.spec.graph.task(TaskId(task));
+        self.job.board.lane_of(t.stage, t.iter)
     }
 
     fn admitted(&mut self, lane: usize, item: WorkItem, occupancy: usize, trace: &mut TraceBuffer) {
         trace.record(TraceEventKind::QueuePush {
-            stage: self.graph.task(TaskId(item.task)).stage.0,
+            stage: self.job.spec.graph.task(TaskId(item.task)).stage.0,
             task: item.task,
             attempt: item.attempt,
             occupancy,
@@ -643,8 +441,9 @@ impl<B: WorkerBackend> Dispatcher<'_, B> {
     /// behind it — in particular never the frontier task.
     fn admit(&mut self, limit: Option<u64>, trace: &mut TraceBuffer) {
         let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
-        'lanes: for lane in 0..self.board.lane_count() {
-            let cap = self.board.cap(lane);
+        let board = &self.job.board;
+        'lanes: for lane in 0..board.lane_count() {
+            let cap = board.cap(lane);
             let mut i = 0;
             while i < self.pending[lane].len() {
                 let item = self.pending[lane][i];
@@ -655,13 +454,13 @@ impl<B: WorkerBackend> Dispatcher<'_, B> {
                 if self.outstanding[lane] >= cap {
                     continue 'lanes;
                 }
-                let occupancy = self.board.requeue(lane, item);
+                let occupancy = board.requeue(lane, item);
                 self.admitted(lane, item, occupancy, trace);
                 self.pending[lane].remove(i);
             }
             let from = self.released[lane];
             let mut to = from;
-            while let Some(task) = self.board.task_at(lane, to) {
+            while let Some(task) = board.task_at(lane, to) {
                 if self.deps_left[task as usize] > 0
                     || !within(task)
                     || self.outstanding[lane] + (to - from) >= cap
@@ -672,17 +471,17 @@ impl<B: WorkerBackend> Dispatcher<'_, B> {
             }
             if to > from {
                 self.released[lane] = to;
-                let occupancy = self.board.raise(lane, from, to);
+                let occupancy = board.raise(lane, from, to);
                 for idx in from..to {
-                    let task = self.board.task_at(lane, idx).expect("admitted index");
+                    let task = board.task_at(lane, idx).expect("admitted index");
                     let item = WorkItem { task, attempt: 0 };
                     self.admitted(lane, item, occupancy.saturating_sub(to - 1 - idx), trace);
                 }
             }
         }
-        self.board.unpark_claimable(&mut self.seats);
+        board.unpark_claimable(&mut self.seats);
         for seat in self.seats.drain(..) {
-            self.backend.hand(seat);
+            self.pool.hand(self.job, seat);
         }
     }
 
@@ -694,7 +493,7 @@ impl<B: WorkerBackend> Dispatcher<'_, B> {
             return false;
         }
         let lane = self.lane_of(task);
-        if self.board.task_at(lane, self.released[lane]) == Some(task) {
+        if self.job.board.task_at(lane, self.released[lane]) == Some(task) {
             // The board hears of it at the lane's next `raise`.
             self.released[lane] += 1;
             return true;
@@ -731,35 +530,30 @@ impl<B: WorkerBackend> Dispatcher<'_, B> {
     }
 }
 
-/// The supervision loop shared by every execution path: matures
-/// governor backoffs, issues degraded inline stretches, admits work
-/// onto the board, absorbs **every** published completion and runs one
-/// frontier drain over the lot, and runs the sequential fallback when a
-/// retry budget or the watchdog demands it. Between batches it sleeps;
+/// The supervision loop of one job: matures governor backoffs, issues
+/// degraded inline stretches, admits work onto the board, absorbs
+/// **every** published completion and runs one frontier drain over the
+/// lot, and runs the sequential fallback when a retry budget or the
+/// watchdog demands it. Between batches it sleeps;
 /// workers wake it per the rule in [`stage`]. Returns `(watchdog_trips,
 /// fallback_activated)`; the caller builds the report from `commit`.
 #[allow(clippy::too_many_lines)]
-fn run_supervised<B: WorkerBackend>(
-    env: &JobEnv<'_>,
-    board: &Board,
+fn run_supervised(
+    pool: &EngineInner,
+    job: &Arc<JobShared>,
     supervisor: &Supervisor<'_>,
-    watchdog_deadline: Duration,
     commit: &mut CommitUnit<'_>,
     dispatch_trace: &mut TraceBuffer,
-    backend: &mut B,
 ) -> Result<(u64, bool), ExecError> {
-    let &JobEnv {
-        graph,
-        body,
-        view,
-        mem,
-        ..
-    } = env;
+    let graph = &*job.spec.graph;
+    let body = &*job.spec.body;
+    let mem = job.spec.mem.as_deref();
+    let (view, board) = (&job.view, &job.board);
+    let watchdog_deadline = job.spec.config.watchdog_deadline;
     let n = graph.len();
     let mut dispatch = Dispatcher {
-        graph,
-        board,
-        backend,
+        job,
+        pool,
         deps_left: vec![0; n],
         dependents: vec![Vec::new(); n],
         propagated: vec![false; n],
@@ -1045,10 +839,10 @@ fn run_supervised<B: WorkerBackend>(
 /// work), `AfterTick` into the delayed pen with an absolute
 /// maturity tick, `AfterCommit` into the parked pen keyed by the
 /// committer it must wait out.
-fn sort_redispatch<B: WorkerBackend>(
+fn sort_redispatch(
     r: Redispatch,
     tick: u64,
-    dispatch: &mut Dispatcher<'_, B>,
+    dispatch: &mut Dispatcher<'_>,
     delayed: &mut Vec<(WorkItem, u64)>,
     parked: &mut Vec<(WorkItem, u32)>,
 ) {

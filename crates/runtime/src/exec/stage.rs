@@ -34,12 +34,13 @@
 //! sides and need the single total order.
 
 use super::commit::CommitView;
-use super::faults::{corrupt_output, FaultKind, FaultPlan};
+use super::engine::JobSpec;
+use super::faults::{corrupt_output, FaultKind};
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
-use super::{NativeBody, TaskCtx, TaskOutput};
+use super::{TaskCtx, TaskOutput};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{StageId, TaskGraph, TaskId};
-use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
+use seqpar_specmem::VersionId;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -364,7 +365,7 @@ impl Board {
 
     /// Takes back the parked seats that have claimable work again, at
     /// most one per claimable attempt; the caller hands their tickets
-    /// to its backend. Call after [`raise`](Self::raise) /
+    /// to the pool. Call after [`raise`](Self::raise) /
     /// [`requeue`](Self::requeue): those stores precede this load of
     /// `starved`, [`park`](Self::park) increments `starved` before it
     /// re-checks the lane, so a parking seat is seen here or sees the
@@ -488,8 +489,8 @@ impl Board {
 }
 
 /// A blocking MPMC queue of tickets: how an idle worker is handed a
-/// seat. The engine owns one for all its jobs; a scoped run owns a
-/// private one. Touched once per ticket, never per task.
+/// seat. The engine owns one for all its jobs. Touched once per ticket,
+/// never per task.
 pub(super) struct Injector<T> {
     /// The queue, and whether it has been closed.
     state: Mutex<(VecDeque<T>, bool)>,
@@ -536,19 +537,17 @@ impl<T> Injector<T> {
     }
 }
 
-/// The facets of a job every attempt runs against, identical for both
-/// thread owners (the scoped per-run workers and the persistent
-/// [`Engine`](super::Engine) pool), so the claim loop and the
-/// per-attempt protocol (fault injection, version open, panic capture,
-/// probe and dispatch tracing) cannot drift between them.
-pub(super) struct JobEnv<'a> {
-    pub graph: &'a TaskGraph,
-    pub body: &'a dyn NativeBody,
-    pub view: &'a CommitView,
-    pub faults: &'a FaultPlan,
-    pub mem: Option<&'a ConcurrentVersionedMemory>,
-    pub clock: TraceClock,
+/// One job as its supervisor and the pool workers share it: the spec
+/// every attempt runs against, the commit view handed to bodies, the
+/// trace clock and the board. Every ticket of the job holds an `Arc` of
+/// it, so a worker serves each attempt against this job's graph, body,
+/// substrate and fault plan — never a neighbour's.
+pub(super) struct JobShared {
     pub job: JobId,
+    pub spec: JobSpec,
+    pub view: CommitView,
+    pub clock: TraceClock,
+    pub board: Board,
 }
 
 /// The bounded wait before a sleep, in
@@ -569,8 +568,9 @@ const SPINS: u32 = 64;
 /// ticket at the tail of its injector, so concurrent jobs share a small
 /// pool. Otherwise the ticket is spent — the seat is parked on the
 /// board, whose supervisor will hand it out again, or the job is over.
-pub(super) fn serve(board: &Board, env: &JobEnv<'_>, seat: Seat) -> bool {
-    let mut trace = TraceBuffer::for_job(env.clock, env.job);
+pub(super) fn serve(job: &JobShared, seat: Seat) -> bool {
+    let board = &job.board;
+    let mut trace = TraceBuffer::for_job(job.clock, job.job);
     let mut claims = 0;
     loop {
         if board.closed.load(SeqCst) {
@@ -592,7 +592,7 @@ pub(super) fn serve(board: &Board, env: &JobEnv<'_>, seat: Seat) -> bool {
             attempt: item.attempt,
             occupancy,
         });
-        let mut done = run_attempt(env, seat, item, &mut trace);
+        let mut done = run_attempt(job, seat, item, &mut trace);
         done.events = trace.take_events();
         board.publish(done);
     }
@@ -603,13 +603,10 @@ pub(super) fn serve(board: &Board, env: &JobEnv<'_>, seat: Seat) -> bool {
 /// dispatch/complete trace pair — and returns the completion to
 /// report, the body time it charges to `seat` included. The events stay
 /// in `trace`; the caller decides how they travel.
-pub(super) fn run_attempt(
-    env: &JobEnv<'_>,
-    seat: Seat,
-    item: WorkItem,
-    trace: &mut TraceBuffer,
-) -> WorkerDone {
-    let fault = env.faults.fault_at(item.task, item.attempt);
+fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuffer) -> WorkerDone {
+    let faults = &job.spec.config.fault_plan;
+    let mem = job.spec.mem.as_deref();
+    let fault = faults.fault_at(item.task, item.attempt);
     if fault == Some(FaultKind::WorkerPanic) {
         // Injected panic: the attempt dies before the body runs.
         // Reported through the same `panicked` channel as a caught
@@ -652,15 +649,15 @@ pub(super) fn run_attempt(
     if stalled {
         // The injected stall counts into the traced service time
         // (the slice shows the wedged stage) but not into `busy`.
-        std::thread::sleep(env.faults.stall_duration());
+        std::thread::sleep(faults.stall_duration());
     }
-    let task = env.graph.task(TaskId(item.task));
+    let task = job.spec.graph.task(TaskId(item.task));
     // Versioned runs: open the attempt's memory version before the
     // body runs. A squashed predecessor attempt was rolled back at
     // the frontier before this re-dispatch, so `begin` never sees a
     // live duplicate.
     let version = VersionId(u64::from(item.task));
-    if let Some(m) = env.mem {
+    if let Some(m) = mem {
         m.begin(version);
         trace.record(TraceEventKind::VersionOpen {
             stage: seat.stage,
@@ -672,13 +669,15 @@ pub(super) fn run_attempt(
         stage: task.stage,
         iter: task.iter,
         attempt: item.attempt,
-        commits: env.view,
-        mem: env.mem,
+        commits: &job.view,
+        mem,
     };
     let started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| env.body.run(TaskId(item.task), &ctx)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        job.spec.body.run(TaskId(item.task), &ctx)
+    }));
     let busy = started.elapsed();
-    if let (Some(m), Ok(_), true) = (env.mem, &result, trace.enabled()) {
+    if let (Some(m), Ok(_), true) = (mem, &result, trace.enabled()) {
         // What the attempt actually did to its version, recorded
         // from the worker's side while the version is still open
         // (the frontier decides later whether it commits). The probe

@@ -1,6 +1,54 @@
 use super::*;
 use crate::plan::ExecutionPlan;
 use crate::task::{SpecDep, TaskGraph, TaskId};
+use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
+
+/// Runs one job on an engine of its own, one worker per seat of `plan`,
+/// dropped on return.
+fn run_on(
+    mem: Option<Arc<ConcurrentVersionedMemory>>,
+    config: ExecConfig,
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    body: impl NativeBody + 'static,
+) -> Result<NativeReport, ExecError> {
+    let seats = (0..plan.stage_count())
+        .map(|s| plan.stage(s).cores().len())
+        .sum();
+    Engine::new(EngineConfig::with_workers(seats)).run(&JobSpec {
+        graph: Arc::new(graph.clone()),
+        plan: Arc::new(plan.clone()),
+        body: Arc::new(body),
+        mem,
+        config,
+    })
+}
+
+/// Runs `graph` under `plan` as a replay job (`mem: None`): the graph's
+/// recorded violations are the squash source.
+fn run(
+    config: ExecConfig,
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    body: impl NativeBody + 'static,
+) -> Result<NativeReport, ExecError> {
+    run_on(None, config, graph, plan, body)
+}
+
+/// [`run`] through a fresh substrate, handed back for inspection.
+fn run_versioned(
+    config: ExecConfig,
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    body: impl NativeBody + 'static,
+) -> (NativeReport, Arc<ConcurrentVersionedMemory>) {
+    let mem = Arc::new(ConcurrentVersionedMemory::new());
+    let report = run_on(Some(Arc::clone(&mem)), config, graph, plan, body).unwrap();
+    (report, mem)
+}
 
 /// The canonical three-phase graph: A serial, B parallel, C serial with
 /// a loop-carried chain; B_i speculates on B_{i-1} with violations at
@@ -60,9 +108,7 @@ fn expected_stream(iters: u64) -> Vec<u8> {
 fn pipeline_output_matches_sequential_order() {
     let graph = three_phase_graph(50, &[]);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![]))
-        .unwrap();
+    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert_eq!(report.output, expected_stream(50));
     assert_eq!(report.tasks_committed, 150);
     assert_eq!(report.attempts, 150);
@@ -76,9 +122,13 @@ fn violated_speculation_squashes_and_reexecutes() {
     let violate = vec![3, 7, 20];
     let graph = three_phase_graph(30, &violate);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(violate.clone()))
-        .unwrap();
+    let report = run(
+        ExecConfig::default(),
+        &graph,
+        &plan,
+        tagging_body(violate.clone()),
+    )
+    .unwrap();
     // Rollback is load-bearing: the speculative attempts wrote corrupt
     // bytes, so the stream is clean only if each violation squashed and
     // re-executed exactly once.
@@ -93,9 +143,7 @@ fn violated_speculation_squashes_and_reexecutes() {
 fn single_core_plan_still_completes() {
     let graph = three_phase_graph(20, &[5]);
     let plan = ExecutionPlan::three_phase(1);
-    let report = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![5]))
-        .unwrap();
+    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![5])).unwrap();
     assert_eq!(report.output, expected_stream(20));
     assert_eq!(report.threads(), 3); // one worker per stage, all core 0
 }
@@ -103,13 +151,19 @@ fn single_core_plan_still_completes() {
 #[test]
 fn round_robin_assignment_matches_shared_queue_output() {
     let graph = three_phase_graph(40, &[2, 9]);
-    let body = tagging_body(vec![2, 9]);
-    let dynamic = NativeExecutor::default()
-        .run(&graph, &ExecutionPlan::three_phase(6), &body)
-        .unwrap();
-    let static_rr = NativeExecutor::default()
-        .run(&graph, &ExecutionPlan::three_phase_static(6), &body)
-        .unwrap();
+    let [dynamic, static_rr] = [
+        ExecutionPlan::three_phase(6),
+        ExecutionPlan::three_phase_static(6),
+    ]
+    .map(|plan| {
+        run(
+            ExecConfig::default(),
+            &graph,
+            &plan,
+            tagging_body(vec![2, 9]),
+        )
+        .unwrap()
+    });
     assert_eq!(dynamic.output, static_rr.output);
     assert_eq!(dynamic.squashes, static_rr.squashes);
 }
@@ -118,10 +172,8 @@ fn round_robin_assignment_matches_shared_queue_output() {
 fn tiny_queues_apply_backpressure_without_deadlock() {
     let graph = three_phase_graph(200, &[17, 90, 91]);
     let plan = ExecutionPlan::three_phase(4);
-    let exec = NativeExecutor::new(ExecConfig::with_queue_capacity(1));
-    let report = exec
-        .run(&graph, &plan, &tagging_body(vec![17, 90, 91]))
-        .unwrap();
+    let config = ExecConfig::with_queue_capacity(1);
+    let report = run(config, &graph, &plan, tagging_body(vec![17, 90, 91])).unwrap();
     assert_eq!(report.output, expected_stream(200));
     assert_eq!(report.squashes, 3);
 }
@@ -130,9 +182,7 @@ fn tiny_queues_apply_backpressure_without_deadlock() {
 fn stage_mismatch_is_rejected() {
     let graph = three_phase_graph(4, &[]);
     let plan = ExecutionPlan::tls(4); // 1-stage plan vs 3-stage graph
-    let err = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![]))
-        .unwrap_err();
+    let err = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap_err();
     assert!(matches!(
         err,
         ExecError::Invalid(SimError::StageMismatch { .. })
@@ -147,9 +197,7 @@ fn empty_stage_pool_is_rejected() {
         crate::plan::StageAssignment::Parallel { cores: vec![] },
         crate::plan::StageAssignment::serial(1),
     ]);
-    let err = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![]))
-        .unwrap_err();
+    let err = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap_err();
     assert_eq!(
         err,
         ExecError::Invalid(SimError::EmptyStagePool { stage: 1 })
@@ -160,9 +208,7 @@ fn empty_stage_pool_is_rejected() {
 fn empty_graph_commits_nothing() {
     let graph = TaskGraph::new(3);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![]))
-        .unwrap();
+    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert!(report.output.is_empty());
     assert_eq!(report.tasks_committed, 0);
 }
@@ -172,10 +218,18 @@ fn repeated_runs_are_deterministic() {
     let violate = vec![1, 4, 11, 12];
     let graph = three_phase_graph(60, &violate);
     let plan = ExecutionPlan::three_phase(8);
-    let body = tagging_body(violate);
-    let first = NativeExecutor::default().run(&graph, &plan, &body).unwrap();
+    let once = || {
+        run(
+            ExecConfig::default(),
+            &graph,
+            &plan,
+            tagging_body(violate.clone()),
+        )
+        .unwrap()
+    };
+    let first = once();
     for _ in 0..5 {
-        let again = NativeExecutor::default().run(&graph, &plan, &body).unwrap();
+        let again = once();
         assert_eq!(again.output, first.output);
         assert_eq!(again.squashes, first.squashes);
         assert_eq!(again.violations, first.violations);
@@ -187,8 +241,6 @@ fn repeated_runs_are_deterministic() {
 // Fault injection and supervised recovery.
 // ---------------------------------------------------------------------
 
-use std::time::Duration;
-
 /// Task index of phase B of iteration `i` in `three_phase_graph`.
 fn b_task(i: u64) -> u32 {
     (3 * i + 1) as u32
@@ -199,8 +251,7 @@ fn b_task(i: u64) -> u32 {
 fn run_faulted(iters: u64, violate: &[u64], config: ExecConfig) -> NativeReport {
     let graph = three_phase_graph(iters, violate);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::new(config)
-        .run(&graph, &plan, &tagging_body(violate.to_vec()))
+    let report = run(config, &graph, &plan, tagging_body(violate.to_vec()))
         .expect("recoverable faults never abort the run");
     assert_eq!(
         report.output,
@@ -319,7 +370,7 @@ fn real_body_panic_is_squashed_and_replayed() {
             TaskOutput::empty()
         }
     };
-    let report = NativeExecutor::default().run(&graph, &plan, &body).unwrap();
+    let report = run(ExecConfig::default(), &graph, &plan, body).unwrap();
     assert_eq!(report.output, expected_stream(20));
     assert_eq!(report.recovery.panics_recovered, 1);
     assert!(!report.fallback_activated);
@@ -338,9 +389,13 @@ fn unreplayable_body_panic_is_a_typed_error() {
         }
         TaskOutput::empty()
     };
-    let err = NativeExecutor::new(ExecConfig::default().with_retry_budget(1))
-        .run(&graph, &plan, &body)
-        .unwrap_err();
+    let err = run(
+        ExecConfig::default().with_retry_budget(1),
+        &graph,
+        &plan,
+        body,
+    )
+    .unwrap_err();
     assert_eq!(err, ExecError::TaskFailed { task: TaskId(7) });
 }
 
@@ -352,13 +407,8 @@ fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     let plan = ExecutionPlan::three_phase(4);
     let faults = FaultPlan::seeded(7);
     let config = ExecConfig::default().with_faults(faults.clone());
-    let body = tagging_body(violate);
-    let a = NativeExecutor::new(config.clone())
-        .run(&graph, &plan, &body)
-        .unwrap();
-    let b = NativeExecutor::new(config)
-        .run(&graph, &plan, &body)
-        .unwrap();
+    let [a, b] = [config.clone(), config]
+        .map(|config| run(config, &graph, &plan, tagging_body(violate.clone())).unwrap());
     assert_eq!(a.output, b.output);
     assert_eq!(a.recovery, b.recovery);
     assert_eq!(a.attempts, b.attempts);
@@ -400,9 +450,8 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
     let violate = vec![2, 9];
     let graph = three_phase_graph(30, &violate);
     let plan = ExecutionPlan::three_phase(4); // phase B is Parallel
-    let body = tagging_body(violate);
-    let r0 = NativeExecutor::new(zero).run(&graph, &plan, &body).unwrap();
-    let r1 = NativeExecutor::new(one).run(&graph, &plan, &body).unwrap();
+    let [r0, r1] = [zero, one]
+        .map(|config| run(config, &graph, &plan, tagging_body(violate.clone())).unwrap());
     assert_eq!(r0.output, expected_stream(30));
     assert_eq!(r0.output, r1.output);
     assert_eq!(r0.squashes, r1.squashes);
@@ -416,9 +465,7 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
 fn untraced_runs_carry_no_timeline() {
     let graph = three_phase_graph(10, &[]);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::default()
-        .run(&graph, &plan, &tagging_body(vec![]))
-        .unwrap();
+    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert!(report.timeline.is_none(), "tracing is off by default");
 }
 
@@ -427,9 +474,13 @@ fn traced_run_yields_a_well_formed_timeline() {
     let violate = vec![3, 11];
     let graph = three_phase_graph(25, &violate);
     let plan = ExecutionPlan::three_phase(4);
-    let report = NativeExecutor::new(ExecConfig::default().with_tracing(true))
-        .run(&graph, &plan, &tagging_body(violate.clone()))
-        .unwrap();
+    let report = run(
+        ExecConfig::default().with_tracing(true),
+        &graph,
+        &plan,
+        tagging_body(violate.clone()),
+    )
+    .unwrap();
     assert_eq!(report.output, expected_stream(25));
     let timeline = report.timeline.as_ref().expect("tracing was on");
     timeline.validate().expect("native traces are well-formed");
@@ -506,8 +557,6 @@ fn traced_fallback_commits_carry_the_fallback_attempt() {
 
 // --- versioned-memory runs -------------------------------------------
 
-use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
-
 /// A single-stage TLS loop over a shared counter: each task reads the
 /// counter through its memory version, increments it, and emits the
 /// value it observed. Sequentially, task `i` observes `i` — so the
@@ -543,10 +592,7 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
     let iters = 40;
     let graph = counter_graph(iters);
     let plan = ExecutionPlan::tls(4);
-    let mem = ConcurrentVersionedMemory::new();
-    let report = NativeExecutor::default()
-        .run_versioned(&graph, &plan, &counter_body(), &mem)
-        .unwrap();
+    let (report, mem) = run_versioned(ExecConfig::default(), &graph, &plan, counter_body());
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.tasks_committed, iters);
     // Every task's version committed and published: the counter holds
@@ -566,8 +612,8 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
 
 #[test]
 fn versioned_runs_ignore_recorded_spec_deps() {
-    // Every B task carries a *violated* recorded dependence — the
-    // trace-driven squash source would replay all of them. The bodies
+    // Every B task carries a *violated* recorded dependence — a replay
+    // job would squash all of them. The bodies
     // never touch memory, so the substrate sees no conflicts and the
     // versioned frontier must squash nothing: the recording is not the
     // squash source any more.
@@ -581,17 +627,14 @@ fn versioned_runs_ignore_recorded_spec_deps() {
         }
         TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
     };
-    let mem = ConcurrentVersionedMemory::new();
-    let report = NativeExecutor::default()
-        .run_versioned(&graph, &plan, &body, &mem)
-        .unwrap();
+    let (report, _mem) = run_versioned(ExecConfig::default(), &graph, &plan, body);
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.squashes, 0);
     assert_eq!(report.violations, 0);
     assert_eq!(report.attempts, iters * 3);
-    // The trace-driven twin, for contrast, replays every violation.
-    let trace_driven = NativeExecutor::default().run(&graph, &plan, &body).unwrap();
-    assert_eq!(trace_driven.squashes, iters - 1);
+    // The same job as a replay, for contrast, squashes every violation.
+    let replay = run(ExecConfig::default(), &graph, &plan, body).unwrap();
+    assert_eq!(replay.squashes, iters - 1);
 }
 
 #[test]
@@ -599,10 +642,12 @@ fn traced_versioned_run_emits_version_events() {
     let iters = 25;
     let graph = counter_graph(iters);
     let plan = ExecutionPlan::tls(4);
-    let mem = ConcurrentVersionedMemory::new();
-    let report = NativeExecutor::new(ExecConfig::default().with_tracing(true))
-        .run_versioned(&graph, &plan, &counter_body(), &mem)
-        .unwrap();
+    let (report, _mem) = run_versioned(
+        ExecConfig::default().with_tracing(true),
+        &graph,
+        &plan,
+        counter_body(),
+    );
     assert_eq!(report.output, expected_stream(iters));
     let timeline = report.timeline.as_ref().expect("tracing was on");
     timeline
@@ -654,14 +699,11 @@ fn versioned_chaos_run_still_commits_sequential_output() {
         let iters = 30;
         let graph = counter_graph(iters);
         let plan = ExecutionPlan::tls(4);
-        let mem = ConcurrentVersionedMemory::new();
         let config = ExecConfig::default()
             .with_faults(FaultPlan::seeded(seed))
             .with_retry_budget(4)
             .with_tracing(true);
-        let report = NativeExecutor::new(config)
-            .run_versioned(&graph, &plan, &counter_body(), &mem)
-            .unwrap();
+        let (report, mem) = run_versioned(config, &graph, &plan, counter_body());
         assert_eq!(report.output, expected_stream(iters), "seed {seed}");
         assert_eq!(report.tasks_committed, iters);
         report
@@ -680,9 +722,6 @@ fn versioned_chaos_run_still_commits_sequential_output() {
 // --- the board: claim cursors, batched wakes, ticket quantum ------------
 
 use super::stage::Board;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::Instant;
 
 /// The lane window and wake threshold of a one-seat `tls(1)` plan at
 /// the default queue capacity: 32 + 1 seat, and half of that.
@@ -691,51 +730,32 @@ const WAKE_AT: u64 = WINDOW / 2;
 
 /// Runs a counter loop of `iters` tasks on `tls(1)` — one seat, so
 /// nothing but the wake rule and the tail-of-job parking gets the
-/// supervisor out of bed — both through the scoped executor and a
-/// one-worker engine, and asserts the run is prompt, trip-free and
+/// supervisor out of bed — and asserts the run is prompt, trip-free and
 /// byte-identical. `versioned` threads the counter through the
 /// substrate (conflict replays then make the attempt count a matter of
 /// timing).
-fn run_prompt(iters: u64, faults: FaultPlan, versioned: bool) -> [NativeReport; 2] {
+fn run_prompt(iters: u64, faults: FaultPlan, versioned: bool) -> NativeReport {
     let plan = ExecutionPlan::tls(1);
     let config = ExecConfig::default().with_faults(faults);
-    let check = |started: Instant, report: &NativeReport| {
-        assert!(
-            started.elapsed() < config.watchdog_deadline / 4,
-            "{iters} tasks took {:?}: a wake was lost",
-            started.elapsed()
-        );
-        assert_eq!(report.output, expected_stream(iters), "{iters} tasks");
-        assert_eq!(report.watchdog_trips, 0, "{iters} tasks");
-        assert!(!report.fallback_activated, "{iters} tasks");
-    };
+    let deadline = config.watchdog_deadline;
     let graph = counter_graph(iters);
-    let mem = ConcurrentVersionedMemory::new();
-    let exec = NativeExecutor::new(config.clone());
     let started = Instant::now();
-    let solo = if versioned {
-        exec.run_versioned(&graph, &plan, &counter_body(), &mem)
-    } else {
-        exec.run(&graph, &plan, &counter_body())
-    }
-    .unwrap();
-    check(started, &solo);
-    if versioned {
+    let report = if versioned {
+        let (report, mem) = run_versioned(config, &graph, &plan, counter_body());
         assert_eq!(mem.committed(Addr(0)), Some(iters));
-    }
-
-    let engine = Engine::new(EngineConfig::with_workers(1));
-    let spec = JobSpec {
-        graph: Arc::new(graph),
-        plan: Arc::new(plan),
-        body: Arc::new(counter_body()),
-        mem: versioned.then(|| Arc::new(ConcurrentVersionedMemory::new())),
-        config: config.clone(),
+        report
+    } else {
+        run(config, &graph, &plan, counter_body()).unwrap()
     };
-    let started = Instant::now();
-    let shared = engine.run(&spec).unwrap();
-    check(started, &shared);
-    [solo, shared]
+    assert!(
+        started.elapsed() < deadline / 4,
+        "{iters} tasks took {:?}: a wake was lost",
+        started.elapsed()
+    );
+    assert_eq!(report.output, expected_stream(iters), "{iters} tasks");
+    assert_eq!(report.watchdog_trips, 0, "{iters} tasks");
+    assert!(!report.fallback_activated, "{iters} tasks");
+    report
 }
 
 #[test]
@@ -816,17 +836,15 @@ fn a_spurious_squash_under_a_parked_supervisor_resumes_promptly() {
     let faults = FaultPlan::none()
         .with_forced(0, 0, FaultKind::SpuriousSquash)
         .with_forced(mid, 0, FaultKind::SpuriousSquash);
-    for report in run_prompt(3 * WINDOW, faults.clone(), false) {
-        assert_eq!(report.recovery.spurious_squashes, 2);
-        assert_eq!(report.recovery.retries, 2);
-        assert_eq!(report.attempts, 3 * WINDOW + 2);
-    }
+    let report = run_prompt(3 * WINDOW, faults.clone(), false);
+    assert_eq!(report.recovery.spurious_squashes, 2);
+    assert_eq!(report.recovery.retries, 2);
+    assert_eq!(report.attempts, 3 * WINDOW + 2);
     // Through the substrate the replay of task 0 revokes what it
     // forwarded, so the later fault may lose its attempt to a conflict
     // squash first; the bytes still may not move.
-    for report in run_prompt(3 * WINDOW, faults.clone(), true) {
-        assert!(report.recovery.spurious_squashes >= 1);
-    }
+    let report = run_prompt(3 * WINDOW, faults, true);
+    assert!(report.recovery.spurious_squashes >= 1);
 }
 
 #[test]
@@ -847,8 +865,9 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
         prev_c = Some(graph.add_task(2, i, 10, &c_deps, &[]));
     }
     let b0_started = AtomicBool::new(false);
-    let gave_up = AtomicBool::new(false);
-    let body = |_: TaskId, ctx: &TaskCtx<'_>| {
+    let gave_up = Arc::new(AtomicBool::new(false));
+    let timed_out = Arc::clone(&gave_up);
+    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
         match ctx.stage.0 {
             // Long enough for the supervisor's poll to run out, so the
             // wake has to come from the publishing worker.
@@ -857,7 +876,7 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
                 let since = Instant::now();
                 while !b0_started.load(Ordering::SeqCst) {
                     if since.elapsed() > Duration::from_secs(10) {
-                        gave_up.store(true, Ordering::SeqCst);
+                        timed_out.store(true, Ordering::SeqCst);
                         break;
                     }
                     std::thread::yield_now();
@@ -872,9 +891,13 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
             TaskOutput::empty()
         }
     };
-    let report = NativeExecutor::default()
-        .run(&graph, &ExecutionPlan::three_phase(4), &body)
-        .unwrap();
+    let report = run(
+        ExecConfig::default(),
+        &graph,
+        &ExecutionPlan::three_phase(4),
+        body,
+    )
+    .unwrap();
     assert!(
         !gave_up.load(Ordering::SeqCst),
         "B_0 was not admitted until half a window of A had completed"
@@ -937,6 +960,59 @@ fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
 }
 
 #[test]
+fn dropping_the_engine_lets_submitted_jobs_finish_on_the_pool() {
+    // Each job's supervisor thread holds the pool, so the handle going
+    // away mid-run costs the jobs nothing: no ticket is lost, no
+    // watchdog waits out its deadline, no fallback runs.
+    const TASKS: u64 = 2_000;
+    let engine = Engine::new(EngineConfig::with_workers(2));
+    // Both jobs' first tasks and this thread: past it, both jobs are on
+    // the pool, and neither gets further until the engine is gone.
+    let in_flight = Arc::new(Barrier::new(3));
+    let dropped = Arc::new(AtomicBool::new(false));
+    let started = Instant::now();
+    let handles = [(); 2].map(|()| {
+        let (in_flight, dropped) = (Arc::clone(&in_flight), Arc::clone(&dropped));
+        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+            if task.0 == 0 && ctx.attempt == 0 {
+                in_flight.wait();
+                while !dropped.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        };
+        engine.submit(JobSpec {
+            graph: Arc::new(counter_graph(TASKS)),
+            plan: Arc::new(ExecutionPlan::tls(1)),
+            body: Arc::new(body),
+            mem: None,
+            config: ExecConfig::default(),
+        })
+    });
+    in_flight.wait();
+    drop(engine);
+    dropped.store(true, Ordering::SeqCst);
+    for handle in handles {
+        let report = handle.wait().unwrap();
+        assert_eq!(report.output, expected_stream(TASKS));
+        assert_eq!(report.watchdog_trips, 0);
+        assert!(!report.fallback_activated);
+    }
+    assert!(
+        started.elapsed() < ExecConfig::default().watchdog_deadline / 4,
+        "took {:?}: the jobs lost their pool",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn an_engine_has_at_least_one_worker() {
+    let engine = Engine::new(EngineConfig::with_workers(0));
+    assert_eq!(engine.config().workers, 1);
+}
+
+#[test]
 fn the_watchdog_counts_publications_not_wakes() {
     let deadline = Duration::from_millis(150);
     let graph = counter_graph(WAKE_AT - 4);
@@ -945,14 +1021,12 @@ fn the_watchdog_counts_publications_not_wakes() {
     // and the job several deadlines, yet too few completions are ever
     // pending for a worker to wake the supervisor. Its timed-out sleeps
     // find the ring moving.
-    let slow = |_: TaskId, ctx: &TaskCtx<'_>| {
+    let slow = move |_: TaskId, ctx: &TaskCtx<'_>| {
         std::thread::sleep(deadline / 5);
         TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
     };
     let config = ExecConfig::default().with_watchdog_deadline(deadline);
-    let report = NativeExecutor::new(config.clone())
-        .run(&graph, &plan, &slow)
-        .unwrap();
+    let report = run(config.clone(), &graph, &plan, slow).unwrap();
     assert!(report.wall > 2 * deadline);
     assert_eq!(report.watchdog_trips, 0, "a publishing job is not wedged");
     assert!(!report.fallback_activated);
@@ -966,9 +1040,7 @@ fn the_watchdog_counts_publications_not_wakes() {
             .with_forced(2, 0, FaultKind::StageStall)
             .with_stall_duration(deadline * 6),
     );
-    let report = NativeExecutor::new(stalled)
-        .run(&graph, &plan, &quick)
-        .unwrap();
+    let report = run(stalled, &graph, &plan, quick).unwrap();
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(WAKE_AT - 4));

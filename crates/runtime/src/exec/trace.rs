@@ -86,12 +86,11 @@ impl fmt::Display for SquashReason {
     }
 }
 
-/// Identifies one submitted job on a multi-job engine. Every trace
-/// event carries the id of the job it belongs to, so timelines from
-/// concurrent jobs sharing one worker pool can be merged (see
-/// [`Timeline::merge`]) and still validated per job. Single-run
-/// executions (via [`NativeExecutor`](super::NativeExecutor)) and the
-/// simulator twin use [`JobId::SOLO`].
+/// Identifies one job on an [`Engine`](super::Engine), which numbers
+/// its jobs from 1. Every trace event carries the id of the job it
+/// belongs to, so timelines from concurrent jobs sharing one worker
+/// pool can be merged (see [`Timeline::merge`]) and still validated per
+/// job. The simulator twin stamps [`JobId::SOLO`].
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
@@ -99,7 +98,9 @@ impl fmt::Display for SquashReason {
 pub struct JobId(pub u64);
 
 impl JobId {
-    /// The id every non-engine (single-job) run traces under.
+    /// The id simulated timelines (and an
+    /// [`empty`](super::NativeReport::empty) report) carry: no engine
+    /// assigns it.
     pub const SOLO: JobId = JobId(0);
 }
 
@@ -116,9 +117,9 @@ pub struct TraceEvent {
     /// [`TimeUnit`] (nanoseconds since run start for native runs,
     /// cycles for simulated ones).
     pub ts: u64,
-    /// The job this event belongs to ([`JobId::SOLO`] outside the
-    /// engine). Defaults on deserialization so pre-engine trace files
-    /// stay loadable.
+    /// The job this event belongs to ([`JobId::SOLO`] in simulated
+    /// timelines). Defaults on deserialization so pre-engine trace
+    /// files stay loadable.
     #[serde(default)]
     pub job: JobId,
     /// What happened.
@@ -379,13 +380,9 @@ pub(super) struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    pub(super) fn new(clock: TraceClock) -> Self {
-        Self::for_job(clock, JobId::SOLO)
-    }
-
-    /// A buffer whose every event is stamped with `job` — engine
-    /// workers and per-job supervisors record through one of these so
-    /// merged multi-job timelines stay attributable.
+    /// A buffer whose every event is stamped with `job` — pool workers
+    /// and per-job supervisors record through one of these so merged
+    /// multi-job timelines stay attributable.
     pub(super) fn for_job(clock: TraceClock, job: JobId) -> Self {
         Self {
             clock,
@@ -1011,7 +1008,8 @@ impl Timeline {
         };
         let mut entries: Vec<String> = Vec::new();
         // Each job renders as its own Chrome "process": pid = JobId.
-        // Single-job timelines keep the historical pid 0 track names.
+        // Simulated timelines (`JobId::SOLO`) keep the historical pid 0
+        // track names.
         let mut named_jobs: Vec<u64> = Vec::new();
         let mut named_cores: Vec<(u64, usize)> = Vec::new();
         let mut dispatch: HashMap<(JobId, u32, u32), u64> = HashMap::new();
@@ -1302,7 +1300,7 @@ mod tests {
 
     #[test]
     fn disabled_buffer_records_nothing() {
-        let mut buf = TraceBuffer::new(TraceClock::new(false));
+        let mut buf = TraceBuffer::for_job(TraceClock::new(false), JobId::SOLO);
         assert!(!buf.enabled());
         buf.record(TraceEventKind::WatchdogTrip);
         assert!(buf.into_events().is_empty());
@@ -1310,7 +1308,7 @@ mod tests {
 
     #[test]
     fn enabled_buffer_timestamps_monotonically() {
-        let mut buf = TraceBuffer::new(TraceClock::new(true));
+        let mut buf = TraceBuffer::for_job(TraceClock::new(true), JobId::SOLO);
         buf.record(TraceEventKind::WatchdogTrip);
         buf.record(TraceEventKind::WatchdogTrip);
         let events = buf.into_events();

@@ -57,9 +57,9 @@ pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
     supervise_task, CommitView, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig,
     ExecError, FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec,
-    NativeBody, NativeExecutor, NativeReport, PlanDelta, RecoveryCounts, SquashReason,
-    StageMetrics, TaskCtx, TaskOutput, TaskSupervision, TimeUnit, Timeline, TraceDefect,
-    TraceEvent, TraceEventKind, WorkerStat, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT,
+    NativeBody, NativeReport, PlanDelta, RecoveryCounts, SquashReason, StageMetrics, TaskCtx,
+    TaskOutput, TaskSupervision, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind,
+    WorkerStat, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};

@@ -416,8 +416,8 @@ impl Simulator {
     /// completion (one tracked read per speculated dependence, the
     /// surviving ones counted as eager forwards), a `VersionConflict`
     /// at the frontier for every manifested dependence, and a
-    /// `VersionCommit` at every commit — the same four instants
-    /// [`NativeExecutor::run_versioned`](crate::NativeExecutor::run_versioned)
+    /// `VersionCommit` at every commit — the same four instants a
+    /// native job with a substrate ([`JobSpec::mem`](crate::JobSpec::mem))
     /// records from real conflict detection.
     ///
     /// # Errors

@@ -3,9 +3,10 @@
 
 use proptest::prelude::*;
 use seqpar_runtime::{
-    ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig, NativeExecutor, NativeReport, SimConfig,
-    Simulator, TaskCtx, TaskGraph, TaskId, TaskOutput,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig, JobSpec,
+    NativeBody, NativeReport, SimConfig, Simulator, TaskCtx, TaskGraph, TaskId, TaskOutput,
 };
+use std::sync::Arc;
 
 /// Builds a three-stage pipeline graph from arbitrary per-iteration
 /// costs and misspeculation flags.
@@ -55,12 +56,14 @@ fn run_native_with(graph: &TaskGraph, threads: usize, config: ExecConfig) -> Nat
 
 /// [`run_native_with`] under an arbitrary three-stage `plan`.
 fn run_native_on(graph: &TaskGraph, plan: &ExecutionPlan, config: ExecConfig) -> NativeReport {
-    let body = |task: TaskId, ctx: &TaskCtx<'_>| {
-        let t = graph.task(task);
+    let graph = Arc::new(graph.clone());
+    let tasks = Arc::clone(&graph);
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let t = tasks.task(task);
         if t.stage.0 != 1 {
             return TaskOutput::empty();
         }
-        if ctx.speculative() && graph.spec_deps(t).iter().any(|d| d.violated) {
+        if ctx.speculative() && tasks.spec_deps(t).iter().any(|d| d.violated) {
             // The misspeculated attempt: whatever it produces must never
             // reach the output stream.
             return TaskOutput::bytes(vec![0xEE; 5]);
@@ -70,8 +73,29 @@ fn run_native_on(graph: &TaskGraph, plan: &ExecutionPlan, config: ExecConfig) ->
             work: 1,
         }
     };
-    NativeExecutor::new(config)
-        .run(graph, plan, &body)
+    run(config, graph, plan, body)
+}
+
+/// Runs one replay job (`mem: None`: the graph's recorded violations
+/// drive the squashes) on an engine of its own, one worker per seat of
+/// `plan`.
+fn run(
+    config: ExecConfig,
+    graph: Arc<TaskGraph>,
+    plan: &ExecutionPlan,
+    body: impl NativeBody + 'static,
+) -> NativeReport {
+    let seats = (0..plan.stage_count())
+        .map(|s| plan.stage(s).cores().len())
+        .sum();
+    Engine::new(EngineConfig::with_workers(seats))
+        .run(&JobSpec {
+            graph,
+            plan: Arc::new(plan.clone()),
+            body: Arc::new(body),
+            mem: None,
+            config,
+        })
         .expect("plan matches graph and every fault is recoverable")
 }
 

@@ -12,7 +12,7 @@
 
 use crate::common::{fnv1a, fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -387,20 +387,6 @@ impl Workload for Bzip2 {
             out.extend(compress_block(block, &mut m));
         }
         fnv1a(out)
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let data = self.input(size);
-        let block_size = self.block_size(size);
-        NativeJob::new(self.trace(size), move |iter, _stale| {
-            let start = iter as usize * block_size;
-            let end = (start + block_size).min(data.len());
-            let mut meter = WorkMeter::new();
-            (
-                compress_block(&data[start..end], &mut meter),
-                meter.take().max(1),
-            )
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

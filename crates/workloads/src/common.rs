@@ -2,14 +2,11 @@
 //! randomness, input sizing, and the [`Workload`] trait.
 
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::IterationTrace;
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{FuncId, Program};
-use seqpar_runtime::{Engine, ExecConfig, ExecError, ExecutionPlan, NativeReport};
-use seqpar_specmem::ConcurrentVersionedMemory;
 use std::fmt;
-use std::sync::Arc;
 
 /// Input scale, mirroring SPEC's `test` / `train` / `ref` sets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -162,58 +159,15 @@ pub trait Workload: fmt::Debug {
 
     /// The kernel packaged for real-thread execution: the same run as
     /// [`Workload::trace`], with every iteration re-executable on worker
-    /// threads (see [`crate::native`]).
-    fn native_job(&self, size: InputSize) -> NativeJob;
-
-    /// The kernel packaged for **conflict-driven** native execution,
-    /// its loop-carried state flowing through
+    /// threads and its loop-carried state flowing through
     /// [`Addr`](seqpar_specmem::Addr)-keyed accesses to a
-    /// [`ConcurrentVersionedMemory`] (see [`VersionedJob`]).
-    ///
-    /// Every workload provides one — this is the native path benchmarks
-    /// and figures measure
-    /// ([`NativeExecutor::run_versioned`](seqpar_runtime::NativeExecutor::run_versioned));
-    /// the trace-driven [`Workload::native_job`] twin remains as the
-    /// deterministic replay harness for the differential tests.
+    /// [`ConcurrentVersionedMemory`](seqpar_specmem::ConcurrentVersionedMemory)
+    /// (see [`VersionedJob`]). This is the one native packaging:
+    /// benchmarks and figures run its
+    /// [`job_spec`](VersionedJob::job_spec) on an
+    /// [`Engine`](seqpar_runtime::Engine), and the differential tests
+    /// derive their deterministic replay from the same spec.
     fn versioned_job(&self, size: InputSize) -> VersionedJob;
-
-    /// Runs the kernel natively on OS threads under `plan`, committing
-    /// iteration outputs in order. The committed stream is byte-identical
-    /// to a sequential run (`native_job(size).sequential()`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from the executor — an invalid plan, a
-    /// task body that panics past its retry budget, or a wedged worker
-    /// pool.
-    fn run_native(
-        &self,
-        size: InputSize,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-    ) -> Result<NativeReport, ExecError> {
-        self.native_job(size).execute(plan, config)
-    }
-
-    /// Runs the kernel's conflict-driven versioned job on a persistent
-    /// [`Engine`] instead of a per-run worker pool — the path every
-    /// benchmark surface uses to amortize thread startup across reps
-    /// and to run workloads concurrently. Byte-identical to
-    /// `versioned_job(size).sequential()`, exactly like
-    /// [`VersionedJob::execute`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] exactly as [`Workload::run_native`].
-    fn run_versioned_on(
-        &self,
-        engine: &Engine,
-        size: InputSize,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-    ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
-        self.versioned_job(size).execute_on(engine, plan, config)
-    }
 }
 
 /// Human-readable stage names for a plan with `stage_count` stages —

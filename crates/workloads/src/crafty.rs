@@ -17,7 +17,7 @@
 
 use crate::common::{InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
@@ -240,32 +240,6 @@ impl Workload for Crafty {
     fn checksum(&self, size: InputSize) -> u64 {
         let mut meter = WorkMeter::new();
         iterate(Self::ROOT, self.depth(size).min(6), &mut meter) as u64
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        // The same (reply, depth) task list the trace measures; each task
-        // searches its subtree with a private transposition table (the
-        // Commutative cache), so tasks run in any order.
-        let mut tasks = Vec::new();
-        for d in 2..=self.depth(size) {
-            for (_, reply, sub_depth) in root_tasks(Self::ROOT, d) {
-                tasks.push((reply, sub_depth));
-            }
-        }
-        NativeJob::new(self.trace(size), move |iter, _stale| {
-            let (reply, sub_depth) = tasks[iter as usize];
-            let mut meter = WorkMeter::new();
-            let mut tt = TransTable::new();
-            let score = search(
-                reply,
-                sub_depth,
-                i32::MIN + 1,
-                i32::MAX - 1,
-                &mut tt,
-                &mut meter,
-            );
-            (score.to_le_bytes().to_vec(), meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -19,7 +19,7 @@
 
 use crate::common::{fnv1a, fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
@@ -337,55 +337,6 @@ impl Workload for Gap {
             })
             .collect();
         fnv1a(summary)
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let program = generate_program(self.statement_count(size), 0x254);
-        // Checkpoint the interpreter (heap + vars + GC state) every K
-        // statements; a task replays the short prefix from its checkpoint
-        // to reconstruct the exact sequential state, then executes its
-        // own statement for real.
-        const K: usize = 8;
-        let mut ckpts = Vec::with_capacity(program.len() / K + 1);
-        let mut interp = Interp::new(Self::ARENA);
-        let mut prepass = WorkMeter::new();
-        for (i, stmt) in program.iter().enumerate() {
-            if i % K == 0 {
-                ckpts.push(interp.clone());
-            }
-            interp.exec(*stmt, &mut prepass);
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        let restore = move |target: usize, ckpts: &[Interp], program: &[Stmt]| {
-            let mut interp = ckpts[target / K].clone();
-            let mut replay = WorkMeter::new();
-            for stmt in &program[(target / K) * K..target] {
-                interp.exec(*stmt, &mut replay);
-            }
-            interp
-        };
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: evaluate this statement against the heap as it stood
-            // before the violated producer (GC or variable writer) ran.
-            let target = if stale {
-                misspec[i].expect("stale implies a violated producer") as usize
-            } else {
-                i
-            };
-            let mut interp = restore(target, &ckpts, &program);
-            let mut meter = WorkMeter::new();
-            let collected = interp.exec(program[i], &mut meter);
-            let value = match interp.var(program[i].writes()) {
-                Val::Int(x) => x,
-                Val::Ref(r) => r as i64 + 1_000_000,
-                Val::Nil => -1,
-            };
-            let mut bytes = value.to_le_bytes().to_vec();
-            bytes.push(u8::from(collected));
-            (bytes, meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

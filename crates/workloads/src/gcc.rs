@@ -20,7 +20,7 @@
 
 use crate::common::{fnv1a, fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
@@ -603,38 +603,6 @@ impl Workload for Gcc {
             all.push_str(&asm);
         }
         fnv1a(all.into_bytes())
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let unit = generate_unit(self.function_count(size), 0x176);
-        // Under per-function label numbering the emitted assembly depends
-        // only on the function itself — symbol ids never appear in the
-        // output — so each task compiles its function from scratch with a
-        // private table and reproduces the sequential bytes exactly.
-        NativeJob::new(self.trace(size), move |iter, stale| {
-            let func = &unit[iter as usize];
-            let mut meter = WorkMeter::new();
-            let mut symtab = SymbolTable::new();
-            let mut label_base = 0u32;
-            // Stale: the squashed attempt raced an obstack relocation; we
-            // model the corrupted read as emitting with the legacy global
-            // label counter, which yields different (squash-discarded)
-            // label text.
-            let numbering = if stale {
-                LabelNumbering::Global
-            } else {
-                LabelNumbering::PerFunction
-            };
-            let (asm, _) = compile_function(
-                func,
-                &mut symtab,
-                &mut label_base,
-                numbering,
-                iter as u32,
-                &mut meter,
-            );
-            (asm.into_bytes(), meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

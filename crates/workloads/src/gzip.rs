@@ -15,7 +15,7 @@
 
 use crate::common::{fnv1a, fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program, YBranchHint};
@@ -326,27 +326,6 @@ impl Workload for Gzip {
             out.extend(encode(&deflate_block_primed(dict, block, &mut m)));
         }
         fnv1a(out)
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let data = self.input(size);
-        // Block spans over the raw input: each iteration recompresses its
-        // block primed with the raw-input window before it, so blocks are
-        // recomputable in any order (and never misspeculate).
-        let mut spans = Vec::new();
-        let mut consumed = 0usize;
-        for block in split_blocks(&data, BlockMode::Fixed(self.block_size(size))) {
-            let start = consumed;
-            consumed += block.len();
-            spans.push((start.saturating_sub(WINDOW), start, consumed));
-        }
-        NativeJob::new(self.trace(size), move |iter, _stale| {
-            let (dict_start, start, end) = spans[iter as usize];
-            let mut meter = WorkMeter::new();
-            let tokens =
-                deflate_block_primed(&data[dict_start..start], &data[start..end], &mut meter);
-            (encode(&tokens), meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -21,7 +21,7 @@
 
 use crate::common::{fnv1a, InputSize, IrModel, Prng, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -325,48 +325,6 @@ impl Workload for Mcf {
         let net = self.network(size);
         let r = solve(&net, |_| {});
         fnv1a(r.cost.to_le_bytes()) ^ r.flow as u64
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let net = self.network(size);
-        // Snapshot the solver before each augmenting iteration; a task
-        // clones its snapshot and runs the iteration's real Bellman-Ford
-        // sweep, path extraction, and augmentation.
-        let mut snaps = Vec::new();
-        let mut solver = Solver::new(&net);
-        loop {
-            let before = solver.clone();
-            if solver.step().is_none() {
-                break;
-            }
-            snaps.push(before);
-            if solver.result().iterations > 10_000 {
-                break;
-            }
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: run the iteration against the residual network as it
-            // stood before the previous augmentation (the potentials the
-            // refresh_potential speculation wrongly assumed stable).
-            let target = if stale {
-                misspec[i].expect("stale implies a violated producer") as usize
-            } else {
-                i
-            };
-            let mut solver = snaps[target].clone();
-            let (costs, flow_delta, cost_delta) = solver
-                .step()
-                .expect("snapshots precede augmenting iterations");
-            let mut bytes = Vec::with_capacity(17);
-            bytes.extend(flow_delta.to_le_bytes());
-            bytes.extend(cost_delta.to_le_bytes());
-            bytes.push(u8::from(costs.potentials_changed));
-            let work = (costs.serial + costs.parallel + costs.apply).max(1);
-            (bytes, work)
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -1,58 +1,36 @@
 //! Native (real-thread) execution of workload kernels.
 //!
 //! [`Workload::trace`](crate::Workload::trace) captures *what happened*
-//! in a sequential run; a [`NativeJob`] packages the same run so each
-//! iteration can be **re-executed for real** on the
-//! [`NativeExecutor`]'s worker threads.
-//! The job owns whatever prefix state the kernel needs (input spans,
-//! interpreter snapshots, annealer checkpoints, …) plus a body closure
-//! `(iteration, stale) -> (bytes, work)`:
+//! in a sequential run; a [`VersionedJob`] packages the same run so each
+//! iteration can be **re-executed for real** on an [`Engine`]'s worker
+//! threads. The job owns whatever prefix state the kernel needs (input
+//! spans, interpreter snapshots, annealer checkpoints, …) plus two
+//! bodies:
 //!
-//! * `stale = false` re-runs the iteration against the exact sequential
-//!   prefix state, so the committed byte stream is identical to a
-//!   sequential run's;
-//! * `stale = true` models the squashed speculative attempt: the
-//!   iteration runs against the state *before its violated producer*
-//!   executed — the value a maximally-runahead speculative thread would
-//!   really have computed. The executor discards these bytes at
-//!   rollback; emitting genuinely different bytes is what makes the
-//!   differential tests prove the rollback path works.
+//! * the *versioned* body runs an iteration with its loop-carried state
+//!   flowing through a [`ConcurrentVersionedMemory`] — reads forward
+//!   uncommitted stores from earlier iterations, conflicting writes
+//!   squash later readers at the substrate;
+//! * the *sequential oracle* computes the same iteration's output from
+//!   precomputed prefix state with no substrate — what validation, the
+//!   sequential fallback, and a replay job (`JobSpec::mem == None`) run.
 //!
-//! Determinism: each body call depends only on `(iteration, stale)` —
-//! never on thread timing — so the executor's in-order commit yields the
-//! same output stream, squash counts, and work totals on every run.
+//! Determinism: each oracle call depends only on the iteration, and a
+//! versioned call only on the iteration and the values it read — never
+//! on thread timing — so the executor's in-order commit yields the same
+//! output stream on every run.
 
 use seqpar::IterationTrace;
 use seqpar_runtime::{
-    Engine, ExecConfig, ExecError, ExecutionPlan, JobHandle, JobSpec, NativeBody, NativeExecutor,
-    NativeReport, TaskCtx, TaskId, TaskOutput,
+    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobSpec, NativeBody, NativeReport,
+    TaskCtx, TaskId, TaskOutput,
 };
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The signature of a job body: re-execute one iteration, fresh or
-/// stale, returning its output bytes and metered work.
-pub type IterationBody = dyn Fn(u64, bool) -> (Vec<u8>, u64) + Send + Sync;
-
-/// A workload packaged for native execution: the recorded trace plus a
-/// real re-executable body for every iteration.
-#[derive(Clone)]
-pub struct NativeJob {
-    trace: IterationTrace,
-    body: Arc<IterationBody>,
-}
-
-impl fmt::Debug for NativeJob {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NativeJob")
-            .field("iterations", &self.trace.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// A timed sequential reference run of a [`NativeJob`].
+/// A timed sequential reference run of a [`VersionedJob`].
 #[derive(Clone, Debug)]
 pub struct SequentialRun {
     /// Concatenated per-iteration output bytes, in program order.
@@ -61,140 +39,6 @@ pub struct SequentialRun {
     pub work: u64,
     /// Wall-clock time of the run.
     pub wall: Duration,
-}
-
-impl NativeJob {
-    /// Packages `trace` with its re-execution body.
-    pub fn new(
-        trace: IterationTrace,
-        body: impl Fn(u64, bool) -> (Vec<u8>, u64) + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            trace,
-            body: Arc::new(body),
-        }
-    }
-
-    /// The recorded iteration trace (also the source of the task graph
-    /// native execution runs).
-    pub fn trace(&self) -> &IterationTrace {
-        &self.trace
-    }
-
-    /// Number of loop iterations.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Whether the job has no iterations.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Re-executes one iteration. `stale` asks for the squashed
-    /// speculative attempt's result instead of the committed one.
-    pub fn run_iteration(&self, iter: u64, stale: bool) -> (Vec<u8>, u64) {
-        (self.body)(iter, stale)
-    }
-
-    /// Runs every iteration in order on the calling thread — the
-    /// reference against which native output must be byte-identical.
-    pub fn sequential(&self) -> SequentialRun {
-        let started = Instant::now();
-        let mut output = Vec::new();
-        let mut work = 0u64;
-        for i in 0..self.trace.len() as u64 {
-            let (bytes, w) = (self.body)(i, false);
-            output.extend(bytes);
-            work += w;
-        }
-        SequentialRun {
-            output,
-            work,
-            wall: started.elapsed(),
-        }
-    }
-
-    /// Runs the job on real threads under `plan`.
-    ///
-    /// One-stage plans execute the TLS task graph; multi-stage plans the
-    /// three-phase DSWP graph. In both, the transform stage (the single
-    /// TLS stage, or phase B) carries the iteration body; A and C model
-    /// read/write phases and emit nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from the executor: an invalid plan
-    /// ([`ExecError::Invalid`]), a task whose body panics past its retry
-    /// budget ([`ExecError::TaskFailed`]), or a wedged worker pool
-    /// ([`ExecError::WorkersDisconnected`]).
-    pub fn execute(
-        &self,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-    ) -> Result<NativeReport, ExecError> {
-        let graph = if plan.stage_count() == 1 {
-            self.trace.tls_task_graph()
-        } else {
-            self.trace.task_graph()
-        };
-        let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
-        let body = |task: TaskId, ctx: &TaskCtx<'_>| {
-            if ctx.stage.0 != emit_stage {
-                return TaskOutput::empty();
-            }
-            // A first attempt whose recorded dependence manifested is the
-            // one speculation would have gotten wrong: produce the stale
-            // value so rollback is observable.
-            let stale =
-                ctx.speculative() && graph.spec_deps(graph.task(task)).iter().any(|d| d.violated);
-            let (bytes, work) = (self.body)(ctx.iter, stale);
-            TaskOutput { bytes, work }
-        };
-        NativeExecutor::new(config).run(&graph, plan, &body)
-    }
-
-    /// Packages the job as a submittable unit for a persistent
-    /// [`Engine`]: the same graph, body, and semantics as
-    /// [`NativeJob::execute`], with everything `Arc`'d so the engine's
-    /// threads can own it.
-    pub fn job_spec(&self, plan: &ExecutionPlan, config: ExecConfig) -> JobSpec {
-        let graph = Arc::new(if plan.stage_count() == 1 {
-            self.trace.tls_task_graph()
-        } else {
-            self.trace.task_graph()
-        });
-        let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
-        let body = Arc::clone(&self.body);
-        let task_graph = Arc::clone(&graph);
-        let task_body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-            if ctx.stage.0 != emit_stage {
-                return TaskOutput::empty();
-            }
-            let stale = ctx.speculative()
-                && task_graph
-                    .spec_deps(task_graph.task(task))
-                    .iter()
-                    .any(|d| d.violated);
-            let (bytes, work) = body(ctx.iter, stale);
-            TaskOutput { bytes, work }
-        };
-        let body: Arc<dyn NativeBody> = Arc::new(task_body);
-        JobSpec {
-            graph,
-            plan: Arc::new(plan.clone()),
-            body,
-            mem: None,
-            config,
-        }
-    }
-}
-
-/// Looks up each record's violated-producer index, the iteration a stale
-/// re-execution must rewind to. `None` for iterations that never
-/// misspeculate.
-pub fn misspec_targets(trace: &IterationTrace) -> Vec<Option<u64>> {
-    trace.records().iter().map(|r| r.misspec_on).collect()
 }
 
 /// The signature of a versioned job body: run one iteration with its
@@ -212,13 +56,11 @@ pub type VersionedIterationBody =
 /// what the validation oracle and the sequential fallback run.
 pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
 
-/// A workload packaged for **conflict-driven** native execution: unlike
-/// [`NativeJob`], whose squashes replay the trace's recorded dependence
-/// events, a `VersionedJob`'s loop-carried state flows through
-/// [`Addr`]-keyed accesses to a
+/// A workload packaged for **conflict-driven** native execution: its
+/// loop-carried state flows through [`Addr`]-keyed accesses to a
 /// [`ConcurrentVersionedMemory`], and squashes originate from the
-/// substrate's conflict detection at access granularity
-/// ([`NativeExecutor::run_versioned`]).
+/// substrate's conflict detection at access granularity, not from the
+/// trace's recorded dependence events.
 #[derive(Clone)]
 pub struct VersionedJob {
     trace: IterationTrace,
@@ -354,66 +196,43 @@ impl VersionedJob {
 
     /// Runs the job on real threads under `plan`, with every attempt's
     /// loop-carried state routed through a fresh
-    /// [`ConcurrentVersionedMemory`]. Returns the report (whose
+    /// [`ConcurrentVersionedMemory`] — the one-shot convenience: an
+    /// [`Engine`] of its own with one worker per seat of the plan,
+    /// dropped on return. Returns the report (whose
     /// [`mem`](NativeReport::mem) field carries the substrate counters)
     /// together with the memory itself, so callers can inspect the
-    /// committed loop-carried state.
-    ///
-    /// One-stage plans execute the TLS task graph; multi-stage plans
-    /// the three-phase DSWP graph, with only the transform stage
-    /// touching memory and emitting bytes. Oracle and fallback attempts
-    /// see [`TaskCtx::mem`]` == None` and run the sequential twin.
+    /// committed loop-carried state. Callers that run more than one job
+    /// keep an engine and hand it [`VersionedJob::job_spec`]s.
     ///
     /// # Errors
     ///
-    /// Propagates [`ExecError`] exactly as [`NativeJob::execute`].
+    /// Propagates [`ExecError`] from [`Engine::run`]: an invalid plan
+    /// ([`ExecError::Invalid`]) or a task whose body panics where no
+    /// replay exists ([`ExecError::TaskFailed`]).
     pub fn execute(
         &self,
         plan: &ExecutionPlan,
         config: ExecConfig,
-    ) -> Result<(NativeReport, ConcurrentVersionedMemory), ExecError> {
-        self.execute_with_memory(plan, config, ConcurrentVersionedMemory::new())
-    }
-
-    /// As [`VersionedJob::execute`], but routing state through a
-    /// caller-constructed `mem` — the hook the bench harness uses to
-    /// sweep [`MemConfig`](seqpar_specmem::MemConfig) tunings (shard
-    /// count, reclamation cadence). `mem` must be fresh: no versions
-    /// opened, no state committed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] exactly as [`NativeJob::execute`].
-    pub fn execute_with_memory(
-        &self,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-        mem: ConcurrentVersionedMemory,
-    ) -> Result<(NativeReport, ConcurrentVersionedMemory), ExecError> {
-        let graph = if plan.stage_count() == 1 {
-            self.trace.tls_task_graph()
-        } else {
-            self.trace.task_graph()
-        };
-        let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
-        let body = |task: TaskId, ctx: &TaskCtx<'_>| {
-            if ctx.stage.0 != emit_stage {
-                return TaskOutput::empty();
-            }
-            let (bytes, work) = match ctx.mem {
-                Some(m) => (self.body)(ctx.iter, VersionId(u64::from(task.0)), m),
-                None => (self.oracle)(ctx.iter),
-            };
-            TaskOutput { bytes, work }
-        };
-        let report = NativeExecutor::new(config).run_versioned(&graph, plan, &body, &mem)?;
+    ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
+        let (spec, mem) = self.job_spec(plan, config);
+        let seats = (0..plan.stage_count())
+            .map(|s| plan.stage(s).cores().len())
+            .sum();
+        let report = Engine::new(EngineConfig::with_workers(seats)).run(&spec)?;
         Ok((report, mem))
     }
 
-    /// Packages the job as a submittable unit for a persistent
-    /// [`Engine`], with a fresh private substrate. Returns the spec and
-    /// the substrate handle so the caller can inspect committed
-    /// loop-carried state after the job's report arrives.
+    /// Packages the job as a submittable unit for an [`Engine`], with a
+    /// fresh private substrate. Returns the spec and the substrate
+    /// handle so the caller can inspect committed loop-carried state
+    /// after the job's report arrives.
+    ///
+    /// One-stage plans execute the TLS task graph; multi-stage plans
+    /// the three-phase DSWP graph, with only the transform stage (the
+    /// single TLS stage, or phase B) touching memory and emitting
+    /// bytes; A and C model read/write phases and emit nothing. Oracle
+    /// and fallback attempts see [`TaskCtx::mem`]` == None` and run the
+    /// sequential twin.
     pub fn job_spec(
         &self,
         plan: &ExecutionPlan,
@@ -423,9 +242,11 @@ impl VersionedJob {
     }
 
     /// As [`VersionedJob::job_spec`], but routing state through a
-    /// caller-constructed `mem` (the [`MemConfig`](seqpar_specmem::MemConfig)
-    /// sweep hook). `mem` must be fresh, and must be private to this
-    /// job: version ids are task indices, which collide across jobs.
+    /// caller-constructed `mem` — the hook the bench harness uses to
+    /// sweep [`MemConfig`](seqpar_specmem::MemConfig) tunings (shard
+    /// count, reclamation cadence). `mem` must be fresh (no versions
+    /// opened, no state committed), and must be private to this job:
+    /// version ids are task indices, which collide across jobs.
     pub fn job_spec_with_memory(
         &self,
         plan: &ExecutionPlan,
@@ -462,58 +283,5 @@ impl VersionedJob {
             },
             mem,
         )
-    }
-
-    /// Submits the job to `engine` and returns immediately with the
-    /// handle and the job's private substrate. Concurrent submissions
-    /// of different jobs interleave on the engine's shared pool; each
-    /// commits byte-identically to its own [`VersionedJob::sequential`].
-    pub fn submit_on(
-        &self,
-        engine: &Engine,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-    ) -> (JobHandle, Arc<ConcurrentVersionedMemory>) {
-        let (spec, mem) = self.job_spec(plan, config);
-        (engine.submit(spec), mem)
-    }
-
-    /// Runs the job to completion on `engine`, supervised inline on the
-    /// calling thread ([`Engine::run`]) — the engine twin of
-    /// [`VersionedJob::execute`], with no per-job thread spawn. Use
-    /// [`VersionedJob::submit_on`] to overlap several jobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] exactly as [`NativeJob::execute`].
-    pub fn execute_on(
-        &self,
-        engine: &Engine,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-    ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
-        let (spec, mem) = self.job_spec(plan, config);
-        let report = engine.run(&spec)?;
-        Ok((report, mem))
-    }
-
-    /// As [`VersionedJob::execute_on`], but routing state through a
-    /// caller-constructed `mem` — the engine twin of
-    /// [`VersionedJob::execute_with_memory`]. `mem` must be fresh and
-    /// private to this job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] exactly as [`NativeJob::execute`].
-    pub fn execute_on_with_memory(
-        &self,
-        engine: &Engine,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-        mem: ConcurrentVersionedMemory,
-    ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
-        let (spec, mem) = self.job_spec_with_memory(plan, config, mem);
-        let report = engine.run(&spec)?;
-        Ok((report, mem))
     }
 }

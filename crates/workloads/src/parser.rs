@@ -17,7 +17,7 @@
 
 use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -263,22 +263,6 @@ impl Workload for Parser {
             })
             .collect();
         fnv1a(verdicts)
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let items = generate_batch(self.batch_size(size), 0x197);
-        // Each iteration emits its verdict byte — the same stream
-        // `checksum` hashes — so fnv1a(sequential output) == checksum.
-        NativeJob::new(self.trace(size), move |iter, _stale| {
-            match &items[iter as usize] {
-                Item::Command => (vec![2u8], 1),
-                Item::Sentence(tags) => {
-                    let mut meter = WorkMeter::new();
-                    let ok = parse(tags, &mut meter);
-                    (vec![u8::from(ok)], meter.take().max(1))
-                }
-            }
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -19,7 +19,7 @@
 
 use crate::common::{fnv1a, fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode as IrOp, Program};
@@ -275,46 +275,6 @@ impl Workload for Perlbmk {
         let mut meter = WorkMeter::new();
         let vm = run(&program, &mut meter);
         fnv1a(vm.output().iter().flat_map(|x| x.to_le_bytes()))
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let program = generate_program(self.statement_count(size), 0x253);
-        let stmts: Vec<Vec<Op>> = statements(&program)
-            .into_iter()
-            .map(<[Op]>::to_vec)
-            .collect();
-        // Sequential prepass: the variable file before each statement.
-        // A statement re-executed on a fresh VM seeded with its prefix
-        // snapshot reproduces the sequential run exactly (the stack is
-        // empty at every statement boundary).
-        let mut vars_before = Vec::with_capacity(stmts.len());
-        let mut vm = Vm::new();
-        let mut prepass = WorkMeter::new();
-        for stmt in &stmts {
-            vars_before.push(vm.vars());
-            for &op in stmt {
-                vm.step(op, &mut prepass);
-            }
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: the speculative attempt read the variable file as it
-            // stood *before the violated writer* ran.
-            let seed = if stale {
-                vars_before[misspec[i].expect("stale implies a violated producer") as usize]
-            } else {
-                vars_before[i]
-            };
-            let mut vm = Vm::with_vars(seed);
-            let mut meter = WorkMeter::new();
-            for &op in &stmts[i] {
-                vm.step(op, &mut meter);
-            }
-            let bytes = vm.output().iter().flat_map(|x| x.to_le_bytes()).collect();
-            (bytes, meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -18,7 +18,7 @@
 
 use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -308,46 +308,6 @@ impl Workload for Twolf {
         let mut place = self.instance();
         let cost = uloop(&mut place, self.iters_per_temp(size), 0x300_5EED, |_, _| {});
         fnv1a(cost.to_le_bytes())
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let base = self.instance();
-        let iters_per_temp = self.iters_per_temp(size);
-        // Sequential prepass mirroring `uloop`: before each exchange,
-        // record the cell coordinates, the RNG state, and the
-        // temperature. A task replays its exchange bit-exactly.
-        type Snapshot = (Vec<(u16, u16)>, YacmRandom, f64);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut place = base.clone();
-        let mut rng = YacmRandom::new(0x300_5EED);
-        for temperature in schedule() {
-            for _ in 0..iters_per_temp {
-                snaps.push((place.pos.clone(), rng.clone(), temperature));
-                let mut m = WorkMeter::new();
-                uloop_iter(&mut place, &mut rng, temperature, &mut m);
-            }
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: evaluate this exchange against the placement as it
-            // stood before the colliding accepted exchange.
-            let state = if stale {
-                misspec[i].expect("stale implies a violated producer") as usize
-            } else {
-                i
-            };
-            let mut place = base.clone();
-            place.set_positions(&snaps[state].0);
-            let (_, ref rng0, temperature) = snaps[i];
-            let mut rng = rng0.clone();
-            let mut meter = WorkMeter::new();
-            let outcome = uloop_iter(&mut place, &mut rng, temperature, &mut meter);
-            let mut bytes = vec![u8::from(outcome.accepted)];
-            bytes.extend((outcome.nets_touched.len() as u32).to_le_bytes());
-            (bytes, meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -18,7 +18,7 @@
 
 use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -549,52 +549,6 @@ impl Workload for Vortex {
             exec_txn(&mut tree, txn, &mut meter);
         }
         fnv1a((tree.len() as u64).to_le_bytes()) ^ tree.rebalances()
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let txns = generate_txns(self.txn_count(size), 0x255);
-        // Checkpoint the B-tree every K transactions; tasks replay the
-        // short prefix to the exact sequential state, then execute their
-        // own transaction for real.
-        const K: usize = 16;
-        let mut setup = WorkMeter::new();
-        let mut tree = self.seeded_tree(&mut setup);
-        let mut ckpts = Vec::with_capacity(txns.len() / K + 1);
-        for (i, txn) in txns.iter().enumerate() {
-            if i % K == 0 {
-                ckpts.push(tree.clone());
-            }
-            exec_txn(&mut tree, *txn, &mut setup);
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        let restore = move |target: usize, ckpts: &[BTree], txns: &[Txn]| {
-            let mut tree = ckpts[target / K].clone();
-            let mut replay = WorkMeter::new();
-            for txn in &txns[(target / K) * K..target] {
-                exec_txn(&mut tree, *txn, &mut replay);
-            }
-            tree
-        };
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: run this transaction against the tree as it stood
-            // before the restructuring (or non-Normal) predecessor.
-            let target = if stale {
-                misspec[i].expect("stale implies a violated producer") as usize
-            } else {
-                i
-            };
-            let mut tree = restore(target, &ckpts, &txns);
-            let mut meter = WorkMeter::new();
-            let (status, rebalances) = exec_txn(&mut tree, txns[i], &mut meter);
-            let mut bytes = vec![match status {
-                Status::Normal => 0u8,
-                Status::NotFound => 1u8,
-            }];
-            bytes.extend(rebalances.to_le_bytes());
-            (bytes, meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -18,7 +18,7 @@
 
 use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{NativeJob, VersionedJob};
+use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -319,46 +319,6 @@ impl Workload for Vpr {
         let mut place = self.instance();
         let final_cost = anneal(&mut place, self.moves_per_temp(size), 0xABCD, |_, _, _| {});
         fnv1a(final_cost.to_le_bytes())
-    }
-
-    fn native_job(&self, size: InputSize) -> NativeJob {
-        let base = self.instance();
-        let moves_per_temp = self.moves_per_temp(size);
-        // Sequential prepass mirroring `anneal`: before each move, record
-        // the block coordinates, the RNG state, and the temperature. A
-        // task replays its move bit-exactly from that state.
-        type Snapshot = (Vec<(u16, u16)>, Prng, f64);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut place = base.clone();
-        let mut rng = Prng::new(0xABCD);
-        for temperature in schedule() {
-            for _ in 0..moves_per_temp {
-                snaps.push((place.pos.clone(), rng.clone(), temperature));
-                let mut m = WorkMeter::new();
-                try_swap(&mut place, &mut rng, temperature, &mut m);
-            }
-        }
-        let trace = self.trace(size);
-        let misspec = crate::native::misspec_targets(&trace);
-        NativeJob::new(trace, move |iter, stale| {
-            let i = iter as usize;
-            // Stale: evaluate move i's swap against the placement as it
-            // stood before the colliding accepted swap.
-            let state = if stale {
-                misspec[i].expect("stale implies a violated producer") as usize
-            } else {
-                i
-            };
-            let mut place = base.clone();
-            place.set_positions(&snaps[state].0);
-            let (_, ref rng0, temperature) = snaps[i];
-            let mut rng = rng0.clone();
-            let mut meter = WorkMeter::new();
-            let outcome = try_swap(&mut place, &mut rng, temperature, &mut meter);
-            let mut bytes = vec![u8::from(outcome.accepted)];
-            bytes.extend(outcome.delta.to_le_bytes());
-            (bytes, meter.take().max(1))
-        })
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {

@@ -2,13 +2,14 @@
 //!
 //! Earlier revisions hand-rolled a gzip-only pipeline here. The native
 //! executor (`seqpar_runtime::exec`) now runs the same A/B/C three-phase
-//! plan the simulator schedules — bounded channels as the hardware
-//! queues, replicated phase-B workers, an in-order commit unit, and
-//! squash-and-replay on misspeculation — so this example is a thin
-//! caller: all eleven benchmarks execute natively at several thread
-//! counts, and each output is checked byte-for-byte against the
-//! sequential run (the commit discipline the paper's versioned memory
-//! enforces).
+//! plan the simulator schedules — bounded stage windows as the hardware
+//! queues, replicated phase-B workers, a versioned memory that detects
+//! conflicting accesses, an in-order commit unit, and squash-and-replay
+//! on misspeculation — so this example is a thin caller: all eleven
+//! benchmarks execute natively at several thread counts
+//! (`VersionedJob::execute`, a one-shot engine per run), and each output
+//! is checked byte-for-byte against the sequential run (the commit
+//! discipline the paper's versioned memory enforces).
 //!
 //! Run with `cargo run --release --example real_threads_pipeline`.
 
@@ -25,11 +26,11 @@ fn main() {
         "benchmark", "threads", "seq(ms)", "wall(ms)", "speedup", "squash", "output"
     );
     for w in all_workloads() {
-        let job = w.native_job(InputSize::Test);
+        let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
         for threads in [2usize, 4, 8] {
             let plan = ExecutionPlan::three_phase(threads);
-            let r = job
+            let (r, _mem) = job
                 .execute(&plan, ExecConfig::default())
                 .expect("plan matches machine");
             assert_eq!(

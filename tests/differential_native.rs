@@ -11,19 +11,70 @@
 //!   speculations, squashes) equal the simulator's for the same
 //!   plan/trace — both are driven by the recorded dependence events,
 //!   never by thread timing.
+//!
+//! The native side is every workload's `versioned_job`, run as a
+//! *replay* ([`replay`]): the same `JobSpec` the benchmarks run, with
+//! its substrate cleared so the recorded dependences, not real races,
+//! decide what squashes.
 
 use seqpar_bench::{simulate, PlanKind};
-use seqpar_runtime::{ExecConfig, ExecutionPlan, FaultKind, FaultPlan, SimConfig, Simulator};
-use seqpar_workloads::{all_workloads, misspec_targets, workload_by_name, InputSize, NativeJob};
+use seqpar_runtime::{
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, JobSpec, NativeReport,
+    SimConfig, Simulator, TaskCtx, TaskId,
+};
+use seqpar_workloads::{all_workloads, workload_by_name, InputSize, VersionedJob};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Thread counts exercised per workload (the issue demands at least 3).
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
-fn jobs() -> Vec<(&'static str, NativeJob)> {
+fn jobs() -> Vec<(&'static str, VersionedJob)> {
     all_workloads()
         .iter()
-        .map(|w| (w.meta().spec_id, w.native_job(InputSize::Test)))
+        .map(|w| (w.meta().spec_id, w.versioned_job(InputSize::Test)))
         .collect()
+}
+
+/// `job` under `plan` as a deterministic replay: with no substrate the
+/// graph's recorded violations are the squash source and the body runs
+/// its sequential oracle. The speculative attempt of a task whose
+/// recorded dependence was violated emits corrupted bytes — it ran
+/// ahead of its producer — so byte identity proves each one was
+/// squashed and re-executed.
+fn replay(job: &VersionedJob, plan: &ExecutionPlan, config: ExecConfig) -> JobSpec {
+    let (mut spec, _mem) = job.job_spec(plan, config);
+    spec.mem = None;
+    let (graph, oracle) = (Arc::clone(&spec.graph), Arc::clone(&spec.body));
+    spec.body = Arc::new(move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let mut out = oracle.run(task, ctx);
+        let violated = graph.spec_deps(graph.task(task)).iter().any(|d| d.violated);
+        if ctx.speculative() && violated {
+            match out.bytes.first_mut() {
+                Some(b) => *b ^= 0xFF,
+                None => out.bytes.push(0xFF),
+            }
+        }
+        out
+    });
+    spec
+}
+
+/// Runs `spec` on an engine of its own, one worker per seat of its plan.
+fn run(spec: &JobSpec) -> NativeReport {
+    let seats = (0..spec.plan.stage_count())
+        .map(|s| spec.plan.stage(s).cores().len())
+        .sum();
+    Engine::new(EngineConfig::with_workers(seats))
+        .run(spec)
+        .expect("plan matches graph and every fault is recoverable")
+}
+
+/// The squashes a replay of `job` must report: one per misspeculated
+/// record of its trace.
+fn recorded_misspeculations(job: &VersionedJob) -> u64 {
+    let records = job.trace().records();
+    records.iter().filter(|r| r.misspec_on.is_some()).count() as u64
 }
 
 /// (a) Native output is byte-identical to sequential for every workload
@@ -37,9 +88,8 @@ fn native_output_is_byte_identical_to_sequential() {
             "{id}: sequential run produced output"
         );
         for &t in THREADS {
-            let r = job
-                .execute(&ExecutionPlan::three_phase(t), ExecConfig::default())
-                .expect("plan matches graph");
+            let plan = ExecutionPlan::three_phase(t);
+            let r = run(&replay(&job, &plan, ExecConfig::default()));
             assert_eq!(
                 r.output, seq.output,
                 "{id}: native output diverged from sequential at {t} threads"
@@ -61,14 +111,10 @@ fn native_misspec_counts_match_simulator() {
         let trace = job.trace().clone();
         // Squashes are a native-only notion (one per squashed attempt);
         // the trace predicts them exactly: one per misspeculated record.
-        let expected_squashes = misspec_targets(&trace)
-            .iter()
-            .filter(|t| t.is_some())
-            .count() as u64;
+        let expected_squashes = recorded_misspeculations(&job);
         for &t in THREADS {
-            let native = job
-                .execute(&ExecutionPlan::three_phase(t), ExecConfig::default())
-                .expect("plan matches graph");
+            let plan = ExecutionPlan::three_phase(t);
+            let native = run(&replay(&job, &plan, ExecConfig::default()));
             let sim = simulate(&trace, t, PlanKind::Dswp);
             assert_eq!(
                 native.violations, sim.violations,
@@ -101,9 +147,7 @@ fn tls_plan_agrees_with_simulator_and_sequential() {
         let trace = job.trace().clone();
         let seq = job.sequential();
         for &t in &[2usize, 4] {
-            let native = job
-                .execute(&ExecutionPlan::tls(t), ExecConfig::default())
-                .expect("plan matches graph");
+            let native = run(&replay(&job, &ExecutionPlan::tls(t), ExecConfig::default()));
             assert_eq!(
                 native.output, seq.output,
                 "{id}: TLS native output diverged at {t} threads"
@@ -127,13 +171,8 @@ fn tls_plan_agrees_with_simulator_and_sequential() {
 #[test]
 fn native_execution_is_deterministic_across_runs() {
     for (id, job) in jobs() {
-        let plan = ExecutionPlan::three_phase(8);
-        let a = job
-            .execute(&plan, ExecConfig::default())
-            .expect("plan matches graph");
-        let b = job
-            .execute(&plan, ExecConfig::default())
-            .expect("plan matches graph");
+        let spec = replay(&job, &ExecutionPlan::three_phase(8), ExecConfig::default());
+        let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: outputs differ across runs");
         assert_eq!(a.work, b.work, "{id}: work counters differ across runs");
         assert_eq!(a.squashes, b.squashes, "{id}: squash counts differ");
@@ -183,17 +222,13 @@ fn chaos_native_recovery_matches_simulator_twin() {
     let budget = 3;
     for id in ["164.gzip", "181.mcf", "197.parser"] {
         let w = workload_by_name(id).expect("known benchmark");
-        let job = w.native_job(InputSize::Test);
+        let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
         let plan = ExecutionPlan::three_phase(threads);
-        let native = job
-            .execute(
-                &plan,
-                ExecConfig::default()
-                    .with_faults(faults.clone())
-                    .with_retry_budget(budget),
-            )
-            .expect("faults within budget are recoverable");
+        let config = ExecConfig::default()
+            .with_faults(faults.clone())
+            .with_retry_budget(budget);
+        let native = run(&replay(&job, &plan, config));
         assert_eq!(
             native.output, seq.output,
             "{id}: chaos run (seed {seed}) broke sequential semantics"
@@ -237,13 +272,8 @@ fn chaos_recovery_counters_are_deterministic_across_runs() {
     let seed = chaos_seed();
     let config = ExecConfig::default().with_faults(chaos_plan(seed));
     for (id, job) in jobs() {
-        let plan = ExecutionPlan::three_phase(4);
-        let a = job
-            .execute(&plan, config.clone())
-            .expect("faults within budget are recoverable");
-        let b = job
-            .execute(&plan, config.clone())
-            .expect("faults within budget are recoverable");
+        let spec = replay(&job, &ExecutionPlan::three_phase(4), config.clone());
+        let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: chaos outputs differ across runs");
         assert_eq!(
             a.recovery, b.recovery,
@@ -260,16 +290,12 @@ fn chaos_recovery_counters_are_deterministic_across_runs() {
 #[test]
 fn chaos_budget_zero_degrades_to_sequential_fallback() {
     let w = workload_by_name("164.gzip").expect("known benchmark");
-    let job = w.native_job(InputSize::Test);
+    let job = w.versioned_job(InputSize::Test);
     let seq = job.sequential();
-    let report = job
-        .execute(
-            &ExecutionPlan::three_phase(4),
-            ExecConfig::default()
-                .with_faults(chaos_plan(chaos_seed()))
-                .with_retry_budget(0),
-        )
-        .expect("budget exhaustion falls back instead of aborting");
+    let config = ExecConfig::default()
+        .with_faults(chaos_plan(chaos_seed()))
+        .with_retry_budget(0);
+    let report = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
     assert_eq!(
         report.output, seq.output,
         "sequential fallback broke sequential semantics"
@@ -294,12 +320,8 @@ fn timelines_agree_on_task_order() {
     for (id, job) in jobs() {
         let trace = job.trace().clone();
         let graph = trace.task_graph();
-        let native = job
-            .execute(
-                &ExecutionPlan::three_phase(4),
-                ExecConfig::default().with_tracing(true),
-            )
-            .expect("plan matches graph");
+        let config = ExecConfig::default().with_tracing(true);
+        let native = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
         let native_tl = native
             .timeline
             .as_ref()
@@ -339,15 +361,50 @@ fn timelines_agree_on_task_order() {
 fn native_execution_survives_tiny_queues() {
     for (id, job) in jobs() {
         let seq = job.sequential();
-        let r = job
-            .execute(
-                &ExecutionPlan::three_phase(4),
-                ExecConfig::with_queue_capacity(1),
-            )
-            .expect("plan matches graph");
+        let config = ExecConfig::with_queue_capacity(1);
+        let r = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
         assert_eq!(
             r.output, seq.output,
             "{id}: capacity-1 queues broke sequential semantics"
         );
+    }
+}
+
+/// The corruption [`replay`] injects is load-bearing: every task whose
+/// recorded dependence was violated really did emit different bytes on
+/// its speculative attempt than on the re-execution that committed, so
+/// the byte-identity assertions above hold only because the run squashed
+/// each of them — exactly the recorded count.
+#[test]
+fn violated_speculation_emits_bytes_the_rollback_discards() {
+    let w = workload_by_name("175.vpr").expect("known benchmark");
+    let job = w.versioned_job(InputSize::Test);
+    let expected_squashes = recorded_misspeculations(&job);
+    assert!(expected_squashes > 0, "vpr misspeculates at every size");
+    let mut spec = replay(&job, &ExecutionPlan::three_phase(4), ExecConfig::default());
+    // (task, attempt) -> the bytes that attempt emitted.
+    type Emitted = BTreeMap<(u32, u32), Vec<u8>>;
+    let emitted: Arc<Mutex<Emitted>> = Arc::default();
+    let (body, log) = (Arc::clone(&spec.body), Arc::clone(&emitted));
+    spec.body = Arc::new(move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let out = body.run(task, ctx);
+        let mut log = log.lock().expect("no body panics");
+        log.insert((task.0, ctx.attempt), out.bytes.clone());
+        out
+    });
+    let report = run(&spec);
+    assert_eq!(report.output, job.sequential().output);
+    assert_eq!(report.squashes, expected_squashes);
+    let emitted = emitted.lock().expect("no body panics");
+    let graph = &spec.graph;
+    for (idx, task) in graph.tasks().iter().enumerate() {
+        if graph.spec_deps(task).iter().any(|d| d.violated) {
+            let idx = idx as u32;
+            assert_ne!(
+                emitted[&(idx, 0)],
+                emitted[&(idx, 1)],
+                "task {idx}: the speculative attempt emitted the committed bytes"
+            );
+        }
     }
 }

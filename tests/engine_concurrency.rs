@@ -33,8 +33,8 @@ fn jobs() -> Vec<(&'static str, VersionedJob)> {
 
 /// (a) Three jobs submitted concurrently to one 8-worker engine each
 /// commit their own sequential byte stream, and each report is stamped
-/// with the id of the handle that produced it (never `JobId::SOLO`,
-/// never another job's id).
+/// with the id of the handle that produced it (never the simulator's
+/// `JobId::SOLO`, never another job's id).
 #[test]
 fn concurrent_jobs_commit_their_own_sequential_stream() {
     let engine = Engine::new(EngineConfig::with_workers(8));
@@ -42,9 +42,8 @@ fn concurrent_jobs_commit_their_own_sequential_stream() {
         .into_iter()
         .map(|(id, job)| {
             let seq = job.sequential();
-            let (handle, mem) =
-                job.submit_on(&engine, &ExecutionPlan::tls(4), ExecConfig::default());
-            (id, seq, handle, mem)
+            let (spec, mem) = job.job_spec(&ExecutionPlan::tls(4), ExecConfig::default());
+            (id, seq, engine.submit(spec), mem)
         })
         .collect();
     let mut seen = Vec::new();
@@ -103,8 +102,8 @@ fn job_isolation_keeps_stats_and_traces_apart() {
         .zip(configs)
         .map(|((id, job), config)| {
             let seq = job.sequential();
-            let (handle, _mem) = job.submit_on(&engine, &ExecutionPlan::three_phase(4), config);
-            (id, seq, handle)
+            let (spec, _mem) = job.job_spec(&ExecutionPlan::three_phase(4), config);
+            (id, seq, engine.submit(spec))
         })
         .collect();
     for (i, (id, seq, handle)) in submitted.into_iter().enumerate() {
@@ -128,7 +127,7 @@ fn job_isolation_keeps_stats_and_traces_apart() {
                 "{id}: every trace event bears the owning job's id"
             );
             // Fault-free versioned runs squash only on memory conflicts,
-            // through the engine path exactly as through the solo path.
+            // on a shared pool exactly as on a private one.
             for e in timeline.events() {
                 if let TraceEventKind::Squash { reason, .. } = e.kind {
                     assert_eq!(reason, SquashReason::MemoryConflict, "{id}");
@@ -138,37 +137,58 @@ fn job_isolation_keeps_stats_and_traces_apart() {
     }
 }
 
-/// (c) The engine twin of the solo differential: for each workload,
-/// running on a shared engine commits the same bytes as running alone
-/// through [`VersionedJob::execute`], and on both paths the per-seat
-/// worker stats account for every attempt.
+/// (c) Private pool ≡ shared pool: for each workload, one job on the
+/// one-shot engine [`VersionedJob::execute`] builds and drops and the
+/// same job on an engine other jobs have used commit the same bytes
+/// with the same frontier counters, each under an id its own engine
+/// assigned, and on both the per-seat worker stats account for every
+/// attempt.
 #[test]
 fn engine_path_matches_solo_path() {
     let engine = Engine::new(EngineConfig::default());
+    let mut shared_ids = Vec::new();
     for (id, job) in jobs() {
         let plan = ExecutionPlan::tls(4);
         let (solo, _) = job
             .execute(&plan, ExecConfig::default())
             .expect("plan matches graph");
-        let (shared, _) = job
-            .execute_on(&engine, &plan, ExecConfig::default())
+        let shared = engine
+            .run(&job.job_spec(&plan, ExecConfig::default()).0)
             .expect("plan matches graph");
         assert_eq!(solo.output, shared.output, "{id}: byte streams agree");
-        assert_eq!(solo.job, JobId::SOLO, "{id}: solo runs report JobId::SOLO");
-        assert_ne!(shared.job, JobId::SOLO, "{id}: engine runs report their id");
         assert_eq!(
             solo.tasks_committed, shared.tasks_committed,
-            "{id}: both paths commit every task exactly once"
+            "{id}: both pools commit every task exactly once"
+        );
+        // Conflict counts record real races; everything the frontier
+        // decides from the job alone must not depend on the pool.
+        assert_eq!(solo.work, shared.work, "{id}: committed work");
+        assert_eq!(solo.recovery, shared.recovery, "{id}: recovery counters");
+        assert_eq!(
+            solo.speculations_survived, shared.speculations_survived,
+            "{id}: speculation counters"
         );
         // Every completion carries its seat and body time to the
-        // supervisor, so on both paths the seats' task counts add up
+        // supervisor, so on both pools the seats' task counts add up
         // to the attempts the frontier processed, keyed by plan core.
-        for (path, r) in [("solo", &solo), ("engine", &shared)] {
+        for (pool, r) in [("private", &solo), ("shared", &shared)] {
+            assert_ne!(r.job, JobId::SOLO, "{id}: {pool} engine assigned the id");
+            assert_eq!(
+                r.tasks_committed,
+                r.attempts - r.squashes,
+                "{id}: {pool} attempt accounting"
+            );
+            assert!(!r.fallback_activated, "{id}: {pool} stayed pipelined");
             let served: u64 = r.workers.iter().map(|w| w.tasks).sum();
-            assert_eq!(served, r.attempts, "{id}: {path} worker task totals");
-            assert!(r.workers.iter().all(|w| w.core < 4), "{id}: {path} seats");
+            assert_eq!(served, r.attempts, "{id}: {pool} worker task totals");
+            assert!(r.workers.iter().all(|w| w.core < 4), "{id}: {pool} seats");
         }
+        shared_ids.push(shared.job);
     }
+    // The shared engine numbers its jobs; a private one has only its own.
+    shared_ids.sort_unstable();
+    shared_ids.dedup();
+    assert_eq!(shared_ids.len(), CONCURRENT.len(), "distinct job ids");
 }
 
 /// (d) Chaos through the shared pool: all three jobs run concurrently
@@ -188,8 +208,8 @@ fn concurrent_chaos_jobs_stay_byte_identical() {
                     .with_faults(plan.clone())
                     .with_retry_budget(4)
                     .with_tracing(true);
-                let (handle, _mem) = job.submit_on(&engine, &ExecutionPlan::tls(8), config);
-                (id, seq, handle)
+                let (spec, _mem) = job.job_spec(&ExecutionPlan::tls(8), config);
+                (id, seq, engine.submit(spec))
             })
             .collect();
         for (id, seq, handle) in submitted {

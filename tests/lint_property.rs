@@ -14,7 +14,20 @@
 
 use proptest::prelude::*;
 use seqpar_runtime::{ExecConfig, ExecutionPlan, StageAssignment};
-use seqpar_workloads::{workload_by_name, InputSize};
+use seqpar_workloads::{workload_by_name, InputSize, SequentialRun, VersionedJob};
+use std::sync::OnceLock;
+
+/// bzip2's job and its sequential run, built once: neither depends on
+/// the drawn plan.
+fn job() -> &'static (VersionedJob, SequentialRun) {
+    static JOB: OnceLock<(VersionedJob, SequentialRun)> = OnceLock::new();
+    JOB.get_or_init(|| {
+        let w = workload_by_name("256.bzip2").expect("bzip2 exists");
+        let job = w.versioned_job(InputSize::Test);
+        let seq = job.sequential();
+        (job, seq)
+    })
+}
 
 /// Builds a plan from drawn (kind, width, base) stage descriptors.
 fn build_plan(stages: &[(usize, usize, usize)]) -> ExecutionPlan {
@@ -54,17 +67,16 @@ proptest! {
             .expect("bzip2 parallelizes cleanly");
         let report = result.lint_plan(&plan);
 
-        let job = w.native_job(InputSize::Test);
+        let (job, seq) = job();
         let outcome = job.execute(&plan, ExecConfig::default());
         if report.is_clean() {
             // Sufficiency: nothing the linter passes may fail at runtime.
             let run = match outcome {
-                Ok(r) => r,
+                Ok((r, _mem)) => r,
                 Err(e) => panic!(
                     "lint-clean plan {stages:?} refused by the native executor: {e}"
                 ),
             };
-            let seq = job.sequential();
             prop_assert_eq!(
                 &run.output, &seq.output,
                 "lint-clean plan {:?} changed observable output", stages

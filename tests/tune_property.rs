@@ -18,6 +18,7 @@
 use proptest::prelude::*;
 use seqpar_analysis::tune::TuneConfig;
 use seqpar_bench::tune::TunableWorkload;
+use seqpar_runtime::{Engine, EngineConfig};
 use seqpar_specmem::{ConcurrentVersionedMemory, MemConfig};
 use seqpar_workloads::{workload_by_name, InputSize};
 
@@ -78,8 +79,9 @@ proptest! {
                 shards: c.mem.shards,
                 reclaim_cadence: c.mem.reclaim_cadence,
             });
-            let (native, _mem) = job
-                .execute_with_memory(&plan, tunable.exec_config(&c), mem)
+            let (spec, _mem) = job.job_spec_with_memory(&plan, tunable.exec_config(&c), mem);
+            let native = Engine::new(EngineConfig::with_workers(plan.cores_required()))
+                .run(&spec)
                 .expect("emitted plan matches the machine");
             prop_assert_eq!(
                 &native.output, &seq.output,

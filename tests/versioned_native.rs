@@ -1,10 +1,10 @@
 //! Full-matrix differential suite for conflict-driven native
 //! execution: **all 11 workloads** route their loop-carried state
-//! through the [`ConcurrentVersionedMemory`] substrate
-//! (`NativeExecutor::run_versioned` is the only native path —
-//! the `versioned_job` compatibility shim is gone), squashes originate
-//! from the substrate's conflict detection (not the trace's recorded
-//! `SpecDep` events), and still:
+//! through the `ConcurrentVersionedMemory` substrate
+//! (`Workload::versioned_job` is the one native packaging, run here
+//! through `VersionedJob::execute`'s one-shot engine), squashes
+//! originate from the substrate's conflict detection (not the trace's
+//! recorded `SpecDep` events), and still:
 //!
 //! * the committed output stream is byte-identical to the sequential
 //!   oracle at every thread count in {1, 2, 4, 8} and under injected
@@ -259,7 +259,7 @@ fn governed_chaos_runs_stay_byte_identical() {
 
 /// (f) Every workload's substrate counters are non-trivial: a run that
 /// silently bypassed `ConcurrentVersionedMemory` (regressing to
-/// trace-driven execution) would report zero reads/writes/commits and
+/// replay without a substrate) would report zero reads/writes/commits and
 /// fail loudly here.
 #[test]
 fn every_workload_exercises_the_substrate() {
