@@ -17,12 +17,12 @@
 //! 2^53, and a rounded fingerprint would fail the integrity check.
 
 use super::search::{ScoredCandidate, TuneResult};
-use super::space::{Candidate, GovernorChoice, GraphKind, MemKnobs};
+use super::space::{Candidate, GovernorChoice, GraphKind};
 use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Version tag of the artifact schema; bump on breaking field changes.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 1;
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 2;
 
 /// Native validation figures attached by the bench glue after it
 /// re-runs the winner and the untuned default on real threads.
@@ -100,8 +100,6 @@ impl PlanArtifact {
         let _ = writeln!(out, "  \"round_robin\": {},", c.round_robin);
         let _ = writeln!(out, "  \"queue_capacity\": {},", c.queue_capacity);
         let _ = writeln!(out, "  \"governor\": \"{}\",", governor_str(c.governor));
-        let _ = writeln!(out, "  \"shards\": {},", c.mem.shards);
-        let _ = writeln!(out, "  \"reclaim_cadence\": {},", c.mem.reclaim_cadence);
         let _ = writeln!(out, "  \"spec_mask\": {},", c.spec_mask);
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
@@ -151,8 +149,6 @@ impl PlanArtifact {
         let round_robin = req_bool(obj_get(obj, "round_robin")?)?;
         let queue_capacity = req_u64(obj_get(obj, "queue_capacity")?)? as usize;
         let governor = parse_governor(req_str(obj_get(obj, "governor")?)?)?;
-        let shards = req_u64(obj_get(obj, "shards")?)? as usize;
-        let reclaim_cadence = req_u64(obj_get(obj, "reclaim_cadence")?)?;
         let spec_mask = u8::try_from(req_u64(obj_get(obj, "spec_mask")?)?)
             .map_err(|_| "spec_mask out of u8 range".to_string())?;
         let sim_cost = req_f64(obj_get(obj, "sim_cost")?)?;
@@ -165,10 +161,6 @@ impl PlanArtifact {
             round_robin,
             queue_capacity,
             governor,
-            mem: MemKnobs {
-                shards,
-                reclaim_cadence,
-            },
             spec_mask,
         };
         if candidate.shape_key() != fingerprint {
@@ -367,6 +359,13 @@ mod tests {
         assert!(PlanArtifact::from_json("{\"schema_version\": 99}")
             .unwrap_err()
             .contains("unknown artifact schema_version"));
+        // Version 1 (the schema that still carried `shards` and
+        // `reclaim_cadence`) is refused by version before any field
+        // is read.
+        assert_eq!(
+            PlanArtifact::from_json("{\"schema_version\": 1}").unwrap_err(),
+            "unknown artifact schema_version 1 (expected 2)"
+        );
         assert!(PlanArtifact::from_json("{}")
             .unwrap_err()
             .contains("missing field"));

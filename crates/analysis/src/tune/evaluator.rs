@@ -27,17 +27,15 @@ pub const COMM_LATENCY: u64 = 10;
 /// dispatch/commit bookkeeping that the simulator does not price.
 pub const WORKER_TAX_PERMILLE: u64 = 30;
 
-/// Cycles one retired-buffer reclamation fold costs, amortized over
-/// `reclaim_cadence` commits.
-pub const FOLD_COST: f64 = 24.0;
+/// Cycles every commit pays the versioned memory whatever the plan: a
+/// reclamation fold amortized over the substrate's cadence of 8
+/// (`24 / 8`) plus the lookup walk down the seven versions left
+/// un-reclaimed between folds (`2 × 7`).
+const COMMIT_COST: f64 = 17.0;
 
-/// Cycles each un-reclaimed version adds to a lookup walk: longer
-/// cadences leave longer version chains between folds.
-pub const WALK_COST: f64 = 2.0;
-
-/// Base cycles of one cross-worker conflict probe, divided across the
-/// memory's address shards and scaled by the predicted conflict
-/// density.
+/// Base cycles of one cross-worker conflict probe, scaled by the
+/// predicted conflict density and divided across the substrate's 16
+/// address shards.
 pub const PROBE_COST: f64 = 48.0;
 
 /// Floor of the governor replay factor, in permille: even a window-1
@@ -74,7 +72,7 @@ pub struct Score {
     pub raw_makespan: u64,
     /// Analytic per-worker scheduling tax.
     pub worker_tax: f64,
-    /// Analytic versioned-memory term (probes, folds, lookup walks).
+    /// Analytic versioned-memory term (per-commit upkeep and probes).
     pub mem_cost: f64,
     /// Analytic squash-replay term for violated speculations.
     pub replay_cost: f64,
@@ -119,13 +117,7 @@ impl<'a> Evaluator<'a> {
 
         let profile = self.input.conflict_profile.as_ref();
         let governor = candidate.governor.resolve(profile, candidate.width);
-        let (result, timeline) = match &governor {
-            Some(g) => {
-                let (r, t, _stats) = sim.run_timeline_governed(&graph, &plan, g)?;
-                (r, t)
-            }
-            None => sim.run_timeline(&graph, &plan)?,
-        };
+        let (result, timeline, _stats) = sim.run_timeline(&graph, &plan, governor.as_ref())?;
 
         // Governor issue throttle: a window of `w` keeps at most `w`
         // iterations in flight, so throughput cannot beat
@@ -163,14 +155,11 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// The analytic versioned-memory term: every commit pays an
-    /// amortized reclamation fold, a lookup walk proportional to the
-    /// version chain the cadence leaves behind, and a conflict probe
-    /// scaled by the predicted density and divided across shards.
+    /// The analytic versioned-memory term: every commit pays
+    /// [`COMMIT_COST`] plus a conflict probe against each neighbour in
+    /// the pool, scaled by the predicted density at this width.
     fn mem_cost(&self, candidate: &Candidate, result: &SimResult) -> f64 {
         let commits = result.tasks_executed as f64;
-        let cadence = candidate.mem.reclaim_cadence.max(1) as f64;
-        let shards = candidate.mem.shards.max(1) as f64;
         let neighbours = candidate.width.saturating_sub(1) as f64;
         let density = self
             .input
@@ -179,10 +168,7 @@ impl<'a> Evaluator<'a> {
             .map(|p| f64::from(p.scaled(candidate.width).density_permille()))
             .unwrap_or(0.0)
             / 1000.0;
-        let fold = FOLD_COST / cadence;
-        let walk = WALK_COST * (cadence - 1.0);
-        let probe = PROBE_COST * density * neighbours / shards;
-        commits * (fold + walk + probe)
+        commits * (COMMIT_COST + PROBE_COST * density * neighbours / 16.0)
     }
 
     /// The analytic squash-replay term: each violated speculation
@@ -252,7 +238,7 @@ pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score
 
 #[cfg(test)]
 mod tests {
-    use super::super::space::{Axis, MemKnobs};
+    use super::super::space::Axis;
     use super::*;
     use crate::lint::{LintReport, StageKind, StagePlan};
     use seqpar_runtime::{ConflictProfile, RegionConflict, SpecDep, TaskGraph, TaskId};
@@ -356,22 +342,48 @@ mod tests {
     }
 
     #[test]
-    fn mem_cost_scales_with_cadence_shards_and_density() {
-        let input = input(true);
-        let base = Candidate::default_for(4);
-        let mut lazy = base;
-        lazy.mem = MemKnobs {
-            shards: 1,
-            reclaim_cadence: 64,
+    fn mem_cost_scales_with_density_and_width() {
+        let narrow = Candidate::default_for(2);
+        let wide = Candidate::default_for(8);
+        // A quiet loop pays the per-commit upkeep and nothing else,
+        // whatever the width.
+        let quiet = input(false);
+        let q_narrow = score_candidate(&quiet, &narrow).unwrap();
+        let q_wide = score_candidate(&quiet, &wide).unwrap();
+        assert_eq!(q_narrow.mem_cost, 32.0 * COMMIT_COST);
+        assert_eq!(q_wide.mem_cost, q_narrow.mem_cost);
+        // A dense one pays probes on top, more of them per commit the
+        // more neighbours it races.
+        let hot = input(true);
+        let h_narrow = score_candidate(&hot, &narrow).unwrap();
+        let h_wide = score_candidate(&hot, &wide).unwrap();
+        assert!(h_narrow.mem_cost > q_narrow.mem_cost);
+        assert!(h_wide.mem_cost > h_narrow.mem_cost);
+    }
+
+    #[test]
+    fn the_default_candidate_scores_what_it_scored_with_memory_axes() {
+        // The toy loop of `tune`'s doc example. 308.3 is what the
+        // evaluator returned for it while `Candidate` still carried a
+        // shard count and a cadence (at their defaults, 16 and 8):
+        // makespan 30 + worker tax 6.3 + 16 commits × 17.
+        let mut dswp = TaskGraph::new(3);
+        let mut tls = TaskGraph::new(1);
+        for i in 0..16 {
+            let a = dswp.add_task(0, i, 2, &[], &[]);
+            let b = dswp.add_task(1, i, 12, &[a], &[]);
+            dswp.add_task(2, i, 1, &[b], &[]);
+            tls.add_task(0, i, 15, &[], &[]);
+        }
+        let toy = TuneInput {
+            dswp_graph: dswp,
+            tls_graph: tls,
+            conflict_profile: None,
+            ..input(false)
         };
-        let s_base = score_candidate(&input, &base).unwrap();
-        let s_lazy = score_candidate(&input, &lazy).unwrap();
-        assert!(
-            s_lazy.mem_cost > s_base.mem_cost,
-            "one shard + lazy reclamation should cost more: {} vs {}",
-            s_lazy.mem_cost,
-            s_base.mem_cost
-        );
+        let score = score_candidate(&toy, &Candidate::default_for(8)).unwrap();
+        assert_eq!(score.cost, 308.3);
+        assert_eq!(score.mem_cost, 272.0);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! this module searches for how it *should* be. The stack already
 //! exposes a large plan space — stage splits and merges (three-phase
 //! DSWP vs single-stage TLS), replication width, dynamic vs round-robin
-//! placement, stage-queue capacity, per-dependence speculation,
-//! governor posture, and the versioned-memory shard/reclamation knobs —
-//! and the paper's simulator prices any point of it in deterministic
-//! virtual cycles. The autotuner closes the loop:
+//! placement, stage-queue capacity, per-dependence speculation, and
+//! governor posture — and the paper's simulator prices any point of it
+//! in deterministic virtual cycles. The autotuner closes the loop:
 //!
 //! 1. [`space`] — the candidate representation and single-axis
 //!    mutations, each gated through the `seqpar-lint` plan-shape check
@@ -40,6 +39,5 @@ pub use artifact::{NativeValidation, PlanArtifact, ARTIFACT_SCHEMA_VERSION};
 pub use evaluator::{score_candidate, Bottleneck, Evaluator, Score};
 pub use search::{tune, MoveRecord, ScoredCandidate, TuneConfig, TuneError, TuneResult};
 pub use space::{
-    Axis, Candidate, GovernorChoice, GraphKind, MemKnobs, TuneInput, AXES, CADENCE_LADDER,
-    QUEUE_LADDER, SHARD_LADDER, WINDOW_LADDER,
+    Axis, Candidate, GovernorChoice, GraphKind, TuneInput, AXES, QUEUE_LADDER, WINDOW_LADDER,
 };

@@ -5,11 +5,11 @@
 //! DSWP pipeline vs the single-stage TLS racing plan), how wide the
 //! replicated pool is, whether placement is dynamic least-loaded or
 //! static round-robin, the stage-queue capacity, the speculation
-//! governor posture, the versioned-memory substrate knobs, and which
-//! producer stages keep their speculated dependences. Mutations move
-//! one axis at a time ([`Candidate::mutate`]); every mutated candidate
-//! is gated through the `seqpar-lint` plan-shape check before the
-//! evaluator spends budget on it
+//! governor posture, and which producer stages keep their speculated
+//! dependences. Mutations move one axis at a time
+//! ([`Candidate::mutate`]); every mutated candidate is gated through
+//! the `seqpar-lint` plan-shape check before the evaluator spends
+//! budget on it
 //! ([`TuneInput::lint_candidate`](super::TuneInput::lint_candidate)).
 
 use crate::lint::{check_plan_shape, LintReport, StagePlan};
@@ -91,37 +91,8 @@ impl GovernorChoice {
     }
 }
 
-/// The versioned-memory substrate knobs of a candidate (native-run
-/// configuration; the evaluator scores them analytically since the
-/// simulator has no memory model).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemKnobs {
-    /// Address shard count of the concurrent versioned memory.
-    pub shards: usize,
-    /// Commits between retired-buffer reclamation folds.
-    pub reclaim_cadence: u64,
-}
-
-impl Default for MemKnobs {
-    fn default() -> Self {
-        // `seqpar_specmem::MemConfig::default()` restated: the analysis
-        // crate cannot depend on specmem, so the bench glue asserts the
-        // two defaults agree.
-        Self {
-            shards: 16,
-            reclaim_cadence: 8,
-        }
-    }
-}
-
 /// The queue-capacity ladder mutations climb (entries per stage queue).
 pub const QUEUE_LADDER: &[usize] = &[8, 16, 32, 64, 128, 256];
-
-/// The shard-count ladder for [`MemKnobs::shards`].
-pub const SHARD_LADDER: &[usize] = &[1, 4, 16, 64];
-
-/// The reclamation-cadence ladder for [`MemKnobs::reclaim_cadence`].
-pub const CADENCE_LADDER: &[u64] = &[1, 8, 64];
 
 /// The explicit governor windows the governor axis cycles through.
 pub const WINDOW_LADDER: &[u32] = &[1, 2, 4, 8, 16, 32, 64];
@@ -140,8 +111,6 @@ pub struct Candidate {
     pub queue_capacity: usize,
     /// Speculation governor posture.
     pub governor: GovernorChoice,
-    /// Versioned-memory substrate knobs.
-    pub mem: MemKnobs,
     /// Per-producer-stage speculation mask: bit `s` keeps the
     /// speculated dependences whose producer task is in stage `s`;
     /// a cleared bit converts them to synchronized dependences.
@@ -164,10 +133,6 @@ pub enum Axis {
     Queue,
     /// Cycle the governor posture (off → preset → explicit windows).
     Governor,
-    /// Cycle the memory shard count.
-    Shards,
-    /// Cycle the reclamation cadence.
-    Cadence,
     /// Toggle one producer stage's speculation bit.
     Speculation,
 }
@@ -180,16 +145,14 @@ pub const AXES: &[Axis] = &[
     Axis::Placement,
     Axis::Queue,
     Axis::Governor,
-    Axis::Shards,
-    Axis::Cadence,
     Axis::Speculation,
 ];
 
 impl Candidate {
     /// The default (untuned) candidate for a `threads`-core budget: the
-    /// preset-governed TLS plan the snapshot harness measures — the
-    /// baseline every search starts from and every native validation
-    /// compares against.
+    /// preset-governed TLS plan at the full width — the baseline every
+    /// search starts from and every native validation compares
+    /// against.
     pub fn default_for(threads: usize) -> Self {
         Self {
             kind: GraphKind::Tls,
@@ -197,7 +160,6 @@ impl Candidate {
             round_robin: false,
             queue_capacity: 32,
             governor: GovernorChoice::Preset,
-            mem: MemKnobs::default(),
             spec_mask: u8::MAX,
         }
     }
@@ -297,23 +259,6 @@ impl Candidate {
                     1 => GovernorChoice::Preset,
                     i => GovernorChoice::Window(WINDOW_LADDER[(i - 2) as usize]),
                 };
-            }
-            Axis::Shards => {
-                let at = SHARD_LADDER
-                    .iter()
-                    .position(|&s| s == self.mem.shards)
-                    .unwrap_or(SHARD_LADDER.len() - 1);
-                next.mem.shards = SHARD_LADDER
-                    [(at + 1 + (lane as usize) % (SHARD_LADDER.len() - 1)) % SHARD_LADDER.len()];
-            }
-            Axis::Cadence => {
-                let at = CADENCE_LADDER
-                    .iter()
-                    .position(|&c| c == self.mem.reclaim_cadence)
-                    .unwrap_or(1);
-                next.mem.reclaim_cadence =
-                    CADENCE_LADDER[(at + 1 + (lane as usize) % (CADENCE_LADDER.len() - 1))
-                        % CADENCE_LADDER.len()];
             }
             Axis::Speculation => {
                 let stages = match self.kind {

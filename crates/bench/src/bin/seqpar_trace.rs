@@ -221,8 +221,8 @@ fn main() {
         PlanKind::Dswp => seqpar_runtime::ExecutionPlan::three_phase(threads),
         PlanKind::Tls => seqpar_runtime::ExecutionPlan::tls(threads),
     };
-    let (_, sim_timeline) = sim
-        .run_timeline(&graph, &sim_plan)
+    let (_, sim_timeline, _) = sim
+        .run_timeline(&graph, &sim_plan, None)
         .expect("plan matches machine");
     if sim_timeline.commit_order() == timeline.commit_order() {
         println!(

@@ -7,7 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod snapshot;
 pub mod tune;
 
 /// The workspace's dependency-free JSON reader (re-exported from
@@ -1145,8 +1144,8 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (_, timeline) = sim
-            .run_timeline(&graph, &ExecutionPlan::three_phase(4))
+        let (_, timeline, _) = sim
+            .run_timeline(&graph, &ExecutionPlan::three_phase(4), None)
             .unwrap();
         timeline.validate().unwrap();
 
@@ -1188,9 +1187,12 @@ mod tests {
             ..GovernorConfig::default()
         };
         let (_, timeline, stats) = sim
-            .run_timeline_governed(&graph, &ExecutionPlan::three_phase(4), &cfg)
+            .run_timeline(&graph, &ExecutionPlan::three_phase(4), Some(&cfg))
             .unwrap();
-        assert!(stats.reprobes > 0, "long quiet run re-probes");
+        assert!(
+            stats.expect("governed").reprobes > 0,
+            "long quiet run re-probes"
+        );
         let block = render_governor_summary(&timeline);
         assert!(block.contains("speculation governor"));
         assert!(block.contains("re-probes"));

@@ -10,9 +10,8 @@
 //! interleaved repetitions, byte-checks every run against the
 //! sequential oracle, and fills the winning plan's
 //! [`PlanArtifact`] with measured [`NativeValidation`] figures. The
-//! `seqpar-tune` binary and the snapshot harness's `--tuned` column
-//! both drive these entry points; `AUTOTUNING.md` documents the whole
-//! story.
+//! `seqpar-tune` binary drives these entry points; `AUTOTUNING.md`
+//! documents the whole story.
 
 use seqpar::ParallelizedLoop;
 use seqpar_analysis::tune::{
@@ -22,13 +21,11 @@ use seqpar_analysis::tune::{
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport, PlanDelta, StageAssignment,
 };
-use seqpar_specmem::{ConcurrentVersionedMemory, MemConfig};
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 
-/// Interleaved repetitions per contender during native validation —
-/// same policy as the snapshot harness: the recorded wall time is the
-/// per-contender median, so one scheduler hiccup cannot crown (or
-/// dethrone) a plan.
+/// Interleaved repetitions per contender during native validation:
+/// the recorded wall time is the per-contender median, so one scheduler
+/// hiccup cannot crown (or dethrone) a plan.
 pub const VALIDATE_REPS: usize = 3;
 
 /// One workload prepared for tuning: the analysis-side search input,
@@ -187,9 +184,8 @@ impl TunableWorkload {
     }
 
     /// Executes one candidate natively on `engine` with a fresh
-    /// versioned memory built from its
-    /// [`MemKnobs`](seqpar_analysis::tune::MemKnobs), byte-checking the
-    /// committed output against `expected`.
+    /// versioned memory, byte-checking the committed output against
+    /// `expected`.
     ///
     /// # Panics
     ///
@@ -203,13 +199,7 @@ impl TunableWorkload {
         expected: &[u8],
     ) -> NativeReport {
         let plan = self.mint_plan(candidate);
-        let mem = ConcurrentVersionedMemory::with_config(MemConfig {
-            shards: candidate.mem.shards,
-            reclaim_cadence: candidate.mem.reclaim_cadence,
-        });
-        let (spec, _mem) = self
-            .job
-            .job_spec_with_memory(&plan, self.exec_config(candidate), mem);
+        let (spec, _mem) = self.job.job_spec(&plan, self.exec_config(candidate));
         let report = engine.run(&spec).expect("tuned plan matches the machine");
         assert_eq!(
             report.output, expected,
@@ -319,22 +309,6 @@ impl TunableWorkload {
     }
 }
 
-/// Prepares, tunes, and natively validates one workload in one call —
-/// the `seqpar-tune` binary's and the snapshot harness's entry point.
-///
-/// # Errors
-///
-/// Propagates [`TuneError`] from the search.
-pub fn tune_workload(
-    w: &dyn Workload,
-    size: InputSize,
-    config: &TuneConfig,
-) -> Result<TunedOutcome, TuneError> {
-    let tunable = TunableWorkload::prepare(w, size);
-    let result = tunable.tune(config)?;
-    Ok(tunable.validate_native(result))
-}
-
 /// Materializes a candidate's stage assignments — the mirror of
 /// `Candidate::plan` that `plan_custom` needs (and asserts against, see
 /// [`TunableWorkload::mint_plan`]).
@@ -375,7 +349,7 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
     ));
     let c = &outcome.winner.candidate;
     out.push_str(&format!(
-        "winner: {} width {} {} queue {} governor {:?} shards {} cadence {} mask {:#04x}\n",
+        "winner: {} width {} {} queue {} governor {:?} mask {:#04x}\n",
         c.kind.as_str(),
         c.width,
         if c.round_robin {
@@ -385,8 +359,6 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
         },
         c.queue_capacity,
         c.governor,
-        c.mem.shards,
-        c.mem.reclaim_cadence,
         c.spec_mask,
     ));
     out.push_str(&format!(
@@ -416,18 +388,7 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqpar_analysis::tune::MemKnobs;
     use seqpar_workloads::workload_by_name;
-
-    #[test]
-    fn mem_knob_defaults_agree_with_the_substrate() {
-        // `MemKnobs::default` restates `MemConfig::default` because the
-        // analysis crate cannot depend on specmem; this is the pact.
-        let knobs = MemKnobs::default();
-        let config = MemConfig::default();
-        assert_eq!(knobs.shards, config.shards);
-        assert_eq!(knobs.reclaim_cadence, config.reclaim_cadence);
-    }
 
     #[test]
     fn minted_plans_match_searched_shapes_and_carry_stamps() {
@@ -457,7 +418,8 @@ mod tests {
             threads: 4,
             top_k: 2,
         };
-        let outcome = tune_workload(w.as_ref(), InputSize::Test, &config).unwrap();
+        let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
+        let outcome = tunable.validate_native(tunable.tune(&config).unwrap());
         let native = outcome.artifact.native.expect("validation fills native");
         assert!(native.tuned_wall_ms > 0.0 && native.default_wall_ms > 0.0);
         assert!(
@@ -480,18 +442,14 @@ mod tests {
 
     #[test]
     fn validation_is_byte_checked_even_for_exotic_knobs() {
-        // One-shard, cadence-1 memory with a tiny queue and the
-        // governor off is the harshest corner of the space: the output
-        // must still be byte-identical to the oracle.
+        // A tiny queue with the governor off is the harshest corner of
+        // the space: the output must still be byte-identical to the
+        // oracle.
         let w = workload_by_name("175.vpr").expect("vpr exists");
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
         let mut c = Candidate::default_for(2);
         c.queue_capacity = 8;
         c.governor = seqpar_analysis::tune::GovernorChoice::Off;
-        c.mem = MemKnobs {
-            shards: 1,
-            reclaim_cadence: 1,
-        };
         let seq = tunable.job.sequential();
         let report = tunable.run_candidate(&tunable.engine_for(&c), &c, &seq.output);
         assert_eq!(report.output, seq.output);

@@ -79,8 +79,8 @@ const PROBE_WINDOW: u32 = 4;
 /// Knobs for the speculation governor. All fields are plain integers so
 /// the config stays `Copy + Eq` and serializes into run manifests.
 ///
-/// The default is calibrated against the PR 6 baseline
-/// (`BENCH_6.json`): storm workloads (vpr, twolf, parser) run ~40-50%
+/// The default is calibrated against the PR 6 ungoverned baseline
+/// (BENCHMARKS.md): storm workloads (vpr, twolf, parser) run ~40-50%
 /// conflict rates at 8 threads, so the degrade ceiling sits well below
 /// that while staying above the noise floor of clean workloads, and
 /// the reprobe period is long enough that probe overhead cannot drag a
@@ -141,20 +141,6 @@ impl GovernorConfig {
     #[must_use]
     pub fn with_window(mut self, window: u32) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Returns the config with the degrade ceiling (permille) replaced.
-    #[must_use]
-    pub fn with_degrade_ceiling(mut self, permille: u32) -> Self {
-        self.degrade_ceiling = permille;
-        self
-    }
-
-    /// Returns the config with the reprobe period replaced.
-    #[must_use]
-    pub fn with_reprobe_period(mut self, commits: u32) -> Self {
-        self.reprobe_period = commits;
         self
     }
 

@@ -195,8 +195,7 @@ impl NativeReport {
 
     /// Compares this run (the tuned plan) against a baseline run of the
     /// same job (the default plan) — the tuned-vs-default delta the
-    /// autotuner's native validation records into plan artifacts and
-    /// `BENCH_9.json`.
+    /// autotuner's native validation records into plan artifacts.
     ///
     /// ```
     /// use seqpar_runtime::NativeReport;

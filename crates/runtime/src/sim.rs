@@ -420,22 +420,11 @@ impl Simulator {
     /// native job with a substrate ([`JobSpec::mem`](crate::JobSpec::mem))
     /// records from real conflict detection.
     ///
-    /// # Errors
-    ///
-    /// See [`SimError`] for the validation failures.
-    pub fn run_timeline(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-    ) -> Result<(SimResult, Timeline), SimError> {
-        let (result, timeline, _) = self.timeline_with(graph, plan, None)?;
-        Ok((result, timeline))
-    }
-
-    /// Like [`Simulator::run_timeline`], but threads the simulated
-    /// frontier through the same speculation-governor automaton the
-    /// native executor runs, so trace consumers can diff the governor's
-    /// decision sequence between the model and the machine.
+    /// With a `governor`, the simulated frontier is also threaded
+    /// through the same speculation-governor automaton the native
+    /// executor runs, so trace consumers can diff the governor's
+    /// decision sequence between the model and the machine; its
+    /// counters come back as the third element (`None` without one).
     ///
     /// The governor sees the simulated schedule exactly as the native
     /// one sees the real schedule: each in-order commit feeds
@@ -443,11 +432,11 @@ impl Simulator {
     /// violated speculated dependence feeds `on_conflict` first. Its
     /// decisions surface as the same `GovernorThrottle` /
     /// `GovernorDegrade` / `GovernorReprobe` events the native frontier
-    /// emits, stamped at the frontier cycle, and its counters come back
-    /// as [`GovernorStats`]. `GovernorBackoff` never appears in the
-    /// simulated twin: the analytic model serializes a violated
-    /// speculation instead of replaying it, so there is no redispatch
-    /// to delay — the one structural difference from the native trace.
+    /// emits, stamped at the frontier cycle. `GovernorBackoff` never
+    /// appears in the simulated twin: the analytic model serializes a
+    /// violated speculation instead of replaying it, so there is no
+    /// redispatch to delay — the one structural difference from the
+    /// native trace.
     ///
     /// The timing model itself is *not* re-run under the governor's
     /// window decisions — the analytic schedule stays the plan's. The
@@ -460,17 +449,7 @@ impl Simulator {
     /// # Errors
     ///
     /// See [`SimError`] for the validation failures.
-    pub fn run_timeline_governed(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-        governor: &GovernorConfig,
-    ) -> Result<(SimResult, Timeline, GovernorStats), SimError> {
-        let (result, timeline, stats) = self.timeline_with(graph, plan, Some(governor))?;
-        Ok((result, timeline, stats.unwrap_or_default()))
-    }
-
-    fn timeline_with(
+    pub fn run_timeline(
         &self,
         graph: &TaskGraph,
         plan: &ExecutionPlan,
@@ -1036,8 +1015,8 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (r, timeline) = sim
-            .run_timeline(&g, &ExecutionPlan::three_phase(4))
+        let (r, timeline, _) = sim
+            .run_timeline(&g, &ExecutionPlan::three_phase(4), None)
             .unwrap();
         timeline
             .validate()
@@ -1086,7 +1065,8 @@ mod tests {
             ..GovernorConfig::default()
         };
         let plan = ExecutionPlan::tls(4);
-        let (_, timeline, stats) = sim.run_timeline_governed(&g, &plan, &cfg).unwrap();
+        let (_, timeline, stats) = sim.run_timeline(&g, &plan, Some(&cfg)).unwrap();
+        let stats = stats.expect("a governed run reports its governor");
         timeline
             .validate()
             .expect("governed twin stays well-formed");
@@ -1118,11 +1098,12 @@ mod tests {
         );
         // Determinism: the twin's decision stream is a pure function of
         // the simulated schedule.
-        let (_, timeline2, stats2) = sim.run_timeline_governed(&g, &plan, &cfg).unwrap();
-        assert_eq!(stats, stats2);
+        let (_, timeline2, stats2) = sim.run_timeline(&g, &plan, Some(&cfg)).unwrap();
+        assert_eq!(Some(stats), stats2);
         assert_eq!(timeline.events().len(), timeline2.events().len());
         // The ungoverned path is unchanged: no governor events at all.
-        let (_, plain) = sim.run_timeline(&g, &plan).unwrap();
+        let (_, plain, no_stats) = sim.run_timeline(&g, &plan, None).unwrap();
+        assert_eq!(no_stats, None);
         assert!(plain.events().iter().all(|e| !matches!(
             e.kind,
             TraceEventKind::GovernorDegrade { .. }

@@ -46,6 +46,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,8 +61,8 @@ pub const SHARD_COUNT: usize = 16;
 /// into the flat base map on every `RECLAIM_CADENCE`-th commit rather
 /// than on every commit. Folding is pure bookkeeping — lookups walk
 /// retired buffers either way — so batching it off the commit frontier
-/// shortens the frontier's critical section; the microbenchmarks show
-/// the win and `BENCH_*.json` tracks it end to end.
+/// shortens the frontier's critical section; BENCHMARKS.md records the
+/// measured win.
 pub const RECLAIM_CADENCE: u64 = 8;
 
 /// Construction-time tuning knobs for [`ConcurrentVersionedMemory`].
@@ -188,9 +189,24 @@ impl Shard {
     /// The value visible to `v` at `addr` plus whether it was forwarded
     /// from another active version's uncommitted buffer.
     fn lookup(&self, v: VersionId, addr: Addr) -> (u64, bool) {
-        if let Some((id, value)) = self
-            .live
-            .range(..=v.0)
+        self.newest(Bound::Included(v.0), v, addr)
+    }
+
+    /// What `v` reads at `addr` before any write of its own: the newest
+    /// write among versions strictly *before* `v`, else committed
+    /// state. A recorded observation is by construction such a read, so
+    /// this — not [`lookup`](Shard::lookup), which `v`'s own later store
+    /// to `addr` would shadow — is what it is re-validated against.
+    fn inherited(&self, v: VersionId, addr: Addr) -> u64 {
+        self.newest(Bound::Excluded(v.0), v, addr).0
+    }
+
+    /// The newest write to `addr` among live versions up to `upto`,
+    /// else the committed value, else `0`; the flag is whether a
+    /// version other than `v` supplied it.
+    fn newest(&self, upto: Bound<u64>, v: VersionId, addr: Addr) -> (u64, bool) {
+        let chain = self.live.range((Bound::Unbounded, upto));
+        if let Some((id, value)) = chain
             .rev()
             .find_map(|(id, sv)| sv.writes.get(&addr).map(|&value| (*id, value)))
         {
@@ -745,14 +761,14 @@ impl ConcurrentVersionedMemory {
         // Eager conflict detection against later readers of this shard.
         let laters: Vec<u64> = shard
             .live
-            .range((std::ops::Bound::Excluded(v.0), std::ops::Bound::Unbounded))
+            .range((Bound::Excluded(v.0), Bound::Unbounded))
             .map(|(id, _)| *id)
             .collect();
         let mut squashed = Vec::new();
         for w in laters {
             let observed = shard.live[&w].reads.get(&addr).copied();
             let Some(observed) = observed else { continue };
-            let visible_now = shard.lookup(VersionId(w), addr).0;
+            let visible_now = shard.inherited(VersionId(w), addr);
             if observed != visible_now {
                 // The registry read lock we hold keeps `w`'s handle
                 // alive: commit/rollback remove versions only under the
@@ -995,7 +1011,7 @@ impl ConcurrentVersionedMemory {
             };
             let laters: Vec<u64> = shard
                 .live
-                .range((std::ops::Bound::Excluded(v.0), std::ops::Bound::Unbounded))
+                .range((Bound::Excluded(v.0), Bound::Unbounded))
                 .map(|(id, _)| *id)
                 .collect();
             for w in laters {
@@ -1003,7 +1019,7 @@ impl ConcurrentVersionedMemory {
                     let Some(&observed) = shard.live[&w].reads.get(addr) else {
                         continue;
                     };
-                    let visible_now = shard.lookup(VersionId(w), *addr).0;
+                    let visible_now = shard.inherited(VersionId(w), *addr);
                     if observed != visible_now {
                         let doomed = reg.get(&w).expect("live version has a handle");
                         if doomed.mark_squashed(v, *addr) {
@@ -1141,6 +1157,30 @@ mod tests {
         let squashed = m.rollback(VersionId(0));
         assert_eq!(squashed, vec![VersionId(1)]);
         assert!(m.is_squashed(VersionId(1)));
+    }
+
+    /// `v2` consumes `v1`'s forwarded 4, then overwrites the address
+    /// and ends up storing the very value it read: its own buffer must
+    /// not vouch for the read once `v1` takes the 4 back, whether by
+    /// storing something else or by rolling back.
+    #[test]
+    fn own_overwrite_does_not_hide_a_revoked_read() {
+        for rolls_back in [false, true] {
+            let m = ConcurrentVersionedMemory::new();
+            m.begin(VersionId(1));
+            m.begin(VersionId(2));
+            m.write(VersionId(1), Addr(0), 4);
+            assert_eq!(m.read(VersionId(2), Addr(0)), 4);
+            m.write(VersionId(2), Addr(0), 5);
+            m.write(VersionId(2), Addr(0), 4);
+            let squashed = if rolls_back {
+                m.rollback(VersionId(1))
+            } else {
+                m.write(VersionId(1), Addr(0), 3)
+            };
+            assert_eq!(squashed, vec![VersionId(2)], "rolls_back: {rolls_back}");
+            assert!(m.is_squashed(VersionId(2)));
+        }
     }
 
     #[test]

@@ -113,14 +113,9 @@ impl VersionedMemory {
     /// write buffer rather than from `v`'s own buffer or committed
     /// state.
     fn lookup(&self, v: VersionId, addr: Addr) -> (u64, bool) {
-        match self
-            .active
-            .range(..=v)
-            .rev()
-            .find_map(|(id, ver)| ver.writes.get(&addr).map(|&value| (*id, value)))
-        {
-            Some((id, value)) => (value, id != v),
-            None => (self.committed(addr).unwrap_or(0), false),
+        match self.active.get(&v).and_then(|ver| ver.writes.get(&addr)) {
+            Some(&own) => (own, false),
+            None => self.inherited(v, addr),
         }
     }
 
@@ -128,6 +123,20 @@ impl VersionedMemory {
     /// `<= v` (eager forwarding), else the committed value, else `0`.
     fn visible(&self, v: VersionId, addr: Addr) -> u64 {
         self.lookup(v, addr).0
+    }
+
+    /// What `v` reads at `addr` before any write of its own, and
+    /// whether it was forwarded: the newest write among versions strictly
+    /// *before* `v`, else the committed value, else `0`. A recorded
+    /// observation is by construction such a read, so this — not
+    /// [`visible`](Self::visible), which `v`'s own later store to `addr`
+    /// would shadow — is what it is re-validated against.
+    fn inherited(&self, v: VersionId, addr: Addr) -> (u64, bool) {
+        let mut earlier = self.active.range(..v).rev();
+        match earlier.find_map(|(_, ver)| ver.writes.get(&addr)) {
+            Some(&value) => (value, true),
+            None => (self.committed(addr).unwrap_or(0), false),
+        }
     }
 
     /// Looks up the value visible to `v` at `addr` **without** recording
@@ -230,7 +239,7 @@ impl VersionedMemory {
             .map(|(id, _)| *id)
             .collect();
         for w in laters {
-            let visible_now = self.visible(w, addr);
+            let visible_now = self.inherited(w, addr).0;
             let ver = self.active.get_mut(&w).expect("iterating active");
             if ver.squashed_by.is_some() {
                 continue;
@@ -296,7 +305,7 @@ impl VersionedMemory {
             .collect();
         for w in laters {
             for (addr, _) in ver.writes.iter() {
-                let visible_now = self.visible(w, *addr);
+                let visible_now = self.inherited(w, *addr).0;
                 let wv = self.active.get_mut(&w).expect("iterating active");
                 if wv.squashed_by.is_some() {
                     break;
@@ -450,6 +459,30 @@ mod tests {
         let squashed = m.rollback(VersionId(0));
         assert_eq!(squashed, vec![VersionId(1)]);
         assert!(m.is_squashed(VersionId(1)));
+    }
+
+    /// `v2` consumes `v1`'s forwarded 4, then overwrites the address
+    /// and ends up storing the very value it read: its own buffer must
+    /// not vouch for the read once `v1` takes the 4 back, whether by
+    /// storing something else or by rolling back.
+    #[test]
+    fn own_overwrite_does_not_hide_a_revoked_read() {
+        for rolls_back in [false, true] {
+            let mut m = vm();
+            m.begin(VersionId(1));
+            m.begin(VersionId(2));
+            m.write(VersionId(1), Addr(0), 4);
+            assert_eq!(m.read(VersionId(2), Addr(0)), 4);
+            m.write(VersionId(2), Addr(0), 5);
+            m.write(VersionId(2), Addr(0), 4);
+            let squashed = if rolls_back {
+                m.rollback(VersionId(1))
+            } else {
+                m.write(VersionId(1), Addr(0), 3)
+            };
+            assert_eq!(squashed, vec![VersionId(2)], "rolls_back: {rolls_back}");
+            assert!(m.is_squashed(VersionId(2)));
+        }
     }
 
     #[test]

@@ -238,28 +238,13 @@ impl VersionedJob {
         plan: &ExecutionPlan,
         config: ExecConfig,
     ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
-        self.job_spec_with_memory(plan, config, ConcurrentVersionedMemory::new())
-    }
-
-    /// As [`VersionedJob::job_spec`], but routing state through a
-    /// caller-constructed `mem` — the hook the bench harness uses to
-    /// sweep [`MemConfig`](seqpar_specmem::MemConfig) tunings (shard
-    /// count, reclamation cadence). `mem` must be fresh (no versions
-    /// opened, no state committed), and must be private to this job:
-    /// version ids are task indices, which collide across jobs.
-    pub fn job_spec_with_memory(
-        &self,
-        plan: &ExecutionPlan,
-        config: ExecConfig,
-        mem: ConcurrentVersionedMemory,
-    ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
         let graph = Arc::new(if plan.stage_count() == 1 {
             self.trace.tls_task_graph()
         } else {
             self.trace.task_graph()
         });
         let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
-        let mem = Arc::new(mem);
+        let mem = Arc::new(ConcurrentVersionedMemory::new());
         let body = Arc::clone(&self.body);
         let oracle = Arc::clone(&self.oracle);
         let task_body = move |task: TaskId, ctx: &TaskCtx<'_>| {

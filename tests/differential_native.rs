@@ -336,8 +336,8 @@ fn timelines_agree_on_task_order() {
             queue_capacity: 128,
             ..SimConfig::default()
         });
-        let (_, sim_tl) = sim
-            .run_timeline(&graph, &ExecutionPlan::three_phase(4))
+        let (_, sim_tl, _) = sim
+            .run_timeline(&graph, &ExecutionPlan::three_phase(4), None)
             .expect("plan matches machine");
         sim_tl
             .validate()

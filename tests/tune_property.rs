@@ -3,9 +3,8 @@
 //! at any seed, budget, or thread count — must be lint-clean at deny
 //! level, mint with an intact lint stamp, and commit byte-identical
 //! output to the sequential oracle when executed natively with the
-//! candidate's own queue, governor, and memory knobs. The tuner is
-//! allowed to lose races; it is never allowed to trade correctness for
-//! speed.
+//! candidate's own queue and governor. The tuner is allowed to lose
+//! races; it is never allowed to trade correctness for speed.
 //!
 //! The same (seed, budget, threads) search is also replayed to pin the
 //! reproducibility contract end-to-end: identical configuration,
@@ -19,7 +18,6 @@ use proptest::prelude::*;
 use seqpar_analysis::tune::TuneConfig;
 use seqpar_bench::tune::TunableWorkload;
 use seqpar_runtime::{Engine, EngineConfig};
-use seqpar_specmem::{ConcurrentVersionedMemory, MemConfig};
 use seqpar_workloads::{workload_by_name, InputSize};
 
 /// A cross-section of the suite: a pipeline-friendly compressor, a
@@ -74,12 +72,8 @@ proptest! {
             prop_assert!(plan.is_linted() && plan.lint_stamp_intact());
 
             // Byte-identical to the oracle under the candidate's own
-            // executor and memory knobs.
-            let mem = ConcurrentVersionedMemory::with_config(MemConfig {
-                shards: c.mem.shards,
-                reclaim_cadence: c.mem.reclaim_cadence,
-            });
-            let (spec, _mem) = job.job_spec_with_memory(&plan, tunable.exec_config(&c), mem);
+            // executor knobs.
+            let (spec, _mem) = job.job_spec(&plan, tunable.exec_config(&c));
             let native = Engine::new(EngineConfig::with_workers(plan.cores_required()))
                 .run(&spec)
                 .expect("emitted plan matches the machine");
