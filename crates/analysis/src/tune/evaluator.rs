@@ -117,7 +117,8 @@ impl<'a> Evaluator<'a> {
 
         let profile = self.input.conflict_profile.as_ref();
         let governor = candidate.governor.resolve(profile, candidate.width);
-        let (result, timeline, _stats) = sim.run_timeline(&graph, &plan, governor.as_ref())?;
+        let result = sim.run(&graph, &plan)?;
+        let (timeline, _stats) = result.timeline(&graph, governor.as_ref());
 
         // Governor issue throttle: a window of `w` keeps at most `w`
         // iterations in flight, so throughput cannot beat

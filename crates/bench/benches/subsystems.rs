@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use seqpar::{IterationRecord, IterationTrace, Parallelizer};
 use seqpar_runtime::{ExecutionPlan, SimConfig, Simulator};
-use seqpar_specmem::{Addr, VersionId, VersionedMemory};
+use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use seqpar_workloads::common::{synthetic_text, WorkMeter};
 use seqpar_workloads::{workload_by_name, InputSize};
 use std::hint::black_box;
@@ -48,8 +48,8 @@ fn bench_versioned_memory(c: &mut Criterion) {
     let mut g = c.benchmark_group("specmem");
     g.bench_function("epoch_of_16_versions", |b| {
         b.iter_batched(
-            VersionedMemory::new,
-            |mut vm| {
+            ConcurrentVersionedMemory::new,
+            |vm| {
                 for v in 0..16u64 {
                     vm.begin(VersionId(v));
                 }

@@ -330,15 +330,18 @@ fn gantt(size: InputSize) {
         queue_capacity: 128,
         ..seqpar_runtime::SimConfig::default()
     });
-    let (r, placements) = sim
-        .run_traced(
+    let r = sim
+        .run(
             &trace.task_graph(),
             &seqpar_runtime::ExecutionPlan::three_phase(8),
         )
         .expect("valid plan");
     println!("## Figure 3 (schedule view): 256.bzip2 on 8 cores");
     println!("core 0 = phase A (read), cores 1-6 = phase B (transform), core 7 = phase C (write)");
-    print!("{}", seqpar_bench::render_gantt(&placements, 8, r.makespan));
+    print!(
+        "{}",
+        seqpar_bench::render_gantt(&r.placements, 8, r.makespan)
+    );
     println!();
 }
 

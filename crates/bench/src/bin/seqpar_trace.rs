@@ -221,9 +221,10 @@ fn main() {
         PlanKind::Dswp => seqpar_runtime::ExecutionPlan::three_phase(threads),
         PlanKind::Tls => seqpar_runtime::ExecutionPlan::tls(threads),
     };
-    let (_, sim_timeline, _) = sim
-        .run_timeline(&graph, &sim_plan, None)
-        .expect("plan matches machine");
+    let (sim_timeline, _) = sim
+        .run(&graph, &sim_plan)
+        .expect("plan matches machine")
+        .timeline(&graph, None);
     if sim_timeline.commit_order() == timeline.commit_order() {
         println!(
             "sim/native commit order: agree ({} tasks)",

@@ -1122,10 +1122,10 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (r, placements) = sim
-            .run_traced(&trace.task_graph(), &ExecutionPlan::three_phase(4))
+        let r = sim
+            .run(&trace.task_graph(), &ExecutionPlan::three_phase(4))
             .unwrap();
-        let chart = render_gantt(&placements, 4, r.makespan);
+        let chart = render_gantt(&r.placements, 4, r.makespan);
         assert_eq!(chart.lines().count(), 4);
         assert!(chart.contains("core  0 |"));
         // Busy cores show glyphs, not only idle dots.
@@ -1144,9 +1144,10 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (_, timeline, _) = sim
-            .run_timeline(&graph, &ExecutionPlan::three_phase(4), None)
-            .unwrap();
+        let (timeline, _) = sim
+            .run(&graph, &ExecutionPlan::three_phase(4))
+            .unwrap()
+            .timeline(&graph, None);
         timeline.validate().unwrap();
 
         let labels = seqpar_workloads::stage_labels(timeline.stage_count());
@@ -1186,9 +1187,10 @@ mod tests {
             reprobe_period: 16,
             ..GovernorConfig::default()
         };
-        let (_, timeline, stats) = sim
-            .run_timeline(&graph, &ExecutionPlan::three_phase(4), Some(&cfg))
-            .unwrap();
+        let (timeline, stats) = sim
+            .run(&graph, &ExecutionPlan::three_phase(4))
+            .unwrap()
+            .timeline(&graph, Some(&cfg));
         assert!(
             stats.expect("governed").reprobes > 0,
             "long quiet run re-probes"

@@ -29,8 +29,9 @@
 //! swap the misspeculation rung's *source*: instead of replaying the
 //! graph's recorded [`SpecDep`](crate::SpecDep) violations, the frontier
 //! asks the [`ConcurrentVersionedMemory`] whether the attempt's version
-//! survived ([`commit_check`](ConcurrentVersionedMemory::commit_check) —
-//! checked *before* anything irrevocable happens), rolls conflicted
+//! survived
+//! ([`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)
+//! — checked *before* anything irrevocable happens), rolls conflicted
 //! versions back, and publishes the survivor's write buffer as the very
 //! last step of the commit. Conflict squashes are real races detected at
 //! access granularity, so — unlike every other rung — their *count* is
@@ -43,7 +44,7 @@ use super::governor::{BackoffDecision, Governor, GovernorEvent};
 use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{Board, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
-use super::{ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
+use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
 use crate::task::{StageId, TaskGraph, TaskId};
 use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
@@ -74,25 +75,13 @@ impl CommitView {
     }
 }
 
-/// The recovery policy the commit unit applies at the frontier.
-pub(super) struct Supervisor<'p> {
-    /// The chaos schedule (consulted for commit-side spurious squashes;
-    /// the worker side consults it for panics, stalls, and corruption).
-    pub faults: &'p FaultPlan,
-    /// Fault-recovery replays allowed per task before the executor
-    /// falls back to sequential execution.
-    pub retry_budget: u32,
-    /// Whether committing attempts are checked against the sequential
-    /// oracle.
-    pub validate: bool,
-}
-
-/// When the dispatcher should put a squashed attempt back in play.
+/// When the dispatcher may readmit a squashed attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Release {
-    /// Requeue right away (every redispatch when the governor is off).
+    /// Right away (every redispatch when the governor is off).
     Now,
-    /// Hold for this many absorbed-completion ticks (governor backoff).
+    /// Hold for this many absorbed-completion ticks (governor backoff);
+    /// the dispatcher keeps it as the absolute tick it matures at.
     AfterTick(u64),
     /// Hold until the named task has committed (governor park).
     AfterCommit(u32),
@@ -120,13 +109,20 @@ impl Redispatch {
     }
 }
 
-/// What absorbing a completion asks the dispatcher to do next.
-pub(super) enum Absorbed {
-    /// Keep pipelining; re-dispatch these squashed attempts.
-    Continue(Vec<Redispatch>),
-    /// A task exhausted its retry budget: abandon worker dispatch and
-    /// commit the remaining tasks in order on the supervisor thread.
-    Fallback,
+/// Why the pipelined protocol stopped short of committing every task.
+pub(super) enum Stop {
+    /// A task exhausted its retry budget, or the watchdog tripped:
+    /// abandon worker dispatch and commit the remaining tasks in order
+    /// on the supervisor thread.
+    FallBack,
+    /// No legal sequential outcome exists.
+    Failed(ExecError),
+}
+
+impl From<ExecError> for Stop {
+    fn from(e: ExecError) -> Self {
+        Stop::Failed(e)
+    }
 }
 
 /// The commit-side state: reorder buffer, counters, and the growing
@@ -153,6 +149,17 @@ pub(super) struct CommitUnit<'g> {
     speculations_survived: u64,
     work: u64,
     recovery: RecoveryCounts,
+    /// The chaos schedule (consulted for commit-side spurious squashes;
+    /// the worker side consults it for panics, stalls, and corruption).
+    faults: &'g FaultPlan,
+    /// Fault-recovery replays allowed per task before the executor
+    /// falls back to sequential execution.
+    retry_budget: u32,
+    /// Whether committing attempts are checked against the sequential
+    /// oracle. Validation costs one extra body run per commit, so it is
+    /// opt-in — but a plan that can corrupt outputs forces it, otherwise
+    /// corruption would commit silently.
+    validate: bool,
     /// Fault-recovery replays charged so far, per task.
     retries_by_task: HashMap<u32, u32>,
     /// Frontier-side trace events (squashes, commits, speculation
@@ -184,7 +191,7 @@ impl<'g> CommitUnit<'g> {
         watermark: Arc<AtomicU64>,
         trace: TraceBuffer,
         mem: Option<&'g ConcurrentVersionedMemory>,
-        governor: Option<Governor>,
+        config: &'g ExecConfig,
     ) -> Self {
         Self {
             graph,
@@ -201,12 +208,15 @@ impl<'g> CommitUnit<'g> {
             speculations_survived: 0,
             work: 0,
             recovery: RecoveryCounts::default(),
+            faults: &config.fault_plan,
+            retry_budget: config.retry_budget,
+            validate: config.validate_outputs || config.fault_plan.can_corrupt(),
             retries_by_task: HashMap::new(),
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
             trace,
             mem,
-            governor,
+            governor: config.governor.map(Governor::new),
             started: std::time::Instant::now(),
         }
     }
@@ -340,13 +350,19 @@ impl<'g> CommitUnit<'g> {
     }
 
     /// Charges one fault-recovery replay against `task`'s budget.
-    /// Returns `true` when the budget is exhausted (budget 0 exhausts
-    /// on the first fault).
-    fn charge(&mut self, task: u32, budget: u32) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`Stop::FallBack`] when the budget is exhausted (budget 0
+    /// exhausts on the first fault).
+    fn charge(&mut self, task: u32) -> Result<(), Stop> {
         self.recovery.retries += 1;
         let charged = self.retries_by_task.entry(task).or_insert(0);
         *charged += 1;
-        *charged > budget
+        if *charged > self.retry_budget {
+            return Err(Stop::FallBack);
+        }
+        Ok(())
     }
 
     /// The buffered completion of `task` (which must be ≥ `next`).
@@ -472,15 +488,16 @@ impl<'g> CommitUnit<'g> {
     /// frontier on the next pass — so counters, trace events, and the
     /// output stream are identical to the per-task protocol; only the
     /// lock and governor traffic is amortized.
+    ///
+    /// Returns the squashed attempts to re-dispatch.
     pub(super) fn drain(
         &mut self,
-        sup: &Supervisor<'_>,
         oracle: &mut dyn FnMut(u32, u32) -> Result<TaskOutput, ExecError>,
-    ) -> Result<Absorbed, ExecError> {
+    ) -> Result<Vec<Redispatch>, Stop> {
         // Fast path for the governed tight loop: with nothing buffered
         // (the common case while degraded) there is nothing to flush.
         if self.buffered == 0 {
-            return Ok(Absorbed::Continue(Vec::new()));
+            return Ok(Vec::new());
         }
         let mut redispatch = Vec::new();
         let mut versions = std::mem::take(&mut self.versions);
@@ -513,9 +530,7 @@ impl<'g> CommitUnit<'g> {
                 // A body that panicked mid-run may have left its memory
                 // version open with partial writes; discard them.
                 self.rollback_version(done.task);
-                if self.charge(done.task, sup.retry_budget) {
-                    return Ok(Absorbed::Fallback);
-                }
+                self.charge(done.task)?;
                 redispatch.push(Redispatch::now(done.task, done.attempt));
                 continue;
             }
@@ -614,14 +629,14 @@ impl<'g> CommitUnit<'g> {
                 // replayable sequential oracle (attempt ≥ 1 forces the
                 // non-speculative result).
                 let fails_validation = !fails_misspec
-                    && sup.validate
+                    && self.validate
                     && oracle(t32, attempt.max(1))?
                         != self.peek(at).expect("peeked run entry").output;
                 // 4. Spurious squash: the fault plan discards a
                 // perfectly good attempt at the commit point.
                 let fails_spurious = !fails_misspec
                     && !fails_validation
-                    && sup.faults.fault_at(t32, attempt) == Some(FaultKind::SpuriousSquash);
+                    && self.faults.fault_at(t32, attempt) == Some(FaultKind::SpuriousSquash);
                 if !(fails_misspec || fails_validation || fails_spurious) {
                     batch.push(self.take(at).expect("peeked run entry"));
                     continue;
@@ -661,9 +676,7 @@ impl<'g> CommitUnit<'g> {
                     // The version itself passed the conflict check, but
                     // the replay will re-open it — discard it first.
                     self.rollback_version(done.task);
-                    if self.charge(done.task, sup.retry_budget) {
-                        return Ok(Absorbed::Fallback);
-                    }
+                    self.charge(done.task)?;
                     redispatch.push(Redispatch::now(done.task, done.attempt));
                 } else {
                     self.recovery.spurious_squashes += 1;
@@ -673,9 +686,7 @@ impl<'g> CommitUnit<'g> {
                         reason: SquashReason::SpuriousSquash,
                     });
                     self.rollback_version(done.task);
-                    if self.charge(done.task, sup.retry_budget) {
-                        return Ok(Absorbed::Fallback);
-                    }
+                    self.charge(done.task)?;
                     redispatch.push(Redispatch::now(done.task, done.attempt));
                 }
                 break;
@@ -753,7 +764,7 @@ impl<'g> CommitUnit<'g> {
         }
         self.versions = versions;
         self.batch = batch;
-        Ok(Absorbed::Continue(redispatch))
+        Ok(redispatch)
     }
 
     /// Commits the frontier task from an output computed inline on the
@@ -780,10 +791,12 @@ impl<'g> CommitUnit<'g> {
             let writes = if inline_fast {
                 m.commit_inline(v)
             } else {
-                let writes = m.probe(v).map_or(0, |p| p.writes);
-                m.try_commit(v)
-                    .expect("a version opened at the frontier cannot be squashed");
-                writes
+                let (writes, stopped) = m.try_commit_batch(&[v]);
+                assert!(
+                    stopped.is_none(),
+                    "a version opened at the frontier cannot be squashed: {stopped:?}"
+                );
+                writes[0]
             };
             self.trace.record(TraceEventKind::VersionCommit {
                 stage: self.graph.task(TaskId(task)).stage.0,

@@ -53,11 +53,10 @@
 //! runs — and the last supervisor to finish closes the injector and
 //! joins the workers.
 
-use super::commit::{CommitUnit, CommitView, Supervisor};
-use super::governor::Governor;
+use super::commit::{CommitUnit, CommitView};
 use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
-use super::{run_supervised, ExecConfig, ExecError, NativeBody, NativeReport};
+use super::{ExecConfig, ExecError, NativeBody, NativeReport, Supervisor};
 use crate::plan::ExecutionPlan;
 use crate::task::TaskGraph;
 use crossbeam::channel::{bounded, Receiver};
@@ -155,7 +154,7 @@ impl JobHandle {
         let result = self
             .rx
             .recv()
-            .unwrap_or(Err(ExecError::WorkersDisconnected { committed: 0 }));
+            .unwrap_or(Err(ExecError::WorkersDisconnected));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -373,19 +372,9 @@ fn run_engine_job(
         Arc::clone(&watermark),
         TraceBuffer::for_job(clock, job),
         spec.mem.as_deref(),
-        spec.config.governor.map(Governor::new),
+        &spec.config,
     );
     let mut dispatch_trace = TraceBuffer::for_job(clock, job);
-
-    let faults = &spec.config.fault_plan;
-    let supervisor = Supervisor {
-        faults,
-        retry_budget: spec.config.retry_budget,
-        // Validation costs one extra body run per commit, so it is
-        // opt-in — but a plan that can corrupt outputs forces it,
-        // otherwise corruption would commit silently.
-        validate: spec.config.validate_outputs || faults.can_corrupt(),
-    };
 
     let shared = Arc::new(JobShared {
         job,
@@ -395,7 +384,7 @@ fn run_engine_job(
         board: Board::new(graph, plan, spec.config.queue_capacity),
     });
 
-    let supervised = run_supervised(pool, &shared, &supervisor, &mut commit, &mut dispatch_trace)?;
+    let supervised = Supervisor::new(pool, &shared, &mut commit, &mut dispatch_trace).run()?;
 
     // After a fallback, straggler attempts of this job may still be
     // running on pool workers; they publish into a closed board nobody

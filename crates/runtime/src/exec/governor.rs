@@ -76,8 +76,31 @@ const PROBE_LEN: u32 = 4;
 /// re-degrades.
 const PROBE_WINDOW: u32 = 4;
 
-/// Knobs for the speculation governor. All fields are plain integers so
-/// the config stays `Copy + Eq` and serializes into run manifests.
+/// Percent of the window *kept* on a conflict burst (multiplicative
+/// decrease): halve it.
+const SHRINK_PERCENT: u64 = 50;
+
+/// Additive window growth after a full clean window of commits.
+const GROW: u32 = 4;
+
+/// Base redispatch delay, in absorbed-completion ticks, for a
+/// conflict-squashed task, and the ceiling its exponential ramp stops
+/// at.
+const BACKOFF_BASE: u64 = 2;
+const MAX_BACKOFF: u64 = 64;
+
+/// Sliding-window length (frontier outcomes) of the misspeculation
+/// rate.
+const HISTORY: usize = 32;
+
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x5ec_90b3;
+
+/// Knobs for the speculation governor — the four that a preset, the
+/// tuner or a test really varies; the AIMD step sizes, the backoff ramp,
+/// the rate history and the jitter seed are constants of this module.
+/// All fields are plain integers so the config stays `Copy + Eq` and
+/// serializes into run manifests.
 ///
 /// The default is calibrated against the PR 6 ungoverned baseline
 /// (BENCHMARKS.md): storm workloads (vpr, twolf, parser) run ~40-50%
@@ -91,11 +114,6 @@ pub struct GovernorConfig {
     /// frontier). The dynamic cap lives in `[1, window]`. Clamped to
     /// ≥ 1.
     pub window: u32,
-    /// Percent of the window *kept* on a conflict burst (multiplicative
-    /// decrease); 50 halves it. Clamped to 0..=99.
-    pub shrink: u32,
-    /// Additive window growth after a full clean window of commits.
-    pub grow: u32,
     /// Windowed misspeculation ceiling in permille (conflicts per 1000
     /// outcomes over the sliding history). Sustained rates at or above
     /// this collapse the loop to sequential issue.
@@ -104,34 +122,18 @@ pub struct GovernorConfig {
     /// speculation; also the length of the initial calibration stretch
     /// and the review cadence while pipelined. Clamped to ≥ 1.
     pub reprobe_period: u32,
-    /// Base redispatch delay in absorbed-completion ticks for a
-    /// conflict-squashed task.
-    pub backoff_base: u64,
-    /// Ceiling on the exponential backoff delay, in ticks.
-    pub max_backoff: u64,
     /// Squashes on one address before the next victim is parked behind
     /// the conflicting committer instead of re-raced with a delay.
     pub park_threshold: u32,
-    /// Sliding-window length (frontier outcomes) for the
-    /// misspeculation rate. Clamped to ≥ 1.
-    pub history: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for GovernorConfig {
     fn default() -> Self {
         Self {
             window: 64,
-            shrink: 50,
-            grow: 4,
             degrade_ceiling: 250,
             reprobe_period: 2048,
-            backoff_base: 2,
-            max_backoff: 64,
             park_threshold: 3,
-            history: 32,
-            seed: 0x5ec_90b3,
         }
     }
 }
@@ -141,13 +143,6 @@ impl GovernorConfig {
     #[must_use]
     pub fn with_window(mut self, window: u32) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Returns the config with the jitter seed replaced.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -227,11 +222,6 @@ impl GovernorConfig {
     /// Effective maximum window after clamping (≥ 1).
     fn max_window(&self) -> u32 {
         self.window.max(1)
-    }
-
-    /// Effective history length after clamping (≥ 1).
-    fn history_len(&self) -> usize {
-        self.history.max(1) as usize
     }
 
     /// Effective reprobe period after clamping (≥ 1).
@@ -363,7 +353,7 @@ impl Governor {
             // the first probe earns it.
             window: 1,
             mode: Mode::Degraded { left: cfg.period() },
-            outcomes: VecDeque::with_capacity(cfg.history_len()),
+            outcomes: VecDeque::with_capacity(HISTORY),
             conflicts_in_history: 0,
             clean_streak: 0,
             cooldown: 0,
@@ -401,8 +391,7 @@ impl Governor {
     }
 
     fn record_outcome(&mut self, conflict: bool) {
-        if self.outcomes.len() == self.cfg.history_len() && self.outcomes.pop_front() == Some(true)
-        {
+        if self.outcomes.len() == HISTORY && self.outcomes.pop_front() == Some(true) {
             self.conflicts_in_history -= 1;
         }
         self.outcomes.push_back(conflict);
@@ -484,7 +473,7 @@ impl Governor {
                 self.record_outcome(true);
                 if self.cooldown == 0 {
                     let from = self.window;
-                    let kept = u64::from(self.window) * u64::from(self.cfg.shrink.min(99)) / 100;
+                    let kept = u64::from(self.window) * SHRINK_PERCENT / 100;
                     self.set_window(u32::try_from(kept).unwrap_or(1).max(1));
                     if self.window != from {
                         self.stats.shrinks += 1;
@@ -501,7 +490,7 @@ impl Governor {
                 // pays cross-thread dispatch for zero speculation, so
                 // inline sequential issue strictly dominates it.
                 if self.window == 1
-                    || (self.outcomes.len() == self.cfg.history_len()
+                    || (self.outcomes.len() == HISTORY
                         && self.rate_permille() >= self.cfg.degrade_ceiling)
                 {
                     self.enter_degraded(&mut events);
@@ -534,14 +523,14 @@ impl Governor {
                 }
             }
             let exp = heat.saturating_sub(1).min(16);
-            let raw = self.cfg.backoff_base.saturating_shl(exp);
+            let raw = BACKOFF_BASE << exp;
             let jitter = splitmix64(
-                self.cfg.seed
+                JITTER_SEED
                     ^ u64::from(task).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-            ) % self.cfg.backoff_base.saturating_add(1);
+            ) % (BACKOFF_BASE + 1);
             self.stats.backoffs += 1;
-            BackoffDecision::Delay(raw.min(self.cfg.max_backoff).max(1) + jitter)
+            BackoffDecision::Delay(raw.min(MAX_BACKOFF) + jitter)
         };
         (decision, events)
     }
@@ -633,7 +622,7 @@ impl Governor {
                 self.clean_streak += 1;
                 if self.clean_streak >= self.window && self.window < self.cfg.max_window() {
                     let from = self.window;
-                    self.set_window(self.window.saturating_add(self.cfg.grow.max(1)));
+                    self.set_window(self.window.saturating_add(GROW));
                     self.clean_streak = 0;
                     self.stats.grows += 1;
                     events.push(GovernorEvent::Throttle {
@@ -655,17 +644,6 @@ impl Governor {
             }
         }
         events
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping.
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> Self {
-        self.checked_shl(rhs).unwrap_or(u64::MAX)
     }
 }
 
@@ -860,7 +838,7 @@ mod tests {
         let mut g = Governor::new(cfg);
         let mut clock = Clock::new();
         promote(&mut g, &mut clock);
-        storm(&mut g, cfg.history + 4);
+        storm(&mut g, HISTORY as u32 + 4);
         assert!(g.degraded(), "a sustained storm must degrade");
         assert_eq!(g.window(), 1);
         // reprobe_period degraded commits later, the governor probes.
@@ -883,7 +861,7 @@ mod tests {
         let mut g = Governor::new(cfg);
         let mut clock = Clock::new();
         promote(&mut g, &mut clock);
-        storm(&mut g, cfg.history + 4);
+        storm(&mut g, HISTORY as u32 + 4);
         for _ in 0..cfg.reprobe_period {
             let _ = clock.commit(&mut g, 10);
         }
@@ -917,7 +895,7 @@ mod tests {
         assert!(
             delays
                 .windows(2)
-                .all(|w| w[0] <= w[1] || w[1] >= cfg.backoff_base),
+                .all(|w| w[0] <= w[1] || w[1] >= BACKOFF_BASE),
             "delays follow an exponential (jittered) ramp: {delays:?}"
         );
         let (d, _) = g.on_conflict(10, cfg.park_threshold, Some(42), Some(9), false);
@@ -940,9 +918,8 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let cfg = GovernorConfig::default().with_seed(7);
         let run = || {
-            let mut g = Governor::new(cfg);
+            let mut g = Governor::new(GovernorConfig::default());
             let mut clock = Clock::new();
             promote(&mut g, &mut clock);
             g.on_conflict(3, 1, Some(5), None, false).0
@@ -958,9 +935,6 @@ mod tests {
     fn degenerate_configs_are_clamped() {
         let mut g = Governor::new(GovernorConfig {
             window: 0,
-            shrink: 0,
-            grow: 0,
-            history: 0,
             reprobe_period: 0,
             ..GovernorConfig::default()
         });

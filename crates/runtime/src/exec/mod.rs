@@ -43,7 +43,7 @@
 //!     squashes that version *at the memory substrate*, at access
 //!     granularity — real conflict detection. The commit frontier
 //!     checks the version
-//!     ([`ConcurrentVersionedMemory::commit_check`]) before
+//!     ([`ConcurrentVersionedMemory::commit_check_batch`]) before
 //!     irrevocably publishing anything, rolls conflicted versions back,
 //!     and re-dispatches.
 //!   * *Replay* (`mem: None`): the dynamic dependence events recorded
@@ -95,12 +95,11 @@ pub use trace::{
 
 use crate::sim::SimError;
 use crate::task::{StageId, TaskId};
-use commit::{Absorbed, CommitUnit, Redispatch, Release, Supervisor};
+use commit::{CommitUnit, Redispatch, Release, Stop};
 use engine::EngineInner;
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::TraceBuffer;
@@ -138,15 +137,11 @@ pub enum ExecError {
         /// The task whose body failed.
         task: TaskId,
     },
-    /// A submitted job's supervisor thread died without producing a
-    /// report (a runtime invariant violation, reported by
-    /// [`JobHandle::wait`] — its one producer — instead of hanging
-    /// forever).
-    WorkersDisconnected {
-        /// Tasks known to have committed before the supervisor vanished
-        /// (0: the count died with it).
-        committed: u64,
-    },
+    /// A submitted job's supervisor thread died before reporting (a
+    /// runtime invariant violation). [`JobHandle::wait`] — its one
+    /// producer — returns this instead of hanging forever; whatever the
+    /// job had committed died with the thread.
+    WorkersDisconnected,
 }
 
 impl From<SimError> for ExecError {
@@ -164,10 +159,9 @@ impl std::fmt::Display for ExecError {
                 "task {} failed un-replayably (body panicked on the sequential path)",
                 task.0
             ),
-            ExecError::WorkersDisconnected { committed } => write!(
-                f,
-                "all workers disconnected with only {committed} tasks committed"
-            ),
+            ExecError::WorkersDisconnected => {
+                write!(f, "job supervisor thread died before reporting")
+            }
         }
     }
 }
@@ -398,8 +392,9 @@ struct Dispatcher<'a> {
     dependents: Vec<Vec<u32>>,
     propagated: Vec<bool>,
     /// Per lane: squashed attempts awaiting readmission, ahead of any
-    /// fresh work.
-    pending: Vec<VecDeque<WorkItem>>,
+    /// fresh work, each with the governor's word on when it may go back
+    /// (an [`Release::AfterTick`] holds the absolute tick).
+    pending: Vec<VecDeque<(WorkItem, Release)>>,
     /// Per lane: fresh tasks before this index are admitted or were
     /// committed inline.
     released: Vec<usize>,
@@ -411,7 +406,33 @@ struct Dispatcher<'a> {
     seats: Vec<Seat>,
 }
 
-impl Dispatcher<'_> {
+impl<'a> Dispatcher<'a> {
+    fn new(pool: &'a EngineInner, job: &'a Arc<JobShared>) -> Self {
+        let graph = &*job.spec.graph;
+        let (n, lanes) = (graph.len(), job.board.lane_count());
+        let mut dispatch = Dispatcher {
+            job,
+            pool,
+            deps_left: vec![0; n],
+            dependents: vec![Vec::new(); n],
+            propagated: vec![false; n],
+            pending: vec![VecDeque::new(); lanes],
+            released: vec![0; lanes],
+            outstanding: vec![0; lanes],
+            in_flight: vec![false; n],
+            in_flight_count: 0,
+            seats: Vec::new(),
+        };
+        for (idx, task) in graph.tasks().iter().enumerate() {
+            let task_deps = graph.deps(task);
+            dispatch.deps_left[idx] = task_deps.len();
+            for d in task_deps {
+                dispatch.dependents[d.0 as usize].push(idx as u32);
+            }
+        }
+        dispatch
+    }
+
     fn lane_of(&self, task: u32) -> usize {
         let t = self.job.spec.graph.task(TaskId(task));
         self.job.board.lane_of(t.stage, t.iter)
@@ -435,19 +456,35 @@ impl Dispatcher<'_> {
     /// admission is traced as a `QueuePush` with the lane's claimable
     /// count right after it.
     ///
-    /// Without a governor `limit` is `None`. With one, items past the
-    /// dynamic speculation window stay pending (skipped, not popped) so
-    /// a window-blocked front item can never starve an admitted one
-    /// behind it — in particular never the frontier task.
-    fn admit(&mut self, limit: Option<u64>, trace: &mut TraceBuffer) {
+    /// Without a governor `limit` is `None` and every requeue is ripe.
+    /// With one, items past the dynamic speculation window, and items
+    /// whose backoff has not matured, stay pending (skipped, not popped)
+    /// so a held-back front item can never starve an admitted one
+    /// behind it — in particular never the frontier task. A backoff
+    /// matures at its absorbed-completion `tick` (deterministic given
+    /// the trace, unlike wall time) or when the task it lost to has
+    /// committed — and, the liveness rule that makes backoff unable to
+    /// stall the run, the moment the item is at or before `frontier` or
+    /// the pipeline has drained empty.
+    fn admit(&mut self, limit: Option<u64>, frontier: u32, tick: u64, trace: &mut TraceBuffer) {
         let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
+        let drained = self.in_flight_count == 0;
+        let ripe = |item: WorkItem, release: Release| {
+            drained
+                || item.task <= frontier
+                || match release {
+                    Release::Now => true,
+                    Release::AfterTick(at) => tick >= at,
+                    Release::AfterCommit(behind) => behind < frontier,
+                }
+        };
         let board = &self.job.board;
         'lanes: for lane in 0..board.lane_count() {
             let cap = board.cap(lane);
             let mut i = 0;
             while i < self.pending[lane].len() {
-                let item = self.pending[lane][i];
-                if !within(item.task) {
+                let (item, release) = self.pending[lane][i];
+                if !within(item.task) || !ripe(item, release) {
                     i += 1;
                     continue;
                 }
@@ -487,7 +524,8 @@ impl Dispatcher<'_> {
 
     /// Takes the frontier task for inline execution on the supervisor
     /// thread, if no worker can reach it: it is the next fresh task of
-    /// its lane, or a squashed attempt awaiting readmission.
+    /// its lane, or a squashed attempt awaiting readmission (ripe by
+    /// definition: it is the frontier).
     fn take_inline(&mut self, task: u32) -> bool {
         if self.in_flight[task as usize] || self.deps_left[task as usize] > 0 {
             return false;
@@ -498,7 +536,7 @@ impl Dispatcher<'_> {
             self.released[lane] += 1;
             return true;
         }
-        let pos = self.pending[lane].iter().position(|w| w.task == task);
+        let pos = self.pending[lane].iter().position(|(w, _)| w.task == task);
         pos.map(|pos| self.pending[lane].remove(pos)).is_some()
     }
 
@@ -523,181 +561,158 @@ impl Dispatcher<'_> {
         }
     }
 
-    /// Puts a squashed attempt back in line for readmission.
-    fn requeue(&mut self, item: WorkItem) {
-        let lane = self.lane_of(item.task);
-        self.pending[lane].push_back(item);
+    /// Puts a squashed attempt back in line for readmission — ahead of
+    /// any not-yet-admitted fresh work, immediately or behind the
+    /// governor's backoff, counted from `tick`.
+    fn requeue(&mut self, r: Redispatch, tick: u64) {
+        let release = match r.release {
+            Release::AfterTick(delay) => Release::AfterTick(tick.saturating_add(delay)),
+            other => other,
+        };
+        let lane = self.lane_of(r.item.task);
+        self.pending[lane].push_back((r.item, release));
     }
 }
 
-/// The supervision loop of one job: matures governor backoffs, issues
-/// degraded inline stretches, admits work onto the board, absorbs
-/// **every** published completion and runs one frontier drain over the
-/// lot, and runs the sequential fallback when a retry budget or the
-/// watchdog demands it. Between batches it sleeps;
-/// workers wake it per the rule in [`stage`]. Returns `(watchdog_trips,
-/// fallback_activated)`; the caller builds the report from `commit`.
-#[allow(clippy::too_many_lines)]
-fn run_supervised(
-    pool: &EngineInner,
-    job: &Arc<JobShared>,
-    supervisor: &Supervisor<'_>,
-    commit: &mut CommitUnit<'_>,
-    dispatch_trace: &mut TraceBuffer,
-) -> Result<(u64, bool), ExecError> {
-    let graph = &*job.spec.graph;
-    let body = &*job.spec.body;
-    let mem = job.spec.mem.as_deref();
-    let (view, board) = (&job.view, &job.board);
-    let watchdog_deadline = job.spec.config.watchdog_deadline;
-    let n = graph.len();
-    let mut dispatch = Dispatcher {
-        job,
-        pool,
-        deps_left: vec![0; n],
-        dependents: vec![Vec::new(); n],
-        propagated: vec![false; n],
-        pending: vec![VecDeque::new(); board.lane_count()],
-        released: vec![0; board.lane_count()],
-        outstanding: vec![0; board.lane_count()],
-        in_flight: vec![false; n],
-        in_flight_count: 0,
-        seats: Vec::new(),
-    };
-    for (idx, task) in graph.tasks().iter().enumerate() {
-        let task_deps = graph.deps(task);
-        dispatch.deps_left[idx] = task_deps.len();
-        for d in task_deps {
-            dispatch.dependents[d.0 as usize].push(idx as u32);
+/// The supervision loop of one job, one method per step: issue degraded
+/// inline stretches, admit work onto the board, wait for a batch, absorb
+/// **every** published completion, run one frontier drain over the lot —
+/// and run the sequential fallback when a retry budget or the watchdog
+/// demands it. Between batches it sleeps; workers wake it per the rule
+/// in [`stage`].
+struct Supervisor<'a, 'g> {
+    job: &'a Arc<JobShared>,
+    dispatch: Dispatcher<'a>,
+    commit: &'a mut CommitUnit<'g>,
+    /// The dispatcher's trace events (this thread's, like the
+    /// frontier's, which the commit unit keeps).
+    trace: &'a mut TraceBuffer,
+    /// Sequence number of the next completion to take off the ring.
+    head: u64,
+    /// Completions absorbed so far: the clock governor backoffs are
+    /// measured on.
+    tick: u64,
+    /// When the current wait for a publication began; the watchdog
+    /// measures from here, so inline stretches and wakes that found
+    /// completions never count against the deadline.
+    waiting_since: Option<Instant>,
+    watchdog_trips: u64,
+}
+
+impl<'a, 'g> Supervisor<'a, 'g> {
+    fn new(
+        pool: &'a EngineInner,
+        job: &'a Arc<JobShared>,
+        commit: &'a mut CommitUnit<'g>,
+        trace: &'a mut TraceBuffer,
+    ) -> Self {
+        Self {
+            job,
+            dispatch: Dispatcher::new(pool, job),
+            commit,
+            trace,
+            head: 0,
+            tick: 0,
+            waiting_since: None,
+            watchdog_trips: 0,
         }
     }
 
-    // Replays the body sequentially on this thread: the validation
-    // oracle and the fallback executor. A panic here is unrecoverable —
-    // the body cannot produce the task's sequential result at all.
-    // `mem: None` on purpose even for versioned runs: an oracle replay
-    // must compute the task's sequential result without opening (or
-    // double-applying into) a memory version.
-    let mut oracle = |task: u32, attempt: u32| -> Result<TaskOutput, ExecError> {
-        let t = graph.task(TaskId(task));
-        let ctx = TaskCtx {
-            stage: t.stage,
-            iter: t.iter,
-            attempt,
-            commits: view,
-            mem: None,
+    /// Supervises the job to its last commit. Returns `(watchdog_trips,
+    /// fallback_activated)`; the caller builds the report from the
+    /// commit unit.
+    fn run(mut self) -> Result<(u64, bool), ExecError> {
+        let stopped = self.pipeline();
+        self.job.board.close();
+        // Close any open inline stretch so committed memory state
+        // (and the caller's post-run inspection) reflects every
+        // inline-committed task, on success and error paths alike.
+        if let Some(m) = self.job.spec.mem.as_deref() {
+            m.end_inline();
+        }
+        let fallback = match stopped {
+            Ok(()) => false,
+            Err(Stop::FallBack) => {
+                self.fall_back()?;
+                true
+            }
+            Err(Stop::Failed(e)) => return Err(e),
         };
-        catch_unwind(AssertUnwindSafe(|| body.run(TaskId(task), &ctx)))
-            .map_err(|_| ExecError::TaskFailed { task: TaskId(task) })
-    };
+        Ok((self.watchdog_trips, fallback))
+    }
 
-    let mut watchdog_trips = 0u64;
-    let mut fallback = false;
-    // Governor backoff holding pens. Delayed items mature at an
-    // absorbed-completion tick (deterministic given the trace,
-    // unlike wall time); parked items when the task they lost to
-    // commits. Both force-release the moment they become the
-    // frontier task or the pipeline drains empty — the liveness
-    // rule that makes backoff unable to stall the run.
-    let mut tick = 0u64;
-    let mut delayed: Vec<(WorkItem, u64)> = Vec::new();
-    let mut parked: Vec<(WorkItem, u32)> = Vec::new();
-    // Sequence number of the next completion to take off the ring.
-    let mut head = 0u64;
-    // When the current wait for a publication began; the watchdog
-    // measures from here, so inline stretches and wakes that found
-    // completions never count against the deadline.
-    let mut waiting_since: Option<Instant> = None;
-    let supervise = 'sup: loop {
-        if commit.committed_tasks() >= n {
-            break Ok(());
+    /// The pipelined protocol, until every task has committed.
+    fn pipeline(&mut self) -> Result<(), Stop> {
+        loop {
+            self.issue_inline_stretch()?;
+            if self.commit.committed_tasks() >= self.job.spec.graph.len() {
+                return Ok(());
+            }
+            self.admit();
+            self.await_batch()?;
+            if !self.absorb_batch() {
+                continue;
+            }
+            // The absorbed attempts freed window space and satisfied
+            // deps: admit behind them *before* the frontier runs, so
+            // the workers claim on while this thread commits.
+            self.admit();
+            self.drain_frontier()?;
         }
+    }
 
-        // Mature governor backoffs back into the pending requeues.
-        if !delayed.is_empty() || !parked.is_empty() {
-            let next = commit.committed_tasks() as u32;
-            let force = dispatch.in_flight_count == 0;
-            delayed.retain(|&(item, at)| {
-                let ripe = tick >= at || item.task <= next || force;
-                if ripe {
-                    dispatch.requeue(item);
-                }
-                !ripe
-            });
-            parked.retain(|&(item, behind)| {
-                let ripe = behind < next || item.task <= next || force;
-                if ripe {
-                    dispatch.requeue(item);
-                }
-                !ripe
-            });
-        }
-
-        // Degraded inline issue: while the governor holds the
-        // loop collapsed, the supervisor runs the frontier task
-        // on this thread — *through* the substrate, so committed
-        // memory state stays exact for the eventual re-probe —
-        // instead of paying cross-thread dispatch for window-1
-        // throughput. The stretch runs as a tight inner loop:
-        // per-commit it pays the substrate's inline fast path
-        // plus one buffered-completion check, not a board round
-        // trip. Straggler completions from before the collapse
-        // still arrive over the ring below, and any pending
-        // backoff pen breaks the stretch so maturation at the
-        // loop top keeps its liveness rule.
-        while commit.governor_degraded() {
-            let next = commit.committed_tasks();
-            if next >= n {
+    /// Degraded inline issue: while the governor holds the loop
+    /// collapsed, the supervisor runs the frontier task on this thread —
+    /// *through* the substrate, so committed memory state stays exact
+    /// for the eventual re-probe — instead of paying cross-thread
+    /// dispatch for window-1 throughput. The stretch runs as a tight
+    /// loop: per commit it pays the substrate's inline fast path plus
+    /// one buffered-completion check, not a board round trip. It ends
+    /// when the governor re-probes, or at a frontier task a worker
+    /// holds (a straggler from before the collapse, which arrives over
+    /// the ring).
+    fn issue_inline_stretch(&mut self) -> Result<(), Stop> {
+        let job = self.job;
+        let graph = &*job.spec.graph;
+        let mem = job.spec.mem.as_deref();
+        while self.commit.governor_degraded() {
+            let next = self.commit.committed_tasks();
+            if next >= graph.len() {
                 break;
             }
             let next32 = next as u32;
-            if !dispatch.take_inline(next32) {
+            if !self.dispatch.take_inline(next32) {
                 break;
             }
-            waiting_since = None;
-            let t = graph.task(TaskId(next32));
-            // Prefer the substrate's inline fast path: with
-            // nothing speculative in flight, per-version
-            // machinery (registry handles, shard buffers,
-            // the commit sweep) is pure overhead, and it is
-            // exactly what would drag inline issue below
-            // the sequential baseline the governor promises
-            // to stay near. Stragglers from before the
-            // collapse force the full versioned protocol.
+            self.waiting_since = None;
+            let stage = graph.task(TaskId(next32)).stage.0;
+            // Prefer the substrate's inline fast path: with nothing
+            // speculative in flight, per-version machinery (registry
+            // handles, shard buffers, the commit sweep) is pure
+            // overhead, and it is exactly what would drag inline issue
+            // below the sequential baseline the governor promises to
+            // stay near. Stragglers from before the collapse force the
+            // full versioned protocol.
             let mut inline_fast = false;
             if let Some(m) = mem {
                 let v = VersionId(u64::from(next32));
-                inline_fast = dispatch.in_flight_count == 0 && m.try_begin_inline(v);
+                inline_fast = self.dispatch.in_flight_count == 0 && m.try_begin_inline(v);
                 if !inline_fast {
                     m.begin(v);
                 }
-                dispatch_trace.record(TraceEventKind::VersionOpen {
-                    stage: t.stage.0,
+                self.trace.record(TraceEventKind::VersionOpen {
+                    stage,
                     task: next32,
                     attempt: DEGRADED_ATTEMPT,
                 });
             }
-            let ctx = TaskCtx {
-                stage: t.stage,
-                iter: t.iter,
-                attempt: DEGRADED_ATTEMPT,
-                commits: view,
-                mem,
-            };
-            let output = match catch_unwind(AssertUnwindSafe(|| body.run(TaskId(next32), &ctx))) {
-                Ok(output) => output,
-                Err(_) => {
-                    break 'sup Err(ExecError::TaskFailed {
-                        task: TaskId(next32),
-                    })
-                }
-            };
+            let output = job.run_here(next32, DEGRADED_ATTEMPT, mem)?;
             // The probe costs a registry read lock: only traced runs
             // pay it.
-            if let (false, true, Some(m)) = (inline_fast, dispatch_trace.enabled(), mem) {
+            if let (false, true, Some(m)) = (inline_fast, self.trace.enabled(), mem) {
                 if let Some(p) = m.probe(VersionId(u64::from(next32))) {
-                    dispatch_trace.record(TraceEventKind::VersionReads {
-                        stage: t.stage.0,
+                    self.trace.record(TraceEventKind::VersionReads {
+                        stage,
                         task: next32,
                         attempt: DEGRADED_ATTEMPT,
                         reads: p.reads,
@@ -705,151 +720,111 @@ fn run_supervised(
                     });
                 }
             }
-            commit.commit_degraded(&output, inline_fast);
-            // The governor may have left degraded mode on
-            // that commit (re-probe): publish the inline
-            // stretch's overlay before any pipelined
-            // version can begin and read around it.
-            if inline_fast && !commit.governor_degraded() {
+            self.commit.commit_degraded(&output, inline_fast);
+            // The governor may have left degraded mode on that commit
+            // (re-probe): publish the inline stretch's overlay before
+            // any pipelined version can begin and read around it.
+            if inline_fast && !self.commit.governor_degraded() {
                 if let Some(m) = mem {
                     m.end_inline();
                 }
             }
-            dispatch.propagate(next);
+            self.dispatch.propagate(next);
             // Flush successors buffered past the frontier.
-            match commit.drain(supervisor, &mut oracle) {
-                Ok(Absorbed::Continue(redispatches)) => {
-                    for r in redispatches {
-                        sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
-                    }
-                }
-                Ok(Absorbed::Fallback) => {
-                    fallback = true;
-                    break 'sup Ok(());
-                }
-                Err(e) => break 'sup Err(e),
-            }
-            // A pen gaining an item (a straggler redispatched
-            // with backoff) hands control back to the loop top
-            // so maturation and force-release run.
-            if !delayed.is_empty() || !parked.is_empty() {
-                break;
-            }
+            self.drain_frontier()?;
         }
-        if commit.committed_tasks() >= n {
-            break Ok(());
-        }
+        Ok(())
+    }
 
-        let limit = commit.dispatch_limit();
+    /// Opens the board to whatever the governor's window, the lane
+    /// windows and the backoffs allow.
+    fn admit(&mut self) {
+        let frontier = self.commit.committed_tasks() as u64;
+        let limit = self.commit.dispatch_limit();
         if let Some(limit) = limit {
-            let window = limit.saturating_sub(commit.committed_tasks() as u64);
-            board.set_window(usize::try_from(window).unwrap_or(usize::MAX));
+            let window = usize::try_from(limit - frontier).unwrap_or(usize::MAX);
+            self.job.board.set_window(window);
         }
-        dispatch.admit(limit, dispatch_trace);
+        self.dispatch
+            .admit(limit, frontier as u32, self.tick, self.trace);
+    }
 
-        if dispatch.in_flight_count == 0 {
-            // Nothing to wait for: a backoff pen took the frontier's
-            // replay mid-stretch; the loop top force-releases it.
-            continue;
+    /// Waits for a batch: a bounded look at the ring, then sleep until
+    /// a worker wakes us (the rule is in [`stage`]).
+    ///
+    /// # Errors
+    ///
+    /// The heartbeat watchdog trips — [`Stop::FallBack`] — when no
+    /// completion was *published* for a whole deadline: a stage is
+    /// wedged, and the rest runs sequentially. A wake that never came
+    /// is not evidence, the ring is.
+    fn await_batch(&mut self) -> Result<(), Stop> {
+        if self.job.board.due_or_spin(self.head) {
+            return Ok(());
         }
-        // Wait for a batch: a bounded look at the ring, then sleep until
-        // a worker wakes us (the rule is in `stage`). The heartbeat
-        // watchdog trips when no completion was *published* for a whole
-        // deadline — a stage is wedged — and degrades to sequential
-        // execution of the rest; a wake that never came is not
-        // evidence, the ring is.
-        if !board.due_or_spin(head) {
-            let waited = waiting_since.get_or_insert_with(Instant::now).elapsed();
-            if waited >= watchdog_deadline {
-                watchdog_trips += 1;
-                dispatch_trace.record(TraceEventKind::WatchdogTrip);
-                fallback = true;
-                break Ok(());
-            }
-            std::thread::park_timeout(watchdog_deadline - waited);
+        let deadline = self.job.spec.config.watchdog_deadline;
+        let waited = self
+            .waiting_since
+            .get_or_insert_with(Instant::now)
+            .elapsed();
+        if waited >= deadline {
+            self.watchdog_trips += 1;
+            self.trace.record(TraceEventKind::WatchdogTrip);
+            return Err(Stop::FallBack);
         }
+        std::thread::park_timeout(deadline - waited);
+        Ok(())
+    }
 
-        // Absorb every completion the workers have published, then run
-        // the frontier once over the lot.
-        let before = head;
-        while let Some(done) = board.take_published(head) {
-            head += 1;
-            tick += 1;
-            dispatch.absorbed(done.task);
+    /// Takes every completion the workers have published off the ring
+    /// into the reorder buffer. Returns whether there was any.
+    fn absorb_batch(&mut self) -> bool {
+        let board = &self.job.board;
+        let before = self.head;
+        while let Some(done) = board.take_published(self.head) {
+            self.head += 1;
+            self.tick += 1;
+            self.dispatch.absorbed(done.task);
             if !done.panicked {
-                dispatch.propagate(done.task as usize);
+                self.dispatch.propagate(done.task as usize);
             }
-            if let Some(r) = commit.accept(done) {
-                sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
+            if let Some(r) = self.commit.accept(done) {
+                self.dispatch.requeue(r, self.tick);
             }
         }
-        if head == before {
-            continue;
+        if self.head == before {
+            return false;
         }
-        waiting_since = None;
-        board.set_absorbed(head);
-        // The absorbed attempts freed window space and satisfied deps:
-        // admit behind them *before* the frontier runs, so the workers
-        // claim on while this thread commits.
-        dispatch.admit(commit.dispatch_limit(), dispatch_trace);
-        match commit.drain(supervisor, &mut oracle) {
-            Ok(Absorbed::Continue(redispatches)) => {
-                for r in redispatches {
-                    // Rollback: the discarded attempt's output is
-                    // gone; the task re-enters its lane ahead of
-                    // any not-yet-admitted work, immediately or
-                    // behind the governor's backoff.
-                    sort_redispatch(r, tick, &mut dispatch, &mut delayed, &mut parked);
-                }
-            }
-            Ok(Absorbed::Fallback) => {
-                fallback = true;
-                break Ok(());
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    board.close();
-
-    // Close any open inline stretch so committed memory state
-    // (and the caller's post-run inspection) reflects every
-    // inline-committed task, on success and error paths alike.
-    if let Some(m) = mem {
-        m.end_inline();
+        self.waiting_since = None;
+        board.set_absorbed(self.head);
+        true
     }
 
-    supervise?;
-    if fallback {
-        // Graceful degradation: commit every remaining task
-        // in order on this thread, fault-free and
-        // non-speculative — exactly a resumed sequential run.
-        dispatch_trace.record(TraceEventKind::FallbackActivated {
-            from_task: commit.committed_tasks() as u32,
+    /// Runs the commit frontier once over everything absorbed, and puts
+    /// the attempts it squashed back in line (rollback: a discarded
+    /// attempt's output is gone).
+    fn drain_frontier(&mut self) -> Result<(), Stop> {
+        let job = self.job;
+        let mut oracle = |task, attempt| job.run_here(task, attempt, None);
+        for r in self.commit.drain(&mut oracle)? {
+            self.dispatch.requeue(r, self.tick);
+        }
+        Ok(())
+    }
+
+    /// Graceful degradation: commits every remaining task in order on
+    /// this thread, fault-free and non-speculative — exactly a resumed
+    /// sequential run.
+    fn fall_back(&mut self) -> Result<(), ExecError> {
+        let from = self.commit.committed_tasks();
+        self.trace.record(TraceEventKind::FallbackActivated {
+            from_task: from as u32,
         });
-        for task in commit.committed_tasks()..n {
-            let output = oracle(task as u32, FALLBACK_ATTEMPT)?;
-            commit.commit_inline(&output);
+        for task in from..self.job.spec.graph.len() {
+            let output = self.job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
+            self.commit.commit_inline(&output);
         }
-    }
-    Ok((watchdog_trips, fallback))
-}
-
-/// Route a commit-unit redispatch to its holding structure: `Now`
-/// straight into the lane's pending requeue (ahead of unadmitted fresh
-/// work), `AfterTick` into the delayed pen with an absolute
-/// maturity tick, `AfterCommit` into the parked pen keyed by the
-/// committer it must wait out.
-fn sort_redispatch(
-    r: Redispatch,
-    tick: u64,
-    dispatch: &mut Dispatcher<'_>,
-    delayed: &mut Vec<(WorkItem, u64)>,
-    parked: &mut Vec<(WorkItem, u32)>,
-) {
-    match r.release {
-        Release::Now => dispatch.requeue(r.item),
-        Release::AfterTick(d) => delayed.push((r.item, tick.saturating_add(d))),
-        Release::AfterCommit(behind) => parked.push((r.item, behind)),
+        Ok(())
     }
 }
 

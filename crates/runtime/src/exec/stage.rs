@@ -37,10 +37,10 @@ use super::commit::CommitView;
 use super::engine::JobSpec;
 use super::faults::{corrupt_output, FaultKind};
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
-use super::{TaskCtx, TaskOutput};
+use super::{ExecError, TaskCtx, TaskOutput};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{StageId, TaskGraph, TaskId};
-use seqpar_specmem::VersionId;
+use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -550,6 +550,39 @@ pub(super) struct JobShared {
     pub board: Board,
 }
 
+impl JobShared {
+    /// Runs one attempt's body on the calling thread, catching a panic.
+    /// Workers pass the job's substrate, the attempt's version already
+    /// open. The supervisor passes it for a degraded inline attempt, and
+    /// `None` when it replays a task as the validation oracle or the
+    /// fallback executor — on purpose even for versioned jobs: a
+    /// sequential replay must compute the task's result without opening,
+    /// or double-applying into, a memory version.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::TaskFailed`] if the body panicked: recoverable on a
+    /// worker (the commit unit squashes and replays), final on the
+    /// supervisor, where no replay exists.
+    pub(super) fn run_here(
+        &self,
+        task: u32,
+        attempt: u32,
+        mem: Option<&ConcurrentVersionedMemory>,
+    ) -> Result<TaskOutput, ExecError> {
+        let t = self.spec.graph.task(TaskId(task));
+        let ctx = TaskCtx {
+            stage: t.stage,
+            iter: t.iter,
+            attempt,
+            commits: &self.view,
+            mem,
+        };
+        catch_unwind(AssertUnwindSafe(|| self.spec.body.run(TaskId(task), &ctx)))
+            .map_err(|_| ExecError::TaskFailed { task: TaskId(task) })
+    }
+}
+
 /// The bounded wait before a sleep, in
 /// [`spin_loop`](std::hint::spin_loop) hints, on both sides of the
 /// board: a worker retries an empty lane this often before it parks its
@@ -651,7 +684,6 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         // (the slice shows the wedged stage) but not into `busy`.
         std::thread::sleep(faults.stall_duration());
     }
-    let task = job.spec.graph.task(TaskId(item.task));
     // Versioned runs: open the attempt's memory version before the
     // body runs. A squashed predecessor attempt was rolled back at
     // the frontier before this re-dispatch, so `begin` never sees a
@@ -665,17 +697,8 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
             attempt: item.attempt,
         });
     }
-    let ctx = TaskCtx {
-        stage: task.stage,
-        iter: task.iter,
-        attempt: item.attempt,
-        commits: &job.view,
-        mem,
-    };
     let started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        job.spec.body.run(TaskId(item.task), &ctx)
-    }));
+    let result = job.run_here(item.task, item.attempt, mem);
     let busy = started.elapsed();
     if let (Some(m), Ok(_), true) = (mem, &result, trace.enabled()) {
         // What the attempt actually did to its version, recorded

@@ -400,6 +400,14 @@ fn unreplayable_body_panic_is_a_typed_error() {
 }
 
 #[test]
+fn a_dead_supervisor_is_reported_as_what_it_is() {
+    assert_eq!(
+        ExecError::WorkersDisconnected.to_string(),
+        "job supervisor thread died before reporting"
+    );
+}
+
+#[test]
 fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     let violate = vec![3, 9];
     let iters = 40u64;
@@ -1044,4 +1052,67 @@ fn the_watchdog_counts_publications_not_wakes() {
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(WAKE_AT - 4));
+}
+
+/// Governor backoff end to end. Forty quiet tasks (private addresses,
+/// bodies that sleep, so four workers clearly beat inline issue) let the
+/// first probe graduate to pipelined dispatch; then every task
+/// read-modify-writes one counter, so the attempts running ahead are
+/// squashed before they reach the frontier and redispatched behind a
+/// delay — or, with the park threshold at zero, behind their squasher.
+/// Those attempts wait in their lane's pending list and must all come
+/// back.
+#[test]
+fn backed_off_attempts_wait_in_their_lane_and_all_come_back() {
+    let (iters, quiet) = (300u64, 40u64);
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let value = match ctx.mem {
+            // Sequential oracle / fallback path.
+            None => ctx.iter,
+            Some(m) => {
+                let v = VersionId(u64::from(task.0));
+                std::thread::sleep(Duration::from_micros(500));
+                if ctx.iter < quiet {
+                    m.write(v, Addr(1000 + ctx.iter), 1);
+                    ctx.iter
+                } else {
+                    let got = m.read(v, Addr(0));
+                    std::thread::sleep(Duration::from_micros(500));
+                    m.write(v, Addr(0), got + 1);
+                    got + quiet
+                }
+            }
+        };
+        TaskOutput::bytes(value.to_le_bytes().to_vec())
+    };
+    for park_threshold in [GovernorConfig::default().park_threshold, 0] {
+        let governor = GovernorConfig {
+            reprobe_period: 4,
+            park_threshold,
+            ..GovernorConfig::default()
+        };
+        let (report, mem) = run_versioned(
+            ExecConfig::default()
+                .with_governor(governor)
+                .with_tracing(true),
+            &counter_graph(iters),
+            &ExecutionPlan::tls(4),
+            body,
+        );
+        assert_eq!(report.output, expected_stream(iters));
+        assert_eq!(mem.committed(Addr(0)), Some(iters - quiet));
+        let stats = report.governor.expect("governed run reports stats");
+        let held = if park_threshold == 0 {
+            stats.parks
+        } else {
+            stats.backoffs
+        };
+        assert!(held > 0, "the storm must hold attempts back: {stats:?}");
+        // A held attempt that never came back would wedge the frontier
+        // until the watchdog fell back to sequential execution.
+        assert_eq!(report.watchdog_trips, 0);
+        assert!(!report.fallback_activated);
+        let timeline = report.timeline.as_ref().expect("tracing was on");
+        timeline.validate().expect("well-formed governed timeline");
+    }
 }

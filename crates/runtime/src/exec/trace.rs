@@ -15,7 +15,7 @@
 //! export ([`Timeline::to_chrome_json`], loadable in Perfetto or
 //! `chrome://tracing`) are derived.
 //!
-//! [`Simulator::run_timeline`](crate::Simulator::run_timeline) emits the
+//! [`SimResult::timeline`](crate::SimResult::timeline) emits the
 //! same event schema from a simulated schedule (timestamps in cycles
 //! instead of nanoseconds), so sim and native timelines are directly
 //! diffable — the differential suite checks they agree on commit order.
@@ -36,7 +36,7 @@ pub enum TimeUnit {
     /// timelines.
     Nanos,
     /// Simulated machine cycles — the simulator's twin timelines
-    /// ([`Simulator::run_timeline`](crate::Simulator::run_timeline)).
+    /// ([`SimResult::timeline`](crate::SimResult::timeline)).
     Cycles,
 }
 
@@ -611,7 +611,7 @@ pub struct CriticalPath {
 /// Produced by the native executor (on
 /// [`NativeReport::timeline`](super::NativeReport::timeline) when
 /// [`ExecConfig::trace`](super::ExecConfig::trace) is set) and by
-/// [`Simulator::run_timeline`](crate::Simulator::run_timeline); both
+/// [`SimResult::timeline`](crate::SimResult::timeline); both
 /// emit the same schema, so the two sides are diffable event-for-event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Timeline {

@@ -123,7 +123,7 @@ pub struct ChannelStat {
     pub max_occupancy: usize,
 }
 
-/// Where and when one task executed (from [`Simulator::run_traced`]).
+/// Where and when one task executed (see [`SimResult::placements`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskPlacement {
     /// The task.
@@ -162,6 +162,12 @@ pub struct SimResult {
     pub recovery: RecoveryCounts,
     /// Per-channel peak queue occupancy.
     pub channel_stats: Vec<ChannelStat>,
+    /// Each task's placement — which core ran it and when — in task
+    /// order: the schedule itself, for visualization
+    /// (`seqpar_bench::render_gantt`), validation
+    /// ([`check_schedule`](crate::check_schedule)) and
+    /// [`SimResult::timeline`].
+    pub placements: Vec<TaskPlacement>,
 }
 
 impl SimResult {
@@ -184,211 +190,9 @@ impl SimResult {
             busy as f64 / (self.makespan * cores) as f64
         }
     }
-}
 
-/// The list-scheduling performance simulator.
-///
-/// Tasks are scheduled in `(iter, stage)` order. A task becomes ready when
-/// its synchronized dependences — plus any *violated* speculated
-/// dependences — have finished (cross-core edges pay
-/// [`SimConfig::comm_latency`]) and its output queues have space; it then
-/// runs on its stage's core (serial stages) or on the least-loaded core of
-/// its stage's pool (parallel stages, matching the dynamic assignment of
-/// paper §3.2).
-#[derive(Clone, Debug, Default)]
-pub struct Simulator {
-    config: SimConfig,
-}
-
-impl Simulator {
-    /// Creates a simulator with the given machine model.
-    pub fn new(config: SimConfig) -> Self {
-        Self { config }
-    }
-
-    /// The machine model in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Simulates `graph` under `plan`.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`] for the validation failures.
-    pub fn run(&self, graph: &TaskGraph, plan: &ExecutionPlan) -> Result<SimResult, SimError> {
-        self.run_traced(graph, plan).map(|(r, _)| r)
-    }
-
-    /// Like [`Simulator::run`], but also returns each task's placement —
-    /// which core ran it and when — for schedule visualization.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`] for the validation failures.
-    pub fn run_traced(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-    ) -> Result<(SimResult, Vec<TaskPlacement>), SimError> {
-        let shape = crate::diag::PlanShape::of(plan);
-        shape.check_against(graph.stage_count())?;
-        if shape.cores_required > self.config.cores {
-            return Err(SimError::NotEnoughCores {
-                required: shape.cores_required,
-                available: self.config.cores,
-            });
-        }
-        // One queue per (producer core, consumer stage) pair is the upper
-        // bound the hardware must provide; we conservatively count
-        // channel-pairs × max pool size.
-        let channels = graph.channels();
-        let queues_needed: usize = channels
-            .iter()
-            .map(|(s, t)| plan.stage(s.0).cores().len() * plan.stage(t.0).cores().len())
-            .sum();
-        if queues_needed > self.config.num_queues {
-            return Err(SimError::TooManyChannels {
-                required: queues_needed,
-                available: self.config.num_queues,
-            });
-        }
-        // consumers_of[s] = stages fed by stage s (for backpressure).
-        let mut consumers_of: HashMap<u8, Vec<u8>> = HashMap::new();
-        for (s, t) in &channels {
-            consumers_of.entry(s.0).or_default().push(t.0);
-        }
-
-        let n = graph.len();
-        let mut finish = vec![0u64; n];
-        let mut core_of = vec![0usize; n];
-        let mut start_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
-        let mut finish_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
-        let mut core_avail = vec![0u64; self.config.cores];
-        let mut core_busy = vec![0u64; self.config.cores];
-        let mut queue_stall = 0u64;
-        let mut violations = 0u64;
-        let mut survived = 0u64;
-        let mut placements: Vec<TaskPlacement> = Vec::with_capacity(n);
-
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            // Effective dependences: synchronized + violated speculative.
-            let mut dep_ids: Vec<u32> = graph.deps(task).iter().map(|d| d.0).collect();
-            for s in graph.spec_deps(task) {
-                if s.violated {
-                    violations += 1;
-                    dep_ids.push(s.on.0);
-                } else {
-                    survived += 1;
-                }
-            }
-            // Pick the core.
-            let core = match plan.stage(task.stage.0) {
-                StageAssignment::Serial { core } => *core,
-                StageAssignment::Parallel { cores } => {
-                    // Least work enqueued = earliest available. The
-                    // empty-pool case was rejected up front
-                    // (`SimError::EmptyStagePool`), so the fallback arm
-                    // is unreachable rather than a panic site.
-                    cores
-                        .iter()
-                        .min_by_key(|c| core_avail[**c])
-                        .copied()
-                        .unwrap_or(0)
-                }
-                StageAssignment::RoundRobin { cores } => cores[(task.iter as usize) % cores.len()],
-            };
-            let dep_ready = dep_ids
-                .iter()
-                .map(|&d| {
-                    let lat = if core_of[d as usize] == core {
-                        0
-                    } else {
-                        self.config.comm_latency
-                    };
-                    finish[d as usize] + lat
-                })
-                .max()
-                .unwrap_or(0);
-            // Backpressure: the producer of iteration i cannot run ahead
-            // of its consumers by more than the queue capacity.
-            let mut queue_ready = 0u64;
-            if let Some(consumers) = consumers_of.get(&task.stage.0) {
-                let k = self.config.queue_capacity as u64;
-                if task.iter >= k {
-                    for t in consumers {
-                        if let Some(&s) = start_by_stage_iter.get(&(*t, task.iter - k)) {
-                            queue_ready = queue_ready.max(s);
-                        }
-                    }
-                }
-            }
-            let unconstrained = dep_ready.max(core_avail[core]);
-            if queue_ready > unconstrained {
-                queue_stall += queue_ready - unconstrained;
-            }
-            let start = unconstrained.max(queue_ready);
-            let end = start + task.cost;
-            finish[idx] = end;
-            core_of[idx] = core;
-            core_avail[core] = end;
-            core_busy[core] += task.cost;
-            start_by_stage_iter.insert((task.stage.0, task.iter), start);
-            finish_by_stage_iter.insert((task.stage.0, task.iter), end);
-            placements.push(TaskPlacement {
-                task: crate::task::TaskId(idx as u32),
-                core,
-                start,
-                end,
-            });
-        }
-
-        // Post-hoc channel occupancy: an entry lives from the producer's
-        // finish to the consumer's start.
-        let mut channel_stats = Vec::with_capacity(channels.len());
-        for (s, t) in &channels {
-            let mut events: Vec<(u64, i32)> = Vec::new();
-            for ((stage, iter), &fin) in &finish_by_stage_iter {
-                if *stage == s.0 {
-                    if let Some(&st) = start_by_stage_iter.get(&(t.0, *iter)) {
-                        events.push((fin, 1));
-                        events.push((st, -1));
-                    }
-                }
-            }
-            // Dequeues before enqueues at equal timestamps.
-            events.sort_unstable_by_key(|(time, delta)| (*time, *delta));
-            let mut occupancy = 0i32;
-            let mut max_occupancy = 0i32;
-            for (_, delta) in events {
-                occupancy += delta;
-                max_occupancy = max_occupancy.max(occupancy);
-            }
-            channel_stats.push(ChannelStat {
-                producer: s.0,
-                consumer: t.0,
-                max_occupancy: max_occupancy.max(0) as usize,
-            });
-        }
-
-        Ok((
-            SimResult {
-                makespan: finish.iter().copied().max().unwrap_or(0),
-                serial_cycles: graph.serial_cycles(),
-                core_busy,
-                tasks_executed: n,
-                queue_stall_cycles: queue_stall,
-                violations,
-                speculations_survived: survived,
-                recovery: RecoveryCounts::default(),
-                channel_stats,
-            },
-            placements,
-        ))
-    }
-
-    /// Like [`Simulator::run_traced`], but renders the simulated
-    /// schedule in the native executor's trace-event schema: a
+    /// Renders the simulated schedule of `graph` (the graph this result
+    /// was simulated from) in the native executor's trace-event schema: a
     /// [`Timeline`] with [`TimeUnit::Cycles`] timestamps, directly
     /// diffable against [`NativeReport::timeline`](crate::NativeReport::timeline)
     /// (the differential suite checks both agree on commit order).
@@ -424,7 +228,7 @@ impl Simulator {
     /// through the same speculation-governor automaton the native
     /// executor runs, so trace consumers can diff the governor's
     /// decision sequence between the model and the machine; its
-    /// counters come back as the third element (`None` without one).
+    /// counters come back as the second element (`None` without one).
     ///
     /// The governor sees the simulated schedule exactly as the native
     /// one sees the real schedule: each in-order commit feeds
@@ -445,19 +249,14 @@ impl Simulator {
     /// pin the native governor's determinism; re-timing the model under
     /// a dynamic window would make the twin's clock disagree with the
     /// placements it annotates.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`] for the validation failures.
-    pub fn run_timeline(
+    pub fn timeline(
         &self,
         graph: &TaskGraph,
-        plan: &ExecutionPlan,
         governor: Option<&GovernorConfig>,
-    ) -> Result<(SimResult, Timeline, Option<GovernorStats>), SimError> {
-        let (result, placements) = self.run_traced(graph, plan)?;
+    ) -> (Timeline, Option<GovernorStats>) {
+        let placements = &self.placements;
         let mut exec_events: Vec<TraceEvent> = Vec::with_capacity(placements.len() * 2);
-        for p in &placements {
+        for p in placements {
             let task = graph.task(p.task);
             exec_events.push(TraceEvent {
                 ts: p.start,
@@ -600,7 +399,193 @@ impl Simulator {
             graph.stage_count(),
             vec![exec_events, frontier_events],
         );
-        Ok((result, timeline, gov.map(|g| g.stats())))
+        (timeline, gov.map(|g| g.stats()))
+    }
+}
+
+/// The list-scheduling performance simulator.
+///
+/// Tasks are scheduled in `(iter, stage)` order. A task becomes ready when
+/// its synchronized dependences — plus any *violated* speculated
+/// dependences — have finished (cross-core edges pay
+/// [`SimConfig::comm_latency`]) and its output queues have space; it then
+/// runs on its stage's core (serial stages) or on the least-loaded core of
+/// its stage's pool (parallel stages, matching the dynamic assignment of
+/// paper §3.2).
+#[derive(Clone, Debug, Default)]
+pub struct Simulator {
+    config: SimConfig,
+}
+
+impl Simulator {
+    /// Creates a simulator with the given machine model.
+    pub fn new(config: SimConfig) -> Self {
+        Self { config }
+    }
+
+    /// The machine model in use.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Simulates `graph` under `plan`.
+    ///
+    /// # Errors
+    ///
+    /// See [`SimError`] for the validation failures.
+    pub fn run(&self, graph: &TaskGraph, plan: &ExecutionPlan) -> Result<SimResult, SimError> {
+        let shape = crate::diag::PlanShape::of(plan);
+        shape.check_against(graph.stage_count())?;
+        if shape.cores_required > self.config.cores {
+            return Err(SimError::NotEnoughCores {
+                required: shape.cores_required,
+                available: self.config.cores,
+            });
+        }
+        // One queue per (producer core, consumer stage) pair is the upper
+        // bound the hardware must provide; we conservatively count
+        // channel-pairs × max pool size.
+        let channels = graph.channels();
+        let queues_needed: usize = channels
+            .iter()
+            .map(|(s, t)| plan.stage(s.0).cores().len() * plan.stage(t.0).cores().len())
+            .sum();
+        if queues_needed > self.config.num_queues {
+            return Err(SimError::TooManyChannels {
+                required: queues_needed,
+                available: self.config.num_queues,
+            });
+        }
+        // consumers_of[s] = stages fed by stage s (for backpressure).
+        let mut consumers_of: HashMap<u8, Vec<u8>> = HashMap::new();
+        for (s, t) in &channels {
+            consumers_of.entry(s.0).or_default().push(t.0);
+        }
+
+        let n = graph.len();
+        let mut finish = vec![0u64; n];
+        let mut core_of = vec![0usize; n];
+        let mut start_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
+        let mut finish_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
+        let mut core_avail = vec![0u64; self.config.cores];
+        let mut core_busy = vec![0u64; self.config.cores];
+        let mut queue_stall = 0u64;
+        let mut violations = 0u64;
+        let mut survived = 0u64;
+        let mut placements: Vec<TaskPlacement> = Vec::with_capacity(n);
+
+        for (idx, task) in graph.tasks().iter().enumerate() {
+            // Effective dependences: synchronized + violated speculative.
+            let mut dep_ids: Vec<u32> = graph.deps(task).iter().map(|d| d.0).collect();
+            for s in graph.spec_deps(task) {
+                if s.violated {
+                    violations += 1;
+                    dep_ids.push(s.on.0);
+                } else {
+                    survived += 1;
+                }
+            }
+            // Pick the core.
+            let core = match plan.stage(task.stage.0) {
+                StageAssignment::Serial { core } => *core,
+                StageAssignment::Parallel { cores } => {
+                    // Least work enqueued = earliest available. The
+                    // empty-pool case was rejected up front
+                    // (`SimError::EmptyStagePool`), so the fallback arm
+                    // is unreachable rather than a panic site.
+                    cores
+                        .iter()
+                        .min_by_key(|c| core_avail[**c])
+                        .copied()
+                        .unwrap_or(0)
+                }
+                StageAssignment::RoundRobin { cores } => cores[(task.iter as usize) % cores.len()],
+            };
+            let dep_ready = dep_ids
+                .iter()
+                .map(|&d| {
+                    let lat = if core_of[d as usize] == core {
+                        0
+                    } else {
+                        self.config.comm_latency
+                    };
+                    finish[d as usize] + lat
+                })
+                .max()
+                .unwrap_or(0);
+            // Backpressure: the producer of iteration i cannot run ahead
+            // of its consumers by more than the queue capacity.
+            let mut queue_ready = 0u64;
+            if let Some(consumers) = consumers_of.get(&task.stage.0) {
+                let k = self.config.queue_capacity as u64;
+                if task.iter >= k {
+                    for t in consumers {
+                        if let Some(&s) = start_by_stage_iter.get(&(*t, task.iter - k)) {
+                            queue_ready = queue_ready.max(s);
+                        }
+                    }
+                }
+            }
+            let unconstrained = dep_ready.max(core_avail[core]);
+            if queue_ready > unconstrained {
+                queue_stall += queue_ready - unconstrained;
+            }
+            let start = unconstrained.max(queue_ready);
+            let end = start + task.cost;
+            finish[idx] = end;
+            core_of[idx] = core;
+            core_avail[core] = end;
+            core_busy[core] += task.cost;
+            start_by_stage_iter.insert((task.stage.0, task.iter), start);
+            finish_by_stage_iter.insert((task.stage.0, task.iter), end);
+            placements.push(TaskPlacement {
+                task: crate::task::TaskId(idx as u32),
+                core,
+                start,
+                end,
+            });
+        }
+
+        // Post-hoc channel occupancy: an entry lives from the producer's
+        // finish to the consumer's start.
+        let mut channel_stats = Vec::with_capacity(channels.len());
+        for (s, t) in &channels {
+            let mut events: Vec<(u64, i32)> = Vec::new();
+            for ((stage, iter), &fin) in &finish_by_stage_iter {
+                if *stage == s.0 {
+                    if let Some(&st) = start_by_stage_iter.get(&(t.0, *iter)) {
+                        events.push((fin, 1));
+                        events.push((st, -1));
+                    }
+                }
+            }
+            // Dequeues before enqueues at equal timestamps.
+            events.sort_unstable_by_key(|(time, delta)| (*time, *delta));
+            let mut occupancy = 0i32;
+            let mut max_occupancy = 0i32;
+            for (_, delta) in events {
+                occupancy += delta;
+                max_occupancy = max_occupancy.max(occupancy);
+            }
+            channel_stats.push(ChannelStat {
+                producer: s.0,
+                consumer: t.0,
+                max_occupancy: max_occupancy.max(0) as usize,
+            });
+        }
+
+        Ok(SimResult {
+            makespan: finish.iter().copied().max().unwrap_or(0),
+            serial_cycles: graph.serial_cycles(),
+            core_busy,
+            tasks_executed: n,
+            queue_stall_cycles: queue_stall,
+            violations,
+            speculations_survived: survived,
+            recovery: RecoveryCounts::default(),
+            channel_stats,
+            placements,
+        })
     }
 
     /// Simulates `graph` under `plan` with `faults` injected — the
@@ -688,7 +673,7 @@ impl Simulator {
             };
             prev = Some(id);
         }
-        let (mut result, _) = self.run_traced(&twin, plan)?;
+        let mut result = self.run(&twin, plan)?;
         result.serial_cycles = graph.serial_cycles();
         result.tasks_executed = attempts_total;
         result.violations = violations;
@@ -987,16 +972,17 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (r, placements) = sim.run_traced(&g, &ExecutionPlan::three_phase(6)).unwrap();
+        let r = sim.run(&g, &ExecutionPlan::three_phase(6)).unwrap();
+        let placements = &r.placements;
         assert_eq!(placements.len(), g.len());
         // End times bound the makespan; costs match; no core overlaps.
         assert_eq!(placements.iter().map(|p| p.end).max().unwrap(), r.makespan);
-        for p in &placements {
+        for p in placements {
             assert_eq!(p.end - p.start, g.task(p.task).cost);
             assert!(p.core < 6);
         }
         let mut by_core: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 6];
-        for p in &placements {
+        for p in placements {
             by_core[p.core].push((p.start, p.end));
         }
         for spans in &mut by_core {
@@ -1008,16 +994,15 @@ mod tests {
     }
 
     #[test]
-    fn run_timeline_emits_the_native_event_schema() {
+    fn timeline_emits_the_native_event_schema() {
         let g = three_phase_graph(30, 5, 40, 5);
         let sim = Simulator::new(SimConfig {
             cores: 4,
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (r, timeline, _) = sim
-            .run_timeline(&g, &ExecutionPlan::three_phase(4), None)
-            .unwrap();
+        let r = sim.run(&g, &ExecutionPlan::three_phase(4)).unwrap();
+        let (timeline, _) = r.timeline(&g, None);
         timeline
             .validate()
             .expect("simulated traces are well-formed");
@@ -1061,11 +1046,10 @@ mod tests {
         let sim = Simulator::new(SimConfig::with_cores(4));
         let cfg = GovernorConfig {
             reprobe_period: 8,
-            history: 8,
             ..GovernorConfig::default()
         };
-        let plan = ExecutionPlan::tls(4);
-        let (_, timeline, stats) = sim.run_timeline(&g, &plan, Some(&cfg)).unwrap();
+        let result = sim.run(&g, &ExecutionPlan::tls(4)).unwrap();
+        let (timeline, stats) = result.timeline(&g, Some(&cfg));
         let stats = stats.expect("a governed run reports its governor");
         timeline
             .validate()
@@ -1098,11 +1082,11 @@ mod tests {
         );
         // Determinism: the twin's decision stream is a pure function of
         // the simulated schedule.
-        let (_, timeline2, stats2) = sim.run_timeline(&g, &plan, Some(&cfg)).unwrap();
+        let (timeline2, stats2) = result.timeline(&g, Some(&cfg));
         assert_eq!(Some(stats), stats2);
         assert_eq!(timeline.events().len(), timeline2.events().len());
         // The ungoverned path is unchanged: no governor events at all.
-        let (_, plain, no_stats) = sim.run_timeline(&g, &plan, None).unwrap();
+        let (plain, no_stats) = result.timeline(&g, None);
         assert_eq!(no_stats, None);
         assert!(plain.events().iter().all(|e| !matches!(
             e.kind,

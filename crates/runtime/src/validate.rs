@@ -349,9 +349,10 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let plan = ExecutionPlan::three_phase(cores);
-                let (_, placements) = Simulator::new(cfg)
-                    .run_traced(&g, &plan)
-                    .expect("valid plan");
+                let placements = Simulator::new(cfg)
+                    .run(&g, &plan)
+                    .expect("valid plan")
+                    .placements;
                 let violations = check_schedule(&g, &plan, &cfg, &placements);
                 assert!(
                     violations.is_empty(),
@@ -370,7 +371,10 @@ mod tests {
             ..SimConfig::default()
         };
         let plan = ExecutionPlan::three_phase(4);
-        let (_, mut placements) = Simulator::new(cfg).run_traced(&g, &plan).expect("valid");
+        let mut placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid")
+            .placements;
         // Move a phase-B task to time zero: dependences break.
         let victim = placements
             .iter()
@@ -394,7 +398,10 @@ mod tests {
             ..SimConfig::default()
         };
         let plan = ExecutionPlan::three_phase(4);
-        let (_, mut placements) = Simulator::new(cfg).run_traced(&g, &plan).expect("valid");
+        let mut placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid")
+            .placements;
         // Put a phase-A task on a phase-B core.
         let victim = placements
             .iter()
@@ -415,7 +422,10 @@ mod tests {
             ..SimConfig::default()
         };
         let plan = ExecutionPlan::three_phase(4);
-        let (_, mut placements) = Simulator::new(cfg).run_traced(&g, &plan).expect("valid");
+        let mut placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid")
+            .placements;
         placements.pop();
         let violations = check_schedule(&g, &plan, &cfg, &placements);
         assert!(matches!(
@@ -495,7 +505,10 @@ mod tests {
         let g = graph();
         let cfg = SimConfig::with_cores(4);
         let plan = ExecutionPlan::three_phase(4);
-        let (_, mut placements) = Simulator::new(cfg).run_traced(&g, &plan).expect("valid");
+        let mut placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid")
+            .placements;
         // Point one placement at a task beyond the graph.
         placements[0].task = TaskId(10_000);
         let violations = check_schedule(&g, &plan, &cfg, &placements);
@@ -517,7 +530,10 @@ mod tests {
         let g = graph();
         let cfg = SimConfig::with_cores(4);
         let plan = ExecutionPlan::three_phase(4);
-        let (_, mut placements) = Simulator::new(cfg).run_traced(&g, &plan).expect("valid");
+        let mut placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid")
+            .placements;
         // end < start: must report WrongDuration, not panic on u64
         // subtraction.
         let victim = placements

@@ -147,9 +147,10 @@ proptest! {
         let g = build_graph(&costs);
         let cores = 6;
         let sim = Simulator::new(SimConfig { cores, comm_latency: 3, ..SimConfig::default() });
-        let (_, placements) = sim
-            .run_traced(&g, &ExecutionPlan::three_phase(cores))
-            .expect("valid");
+        let placements = sim
+            .run(&g, &ExecutionPlan::three_phase(cores))
+            .expect("valid")
+            .placements;
         prop_assert_eq!(placements.len(), g.len());
         let mut by_core: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cores];
         for p in &placements {
@@ -192,9 +193,10 @@ proptest! {
         let g = build_graph(&costs);
         let cfg = SimConfig { cores, comm_latency: lat, queue_capacity: cap, ..SimConfig::default() };
         let plan = ExecutionPlan::three_phase(cores);
-        let (_, placements) = Simulator::new(cfg)
-            .run_traced(&g, &plan)
-            .expect("valid plan");
+        let placements = Simulator::new(cfg)
+            .run(&g, &plan)
+            .expect("valid plan")
+            .placements;
         let violations = seqpar_runtime::check_schedule(&g, &plan, &cfg, &placements);
         prop_assert!(violations.is_empty(), "{violations:?}");
     }

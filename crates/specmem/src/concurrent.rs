@@ -1,12 +1,16 @@
 //! Thread-safe versioned memory: the substrate the native executor
-//! routes speculative state through.
+//! routes speculative state through, and the only versioned memory in
+//! the workspace.
 //!
-//! [`ConcurrentVersionedMemory`] keeps the semantics of
-//! [`VersionedMemory`](crate::VersionedMemory) — privatized per-version
-//! write buffers, eager forwarding of uncommitted stores to later
-//! versions, eager conflict detection, the silent-store rule, strictly
-//! in-order commit — but every operation takes `&self` and is safe to
-//! call from many threads at once:
+//! [`ConcurrentVersionedMemory`] gives every version a privatized write
+//! buffer, eagerly forwards uncommitted stores to later versions,
+//! detects conflicts eagerly, applies the silent-store rule and commits
+//! strictly in order. One rule decides every commit — a version commits
+//! iff nothing it read was reordered past a conflicting write (Colvin's
+//! parallelized sequential composition, PAPERS.md) — and it is stated
+//! once, in the private `committable` routine every commit entry point
+//! shares. Every operation takes `&self` and is safe to call from many
+//! threads at once:
 //!
 //! * **Address sharding.** Per-address state (write buffers, read sets,
 //!   committed values) is split across [`SHARD_COUNT`] shards by address
@@ -38,7 +42,9 @@
 //! [`commit_check`](ConcurrentVersionedMemory::commit_check) — squashing
 //! and [`rollback`](ConcurrentVersionedMemory::rollback)ing the version
 //! on conflict — and [`try_commit`](ConcurrentVersionedMemory::try_commit)
-//! to publish the write buffer when the attempt survives.
+//! to publish the write buffer when the attempt survives (the executor
+//! uses their batch forms; the single-version ones are the same routine
+//! at k = 1).
 
 use crate::memory::{Addr, CommitError, VersionId};
 use crate::stats::MemStats;
@@ -246,7 +252,6 @@ impl AtomicStats {
             violations: self.violations.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            nontransactional_writes: 0,
         }
     }
 }
@@ -325,6 +330,20 @@ impl InlineBuf {
         self.dense_dirty == 0 && self.spill.is_empty()
     }
 
+    /// Folds the stretch's batched op counters into the global stats.
+    fn fold_counters(&mut self, stats: &AtomicStats) {
+        if self.reads > 0 {
+            stats
+                .reads
+                .fetch_add(std::mem::take(&mut self.reads), Ordering::Relaxed);
+        }
+        if self.writes > 0 {
+            stats
+                .writes
+                .fetch_add(std::mem::take(&mut self.writes), Ordering::Relaxed);
+        }
+    }
+
     /// Drains every overlay entry, leaving the buffers empty but with
     /// their capacity retained for the next stretch.
     fn drain(&mut self) -> Vec<(Addr, u64)> {
@@ -359,9 +378,8 @@ pub struct VersionProbe {
 
 /// Thread-safe, address-sharded versioned speculative memory.
 ///
-/// See the [module docs](self) for the design and
-/// [`VersionedMemory`](crate::VersionedMemory) for the single-threaded
-/// semantics this type preserves. All methods take `&self`.
+/// See the [module docs](self) for the design and the
+/// [crate docs](crate) for the semantics. All methods take `&self`.
 ///
 /// # Example
 ///
@@ -401,7 +419,7 @@ pub struct ConcurrentVersionedMemory {
     /// registry → `inline_buf` → shard.
     inline_buf: Mutex<InlineBuf>,
     /// Commits since the last reclamation pass (only mutated under the
-    /// registry write lock `try_commit` holds, so plain atomics with
+    /// registry write lock a commit holds, so plain atomics with
     /// relaxed ordering are race-free here).
     commits_since_reclaim: AtomicU64,
     /// Reclaim every this-many commits (≥ 1).
@@ -564,18 +582,7 @@ impl ConcurrentVersionedMemory {
         );
         let writes = {
             let mut buf = self.inline_buf.lock();
-            // Fold the stretch's batched op counters into the global
-            // stats while the lock is held anyway.
-            if buf.reads > 0 {
-                self.stats
-                    .reads
-                    .fetch_add(std::mem::take(&mut buf.reads), Ordering::Relaxed);
-            }
-            if buf.writes > 0 {
-                self.stats
-                    .writes
-                    .fetch_add(std::mem::take(&mut buf.writes), Ordering::Relaxed);
-            }
+            buf.fold_counters(&self.stats);
             std::mem::take(&mut buf.version_writes)
         };
         // Pre-open the successor id: in a degraded stretch the executor
@@ -606,16 +613,7 @@ impl ConcurrentVersionedMemory {
     /// inserts cannot be shadowed.
     fn flush_inline(&self) {
         let mut buf = self.inline_buf.lock();
-        if buf.reads > 0 {
-            self.stats
-                .reads
-                .fetch_add(std::mem::take(&mut buf.reads), Ordering::Relaxed);
-        }
-        if buf.writes > 0 {
-            self.stats
-                .writes
-                .fetch_add(std::mem::take(&mut buf.writes), Ordering::Relaxed);
-        }
+        buf.fold_counters(&self.stats);
         if buf.is_empty() {
             return;
         }
@@ -648,21 +646,6 @@ impl ConcurrentVersionedMemory {
             .find_map(|(_, writes)| writes.get(&addr))
             .or_else(|| shard.base.get(&addr))
             .copied()
-    }
-
-    /// Looks up the value visible to `v` at `addr` **without** recording
-    /// it in the read set — lookup split from read-tracking, exactly as
-    /// [`VersionedMemory::peek`](crate::VersionedMemory::peek). A peeked
-    /// value is never validated at commit; computations must use
-    /// [`read`](ConcurrentVersionedMemory::read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not active.
-    pub fn peek(&self, v: VersionId, addr: Addr) -> u64 {
-        let reg = self.registry.read();
-        assert!(reg.contains_key(&v.0), "peek from inactive version {v}");
-        self.shard(addr).lock().lookup(v, addr).0
     }
 
     /// Reads `addr` from version `v`, recording the first observation in
@@ -788,29 +771,21 @@ impl ConcurrentVersionedMemory {
     /// [`try_commit`](ConcurrentVersionedMemory::try_commit), split out
     /// so an in-order commit frontier can resolve conflicts (squash and
     /// re-dispatch) *before* irrevocably publishing the write buffer.
+    /// [`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)
+    /// at k = 1.
     ///
     /// # Errors
     ///
     /// The same as [`try_commit`](ConcurrentVersionedMemory::try_commit).
     pub fn commit_check(&self, v: VersionId) -> Result<(), CommitError> {
-        let reg = self.registry.read();
-        let Some(handle) = reg.get(&v.0) else {
-            return Err(CommitError::Unknown);
-        };
-        if let Some(by) = handle.squashed_by() {
-            return Err(CommitError::Squashed { by });
-        }
-        if let Some((&oldest, _)) = reg.iter().next() {
-            if oldest != v.0 {
-                return Err(CommitError::NotOldest);
-            }
-        }
-        Ok(())
+        self.commit_check_batch(&[v]).1.map_or(Ok(()), Err)
     }
 
     /// Attempts to commit `v`, retiring its write buffer into committed
     /// state (published immediately; *reclaimed* into the flat base map
     /// once every active version postdates this commit).
+    /// [`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)
+    /// at k = 1.
     ///
     /// # Errors
     ///
@@ -821,57 +796,18 @@ impl ConcurrentVersionedMemory {
     ///   with [`rollback`](ConcurrentVersionedMemory::rollback) and
     ///   re-execute.
     pub fn try_commit(&self, v: VersionId) -> Result<(), CommitError> {
-        let mut reg = self.registry.write();
-        let Some(handle) = reg.get(&v.0) else {
-            return Err(CommitError::Unknown);
-        };
-        if let Some(by) = handle.squashed_by() {
-            return Err(CommitError::Squashed { by });
-        }
-        if let Some((&oldest, _)) = reg.iter().next() {
-            if oldest != v.0 {
-                return Err(CommitError::NotOldest);
-            }
-        }
-        reg.remove(&v.0);
-        let tag = self.epoch.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            if let Some(sv) = shard.live.remove(&v.0) {
-                if !sv.writes.is_empty() {
-                    shard.retired.insert(v.0, (tag, sv.writes));
-                    self.retired_count.fetch_add(1, Ordering::Release);
-                }
-            }
-        }
-        self.committed_watermark.store(v.0 + 1, Ordering::Release);
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        // Reclamation is batched: folding retired buffers is pure
-        // bookkeeping (lookups walk them either way), so it runs only
-        // every `reclaim_cadence`-th commit to keep the in-order commit
-        // frontier's critical section short.
-        let since = self.commits_since_reclaim.fetch_add(1, Ordering::Relaxed) + 1;
-        if since >= self.reclaim_cadence {
-            self.commits_since_reclaim.store(0, Ordering::Relaxed);
-            self.reclaim(&reg);
-        }
-        Ok(())
+        self.commit_prefix(&[v], |_| {}).map_or(Ok(()), Err)
     }
 
-    /// Checks a *consecutive frontier run* of versions in one registry
-    /// read-lock acquisition: returns how many of `vs` (a strict
-    /// prefix-first slice, oldest first) could commit right now, plus
-    /// the error that stopped the run. The batch entry point exists so
-    /// a commit frontier draining `k` buffered completions pays one
-    /// lock acquisition instead of `k` — the per-version semantics are
-    /// exactly [`commit_check`](ConcurrentVersionedMemory::commit_check)
-    /// applied in order, assuming each earlier element commits.
-    ///
-    /// The returned error is the verdict for `vs[n]` where `n` is the
-    /// returned count; `None` means the whole run is committable.
-    #[must_use]
-    pub fn commit_check_batch(&self, vs: &[VersionId]) -> (usize, Option<CommitError>) {
-        let reg = self.registry.read();
+    /// The commit rule, stated once: how many of `vs` (a consecutive
+    /// frontier run, oldest first) could commit right now assuming each
+    /// earlier element does, and the verdict on the first that could
+    /// not. `passed` sees the handle of every version that can.
+    fn committable(
+        reg: &BTreeMap<u64, Arc<Handle>>,
+        vs: &[VersionId],
+        mut passed: impl FnMut(&Handle),
+    ) -> (usize, Option<CommitError>) {
         let mut oldest = reg.keys();
         for (i, v) in vs.iter().enumerate() {
             let Some(handle) = reg.get(&v.0) else {
@@ -885,8 +821,23 @@ impl ConcurrentVersionedMemory {
             if oldest.next() != Some(&v.0) {
                 return (i, Some(CommitError::NotOldest));
             }
+            passed(handle);
         }
         (vs.len(), None)
+    }
+
+    /// Checks a *consecutive frontier run* of versions in one registry
+    /// read-lock acquisition: returns how many of `vs` (a strict
+    /// prefix-first slice, oldest first) could commit right now, plus
+    /// the error that stopped the run. The batch entry point exists so
+    /// a commit frontier draining `k` buffered completions pays one
+    /// lock acquisition instead of `k`.
+    ///
+    /// The returned error is the verdict for `vs[n]` where `n` is the
+    /// returned count; `None` means the whole run is committable.
+    #[must_use]
+    pub fn commit_check_batch(&self, vs: &[VersionId]) -> (usize, Option<CommitError>) {
+        Self::committable(&self.registry.read(), vs, |_| {})
     }
 
     /// Commits the longest committable prefix of `vs` (a consecutive
@@ -895,46 +846,40 @@ impl ConcurrentVersionedMemory {
     /// of published write-buffer entries for every committed version
     /// plus the error for the first version that could not commit.
     ///
-    /// Each version still receives its own retirement epoch tag, the
-    /// commit watermark advances past the last committed version, and
+    /// Each version receives its own retirement epoch tag, the commit
+    /// watermark advances past the last committed version, and
     /// reclamation cadence accounting counts every commit — observable
-    /// state is identical to calling
-    /// [`try_commit`](ConcurrentVersionedMemory::try_commit) in a loop;
+    /// state is identical to committing the versions one at a time;
     /// only the lock traffic is amortized.
     #[must_use]
     pub fn try_commit_batch(&self, vs: &[VersionId]) -> (Vec<u64>, Option<CommitError>) {
-        let mut reg = self.registry.write();
         let mut writes = Vec::new();
-        let mut stopped = None;
-        {
-            let mut oldest = reg.keys();
-            for v in vs {
-                let Some(handle) = reg.get(&v.0) else {
-                    stopped = Some(CommitError::Unknown);
-                    break;
-                };
-                if let Some(by) = handle.squashed_by() {
-                    stopped = Some(CommitError::Squashed { by });
-                    break;
-                }
-                if oldest.next() != Some(&v.0) {
-                    stopped = Some(CommitError::NotOldest);
-                    break;
-                }
-                // Same counter `probe` reports, captured before the
-                // handle is dropped from the registry.
-                writes.push(handle.writes.load(Ordering::Relaxed));
-            }
-        }
-        let run = &vs[..writes.len()];
-        if run.is_empty() {
-            return (Vec::new(), stopped);
-        }
+        let stopped = self.commit_prefix(vs, |w| writes.push(w));
+        (writes, stopped)
+    }
+
+    /// The one commit routine: publishes the committable prefix of `vs`,
+    /// reporting each committed version's write count to `published`
+    /// (the counter `probe` reports, captured before the handle leaves
+    /// the registry), and returns what stopped the run.
+    fn commit_prefix(
+        &self,
+        vs: &[VersionId],
+        mut published: impl FnMut(u64),
+    ) -> Option<CommitError> {
+        let mut reg = self.registry.write();
+        let (n, stopped) = Self::committable(&reg, vs, |handle| {
+            published(handle.writes.load(Ordering::Relaxed));
+        });
+        let run = &vs[..n];
+        let Some(last) = run.last() else {
+            return stopped;
+        };
         for v in run {
             reg.remove(&v.0);
         }
         // One epoch block for the run; tags stay strictly increasing in
-        // commit order, exactly as per-version `fetch_add(1)` would.
+        // commit order.
         let base = self.epoch.fetch_add(run.len() as u64, Ordering::AcqRel);
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -947,12 +892,15 @@ impl ConcurrentVersionedMemory {
                 }
             }
         }
-        let last = run.last().expect("non-empty run");
         self.committed_watermark
             .store(last.0 + 1, Ordering::Release);
         self.stats
             .commits
             .fetch_add(run.len() as u64, Ordering::Relaxed);
+        // Reclamation is batched: folding retired buffers is pure
+        // bookkeeping (lookups walk them either way), so it runs only
+        // every `reclaim_cadence`-th commit to keep the in-order commit
+        // frontier's critical section short.
         let since = self
             .commits_since_reclaim
             .fetch_add(run.len() as u64, Ordering::Relaxed)
@@ -961,7 +909,7 @@ impl ConcurrentVersionedMemory {
             self.commits_since_reclaim.store(0, Ordering::Relaxed);
             self.reclaim(&reg);
         }
-        (writes, stopped)
+        stopped
     }
 
     /// Folds retired buffers that predate every active version into the
@@ -1117,7 +1065,7 @@ mod tests {
         assert_eq!(m.read(VersionId(1), Addr(5)), 0); // reads too early
         let squashed = m.write(VersionId(0), Addr(5), 9);
         assert_eq!(squashed, vec![VersionId(1)]);
-        // Squashed takes precedence over ordering, as in VersionedMemory.
+        // Squashed takes precedence over ordering.
         assert_eq!(
             m.commit_check(VersionId(1)),
             Err(CommitError::Squashed { by: VersionId(0) })
@@ -1279,14 +1227,32 @@ mod tests {
         m.begin(VersionId(0));
     }
 
+    /// The single-version entry points are the batch ones at k = 1:
+    /// same verdict for an unknown, a squashed and a not-oldest version.
     #[test]
-    fn peek_does_not_enter_the_read_set() {
+    fn single_and_batch_commit_agree_at_k_equals_one() {
         let m = ConcurrentVersionedMemory::new();
-        m.begin(VersionId(0));
-        m.begin(VersionId(1));
-        assert_eq!(m.peek(VersionId(1), Addr(5)), 0);
-        assert!(m.write(VersionId(0), Addr(5), 9).is_empty());
-        assert!(!m.is_squashed(VersionId(1)));
+        let (v0, v1, v2, unknown) = (VersionId(0), VersionId(1), VersionId(2), VersionId(9));
+        for v in [v0, v1, v2] {
+            m.begin(v);
+        }
+        m.read(v1, Addr(5));
+        assert_eq!(m.write(v0, Addr(5), 9), vec![v1]);
+        let cases = [
+            (unknown, CommitError::Unknown),
+            (v1, CommitError::Squashed { by: v0 }),
+            (v2, CommitError::NotOldest),
+        ];
+        for (v, verdict) in cases {
+            assert_eq!(m.commit_check(v), Err(verdict));
+            assert_eq!(m.commit_check_batch(&[v]), (0, Some(verdict)));
+            assert_eq!(m.try_commit(v), Err(verdict));
+            assert_eq!(m.try_commit_batch(&[v]), (vec![], Some(verdict)));
+        }
+        assert_eq!(m.active_count(), 3, "a refused commit publishes nothing");
+        assert_eq!(m.commit_check(v0), Ok(()));
+        assert_eq!(m.commit_check_batch(&[v0]), (1, None));
+        assert_eq!(m.try_commit_batch(&[v0]), (vec![1], None));
     }
 
     #[test]

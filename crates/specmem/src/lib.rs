@@ -6,7 +6,9 @@
 //! stores** must not trigger alias misspeculation, and stored values are
 //! **eagerly forwarded** to later threads to avoid misspeculation.
 //!
-//! [`VersionedMemory`] models that subsystem in software:
+//! [`ConcurrentVersionedMemory`] models that subsystem in software, and
+//! is the only versioned memory in the workspace — the native executor's
+//! substrate and the subject of every test here:
 //!
 //! * each speculative task opens a [`VersionId`]-ordered *version* holding
 //!   a private write buffer (privatization comes for free: writes are
@@ -17,6 +19,9 @@
 //!   read squashes that version (eager conflict detection),
 //! * versions commit strictly in order, publishing their buffers.
 //!
+//! Every operation takes `&self`; the [`concurrent`] module documents the
+//! sharding, the registry and the reclamation that make that safe.
+//!
 //! The *Commutative* annotation's escape hatch (§2.3.2) is modelled by
 //! [`undo::UndoLog`]: commutative functions execute in non-transactional
 //! memory and register rollback actions (e.g. `free` undoes `malloc`).
@@ -24,19 +29,25 @@
 //! # Example
 //!
 //! ```
-//! use seqpar_specmem::{Addr, VersionId, VersionedMemory};
+//! use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
 //!
-//! let mut vm = VersionedMemory::new();
+//! let mem = ConcurrentVersionedMemory::new();
 //! let a = Addr(0x10);
 //! let (v0, v1) = (VersionId(0), VersionId(1));
-//! vm.begin(v0);
-//! vm.begin(v1);
-//! vm.write(v0, a, 7);
-//! // Eager forwarding: the later version sees the uncommitted store.
-//! assert_eq!(vm.read(v1, a), 7);
-//! vm.try_commit(v0).unwrap();
-//! vm.try_commit(v1).unwrap();
-//! assert_eq!(vm.committed(a), Some(7));
+//! mem.begin(v0);
+//! mem.begin(v1);
+//! // The later version reads too early ...
+//! assert_eq!(mem.read(v1, a), 0);
+//! // ... so the earlier version's store squashes it.
+//! assert_eq!(mem.write(v0, a, 7), vec![v1]);
+//! mem.try_commit(v0).unwrap();
+//! assert_eq!(mem.try_commit(v1), Err(CommitError::Squashed { by: v0 }));
+//! // Squash and replay: the re-execution reads committed state.
+//! mem.rollback(v1);
+//! mem.begin(v1);
+//! assert_eq!(mem.read(v1, a), 7);
+//! mem.try_commit(v1).unwrap();
+//! assert_eq!(mem.committed(a), Some(7));
 //! ```
 
 #![warn(missing_docs)]
@@ -44,12 +55,10 @@
 
 pub mod concurrent;
 pub mod memory;
-pub mod predictor;
 pub mod stats;
 pub mod undo;
 
 pub use concurrent::{ConcurrentVersionedMemory, MemConfig, VersionProbe};
-pub use memory::{Addr, CommitError, VersionId, VersionedMemory};
-pub use predictor::{Confident, LastValue, Predictor, PredictorStats, Stride};
+pub use memory::{Addr, CommitError, VersionId};
 pub use stats::MemStats;
 pub use undo::UndoLog;

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation counters accumulated by a
-/// [`VersionedMemory`](crate::memory::VersionedMemory).
+/// [`ConcurrentVersionedMemory`](crate::ConcurrentVersionedMemory).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemStats {
     /// Versions opened.
@@ -25,8 +25,6 @@ pub struct MemStats {
     pub commits: u64,
     /// Versions rolled back.
     pub rollbacks: u64,
-    /// Direct writes by commutative (non-transactional) code.
-    pub nontransactional_writes: u64,
 }
 
 impl MemStats {

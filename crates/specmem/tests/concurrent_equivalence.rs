@@ -12,12 +12,14 @@
 //! one real thread per version, with an in-order commit loop that rolls
 //! back and re-executes squashed versions — repeated at shard counts
 //! {1, 4, 16, 64} so the configurable shard knob cannot silently break
-//! linearized equivalence — and (b) single-threaded in program order
-//! through the plain [`VersionedMemory`] — all must land on the model
-//! interpreter's state.
+//! linearized equivalence, and again behind a generated prefix of
+//! versions issued on the inline fast path (see [`Prefix`]) — and (b)
+//! single-threaded in program order, where nothing may ever squash. All
+//! must land on the state of the model interpreter ([`interpret`]): the
+//! reference is twenty lines over a flat map, not a second memory.
 
 use proptest::prelude::*;
-use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId, VersionedMemory};
+use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::HashMap;
 use std::sync::Barrier;
 
@@ -43,7 +45,7 @@ fn op_strategy(addrs: u64) -> impl Strategy<Value = Op> {
 }
 
 /// Interprets `programs` in program order against a flat map — the
-/// sequential semantics both memories must reproduce.
+/// sequential semantics the memory must reproduce.
 fn interpret(programs: &[Vec<Op>]) -> HashMap<u64, u64> {
     let mut state: HashMap<u64, u64> = HashMap::new();
     for program in programs {
@@ -67,6 +69,11 @@ fn interpret(programs: &[Vec<Op>]) -> HashMap<u64, u64> {
 /// active yet).
 fn run_attempt(mem: &ConcurrentVersionedMemory, v: VersionId, program: &[Op]) {
     mem.begin(v);
+    run_ops(mem, v, program);
+}
+
+/// Issues `program`'s operations from the already-open version `v`.
+fn run_ops(mem: &ConcurrentVersionedMemory, v: VersionId, program: &[Op]) {
     for op in program {
         match *op {
             Op::Read { addr } => {
@@ -88,29 +95,79 @@ fn run_attempt(mem: &ConcurrentVersionedMemory, v: VersionId, program: &[Op]) {
 /// shard knob must never change linearized equivalence, only contention.
 const SHARD_COUNTS: &[usize] = &[1, 4, 16, 64];
 
-/// Races one thread per version against `mem`, then drives the in-order
-/// commit frontier with squash-and-replay and checks the committed
-/// state against the model interpreter's. Panics on divergence (the
-/// vendored proptest stub reports failures by panic).
+/// How a case's leading versions are issued before the rest race: the
+/// executor's governor-degraded stretch followed by a re-probe.
+#[derive(Clone, Copy, Debug)]
+struct Prefix {
+    /// This many versions (fewer than the case has) run one at a time
+    /// on the inline fast path — `try_begin_inline`, the ops,
+    /// `commit_inline` — and nobody calls `end_inline`: the first racing
+    /// version's `begin` has to publish the overlay itself.
+    len: usize,
+    /// The first racing version is opened before the prefix runs, as a
+    /// pre-collapse straggler would be: `try_begin_inline` must refuse,
+    /// and the prefix falls back to `begin` / `try_commit`.
+    straggler: bool,
+}
+
+impl Prefix {
+    const NONE: Self = Self {
+        len: 0,
+        straggler: false,
+    };
+}
+
+/// Issues `prefix`, races one thread per remaining version against
+/// `mem`, then drives the in-order commit frontier with squash-and-replay
+/// and checks the committed state against the model interpreter's.
+/// Panics on divergence (the vendored proptest stub reports failures by
+/// panic).
 fn check_concurrent(
     mem: &ConcurrentVersionedMemory,
     programs: &[Vec<Op>],
     expected: &HashMap<u64, u64>,
+    prefix: Prefix,
 ) {
-    let barrier = Barrier::new(programs.len());
+    let (head, racing) = programs.split_at(prefix.len);
+    assert!(
+        !racing.is_empty(),
+        "the prefix must leave a version to race"
+    );
+    let first_racing = VersionId(prefix.len as u64);
+    if prefix.straggler {
+        mem.begin(first_racing);
+    }
+    for (i, program) in head.iter().enumerate() {
+        let v = VersionId(i as u64);
+        let inline = mem.try_begin_inline(v);
+        assert_eq!(inline, !prefix.straggler, "inline open of {v}");
+        if inline {
+            run_ops(mem, v, program);
+            mem.commit_inline(v);
+        } else {
+            run_attempt(mem, v, program);
+            mem.try_commit(v).expect("an in-order version commits");
+        }
+    }
+    let barrier = Barrier::new(racing.len());
     std::thread::scope(|scope| {
-        for (i, program) in programs.iter().enumerate() {
+        for (i, program) in racing.iter().enumerate() {
             let barrier = &barrier;
+            let v = VersionId((prefix.len + i) as u64);
             scope.spawn(move || {
                 barrier.wait();
-                run_attempt(mem, VersionId(i as u64), program);
+                if prefix.straggler && v == first_racing {
+                    run_ops(mem, v, program);
+                } else {
+                    run_attempt(mem, v, program);
+                }
             });
         }
     });
     // In-order commit frontier with squash-and-replay, exactly the
     // executor's protocol.
     let mut replays = 0u64;
-    for (i, program) in programs.iter().enumerate() {
+    for (i, program) in programs.iter().enumerate().skip(prefix.len) {
         let v = VersionId(i as u64);
         loop {
             match mem.try_commit(v) {
@@ -130,9 +187,10 @@ fn check_concurrent(
         assert_eq!(
             mem.committed(Addr(*addr)).unwrap_or(0),
             *val,
-            "concurrent state diverged at {} (shards {}) running {:?}",
+            "concurrent state diverged at {} (shards {}, {:?}) running {:?}",
             addr,
             mem.shard_count(),
+            prefix,
             programs
         );
     }
@@ -172,7 +230,7 @@ fn captured_missed_squash_commits_program_order_state() {
     for &shards in SHARD_COUNTS {
         for _ in 0..64 {
             let mem = ConcurrentVersionedMemory::with_shards(shards);
-            check_concurrent(&mem, &programs, &expected);
+            check_concurrent(&mem, &programs, &expected, Prefix::NONE);
         }
     }
 }
@@ -185,42 +243,35 @@ proptest! {
         programs in proptest::collection::vec(
             proptest::collection::vec(op_strategy(5), 1..8),
             2..6,
-        )
+        ),
+        inline in any::<usize>(),
+        straggler in any::<bool>(),
     ) {
         let expected = interpret(&programs);
 
-        // (a) Concurrent: one thread per version, racing freely —
-        // repeated at every shard count so the configurable knob can't
-        // silently break linearized equivalence.
+        // (a) Concurrent: one thread per version, racing freely, then
+        // again behind the generated inline prefix — each repeated at
+        // every shard count so the configurable knob can't silently
+        // break linearized equivalence.
+        let prefix = Prefix { len: inline % programs.len(), straggler };
         for &shards in SHARD_COUNTS {
-            let mem = ConcurrentVersionedMemory::with_shards(shards);
-            check_concurrent(&mem, &programs, &expected);
+            for prefix in [Prefix::NONE, prefix] {
+                let mem = ConcurrentVersionedMemory::with_shards(shards);
+                check_concurrent(&mem, &programs, &expected, prefix);
+            }
         }
 
-        // (b) The plain single-threaded memory, driven in program order,
-        // agrees (concurrent refactor preserved the semantics).
-        let mut plain = VersionedMemory::new();
+        // (b) Driven single-threaded in program order the same memory is
+        // sequential execution: nothing squashes, every commit succeeds.
+        let mem = ConcurrentVersionedMemory::new();
         for (i, program) in programs.iter().enumerate() {
             let v = VersionId(i as u64);
-            plain.begin(v);
-            for op in program {
-                match *op {
-                    Op::Read { addr } => {
-                        plain.read(v, Addr(addr));
-                    }
-                    Op::Put { addr, val } => {
-                        plain.write(v, Addr(addr), val);
-                    }
-                    Op::Accum { src, dst, delta } => {
-                        let got = plain.read(v, Addr(src));
-                        plain.write(v, Addr(dst), got + delta);
-                    }
-                }
-            }
-            prop_assert_eq!(plain.try_commit(v), Ok(()));
+            run_attempt(&mem, v, program);
+            prop_assert_eq!(mem.try_commit(v), Ok(()));
         }
+        prop_assert_eq!(mem.stats().violations, 0);
         for (addr, val) in &expected {
-            prop_assert_eq!(plain.committed(Addr(*addr)).unwrap_or(0), *val);
+            prop_assert_eq!(mem.committed(Addr(*addr)).unwrap_or(0), *val);
         }
     }
 }

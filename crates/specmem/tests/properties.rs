@@ -3,7 +3,7 @@
 //! semantics of whatever commits.
 
 use proptest::prelude::*;
-use seqpar_specmem::{Addr, VersionId, VersionedMemory};
+use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::collections::HashMap;
 
 #[derive(Clone, Debug)]
@@ -28,7 +28,7 @@ proptest! {
     fn in_order_execution_never_squashes(
         ops in proptest::collection::vec((0..8u64, 0..8u64, 0..2u8, 0..16u64), 1..200)
     ) {
-        let mut vm = VersionedMemory::new();
+        let vm = ConcurrentVersionedMemory::new();
         let mut model: HashMap<u64, u64> = HashMap::new();
         // Sort by version to make issue order sequential.
         let mut ops = ops;
@@ -69,7 +69,7 @@ proptest! {
     fn committed_state_matches_surviving_writes(
         ops in proptest::collection::vec(op_strategy(6, 6), 1..150)
     ) {
-        let mut vm = VersionedMemory::new();
+        let vm = ConcurrentVersionedMemory::new();
         for v in 0..6u64 {
             vm.begin(VersionId(v));
         }
@@ -116,7 +116,7 @@ proptest! {
     fn silent_stores_are_harmless(
         addrs in proptest::collection::vec(0..4u64, 1..40)
     ) {
-        let mut vm = VersionedMemory::new();
+        let vm = ConcurrentVersionedMemory::new();
         vm.begin(VersionId(0));
         vm.begin(VersionId(1));
         // The later version reads everything first.

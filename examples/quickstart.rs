@@ -84,12 +84,12 @@ fn main() {
         comm_latency: 0,
         ..seqpar_runtime::SimConfig::default()
     });
-    let (result, placements) = sim
-        .run_traced(&trace.task_graph(), &parallelized.plan(6))
+    let result = sim
+        .run(&trace.task_graph(), &parallelized.plan(6))
         .expect("plan is valid");
     println!("\nfirst cycles of the 6-core schedule (distinct letters = tasks):");
     print!(
         "{}",
-        seqpar_bench::render_gantt(&placements, 6, result.makespan / 40)
+        seqpar_bench::render_gantt(&result.placements, 6, result.makespan / 40)
     );
 }

@@ -5,7 +5,7 @@
 
 use seqpar::{Parallelizer, Technique};
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program, YBranchHint};
-use seqpar_specmem::{Addr, UndoLog, VersionId, VersionedMemory};
+use seqpar_specmem::{Addr, ConcurrentVersionedMemory, UndoLog, VersionId};
 use std::sync::Mutex;
 
 /// Figure 2 shape: RNG feeding heavy pure work, schedule-driven control.
@@ -137,7 +137,7 @@ fn commutative_calls_unwind_through_the_undo_log_on_squash() {
     // A speculative task calls malloc (commutative, non-transactional),
     // then misspeculates: the undo log frees the block while versioned
     // memory discards the task's speculative writes.
-    let mut vm = VersionedMemory::new();
+    let vm = ConcurrentVersionedMemory::new();
     let mut undo = UndoLog::new();
     let allocations = std::sync::Arc::new(Mutex::new(Vec::<u64>::new()));
 
@@ -171,7 +171,7 @@ fn commutative_calls_unwind_through_the_undo_log_on_squash() {
 
 #[test]
 fn committed_commutative_effects_are_retired_not_undone() {
-    let mut vm = VersionedMemory::new();
+    let vm = ConcurrentVersionedMemory::new();
     let mut undo = UndoLog::new();
     let v = VersionId(0);
     vm.begin(v);

@@ -309,7 +309,7 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
 
 /// The structured timelines of the two substrates are diffable: for
 /// every workload, a traced native run and the simulator's
-/// [`Simulator::run_timeline`] twin of the same plan both validate
+/// [`SimResult::timeline`](seqpar_runtime::SimResult::timeline) twin of the same plan both validate
 /// against the shared event schema and agree exactly on task commit
 /// order (always sequential program order). Service times and
 /// speculation replay differ by design — wall nanoseconds vs modelled
@@ -336,9 +336,10 @@ fn timelines_agree_on_task_order() {
             queue_capacity: 128,
             ..SimConfig::default()
         });
-        let (_, sim_tl, _) = sim
-            .run_timeline(&graph, &ExecutionPlan::three_phase(4), None)
-            .expect("plan matches machine");
+        let (sim_tl, _) = sim
+            .run(&graph, &ExecutionPlan::three_phase(4))
+            .expect("plan matches machine")
+            .timeline(&graph, None);
         sim_tl
             .validate()
             .unwrap_or_else(|d| panic!("{id}: sim timeline malformed: {d}"));

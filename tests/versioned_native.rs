@@ -152,9 +152,10 @@ fn sim_and_native_timelines_agree_on_commit_order() {
     for (id, job) in versioned_jobs() {
         let graph = job.trace().tls_task_graph();
         let plan = ExecutionPlan::tls(4);
-        let (_, sim_timeline, _) = Simulator::new(SimConfig::default())
-            .run_timeline(&graph, &plan, None)
-            .expect("sim accepts the TLS plan");
+        let (sim_timeline, _) = Simulator::new(SimConfig::default())
+            .run(&graph, &plan)
+            .expect("sim accepts the TLS plan")
+            .timeline(&graph, None);
         let (r, _mem) = job
             .execute(&plan, ExecConfig::default().with_tracing(true))
             .expect("plan matches graph");

@@ -139,9 +139,10 @@ fn workload_schedules_pass_the_independent_checker() {
             ..SimConfig::default()
         };
         let plan = ExecutionPlan::three_phase(16);
-        let (_, placements) = Simulator::new(cfg)
-            .run_traced(&graph, &plan)
-            .expect("valid plan");
+        let placements = Simulator::new(cfg)
+            .run(&graph, &plan)
+            .expect("valid plan")
+            .placements;
         let violations = check_schedule(&graph, &plan, &cfg, &placements);
         assert!(
             violations.is_empty(),
