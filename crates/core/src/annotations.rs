@@ -31,8 +31,8 @@ pub struct CommutativeOutcome {
 /// group.
 ///
 /// The calls still execute atomically with respect to one another (the
-/// runtime serializes group members through non-transactional memory with
-/// an undo log — see `seqpar_specmem::UndoLog`), but the *ordering*
+/// paper's runtime serializes group members through non-transactional
+/// memory with a rollback function per call, §2.3.2), but the *ordering*
 /// dependence is gone, which is what blocks parallelization.
 pub fn apply_commutative(pdg: &mut LoopPdg) -> CommutativeOutcome {
     let groups: Vec<Option<CommGroupId>> = (0..pdg.node_count())

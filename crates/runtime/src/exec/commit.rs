@@ -17,7 +17,7 @@
 //! commit (the same ladder [`supervise_task`](super::faults::supervise_task)
 //! replays as a pure function) — and every recovery decision is made
 //! *here*, strictly in task order, from nothing but `(task, attempt)`
-//! and the [`FaultPlan`]. That is what keeps the recovery counters, the
+//! and the [`FaultPlan`](super::FaultPlan). That is what keeps the recovery counters, the
 //! squash counts, and the output stream deterministic across thread
 //! interleavings even under injected chaos. Fault-recovery replays
 //! (unlike misspeculation replays, which are part of the normal
@@ -39,13 +39,13 @@
 //! byte-identical to sequential execution, and they are never charged
 //! against the retry budget.
 
-use super::faults::{FaultKind, FaultPlan, RecoveryCounts};
+use super::faults::{FaultKind, RecoveryCounts};
 use super::governor::{BackoffDecision, Governor, GovernorEvent};
 use super::metrics::{NativeReport, WorkerStat};
-use super::stage::{Board, WorkItem, WorkerDone};
+use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
 use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
-use crate::task::{StageId, TaskGraph, TaskId};
+use crate::task::{StageId, TaskId};
 use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,8 +112,8 @@ impl Redispatch {
 /// Why the pipelined protocol stopped short of committing every task.
 pub(super) enum Stop {
     /// A task exhausted its retry budget, or the watchdog tripped:
-    /// abandon worker dispatch and commit the remaining tasks in order
-    /// on the supervisor thread.
+    /// abandon pipelined dispatch and commit the remaining tasks in
+    /// order, under the frontier lock, on the thread that found out.
     FallBack,
     /// No legal sequential outcome exists.
     Failed(ExecError),
@@ -127,8 +127,7 @@ impl From<ExecError> for Stop {
 
 /// The commit-side state: reorder buffer, counters, and the growing
 /// output stream.
-pub(super) struct CommitUnit<'g> {
-    graph: &'g TaskGraph,
+pub(super) struct CommitUnit {
     watermark: Arc<AtomicU64>,
     /// Index of the next task to commit.
     next: usize,
@@ -149,9 +148,6 @@ pub(super) struct CommitUnit<'g> {
     speculations_survived: u64,
     work: u64,
     recovery: RecoveryCounts,
-    /// The chaos schedule (consulted for commit-side spurious squashes;
-    /// the worker side consults it for panics, stalls, and corruption).
-    faults: &'g FaultPlan,
     /// Fault-recovery replays allowed per task before the executor
     /// falls back to sequential execution.
     retry_budget: u32,
@@ -170,11 +166,6 @@ pub(super) struct CommitUnit<'g> {
     /// trace events.
     seat_stats: Vec<(Duration, u64)>,
     worker_events: Vec<TraceEvent>,
-    /// The job's versioned memory substrate
-    /// ([`JobSpec::mem`](super::JobSpec::mem)): the frontier's squash
-    /// source and the publisher of each committed task's write buffer.
-    /// `None` on replay jobs.
-    mem: Option<&'g ConcurrentVersionedMemory>,
     /// The speculation governor, when
     /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it
     /// on. Fed strictly at the frontier (plus early conflict squashes),
@@ -185,16 +176,9 @@ pub(super) struct CommitUnit<'g> {
     started: std::time::Instant,
 }
 
-impl<'g> CommitUnit<'g> {
-    pub(super) fn new(
-        graph: &'g TaskGraph,
-        watermark: Arc<AtomicU64>,
-        trace: TraceBuffer,
-        mem: Option<&'g ConcurrentVersionedMemory>,
-        config: &'g ExecConfig,
-    ) -> Self {
+impl CommitUnit {
+    pub(super) fn new(watermark: Arc<AtomicU64>, trace: TraceBuffer, config: &ExecConfig) -> Self {
         Self {
-            graph,
             watermark,
             next: 0,
             buffer: VecDeque::new(),
@@ -208,14 +192,12 @@ impl<'g> CommitUnit<'g> {
             speculations_survived: 0,
             work: 0,
             recovery: RecoveryCounts::default(),
-            faults: &config.fault_plan,
             retry_budget: config.retry_budget,
             validate: config.validate_outputs || config.fault_plan.can_corrupt(),
             retries_by_task: HashMap::new(),
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
             trace,
-            mem,
             governor: config.governor.map(Governor::new),
             started: std::time::Instant::now(),
         }
@@ -335,8 +317,8 @@ impl<'g> CommitUnit<'g> {
     /// the version may hold partial writes (panic mid-body) or doomed
     /// state (conflict), and a recycled id with a live version would
     /// panic the substrate.
-    fn rollback_version(&self, task: u32) {
-        if let Some(m) = self.mem {
+    fn rollback_version(job: &JobShared, task: u32) {
+        if let Some(m) = job.spec.mem.as_deref() {
             let v = VersionId(u64::from(task));
             if m.is_active(v) {
                 m.rollback(v);
@@ -390,11 +372,11 @@ impl<'g> CommitUnit<'g> {
         self.watermark.store(self.next as u64, Ordering::Release);
     }
 
-    /// Takes one completion off the board into the reorder buffer. The
-    /// supervisor accepts everything the workers published and then
-    /// runs one [`drain`](Self::drain) over the lot. Returns a
+    /// Takes one completion off the board into the reorder buffer. A
+    /// turn accepts everything the runners published and then runs one
+    /// [`drain`](Self::drain) over the lot. Returns a
     /// redispatch only for an early conflict squash (below).
-    pub(super) fn accept(&mut self, mut done: WorkerDone) -> Option<Redispatch> {
+    pub(super) fn accept(&mut self, job: &JobShared, mut done: WorkerDone) -> Option<Redispatch> {
         if self.seat_stats.len() <= done.seat {
             self.seat_stats.resize(done.seat + 1, (Duration::ZERO, 0));
         }
@@ -417,10 +399,10 @@ impl<'g> CommitUnit<'g> {
         // their rollback and their retry-budget charge), as is the
         // frontier task itself (its redispatch may never be delayed).
         if self.governor.is_some() && !done.panicked && (done.task as usize) > self.next {
-            if let Some(m) = self.mem {
+            if let Some(m) = job.spec.mem.as_deref() {
                 let v = VersionId(u64::from(done.task));
                 if let Some((by, addr)) = m.squash_info(v) {
-                    let stage = self.graph.task(TaskId(done.task)).stage.0;
+                    let stage = job.spec.graph.task(TaskId(done.task)).stage.0;
                     // Charged here instead of at the frontier: this
                     // attempt never reaches the reorder buffer, and the
                     // `committed == attempts - squashes` invariant must
@@ -464,8 +446,8 @@ impl<'g> CommitUnit<'g> {
 
     /// Commits as far in task order as the reorder buffer allows,
     /// applying the recovery ladder to each attempt reaching the
-    /// frontier. `oracle(task, attempt)` replays a task body
-    /// sequentially for output validation. Called once per batch of
+    /// frontier; output validation replays a task body sequentially
+    /// through [`JobShared::run_here`]. Called once per batch of
     /// accepted completions, and after a degraded inline commit to
     /// flush buffered successors past the advanced frontier.
     ///
@@ -490,15 +472,13 @@ impl<'g> CommitUnit<'g> {
     /// lock and governor traffic is amortized.
     ///
     /// Returns the squashed attempts to re-dispatch.
-    pub(super) fn drain(
-        &mut self,
-        oracle: &mut dyn FnMut(u32, u32) -> Result<TaskOutput, ExecError>,
-    ) -> Result<Vec<Redispatch>, Stop> {
+    pub(super) fn drain(&mut self, job: &JobShared) -> Result<Vec<Redispatch>, Stop> {
         // Fast path for the governed tight loop: with nothing buffered
         // (the common case while degraded) there is nothing to flush.
         if self.buffered == 0 {
             return Ok(Vec::new());
         }
+        let (graph, mem) = (&*job.spec.graph, job.spec.mem.as_deref());
         let mut redispatch = Vec::new();
         let mut versions = std::mem::take(&mut self.versions);
         let mut batch = std::mem::take(&mut self.batch);
@@ -529,7 +509,7 @@ impl<'g> CommitUnit<'g> {
                 });
                 // A body that panicked mid-run may have left its memory
                 // version open with partial writes; discard them.
-                self.rollback_version(done.task);
+                Self::rollback_version(job, done.task);
                 self.charge(done.task)?;
                 redispatch.push(Redispatch::now(done.task, done.attempt));
                 continue;
@@ -541,7 +521,7 @@ impl<'g> CommitUnit<'g> {
             // irrevocable has happened yet — and, like rung 2a, a
             // conflict squash is never charged against the retry budget.
             let mut ok = run;
-            if let Some(m) = self.mem {
+            if let Some(m) = mem {
                 versions.clear();
                 versions.extend((0..run).map(|i| VersionId((self.next + i) as u64)));
                 let (n, stopped) = m.commit_check_batch(&versions);
@@ -557,7 +537,7 @@ impl<'g> CommitUnit<'g> {
                     }
                     match stopped {
                         Some(CommitError::Squashed { by }) => {
-                            let stage = self.graph.task(TaskId(done.task)).stage.0;
+                            let stage = graph.task(TaskId(done.task)).stage.0;
                             self.squashes += 1;
                             self.violations += 1;
                             self.trace.record(TraceEventKind::VersionConflict {
@@ -607,13 +587,8 @@ impl<'g> CommitUnit<'g> {
                 let at = self.next + batch.len();
                 let t32 = at as u32;
                 let attempt = self.peek(at).expect("peeked run entry").attempt;
-                let task = self.graph.task(TaskId(t32));
-                let violated = self
-                    .graph
-                    .spec_deps(task)
-                    .iter()
-                    .filter(|d| d.violated)
-                    .count() as u64;
+                let task = graph.task(TaskId(t32));
+                let violated = graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64;
                 // 2a. Trace-driven misspeculation: the recorded
                 // speculated dependence manifested and this attempt ran
                 // ahead of it. Part of the normal protocol — never
@@ -624,19 +599,20 @@ impl<'g> CommitUnit<'g> {
                 // so; the simulated twin accounts identically.)
                 // Versioned runs skip this rung entirely: the memory
                 // substrate, not the recording, decides.
-                let fails_misspec = self.mem.is_none() && violated > 0 && attempt == 0;
+                let fails_misspec = mem.is_none() && violated > 0 && attempt == 0;
                 // 3. Output validation: compare against the body's
                 // replayable sequential oracle (attempt ≥ 1 forces the
                 // non-speculative result).
                 let fails_validation = !fails_misspec
                     && self.validate
-                    && oracle(t32, attempt.max(1))?
+                    && job.run_here(t32, attempt.max(1), None)?
                         != self.peek(at).expect("peeked run entry").output;
                 // 4. Spurious squash: the fault plan discards a
                 // perfectly good attempt at the commit point.
                 let fails_spurious = !fails_misspec
                     && !fails_validation
-                    && self.faults.fault_at(t32, attempt) == Some(FaultKind::SpuriousSquash);
+                    && job.spec.config.fault_plan.fault_at(t32, attempt)
+                        == Some(FaultKind::SpuriousSquash);
                 if !(fails_misspec || fails_validation || fails_spurious) {
                     batch.push(self.take(at).expect("peeked run entry"));
                     continue;
@@ -675,7 +651,7 @@ impl<'g> CommitUnit<'g> {
                     });
                     // The version itself passed the conflict check, but
                     // the replay will re-open it — discard it first.
-                    self.rollback_version(done.task);
+                    Self::rollback_version(job, done.task);
                     self.charge(done.task)?;
                     redispatch.push(Redispatch::now(done.task, done.attempt));
                 } else {
@@ -685,7 +661,7 @@ impl<'g> CommitUnit<'g> {
                         attempt: done.attempt,
                         reason: SquashReason::SpuriousSquash,
                     });
-                    self.rollback_version(done.task);
+                    Self::rollback_version(job, done.task);
                     self.charge(done.task)?;
                     redispatch.push(Redispatch::now(done.task, done.attempt));
                 }
@@ -702,7 +678,7 @@ impl<'g> CommitUnit<'g> {
                     self.recovery.stalls_absorbed += 1;
                 }
             }
-            if let Some(m) = self.mem {
+            if let Some(m) = mem {
                 // Publish the surviving versions' write buffers — the
                 // one irrevocable memory step, taken last, under one
                 // registry lock for the whole batch. Every version in
@@ -721,23 +697,19 @@ impl<'g> CommitUnit<'g> {
                 );
                 for (done, w) in batch.iter().zip(writes) {
                     self.trace.record(TraceEventKind::VersionCommit {
-                        stage: self.graph.task(TaskId(done.task)).stage.0,
+                        stage: graph.task(TaskId(done.task)).stage.0,
                         task: done.task,
                         writes: w,
                     });
                 }
             } else {
                 for done in &batch {
-                    let task = self.graph.task(TaskId(done.task));
-                    let violated = self
-                        .graph
-                        .spec_deps(task)
-                        .iter()
-                        .filter(|d| d.violated)
-                        .count() as u64;
-                    let survived = self.graph.spec_deps(task).len() as u64 - violated;
+                    let task = graph.task(TaskId(done.task));
+                    let violated =
+                        graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64;
+                    let survived = graph.spec_deps(task).len() as u64 - violated;
                     self.speculations_survived += survived;
-                    if !self.graph.spec_deps(task).is_empty() {
+                    if !graph.spec_deps(task).is_empty() {
                         // The runtime outcome of this task's
                         // speculation, recorded once, at the attempt
                         // that commits.
@@ -767,8 +739,8 @@ impl<'g> CommitUnit<'g> {
         Ok(redispatch)
     }
 
-    /// Commits the frontier task from an output computed inline on the
-    /// supervisor thread while the governor holds the loop degraded.
+    /// Commits the frontier task from an output computed inline, under
+    /// the frontier lock, while the governor holds the loop degraded.
     /// Unlike [`commit_inline`](Self::commit_inline) this is *not*
     /// terminal: the version opened for the inline attempt is published
     /// through the substrate, and the governor keeps counting toward its
@@ -783,10 +755,16 @@ impl<'g> CommitUnit<'g> {
     /// and must be sealed with
     /// [`commit_inline`](ConcurrentVersionedMemory::commit_inline)
     /// rather than the versioned commit sweep.
-    pub(super) fn commit_degraded(&mut self, output: &TaskOutput, inline_fast: bool) {
+    pub(super) fn commit_degraded(
+        &mut self,
+        job: &JobShared,
+        output: &TaskOutput,
+        inline_fast: bool,
+    ) {
+        let graph = &*job.spec.graph;
         let task = self.next as u32;
         self.attempts += 1;
-        if let Some(m) = self.mem {
+        if let Some(m) = job.spec.mem.as_deref() {
             let v = VersionId(u64::from(task));
             let writes = if inline_fast {
                 m.commit_inline(v)
@@ -799,7 +777,7 @@ impl<'g> CommitUnit<'g> {
                 writes[0]
             };
             self.trace.record(TraceEventKind::VersionCommit {
-                stage: self.graph.task(TaskId(task)).stage.0,
+                stage: graph.task(TaskId(task)).stage.0,
                 task,
                 writes,
             });
@@ -808,15 +786,10 @@ impl<'g> CommitUnit<'g> {
             // does the same for replays); a degraded inline commit ran
             // non-speculatively, so nothing manifested and everything
             // recorded survives.
-            let t = self.graph.task(TaskId(task));
-            let survived = self
-                .graph
-                .spec_deps(t)
-                .iter()
-                .filter(|d| !d.violated)
-                .count() as u64;
+            let t = graph.task(TaskId(task));
+            let survived = graph.spec_deps(t).iter().filter(|d| !d.violated).count() as u64;
             self.speculations_survived += survived;
-            if !self.graph.spec_deps(t).is_empty() {
+            if !graph.spec_deps(t).is_empty() {
                 self.trace.record(TraceEventKind::SpecDecision {
                     task,
                     violated: 0,
@@ -834,7 +807,7 @@ impl<'g> CommitUnit<'g> {
         self.governor_commit(task);
     }
 
-    /// Commits one task executed in-order on the supervisor thread —
+    /// Commits one task executed in-order under the frontier lock —
     /// the sequential fallback after budget exhaustion or a watchdog
     /// trip. Speculation counters stay frozen at their pre-fallback
     /// values; only `attempts` and `fallback_tasks` advance.
@@ -850,18 +823,20 @@ impl<'g> CommitUnit<'g> {
         self.advance(1);
     }
 
-    /// Finalizes the run: one [`WorkerStat`] per seat of `board` that
-    /// ran an accepted attempt and, when tracing was on, the frontier's
-    /// events stitched with the dispatcher's and the workers' into the
-    /// report's [`Timeline`].
-    pub(super) fn into_report(
-        self,
+    /// Finalizes the run (moving the output and the events out): one
+    /// [`WorkerStat`] per seat of `job`'s board that ran an accepted
+    /// attempt and, when tracing was on, the frontier's events stitched
+    /// with the dispatcher's and the runners' into the report's
+    /// [`Timeline`].
+    pub(super) fn report(
+        &mut self,
+        job: &JobShared,
         wall: Duration,
-        board: &Board,
         (watchdog_trips, fallback_activated): (u64, bool),
-        dispatch_trace: TraceBuffer,
+        dispatch_events: Vec<TraceEvent>,
     ) -> NativeReport {
-        let workers = board
+        let workers = job
+            .board
             .seats()
             .iter()
             .zip(&self.seat_stats)
@@ -873,19 +848,18 @@ impl<'g> CommitUnit<'g> {
                 tasks,
             })
             .collect();
-        let job = self.trace.job();
         let timeline = self.trace.enabled().then(|| {
             let buffers = vec![
-                self.trace.into_events(),
-                dispatch_trace.into_events(),
-                self.worker_events,
+                self.trace.take_events(),
+                dispatch_events,
+                std::mem::take(&mut self.worker_events),
             ];
-            Timeline::stitch(TimeUnit::Nanos, self.graph.stage_count(), buffers)
+            Timeline::stitch(TimeUnit::Nanos, job.spec.graph.stage_count(), buffers)
         });
         NativeReport {
-            job,
+            job: job.job,
             wall,
-            output: self.output,
+            output: std::mem::take(&mut self.output),
             tasks_committed: self.next as u64,
             attempts: self.attempts,
             squashes: self.squashes,
@@ -897,7 +871,11 @@ impl<'g> CommitUnit<'g> {
             fallback_activated,
             workers,
             timeline,
-            mem: self.mem.map(ConcurrentVersionedMemory::stats),
+            mem: job
+                .spec
+                .mem
+                .as_deref()
+                .map(ConcurrentVersionedMemory::stats),
             governor: self.governor.as_ref().map(Governor::stats),
         }
     }

@@ -1,15 +1,16 @@
 //! The engine: the one owner of worker threads.
 //!
 //! An [`Engine`] owns one long-lived pool of OS threads, spawned lazily
-//! on the first dispatch and shared by every job handed to it. A job is
-//! a [`JobSpec`]; [`Engine::run`] supervises it on the calling thread,
-//! [`Engine::submit`] on a thread of its own, returning at once with a
-//! [`JobHandle`]. Any number of jobs run concurrently, each with its
-//! own commit frontier, governor, fault plan, trace buffers, and (for
-//! versioned jobs) memory substrate. A caller with one loop to run
-//! builds an engine as wide as the plan, runs the job and drops it; a
-//! harness that runs many keeps one warmed engine and pays thread
-//! start-up once.
+//! on the first ticket the pool is handed and shared by every job given
+//! to it. A job is a [`JobSpec`]; [`Engine::run`] runs it from the
+//! calling thread, [`Engine::submit`] from a thread of its own,
+//! returning at once with a [`JobHandle`] — either way one more of the
+//! job's body-runners, not a watcher. Any number of jobs run
+//! concurrently, each with its own commit frontier, governor, fault
+//! plan, trace buffers, and (for versioned jobs) memory substrate. A
+//! caller with one loop to run builds an engine one narrower than the
+//! plan and drops it afterwards; a harness that runs many keeps one
+//! warmed engine and pays thread start-up once.
 //!
 //! # Job isolation invariants
 //!
@@ -19,47 +20,51 @@
 //! - every ticket carries an `Arc` of its job's shared state, so a
 //!   worker executes each attempt against that job's board, graph,
 //!   body, substrate, and fault plan — never a neighbour's;
-//! - every trace event a worker records is stamped with the job's
-//!   [`JobId`] and travels to the job's supervisor inside the attempt's
+//! - every trace event a runner records is stamped with the job's
+//!   [`JobId`] and travels to the job's frontier inside the attempt's
 //!   completion, so the [`Timeline`](super::Timeline)s of concurrent
 //!   jobs never mix;
-//! - commit frontiers, governors, retry budgets, and watchdogs live on
-//!   the job's supervisor thread; a conflict storm in one job can
-//!   throttle only that job's dispatch window.
+//! - commit frontiers, governors and retry budgets live behind each
+//!   job's own frontier lock; a conflict storm in one job can throttle
+//!   only that job's dispatch window.
 //!
 //! # Scheduling and liveness
 //!
 //! The injector carries *tickets* — (job, seat) pairs — not tasks. A
-//! worker holding a ticket runs the claim loop of [`super::stage`]
+//! runner holding a ticket runs the claim loop of [`super::stage`]
 //! over that job's board, touching no engine-wide state per task, and
-//! gives the ticket up in one of two ways: after one window of claims
-//! (the *ticket quantum*) it requeues the ticket at the injector's
-//! tail, so a pool smaller than the sum of its jobs' seats round-robins
-//! between them; when its lane runs dry it parks the seat on the job's
-//! board, and the job's supervisor hands the ticket back once it has
-//! admitted more work. Task bodies never block on other tasks
-//! (speculation means running ahead; ordering is enforced at each
-//! job's commit frontier, on its supervisor thread), so a busy pool
-//! delays jobs but cannot deadlock them. Size the pool at least as
-//! large as the widest single plan for full overlap; an undersized pool
-//! degrades to time-slicing.
+//! takes a turn at that job's frontier when its own publication makes
+//! a batch due. It gives the ticket up in one of two ways: after one
+//! window of claims (the *ticket quantum*) a pool worker hands it on —
+//! to the job's own caller if that is waiting for a seat, else to the
+//! injector's tail, so a pool smaller than the sum of its jobs' seats
+//! round-robins between them; when its lane runs dry it parks the seat
+//! on the job's board, and the next turn that admits into the lane
+//! hands the ticket out again. The thread that called `run` (or the job
+//! thread of `submit`) serves seats of *its* job only, so it returns
+//! within one attempt of the job's last commit, and sleeps only while
+//! the job has no seat for it; that sleep is the watchdog. Task bodies
+//! never block on other tasks (ordering is enforced at each job's
+//! commit frontier), so a busy pool delays jobs but cannot deadlock
+//! them. Size the pool to the widest single plan *minus one* — the
+//! caller fills the last seat, and every job in flight brings its own
+//! runner; an undersized pool degrades to time-slicing.
 //!
 //! # Lifecycle
 //!
 //! The pool lives as long as anything can still hand it a ticket: the
-//! [`Engine`] handle, and the supervisor thread of every submitted job.
+//! [`Engine`] handle, and the job thread of every submitted job.
 //! Dropping the handle with jobs in flight therefore costs them
 //! nothing — they finish on the pool, no watchdog trips, no fallback
-//! runs — and the last supervisor to finish closes the injector and
-//! joins the workers.
+//! runs — and the last job thread to finish closes the injector and
+//! joins the workers, which hold only the injector themselves.
 
 use super::commit::{CommitUnit, CommitView};
 use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
-use super::{ExecConfig, ExecError, NativeBody, NativeReport, Supervisor};
+use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
 use crate::plan::ExecutionPlan;
 use crate::task::TaskGraph;
-use crossbeam::channel::{bounded, Receiver};
 use seqpar_specmem::ConcurrentVersionedMemory;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
@@ -70,17 +75,18 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// OS threads in the shared worker pool ([`Engine::new`] clamps it
-    /// to at least 1). Spawned lazily on the first pipelined dispatch,
-    /// so an engine that only ever runs governor-degraded jobs costs no
-    /// threads.
+    /// to at least 1), not counting the thread each job is run from,
+    /// which works too. Spawned lazily on the first ticket handed to
+    /// the pool, so an engine that only ever runs governor-degraded or
+    /// one-seat jobs costs no threads.
     pub workers: usize,
 }
 
 impl Default for EngineConfig {
+    /// One worker per core but one: the caller is the last runner.
     fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism().map_or(8, std::num::NonZero::get),
-        }
+        let cores = std::thread::available_parallelism().map_or(8, std::num::NonZero::get);
+        Self { workers: cores - 1 }
     }
 }
 
@@ -130,8 +136,7 @@ pub struct JobSpec {
 #[derive(Debug)]
 pub struct JobHandle {
     job: JobId,
-    rx: Receiver<Result<NativeReport, ExecError>>,
-    thread: Option<JoinHandle<()>>,
+    thread: JoinHandle<Result<NativeReport, ExecError>>,
 }
 
 impl JobHandle {
@@ -147,32 +152,48 @@ impl JobHandle {
     /// # Errors
     ///
     /// Exactly as for [`Engine::run`]; additionally
-    /// [`ExecError::WorkersDisconnected`] if the job's supervisor
-    /// thread died without producing a report (a runtime invariant
-    /// violation, reported rather than hanging).
-    pub fn wait(mut self) -> Result<NativeReport, ExecError> {
-        let result = self
-            .rx
-            .recv()
-            .unwrap_or(Err(ExecError::WorkersDisconnected));
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        result
+    /// [`ExecError::WorkersDisconnected`] if the job's thread died
+    /// without producing a report (a runtime invariant violation,
+    /// reported rather than hanging).
+    pub fn wait(self) -> Result<NativeReport, ExecError> {
+        self.thread
+            .join()
+            .unwrap_or(Err(ExecError::WorkersDisconnected))
     }
 }
 
 /// What the injector carries: the right to serve one seat of one job,
 /// with the job state its attempts run against.
-struct Ticket {
+pub(super) struct Ticket {
     job: Arc<JobShared>,
     seat: Seat,
+}
+
+/// The way to the injector — a trait because a pool worker holds only
+/// the injector, while a job's calling thread has the pool to start.
+pub(super) trait Pool {
+    fn queue(&self, ticket: Ticket);
+}
+
+impl Pool for Injector<Ticket> {
+    fn queue(&self, ticket: Ticket) {
+        self.push(ticket);
+    }
+}
+
+/// Where a seat's ticket goes when a turn unparks it or a quantum is
+/// spent: to the job's own caller if that is waiting, else to `pool`.
+pub(super) fn hand(pool: &dyn Pool, job: &Arc<JobShared>, seat: Seat) {
+    if !job.board.offer_home(seat) {
+        let job = Arc::clone(job);
+        pool.queue(Ticket { job, seat });
+    }
 }
 
 pub(super) struct EngineInner {
     config: EngineConfig,
     /// Closed when the last holder of the pool (the [`Engine`] handle
-    /// or a submitted job's supervisor) drops it, so the workers exit.
+    /// or a submitted job's thread) drops it, so the workers exit.
     injector: Arc<Injector<Ticket>>,
     spawn: Once,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -194,17 +215,15 @@ impl EngineInner {
             }
         });
     }
+}
 
-    /// Queues `seat`'s ticket of `job` for the next idle worker,
-    /// starting the pool first if this is the first ticket — so an
-    /// engine whose jobs never dispatch (governor-degraded end to end)
-    /// never pays thread start-up.
-    pub(super) fn hand(&self, job: &Arc<JobShared>, seat: Seat) {
+impl Pool for EngineInner {
+    /// Starts the pool first if this is its first ticket — so an engine
+    /// whose jobs never dispatch past their callers (governor-degraded
+    /// end to end, or one seat wide) never pays thread start-up.
+    fn queue(&self, ticket: Ticket) {
         self.ensure_workers();
-        self.injector.push(Ticket {
-            job: Arc::clone(job),
-            seat,
-        });
+        self.injector.push(ticket);
     }
 }
 
@@ -251,8 +270,8 @@ impl Default for Engine {
 
 impl Engine {
     /// Creates an engine whose pool will hold `config.workers` threads
-    /// (at least 1). No threads start until the first pipelined
-    /// dispatch (or an explicit [`Engine::warm`]).
+    /// (at least 1). No threads start until the first ticket goes to
+    /// the pool (or an explicit [`Engine::warm`]).
     pub fn new(mut config: EngineConfig) -> Self {
         config.workers = config.workers.max(1);
         Self {
@@ -278,34 +297,28 @@ impl Engine {
         self.inner.ensure_workers();
     }
 
-    /// Submits `spec` and returns immediately. The job runs under its
-    /// own supervisor thread against the shared pool; call
+    /// Submits `spec` and returns immediately. The job runs from a
+    /// thread of its own — one more body-runner — and the shared pool; call
     /// [`JobHandle::wait`] for the report. Jobs submitted concurrently
     /// execute concurrently; outputs and per-job counters are exactly
     /// what the same spec produces alone on an engine of its own.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         let inner = Arc::clone(&self.inner);
-        let (tx, rx) = bounded(1);
         let thread = std::thread::Builder::new()
             .name(format!("seqpar-job-{}", job.0))
-            .spawn(move || {
-                let _ = tx.send(run_engine_job(&inner, job, &spec));
-            })
-            .expect("spawn engine job supervisor");
-        JobHandle {
-            job,
-            rx,
-            thread: Some(thread),
-        }
+            .spawn(move || run_engine_job(&inner, job, &spec))
+            .expect("spawn engine job thread");
+        JobHandle { job, thread }
     }
 
-    /// Runs `spec` to completion, supervising it **inline on the
-    /// calling thread** — the pool still executes the task bodies, but
-    /// no per-job supervisor thread is spawned. This is the path
-    /// benchmark harnesses time: a warmed engine plus `run` keeps every
-    /// thread spawn out of the measured region. For concurrent jobs use
-    /// [`Engine::submit`], which supervises on a background thread.
+    /// Runs `spec` to completion **from the calling thread**, which
+    /// takes the first turn at the job's frontier and then serves a
+    /// seat of the job like any pool worker: `workers` pool threads
+    /// plus this one run bodies. This is the path benchmark harnesses
+    /// time: a warmed engine plus `run` keeps every thread spawn out of
+    /// the measured region. For concurrent jobs use [`Engine::submit`],
+    /// which does the same from a background thread.
     ///
     /// # Errors
     ///
@@ -326,20 +339,20 @@ impl Engine {
 }
 
 /// One pool worker: serves whatever ticket the injector hands it, over
-/// *that* job's board and state, and requeues the ticket at the tail
-/// when its quantum is up. Stateless between tickets — this is what
-/// makes the pool shareable.
+/// *that* job's board and state, and hands the ticket on when its
+/// quantum is up. Stateless between tickets — this is what makes the
+/// pool shareable.
 fn engine_worker(injector: &Injector<Ticket>) {
-    while let Some(ticket) = injector.pop() {
-        if serve(&ticket.job, ticket.seat) {
-            injector.push(ticket);
+    while let Some(Ticket { job, seat }) = injector.pop() {
+        if serve(&job, seat, injector) {
+            hand(injector, &job, seat);
         }
     }
 }
 
-/// Runs one job end to end on the calling (supervisor) thread — the one
-/// place a job is set up: plan validation, the commit unit, the board,
-/// the supervision loop over the pool, the report.
+/// Runs one job end to end from the calling thread — the one place a
+/// job is set up: plan validation, the commit unit, the board, the
+/// frontier, then [`call`], which works the job to its report.
 fn run_engine_job(
     pool: &EngineInner,
     job: JobId,
@@ -364,30 +377,20 @@ fn run_engine_job(
 
     let watermark = Arc::new(AtomicU64::new(0));
     // One shared clock, one private buffer per recording site: the
-    // commit frontier, the dispatcher (this thread), and every ticket a
-    // worker serves. All no-ops when tracing is off.
+    // commit frontier, the dispatcher, and every ticket a runner
+    // serves. All no-ops when tracing is off.
     let clock = TraceClock::new(spec.config.trace);
-    let mut commit = CommitUnit::new(
-        graph,
-        Arc::clone(&watermark),
-        TraceBuffer::for_job(clock, job),
-        spec.mem.as_deref(),
-        &spec.config,
-    );
-    let mut dispatch_trace = TraceBuffer::for_job(clock, job);
-
+    let buffer = || TraceBuffer::for_job(clock, job);
+    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config);
+    let board = Board::new(graph, plan, spec.config.queue_capacity);
+    let frontier = Frontier::new(spec, board.lane_count(), commit, buffer());
     let shared = Arc::new(JobShared {
         job,
         spec: spec.clone(),
         view: CommitView::new(watermark),
         clock,
-        board: Board::new(graph, plan, spec.config.queue_capacity),
+        board,
+        frontier: Mutex::new(frontier),
     });
-
-    let supervised = Supervisor::new(pool, &shared, &mut commit, &mut dispatch_trace).run()?;
-
-    // After a fallback, straggler attempts of this job may still be
-    // running on pool workers; they publish into a closed board nobody
-    // reads, and are dropped with it.
-    Ok(commit.into_report(started.elapsed(), &shared.board, supervised, dispatch_trace))
+    call(&shared, pool, started)
 }

@@ -26,8 +26,8 @@
 //!    ticks). Past a heat threshold the task is *parked* behind the
 //!    conflicting committer instead of re-racing it.
 //! 3. **Graceful degradation** — the governor collapses to
-//!    effectively-sequential issue (the supervisor runs frontier tasks
-//!    inline through the substrate) when the windowed misspeculation
+//!    effectively-sequential issue (whoever holds the frontier runs its
+//!    tasks inline through the substrate) when the windowed misspeculation
 //!    rate stays above a configurable ceiling, or when AIMD walks the
 //!    window down to 1 (a window-1 *pipelined* loop pays cross-thread
 //!    dispatch for zero speculation, so inline issue strictly
@@ -456,7 +456,7 @@ impl Governor {
     ///
     /// Only speculation failures feed this path; fault-recovery
     /// squashes (panics, corruption, spurious) stay with the
-    /// supervisor's retry budget so the two mechanisms compose instead
+    /// commit unit's retry budget so the two mechanisms compose instead
     /// of fighting.
     pub(crate) fn on_conflict(
         &mut self,

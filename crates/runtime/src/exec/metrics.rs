@@ -79,8 +79,8 @@ pub struct NativeReport {
     /// pipelined. The output is byte-identical either way.
     pub fallback_activated: bool,
     /// Per-seat timing: one entry per plan core that served at least
-    /// one attempt (none at all when every task committed inline on the
-    /// supervisor). Each completion carries its seat and body time, so
+    /// one attempt (none at all when every task committed inline at the
+    /// frontier). Each completion carries its seat and body time, so
     /// on a run without fallback the `tasks` add up to `attempts`.
     pub workers: Vec<WorkerStat>,
     /// The structured execution timeline, present when the run was

@@ -5,7 +5,7 @@
 //! on OS threads. The paper has one machine (§3.1: cores, queues, one
 //! versioned memory) and so does this module: the engine is the only
 //! owner of worker threads, and a [`JobSpec`] — a
-//! [`TaskGraph`](crate::TaskGraph), the
+//! [`TaskGraph`], the
 //! [`ExecutionPlan`](crate::ExecutionPlan) to run it under, a
 //! [`NativeBody`] supplying each task's real computation, an optional
 //! versioned memory and an [`ExecConfig`] — handed to [`Engine::run`]
@@ -14,21 +14,25 @@
 //!
 //! * **Bounded windows** (§3.1's 32-entry core-to-core queues): each
 //!   stage is a *lane* — its tasks in iteration order, an atomic claim
-//!   cursor the workers advance, and an atomic limit the supervisor
-//!   raises. At most [`ExecConfig::queue_capacity`] attempts plus one
-//!   per assigned core are admitted and not yet absorbed; a stage that
-//!   runs that far ahead of the supervisor finds nothing to claim.
+//!   cursor the runners advance, and an atomic limit admission raises.
+//!   At most [`ExecConfig::queue_capacity`] attempts plus one per
+//!   assigned core are admitted and not yet absorbed; a stage that
+//!   runs that far ahead of the commit frontier finds nothing to claim.
 //! * **Replicated parallel stages** (§3.2's dynamic least-loaded
 //!   assignment): a `Parallel` stage's workers share one lane, so the
 //!   next task goes to whichever worker frees up first — the runnable
 //!   equivalent of "least work enqueued". `RoundRobin` stages get one
 //!   lane per worker, fed statically by iteration number.
-//! * **A supervisor off the per-task path**: workers publish
-//!   completions into a sequence-numbered ring and wake the supervisor
-//!   only when half a window is pending or claimable work ran out; it
-//!   then absorbs everything published, runs the commit frontier once
-//!   over the lot, raises the limits and goes back to sleep (the board
-//!   and the wake rule are in `stage.rs`).
+//! * **No thread that only watches** (§3.1's machine has none): every
+//!   thread of a job runs bodies — the pool's workers and the thread
+//!   that called [`Engine::run`], which holds a seat like the rest.
+//!   Runners publish completions into a sequence-numbered ring; the
+//!   one whose publication makes a batch due (half a window pending, or
+//!   claimable work ran out somewhere) `try_lock`s the job's
+//!   `Frontier` and takes a *turn* — absorbs everything published,
+//!   runs the commit frontier once over the lot, raises the limits —
+//!   while the others claim on (the board and the turn rule are in
+//!   `stage.rs`, the turn's steps below).
 //! * **In-order commit**: a reorder buffer releases task outputs in
 //!   task order (the sequential program order), exactly the commit
 //!   discipline the paper's versioned memory enforces.
@@ -94,13 +98,13 @@ pub use trace::{
 };
 
 use crate::sim::SimError;
-use crate::task::{StageId, TaskId};
+use crate::task::{StageId, TaskGraph, TaskId};
 use commit::{CommitUnit, Redispatch, Release, Stop};
-use engine::EngineInner;
+use engine::{hand, Pool};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 use trace::TraceBuffer;
 
@@ -111,8 +115,8 @@ use trace::TraceBuffer;
 pub const FALLBACK_ATTEMPT: u32 = u32::MAX;
 
 /// The attempt number governor-degraded inline commits run at. Like
-/// [`FALLBACK_ATTEMPT`] these tasks execute on the supervisor thread
-/// with no worker-side dispatch events — but unlike the fallback they
+/// [`FALLBACK_ATTEMPT`] these tasks execute under the frontier lock
+/// with no runner-side dispatch events — but unlike the fallback they
 /// still run *through* the versioned-memory substrate and the run stays
 /// live: pipelined dispatch resumes at the governor's next re-probe.
 pub const DEGRADED_ATTEMPT: u32 = u32::MAX - 1;
@@ -120,8 +124,8 @@ pub const DEGRADED_ATTEMPT: u32 = u32::MAX - 1;
 /// Why a native run could not produce a report.
 ///
 /// Recoverable failures (worker panics, corrupted outputs, stalls,
-/// spurious squashes) never surface here — the supervisor squashes and
-/// replays them, degrading to sequential execution when a retry budget
+/// spurious squashes) never surface here — the commit frontier squashes
+/// and replays them, degrading to sequential execution when a retry budget
 /// runs out. `ExecError` is reserved for the cases where no legal
 /// sequential outcome can be produced at all.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,10 +141,10 @@ pub enum ExecError {
         /// The task whose body failed.
         task: TaskId,
     },
-    /// A submitted job's supervisor thread died before reporting (a
-    /// runtime invariant violation). [`JobHandle::wait`] — its one
-    /// producer — returns this instead of hanging forever; whatever the
-    /// job had committed died with the thread.
+    /// A submitted job's thread died before reporting (a runtime
+    /// invariant violation). [`JobHandle::wait`] — its one producer —
+    /// returns this instead of hanging forever; whatever the job had
+    /// committed died with the thread.
     WorkersDisconnected,
 }
 
@@ -160,7 +164,7 @@ impl std::fmt::Display for ExecError {
                 task.0
             ),
             ExecError::WorkersDisconnected => {
-                write!(f, "job supervisor thread died before reporting")
+                write!(f, "job thread died before reporting")
             }
         }
     }
@@ -194,17 +198,18 @@ pub struct ExecConfig {
     /// sequential execution of the remaining tasks instead of
     /// aborting; budget 0 falls back on the first fault.
     pub retry_budget: u32,
-    /// Heartbeat deadline for the stall watchdog: when no completion
-    /// is published for this long while tasks remain, the supervisor
-    /// declares the pipeline wedged and switches to the sequential
-    /// fallback.
+    /// Deadline of the stall watchdog: when no completion is published
+    /// and nothing commits for this long while the job's calling thread
+    /// waits for a seat, it declares the pipeline wedged and switches to
+    /// the sequential fallback. (A thread inside a task body watches
+    /// nothing: a stall on the caller's own seat simply takes its time.)
     pub watchdog_deadline: Duration,
     /// The chaos schedule (default: [`FaultPlan::none`], which injects
     /// nothing).
     pub fault_plan: FaultPlan,
     /// Validate every committing attempt against the body's sequential
     /// oracle, even when the fault plan cannot corrupt outputs.
-    /// Validation runs each body once more on the supervisor thread,
+    /// Validation runs each body once more under the frontier lock,
     /// so it is off by default; it turns itself on whenever
     /// `fault_plan` can corrupt. Requires the body's committed output
     /// to be attempt-independent for non-violated tasks (true of every
@@ -375,15 +380,12 @@ where
     }
 }
 
-/// The supervisor's private admission state over a job's
-/// [`Board`](stage::Board):
-/// which tasks are ready, which squashed attempts await readmission,
-/// and how much of each lane's window is in use. Nothing here is
-/// shared; the board carries only what admission publishes.
-struct Dispatcher<'a> {
-    /// The job, and the pool its seats' tickets are handed to.
-    job: &'a Arc<JobShared>,
-    pool: &'a EngineInner,
+/// The admission state over a job's [`Board`](stage::Board): which tasks
+/// are ready, which squashed attempts await readmission, and how much
+/// of each lane's window is in use. Part of the [`Frontier`], so only
+/// the runner whose turn it is touches it; the board carries only what
+/// admission publishes.
+struct Dispatcher {
     /// Outstanding synchronized deps per task. Speculated deps
     /// deliberately do NOT gate dispatch — running ahead of them is
     /// what speculation means.
@@ -406,13 +408,16 @@ struct Dispatcher<'a> {
     seats: Vec<Seat>,
 }
 
-impl<'a> Dispatcher<'a> {
-    fn new(pool: &'a EngineInner, job: &'a Arc<JobShared>) -> Self {
-        let graph = &*job.spec.graph;
-        let (n, lanes) = (graph.len(), job.board.lane_count());
+/// The lane `task` of `job` is claimed from.
+fn lane_of(job: &JobShared, task: u32) -> usize {
+    let t = job.spec.graph.task(TaskId(task));
+    job.board.lane_of(t.stage, t.iter)
+}
+
+impl Dispatcher {
+    fn new(graph: &TaskGraph, lanes: usize) -> Self {
+        let n = graph.len();
         let mut dispatch = Dispatcher {
-            job,
-            pool,
             deps_left: vec![0; n],
             dependents: vec![Vec::new(); n],
             propagated: vec![false; n],
@@ -433,14 +438,16 @@ impl<'a> Dispatcher<'a> {
         dispatch
     }
 
-    fn lane_of(&self, task: u32) -> usize {
-        let t = self.job.spec.graph.task(TaskId(task));
-        self.job.board.lane_of(t.stage, t.iter)
-    }
-
-    fn admitted(&mut self, lane: usize, item: WorkItem, occupancy: usize, trace: &mut TraceBuffer) {
+    fn admitted(
+        &mut self,
+        job: &JobShared,
+        lane: usize,
+        item: WorkItem,
+        occupancy: usize,
+        trace: &mut TraceBuffer,
+    ) {
         trace.record(TraceEventKind::QueuePush {
-            stage: self.job.spec.graph.task(TaskId(item.task)).stage.0,
+            stage: job.spec.graph.task(TaskId(item.task)).stage.0,
             task: item.task,
             attempt: item.attempt,
             occupancy,
@@ -452,9 +459,9 @@ impl<'a> Dispatcher<'a> {
 
     /// Admits whatever is ready and fits: per lane, requeued squashes
     /// first, then the dep-free prefix of fresh tasks, up to the lane's
-    /// window. Then hands parked seats their tickets back. Each
-    /// admission is traced as a `QueuePush` with the lane's claimable
-    /// count right after it.
+    /// window. Then hands parked seats their tickets back through
+    /// `pool`. Each admission is traced as a `QueuePush` with the lane's
+    /// claimable count right after it.
     ///
     /// Without a governor `limit` is `None` and every requeue is ripe.
     /// With one, items past the dynamic speculation window, and items
@@ -466,7 +473,15 @@ impl<'a> Dispatcher<'a> {
     /// committed — and, the liveness rule that makes backoff unable to
     /// stall the run, the moment the item is at or before `frontier` or
     /// the pipeline has drained empty.
-    fn admit(&mut self, limit: Option<u64>, frontier: u32, tick: u64, trace: &mut TraceBuffer) {
+    fn admit(
+        &mut self,
+        job: &Arc<JobShared>,
+        pool: &dyn Pool,
+        limit: Option<u64>,
+        frontier: u32,
+        tick: u64,
+        trace: &mut TraceBuffer,
+    ) {
         let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
         let drained = self.in_flight_count == 0;
         let ripe = |item: WorkItem, release: Release| {
@@ -478,7 +493,7 @@ impl<'a> Dispatcher<'a> {
                     Release::AfterCommit(behind) => behind < frontier,
                 }
         };
-        let board = &self.job.board;
+        let board = &job.board;
         'lanes: for lane in 0..board.lane_count() {
             let cap = board.cap(lane);
             let mut i = 0;
@@ -492,7 +507,7 @@ impl<'a> Dispatcher<'a> {
                     continue 'lanes;
                 }
                 let occupancy = board.requeue(lane, item);
-                self.admitted(lane, item, occupancy, trace);
+                self.admitted(job, lane, item, occupancy, trace);
                 self.pending[lane].remove(i);
             }
             let from = self.released[lane];
@@ -512,26 +527,27 @@ impl<'a> Dispatcher<'a> {
                 for idx in from..to {
                     let task = board.task_at(lane, idx).expect("admitted index");
                     let item = WorkItem { task, attempt: 0 };
-                    self.admitted(lane, item, occupancy.saturating_sub(to - 1 - idx), trace);
+                    let occupancy = occupancy.saturating_sub(to - 1 - idx);
+                    self.admitted(job, lane, item, occupancy, trace);
                 }
             }
         }
         board.unpark_claimable(&mut self.seats);
         for seat in self.seats.drain(..) {
-            self.pool.hand(self.job, seat);
+            hand(pool, job, seat);
         }
     }
 
-    /// Takes the frontier task for inline execution on the supervisor
-    /// thread, if no worker can reach it: it is the next fresh task of
-    /// its lane, or a squashed attempt awaiting readmission (ripe by
+    /// Takes the frontier task for inline execution on the thread whose
+    /// turn it is, if no runner can reach it: it is the next fresh task
+    /// of its lane, or a squashed attempt awaiting readmission (ripe by
     /// definition: it is the frontier).
-    fn take_inline(&mut self, task: u32) -> bool {
+    fn take_inline(&mut self, job: &JobShared, task: u32) -> bool {
         if self.in_flight[task as usize] || self.deps_left[task as usize] > 0 {
             return false;
         }
-        let lane = self.lane_of(task);
-        if self.job.board.task_at(lane, self.released[lane]) == Some(task) {
+        let lane = lane_of(job, task);
+        if job.board.task_at(lane, self.released[lane]) == Some(task) {
             // The board hears of it at the lane's next `raise`.
             self.released[lane] += 1;
             return true;
@@ -541,12 +557,11 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Books a completion taken off the ring.
-    fn absorbed(&mut self, task: u32) {
+    fn absorbed(&mut self, job: &JobShared, task: u32) {
         if self.in_flight[task as usize] {
             self.in_flight[task as usize] = false;
             self.in_flight_count -= 1;
-            let lane = self.lane_of(task);
-            self.outstanding[lane] -= 1;
+            self.outstanding[lane_of(job, task)] -= 1;
         }
     }
 
@@ -564,65 +579,168 @@ impl<'a> Dispatcher<'a> {
     /// Puts a squashed attempt back in line for readmission — ahead of
     /// any not-yet-admitted fresh work, immediately or behind the
     /// governor's backoff, counted from `tick`.
-    fn requeue(&mut self, r: Redispatch, tick: u64) {
+    fn requeue(&mut self, job: &JobShared, r: Redispatch, tick: u64) {
         let release = match r.release {
             Release::AfterTick(delay) => Release::AfterTick(tick.saturating_add(delay)),
             other => other,
         };
-        let lane = self.lane_of(r.item.task);
-        self.pending[lane].push_back((r.item, release));
+        self.pending[lane_of(job, r.item.task)].push_back((r.item, release));
     }
 }
 
-/// The supervision loop of one job, one method per step: issue degraded
-/// inline stretches, admit work onto the board, wait for a batch, absorb
-/// **every** published completion, run one frontier drain over the lot —
-/// and run the sequential fallback when a retry budget or the watchdog
-/// demands it. Between batches it sleeps; workers wake it per the rule
-/// in [`stage`].
-struct Supervisor<'a, 'g> {
-    job: &'a Arc<JobShared>,
-    dispatch: Dispatcher<'a>,
-    commit: &'a mut CommitUnit<'g>,
-    /// The dispatcher's trace events (this thread's, like the
-    /// frontier's, which the commit unit keeps).
-    trace: &'a mut TraceBuffer,
-    /// Sequence number of the next completion to take off the ring.
-    head: u64,
-    /// Completions absorbed so far: the clock governor backoffs are
+/// Everything one job's commit frontier owns, behind the `Mutex` on
+/// [`JobShared::frontier`]: one runner's at a time, handed over.
+struct Frontier {
+    dispatch: Dispatcher,
+    commit: CommitUnit,
+    /// The dispatcher's trace events, whichever thread's turn it was.
+    trace: TraceBuffer,
+    /// Sequence number of the next completion to take off the ring —
+    /// completions absorbed so far, the clock governor backoffs are
     /// measured on.
-    tick: u64,
-    /// When the current wait for a publication began; the watchdog
-    /// measures from here, so inline stretches and wakes that found
-    /// completions never count against the deadline.
-    waiting_since: Option<Instant>,
-    watchdog_trips: u64,
+    head: u64,
+    /// Set by the turn that ended the job: whether the sequential
+    /// fallback ran, or why no legal outcome exists.
+    outcome: Option<Result<bool, ExecError>>,
 }
 
-impl<'a, 'g> Supervisor<'a, 'g> {
-    fn new(
-        pool: &'a EngineInner,
-        job: &'a Arc<JobShared>,
-        commit: &'a mut CommitUnit<'g>,
-        trace: &'a mut TraceBuffer,
-    ) -> Self {
+impl Frontier {
+    fn new(spec: &JobSpec, lanes: usize, commit: CommitUnit, trace: TraceBuffer) -> Self {
         Self {
-            job,
-            dispatch: Dispatcher::new(pool, job),
+            dispatch: Dispatcher::new(&spec.graph, lanes),
             commit,
             trace,
             head: 0,
-            tick: 0,
-            waiting_since: None,
-            watchdog_trips: 0,
+            outcome: None,
+        }
+    }
+}
+
+/// A runner's look at its job's frontier, after its own publication and
+/// when its lane ran dry: while a batch is due, try for the turn. A
+/// loser goes back to claiming, because the holder **looks again after
+/// it unlocks** (this very loop) and the loser's publication or
+/// `starved` bump precedes its failed `try_lock`. A straggler's
+/// publication into an ended job stays due for ever: hence `is_closed`.
+fn take_turns(job: &Arc<JobShared>, pool: &dyn Pool) {
+    while !job.board.is_closed() && job.board.due() {
+        let Ok(f) = job.frontier.try_lock() else {
+            return;
+        };
+        Turn { job, pool, f }.take();
+    }
+}
+
+/// Runs `job` from the calling thread to its report: the first turn
+/// (nothing is due before the first admission), then a body-runner like
+/// any other — but only ever on a seat of *this* job, taken from the
+/// home slot — asleep only while the job has no seat to offer it. That
+/// sleep doubles as the watchdog.
+fn call(
+    job: &Arc<JobShared>,
+    pool: &dyn Pool,
+    started: Instant,
+) -> Result<NativeReport, ExecError> {
+    let board = &job.board;
+    Turn::wait_for(job, pool).take();
+    let deadline = job.spec.config.watchdog_deadline;
+    // Publications plus commits, neither ever falling: what the job had
+    // done when it last moved, and when this thread noticed.
+    let progress = || board.published() + job.view.committed_tasks();
+    let mut moved = (progress(), Instant::now());
+    let mut watchdog_trips = 0;
+    while !board.is_closed() {
+        if let Some(seat) = board.take_home() {
+            // A spent quantum: the caller has no other job to yield to.
+            while stage::serve(job, seat, pool) {}
+            continue;
+        }
+        if progress() != moved.0 {
+            moved = (progress(), Instant::now());
+        }
+        let waited = moved.1.elapsed();
+        if waited >= deadline {
+            // A whole deadline without a publication or a commit (an
+            // inline stretch on some worker's turn makes only those): a
+            // stage is wedged, and the rest runs here. The lock is
+            // waited for: only inline, oracle and fallback bodies run
+            // under it. Closing the board ends this loop.
+            board.close();
+            let mut turn = Turn::wait_for(job, pool);
+            if turn.f.outcome.is_none() {
+                watchdog_trips += 1;
+                turn.f.trace.record(TraceEventKind::WatchdogTrip);
+                turn.end(Err(Stop::FallBack));
+            }
+            continue;
+        }
+        std::thread::park_timeout(deadline - waited);
+    }
+    // Stragglers of a fallen-back job may still be running on pool
+    // workers; they publish into a closed board, and are dropped with it.
+    let mut turn = Turn::wait_for(job, pool);
+    let f = &mut *turn.f;
+    let fallback = f.outcome.clone().expect("a closed board has an outcome")?;
+    let dispatch_events = f.trace.take_events();
+    let ended = (watchdog_trips, fallback);
+    Ok(f.commit
+        .report(job, started.elapsed(), ended, dispatch_events))
+}
+
+/// One turn at a job's frontier: the lock, and the steps taken under it
+/// — absorb **every** published completion, admit behind them, run one
+/// frontier drain over the lot, issue a degraded inline stretch if the
+/// governor says so, admit again — and the sequential fallback when a
+/// retry budget or the watchdog demands it.
+struct Turn<'a> {
+    job: &'a Arc<JobShared>,
+    pool: &'a dyn Pool,
+    f: MutexGuard<'a, Frontier>,
+}
+
+impl<'a> Turn<'a> {
+    /// Blocks for the frontier: the caller's first turn, its watchdog,
+    /// and its report.
+    fn wait_for(job: &'a Arc<JobShared>, pool: &'a dyn Pool) -> Self {
+        let f = job
+            .frontier
+            .lock()
+            .expect("a turn at the frontier panicked");
+        Turn { job, pool, f }
+    }
+
+    /// Takes the turn, ending the job if this is where it ends.
+    fn take(mut self) {
+        if self.f.outcome.is_none() {
+            match self.steps() {
+                Ok(false) => {}
+                ended => self.end(ended.map(drop)),
+            }
         }
     }
 
-    /// Supervises the job to its last commit. Returns `(watchdog_trips,
-    /// fallback_activated)`; the caller builds the report from the
-    /// commit unit.
-    fn run(mut self) -> Result<(u64, bool), ExecError> {
-        let stopped = self.pipeline();
+    /// The pipelined protocol's steps; `true` once every task has
+    /// committed.
+    fn steps(&mut self) -> Result<bool, Stop> {
+        if self.absorb_batch() {
+            // The absorbed attempts freed window space and satisfied
+            // deps: admit behind them *before* the frontier runs, so
+            // the other runners claim on while this one commits.
+            self.admit();
+            self.drain_frontier()?;
+        }
+        self.issue_inline_stretch()?;
+        if self.f.commit.committed_tasks() >= self.job.spec.graph.len() {
+            return Ok(true);
+        }
+        self.admit();
+        Ok(false)
+    }
+
+    /// Ends the job under the lock: closes the board (which wakes the
+    /// caller), runs the fallback if that is how it ends, and leaves the
+    /// outcome for the caller's report.
+    fn end(&mut self, stopped: Result<(), Stop>) {
         self.job.board.close();
         // Close any open inline stretch so committed memory state
         // (and the caller's post-run inspection) reflects every
@@ -630,61 +748,37 @@ impl<'a, 'g> Supervisor<'a, 'g> {
         if let Some(m) = self.job.spec.mem.as_deref() {
             m.end_inline();
         }
-        let fallback = match stopped {
-            Ok(()) => false,
-            Err(Stop::FallBack) => {
-                self.fall_back()?;
-                true
-            }
-            Err(Stop::Failed(e)) => return Err(e),
-        };
-        Ok((self.watchdog_trips, fallback))
-    }
-
-    /// The pipelined protocol, until every task has committed.
-    fn pipeline(&mut self) -> Result<(), Stop> {
-        loop {
-            self.issue_inline_stretch()?;
-            if self.commit.committed_tasks() >= self.job.spec.graph.len() {
-                return Ok(());
-            }
-            self.admit();
-            self.await_batch()?;
-            if !self.absorb_batch() {
-                continue;
-            }
-            // The absorbed attempts freed window space and satisfied
-            // deps: admit behind them *before* the frontier runs, so
-            // the workers claim on while this thread commits.
-            self.admit();
-            self.drain_frontier()?;
-        }
+        self.f.outcome = Some(match stopped {
+            Ok(()) => Ok(false),
+            Err(Stop::FallBack) => self.fall_back().map(|()| true),
+            Err(Stop::Failed(e)) => Err(e),
+        });
     }
 
     /// Degraded inline issue: while the governor holds the loop
-    /// collapsed, the supervisor runs the frontier task on this thread —
-    /// *through* the substrate, so committed memory state stays exact
-    /// for the eventual re-probe — instead of paying cross-thread
+    /// collapsed, the frontier task runs on the thread whose turn this
+    /// is — *through* the substrate, so committed memory state stays
+    /// exact for the eventual re-probe — instead of paying cross-thread
     /// dispatch for window-1 throughput. The stretch runs as a tight
-    /// loop: per commit it pays the substrate's inline fast path plus
-    /// one buffered-completion check, not a board round trip. It ends
-    /// when the governor re-probes, or at a frontier task a worker
-    /// holds (a straggler from before the collapse, which arrives over
-    /// the ring).
+    /// loop under this one lock acquisition: per commit it pays the
+    /// substrate's inline fast path plus one buffered-completion check,
+    /// not a board round trip. It ends when the governor re-probes, or
+    /// at a frontier task a runner holds (a straggler from before the
+    /// collapse, which arrives over the ring).
     fn issue_inline_stretch(&mut self) -> Result<(), Stop> {
         let job = self.job;
         let graph = &*job.spec.graph;
         let mem = job.spec.mem.as_deref();
-        while self.commit.governor_degraded() {
-            let next = self.commit.committed_tasks();
+        while self.f.commit.governor_degraded() {
+            let f = &mut *self.f;
+            let next = f.commit.committed_tasks();
             if next >= graph.len() {
                 break;
             }
             let next32 = next as u32;
-            if !self.dispatch.take_inline(next32) {
+            if !f.dispatch.take_inline(job, next32) {
                 break;
             }
-            self.waiting_since = None;
             let stage = graph.task(TaskId(next32)).stage.0;
             // Prefer the substrate's inline fast path: with nothing
             // speculative in flight, per-version machinery (registry
@@ -696,11 +790,11 @@ impl<'a, 'g> Supervisor<'a, 'g> {
             let mut inline_fast = false;
             if let Some(m) = mem {
                 let v = VersionId(u64::from(next32));
-                inline_fast = self.dispatch.in_flight_count == 0 && m.try_begin_inline(v);
+                inline_fast = f.dispatch.in_flight_count == 0 && m.try_begin_inline(v);
                 if !inline_fast {
                     m.begin(v);
                 }
-                self.trace.record(TraceEventKind::VersionOpen {
+                f.trace.record(TraceEventKind::VersionOpen {
                     stage,
                     task: next32,
                     attempt: DEGRADED_ATTEMPT,
@@ -709,9 +803,9 @@ impl<'a, 'g> Supervisor<'a, 'g> {
             let output = job.run_here(next32, DEGRADED_ATTEMPT, mem)?;
             // The probe costs a registry read lock: only traced runs
             // pay it.
-            if let (false, true, Some(m)) = (inline_fast, self.trace.enabled(), mem) {
+            if let (false, true, Some(m)) = (inline_fast, f.trace.enabled(), mem) {
                 if let Some(p) = m.probe(VersionId(u64::from(next32))) {
-                    self.trace.record(TraceEventKind::VersionReads {
+                    f.trace.record(TraceEventKind::VersionReads {
                         stage,
                         task: next32,
                         attempt: DEGRADED_ATTEMPT,
@@ -720,16 +814,16 @@ impl<'a, 'g> Supervisor<'a, 'g> {
                     });
                 }
             }
-            self.commit.commit_degraded(&output, inline_fast);
+            f.commit.commit_degraded(job, &output, inline_fast);
             // The governor may have left degraded mode on that commit
             // (re-probe): publish the inline stretch's overlay before
             // any pipelined version can begin and read around it.
-            if inline_fast && !self.commit.governor_degraded() {
+            if inline_fast && !f.commit.governor_degraded() {
                 if let Some(m) = mem {
                     m.end_inline();
                 }
             }
-            self.dispatch.propagate(next);
+            f.dispatch.propagate(next);
             // Flush successors buffered past the frontier.
             self.drain_frontier()?;
         }
@@ -739,64 +833,37 @@ impl<'a, 'g> Supervisor<'a, 'g> {
     /// Opens the board to whatever the governor's window, the lane
     /// windows and the backoffs allow.
     fn admit(&mut self) {
-        let frontier = self.commit.committed_tasks() as u64;
-        let limit = self.commit.dispatch_limit();
+        let f = &mut *self.f;
+        let frontier = f.commit.committed_tasks() as u64;
+        let limit = f.commit.dispatch_limit();
         if let Some(limit) = limit {
             let window = usize::try_from(limit - frontier).unwrap_or(usize::MAX);
             self.job.board.set_window(window);
         }
-        self.dispatch
-            .admit(limit, frontier as u32, self.tick, self.trace);
+        let (job, pool) = (self.job, self.pool);
+        f.dispatch
+            .admit(job, pool, limit, frontier as u32, f.head, &mut f.trace);
     }
 
-    /// Waits for a batch: a bounded look at the ring, then sleep until
-    /// a worker wakes us (the rule is in [`stage`]).
-    ///
-    /// # Errors
-    ///
-    /// The heartbeat watchdog trips — [`Stop::FallBack`] — when no
-    /// completion was *published* for a whole deadline: a stage is
-    /// wedged, and the rest runs sequentially. A wake that never came
-    /// is not evidence, the ring is.
-    fn await_batch(&mut self) -> Result<(), Stop> {
-        if self.job.board.due_or_spin(self.head) {
-            return Ok(());
-        }
-        let deadline = self.job.spec.config.watchdog_deadline;
-        let waited = self
-            .waiting_since
-            .get_or_insert_with(Instant::now)
-            .elapsed();
-        if waited >= deadline {
-            self.watchdog_trips += 1;
-            self.trace.record(TraceEventKind::WatchdogTrip);
-            return Err(Stop::FallBack);
-        }
-        std::thread::park_timeout(deadline - waited);
-        Ok(())
-    }
-
-    /// Takes every completion the workers have published off the ring
+    /// Takes every completion the runners have published off the ring
     /// into the reorder buffer. Returns whether there was any.
     fn absorb_batch(&mut self) -> bool {
-        let board = &self.job.board;
-        let before = self.head;
-        while let Some(done) = board.take_published(self.head) {
-            self.head += 1;
-            self.tick += 1;
-            self.dispatch.absorbed(done.task);
+        let (job, f) = (self.job, &mut *self.f);
+        let before = f.head;
+        while let Some(done) = job.board.take_published(f.head) {
+            f.head += 1;
+            f.dispatch.absorbed(job, done.task);
             if !done.panicked {
-                self.dispatch.propagate(done.task as usize);
+                f.dispatch.propagate(done.task as usize);
             }
-            if let Some(r) = self.commit.accept(done) {
-                self.dispatch.requeue(r, self.tick);
+            if let Some(r) = f.commit.accept(job, done) {
+                f.dispatch.requeue(job, r, f.head);
             }
         }
-        if self.head == before {
+        if f.head == before {
             return false;
         }
-        self.waiting_since = None;
-        board.set_absorbed(self.head);
+        job.board.set_absorbed(f.head);
         true
     }
 
@@ -804,10 +871,9 @@ impl<'a, 'g> Supervisor<'a, 'g> {
     /// the attempts it squashed back in line (rollback: a discarded
     /// attempt's output is gone).
     fn drain_frontier(&mut self) -> Result<(), Stop> {
-        let job = self.job;
-        let mut oracle = |task, attempt| job.run_here(task, attempt, None);
-        for r in self.commit.drain(&mut oracle)? {
-            self.dispatch.requeue(r, self.tick);
+        let (job, f) = (self.job, &mut *self.f);
+        for r in f.commit.drain(job)? {
+            f.dispatch.requeue(job, r, f.head);
         }
         Ok(())
     }
@@ -816,13 +882,14 @@ impl<'a, 'g> Supervisor<'a, 'g> {
     /// this thread, fault-free and non-speculative — exactly a resumed
     /// sequential run.
     fn fall_back(&mut self) -> Result<(), ExecError> {
-        let from = self.commit.committed_tasks();
-        self.trace.record(TraceEventKind::FallbackActivated {
+        let (job, f) = (self.job, &mut *self.f);
+        let from = f.commit.committed_tasks();
+        f.trace.record(TraceEventKind::FallbackActivated {
             from_task: from as u32,
         });
-        for task in from..self.job.spec.graph.len() {
-            let output = self.job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
-            self.commit.commit_inline(&output);
+        for task in from..job.spec.graph.len() {
+            let output = job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
+            f.commit.commit_inline(&output);
         }
         Ok(())
     }

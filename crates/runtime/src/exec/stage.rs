@@ -1,50 +1,55 @@
-//! The per-job board: stage claim lanes, the completion ring, and the
-//! claim loop every worker runs over them.
+//! The per-job board: stage claim lanes, the completion ring, the seats,
+//! and the claim loop every body-runner runs over them.
 //!
 //! A pipeline stage is a [`Lane`]: its tasks in iteration order, an
-//! atomic claim `cursor` the workers advance, and an atomic `limit` the
-//! supervisor raises to admit work. `Serial` and `Parallel` stages own
-//! one lane — so a `Parallel` stage's next task goes to whichever
-//! worker frees up first, the dynamic least-loaded discipline of paper
-//! §3.2 — and a `RoundRobin` stage owns one lane per seat, fed
-//! statically by iteration number. Workers publish completions into a
-//! sequence-numbered ring the supervisor drains in batches. What the
-//! plan calls a core is a [`Seat`]; a worker holding a seat's *ticket*
-//! loops claim → [`run_attempt`] → publish ([`serve`]) and wakes the
-//! supervisor only when half a window of completions is pending or
-//! claimable work ran out.
+//! atomic claim `cursor` the runners advance, and an atomic `limit` that
+//! admission raises. `Serial` and `Parallel` stages own one lane — so a
+//! `Parallel` stage's next task goes to whichever runner frees up first,
+//! the dynamic least-loaded discipline of paper §3.2 — and a
+//! `RoundRobin` stage owns one lane per seat, fed statically by
+//! iteration number. What the plan calls a core is a [`Seat`]; a runner
+//! — a pool worker, or the job's own calling thread — holding a seat's
+//! *ticket* loops claim → [`run_attempt`] → publish ([`serve`]),
+//! publishing completions into a sequence-numbered ring. Nobody watches
+//! that ring: the runner whose publication makes a batch *due* (half a
+//! window pending, or anything pending while a seat is starved) takes a
+//! **turn** at the job's [`Frontier`] (`exec/mod.rs`); the rest claim on.
 //!
 //! Who writes which shared word:
 //!
 //! | word | written by | read by |
 //! |---|---|---|
-//! | `Lane::cursor` | workers (CAS claim); the supervisor only to step over tasks it committed inline, when the lane is fully claimed | both |
-//! | `Lane::limit`, `Lane::requeue` pushes | supervisor | workers |
-//! | ring slot (`seq`, completion), `tail` | the publishing worker | supervisor |
-//! | `absorbed`, `wake_at`, `closed` | supervisor | workers |
-//! | `starved`, `parked` | a worker parking its seat; the supervisor handing seats back | both |
+//! | `Lane::cursor` | runners (CAS claim); the runner whose turn it is only to step over tasks it committed inline, when the lane is fully claimed | all |
+//! | `Lane::limit`, `Lane::requeue` pushes | the runner whose turn it is | runners |
+//! | ring slot (`seq`, completion), `tail` | the publishing runner | the turn (`tail`: also the caller's watchdog) |
+//! | `absorbed`, `wake_at` | the runner whose turn it is | runners (`due`) |
+//! | `JobShared::frontier` (the lock) | whoever wins `try_lock` after a `due` look; the caller, blocking, for its first turn, its watchdog and its report | — |
+//! | `starved`, `parked` | a runner parking its seat; the turn handing seats back | all |
+//! | home slot (waiting flag, seat) | a turn or a spent quantum offering the caller a seat; the caller taking it | both |
+//! | `closed` | the turn that ends the job, or the caller's watchdog | all |
 //!
 //! A completion carries its own accounting (the seat, the body time,
-//! the attempt's trace events), so a worker keeps no per-job state that
+//! the attempt's trace events), so a runner keeps no per-job state that
 //! outlives a publication and absorbing the last completion of a job
 //! means its timing and trace are complete.
 //!
-//! Every protocol word is `SeqCst`: the two lost-wake arguments below
-//! ([`Board::publish`], [`Board::park`]) are store-then-load on both
-//! sides and need the single total order.
+//! Every protocol word is `SeqCst`: the two no-lost-turn arguments
+//! below ([`Board::publish`], [`park`]) are store-then-load on both
+//! sides and need the single total order. `exec/tests.rs` enumerates
+//! every interleaving of both over a model of these words.
 
 use super::commit::CommitView;
-use super::engine::JobSpec;
+use super::engine::{JobSpec, Pool};
 use super::faults::{corrupt_output, FaultKind};
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
-use super::{ExecError, TaskCtx, TaskOutput};
+use super::{take_turns, ExecError, Frontier, TaskCtx, TaskOutput};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{StageId, TaskGraph, TaskId};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -82,10 +87,11 @@ pub(super) struct WorkerDone {
     pub events: Vec<TraceEvent>,
 }
 
-/// One core of the plan: the unit a worker serves, and the key its
+/// One core of the plan: the unit a runner serves, and the key its
 /// timing and trace events are charged to. A seat's *ticket* is the
-/// right to serve it; exactly one exists, held by a worker, queued in
-/// an [`Injector`], or parked on the [`Board`].
+/// right to serve it; exactly one exists, held by a runner, queued in
+/// an [`Injector`], waiting in the home slot, or parked on the
+/// [`Board`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Seat {
     /// Index into the board's seat list (and the per-seat statistics).
@@ -97,8 +103,8 @@ pub(super) struct Seat {
     pub core: usize,
 }
 
-/// Keeps a word the workers hammer off the cache lines the supervisor
-/// writes (and the other way round).
+/// Keeps a word every claim or publication hammers off the cache lines
+/// a turn writes (and the other way round).
 #[repr(align(64))]
 struct Padded<T>(T);
 
@@ -141,8 +147,8 @@ impl Lane {
     }
 }
 
-/// One entry of the completion ring: filled by the worker that drew
-/// sequence number `seq - 1`, emptied by the supervisor.
+/// One entry of the completion ring: filled by the runner that drew
+/// sequence number `seq - 1`, emptied by the turn that absorbs it.
 struct Slot {
     /// `s + 1` once the completion with sequence number `s` is in
     /// `done`; any other value means "not yet".
@@ -158,22 +164,25 @@ pub(super) struct Board {
     /// `RoundRobin`).
     stage_lanes: Vec<(usize, usize)>,
     seats: Vec<Seat>,
-    /// The smallest lane window: what the wake threshold derives from.
+    /// The smallest lane window: what the batch threshold derives from.
     narrowest: usize,
     /// Sized to the sum of the lane windows (rounded up to a power of
     /// two), so a published completion always finds its slot free.
     ring: Vec<Slot>,
     /// Sequence number the next publication draws.
     tail: Padded<AtomicU64>,
-    /// Completions the supervisor has taken off the ring.
+    /// Completions taken off the ring so far.
     absorbed: AtomicU64,
-    /// Pending completions at which a publisher wakes the supervisor.
+    /// Pending completions at which a batch is due.
     wake_at: AtomicU64,
-    /// Seats parked for lack of claimable work.
+    /// Seats parked, or about to be, for lack of claimable work.
     starved: AtomicUsize,
     parked: Mutex<Vec<Seat>>,
     closed: AtomicBool,
-    supervisor: Thread,
+    /// The home slot: whether the job's calling thread is waiting for a
+    /// seat, and the one it was offered.
+    home: Mutex<(bool, Option<Seat>)>,
+    caller: Thread,
 }
 
 /// Locks a board mutex. Nothing panics while holding one (the critical
@@ -185,8 +194,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl Board {
     /// Builds the board `plan` describes over `graph`'s tasks, each
     /// lane's window `capacity` plus its seats. Must be called on the
-    /// supervising thread: that is the thread publishers wake. Every
-    /// seat starts parked; the first admission hands them out.
+    /// job's calling thread: that is the thread a seat in the home slot
+    /// and the end of the job wake. Every seat starts parked; the first
+    /// admission hands them out, the first of them home.
     pub(super) fn new(graph: &TaskGraph, plan: &ExecutionPlan, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let mut lanes = Vec::new();
@@ -247,7 +257,8 @@ impl Board {
             parked: Mutex::new(seats.clone()),
             closed: AtomicBool::new(false),
             seats,
-            supervisor: std::thread::current(),
+            home: Mutex::new((true, None)),
+            caller: std::thread::current(),
         }
     }
 
@@ -276,7 +287,7 @@ impl Board {
         self.lanes[lane].tasks.get(idx).copied()
     }
 
-    /// Derives the wake threshold from the narrowest lane window,
+    /// Derives the batch threshold from the narrowest lane window,
     /// further capped by the governor's runahead `window`: half of it,
     /// at least 1.
     pub(super) fn set_window(&self, window: usize) {
@@ -284,14 +295,14 @@ impl Board {
             .store((self.narrowest.min(window) / 2).max(1) as u64, SeqCst);
     }
 
-    // --- supervisor side ------------------------------------------------
+    // --- the runner whose turn it is ---------------------------------------
 
     /// Admits `lane`'s fresh tasks at indices `from..to`. Returns the
     /// lane's claimable count right after, for the trace.
     ///
-    /// `from` is past the published limit when the supervisor committed
-    /// the tasks in between inline. It can only do that to a task no
-    /// worker can reach — every earlier task of the lane has committed,
+    /// `from` is past the published limit when a turn committed the
+    /// tasks in between inline. It can only do that to a task no runner
+    /// can reach — every earlier task of the lane has committed,
     /// hence was claimed, so `cursor == limit` — which is why stepping
     /// the cursor over them is safe, and stepping it *first* means a
     /// racing claim either still sees `cursor >= limit` or loses its CAS.
@@ -310,7 +321,7 @@ impl Board {
         l.claimable()
     }
 
-    /// Admits a squash redispatch; workers claim it before the cursor.
+    /// Admits a squash redispatch; runners claim it before the cursor.
     pub(super) fn requeue(&self, lane: usize, item: WorkItem) -> usize {
         let l = &self.lanes[lane];
         let mut q = lock(&l.requeue);
@@ -329,26 +340,17 @@ impl Board {
         self.slot(head).seq.load(SeqCst) == head + 1
     }
 
-    /// Whether, with `head` completions taken, a batch is due: the
-    /// condition under which a publisher wakes the supervisor (half a
-    /// window pending, or anything pending with a seat starved), once
-    /// the batch's first slot is filled.
-    fn due(&self, head: u64) -> bool {
+    /// Whether a batch is due, the condition under which a runner tries
+    /// for a turn: half a window pending, or anything pending with a
+    /// seat starved, once the batch's first slot is filled. `pending`
+    /// counts every sequence number drawn, so a publisher that was slow
+    /// to fill the ring's head slot sees, when it has, the completions
+    /// queued behind it, whose own look found the head empty.
+    pub(super) fn due(&self) -> bool {
+        let head = self.absorbed.load(SeqCst);
         let pending = self.tail.0.load(SeqCst).saturating_sub(head);
         (pending >= self.wake_at.load(SeqCst) || (pending > 0 && self.starved.load(SeqCst) > 0))
             && self.is_published(head)
-    }
-
-    /// [`due`](Self::due), checked [`SPINS`] times: the supervisor's
-    /// bounded look at the ring before it sleeps.
-    pub(super) fn due_or_spin(&self, head: u64) -> bool {
-        for _ in 0..SPINS {
-            if self.due(head) {
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        false
     }
 
     /// The completion with sequence number `head`, once published.
@@ -358,7 +360,7 @@ impl Board {
             .flatten()
     }
 
-    /// Tells publishers how far the ring has been drained.
+    /// Tells the next `due` look how far the ring has been drained.
     pub(super) fn set_absorbed(&self, head: u64) {
         self.absorbed.store(head, SeqCst);
     }
@@ -367,9 +369,9 @@ impl Board {
     /// most one per claimable attempt; the caller hands their tickets
     /// to the pool. Call after [`raise`](Self::raise) /
     /// [`requeue`](Self::requeue): those stores precede this load of
-    /// `starved`, [`park`](Self::park) increments `starved` before it
-    /// re-checks the lane, so a parking seat is seen here or sees the
-    /// new work itself.
+    /// `starved` and this scan, [`park`] increments `starved` before its
+    /// last look at the lane, which it takes under the `parked` lock, so
+    /// a parking seat is found here or sees the new work itself.
     pub(super) fn unpark_claimable(&self, out: &mut Vec<Seat>) {
         if self.starved.load(SeqCst) == 0 {
             return;
@@ -388,13 +390,46 @@ impl Board {
         }
     }
 
-    /// Ends the job: claims fail from here on and tickets still queued
-    /// anywhere are dropped by whoever pops them.
+    /// Ends the job: claims fail from here on, tickets still queued
+    /// anywhere are dropped by whoever pops them, and the caller wakes
+    /// to write the report.
     pub(super) fn close(&self) {
         self.closed.store(true, SeqCst);
+        self.caller.unpark();
     }
 
-    // --- worker side ----------------------------------------------------
+    pub(super) fn is_closed(&self) -> bool {
+        self.closed.load(SeqCst)
+    }
+
+    /// Sequence numbers drawn so far (the watchdog's idea of progress).
+    pub(super) fn published(&self) -> u64 {
+        self.tail.0.load(SeqCst)
+    }
+
+    /// Offers `seat`'s ticket to the job's own calling thread, which
+    /// takes it (and is woken) only if it is waiting with nothing in
+    /// hand. Otherwise the ticket is the pool's.
+    pub(super) fn offer_home(&self, seat: Seat) -> bool {
+        let mut home = lock(&self.home);
+        let taken = home.0 && home.1.is_none();
+        if taken {
+            home.1 = Some(seat);
+            self.caller.unpark();
+        }
+        taken
+    }
+
+    /// The caller's side of the home slot: the seat it was offered, or
+    /// a note that it is waiting for one.
+    pub(super) fn take_home(&self) -> Option<Seat> {
+        let mut home = lock(&self.home);
+        let seat = home.1.take();
+        home.0 = seat.is_none();
+        seat
+    }
+
+    // --- every runner -------------------------------------------------------
 
     /// Claims `lane`'s next attempt: a requeued squash first, else the
     /// cursor's task if it is below the limit. Returns the attempt and
@@ -443,49 +478,44 @@ impl Board {
         None
     }
 
-    /// Publishes a completion and wakes the supervisor if half a window
-    /// is now pending or a seat of the job is starved. `pending` counts
-    /// every sequence number drawn, read *after* this slot is filled: a
-    /// publisher that was slow to fill the ring's head slot then sees
-    /// the completions queued behind it, whose own wake found the head
-    /// empty. No wake is lost: the supervisor stores `absorbed` before
-    /// its last look at the ring, so a stale `absorbed` only over-counts
-    /// `pending`; and `starved` pairs with [`park`](Self::park) (this
-    /// side: fill the slot, then load `starved`; that side: bump
-    /// `starved`, then load `tail`).
+    /// Publishes a completion; the publisher's [`take_turns`] follows.
+    /// Together: fill the slot → store `seq` → load [`due`](Self::due)
+    /// → `try_lock`. A turn ends: unlock → load `due` → retry. No turn
+    /// is lost: a publisher only gives up when its `try_lock` failed,
+    /// so the holder's unlock, and the `due` look after it, come later
+    /// in the one total order than this slot's `seq` — the holder sees
+    /// everything the loser saw. (A stale `absorbed` only over-counts
+    /// `pending`.)
     fn publish(&self, done: WorkerDone) {
         let seq = self.tail.0.fetch_add(1, SeqCst);
         let slot = self.slot(seq);
         *lock(&slot.done) = Some(done);
         slot.seq.store(seq + 1, SeqCst);
-        let pending = self
-            .tail
-            .0
-            .load(SeqCst)
-            .saturating_sub(self.absorbed.load(SeqCst));
-        if pending >= self.wake_at.load(SeqCst) || self.starved.load(SeqCst) > 0 {
-            self.supervisor.unpark();
-        }
     }
+}
 
-    /// Parks `seat` for lack of claimable work, unless work turned up
-    /// meanwhile (returns `false`: claim again). A parked seat with
-    /// completions pending wakes the supervisor — it is the one that
-    /// can admit more.
-    fn park(&self, seat: Seat) -> bool {
-        let mut parked = lock(&self.parked);
-        self.starved.fetch_add(1, SeqCst);
-        if self.lanes[seat.lane].claimable() > 0 {
-            self.starved.fetch_sub(1, SeqCst);
-            return false;
+/// Parks `seat` for lack of claimable work, unless work turned up
+/// meanwhile (returns `false`: claim again): bump `starved` → look at
+/// the lane → try for the turn if one is due → look at the lane again,
+/// under the `parked` lock → park. Bumping `starved` first is what makes
+/// anything pending due, so nothing stays unabsorbed behind a parked
+/// seat: this runner takes the turn itself, or lost the `try_lock` to a
+/// holder whose look after unlocking sees the bump, or nothing is
+/// published yet and the publisher's own look will see it. A turn that
+/// admits into this very lane is found by the second look.
+fn park(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
+    let board = &job.board;
+    board.starved.fetch_add(1, SeqCst);
+    if board.lanes[seat.lane].claimable() == 0 {
+        take_turns(job, pool);
+        let mut parked = lock(&board.parked);
+        if board.lanes[seat.lane].claimable() == 0 {
+            parked.push(seat);
+            return true;
         }
-        parked.push(seat);
-        drop(parked);
-        if self.tail.0.load(SeqCst) > self.absorbed.load(SeqCst) {
-            self.supervisor.unpark();
-        }
-        true
     }
+    board.starved.fetch_sub(1, SeqCst);
+    false
 }
 
 /// A blocking MPMC queue of tickets: how an idle worker is handed a
@@ -537,23 +567,25 @@ impl<T> Injector<T> {
     }
 }
 
-/// One job as its supervisor and the pool workers share it: the spec
-/// every attempt runs against, the commit view handed to bodies, the
-/// trace clock and the board. Every ticket of the job holds an `Arc` of
-/// it, so a worker serves each attempt against this job's graph, body,
-/// substrate and fault plan — never a neighbour's.
+/// One job as its runners share it: the spec every attempt runs
+/// against, the commit view handed to bodies, the trace clock, the
+/// board, and the frontier one of them at a time takes a turn at. Every
+/// ticket of the job holds an `Arc` of it, so a runner serves each
+/// attempt against this job's graph, body, substrate and fault plan —
+/// never a neighbour's.
 pub(super) struct JobShared {
     pub job: JobId,
     pub spec: JobSpec,
     pub view: CommitView,
     pub clock: TraceClock,
     pub board: Board,
+    pub frontier: Mutex<Frontier>,
 }
 
 impl JobShared {
     /// Runs one attempt's body on the calling thread, catching a panic.
-    /// Workers pass the job's substrate, the attempt's version already
-    /// open. The supervisor passes it for a degraded inline attempt, and
+    /// [`run_attempt`] passes the job's substrate, the attempt's version
+    /// already open. A turn passes it for a degraded inline attempt, and
     /// `None` when it replays a task as the validation oracle or the
     /// fallback executor — on purpose even for versioned jobs: a
     /// sequential replay must compute the task's result without opening,
@@ -561,9 +593,9 @@ impl JobShared {
     ///
     /// # Errors
     ///
-    /// [`ExecError::TaskFailed`] if the body panicked: recoverable on a
-    /// worker (the commit unit squashes and replays), final on the
-    /// supervisor, where no replay exists.
+    /// [`ExecError::TaskFailed`] if the body panicked: recoverable in a
+    /// pipelined attempt (the commit unit squashes and replays), final
+    /// under the frontier lock, where no replay exists.
     pub(super) fn run_here(
         &self,
         task: u32,
@@ -583,25 +615,22 @@ impl JobShared {
     }
 }
 
-/// The bounded wait before a sleep, in
-/// [`spin_loop`](std::hint::spin_loop) hints, on both sides of the
-/// board: a worker retries an empty lane this often before it parks its
-/// seat, and the supervisor looks for a due batch this often before it
-/// parks itself. About a microsecond — enough to ride out the other
-/// side being mid-admission or mid-publication on another core, and
-/// nothing on a core the two share.
+/// How often a runner retries an empty lane, a
+/// [`spin_loop`](std::hint::spin_loop) hint apart, before it parks its
+/// seat. About a microsecond — enough to ride out another runner being
+/// mid-admission on another core, and nothing on a core the two share.
 const SPINS: u32 = 64;
 
-/// Serves `seat`'s ticket: claim → [`run_attempt`] → publish, until a
-/// window of claims (the ticket quantum), an empty lane, or the end of
-/// the job. Nothing but the publication touches shared state: each
+/// Serves `seat`'s ticket: claim → [`run_attempt`] → publish → a turn
+/// at the frontier if that made a batch due, until a window of claims
+/// (the ticket quantum), an empty lane, or the end of the job. Each
 /// completion carries the attempt's timing and trace events with it.
 ///
-/// Returns whether the quantum ran out: the caller then requeues the
-/// ticket at the tail of its injector, so concurrent jobs share a small
-/// pool. Otherwise the ticket is spent — the seat is parked on the
-/// board, whose supervisor will hand it out again, or the job is over.
-pub(super) fn serve(job: &JobShared, seat: Seat) -> bool {
+/// Returns whether the quantum ran out: a pool worker then hands the
+/// ticket on, so concurrent jobs share a small pool. Otherwise the
+/// ticket is spent — the seat is parked on the board, and the next turn
+/// that admits into its lane hands it out again, or the job is over.
+pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
     let board = &job.board;
     let mut trace = TraceBuffer::for_job(job.clock, job.job);
     let mut claims = 0;
@@ -613,7 +642,7 @@ pub(super) fn serve(job: &JobShared, seat: Seat) -> bool {
             return true;
         }
         let Some((item, occupancy)) = board.claim_or_spin(seat.lane) else {
-            if board.park(seat) {
+            if park(job, seat, pool) {
                 return false;
             }
             continue;
@@ -628,6 +657,7 @@ pub(super) fn serve(job: &JobShared, seat: Seat) -> bool {
         let mut done = run_attempt(job, seat, item, &mut trace);
         done.events = trace.take_events();
         board.publish(done);
+        take_turns(job, pool);
     }
 }
 

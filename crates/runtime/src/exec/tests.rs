@@ -2,12 +2,13 @@ use super::*;
 use crate::plan::ExecutionPlan;
 use crate::task::{SpecDep, TaskGraph, TaskId};
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// Runs one job on an engine of its own, one worker per seat of `plan`,
-/// dropped on return.
+/// Runs one job on an engine of its own — one runner per seat of `plan`,
+/// the calling thread being the last — dropped on return.
 fn run_on(
     mem: Option<Arc<ConcurrentVersionedMemory>>,
     config: ExecConfig,
@@ -15,10 +16,10 @@ fn run_on(
     plan: &ExecutionPlan,
     body: impl NativeBody + 'static,
 ) -> Result<NativeReport, ExecError> {
-    let seats = (0..plan.stage_count())
+    let seats: usize = (0..plan.stage_count())
         .map(|s| plan.stage(s).cores().len())
         .sum();
-    Engine::new(EngineConfig::with_workers(seats)).run(&JobSpec {
+    Engine::new(EngineConfig::with_workers(seats.saturating_sub(1))).run(&JobSpec {
         graph: Arc::new(graph.clone()),
         plan: Arc::new(plan.clone()),
         body: Arc::new(body),
@@ -326,7 +327,7 @@ fn injected_stall_is_absorbed_within_the_deadline() {
 #[test]
 fn watchdog_trips_on_a_wedged_stage_and_falls_back() {
     // One B task sleeps for 10× the watchdog deadline: the pipeline
-    // wedges at the commit frontier and the supervisor must degrade to
+    // wedges at the commit frontier and the idle caller must degrade to
     // sequential execution — with the output still byte-identical.
     let config = ExecConfig::default()
         .with_faults(
@@ -400,10 +401,10 @@ fn unreplayable_body_panic_is_a_typed_error() {
 }
 
 #[test]
-fn a_dead_supervisor_is_reported_as_what_it_is() {
+fn a_dead_job_thread_is_reported_as_what_it_is() {
     assert_eq!(
         ExecError::WorkersDisconnected.to_string(),
-        "job supervisor thread died before reporting"
+        "job thread died before reporting"
     );
 }
 
@@ -731,33 +732,49 @@ fn versioned_chaos_run_still_commits_sequential_output() {
 
 use super::stage::Board;
 
-/// The lane window and wake threshold of a one-seat `tls(1)` plan at
+/// Whether the calling thread is one of an engine's pool workers (and
+/// not the thread a job is run from).
+fn on_pool_worker() -> bool {
+    let thread = std::thread::current();
+    thread
+        .name()
+        .is_some_and(|n| n.starts_with("seqpar-engine-"))
+}
+
+/// The lane window and batch threshold of a one-seat `tls(1)` plan at
 /// the default queue capacity: 32 + 1 seat, and half of that.
 const WINDOW: u64 = 33;
 const WAKE_AT: u64 = WINDOW / 2;
 
-/// Runs a counter loop of `iters` tasks on `tls(1)` — one seat, so
-/// nothing but the wake rule and the tail-of-job parking gets the
-/// supervisor out of bed — and asserts the run is prompt, trip-free and
-/// byte-identical. `versioned` threads the counter through the
-/// substrate (conflict replays then make the attempt count a matter of
-/// timing).
-fn run_prompt(iters: u64, faults: FaultPlan, versioned: bool) -> NativeReport {
-    let plan = ExecutionPlan::tls(1);
+/// Runs `iters` iterations under `plan` — the counter loop on a `tls`
+/// plan, the three-phase graph on a three-stage one — and asserts the
+/// run is prompt, trip-free and byte-identical: nobody watches the ring,
+/// so nothing but a runner's own look after publishing, and the turn it
+/// tries for when its lane runs dry, gets a completion absorbed.
+/// `versioned` threads the counter through the substrate (conflict
+/// replays then make the attempt count a matter of timing).
+fn run_prompt(
+    plan: &ExecutionPlan,
+    iters: u64,
+    faults: FaultPlan,
+    versioned: bool,
+) -> NativeReport {
     let config = ExecConfig::default().with_faults(faults);
     let deadline = config.watchdog_deadline;
-    let graph = counter_graph(iters);
     let started = Instant::now();
-    let report = if versioned {
-        let (report, mem) = run_versioned(config, &graph, &plan, counter_body());
+    let report = if plan.stage_count() == 3 {
+        let graph = three_phase_graph(iters, &[]);
+        run(config, &graph, plan, tagging_body(vec![])).unwrap()
+    } else if versioned {
+        let (report, mem) = run_versioned(config, &counter_graph(iters), plan, counter_body());
         assert_eq!(mem.committed(Addr(0)), Some(iters));
         report
     } else {
-        run(config, &graph, &plan, counter_body()).unwrap()
+        run(config, &counter_graph(iters), plan, counter_body()).unwrap()
     };
     assert!(
         started.elapsed() < deadline / 4,
-        "{iters} tasks took {:?}: a wake was lost",
+        "{iters} tasks took {:?}: a turn was lost",
         started.elapsed()
     );
     assert_eq!(report.output, expected_stream(iters), "{iters} tasks");
@@ -826,43 +843,59 @@ fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
 
 #[test]
 fn no_wake_is_lost_at_the_tail_of_a_job() {
-    // One task; one short of the wake threshold; exactly the threshold;
-    // one more than the window. None of the first three ever reaches
-    // half a window pending: only the worker running out of claimable
-    // work gets their completions absorbed.
-    for iters in [1, WAKE_AT - 1, WAKE_AT, WINDOW + 1] {
-        run_prompt(iters, FaultPlan::none(), true);
+    // One task; one short of the batch threshold; exactly the
+    // threshold; one more than the window. None of the first three ever
+    // reaches half a window pending: only a runner running out of
+    // claimable work gets their completions absorbed — the caller alone
+    // on `tls(1)`, whichever of two runners parks last on `tls(2)`, and
+    // on the three-stage plan the one whose publication finds a
+    // downstream seat starved.
+    let plans = [
+        ExecutionPlan::tls(1),
+        ExecutionPlan::tls(2),
+        ExecutionPlan::three_phase(4),
+    ];
+    for plan in &plans {
+        for iters in [1, WAKE_AT - 1, WAKE_AT, WINDOW + 1] {
+            run_prompt(plan, iters, FaultPlan::none(), true);
+        }
     }
 }
 
 #[test]
-fn a_spurious_squash_under_a_parked_supervisor_resumes_promptly() {
+fn a_spurious_squash_with_every_runner_parked_resumes_promptly() {
     // Task 0 and a task mid-window are discarded at the commit point.
-    // Their replays go out through the requeue lane while the worker
-    // has run on to the limit and parked its seat.
+    // Their replays go out through the requeue lane while every runner
+    // has run on to the limit; the one whose turn squashed them is on
+    // its way to parking its seat and must find them in its last look
+    // at the lane, and a seat already parked must be handed out again.
     let mid = (WAKE_AT + 3) as u32;
     let faults = FaultPlan::none()
         .with_forced(0, 0, FaultKind::SpuriousSquash)
         .with_forced(mid, 0, FaultKind::SpuriousSquash);
-    let report = run_prompt(3 * WINDOW, faults.clone(), false);
-    assert_eq!(report.recovery.spurious_squashes, 2);
-    assert_eq!(report.recovery.retries, 2);
-    assert_eq!(report.attempts, 3 * WINDOW + 2);
-    // Through the substrate the replay of task 0 revokes what it
-    // forwarded, so the later fault may lose its attempt to a conflict
-    // squash first; the bytes still may not move.
-    let report = run_prompt(3 * WINDOW, faults, true);
-    assert!(report.recovery.spurious_squashes >= 1);
+    for plan in [ExecutionPlan::tls(1), ExecutionPlan::tls(2)] {
+        let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), false);
+        assert_eq!(report.recovery.spurious_squashes, 2);
+        assert_eq!(report.recovery.retries, 2);
+        assert_eq!(report.attempts, 3 * WINDOW + 2);
+        // Through the substrate the replay of task 0 revokes what it
+        // forwarded, so the later fault may lose its attempt to a
+        // conflict squash first; the bytes still may not move.
+        let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), true);
+        assert!(report.recovery.spurious_squashes >= 1);
+    }
 }
 
 #[test]
 fn a_starved_stage_does_not_wait_for_half_a_window() {
-    // A is an independent serial stage, so its worker has a window of
+    // A is an independent serial stage, so its runner (the caller: A's
+    // is the first seat with anything to claim) has a window of
     // claimable work from the start and never runs dry; B_i needs A_i.
     // From A_8 on, A's body blocks until B_0 has *started* — which it
-    // only can once the supervisor absorbs A_0 and admits it. Eight
-    // pending completions are short of the threshold, so nothing but
-    // the starvation rule (B's seats are parked) gets A_0 absorbed.
+    // only can once a turn absorbs A_0 and admits it. Eight pending
+    // completions are short of the threshold, so nothing but the
+    // starvation rule (B's seats are parked) makes A's runner take that
+    // turn.
     let iters = 64u64;
     let mut graph = TaskGraph::new(3);
     let mut prev_c = None;
@@ -877,9 +910,6 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
     let timed_out = Arc::clone(&gave_up);
     let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
         match ctx.stage.0 {
-            // Long enough for the supervisor's poll to run out, so the
-            // wake has to come from the publishing worker.
-            0 if ctx.iter == 0 => std::thread::sleep(Duration::from_millis(5)),
             0 if ctx.iter >= 8 => {
                 let since = Instant::now();
                 while !b0_started.load(Ordering::SeqCst) {
@@ -916,9 +946,11 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
 
 #[test]
 fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
-    // Job A's supervisor keeps its lane fed, so A's seat never runs dry:
-    // only the quantum — requeue the ticket after a window of claims —
-    // lets B's ticket reach the single worker before A is done.
+    // Two seats a job: each job's own thread serves one, and the two
+    // left over share the single pool worker. Turns keep A's lane fed,
+    // so the seat the worker holds never runs dry: only the quantum —
+    // hand the ticket on after a window of claims — lets B's ticket
+    // reach the worker before A is done. The log is the worker's alone.
     const TASKS: u64 = 4_000;
     let log: Arc<Mutex<Vec<(u8, u32)>>> = Arc::default();
     let b_submitted = Arc::new(AtomicBool::new(false));
@@ -927,17 +959,19 @@ fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
         let gate = Arc::clone(&b_submitted);
         let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
             // A does not start until B is in: otherwise a fast A could
-            // finish before B's supervisor has handed out its ticket.
+            // finish before B's first turn has handed out its tickets.
             while job == 0 && task.0 == 0 && !gate.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            log.lock().unwrap().push((job, task.0));
+            if on_pool_worker() {
+                log.lock().unwrap().push((job, task.0));
+            }
             std::hint::black_box((0..2_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
             TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
         };
         JobSpec {
             graph: Arc::new(counter_graph(TASKS)),
-            plan: Arc::new(ExecutionPlan::tls(1)),
+            plan: Arc::new(ExecutionPlan::tls(2)),
             body: Arc::new(body),
             mem: None,
             config: ExecConfig::default(),
@@ -968,8 +1002,57 @@ fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
 }
 
 #[test]
+fn the_caller_holds_a_seat_of_an_eight_seat_plan_on_seven_workers() {
+    const TASKS: u64 = 800;
+    let caller = std::thread::current().id();
+    let on_caller = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&on_caller);
+    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
+        if std::thread::current().id() == caller {
+            count.fetch_add(1, Ordering::SeqCst);
+        }
+        std::hint::black_box((0..20_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
+        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+    };
+    let plan = ExecutionPlan::tls(8);
+    let report = run(ExecConfig::default(), &counter_graph(TASKS), &plan, body).unwrap();
+    assert_eq!(report.output, expected_stream(TASKS));
+    assert_eq!(report.attempts, TASKS);
+    // The first seat handed out goes home: the caller runs bodies, and
+    // they are booked to a seat like anyone's.
+    assert!(on_caller.load(Ordering::SeqCst) > 0);
+    let first = report.workers.iter().find(|w| w.core == 0).expect("seat 0");
+    assert!(first.tasks > 0);
+    let served: u64 = report.workers.iter().map(|w| w.tasks).sum();
+    assert_eq!(served, report.attempts, "every completion books its seat");
+}
+
+#[test]
+fn a_traced_one_seat_run_on_the_caller_alone_yields_a_full_timeline() {
+    // The benchmark's traced path: `tls(1)`, so claim, body, publish and
+    // commit all happen on the thread that called `run`, and the pool
+    // is never started.
+    let iters = 3 * WINDOW;
+    let (report, _mem) = run_versioned(
+        ExecConfig::default().with_tracing(true),
+        &counter_graph(iters),
+        &ExecutionPlan::tls(1),
+        counter_body(),
+    );
+    assert_eq!(report.output, expected_stream(iters));
+    let timeline = report.timeline.as_ref().expect("tracing was on");
+    timeline.validate().expect("a well-formed timeline");
+    let metrics = timeline.stage_metrics();
+    assert_eq!(metrics.len(), 1);
+    assert_eq!(metrics[0].attempts, report.attempts);
+    assert_eq!(metrics[0].committed, iters);
+    let m = &metrics[0];
+    assert!(!m.service.is_empty() && !m.queue_wait.is_empty() && !m.commit_latency.is_empty());
+}
+
+#[test]
 fn dropping_the_engine_lets_submitted_jobs_finish_on_the_pool() {
-    // Each job's supervisor thread holds the pool, so the handle going
+    // Each job's thread holds the pool, so the handle going
     // away mid-run costs the jobs nothing: no ticket is lost, no
     // watchdog waits out its deadline, no fallback runs.
     const TASKS: u64 = 2_000;
@@ -992,7 +1075,7 @@ fn dropping_the_engine_lets_submitted_jobs_finish_on_the_pool() {
         };
         engine.submit(JobSpec {
             graph: Arc::new(counter_graph(TASKS)),
-            plan: Arc::new(ExecutionPlan::tls(1)),
+            plan: Arc::new(ExecutionPlan::tls(2)),
             body: Arc::new(body),
             mem: None,
             config: ExecConfig::default(),
@@ -1022,36 +1105,106 @@ fn an_engine_has_at_least_one_worker() {
 
 #[test]
 fn the_watchdog_counts_publications_not_wakes() {
+    // A_i feeds B_i, a serial stage each, few enough iterations for one
+    // window: the caller claims every A (the first seat with anything
+    // to claim is its), hands B's ticket to the pool from the turn that
+    // admits B_0, and has nothing left to do but watch.
     let deadline = Duration::from_millis(150);
-    let graph = counter_graph(WAKE_AT - 4);
-    let plan = ExecutionPlan::tls(1);
-    // Slow but publishing: every task takes a good part of the deadline
-    // and the job several deadlines, yet too few completions are ever
-    // pending for a worker to wake the supervisor. Its timed-out sleeps
-    // find the ring moving.
+    let iters = WAKE_AT - 4;
+    let mut graph = TaskGraph::new(2);
+    for i in 0..iters {
+        let a = graph.add_task(0, i, 10, &[], &[]);
+        graph.add_task(1, i, 10, &[a], &[]);
+    }
+    let plan = ExecutionPlan::new(vec![
+        crate::plan::StageAssignment::serial(0),
+        crate::plan::StageAssignment::serial(1),
+    ]);
+    let tag = |ctx: &TaskCtx<'_>| match ctx.stage.0 {
+        0 => TaskOutput::empty(),
+        _ => TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec()),
+    };
+    // Slow but publishing: every B takes a good part of the deadline and
+    // the job several deadlines. The caller's timed-out sleeps find the
+    // ring moving.
     let slow = move |_: TaskId, ctx: &TaskCtx<'_>| {
-        std::thread::sleep(deadline / 5);
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        if ctx.stage.0 == 1 {
+            assert!(on_pool_worker(), "the caller was to be left idle");
+            std::thread::sleep(deadline / 5);
+        }
+        tag(ctx)
     };
     let config = ExecConfig::default().with_watchdog_deadline(deadline);
     let report = run(config.clone(), &graph, &plan, slow).unwrap();
     assert!(report.wall > 2 * deadline);
     assert_eq!(report.watchdog_trips, 0, "a publishing job is not wedged");
     assert!(!report.fallback_activated);
-    assert_eq!(report.output, expected_stream(WAKE_AT - 4));
+    assert_eq!(report.output, expected_stream(iters));
 
-    // Wedged: one stall outlasts the deadline with nothing else left to
-    // publish. Still a trip, still the sequential stream.
-    let quick = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-    let stalled = config.with_faults(
+    // Wedged: B_2 stalls on the pool worker past the deadline with
+    // nothing else left to publish. A trip, the rest sequentially on the
+    // caller, still the sequential stream.
+    let quick = move |_: TaskId, ctx: &TaskCtx<'_>| tag(ctx);
+    let stalled = config.clone().with_faults(
         FaultPlan::none()
-            .with_forced(2, 0, FaultKind::StageStall)
+            .with_forced(2 * 2 + 1, 0, FaultKind::StageStall)
             .with_stall_duration(deadline * 6),
     );
     let report = run(stalled, &graph, &plan, quick).unwrap();
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
-    assert_eq!(report.output, expected_stream(WAKE_AT - 4));
+    assert_eq!(report.output, expected_stream(iters));
+
+    // Committing but not publishing: a governed loop whose first probe
+    // loses its throughput verdict *on the pool worker's turn* (the
+    // caller's attempts wait for the worker to be inside one, and the
+    // worker's are slow, so the worker's completion is the probe's last
+    // and the turn that commits it is its own). That turn then commits a
+    // degraded stretch inline — at least five tasks of it, the probe's
+    // sliding window having run at most three ahead — over two deadlines
+    // long, the caller asleep throughout. The ring's `tail` stands
+    // still; the watermark moves.
+    let (period, probe) = (8, 4);
+    let worker_busy = AtomicBool::new(false);
+    let inline_on_worker = Arc::new(AtomicBool::new(false));
+    let seen = Arc::clone(&inline_on_worker);
+    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
+        if ctx.attempt == DEGRADED_ATTEMPT {
+            if ctx.iter >= period + probe {
+                seen.fetch_or(on_pool_worker(), Ordering::SeqCst);
+                std::thread::sleep(deadline / 2);
+            }
+        } else if on_pool_worker() {
+            worker_busy.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+        } else {
+            let since = Instant::now();
+            while !worker_busy.load(Ordering::SeqCst) && since.elapsed() < deadline * 20 {
+                std::thread::yield_now();
+            }
+        }
+        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+    };
+    let governed = config.with_governor(GovernorConfig {
+        reprobe_period: period as u32,
+        ..GovernorConfig::default()
+    });
+    // A period more than the stretch: a caller that tripped during it
+    // would find the job unfinished at the lock, and fall back.
+    let iters = 3 * period + probe;
+    let report = run(
+        governed,
+        &counter_graph(iters),
+        &ExecutionPlan::tls(2),
+        body,
+    )
+    .unwrap();
+    assert!(inline_on_worker.load(Ordering::SeqCst));
+    assert!(report.wall > 2 * deadline);
+    assert_eq!(report.governor.expect("governed").degrades, 1);
+    assert_eq!(report.watchdog_trips, 0, "a committing job is not wedged");
+    assert!(!report.fallback_activated);
+    assert_eq!(report.output, expected_stream(iters));
 }
 
 /// Governor backoff end to end. Forty quiet tasks (private addresses,
@@ -1115,4 +1268,160 @@ fn backed_off_attempts_wait_in_their_lane_and_all_come_back() {
         let timeline = report.timeline.as_ref().expect("tracing was on");
         timeline.validate().expect("well-formed governed timeline");
     }
+}
+
+// --- the turn protocol, enumerated ------------------------------------------
+//
+// A plain-state model of the five words the no-lost-turn arguments in
+// `stage.rs` are about — `tail`, the slot tags, `absorbed`, `starved`,
+// the frontier lock — plus one lane's claimable count and its parked
+// seat. Two publishers make two publications each and one runner parks;
+// every script is split at every access to a shared word, and every
+// interleaving is walked (depth-first over distinct states, no
+// sampling). A thread that stops stands for a runner that goes on to
+// claim or park, so "pending but not due" is a legal place to stop;
+// *due* with nobody left to take the turn is a lost turn, and so is a
+// parked seat looking at claimable work.
+
+/// The batch threshold of the model: with four publications, both
+/// halves of the `due` rule get exercised.
+const MODEL_WAKE_AT: u64 = 2;
+const PARKER: usize = 2;
+
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[rustfmt::skip]
+enum Pc {
+    #[default] Draw, Fill,                               // publish
+    DueAbsorbed, DueTail, DueStarved, DueSlot, TryLock,  // take_turns
+    Absorb, StoreAbsorbed, Raise, LoadStarved, ScanParked, Unlock, // a turn
+    Next, Bump, LookAtLane, Park, Undo, Claim, Idle,     // park
+}
+
+/// One thread: where it is, the publications it has left, and its
+/// locals (`head`: the sequence number drawn, then the `due` look's and
+/// the turn's head; zeroed when dead, so equivalent states merge).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+struct ModelThread {
+    pc: Pc,
+    left: u8,
+    head: u64,
+    pending: u64,
+    took: bool,
+}
+
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+struct Model {
+    tail: u64,
+    /// Bit `s`: the slot of sequence number `s` is filled and tagged.
+    published: u64,
+    absorbed: u64,
+    starved: u64,
+    locked: bool,
+    /// The parker's lane: claimable attempts, and its seat in `parked`.
+    claimable: u64,
+    parked: bool,
+    threads: [ModelThread; 3],
+}
+
+impl Model {
+    fn due(&self, pending: u64) -> bool {
+        pending >= MODEL_WAKE_AT || (pending > 0 && self.starved > 0)
+    }
+
+    /// Thread `t`'s next access to a shared word, one transition a
+    /// line. `false`: it is idle. Without `recheck` a turn ends at its
+    /// unlock — the bug the protocol's second look is there to prevent.
+    #[rustfmt::skip]
+    fn step(&mut self, t: usize, recheck: bool) -> bool {
+        use Pc::*;
+        let mut th = self.threads[t];
+        let filled = self.published & (1 << th.head) != 0;
+        let go = |yes: bool, then: Pc, otherwise: Pc| if yes { then } else { otherwise };
+        th.pc = match th.pc {
+            Idle          => return false,
+            Draw          => { th.head = self.tail; self.tail += 1; Fill }
+            Fill          => { self.published |= 1 << th.head; th.left -= 1; DueAbsorbed }
+            DueAbsorbed   => { th.head = self.absorbed; DueTail }
+            DueTail       => { th.pending = self.tail - th.head; DueStarved }
+            DueStarved    => go(self.due(std::mem::take(&mut th.pending)), DueSlot, Next),
+            DueSlot       => go(filled, TryLock, Next),
+            TryLock       => if self.locked { Next } else { self.locked = true; th.head = self.absorbed; Absorb }
+            Absorb        => if filled { th.head += 1; th.took = true; Absorb } else { StoreAbsorbed }
+            StoreAbsorbed => { self.absorbed = th.head; Raise }
+            Raise         => { self.claimable += u64::from(std::mem::take(&mut th.took)); LoadStarved }
+            LoadStarved   => go(self.starved > 0, ScanParked, Unlock),
+            // One step: the scan and `park`'s last look hold the same lock.
+            // (Only another thread's turn finds the parker parked.)
+            ScanParked    => {
+                if self.parked && self.claimable > 0 {
+                    (self.parked, self.starved, self.threads[PARKER].pc) = (false, self.starved - 1, Claim);
+                }
+                Unlock
+            }
+            Unlock        => { self.locked = false; go(recheck, DueAbsorbed, Next) }
+            Next          => go(t == PARKER, Park, go(th.left > 0, Draw, Idle)),
+            Bump          => { self.starved += 1; LookAtLane }
+            LookAtLane    => go(self.claimable > 0, Undo, DueAbsorbed),
+            Park          => if self.claimable > 0 { Undo } else { self.parked = true; Idle }
+            Undo          => { self.starved -= 1; Claim }
+            Claim         => { self.claimable -= 1; Idle }
+        };
+        if !matches!(th.pc, Fill | DueTail | DueStarved | DueSlot | TryLock | Absorb | StoreAbsorbed) {
+            th.head = 0;
+        }
+        self.threads[t] = th;
+        true
+    }
+}
+
+fn explore(m: &Model, recheck: bool, seen: &mut HashSet<Model>, schedule: &mut Vec<usize>) {
+    if !seen.insert(m.clone()) {
+        return;
+    }
+    let mut idle = true;
+    for t in 0..m.threads.len() {
+        let mut next = m.clone();
+        if next.step(t, recheck) {
+            idle = false;
+            schedule.push(t);
+            explore(&next, recheck, seen, schedule);
+            schedule.pop();
+        }
+    }
+    let lost = m.due(m.tail - m.absorbed) || (m.parked && m.claimable > 0);
+    assert!(
+        !(idle && lost),
+        "a turn was lost: every thread is idle in {m:?} after schedule {schedule:?}"
+    );
+}
+
+fn explore_the_turn_protocol(recheck: bool) -> usize {
+    let thread = |pc, left| ModelThread {
+        pc,
+        left,
+        ..ModelThread::default()
+    };
+    let start = Model {
+        threads: [
+            thread(Pc::Draw, 2),
+            thread(Pc::Draw, 2),
+            thread(Pc::Bump, 0),
+        ],
+        ..Model::default()
+    };
+    let mut seen = HashSet::new();
+    explore(&start, recheck, &mut seen, &mut Vec::new());
+    seen.len()
+}
+
+#[test]
+fn the_turn_protocol_loses_no_turn_in_any_interleaving() {
+    let states = explore_the_turn_protocol(true);
+    assert!(states > 1_000, "only {states} states: the model collapsed");
+}
+
+#[test]
+#[should_panic(expected = "a turn was lost")]
+fn the_turn_protocol_model_finds_the_turn_lost_without_the_recheck() {
+    explore_the_turn_protocol(false);
 }

@@ -7,7 +7,7 @@
 //! thread appends typed [`TraceEvent`]s to a buffer it owns exclusively
 //! — no locks, no shared cache lines, one monotonic-clock read plus one
 //! `Vec` push per event — and the dispatcher and commit unit do the
-//! same on the supervisor thread. After the run the buffers are merged
+//! same at the commit frontier. After the run the buffers are merged
 //! by timestamp into a [`Timeline`] carried on
 //! [`NativeReport::timeline`](super::NativeReport::timeline), from which
 //! the per-stage histograms ([`Timeline::stage_metrics`]), the critical
@@ -222,7 +222,7 @@ pub enum TraceEventKind {
     },
     /// A retry budget ran out (or the watchdog tripped): the executor
     /// abandoned worker dispatch and committed the remaining tasks
-    /// in order on the supervisor thread, starting at `from_task`.
+    /// in order under the frontier lock, starting at `from_task`.
     FallbackActivated {
         /// The first task the sequential fallback committed.
         from_task: u32,
@@ -368,7 +368,7 @@ impl TraceClock {
     }
 }
 
-/// A single-owner event buffer: each worker thread (and the supervisor)
+/// A single-owner event buffer: each ticket a runner serves (and the frontier)
 /// owns one exclusively, so recording is lock-free by construction —
 /// one clock read plus one `Vec` push, and a single branch when tracing
 /// is disabled.
@@ -381,7 +381,7 @@ pub(super) struct TraceBuffer {
 
 impl TraceBuffer {
     /// A buffer whose every event is stamped with `job` — pool workers
-    /// and per-job supervisors record through one of these so merged
+    /// and per-job frontiers record through one of these so merged
     /// multi-job timelines stay attributable.
     pub(super) fn for_job(clock: TraceClock, job: JobId) -> Self {
         Self {
@@ -389,11 +389,6 @@ impl TraceBuffer {
             job,
             events: Vec::new(),
         }
-    }
-
-    /// The job every event in this buffer is stamped with.
-    pub(super) fn job(&self) -> JobId {
-        self.job
     }
 
     /// Whether recording does anything (off ⇒ every call is one branch).
@@ -410,10 +405,6 @@ impl TraceBuffer {
                 kind,
             });
         }
-    }
-
-    pub(super) fn into_events(self) -> Vec<TraceEvent> {
-        self.events
     }
 
     /// Empties the buffer, which keeps recording.
@@ -796,7 +787,7 @@ impl Timeline {
                 }
                 TraceEventKind::Commit { task, attempt } => {
                     // Fallback and governor-degraded commits run inline
-                    // on the supervisor thread: no worker-side events.
+                    // under the frontier lock: no runner-side events.
                     if attempt != super::FALLBACK_ATTEMPT
                         && attempt != super::DEGRADED_ATTEMPT
                         && !completed_set.contains_key(&(e.job, task, attempt))
@@ -989,7 +980,7 @@ impl Timeline {
     /// fall back to `stage{N}`). Attempts become duration (`X`) slices
     /// on their worker's track; squashes, commits, speculation
     /// decisions, and recovery actions become instant (`i`) events on
-    /// the supervisor track; queue occupancy becomes counter (`C`)
+    /// the frontier track; queue occupancy becomes counter (`C`)
     /// series. Native nanosecond timestamps are exported in the
     /// format's microseconds; simulated timelines map one cycle to one
     /// microsecond.
@@ -1028,7 +1019,7 @@ impl Timeline {
                 ));
                 entries.push(format!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"supervisor (dispatch + commit)\"}}}}"
+                     \"args\":{{\"name\":\"frontier (dispatch + commit)\"}}}}"
                 ));
             }
             match e.kind {
@@ -1303,7 +1294,7 @@ mod tests {
         let mut buf = TraceBuffer::for_job(TraceClock::new(false), JobId::SOLO);
         assert!(!buf.enabled());
         buf.record(TraceEventKind::WatchdogTrip);
-        assert!(buf.into_events().is_empty());
+        assert!(buf.take_events().is_empty());
     }
 
     #[test]
@@ -1311,7 +1302,7 @@ mod tests {
         let mut buf = TraceBuffer::for_job(TraceClock::new(true), JobId::SOLO);
         buf.record(TraceEventKind::WatchdogTrip);
         buf.record(TraceEventKind::WatchdogTrip);
-        let events = buf.into_events();
+        let events = buf.take_events();
         assert_eq!(events.len(), 2);
         assert!(events[0].ts <= events[1].ts);
     }

@@ -22,10 +22,6 @@
 //! Every operation takes `&self`; the [`concurrent`] module documents the
 //! sharding, the registry and the reclamation that make that safe.
 //!
-//! The *Commutative* annotation's escape hatch (§2.3.2) is modelled by
-//! [`undo::UndoLog`]: commutative functions execute in non-transactional
-//! memory and register rollback actions (e.g. `free` undoes `malloc`).
-//!
 //! # Example
 //!
 //! ```
@@ -56,9 +52,7 @@
 pub mod concurrent;
 pub mod memory;
 pub mod stats;
-pub mod undo;
 
 pub use concurrent::{ConcurrentVersionedMemory, MemConfig, VersionProbe};
 pub use memory::{Addr, CommitError, VersionId};
 pub use stats::MemStats;
-pub use undo::UndoLog;

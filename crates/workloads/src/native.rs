@@ -197,8 +197,8 @@ impl VersionedJob {
     /// Runs the job on real threads under `plan`, with every attempt's
     /// loop-carried state routed through a fresh
     /// [`ConcurrentVersionedMemory`] — the one-shot convenience: an
-    /// [`Engine`] of its own with one worker per seat of the plan,
-    /// dropped on return. Returns the report (whose
+    /// [`Engine`] of its own with one worker per seat of the plan but
+    /// one — the calling thread fills the last seat — dropped on return. Returns the report (whose
     /// [`mem`](NativeReport::mem) field carries the substrate counters)
     /// together with the memory itself, so callers can inspect the
     /// committed loop-carried state. Callers that run more than one job
@@ -215,10 +215,10 @@ impl VersionedJob {
         config: ExecConfig,
     ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
         let (spec, mem) = self.job_spec(plan, config);
-        let seats = (0..plan.stage_count())
+        let seats: usize = (0..plan.stage_count())
             .map(|s| plan.stage(s).cores().len())
             .sum();
-        let report = Engine::new(EngineConfig::with_workers(seats)).run(&spec)?;
+        let report = Engine::new(EngineConfig::with_workers(seats.saturating_sub(1))).run(&spec)?;
         Ok((report, mem))
     }
 

@@ -1,12 +1,9 @@
 //! Integration tests for the sequential-model extensions: the annotations
 //! must be the difference between serial and parallel extraction, end to
-//! end, and their runtime halves (undo logs, versioned memory) must
-//! compose.
+//! end.
 
 use seqpar::{Parallelizer, Technique};
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program, YBranchHint};
-use seqpar_specmem::{Addr, ConcurrentVersionedMemory, UndoLog, VersionId};
-use std::sync::Mutex;
 
 /// Figure 2 shape: RNG feeding heavy pure work, schedule-driven control.
 fn rng_loop(commutative: bool) -> (Program, seqpar_ir::FuncId) {
@@ -130,59 +127,4 @@ fn ybranch_probability_controls_the_forced_interval() {
     assert_eq!(YBranchHint::new(0.00001).interval(), 100_000);
     assert_eq!(YBranchHint::new(0.5).interval(), 2);
     assert_eq!(YBranchHint::new(0.0).interval(), u64::MAX);
-}
-
-#[test]
-fn commutative_calls_unwind_through_the_undo_log_on_squash() {
-    // A speculative task calls malloc (commutative, non-transactional),
-    // then misspeculates: the undo log frees the block while versioned
-    // memory discards the task's speculative writes.
-    let vm = ConcurrentVersionedMemory::new();
-    let mut undo = UndoLog::new();
-    let allocations = std::sync::Arc::new(Mutex::new(Vec::<u64>::new()));
-
-    let (v0, v1) = (VersionId(0), VersionId(1));
-    vm.begin(v0);
-    vm.begin(v1);
-    // v1 reads speculatively, then "mallocs" commutatively.
-    assert_eq!(vm.read(v1, Addr(100)), 0);
-    allocations.lock().unwrap().push(0xA110C);
-    let allocs = std::sync::Arc::clone(&allocations);
-    undo.record(v1, move || {
-        allocs.lock().unwrap().pop();
-    });
-    vm.write(v1, Addr(200), 7);
-    // v0 now writes the address v1 read: v1 squashes.
-    let squashed = vm.write(v0, Addr(100), 9);
-    assert_eq!(squashed, vec![v1]);
-    // Recovery: roll back v1's versioned writes and unwind its
-    // commutative effects.
-    vm.rollback(v1);
-    assert_eq!(undo.unwind(v1), 1);
-    assert!(
-        allocations.lock().unwrap().is_empty(),
-        "malloc undone by free"
-    );
-    // v0 commits normally.
-    vm.try_commit(v0).unwrap();
-    assert_eq!(vm.committed(Addr(100)), Some(9));
-    assert_eq!(vm.committed(Addr(200)), None, "squashed write never lands");
-}
-
-#[test]
-fn committed_commutative_effects_are_retired_not_undone() {
-    let vm = ConcurrentVersionedMemory::new();
-    let mut undo = UndoLog::new();
-    let v = VersionId(0);
-    vm.begin(v);
-    let count = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let c = std::sync::Arc::clone(&count);
-    undo.record(v, move || {
-        c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    });
-    vm.write(v, Addr(1), 5);
-    vm.try_commit(v).unwrap();
-    undo.retire(v);
-    assert_eq!(undo.unwind(v), 0);
-    assert_eq!(count.load(std::sync::atomic::Ordering::SeqCst), 0);
 }
