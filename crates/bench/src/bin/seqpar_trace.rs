@@ -37,7 +37,7 @@
 //! errors.
 
 use seqpar_bench::{
-    json, render_critical_path, render_governor_summary, render_memory_summary,
+    json, render_critical_path, render_governor_summary, render_grain, render_memory_summary,
     render_timeline_gantt, render_trace_summary, trace_native, PlanKind,
 };
 use seqpar_runtime::{
@@ -146,6 +146,7 @@ fn main() {
     );
     let run = trace_native(w, size, plan, threads, &config);
     let report = &run.report;
+    println!("{}", run.grain);
     println!(
         "wall {:.3} ms (sequential {:.3} ms); {} tasks committed in {} attempts, \
          {} squashed, {} faults recovered; output byte-identical to sequential",
@@ -197,16 +198,12 @@ fn main() {
     }
     print!("{}", render_timeline_gantt(timeline));
 
-    // Critical path over the same task graph the run executed — the
-    // versioned job's trace.
-    let trace = w.versioned_job(size).trace().clone();
-    let graph = match plan {
-        PlanKind::Dswp => trace.task_graph(),
-        PlanKind::Tls => trace.tls_task_graph(),
-    };
+    // Critical path and simulated twin over the task graph the run
+    // executed, at the grain it executed it.
+    let graph = &*run.graph;
     println!(
         "{}",
-        render_critical_path(&timeline.critical_path(&graph), timeline.unit())
+        render_critical_path(&timeline.critical_path(graph), timeline.unit())
     );
 
     // Differential check: the simulator's timeline of the same plan must
@@ -222,9 +219,9 @@ fn main() {
         PlanKind::Tls => seqpar_runtime::ExecutionPlan::tls(threads),
     };
     let (sim_timeline, _) = sim
-        .run(&graph, &sim_plan)
+        .run(graph, &sim_plan)
         .expect("plan matches machine")
-        .timeline(&graph, None);
+        .timeline(graph, None);
     if sim_timeline.commit_order() == timeline.commit_order() {
         println!(
             "sim/native commit order: agree ({} tasks)",
@@ -298,6 +295,7 @@ fn multi_job_trace(
         };
         let job = w.versioned_job(size);
         let seq = job.sequential();
+        println!("{}: {}", w.meta().spec_id, render_grain(&job, &exec_plan));
         let handle = engine.submit(job.job_spec(&exec_plan, config.clone()).0);
         submitted.push((w.meta().spec_id, seq, handle));
     }

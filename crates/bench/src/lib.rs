@@ -16,10 +16,11 @@ pub use seqpar_runtime::json;
 use seqpar::IterationTrace;
 use seqpar_runtime::{
     ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, GovernorStats,
-    NativeReport, SimConfig, SimResult, Simulator, TimeUnit, Timeline, TraceEventKind,
+    NativeReport, SimConfig, SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
 };
 use seqpar_specmem::MemStats;
-use seqpar_workloads::{InputSize, Workload, WorkloadMeta};
+use seqpar_workloads::{InputSize, VersionedJob, Workload, WorkloadMeta};
+use std::sync::Arc;
 
 /// The thread counts used throughout the paper's figures.
 pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 6, 8, 10, 12, 15, 16, 20, 24, 28, 32];
@@ -58,6 +59,9 @@ pub struct SweepPoint {
     /// Faults recovered by the native supervisor (panics, corruptions,
     /// spurious squashes). `None` for simulator-only sweeps.
     pub faults_recovered: Option<u64>,
+    /// Consecutive iterations per task of the native run
+    /// ([`VersionedJob::grain`]). `None` for simulator-only sweeps.
+    pub grain: Option<usize>,
     /// Versioned-memory substrate counters for conflict-driven runs.
     /// `None` for simulator-only sweeps.
     pub mem: Option<MemStats>,
@@ -74,6 +78,10 @@ pub struct SweepResult {
     pub spec_id: String,
     /// The points, in ascending thread order.
     pub points: Vec<SweepPoint>,
+    /// [`render_grain`] of a native sweep's job under its widest plan
+    /// (narrower plans chunk as coarsely or coarser; each point carries
+    /// its own [`SweepPoint::grain`]). `None` for simulator-only sweeps.
+    pub grain: Option<String>,
 }
 
 impl SweepResult {
@@ -140,6 +148,7 @@ pub fn sweep_trace(
                 native_wall_ms: None,
                 native_speedup: None,
                 faults_recovered: None,
+                grain: None,
                 mem: None,
                 governor: None,
             }
@@ -148,6 +157,7 @@ pub fn sweep_trace(
     SweepResult {
         spec_id: spec_id.to_string(),
         points,
+        grain: None,
     }
 }
 
@@ -168,7 +178,7 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
 /// supervised recovery must restore the sequential byte stream.
 ///
 /// Every workload runs conflict-driven through its
-/// [`VersionedJob`](seqpar_workloads::VersionedJob) — the substrate is
+/// [`VersionedJob`] — the substrate is
 /// the only native path — so every point carries [`SweepPoint::mem`].
 pub fn native_sweep(
     w: &dyn Workload,
@@ -179,14 +189,17 @@ pub fn native_sweep(
 ) -> SweepResult {
     let versioned = w.versioned_job(size);
     let seq = versioned.sequential();
+    // The simulated column stays per-iteration — the paper's machine at
+    // the paper's grain — whatever grain the native run picked.
     let trace = versioned.trace().clone();
+    let plan_at = |t: usize| match kind {
+        PlanKind::Dswp => ExecutionPlan::three_phase(t),
+        PlanKind::Tls => ExecutionPlan::tls(t),
+    };
     let points = threads
         .iter()
         .map(|&t| {
-            let plan = match kind {
-                PlanKind::Dswp => ExecutionPlan::three_phase(t),
-                PlanKind::Tls => ExecutionPlan::tls(t),
-            };
+            let plan = plan_at(t);
             // A warmed engine sized to the plan's core footprint keeps
             // pool-spawn cost out of the recorded wall clock while
             // still letting pool width bound real parallelism.
@@ -210,6 +223,7 @@ pub fn native_sweep(
                 native_wall_ms: Some(report.wall.as_secs_f64() * 1e3),
                 native_speedup: Some(report.speedup_vs(seq.wall)),
                 faults_recovered: Some(report.recovery.faults_recovered()),
+                grain: Some(versioned.grain(&plan)),
                 mem: report.mem,
                 governor: report.governor,
             }
@@ -218,7 +232,36 @@ pub fn native_sweep(
     SweepResult {
         spec_id: w.meta().spec_id.to_string(),
         points,
+        grain: threads
+            .iter()
+            .max()
+            .map(|&t| render_grain(&versioned, &plan_at(t))),
     }
+}
+
+/// One line on the grain `job` runs at under `plan`: its iterations and
+/// the time of one as measured when it was built (the job's `Debug`),
+/// how many tasks of how many iterations that makes, and which of
+/// [`VersionedJob::grain`]'s two bounds allows no larger `k` — its floor
+/// of 8 tasks per seat of the plan's widest stage when doubling `k`
+/// would break that, else (the floor would allow it) the ~32 µs
+/// task-length target. Coarsening is never silent: `seqpar-trace` and
+/// `figures --native` print this for every job they run.
+pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
+    let k = job.grain(plan);
+    let seats = (0..plan.stage_count())
+        .map(|s| plan.stage(s).cores().len())
+        .max()
+        .unwrap_or(1);
+    let bound = if job.len() / (2 * k) < 8 * seats {
+        format!("8 tasks for each of the widest stage's {seats} seats")
+    } else {
+        "a task under the ~32 us target".to_string()
+    };
+    format!(
+        "grain: {job:?} -> {} tasks of k = {k} iterations (no larger k keeps {bound})",
+        job.len().div_ceil(k)
+    )
 }
 
 /// Renders a native sweep as an ASCII table with the wall-clock columns:
@@ -246,8 +289,9 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
     // produced each point), and an ungoverned table stays byte-stable.
     let governed = curve.points.iter().all(|p| p.governor.is_some());
     out.push_str(&format!(
-        "{:>8}{:>14}{:>14}{:>14}{:>10}{:>11}{:>10}{:>11}{:>8}",
+        "{:>8}{:>7}{:>14}{:>14}{:>14}{:>10}{:>11}{:>10}{:>11}{:>8}",
         "threads",
+        "grain",
         "sim-speedup",
         "wall(ms)",
         "wall-speedup",
@@ -266,8 +310,9 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
     out.push('\n');
     for p in &curve.points {
         out.push_str(&format!(
-            "{:>8}{:>14.2}{:>14.3}{:>14.2}{:>10.3}{:>11}",
+            "{:>8}{:>7}{:>14.2}{:>14.3}{:>14.2}{:>10.3}{:>11}",
             p.threads,
+            p.grain.map_or("-".to_string(), |k| k.to_string()),
             p.speedup,
             p.native_wall_ms.unwrap_or(f64::NAN),
             p.native_speedup.unwrap_or(f64::NAN),
@@ -291,6 +336,10 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
                 g.backoffs + g.parks
             ));
         }
+        out.push('\n');
+    }
+    if let Some(grain) = &curve.grain {
+        out.push_str(grain);
         out.push('\n');
     }
     out
@@ -479,6 +528,13 @@ pub struct TracedRun {
     pub timeline: Timeline,
     /// Wall-clock milliseconds of the sequential reference run.
     pub sequential_wall_ms: f64,
+    /// The task graph the run executed ([`JobSpec::graph`](seqpar_runtime::JobSpec::graph)):
+    /// what a critical path or a simulated twin of *this* run is taken
+    /// over — a graph re-derived from a second job's trace need not
+    /// have the same grain.
+    pub graph: Arc<TaskGraph>,
+    /// [`render_grain`] of the job that ran.
+    pub grain: String,
 }
 
 /// Runs one workload on real OS threads with structured tracing enabled
@@ -525,6 +581,8 @@ pub fn trace_native(
         report,
         timeline,
         sequential_wall_ms: seq.wall.as_secs_f64() * 1e3,
+        graph: spec.graph,
+        grain: render_grain(&job, &plan),
     }
 }
 
@@ -1019,6 +1077,7 @@ pub fn render_conflict_table(rows: &[ConflictCalibration]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn geomean_of_equal_values_is_the_value() {
@@ -1109,6 +1168,32 @@ mod tests {
         );
         assert!(by_id("300.twolf").predicted_permille > 0);
         assert_eq!(by_id("197.parser").predicted_permille, 0);
+    }
+
+    #[test]
+    fn grain_line_names_the_bound_that_allows_no_larger_k() {
+        // 64 iterations under tls(1): the floor of 8 tasks allows k = 8.
+        let job = |pause: Duration| {
+            let trace = (0..64).map(|_| seqpar::IterationRecord::new(1, 1, 1));
+            let compute = move |i: u64| {
+                std::thread::sleep(pause);
+                (vec![i as u8], 1)
+            };
+            VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {})
+        };
+        let plan = ExecutionPlan::tls(1);
+        // Iterations that outlast the target: k = 1, and not for the floor.
+        let line = render_grain(&job(Duration::from_micros(40)), &plan);
+        assert!(line.contains("-> 64 tasks of k = 1 "), "{line}");
+        assert!(line.contains("under the ~32 us target"), "{line}");
+        // Short ones reach the floor (a preempted construction reads
+        // long, so three tries).
+        let lines: Vec<String> = (0..3)
+            .map(|_| render_grain(&job(Duration::ZERO), &plan))
+            .collect();
+        let capped =
+            |l: &String| l.contains("-> 8 tasks of k = 8 ") && l.contains("8 tasks for each");
+        assert!(lines.iter().any(capped), "{lines:?}");
     }
 
     #[test]

@@ -121,6 +121,50 @@ impl IterationTrace {
         }
     }
 
+    /// The same loop at a coarser grain: record `c` of the result stands
+    /// for iterations `c·k .. min(len, (c+1)·k)` run back to back as one
+    /// task. Phase costs are summed, so `total_cycles` is preserved.
+    ///
+    /// A chunk runs its iterations in order, so a misspeculation on an
+    /// iteration of the *same* chunk cannot manifest and is dropped; one
+    /// on an earlier chunk becomes a misspeculation on that chunk — the
+    /// latest such chunk when the merged iterations name several,
+    /// because it is the last producer the chunk has to wait for.
+    /// `chunked(1)` is the identity. Costs compose exactly
+    /// (`chunked(a).chunked(b)` sums what `chunked(a·b)` sums); producers
+    /// compose only up to that one-slot loss — a record remembers its
+    /// latest producer, so chunking twice can forget an earlier one that
+    /// chunking once keeps, never invent or postpone one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    pub fn chunked(&self, k: usize) -> IterationTrace {
+        assert!(k > 0, "a chunk holds at least one iteration");
+        let records = self
+            .records
+            .chunks(k)
+            .enumerate()
+            .map(|(chunk, merged)| {
+                let mut record = IterationRecord::default();
+                for r in merged {
+                    record.a_cost += r.a_cost;
+                    record.b_cost += r.b_cost;
+                    record.c_cost += r.c_cost;
+                    let producer = r.misspec_on.map(|j| j / k as u64);
+                    if producer.is_some_and(|p| p < chunk as u64) {
+                        record.misspec_on = record.misspec_on.max(producer);
+                    }
+                }
+                record
+            })
+            .collect();
+        IterationTrace {
+            records,
+            speculative: self.speculative,
+        }
+    }
+
     /// Builds the three-phase task graph of §3.2: phase-A tasks chained
     /// serially, each phase-B task depending on its iteration's phase-A
     /// task (plus speculation events), phase-C tasks consuming phase B in
@@ -314,5 +358,115 @@ mod tests {
         assert_eq!(g.spec_deps(b2).len(), 2);
         assert!(g.spec_deps(b2).iter().any(|s| s.violated));
         assert!(g.spec_deps(b2).iter().any(|s| !s.violated));
+    }
+
+    /// `n` records of distinct costs; `deps` lists `(iteration, producer)`.
+    fn trace_with(n: u64, deps: &[(u64, u64)]) -> IterationTrace {
+        let mut t = IterationTrace::speculative();
+        for i in 0..n {
+            let mut r = IterationRecord::new(i, 10 * i, 100 * i);
+            if let Some(&(_, j)) = deps.iter().find(|(at, _)| *at == i) {
+                r = r.with_misspec_on(j);
+            }
+            t.push(r);
+        }
+        t
+    }
+
+    fn producers(t: &IterationTrace) -> Vec<Option<u64>> {
+        t.records().iter().map(|r| r.misspec_on).collect()
+    }
+
+    #[test]
+    fn chunked_by_one_is_the_identity() {
+        let t = trace_with(9, &[(3, 1), (4, 3), (8, 0)]);
+        assert_eq!(t.chunked(1), t);
+        assert_eq!(IterationTrace::new().chunked(4), IterationTrace::new());
+    }
+
+    #[test]
+    fn a_chunk_at_least_as_long_as_the_trace_is_one_record() {
+        let t = trace_with(5, &[(2, 1), (4, 0)]);
+        for k in [5, 6, 100] {
+            let c = t.chunked(k);
+            assert_eq!(c.len(), 1);
+            // 0+1+2+3+4 = 10 per unit of cost; nothing left to depend on.
+            assert_eq!(c.records()[0], IterationRecord::new(10, 100, 1000));
+        }
+    }
+
+    #[test]
+    fn chunked_keeps_costs_the_ragged_tail_and_the_speculative_flag() {
+        let t = trace_with(10, &[]);
+        let c = t.chunked(4);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.records()[2], IterationRecord::new(8 + 9, 170, 1700));
+        assert_eq!(c.total_cycles(), t.total_cycles());
+        assert_eq!(c.tls_task_graph().len(), 3);
+        assert_eq!(c.task_graph().serial_cycles(), t.total_cycles());
+        assert!(c.speculative);
+        let plain: IterationTrace = (0..10).map(|_| IterationRecord::new(1, 2, 3)).collect();
+        assert!(!plain.chunked(4).speculative);
+    }
+
+    #[test]
+    fn chunked_drops_producers_inside_the_chunk_and_maps_the_rest() {
+        // Chunks of 4: {0..4}, {4..8}, {8..12}.
+        let t = trace_with(12, &[(3, 1), (5, 4), (6, 2), (9, 1), (10, 6), (11, 8)]);
+        // 3→1 and 5→4 and 11→8 stay inside their chunks; 6→2 crosses to
+        // chunk 0; chunk 2 names chunks 0 (9→1) and 1 (10→6): the latest.
+        assert_eq!(producers(&t.chunked(4)), [None, Some(0), Some(1)]);
+        // The latest wins whatever the order the iterations name them in.
+        let t = trace_with(12, &[(9, 6), (10, 1)]);
+        assert_eq!(producers(&t.chunked(4)), [None, None, Some(1)]);
+    }
+
+    proptest::proptest! {
+        /// Chunking by `a` then by `b` is chunking by `a·b`: exactly on
+        /// costs, and on producers up to the one slot a record has — the
+        /// second pass can only have forgotten an earlier producer, so
+        /// it never names a later one than the single pass does.
+        #[test]
+        fn chunking_composes(
+            raw in proptest::collection::vec((0..50u64, 0..500u64, 0..4u64, proptest::strategy::any::<u64>()), 0..120),
+            a in 1..6usize,
+            b in 1..6usize,
+        ) {
+            let mut t = IterationTrace::speculative();
+            for (i, &(a_cost, b_cost, pick, j)) in raw.iter().enumerate() {
+                let mut r = IterationRecord::new(a_cost, b_cost, 1);
+                if i > 0 && pick == 0 {
+                    r = r.with_misspec_on(j % i as u64);
+                }
+                t.push(r);
+            }
+            let (twice, once) = (t.chunked(a).chunked(b), t.chunked(a * b));
+            let costs = |t: &IterationTrace| -> Vec<_> {
+                t.records().iter().map(|r| (r.a_cost, r.b_cost, r.c_cost)).collect()
+            };
+            proptest::prop_assert_eq!(costs(&twice), costs(&once));
+            for (c, (two, one)) in producers(&twice).into_iter().zip(producers(&once)).enumerate() {
+                proptest::prop_assert!(two <= one, "chunk {}: {:?} then {:?}", c, two, one);
+            }
+        }
+
+        /// With every misspeculation on the previous iteration (gcc, mcf,
+        /// vortex) no chunk has two producers and composition is exact.
+        #[test]
+        fn chunking_composes_exactly_on_neighbour_dependences(
+            hits in proptest::collection::vec(0..3u64, 0..120),
+            a in 1..6usize,
+            b in 1..6usize,
+        ) {
+            let mut t = IterationTrace::speculative();
+            for (i, &hit) in hits.iter().enumerate() {
+                let mut r = IterationRecord::new(1, 7, 1);
+                if i > 0 && hit == 0 {
+                    r = r.with_misspec_on(i as u64 - 1);
+                }
+                t.push(r);
+            }
+            proptest::prop_assert_eq!(t.chunked(a).chunked(b), t.chunked(a * b));
+        }
     }
 }

@@ -290,11 +290,11 @@ impl CommitUnit {
     /// Feeds one commit into the governor — stamped with wall time for
     /// the throughput pay-off checks — and traces its reactions.
     fn governor_commit(&mut self, task: u32) {
-        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = match self.governor.as_mut() {
-            Some(g) => g.on_commit(now),
-            None => return,
+        let Some(g) = self.governor.as_mut() else {
+            return;
         };
+        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let events = g.on_commit(now);
         self.trace_governor(task, events);
     }
 
@@ -303,11 +303,11 @@ impl CommitUnit {
     /// frontier's governor traffic the same way the substrate's batch
     /// commit amortizes its lock traffic.
     fn governor_commit_batch(&mut self, task: u32, count: u64) {
-        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = match self.governor.as_mut() {
-            Some(g) => g.on_commit_batch(count, now),
-            None => return,
+        let Some(g) = self.governor.as_mut() else {
+            return;
         };
+        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let events = g.on_commit_batch(count, now);
         self.trace_governor(task, events);
     }
 

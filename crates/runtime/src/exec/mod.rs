@@ -330,7 +330,10 @@ impl TaskOutput {
 pub struct TaskCtx<'a> {
     /// The stage this task belongs to.
     pub stage: StageId,
-    /// The loop iteration this task came from.
+    /// The task's [`Task::iter`](crate::Task::iter): the loop iteration
+    /// it came from in a graph with one task per iteration, the index of
+    /// a chunk of consecutive iterations in a coarsened one (what
+    /// `seqpar_workloads::VersionedJob` builds).
     pub iter: u64,
     /// 0 for the original (speculative) dispatch; incremented by each
     /// rollback re-execution.

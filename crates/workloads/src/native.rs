@@ -19,6 +19,11 @@
 //! versioned call only on the iteration and the values it read — never
 //! on thread timing — so the executor's in-order commit yields the same
 //! output stream on every run.
+//!
+//! Grain: a task is not one iteration but a *chunk* of `k` consecutive
+//! ones, run in order inside one version ([`VersionedJob::grain`] picks
+//! `k` from the job's measured iteration time). To the executor, the
+//! substrate and the simulator a chunk is an ordinary task.
 
 use seqpar::IterationTrace;
 use seqpar_runtime::{
@@ -27,6 +32,7 @@ use seqpar_runtime::{
 };
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,10 +50,15 @@ pub struct SequentialRun {
 /// The signature of a versioned job body: run one iteration with its
 /// loop-carried state flowing through version `v` of the shared
 /// [`ConcurrentVersionedMemory`] — reads forward uncommitted stores from
-/// earlier iterations, conflicting writes squash later readers. The
+/// earlier versions, conflicting writes squash later readers. The
 /// body must issue only `read`/`write` on `v` (the executor owns the
 /// version's lifecycle) and must be a pure function of `(iter, values
 /// read)`, so a squash-and-replay reproduces the sequential result.
+///
+/// A version is a *chunk* of consecutive iterations
+/// ([`VersionedJob::grain`]): the body may be called for several
+/// iterations in a row with the same `v`, and what an earlier one of
+/// them wrote is what a later one reads back.
 pub type VersionedIterationBody =
     dyn Fn(u64, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64) + Send + Sync;
 
@@ -55,6 +66,40 @@ pub type VersionedIterationBody =
 /// iteration's output with no substrate, from precomputed prefix state —
 /// what the validation oracle and the sequential fallback run.
 pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
+
+/// What a task runs: the iterations of one chunk, in order, inside the
+/// chunk's one version; their bytes concatenated, their work summed.
+type ChunkBody =
+    dyn Fn(Range<u64>, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64) + Send + Sync;
+
+/// How long a task should run. The executor spends 0.3 µs on a task
+/// with no carried state and 0.55–1.0 µs on one with (the benchmark's
+/// `exec.overhead_ns_per_task.*`), so a task of 32 µs outlasts its own
+/// overhead 30–100 times: at most 3 % of the wall is hand-off and commit.
+const GRAIN_TARGET_NS: u64 = 32_000;
+
+/// Chunking never leaves a seat of the plan's widest stage fewer tasks
+/// than this: enough for the claim cursors to even out iterations of
+/// unequal length across seats, and for a squash to throw away an eighth
+/// of a seat's share at most.
+const TASKS_PER_SEAT: usize = 8;
+
+/// Runs `one` over `iters` in order and concatenates what it returns.
+fn in_order(mut iters: Range<u64>, mut one: impl FnMut(u64) -> (Vec<u8>, u64)) -> (Vec<u8>, u64) {
+    let Some(first) = iters.next() else {
+        return (Vec::new(), 0);
+    };
+    // The first record's buffer takes the others: a one-iteration chunk
+    // hands its body's own allocation on untouched.
+    let (mut bytes, mut work) = one(first);
+    bytes.reserve(bytes.len() * (iters.end - iters.start) as usize);
+    for i in iters {
+        let (more, w) = one(i);
+        bytes.extend_from_slice(&more);
+        work += w;
+    }
+    (bytes, work)
+}
 
 /// A workload packaged for **conflict-driven** native execution: its
 /// loop-carried state flows through [`Addr`]-keyed accesses to a
@@ -64,16 +109,32 @@ pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
 #[derive(Clone)]
 pub struct VersionedJob {
     trace: IterationTrace,
-    body: Arc<VersionedIterationBody>,
+    body: Arc<ChunkBody>,
     oracle: Arc<SequentialIterationBody>,
+    /// Mean wall time of one iteration, measured once at construction
+    /// and never again: [`grain`](VersionedJob::grain) reads only this,
+    /// so one job builds one graph per plan however often it is asked.
+    iteration_ns: u64,
 }
 
 impl fmt::Debug for VersionedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VersionedJob")
             .field("iterations", &self.trace.len())
+            .field("iteration_ns", &self.iteration_ns)
             .finish_non_exhaustive()
     }
+}
+
+/// The seats of `plan`'s widest stage.
+fn widest_stage(plan: &ExecutionPlan) -> usize {
+    let seats = |s| plan.stage(s).cores().len();
+    (0..plan.stage_count()).map(seats).max().unwrap_or(0)
+}
+
+/// `elapsed` spread over `iterations` calls, in whole nanoseconds.
+fn mean_ns(elapsed: Duration, iterations: u64) -> u64 {
+    (elapsed.as_nanos() / u128::from(iterations.max(1))) as u64
 }
 
 impl VersionedJob {
@@ -83,6 +144,10 @@ impl VersionedJob {
     /// reads observe the committed state of iterations `0..i` — that
     /// equivalence is what makes versioned output byte-identical to
     /// [`VersionedJob::sequential`], and the differential suite pins it.
+    ///
+    /// Construction runs the oracle from iteration 0 until
+    /// [`grain`](VersionedJob::grain)'s target task length has passed
+    /// (one iteration at least) to learn what an iteration costs.
     pub fn new(
         trace: IterationTrace,
         body: impl Fn(u64, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64)
@@ -91,9 +156,18 @@ impl VersionedJob {
             + 'static,
         oracle: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
     ) -> Self {
+        let started = Instant::now();
+        let mut sampled = 0u64;
+        while sampled < trace.len() as u64
+            && (sampled == 0 || started.elapsed() < Duration::from_nanos(GRAIN_TARGET_NS))
+        {
+            drop(oracle(sampled));
+            sampled += 1;
+        }
         Self {
+            iteration_ns: mean_ns(started.elapsed(), sampled),
             trace,
-            body: Arc::new(body),
+            body: Arc::new(move |iters, v, m| in_order(iters, |i| body(i, v, m))),
             oracle: Arc::new(oracle),
         }
     }
@@ -103,18 +177,22 @@ impl VersionedJob {
     /// loop-carried accumulators threaded through versioned memory at
     /// `Addr(0) .. Addr(slots)`.
     ///
-    /// Each iteration computes its bytes via `compute`, reads every
-    /// accumulator slot, merges the bytes into the slot values via
-    /// `fold(iter, bytes, slots)`, writes every slot back (writes whose
-    /// value did not change are elided by the substrate's silent-store
-    /// rule and become read-set bets), and appends the folded slot
-    /// values little-endian to its emitted record — so a stale racing
-    /// read that escaped conflict detection would corrupt the committed
-    /// byte stream, which the differential suite pins against the
-    /// sequential oracle.
+    /// Each iteration computes its bytes via `compute`, merges them into
+    /// the slot values via `fold(iter, bytes, slots)`, and appends the
+    /// folded slot values little-endian to its emitted record — so a
+    /// stale racing read that escaped conflict detection would corrupt
+    /// the committed byte stream, which the differential suite pins
+    /// against the sequential oracle. A chunk of iterations touches the
+    /// substrate once: it runs every `compute` first, then reads every
+    /// slot, folds its iterations in order on the values it read, and
+    /// writes every slot back (writes whose value did not change are
+    /// elided by the substrate's silent-store rule and become read-set
+    /// bets). Reading that late keeps the window in which an earlier
+    /// chunk's write can squash this one as short as the folds.
     ///
     /// The oracle is derived at construction by folding the slots in
-    /// program order, so body/oracle agreement holds for any `fold`.
+    /// program order, so body/oracle agreement holds for any `fold`;
+    /// that pass is also the clock [`grain`](VersionedJob::grain) reads.
     pub fn accumulating(
         trace: IterationTrace,
         compute: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
@@ -122,9 +200,9 @@ impl VersionedJob {
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
         let compute: Arc<SequentialIterationBody> = Arc::new(compute);
-        let fold = Arc::new(fold);
         // Prefix accumulator states, in program order: prefix[i] is the
         // slot vector *after* iteration i folded in.
+        let started = Instant::now();
         let mut prefix: Vec<Vec<u64>> = Vec::with_capacity(trace.len());
         let mut state = vec![0u64; slots];
         for i in 0..trace.len() as u64 {
@@ -132,35 +210,63 @@ impl VersionedJob {
             fold(i, &bytes, &mut state);
             prefix.push(state.clone());
         }
-        let emit = |mut bytes: Vec<u8>, state: &[u64], work: u64| {
-            for v in state {
-                bytes.extend(v.to_le_bytes());
-            }
-            (bytes, work)
-        };
+        let iteration_ns = mean_ns(started.elapsed(), trace.len() as u64);
         let oracle = {
             let compute = Arc::clone(&compute);
             move |iter: u64| {
-                let (bytes, work) = compute(iter);
-                emit(bytes, &prefix[iter as usize], work)
-            }
-        };
-        let body = {
-            let compute = Arc::clone(&compute);
-            move |iter: u64, v: VersionId, m: &ConcurrentVersionedMemory| {
-                let (bytes, work) = compute(iter);
-                let mut state: Vec<u64> = (0..slots as u64).map(|s| m.read(v, Addr(s))).collect();
-                fold(iter, &bytes, &mut state);
-                for (s, val) in state.iter().enumerate() {
-                    m.write(v, Addr(s as u64), *val);
+                let (mut bytes, work) = compute(iter);
+                for v in &prefix[iter as usize] {
+                    bytes.extend(v.to_le_bytes());
                 }
-                emit(bytes, &state, work)
+                (bytes, work)
             }
         };
-        Self::new(trace, body, oracle)
+        let carried = 8 * slots;
+        let body = move |iters: Range<u64>, v: VersionId, m: &ConcurrentVersionedMemory| {
+            // Every record goes straight into the task's output, with
+            // room left after each for the slot values it does not know
+            // yet; `ends` remembers where the records stop.
+            let len = (iters.end - iters.start) as usize;
+            let (mut out, mut ends) = (Vec::new(), Vec::with_capacity(len));
+            let mut work = 0u64;
+            for i in iters.clone() {
+                let (bytes, w) = compute(i);
+                if ends.is_empty() {
+                    out.reserve((bytes.len() + carried) * len);
+                }
+                out.extend_from_slice(&bytes);
+                out.resize(out.len() + carried, 0);
+                ends.push(out.len());
+                work += w;
+            }
+            let mut state: Vec<u64> = (0..slots as u64).map(|s| m.read(v, Addr(s))).collect();
+            let mut start = 0;
+            for (i, end) in iters.zip(ends) {
+                let (bytes, tail) = out[start..end].split_at_mut(end - start - carried);
+                fold(i, bytes, &mut state);
+                for (dst, val) in tail.chunks_exact_mut(8).zip(&state) {
+                    dst.copy_from_slice(&val.to_le_bytes());
+                }
+                start = end;
+            }
+            for (s, val) in state.iter().enumerate() {
+                m.write(v, Addr(s as u64), *val);
+            }
+            (out, work)
+        };
+        Self {
+            trace,
+            body: Arc::new(body),
+            oracle: Arc::new(oracle),
+            iteration_ns,
+        }
     }
 
-    /// The recorded iteration trace (source of the task graph).
+    /// The recorded trace, one record per iteration whatever the grain:
+    /// what the simulator's per-iteration figures and the tuner read.
+    /// The graph a run executes is built from this trace
+    /// [`chunked`](IterationTrace::chunked) by
+    /// [`grain`](VersionedJob::grain), and is [`JobSpec::graph`].
     pub fn trace(&self) -> &IterationTrace {
         &self.trace
     }
@@ -222,38 +328,77 @@ impl VersionedJob {
         Ok((report, mem))
     }
 
+    /// How many consecutive iterations make one task under `plan`: the
+    /// largest power of two that keeps a task no longer than ~32 µs by
+    /// the iteration time measured at construction — long enough that
+    /// the executor's per-task cost (0.3–1.0 µs) is ≤ 3 % of it — and
+    /// leaves every seat of the plan's widest stage at least 8 tasks;
+    /// 1 when a single iteration already outlasts the target or the loop
+    /// is too short to share out. A pure function of the job and the
+    /// plan, and a power of two so that ordinary timing wobble between
+    /// two constructions of one job seldom changes the graph.
+    pub fn grain(&self, plan: &ExecutionPlan) -> usize {
+        let cap = self.trace.len() / (TASKS_PER_SEAT * widest_stage(plan).max(1));
+        let wanted = GRAIN_TARGET_NS / self.iteration_ns.max(1);
+        let k = wanted.min(cap as u64).max(1);
+        1 << k.ilog2()
+    }
+
     /// Packages the job as a submittable unit for an [`Engine`], with a
     /// fresh private substrate. Returns the spec and the substrate
     /// handle so the caller can inspect committed loop-carried state
     /// after the job's report arrives.
     ///
+    /// The graph is the trace [`chunked`](IterationTrace::chunked) by
+    /// [`grain`](VersionedJob::grain)`(plan)`: a task is a chunk of that
+    /// many consecutive iterations (the last chunk may be shorter),
+    /// [`TaskCtx::iter`] is the chunk's index, and whatever compares the
+    /// run with a simulation task by task must simulate
+    /// [`JobSpec::graph`], not a graph of [`trace`](VersionedJob::trace).
     /// One-stage plans execute the TLS task graph; multi-stage plans
     /// the three-phase DSWP graph, with only the transform stage (the
     /// single TLS stage, or phase B) touching memory and emitting
-    /// bytes; A and C model read/write phases and emit nothing. Oracle
-    /// and fallback attempts see [`TaskCtx::mem`]` == None` and run the
-    /// sequential twin.
+    /// bytes; A and C model read/write phases and emit nothing. The
+    /// transform task runs its chunk's iterations in order inside its
+    /// one version and emits their records back to back, so the
+    /// committed stream is the sequential one at any grain. Oracle and
+    /// fallback attempts see [`TaskCtx::mem`]` == None` and run the
+    /// sequential twin over the same iterations.
     pub fn job_spec(
         &self,
         plan: &ExecutionPlan,
         config: ExecConfig,
     ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
+        self.job_spec_at(self.grain(plan), plan, config)
+    }
+
+    /// [`job_spec`](VersionedJob::job_spec) with the grain given, not
+    /// measured: the one place a graph and a task body are built.
+    fn job_spec_at(
+        &self,
+        k: usize,
+        plan: &ExecutionPlan,
+        config: ExecConfig,
+    ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
+        let chunks = self.trace.chunked(k);
         let graph = Arc::new(if plan.stage_count() == 1 {
-            self.trace.tls_task_graph()
+            chunks.tls_task_graph()
         } else {
-            self.trace.task_graph()
+            chunks.task_graph()
         });
         let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
         let mem = Arc::new(ConcurrentVersionedMemory::new());
         let body = Arc::clone(&self.body);
         let oracle = Arc::clone(&self.oracle);
+        let (k, n) = (k as u64, self.trace.len() as u64);
         let task_body = move |task: TaskId, ctx: &TaskCtx<'_>| {
             if ctx.stage.0 != emit_stage {
                 return TaskOutput::empty();
             }
+            let iters = ctx.iter * k..n.min((ctx.iter + 1) * k);
             let (bytes, work) = match ctx.mem {
-                Some(m) => body(ctx.iter, VersionId(u64::from(task.0)), m),
-                None => oracle(ctx.iter),
+                Some(m) => body(iters, VersionId(u64::from(task.0)), m),
+                None => in_order(iters, |i| oracle(i)),
             };
             TaskOutput { bytes, work }
         };
@@ -268,5 +413,300 @@ impl VersionedJob {
             },
             mem,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{all_workloads, InputSize};
+    use seqpar::IterationRecord;
+    use seqpar_runtime::FaultPlan;
+
+    /// A synthetic `accumulating` loop of `n` short iterations. With
+    /// `slots` > 0 its fold is order-sensitive (multiply-then-add) and
+    /// leaves two iterations in three silent on slot 0.
+    fn synthetic(n: u64, slots: usize) -> VersionedJob {
+        let trace = (0..n).map(|i| IterationRecord::new(1, 5 + i % 3, 1));
+        VersionedJob::accumulating(
+            trace.collect(),
+            |i| {
+                (
+                    i.wrapping_mul(0x9E37_79B9).to_le_bytes()[..3].to_vec(),
+                    1 + i % 4,
+                )
+            },
+            slots,
+            |i, bytes, state| {
+                if let [acc, count, ..] = state {
+                    if i % 3 == 0 {
+                        *acc = acc.wrapping_mul(31).wrapping_add(u64::from(bytes[0]) | 1);
+                    }
+                    *count += 1;
+                }
+            },
+        )
+    }
+
+    /// Every kernel of the suite at `Test` size, plus a clean and a
+    /// carried synthetic loop.
+    fn jobs() -> Vec<(String, VersionedJob)> {
+        let mut jobs: Vec<(String, VersionedJob)> = all_workloads()
+            .iter()
+            .map(|w| {
+                let id = w.meta().spec_id.to_string();
+                (id, w.versioned_job(InputSize::Test))
+            })
+            .collect();
+        jobs.push(("synthetic.clean".to_string(), synthetic(97, 0)));
+        jobs.push(("synthetic.carried".to_string(), synthetic(97, 2)));
+        jobs
+    }
+
+    /// Every kernel keeps its carried state below this address.
+    const SLOTS: u64 = 8;
+
+    fn slots(mem: &ConcurrentVersionedMemory) -> Vec<u64> {
+        (0..SLOTS)
+            .map(|s| mem.committed(Addr(s)).unwrap_or(0))
+            .collect()
+    }
+
+    /// What the sequential loop leaves in memory: the versioned body run
+    /// one iteration per version, each committed before the next begins.
+    /// Its records are the oracle's, which pins body/oracle agreement on
+    /// the way.
+    fn sequential_slots(id: &str, job: &VersionedJob) -> Vec<u64> {
+        let mem = ConcurrentVersionedMemory::new();
+        for i in 0..job.len() as u64 {
+            let v = VersionId(i);
+            mem.begin(v);
+            assert_eq!((job.body)(i..i + 1, v, &mem), (job.oracle)(i), "{id} @ {i}");
+            mem.try_commit(v).expect("nothing runs beside it");
+        }
+        slots(&mem)
+    }
+
+    /// A job with what its sequential run commits and leaves in memory.
+    struct Case {
+        id: String,
+        job: VersionedJob,
+        seq: SequentialRun,
+        slots: Vec<u64>,
+    }
+
+    impl Case {
+        fn all() -> Vec<Case> {
+            let case = |(id, job): (String, VersionedJob)| Case {
+                seq: job.sequential(),
+                slots: sequential_slots(&id, &job),
+                id,
+                job,
+            };
+            jobs().into_iter().map(case).collect()
+        }
+
+        /// The grains worth running: one iteration per task, odd and
+        /// even splits with a ragged tail, all but one iteration in the
+        /// first task, exactly one task, and a chunk longer than the loop.
+        fn grains(&self) -> Vec<usize> {
+            let n = self.job.len();
+            let mut grains = vec![1, 2, 3, 7, n - 1, n, n + 5];
+            grains.retain(|&k| k > 0);
+            grains.sort_unstable();
+            grains.dedup();
+            grains
+        }
+
+        /// Runs the job at grain `k` through the one routine `job_spec`
+        /// feeds its measured grain to, and holds the run to the
+        /// sequential bytes, work and memory.
+        fn check(&self, engine: &Engine, k: usize, plan: &ExecutionPlan, mode: Mode) {
+            let Case { id, job, seq, .. } = self;
+            let what = format!("{id}: k = {k}, {} stage(s), {mode:?}", plan.stage_count());
+            let faults = if mode.chaos {
+                FaultPlan::seeded(7)
+            } else {
+                FaultPlan::none()
+            };
+            let config = ExecConfig::default().with_faults(faults);
+            let (mut spec, mem) = job.job_spec_at(k, plan, config);
+            if mode.replay {
+                spec.mem = None;
+            }
+            let tasks = job.len().div_ceil(k) * usize::from(plan.stage_count());
+            assert_eq!(spec.graph.len(), tasks, "{what}");
+            let report = engine
+                .run(&spec)
+                .expect("every seeded fault is recoverable");
+            assert_eq!(report.output, seq.output, "{what}: bytes");
+            assert_eq!(report.work, seq.work, "{what}: work");
+            // The fallback and a replay run the oracle, which leaves the
+            // substrate alone.
+            if !mode.replay && !report.fallback_activated {
+                assert_eq!(slots(&mem), self.slots, "{what}: memory");
+                assert_eq!(mem.active_count(), 0, "{what}: version left open");
+            }
+        }
+    }
+
+    /// Conflict-driven or replayed (`JobSpec::mem` cleared), fault-free
+    /// or under `FaultPlan::seeded(7)`.
+    #[derive(Clone, Copy, Debug)]
+    struct Mode {
+        chaos: bool,
+        replay: bool,
+    }
+
+    const MODES: [Mode; 4] = [
+        Mode {
+            chaos: false,
+            replay: false,
+        },
+        Mode {
+            chaos: true,
+            replay: false,
+        },
+        Mode {
+            chaos: false,
+            replay: true,
+        },
+        Mode {
+            chaos: true,
+            replay: true,
+        },
+    ];
+
+    fn plans() -> [ExecutionPlan; 3] {
+        [
+            ExecutionPlan::tls(1),
+            ExecutionPlan::tls(4),
+            ExecutionPlan::three_phase(4),
+        ]
+    }
+
+    /// Whatever `k` the clock picks, the committed stream is the
+    /// sequential one. Tier-1 runs every job at every grain once, under
+    /// a plan and a mode that rotate so that each (grain, plan), (grain,
+    /// mode) and (plan, mode) pair is met — 3 and 4 are coprime, so a
+    /// dozen consecutive `job + grain` indices meet all twelve of the
+    /// last; the full cross is [`every_grain_full_matrix`].
+    #[test]
+    fn every_grain_commits_the_sequential_bytes() {
+        let engine = Engine::new(EngineConfig::with_workers(3));
+        let plans = plans();
+        for (j, case) in Case::all().iter().enumerate() {
+            for (g, k) in case.grains().into_iter().enumerate() {
+                case.check(&engine, k, &plans[(j + g) % 3], MODES[(j + g) % 4]);
+            }
+        }
+    }
+
+    /// Every job × grain × plan × mode. Twelve times the runs of the
+    /// test above and minutes in a debug build, so CI's `conflict-stress`
+    /// runs it, in release mode and twenty times over: its runners have
+    /// the cores on which chunked versions race for real.
+    #[test]
+    #[ignore = "full matrix; conflict-stress loops it in release mode"]
+    fn every_grain_full_matrix() {
+        let engine = Engine::new(EngineConfig::with_workers(3));
+        for case in Case::all() {
+            for k in case.grains() {
+                for plan in plans() {
+                    for mode in MODES {
+                        case.check(&engine, k, &plan, mode);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A job identical to `job` but for what its clock read.
+    fn measured_at(job: &VersionedJob, iteration_ns: u64) -> VersionedJob {
+        VersionedJob {
+            iteration_ns,
+            ..job.clone()
+        }
+    }
+
+    /// Pins the rule of [`VersionedJob::grain`].
+    #[test]
+    fn grain_is_a_stable_power_of_two_that_keeps_every_seat_fed() {
+        let plans = [
+            ExecutionPlan::tls(1),
+            ExecutionPlan::tls(4),
+            ExecutionPlan::tls(8),
+            ExecutionPlan::three_phase(4),
+            ExecutionPlan::three_phase(8),
+        ];
+        let mut all = jobs();
+        let long = synthetic(4096, 2);
+        for ns in [0, 1, 100, 1_000, 15_999, 16_000, 31_999, 32_000, 1 << 40] {
+            all.push((format!("synthetic @ {ns} ns"), measured_at(&long, ns)));
+        }
+        for (id, job) in &all {
+            for plan in &plans {
+                let k = job.grain(plan);
+                assert_eq!(k, job.grain(plan), "{id}: stable across calls");
+                assert_eq!(k, job.clone().grain(plan), "{id}: frozen in the job");
+                assert!(k.is_power_of_two(), "{id}: k = {k}");
+                let tasks = job.len().div_ceil(k);
+                let floor = job.len().min(TASKS_PER_SEAT * widest_stage(plan));
+                assert!(tasks >= floor, "{id}: {tasks} tasks of k = {k} < {floor}");
+                let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
+                let stages = usize::from(plan.stage_count());
+                assert_eq!(
+                    spec.graph.len(),
+                    tasks * stages,
+                    "{id}: job_spec runs at grain"
+                );
+            }
+        }
+        // The target binds: 32 µs of 100 ns iterations, rounded down.
+        let fine = measured_at(&long, 100);
+        assert_eq!(fine.grain(&ExecutionPlan::tls(1)), 256);
+        // The cap binds: 4096 iterations over 8 × 8 tasks.
+        assert_eq!(fine.grain(&ExecutionPlan::tls(8)), 64);
+        // The widest stage counts, not the plan's total: B has 6 seats.
+        assert_eq!(fine.grain(&ExecutionPlan::three_phase(8)), 64);
+        // One iteration that outlasts the target — or half of it: two
+        // would overshoot — is a task.
+        assert_eq!(measured_at(&long, 32_000).grain(&ExecutionPlan::tls(1)), 1);
+        assert_eq!(measured_at(&long, 16_001).grain(&ExecutionPlan::tls(1)), 1);
+        assert_eq!(measured_at(&long, 16_000).grain(&ExecutionPlan::tls(1)), 2);
+        // A loop too short to share out is not chunked.
+        assert_eq!(
+            measured_at(&synthetic(15, 2), 100).grain(&ExecutionPlan::tls(1)),
+            1
+        );
+        assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(4)), 1);
+    }
+
+    /// Both constructors read the clock: 64 short iterations chunk by 8
+    /// under `tls(1)`, the same 64 made to outlast the target do not.
+    #[test]
+    fn construction_measures_what_an_iteration_costs() {
+        let trace =
+            || -> IterationTrace { (0..64).map(|_| IterationRecord::new(1, 1, 1)).collect() };
+        let slow = |i: u64| {
+            std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS));
+            (vec![i as u8], 1)
+        };
+        let fast = |i: u64| (vec![i as u8], 1);
+        let plan = ExecutionPlan::tls(1);
+        let accumulating = |compute: fn(u64) -> (Vec<u8>, u64)| {
+            VersionedJob::accumulating(trace(), compute, 0, |_, _, _| {})
+        };
+        let plain = |oracle: fn(u64) -> (Vec<u8>, u64)| {
+            VersionedJob::new(trace(), move |i, _, _| oracle(i), oracle)
+        };
+        assert_eq!(accumulating(slow).grain(&plan), 1);
+        assert_eq!(plain(slow).grain(&plan), 1);
+        assert!(plain(slow).iteration_ns >= GRAIN_TARGET_NS);
+        // A sleep is never short; a short pass can be preempted into a
+        // long one, so the fast side gets three constructions to be fast.
+        let best = |build: &dyn Fn() -> VersionedJob| (0..3).map(|_| build().grain(&plan)).max();
+        assert_eq!(best(&|| accumulating(fast)), Some(8));
+        assert_eq!(best(&|| plain(fast)), Some(8));
     }
 }

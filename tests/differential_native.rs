@@ -3,7 +3,10 @@
 //!
 //! The simulator and the native executor consume the same inputs (an
 //! `ExecutionPlan` plus a `TaskGraph` derived from one recorded trace),
-//! so they must agree wherever their semantics overlap:
+//! so they must agree wherever their semantics overlap. "The same"
+//! means the graph that ran — the job's trace chunked at the grain the
+//! job picked for the plan ([`ran`], or the `JobSpec`'s own `graph`) —
+//! never a per-iteration graph re-derived from `job.trace()`:
 //!
 //! * the native output stream is byte-identical to the sequential run
 //!   at every thread count (in-order commit restores program order), and
@@ -17,6 +20,7 @@
 //! its substrate cleared so the recorded dependences, not real races,
 //! decide what squashes.
 
+use seqpar::IterationTrace;
 use seqpar_bench::{simulate, PlanKind};
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, JobSpec, NativeReport,
@@ -70,11 +74,17 @@ fn run(spec: &JobSpec) -> NativeReport {
         .expect("plan matches graph and every fault is recoverable")
 }
 
-/// The squashes a replay of `job` must report: one per misspeculated
-/// record of its trace.
-fn recorded_misspeculations(job: &VersionedJob) -> u64 {
-    let records = job.trace().records();
-    records.iter().filter(|r| r.misspec_on.is_some()).count() as u64
+/// The trace whose graph `job` runs under `plan`: its per-iteration
+/// records merged at whatever grain the job chose — no test here pins one.
+fn ran(job: &VersionedJob, plan: &ExecutionPlan) -> IterationTrace {
+    job.trace().chunked(job.grain(plan))
+}
+
+/// The squashes a replay must report: one per task whose graph records
+/// a violated dependence.
+fn recorded_misspeculations(spec: &JobSpec) -> u64 {
+    let violated = |t| spec.graph.spec_deps(t).iter().any(|d| d.violated);
+    spec.graph.tasks().iter().filter(|&t| violated(t)).count() as u64
 }
 
 /// (a) Native output is byte-identical to sequential for every workload
@@ -103,19 +113,19 @@ fn native_output_is_byte_identical_to_sequential() {
 }
 
 /// (b) Native misspeculation counters equal the simulator's for the same
-/// plan and trace: both tally one violation per violated dependence and
+/// plan and graph: both tally one violation per violated dependence and
 /// one survival per dependence the speculation got away with.
 #[test]
 fn native_misspec_counts_match_simulator() {
     for (id, job) in jobs() {
-        let trace = job.trace().clone();
-        // Squashes are a native-only notion (one per squashed attempt);
-        // the trace predicts them exactly: one per misspeculated record.
-        let expected_squashes = recorded_misspeculations(&job);
         for &t in THREADS {
             let plan = ExecutionPlan::three_phase(t);
-            let native = run(&replay(&job, &plan, ExecConfig::default()));
-            let sim = simulate(&trace, t, PlanKind::Dswp);
+            let spec = replay(&job, &plan, ExecConfig::default());
+            // Squashes are a native-only notion (one per squashed attempt);
+            // the graph predicts them exactly: one per violated task.
+            let expected_squashes = recorded_misspeculations(&spec);
+            let native = run(&spec);
+            let sim = simulate(&ran(&job, &plan), t, PlanKind::Dswp);
             assert_eq!(
                 native.violations, sim.violations,
                 "{id}: violation counts disagree at {t} threads"
@@ -144,15 +154,15 @@ fn native_misspec_counts_match_simulator() {
 #[test]
 fn tls_plan_agrees_with_simulator_and_sequential() {
     for (id, job) in jobs() {
-        let trace = job.trace().clone();
         let seq = job.sequential();
         for &t in &[2usize, 4] {
-            let native = run(&replay(&job, &ExecutionPlan::tls(t), ExecConfig::default()));
+            let plan = ExecutionPlan::tls(t);
+            let native = run(&replay(&job, &plan, ExecConfig::default()));
             assert_eq!(
                 native.output, seq.output,
                 "{id}: TLS native output diverged at {t} threads"
             );
-            let sim = simulate(&trace, t, PlanKind::Tls);
+            let sim = simulate(&ran(&job, &plan), t, PlanKind::Tls);
             assert_eq!(
                 native.violations, sim.violations,
                 "{id}: TLS violation counts disagree at {t} threads"
@@ -228,7 +238,8 @@ fn chaos_native_recovery_matches_simulator_twin() {
         let config = ExecConfig::default()
             .with_faults(faults.clone())
             .with_retry_budget(budget);
-        let native = run(&replay(&job, &plan, config));
+        let spec = replay(&job, &plan, config);
+        let native = run(&spec);
         assert_eq!(
             native.output, seq.output,
             "{id}: chaos run (seed {seed}) broke sequential semantics"
@@ -244,7 +255,7 @@ fn chaos_native_recovery_matches_simulator_twin() {
             ..SimConfig::default()
         });
         let twin = sim
-            .run_with_faults(&job.trace().task_graph(), &plan, &faults, budget)
+            .run_with_faults(&spec.graph, &plan, &faults, budget)
             .expect("twin accepts the same plan");
         assert_eq!(
             native.recovery, twin.recovery,
@@ -318,10 +329,10 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
 #[test]
 fn timelines_agree_on_task_order() {
     for (id, job) in jobs() {
-        let trace = job.trace().clone();
-        let graph = trace.task_graph();
         let config = ExecConfig::default().with_tracing(true);
-        let native = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
+        let spec = replay(&job, &ExecutionPlan::three_phase(4), config);
+        let graph = &*spec.graph;
+        let native = run(&spec);
         let native_tl = native
             .timeline
             .as_ref()
@@ -337,9 +348,9 @@ fn timelines_agree_on_task_order() {
             ..SimConfig::default()
         });
         let (sim_tl, _) = sim
-            .run(&graph, &ExecutionPlan::three_phase(4))
+            .run(graph, &ExecutionPlan::three_phase(4))
             .expect("plan matches machine")
-            .timeline(&graph, None);
+            .timeline(graph, None);
         sim_tl
             .validate()
             .unwrap_or_else(|d| panic!("{id}: sim timeline malformed: {d}"));
@@ -380,9 +391,9 @@ fn native_execution_survives_tiny_queues() {
 fn violated_speculation_emits_bytes_the_rollback_discards() {
     let w = workload_by_name("175.vpr").expect("known benchmark");
     let job = w.versioned_job(InputSize::Test);
-    let expected_squashes = recorded_misspeculations(&job);
-    assert!(expected_squashes > 0, "vpr misspeculates at every size");
     let mut spec = replay(&job, &ExecutionPlan::three_phase(4), ExecConfig::default());
+    let expected_squashes = recorded_misspeculations(&spec);
+    assert!(expected_squashes > 0, "vpr misspeculates at every size");
     // (task, attempt) -> the bytes that attempt emitted.
     type Emitted = BTreeMap<(u32, u32), Vec<u8>>;
     let emitted: Arc<Mutex<Emitted>> = Arc::default();

@@ -150,8 +150,9 @@ fn versioned_chaos_runs_stay_byte_identical() {
 #[test]
 fn sim_and_native_timelines_agree_on_commit_order() {
     for (id, job) in versioned_jobs() {
-        let graph = job.trace().tls_task_graph();
         let plan = ExecutionPlan::tls(4);
+        // The graph `execute` runs: the trace at the job's own grain.
+        let graph = job.trace().chunked(job.grain(&plan)).tls_task_graph();
         let (sim_timeline, _) = Simulator::new(SimConfig::default())
             .run(&graph, &plan)
             .expect("sim accepts the TLS plan")
