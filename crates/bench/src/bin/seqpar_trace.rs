@@ -33,17 +33,21 @@
 //! anything (the CI smoke job round-trips `--out` through `--check`).
 //!
 //! Exit status: 0 on success, 1 when the timeline (or a checked file)
-//! is malformed or sim and native disagree on commit order, 2 on usage
-//! errors.
+//! is malformed, sim and native disagree on commit order, or the run was
+//! *vacuous* — a plan of more than one seat none of whose attempts ran
+//! on a runner, or a fault plan that sabotaged attempts runners ran with
+//! nothing reported recovered — 2 on usage errors.
 
 use seqpar_bench::{
     json, render_critical_path, render_governor_summary, render_grain, render_memory_summary,
     render_timeline_gantt, render_trace_summary, trace_native, PlanKind,
 };
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, FaultPlan, GovernorConfig, SimConfig, Simulator, Timeline,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, GovernorConfig,
+    NativeReport, SimConfig, Simulator, SquashReason, Timeline, TraceEventKind,
 };
 use seqpar_workloads::{all_workloads, stage_labels, InputSize, Workload};
+use std::collections::HashSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -135,6 +139,7 @@ fn main() {
     if let Some(seed) = fault_seed {
         config = config.with_faults(FaultPlan::seeded(seed));
     }
+    let exec_plan = plan_at(plan, threads);
     let meta = w.meta();
     println!(
         "## {}: traced native run ({threads} threads, {} plan)",
@@ -170,7 +175,15 @@ fn main() {
         eprintln!("timeline is MALFORMED: {defect}");
         std::process::exit(1);
     }
-    println!("timeline: {} events, well-formed\n", timeline.len());
+    println!("timeline: {} events, well-formed", timeline.len());
+    require_real_work(
+        meta.spec_id,
+        report,
+        timeline,
+        &exec_plan,
+        &config.fault_plan,
+    );
+    println!();
 
     let labels = stage_labels(timeline.stage_count());
     print!("{}", render_trace_summary(timeline, &labels));
@@ -183,10 +196,17 @@ fn main() {
     if let Some(g) = report.governor {
         let gov_summary = render_governor_summary(timeline);
         if gov_summary.is_empty() {
-            // A short quiet run can finish inside its opening
-            // calibration stretch: governed, but no decisions to trace.
+            // Governed, but nothing to decide: say which way.
             println!("### speculation governor (frontier decisions)");
-            println!("no decisions traced (run ended inside a degraded stretch)");
+            if seats(&exec_plan) == 1 {
+                println!("one-seat plan: issued inline, nothing to overlap");
+            } else {
+                println!(
+                    "no decisions: the run never left its opening probe \
+                     (window {}, no conflict)",
+                    g.final_window
+                );
+            }
         } else {
             print!("{gov_summary}");
         }
@@ -214,12 +234,8 @@ fn main() {
         queue_capacity: 128,
         ..SimConfig::default()
     });
-    let sim_plan = match plan {
-        PlanKind::Dswp => seqpar_runtime::ExecutionPlan::three_phase(threads),
-        PlanKind::Tls => seqpar_runtime::ExecutionPlan::tls(threads),
-    };
     let (sim_timeline, _) = sim
-        .run(graph, &sim_plan)
+        .run(graph, &exec_plan)
         .expect("plan matches machine")
         .timeline(graph, None);
     if sim_timeline.commit_order() == timeline.commit_order() {
@@ -273,10 +289,7 @@ fn multi_job_trace(
             .with_faults(FaultPlan::seeded(seed))
             .with_retry_budget(4);
     }
-    let exec_plan = match plan {
-        PlanKind::Dswp => seqpar_runtime::ExecutionPlan::three_phase(threads),
-        PlanKind::Tls => seqpar_runtime::ExecutionPlan::tls(threads),
-    };
+    let exec_plan = plan_at(plan, threads);
     let engine = Engine::new(EngineConfig::with_workers(threads));
     engine.warm();
     println!(
@@ -303,7 +316,7 @@ fn multi_job_trace(
     let mut stage_count = 0;
     for (id, seq, handle) in submitted {
         let job_id = handle.id();
-        let report = handle.wait().unwrap_or_else(|e| {
+        let mut report = handle.wait().unwrap_or_else(|e| {
             eprintln!("{id}: job failed: {e}");
             std::process::exit(1);
         });
@@ -320,7 +333,8 @@ fn multi_job_trace(
             report.attempts,
             report.squashes,
         );
-        let timeline = report.timeline.expect("tracing was on");
+        let timeline = report.timeline.take().expect("tracing was on");
+        require_real_work(id, &report, &timeline, &exec_plan, &config.fault_plan);
         stage_count = stage_count.max(timeline.stage_count());
         timelines.push(timeline);
     }
@@ -350,6 +364,86 @@ fn multi_job_trace(
              (pid = job id) at https://ui.perfetto.dev",
             text.len()
         );
+    }
+}
+
+/// The plan `trace_native` runs a `kind` sweep point at.
+fn plan_at(kind: PlanKind, threads: usize) -> ExecutionPlan {
+    match kind {
+        PlanKind::Dswp => ExecutionPlan::three_phase(threads),
+        PlanKind::Tls => ExecutionPlan::tls(threads),
+    }
+}
+
+/// The seats of `plan`: its cores summed over its stages, which is what
+/// the governor's one-seat rule counts.
+fn seats(plan: &ExecutionPlan) -> usize {
+    (0..plan.stage_count())
+        .map(|s| plan.stage(s).cores().len())
+        .sum()
+}
+
+/// Exits 1 if the run proves nothing about the pipelined path: a plan
+/// with somebody to overlap with, yet no attempt ran on a runner
+/// (everything was issued inline at the frontier); or `faults`
+/// sabotaged attempts that runners did run — inline issue is never
+/// sabotaged — and the report recovered from none. A corrupted or
+/// spuriously squashed attempt that lost to a conflict squash first is
+/// not counted: the ladder never got to it.
+fn require_real_work(
+    id: &str,
+    report: &NativeReport,
+    timeline: &Timeline,
+    plan: &ExecutionPlan,
+    faults: &FaultPlan,
+) {
+    let on_runners: u64 = report.workers.iter().map(|w| w.tasks).sum();
+    if seats(plan) > 1 && on_runners == 0 {
+        eprintln!(
+            "{id}: VACUOUS: a {}-seat plan, and no attempt ran on a runner",
+            seats(plan)
+        );
+        std::process::exit(1);
+    }
+    if faults.is_inert() {
+        return;
+    }
+    let lost_to_a_conflict: HashSet<(u32, u32)> = timeline
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Squash {
+                task,
+                attempt,
+                reason: SquashReason::MemoryConflict | SquashReason::Misspeculation,
+            } => Some((task, attempt)),
+            _ => None,
+        })
+        .collect();
+    let sabotaged = timeline
+        .events()
+        .iter()
+        .filter(|e| match e.kind {
+            TraceEventKind::Dispatch { task, attempt, .. } => {
+                match faults.fault_at(task, attempt) {
+                    Some(FaultKind::WorkerPanic) => true,
+                    Some(FaultKind::CorruptOutput | FaultKind::SpuriousSquash) => {
+                        !lost_to_a_conflict.contains(&(task, attempt))
+                    }
+                    Some(FaultKind::StageStall) | None => false,
+                }
+            }
+            _ => false,
+        })
+        .count();
+    println!(
+        "{id}: {on_runners} attempts ran on runners, {sabotaged} of them sabotaged \
+         short of a conflict, {} faults recovered",
+        report.recovery.faults_recovered()
+    );
+    if sabotaged > 0 && report.recovery.faults_recovered() == 0 {
+        eprintln!("{id}: VACUOUS: sabotaged attempts ran, and nothing was recovered");
+        std::process::exit(1);
     }
 }
 

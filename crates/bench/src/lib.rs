@@ -1258,13 +1258,19 @@ mod tests {
     #[test]
     fn governor_summary_renders_the_governed_twin() {
         use seqpar_runtime::GovernorConfig;
+        // A carried counter on two seats: for its first 40 iterations
+        // every one depends on the one before, then the loop goes quiet.
         let mut trace = IterationTrace::new();
-        for _ in 0..120 {
-            trace.push(seqpar::IterationRecord::new(2, 20, 2));
+        for i in 0..120u64 {
+            let record = seqpar::IterationRecord::new(2, 20, 2);
+            trace.push(match i {
+                1..40 => record.with_misspec_on(i - 1),
+                _ => record,
+            });
         }
-        let graph = trace.task_graph();
+        let graph = trace.tls_task_graph();
         let sim = Simulator::new(SimConfig {
-            cores: 4,
+            cores: 2,
             comm_latency: 0,
             ..SimConfig::default()
         });
@@ -1273,16 +1279,18 @@ mod tests {
             ..GovernorConfig::default()
         };
         let (timeline, stats) = sim
-            .run(&graph, &ExecutionPlan::three_phase(4))
+            .run(&graph, &ExecutionPlan::tls(2))
             .unwrap()
             .timeline(&graph, Some(&cfg));
-        assert!(
-            stats.expect("governed").reprobes > 0,
-            "long quiet run re-probes"
-        );
+        // The opening probe and two re-probes meet a conflict; the third
+        // re-probe finds the loop quiet and the window grows.
+        let stats = stats.expect("governed");
+        assert_eq!((stats.degrades, stats.reprobes), (3, 3), "{stats:?}");
+        assert!(stats.grows > 0, "{stats:?}");
         let block = render_governor_summary(&timeline);
         assert!(block.contains("speculation governor"));
-        assert!(block.contains("re-probes"));
+        assert!(block.contains("3 collapses to sequential issue"));
+        assert!(block.contains("3 re-probes"));
         assert!(block.contains("window moves"));
     }
 

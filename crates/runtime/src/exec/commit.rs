@@ -171,13 +171,17 @@ pub(super) struct CommitUnit {
     /// on. Fed strictly at the frontier (plus early conflict squashes),
     /// it owns the runahead window cap and the backoff decisions.
     governor: Option<Governor>,
-    /// Run start, the zero of the commit clock fed to the governor's
-    /// throughput pay-off checks.
-    started: std::time::Instant,
 }
 
 impl CommitUnit {
-    pub(super) fn new(watermark: Arc<AtomicU64>, trace: TraceBuffer, config: &ExecConfig) -> Self {
+    /// `seats` is the plan's seat count ([`Board::seats`](super::stage::Board::seats)),
+    /// which the governor's one-seat rule keys on.
+    pub(super) fn new(
+        watermark: Arc<AtomicU64>,
+        trace: TraceBuffer,
+        config: &ExecConfig,
+        seats: usize,
+    ) -> Self {
         Self {
             watermark,
             next: 0,
@@ -198,8 +202,7 @@ impl CommitUnit {
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
             trace,
-            governor: config.governor.map(Governor::new),
-            started: std::time::Instant::now(),
+            governor: config.governor.map(|g| Governor::new(g, seats)),
         }
     }
 
@@ -287,27 +290,16 @@ impl CommitUnit {
         Redispatch { item, release }
     }
 
-    /// Feeds one commit into the governor — stamped with wall time for
-    /// the throughput pay-off checks — and traces its reactions.
-    fn governor_commit(&mut self, task: u32) {
+    /// Feeds a whole batch-drained run of `count` commits into the
+    /// governor in one call (stamped with the batch's last task),
+    /// amortizing the frontier's governor traffic the same way the
+    /// substrate's batch commit amortizes its lock traffic, and traces
+    /// its reactions.
+    fn governor_commit(&mut self, task: u32, count: u64) {
         let Some(g) = self.governor.as_mut() else {
             return;
         };
-        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = g.on_commit(now);
-        self.trace_governor(task, events);
-    }
-
-    /// Feeds a whole batch-drained run of commits into the governor in
-    /// one call (stamped with the batch's last task), amortizing the
-    /// frontier's governor traffic the same way the substrate's batch
-    /// commit amortizes its lock traffic.
-    fn governor_commit_batch(&mut self, task: u32, count: u64) {
-        let Some(g) = self.governor.as_mut() else {
-            return;
-        };
-        let now = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = g.on_commit_batch(count, now);
+        let events = g.on_commit(count);
         self.trace_governor(task, events);
     }
 
@@ -731,7 +723,7 @@ impl CommitUnit {
             }
             let last = batch.last().expect("non-empty batch").task;
             self.advance(batch.len());
-            self.governor_commit_batch(last, batch.len() as u64);
+            self.governor_commit(last, batch.len() as u64);
             batch.clear();
         }
         self.versions = versions;
@@ -804,7 +796,7 @@ impl CommitUnit {
         self.output.extend_from_slice(&output.bytes);
         self.work += output.work;
         self.advance(1);
-        self.governor_commit(task);
+        self.governor_commit(task, 1);
     }
 
     /// Commits one task executed in-order under the frontier lock —

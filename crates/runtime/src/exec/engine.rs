@@ -351,8 +351,9 @@ fn engine_worker(injector: &Injector<Ticket>) {
 }
 
 /// Runs one job end to end from the calling thread — the one place a
-/// job is set up: plan validation, the commit unit, the board, the
-/// frontier, then [`call`], which works the job to its report.
+/// job is set up: plan validation, the board, the commit unit (whose
+/// governor is told how many seats the board has), the frontier, then
+/// [`call`], which works the job to its report.
 fn run_engine_job(
     pool: &EngineInner,
     job: JobId,
@@ -381,8 +382,9 @@ fn run_engine_job(
     // serves. All no-ops when tracing is off.
     let clock = TraceClock::new(spec.config.trace);
     let buffer = || TraceBuffer::for_job(clock, job);
-    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config);
     let board = Board::new(graph, plan, spec.config.queue_capacity);
+    let seats = board.seats().len();
+    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config, seats);
     let frontier = Frontier::new(spec, board.lane_count(), commit, buffer());
     let shared = Arc::new(JobShared {
         job,

@@ -3,17 +3,11 @@
 //!
 //! The paper's premise is that speculative pipelining must *degrade
 //! gracefully* toward sequential execution when speculation stops
-//! paying — never below it. Two failure shapes matter:
-//!
-//! * **conflict storms** — tasks race on the same addresses, squash
-//!   rates explode, and every squash wastes a body execution plus a
-//!   rollback; and
-//! * **sub-granularity loops** — task bodies are so short that
-//!   cross-thread dispatch costs more than the work itself, so even a
-//!   conflict-free pipeline runs below 1× sequential.
-//!
-//! The governor handles both with four mechanisms layered on the
-//! commit frontier:
+//! paying. What only run time can know is whether the loop's
+//! iterations *conflict*: tasks race on the same addresses, squash
+//! rates explode, and every squash wastes a body execution plus a
+//! rollback. The governor handles that with three mechanisms layered on
+//! the commit frontier:
 //!
 //! 1. **Runahead throttling** — a dynamic speculation-window cap over
 //!    how far past the commit frontier tasks may dispatch. The cap
@@ -31,30 +25,27 @@
 //!    rate stays above a configurable ceiling, or when AIMD walks the
 //!    window down to 1 (a window-1 *pipelined* loop pays cross-thread
 //!    dispatch for zero speculation, so inline issue strictly
-//!    dominates it).
-//! 4. **Throughput pay-off checks** — speculation must *earn* the
-//!    pipeline. The run starts with a degraded warm-up stretch that
-//!    measures sequential inter-commit time, then periodically probes
-//!    a small pipelined window. A probe that commits slower than the
-//!    sequential estimate — or that conflicts at all — drops straight
-//!    back to degraded; one that keeps up graduates to normal
-//!    pipelining, where periodic reviews keep comparing. This is what
-//!    bounds the whole run at roughly ≥ 1× sequential even for loops
-//!    whose tasks are too small to ever win.
+//!    dominates it). `reprobe_period` inline commits later it probes: a
+//!    small pipelined window that one conflict collapses again and
+//!    [`PROBE_LEN`] clean commits graduate to AIMD growth.
 //!
-//! Backoff *decisions* (delay ticks, park targets, jitter) are a pure
-//! seeded function of `(task, attempt, address)` — deterministic given
-//! the observed conflict sequence. The pay-off checks consume a caller
-//! supplied clock: the native executor feeds wall time (making governed
-//! native scheduling timing-dependent, like the substrate's conflict
-//! counts, while the committed output stays byte-identical), and the
-//! simulator twin feeds virtual time, which keeps simulated governor
-//! runs fully deterministic.
+//! A run **opens the way it re-opens**, as a probe, and the governor
+//! reads no clock: whether a task is long enough to hand off is decided
+//! before the run, from the job's measured iteration time
+//! (`VersionedJob::grain`), so a conflict-free loop whose tasks are still
+//! too short is *not* protected here any more. One static rule stands in
+//! for the one case where racing the pipeline against inline issue had a
+//! foregone winner: a plan with **one seat in total** has nobody to
+//! overlap with, so it is held inline for the whole run and never probes.
 //!
-//! The governor is deliberately trace-free: it returns
-//! [`GovernorEvent`]s and lets the caller translate them into
-//! `TraceEvent`s, so the native executor and the simulator twin share
-//! one controller.
+//! Every decision — window moves, collapses, probes, backoff delays,
+//! park targets, jitter — is therefore a pure function of the
+//! commit/conflict sequence the frontier feeds in: a replay job
+//! (`JobSpec::mem == None`) reports the same [`GovernorStats`] on every
+//! run, and so does the simulator twin (a conflict-driven job's sequence
+//! is real races, so its counters move with timing; its bytes never do).
+//! The governor is also trace-free: it returns [`GovernorEvent`]s for the
+//! caller to turn into `TraceEvent`s, so both share one controller.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -63,11 +54,9 @@ use serde::{Deserialize, Serialize};
 use super::faults::splitmix64;
 use crate::profile::ConflictProfile;
 
-/// Commits a speculation probe runs before its throughput verdict.
-/// Short on purpose: a probe pays worker wakeups, cross-thread
-/// dispatch, and a straggler drain, so with `reprobe_period` degraded
-/// commits between probes the probe tax on a loop that never profits
-/// from speculation stays in the low single-digit percent.
+/// Clean commits that end a probe. Until then one conflict collapses
+/// the loop on the spot: a storm that is still live must cost a handful
+/// of squashes, not an AIMD walk down from a grown window.
 const PROBE_LEN: u32 = 4;
 
 /// Window cap a probe pipelines at (clamped to the configured max).
@@ -106,8 +95,8 @@ const JITTER_SEED: u64 = 0x5ec_90b3;
 /// (BENCHMARKS.md): storm workloads (vpr, twolf, parser) run ~40-50%
 /// conflict rates at 8 threads, so the degrade ceiling sits well below
 /// that while staying above the noise floor of clean workloads, and
-/// the reprobe period is long enough that probe overhead cannot drag a
-/// degraded loop below ~0.9× sequential.
+/// the reprobe period is long enough that a storm's probes — a few
+/// squashes each — stay a low single-digit percent of its commits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorConfig {
     /// Maximum speculation window (tasks in flight past the commit
@@ -118,9 +107,8 @@ pub struct GovernorConfig {
     /// outcomes over the sliding history). Sustained rates at or above
     /// this collapse the loop to sequential issue.
     pub degrade_ceiling: u32,
-    /// Commits to run degraded (inline, window=1) before re-probing
-    /// speculation; also the length of the initial calibration stretch
-    /// and the review cadence while pipelined. Clamped to ≥ 1.
+    /// Inline commits between a collapse and the next probe. Clamped
+    /// to ≥ 1.
     pub reprobe_period: u32,
     /// Squashes on one address before the next victim is parked behind
     /// the conflicting committer instead of re-raced with a delay.
@@ -160,7 +148,7 @@ impl GovernorConfig {
     /// * hot loops (`d` ≥ 150‰) park after the first repeat squash
     ///   instead of re-racing, and storm loops (`d` ≥ the degrade
     ///   ceiling) double the reprobe period, since probes there are
-    ///   nearly certain to lose their throughput verdict.
+    ///   nearly certain to meet a conflict.
     ///
     /// A quiet profile (no conflict-carrying region) returns the
     /// default config unchanged.
@@ -238,22 +226,21 @@ pub struct GovernorStats {
     pub shrinks: u64,
     /// Additive window grows (throttle-up decisions).
     pub grows: u64,
-    /// Collapses to degraded (sequential-issue) mode. The initial
-    /// calibration stretch is a posture, not a collapse, and is not
-    /// counted here.
+    /// Collapses to degraded (sequential-issue) mode. A one-seat plan
+    /// held inline is a posture, not a collapse, and is not counted.
     pub degrades: u64,
-    /// Speculation re-probes attempted from degraded mode.
+    /// Speculation re-probes attempted from degraded mode (the probe a
+    /// run opens with is not one).
     pub reprobes: u64,
     /// Conflict redispatches delayed by exponential backoff.
     pub backoffs: u64,
     /// Conflict redispatches parked behind the conflicting committer.
     pub parks: u64,
-    /// Tasks committed inline while degraded (calibration included).
+    /// Tasks committed while degraded (a one-seat plan's whole run).
     pub degraded_commits: u64,
     /// Speculation window when the run finished.
     pub final_window: u32,
-    /// Smallest speculation window the run ever reached. Always 1 for
-    /// a governed run (the warm-up stretch runs at window 1).
+    /// Smallest speculation window the run ever reached.
     pub min_window: u32,
 }
 
@@ -280,26 +267,20 @@ pub(crate) enum GovernorEvent {
     Reprobe { window: u32 },
 }
 
-/// Controller mode. `Probing` exists so one conflict (or a losing
-/// throughput verdict) right after a re-probe drops straight back to
-/// degraded instead of oscillating at a small pipelined window.
+/// Controller mode. `Probing` exists so one conflict right after a
+/// probe opens drops straight back to degraded instead of oscillating
+/// at a small pipelined window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
-    /// Pipelined dispatch under the dynamic window cap; `since` counts
-    /// commits since entry, for the periodic throughput review.
-    Normal { since: u32 },
-    /// Pipelined at a small window; `left` commits until the verdict.
+    /// Pipelined dispatch under the dynamic window cap.
+    Normal,
+    /// Pipelined at a small window; `left` clean commits until `Normal`.
     Probing { left: u32 },
     /// Sequential inline issue; `left` commits until the next probe.
     Degraded { left: u32 },
-}
-
-/// Exponential moving average over inter-commit gaps, `7/8` decay.
-fn ema(prev: Option<u64>, sample: u64) -> u64 {
-    match prev {
-        None => sample,
-        Some(p) => (p.saturating_mul(7).saturating_add(sample)) / 8,
-    }
+    /// Sequential inline issue to the end of the run: the plan has one
+    /// seat, so a total order is all it can execute anyway.
+    Held,
 }
 
 /// The per-run feedback controller. One instance lives in the commit
@@ -320,56 +301,34 @@ pub(crate) struct Governor {
     cooldown: u32,
     /// Squash counts per conflicting address (the "hot address" map).
     heat: HashMap<u64, u32>,
-    /// EMA of inter-commit time while degraded (sequential estimate).
-    seq_gap: Option<u64>,
-    /// Average inter-commit time over the current pipelined stretch:
-    /// `(now - stretch_t0) / stretch_n`. Pipelined commits arrive in
-    /// bursts (the frontier drains several buffered completions at
-    /// once), so a per-gap EMA would be dominated by near-zero
-    /// intra-burst gaps and flatter any throughput verdict; elapsed
-    /// time over the whole stretch — including the pipeline fill paid
-    /// at its start — is what actually competes with sequential issue.
-    pipe_gap: Option<u64>,
-    /// Clock value when the current pipelined stretch began (the commit
-    /// that launched the probe, or the last periodic review).
-    stretch_t0: Option<u64>,
-    /// Commits since `stretch_t0`.
-    stretch_n: u64,
-    /// Clock value of the last commit fed in.
-    last_commit: Option<u64>,
-    /// Set across mode switches: the next gap spans two regimes and
-    /// would poison whichever EMA it landed in.
-    skip_sample: bool,
     stats: GovernorStats,
 }
 
 impl Governor {
-    pub(crate) fn new(cfg: GovernorConfig) -> Self {
-        Self {
+    /// A controller for one run of a plan with `seats` seats in total
+    /// (what the plan calls cores, summed over its stages). One seat is
+    /// held inline to the end; any wider plan opens as a probe.
+    pub(crate) fn new(cfg: GovernorConfig, seats: usize) -> Self {
+        let mut governor = Self {
             cfg,
-            // The run opens with a degraded calibration stretch: window
-            // 1, inline issue, measuring the sequential commit rate the
-            // pay-off checks compare against. Speculation starts when
-            // the first probe earns it.
             window: 1,
-            mode: Mode::Degraded { left: cfg.period() },
+            mode: Mode::Held,
             outcomes: VecDeque::with_capacity(HISTORY),
             conflicts_in_history: 0,
             clean_streak: 0,
             cooldown: 0,
             heat: HashMap::new(),
-            seq_gap: None,
-            pipe_gap: None,
-            stretch_t0: None,
-            stretch_n: 0,
-            last_commit: None,
-            skip_sample: false,
             stats: GovernorStats {
                 final_window: 1,
                 min_window: 1,
                 ..GovernorStats::default()
             },
+        };
+        if seats > 1 {
+            governor.probe();
+            governor.stats.min_window = governor.window;
         }
+        governor
     }
 
     /// Current speculation window cap (always ≥ 1).
@@ -379,7 +338,7 @@ impl Governor {
 
     /// Whether the loop is collapsed to sequential inline issue.
     pub(crate) fn degraded(&self) -> bool {
-        matches!(self.mode, Mode::Degraded { .. })
+        matches!(self.mode, Mode::Degraded { .. } | Mode::Held)
     }
 
     /// Snapshot of the counters with the final window stamped in.
@@ -419,32 +378,19 @@ impl Governor {
             left: self.cfg.period(),
         };
         self.set_window(1);
-        self.outcomes.clear();
-        self.conflicts_in_history = 0;
-        self.skip_sample = true;
         self.stats.degrades += 1;
         events.push(GovernorEvent::Degrade {
             rate_permille: rate,
         });
     }
 
-    /// Whether pipelined commits are keeping up with the sequential
-    /// estimate. Missing data on either side gives speculation the
-    /// benefit of the doubt.
-    fn pipeline_pays(&self) -> bool {
-        // The pipelined gap must beat the sequential estimate by a
-        // clear margin (>= 1/9, i.e. about 11% faster), not merely tie
-        // it. A probe's verdict averages a handful of noisy samples;
-        // without the margin, jitter on a loop with no real overlap win
-        // intermittently promotes, and the pipelined stretch that
-        // follows runs below the sequential baseline until the next
-        // periodic review catches it. Ties go to sequential — a real
-        // pipeline win scales with worker count and clears the margin
-        // by construction.
-        match (self.pipe_gap, self.seq_gap) {
-            (Some(pipe), Some(seq)) => pipe.saturating_mul(9) <= seq.saturating_mul(8),
-            _ => true,
-        }
+    /// The one entry into pipelining, taken when a run opens and after
+    /// every degraded stretch: a small window, a fresh rate history.
+    fn probe(&mut self) {
+        self.mode = Mode::Probing { left: PROBE_LEN };
+        self.set_window(PROBE_WINDOW);
+        self.outcomes.clear();
+        self.conflicts_in_history = 0;
     }
 
     /// Feeds one conflict squash (a `MemoryConflict` at or before the
@@ -469,7 +415,7 @@ impl Governor {
         let mut events = Vec::new();
         self.clean_streak = 0;
         match self.mode {
-            Mode::Normal { .. } => {
+            Mode::Normal => {
                 self.record_outcome(true);
                 if self.cooldown == 0 {
                     let from = self.window;
@@ -484,11 +430,8 @@ impl Governor {
                     }
                     self.cooldown = self.window;
                 }
-                // Two routes into degradation. Rate: a full history
-                // above the misspeculation ceiling. Floor: AIMD walked
-                // the window down to 1 — a window-1 *pipelined* loop
-                // pays cross-thread dispatch for zero speculation, so
-                // inline sequential issue strictly dominates it.
+                // The floor and the rate route into degradation
+                // (module docs, mechanism 3).
                 if self.window == 1
                     || (self.outcomes.len() == HISTORY
                         && self.rate_permille() >= self.cfg.degrade_ceiling)
@@ -497,11 +440,13 @@ impl Governor {
                 }
             }
             // One conflict during a probe proves the storm is still
-            // live: drop straight back instead of oscillating at a
-            // small pipelined window (which runs below sequential).
-            Mode::Probing { .. } => self.enter_degraded(&mut events),
+            // live: drop straight back, no walk down through cooldowns.
+            Mode::Probing { .. } => {
+                self.record_outcome(true);
+                self.enter_degraded(&mut events);
+            }
             // Stragglers from before the collapse; already sequential.
-            Mode::Degraded { .. } => {}
+            Mode::Degraded { .. } | Mode::Held => {}
         }
 
         let decision = if at_frontier || self.degraded() {
@@ -535,62 +480,28 @@ impl Governor {
         (decision, events)
     }
 
-    /// Feeds a whole batch-drained frontier run into the controller in
-    /// one call — the commit frontier pays one governor update per
-    /// *batch* instead of per task. Internally this advances the
-    /// automaton once per committed task (window growth, degradation
-    /// reviews, and reprobe cadence are all counted in commits, so the
-    /// per-commit stepping must be preserved bit-for-bit); only the
-    /// clock is shared, which is faithful: a batch drains within one
-    /// frontier pass, so its commits are effectively simultaneous.
-    pub(crate) fn on_commit_batch(&mut self, count: u64, now: u64) -> Vec<GovernorEvent> {
+    /// Feeds `count` committed tasks into the controller — a whole
+    /// batch-drained frontier run in one call. The automaton still steps
+    /// once per task: window growth, probe length and reprobe cadence are
+    /// all counted in commits.
+    pub(crate) fn on_commit(&mut self, count: u64) -> Vec<GovernorEvent> {
         let mut events = Vec::new();
         for _ in 0..count {
-            events.extend(self.on_commit(now));
+            self.commit_one(&mut events);
         }
         events
     }
 
-    /// Feeds one committed task into the controller. `now` is a
-    /// monotonic clock in arbitrary units — wall nanoseconds from the
-    /// native executor, virtual time from the simulator twin — used for
-    /// the throughput pay-off checks.
-    pub(crate) fn on_commit(&mut self, now: u64) -> Vec<GovernorEvent> {
-        let mut events = Vec::new();
+    fn commit_one(&mut self, events: &mut Vec<GovernorEvent>) {
         self.cooldown = self.cooldown.saturating_sub(1);
-        let gap = match (self.last_commit, self.skip_sample) {
-            (Some(prev), false) => Some(now.saturating_sub(prev)),
-            _ => None,
-        };
-        self.last_commit = Some(now);
-        self.skip_sample = false;
-        if let Some(g) = gap {
-            if self.degraded() {
-                self.seq_gap = Some(ema(self.seq_gap, g));
-            }
-        }
-        if !self.degraded() {
-            if let Some(t0) = self.stretch_t0 {
-                self.stretch_n += 1;
-                self.pipe_gap = Some(now.saturating_sub(t0) / self.stretch_n);
-            }
-        }
         match &mut self.mode {
+            Mode::Held => self.stats.degraded_commits += 1,
             Mode::Degraded { left } => {
                 *left = left.saturating_sub(1);
-                let probe = *left == 0;
+                let reprobe = *left == 0;
                 self.stats.degraded_commits += 1;
-                if probe {
-                    // Probe speculation: pipeline a small window and
-                    // measure it fresh against the sequential estimate.
-                    self.mode = Mode::Probing { left: PROBE_LEN };
-                    self.set_window(PROBE_WINDOW);
-                    self.outcomes.clear();
-                    self.conflicts_in_history = 0;
-                    self.pipe_gap = None;
-                    self.stretch_t0 = Some(now);
-                    self.stretch_n = 0;
-                    self.skip_sample = true;
+                if reprobe {
+                    self.probe();
                     self.stats.reprobes += 1;
                     events.push(GovernorEvent::Reprobe {
                         window: self.window,
@@ -598,26 +509,17 @@ impl Governor {
                 }
             }
             Mode::Probing { left } => {
+                // A probe conflict re-degrades on the spot, so a probe
+                // that reaches its last commit was clean throughout.
                 *left = left.saturating_sub(1);
                 let done = *left == 0;
                 self.record_outcome(false);
                 if done {
-                    // The conflict check already passed (a probe
-                    // conflict re-degrades on the spot); the verdict
-                    // left is throughput.
-                    if self.pipeline_pays() {
-                        self.mode = Mode::Normal { since: 0 };
-                        self.clean_streak = 0;
-                        self.stretch_t0 = Some(now);
-                        self.stretch_n = 0;
-                    } else {
-                        self.enter_degraded(&mut events);
-                    }
+                    self.mode = Mode::Normal;
+                    self.clean_streak = 0;
                 }
             }
-            Mode::Normal { since } => {
-                *since += 1;
-                let review = *since % self.cfg.period() == 0;
+            Mode::Normal => {
                 self.record_outcome(false);
                 self.clean_streak += 1;
                 if self.clean_streak >= self.window && self.window < self.cfg.max_window() {
@@ -630,20 +532,8 @@ impl Governor {
                         to: self.window,
                     });
                 }
-                // Periodic review: conflicts aside, a pipeline that
-                // commits slower than the sequential estimate is not
-                // paying for its dispatch — collapse it.
-                if review {
-                    if self.pipeline_pays() {
-                        self.stretch_t0 = Some(now);
-                        self.stretch_n = 0;
-                    } else {
-                        self.enter_degraded(&mut events);
-                    }
-                }
             }
         }
-        events
     }
 }
 
@@ -651,22 +541,8 @@ impl Governor {
 mod tests {
     use super::*;
 
-    /// A synthetic clock: every `tick` advances `gap` units and feeds
-    /// one commit.
-    struct Clock {
-        now: u64,
-    }
-
-    impl Clock {
-        fn new() -> Self {
-            Self { now: 0 }
-        }
-
-        fn commit(&mut self, g: &mut Governor, gap: u64) -> Vec<GovernorEvent> {
-            self.now += gap;
-            g.on_commit(self.now)
-        }
-    }
+    /// A plan wide enough to pipeline.
+    const SEATS: usize = 4;
 
     fn storm(g: &mut Governor, conflicts: u32) {
         for t in 0..conflicts {
@@ -674,104 +550,112 @@ mod tests {
         }
     }
 
-    /// Drives a fresh governor through warm-up and a winning probe into
-    /// Normal mode (pipelined gaps at half the sequential estimate: a
-    /// clear win over the promotion margin).
-    fn promote(g: &mut Governor, clock: &mut Clock) {
-        let period = g.cfg.period();
-        for _ in 0..period {
-            let _ = clock.commit(g, 10);
-        }
-        assert!(!g.degraded(), "warm-up must end in a probe");
-        for _ in 0..PROBE_LEN {
-            let _ = clock.commit(g, 5);
-        }
-        assert!(
-            matches!(g.mode, Mode::Normal { .. }),
-            "a clearly faster probe must graduate to Normal"
-        );
+    fn commit(g: &mut Governor, count: u32) {
+        let _ = g.on_commit(u64::from(count));
+    }
+
+    /// A fresh governor past its opening probe, in Normal mode.
+    fn promoted(cfg: GovernorConfig) -> Governor {
+        let mut g = Governor::new(cfg, SEATS);
+        commit(&mut g, PROBE_LEN);
+        assert_eq!(g.mode, Mode::Normal, "a clean probe graduates");
+        g
+    }
+
+    /// Grows the window to the configured max with clean commits.
+    fn grow_to_max(g: &mut Governor) {
+        commit(g, 1_000);
+        assert_eq!(g.window(), g.cfg.max_window(), "never reached the max");
     }
 
     #[test]
-    fn tied_probe_stays_degraded() {
-        // Equal throughput must NOT promote: with no real overlap win,
-        // pipelining only adds dispatch cost, and probe samples are too
-        // noisy to trust a tie.
+    fn a_governed_run_opens_as_a_probe() {
+        const OPENING: (Mode, u32) = (Mode::Probing { left: PROBE_LEN }, PROBE_WINDOW);
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        for _ in 0..cfg.reprobe_period {
-            let _ = clock.commit(&mut g, 10);
-        }
-        assert!(!g.degraded(), "warm-up must end in a probe");
-        for _ in 0..PROBE_LEN {
-            let _ = clock.commit(&mut g, 10);
-        }
-        assert!(g.degraded(), "an equal-throughput probe collapses back");
-        assert_eq!(g.stats().degrades, 1);
-    }
-
-    /// Grows the window to the configured max with clean commits fast
-    /// enough to keep clearing the periodic throughput review.
-    fn grow_to_max(g: &mut Governor, clock: &mut Clock) {
-        for _ in 0..20_000 {
-            if g.window() == g.cfg.max_window() {
-                return;
-            }
-            let _ = clock.commit(g, 5);
-        }
-        panic!("window never reached the max");
-    }
-
-    #[test]
-    fn run_starts_degraded_and_speculation_must_earn_the_pipeline() {
-        let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        assert!(g.degraded(), "calibration posture is degraded");
-        assert_eq!(g.window(), 1);
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
-        assert_eq!(g.window(), PROBE_WINDOW, "probe window carries into Normal");
+        let mut g = Governor::new(cfg, 2);
+        assert!(!g.degraded(), "two seats can overlap: pipelined at once");
+        assert_eq!((g.mode, g.window()), OPENING);
+        // One conflict collapses the opening probe, like any probe ...
+        let (_, events) = g.on_conflict(1, 0, Some(7), Some(0), false);
+        let rate_permille = 1000; // one outcome, a conflict
+        assert_eq!(events, [GovernorEvent::Degrade { rate_permille }]);
+        assert!(g.degraded());
+        // ... and the run re-opens through the very same entry.
+        commit(&mut g, cfg.reprobe_period);
+        assert_eq!((g.mode, g.window()), OPENING);
+        commit(&mut g, PROBE_LEN);
+        // The probe window carries into Normal.
+        assert_eq!((g.mode, g.window()), (Mode::Normal, PROBE_WINDOW));
         let stats = g.stats();
-        assert_eq!(stats.reprobes, 1);
-        assert_eq!(stats.degrades, 0, "the initial posture is not a collapse");
+        // The opening probe is not a re-probe.
+        assert_eq!((stats.degrades, stats.reprobes), (1, 1));
         assert_eq!(stats.degraded_commits, u64::from(cfg.reprobe_period));
+        assert_eq!(stats.min_window, 1);
+        // A run that never conflicts never dips below its opening window.
+        assert_eq!(promoted(cfg).stats().min_window, PROBE_WINDOW);
     }
 
     #[test]
-    fn slow_pipeline_redegrades_without_any_conflicts() {
-        // The sub-granularity case: zero conflicts, but pipelined
-        // commits take 4x the sequential gap — the probe must fail on
-        // throughput alone.
+    fn a_one_seat_plan_is_held_inline_and_never_probes() {
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        for _ in 0..cfg.reprobe_period {
-            let _ = clock.commit(&mut g, 10);
+        for seats in [0, 1] {
+            let mut g = Governor::new(cfg, seats);
+            for _ in 0..3 * cfg.reprobe_period {
+                assert!(g.degraded() && g.window() == 1);
+                assert_eq!(g.on_commit(1), [], "nothing to decide");
+            }
+            let (decision, events) = g.on_conflict(5, 0, Some(1), Some(4), false);
+            assert_eq!((decision, events), (BackoffDecision::Immediate, vec![]));
+            let held = GovernorStats {
+                degraded_commits: 3 * u64::from(cfg.reprobe_period),
+                final_window: 1,
+                min_window: 1,
+                ..GovernorStats::default()
+            };
+            assert_eq!(g.stats(), held, "a posture: no collapse, no probe");
         }
-        assert!(!g.degraded(), "probing after warm-up");
-        for _ in 0..PROBE_LEN {
-            let _ = clock.commit(&mut g, 40);
+    }
+
+    #[test]
+    fn the_same_conflict_sequence_gives_the_same_decisions() {
+        // A seeded mix of commit batches and conflicts — storms, quiet
+        // stretches, frontier and runahead victims — fed to two
+        // controllers, the second one commit at a time.
+        let cfg = GovernorConfig {
+            reprobe_period: 16,
+            ..GovernorConfig::default()
+        };
+        let (mut a, mut b) = (Governor::new(cfg, SEATS), Governor::new(cfg, SEATS));
+        for step in 0..4_000u32 {
+            let r = splitmix64(u64::from(step));
+            if r % 8 < 3 + u64::from(step / 500 % 2) * 4 {
+                let (task, addr) = (step, Some(r >> 8 & 3));
+                let by = Some(step.wrapping_sub(1));
+                let ours = a.on_conflict(task, 0, addr, by, r & 16 != 0);
+                assert_eq!(ours, b.on_conflict(task, 0, addr, by, r & 16 != 0));
+            } else {
+                let count = 1 + (r >> 8) % 5;
+                let single: Vec<_> = (0..count).flat_map(|_| b.on_commit(1)).collect();
+                assert_eq!(a.on_commit(count), single, "a batch is its commits");
+            }
+            assert_eq!((a.window(), a.mode), (b.window(), b.mode), "step {step}");
         }
-        assert!(g.degraded(), "a losing probe collapses back");
-        let stats = g.stats();
-        assert_eq!(stats.degrades, 1);
-        assert_eq!(stats.reprobes, 1);
-        assert_eq!(g.window(), 1);
+        assert_eq!(a.stats(), b.stats());
+        // The script reached every mechanism it is meant to pin.
+        let stats = a.stats();
+        assert!(stats.shrinks > 0 && stats.grows > 0, "{stats:?}");
+        assert!(stats.degrades > 1 && stats.reprobes > 0, "{stats:?}");
+        assert!(stats.backoffs > 0 && stats.parks > 0, "{stats:?}");
     }
 
     #[test]
     fn fast_pipeline_stays_normal_through_reviews() {
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        for _ in 0..cfg.reprobe_period {
-            let _ = clock.commit(&mut g, 10);
-        }
-        // Probe and two full review periods at 3x the sequential speed.
-        for _ in 0..(PROBE_LEN + 2 * cfg.reprobe_period) {
-            let _ = clock.commit(&mut g, 3);
-            assert!(!g.degraded(), "a paying pipeline is never collapsed");
+        let mut g = Governor::new(cfg, SEATS);
+        // Two reprobe periods of clean commits: nothing reviews them.
+        for _ in 0..2 * cfg.reprobe_period {
+            commit(&mut g, 1);
+            assert!(!g.degraded(), "a clean pipeline is never collapsed");
         }
         assert_eq!(g.window(), cfg.window, "clean commits grow to the max");
     }
@@ -779,51 +663,40 @@ mod tests {
     #[test]
     fn window_never_leaves_bounds() {
         let cfg = GovernorConfig::default().with_window(16);
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
-        grow_to_max(&mut g, &mut clock);
+        let mut g = promoted(cfg);
+        grow_to_max(&mut g);
         // Hammer conflicts: window must shrink but never drop below 1.
         for t in 0..500 {
             let _ = g.on_conflict(t, 1, Some(7), Some(t.saturating_sub(1)), false);
             assert!(g.window() >= 1, "window fell below 1");
         }
-        // Hammer clean commits: window must grow but never exceed max.
-        // Model a loop whose pipeline genuinely runs 2x the sequential
-        // pace, so the post-storm reprobe clears the promotion margin
-        // and growth resumes.
+        // Hammer clean commits: the post-storm reprobe graduates and
+        // growth resumes, but never past the max.
         for _ in 0..20_000 {
-            let gap = if g.degraded() { 10 } else { 5 };
-            let _ = clock.commit(&mut g, gap);
+            commit(&mut g, 1);
             assert!(g.window() <= 16, "window exceeded the configured max");
         }
         assert_eq!(g.window(), 16, "sustained clean commits restore the max");
         let stats = g.stats();
-        assert!(stats.shrinks >= 1);
-        assert!(stats.grows >= 1);
-        assert_eq!(stats.min_window, 1);
-        assert_eq!(stats.final_window, 16);
+        assert!(stats.shrinks >= 1 && stats.grows >= 1);
+        assert_eq!((stats.min_window, stats.final_window), (1, 16));
     }
 
     #[test]
     fn shrink_has_hysteresis() {
-        let mut g = Governor::new(GovernorConfig {
+        let mut g = promoted(GovernorConfig {
             window: 64,
             degrade_ceiling: 1001, // rate alone never degrades here
             ..GovernorConfig::default()
         });
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
-        grow_to_max(&mut g, &mut clock);
+        grow_to_max(&mut g);
         let _ = g.on_conflict(0, 0, Some(1), None, false);
         assert_eq!(g.window(), 32, "first conflict halves the window");
         // A burst inside the cooldown is one signal, not many.
         let _ = g.on_conflict(1, 0, Some(1), None, false);
         let _ = g.on_conflict(2, 0, Some(1), None, false);
         assert_eq!(g.window(), 32, "burst within cooldown shrinks once");
-        for _ in 0..32 {
-            let _ = clock.commit(&mut g, 10);
-        }
+        commit(&mut g, 32);
         // The clean run both expires the cooldown and earns one growth
         // step (32 -> 36); the re-armed shrink then halves from there.
         let grown = g.window();
@@ -835,83 +708,58 @@ mod tests {
     #[test]
     fn sustained_storm_degrades_and_probe_conflict_redegrades() {
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
+        let mut g = promoted(cfg);
         storm(&mut g, HISTORY as u32 + 4);
         assert!(g.degraded(), "a sustained storm must degrade");
         assert_eq!(g.window(), 1);
         // reprobe_period degraded commits later, the governor probes.
-        for _ in 0..cfg.reprobe_period {
-            let _ = clock.commit(&mut g, 10);
-        }
+        commit(&mut g, cfg.reprobe_period);
         assert!(!g.degraded(), "reprobe leaves degraded mode");
         assert_eq!(g.window(), PROBE_WINDOW, "probes pipeline a small window");
         // One conflict during the probe re-degrades immediately.
         let _ = g.on_conflict(999, 0, Some(1), Some(998), false);
         assert!(g.degraded(), "probe conflict re-degrades without dithering");
         let stats = g.stats();
-        assert!(stats.degrades >= 2);
-        assert_eq!(stats.reprobes, 2, "warm-up probe plus the storm reprobe");
+        assert_eq!((stats.degrades, stats.reprobes), (2, 1), "{stats:?}");
     }
 
     #[test]
     fn clean_probe_returns_to_normal_growth() {
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
+        let mut g = promoted(cfg);
         storm(&mut g, HISTORY as u32 + 4);
-        for _ in 0..cfg.reprobe_period {
-            let _ = clock.commit(&mut g, 10);
-        }
-        // Survive the probe cleanly, clearly faster than sequential.
-        for _ in 0..PROBE_LEN {
-            let _ = clock.commit(&mut g, 5);
-        }
+        commit(&mut g, cfg.reprobe_period);
+        commit(&mut g, PROBE_LEN);
         assert!(!g.degraded());
         // Normal mode now grows additively toward the max again.
         let before = g.window();
-        for _ in 0..u64::from(before) {
-            let _ = clock.commit(&mut g, 10);
-        }
+        commit(&mut g, before);
         assert!(g.window() > before, "clean windows grow the cap");
     }
 
     #[test]
     fn hot_address_escalates_to_park() {
         let cfg = GovernorConfig::default();
-        let mut g = Governor::new(cfg);
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
+        let mut g = promoted(cfg);
         let mut delays = Vec::new();
         for attempt in 0..cfg.park_threshold {
             let (d, _) = g.on_conflict(10, attempt, Some(42), Some(9), false);
-            match d {
-                BackoffDecision::Delay(t) => delays.push(t),
-                other => panic!("expected a delay below the threshold, got {other:?}"),
-            }
+            let BackoffDecision::Delay(ticks) = d else {
+                panic!("expected a delay below the threshold, got {d:?}");
+            };
+            delays.push(ticks);
         }
-        assert!(
-            delays
-                .windows(2)
-                .all(|w| w[0] <= w[1] || w[1] >= BACKOFF_BASE),
-            "delays follow an exponential (jittered) ramp: {delays:?}"
-        );
+        let ramps = |w: &[u64]| w[0] <= w[1] || w[1] >= BACKOFF_BASE;
+        assert!(delays.windows(2).all(ramps), "jittered ramp: {delays:?}");
+        // Past the threshold the victim serializes behind the committer.
         let (d, _) = g.on_conflict(10, cfg.park_threshold, Some(42), Some(9), false);
-        assert_eq!(
-            d,
-            BackoffDecision::Park { behind: 9 },
-            "past the threshold the victim serializes behind the committer"
-        );
+        assert_eq!(d, BackoffDecision::Park { behind: 9 });
         assert_eq!(g.stats().parks, 1);
     }
 
     #[test]
     fn frontier_conflicts_redispatch_immediately() {
-        let mut g = Governor::new(GovernorConfig::default());
-        let mut clock = Clock::new();
-        promote(&mut g, &mut clock);
+        let mut g = promoted(GovernorConfig::default());
         let (d, _) = g.on_conflict(0, 0, Some(1), None, true);
         assert_eq!(d, BackoffDecision::Immediate, "never delay the frontier");
     }
@@ -919,32 +767,26 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_per_seed() {
         let run = || {
-            let mut g = Governor::new(GovernorConfig::default());
-            let mut clock = Clock::new();
-            promote(&mut g, &mut clock);
+            let mut g = promoted(GovernorConfig::default());
             g.on_conflict(3, 1, Some(5), None, false).0
         };
         assert_eq!(run(), run(), "same seed, same decision");
-        assert!(
-            matches!(run(), BackoffDecision::Delay(_)),
-            "a first non-frontier conflict backs off"
-        );
+        // A first non-frontier conflict backs off.
+        assert!(matches!(run(), BackoffDecision::Delay(_)));
     }
 
     #[test]
     fn degenerate_configs_are_clamped() {
-        let mut g = Governor::new(GovernorConfig {
+        let cfg = GovernorConfig {
             window: 0,
             reprobe_period: 0,
             ..GovernorConfig::default()
-        });
+        };
+        let mut g = Governor::new(cfg, SEATS);
         assert_eq!(g.window(), 1, "zero max window clamps to 1");
         let _ = g.on_conflict(0, 0, None, None, false);
         assert_eq!(g.window(), 1);
-        let mut clock = Clock::new();
-        for _ in 0..10 {
-            let _ = clock.commit(&mut g, 10);
-        }
+        commit(&mut g, 10);
         assert_eq!(g.window(), 1, "window never exceeds the clamped max");
     }
 
@@ -971,23 +813,18 @@ mod tests {
 
     #[test]
     fn preset_window_shrinks_monotonically_with_density() {
+        let base = GovernorConfig::default();
         let cold = GovernorConfig::preset_for(&profile_with_density(0.01, 2));
         let warm = GovernorConfig::preset_for(&profile_with_density(0.02, 4));
         let storm = GovernorConfig::preset_for(&profile_with_density(1.0, 8));
         assert!(cold.window >= warm.window && warm.window > storm.window);
         assert_eq!(storm.window, 1, "a certain-conflict loop starts at 1");
         assert_eq!(storm.park_threshold, 1, "storms park on the first repeat");
-        assert_eq!(
-            storm.reprobe_period,
-            GovernorConfig::default().reprobe_period * 2
-        );
+        assert_eq!(storm.reprobe_period, base.reprobe_period * 2);
         // Every preset stays inside the default's envelope.
         for cfg in [cold, warm, storm] {
-            assert!(cfg.window >= 1 && cfg.window <= GovernorConfig::default().window);
-            assert_eq!(
-                cfg.degrade_ceiling,
-                GovernorConfig::default().degrade_ceiling
-            );
+            assert!(cfg.window >= 1 && cfg.window <= base.window);
+            assert_eq!(cfg.degrade_ceiling, base.degrade_ceiling);
         }
     }
 }

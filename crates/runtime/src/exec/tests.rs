@@ -741,6 +741,16 @@ fn on_pool_worker() -> bool {
         .is_some_and(|n| n.starts_with("seqpar-engine-"))
 }
 
+/// Yields until `ready`, how a body waits for another body's flag. The
+/// two seconds are a backstop: a run that cannot raise the flag fails
+/// its assertions instead of hanging.
+fn wait_until(ready: impl Fn() -> bool) {
+    let since = Instant::now();
+    while !ready() && since.elapsed() < Duration::from_secs(2) {
+        std::thread::yield_now();
+    }
+}
+
 /// The lane window and batch threshold of a one-seat `tls(1)` plan at
 /// the default queue capacity: 32 + 1 seat, and half of that.
 const WINDOW: u64 = 33;
@@ -1155,90 +1165,111 @@ fn the_watchdog_counts_publications_not_wakes() {
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));
 
-    // Committing but not publishing: a governed loop whose first probe
-    // loses its throughput verdict *on the pool worker's turn* (the
-    // caller's attempts wait for the worker to be inside one, and the
-    // worker's are slow, so the worker's completion is the probe's last
-    // and the turn that commits it is its own). That turn then commits a
-    // degraded stretch inline — at least five tasks of it, the probe's
-    // sliding window having run at most three ahead — over two deadlines
-    // long, the caller asleep throughout. The ring's `tail` stands
-    // still; the watermark moves.
-    let (period, probe) = (8, 4);
+    // Committing but not publishing: a governed counter loop on two
+    // seats whose opening probe collapses *on the pool worker's turn*.
+    // The probe's window is four tasks. The worker holds one of the
+    // first two and sits on it until the caller has run three others
+    // (each of which waited for the worker to be inside its body), after
+    // which the caller finds its lane dry, parks its seat and sleeps;
+    // only then does the worker touch the counter, which squashes what
+    // the caller ran ahead of it. The worker's publication is due at
+    // once (a seat is starved), so the turn that finds the conflict,
+    // collapses the loop and issues the rest inline — six tasks at
+    // least, three deadlines long — is the worker's, or a later one of
+    // the worker's. The ring's `tail` stands still; the watermark moves.
     let worker_busy = AtomicBool::new(false);
+    let caller_ran = AtomicUsize::new(0);
     let inline_on_worker = Arc::new(AtomicBool::new(false));
     let seen = Arc::clone(&inline_on_worker);
-    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let Some(m) = ctx.mem else {
+            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+        };
         if ctx.attempt == DEGRADED_ATTEMPT {
-            if ctx.iter >= period + probe {
-                seen.fetch_or(on_pool_worker(), Ordering::SeqCst);
-                std::thread::sleep(deadline / 2);
-            }
+            seen.fetch_or(on_pool_worker(), Ordering::SeqCst);
+            std::thread::sleep(deadline / 2);
         } else if on_pool_worker() {
             worker_busy.store(true, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(20));
+            wait_until(|| caller_ran.load(Ordering::SeqCst) >= 3);
+            // No body can see the caller park its seat and go to sleep:
+            // give it the time, or its last turn may absorb this
+            // attempt and issue the stretch itself.
+            std::thread::sleep(deadline / 5);
         } else {
-            let since = Instant::now();
-            while !worker_busy.load(Ordering::SeqCst) && since.elapsed() < deadline * 20 {
-                std::thread::yield_now();
-            }
+            wait_until(|| worker_busy.load(Ordering::SeqCst));
         }
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        let v = VersionId(u64::from(task.0));
+        let got = m.read(v, Addr(0));
+        m.write(v, Addr(0), got + 1);
+        if ctx.attempt != DEGRADED_ATTEMPT && !on_pool_worker() {
+            caller_ran.fetch_add(1, Ordering::SeqCst);
+        }
+        TaskOutput::bytes(got.to_le_bytes().to_vec())
     };
-    let governed = config.with_governor(GovernorConfig {
-        reprobe_period: period as u32,
-        ..GovernorConfig::default()
-    });
-    // A period more than the stretch: a caller that tripped during it
-    // would find the job unfinished at the lock, and fall back.
-    let iters = 3 * period + probe;
-    let report = run(
-        governed,
+    let iters = 8;
+    let (report, mem) = run_versioned(
+        config.with_governor(GovernorConfig::default()),
         &counter_graph(iters),
         &ExecutionPlan::tls(2),
         body,
-    )
-    .unwrap();
+    );
     assert!(inline_on_worker.load(Ordering::SeqCst));
     assert!(report.wall > 2 * deadline);
-    assert_eq!(report.governor.expect("governed").degrades, 1);
+    let stats = report.governor.expect("governed");
+    assert_eq!((stats.degrades, stats.reprobes), (1, 0), "{stats:?}");
+    assert!(stats.degraded_commits >= iters - 2, "{stats:?}");
     assert_eq!(report.watchdog_trips, 0, "a committing job is not wedged");
     assert!(!report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));
+    assert_eq!(mem.committed(Addr(0)), Some(iters));
 }
 
-/// Governor backoff end to end. Forty quiet tasks (private addresses,
-/// bodies that sleep, so four workers clearly beat inline issue) let the
-/// first probe graduate to pipelined dispatch; then every task
-/// read-modify-writes one counter, so the attempts running ahead are
-/// squashed before they reach the frontier and redispatched behind a
+/// Governor backoff end to end. Four quiet tasks (private addresses)
+/// graduate the opening probe; from task 4 on every task
+/// read-modify-writes one counter. The first of those are made to race,
+/// by flags, not by luck: task 4 holds its write back until tasks 5–7 —
+/// the rest of its window — have read the counter, and they hold their
+/// completions back until it has written. So they are published already
+/// squashed, from past the frontier, and are redispatched behind a
 /// delay — or, with the park threshold at zero, behind their squasher.
 /// Those attempts wait in their lane's pending list and must all come
 /// back.
 #[test]
 fn backed_off_attempts_wait_in_their_lane_and_all_come_back() {
-    let (iters, quiet) = (300u64, 40u64);
-    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-        let value = match ctx.mem {
-            // Sequential oracle / fallback path.
-            None => ctx.iter,
-            Some(m) => {
-                let v = VersionId(u64::from(task.0));
-                std::thread::sleep(Duration::from_micros(500));
-                if ctx.iter < quiet {
-                    m.write(v, Addr(1000 + ctx.iter), 1);
-                    ctx.iter
-                } else {
-                    let got = m.read(v, Addr(0));
-                    std::thread::sleep(Duration::from_micros(500));
-                    m.write(v, Addr(0), got + 1);
-                    got + quiet
-                }
-            }
-        };
-        TaskOutput::bytes(value.to_le_bytes().to_vec())
-    };
+    let (iters, quiet) = (64u64, 4u64);
     for park_threshold in [GovernorConfig::default().park_threshold, 0] {
+        // Victims that have read, whether the squasher has written, and
+        // victims that are done.
+        let state = [const { AtomicUsize::new(0) }; 3];
+        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+            let Some(m) = ctx.mem else {
+                // Sequential oracle / fallback path.
+                return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+            };
+            let v = VersionId(u64::from(task.0));
+            if ctx.iter < quiet {
+                m.write(v, Addr(1000 + ctx.iter), 1);
+                return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+            }
+            let got = m.read(v, Addr(0));
+            let raced = ctx.attempt == 0 && ctx.iter < 2 * quiet;
+            if raced && ctx.iter == quiet {
+                wait_until(|| state[0].load(Ordering::SeqCst) >= 3);
+            } else if raced {
+                state[0].fetch_add(1, Ordering::SeqCst);
+                wait_until(|| state[1].load(Ordering::SeqCst) >= 1);
+            }
+            m.write(v, Addr(0), got + 1);
+            if raced && ctx.iter == quiet {
+                // Last to publish: the frontier stays put until the
+                // victims' completions are on the ring.
+                state[1].store(1, Ordering::SeqCst);
+                wait_until(|| state[2].load(Ordering::SeqCst) >= 3);
+            } else if raced {
+                state[2].fetch_add(1, Ordering::SeqCst);
+            }
+            TaskOutput::bytes((got + quiet).to_le_bytes().to_vec())
+        };
         let governor = GovernorConfig {
             reprobe_period: 4,
             park_threshold,
@@ -1260,7 +1291,7 @@ fn backed_off_attempts_wait_in_their_lane_and_all_come_back() {
         } else {
             stats.backoffs
         };
-        assert!(held > 0, "the storm must hold attempts back: {stats:?}");
+        assert!(held > 0, "the race must hold attempts back: {stats:?}");
         // A held attempt that never came back would wedge the frontier
         // until the watchdog fell back to sequential execution.
         assert_eq!(report.watchdog_trips, 0);

@@ -8,7 +8,7 @@ use crate::exec::{
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -230,25 +230,40 @@ impl SimResult {
     /// decision sequence between the model and the machine; its
     /// counters come back as the second element (`None` without one).
     ///
-    /// The governor sees the simulated schedule exactly as the native
-    /// one sees the real schedule: each in-order commit feeds
-    /// `on_commit` with the frontier's virtual clock (cycles), and each
-    /// violated speculated dependence feeds `on_conflict` first. Its
-    /// decisions surface as the same `GovernorThrottle` /
+    /// The governor hears the simulated frontier as the native one hears
+    /// the real frontier: each violated speculated dependence feeds
+    /// `on_conflict`, then the task's in-order commit feeds `on_commit`.
+    /// It reads no clock, so its decisions are a function of that
+    /// sequence alone, and they surface as the same `GovernorThrottle` /
     /// `GovernorDegrade` / `GovernorReprobe` events the native frontier
-    /// emits, stamped at the frontier cycle. `GovernorBackoff` never
-    /// appears in the simulated twin: the analytic model serializes a
-    /// violated speculation instead of replaying it, so there is no
-    /// redispatch to delay — the one structural difference from the
-    /// native trace.
+    /// emits, stamped at the frontier cycle. A fault-free native *replay*
+    /// of a graph whose tasks carry at most one speculated dependence
+    /// therefore reports the twin's [`GovernorStats`] exactly (the
+    /// governed property in `crates/runtime/tests/properties.rs` holds
+    /// the two to each other). Where the two part, structurally:
+    ///
+    /// * a conflict-driven native job ([`JobSpec::mem`](crate::JobSpec::mem))
+    ///   feeds its governor real races, which are a matter of timing, and
+    ///   squashes attempts past the frontier, which the governor backs
+    ///   off or parks; the model serializes a violated speculation
+    ///   instead of replaying it, so every conflict here is a frontier
+    ///   conflict and `GovernorBackoff` never appears;
+    /// * the twin models no faults: natively, a first attempt that
+    ///   panicked replays non-speculatively and its violation is never
+    ///   fed in;
+    /// * the twin feeds one conflict per violated *dependence*, the
+    ///   native frontier one per squashed *attempt*;
+    /// * the governor's one-seat rule counts the distinct cores of the
+    ///   placements here and the board's seats natively, which count a
+    ///   core once per stage that uses it — `three_phase(1)` is one seat
+    ///   to the twin and three to the board.
     ///
     /// The timing model itself is *not* re-run under the governor's
     /// window decisions — the analytic schedule stays the plan's. The
     /// twin answers "what would the governor have decided given this
-    /// commit cadence", which is what the differential suite needs to
-    /// pin the native governor's determinism; re-timing the model under
-    /// a dynamic window would make the twin's clock disagree with the
-    /// placements it annotates.
+    /// commit/conflict sequence"; re-timing the model under a dynamic
+    /// window would make the placements it annotates disagree with the
+    /// schedule that was simulated.
     pub fn timeline(
         &self,
         graph: &TaskGraph,
@@ -311,7 +326,12 @@ impl SimResult {
         // every earlier task have finished.
         let mut frontier_events: Vec<TraceEvent> = Vec::with_capacity(placements.len());
         let mut frontier = 0u64;
-        let mut gov = governor.map(|cfg| Governor::new(*cfg));
+        let mut gov = governor.map(|cfg| {
+            // The twin's seats are the cores the schedule used: one of
+            // them and the governor holds the run inline, as natively.
+            let cores: HashSet<usize> = placements.iter().map(|p| p.core).collect();
+            Governor::new(*cfg, cores.len())
+        });
         let push_gov = |events: &mut Vec<TraceEvent>, ts: u64, task: u32, decisions| {
             for d in decisions {
                 let kind = match d {
@@ -390,7 +410,7 @@ impl SimResult {
                 },
             });
             if let Some(g) = gov.as_mut() {
-                let evs = g.on_commit(frontier);
+                let evs = g.on_commit(1);
                 push_gov(&mut frontier_events, frontier, idx as u32, evs);
             }
         }
@@ -1054,10 +1074,10 @@ mod tests {
         timeline
             .validate()
             .expect("governed twin stays well-formed");
-        // The calibration stretch plus each post-degrade stretch count
-        // as degraded commits; the storm forces at least one collapse
-        // and the quiet tail at least one re-probe.
-        assert!(stats.degraded_commits > 0, "calibration stretch counted");
+        // The run opens pipelined; the storm forces at least one
+        // collapse, whose inline stretch counts as degraded commits, and
+        // the quiet tail at least one re-probe.
+        assert!(stats.degraded_commits > 0, "degraded stretch counted");
         assert!(stats.reprobes > 0, "quiet stretches re-probe");
         assert!(stats.degrades > 0, "the storm collapses the window");
         let kinds: Vec<_> = timeline

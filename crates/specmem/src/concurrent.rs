@@ -58,9 +58,9 @@ use std::sync::Arc;
 
 /// Default number of address shards. Sixteen keeps contention
 /// negligible for the executor's worker counts (≤ the machine's cores)
-/// without oversizing the lock table; the criterion suite in
-/// `benches/concurrent.rs` is how this default was chosen. Override it
-/// with [`ConcurrentVersionedMemory::with_config`].
+/// without oversizing the lock table; a shard sweep ({1, 4, 16, 64}
+/// under 1–32 threads, PR 6) is how this default was chosen. Override
+/// it with [`ConcurrentVersionedMemory::with_config`].
 pub const SHARD_COUNT: usize = 16;
 
 /// Default epoch-reclamation cadence: retired write buffers are folded

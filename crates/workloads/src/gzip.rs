@@ -19,7 +19,6 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program, YBranchHint};
-use seqpar_specmem::Addr;
 
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 3;
@@ -336,8 +335,6 @@ impl Workload for Gzip {
         // stream state *so far* — read from versioned memory, updated,
         // written back — so a stale racing read that escaped conflict
         // detection would corrupt the committed bytes.
-        const CHECKSUM: Addr = Addr(0);
-        const EMITTED: Addr = Addr(1);
         let data = self.input(size);
         let mut spans = Vec::new();
         let mut consumed = 0usize;
@@ -346,51 +343,20 @@ impl Workload for Gzip {
             consumed += block.len();
             spans.push((start.saturating_sub(WINDOW), start, consumed));
         }
-        let compress = {
-            let data = data.clone();
-            let spans = spans.clone();
-            move |iter: u64| {
+        VersionedJob::accumulating(
+            self.trace(size),
+            move |iter| {
                 let (dict_start, start, end) = spans[iter as usize];
                 let mut meter = WorkMeter::new();
                 let tokens =
                     deflate_block_primed(&data[dict_start..start], &data[start..end], &mut meter);
                 (encode(&tokens), meter.take().max(1))
-            }
-        };
-        // The oracle's prefix state: stream checksum and length after
-        // each block, in program order.
-        let mut prefix = Vec::with_capacity(spans.len());
-        let (mut hash, mut emitted) = (0u64, 0u64);
-        for i in 0..spans.len() as u64 {
-            let (bytes, _) = compress(i);
-            hash = fnv1a_fold(hash, &bytes);
-            emitted += bytes.len() as u64;
-            prefix.push((hash, emitted));
-        }
-        let record = |mut bytes: Vec<u8>, hash: u64, emitted: u64, work: u64| {
-            bytes.extend(hash.to_le_bytes());
-            bytes.extend(emitted.to_le_bytes());
-            (bytes, work)
-        };
-        let oracle = {
-            let compress = compress.clone();
-            move |iter: u64| {
-                let (bytes, work) = compress(iter);
-                let (hash, emitted) = prefix[iter as usize];
-                record(bytes, hash, emitted, work)
-            }
-        };
-        VersionedJob::new(
-            self.trace(size),
-            move |iter, v, m| {
-                let (bytes, work) = compress(iter);
-                let hash = fnv1a_fold(m.read(v, CHECKSUM), &bytes);
-                let emitted = m.read(v, EMITTED) + bytes.len() as u64;
-                m.write(v, CHECKSUM, hash);
-                m.write(v, EMITTED, emitted);
-                record(bytes, hash, emitted, work)
             },
-            oracle,
+            2,
+            |_, bytes, stream| {
+                stream[0] = fnv1a_fold(stream[0], bytes);
+                stream[1] += bytes.len() as u64;
+            },
         )
     }
 

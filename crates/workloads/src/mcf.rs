@@ -25,7 +25,6 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
-use seqpar_specmem::Addr;
 
 /// An arc of the flow network.
 #[derive(Clone, Copy, Debug)]
@@ -333,12 +332,12 @@ impl Workload for Mcf {
         // regeneration counter (`refresh_potential`'s generation — the
         // very state the paper's mcf speculation bets on). The sweep
         // itself runs from a per-iteration snapshot; the totals each
-        // iteration emits are read from versioned memory, accumulated,
+        // iteration emits are read from versioned memory, accumulated
+        // (wrapping u64 arithmetic over the i64 deltas' bit patterns),
         // and written back, so they carry real cross-iteration
-        // dependences for the conflict detector.
-        const FLOW: Addr = Addr(0);
-        const COST: Addr = Addr(1);
-        const POTGEN: Addr = Addr(2);
+        // dependences for the conflict detector. A stable-potential
+        // iteration leaves the generation as it read it — the silent
+        // bet the conflict detector validates at commit.
         let net = self.network(size);
         let mut snaps = Vec::new();
         let mut solver = Solver::new(&net);
@@ -352,69 +351,26 @@ impl Workload for Mcf {
                 break;
             }
         }
-        let iters = snaps.len() as u64;
-        let sweep = move |iter: u64| {
-            let mut solver = snaps[iter as usize].clone();
-            let (costs, flow_delta, cost_delta) = solver
-                .step()
-                .expect("snapshots precede augmenting iterations");
-            let work = (costs.serial + costs.parallel + costs.apply).max(1);
-            (flow_delta, cost_delta, costs.potentials_changed, work)
-        };
-        // Prefix totals for the sequential oracle (wrapping u64
-        // arithmetic over the i64 deltas' bit patterns, the same fold
-        // the memory-backed body performs).
-        let mut prefix = Vec::with_capacity(iters as usize);
-        let (mut flow, mut cost, mut potgen) = (0u64, 0u64, 0u64);
-        for i in 0..iters {
-            let (fd, cd, pot, _) = sweep(i);
-            flow = flow.wrapping_add(fd as u64);
-            cost = cost.wrapping_add(cd as u64);
-            if pot {
-                potgen += 1;
-            }
-            prefix.push((flow, cost, potgen));
-        }
-        let record = |fd: i64, cd: i64, pot: bool, flow: u64, cost: u64, potgen: u64, work: u64| {
-            let mut bytes = Vec::with_capacity(41);
-            bytes.extend(fd.to_le_bytes());
-            bytes.extend(cd.to_le_bytes());
-            bytes.push(u8::from(pot));
-            bytes.extend(flow.to_le_bytes());
-            bytes.extend(cost.to_le_bytes());
-            bytes.extend(potgen.to_le_bytes());
-            (bytes, work)
-        };
-        let oracle = {
-            let sweep = sweep.clone();
-            let prefix = prefix.clone();
-            move |iter: u64| {
-                let (fd, cd, pot, work) = sweep(iter);
-                let (flow, cost, potgen) = prefix[iter as usize];
-                record(fd, cd, pot, flow, cost, potgen, work)
-            }
-        };
-        VersionedJob::new(
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+        VersionedJob::accumulating(
             self.trace(size),
-            move |iter, v, m| {
-                let (fd, cd, pot, work) = sweep(iter);
-                let flow = m.read(v, FLOW).wrapping_add(fd as u64);
-                let cost = m.read(v, COST).wrapping_add(cd as u64);
-                m.write(v, FLOW, flow);
-                m.write(v, COST, cost);
-                // A stable-potential iteration only *reads* the
-                // generation — the silent bet the conflict detector
-                // validates at commit.
-                let potgen = if pot {
-                    let g = m.read(v, POTGEN) + 1;
-                    m.write(v, POTGEN, g);
-                    g
-                } else {
-                    m.read(v, POTGEN)
-                };
-                record(fd, cd, pot, flow, cost, potgen, work)
+            move |iter| {
+                let mut solver = snaps[iter as usize].clone();
+                let (costs, flow_delta, cost_delta) = solver
+                    .step()
+                    .expect("snapshots precede augmenting iterations");
+                let mut bytes = Vec::with_capacity(17);
+                bytes.extend(flow_delta.to_le_bytes());
+                bytes.extend(cost_delta.to_le_bytes());
+                bytes.push(u8::from(costs.potentials_changed));
+                (bytes, (costs.serial + costs.parallel + costs.apply).max(1))
             },
-            oracle,
+            3,
+            move |_, bytes, totals| {
+                totals[0] = totals[0].wrapping_add(word(&bytes[..8]));
+                totals[1] = totals[1].wrapping_add(word(&bytes[8..16]));
+                totals[2] += u64::from(bytes[16]);
+            },
         )
     }
 

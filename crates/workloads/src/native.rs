@@ -47,28 +47,18 @@ pub struct SequentialRun {
     pub wall: Duration,
 }
 
-/// The signature of a versioned job body: run one iteration with its
-/// loop-carried state flowing through version `v` of the shared
-/// [`ConcurrentVersionedMemory`] — reads forward uncommitted stores from
-/// earlier versions, conflicting writes squash later readers. The
-/// body must issue only `read`/`write` on `v` (the executor owns the
-/// version's lifecycle) and must be a pure function of `(iter, values
-/// read)`, so a squash-and-replay reproduces the sequential result.
-///
-/// A version is a *chunk* of consecutive iterations
-/// ([`VersionedJob::grain`]): the body may be called for several
-/// iterations in a row with the same `v`, and what an earlier one of
-/// them wrote is what a later one reads back.
-pub type VersionedIterationBody =
-    dyn Fn(u64, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64) + Send + Sync;
-
-/// The sequential twin of a [`VersionedIterationBody`]: compute the same
-/// iteration's output with no substrate, from precomputed prefix state —
-/// what the validation oracle and the sequential fallback run.
+/// One iteration with no substrate: its output bytes and metered work,
+/// from precomputed prefix state — what the validation oracle and the
+/// sequential fallback run.
 pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
 
 /// What a task runs: the iterations of one chunk, in order, inside the
-/// chunk's one version; their bytes concatenated, their work summed.
+/// chunk's one version `v` of the job's [`ConcurrentVersionedMemory`] —
+/// reads forward uncommitted stores from earlier versions, conflicting
+/// writes squash later readers; their bytes concatenated, their work
+/// summed. It issues only `read`/`write` on `v` (the executor owns the
+/// version's lifecycle) and is a pure function of the iterations and the
+/// values read, so a squash-and-replay reproduces the sequential result.
 type ChunkBody =
     dyn Fn(Range<u64>, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64) + Send + Sync;
 
@@ -132,48 +122,9 @@ fn widest_stage(plan: &ExecutionPlan) -> usize {
     (0..plan.stage_count()).map(seats).max().unwrap_or(0)
 }
 
-/// `elapsed` spread over `iterations` calls, in whole nanoseconds.
-fn mean_ns(elapsed: Duration, iterations: u64) -> u64 {
-    (elapsed.as_nanos() / u128::from(iterations.max(1))) as u64
-}
-
 impl VersionedJob {
-    /// Packages `trace` with a memory-backed body and its sequential
-    /// oracle. The two must agree: for every iteration `i`,
-    /// `oracle(i)` returns exactly what `body(i, ...)` returns when its
-    /// reads observe the committed state of iterations `0..i` — that
-    /// equivalence is what makes versioned output byte-identical to
-    /// [`VersionedJob::sequential`], and the differential suite pins it.
-    ///
-    /// Construction runs the oracle from iteration 0 until
-    /// [`grain`](VersionedJob::grain)'s target task length has passed
-    /// (one iteration at least) to learn what an iteration costs.
-    pub fn new(
-        trace: IterationTrace,
-        body: impl Fn(u64, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64)
-            + Send
-            + Sync
-            + 'static,
-        oracle: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
-    ) -> Self {
-        let started = Instant::now();
-        let mut sampled = 0u64;
-        while sampled < trace.len() as u64
-            && (sampled == 0 || started.elapsed() < Duration::from_nanos(GRAIN_TARGET_NS))
-        {
-            drop(oracle(sampled));
-            sampled += 1;
-        }
-        Self {
-            iteration_ns: mean_ns(started.elapsed(), sampled),
-            trace,
-            body: Arc::new(move |iters, v, m| in_order(iters, |i| body(i, v, m))),
-            oracle: Arc::new(oracle),
-        }
-    }
-
     /// Packages a kernel whose iterations are individually pure — the
-    /// common shape across the suite's native bodies — with `slots`
+    /// shape of every native body in the suite — with `slots`
     /// loop-carried accumulators threaded through versioned memory at
     /// `Addr(0) .. Addr(slots)`.
     ///
@@ -191,8 +142,12 @@ impl VersionedJob {
     /// chunk's write can squash this one as short as the folds.
     ///
     /// The oracle is derived at construction by folding the slots in
-    /// program order, so body/oracle agreement holds for any `fold`;
-    /// that pass is also the clock [`grain`](VersionedJob::grain) reads.
+    /// program order, so body/oracle agreement — for every iteration
+    /// `i`, `oracle(i)` is what the body returns when its reads observe
+    /// the committed state of iterations `0..i`, which is what makes
+    /// versioned output byte-identical to [`VersionedJob::sequential`] —
+    /// holds for any `fold`; that pass is also the clock
+    /// [`grain`](VersionedJob::grain) reads.
     pub fn accumulating(
         trace: IterationTrace,
         compute: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
@@ -210,7 +165,7 @@ impl VersionedJob {
             fold(i, &bytes, &mut state);
             prefix.push(state.clone());
         }
-        let iteration_ns = mean_ns(started.elapsed(), trace.len() as u64);
+        let iteration_ns = (started.elapsed().as_nanos() / trace.len().max(1) as u128) as u64;
         let oracle = {
             let compute = Arc::clone(&compute);
             move |iter: u64| {
@@ -682,31 +637,24 @@ mod tests {
         assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(4)), 1);
     }
 
-    /// Both constructors read the clock: 64 short iterations chunk by 8
+    /// Construction reads the clock: 64 short iterations chunk by 8
     /// under `tls(1)`, the same 64 made to outlast the target do not.
     #[test]
     fn construction_measures_what_an_iteration_costs() {
-        let trace =
-            || -> IterationTrace { (0..64).map(|_| IterationRecord::new(1, 1, 1)).collect() };
+        let build = |compute: fn(u64) -> (Vec<u8>, u64)| {
+            let trace = (0..64).map(|_| IterationRecord::new(1, 1, 1));
+            VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {})
+        };
         let slow = |i: u64| {
             std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS));
             (vec![i as u8], 1)
         };
         let fast = |i: u64| (vec![i as u8], 1);
         let plan = ExecutionPlan::tls(1);
-        let accumulating = |compute: fn(u64) -> (Vec<u8>, u64)| {
-            VersionedJob::accumulating(trace(), compute, 0, |_, _, _| {})
-        };
-        let plain = |oracle: fn(u64) -> (Vec<u8>, u64)| {
-            VersionedJob::new(trace(), move |i, _, _| oracle(i), oracle)
-        };
-        assert_eq!(accumulating(slow).grain(&plan), 1);
-        assert_eq!(plain(slow).grain(&plan), 1);
-        assert!(plain(slow).iteration_ns >= GRAIN_TARGET_NS);
+        assert_eq!(build(slow).grain(&plan), 1);
+        assert!(build(slow).iteration_ns >= GRAIN_TARGET_NS);
         // A sleep is never short; a short pass can be preempted into a
         // long one, so the fast side gets three constructions to be fast.
-        let best = |build: &dyn Fn() -> VersionedJob| (0..3).map(|_| build().grain(&plan)).max();
-        assert_eq!(best(&|| accumulating(fast)), Some(8));
-        assert_eq!(best(&|| plain(fast)), Some(8));
+        assert_eq!((0..3).map(|_| build(fast).grain(&plan)).max(), Some(8));
     }
 }

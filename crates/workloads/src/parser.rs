@@ -21,7 +21,6 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
-use seqpar_specmem::Addr;
 
 /// Part-of-speech tags (terminals of the grammar).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,58 +267,23 @@ impl Workload for Parser {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state through the substrate: the batch's running
         // accepted-sentence count (the `results` accumulator the IR
-        // model stores through). Accepting iterations genuinely write
-        // the counter; rejecting iterations and commands write the
-        // value they read back — the silent-store bet the substrate
+        // model stores through). Accepting iterations genuinely change
+        // the counter; rejecting iterations and commands write back the
+        // value they read — the silent-store bet the substrate
         // validates at commit instead of squashing on.
-        const ACCEPTED: Addr = Addr(0);
         let items = generate_batch(self.batch_size(size), 0x197);
-        let verdict = move |iter: u64| -> (u8, u64) {
-            match &items[iter as usize] {
-                Item::Command => (2u8, 1),
+        VersionedJob::accumulating(
+            self.trace(size),
+            move |iter| match &items[iter as usize] {
+                Item::Command => (vec![2u8], 1),
                 Item::Sentence(tags) => {
                     let mut meter = WorkMeter::new();
                     let ok = parse(tags, &mut meter);
-                    (u8::from(ok), meter.take().max(1))
+                    (vec![u8::from(ok)], meter.take().max(1))
                 }
-            }
-        };
-        let prefix: Vec<u64> = {
-            let mut counts = Vec::new();
-            let mut accepted = 0u64;
-            let mut i = 0u64;
-            while (i as usize) < self.batch_size(size) {
-                let (byte, _) = verdict(i);
-                accepted += u64::from(byte == 1);
-                counts.push(accepted);
-                i += 1;
-            }
-            counts
-        };
-        let record = |byte: u8, accepted: u64, work: u64| {
-            let mut bytes = Vec::with_capacity(9);
-            bytes.push(byte);
-            bytes.extend(accepted.to_le_bytes());
-            (bytes, work)
-        };
-        let oracle = {
-            let verdict = verdict.clone();
-            let prefix = prefix.clone();
-            move |iter: u64| {
-                let (byte, work) = verdict(iter);
-                record(byte, prefix[iter as usize], work)
-            }
-        };
-        VersionedJob::new(
-            self.trace(size),
-            move |iter, v, m| {
-                let (byte, work) = verdict(iter);
-                let before = m.read(v, ACCEPTED);
-                let accepted = before + u64::from(byte == 1);
-                m.write(v, ACCEPTED, accepted);
-                record(byte, accepted, work)
             },
-            oracle,
+            1,
+            |_, verdict, accepted| accepted[0] += u64::from(verdict[0] == 1),
         )
     }
 
