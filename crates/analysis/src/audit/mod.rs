@@ -22,10 +22,10 @@
 //!   concurrent iteration pair conflicts on the dependence's address
 //!   region and squashes. Aggregated over regions and scaled by the
 //!   replicated stage's pool size, the estimate predicts the squash
-//!   rate a governed run will observe — which is what lets
-//!   [`GovernorConfig::preset_for`](seqpar_runtime::GovernorConfig::preset_for)
-//!   start the AIMD controller near its steady state instead of
-//!   searching for it.
+//!   rate a governed run will observe — which the parallelizer uses
+//!   to rescind speculation too dense to pay, the tuner to price
+//!   conflict probes, and `figures conflicts` to set beside the rate
+//!   the governor measures.
 //!
 //! The lint pipeline consumes the same inference to emit the `SP01xx`
 //! and `SP02xx` annotation-hygiene warnings (dead, redundant, and

@@ -2,8 +2,8 @@
 //!
 //! A winning plan is only useful if a later session (or CI) can reload
 //! it, re-check it, and re-run it. The artifact records everything the
-//! search's outcome depends on — the seed, the budget, the core budget,
-//! every candidate knob, and the plan's structural fingerprint (the
+//! search's outcome depends on — the budget, the core budget, every
+//! candidate knob, and the plan's structural fingerprint (the
 //! same FNV-1a value the lint stamp carries) — plus the simulator
 //! scores and, when the bench glue validated natively, the measured
 //! wall clocks. Loading re-derives the candidate from the knobs and
@@ -12,17 +12,17 @@
 //! shape past the loader. `AUTOTUNING.md` documents the schema
 //! field-by-field.
 //!
-//! Fingerprints and seeds are stored as hex *strings*: the reader
-//! parses numbers as `f64`, which silently rounds integers above
-//! 2^53, and a rounded fingerprint would fail the integrity check.
+//! Fingerprints are stored as hex *strings*: the reader parses numbers
+//! as `f64`, which silently rounds integers above 2^53, and a rounded
+//! fingerprint would fail the integrity check.
 
 use super::search::{ScoredCandidate, TuneResult};
-use super::space::{Candidate, GovernorChoice, GraphKind};
+use super::space::{Candidate, GraphKind};
 use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Version tag of the artifact schema; bump on breaking field changes.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 2;
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 3;
 
 /// Native validation figures attached by the bench glue after it
 /// re-runs the winner and the untuned default on real threads.
@@ -30,7 +30,7 @@ pub const ARTIFACT_SCHEMA_VERSION: u64 = 2;
 pub struct NativeValidation {
     /// Median wall clock of the tuned plan, milliseconds.
     pub tuned_wall_ms: f64,
-    /// Median wall clock of the untuned (preset-governed TLS) default,
+    /// Median wall clock of the untuned (full-width TLS) default,
     /// milliseconds.
     pub default_wall_ms: f64,
     /// `default_wall_ms / tuned_wall_ms` — above 1.0 means the tuned
@@ -43,8 +43,6 @@ pub struct NativeValidation {
 pub struct PlanArtifact {
     /// The workload the plan was tuned for.
     pub workload: String,
-    /// Seed of the search that found it.
-    pub seed: u64,
     /// Evaluation budget of the search.
     pub budget: u64,
     /// Core budget the plan fits in.
@@ -69,7 +67,6 @@ impl PlanArtifact {
     pub fn from_result(result: &TuneResult, winner: &ScoredCandidate) -> Self {
         Self {
             workload: result.workload.clone(),
-            seed: result.config.seed,
             budget: result.config.budget as u64,
             threads: result.config.threads as u64,
             fingerprint: winner.candidate.shape_key(),
@@ -91,7 +88,6 @@ impl PlanArtifact {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {ARTIFACT_SCHEMA_VERSION},");
         let _ = writeln!(out, "  \"workload\": \"{}\",", self.workload);
-        let _ = writeln!(out, "  \"seed\": \"{:#x}\",", self.seed);
         let _ = writeln!(out, "  \"budget\": {},", self.budget);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"fingerprint\": \"{:#x}\",", self.fingerprint);
@@ -99,8 +95,6 @@ impl PlanArtifact {
         let _ = writeln!(out, "  \"width\": {},", c.width);
         let _ = writeln!(out, "  \"round_robin\": {},", c.round_robin);
         let _ = writeln!(out, "  \"queue_capacity\": {},", c.queue_capacity);
-        let _ = writeln!(out, "  \"governor\": \"{}\",", governor_str(c.governor));
-        let _ = writeln!(out, "  \"spec_mask\": {},", c.spec_mask);
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
         let _ = writeln!(out, "  \"sim_makespan\": {},", self.sim_makespan);
@@ -140,7 +134,6 @@ impl PlanArtifact {
             ));
         }
         let workload = req_str(obj_get(obj, "workload")?)?.to_string();
-        let seed = req_hex(obj_get(obj, "seed")?)?;
         let budget = req_u64(obj_get(obj, "budget")?)?;
         let threads = req_u64(obj_get(obj, "threads")?)?;
         let fingerprint = req_hex(obj_get(obj, "fingerprint")?)?;
@@ -148,9 +141,6 @@ impl PlanArtifact {
         let width = req_u64(obj_get(obj, "width")?)? as usize;
         let round_robin = req_bool(obj_get(obj, "round_robin")?)?;
         let queue_capacity = req_u64(obj_get(obj, "queue_capacity")?)? as usize;
-        let governor = parse_governor(req_str(obj_get(obj, "governor")?)?)?;
-        let spec_mask = u8::try_from(req_u64(obj_get(obj, "spec_mask")?)?)
-            .map_err(|_| "spec_mask out of u8 range".to_string())?;
         let sim_cost = req_f64(obj_get(obj, "sim_cost")?)?;
         let sim_makespan = req_u64(obj_get(obj, "sim_makespan")?)?;
         let baseline_cost = req_f64(obj_get(obj, "baseline_cost")?)?;
@@ -160,8 +150,6 @@ impl PlanArtifact {
             width,
             round_robin,
             queue_capacity,
-            governor,
-            spec_mask,
         };
         if candidate.shape_key() != fingerprint {
             return Err(format!(
@@ -191,7 +179,6 @@ impl PlanArtifact {
 
         Ok(Self {
             workload,
-            seed,
             budget,
             threads,
             fingerprint,
@@ -201,28 +188,6 @@ impl PlanArtifact {
             baseline_cost,
             native,
         })
-    }
-}
-
-fn governor_str(g: GovernorChoice) -> String {
-    match g {
-        GovernorChoice::Off => "off".to_string(),
-        GovernorChoice::Preset => "preset".to_string(),
-        GovernorChoice::Window(w) => format!("window:{w}"),
-    }
-}
-
-fn parse_governor(s: &str) -> Result<GovernorChoice, String> {
-    match s {
-        "off" => Ok(GovernorChoice::Off),
-        "preset" => Ok(GovernorChoice::Preset),
-        other => match other.strip_prefix("window:") {
-            Some(w) => w
-                .parse::<u32>()
-                .map(GovernorChoice::Window)
-                .map_err(|_| format!("bad governor window in {other:?}")),
-            None => Err(format!("unknown governor choice {other:?}")),
-        },
     }
 }
 
@@ -302,7 +267,6 @@ mod tests {
         let result = tune(
             &input,
             &TuneConfig {
-                seed: 0xfeed_beef_cafe_f00d,
                 budget: 16,
                 threads: 4,
                 top_k: 2,
@@ -318,8 +282,7 @@ mod tests {
         let text = artifact.to_json();
         let back = PlanArtifact::from_json(&text).unwrap();
         assert_eq!(back, artifact);
-        // Hex string round-trip preserves full u64 width.
-        assert_eq!(back.seed, 0xfeed_beef_cafe_f00d);
+        assert!(text.contains("\"schema_version\": 3,"), "{text}");
     }
 
     #[test]
@@ -342,7 +305,7 @@ mod tests {
         let result = tune(&input, &TuneConfig::default()).unwrap();
         let artifact = PlanArtifact::from_result(&result, &result.best);
         // Change a shape-bearing knob without re-fingerprinting.
-        let mutated = artifact.candidate.mutate(Axis::WidthDown, 0, 8);
+        let mutated = artifact.candidate.mutate(Axis::WidthDown, 8);
         if let Some(m) = mutated {
             let mut bad = artifact.clone();
             bad.candidate = m;
@@ -359,12 +322,12 @@ mod tests {
         assert!(PlanArtifact::from_json("{\"schema_version\": 99}")
             .unwrap_err()
             .contains("unknown artifact schema_version"));
-        // Version 1 (the schema that still carried `shards` and
-        // `reclaim_cadence`) is refused by version before any field
-        // is read.
+        // Version 2 (the schema that still carried a search seed, a
+        // governor posture and a speculation mask) is refused by version
+        // before any field is read.
         assert_eq!(
-            PlanArtifact::from_json("{\"schema_version\": 1}").unwrap_err(),
-            "unknown artifact schema_version 1 (expected 2)"
+            PlanArtifact::from_json("{\"schema_version\": 2}").unwrap_err(),
+            "unknown artifact schema_version 2 (expected 3)"
         );
         assert!(PlanArtifact::from_json("{}")
             .unwrap_err()

@@ -1,46 +1,42 @@
-//! The seeded, deterministic search driver.
+//! The deterministic search driver.
 //!
-//! A greedy hill-climb over the candidate space of
-//! [`super::space`]: start from the harness's default (preset-governed
-//! TLS) candidate, propose one single-axis mutation per step — half the
-//! time along the axis the evaluator's bottleneck report points at,
-//! half the time uniformly at random — lint-gate the proposal, score it
-//! with the simulator-backed evaluator, and accept it only when its
-//! cost is *strictly* lower than the incumbent's. Everything is driven
-//! by one xorshift64* stream, so a `(TuneInput, TuneConfig)` pair
-//! replays to the identical move history, winner, and top-K — the
-//! reproducibility contract `AUTOTUNING.md` documents.
+//! A steepest descent over the candidate space of [`super::space`]:
+//! start from the harness's default (full-width TLS) candidate; from
+//! the incumbent, lint-gate and score its one neighbour on each axis,
+//! in [`AXES`] order; move to the cheapest of them when its cost is
+//! *strictly* lower than the incumbent's; stop when none is, or when
+//! the evaluation budget is spent. Nothing is drawn from a random
+//! stream, so a `(TuneInput, TuneConfig)` pair replays to the identical
+//! move history, winner, and top-K — the reproducibility contract
+//! `AUTOTUNING.md` documents.
 
-use super::evaluator::{Bottleneck, Evaluator, Score};
+use super::evaluator::{Evaluator, Score};
 use super::space::{Axis, Candidate, TuneInput, AXES};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Tuning-run parameters: the seed, the evaluation budget, and the core
-/// budget candidates must fit in.
+/// Tuning-run parameters: the evaluation budget, the core budget
+/// candidates must fit in, and how many finalists to keep.
 ///
 /// ```
 /// use seqpar_analysis::tune::TuneConfig;
 ///
-/// // The defaults match the CI smoke job: 48 simulator evaluations,
-/// // an 8-core budget, 3 natively validated finalists.
+/// // The defaults match the CI smoke job: at most 48 simulator
+/// // evaluations, an 8-core budget, 3 natively validated finalists.
 /// let config = TuneConfig::default();
 /// assert_eq!(config.budget, 48);
 /// assert_eq!(config.threads, 8);
 /// assert_eq!(config.top_k, 3);
 ///
-/// // Runs are keyed by (seed, budget): the same pair replays the same
-/// // search; a different seed explores a different trajectory.
-/// let deep = TuneConfig { seed: 7, budget: 256, ..TuneConfig::default() };
-/// assert_ne!(deep.seed, config.seed);
+/// // The budget is a ceiling: the descent stops earlier, at the first
+/// // point none of whose neighbours is cheaper.
+/// let deep = TuneConfig { budget: 256, ..TuneConfig::default() };
+/// assert_eq!(deep.threads, config.threads);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
-    /// Seed of the xorshift64* stream driving axis and lane draws.
-    pub seed: u64,
-    /// Simulator evaluations the search may spend (lint-pruned
-    /// proposals do not count; a proposal cap of `10 × budget` bounds
-    /// the walk when every neighbour is pruned).
+    /// Simulator evaluations the search may spend, the baseline's
+    /// included (lint-pruned neighbours do not count).
     pub budget: usize,
     /// Core budget: no candidate plan may require more cores.
     pub threads: usize,
@@ -51,7 +47,6 @@ pub struct TuneConfig {
 impl Default for TuneConfig {
     fn default() -> Self {
         Self {
-            seed: 0x5eed,
             budget: 48,
             threads: 8,
             top_k: 3,
@@ -76,10 +71,10 @@ pub struct MoveRecord {
     pub eval: usize,
     /// The mutated axis.
     pub axis: Axis,
-    /// The proposal's cost.
+    /// The neighbour's cost.
     pub cost: f64,
-    /// Whether the proposal strictly beat the incumbent and was
-    /// accepted.
+    /// Whether the search moved to this neighbour: it strictly beat the
+    /// incumbent and no neighbour scored beside it was cheaper.
     pub accepted: bool,
 }
 
@@ -90,22 +85,22 @@ pub struct TuneResult {
     pub workload: String,
     /// The configuration that produced this result.
     pub config: TuneConfig,
-    /// The untuned baseline (preset-governed TLS at the full core
-    /// budget) and its score.
+    /// The untuned baseline (TLS at the full core budget) and its
+    /// score.
     pub baseline: ScoredCandidate,
     /// The best candidate found (lowest cost; equals `baseline` when no
-    /// proposal improved on it).
+    /// neighbour improved on it).
     pub best: ScoredCandidate,
     /// Up to `top_k` finalists with *distinct plan shapes*, best first —
     /// the set the bench glue validates natively. Deduping by shape
-    /// keeps the native reps from re-measuring governor variants of one
+    /// keeps the native reps from re-measuring queue variants of one
     /// plan while a differently-shaped near-winner goes unmeasured.
     pub top_k: Vec<ScoredCandidate>,
     /// The full move history, in order.
     pub moves: Vec<MoveRecord>,
     /// Simulator evaluations actually spent (baseline included).
     pub evals: usize,
-    /// Proposals discarded by the `seqpar-lint` gate before evaluation.
+    /// Neighbours discarded by the `seqpar-lint` gate before evaluation.
     pub pruned_by_lint: usize,
 }
 
@@ -145,49 +140,11 @@ impl From<seqpar_runtime::SimError> for TuneError {
     }
 }
 
-/// xorshift64* — tiny, seedable, and good enough to drive axis draws.
-#[derive(Clone, Debug)]
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // A zero state would be absorbing; fold in a constant instead.
-        Self((seed ^ 0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-/// Picks the next mutation axis: with probability one half, directed at
-/// the incumbent's reported bottleneck; otherwise uniform over all
-/// axes.
-fn pick_axis(rng: &mut Rng, bottleneck: Option<Bottleneck>) -> Axis {
-    let directed = rng.next().is_multiple_of(2);
-    if directed {
-        if let Some(b) = bottleneck {
-            let options: &[Axis] = match b {
-                Bottleneck::QueueBackpressure => &[Axis::Queue],
-                Bottleneck::CommitWait(_) => &[Axis::Governor, Axis::WidthDown, Axis::Speculation],
-                Bottleneck::ParallelService(_) => &[Axis::WidthUp, Axis::Placement, Axis::Graph],
-                Bottleneck::SerialService(_) => &[Axis::Graph, Axis::WidthDown],
-            };
-            return options[(rng.next() % options.len() as u64) as usize];
-        }
-    }
-    AXES[(rng.next() % AXES.len() as u64) as usize]
-}
-
 /// Runs the feedback-directed search for one workload.
 ///
-/// The walk is fully deterministic in `(input, config)`; see the module
-/// docs for the acceptance rule and [`TuneResult`] for what comes back.
+/// The descent is fully deterministic in `(input, config)`; see the
+/// module docs for the acceptance rule and [`TuneResult`] for what comes
+/// back.
 ///
 /// ```
 /// use seqpar_analysis::lint::{LintReport, StageKind, StagePlan};
@@ -214,10 +171,10 @@ fn pick_axis(rng: &mut Rng, bottleneck: Option<Bottleneck>) -> Axis {
 ///     conflict_profile: None,
 /// };
 ///
-/// let config = TuneConfig { seed: 42, budget: 24, threads: 4, top_k: 2 };
+/// let config = TuneConfig { budget: 24, threads: 4, top_k: 2 };
 /// let result = tune(&input, &config).unwrap();
 ///
-/// // Deterministic: replaying the seed reproduces the exact search.
+/// // Deterministic: a second call reproduces the exact search.
 /// let replay = tune(&input, &config).unwrap();
 /// assert_eq!(result.moves, replay.moves);
 /// assert_eq!(result.best.candidate, replay.best.candidate);
@@ -244,7 +201,6 @@ pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneEr
     }
 
     let evaluator = Evaluator::new(input);
-    let mut rng = Rng::new(config.seed);
     let threads = config.threads.max(1);
 
     let baseline_candidate = Candidate::default_for(threads);
@@ -257,48 +213,57 @@ pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneEr
     let mut current = baseline;
     let mut evals = 1usize;
     let mut pruned_by_lint = 0usize;
-    let mut moves = Vec::new();
+    let mut moves: Vec<MoveRecord> = Vec::new();
     // Best score seen per plan shape, for the diverse top-K.
     let mut best_per_shape: BTreeMap<u64, ScoredCandidate> = BTreeMap::new();
     best_per_shape.insert(baseline.candidate.shape_key(), baseline);
 
     let budget = config.budget.max(1);
-    let proposal_cap = budget.saturating_mul(10);
-    let mut proposals = 0usize;
+    while evals < budget {
+        // The cheapest neighbour strictly below the incumbent, with its
+        // index in `moves`. A round the budget cuts short still moves
+        // to the best of what it scored, so `best` is where the walk
+        // ended.
+        let mut step: Option<(usize, ScoredCandidate)> = None;
+        for &axis in AXES {
+            if evals == budget {
+                break;
+            }
+            let Some(candidate) = current.candidate.mutate(axis, threads) else {
+                continue;
+            };
+            if !input.lint_candidate(&candidate).is_clean() {
+                pruned_by_lint += 1;
+                continue;
+            }
+            let score = evaluator.score(&candidate)?;
+            evals += 1;
+            moves.push(MoveRecord {
+                eval: evals - 1,
+                axis,
+                cost: score.cost,
+                accepted: false,
+            });
 
-    while evals < budget && proposals < proposal_cap {
-        proposals += 1;
-        let axis = pick_axis(&mut rng, current.score.bottleneck);
-        let lane = rng.next();
-        let Some(candidate) = current.candidate.mutate(axis, lane, threads) else {
-            continue;
+            let scored = ScoredCandidate { candidate, score };
+            best_per_shape
+                .entry(candidate.shape_key())
+                .and_modify(|held| {
+                    if score.cost < held.score.cost {
+                        *held = scored;
+                    }
+                })
+                .or_insert(scored);
+            let to_beat = step.map_or(current.score.cost, |(_, s)| s.score.cost);
+            if score.cost < to_beat {
+                step = Some((moves.len() - 1, scored));
+            }
+        }
+        let Some((at, next)) = step else {
+            break;
         };
-        if !input.lint_candidate(&candidate).is_clean() {
-            pruned_by_lint += 1;
-            continue;
-        }
-        let score = evaluator.score(&candidate)?;
-        evals += 1;
-        let accepted = score.cost < current.score.cost;
-        moves.push(MoveRecord {
-            eval: evals - 1,
-            axis,
-            cost: score.cost,
-            accepted,
-        });
-
-        let scored = ScoredCandidate { candidate, score };
-        best_per_shape
-            .entry(candidate.shape_key())
-            .and_modify(|held| {
-                if score.cost < held.score.cost {
-                    *held = scored;
-                }
-            })
-            .or_insert(scored);
-        if accepted {
-            current = scored;
-        }
+        moves[at].accepted = true;
+        current = next;
     }
 
     let mut finalists: Vec<ScoredCandidate> = best_per_shape.into_values().collect();
@@ -376,10 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn search_is_deterministic_per_seed() {
+    fn search_is_deterministic() {
         let input = input(true);
         let config = TuneConfig {
-            seed: 7,
             budget: 32,
             threads: 8,
             top_k: 3,
@@ -387,14 +351,38 @@ mod tests {
         let a = tune(&input, &config).unwrap();
         let b = tune(&input, &config).unwrap();
         assert_eq!(a.moves, b.moves);
+        assert_eq!(a.top_k, b.top_k);
         assert_eq!(a.best.candidate, b.best.candidate);
         assert_eq!(a.evals, b.evals);
         assert_eq!(a.pruned_by_lint, b.pruned_by_lint);
+    }
 
-        // A different seed explores a different trajectory (with
-        // overwhelming probability for this budget).
-        let c = tune(&input, &TuneConfig { seed: 8, ..config }).unwrap();
-        assert_ne!(a.moves, c.moves);
+    #[test]
+    fn descent_stops_at_a_local_optimum() {
+        for hot in [true, false] {
+            let input = input(hot);
+            let config = TuneConfig {
+                budget: 200,
+                threads: 8,
+                top_k: 3,
+            };
+            let result = tune(&input, &config).unwrap();
+            assert!(result.evals < config.budget, "budget to spare");
+            // The hot loop walks (narrower, then round-robin); the
+            // quiet one starts at its optimum and spends one round.
+            assert_eq!(result.moves.iter().any(|m| m.accepted), hot);
+            for &axis in AXES {
+                let Some(n) = result.best.candidate.mutate(axis, config.threads) else {
+                    continue;
+                };
+                let cost = Evaluator::new(&input).score(&n).unwrap().cost;
+                assert!(
+                    cost >= result.best.score.cost,
+                    "{axis:?} neighbour of the winner is cheaper: {cost} < {}",
+                    result.best.score.cost
+                );
+            }
+        }
     }
 
     #[test]
@@ -403,7 +391,6 @@ mod tests {
         let result = tune(
             &input,
             &TuneConfig {
-                seed: 3,
                 budget: 40,
                 threads: 8,
                 top_k: 3,
@@ -430,7 +417,6 @@ mod tests {
     fn budget_is_respected_and_top_k_is_shape_diverse() {
         let input = input(false);
         let config = TuneConfig {
-            seed: 11,
             budget: 20,
             threads: 8,
             top_k: 3,

@@ -1,21 +1,18 @@
 //! The search space: candidate plans and the mutations that walk it.
 //!
-//! A [`Candidate`] is one point of the tuning space — every knob the
-//! stack already exposes, bundled: which task graph runs (three-phase
-//! DSWP pipeline vs the single-stage TLS racing plan), how wide the
-//! replicated pool is, whether placement is dynamic least-loaded or
-//! static round-robin, the stage-queue capacity, the speculation
-//! governor posture, and which producer stages keep their speculated
-//! dependences. Mutations move one axis at a time
-//! ([`Candidate::mutate`]); every mutated candidate is gated through
-//! the `seqpar-lint` plan-shape check before the evaluator spends
-//! budget on it
+//! A [`Candidate`] is one point of the tuning space — the four knobs
+//! the native machine can tell apart, bundled: which task graph runs
+//! (three-phase DSWP pipeline vs the single-stage TLS racing plan), how
+//! wide the replicated pool is, whether placement is dynamic
+//! least-loaded or static round-robin, and the stage-queue capacity.
+//! Mutations move one axis at a time ([`Candidate::mutate`]), and each
+//! axis has exactly one neighbour; every mutated candidate is gated
+//! through the `seqpar-lint` plan-shape check before the evaluator
+//! spends budget on it
 //! ([`TuneInput::lint_candidate`](super::TuneInput::lint_candidate)).
 
 use crate::lint::{check_plan_shape, LintReport, StagePlan};
-use seqpar_runtime::{
-    ConflictProfile, ExecutionPlan, GovernorConfig, SpecDep, StageAssignment, TaskGraph,
-};
+use seqpar_runtime::{ConflictProfile, ExecutionPlan, StageAssignment, TaskGraph};
 
 /// Which task graph a candidate executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,51 +48,8 @@ impl GraphKind {
     }
 }
 
-/// The speculation-governor axis of a candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GovernorChoice {
-    /// No governor: the raw executor races at full runahead.
-    Off,
-    /// Derive the knobs from the workload's static conflict profile at
-    /// the candidate's replication width
-    /// ([`GovernorConfig::preset_for`]).
-    Preset,
-    /// An explicit maximum speculation window, other knobs default.
-    Window(u32),
-}
-
-impl GovernorChoice {
-    /// Resolves the choice to a concrete configuration, given the
-    /// loop's unscaled conflict profile and the candidate's replication
-    /// width. `Off` resolves to `None`.
-    pub fn resolve(
-        self,
-        profile: Option<&ConflictProfile>,
-        replication: usize,
-    ) -> Option<GovernorConfig> {
-        match self {
-            GovernorChoice::Off => None,
-            GovernorChoice::Preset => Some(
-                profile
-                    .map(|p| GovernorConfig::preset_for(&p.scaled(replication)))
-                    .unwrap_or_default(),
-            ),
-            GovernorChoice::Window(w) => Some(GovernorConfig::default().with_window(w)),
-        }
-    }
-
-    /// The effective maximum window this choice starts from, for the
-    /// evaluator's issue-throttle term. `None` means unthrottled.
-    pub fn window_cap(self, profile: Option<&ConflictProfile>, replication: usize) -> Option<u32> {
-        self.resolve(profile, replication).map(|g| g.window.max(1))
-    }
-}
-
 /// The queue-capacity ladder mutations climb (entries per stage queue).
 pub const QUEUE_LADDER: &[usize] = &[8, 16, 32, 64, 128, 256];
-
-/// The explicit governor windows the governor axis cycles through.
-pub const WINDOW_LADDER: &[u32] = &[1, 2, 4, 8, 16, 32, 64];
 
 /// One point of the tuning space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,12 +63,6 @@ pub struct Candidate {
     pub round_robin: bool,
     /// Entries per stage input queue (simulated and native).
     pub queue_capacity: usize,
-    /// Speculation governor posture.
-    pub governor: GovernorChoice,
-    /// Per-producer-stage speculation mask: bit `s` keeps the
-    /// speculated dependences whose producer task is in stage `s`;
-    /// a cleared bit converts them to synchronized dependences.
-    pub spec_mask: u8,
 }
 
 /// The mutation axes of the space, one per knob family.
@@ -131,36 +79,27 @@ pub enum Axis {
     Placement,
     /// Double the stage-queue capacity (wraps down from the top rung).
     Queue,
-    /// Cycle the governor posture (off → preset → explicit windows).
-    Governor,
-    /// Toggle one producer stage's speculation bit.
-    Speculation,
 }
 
-/// Every axis, in the order the random walk draws from.
+/// Every axis, in the order the descent scores a point's neighbours.
 pub const AXES: &[Axis] = &[
     Axis::Graph,
     Axis::WidthUp,
     Axis::WidthDown,
     Axis::Placement,
     Axis::Queue,
-    Axis::Governor,
-    Axis::Speculation,
 ];
 
 impl Candidate {
     /// The default (untuned) candidate for a `threads`-core budget: the
-    /// preset-governed TLS plan at the full width — the baseline every
-    /// search starts from and every native validation compares
-    /// against.
+    /// TLS plan at the full width — the baseline every search starts
+    /// from and every native validation compares against.
     pub fn default_for(threads: usize) -> Self {
         Self {
             kind: GraphKind::Tls,
             width: threads.max(1),
             round_robin: false,
             queue_capacity: 32,
-            governor: GovernorChoice::Preset,
-            spec_mask: u8::MAX,
         }
     }
 
@@ -174,10 +113,13 @@ impl Candidate {
         }
     }
 
-    /// Materializes the candidate's execution plan. Serial stages stay
+    /// The candidate's stage assignments, the one construction both
+    /// the searched plan ([`Candidate::plan`]) and the lint-stamped
+    /// plan native validation mints are built from. Serial stages stay
     /// single-core (the lint warns on anything else), the replicated
     /// pool takes `width` consecutive cores.
-    pub fn plan(&self) -> ExecutionPlan {
+    pub fn stage_assignments(&self) -> Vec<StageAssignment> {
+        let width = self.width.max(1);
         let pool = |cores: Vec<usize>| {
             if self.round_robin {
                 StageAssignment::round_robin(cores)
@@ -186,13 +128,18 @@ impl Candidate {
             }
         };
         match self.kind {
-            GraphKind::Tls => ExecutionPlan::new(vec![pool((0..self.width.max(1)).collect())]),
-            GraphKind::Dswp => ExecutionPlan::new(vec![
+            GraphKind::Tls => vec![pool((0..width).collect())],
+            GraphKind::Dswp => vec![
                 StageAssignment::serial(0),
-                pool((1..=self.width.max(1)).collect()),
-                StageAssignment::serial(self.width.max(1) + 1),
-            ]),
+                pool((1..=width).collect()),
+                StageAssignment::serial(width + 1),
+            ],
         }
+    }
+
+    /// Materializes the candidate's execution plan.
+    pub fn plan(&self) -> ExecutionPlan {
+        ExecutionPlan::new(self.stage_assignments())
     }
 
     /// The plan's structural fingerprint — the shape key top-K
@@ -202,15 +149,11 @@ impl Candidate {
         self.plan().fingerprint()
     }
 
-    /// Applies one mutation along `axis`, staying inside the
+    /// The candidate's one neighbour along `axis`, inside the
     /// `threads`-core budget. Returns `None` when the axis cannot move
     /// from the current point (already at a bound, or the budget is too
-    /// small for the other graph kind) — the driver then redraws.
-    ///
-    /// `lane` picks among an axis's discrete options (the driver feeds
-    /// it from the seeded RNG), so a given `(candidate, axis, lane)`
-    /// triple is fully deterministic.
-    pub fn mutate(&self, axis: Axis, lane: u64, threads: usize) -> Option<Self> {
+    /// small for the other graph kind).
+    pub fn mutate(&self, axis: Axis, threads: usize) -> Option<Self> {
         let mut next = *self;
         match axis {
             Axis::Graph => {
@@ -240,32 +183,6 @@ impl Candidate {
                     .position(|&q| q >= self.queue_capacity)
                     .unwrap_or(QUEUE_LADDER.len() - 1);
                 next.queue_capacity = QUEUE_LADDER[(at + 1) % QUEUE_LADDER.len()];
-            }
-            Axis::Governor => {
-                // The posture ring: Off, Preset, then the window ladder.
-                let ring_len = 2 + WINDOW_LADDER.len() as u64;
-                let at = match self.governor {
-                    GovernorChoice::Off => 0,
-                    GovernorChoice::Preset => 1,
-                    GovernorChoice::Window(w) => {
-                        2 + WINDOW_LADDER.iter().position(|&x| x == w).unwrap_or(0) as u64
-                    }
-                };
-                // Jump by a lane-derived non-zero stride so successive
-                // draws explore the ring instead of oscillating.
-                let to = (at + 1 + lane % (ring_len - 1)) % ring_len;
-                next.governor = match to {
-                    0 => GovernorChoice::Off,
-                    1 => GovernorChoice::Preset,
-                    i => GovernorChoice::Window(WINDOW_LADDER[(i - 2) as usize]),
-                };
-            }
-            Axis::Speculation => {
-                let stages = match self.kind {
-                    GraphKind::Tls => 1,
-                    GraphKind::Dswp => 3,
-                };
-                next.spec_mask = self.spec_mask ^ (1 << (lane % stages));
             }
         }
         (next != *self).then_some(next)
@@ -298,34 +215,12 @@ pub struct TuneInput {
 }
 
 impl TuneInput {
-    /// The task graph a candidate of `kind` executes, with its
-    /// speculation mask applied: speculated dependences whose producer
-    /// stage bit is cleared become synchronized dependences (the
-    /// stage-split/merge and per-dependence speculation axes both
-    /// reduce to graph rewrites).
-    pub fn graph_for(&self, kind: GraphKind, spec_mask: u8) -> TaskGraph {
-        let graph = match kind {
+    /// The task graph a candidate of `kind` executes.
+    pub fn graph_for(&self, kind: GraphKind) -> &TaskGraph {
+        match kind {
             GraphKind::Dswp => &self.dswp_graph,
             GraphKind::Tls => &self.tls_graph,
-        };
-        if spec_mask == u8::MAX {
-            return graph.clone();
         }
-        let mut out = TaskGraph::new(graph.stage_count());
-        for task in graph.tasks() {
-            let mut deps: Vec<_> = graph.deps(task).to_vec();
-            let mut specs: Vec<SpecDep> = Vec::new();
-            for s in graph.spec_deps(task) {
-                let producer_stage = graph.task(s.on).stage.0;
-                if spec_mask & (1 << producer_stage.min(7)) != 0 {
-                    specs.push(*s);
-                } else {
-                    deps.push(s.on);
-                }
-            }
-            out.add_task(task.stage.0, task.iter, task.cost, &deps, &specs);
-        }
-        out
     }
 
     /// Gates one candidate through the `seqpar-lint` soundness check:
@@ -353,30 +248,11 @@ mod tests {
     fn tiny_input() -> TuneInput {
         let mut dswp = TaskGraph::new(3);
         let mut tls = TaskGraph::new(1);
-        let mut prev_b = None;
         for i in 0..8u64 {
             let a = dswp.add_task(0, i, 2, &[], &[]);
-            let spec: Vec<SpecDep> = prev_b
-                .map(|on| {
-                    vec![SpecDep {
-                        on,
-                        violated: i % 4 == 0,
-                    }]
-                })
-                .unwrap_or_default();
-            let b = dswp.add_task(1, i, 10, &[a], &spec);
+            let b = dswp.add_task(1, i, 10, &[a], &[]);
             dswp.add_task(2, i, 1, &[b], &[]);
-            prev_b = Some(b);
-
-            let spec_tls: Vec<SpecDep> = if i > 0 {
-                vec![SpecDep {
-                    on: seqpar_runtime::TaskId(i as u32 - 1),
-                    violated: i % 4 == 0,
-                }]
-            } else {
-                Vec::new()
-            };
-            tls.add_task(0, i, 13, &[], &spec_tls);
+            tls.add_task(0, i, 13, &[], &[]);
         }
         TuneInput {
             workload: "test".to_string(),
@@ -394,51 +270,33 @@ mod tests {
         let c = Candidate::default_for(8);
         assert_eq!(c.kind, GraphKind::Tls);
         assert_eq!(c.plan(), seqpar_runtime::ExecutionPlan::tls(8));
-        assert_eq!(c.governor, GovernorChoice::Preset);
-        assert_eq!(c.spec_mask, u8::MAX);
+        assert_eq!((c.round_robin, c.queue_capacity), (false, 32));
     }
 
     #[test]
     fn mutations_respect_the_core_budget() {
         let c = Candidate::default_for(8);
         // Width cannot grow past the budget.
-        assert!(c.mutate(Axis::WidthUp, 0, 8).is_none());
-        let narrower = c.mutate(Axis::WidthDown, 0, 8).unwrap();
+        assert!(c.mutate(Axis::WidthUp, 8).is_none());
+        let narrower = c.mutate(Axis::WidthDown, 8).unwrap();
         assert_eq!(narrower.width, 7);
         // Graph merge/split keeps DSWP pools inside `threads - 2`.
-        let dswp = c.mutate(Axis::Graph, 0, 8).unwrap();
+        let dswp = c.mutate(Axis::Graph, 8).unwrap();
         assert_eq!(dswp.kind, GraphKind::Dswp);
         assert!(dswp.width <= 6);
         assert!(dswp.plan().cores_required() <= 8);
         // A two-core budget cannot host the three-phase pipeline.
-        assert!(Candidate::default_for(2)
-            .mutate(Axis::Graph, 0, 2)
-            .is_none());
+        assert!(Candidate::default_for(2).mutate(Axis::Graph, 2).is_none());
     }
 
     #[test]
     fn every_axis_mutation_changes_the_candidate() {
         let c = Candidate::default_for(4);
         for &axis in AXES {
-            for lane in 0..4 {
-                if let Some(next) = c.mutate(axis, lane, 4) {
-                    assert_ne!(next, c, "{axis:?} lane {lane} produced a no-op");
-                }
+            if let Some(next) = c.mutate(axis, 4) {
+                assert_ne!(next, c, "{axis:?} produced a no-op");
             }
         }
-    }
-
-    #[test]
-    fn spec_mask_rewrites_speculation_into_synchronization() {
-        let input = tiny_input();
-        let kept = input.graph_for(GraphKind::Dswp, u8::MAX);
-        let stripped = input.graph_for(GraphKind::Dswp, 0b101); // clear stage-1 producers
-        let spec_count =
-            |g: &TaskGraph| -> usize { g.tasks().iter().map(|t| g.spec_deps(t).len()).sum() };
-        assert!(spec_count(&kept) > 0);
-        assert_eq!(spec_count(&stripped), 0, "B->B speculations synchronized");
-        // Serial cycles (total work) are untouched by the rewrite.
-        assert_eq!(kept.serial_cycles(), stripped.serial_cycles());
     }
 
     #[test]
@@ -446,7 +304,7 @@ mod tests {
         let input = tiny_input();
         let tls = Candidate::default_for(4);
         assert!(input.lint_candidate(&tls).is_clean());
-        let dswp = tls.mutate(Axis::Graph, 0, 4).unwrap();
+        let dswp = tls.mutate(Axis::Graph, 4).unwrap();
         assert!(input.lint_candidate(&dswp).is_clean());
         // Force a mismatch: a DSWP-kind candidate whose plan is checked
         // against the three-stage view but materializes one stage.

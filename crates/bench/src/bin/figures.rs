@@ -17,9 +17,8 @@
 //! and plan are run through the `seqpar-lint` battery and the verdict
 //! (`clean`, `warn(n)`, `DENY(n)`) is printed next to its speedup.
 //!
-//! `--tuned` adds a `tuned@8` column to Table 2: the seeded plan
-//! autotuner (default seed and budget, 8-core budget — see
-//! AUTOTUNING.md) searches each benchmark's plan space and the column
+//! `--tuned` adds a `tuned@8` column to Table 2: the plan autotuner
+//! (default budget, 8-core budget — see AUTOTUNING.md) searches each benchmark's plan space and the column
 //! shows the winner's simulated speedup with its evaluator cost delta
 //! against the untuned default, e.g. `4.12x (-18%)`. This is the
 //! simulator's verdict only; `seqpar-tune` validates winners natively
@@ -284,7 +283,7 @@ fn run_table2(size: InputSize, lint: bool, tuned: bool) {
         }
     }
     if tuned {
-        // Seeded default search at the 8-core budget: deterministic, so
+        // Default search at the 8-core budget: deterministic, so
         // the column is reproducible run to run (see AUTOTUNING.md).
         let config = seqpar_analysis::tune::TuneConfig::default();
         for (row, w) in rows.iter_mut().zip(all_workloads().iter()) {

@@ -3,20 +3,20 @@
 //! Usage:
 //!
 //! ```text
-//! seqpar-tune [164.gzip ... | all] [--seed N] [--budget N] [--threads N]
-//!     [--top-k N] [--size test|train|ref] [--out-dir DIR] [--no-native]
+//! seqpar-tune [164.gzip ... | all] [--budget N] [--threads N] [--top-k N]
+//!     [--size test|train|ref] [--out-dir DIR] [--no-native]
 //! seqpar-tune --check FILE...
 //! ```
 //!
 //! Tuning mode searches each named workload's plan space with the
-//! seeded, deterministic, lint-gated search (`seqpar_analysis::tune`),
+//! deterministic, lint-gated descent (`seqpar_analysis::tune`),
 //! re-validates the top-K finalists natively (byte-identical output
 //! against the sequential oracle, median wall clock of interleaved
 //! repetitions), prints the verdict plus the sim-cost-vs-wall-clock
 //! correlation pairs, and — with `--out-dir` — persists each winner as
 //! a reproducible plan artifact named `<spec_id>.plan.json`, keyed by
-//! the plan's lint-stamp fingerprint. Re-running with the same seed,
-//! budget, and thread count replays the identical search.
+//! the plan's lint-stamp fingerprint. Re-running with the same budget
+//! and thread count replays the identical search.
 //!
 //! `--no-native` skips native validation (simulator scores only, no
 //! wall clocks in the artifact) — useful for quick looks at the search
@@ -46,10 +46,9 @@ fn main() {
         match a.as_str() {
             "--check" => checking = true,
             "--no-native" => native = false,
-            "--seed" => config.seed = parse_u64(iter.next(), "--seed"),
-            "--budget" => config.budget = parse_u64(iter.next(), "--budget") as usize,
-            "--threads" => config.threads = parse_u64(iter.next(), "--threads") as usize,
-            "--top-k" => config.top_k = parse_u64(iter.next(), "--top-k") as usize,
+            "--budget" => config.budget = parse_count(iter.next(), "--budget"),
+            "--threads" => config.threads = parse_count(iter.next(), "--threads"),
+            "--top-k" => config.top_k = parse_count(iter.next(), "--top-k"),
             "--size" => {
                 size = match iter.next().map(String::as_str) {
                     Some("test") => InputSize::Test,
@@ -107,8 +106,8 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
     }
     println!(
-        "seqpar-tune: seed {:#x}, budget {}, threads {}, top-k {}, size {size}\n",
-        config.seed, config.budget, config.threads, config.top_k
+        "seqpar-tune: budget {}, threads {}, top-k {}, size {size}\n",
+        config.budget, config.threads, config.top_k
     );
     let mut beat = 0usize;
     for w in &selected {
@@ -168,10 +167,9 @@ fn check(files: &[String]) {
         };
         match PlanArtifact::from_json(&text) {
             Ok(a) => println!(
-                "{f}: ok ({}, fingerprint {:#x}, seed {:#x}, native {})",
+                "{f}: ok ({}, fingerprint {:#x}, native {})",
                 a.workload,
                 a.fingerprint,
-                a.seed,
                 if a.native.is_some() {
                     "validated"
                 } else {
@@ -189,17 +187,10 @@ fn check(files: &[String]) {
     }
 }
 
-fn parse_u64(arg: Option<&String>, flag: &str) -> u64 {
+fn parse_count(arg: Option<&String>, flag: &str) -> usize {
     let s = arg.unwrap_or_else(|| die(&format!("{flag} needs a value")));
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        die(&format!(
-            "{flag} needs a u64 (decimal or 0x hex), got {s:?}"
-        ))
-    })
+    s.parse()
+        .unwrap_or_else(|_| die(&format!("{flag} needs a count, got {s:?}")))
 }
 
 fn die(msg: &str) -> ! {

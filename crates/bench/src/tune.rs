@@ -15,11 +15,11 @@
 
 use seqpar::ParallelizedLoop;
 use seqpar_analysis::tune::{
-    tune, Candidate, GraphKind, NativeValidation, PlanArtifact, ScoredCandidate, TuneConfig,
-    TuneError, TuneInput, TuneResult,
+    tune, Candidate, NativeValidation, PlanArtifact, ScoredCandidate, TuneConfig, TuneError,
+    TuneInput, TuneResult,
 };
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport, PlanDelta, StageAssignment,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, GovernorConfig, NativeReport, PlanDelta,
 };
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 
@@ -137,11 +137,11 @@ impl TunableWorkload {
     /// # Panics
     ///
     /// Panics if the minted plan's fingerprint disagrees with the
-    /// candidate's shape key (the two constructions must stay in
-    /// lockstep) or if the plan lost its lint stamp — validating an
+    /// candidate's shape key (`plan_custom` must not reshape what it
+    /// stamps) or if the plan lost its lint stamp — validating an
     /// unaudited plan would be meaningless.
     pub fn mint_plan(&self, candidate: &Candidate) -> ExecutionPlan {
-        let plan = self.result.plan_custom(stage_assignments(candidate));
+        let plan = self.result.plan_custom(candidate.stage_assignments());
         assert_eq!(
             plan.fingerprint(),
             candidate.shape_key(),
@@ -157,17 +157,12 @@ impl TunableWorkload {
     }
 
     /// The native executor configuration for one candidate: its queue
-    /// capacity, plus the governor its posture resolves to at its
-    /// replication width.
+    /// capacity, under the default governor like every contender — the
+    /// one `figures --native` and `seqpar-trace` run, which measures the
+    /// loop's conflict rate instead of presuming it.
     pub fn exec_config(&self, candidate: &Candidate) -> ExecConfig {
-        let mut config = ExecConfig::with_queue_capacity(candidate.queue_capacity);
-        if let Some(g) = candidate
-            .governor
-            .resolve(self.input.conflict_profile.as_ref(), candidate.width)
-        {
-            config = config.with_governor(g);
-        }
-        config
+        ExecConfig::with_queue_capacity(candidate.queue_capacity)
+            .with_governor(GovernorConfig::default())
     }
 
     /// A warmed persistent [`Engine`] sized to exactly the candidate's
@@ -309,28 +304,6 @@ impl TunableWorkload {
     }
 }
 
-/// Materializes a candidate's stage assignments — the mirror of
-/// `Candidate::plan` that `plan_custom` needs (and asserts against, see
-/// [`TunableWorkload::mint_plan`]).
-fn stage_assignments(c: &Candidate) -> Vec<StageAssignment> {
-    let width = c.width.max(1);
-    let pool = |cores: Vec<usize>| {
-        if c.round_robin {
-            StageAssignment::round_robin(cores)
-        } else {
-            StageAssignment::parallel(cores)
-        }
-    };
-    match c.kind {
-        GraphKind::Tls => vec![pool((0..width).collect())],
-        GraphKind::Dswp => vec![
-            StageAssignment::serial(0),
-            pool((1..=width).collect()),
-            StageAssignment::serial(width + 1),
-        ],
-    }
-}
-
 /// Renders a tuned outcome as the terminal block `seqpar-tune` prints:
 /// the search summary, the native verdict, and the correlation pairs.
 pub fn render_outcome(outcome: &TunedOutcome) -> String {
@@ -338,8 +311,8 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
     let native = outcome.artifact.native.expect("validated outcome");
     let mut out = String::new();
     out.push_str(&format!(
-        "## {}: seed {:#x}, budget {} ({} evals, {} lint-pruned)\n",
-        r.workload, r.config.seed, r.config.budget, r.evals, r.pruned_by_lint
+        "## {}: budget {} ({} evals, {} lint-pruned)\n",
+        r.workload, r.config.budget, r.evals, r.pruned_by_lint
     ));
     out.push_str(&format!(
         "baseline cost {:.0} -> best cost {:.0} ({} finalists)\n",
@@ -349,7 +322,7 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
     ));
     let c = &outcome.winner.candidate;
     out.push_str(&format!(
-        "winner: {} width {} {} queue {} governor {:?} mask {:#04x}\n",
+        "winner: {} width {} {} queue {}\n",
         c.kind.as_str(),
         c.width,
         if c.round_robin {
@@ -358,8 +331,6 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
             "least-loaded"
         },
         c.queue_capacity,
-        c.governor,
-        c.spec_mask,
     ));
     out.push_str(&format!(
         "native: tuned {:.3} ms vs default {:.3} ms -> {:.2}x {}\n",
@@ -401,7 +372,7 @@ mod tests {
             assert!(plan.is_linted() && plan.lint_stamp_intact());
             // DSWP shapes mint and stamp too, given the core budget.
             if threads >= 3 {
-                if let Some(d) = c.mutate(seqpar_analysis::tune::Axis::Graph, 0, threads) {
+                if let Some(d) = c.mutate(seqpar_analysis::tune::Axis::Graph, threads) {
                     let plan = tunable.mint_plan(&d);
                     assert!(plan.is_linted(), "DSWP candidate stamps at {threads}");
                 }
@@ -413,7 +384,6 @@ mod tests {
     fn tune_workload_validates_natively_and_round_trips_artifacts() {
         let w = workload_by_name("164.gzip").expect("gzip exists");
         let config = TuneConfig {
-            seed: 0xbe9c,
             budget: 12,
             threads: 4,
             top_k: 2,
@@ -442,14 +412,13 @@ mod tests {
 
     #[test]
     fn validation_is_byte_checked_even_for_exotic_knobs() {
-        // A tiny queue with the governor off is the harshest corner of
-        // the space: the output must still be byte-identical to the
-        // oracle.
+        // A tiny queue on the suite's stormiest loop is the harshest
+        // corner of the space: the output must still be byte-identical
+        // to the oracle.
         let w = workload_by_name("175.vpr").expect("vpr exists");
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
         let mut c = Candidate::default_for(2);
         c.queue_capacity = 8;
-        c.governor = seqpar_analysis::tune::GovernorChoice::Off;
         let seq = tunable.job.sequential();
         let report = tunable.run_candidate(&tunable.engine_for(&c), &c, &seq.output);
         assert_eq!(report.output, seq.output);

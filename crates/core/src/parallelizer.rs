@@ -114,9 +114,8 @@ impl ParallelizedLoop {
     /// clean, the plan is stamped as linted; the native executor
     /// debug-asserts the stamp still matches at run time. The plan
     /// also carries the conflict-density estimate, scaled for the
-    /// replicated stage's pool, so
-    /// [`seqpar_runtime::GovernorConfig::preset_for`] can derive a
-    /// near-steady-state governor without a cold-start search.
+    /// replicated stage's pool, for reports to set beside the rate a
+    /// governed run measures.
     pub fn plan(&self, cores: usize) -> ExecutionPlan {
         let mut plan = ExecutionPlan::three_phase(cores);
         if self.lint.is_clean() && lint::check_plan_shape(&self.stage_plan, &plan).is_clean() {
@@ -151,8 +150,7 @@ impl ParallelizedLoop {
     /// collapsed [`Self::tls_stage_plan`] for one-stage plans — and
     /// stamped as linted only when everything is clean at deny level.
     /// The attached conflict profile is scaled to the widest stage
-    /// pool, so [`seqpar_runtime::GovernorConfig::preset_for`] derives
-    /// presets consistent with the plan's real replication.
+    /// pool, the plan's real replication.
     ///
     /// # Panics
     ///

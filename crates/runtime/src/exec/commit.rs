@@ -152,8 +152,8 @@ pub(super) struct CommitUnit {
     /// falls back to sequential execution.
     retry_budget: u32,
     /// Whether committing attempts are checked against the sequential
-    /// oracle. Validation costs one extra body run per commit, so it is
-    /// opt-in — but a plan that can corrupt outputs forces it, otherwise
+    /// oracle. Validation costs one extra body run per commit, so only
+    /// a fault plan that can corrupt outputs turns it on — otherwise
     /// corruption would commit silently.
     validate: bool,
     /// Fault-recovery replays charged so far, per task.
@@ -197,7 +197,7 @@ impl CommitUnit {
             work: 0,
             recovery: RecoveryCounts::default(),
             retry_budget: config.retry_budget,
-            validate: config.validate_outputs || config.fault_plan.can_corrupt(),
+            validate: config.fault_plan.can_corrupt(),
             retries_by_task: HashMap::new(),
             seat_stats: Vec::new(),
             worker_events: Vec::new(),

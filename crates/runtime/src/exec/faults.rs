@@ -212,9 +212,9 @@ impl FaultPlan {
             && self.spurious_permille == 0
     }
 
-    /// Whether the plan can corrupt outputs — if so the executor turns
-    /// commit-time validation on regardless of
-    /// [`ExecConfig::validate_outputs`](super::ExecConfig::validate_outputs).
+    /// Whether the plan can corrupt outputs — if so, and only then, the
+    /// executor checks every committing attempt against the body's
+    /// sequential oracle (one more body run under the frontier lock).
     pub fn can_corrupt(&self) -> bool {
         self.corrupt_permille > 0
             || self

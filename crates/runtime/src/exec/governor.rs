@@ -36,7 +36,9 @@
 //! too short is *not* protected here any more. One static rule stands in
 //! for the one case where racing the pipeline against inline issue had a
 //! foregone winner: a plan with **one seat in total** has nobody to
-//! overlap with, so it is held inline for the whole run and never probes.
+//! overlap with, and a configured maximum window of 1 leaves nothing to
+//! speculate, so either is held inline for the whole run and never
+//! probes.
 //!
 //! Every decision — window moves, collapses, probes, backoff delays,
 //! park targets, jitter — is therefore a pure function of the
@@ -52,7 +54,6 @@ use std::collections::{HashMap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use super::faults::splitmix64;
-use crate::profile::ConflictProfile;
 
 /// Clean commits that end a probe. Until then one conflict collapses
 /// the loop on the spot: a storm that is still live must cost a handful
@@ -85,8 +86,8 @@ const HISTORY: usize = 32;
 /// Seed of the deterministic backoff jitter.
 const JITTER_SEED: u64 = 0x5ec_90b3;
 
-/// Knobs for the speculation governor — the four that a preset, the
-/// tuner or a test really varies; the AIMD step sizes, the backoff ramp,
+/// Knobs for the speculation governor — the four that a test or a
+/// caller really varies; the AIMD step sizes, the backoff ramp,
 /// the rate history and the jitter seed are constants of this module.
 /// All fields are plain integers so the config stays `Copy + Eq` and
 /// serializes into run manifests.
@@ -127,86 +128,6 @@ impl Default for GovernorConfig {
 }
 
 impl GovernorConfig {
-    /// Returns the config with the maximum speculation window replaced.
-    #[must_use]
-    pub fn with_window(mut self, window: u32) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// A preset derived from a static [`ConflictProfile`], so a
-    /// governed run starts near the steady state the AIMD controller
-    /// would otherwise search for from the default window.
-    ///
-    /// The mapping is monotone in the predicted density `d` (permille,
-    /// at the profile's replication factor):
-    ///
-    /// * the initial window cap approximates the AIMD fixed point — a
-    ///   conflict roughly every `1/d` commits supports a window of
-    ///   about `1000 / (4·d)` before shrinks outpace grows — clamped
-    ///   to `[1, default window]`;
-    /// * hot loops (`d` ≥ 150‰) park after the first repeat squash
-    ///   instead of re-racing, and storm loops (`d` ≥ the degrade
-    ///   ceiling) double the reprobe period, since probes there are
-    ///   nearly certain to meet a conflict.
-    ///
-    /// A quiet profile (no conflict-carrying region) returns the
-    /// default config unchanged.
-    ///
-    /// ```
-    /// use seqpar_runtime::{ConflictProfile, GovernorConfig, RegionConflict};
-    ///
-    /// // A storm-grade loop: ~67% of iterations conflict at width 6.
-    /// let hot = ConflictProfile::new(
-    ///     vec![RegionConflict {
-    ///         region: "rows".to_string(),
-    ///         carried_freq: 0.2,
-    ///         accesses: 4,
-    ///     }],
-    ///     100,
-    /// )
-    /// .scaled(6);
-    /// let preset = GovernorConfig::preset_for(&hot);
-    /// // The window collapses to the AIMD fixed point instead of the
-    /// // cold-start 64 (1000 / (4 · 672) rounds to zero; clamped to 1) ...
-    /// assert_eq!(preset.window, 1);
-    /// // ... repeat squash victims park immediately ...
-    /// assert_eq!(preset.park_threshold, 1);
-    /// // ... and storm-grade density doubles the reprobe period.
-    /// assert_eq!(preset.reprobe_period, GovernorConfig::default().reprobe_period * 2);
-    ///
-    /// // Quiet loops keep the cold-start defaults.
-    /// let quiet = ConflictProfile::new(vec![], 100);
-    /// assert_eq!(GovernorConfig::preset_for(&quiet), GovernorConfig::default());
-    /// ```
-    #[must_use]
-    pub fn preset_for(profile: &ConflictProfile) -> Self {
-        let base = Self::default();
-        let d = profile.density_permille();
-        if d == 0 {
-            return base;
-        }
-        let window = (1000 / (4 * d.max(1))).clamp(1, base.window);
-        let park_threshold = if d >= 150 {
-            1
-        } else if d >= 50 {
-            2
-        } else {
-            base.park_threshold
-        };
-        let reprobe_period = if d >= base.degrade_ceiling {
-            base.reprobe_period * 2
-        } else {
-            base.reprobe_period
-        };
-        Self {
-            window,
-            park_threshold,
-            reprobe_period,
-            ..base
-        }
-    }
-
     /// Effective maximum window after clamping (≥ 1).
     fn max_window(&self) -> u32 {
         self.window.max(1)
@@ -279,7 +200,8 @@ enum Mode {
     /// Sequential inline issue; `left` commits until the next probe.
     Degraded { left: u32 },
     /// Sequential inline issue to the end of the run: the plan has one
-    /// seat, so a total order is all it can execute anyway.
+    /// seat or the window one slot, so a total order is all it can
+    /// execute anyway.
     Held,
 }
 
@@ -306,8 +228,9 @@ pub(crate) struct Governor {
 
 impl Governor {
     /// A controller for one run of a plan with `seats` seats in total
-    /// (what the plan calls cores, summed over its stages). One seat is
-    /// held inline to the end; any wider plan opens as a probe.
+    /// (what the plan calls cores, summed over its stages). One seat, or
+    /// a maximum window of 1, is held inline to the end; any wider plan
+    /// opens as a probe.
     pub(crate) fn new(cfg: GovernorConfig, seats: usize) -> Self {
         let mut governor = Self {
             cfg,
@@ -324,7 +247,7 @@ impl Governor {
                 ..GovernorStats::default()
             },
         };
-        if seats > 1 {
+        if seats > 1 && cfg.max_window() > 1 {
             governor.probe();
             governor.stats.min_window = governor.window;
         }
@@ -617,6 +540,28 @@ mod tests {
     }
 
     #[test]
+    fn a_window_of_one_is_held_inline_and_never_pipelines() {
+        // A window-1 pipeline pays cross-thread dispatch for zero
+        // speculation and never conflicts, so nothing would ever
+        // collapse it: the constructor has to.
+        let cfg = GovernorConfig {
+            window: 1,
+            ..GovernorConfig::default()
+        };
+        let mut g = Governor::new(cfg, SEATS);
+        assert!(g.degraded(), "nothing to speculate: inline from the start");
+        commit(&mut g, 3 * cfg.reprobe_period);
+        assert!(g.degraded() && g.window() == 1, "and never probes");
+        let held = GovernorStats {
+            degraded_commits: 3 * u64::from(cfg.reprobe_period),
+            final_window: 1,
+            min_window: 1,
+            ..GovernorStats::default()
+        };
+        assert_eq!(g.stats(), held, "a posture: no collapse, no probe");
+    }
+
+    #[test]
     fn the_same_conflict_sequence_gives_the_same_decisions() {
         // A seeded mix of commit batches and conflicts — storms, quiet
         // stretches, frontier and runahead victims — fed to two
@@ -662,7 +607,10 @@ mod tests {
 
     #[test]
     fn window_never_leaves_bounds() {
-        let cfg = GovernorConfig::default().with_window(16);
+        let cfg = GovernorConfig {
+            window: 16,
+            ..GovernorConfig::default()
+        };
         let mut g = promoted(cfg);
         grow_to_max(&mut g);
         // Hammer conflicts: window must shrink but never drop below 1.
@@ -788,43 +736,5 @@ mod tests {
         assert_eq!(g.window(), 1);
         commit(&mut g, 10);
         assert_eq!(g.window(), 1, "window never exceeds the clamped max");
-    }
-
-    fn profile_with_density(freq: f64, replication: usize) -> ConflictProfile {
-        ConflictProfile::new(
-            vec![crate::profile::RegionConflict {
-                region: "acc".to_string(),
-                carried_freq: freq,
-                accesses: 2,
-            }],
-            1000,
-        )
-        .scaled(replication)
-    }
-
-    #[test]
-    fn preset_for_quiet_profile_is_the_default() {
-        let quiet = ConflictProfile::new(vec![], 1000).scaled(8);
-        assert_eq!(
-            GovernorConfig::preset_for(&quiet),
-            GovernorConfig::default()
-        );
-    }
-
-    #[test]
-    fn preset_window_shrinks_monotonically_with_density() {
-        let base = GovernorConfig::default();
-        let cold = GovernorConfig::preset_for(&profile_with_density(0.01, 2));
-        let warm = GovernorConfig::preset_for(&profile_with_density(0.02, 4));
-        let storm = GovernorConfig::preset_for(&profile_with_density(1.0, 8));
-        assert!(cold.window >= warm.window && warm.window > storm.window);
-        assert_eq!(storm.window, 1, "a certain-conflict loop starts at 1");
-        assert_eq!(storm.park_threshold, 1, "storms park on the first repeat");
-        assert_eq!(storm.reprobe_period, base.reprobe_period * 2);
-        // Every preset stays inside the default's envelope.
-        for cfg in [cold, warm, storm] {
-            assert!(cfg.window >= 1 && cfg.window <= base.window);
-            assert_eq!(cfg.degrade_ceiling, base.degrade_ceiling);
-        }
     }
 }

@@ -207,14 +207,6 @@ pub struct ExecConfig {
     /// The chaos schedule (default: [`FaultPlan::none`], which injects
     /// nothing).
     pub fault_plan: FaultPlan,
-    /// Validate every committing attempt against the body's sequential
-    /// oracle, even when the fault plan cannot corrupt outputs.
-    /// Validation runs each body once more under the frontier lock,
-    /// so it is off by default; it turns itself on whenever
-    /// `fault_plan` can corrupt. Requires the body's committed output
-    /// to be attempt-independent for non-violated tasks (true of every
-    /// [`NativeBody`] built from a replayable sequential oracle).
-    pub validate_outputs: bool,
     /// Record a structured execution trace: every dispatch, completion,
     /// queue push/pop, squash, and commit lands in a per-thread
     /// [`TraceBuffer`](Timeline) and the stitched [`Timeline`] is
@@ -237,7 +229,6 @@ impl Default for ExecConfig {
             retry_budget: 3,
             watchdog_deadline: Duration::from_secs(30),
             fault_plan: FaultPlan::none(),
-            validate_outputs: false,
             trace: false,
             governor: None,
         }
@@ -275,13 +266,6 @@ impl ExecConfig {
     /// Replaces the watchdog deadline.
     pub fn with_watchdog_deadline(mut self, watchdog_deadline: Duration) -> Self {
         self.watchdog_deadline = watchdog_deadline;
-        self
-    }
-
-    /// Forces commit-time output validation on (or off — though the
-    /// executor re-enables it whenever the fault plan can corrupt).
-    pub fn with_validation(mut self, validate_outputs: bool) -> Self {
-        self.validate_outputs = validate_outputs;
         self
     }
 

@@ -98,8 +98,8 @@ pub struct ExecutionPlan {
     #[serde(skip)]
     lint_stamp: Option<u64>,
     /// Static conflict-density estimate attached by the parallelizer's
-    /// audit pass, scaled to this plan's replication factor. Consumers
-    /// derive governor presets from it; absent on hand-built plans.
+    /// audit pass, scaled to this plan's replication factor. Reports
+    /// set it beside the measured rate; absent on hand-built plans.
     #[serde(skip)]
     conflict_profile: Option<ConflictProfile>,
 }

@@ -12,10 +12,9 @@
 //!
 //! The profile lives in this crate — not in `seqpar-analysis` — so the
 //! runtime can consume it without a dependency cycle: the plan carries
-//! it as bookkeeping (like the lint stamp), and
-//! [`GovernorConfig::preset_for`](crate::GovernorConfig::preset_for)
-//! derives governor knobs from it so governed runs start near the
-//! steady state the AIMD controller would otherwise have to search for.
+//! it as bookkeeping (like the lint stamp) for the lint and `figures
+//! conflicts` tables to set beside the rate the governor measures, and
+//! the tuner prices conflict probes from it.
 
 use serde::{Deserialize, Serialize};
 

@@ -485,8 +485,8 @@ impl Simulator {
         let n = graph.len();
         let mut finish = vec![0u64; n];
         let mut core_of = vec![0usize; n];
-        let mut start_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
-        let mut finish_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::new();
+        let mut start_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::with_capacity(n);
+        let mut finish_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::with_capacity(n);
         let mut core_avail = vec![0u64; self.config.cores];
         let mut core_busy = vec![0u64; self.config.cores];
         let mut queue_stall = 0u64;

@@ -7,9 +7,9 @@
 //! wrong (the state secretly order-sensitive), the erased dependences
 //! would let iterations commit out of order and the governed native run
 //! would diverge from sequential execution. So: for random thread
-//! counts, the plan derived from the inferred partition — governed by
-//! the preset the static conflict profile seeds — must commit
-//! byte-identical output to the sequential run, every time.
+//! counts, the plan derived from the inferred partition, under the
+//! default governor, must commit byte-identical output to the
+//! sequential run, every time.
 //!
 //! Cases are drawn from the offline proptest stub's deterministic
 //! per-test RNG, so the sampled population is stable across machines.
@@ -59,16 +59,16 @@ proptest! {
             w.meta().spec_id
         );
 
-        // Execute under the profile-preset governor: the exact
-        // configuration a cold-startless production run would use.
+        // Execute under the default governor: the configuration
+        // `figures --native` and every tuner contender run.
         let plan = result.plan(threads.max(3));
-        let governor = plan
-            .conflict_profile()
-            .map_or_else(GovernorConfig::default, GovernorConfig::preset_for);
         let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
         let run = job
-            .execute(&plan, ExecConfig::default().with_governor(governor))
+            .execute(
+                &plan,
+                ExecConfig::default().with_governor(GovernorConfig::default()),
+            )
             .expect("plan matches machine")
             .0;
         prop_assert_eq!(
