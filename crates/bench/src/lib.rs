@@ -105,12 +105,32 @@ impl SweepResult {
     }
 }
 
-/// Simulates one trace at one thread count under the given plan.
+/// The task graph `kind` schedules `trace` as.
+fn graph_of(trace: &IterationTrace, kind: PlanKind) -> TaskGraph {
+    match kind {
+        PlanKind::Dswp => trace.task_graph(),
+        PlanKind::Tls => trace.tls_task_graph(),
+    }
+}
+
+/// Simulates one trace at one thread count under the given plan. A sweep
+/// builds the graph once and calls [`simulate_graph`] per point instead.
 pub fn simulate(trace: &IterationTrace, threads: usize, kind: PlanKind) -> SimResult {
-    let (graph, plan) = match kind {
-        PlanKind::Dswp => (trace.task_graph(), ExecutionPlan::three_phase(threads)),
-        PlanKind::Tls => (trace.tls_task_graph(), ExecutionPlan::tls(threads)),
-    };
+    simulate_graph(&graph_of(trace, kind), threads, kind)
+}
+
+/// The plan `kind` runs on `threads` cores.
+fn plan_at(kind: PlanKind, threads: usize) -> ExecutionPlan {
+    match kind {
+        PlanKind::Dswp => ExecutionPlan::three_phase(threads),
+        PlanKind::Tls => ExecutionPlan::tls(threads),
+    }
+}
+
+/// Simulates `graph` — a trace's graph of the same `kind` — at one thread
+/// count under the given plan.
+pub fn simulate_graph(graph: &TaskGraph, threads: usize, kind: PlanKind) -> SimResult {
+    let plan = plan_at(kind, threads);
     // Channel buffering: a stage-to-stage channel gangs several of the
     // machine's 256 hardware queues (only a handful of channels exist),
     // giving 128 in-flight iterations; the single-queue 32-entry case is
@@ -121,7 +141,7 @@ pub fn simulate(trace: &IterationTrace, threads: usize, kind: PlanKind) -> SimRe
         queue_capacity: 128,
         ..SimConfig::default()
     });
-    sim.run(&graph, &plan).expect("plan matches machine")
+    sim.run(graph, &plan).expect("plan matches machine")
 }
 
 /// Sweeps a precomputed trace over `threads`.
@@ -131,10 +151,11 @@ pub fn sweep_trace(
     threads: &[usize],
     kind: PlanKind,
 ) -> SweepResult {
+    let graph = graph_of(trace, kind);
     let points = threads
         .iter()
         .map(|&t| {
-            let r = simulate(trace, t, kind);
+            let r = simulate_graph(&graph, t, kind);
             let total_spec = r.violations + r.speculations_survived;
             SweepPoint {
                 threads: t,
@@ -191,15 +212,11 @@ pub fn native_sweep(
     let seq = versioned.sequential();
     // The simulated column stays per-iteration — the paper's machine at
     // the paper's grain — whatever grain the native run picked.
-    let trace = versioned.trace().clone();
-    let plan_at = |t: usize| match kind {
-        PlanKind::Dswp => ExecutionPlan::three_phase(t),
-        PlanKind::Tls => ExecutionPlan::tls(t),
-    };
+    let graph = graph_of(versioned.trace(), kind);
     let points = threads
         .iter()
         .map(|&t| {
-            let plan = plan_at(t);
+            let plan = plan_at(kind, t);
             // A warmed engine sized to the plan's core footprint keeps
             // pool-spawn cost out of the recorded wall clock while
             // still letting pool width bound real parallelism.
@@ -214,7 +231,7 @@ pub fn native_sweep(
                 "{}: native output diverged from sequential at {t} threads",
                 w.meta().spec_id
             );
-            let sim = simulate(&trace, t, kind);
+            let sim = simulate_graph(&graph, t, kind);
             SweepPoint {
                 threads: t,
                 speedup: sim.speedup(),
@@ -235,7 +252,7 @@ pub fn native_sweep(
         grain: threads
             .iter()
             .max()
-            .map(|&t| render_grain(&versioned, &plan_at(t))),
+            .map(|&t| render_grain(&versioned, &plan_at(kind, t))),
     }
 }
 
@@ -556,10 +573,7 @@ pub fn trace_native(
     config: &ExecConfig,
 ) -> TracedRun {
     let job = w.versioned_job(size);
-    let plan = match kind {
-        PlanKind::Dswp => ExecutionPlan::three_phase(threads),
-        PlanKind::Tls => ExecutionPlan::tls(threads),
-    };
+    let plan = plan_at(kind, threads);
     let seq = job.sequential();
     let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
     engine.warm();

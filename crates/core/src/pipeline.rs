@@ -170,21 +170,24 @@ impl IterationTrace {
     /// task (plus speculation events), phase-C tasks consuming phase B in
     /// iteration order.
     pub fn task_graph(&self) -> TaskGraph {
-        let mut g = TaskGraph::new(3);
+        let n = self.records.len();
+        // A waits on the previous A, B on its A, C on its B and the
+        // previous C; iteration j's B task is the (3j + 1)-th added.
+        let deps = (4 * n).saturating_sub(2);
+        let mut g = TaskGraph::with_capacity(3, 3 * n, deps, self.spec_dep_count());
         let mut prev_a: Option<TaskId> = None;
         let mut prev_c: Option<TaskId> = None;
-        let mut b_ids: Vec<TaskId> = Vec::with_capacity(self.records.len());
         for (i, r) in self.records.iter().enumerate() {
-            let i = i as u64;
-            let deps_a: Vec<TaskId> = prev_a.into_iter().collect();
-            let ta = g.add_task(0, i, r.a_cost, &deps_a, &[]);
-            let spec = self.spec_deps_for(i, r, &b_ids);
-            let tb = g.add_task(1, i, r.b_cost, &[ta], &spec);
-            let deps_c: Vec<TaskId> = [Some(tb), prev_c].into_iter().flatten().collect();
-            let tc = g.add_task(2, i, r.c_cost, &deps_c, &[]);
+            let iter = i as u64;
+            let ta = g.add_task(0, iter, r.a_cost, prev_a.as_slice(), &[]);
+            let (spec, len) = self.spec_deps_for(i, |j| TaskId(3 * j as u32 + 1));
+            let tb = g.add_task(1, iter, r.b_cost, &[ta], &spec[..len]);
+            let tc = match prev_c {
+                Some(pc) => g.add_task(2, iter, r.c_cost, &[tb, pc], &[]),
+                None => g.add_task(2, iter, r.c_cost, &[tb], &[]),
+            };
             prev_a = Some(ta);
             prev_c = Some(tc);
-            b_ids.push(tb);
         }
         g
     }
@@ -192,32 +195,38 @@ impl IterationTrace {
     /// Builds the TLS-style task graph: one stage, one task per
     /// iteration, consecutive iterations linked by speculation.
     pub fn tls_task_graph(&self) -> TaskGraph {
-        let mut g = TaskGraph::new(1);
-        let mut ids: Vec<TaskId> = Vec::with_capacity(self.records.len());
+        let n = self.records.len();
+        let mut g = TaskGraph::with_capacity(1, n, 0, self.spec_dep_count());
         for (i, r) in self.records.iter().enumerate() {
-            let i = i as u64;
-            let spec = self.spec_deps_for(i, r, &ids);
-            let t = g.add_task(0, i, r.total(), &[], &spec);
-            ids.push(t);
+            let (spec, len) = self.spec_deps_for(i, |j| TaskId(j as u32));
+            g.add_task(0, i as u64, r.total(), &[], &spec[..len]);
         }
         g
     }
 
-    fn spec_deps_for(&self, i: u64, r: &IterationRecord, prev: &[TaskId]) -> Vec<SpecDep> {
-        let mut spec = Vec::new();
-        if let Some(j) = r.misspec_on {
-            spec.push(SpecDep {
-                on: prev[j as usize],
-                violated: true,
-            });
+    /// The speculation events of iteration `i` — the producer it truly
+    /// depended on, if any, then the neighbour it speculated past — as a
+    /// stack buffer and how much of it is filled; `id_of` maps an earlier
+    /// iteration to its task in the graph being built.
+    fn spec_deps_for(&self, i: usize, id_of: impl Fn(u64) -> TaskId) -> ([SpecDep; 2], usize) {
+        let (r, i) = (&self.records[i], i as u64);
+        let dep = |j, violated| SpecDep {
+            on: id_of(j),
+            violated,
+        };
+        let neighbour = self.speculative && i > 0 && r.misspec_on != Some(i - 1);
+        match (r.misspec_on, neighbour) {
+            (Some(j), true) => ([dep(j, true), dep(i - 1, false)], 2),
+            (Some(j), false) => ([dep(j, true); 2], 1),
+            (None, true) => ([dep(i - 1, false); 2], 1),
+            (None, false) => ([dep(0, false); 2], 0),
         }
-        if self.speculative && i > 0 && r.misspec_on != Some(i - 1) {
-            spec.push(SpecDep {
-                on: prev[(i - 1) as usize],
-                violated: false,
-            });
-        }
-        spec
+    }
+
+    /// How many speculation events the whole trace carries.
+    fn spec_dep_count(&self) -> usize {
+        let count = |i| self.spec_deps_for(i, |_| TaskId(0)).1;
+        (0..self.records.len()).map(count).sum()
     }
 
     /// The standard execution plan for this trace on `cores` cores.

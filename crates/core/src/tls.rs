@@ -33,11 +33,11 @@ pub fn task_graph(trace: &IterationTrace, handling: CarriedHandling) -> TaskGrap
     match handling {
         CarriedHandling::Speculate => trace.tls_task_graph(),
         CarriedHandling::Synchronize => {
-            let mut g = TaskGraph::new(1);
+            let n = trace.len();
+            let mut g = TaskGraph::with_capacity(1, n, n.saturating_sub(1), 0);
             let mut prev: Option<TaskId> = None;
             for (i, r) in trace.records().iter().enumerate() {
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(g.add_task(0, i as u64, r.total(), &deps, &[]));
+                prev = Some(g.add_task(0, i as u64, r.total(), prev.as_slice(), &[]));
             }
             g
         }

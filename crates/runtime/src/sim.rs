@@ -8,7 +8,7 @@ use crate::exec::{
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -423,6 +423,18 @@ impl SimResult {
     }
 }
 
+/// `(iter, start, end)` of one scheduled task, in its stage's list.
+type Span = (u64, u64, u64);
+
+/// The span of iteration `iter` in `list` (ascending in `iter`), searched
+/// from `*from`, which is left at the first span not before `iter`.
+fn seek(list: &[Span], from: &mut usize, iter: u64) -> Option<Span> {
+    while list.get(*from).is_some_and(|span| span.0 < iter) {
+        *from += 1;
+    }
+    list.get(*from).copied().filter(|span| span.0 == iter)
+}
+
 /// The list-scheduling performance simulator.
 ///
 /// Tasks are scheduled in `(iter, stage)` order. A task becomes ready when
@@ -432,6 +444,12 @@ impl SimResult {
 /// runs on its stage's core (serial stages) or on the least-loaded core of
 /// its stage's pool (parallel stages, matching the dynamic assignment of
 /// paper §3.2).
+///
+/// The pass relies on the order [`TaskGraph::add_task`] enforces — strictly
+/// ascending `(iter, stage)`: each stage's tasks arrive ascending in `iter`,
+/// so the iteration a producer looks back at for queue space only moves
+/// forward and one cursor per channel finds it, whatever gaps the numbering
+/// has (DESIGN.md, "The simulator").
 #[derive(Clone, Debug, Default)]
 pub struct Simulator {
     config: SimConfig,
@@ -476,17 +494,20 @@ impl Simulator {
                 available: self.config.num_queues,
             });
         }
-        // consumers_of[s] = stages fed by stage s (for backpressure).
-        let mut consumers_of: HashMap<u8, Vec<u8>> = HashMap::new();
-        for (s, t) in &channels {
-            consumers_of.entry(s.0).or_default().push(t.0);
-        }
 
         let n = graph.len();
-        let mut finish = vec![0u64; n];
-        let mut core_of = vec![0usize; n];
-        let mut start_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::with_capacity(n);
-        let mut finish_by_stage_iter: HashMap<(u8, u64), u64> = HashMap::with_capacity(n);
+        let mut stage_len = vec![0usize; graph.stage_count() as usize];
+        for task in graph.tasks() {
+            stage_len[task.stage.0 as usize] += 1;
+        }
+        // by_stage[s] = stage s's spans as scheduled, ascending in `iter`;
+        // cursor[c] = how far channel c's look-backs have read its consumer's.
+        let mut by_stage: Vec<_> = stage_len
+            .iter()
+            .map(|&l| Vec::<Span>::with_capacity(l))
+            .collect();
+        let mut cursor = vec![0usize; channels.len()];
+        let lat = self.config.comm_latency;
         let mut core_avail = vec![0u64; self.config.cores];
         let mut core_busy = vec![0u64; self.config.cores];
         let mut queue_stall = 0u64;
@@ -495,16 +516,6 @@ impl Simulator {
         let mut placements: Vec<TaskPlacement> = Vec::with_capacity(n);
 
         for (idx, task) in graph.tasks().iter().enumerate() {
-            // Effective dependences: synchronized + violated speculative.
-            let mut dep_ids: Vec<u32> = graph.deps(task).iter().map(|d| d.0).collect();
-            for s in graph.spec_deps(task) {
-                if s.violated {
-                    violations += 1;
-                    dep_ids.push(s.on.0);
-                } else {
-                    survived += 1;
-                }
-            }
             // Pick the core.
             let core = match plan.stage(task.stage.0) {
                 StageAssignment::Serial { core } => *core,
@@ -521,28 +532,31 @@ impl Simulator {
                 }
                 StageAssignment::RoundRobin { cores } => cores[(task.iter as usize) % cores.len()],
             };
-            let dep_ready = dep_ids
-                .iter()
-                .map(|&d| {
-                    let lat = if core_of[d as usize] == core {
-                        0
-                    } else {
-                        self.config.comm_latency
-                    };
-                    finish[d as usize] + lat
-                })
-                .max()
-                .unwrap_or(0);
+            // Effective dependences: synchronized + violated speculative.
+            let arrival = |d: TaskId| {
+                let p = &placements[d.0 as usize];
+                p.end + if p.core == core { 0 } else { lat }
+            };
+            let synchronized = graph.deps(task).iter().map(|&d| arrival(d));
+            let mut dep_ready = synchronized.max().unwrap_or(0);
+            for s in graph.spec_deps(task) {
+                if s.violated {
+                    violations += 1;
+                    dep_ready = dep_ready.max(arrival(s.on));
+                } else {
+                    survived += 1;
+                }
+            }
             // Backpressure: the producer of iteration i cannot run ahead
             // of its consumers by more than the queue capacity.
             let mut queue_ready = 0u64;
-            if let Some(consumers) = consumers_of.get(&task.stage.0) {
-                let k = self.config.queue_capacity as u64;
-                if task.iter >= k {
-                    for t in consumers {
-                        if let Some(&s) = start_by_stage_iter.get(&(*t, task.iter - k)) {
-                            queue_ready = queue_ready.max(s);
-                        }
+            if let Some(target) = task.iter.checked_sub(self.config.queue_capacity as u64) {
+                // Channels are a handful (`TaskGraph::channels` scans them
+                // per dependence), so no per-stage index of them is kept.
+                for (c, (s, t)) in channels.iter().enumerate() {
+                    if *s == task.stage {
+                        let slot = seek(&by_stage[t.0 as usize], &mut cursor[c], target);
+                        queue_ready = queue_ready.max(slot.map_or(0, |span| span.1));
                     }
                 }
             }
@@ -552,14 +566,11 @@ impl Simulator {
             }
             let start = unconstrained.max(queue_ready);
             let end = start + task.cost;
-            finish[idx] = end;
-            core_of[idx] = core;
             core_avail[core] = end;
             core_busy[core] += task.cost;
-            start_by_stage_iter.insert((task.stage.0, task.iter), start);
-            finish_by_stage_iter.insert((task.stage.0, task.iter), end);
+            by_stage[task.stage.0 as usize].push((task.iter, start, end));
             placements.push(TaskPlacement {
-                task: crate::task::TaskId(idx as u32),
+                task: TaskId(idx as u32),
                 core,
                 start,
                 end,
@@ -567,35 +578,45 @@ impl Simulator {
         }
 
         // Post-hoc channel occupancy: an entry lives from the producer's
-        // finish to the consumer's start.
+        // finish to the consumer's start, for every iteration both stages ran.
+        let longest = stage_len.iter().copied().max().unwrap_or(0);
+        let mut enqueues: Vec<u64> = Vec::with_capacity(longest);
+        let mut dequeues: Vec<u64> = Vec::with_capacity(longest);
         let mut channel_stats = Vec::with_capacity(channels.len());
         for (s, t) in &channels {
-            let mut events: Vec<(u64, i32)> = Vec::new();
-            for ((stage, iter), &fin) in &finish_by_stage_iter {
-                if *stage == s.0 {
-                    if let Some(&st) = start_by_stage_iter.get(&(t.0, *iter)) {
-                        events.push((fin, 1));
-                        events.push((st, -1));
-                    }
+            enqueues.clear();
+            dequeues.clear();
+            let mut from = 0;
+            for &(iter, _, end) in &by_stage[s.0 as usize] {
+                if let Some((_, start, _)) = seek(&by_stage[t.0 as usize], &mut from, iter) {
+                    enqueues.push(end);
+                    dequeues.push(start);
+                }
+            }
+            // A serial stage's column is already in order.
+            for column in [&mut enqueues, &mut dequeues] {
+                if !column.is_sorted() {
+                    column.sort_unstable();
                 }
             }
             // Dequeues before enqueues at equal timestamps.
-            events.sort_unstable_by_key(|(time, delta)| (*time, *delta));
-            let mut occupancy = 0i32;
-            let mut max_occupancy = 0i32;
-            for (_, delta) in events {
-                occupancy += delta;
-                max_occupancy = max_occupancy.max(occupancy);
+            let mut freed = 0;
+            let mut max_occupancy = 0;
+            for (filled, &at) in enqueues.iter().enumerate() {
+                while dequeues.get(freed).is_some_and(|&d| d <= at) {
+                    freed += 1;
+                }
+                max_occupancy = max_occupancy.max((filled + 1).saturating_sub(freed));
             }
             channel_stats.push(ChannelStat {
                 producer: s.0,
                 consumer: t.0,
-                max_occupancy: max_occupancy.max(0) as usize,
+                max_occupancy,
             });
         }
 
         Ok(SimResult {
-            makespan: finish.iter().copied().max().unwrap_or(0),
+            makespan: placements.iter().map(|p| p.end).max().unwrap_or(0),
             serial_cycles: graph.serial_cycles(),
             core_busy,
             tasks_executed: n,
@@ -675,13 +696,12 @@ impl Simulator {
         // replayed task occupies its core once per attempt) and, after
         // the fallback point, a fully serialized in-order tail — then
         // reuse the ordinary timing model.
-        let mut twin = TaskGraph::new(graph.stage_count());
+        let mut twin = TaskGraph::with_capacity(graph.stage_count(), n, 0, 0);
         let mut prev: Option<TaskId> = None;
         for (idx, task) in graph.tasks().iter().enumerate() {
             let in_tail = fallback_from.is_some_and(|f| idx >= f);
             let id = if in_tail {
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                twin.add_task(task.stage.0, task.iter, task.cost, &deps, &[])
+                twin.add_task(task.stage.0, task.iter, task.cost, prev.as_slice(), &[])
             } else {
                 twin.add_task(
                     task.stage.0,
@@ -821,6 +841,126 @@ mod tests {
         let r2 = Simulator::new(wide).run(&g, &plan).unwrap();
         assert_eq!(r2.queue_stall_cycles, 0);
         assert!(r2.makespan <= r.makespan);
+    }
+
+    /// A cost-1 producer on core 0 feeding a cost-100 consumer on core 1,
+    /// zero latency: the producer stage runs at `iters`, the consumer
+    /// stage at those of them `consumes` keeps. Returns the producers'
+    /// starts and the whole result.
+    fn look_back(
+        iters: &[u64],
+        consumes: impl Fn(u64) -> bool,
+        cap: usize,
+    ) -> (Vec<u64>, SimResult) {
+        let mut g = TaskGraph::new(2);
+        for &i in iters {
+            let p = g.add_task(0, i, 1, &[], &[]);
+            if consumes(i) {
+                g.add_task(1, i, 100, &[p], &[]);
+            }
+        }
+        let cfg = SimConfig {
+            cores: 2,
+            comm_latency: 0,
+            queue_capacity: cap,
+            ..SimConfig::default()
+        };
+        let plan = ExecutionPlan::new(vec![StageAssignment::serial(0), StageAssignment::serial(1)]);
+        let r = Simulator::new(cfg).run(&g, &plan).unwrap();
+        let produced = r.placements.iter().filter(|p| g.task(p.task).stage.0 == 0);
+        (produced.map(|p| p.start).collect(), r)
+    }
+
+    #[test]
+    fn look_back_lands_only_on_an_exact_iteration() {
+        // Capacity at or past the iteration count: no target exists.
+        let (starts, r) = look_back(&[0, 1, 2, 3], |_| true, 4);
+        assert_eq!(starts, [0, 1, 2, 3]);
+        assert_eq!(r.queue_stall_cycles, 0);
+        // Entries 1, 2, 3 wait for a consumer still busy with entry 0.
+        assert_eq!(r.channel_stats[0].max_occupancy, 3);
+        // Gaps in the numbering: at capacity 1 only 6 finds its `iter - 1`
+        // (5, whose consumer starts at 101); 5 and 200 look back at
+        // iterations nobody ran.
+        let (starts, r) = look_back(&[0, 5, 6, 200], |_| true, 1);
+        assert_eq!(starts, [0, 1, 101, 102]);
+        assert_eq!(r.queue_stall_cycles, 99);
+        assert_eq!(r.channel_stats[0].max_occupancy, 2);
+        // A consumer stage that skips odd iterations: 2 and 4 look back
+        // at none of its tasks, 3 and 5 at the ones that started at 101
+        // and 201.
+        let (starts, r) = look_back(&[0, 1, 2, 3, 4, 5], |i| i % 2 == 0, 1);
+        assert_eq!(starts, [0, 1, 2, 101, 102, 201]);
+        assert_eq!(r.queue_stall_cycles, 98 + 98);
+    }
+
+    #[test]
+    fn queue_capacity_zero_looks_back_at_the_producers_own_iteration() {
+        // Downstream, that consumer has not been scheduled yet: nothing
+        // constrains, however slow the consumer.
+        let (starts, r) = look_back(&[0, 1, 2, 3], |_| true, 0);
+        assert_eq!(starts, [0, 1, 2, 3]);
+        assert_eq!(r.queue_stall_cycles, 0);
+        // A channel that points *backwards* (stage 1 feeds the next
+        // iteration's stage 0) is the one place capacity 0 binds: stage
+        // 0 of the same iteration has started, and that start is the
+        // bound — the rule is "a task at exactly `iter - k`", not `k > 0`.
+        let build = || {
+            let mut g = TaskGraph::new(2);
+            let mut fed: Option<TaskId> = None;
+            for i in 0..3 {
+                g.add_task(0, i, 10, fed.as_slice(), &[]);
+                fed = Some(g.add_task(1, i, 1, &[], &[]));
+            }
+            g
+        };
+        let plan = ExecutionPlan::new(vec![StageAssignment::serial(0), StageAssignment::serial(1)]);
+        let starts_at = |cap: usize| {
+            let cfg = SimConfig {
+                cores: 2,
+                comm_latency: 0,
+                queue_capacity: cap,
+                ..SimConfig::default()
+            };
+            let r = Simulator::new(cfg).run(&build(), &plan).unwrap();
+            let fed = r.placements.iter().skip(1).step_by(2);
+            (
+                fed.map(|p| p.start).collect::<Vec<_>>(),
+                r.queue_stall_cycles,
+            )
+        };
+        assert_eq!(starts_at(0), (vec![0, 10, 20], 18));
+        assert_eq!(starts_at(1), (vec![0, 1, 10], 8));
+    }
+
+    #[test]
+    fn occupancy_sorts_a_parallel_producers_finishes_and_dequeues_first_on_a_tie() {
+        // Two producer cores: iteration 0 costs 100 and finishes last;
+        // 1, 2, 3 cost 1 each and finish at 1, 2, 3 on the other core.
+        let mut g = TaskGraph::new(2);
+        for (i, cost) in [100, 1, 1, 1].into_iter().enumerate() {
+            let p = g.add_task(0, i as u64, cost, &[], &[]);
+            g.add_task(1, i as u64, 10, &[p], &[]);
+        }
+        let plan = ExecutionPlan::new(vec![
+            StageAssignment::parallel(vec![0, 1]),
+            StageAssignment::serial(2),
+        ]);
+        let cfg = SimConfig {
+            cores: 3,
+            comm_latency: 0,
+            ..SimConfig::default()
+        };
+        let r = Simulator::new(cfg).run(&g, &plan).unwrap();
+        let spans: Vec<_> = r.placements.iter().map(|p| (p.start, p.end)).collect();
+        let producers: Vec<_> = spans.iter().step_by(2).copied().collect();
+        let consumers: Vec<_> = spans.iter().skip(1).step_by(2).copied().collect();
+        assert_eq!(producers, [(0, 100), (0, 1), (1, 2), (2, 3)]);
+        assert_eq!(consumers, [(100, 110), (110, 120), (120, 130), (130, 140)]);
+        // Entries 1, 2, 3 are queued when entry 0 arrives at cycle 100,
+        // the cycle its consumer takes it: the dequeue counts first, so
+        // the peak is 3, not 4.
+        assert_eq!(r.channel_stats[0].max_occupancy, 3);
     }
 
     #[test]

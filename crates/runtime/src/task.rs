@@ -92,12 +92,23 @@ impl TaskGraph {
     ///
     /// Panics if `stages` is zero.
     pub fn new(stages: u8) -> Self {
+        Self::with_capacity(stages, 0, 0, 0)
+    }
+
+    /// [`TaskGraph::new`] with room reserved for `tasks` tasks carrying
+    /// `deps` synchronized and `spec_deps` speculated dependences in
+    /// total: a builder that knows its sizes never regrows an arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stages` is zero.
+    pub fn with_capacity(stages: u8, tasks: usize, deps: usize, spec_deps: usize) -> Self {
         assert!(stages > 0, "a pipeline needs at least one stage");
         Self {
             stages,
-            tasks: Vec::new(),
-            dep_arena: Vec::new(),
-            spec_arena: Vec::new(),
+            tasks: Vec::with_capacity(tasks),
+            dep_arena: Vec::with_capacity(deps),
+            spec_arena: Vec::with_capacity(spec_deps),
         }
     }
 
@@ -262,6 +273,26 @@ mod tests {
     #[should_panic(expected = "at least one stage")]
     fn zero_stage_pipeline_is_rejected() {
         TaskGraph::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one stage")]
+    fn zero_stage_pipeline_is_rejected_with_a_reserve_too() {
+        TaskGraph::with_capacity(0, 8, 8, 8);
+    }
+
+    #[test]
+    fn a_reserved_graph_is_the_graph_it_would_have_grown_into() {
+        let fill = |mut g: TaskGraph| {
+            let a = g.add_task(0, 0, 5, &[], &[]);
+            g.add_task(1, 0, 7, &[a], &[]);
+            g
+        };
+        // Too little room is only a reserve, not a limit.
+        for (tasks, deps) in [(2, 1), (0, 0), (1, 0)] {
+            let reserved = fill(TaskGraph::with_capacity(2, tasks, deps, 0));
+            assert_eq!(reserved, fill(TaskGraph::new(2)));
+        }
     }
 
     #[test]

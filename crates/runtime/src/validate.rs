@@ -10,7 +10,7 @@ use crate::diag::{Diagnostic, PlanShape};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::sim::{SimConfig, SimError, TaskPlacement};
 use crate::task::TaskGraph;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -241,8 +241,8 @@ pub fn check_schedule(
         }
     }
 
-    // Per-core: no overlap.
-    let mut by_core: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
+    // Per-core: no overlap, reported in ascending core order.
+    let mut by_core: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
     for p in placements {
         by_core.entry(p.core).or_default().push((p.start, p.end));
     }
@@ -432,6 +432,37 @@ mod tests {
             violations[0],
             ScheduleViolation::WrongTaskCount { .. }
         ));
+    }
+
+    #[test]
+    fn overlapped_cores_are_reported_in_ascending_order() {
+        // Four independent tasks, two stacked on each core at cycle 0.
+        let mut g = TaskGraph::new(1);
+        for i in 0..4 {
+            g.add_task(0, i, 5, &[], &[]);
+        }
+        let placements: Vec<TaskPlacement> = (0..4u32)
+            .map(|i| TaskPlacement {
+                task: TaskId(i),
+                core: (i / 2) as usize,
+                start: 0,
+                end: 5,
+            })
+            .collect();
+        let plan = ExecutionPlan::tls(2);
+        let cfg = SimConfig::with_cores(2);
+        // Every call builds its own map, and a hash map draws fresh keys
+        // each time: an order that depends on them shows within a few
+        // calls.
+        for _ in 0..32 {
+            assert_eq!(
+                check_schedule(&g, &plan, &cfg, &placements),
+                vec![
+                    ScheduleViolation::CoreOverlap { core: 0 },
+                    ScheduleViolation::CoreOverlap { core: 1 },
+                ]
+            );
+        }
     }
 
     #[test]

@@ -3,20 +3,29 @@
 
 use proptest::prelude::*;
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig, JobSpec,
-    NativeBody, NativeReport, SimConfig, Simulator, TaskCtx, TaskGraph, TaskId, TaskOutput,
+    ChannelStat, Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig,
+    JobSpec, NativeBody, NativeReport, RecoveryCounts, SimConfig, SimResult, Simulator,
+    StageAssignment, TaskCtx, TaskGraph, TaskId, TaskOutput, TaskPlacement,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Builds a three-stage pipeline graph from arbitrary per-iteration
 /// costs and misspeculation flags.
 fn build_graph(costs: &[(u64, u64, u64, bool)]) -> TaskGraph {
+    build_graph_at(costs, 0..)
+}
+
+/// [`build_graph`] with the iterations numbered by `iters` (ascending).
+fn build_graph_at(
+    costs: &[(u64, u64, u64, bool)],
+    iters: impl IntoIterator<Item = u64>,
+) -> TaskGraph {
     let mut g = TaskGraph::new(3);
     let mut prev_a: Option<TaskId> = None;
     let mut prev_b: Option<TaskId> = None;
     let mut prev_c: Option<TaskId> = None;
-    for (i, &(a, b, c, misspec)) in costs.iter().enumerate() {
-        let i = i as u64;
+    for (&(a, b, c, misspec), i) in costs.iter().zip(iters) {
         let deps_a: Vec<TaskId> = prev_a.into_iter().collect();
         let ta = g.add_task(0, i, a % 100, &deps_a, &[]);
         let spec: Vec<seqpar_runtime::SpecDep> = prev_b
@@ -34,6 +43,98 @@ fn build_graph(costs: &[(u64, u64, u64, bool)]) -> TaskGraph {
         prev_c = Some(tc);
     }
     g
+}
+
+/// The simulator's model as it was first written — two hash maps keyed by
+/// `(stage, iter)`, a dependence list per task, a sorted event list per
+/// channel — kept as the oracle `Simulator::run`'s flat tables answer to.
+/// Like `concurrent_equivalence`'s `interpret`, it stays simple, not fast.
+fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimResult {
+    let channels = g.channels();
+    let (mut start_at, mut end_at) = (HashMap::<(u8, u64), u64>::new(), HashMap::new());
+    let mut core_avail = vec![0u64; cfg.cores];
+    let mut r = SimResult {
+        makespan: 0,
+        serial_cycles: g.serial_cycles(),
+        core_busy: vec![0; cfg.cores],
+        tasks_executed: g.len(),
+        queue_stall_cycles: 0,
+        violations: 0,
+        speculations_survived: 0,
+        recovery: RecoveryCounts::default(),
+        channel_stats: Vec::new(),
+        placements: Vec::new(),
+    };
+    for (idx, task) in g.tasks().iter().enumerate() {
+        let mut deps = g.deps(task).to_vec();
+        for s in g.spec_deps(task) {
+            if s.violated {
+                r.violations += 1;
+                deps.push(s.on);
+            } else {
+                r.speculations_survived += 1;
+            }
+        }
+        let core = match plan.stage(task.stage.0) {
+            StageAssignment::Serial { core } => *core,
+            StageAssignment::Parallel { cores } => *cores
+                .iter()
+                .min_by_key(|c| core_avail[**c])
+                .expect("a pool"),
+            StageAssignment::RoundRobin { cores } => cores[task.iter as usize % cores.len()],
+        };
+        let arrival = |d: &TaskId| {
+            let p: &TaskPlacement = &r.placements[d.0 as usize];
+            p.end + if p.core == core { 0 } else { cfg.comm_latency }
+        };
+        let dep_ready = deps.iter().map(arrival).max().unwrap_or(0);
+        let k = cfg.queue_capacity as u64;
+        let queue_ready = channels
+            .iter()
+            .filter(|(s, _)| *s == task.stage && task.iter >= k)
+            .filter_map(|(_, t)| start_at.get(&(t.0, task.iter - k)).copied())
+            .max()
+            .unwrap_or(0);
+        let unconstrained = dep_ready.max(core_avail[core]);
+        r.queue_stall_cycles += queue_ready.saturating_sub(unconstrained);
+        let start = unconstrained.max(queue_ready);
+        let end = start + task.cost;
+        core_avail[core] = end;
+        r.core_busy[core] += task.cost;
+        r.makespan = r.makespan.max(end);
+        start_at.insert((task.stage.0, task.iter), start);
+        end_at.insert((task.stage.0, task.iter), end);
+        let task = TaskId(idx as u32);
+        r.placements.push(TaskPlacement {
+            task,
+            core,
+            start,
+            end,
+        });
+    }
+    for (s, t) in channels {
+        // An entry lives from its producer's finish to its consumer's
+        // start; `-1` sorts first, so a dequeue counts before an enqueue
+        // at the same cycle.
+        let mut events: Vec<(u64, i32)> = Vec::new();
+        for (&(stage, iter), &end) in &end_at {
+            if let Some(&start) = start_at.get(&(t.0, iter)).filter(|_| stage == s.0) {
+                events.extend([(end, 1), (start, -1)]);
+            }
+        }
+        events.sort_unstable();
+        let (mut occupancy, mut max_occupancy) = (0i32, 0i32);
+        for (_, delta) in events {
+            occupancy += delta;
+            max_occupancy = max_occupancy.max(occupancy);
+        }
+        r.channel_stats.push(ChannelStat {
+            producer: s.0,
+            consumer: t.0,
+            max_occupancy: max_occupancy as usize,
+        });
+    }
+    r
 }
 
 /// Runs `graph` on the native executor with a body that emits each
@@ -182,23 +283,45 @@ proptest! {
     }
 
     /// Every schedule the simulator emits passes the independent
-    /// constraint checker, for arbitrary graphs and machine shapes.
+    /// constraint checker, and every field of its result is the
+    /// reference model's, for arbitrary graphs — iterations numbered
+    /// with gaps — machine shapes, queue capacities from 0 up, and
+    /// plans: least-loaded, round-robin, and one whose serial stages
+    /// share their cores with the pool.
     #[test]
     fn simulator_schedules_always_validate(
         costs in proptest::collection::vec((0..100u64, 0..500u64, 0..50u64, any::<bool>()), 1..60),
+        gaps in proptest::collection::vec(prop_oneof![Just(0u64), Just(0u64), 0..5u64, 0..200u64], 60),
         cores in 3usize..12,
         lat in 0u64..60,
-        cap in 1usize..64
+        cap in 0usize..64,
+        shape in 0..3
     ) {
-        let g = build_graph(&costs);
+        let iters = gaps.iter().scan(0u64, |next, gap| {
+            let i = *next + gap;
+            *next = i + 1;
+            Some(i)
+        });
+        let g = build_graph_at(&costs, iters);
         let cfg = SimConfig { cores, comm_latency: lat, queue_capacity: cap, ..SimConfig::default() };
-        let plan = ExecutionPlan::three_phase(cores);
-        let placements = Simulator::new(cfg)
-            .run(&g, &plan)
-            .expect("valid plan")
-            .placements;
-        let violations = seqpar_runtime::check_schedule(&g, &plan, &cfg, &placements);
-        prop_assert!(violations.is_empty(), "{violations:?}");
+        let plan = match shape {
+            0 => ExecutionPlan::three_phase(cores),
+            1 => ExecutionPlan::three_phase_static(cores),
+            _ => ExecutionPlan::new(vec![
+                StageAssignment::serial(0),
+                StageAssignment::parallel((0..cores - 1).collect()),
+                StageAssignment::serial(cores - 2),
+            ]),
+        };
+        let result = Simulator::new(cfg).run(&g, &plan).expect("valid plan");
+        // The checker reads capacity 0 as "no producer starts before its
+        // own consumer", which no pipeline satisfies: it is a setting of
+        // the model (nothing downstream constrains), not a machine.
+        if cap > 0 {
+            let violations = seqpar_runtime::check_schedule(&g, &plan, &cfg, &result.placements);
+            prop_assert!(violations.is_empty(), "{violations:?}");
+        }
+        prop_assert_eq!(result, reference_run(&g, &plan, &cfg));
     }
 
     /// In-order commit never reorders: whatever the thread interleaving

@@ -2,7 +2,9 @@
 //! traces whose optimal schedules are known analytically.
 
 use seqpar::{IterationRecord, IterationTrace};
+use seqpar_bench::{simulate, PlanKind, THREAD_SWEEP};
 use seqpar_runtime::{ExecutionPlan, SimConfig, SimResult, Simulator, StageAssignment, TaskGraph};
+use seqpar_workloads::{all_workloads, InputSize};
 
 fn run(trace: &IterationTrace, cores: usize, cfg_mod: impl Fn(&mut SimConfig)) -> SimResult {
     let mut cfg = SimConfig {
@@ -173,4 +175,55 @@ fn tls_and_dswp_plans_agree_on_clean_workloads() {
         dswp.speedup(),
         tls.speedup()
     );
+}
+
+/// FNV-1a over the statistics a simulator edit must not move.
+fn digest(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Nothing else in tier-1 pins a simulated cycle of the real kernels: one
+/// digest per kernel over `InputSize::Test` × `THREAD_SWEEP` × {DSWP, TLS}
+/// of makespan, stall cycles, violations, per-core busy cycles and every
+/// channel's peak occupancy. The constants were generated at the commit
+/// before `Simulator::run` moved from hash maps to per-stage tables
+/// (PR 20); a change that is meant to move the model regenerates them and
+/// says so.
+#[test]
+fn simulated_statistics_of_every_kernel_are_pinned() {
+    const PINNED: [(&str, u64); 11] = [
+        ("164.gzip", 0xc02e_1099_2892_d572),
+        ("175.vpr", 0x1257_ec15_2f3d_392c),
+        ("176.gcc", 0xbc47_6692_4585_05b9),
+        ("181.mcf", 0x36a0_75e2_aab3_fbda),
+        ("186.crafty", 0x879c_706c_51f2_965f),
+        ("197.parser", 0x4b72_51d1_af04_c27c),
+        ("253.perlbmk", 0x047a_4fe8_9986_92ec),
+        ("254.gap", 0x19c2_ed5b_5a1d_a107),
+        ("255.vortex", 0x47b5_fe0c_5655_042e),
+        ("256.bzip2", 0x0c97_396a_efdc_3430),
+        ("300.twolf", 0x7100_1811_555e_1692),
+    ];
+    let suite = all_workloads();
+    assert_eq!(suite.len(), PINNED.len());
+    for (w, (spec_id, pinned)) in suite.iter().zip(PINNED) {
+        assert_eq!(w.meta().spec_id, spec_id);
+        let trace = w.trace(InputSize::Test);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &threads in THREAD_SWEEP {
+            for kind in [PlanKind::Dswp, PlanKind::Tls] {
+                let r = simulate(&trace, threads, kind);
+                digest(&mut h, r.makespan);
+                digest(&mut h, r.queue_stall_cycles);
+                digest(&mut h, r.violations);
+                r.core_busy.iter().for_each(|&b| digest(&mut h, b));
+                for c in &r.channel_stats {
+                    digest(&mut h, c.max_occupancy as u64);
+                }
+            }
+        }
+        assert_eq!(h, pinned, "{spec_id}: digest {h:#018x}");
+    }
 }
