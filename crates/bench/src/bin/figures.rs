@@ -38,12 +38,11 @@
 //! export — use the `seqpar-trace` binary.
 //!
 //! Native runs are *governed* by default: the contention-aware
-//! speculation governor (AIMD runahead throttling, squash backoff,
-//! graceful degradation — see DESIGN.md) runs with default knobs, and
-//! the tables gain its columns: `gov-w` (final window cap), `degrades`
-//! (collapses to sequential issue), `reprobes`, and `backoffs` (delayed
-//! plus parked redispatches). `--no-governor` reproduces the ungoverned
-//! executor and drops the columns.
+//! speculation governor (AIMD runahead throttling and graceful
+//! degradation — see DESIGN.md) runs with default knobs, and the tables
+//! gain its columns: `gov-w` (final window cap), `degrades` (collapses
+//! to sequential issue) and `reprobes`. `--no-governor` reproduces the
+//! ungoverned executor and drops the columns.
 //!
 //! `--fault-seed N` (native mode only) arms the deterministic fault
 //! injector with `FaultPlan::seeded(N)`: worker panics, corrupted

@@ -319,10 +319,7 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         "silent"
     ));
     if governed {
-        out.push_str(&format!(
-            "{:>7}{:>9}{:>9}{:>9}",
-            "gov-w", "degrades", "reprobes", "backoffs"
-        ));
+        out.push_str(&format!("{:>7}{:>9}{:>9}", "gov-w", "degrades", "reprobes"));
     }
     out.push('\n');
     for p in &curve.points {
@@ -346,11 +343,8 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         if governed {
             let g = p.governor.expect("governed curve");
             out.push_str(&format!(
-                "{:>7}{:>9}{:>9}{:>9}",
-                g.final_window,
-                g.degrades,
-                g.reprobes,
-                g.backoffs + g.parks
+                "{:>7}{:>9}{:>9}",
+                g.final_window, g.degrades, g.reprobes
             ));
         }
         out.push('\n');
@@ -737,18 +731,15 @@ pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
 
 /// Renders the speculation governor's decision stream as a short
 /// summary block: window moves (split up/down with the final cap),
-/// delayed and parked redispatches, collapses to sequential issue (with
-/// the misspeculation rate that tripped the last one), and re-probes.
-/// Built from the timeline's `GovernorThrottle` / `GovernorBackoff` /
-/// `GovernorDegrade` / `GovernorReprobe` events; returns the empty
-/// string when the timeline carries none (an ungoverned run).
+/// collapses to sequential issue (with the misspeculation rate that
+/// tripped the last one), and re-probes. Built from the timeline's
+/// `GovernorThrottle` / `GovernorDegrade` / `GovernorReprobe` events;
+/// returns the empty string when the timeline carries none (an
+/// ungoverned run).
 pub fn render_governor_summary(timeline: &Timeline) -> String {
     let mut ups = 0u64;
     let mut downs = 0u64;
     let mut final_window: Option<u32> = None;
-    let mut delayed = 0u64;
-    let mut delay_ticks = 0u64;
-    let mut parked = 0u64;
     let mut degrades = 0u64;
     let mut last_rate: Option<u32> = None;
     let mut reprobes = 0u64;
@@ -762,14 +753,6 @@ pub fn render_governor_summary(timeline: &Timeline) -> String {
                 }
                 final_window = Some(to);
             }
-            TraceEventKind::GovernorBackoff { behind, delay, .. } => {
-                if behind.is_some() {
-                    parked += 1;
-                } else {
-                    delayed += 1;
-                    delay_ticks += delay;
-                }
-            }
             TraceEventKind::GovernorDegrade { rate_permille, .. } => {
                 degrades += 1;
                 last_rate = Some(rate_permille);
@@ -782,7 +765,7 @@ pub fn render_governor_summary(timeline: &Timeline) -> String {
             _ => {}
         }
     }
-    if ups + downs + delayed + parked + degrades + reprobes == 0 {
+    if ups + downs + degrades + reprobes == 0 {
         return String::new();
     }
     let mut out = String::new();
@@ -791,9 +774,6 @@ pub fn render_governor_summary(timeline: &Timeline) -> String {
         "throttle: {} window moves ({ups} up, {downs} down), final window {}\n",
         ups + downs,
         final_window.unwrap_or(1)
-    ));
-    out.push_str(&format!(
-        "backoff:  {delayed} delayed redispatches ({delay_ticks} ticks total), {parked} parked\n"
     ));
     match last_rate {
         Some(rate) => out.push_str(&format!(

@@ -40,13 +40,13 @@
 //! against the retry budget.
 
 use super::faults::{FaultKind, RecoveryCounts};
-use super::governor::{BackoffDecision, Governor, GovernorEvent};
+use super::governor::{Governor, GovernorEvent};
 use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
 use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
 use crate::task::{StageId, TaskId};
-use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
+use seqpar_specmem::{CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,37 +75,12 @@ impl CommitView {
     }
 }
 
-/// When the dispatcher may readmit a squashed attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum Release {
-    /// Right away (every redispatch when the governor is off).
-    Now,
-    /// Hold for this many absorbed-completion ticks (governor backoff);
-    /// the dispatcher keeps it as the absolute tick it matures at.
-    AfterTick(u64),
-    /// Hold until the named task has committed (governor park).
-    AfterCommit(u32),
-}
-
-/// A squashed attempt headed back to its stage queue, with the
-/// governor's release decision attached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) struct Redispatch {
-    /// The work item to requeue (attempt already incremented).
-    pub item: WorkItem,
-    /// When to requeue it.
-    pub release: Release,
-}
-
-impl Redispatch {
-    fn now(task: u32, attempt: u32) -> Self {
-        Self {
-            item: WorkItem {
-                task,
-                attempt: attempt + 1,
-            },
-            release: Release::Now,
-        }
+/// The work item that replays a squashed attempt: straight back in
+/// line, whatever squashed it.
+fn again(task: u32, attempt: u32) -> WorkItem {
+    WorkItem {
+        task,
+        attempt: attempt + 1,
     }
 }
 
@@ -169,7 +144,7 @@ pub(super) struct CommitUnit {
     /// The speculation governor, when
     /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it
     /// on. Fed strictly at the frontier (plus early conflict squashes),
-    /// it owns the runahead window cap and the backoff decisions.
+    /// it owns the runahead window cap and the inline collapse.
     governor: Option<Governor>,
 }
 
@@ -245,49 +220,13 @@ impl CommitUnit {
         }
     }
 
-    /// Builds the redispatch for a conflict-squashed attempt, feeding
-    /// the squash into the governor (when on) and translating its
-    /// backoff decision. Ungoverned runs always release immediately —
-    /// the pre-governor protocol, bit for bit.
-    fn conflict_redispatch(
-        &mut self,
-        task: u32,
-        attempt: u32,
-        addr: Option<Addr>,
-        by: Option<u32>,
-        at_frontier: bool,
-    ) -> Redispatch {
-        let Some(g) = self.governor.as_mut() else {
-            return Redispatch::now(task, attempt);
-        };
-        let (decision, events) = g.on_conflict(task, attempt, addr.map(|a| a.0), by, at_frontier);
-        self.trace_governor(task, events);
-        let item = WorkItem {
-            task,
-            attempt: attempt + 1,
-        };
-        let release = match decision {
-            BackoffDecision::Immediate => Release::Now,
-            BackoffDecision::Delay(delay) => {
-                self.trace.record(TraceEventKind::GovernorBackoff {
-                    task,
-                    attempt,
-                    delay,
-                    behind: None,
-                });
-                Release::AfterTick(delay)
-            }
-            BackoffDecision::Park { behind } => {
-                self.trace.record(TraceEventKind::GovernorBackoff {
-                    task,
-                    attempt,
-                    delay: 0,
-                    behind: Some(behind),
-                });
-                Release::AfterCommit(behind)
-            }
-        };
-        Redispatch { item, release }
+    /// Feeds one conflict squash into the governor, when on, and traces
+    /// its reactions.
+    fn governor_conflict(&mut self, task: u32) {
+        if let Some(g) = self.governor.as_mut() {
+            let events = g.on_conflict();
+            self.trace_governor(task, events);
+        }
     }
 
     /// Feeds a whole batch-drained run of `count` commits into the
@@ -366,9 +305,9 @@ impl CommitUnit {
 
     /// Takes one completion off the board into the reorder buffer. A
     /// turn accepts everything the runners published and then runs one
-    /// [`drain`](Self::drain) over the lot. Returns a
-    /// redispatch only for an early conflict squash (below).
-    pub(super) fn accept(&mut self, job: &JobShared, mut done: WorkerDone) -> Option<Redispatch> {
+    /// [`drain`](Self::drain) over the lot. Returns a work item to
+    /// requeue only for an early conflict squash (below).
+    pub(super) fn accept(&mut self, job: &JobShared, mut done: WorkerDone) -> Option<WorkItem> {
         if self.seat_stats.len() <= done.seat {
             self.seat_stats.resize(done.seat + 1, (Duration::ZERO, 0));
         }
@@ -385,15 +324,15 @@ impl CommitUnit {
         // Early conflict squash (governed versioned runs only): a
         // completion whose version is already doomed need not wait in
         // the reorder buffer for the frontier to discover the conflict —
-        // squashing it on arrival is what lets the governor's backoff
-        // shape the *re*-dispatch instead of re-racing the hot address.
+        // squashing it on arrival is what lets the governor hear a storm
+        // when it happens, not when the frontier reaches the victim.
         // Panicked attempts are excluded (the frontier's panic rung owns
         // their rollback and their retry-budget charge), as is the
-        // frontier task itself (its redispatch may never be delayed).
+        // frontier task itself (the frontier's conflict rung takes it).
         if self.governor.is_some() && !done.panicked && (done.task as usize) > self.next {
             if let Some(m) = job.spec.mem.as_deref() {
                 let v = VersionId(u64::from(done.task));
-                if let Some((by, addr)) = m.squash_info(v) {
+                if let Some(by) = m.squash_info(v) {
                     let stage = job.spec.graph.task(TaskId(done.task)).stage.0;
                     // Charged here instead of at the frontier: this
                     // attempt never reaches the reorder buffer, and the
@@ -416,13 +355,8 @@ impl CommitUnit {
                         reason: SquashReason::MemoryConflict,
                     });
                     m.rollback(v);
-                    return Some(self.conflict_redispatch(
-                        done.task,
-                        done.attempt,
-                        addr,
-                        Some(by.0 as u32),
-                        false,
-                    ));
+                    self.governor_conflict(done.task);
+                    return Some(again(done.task, done.attempt));
                 }
             }
         }
@@ -464,7 +398,7 @@ impl CommitUnit {
     /// lock and governor traffic is amortized.
     ///
     /// Returns the squashed attempts to re-dispatch.
-    pub(super) fn drain(&mut self, job: &JobShared) -> Result<Vec<Redispatch>, Stop> {
+    pub(super) fn drain(&mut self, job: &JobShared) -> Result<Vec<WorkItem>, Stop> {
         // Fast path for the governed tight loop: with nothing buffered
         // (the common case while degraded) there is nothing to flush.
         if self.buffered == 0 {
@@ -503,7 +437,7 @@ impl CommitUnit {
                 // version open with partial writes; discard them.
                 Self::rollback_version(job, done.task);
                 self.charge(done.task)?;
-                redispatch.push(Redispatch::now(done.task, done.attempt));
+                redispatch.push(again(done.task, done.attempt));
                 continue;
             }
             // 2b. Conflict-driven misspeculation, batched: one registry
@@ -542,17 +476,9 @@ impl CommitUnit {
                                 attempt: done.attempt,
                                 reason: SquashReason::MemoryConflict,
                             });
-                            let v = VersionId(u64::from(done.task));
-                            let addr = m.squash_info(v).and_then(|(_, a)| a);
-                            m.rollback(v);
-                            let r = self.conflict_redispatch(
-                                done.task,
-                                done.attempt,
-                                addr,
-                                Some(by.0 as u32),
-                                true,
-                            );
-                            redispatch.push(r);
+                            m.rollback(VersionId(u64::from(done.task)));
+                            self.governor_conflict(done.task);
+                            redispatch.push(again(done.task, done.attempt));
                         }
                         other => {
                             // In-order commit already published every
@@ -629,11 +555,10 @@ impl CommitUnit {
                         reason: SquashReason::Misspeculation,
                     });
                     // The governor treats a trace-driven misspeculation
-                    // as a frontier conflict with no address: it feeds
-                    // the window controller but never delays the
-                    // frontier's replay.
-                    let r = self.conflict_redispatch(done.task, done.attempt, None, None, true);
-                    redispatch.push(r);
+                    // as a frontier conflict: once per squashed task,
+                    // however many of its dependences manifested.
+                    self.governor_conflict(done.task);
+                    redispatch.push(again(done.task, done.attempt));
                 } else if fails_validation {
                     self.recovery.corruptions_caught += 1;
                     self.trace.record(TraceEventKind::Squash {
@@ -645,7 +570,7 @@ impl CommitUnit {
                     // the replay will re-open it — discard it first.
                     Self::rollback_version(job, done.task);
                     self.charge(done.task)?;
-                    redispatch.push(Redispatch::now(done.task, done.attempt));
+                    redispatch.push(again(done.task, done.attempt));
                 } else {
                     self.recovery.spurious_squashes += 1;
                     self.trace.record(TraceEventKind::Squash {
@@ -655,7 +580,7 @@ impl CommitUnit {
                     });
                     Self::rollback_version(job, done.task);
                     self.charge(done.task)?;
-                    redispatch.push(Redispatch::now(done.task, done.attempt));
+                    redispatch.push(again(done.task, done.attempt));
                 }
                 break;
             }

@@ -275,8 +275,8 @@ pub(super) fn corrupt_output(output: &mut super::TaskOutput) {
 }
 
 /// SplitMix64: the standard 64-bit finalizer, used as a stateless hash
-/// (shared with the governor's deterministic backoff jitter).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// (and as the governor tests' script generator).
+pub(super) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -6,7 +6,7 @@
 //! paying. What only run time can know is whether the loop's
 //! iterations *conflict*: tasks race on the same addresses, squash
 //! rates explode, and every squash wastes a body execution plus a
-//! rollback. The governor handles that with three mechanisms layered on
+//! rollback. The governor handles that with two mechanisms layered on
 //! the commit frontier:
 //!
 //! 1. **Runahead throttling** — a dynamic speculation-window cap over
@@ -14,12 +14,7 @@
 //!    follows AIMD with hysteresis: a conflict shrinks it
 //!    multiplicatively (once per cooldown period, so a burst counts as
 //!    one signal), a full window of clean commits grows it additively.
-//! 2. **Per-address squash backoff** — a task squashed by a
-//!    `MemoryConflict` on a hot address is redispatched after a
-//!    jittered exponential delay (measured in absorbed-completion
-//!    ticks). Past a heat threshold the task is *parked* behind the
-//!    conflicting committer instead of re-racing it.
-//! 3. **Graceful degradation** — the governor collapses to
+//! 2. **Graceful degradation** — the governor collapses to
 //!    effectively-sequential issue (whoever holds the frontier runs its
 //!    tasks inline through the substrate) when the windowed misspeculation
 //!    rate stays above a configurable ceiling, or when AIMD walks the
@@ -28,6 +23,10 @@
 //!    dominates it). `reprobe_period` inline commits later it probes: a
 //!    small pipelined window that one conflict collapses again and
 //!    [`PROBE_LEN`] clean commits graduate to AIMD growth.
+//!
+//! The governor decides how far ahead tasks run, never when a squashed
+//! one comes back: every squashed attempt goes straight back in line,
+//! the paper's misspeculation-as-serialization.
 //!
 //! A run **opens the way it re-opens**, as a probe, and the governor
 //! reads no clock: whether a task is long enough to hand off is decided
@@ -40,20 +39,18 @@
 //! speculate, so either is held inline for the whole run and never
 //! probes.
 //!
-//! Every decision — window moves, collapses, probes, backoff delays,
-//! park targets, jitter — is therefore a pure function of the
-//! commit/conflict sequence the frontier feeds in: a replay job
-//! (`JobSpec::mem == None`) reports the same [`GovernorStats`] on every
-//! run, and so does the simulator twin (a conflict-driven job's sequence
-//! is real races, so its counters move with timing; its bytes never do).
-//! The governor is also trace-free: it returns [`GovernorEvent`]s for the
-//! caller to turn into `TraceEvent`s, so both share one controller.
+//! Every decision — window moves, collapses, probes — is therefore a
+//! pure function of the commit/conflict sequence the frontier feeds in:
+//! a replay job (`JobSpec::mem == None`) reports the same
+//! [`GovernorStats`] on every run, and so does the simulator twin (a
+//! conflict-driven job's sequence is real races, so its counters move
+//! with timing; its bytes never do). The governor is also trace-free: it
+//! returns [`GovernorEvent`]s for the caller to turn into `TraceEvent`s,
+//! so both share one controller.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-
-use super::faults::splitmix64;
 
 /// Clean commits that end a probe. Until then one conflict collapses
 /// the loop on the spot: a storm that is still live must cost a handful
@@ -73,22 +70,13 @@ const SHRINK_PERCENT: u64 = 50;
 /// Additive window growth after a full clean window of commits.
 const GROW: u32 = 4;
 
-/// Base redispatch delay, in absorbed-completion ticks, for a
-/// conflict-squashed task, and the ceiling its exponential ramp stops
-/// at.
-const BACKOFF_BASE: u64 = 2;
-const MAX_BACKOFF: u64 = 64;
-
 /// Sliding-window length (frontier outcomes) of the misspeculation
 /// rate.
 const HISTORY: usize = 32;
 
-/// Seed of the deterministic backoff jitter.
-const JITTER_SEED: u64 = 0x5ec_90b3;
-
-/// Knobs for the speculation governor — the four that a test or a
-/// caller really varies; the AIMD step sizes, the backoff ramp,
-/// the rate history and the jitter seed are constants of this module.
+/// Knobs for the speculation governor — the three that a test or a
+/// caller really varies; the AIMD step sizes and the rate history are
+/// constants of this module.
 /// All fields are plain integers so the config stays `Copy + Eq` and
 /// serializes into run manifests.
 ///
@@ -111,9 +99,6 @@ pub struct GovernorConfig {
     /// Inline commits between a collapse and the next probe. Clamped
     /// to ≥ 1.
     pub reprobe_period: u32,
-    /// Squashes on one address before the next victim is parked behind
-    /// the conflicting committer instead of re-raced with a delay.
-    pub park_threshold: u32,
 }
 
 impl Default for GovernorConfig {
@@ -122,7 +107,6 @@ impl Default for GovernorConfig {
             window: 64,
             degrade_ceiling: 250,
             reprobe_period: 2048,
-            park_threshold: 3,
         }
     }
 }
@@ -153,27 +137,15 @@ pub struct GovernorStats {
     /// Speculation re-probes attempted from degraded mode (the probe a
     /// run opens with is not one).
     pub reprobes: u64,
-    /// Conflict redispatches delayed by exponential backoff.
+    /// Always 0: a squashed attempt is never held back; kept while the
+    /// benchmark reads it.
     pub backoffs: u64,
-    /// Conflict redispatches parked behind the conflicting committer.
-    pub parks: u64,
     /// Tasks committed while degraded (a one-seat plan's whole run).
     pub degraded_commits: u64,
     /// Speculation window when the run finished.
     pub final_window: u32,
     /// Smallest speculation window the run ever reached.
     pub min_window: u32,
-}
-
-/// How a conflict-squashed task should be redispatched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BackoffDecision {
-    /// Requeue immediately (frontier task, or no backoff warranted).
-    Immediate,
-    /// Requeue after this many absorbed-completion ticks.
-    Delay(u64),
-    /// Hold until the named task has committed (serialize behind it).
-    Park { behind: u32 },
 }
 
 /// A governor decision the caller should surface as a trace event,
@@ -221,8 +193,6 @@ pub(crate) struct Governor {
     clean_streak: u32,
     /// Commits remaining before another shrink may fire (hysteresis).
     cooldown: u32,
-    /// Squash counts per conflicting address (the "hot address" map).
-    heat: HashMap<u64, u32>,
     stats: GovernorStats,
 }
 
@@ -240,7 +210,6 @@ impl Governor {
             conflicts_in_history: 0,
             clean_streak: 0,
             cooldown: 0,
-            heat: HashMap::new(),
             stats: GovernorStats {
                 final_window: 1,
                 min_window: 1,
@@ -316,25 +285,15 @@ impl Governor {
         self.conflicts_in_history = 0;
     }
 
-    /// Feeds one conflict squash (a `MemoryConflict` at or before the
-    /// frontier) into the controller. `addr` is the conflicting address
-    /// when the substrate recorded one, `by` the squashing task,
-    /// `at_frontier` whether the victim is the next task to commit
-    /// (frontier tasks always redispatch immediately — delaying the
-    /// frontier would stall the pipeline for nothing).
+    /// Feeds one conflict squash (a `MemoryConflict`, or a replayed
+    /// misspeculation) into the controller. The squashed attempt itself
+    /// goes straight back in line, whatever the governor's mode.
     ///
     /// Only speculation failures feed this path; fault-recovery
     /// squashes (panics, corruption, spurious) stay with the
     /// commit unit's retry budget so the two mechanisms compose instead
     /// of fighting.
-    pub(crate) fn on_conflict(
-        &mut self,
-        task: u32,
-        attempt: u32,
-        addr: Option<u64>,
-        by: Option<u32>,
-        at_frontier: bool,
-    ) -> (BackoffDecision, Vec<GovernorEvent>) {
+    pub(crate) fn on_conflict(&mut self) -> Vec<GovernorEvent> {
         let mut events = Vec::new();
         self.clean_streak = 0;
         match self.mode {
@@ -354,7 +313,7 @@ impl Governor {
                     self.cooldown = self.window;
                 }
                 // The floor and the rate route into degradation
-                // (module docs, mechanism 3).
+                // (module docs, mechanism 2).
                 if self.window == 1
                     || (self.outcomes.len() == HISTORY
                         && self.rate_permille() >= self.cfg.degrade_ceiling)
@@ -371,36 +330,7 @@ impl Governor {
             // Stragglers from before the collapse; already sequential.
             Mode::Degraded { .. } | Mode::Held => {}
         }
-
-        let decision = if at_frontier || self.degraded() {
-            BackoffDecision::Immediate
-        } else {
-            let heat = match addr {
-                Some(a) => {
-                    let h = self.heat.entry(a).or_insert(0);
-                    *h += 1;
-                    *h
-                }
-                // No recorded address: scale off the replay count.
-                None => attempt.saturating_add(1),
-            };
-            if heat > self.cfg.park_threshold {
-                if let Some(behind) = by {
-                    self.stats.parks += 1;
-                    return (BackoffDecision::Park { behind }, events);
-                }
-            }
-            let exp = heat.saturating_sub(1).min(16);
-            let raw = BACKOFF_BASE << exp;
-            let jitter = splitmix64(
-                JITTER_SEED
-                    ^ u64::from(task).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-            ) % (BACKOFF_BASE + 1);
-            self.stats.backoffs += 1;
-            BackoffDecision::Delay(raw.min(MAX_BACKOFF) + jitter)
-        };
-        (decision, events)
+        events
     }
 
     /// Feeds `count` committed tasks into the controller — a whole
@@ -463,13 +393,14 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::faults::splitmix64;
 
     /// A plan wide enough to pipeline.
     const SEATS: usize = 4;
 
     fn storm(g: &mut Governor, conflicts: u32) {
-        for t in 0..conflicts {
-            let _ = g.on_conflict(t, 0, Some(u64::from(t % 4)), Some(t.wrapping_sub(1)), false);
+        for _ in 0..conflicts {
+            let _ = g.on_conflict();
         }
     }
 
@@ -499,7 +430,7 @@ mod tests {
         assert!(!g.degraded(), "two seats can overlap: pipelined at once");
         assert_eq!((g.mode, g.window()), OPENING);
         // One conflict collapses the opening probe, like any probe ...
-        let (_, events) = g.on_conflict(1, 0, Some(7), Some(0), false);
+        let events = g.on_conflict();
         let rate_permille = 1000; // one outcome, a conflict
         assert_eq!(events, [GovernorEvent::Degrade { rate_permille }]);
         assert!(g.degraded());
@@ -527,8 +458,7 @@ mod tests {
                 assert!(g.degraded() && g.window() == 1);
                 assert_eq!(g.on_commit(1), [], "nothing to decide");
             }
-            let (decision, events) = g.on_conflict(5, 0, Some(1), Some(4), false);
-            assert_eq!((decision, events), (BackoffDecision::Immediate, vec![]));
+            assert_eq!(g.on_conflict(), [], "a straggler changes nothing");
             let held = GovernorStats {
                 degraded_commits: 3 * u64::from(cfg.reprobe_period),
                 final_window: 1,
@@ -564,7 +494,7 @@ mod tests {
     #[test]
     fn the_same_conflict_sequence_gives_the_same_decisions() {
         // A seeded mix of commit batches and conflicts — storms, quiet
-        // stretches, frontier and runahead victims — fed to two
+        // stretches — fed to two
         // controllers, the second one commit at a time.
         let cfg = GovernorConfig {
             reprobe_period: 16,
@@ -574,10 +504,7 @@ mod tests {
         for step in 0..4_000u32 {
             let r = splitmix64(u64::from(step));
             if r % 8 < 3 + u64::from(step / 500 % 2) * 4 {
-                let (task, addr) = (step, Some(r >> 8 & 3));
-                let by = Some(step.wrapping_sub(1));
-                let ours = a.on_conflict(task, 0, addr, by, r & 16 != 0);
-                assert_eq!(ours, b.on_conflict(task, 0, addr, by, r & 16 != 0));
+                assert_eq!(a.on_conflict(), b.on_conflict());
             } else {
                 let count = 1 + (r >> 8) % 5;
                 let single: Vec<_> = (0..count).flat_map(|_| b.on_commit(1)).collect();
@@ -590,7 +517,6 @@ mod tests {
         let stats = a.stats();
         assert!(stats.shrinks > 0 && stats.grows > 0, "{stats:?}");
         assert!(stats.degrades > 1 && stats.reprobes > 0, "{stats:?}");
-        assert!(stats.backoffs > 0 && stats.parks > 0, "{stats:?}");
     }
 
     #[test]
@@ -614,8 +540,8 @@ mod tests {
         let mut g = promoted(cfg);
         grow_to_max(&mut g);
         // Hammer conflicts: window must shrink but never drop below 1.
-        for t in 0..500 {
-            let _ = g.on_conflict(t, 1, Some(7), Some(t.saturating_sub(1)), false);
+        for _ in 0..500 {
+            let _ = g.on_conflict();
             assert!(g.window() >= 1, "window fell below 1");
         }
         // Hammer clean commits: the post-storm reprobe graduates and
@@ -638,18 +564,18 @@ mod tests {
             ..GovernorConfig::default()
         });
         grow_to_max(&mut g);
-        let _ = g.on_conflict(0, 0, Some(1), None, false);
+        let _ = g.on_conflict();
         assert_eq!(g.window(), 32, "first conflict halves the window");
         // A burst inside the cooldown is one signal, not many.
-        let _ = g.on_conflict(1, 0, Some(1), None, false);
-        let _ = g.on_conflict(2, 0, Some(1), None, false);
+        let _ = g.on_conflict();
+        let _ = g.on_conflict();
         assert_eq!(g.window(), 32, "burst within cooldown shrinks once");
         commit(&mut g, 32);
         // The clean run both expires the cooldown and earns one growth
         // step (32 -> 36); the re-armed shrink then halves from there.
         let grown = g.window();
         assert!(grown > 32, "a clean window's worth of commits grows");
-        let _ = g.on_conflict(3, 0, Some(1), None, false);
+        let _ = g.on_conflict();
         assert_eq!(g.window(), grown / 2, "cooldown expiry re-arms the shrink");
     }
 
@@ -665,7 +591,7 @@ mod tests {
         assert!(!g.degraded(), "reprobe leaves degraded mode");
         assert_eq!(g.window(), PROBE_WINDOW, "probes pipeline a small window");
         // One conflict during the probe re-degrades immediately.
-        let _ = g.on_conflict(999, 0, Some(1), Some(998), false);
+        let _ = g.on_conflict();
         assert!(g.degraded(), "probe conflict re-degrades without dithering");
         let stats = g.stats();
         assert_eq!((stats.degrades, stats.reprobes), (2, 1), "{stats:?}");
@@ -686,44 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_address_escalates_to_park() {
-        let cfg = GovernorConfig::default();
-        let mut g = promoted(cfg);
-        let mut delays = Vec::new();
-        for attempt in 0..cfg.park_threshold {
-            let (d, _) = g.on_conflict(10, attempt, Some(42), Some(9), false);
-            let BackoffDecision::Delay(ticks) = d else {
-                panic!("expected a delay below the threshold, got {d:?}");
-            };
-            delays.push(ticks);
-        }
-        let ramps = |w: &[u64]| w[0] <= w[1] || w[1] >= BACKOFF_BASE;
-        assert!(delays.windows(2).all(ramps), "jittered ramp: {delays:?}");
-        // Past the threshold the victim serializes behind the committer.
-        let (d, _) = g.on_conflict(10, cfg.park_threshold, Some(42), Some(9), false);
-        assert_eq!(d, BackoffDecision::Park { behind: 9 });
-        assert_eq!(g.stats().parks, 1);
-    }
-
-    #[test]
-    fn frontier_conflicts_redispatch_immediately() {
-        let mut g = promoted(GovernorConfig::default());
-        let (d, _) = g.on_conflict(0, 0, Some(1), None, true);
-        assert_eq!(d, BackoffDecision::Immediate, "never delay the frontier");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let run = || {
-            let mut g = promoted(GovernorConfig::default());
-            g.on_conflict(3, 1, Some(5), None, false).0
-        };
-        assert_eq!(run(), run(), "same seed, same decision");
-        // A first non-frontier conflict backs off.
-        assert!(matches!(run(), BackoffDecision::Delay(_)));
-    }
-
-    #[test]
     fn degenerate_configs_are_clamped() {
         let cfg = GovernorConfig {
             window: 0,
@@ -732,7 +620,7 @@ mod tests {
         };
         let mut g = Governor::new(cfg, SEATS);
         assert_eq!(g.window(), 1, "zero max window clamps to 1");
-        let _ = g.on_conflict(0, 0, None, None, false);
+        let _ = g.on_conflict();
         assert_eq!(g.window(), 1);
         commit(&mut g, 10);
         assert_eq!(g.window(), 1, "window never exceeds the clamped max");

@@ -99,7 +99,7 @@ pub struct NativeReport {
     /// byte-identical.
     pub mem: Option<MemStats>,
     /// The speculation governor's decision counters (window moves,
-    /// degraded periods, backoffs) when the run was governed
+    /// degraded periods, re-probes) when the run was governed
     /// ([`ExecConfig::governor`](super::ExecConfig::governor)); `None`
     /// when the governor was off. Like conflict counts, these are
     /// timing-dependent — they react to real races.

@@ -99,7 +99,7 @@ pub use trace::{
 
 use crate::sim::SimError;
 use crate::task::{StageId, TaskGraph, TaskId};
-use commit::{CommitUnit, Redispatch, Release, Stop};
+use commit::{CommitUnit, Stop};
 use engine::{hand, Pool};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use stage::{JobShared, Seat, WorkItem};
@@ -214,11 +214,11 @@ pub struct ExecConfig {
     /// off, recording is a single branch per would-be event.
     pub trace: bool,
     /// The contention-aware speculation governor: AIMD runahead
-    /// throttling, per-address squash backoff, and graceful degradation
-    /// to sequential inline issue under conflict storms (see
-    /// [`GovernorConfig`]). `None` (the default) reproduces the
-    /// ungoverned protocol exactly — every conflict redispatches
-    /// immediately and runahead is bounded only by queue capacity.
+    /// throttling and graceful degradation to sequential inline issue
+    /// under conflict storms (see [`GovernorConfig`]). `None` (the
+    /// default) reproduces the ungoverned protocol exactly — runahead is
+    /// bounded only by queue capacity and nothing collapses to inline
+    /// issue. Either way every squashed attempt is requeued at once.
     pub governor: Option<GovernorConfig>,
 }
 
@@ -381,9 +381,8 @@ struct Dispatcher {
     dependents: Vec<Vec<u32>>,
     propagated: Vec<bool>,
     /// Per lane: squashed attempts awaiting readmission, ahead of any
-    /// fresh work, each with the governor's word on when it may go back
-    /// (an [`Release::AfterTick`] holds the absolute tick).
-    pending: Vec<VecDeque<(WorkItem, Release)>>,
+    /// fresh work.
+    pending: Vec<VecDeque<WorkItem>>,
     /// Per lane: fresh tasks before this index are admitted or were
     /// committed inline.
     released: Vec<usize>,
@@ -450,43 +449,25 @@ impl Dispatcher {
     /// `pool`. Each admission is traced as a `QueuePush` with the lane's
     /// claimable count right after it.
     ///
-    /// Without a governor `limit` is `None` and every requeue is ripe.
-    /// With one, items past the dynamic speculation window, and items
-    /// whose backoff has not matured, stay pending (skipped, not popped)
-    /// so a held-back front item can never starve an admitted one
-    /// behind it — in particular never the frontier task. A backoff
-    /// matures at its absorbed-completion `tick` (deterministic given
-    /// the trace, unlike wall time) or when the task it lost to has
-    /// committed — and, the liveness rule that makes backoff unable to
-    /// stall the run, the moment the item is at or before `frontier` or
-    /// the pipeline has drained empty.
+    /// Without a governor `limit` is `None`. With one, requeued items
+    /// past the dynamic speculation window stay pending (skipped, not
+    /// popped) so a held-back front item can never starve an admitted
+    /// one behind it — in particular never the frontier task.
     fn admit(
         &mut self,
         job: &Arc<JobShared>,
         pool: &dyn Pool,
         limit: Option<u64>,
-        frontier: u32,
-        tick: u64,
         trace: &mut TraceBuffer,
     ) {
         let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
-        let drained = self.in_flight_count == 0;
-        let ripe = |item: WorkItem, release: Release| {
-            drained
-                || item.task <= frontier
-                || match release {
-                    Release::Now => true,
-                    Release::AfterTick(at) => tick >= at,
-                    Release::AfterCommit(behind) => behind < frontier,
-                }
-        };
         let board = &job.board;
         'lanes: for lane in 0..board.lane_count() {
             let cap = board.cap(lane);
             let mut i = 0;
             while i < self.pending[lane].len() {
-                let (item, release) = self.pending[lane][i];
-                if !within(item.task) || !ripe(item, release) {
+                let item = self.pending[lane][i];
+                if !within(item.task) {
                     i += 1;
                     continue;
                 }
@@ -527,8 +508,7 @@ impl Dispatcher {
 
     /// Takes the frontier task for inline execution on the thread whose
     /// turn it is, if no runner can reach it: it is the next fresh task
-    /// of its lane, or a squashed attempt awaiting readmission (ripe by
-    /// definition: it is the frontier).
+    /// of its lane, or a squashed attempt awaiting readmission.
     fn take_inline(&mut self, job: &JobShared, task: u32) -> bool {
         if self.in_flight[task as usize] || self.deps_left[task as usize] > 0 {
             return false;
@@ -539,7 +519,7 @@ impl Dispatcher {
             self.released[lane] += 1;
             return true;
         }
-        let pos = self.pending[lane].iter().position(|(w, _)| w.task == task);
+        let pos = self.pending[lane].iter().position(|w| w.task == task);
         pos.map(|pos| self.pending[lane].remove(pos)).is_some()
     }
 
@@ -562,17 +542,6 @@ impl Dispatcher {
             }
         }
     }
-
-    /// Puts a squashed attempt back in line for readmission — ahead of
-    /// any not-yet-admitted fresh work, immediately or behind the
-    /// governor's backoff, counted from `tick`.
-    fn requeue(&mut self, job: &JobShared, r: Redispatch, tick: u64) {
-        let release = match r.release {
-            Release::AfterTick(delay) => Release::AfterTick(tick.saturating_add(delay)),
-            other => other,
-        };
-        self.pending[lane_of(job, r.item.task)].push_back((r.item, release));
-    }
 }
 
 /// Everything one job's commit frontier owns, behind the `Mutex` on
@@ -583,8 +552,7 @@ struct Frontier {
     /// The dispatcher's trace events, whichever thread's turn it was.
     trace: TraceBuffer,
     /// Sequence number of the next completion to take off the ring —
-    /// completions absorbed so far, the clock governor backoffs are
-    /// measured on.
+    /// completions absorbed so far.
     head: u64,
     /// Set by the turn that ended the job: whether the sequential
     /// fallback ran, or why no legal outcome exists.
@@ -817,8 +785,8 @@ impl<'a> Turn<'a> {
         Ok(())
     }
 
-    /// Opens the board to whatever the governor's window, the lane
-    /// windows and the backoffs allow.
+    /// Opens the board to whatever the governor's window and the lane
+    /// windows allow.
     fn admit(&mut self) {
         let f = &mut *self.f;
         let frontier = f.commit.committed_tasks() as u64;
@@ -827,9 +795,7 @@ impl<'a> Turn<'a> {
             let window = usize::try_from(limit - frontier).unwrap_or(usize::MAX);
             self.job.board.set_window(window);
         }
-        let (job, pool) = (self.job, self.pool);
-        f.dispatch
-            .admit(job, pool, limit, frontier as u32, f.head, &mut f.trace);
+        f.dispatch.admit(self.job, self.pool, limit, &mut f.trace);
     }
 
     /// Takes every completion the runners have published off the ring
@@ -843,8 +809,8 @@ impl<'a> Turn<'a> {
             if !done.panicked {
                 f.dispatch.propagate(done.task as usize);
             }
-            if let Some(r) = f.commit.accept(job, done) {
-                f.dispatch.requeue(job, r, f.head);
+            if let Some(item) = f.commit.accept(job, done) {
+                f.dispatch.pending[lane_of(job, item.task)].push_back(item);
             }
         }
         if f.head == before {
@@ -859,8 +825,8 @@ impl<'a> Turn<'a> {
     /// attempt's output is gone).
     fn drain_frontier(&mut self) -> Result<(), Stop> {
         let (job, f) = (self.job, &mut *self.f);
-        for r in f.commit.drain(job)? {
-            f.dispatch.requeue(job, r, f.head);
+        for item in f.commit.drain(job)? {
+            f.dispatch.pending[lane_of(job, item.task)].push_back(item);
         }
         Ok(())
     }

@@ -1224,81 +1224,146 @@ fn the_watchdog_counts_publications_not_wakes() {
     assert_eq!(mem.committed(Addr(0)), Some(iters));
 }
 
-/// Governor backoff end to end. Four quiet tasks (private addresses)
+/// Early squashes end to end. Four quiet tasks (private addresses)
 /// graduate the opening probe; from task 4 on every task
 /// read-modify-writes one counter. The first of those are made to race,
 /// by flags, not by luck: task 4 holds its write back until tasks 5–7 —
 /// the rest of its window — have read the counter, and they hold their
 /// completions back until it has written. So they are published already
-/// squashed, from past the frontier, and are redispatched behind a
-/// delay — or, with the park threshold at zero, behind their squasher.
-/// Those attempts wait in their lane's pending list and must all come
-/// back.
+/// squashed, from past the frontier, squashed on arrival, and go
+/// straight back in line — where the window the governor shrank on
+/// hearing them may keep some pending a while. Every one must come back.
 #[test]
-fn backed_off_attempts_wait_in_their_lane_and_all_come_back() {
+fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
     let (iters, quiet) = (64u64, 4u64);
-    for park_threshold in [GovernorConfig::default().park_threshold, 0] {
-        // Victims that have read, whether the squasher has written, and
-        // victims that are done.
-        let state = [const { AtomicUsize::new(0) }; 3];
-        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-            let Some(m) = ctx.mem else {
-                // Sequential oracle / fallback path.
-                return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-            };
-            let v = VersionId(u64::from(task.0));
-            if ctx.iter < quiet {
-                m.write(v, Addr(1000 + ctx.iter), 1);
-                return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-            }
-            let got = m.read(v, Addr(0));
-            let raced = ctx.attempt == 0 && ctx.iter < 2 * quiet;
-            if raced && ctx.iter == quiet {
-                wait_until(|| state[0].load(Ordering::SeqCst) >= 3);
-            } else if raced {
-                state[0].fetch_add(1, Ordering::SeqCst);
-                wait_until(|| state[1].load(Ordering::SeqCst) >= 1);
-            }
-            m.write(v, Addr(0), got + 1);
-            if raced && ctx.iter == quiet {
-                // Last to publish: the frontier stays put until the
-                // victims' completions are on the ring.
-                state[1].store(1, Ordering::SeqCst);
-                wait_until(|| state[2].load(Ordering::SeqCst) >= 3);
-            } else if raced {
-                state[2].fetch_add(1, Ordering::SeqCst);
-            }
-            TaskOutput::bytes((got + quiet).to_le_bytes().to_vec())
+    // Victims that have read, whether the squasher has written, and
+    // victims that are done.
+    let state = [const { AtomicUsize::new(0) }; 3];
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let Some(m) = ctx.mem else {
+            // Sequential oracle / fallback path.
+            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
         };
-        let governor = GovernorConfig {
-            reprobe_period: 4,
-            park_threshold,
-            ..GovernorConfig::default()
+        let v = VersionId(u64::from(task.0));
+        if ctx.iter < quiet {
+            m.write(v, Addr(1000 + ctx.iter), 1);
+            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+        }
+        let got = m.read(v, Addr(0));
+        let raced = ctx.attempt == 0 && ctx.iter < 2 * quiet;
+        if raced && ctx.iter == quiet {
+            wait_until(|| state[0].load(Ordering::SeqCst) >= 3);
+        } else if raced {
+            state[0].fetch_add(1, Ordering::SeqCst);
+            wait_until(|| state[1].load(Ordering::SeqCst) >= 1);
+        }
+        m.write(v, Addr(0), got + 1);
+        if raced && ctx.iter == quiet {
+            // Last to publish: the frontier stays put until the
+            // victims' completions are on the ring.
+            state[1].store(1, Ordering::SeqCst);
+            wait_until(|| state[2].load(Ordering::SeqCst) >= 3);
+        } else if raced {
+            state[2].fetch_add(1, Ordering::SeqCst);
+        }
+        TaskOutput::bytes((got + quiet).to_le_bytes().to_vec())
+    };
+    let governor = GovernorConfig {
+        reprobe_period: 4,
+        ..GovernorConfig::default()
+    };
+    let (report, mem) = run_versioned(
+        ExecConfig::default()
+            .with_governor(governor)
+            .with_tracing(true),
+        &counter_graph(iters),
+        &ExecutionPlan::tls(4),
+        body,
+    );
+    assert_eq!(report.output, expected_stream(iters));
+    assert_eq!(mem.committed(Addr(0)), Some(iters - quiet));
+    let squashes = report.squashes;
+    assert!(squashes >= 3, "the race squashes tasks 5-7, not {squashes}");
+    // A squashed attempt that never came back would wedge the frontier
+    // until the watchdog fell back to sequential execution.
+    assert_eq!(report.watchdog_trips, 0);
+    assert!(!report.fallback_activated);
+    let timeline = report.timeline.as_ref().expect("tracing was on");
+    timeline.validate().expect("well-formed governed timeline");
+    // Every squashed attempt is followed by its replay: admitted as the
+    // next attempt, or issued inline once the governor collapsed.
+    let events = timeline.events();
+    for (at, e) in events.iter().enumerate() {
+        let TraceEventKind::Squash { task, attempt, .. } = e.kind else {
+            continue;
         };
-        let (report, mem) = run_versioned(
-            ExecConfig::default()
-                .with_governor(governor)
-                .with_tracing(true),
-            &counter_graph(iters),
-            &ExecutionPlan::tls(4),
-            body,
-        );
-        assert_eq!(report.output, expected_stream(iters));
-        assert_eq!(mem.committed(Addr(0)), Some(iters - quiet));
-        let stats = report.governor.expect("governed run reports stats");
-        let held = if park_threshold == 0 {
-            stats.parks
-        } else {
-            stats.backoffs
-        };
-        assert!(held > 0, "the race must hold attempts back: {stats:?}");
-        // A held attempt that never came back would wedge the frontier
-        // until the watchdog fell back to sequential execution.
-        assert_eq!(report.watchdog_trips, 0);
-        assert!(!report.fallback_activated);
-        let timeline = report.timeline.as_ref().expect("tracing was on");
-        timeline.validate().expect("well-formed governed timeline");
+        let back = events[at..].iter().any(|later| match later.kind {
+            TraceEventKind::QueuePush {
+                task: t,
+                attempt: a,
+                ..
+            } => (t, a) == (task, attempt + 1),
+            TraceEventKind::Commit {
+                task: t,
+                attempt: a,
+            } => (t, a) == (task, DEGRADED_ATTEMPT),
+            _ => false,
+        });
+        assert!(back, "task {task} attempt {attempt} never came back");
     }
+}
+
+/// The simulator twin and a native replay hear the same conflict
+/// sequence when one task violates *two* speculated dependences: one
+/// squash, one `on_conflict`, on both sides. 64 tasks of one stage; task
+/// 40 violates its deps on 38 and 39, every other task speculates on its
+/// predecessor without violating. A ceiling of 40‰ sits between one
+/// conflict in a full 32-outcome history (31‰) and two (62‰): counting
+/// the double violation twice would collapse the twin alone.
+#[test]
+fn a_double_violation_is_one_conflict_to_the_twin_and_the_frontier() {
+    use crate::{SimConfig, Simulator};
+    let n = 64u32;
+    let mut graph = TaskGraph::new(1);
+    for i in 0..n {
+        let spec: Vec<SpecDep> = match i {
+            0 => Vec::new(),
+            40 => [38, 39]
+                .map(|on| SpecDep {
+                    on: TaskId(on),
+                    violated: true,
+                })
+                .to_vec(),
+            _ => vec![SpecDep {
+                on: TaskId(i - 1),
+                violated: false,
+            }],
+        };
+        graph.add_task(0, u64::from(i), 10, &[], &spec);
+    }
+    let cfg = GovernorConfig {
+        degrade_ceiling: 40,
+        ..GovernorConfig::default()
+    };
+    let plan = ExecutionPlan::tls(2);
+    let sim = Simulator::new(SimConfig::with_cores(2));
+    let (_, twin) = sim.run(&graph, &plan).unwrap().timeline(&graph, Some(&cfg));
+    // Task 40's speculative bytes are corrupt: only the squash saves them.
+    let body = |task: TaskId, ctx: &TaskCtx<'_>| {
+        let corrupt = task.0 == 40 && ctx.speculative();
+        TaskOutput::bytes(vec![task.0 as u8 ^ u8::from(corrupt)])
+    };
+    let report = run(
+        ExecConfig::default().with_governor(cfg),
+        &graph,
+        &plan,
+        body,
+    )
+    .unwrap();
+    let expected: Vec<u8> = (0..n).map(|t| t as u8).collect();
+    assert_eq!(report.output, expected);
+    assert_eq!(report.squashes, 1);
+    assert_eq!(report.governor, twin);
 }
 
 // --- the turn protocol, enumerated ------------------------------------------

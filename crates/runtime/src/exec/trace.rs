@@ -294,18 +294,6 @@ pub enum TraceEventKind {
         /// Window cap after the move.
         to: u32,
     },
-    /// The governor redispatched a conflict-squashed task with backoff
-    /// instead of re-racing it immediately.
-    GovernorBackoff {
-        /// The squashed task being held back.
-        task: u32,
-        /// The discarded attempt.
-        attempt: u32,
-        /// Delay in absorbed-completion ticks (0 when parked).
-        delay: u64,
-        /// When serialized, the committer the task is parked behind.
-        behind: Option<u32>,
-    },
     /// The windowed misspeculation rate crossed the ceiling: the
     /// governor collapsed the loop to sequential inline issue.
     GovernorDegrade {
@@ -340,7 +328,6 @@ impl TraceEventKind {
             | TraceEventKind::VersionConflict { task, .. }
             | TraceEventKind::VersionCommit { task, .. }
             | TraceEventKind::GovernorThrottle { task, .. }
-            | TraceEventKind::GovernorBackoff { task, .. }
             | TraceEventKind::GovernorDegrade { task, .. }
             | TraceEventKind::GovernorReprobe { task, .. }
             | TraceEventKind::FallbackActivated { from_task: task } => Some(TaskId(*task)),
@@ -818,7 +805,6 @@ impl Timeline {
                 // Governor decisions are frontier-side annotations with
                 // no cross-thread counterpart to pair up.
                 | TraceEventKind::GovernorThrottle { .. }
-                | TraceEventKind::GovernorBackoff { .. }
                 | TraceEventKind::GovernorDegrade { .. }
                 | TraceEventKind::GovernorReprobe { .. } => {}
             }
@@ -1175,22 +1161,6 @@ impl Timeline {
                          \"cat\":\"governor\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\
                          \"tid\":0,\"s\":\"t\",\
                          \"args\":{{\"task\":{task},\"from\":{from},\"to\":{to}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::GovernorBackoff {
-                    task,
-                    attempt,
-                    delay,
-                    behind,
-                } => {
-                    let behind = behind.map_or("null".to_string(), |b| b.to_string());
-                    entries.push(format!(
-                        "{{\"name\":\"governor backoff t{task}#{attempt}\",\
-                         \"cat\":\"governor\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\
-                         \"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"attempt\":{attempt},\
-                         \"delay\":{delay},\"behind\":{behind}}}}}",
                         ts_us(e.ts)
                     ));
                 }

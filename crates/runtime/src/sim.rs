@@ -231,28 +231,25 @@ impl SimResult {
     /// counters come back as the second element (`None` without one).
     ///
     /// The governor hears the simulated frontier as the native one hears
-    /// the real frontier: each violated speculated dependence feeds
-    /// `on_conflict`, then the task's in-order commit feeds `on_commit`.
+    /// the real frontier: a task with any violated speculated dependence
+    /// feeds `on_conflict` once, as its squash does natively, then the
+    /// task's in-order commit feeds `on_commit`.
     /// It reads no clock, so its decisions are a function of that
     /// sequence alone, and they surface as the same `GovernorThrottle` /
     /// `GovernorDegrade` / `GovernorReprobe` events the native frontier
     /// emits, stamped at the frontier cycle. A fault-free native *replay*
-    /// of a graph whose tasks carry at most one speculated dependence
     /// therefore reports the twin's [`GovernorStats`] exactly (the
     /// governed property in `crates/runtime/tests/properties.rs` holds
     /// the two to each other). Where the two part, structurally:
     ///
     /// * a conflict-driven native job ([`JobSpec::mem`](crate::JobSpec::mem))
     ///   feeds its governor real races, which are a matter of timing, and
-    ///   squashes attempts past the frontier, which the governor backs
-    ///   off or parks; the model serializes a violated speculation
-    ///   instead of replaying it, so every conflict here is a frontier
-    ///   conflict and `GovernorBackoff` never appears;
+    ///   may squash attempts past the frontier; the model serializes a
+    ///   violated speculation instead of replaying it, so every conflict
+    ///   here is a frontier conflict;
     /// * the twin models no faults: natively, a first attempt that
     ///   panicked replays non-speculatively and its violation is never
     ///   fed in;
-    /// * the twin feeds one conflict per violated *dependence*, the
-    ///   native frontier one per squashed *attempt*;
     /// * the governor's one-seat rule counts the distinct cores of the
     ///   placements here and the board's seats natively, which count a
     ///   core once per stage that uses it — `three_phase(1)` is one seat
@@ -358,16 +355,15 @@ impl SimResult {
             let task = graph.task(TaskId(idx as u32));
             if !graph.spec_deps(task).is_empty() {
                 let violated = graph.spec_deps(task).iter().filter(|d| d.violated).count() as u32;
-                if let Some(g) = gov.as_mut() {
-                    // The model serializes a violated speculation at the
-                    // frontier, so every conflict reaches the governor
-                    // as a frontier squash: immediate redispatch, no
-                    // backoff — but the rate/window automaton still
-                    // advances exactly as on the native side.
-                    for dep in graph.spec_deps(task).iter().filter(|d| d.violated) {
-                        let (_, evs) = g.on_conflict(idx as u32, 0, None, Some(dep.on.0), true);
+                // The model serializes a violated speculation at the
+                // frontier: one squash of the task, however many of its
+                // dependences manifested, as natively.
+                match gov.as_mut() {
+                    Some(g) if violated > 0 => {
+                        let evs = g.on_conflict();
                         push_gov(&mut frontier_events, frontier, idx as u32, evs);
                     }
+                    _ => {}
                 }
                 frontier_events.push(TraceEvent {
                     ts: frontier,
@@ -1253,7 +1249,6 @@ mod tests {
             TraceEventKind::GovernorDegrade { .. }
                 | TraceEventKind::GovernorReprobe { .. }
                 | TraceEventKind::GovernorThrottle { .. }
-                | TraceEventKind::GovernorBackoff { .. }
         )));
     }
 

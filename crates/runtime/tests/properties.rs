@@ -556,8 +556,8 @@ proptest! {
     /// a governed run always terminates (raced against a timeout, so a
     /// governor-induced stall fails fast instead of hanging the suite)
     /// and commits the exact sequential byte stream. The governor may
-    /// only change *when* work is dispatched — throttled, backed off,
-    /// parked, or collapsed to inline issue — never what commits.
+    /// only change *when* work is dispatched — throttled, or collapsed
+    /// to inline issue — never what commits.
     ///
     /// And it reads no clock: these are replay jobs, whose conflicts are
     /// the graph's recorded violations, so two runs of one job feed it
@@ -580,7 +580,6 @@ proptest! {
             window,
             degrade_ceiling: ceiling,
             reprobe_period: reprobe,
-            ..GovernorConfig::default()
         };
         let twin = Simulator::new(SimConfig::with_cores(threads))
             .run(&g, &ExecutionPlan::three_phase(threads))

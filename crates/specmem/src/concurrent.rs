@@ -104,11 +104,6 @@ const NOT_SQUASHED: u64 = u64::MAX;
 /// Sentinel for "no inline version active".
 const INLINE_NONE: u64 = u64::MAX;
 
-/// Sentinel for "no recorded conflict address" in a handle's atomic
-/// squashed-at slot (addresses are stored shifted by one so `Addr(0)`
-/// stays representable).
-const NO_ADDR: u64 = 0;
-
 /// Per-version bookkeeping that must be reachable from any shard: the
 /// squashed-by mark and the attempt's operation counters.
 #[derive(Debug)]
@@ -117,11 +112,6 @@ struct Handle {
     birth_epoch: u64,
     /// `VersionId.0` of the squashing version, or [`NOT_SQUASHED`].
     squashed_by: AtomicU64,
-    /// `Addr.0 + 1` of the conflicting address, or [`NO_ADDR`]. Written
-    /// *after* the squashed-by CAS wins, so a concurrent reader can
-    /// observe the squash before the address — the address is advisory
-    /// (contention-steering hints), never a correctness input.
-    squashed_at: AtomicU64,
     reads: AtomicU64,
     forwards: AtomicU64,
     writes: AtomicU64,
@@ -133,7 +123,6 @@ impl Handle {
         Self {
             birth_epoch,
             squashed_by: AtomicU64::new(NOT_SQUASHED),
-            squashed_at: AtomicU64::new(NO_ADDR),
             reads: AtomicU64::new(0),
             forwards: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -148,25 +137,12 @@ impl Handle {
         }
     }
 
-    fn squashed_at(&self) -> Option<Addr> {
-        match self.squashed_at.load(Ordering::Acquire) {
-            NO_ADDR => None,
-            shifted => Some(Addr(shifted - 1)),
-        }
-    }
-
-    /// Marks the version squashed by `by` over `addr` unless already
-    /// doomed. Returns whether this call won the race (counts the
-    /// violation).
-    fn mark_squashed(&self, by: VersionId, addr: Addr) -> bool {
-        let won = self
-            .squashed_by
+    /// Marks the version squashed by `by` unless already doomed.
+    /// Returns whether this call won the race (counts the violation).
+    fn mark_squashed(&self, by: VersionId) -> bool {
+        self.squashed_by
             .compare_exchange(NOT_SQUASHED, by.0, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        if won {
-            self.squashed_at.store(addr.0 + 1, Ordering::Release);
-        }
-        won
+            .is_ok()
     }
 }
 
@@ -757,7 +733,7 @@ impl ConcurrentVersionedMemory {
                 // alive: commit/rollback remove versions only under the
                 // registry write lock.
                 let doomed = reg.get(&w).expect("live version has a handle");
-                if doomed.mark_squashed(v, addr) {
+                if doomed.mark_squashed(v) {
                     self.stats.violations.fetch_add(1, Ordering::Relaxed);
                     squashed.push(VersionId(w));
                 }
@@ -970,7 +946,7 @@ impl ConcurrentVersionedMemory {
                     let visible_now = shard.inherited(VersionId(w), *addr);
                     if observed != visible_now {
                         let doomed = reg.get(&w).expect("live version has a handle");
-                        if doomed.mark_squashed(v, *addr) {
+                        if doomed.mark_squashed(v) {
                             self.stats.violations.fetch_add(1, Ordering::Relaxed);
                             squashed.push(VersionId(w));
                         }
@@ -1011,17 +987,11 @@ impl ConcurrentVersionedMemory {
         })
     }
 
-    /// If `v` is live and doomed, reports who squashed it and — best
-    /// effort — over which address. The address is advisory: it is
-    /// stored after the squash CAS is won, so a reader racing the
-    /// squasher may see `None` even for a doomed version. Returns
+    /// If `v` is live and doomed, reports who squashed it. Returns
     /// `None` when `v` is unknown (already committed or rolled back)
     /// or not squashed.
-    pub fn squash_info(&self, v: VersionId) -> Option<(VersionId, Option<Addr>)> {
-        let reg = self.registry.read();
-        let h = reg.get(&v.0)?;
-        let by = h.squashed_by()?;
-        Some((by, h.squashed_at()))
+    pub fn squash_info(&self, v: VersionId) -> Option<VersionId> {
+        self.registry.read().get(&v.0)?.squashed_by()
     }
 
     /// A consistent-enough snapshot of the accumulated statistics
@@ -1105,6 +1075,32 @@ mod tests {
         let squashed = m.rollback(VersionId(0));
         assert_eq!(squashed, vec![VersionId(1)]);
         assert!(m.is_squashed(VersionId(1)));
+    }
+
+    #[test]
+    fn squash_info_names_the_squasher_of_a_live_doomed_version_only() {
+        let m = ConcurrentVersionedMemory::new();
+        for v in 0..4 {
+            m.begin(VersionId(v));
+        }
+        assert_eq!(m.read(VersionId(2), Addr(5)), 0);
+        assert_eq!(m.read(VersionId(3), Addr(6)), 0);
+        assert_eq!(m.squash_info(VersionId(2)), None, "live, not doomed");
+        m.write(VersionId(1), Addr(5), 9);
+        m.write(VersionId(0), Addr(6), 9);
+        assert_eq!(m.squash_info(VersionId(2)), Some(VersionId(1)));
+        assert_eq!(m.squash_info(VersionId(3)), Some(VersionId(0)));
+        // Committed, rolled back and never begun: nobody to ask about.
+        m.try_commit(VersionId(0)).unwrap();
+        m.rollback(VersionId(2));
+        assert_eq!(
+            m.squash_info(VersionId(3)),
+            Some(VersionId(0)),
+            "still doomed"
+        );
+        for v in [0, 2, 7] {
+            assert_eq!(m.squash_info(VersionId(v)), None, "v{v}");
+        }
     }
 
     /// `v2` consumes `v1`'s forwarded 4, then overwrites the address

@@ -192,7 +192,7 @@ fn sim_and_native_timelines_agree_on_commit_order() {
 /// the governor on (default knobs), every workload at every thread
 /// count still commits the byte-exact sequential stream, the
 /// `committed == attempts - squashes` invariant holds across early
-/// squashes / backoff replays / degraded inline commits, and the report
+/// squashes / frontier replays / degraded inline commits, and the report
 /// carries governor stats; with it off the report carries none.
 #[test]
 fn governed_runs_stay_byte_identical_across_the_matrix() {
@@ -231,8 +231,9 @@ fn governed_runs_stay_byte_identical_across_the_matrix() {
 }
 
 /// (h) Governor + chaos compose: injected faults spend the retry
-/// budget, memory conflicts ride the governor's backoff, and the
-/// committed stream stays byte-identical with well-formed traces.
+/// budget, memory conflicts feed the governor's window and go straight
+/// back in line, and the committed stream stays byte-identical with
+/// well-formed traces.
 #[test]
 fn governed_chaos_runs_stay_byte_identical() {
     for (id, job) in versioned_jobs() {
