@@ -45,10 +45,10 @@
 //! ungoverned executor and drops the columns.
 //!
 //! `--fault-seed N` (native mode only) arms the deterministic fault
-//! injector with `FaultPlan::seeded(N)`: worker panics, corrupted
-//! outputs, stalls, and spurious squashes are injected and the
-//! supervisor must recover — output stays byte-identical and the table
-//! gains a `recovered` column counting absorbed faults.
+//! injector with `FaultPlan::seeded(N)`: worker panics and stalls are
+//! injected and the supervisor must recover — output stays
+//! byte-identical and the table gains a `recovered` column counting
+//! recovered panics.
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator
 //! over work-unit traces, not an Itanium 2), but the *shapes* — which

@@ -35,8 +35,8 @@
 //! Exit status: 0 on success, 1 when the timeline (or a checked file)
 //! is malformed, sim and native disagree on commit order, or the run was
 //! *vacuous* — a plan of more than one seat none of whose attempts ran
-//! on a runner, or a fault plan that sabotaged attempts runners ran with
-//! nothing reported recovered — 2 on usage errors.
+//! on a runner, or a fault plan that panicked attempts runners ran with
+//! no panic reported recovered — 2 on usage errors.
 
 use seqpar_bench::{
     json, render_critical_path, render_governor_summary, render_grain, render_memory_summary,
@@ -44,10 +44,9 @@ use seqpar_bench::{
 };
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, GovernorConfig,
-    NativeReport, SimConfig, Simulator, SquashReason, Timeline, TraceEventKind,
+    NativeReport, SimConfig, Simulator, Timeline, TraceEventKind,
 };
 use seqpar_workloads::{all_workloads, stage_labels, InputSize, Workload};
-use std::collections::HashSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -154,13 +153,13 @@ fn main() {
     println!("{}", run.grain);
     println!(
         "wall {:.3} ms (sequential {:.3} ms); {} tasks committed in {} attempts, \
-         {} squashed, {} faults recovered; output byte-identical to sequential",
+         {} squashed, {} panics recovered; output byte-identical to sequential",
         report.wall.as_secs_f64() * 1e3,
         run.sequential_wall_ms,
         report.tasks_committed,
         report.attempts,
         report.squashes,
-        report.recovery.faults_recovered(),
+        report.recovery.panics_recovered,
     );
     if let Some(m) = report.mem {
         println!(
@@ -386,10 +385,9 @@ fn seats(plan: &ExecutionPlan) -> usize {
 /// Exits 1 if the run proves nothing about the pipelined path: a plan
 /// with somebody to overlap with, yet no attempt ran on a runner
 /// (everything was issued inline at the frontier); or `faults`
-/// sabotaged attempts that runners did run — inline issue is never
-/// sabotaged — and the report recovered from none. A corrupted or
-/// spuriously squashed attempt that lost to a conflict squash first is
-/// not counted: the ladder never got to it.
+/// panicked attempts that runners did run — inline issue is never
+/// sabotaged — and the report recovered from none. The frontier handles
+/// a panic before any conflict check, so every one counts.
 fn require_real_work(
     id: &str,
     report: &NativeReport,
@@ -408,41 +406,23 @@ fn require_real_work(
     if faults.is_inert() {
         return;
     }
-    let lost_to_a_conflict: HashSet<(u32, u32)> = timeline
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceEventKind::Squash {
-                task,
-                attempt,
-                reason: SquashReason::MemoryConflict | SquashReason::Misspeculation,
-            } => Some((task, attempt)),
-            _ => None,
-        })
-        .collect();
     let sabotaged = timeline
         .events()
         .iter()
         .filter(|e| match e.kind {
             TraceEventKind::Dispatch { task, attempt, .. } => {
-                match faults.fault_at(task, attempt) {
-                    Some(FaultKind::WorkerPanic) => true,
-                    Some(FaultKind::CorruptOutput | FaultKind::SpuriousSquash) => {
-                        !lost_to_a_conflict.contains(&(task, attempt))
-                    }
-                    Some(FaultKind::StageStall) | None => false,
-                }
+                faults.fault_at(task, attempt) == Some(FaultKind::WorkerPanic)
             }
             _ => false,
         })
         .count();
+    let recovered = report.recovery.panics_recovered;
     println!(
-        "{id}: {on_runners} attempts ran on runners, {sabotaged} of them sabotaged \
-         short of a conflict, {} faults recovered",
-        report.recovery.faults_recovered()
+        "{id}: {on_runners} attempts ran on runners, {sabotaged} of them panicked, \
+         {recovered} panics recovered"
     );
-    if sabotaged > 0 && report.recovery.faults_recovered() == 0 {
-        eprintln!("{id}: VACUOUS: sabotaged attempts ran, and nothing was recovered");
+    if sabotaged > 0 && recovered == 0 {
+        eprintln!("{id}: VACUOUS: panicked attempts ran, and nothing was recovered");
         std::process::exit(1);
     }
 }

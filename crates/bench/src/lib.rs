@@ -56,9 +56,9 @@ pub struct SweepPoint {
     /// Wall-clock speedup of the native run over the sequential native
     /// run. `None` for simulator-only sweeps.
     pub native_speedup: Option<f64>,
-    /// Faults recovered by the native supervisor (panics, corruptions,
-    /// spurious squashes). `None` for simulator-only sweeps.
-    pub faults_recovered: Option<u64>,
+    /// Worker panics recovered by the native supervisor. `None` for
+    /// simulator-only sweeps.
+    pub panics_recovered: Option<u64>,
     /// Consecutive iterations per task of the native run
     /// ([`VersionedJob::grain`]). `None` for simulator-only sweeps.
     pub grain: Option<usize>,
@@ -168,7 +168,7 @@ pub fn sweep_trace(
                 utilization: r.utilization(),
                 native_wall_ms: None,
                 native_speedup: None,
-                faults_recovered: None,
+                panics_recovered: None,
                 grain: None,
                 mem: None,
                 governor: None,
@@ -239,7 +239,7 @@ pub fn native_sweep(
                 utilization: sim.utilization(),
                 native_wall_ms: Some(report.wall.as_secs_f64() * 1e3),
                 native_speedup: Some(report.speedup_vs(seq.wall)),
-                faults_recovered: Some(report.recovery.faults_recovered()),
+                panics_recovered: Some(report.recovery.panics_recovered),
                 grain: Some(versioned.grain(&plan)),
                 mem: report.mem,
                 governor: report.governor,
@@ -331,7 +331,7 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
             p.native_wall_ms.unwrap_or(f64::NAN),
             p.native_speedup.unwrap_or(f64::NAN),
             p.misspec_rate,
-            p.faults_recovered.unwrap_or(0)
+            p.panics_recovered.unwrap_or(0)
         ));
         match p.mem {
             Some(m) => out.push_str(&format!(

@@ -13,13 +13,13 @@
 //!
 //! Fault supervision reuses the same squash machinery. Each attempt
 //! reaching the frontier passes a fixed decision ladder — worker panic
-//! → misspeculation squash → output validation → spurious squash →
-//! commit (the same ladder [`supervise_task`](super::faults::supervise_task)
-//! replays as a pure function) — and every recovery decision is made
-//! *here*, strictly in task order, from nothing but `(task, attempt)`
-//! and the [`FaultPlan`](super::FaultPlan). That is what keeps the recovery counters, the
-//! squash counts, and the output stream deterministic across thread
-//! interleavings even under injected chaos. Fault-recovery replays
+//! → misspeculation squash → commit (the same ladder
+//! [`supervise_task`](super::faults::supervise_task) replays as a pure
+//! function) — and every recovery decision is made *here*, strictly in
+//! task order, from nothing but `(task, attempt)` and the
+//! [`FaultPlan`](super::FaultPlan). That is what keeps the recovery
+//! counters, the squash counts, and the output stream deterministic
+//! across thread interleavings even under injected chaos. Panic replays
 //! (unlike misspeculation replays, which are part of the normal
 //! protocol) are charged against a per-task retry budget; exhausting it
 //! makes [`CommitUnit::drain`] demand the sequential fallback instead
@@ -39,7 +39,7 @@
 //! byte-identical to sequential execution, and they are never charged
 //! against the retry budget.
 
-use super::faults::{FaultKind, RecoveryCounts};
+use super::faults::RecoveryCounts;
 use super::governor::{Governor, GovernorEvent};
 use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
@@ -123,15 +123,10 @@ pub(super) struct CommitUnit {
     speculations_survived: u64,
     work: u64,
     recovery: RecoveryCounts,
-    /// Fault-recovery replays allowed per task before the executor
-    /// falls back to sequential execution.
+    /// Panic replays allowed per task before the executor falls back to
+    /// sequential execution.
     retry_budget: u32,
-    /// Whether committing attempts are checked against the sequential
-    /// oracle. Validation costs one extra body run per commit, so only
-    /// a fault plan that can corrupt outputs turns it on — otherwise
-    /// corruption would commit silently.
-    validate: bool,
-    /// Fault-recovery replays charged so far, per task.
+    /// Panic replays charged so far, per task.
     retries_by_task: HashMap<u32, u32>,
     /// Frontier-side trace events (squashes, commits, speculation
     /// decisions); a no-op recorder when tracing is off.
@@ -172,7 +167,6 @@ impl CommitUnit {
             work: 0,
             recovery: RecoveryCounts::default(),
             retry_budget: config.retry_budget,
-            validate: config.fault_plan.can_corrupt(),
             retries_by_task: HashMap::new(),
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
@@ -243,10 +237,10 @@ impl CommitUnit {
     }
 
     /// Discards `task`'s open memory version, if any, so its replay's
-    /// `begin` finds a clean slate. Every non-commit outcome of the
-    /// decision ladder must pass through here before re-dispatching:
-    /// the version may hold partial writes (panic mid-body) or doomed
-    /// state (conflict), and a recycled id with a live version would
+    /// `begin` finds a clean slate. The panic rung must pass through
+    /// here before re-dispatching: a body that panicked mid-run may have
+    /// left partial writes (an injected panic dies before `begin` and
+    /// leaves nothing open), and a recycled id with a live version would
     /// panic the substrate.
     fn rollback_version(job: &JobShared, task: u32) {
         if let Some(m) = job.spec.mem.as_deref() {
@@ -262,14 +256,13 @@ impl CommitUnit {
         self.next
     }
 
-    /// Charges one fault-recovery replay against `task`'s budget.
+    /// Charges one panic replay against `task`'s budget.
     ///
     /// # Errors
     ///
     /// [`Stop::FallBack`] when the budget is exhausted (budget 0
-    /// exhausts on the first fault).
+    /// exhausts on the first panic).
     fn charge(&mut self, task: u32) -> Result<(), Stop> {
-        self.recovery.retries += 1;
         let charged = self.retries_by_task.entry(task).or_insert(0);
         *charged += 1;
         if *charged > self.retry_budget {
@@ -372,10 +365,9 @@ impl CommitUnit {
 
     /// Commits as far in task order as the reorder buffer allows,
     /// applying the recovery ladder to each attempt reaching the
-    /// frontier; output validation replays a task body sequentially
-    /// through [`JobShared::run_here`]. Called once per batch of
-    /// accepted completions, and after a degraded inline commit to
-    /// flush buffered successors past the advanced frontier.
+    /// frontier. Called once per batch of accepted completions, and
+    /// after a degraded inline commit to flush buffered successors past
+    /// the advanced frontier.
     ///
     /// The `attempts` counter is charged here — at frontier processing,
     /// not at receipt — so it depends only on the per-task attempt
@@ -385,15 +377,15 @@ impl CommitUnit {
     /// consecutive run of buffered non-panicked completions, resolves
     /// the whole run's conflict rung with one substrate
     /// [`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)
-    /// lock acquisition, runs the per-task recovery rungs to bound the
-    /// clean prefix, publishes that prefix with one
+    /// lock acquisition (replay runs bound the clean prefix at the first
+    /// recorded misspeculation instead), publishes that prefix with one
     /// [`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)
     /// sweep, and feeds the governor once per batch. The decision
     /// ladder itself is unchanged — every attempt still passes panic →
-    /// misspeculation → validation → spurious squash → commit in task
-    /// order, and a rung failure anywhere simply truncates the batch,
-    /// leaving the failing attempt to be handled when it reaches the
-    /// frontier on the next pass — so counters, trace events, and the
+    /// misspeculation → commit in task order, and a rung failure
+    /// anywhere simply truncates the batch, leaving the failing attempt
+    /// to be handled when it reaches the frontier on the next pass — so
+    /// counters, trace events, and the
     /// output stream are identical to the per-task protocol; only the
     /// lock and governor traffic is amortized.
     ///
@@ -443,9 +435,9 @@ impl CommitUnit {
             // 2b. Conflict-driven misspeculation, batched: one registry
             // lock acquisition answers the conflict rung for the whole
             // run. `ok` is the length of the conflict-free prefix; the
-            // check runs *before* validation and publication — nothing
-            // irrevocable has happened yet — and, like rung 2a, a
-            // conflict squash is never charged against the retry budget.
+            // check runs *before* publication — nothing irrevocable has
+            // happened yet — and, like rung 2a, a conflict squash is
+            // never charged against the retry budget.
             let mut ok = run;
             if let Some(m) = mem {
                 versions.clear();
@@ -494,44 +486,30 @@ impl CommitUnit {
                     continue;
                 }
             }
-            // Rungs 2a / 3 / 4, per task: bound the committable batch
-            // at the first attempt a rung rejects. Rung checks are
-            // side-effect-free until an attempt is actually *processed*
-            // (taken from the buffer), so a mid-run failure leaves
-            // the failing attempt buffered — it is handled as the
-            // frontier task on the next pass, after the clean prefix
-            // below commits, exactly as the per-task ladder would.
+            // 2a. Trace-driven misspeculation, per task: bound the
+            // committable batch at the first attempt 0 whose recorded
+            // speculated dependence manifested. Part of the normal
+            // protocol — never charged against the retry budget. (If
+            // attempt 0 panicked instead, the replay is attempt ≥ 1 and
+            // no longer speculative, so this squash never fires and the
+            // task's violations go untallied — deterministically so; the
+            // simulated twin accounts identically.) The check is
+            // side-effect-free, so a mid-run failure leaves the attempt
+            // buffered — it is handled as the frontier task on the next
+            // pass, after the clean prefix below commits, exactly as the
+            // per-task ladder would. Versioned runs take the whole
+            // conflict-free prefix: the substrate, not the recording,
+            // decides.
             while batch.len() < ok {
                 let at = self.next + batch.len();
-                let t32 = at as u32;
-                let attempt = self.peek(at).expect("peeked run entry").attempt;
-                let task = graph.task(TaskId(t32));
-                let violated = graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64;
-                // 2a. Trace-driven misspeculation: the recorded
-                // speculated dependence manifested and this attempt ran
-                // ahead of it. Part of the normal protocol — never
-                // charged against the retry budget. (If attempt 0
-                // panicked instead, the replay is attempt ≥ 1 and no
-                // longer speculative, so this squash never fires and
-                // the task's violations go untallied — deterministically
-                // so; the simulated twin accounts identically.)
-                // Versioned runs skip this rung entirely: the memory
-                // substrate, not the recording, decides.
-                let fails_misspec = mem.is_none() && violated > 0 && attempt == 0;
-                // 3. Output validation: compare against the body's
-                // replayable sequential oracle (attempt ≥ 1 forces the
-                // non-speculative result).
-                let fails_validation = !fails_misspec
-                    && self.validate
-                    && job.run_here(t32, attempt.max(1), None)?
-                        != self.peek(at).expect("peeked run entry").output;
-                // 4. Spurious squash: the fault plan discards a
-                // perfectly good attempt at the commit point.
-                let fails_spurious = !fails_misspec
-                    && !fails_validation
-                    && job.spec.config.fault_plan.fault_at(t32, attempt)
-                        == Some(FaultKind::SpuriousSquash);
-                if !(fails_misspec || fails_validation || fails_spurious) {
+                let done = self.peek(at).expect("peeked run entry");
+                let violated = if mem.is_none() && done.attempt == 0 {
+                    let task = graph.task(TaskId(done.task));
+                    graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64
+                } else {
+                    0
+                };
+                if violated == 0 {
                     batch.push(self.take(at).expect("peeked run entry"));
                     continue;
                 }
@@ -540,55 +518,31 @@ impl CommitUnit {
                     // first; this attempt is handled next pass.
                     break;
                 }
-                // The frontier attempt itself failed a rung: process it.
+                // The frontier attempt itself misspeculated: squash it.
                 let done = self.take(at).expect("peeked run entry");
                 self.attempts += 1;
                 if done.stalled {
                     self.recovery.stalls_absorbed += 1;
                 }
-                if fails_misspec {
-                    self.squashes += 1;
-                    self.violations += violated;
-                    self.trace.record(TraceEventKind::Squash {
-                        task: done.task,
-                        attempt: done.attempt,
-                        reason: SquashReason::Misspeculation,
-                    });
-                    // The governor treats a trace-driven misspeculation
-                    // as a frontier conflict: once per squashed task,
-                    // however many of its dependences manifested.
-                    self.governor_conflict(done.task);
-                    redispatch.push(again(done.task, done.attempt));
-                } else if fails_validation {
-                    self.recovery.corruptions_caught += 1;
-                    self.trace.record(TraceEventKind::Squash {
-                        task: done.task,
-                        attempt: done.attempt,
-                        reason: SquashReason::CorruptionCaught,
-                    });
-                    // The version itself passed the conflict check, but
-                    // the replay will re-open it — discard it first.
-                    Self::rollback_version(job, done.task);
-                    self.charge(done.task)?;
-                    redispatch.push(again(done.task, done.attempt));
-                } else {
-                    self.recovery.spurious_squashes += 1;
-                    self.trace.record(TraceEventKind::Squash {
-                        task: done.task,
-                        attempt: done.attempt,
-                        reason: SquashReason::SpuriousSquash,
-                    });
-                    Self::rollback_version(job, done.task);
-                    self.charge(done.task)?;
-                    redispatch.push(again(done.task, done.attempt));
-                }
+                self.squashes += 1;
+                self.violations += violated;
+                self.trace.record(TraceEventKind::Squash {
+                    task: done.task,
+                    attempt: done.attempt,
+                    reason: SquashReason::Misspeculation,
+                });
+                // The governor treats a trace-driven misspeculation as a
+                // frontier conflict: once per squashed task, however many
+                // of its dependences manifested.
+                self.governor_conflict(done.task);
+                redispatch.push(again(done.task, done.attempt));
                 break;
             }
             if batch.is_empty() {
                 // The frontier attempt was squashed above; re-peek.
                 continue;
             }
-            // 5. Commit the batch.
+            // 3. Commit the batch.
             for done in &batch {
                 self.attempts += 1;
                 if done.stalled {
@@ -699,7 +653,7 @@ impl CommitUnit {
                 writes,
             });
         } else {
-            // Trace-driven runs tally survivors at every commit (rung 5
+            // Trace-driven runs tally survivors at every commit (rung 3
             // does the same for replays); a degraded inline commit ran
             // non-speculatively, so nothing manifested and everything
             // recorded survives.

@@ -330,8 +330,8 @@ impl Engine {
     /// performs; core- and queue-count limits are physical-machine model
     /// parameters and do not constrain native execution). Returns
     /// [`ExecError::TaskFailed`] only when a body panics where no
-    /// replay exists (the sequential fallback or the validation
-    /// oracle); pipelined worker panics are recovered, not raised.
+    /// replay exists (the sequential fallback or a degraded inline
+    /// attempt); pipelined worker panics are recovered, not raised.
     pub fn run(&self, spec: &JobSpec) -> Result<NativeReport, ExecError> {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         run_engine_job(&self.inner, job, spec)

@@ -2,10 +2,10 @@
 //!
 //! A [`FaultPlan`] decides, purely from a `u64` seed and a `(task,
 //! attempt)` pair, whether a dispatch is sabotaged and how: the worker
-//! panics, the task's output is corrupted, the worker stalls, or the
-//! commit unit squashes a perfectly good attempt. No wall-clock entropy
-//! is involved, so a chaos run is exactly reproducible from its seed —
-//! the property the chaos proptests and the 3-seed CI job rely on.
+//! panics or the worker stalls — the two failures a real host can
+//! inflict on an attempt. No wall-clock entropy is involved, so a chaos
+//! run is exactly reproducible from its seed — the property the chaos
+//! proptests and the 3-seed CI job rely on.
 //!
 //! The same plan drives both sides of the differential harness: the
 //! native executor consults it on worker threads and at the commit
@@ -21,16 +21,10 @@ use std::time::Duration;
 pub enum FaultKind {
     /// The worker panics instead of running the task's body.
     WorkerPanic,
-    /// The body runs, then its output bytes are mangled before they
-    /// reach the commit unit.
-    CorruptOutput,
     /// The worker sleeps for [`FaultPlan::stall_duration`] before
     /// running the body — an artificial stage stall the heartbeat
     /// watchdog can observe.
     StageStall,
-    /// The commit unit squashes the attempt even though no recorded
-    /// dependence was violated.
-    SpuriousSquash,
 }
 
 /// Deterministic per-task recovery counters.
@@ -44,40 +38,24 @@ pub enum FaultKind {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryCounts {
     /// Worker panics (injected or real) converted into squash-and-replay
-    /// re-dispatches instead of aborting the run.
+    /// re-dispatches instead of aborting the run — the only replays
+    /// charged against retry budgets (misspeculation replays are part
+    /// of the normal protocol and are not charged).
     pub panics_recovered: u64,
-    /// Corrupted outputs caught by commit-time validation against the
-    /// sequential oracle and replayed rather than committed.
-    pub corruptions_caught: u64,
-    /// Injected squashes of attempts that had no violated dependence.
-    pub spurious_squashes: u64,
     /// Attempts that reached the commit frontier after an injected
     /// stage stall (the stall itself recovers by finishing; this counts
     /// how many the chaos plan inflicted).
     pub stalls_absorbed: u64,
-    /// Fault-recovery re-dispatches charged against retry budgets
-    /// (misspeculation replays are part of the normal protocol and are
-    /// not charged).
-    pub retries: u64,
     /// Tasks committed by the in-order sequential fallback after a
     /// retry budget was exhausted or the watchdog tripped.
     pub fallback_tasks: u64,
 }
 
 impl RecoveryCounts {
-    /// Total faults recovered from (panics + corruptions + spurious
-    /// squashes), the headline chaos number.
-    pub fn faults_recovered(&self) -> u64 {
-        self.panics_recovered + self.corruptions_caught + self.spurious_squashes
-    }
-
     /// Accumulates `other` into `self`.
     pub(crate) fn absorb(&mut self, other: &RecoveryCounts) {
         self.panics_recovered += other.panics_recovered;
-        self.corruptions_caught += other.corruptions_caught;
-        self.spurious_squashes += other.spurious_squashes;
         self.stalls_absorbed += other.stalls_absorbed;
-        self.retries += other.retries;
         self.fallback_tasks += other.fallback_tasks;
     }
 }
@@ -94,9 +72,7 @@ impl RecoveryCounts {
 pub struct FaultPlan {
     seed: u64,
     panic_permille: u16,
-    corrupt_permille: u16,
     stall_permille: u16,
-    spurious_permille: u16,
     stall: Duration,
     forced: Vec<(u32, u32, FaultKind)>,
 }
@@ -113,24 +89,19 @@ impl FaultPlan {
         Self {
             seed: 0,
             panic_permille: 0,
-            corrupt_permille: 0,
             stall_permille: 0,
-            spurious_permille: 0,
             stall: Duration::from_micros(200),
             forced: Vec::new(),
         }
     }
 
-    /// A moderate all-class chaos plan derived from `seed`: roughly 6%
-    /// of dispatches panic, 4% corrupt their output, 1% stall, and 4%
-    /// are spuriously squashed.
+    /// A moderate chaos plan derived from `seed`: roughly 6% of
+    /// dispatches panic and 1% stall.
     pub fn seeded(seed: u64) -> Self {
         Self {
             seed,
             panic_permille: 60,
-            corrupt_permille: 40,
             stall_permille: 10,
-            spurious_permille: 40,
             stall: Duration::from_micros(200),
             forced: Vec::new(),
         }
@@ -166,21 +137,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the output-corruption rate in per-mille of dispatches.
-    pub fn with_corrupt_permille(mut self, permille: u16) -> Self {
-        self.corrupt_permille = permille;
-        self
-    }
-
     /// Sets the stage-stall rate in per-mille of dispatches.
     pub fn with_stall_permille(mut self, permille: u16) -> Self {
         self.stall_permille = permille;
-        self
-    }
-
-    /// Sets the spurious-squash rate in per-mille of dispatches.
-    pub fn with_spurious_permille(mut self, permille: u16) -> Self {
-        self.spurious_permille = permille;
         self
     }
 
@@ -205,22 +164,7 @@ impl FaultPlan {
 
     /// Whether the plan can never inject anything (the fast path).
     pub fn is_inert(&self) -> bool {
-        self.forced.is_empty()
-            && self.panic_permille == 0
-            && self.corrupt_permille == 0
-            && self.stall_permille == 0
-            && self.spurious_permille == 0
-    }
-
-    /// Whether the plan can corrupt outputs — if so, and only then, the
-    /// executor checks every committing attempt against the body's
-    /// sequential oracle (one more body run under the frontier lock).
-    pub fn can_corrupt(&self) -> bool {
-        self.corrupt_permille > 0
-            || self
-                .forced
-                .iter()
-                .any(|(_, _, k)| *k == FaultKind::CorruptOutput)
+        self.forced.is_empty() && self.panic_permille == 0 && self.stall_permille == 0
     }
 
     /// The fault injected on dispatch `(task, attempt)`, if any.
@@ -232,11 +176,7 @@ impl FaultPlan {
         {
             return Some(*kind);
         }
-        let total = self.panic_permille as u64
-            + self.corrupt_permille as u64
-            + self.stall_permille as u64
-            + self.spurious_permille as u64;
-        if total == 0 {
+        if self.panic_permille == 0 && self.stall_permille == 0 {
             return None;
         }
         let draw = splitmix64(
@@ -244,34 +184,15 @@ impl FaultPlan {
                 ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (attempt as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
         ) % 1000;
-        let mut band = self.panic_permille as u64;
-        if draw < band {
-            return Some(FaultKind::WorkerPanic);
+        let panic_band = u64::from(self.panic_permille);
+        if draw < panic_band {
+            Some(FaultKind::WorkerPanic)
+        } else if draw < panic_band + u64::from(self.stall_permille) {
+            Some(FaultKind::StageStall)
+        } else {
+            None
         }
-        band += self.corrupt_permille as u64;
-        if draw < band {
-            return Some(FaultKind::CorruptOutput);
-        }
-        band += self.stall_permille as u64;
-        if draw < band {
-            return Some(FaultKind::StageStall);
-        }
-        band += self.spurious_permille as u64;
-        if draw < band {
-            return Some(FaultKind::SpuriousSquash);
-        }
-        None
     }
-}
-
-/// Mangles a task output in a way commit-time validation always
-/// detects: every byte is flipped and a sentinel byte is appended (so
-/// even empty outputs become detectably wrong).
-pub(super) fn corrupt_output(output: &mut super::TaskOutput) {
-    for b in &mut output.bytes {
-        *b ^= 0xA5;
-    }
-    output.bytes.push(0x5A);
 }
 
 /// SplitMix64: the standard 64-bit finalizer, used as a stateless hash
@@ -312,7 +233,7 @@ pub struct TaskSupervision {
 /// speculated dependence (so its genuine attempt 0 gets the normal
 /// misspeculation squash). The decision order per attempt mirrors
 /// `CommitUnit::drain` exactly: worker panic → misspeculation squash →
-/// output validation → spurious squash → commit.
+/// commit. Only a panic is charged against `retry_budget`.
 pub fn supervise_task(
     plan: &FaultPlan,
     retry_budget: u32,
@@ -320,14 +241,7 @@ pub fn supervise_task(
     violated: bool,
 ) -> TaskSupervision {
     let mut sup = TaskSupervision::default();
-    let mut attempt = 0u32;
-    let mut charged = 0u32;
-    let charge = |sup: &mut TaskSupervision, charged: &mut u32| -> bool {
-        sup.counts.retries += 1;
-        *charged += 1;
-        *charged > retry_budget
-    };
-    loop {
+    for attempt in 0u32.. {
         sup.attempts += 1;
         let fault = plan.fault_at(task, attempt);
         if fault == Some(FaultKind::StageStall) {
@@ -335,38 +249,17 @@ pub fn supervise_task(
         }
         if fault == Some(FaultKind::WorkerPanic) {
             sup.counts.panics_recovered += 1;
-            if charge(&mut sup, &mut charged) {
+            if sup.counts.panics_recovered > u64::from(retry_budget) {
                 sup.exhausted = true;
-                return sup;
+                break;
             }
-            attempt += 1;
-            continue;
-        }
-        if attempt == 0 && violated {
+        } else if attempt == 0 && violated {
             sup.misspec_squashed = true;
-            attempt += 1;
-            continue;
+        } else {
+            break;
         }
-        if fault == Some(FaultKind::CorruptOutput) {
-            sup.counts.corruptions_caught += 1;
-            if charge(&mut sup, &mut charged) {
-                sup.exhausted = true;
-                return sup;
-            }
-            attempt += 1;
-            continue;
-        }
-        if fault == Some(FaultKind::SpuriousSquash) {
-            sup.counts.spurious_squashes += 1;
-            if charge(&mut sup, &mut charged) {
-                sup.exhausted = true;
-                return sup;
-            }
-            attempt += 1;
-            continue;
-        }
-        return sup;
     }
+    sup
 }
 
 #[cfg(test)]
@@ -391,46 +284,38 @@ mod tests {
 
     #[test]
     fn inert_plan_never_injects() {
-        let p = FaultPlan::none();
-        assert!(p.is_inert());
-        assert!(!p.can_corrupt());
-        for t in 0..100 {
-            for a in 0..4 {
-                assert_eq!(p.fault_at(t, a), None);
+        let zeroed = FaultPlan::seeded(7)
+            .with_panic_permille(0)
+            .with_stall_permille(0);
+        for p in [FaultPlan::none(), zeroed] {
+            assert!(p.is_inert());
+            for t in 0..100 {
+                for a in 0..4 {
+                    assert_eq!(p.fault_at(t, a), None);
+                }
             }
         }
+        assert!(!FaultPlan::none().with_stall_permille(1).is_inert());
     }
 
     #[test]
     fn forced_faults_override_the_seeded_draw() {
-        let p = FaultPlan::none().with_forced(3, 1, FaultKind::CorruptOutput);
-        assert_eq!(p.fault_at(3, 1), Some(FaultKind::CorruptOutput));
+        let p = FaultPlan::none().with_forced(3, 1, FaultKind::StageStall);
+        assert_eq!(p.fault_at(3, 1), Some(FaultKind::StageStall));
         assert_eq!(p.fault_at(3, 0), None);
         assert_eq!(p.fault_at(4, 1), None);
-        assert!(p.can_corrupt());
         assert!(!p.is_inert());
-    }
-
-    #[test]
-    fn corruption_changes_even_empty_outputs() {
-        let mut out = super::super::TaskOutput::empty();
-        corrupt_output(&mut out);
-        assert!(!out.bytes.is_empty());
-        let mut tagged = super::super::TaskOutput::bytes(vec![1, 2, 3]);
-        let original = tagged.clone();
-        corrupt_output(&mut tagged);
-        assert_ne!(tagged, original);
     }
 
     #[test]
     fn supervision_terminates_and_respects_the_budget() {
         // Panic on every attempt: budget 2 allows 2 charged replays and
-        // the third charge exhausts.
+        // the third panic exhausts.
         let p = FaultPlan::none().with_panic_permille(1000);
         let sup = supervise_task(&p, 2, 0, false);
         assert!(sup.exhausted);
         assert_eq!(sup.counts.panics_recovered, 3);
-        assert_eq!(sup.counts.retries, 3);
+        assert_eq!(sup.attempts, 3);
     }
 
     #[test]

@@ -289,10 +289,9 @@ impl Governor {
     /// misspeculation) into the controller. The squashed attempt itself
     /// goes straight back in line, whatever the governor's mode.
     ///
-    /// Only speculation failures feed this path; fault-recovery
-    /// squashes (panics, corruption, spurious) stay with the
-    /// commit unit's retry budget so the two mechanisms compose instead
-    /// of fighting.
+    /// Only speculation failures feed this path; panic squashes stay
+    /// with the commit unit's retry budget so the two mechanisms compose
+    /// instead of fighting.
     pub(crate) fn on_conflict(&mut self) -> Vec<GovernorEvent> {
         let mut events = Vec::new();
         self.clean_streak = 0;

@@ -66,8 +66,7 @@ pub struct NativeReport {
     pub speculations_survived: u64,
     /// Deterministic work units metered by committed attempts.
     pub work: u64,
-    /// Fault-recovery tallies (panics recovered, corruptions caught,
-    /// spurious squashes, stalls absorbed, budget-charged retries,
+    /// Fault-recovery tallies (panics recovered, stalls absorbed,
     /// fallback-committed tasks). All zero on a fault-free run.
     pub recovery: RecoveryCounts,
     /// Times the heartbeat watchdog fired because no completion arrived

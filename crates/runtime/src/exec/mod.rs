@@ -123,18 +123,18 @@ pub const DEGRADED_ATTEMPT: u32 = u32::MAX - 1;
 
 /// Why a native run could not produce a report.
 ///
-/// Recoverable failures (worker panics, corrupted outputs, stalls,
-/// spurious squashes) never surface here — the commit frontier squashes
-/// and replays them, degrading to sequential execution when a retry budget
-/// runs out. `ExecError` is reserved for the cases where no legal
-/// sequential outcome can be produced at all.
+/// Recoverable failures (worker panics, stalls) never surface here —
+/// the commit frontier squashes and replays them, degrading to
+/// sequential execution when a retry budget runs out. `ExecError` is
+/// reserved for the cases where no legal sequential outcome can be
+/// produced at all.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// The plan failed validation against the graph (shared with the
     /// simulator's checks).
     Invalid(SimError),
     /// A task body panicked where no replay is possible: on the
-    /// sequential fallback path or inside the validation oracle. The
+    /// sequential fallback path or in a degraded inline attempt. The
     /// body itself cannot produce the task's sequential result, so the
     /// run has no legal outcome.
     TaskFailed {
@@ -191,12 +191,12 @@ pub struct ExecConfig {
     /// plus one in-service slot per core assigned to it. Values below 1
     /// are clamped to 1 (see [`ExecConfig::with_queue_capacity`]).
     pub queue_capacity: usize,
-    /// Fault-recovery replays allowed per task (worker panics,
-    /// corrupted outputs, spurious squashes — misspeculation replays
-    /// are part of the normal protocol and are not charged). When a
-    /// task exceeds the budget the executor degrades to in-order
-    /// sequential execution of the remaining tasks instead of
-    /// aborting; budget 0 falls back on the first fault.
+    /// Worker-panic replays allowed per task (misspeculation and
+    /// conflict replays are part of the normal protocol and are not
+    /// charged; a stall that finishes costs nothing). When a task
+    /// exceeds the budget the executor degrades to in-order sequential
+    /// execution of the remaining tasks instead of aborting; budget 0
+    /// falls back on the first panic.
     pub retry_budget: u32,
     /// Deadline of the stall watchdog: when no completion is published
     /// and nothing commits for this long while the job's calling thread
@@ -329,9 +329,9 @@ pub struct TaskCtx<'a> {
     /// executor has already opened version `VersionId(task.0)` for the
     /// attempt; the body issues `read`/`write` against it and must
     /// **not** begin, commit, or roll it back itself. `None` on replay
-    /// jobs *and* on the sequential oracle / fallback paths — a
-    /// versioned body must compute its sequential result without the
-    /// substrate when this is `None`.
+    /// jobs *and* on the sequential fallback path — a versioned body
+    /// must compute its sequential result without the substrate when
+    /// this is `None`.
     pub mem: Option<&'a ConcurrentVersionedMemory>,
 }
 
@@ -618,8 +618,8 @@ fn call(
             // A whole deadline without a publication or a commit (an
             // inline stretch on some worker's turn makes only those): a
             // stage is wedged, and the rest runs here. The lock is
-            // waited for: only inline, oracle and fallback bodies run
-            // under it. Closing the board ends this loop.
+            // waited for: only inline and fallback bodies run under it.
+            // Closing the board ends this loop.
             board.close();
             let mut turn = Turn::wait_for(job, pool);
             if turn.f.outcome.is_none() {

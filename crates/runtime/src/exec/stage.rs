@@ -40,7 +40,7 @@
 
 use super::commit::CommitView;
 use super::engine::{JobSpec, Pool};
-use super::faults::{corrupt_output, FaultKind};
+use super::faults::FaultKind;
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
 use super::{take_turns, ExecError, Frontier, TaskCtx, TaskOutput};
 use crate::plan::{ExecutionPlan, StageAssignment};
@@ -586,10 +586,10 @@ impl JobShared {
     /// Runs one attempt's body on the calling thread, catching a panic.
     /// [`run_attempt`] passes the job's substrate, the attempt's version
     /// already open. A turn passes it for a degraded inline attempt, and
-    /// `None` when it replays a task as the validation oracle or the
-    /// fallback executor — on purpose even for versioned jobs: a
-    /// sequential replay must compute the task's result without opening,
-    /// or double-applying into, a memory version.
+    /// `None` when it replays a task as the fallback executor — on
+    /// purpose even for versioned jobs: a sequential replay must compute
+    /// the task's result without opening, or double-applying into, a
+    /// memory version.
     ///
     /// # Errors
     ///
@@ -662,10 +662,10 @@ pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
 }
 
 /// Runs one attempt end to end — fault injection, version open, the
-/// body under `catch_unwind`, version probe, output corruption, and the
-/// dispatch/complete trace pair — and returns the completion to
-/// report, the body time it charges to `seat` included. The events stay
-/// in `trace`; the caller decides how they travel.
+/// body under `catch_unwind`, version probe, and the dispatch/complete
+/// trace pair — and returns the completion to report, the body time it
+/// charges to `seat` included. The events stay in `trace`; the caller
+/// decides how they travel.
 fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuffer) -> WorkerDone {
     let faults = &job.spec.config.fault_plan;
     let mem = job.spec.mem.as_deref();
@@ -749,10 +749,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     // and the commit unit squashes and replays the attempt under the
     // task's retry budget.
     let panicked = result.is_err();
-    let mut output = result.unwrap_or_else(|_| TaskOutput::empty());
-    if fault == Some(FaultKind::CorruptOutput) && !panicked {
-        corrupt_output(&mut output);
-    }
+    let output = result.unwrap_or_else(|_| TaskOutput::empty());
     trace.record(TraceEventKind::Complete {
         core: seat.core,
         stage: seat.stage,

@@ -272,55 +272,27 @@ fn injected_worker_panic_is_recovered() {
     ));
     let report = run_faulted(20, &[], config);
     assert_eq!(report.recovery.panics_recovered, 1);
-    assert_eq!(report.recovery.retries, 1);
     assert!(!report.fallback_activated);
     // The panicked attempt costs exactly one extra dispatch.
     assert_eq!(report.attempts, 60 + 1);
 }
 
 #[test]
-fn injected_corruption_is_caught_by_commit_validation() {
-    let config = ExecConfig::default().with_faults(FaultPlan::none().with_forced(
-        b_task(5),
-        0,
-        FaultKind::CorruptOutput,
-    ));
-    let report = run_faulted(20, &[], config);
-    assert_eq!(report.recovery.corruptions_caught, 1);
-    assert_eq!(report.recovery.retries, 1);
-    assert!(!report.fallback_activated);
-    assert_eq!(report.attempts, 60 + 1);
-}
-
-#[test]
-fn injected_spurious_squash_replays_a_good_attempt() {
-    let config = ExecConfig::default().with_faults(FaultPlan::none().with_forced(
-        b_task(5),
-        0,
-        FaultKind::SpuriousSquash,
-    ));
-    let report = run_faulted(20, &[], config);
-    assert_eq!(report.recovery.spurious_squashes, 1);
-    assert_eq!(report.recovery.retries, 1);
-    assert!(!report.fallback_activated);
-    assert_eq!(report.attempts, 60 + 1);
-}
-
-#[test]
 fn injected_stall_is_absorbed_within_the_deadline() {
-    let config = ExecConfig::default().with_faults(
-        FaultPlan::none()
-            .with_forced(b_task(5), 0, FaultKind::StageStall)
-            .with_stall_duration(Duration::from_millis(5)),
-    );
+    let config = ExecConfig::default()
+        .with_faults(
+            FaultPlan::none()
+                .with_forced(b_task(5), 0, FaultKind::StageStall)
+                .with_stall_duration(Duration::from_millis(5)),
+        )
+        .with_retry_budget(0);
     let report = run_faulted(20, &[], config);
     assert_eq!(report.recovery.stalls_absorbed, 1);
-    assert_eq!(
-        report.recovery.retries, 0,
+    assert_eq!(report.watchdog_trips, 0);
+    assert!(
+        !report.fallback_activated,
         "a finished stall costs no retry"
     );
-    assert_eq!(report.watchdog_trips, 0);
-    assert!(!report.fallback_activated);
     assert_eq!(report.attempts, 60);
 }
 
@@ -425,7 +397,7 @@ fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     assert_eq!(a.violations, b.violations);
     assert!(!a.fallback_activated, "seed 7 must not exhaust budget 3");
     assert_eq!(a.output, expected_stream(iters));
-    assert!(a.recovery.faults_recovered() > 0);
+    assert!(a.recovery.panics_recovered > 0);
 
     // The pure predictor replays the frontier protocol exactly.
     let mut predicted = RecoveryCounts::default();
@@ -601,7 +573,12 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
     let iters = 40;
     let graph = counter_graph(iters);
     let plan = ExecutionPlan::tls(4);
-    let (report, mem) = run_versioned(ExecConfig::default(), &graph, &plan, counter_body());
+    let (report, mem) = run_versioned(
+        ExecConfig::default().with_retry_budget(0),
+        &graph,
+        &plan,
+        counter_body(),
+    );
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.tasks_committed, iters);
     // Every task's version committed and published: the counter holds
@@ -611,12 +588,13 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
     let stats = report.mem.expect("versioned runs report memory stats");
     assert_eq!(stats.commits, iters);
     // Conflict counts are timing-dependent, but every substrate
-    // violation surfaces as exactly one frontier squash (and replays
-    // are never charged to the retry budget).
+    // violation surfaces as exactly one frontier squash.
     assert_eq!(report.squashes, stats.violations);
     assert_eq!(report.attempts, iters + report.squashes);
-    assert_eq!(report.recovery.retries, 0);
-    assert!(!report.fallback_activated);
+    assert!(
+        !report.fallback_activated,
+        "conflict replays are never charged"
+    );
 }
 
 #[test]
@@ -700,10 +678,10 @@ fn traced_versioned_run_emits_version_events() {
 
 #[test]
 fn versioned_chaos_run_still_commits_sequential_output() {
-    // Injected panics, stalls, corruptions, and spurious squashes all
-    // land on attempts that hold open memory versions; every recovery
-    // path must roll the version back before replaying, or the replay's
-    // `begin` would panic the substrate.
+    // Injected panics and stalls land among attempts that hold open
+    // memory versions; every recovery path must roll the version back
+    // before replaying, or the replay's `begin` would panic the
+    // substrate.
     for seed in [7, 42] {
         let iters = 30;
         let graph = counter_graph(iters);
@@ -725,6 +703,38 @@ fn versioned_chaos_run_still_commits_sequential_output() {
             assert_eq!(mem.committed(Addr(0)), Some(iters), "seed {seed}");
             assert_eq!(mem.active_count(), 0, "seed {seed}");
         }
+    }
+}
+
+#[test]
+fn a_body_panic_after_a_write_rolls_its_version_back() {
+    // An injected panic dies before its version opens; a real one can
+    // leave a write behind, which later tasks may already have read by
+    // forwarding. The panic rung must roll the version back (revoking
+    // those forwards) before the replay opens it again.
+    let iters = 40;
+    let mid = iters / 2;
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        let value = if let Some(m) = ctx.mem {
+            let v = VersionId(u64::from(task.0));
+            let got = m.read(v, Addr(0));
+            m.write(v, Addr(0), got + 1);
+            if ctx.iter == mid && ctx.attempt == 0 {
+                panic!("body fails after writing its slot");
+            }
+            got
+        } else {
+            ctx.iter
+        };
+        TaskOutput::bytes(value.to_le_bytes().to_vec())
+    };
+    for plan in [ExecutionPlan::tls(2), ExecutionPlan::tls(4)] {
+        let (report, mem) =
+            run_versioned(ExecConfig::default(), &counter_graph(iters), &plan, body);
+        assert_eq!(report.output, expected_stream(iters));
+        assert_eq!(mem.committed(Addr(0)), Some(iters));
+        assert_eq!(mem.active_count(), 0);
+        assert_eq!(report.recovery.panics_recovered, 1);
     }
 }
 
@@ -873,26 +883,27 @@ fn no_wake_is_lost_at_the_tail_of_a_job() {
 }
 
 #[test]
-fn a_spurious_squash_with_every_runner_parked_resumes_promptly() {
-    // Task 0 and a task mid-window are discarded at the commit point.
-    // Their replays go out through the requeue lane while every runner
-    // has run on to the limit; the one whose turn squashed them is on
-    // its way to parking its seat and must find them in its last look
-    // at the lane, and a seat already parked must be handed out again.
+fn a_panicked_attempt_with_every_runner_parked_resumes_promptly() {
+    // Task 0 and a task mid-window panic, and are squashed at the
+    // commit point. Their replays go out through the requeue lane while
+    // every runner has run on to the limit; the one whose turn squashed
+    // them is on its way to parking its seat and must find them in its
+    // last look at the lane, and a seat already parked must be handed
+    // out again.
     let mid = (WAKE_AT + 3) as u32;
     let faults = FaultPlan::none()
-        .with_forced(0, 0, FaultKind::SpuriousSquash)
-        .with_forced(mid, 0, FaultKind::SpuriousSquash);
+        .with_forced(0, 0, FaultKind::WorkerPanic)
+        .with_forced(mid, 0, FaultKind::WorkerPanic);
     for plan in [ExecutionPlan::tls(1), ExecutionPlan::tls(2)] {
         let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), false);
-        assert_eq!(report.recovery.spurious_squashes, 2);
-        assert_eq!(report.recovery.retries, 2);
+        assert_eq!(report.recovery.panics_recovered, 2);
         assert_eq!(report.attempts, 3 * WINDOW + 2);
-        // Through the substrate the replay of task 0 revokes what it
-        // forwarded, so the later fault may lose its attempt to a
-        // conflict squash first; the bytes still may not move.
+        // Through the substrate conflict replays make the attempt count
+        // a matter of timing, but an injected panic dies before its
+        // version opens and a panicked completion goes to the frontier's
+        // panic rung whatever else happened: both are recovered.
         let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), true);
-        assert!(report.recovery.spurious_squashes >= 1);
+        assert_eq!(report.recovery.panics_recovered, 2);
     }
 }
 

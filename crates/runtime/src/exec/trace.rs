@@ -59,12 +59,6 @@ pub enum SquashReason {
     /// A violated speculated dependence manifested: the normal
     /// misspeculation rollback of the speculation protocol.
     Misspeculation,
-    /// Commit-time validation caught an output that differs from the
-    /// sequential oracle's.
-    CorruptionCaught,
-    /// The fault plan squashed a perfectly good attempt at the commit
-    /// point.
-    SpuriousSquash,
     /// The versioned memory substrate invalidated the attempt's version:
     /// a read it took was contradicted by an earlier version's
     /// conflicting (non-silent) write or a rollback's revoked forward.
@@ -79,8 +73,6 @@ impl fmt::Display for SquashReason {
         match self {
             SquashReason::PanicRecovered => f.write_str("panic"),
             SquashReason::Misspeculation => f.write_str("misspeculation"),
-            SquashReason::CorruptionCaught => f.write_str("corruption"),
-            SquashReason::SpuriousSquash => f.write_str("spurious"),
             SquashReason::MemoryConflict => f.write_str("memory-conflict"),
         }
     }

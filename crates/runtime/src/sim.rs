@@ -1046,7 +1046,7 @@ mod tests {
         let b = sim.run_with_faults(&g, &plan, &faults, 3).unwrap();
         assert_eq!(a, b, "same seed, same simulated chaos");
         assert!(
-            a.recovery.faults_recovered() > 0,
+            a.recovery.panics_recovered > 0,
             "seed 42 injects something over 180 tasks"
         );
         // Replayed attempts cost real (simulated) time.

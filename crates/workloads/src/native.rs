@@ -48,7 +48,7 @@ pub struct SequentialRun {
 }
 
 /// One iteration with no substrate: its output bytes and metered work,
-/// from precomputed prefix state — what the validation oracle and the
+/// from precomputed prefix state — what the sequential oracle and the
 /// sequential fallback run.
 pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
 

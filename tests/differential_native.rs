@@ -207,14 +207,11 @@ fn chaos_seed() -> u64 {
 /// The panic-injecting plan the differential chaos tests use: a seeded
 /// ~12% worker-panic rate plus one forced panic (so a nonzero recovery
 /// count is guaranteed for *any* seed override). Panic-only, so the
-/// validation oracle stays off and the test isolates the
-/// squash-and-replay path.
+/// test isolates the squash-and-replay path.
 fn chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed)
         .with_panic_permille(120)
-        .with_corrupt_permille(0)
         .with_stall_permille(0)
-        .with_spurious_permille(0)
         .with_forced(1, 0, FaultKind::WorkerPanic)
 }
 

@@ -192,8 +192,8 @@ fn engine_path_matches_solo_path() {
 }
 
 /// (d) Chaos through the shared pool: all three jobs run concurrently
-/// with the seeded all-class fault plan (panics, stalls, corruptions,
-/// spurious squashes) and still commit byte-identically with
+/// with the seeded fault plan (panics, stalls) and still commit
+/// byte-identically with
 /// well-formed, job-pure traces. `SEQPAR_CHAOS_SEED` overrides the
 /// seed set, matching the CI engine-stress job.
 #[test]

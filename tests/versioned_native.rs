@@ -117,9 +117,9 @@ fn versioned_memory_state_matches_sequential() {
     assert_eq!(mem.active_count(), 0, "no version left open");
 }
 
-/// (d) Chaos: injected panics, stalls, corruptions, and spurious
-/// squashes on top of real memory conflicts still commit the sequential
-/// byte stream for every workload, and the traces stay well-formed.
+/// (d) Chaos: injected panics and stalls on top of real memory
+/// conflicts still commit the sequential byte stream for every
+/// workload, and the traces stay well-formed.
 #[test]
 fn versioned_chaos_runs_stay_byte_identical() {
     for (id, job) in versioned_jobs() {
