@@ -17,12 +17,12 @@
 //! fingerprint would fail the integrity check.
 
 use super::search::{ScoredCandidate, TuneResult};
-use super::space::{Candidate, GraphKind};
+use super::space::{Candidate, PlanKind};
 use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Version tag of the artifact schema; bump on breaking field changes.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 3;
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 4;
 
 /// Native validation figures attached by the bench glue after it
 /// re-runs the winner and the untuned default on real threads.
@@ -93,8 +93,6 @@ impl PlanArtifact {
         let _ = writeln!(out, "  \"fingerprint\": \"{:#x}\",", self.fingerprint);
         let _ = writeln!(out, "  \"graph\": \"{}\",", c.kind.as_str());
         let _ = writeln!(out, "  \"width\": {},", c.width);
-        let _ = writeln!(out, "  \"round_robin\": {},", c.round_robin);
-        let _ = writeln!(out, "  \"queue_capacity\": {},", c.queue_capacity);
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
         let _ = writeln!(out, "  \"sim_makespan\": {},", self.sim_makespan);
@@ -137,20 +135,13 @@ impl PlanArtifact {
         let budget = req_u64(obj_get(obj, "budget")?)?;
         let threads = req_u64(obj_get(obj, "threads")?)?;
         let fingerprint = req_hex(obj_get(obj, "fingerprint")?)?;
-        let kind = GraphKind::parse(req_str(obj_get(obj, "graph")?)?)?;
+        let kind = PlanKind::parse(req_str(obj_get(obj, "graph")?)?)?;
         let width = req_u64(obj_get(obj, "width")?)? as usize;
-        let round_robin = req_bool(obj_get(obj, "round_robin")?)?;
-        let queue_capacity = req_u64(obj_get(obj, "queue_capacity")?)? as usize;
         let sim_cost = req_f64(obj_get(obj, "sim_cost")?)?;
         let sim_makespan = req_u64(obj_get(obj, "sim_makespan")?)?;
         let baseline_cost = req_f64(obj_get(obj, "baseline_cost")?)?;
 
-        let candidate = Candidate {
-            kind,
-            width,
-            round_robin,
-            queue_capacity,
-        };
+        let candidate = Candidate { kind, width };
         if candidate.shape_key() != fingerprint {
             return Err(format!(
                 "artifact fingerprint {fingerprint:#x} does not match the plan rebuilt from its knobs ({:#x}) — refusing a tampered artifact",
@@ -202,13 +193,6 @@ fn req_str(v: &Value) -> Result<&str, String> {
         .ok_or_else(|| format!("expected string, got {v:?}"))
 }
 
-fn req_bool(v: &Value) -> Result<bool, String> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(format!("expected bool, got {other:?}")),
-    }
-}
-
 fn req_f64(v: &Value) -> Result<f64, String> {
     v.as_f64()
         .ok_or_else(|| format!("expected number, got {v:?}"))
@@ -236,7 +220,7 @@ fn req_hex(v: &Value) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::super::search::{tune, TuneConfig};
-    use super::super::space::{Axis, TuneInput};
+    use super::super::space::TuneInput;
     use super::*;
     use crate::lint::{LintReport, StageKind, StagePlan};
     use seqpar_runtime::TaskGraph;
@@ -282,7 +266,7 @@ mod tests {
         let text = artifact.to_json();
         let back = PlanArtifact::from_json(&text).unwrap();
         assert_eq!(back, artifact);
-        assert!(text.contains("\"schema_version\": 3,"), "{text}");
+        assert!(text.contains("\"schema_version\": 4,"), "{text}");
     }
 
     #[test]
@@ -304,14 +288,16 @@ mod tests {
         let input = input();
         let result = tune(&input, &TuneConfig::default()).unwrap();
         let artifact = PlanArtifact::from_result(&result, &result.best);
-        // Change a shape-bearing knob without re-fingerprinting.
-        let mutated = artifact.candidate.mutate(Axis::WidthDown, 8);
-        if let Some(m) = mutated {
-            let mut bad = artifact.clone();
-            bad.candidate = m;
-            let err = PlanArtifact::from_json(&bad.to_json()).unwrap_err();
-            assert!(err.contains("does not match"), "{err}");
-        }
+        // Edit the width by hand without re-fingerprinting.
+        let text = artifact.to_json();
+        let width = format!("\"width\": {},", artifact.candidate.width);
+        assert!(text.contains(&width), "{text}");
+        let edited = text.replace(
+            &width,
+            &format!("\"width\": {},", artifact.candidate.width + 1),
+        );
+        let err = PlanArtifact::from_json(&edited).unwrap_err();
+        assert!(err.contains("does not match"), "{err}");
     }
 
     #[test]
@@ -322,12 +308,11 @@ mod tests {
         assert!(PlanArtifact::from_json("{\"schema_version\": 99}")
             .unwrap_err()
             .contains("unknown artifact schema_version"));
-        // Version 2 (the schema that still carried a search seed, a
-        // governor posture and a speculation mask) is refused by version
-        // before any field is read.
+        // Version 3 (the schema that still carried a placement and a
+        // queue capacity) is refused by version before any field is read.
         assert_eq!(
-            PlanArtifact::from_json("{\"schema_version\": 2}").unwrap_err(),
-            "unknown artifact schema_version 2 (expected 3)"
+            PlanArtifact::from_json("{\"schema_version\": 3}").unwrap_err(),
+            "unknown artifact schema_version 3 (expected 4)"
         );
         assert!(PlanArtifact::from_json("{}")
             .unwrap_err()

@@ -58,71 +58,55 @@ pub struct Score {
     pub violations: u64,
 }
 
-/// Simulator-backed evaluator for one workload's [`TuneInput`].
-#[derive(Debug)]
-pub struct Evaluator<'a> {
-    input: &'a TuneInput,
+/// Scores one candidate of `input`'s loop with a deterministic
+/// simulator run, on the paper's 32-entry queues, plus the analytic
+/// overhead terms.
+///
+/// # Errors
+///
+/// Propagates [`SimError`] when the candidate's plan and graph
+/// disagree — which the lint gate is supposed to make impossible.
+pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score, SimError> {
+    let plan = candidate.plan();
+    let sim = Simulator::new(SimConfig {
+        cores: plan.cores_required(),
+        comm_latency: COMM_LATENCY,
+        ..SimConfig::default()
+    });
+    let result = sim.run(input.graph_for(candidate.kind), &plan)?;
+
+    let makespan = result.makespan;
+    let workers = plan.cores_required() as u64;
+    let worker_tax = (makespan * WORKER_TAX_PERMILLE * workers.saturating_sub(1)) as f64 / 1000.0;
+
+    let mem_cost = mem_cost(input, candidate, &result);
+    let replay_cost = replay_cost(&result);
+
+    let cost = makespan as f64 + worker_tax + mem_cost + replay_cost;
+    Ok(Score {
+        cost,
+        makespan,
+        worker_tax,
+        mem_cost,
+        replay_cost,
+        sim_speedup: result.speedup(),
+        violations: result.violations,
+    })
 }
 
-impl<'a> Evaluator<'a> {
-    /// Wraps the workload input.
-    pub fn new(input: &'a TuneInput) -> Self {
-        Self { input }
-    }
-
-    /// Scores one candidate with a deterministic simulator run plus the
-    /// analytic overhead terms.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] when the candidate's plan and graph
-    /// disagree — which the lint gate is supposed to make impossible.
-    pub fn score(&self, candidate: &Candidate) -> Result<Score, SimError> {
-        let plan = candidate.plan();
-        let graph = self.input.graph_for(candidate.kind);
-        let sim = Simulator::new(SimConfig {
-            cores: plan.cores_required(),
-            comm_latency: COMM_LATENCY,
-            queue_capacity: candidate.queue_capacity.max(1),
-            num_queues: 256,
-        });
-        let result = sim.run(graph, &plan)?;
-
-        let makespan = result.makespan;
-        let workers = plan.cores_required() as u64;
-        let worker_tax =
-            (makespan * WORKER_TAX_PERMILLE * workers.saturating_sub(1)) as f64 / 1000.0;
-
-        let mem_cost = self.mem_cost(candidate, &result);
-        let replay_cost = replay_cost(&result);
-
-        let cost = makespan as f64 + worker_tax + mem_cost + replay_cost;
-        Ok(Score {
-            cost,
-            makespan,
-            worker_tax,
-            mem_cost,
-            replay_cost,
-            sim_speedup: result.speedup(),
-            violations: result.violations,
-        })
-    }
-
-    /// The analytic versioned-memory term: every commit pays
-    /// [`COMMIT_COST`] plus a conflict probe against each neighbour in
-    /// the pool, scaled by the predicted density at this width.
-    fn mem_cost(&self, candidate: &Candidate, result: &SimResult) -> f64 {
-        let commits = result.tasks_executed as f64;
-        let neighbours = candidate.width.saturating_sub(1) as f64;
-        let density = self
-            .input
-            .conflict_profile
-            .as_ref()
-            .map(|p| f64::from(p.scaled(candidate.width).density_permille()))
-            .unwrap_or(0.0)
-            / 1000.0;
-        commits * (COMMIT_COST + PROBE_COST * density * neighbours / 16.0)
-    }
+/// The analytic versioned-memory term: every commit pays
+/// [`COMMIT_COST`] plus a conflict probe against each neighbour in the
+/// pool, scaled by the predicted density at this width.
+fn mem_cost(input: &TuneInput, candidate: &Candidate, result: &SimResult) -> f64 {
+    let commits = result.tasks_executed as f64;
+    let neighbours = candidate.width.saturating_sub(1) as f64;
+    let density = input
+        .conflict_profile
+        .as_ref()
+        .map(|p| f64::from(p.scaled(candidate.width).density_permille()))
+        .unwrap_or(0.0)
+        / 1000.0;
+    commits * (COMMIT_COST + PROBE_COST * density * neighbours / 16.0)
 }
 
 /// The analytic squash-replay term: each violated speculation natively
@@ -130,17 +114,6 @@ impl<'a> Evaluator<'a> {
 fn replay_cost(result: &SimResult) -> f64 {
     let avg_task = result.serial_cycles as f64 / result.tasks_executed.max(1) as f64;
     result.violations as f64 * avg_task
-}
-
-/// Convenience: score a candidate without holding an [`Evaluator`].
-/// Exposed for the bench glue's correlation table, which re-scores
-/// natively validated candidates.
-///
-/// # Errors
-///
-/// See [`Evaluator::score`].
-pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score, SimError> {
-    Evaluator::new(input).score(candidate)
 }
 
 #[cfg(test)]

@@ -1,18 +1,17 @@
 //! The deterministic search driver.
 //!
-//! A steepest descent over the candidate space of [`super::space`]:
-//! start from the harness's default (full-width TLS) candidate; from
-//! the incumbent, lint-gate and score its one neighbour on each axis,
-//! in [`AXES`] order; move to the cheapest of them when its cost is
-//! *strictly* lower than the incumbent's; stop when none is, or when
-//! the evaluation budget is spent. Nothing is drawn from a random
-//! stream, so a `(TuneInput, TuneConfig)` pair replays to the identical
-//! move history, winner, and top-K — the reproducibility contract
-//! `AUTOTUNING.md` documents.
+//! The space of [`super::space`] is small — `threads` TLS widths plus
+//! `threads - 2` DSWP widths, 14 candidates at 8 threads — so the
+//! search scores all of it rather than walking a neighbourhood: it takes
+//! [`Candidate::space`] in order (the harness's default, full-width TLS
+//! candidate first), lint-gates each candidate and scores it, until the
+//! evaluation budget is spent. The cheapest candidate wins, ties going
+//! to the earlier one. Nothing is drawn from a random stream, so a
+//! `(TuneInput, TuneConfig)` pair replays to the identical winner and
+//! top-K — the reproducibility contract `AUTOTUNING.md` documents.
 
-use super::evaluator::{Evaluator, Score};
-use super::space::{Axis, Candidate, TuneInput, AXES};
-use std::collections::BTreeMap;
+use super::evaluator::{score_candidate, Score};
+use super::space::{Candidate, TuneInput};
 use std::fmt;
 
 /// Tuning-run parameters: the evaluation budget, the core budget
@@ -28,19 +27,19 @@ use std::fmt;
 /// assert_eq!(config.threads, 8);
 /// assert_eq!(config.top_k, 3);
 ///
-/// // The budget is a ceiling: the descent stops earlier, at the first
-/// // point none of whose neighbours is cheaper.
+/// // The budget is a ceiling: the search stops earlier, once it has
+/// // scored the whole space — 14 candidates at 8 threads.
 /// let deep = TuneConfig { budget: 256, ..TuneConfig::default() };
 /// assert_eq!(deep.threads, config.threads);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
     /// Simulator evaluations the search may spend, the baseline's
-    /// included (lint-pruned neighbours do not count).
+    /// included (lint-pruned candidates do not count).
     pub budget: usize,
     /// Core budget: no candidate plan may require more cores.
     pub threads: usize,
-    /// How many distinct-shaped finalists to hand to native validation.
+    /// How many finalists to hand to native validation.
     pub top_k: usize,
 }
 
@@ -63,21 +62,6 @@ pub struct ScoredCandidate {
     pub score: Score,
 }
 
-/// One step of the move history — enough to audit (and unit-test) that
-/// a replayed search took the identical trajectory.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MoveRecord {
-    /// Evaluation index the move consumed (1-based; 0 is the baseline).
-    pub eval: usize,
-    /// The mutated axis.
-    pub axis: Axis,
-    /// The neighbour's cost.
-    pub cost: f64,
-    /// Whether the search moved to this neighbour: it strictly beat the
-    /// incumbent and no neighbour scored beside it was cheaper.
-    pub accepted: bool,
-}
-
 /// The outcome of one tuning run.
 #[derive(Clone, Debug)]
 pub struct TuneResult {
@@ -88,19 +72,17 @@ pub struct TuneResult {
     /// The untuned baseline (TLS at the full core budget) and its
     /// score.
     pub baseline: ScoredCandidate,
-    /// The best candidate found (lowest cost; equals `baseline` when no
-    /// neighbour improved on it).
+    /// The best candidate found (lowest cost, the earlier one in
+    /// [`Candidate::space`] on a tie; equals `baseline` when nothing
+    /// scored below it).
     pub best: ScoredCandidate,
-    /// Up to `top_k` finalists with *distinct plan shapes*, best first —
-    /// the set the bench glue validates natively. Deduping by shape
-    /// keeps the native reps from re-measuring queue variants of one
-    /// plan while a differently-shaped near-winner goes unmeasured.
+    /// The `top_k` cheapest candidates scored, best first — the set the
+    /// bench glue validates natively. Every candidate has a plan shape
+    /// of its own, so no two finalists share one.
     pub top_k: Vec<ScoredCandidate>,
-    /// The full move history, in order.
-    pub moves: Vec<MoveRecord>,
     /// Simulator evaluations actually spent (baseline included).
     pub evals: usize,
-    /// Neighbours discarded by the `seqpar-lint` gate before evaluation.
+    /// Candidates discarded by the `seqpar-lint` gate before evaluation.
     pub pruned_by_lint: usize,
 }
 
@@ -142,9 +124,9 @@ impl From<seqpar_runtime::SimError> for TuneError {
 
 /// Runs the feedback-directed search for one workload.
 ///
-/// The descent is fully deterministic in `(input, config)`; see the
-/// module docs for the acceptance rule and [`TuneResult`] for what comes
-/// back.
+/// The search is fully deterministic in `(input, config)`; see the
+/// module docs for the order it scores in and [`TuneResult`] for what
+/// comes back.
 ///
 /// ```
 /// use seqpar_analysis::lint::{LintReport, StageKind, StagePlan};
@@ -174,9 +156,13 @@ impl From<seqpar_runtime::SimError> for TuneError {
 /// let config = TuneConfig { budget: 24, threads: 4, top_k: 2 };
 /// let result = tune(&input, &config).unwrap();
 ///
+/// // The budget covers the whole space: four TLS widths, and DSWP with
+/// // a phase B of two workers or one.
+/// assert_eq!(result.evals, 6);
+///
 /// // Deterministic: a second call reproduces the exact search.
 /// let replay = tune(&input, &config).unwrap();
-/// assert_eq!(result.moves, replay.moves);
+/// assert_eq!(result.top_k, replay.top_k);
 /// assert_eq!(result.best.candidate, replay.best.candidate);
 ///
 /// // The winner never scores worse than the untuned baseline, and
@@ -200,89 +186,38 @@ pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneEr
         });
     }
 
-    let evaluator = Evaluator::new(input);
     let threads = config.threads.max(1);
-
-    let baseline_candidate = Candidate::default_for(threads);
-    debug_assert!(input.lint_candidate(&baseline_candidate).is_clean());
-    let baseline = ScoredCandidate {
-        candidate: baseline_candidate,
-        score: evaluator.score(&baseline_candidate)?,
-    };
-
-    let mut current = baseline;
-    let mut evals = 1usize;
-    let mut pruned_by_lint = 0usize;
-    let mut moves: Vec<MoveRecord> = Vec::new();
-    // Best score seen per plan shape, for the diverse top-K.
-    let mut best_per_shape: BTreeMap<u64, ScoredCandidate> = BTreeMap::new();
-    best_per_shape.insert(baseline.candidate.shape_key(), baseline);
-
     let budget = config.budget.max(1);
-    while evals < budget {
-        // The cheapest neighbour strictly below the incumbent, with its
-        // index in `moves`. A round the budget cuts short still moves
-        // to the best of what it scored, so `best` is where the walk
-        // ended.
-        let mut step: Option<(usize, ScoredCandidate)> = None;
-        for &axis in AXES {
-            if evals == budget {
-                break;
-            }
-            let Some(candidate) = current.candidate.mutate(axis, threads) else {
-                continue;
-            };
-            if !input.lint_candidate(&candidate).is_clean() {
-                pruned_by_lint += 1;
-                continue;
-            }
-            let score = evaluator.score(&candidate)?;
-            evals += 1;
-            moves.push(MoveRecord {
-                eval: evals - 1,
-                axis,
-                cost: score.cost,
-                accepted: false,
-            });
-
-            let scored = ScoredCandidate { candidate, score };
-            best_per_shape
-                .entry(candidate.shape_key())
-                .and_modify(|held| {
-                    if score.cost < held.score.cost {
-                        *held = scored;
-                    }
-                })
-                .or_insert(scored);
-            let to_beat = step.map_or(current.score.cost, |(_, s)| s.score.cost);
-            if score.cost < to_beat {
-                step = Some((moves.len() - 1, scored));
-            }
-        }
-        let Some((at, next)) = step else {
+    let mut scored: Vec<ScoredCandidate> = Vec::new();
+    let mut pruned_by_lint = 0usize;
+    for candidate in Candidate::space(threads) {
+        if scored.len() == budget {
             break;
-        };
-        moves[at].accepted = true;
-        current = next;
+        }
+        if !input.lint_candidate(&candidate).is_clean() {
+            pruned_by_lint += 1;
+            continue;
+        }
+        let score = score_candidate(input, &candidate)?;
+        scored.push(ScoredCandidate { candidate, score });
     }
+    // The baseline leads the space, and a clean partition passes the
+    // one-stage shape check at any width.
+    let baseline = *scored.first().expect("the baseline passes the lint gate");
+    debug_assert_eq!(baseline.candidate, Candidate::default_for(threads));
+    let evals = scored.len();
 
-    let mut finalists: Vec<ScoredCandidate> = best_per_shape.into_values().collect();
-    finalists.sort_by(|a, b| {
-        a.score
-            .cost
-            .partial_cmp(&b.score.cost)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    finalists.truncate(config.top_k.max(1));
-    let best = finalists.first().copied().unwrap_or(baseline);
+    // A stable sort: of two candidates that cost the same, the earlier
+    // in the space stays ahead.
+    scored.sort_by(|a, b| a.score.cost.total_cmp(&b.score.cost));
+    scored.truncate(config.top_k.max(1));
 
     Ok(TuneResult {
         workload: input.workload.clone(),
         config: *config,
         baseline,
-        best,
-        top_k: finalists,
-        moves,
+        best: scored[0],
+        top_k: scored,
         evals,
         pruned_by_lint,
     })
@@ -350,15 +285,14 @@ mod tests {
         };
         let a = tune(&input, &config).unwrap();
         let b = tune(&input, &config).unwrap();
-        assert_eq!(a.moves, b.moves);
         assert_eq!(a.top_k, b.top_k);
-        assert_eq!(a.best.candidate, b.best.candidate);
+        assert_eq!(a.best, b.best);
         assert_eq!(a.evals, b.evals);
         assert_eq!(a.pruned_by_lint, b.pruned_by_lint);
     }
 
     #[test]
-    fn descent_stops_at_a_local_optimum() {
+    fn no_candidate_in_the_space_beats_the_winner() {
         for hot in [true, false] {
             let input = input(hot);
             let config = TuneConfig {
@@ -367,18 +301,13 @@ mod tests {
                 top_k: 3,
             };
             let result = tune(&input, &config).unwrap();
-            assert!(result.evals < config.budget, "budget to spare");
-            // The hot loop walks (narrower, then round-robin); the
-            // quiet one starts at its optimum and spends one round.
-            assert_eq!(result.moves.iter().any(|m| m.accepted), hot);
-            for &axis in AXES {
-                let Some(n) = result.best.candidate.mutate(axis, config.threads) else {
-                    continue;
-                };
-                let cost = Evaluator::new(&input).score(&n).unwrap().cost;
+            let space = Candidate::space(config.threads);
+            assert_eq!(result.evals, space.len(), "budget to spare");
+            for c in space {
+                let cost = score_candidate(&input, &c).unwrap().cost;
                 assert!(
                     cost >= result.best.score.cost,
-                    "{axis:?} neighbour of the winner is cheaper: {cost} < {}",
+                    "{c:?} is cheaper than the winner: {cost} < {}",
                     result.best.score.cost
                 );
             }
@@ -386,43 +315,16 @@ mod tests {
     }
 
     #[test]
-    fn accepted_moves_are_strictly_improving() {
-        let input = input(true);
-        let result = tune(
-            &input,
-            &TuneConfig {
-                budget: 40,
-                threads: 8,
-                top_k: 3,
-            },
-        )
-        .unwrap();
-        let mut incumbent = result.baseline.score.cost;
-        for m in &result.moves {
-            if m.accepted {
-                assert!(
-                    m.cost < incumbent,
-                    "accepted move at eval {} did not improve: {} >= {incumbent}",
-                    m.eval,
-                    m.cost
-                );
-                incumbent = m.cost;
-            }
-        }
-        assert_eq!(result.best.score.cost, incumbent);
-        assert!(result.best.score.cost <= result.baseline.score.cost);
-    }
-
-    #[test]
     fn budget_is_respected_and_top_k_is_shape_diverse() {
         let input = input(false);
         let config = TuneConfig {
-            budget: 20,
+            budget: 5,
             threads: 8,
             top_k: 3,
         };
         let result = tune(&input, &config).unwrap();
-        assert!(result.evals <= config.budget);
+        // The budget stops the search short of the space's 14.
+        assert_eq!(result.evals, config.budget);
         assert!(result.top_k.len() <= config.top_k);
         let shapes: std::collections::BTreeSet<u64> = result
             .top_k

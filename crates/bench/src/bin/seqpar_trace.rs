@@ -51,7 +51,7 @@ use seqpar_workloads::{all_workloads, stage_labels, InputSize, Workload};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = 4usize;
-    let mut plan = PlanKind::Dswp;
+    let mut kind = PlanKind::Dswp;
     let mut size = InputSize::Test;
     let mut fault_seed = None;
     let mut out_path = None;
@@ -68,10 +68,10 @@ fn main() {
                 }
             }
             "--plan" => {
-                plan = match iter.next().map(String::as_str) {
-                    Some("dswp") => PlanKind::Dswp,
-                    Some("tls") => PlanKind::Tls,
-                    other => usage(&format!("unknown plan {other:?} (use dswp|tls)")),
+                kind = match iter.next().map(String::as_str).map(PlanKind::parse) {
+                    Some(Ok(k)) => k,
+                    Some(Err(e)) => usage(&format!("{e} (use dswp|tls)")),
+                    None => usage("--plan needs dswp|tls"),
                 }
             }
             "--size" => {
@@ -117,7 +117,7 @@ fn main() {
             &workloads,
             &target,
             threads,
-            plan,
+            kind,
             size,
             fault_seed,
             governed,
@@ -138,17 +138,14 @@ fn main() {
     if let Some(seed) = fault_seed {
         config = config.with_faults(FaultPlan::seeded(seed));
     }
-    let exec_plan = plan_at(plan, threads);
+    let exec_plan = kind.plan(threads);
     let meta = w.meta();
     println!(
         "## {}: traced native run ({threads} threads, {} plan)",
         meta.spec_id,
-        match plan {
-            PlanKind::Dswp => "dswp",
-            PlanKind::Tls => "tls",
-        }
+        kind.as_str()
     );
-    let run = trace_native(w, size, plan, threads, &config);
+    let run = trace_native(w, size, kind, threads, &config);
     let report = &run.report;
     println!("{}", run.grain);
     println!(
@@ -273,7 +270,7 @@ fn multi_job_trace(
     workloads: &[Box<dyn Workload>],
     targets: &str,
     threads: usize,
-    plan: PlanKind,
+    kind: PlanKind,
     size: InputSize,
     fault_seed: Option<u64>,
     governed: bool,
@@ -288,15 +285,12 @@ fn multi_job_trace(
             .with_faults(FaultPlan::seeded(seed))
             .with_retry_budget(4);
     }
-    let exec_plan = plan_at(plan, threads);
+    let exec_plan = kind.plan(threads);
     let engine = Engine::new(EngineConfig::with_workers(threads));
     engine.warm();
     println!(
         "## multi-job traced run: {targets} concurrently on one {threads}-worker engine ({} plan)",
-        match plan {
-            PlanKind::Dswp => "dswp",
-            PlanKind::Tls => "tls",
-        }
+        kind.as_str()
     );
     // Submit every job before waiting on any: they overlap on the pool.
     let mut submitted = Vec::new();
@@ -363,14 +357,6 @@ fn multi_job_trace(
              (pid = job id) at https://ui.perfetto.dev",
             text.len()
         );
-    }
-}
-
-/// The plan `trace_native` runs a `kind` sweep point at.
-fn plan_at(kind: PlanKind, threads: usize) -> ExecutionPlan {
-    match kind {
-        PlanKind::Dswp => ExecutionPlan::three_phase(threads),
-        PlanKind::Tls => ExecutionPlan::tls(threads),
     }
 }
 

@@ -8,11 +8,12 @@
 //! seqpar-tune --check FILE...
 //! ```
 //!
-//! Tuning mode searches each named workload's plan space with the
-//! deterministic, lint-gated descent (`seqpar_analysis::tune`),
-//! re-validates the top-K finalists natively (byte-identical output
-//! against the sequential oracle, median wall clock of interleaved
-//! repetitions), prints the verdict plus the sim-cost-vs-wall-clock
+//! Tuning mode scores each named workload's plan space — every plan
+//! kind at every width the core budget allows, lint-gated, until the
+//! budget runs out (`seqpar_analysis::tune`) — re-validates the top-K
+//! finalists natively (byte-identical output against the sequential
+//! oracle, median wall clock of interleaved repetitions), prints the
+//! verdict plus the sim-cost-vs-wall-clock
 //! correlation pairs, and — with `--out-dir` — persists each winner as
 //! a reproducible plan artifact named `<spec_id>.plan.json`, keyed by
 //! the plan's lint-stamp fingerprint. Re-running with the same budget

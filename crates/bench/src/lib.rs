@@ -13,6 +13,10 @@ pub mod tune;
 /// `seqpar-runtime`, where the plan-artifact loader also uses it).
 pub use seqpar_runtime::json;
 
+/// How iterations are scheduled in a sweep: the tuner's plan kind, one
+/// enum for both.
+pub use seqpar_analysis::tune::PlanKind;
+
 use seqpar::IterationTrace;
 use seqpar_runtime::{
     ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, GovernorStats,
@@ -29,15 +33,6 @@ pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 6, 8, 10, 12, 15, 16, 20, 24, 28, 
 /// scaling is bounded by the host's physical cores, so the sweep stays
 /// within commodity core counts.
 pub const NATIVE_THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
-
-/// How iterations are scheduled in a sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanKind {
-    /// The paper's three-phase DSWP plan (§3.2).
-    Dswp,
-    /// The TLS-style single-stage plan.
-    Tls,
-}
 
 /// One point of a speedup curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -119,18 +114,10 @@ pub fn simulate(trace: &IterationTrace, threads: usize, kind: PlanKind) -> SimRe
     simulate_graph(&graph_of(trace, kind), threads, kind)
 }
 
-/// The plan `kind` runs on `threads` cores.
-fn plan_at(kind: PlanKind, threads: usize) -> ExecutionPlan {
-    match kind {
-        PlanKind::Dswp => ExecutionPlan::three_phase(threads),
-        PlanKind::Tls => ExecutionPlan::tls(threads),
-    }
-}
-
 /// Simulates `graph` — a trace's graph of the same `kind` — at one thread
 /// count under the given plan.
 pub fn simulate_graph(graph: &TaskGraph, threads: usize, kind: PlanKind) -> SimResult {
-    let plan = plan_at(kind, threads);
+    let plan = kind.plan(threads);
     // Channel buffering: a stage-to-stage channel gangs several of the
     // machine's 256 hardware queues (only a handful of channels exist),
     // giving 128 in-flight iterations; the single-queue 32-entry case is
@@ -216,7 +203,7 @@ pub fn native_sweep(
     let points = threads
         .iter()
         .map(|&t| {
-            let plan = plan_at(kind, t);
+            let plan = kind.plan(t);
             // A warmed engine sized to the plan's core footprint keeps
             // pool-spawn cost out of the recorded wall clock while
             // still letting pool width bound real parallelism.
@@ -252,7 +239,7 @@ pub fn native_sweep(
         grain: threads
             .iter()
             .max()
-            .map(|&t| render_grain(&versioned, &plan_at(kind, t))),
+            .map(|&t| render_grain(&versioned, &kind.plan(t))),
     }
 }
 
@@ -567,7 +554,7 @@ pub fn trace_native(
     config: &ExecConfig,
 ) -> TracedRun {
     let job = w.versioned_job(size);
-    let plan = plan_at(kind, threads);
+    let plan = kind.plan(threads);
     let seq = job.sequential();
     let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
     engine.warm();

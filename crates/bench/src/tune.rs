@@ -7,7 +7,9 @@
 //! [`TuneInput`] from a workload's IR model and recorded trace,
 //! [`TunableWorkload::validate_native`] re-runs the search's top-K
 //! finalists (plus the untuned default) on real OS threads with
-//! interleaved repetitions, byte-checks every run against the
+//! interleaved repetitions — all under one executor configuration
+//! ([`TunableWorkload::exec_config`]), so contenders differ in plan
+//! alone — byte-checks every run against the
 //! sequential oracle, and fills the winning plan's
 //! [`PlanArtifact`] with measured [`NativeValidation`] figures. The
 //! `seqpar-tune` binary drives these entry points; `AUTOTUNING.md`
@@ -129,7 +131,7 @@ impl TunableWorkload {
     }
 
     /// Mints the lint-stamped execution plan for one candidate via
-    /// [`ParallelizedLoop::plan_custom`] — the same plan shape the
+    /// [`ParallelizedLoop::plan_custom`] — the stages of the plan the
     /// candidate scored in the simulator, now carrying the lint stamp
     /// and the width-scaled conflict profile the native executor
     /// checks.
@@ -141,7 +143,11 @@ impl TunableWorkload {
     /// stamps) or if the plan lost its lint stamp — validating an
     /// unaudited plan would be meaningless.
     pub fn mint_plan(&self, candidate: &Candidate) -> ExecutionPlan {
-        let plan = self.result.plan_custom(candidate.stage_assignments());
+        let searched = candidate.plan();
+        let stages = (0..searched.stage_count())
+            .map(|s| searched.stage(s).clone())
+            .collect();
+        let plan = self.result.plan_custom(stages);
         assert_eq!(
             plan.fingerprint(),
             candidate.shape_key(),
@@ -156,13 +162,12 @@ impl TunableWorkload {
         plan
     }
 
-    /// The native executor configuration for one candidate: its queue
-    /// capacity, under the default governor like every contender — the
-    /// one `figures --native` and `seqpar-trace` run, which measures the
+    /// The native executor configuration every contender runs: the
+    /// paper's 32-entry queues under the default governor — the one
+    /// `figures --native` and `seqpar-trace` run, which measures the
     /// loop's conflict rate instead of presuming it.
-    pub fn exec_config(&self, candidate: &Candidate) -> ExecConfig {
-        ExecConfig::with_queue_capacity(candidate.queue_capacity)
-            .with_governor(GovernorConfig::default())
+    pub fn exec_config() -> ExecConfig {
+        ExecConfig::default().with_governor(GovernorConfig::default())
     }
 
     /// A warmed persistent [`Engine`] sized to exactly the candidate's
@@ -194,7 +199,7 @@ impl TunableWorkload {
         expected: &[u8],
     ) -> NativeReport {
         let plan = self.mint_plan(candidate);
-        let (spec, _mem) = self.job.job_spec(&plan, self.exec_config(candidate));
+        let (spec, _mem) = self.job.job_spec(&plan, Self::exec_config());
         let report = engine.run(&spec).expect("tuned plan matches the machine");
         assert_eq!(
             report.output, expected,
@@ -321,17 +326,7 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
         r.top_k.len()
     ));
     let c = &outcome.winner.candidate;
-    out.push_str(&format!(
-        "winner: {} width {} {} queue {}\n",
-        c.kind.as_str(),
-        c.width,
-        if c.round_robin {
-            "round-robin"
-        } else {
-            "least-loaded"
-        },
-        c.queue_capacity,
-    ));
+    out.push_str(&format!("winner: {} width {}\n", c.kind.as_str(), c.width));
     out.push_str(&format!(
         "native: tuned {:.3} ms vs default {:.3} ms -> {:.2}x {}\n",
         native.tuned_wall_ms,
@@ -366,16 +361,13 @@ mod tests {
         let w = workload_by_name("164.gzip").expect("gzip exists");
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
         for threads in [1usize, 2, 4, 8] {
-            let c = Candidate::default_for(threads);
-            let plan = tunable.mint_plan(&c);
-            assert_eq!(plan.fingerprint(), c.shape_key());
-            assert!(plan.is_linted() && plan.lint_stamp_intact());
-            // DSWP shapes mint and stamp too, given the core budget.
-            if threads >= 3 {
-                if let Some(d) = c.mutate(seqpar_analysis::tune::Axis::Graph, threads) {
-                    let plan = tunable.mint_plan(&d);
-                    assert!(plan.is_linted(), "DSWP candidate stamps at {threads}");
-                }
+            for c in Candidate::space(threads) {
+                let plan = tunable.mint_plan(&c);
+                assert_eq!(plan.fingerprint(), c.shape_key());
+                assert!(
+                    plan.is_linted() && plan.lint_stamp_intact(),
+                    "{c:?} stamps at {threads}"
+                );
             }
         }
     }
@@ -412,15 +404,14 @@ mod tests {
 
     #[test]
     fn validation_is_byte_checked_even_for_exotic_knobs() {
-        // A tiny queue on the suite's stormiest loop is the harshest
-        // corner of the space: the output must still be byte-identical
-        // to the oracle.
+        // Every shape a 4-core budget allows, on the suite's stormiest
+        // loop: each output must still be byte-identical to the oracle.
         let w = workload_by_name("175.vpr").expect("vpr exists");
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
-        let mut c = Candidate::default_for(2);
-        c.queue_capacity = 8;
         let seq = tunable.job.sequential();
-        let report = tunable.run_candidate(&tunable.engine_for(&c), &c, &seq.output);
-        assert_eq!(report.output, seq.output);
+        for c in Candidate::space(4) {
+            let report = tunable.run_candidate(&tunable.engine_for(&c), &c, &seq.output);
+            assert_eq!(report.output, seq.output, "{c:?}");
+        }
     }
 }

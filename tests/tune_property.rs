@@ -2,23 +2,25 @@
 //! the search emits — the baseline, the best, and every top-K finalist,
 //! at any budget or thread count — must be lint-clean at deny level,
 //! mint with an intact lint stamp, and commit byte-identical output to
-//! the sequential oracle when executed natively with the candidate's
-//! own queue under the default governor. The tuner is allowed to lose
-//! races; it is never allowed to trade correctness for speed.
+//! the sequential oracle when executed natively under the configuration
+//! every contender runs (32-entry queues, default governor). The tuner
+//! is allowed to lose races; it is never allowed to trade correctness
+//! for speed.
 //!
 //! The same (budget, threads) search is also replayed to pin the
 //! reproducibility contract end-to-end: identical configuration,
-//! identical winner.
+//! identical winner. And at the default budget the search scores the
+//! whole space, so its winner is the space's cheapest candidate.
 //!
 //! Cases are drawn from the offline proptest stub's deterministic
 //! per-test RNG, so the sampled population is stable across runs and
 //! machines.
 
 use proptest::prelude::*;
-use seqpar_analysis::tune::TuneConfig;
+use seqpar_analysis::tune::{score_candidate, Candidate, TuneConfig};
 use seqpar_bench::tune::TunableWorkload;
 use seqpar_runtime::{Engine, EngineConfig};
-use seqpar_workloads::{workload_by_name, InputSize};
+use seqpar_workloads::{all_workloads, workload_by_name, InputSize};
 
 /// A cross-section of the suite: a pipeline-friendly compressor, a
 /// conflict-heavy placer, and a near-DOALL parser.
@@ -72,7 +74,7 @@ proptest! {
 
             // Byte-identical to the oracle under the candidate's own
             // executor knobs.
-            let (spec, _mem) = job.job_spec(&plan, tunable.exec_config(&c));
+            let (spec, _mem) = job.job_spec(&plan, TunableWorkload::exec_config());
             let native = Engine::new(EngineConfig::with_workers(plan.cores_required()))
                 .run(&spec)
                 .expect("emitted plan matches the machine");
@@ -89,5 +91,38 @@ proptest! {
         let replay = tunable.tune(&config).expect("replay succeeds");
         prop_assert_eq!(replay.best.candidate, result.best.candidate);
         prop_assert_eq!(replay.evals, result.evals);
+    }
+}
+
+/// Every kernel at `Train` under the default configuration: all 14
+/// candidates of the 8-core space are scored, none is lint-pruned, and
+/// the winner costs what the cheapest of them costs. (A walk from the
+/// baseline to its nearest local optimum stopped at perlbmk's `tls 4`,
+/// 104 960, while `tls 1` costs 87 359.)
+#[test]
+fn the_winner_is_the_minimum_of_the_whole_space() {
+    let config = TuneConfig::default();
+    let space = Candidate::space(config.threads);
+    assert_eq!(space.len(), 14);
+    for w in all_workloads() {
+        let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Train);
+        let id = tunable.spec_id();
+        let result = tunable
+            .tune(&config)
+            .expect("every kernel partitions soundly");
+        assert_eq!(
+            (result.evals, result.pruned_by_lint),
+            (space.len(), 0),
+            "{id}"
+        );
+        let cheapest = space
+            .iter()
+            .map(|c| {
+                score_candidate(tunable.input(), c)
+                    .expect("gated shape")
+                    .cost
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(result.best.score.cost, cheapest, "{id}");
     }
 }
