@@ -360,10 +360,13 @@ impl Workload for Gap {
             move |iter| {
                 let i = iter as usize;
                 let mut interp = ckpts[i / K].clone();
-                let mut meter = WorkMeter::new();
+                // The replay restores the prefix state: its work belongs
+                // to the statements it repeats, not to this one.
+                let mut replay = WorkMeter::new();
                 for stmt in &program[(i / K) * K..i] {
-                    interp.exec(*stmt, &mut meter);
+                    interp.exec(*stmt, &mut replay);
                 }
+                let mut meter = WorkMeter::new();
                 let collected = interp.exec(program[i], &mut meter);
                 let value = match interp.var(program[i].writes()) {
                     Val::Int(x) => x,

@@ -147,7 +147,9 @@ impl VersionedJob {
     /// the committed state of iterations `0..i`, which is what makes
     /// versioned output byte-identical to [`VersionedJob::sequential`] —
     /// holds for any `fold`; that pass is also the clock
-    /// [`grain`](VersionedJob::grain) reads.
+    /// [`grain`](VersionedJob::grain) reads. So `compute` should restore
+    /// only what its iteration can change: the clock then times the
+    /// iteration, not its restore.
     pub fn accumulating(
         trace: IterationTrace,
         compute: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
@@ -573,6 +575,19 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The oracle meters an iteration's own work and nothing it does to
+    /// restore the state before it: a kernel's sequential work is the
+    /// sum of its trace's B costs. mcf is left out because its record
+    /// splits an iteration's work over phases A, B and C.
+    #[test]
+    fn oracle_work_is_the_traced_work() {
+        for w in all_workloads().iter().filter(|w| w.meta().name != "mcf") {
+            let job = w.versioned_job(InputSize::Test);
+            let traced: u64 = job.trace().records().iter().map(|r| r.b_cost).sum();
+            assert_eq!(job.sequential().work, traced, "{}", w.meta().spec_id);
         }
     }
 

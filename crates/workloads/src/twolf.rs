@@ -22,6 +22,7 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
+use std::sync::Arc;
 
 /// The paper's Figure 2 RNG, verbatim semantics: a linear congruential
 /// generator with internal `seed` state.
@@ -55,7 +56,8 @@ impl YacmRandom {
     }
 }
 
-/// A row-based standard-cell placement.
+/// A row-based standard-cell placement. As in vpr, clones share the
+/// netlist and copy only the coordinates and the slot map.
 #[derive(Clone, Debug)]
 pub struct CellPlacement {
     rows: usize,
@@ -65,8 +67,8 @@ pub struct CellPlacement {
     /// (row, col) -> cell.
     slot: Vec<usize>,
     /// Nets as cell lists.
-    pub nets: Vec<Vec<u32>>,
-    nets_of: Vec<Vec<u32>>,
+    pub nets: Arc<Vec<Vec<u32>>>,
+    nets_of: Arc<Vec<Vec<u32>>>,
 }
 
 impl CellPlacement {
@@ -102,8 +104,8 @@ impl CellPlacement {
             cols,
             pos,
             slot,
-            nets: net_list,
-            nets_of,
+            nets: Arc::new(net_list),
+            nets_of: Arc::new(nets_of),
         }
     }
 

@@ -22,16 +22,20 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
+use std::sync::Arc;
 
 /// Minimum degree of the B-tree (CLRS `t`): nodes hold `t-1..=2t-1` keys.
 /// Small nodes rebalance often — vortex's B-tree pages are shallow.
 const T: usize = 6;
 
+/// A node shares its children with every tree cloned from it. A writer
+/// reaches a child through [`Arc::make_mut`], which copies it only while
+/// another tree still holds it: a mutation copies the path it walks.
 #[derive(Clone, Debug, Default)]
 struct Node {
     keys: Vec<u64>,
     vals: Vec<u64>,
-    children: Vec<Node>,
+    children: Vec<Arc<Node>>,
 }
 
 impl Node {
@@ -50,9 +54,13 @@ pub enum Status {
 }
 
 /// A B-tree keyed store that counts its structural changes.
+///
+/// Persistent: a clone shares every node with the original and costs
+/// O(1), and a later mutation of either copies only the nodes on its
+/// root-to-leaf path, so neither ever sees the other's edits.
 #[derive(Clone, Debug)]
 pub struct BTree {
-    root: Node,
+    root: Arc<Node>,
     /// Node splits performed.
     pub splits: u64,
     /// Node merges performed.
@@ -72,7 +80,7 @@ impl BTree {
     /// Creates an empty tree.
     pub fn new() -> Self {
         Self {
-            root: Node::default(),
+            root: Arc::default(),
             splits: 0,
             merges: 0,
             borrows: 0,
@@ -116,26 +124,22 @@ impl BTree {
     pub fn insert(&mut self, key: u64, val: u64, meter: &mut WorkMeter) -> Status {
         if self.root.keys.len() == 2 * T - 1 {
             // Grow the tree: split the root.
-            let mut old_root = Node::default();
-            std::mem::swap(&mut old_root, &mut self.root);
-            self.root.children.push(old_root);
-            self.split_child(0, meter, true);
+            let old_root = std::mem::take(&mut self.root);
+            let root = Arc::make_mut(&mut self.root);
+            root.children.push(old_root);
+            Self::split_child_of(root, 0, meter);
+            self.splits += 1;
         }
-        let inserted = Self::insert_nonfull(&mut self.root, key, val, meter, &mut self.splits);
-        if inserted {
+        let root = Arc::make_mut(&mut self.root);
+        if Self::insert_nonfull(root, key, val, meter, &mut self.splits) {
             self.len += 1;
         }
         Status::Normal
     }
 
-    fn split_child(&mut self, i: usize, meter: &mut WorkMeter, _root: bool) {
-        Self::split_child_of(&mut self.root, i, meter);
-        self.splits += 1;
-    }
-
     fn split_child_of(parent: &mut Node, i: usize, meter: &mut WorkMeter) {
         meter.add(2 * T as u64);
-        let child = &mut parent.children[i];
+        let child = Arc::make_mut(&mut parent.children[i]);
         let mut right = Node {
             keys: child.keys.split_off(T),
             vals: child.vals.split_off(T),
@@ -148,7 +152,7 @@ impl BTree {
         let mid_val = child.vals.pop().expect("full child");
         parent.keys.insert(i, mid_key);
         parent.vals.insert(i, mid_val);
-        parent.children.insert(i + 1, right);
+        parent.children.insert(i + 1, Arc::new(right));
     }
 
     fn insert_nonfull(
@@ -183,7 +187,8 @@ impl BTree {
                             std::cmp::Ordering::Greater => {}
                         }
                     }
-                    Self::insert_nonfull(&mut node.children[i], key, val, meter, splits)
+                    let child = Arc::make_mut(&mut node.children[i]);
+                    Self::insert_nonfull(child, key, val, meter, splits)
                 }
             }
         }
@@ -192,7 +197,7 @@ impl BTree {
     /// Deletes `key`, metering work.
     pub fn delete(&mut self, key: u64, meter: &mut WorkMeter) -> Status {
         let found = Self::delete_from(
-            &mut self.root,
+            Arc::make_mut(&mut self.root),
             key,
             meter,
             &mut self.merges,
@@ -203,8 +208,7 @@ impl BTree {
         }
         // Shrink the root when it empties.
         if self.root.keys.is_empty() && !self.root.is_leaf() {
-            let child = self.root.children.remove(0);
-            self.root = child;
+            self.root = Arc::make_mut(&mut self.root).children.remove(0);
         }
         if found {
             Status::Normal
@@ -232,16 +236,19 @@ impl BTree {
                     let (pk, pv) = Self::max_entry(&node.children[i], meter);
                     node.keys[i] = pk;
                     node.vals[i] = pv;
-                    Self::delete_from(&mut node.children[i], pk, meter, merges, borrows)
+                    let child = Arc::make_mut(&mut node.children[i]);
+                    Self::delete_from(child, pk, meter, merges, borrows)
                 } else if node.children[i + 1].keys.len() >= T {
                     let (sk, sv) = Self::min_entry(&node.children[i + 1], meter);
                     node.keys[i] = sk;
                     node.vals[i] = sv;
-                    Self::delete_from(&mut node.children[i + 1], sk, meter, merges, borrows)
+                    let child = Arc::make_mut(&mut node.children[i + 1]);
+                    Self::delete_from(child, sk, meter, merges, borrows)
                 } else {
                     Self::merge_children(node, i, meter);
                     *merges += 1;
-                    Self::delete_from(&mut node.children[i], key, meter, merges, borrows)
+                    let child = Arc::make_mut(&mut node.children[i]);
+                    Self::delete_from(child, key, meter, merges, borrows)
                 }
             }
             Err(i) => {
@@ -252,7 +259,8 @@ impl BTree {
                 if node.children[i].keys.len() < T {
                     i = Self::fill_child(node, i, meter, merges, borrows);
                 }
-                Self::delete_from(&mut node.children[i], key, meter, merges, borrows)
+                let child = Arc::make_mut(&mut node.children[i]);
+                Self::delete_from(child, key, meter, merges, borrows)
             }
         }
     }
@@ -292,7 +300,7 @@ impl BTree {
             // Borrow from the left sibling through the separator.
             *borrows += 1;
             let (k, v, c) = {
-                let left = &mut node.children[i - 1];
+                let left = Arc::make_mut(&mut node.children[i - 1]);
                 (
                     left.keys.pop().expect("rich sibling"),
                     left.vals.pop().expect("rich sibling"),
@@ -305,7 +313,7 @@ impl BTree {
             };
             let sep_k = std::mem::replace(&mut node.keys[i - 1], k);
             let sep_v = std::mem::replace(&mut node.vals[i - 1], v);
-            let child = &mut node.children[i];
+            let child = Arc::make_mut(&mut node.children[i]);
             child.keys.insert(0, sep_k);
             child.vals.insert(0, sep_v);
             if let Some(c) = c {
@@ -315,7 +323,7 @@ impl BTree {
         } else if i + 1 < node.children.len() && node.children[i + 1].keys.len() >= T {
             *borrows += 1;
             let (k, v, c) = {
-                let right = &mut node.children[i + 1];
+                let right = Arc::make_mut(&mut node.children[i + 1]);
                 let c = if right.is_leaf() {
                     None
                 } else {
@@ -325,7 +333,7 @@ impl BTree {
             };
             let sep_k = std::mem::replace(&mut node.keys[i], k);
             let sep_v = std::mem::replace(&mut node.vals[i], v);
-            let child = &mut node.children[i];
+            let child = Arc::make_mut(&mut node.children[i]);
             child.keys.push(sep_k);
             child.vals.push(sep_v);
             if let Some(c) = c {
@@ -346,10 +354,10 @@ impl BTree {
     /// Merges `children[i]`, the separator, and `children[i+1]`.
     fn merge_children(node: &mut Node, i: usize, meter: &mut WorkMeter) {
         meter.add(2 * T as u64);
-        let right = node.children.remove(i + 1);
+        let right = Arc::unwrap_or_clone(node.children.remove(i + 1));
         let k = node.keys.remove(i);
         let v = node.vals.remove(i);
-        let left = &mut node.children[i];
+        let left = Arc::make_mut(&mut node.children[i]);
         left.keys.push(k);
         left.vals.push(v);
         left.keys.extend(right.keys);
@@ -557,26 +565,26 @@ impl Workload for Vortex {
         // clock the database threads across transactions. Read-only
         // lookups that hit leave both slots unchanged, so their
         // write-backs are silent-store bets.
+        //
+        // The tree is persistent, so the prepass keeps an O(1) snapshot
+        // before every transaction, and an iteration runs its one
+        // transaction on a clone of it, copying only the paths it
+        // touches: the clock `VersionedJob::accumulating` reads times the
+        // transaction, not a restore.
         let txns = generate_txns(self.txn_count(size), 0x255);
-        const K: usize = 16;
         let mut setup = WorkMeter::new();
         let mut tree = self.seeded_tree(&mut setup);
-        let mut ckpts = Vec::with_capacity(txns.len() / K + 1);
-        for (i, txn) in txns.iter().enumerate() {
-            if i % K == 0 {
-                ckpts.push(tree.clone());
-            }
+        let mut snaps = Vec::with_capacity(txns.len());
+        for txn in &txns {
+            snaps.push(tree.clone());
             exec_txn(&mut tree, *txn, &mut setup);
         }
         VersionedJob::accumulating(
             self.trace(size),
             move |iter| {
                 let i = iter as usize;
-                let mut tree = ckpts[i / K].clone();
+                let mut tree = snaps[i].clone();
                 let mut meter = WorkMeter::new();
-                for txn in &txns[(i / K) * K..i] {
-                    exec_txn(&mut tree, *txn, &mut meter);
-                }
                 let (status, rebalances) = exec_txn(&mut tree, txns[i], &mut meter);
                 let mut bytes = vec![match status {
                     Status::Normal => 0u8,

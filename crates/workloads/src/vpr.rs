@@ -22,8 +22,11 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
+use std::sync::Arc;
 
-/// A placement instance and its current state.
+/// A placement instance and its current state. The netlist never changes
+/// once generated, so every clone shares it: a clone copies only the
+/// coordinates and the occupancy grid.
 #[derive(Clone, Debug)]
 pub struct Placement {
     grid: usize,
@@ -32,9 +35,9 @@ pub struct Placement {
     /// Cell -> block index (or usize::MAX).
     cell: Vec<usize>,
     /// Nets: lists of block indices.
-    pub nets: Vec<Vec<u32>>,
+    pub nets: Arc<Vec<Vec<u32>>>,
     /// Net lists per block.
-    nets_of: Vec<Vec<u32>>,
+    nets_of: Arc<Vec<Vec<u32>>>,
 }
 
 impl Placement {
@@ -75,8 +78,8 @@ impl Placement {
             grid,
             pos,
             cell,
-            nets: net_list,
-            nets_of,
+            nets: Arc::new(net_list),
+            nets_of: Arc::new(nets_of),
         }
     }
 
@@ -436,7 +439,7 @@ mod tests {
     #[test]
     fn net_cost_is_half_perimeter() {
         let mut p = Placement::generate(10, 4, 1, 2);
-        p.nets[0] = vec![0, 1];
+        Arc::make_mut(&mut p.nets)[0] = vec![0, 1];
         p.pos[0] = (1, 1);
         p.pos[1] = (4, 5);
         let mut m = WorkMeter::new();

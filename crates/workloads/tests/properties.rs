@@ -134,6 +134,52 @@ proptest! {
         prop_assert_eq!(tree.check_invariants(), reference.len());
     }
 
+    /// The B-tree is persistent: a clone taken at any point of a random
+    /// op sequence keeps the contents of that point however the tree it
+    /// came from is mutated afterwards. Each fork freezes one side and
+    /// keeps mutating the other: the original (clones checked) or, with
+    /// `mutate_clones`, the clone (originals checked).
+    #[test]
+    fn btree_clones_are_persistent(
+        ops in proptest::collection::vec((0..6u8, 0..200u64), 1..400),
+        mutate_clones in any::<bool>()
+    ) {
+        let mut tree = vortex::BTree::new();
+        let mut reference = BTreeMap::new();
+        let mut frozen = Vec::new();
+        let mut m = WorkMeter::new();
+        for (step, (kind, key)) in ops.into_iter().enumerate() {
+            match kind {
+                // Re-inserting a key overwrites its value in place: the
+                // step makes that write visible to a shared leaf.
+                0..=2 => {
+                    tree.insert(key, step as u64, &mut m);
+                    reference.insert(key, step as u64);
+                }
+                3 => {
+                    tree.delete(key, &mut m);
+                    reference.remove(&key);
+                }
+                _ => {
+                    let clone = tree.clone();
+                    let kept = if mutate_clones {
+                        std::mem::replace(&mut tree, clone)
+                    } else {
+                        clone
+                    };
+                    frozen.push((kept, reference.clone()));
+                }
+            }
+        }
+        frozen.push((tree, reference));
+        for (tree, reference) in &frozen {
+            for key in 0..200 {
+                prop_assert_eq!(tree.lookup(key, &mut m), reference.get(&key).copied());
+            }
+            prop_assert_eq!(tree.check_invariants(), reference.len());
+        }
+    }
+
     #[test]
     fn mini_compiler_passes_preserve_semantics(seed in any::<u64>(), count in 1usize..12) {
         let unit = gcc::generate_unit(count, seed);
