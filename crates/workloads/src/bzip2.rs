@@ -16,7 +16,6 @@ use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
-use std::cell::Cell;
 use std::collections::BinaryHeap;
 
 /// The Burrows–Wheeler transform of `data`: the last column of the sorted
@@ -24,6 +23,19 @@ use std::collections::BinaryHeap;
 ///
 /// Uses prefix doubling (`O(n log² n)`) over cyclic ranks; comparison work
 /// is accrued into `meter`.
+///
+/// Each pass sorts rotations by the pair (rank of the rotation, rank of
+/// the rotation `k` further on). The pair is packed into one `u64` per
+/// rotation before the sort — the first rank in the high half, so the
+/// integers order as the pairs do — and the comparator reads two keys
+/// instead of rebuilding both pairs from `rank`, with a wrapping index,
+/// on every one of the sort's `O(n log n)` comparisons.
+///
+/// The metered work is the number of comparisons the standard library's
+/// `sort_unstable_by` makes, so `order` stays a `Vec<u32>` sorted by a
+/// counting comparator: sorting the keys themselves, or `(key, index)`
+/// pairs, would take a different path through the sort (the element type
+/// selects its small-sort routine) and count different comparisons.
 pub fn bwt(data: &[u8], meter: &mut WorkMeter) -> (Vec<u8>, usize) {
     let n = data.len();
     if n == 0 {
@@ -31,31 +43,31 @@ pub fn bwt(data: &[u8], meter: &mut WorkMeter) -> (Vec<u8>, usize) {
     }
     let mut rank: Vec<u32> = data.iter().map(|&b| b as u32).collect();
     let mut order: Vec<u32> = (0..n as u32).collect();
-    let mut tmp = vec![0u32; n];
+    let mut key = vec![0u64; n];
     let mut k = 1usize;
-    let comparisons = Cell::new(0u64);
+    let mut comparisons = 0u64;
     while k < n {
-        let key = |i: u32| {
-            let i = i as usize;
-            (rank[i], rank[(i + k) % n])
-        };
-        order.sort_unstable_by(|&a, &b| {
-            comparisons.set(comparisons.get() + 1);
-            key(a).cmp(&key(b))
-        });
-        tmp[order[0] as usize] = 0;
-        for w in 1..n {
-            let prev = order[w - 1];
-            let cur = order[w];
-            tmp[cur as usize] = tmp[prev as usize] + u32::from(key(prev) != key(cur));
+        for (i, slot) in key.iter_mut().enumerate() {
+            // k < n, so one subtraction wraps the index.
+            let j = if i + k < n { i + k } else { i + k - n };
+            *slot = (u64::from(rank[i]) << 32) | u64::from(rank[j]);
         }
-        rank.copy_from_slice(&tmp);
-        if rank[order[n - 1] as usize] as usize == n - 1 {
+        order.sort_unstable_by(|&a, &b| {
+            comparisons += 1;
+            key[a as usize].cmp(&key[b as usize])
+        });
+        let mut r = 0u32;
+        rank[order[0] as usize] = 0;
+        for w in order.windows(2) {
+            r += u32::from(key[w[0] as usize] != key[w[1] as usize]);
+            rank[w[1] as usize] = r;
+        }
+        if r as usize == n - 1 {
             break; // all ranks distinct
         }
         k *= 2;
     }
-    meter.add(comparisons.get());
+    meter.add(comparisons);
     let mut last = Vec::with_capacity(n);
     let mut orig_row = 0;
     for (row, &start) in order.iter().enumerate() {

@@ -22,6 +22,7 @@ use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A game position (synthetic: a hash that fully determines the
 /// subgame below it).
@@ -35,14 +36,26 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The most legal moves a position has.
+const MAX_MOVES: usize = 12;
+
 /// The legal moves from `pos` (children positions), deterministic in the
 /// position. Branching factor varies between 4 and 12 like midgame chess.
 pub fn moves(pos: Position) -> Vec<Position> {
-    let h = mix(pos);
-    let count = 4 + (h % 9) as usize;
-    (0..count)
-        .map(|i| mix(pos ^ (i as u64 + 1).wrapping_mul(0xA24BAED4963EE407)))
-        .collect()
+    let mut children = [0; MAX_MOVES];
+    let count = moves_into(pos, &mut children);
+    children[..count].to_vec()
+}
+
+/// The move generator behind [`moves`]: writes the children of `pos`
+/// into the front of `out` and returns how many there are, so that
+/// [`search`] generates moves on the stack.
+fn moves_into(pos: Position, out: &mut [Position; MAX_MOVES]) -> usize {
+    let count = 4 + (mix(pos) % 9) as usize;
+    for (i, child) in out[..count].iter_mut().enumerate() {
+        *child = mix(pos ^ (i as u64 + 1).wrapping_mul(0xA24BAED4963EE407));
+    }
+    count
 }
 
 /// Static evaluation of a position, in centipawns.
@@ -66,10 +79,35 @@ struct TtEntry {
     bound: Bound,
 }
 
+/// Hashes a [`Position`] as itself. A position is a splitmix64 output,
+/// already as evenly spread as a hash of it would be, so the table skips
+/// the SipHash round the default hasher runs on every lookup and insert.
+/// Positions come from the move generator, never from outside the
+/// program, so nothing can pick keys that collide.
+#[derive(Debug, Default)]
+struct PositionHasher(u64);
+
+impl Hasher for PositionHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 /// The transposition table — the cache the paper marks *Commutative*.
+/// Its keys hash as themselves (`PositionHasher` says why).
 #[derive(Debug, Default)]
 pub struct TransTable {
-    map: HashMap<Position, TtEntry>,
+    map: HashMap<Position, TtEntry, BuildHasherDefault<PositionHasher>>,
     /// Lookup hits, for cache-effectiveness tests.
     pub hits: u64,
 }
@@ -110,12 +148,20 @@ pub fn search(
         }
     }
     let alpha_orig = alpha;
-    let mut children = moves(pos);
+    let mut positions = [0; MAX_MOVES];
+    let count = moves_into(pos, &mut positions);
+    let mut children = [(0, 0); MAX_MOVES];
+    for (slot, &child) in children.iter_mut().zip(&positions[..count]) {
+        *slot = (evaluate(child), child);
+    }
+    let children = &mut children[..count];
     // Move ordering: try statically better children first — this is what
-    // makes pruning (and thus task-size variance) strong.
-    children.sort_by_key(|c| evaluate(*c));
+    // makes pruning (and thus task-size variance) strong. Each child is
+    // evaluated once, and the sort is stable, so equal evaluations keep
+    // generation order.
+    children.sort_by_key(|&(eval, _)| eval);
     let mut best = i32::MIN + 1;
-    for child in children {
+    for &(_, child) in children.iter() {
         let score = -search(child, depth - 1, -beta, -alpha, tt, meter);
         if score > best {
             best = score;

@@ -46,6 +46,30 @@ pub enum Token {
     },
 }
 
+/// The length of the longest common prefix of `a` and `b` (of equal
+/// length), compared eight bytes at a time. In the first word that
+/// differs, the lowest set bit of the XOR of the two little-endian loads
+/// lies in the first differing byte, so `trailing_zeros() / 8` counts the
+/// equal bytes before it: the result — and so every token and every
+/// work unit metered from it — is the byte-at-a-time loop's. The tail
+/// shorter than a word is compared byte by byte.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("an 8-byte chunk"));
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
 /// Compresses one block, accruing real work into `meter`.
 pub fn deflate_block(data: &[u8], meter: &mut WorkMeter) -> Vec<Token> {
     deflate_block_primed(&[], data, meter)
@@ -92,10 +116,7 @@ pub fn deflate_block_primed(dict: &[u8], data: &[u8], meter: &mut WorkMeter) -> 
                 }
                 // Compare candidate match.
                 let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0;
-                while l < limit && data[c + l] == data[i + l] {
-                    l += 1;
-                }
+                let l = common_prefix(&data[c..c + limit], &data[i..i + limit]);
                 meter.add(1 + l as u64 / 4);
                 if l > best_len {
                     best_len = l;
