@@ -52,29 +52,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A read-only, thread-safe view of the commit frontier, handed to task
-/// bodies via [`TaskCtx`](super::TaskCtx).
-#[derive(Clone, Debug)]
-pub struct CommitView {
-    watermark: Arc<AtomicU64>,
-}
-
-impl CommitView {
-    pub(super) fn new(watermark: Arc<AtomicU64>) -> Self {
-        Self { watermark }
-    }
-
-    /// How many tasks have committed, in task order.
-    pub fn committed_tasks(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
-    }
-
-    /// Whether `task` has committed.
-    pub fn is_committed(&self, task: TaskId) -> bool {
-        (task.0 as u64) < self.committed_tasks()
-    }
-}
-
 /// The work item that replays a squashed attempt: straight back in
 /// line, whatever squashed it.
 fn again(task: u32, attempt: u32) -> WorkItem {

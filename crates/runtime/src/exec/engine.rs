@@ -59,7 +59,7 @@
 //! runs — and the last job thread to finish closes the injector and
 //! joins the workers, which hold only the injector themselves.
 
-use super::commit::{CommitUnit, CommitView};
+use super::commit::CommitUnit;
 use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
 use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
@@ -389,7 +389,7 @@ fn run_engine_job(
     let shared = Arc::new(JobShared {
         job,
         spec: spec.clone(),
-        view: CommitView::new(watermark),
+        watermark,
         clock,
         board,
         frontier: Mutex::new(frontier),

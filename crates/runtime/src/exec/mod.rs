@@ -87,7 +87,6 @@ mod metrics;
 mod stage;
 mod trace;
 
-pub use commit::CommitView;
 pub use engine::{Engine, EngineConfig, JobHandle, JobSpec};
 pub use faults::{supervise_task, FaultKind, FaultPlan, RecoveryCounts, TaskSupervision};
 pub use governor::{GovernorConfig, GovernorStats};
@@ -104,6 +103,7 @@ use engine::{hand, Pool};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 use trace::TraceBuffer;
@@ -322,8 +322,6 @@ pub struct TaskCtx<'a> {
     /// 0 for the original (speculative) dispatch; incremented by each
     /// rollback re-execution.
     pub attempt: u32,
-    /// Live view of the in-order commit frontier.
-    pub commits: &'a CommitView,
     /// The concurrent versioned memory this attempt's speculative state
     /// flows through, when the job carries one ([`JobSpec::mem`]). The
     /// executor has already opened version `VersionId(task.0)` for the
@@ -601,7 +599,7 @@ fn call(
     let deadline = job.spec.config.watchdog_deadline;
     // Publications plus commits, neither ever falling: what the job had
     // done when it last moved, and when this thread noticed.
-    let progress = || board.published() + job.view.committed_tasks();
+    let progress = || board.published() + job.watermark.load(Ordering::Acquire);
     let mut moved = (progress(), Instant::now());
     let mut watchdog_trips = 0;
     while !board.is_closed() {

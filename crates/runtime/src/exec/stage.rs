@@ -38,7 +38,6 @@
 //! sides and need the single total order. `exec/tests.rs` enumerates
 //! every interleaving of both over a model of these words.
 
-use super::commit::CommitView;
 use super::engine::{JobSpec, Pool};
 use super::faults::FaultKind;
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
@@ -568,15 +567,15 @@ impl<T> Injector<T> {
 }
 
 /// One job as its runners share it: the spec every attempt runs
-/// against, the commit view handed to bodies, the trace clock, the
-/// board, and the frontier one of them at a time takes a turn at. Every
-/// ticket of the job holds an `Arc` of it, so a runner serves each
-/// attempt against this job's graph, body, substrate and fault plan —
-/// never a neighbour's.
+/// against, the commit watermark the caller's watchdog reads, the trace
+/// clock, the board, and the frontier one of them at a time takes a
+/// turn at. Every ticket of the job holds an `Arc` of it, so a runner
+/// serves each attempt against this job's graph, body, substrate and
+/// fault plan — never a neighbour's.
 pub(super) struct JobShared {
     pub job: JobId,
     pub spec: JobSpec,
-    pub view: CommitView,
+    pub watermark: Arc<AtomicU64>,
     pub clock: TraceClock,
     pub board: Board,
     pub frontier: Mutex<Frontier>,
@@ -607,7 +606,6 @@ impl JobShared {
             stage: t.stage,
             iter: t.iter,
             attempt,
-            commits: &self.view,
             mem,
         };
         catch_unwind(AssertUnwindSafe(|| self.spec.body.run(TaskId(task), &ctx)))

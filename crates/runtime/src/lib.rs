@@ -55,11 +55,11 @@ pub mod validate;
 
 pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
-    supervise_task, CommitView, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig,
-    ExecError, FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec,
-    NativeBody, NativeReport, PlanDelta, RecoveryCounts, SquashReason, StageMetrics, TaskCtx,
-    TaskOutput, TaskSupervision, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind,
-    WorkerStat, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT,
+    supervise_task, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
+    FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec, NativeBody,
+    NativeReport, PlanDelta, RecoveryCounts, SquashReason, StageMetrics, TaskCtx, TaskOutput,
+    TaskSupervision, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
+    DEGRADED_ATTEMPT, FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};

@@ -150,16 +150,13 @@ pub trait Workload: fmt::Debug {
     /// iteration trace of the parallelized loop.
     fn trace(&self, size: InputSize) -> IterationTrace;
 
-    /// A checksum over the kernel's sequential output, for regression
-    /// tests (deterministic per input size).
-    fn checksum(&self, size: InputSize) -> u64;
-
     /// The IR model of the hot loop for the compiler pipeline.
     fn ir_model(&self) -> IrModel;
 
     /// The kernel packaged for real-thread execution: the same run as
-    /// [`Workload::trace`], with every iteration re-executable on worker
-    /// threads and its loop-carried state flowing through
+    /// [`Workload::trace`] (both come from one walk of the loop), with
+    /// every iteration re-executable on worker threads and its
+    /// loop-carried state flowing through
     /// [`Addr`](seqpar_specmem::Addr)-keyed accesses to a
     /// [`ConcurrentVersionedMemory`](seqpar_specmem::ConcurrentVersionedMemory)
     /// (see [`VersionedJob`]). This is the one native packaging:
@@ -196,7 +193,29 @@ pub fn stage_labels(stage_count: u8) -> Vec<String> {
     }
 }
 
-/// FNV-1a, used by kernels to build output checksums.
+/// The annealers' dependence rule (vpr, twolf): a move depends on the
+/// latest *accepted* move among the last `window` that touched one of
+/// the nets in `touched`, or that ran at most two moves before it —
+/// every accepted move updates the global cost the next ones read, so
+/// misspeculation tracks the acceptance rate. `recent` holds, for every
+/// earlier move in order, the nets it touched if it was accepted.
+pub(crate) fn last_collision(
+    recent: &[Option<Vec<u32>>],
+    touched: &[u32],
+    window: usize,
+) -> Option<u64> {
+    let i = recent.len();
+    (i.saturating_sub(window)..i)
+        .rev()
+        .find(|&j| {
+            recent[j]
+                .as_ref()
+                .is_some_and(|nets| nets.iter().any(|n| touched.contains(n)) || j + 2 >= i)
+        })
+        .map(|j| j as u64)
+}
+
+/// FNV-1a, the digest tests take of a kernel's committed output.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
     for b in bytes {

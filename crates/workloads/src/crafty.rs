@@ -204,24 +204,6 @@ pub fn root_tasks(root: Position, depth: u32) -> Vec<(usize, Position, u32)> {
     tasks
 }
 
-/// Iterative-deepening search driver (`Iterate`), returning the best
-/// root-move index.
-pub fn iterate(root: Position, max_depth: u32, meter: &mut WorkMeter) -> usize {
-    let mut best_move = 0;
-    for d in 1..=max_depth {
-        let mut best = i32::MIN + 1;
-        let mut tt = TransTable::new();
-        for (i, m) in moves(root).into_iter().enumerate() {
-            let score = -search(m, d - 1, i32::MIN + 1, -best, &mut tt, meter);
-            if score > best {
-                best = score;
-                best_move = i;
-            }
-        }
-    }
-    best_move
-}
-
 /// The 186.crafty workload.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Crafty;
@@ -236,6 +218,36 @@ impl Crafty {
     }
 
     const ROOT: Position = 0x186_186_186;
+
+    /// Searches every round's subtrees once, one an iteration: the trace
+    /// and each task's `(reply, depth)`.
+    ///
+    /// Iterative deepening: each depth contributes one round of (root
+    /// move, reply) tasks. Each task's cost is the real node count of its
+    /// subtree search, full window (parallel tasks cannot share each
+    /// other's alpha bounds).
+    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<(Position, u32)>) {
+        let tasks: Vec<(Position, u32)> = (2..=self.depth(size))
+            .flat_map(|d| root_tasks(Self::ROOT, d))
+            .map(|(_, reply, sub_depth)| (reply, sub_depth))
+            .collect();
+        let mut trace = IterationTrace::new();
+        for &(reply, sub_depth) in &tasks {
+            let mut meter = WorkMeter::new();
+            let mut tt = TransTable::new();
+            let _ = search(
+                reply,
+                sub_depth,
+                i32::MIN + 1,
+                i32::MAX - 1,
+                &mut tt,
+                &mut meter,
+            );
+            // A: move generation + MakeMove; C: merge best score.
+            trace.push(IterationRecord::new(2, meter.take().max(1), 1));
+        }
+        (trace, tasks)
+    }
 }
 
 impl Workload for Crafty {
@@ -259,33 +271,7 @@ impl Workload for Crafty {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        // Iterative deepening: each depth contributes one round of
-        // (root move, reply) tasks. Each task's cost is the real node
-        // count of its subtree search, full window (parallel tasks cannot
-        // share each other's alpha bounds).
-        let mut trace = IterationTrace::new();
-        for d in 2..=self.depth(size) {
-            for (_, reply, sub_depth) in root_tasks(Self::ROOT, d) {
-                let mut meter = WorkMeter::new();
-                let mut tt = TransTable::new();
-                let _ = search(
-                    reply,
-                    sub_depth,
-                    i32::MIN + 1,
-                    i32::MAX - 1,
-                    &mut tt,
-                    &mut meter,
-                );
-                // A: move generation + MakeMove; C: merge best score.
-                trace.push(IterationRecord::new(2, meter.take().max(1), 1));
-            }
-        }
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let mut meter = WorkMeter::new();
-        iterate(Self::ROOT, self.depth(size).min(6), &mut meter) as u64
+        self.walk(size).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -295,14 +281,9 @@ impl Workload for Crafty {
         // subtrees fail to improve the best score, so its write-back is
         // usually *silent* and becomes a read-set bet the conflict
         // detector validates at commit.
-        let mut tasks = Vec::new();
-        for d in 2..=self.depth(size) {
-            for (_, reply, sub_depth) in root_tasks(Self::ROOT, d) {
-                tasks.push((reply, sub_depth));
-            }
-        }
+        let (trace, tasks) = self.walk(size);
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let (reply, sub_depth) = tasks[iter as usize];
                 let mut meter = WorkMeter::new();
@@ -455,14 +436,6 @@ mod tests {
         let max = *costs.iter().max().unwrap();
         let mean = costs.iter().sum::<u64>() / costs.len() as u64;
         assert!(max > mean * 4, "variance too low: max {max} mean {mean}");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Crafty.checksum(InputSize::Test),
-            Crafty.checksum(InputSize::Test)
-        );
     }
 
     #[test]

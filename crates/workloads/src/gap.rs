@@ -17,7 +17,7 @@
 //! generated program's variable dataflow, and GC misspeculations from the
 //! collector actually running when the arena fills.
 
-use crate::common::{fnv1a, fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -203,7 +203,7 @@ impl Interp {
         collected
     }
 
-    /// Reads a variable (for checksums).
+    /// Reads a variable.
     pub fn var(&self, v: u8) -> Val {
         self.vars[v as usize]
     }
@@ -260,35 +260,22 @@ impl Gap {
     /// Arena capacity: small enough that collections are frequent, as in
     /// gap's workspace under its default -m setting.
     const ARENA: usize = 700;
-}
 
-impl Workload for Gap {
-    fn meta(&self) -> WorkloadMeta {
-        WorkloadMeta {
-            spec_id: "254.gap",
-            name: "gap",
-            loops: &["main (gap.c:191-227)"],
-            exec_time_pct: 100,
-            lines_changed_all: 3,
-            lines_changed_model: 3,
-            techniques: &[
-                Technique::Commutative,
-                Technique::TlsMemory,
-                Technique::Dswp,
-                Technique::AliasSpeculation,
-            ],
-            paper_speedup: 1.94,
-            paper_threads: 10,
-        }
-    }
-
-    fn trace(&self, size: InputSize) -> IterationTrace {
+    /// Interprets the program once, one statement an iteration: the
+    /// trace and the program. `before(i, interp)` sees the interpreter
+    /// ahead of statement `i`.
+    fn walk(
+        &self,
+        size: InputSize,
+        mut before: impl FnMut(usize, &Interp),
+    ) -> (IterationTrace, Vec<Stmt>) {
         let program = generate_program(self.statement_count(size), 0x254);
         let mut interp = Interp::new(Self::ARENA);
         let mut last_writer = [usize::MAX; 32];
         let mut last_gc_stmt = usize::MAX;
         let mut trace = IterationTrace::speculative();
         for (i, stmt) in program.iter().enumerate() {
+            before(i, &interp);
             let mut meter = WorkMeter::new();
             let collected = interp.exec(*stmt, &mut meter);
             // Real dependence events, worst first: a collection moved
@@ -316,27 +303,32 @@ impl Workload for Gap {
             }
             trace.push(rec);
         }
-        trace
+        (trace, program)
+    }
+}
+
+impl Workload for Gap {
+    fn meta(&self) -> WorkloadMeta {
+        WorkloadMeta {
+            spec_id: "254.gap",
+            name: "gap",
+            loops: &["main (gap.c:191-227)"],
+            exec_time_pct: 100,
+            lines_changed_all: 3,
+            lines_changed_model: 3,
+            techniques: &[
+                Technique::Commutative,
+                Technique::TlsMemory,
+                Technique::Dswp,
+                Technique::AliasSpeculation,
+            ],
+            paper_speedup: 1.94,
+            paper_threads: 10,
+        }
     }
 
-    fn checksum(&self, size: InputSize) -> u64 {
-        let program = generate_program(self.statement_count(size), 0x254);
-        let mut interp = Interp::new(Self::ARENA);
-        let mut meter = WorkMeter::new();
-        for stmt in &program {
-            interp.exec(*stmt, &mut meter);
-        }
-        let summary: Vec<u8> = (0..32)
-            .flat_map(|v| {
-                match interp.var(v) {
-                    Val::Int(x) => x,
-                    Val::Ref(i) => i as i64 + 1_000_000,
-                    Val::Nil => -1,
-                }
-                .to_le_bytes()
-            })
-            .collect();
-        fnv1a(summary)
+    fn trace(&self, size: InputSize) -> IterationTrace {
+        self.walk(size, |_, _| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -344,19 +336,15 @@ impl Workload for Gap {
         // value and the cumulative garbage-collection count — the heap
         // summary and GC clock the interpreter threads across statements.
         // Each record is value (8 bytes le) + collected flag (1 byte).
-        let program = generate_program(self.statement_count(size), 0x254);
         const K: usize = 8;
-        let mut ckpts = Vec::with_capacity(program.len() / K + 1);
-        let mut interp = Interp::new(Self::ARENA);
-        let mut prepass = WorkMeter::new();
-        for (i, stmt) in program.iter().enumerate() {
+        let mut ckpts = Vec::new();
+        let (trace, program) = self.walk(size, |i, interp| {
             if i % K == 0 {
                 ckpts.push(interp.clone());
             }
-            interp.exec(*stmt, &mut prepass);
-        }
+        });
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let i = iter as usize;
                 let mut interp = ckpts[i / K].clone();
@@ -551,11 +539,6 @@ mod tests {
         let t = Gap.trace(InputSize::Test);
         let rate = t.misspec_rate();
         assert!(rate > 0.3 && rate < 0.75, "misspec rate {rate}");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(Gap.checksum(InputSize::Test), Gap.checksum(InputSize::Test));
     }
 
     #[test]

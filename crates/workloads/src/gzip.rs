@@ -13,7 +13,7 @@
 //! Phase A reads each block, the replicated phase B runs `deflate_block`,
 //! and phase C concatenates outputs in order.
 
-use crate::common::{fnv1a, fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
+use crate::common::{fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -277,6 +277,33 @@ impl Gzip {
         32 * 1024
     }
 
+    /// Compresses the input once, one block an iteration: the trace, the
+    /// input, and each block's `(dictionary start, start, end)` in it.
+    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<u8>, Vec<(usize, usize, usize)>) {
+        let data = self.input(size);
+        // Fixed boundaries plus raw-input priming make blocks truly
+        // independent: no speculation events; the per-block dictionary is
+        // privatized by the TLS memory.
+        let mut trace = IterationTrace::new();
+        let mut spans = Vec::new();
+        let mut consumed = 0usize;
+        for block in split_blocks(&data, BlockMode::Fixed(self.block_size(size))) {
+            let mut meter = WorkMeter::new();
+            // Phase A: read the block (and its priming window) in.
+            let a_cost = (block.len() as u64 + WINDOW as u64) / 16;
+            // Phase B: the real compression work, metered.
+            let (dict, start) = (consumed.saturating_sub(WINDOW), consumed);
+            consumed += block.len();
+            let tokens = deflate_block_primed(&data[dict..start], block, &mut meter);
+            let b_cost = meter.take();
+            // Phase C: write the encoded output in order.
+            let c_cost = encode(&tokens).len() as u64 / 8;
+            trace.push(IterationRecord::new(a_cost, b_cost, c_cost));
+            spans.push((dict, start, consumed));
+        }
+        (trace, data, spans)
+    }
+
     /// Compression ratio (compressed/original) under a block mode — used
     /// to verify the paper's "<1% compression loss" claim.
     pub fn compression_ratio(&self, size: InputSize, mode: BlockMode) -> f64 {
@@ -312,40 +339,7 @@ impl Workload for Gzip {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let data = self.input(size);
-        let blocks = split_blocks(&data, BlockMode::Fixed(self.block_size(size)));
-        // Fixed boundaries plus raw-input priming make blocks truly
-        // independent: no speculation events; the per-block dictionary is
-        // privatized by the TLS memory.
-        let mut trace = IterationTrace::new();
-        let mut consumed = 0usize;
-        for block in blocks {
-            let mut meter = WorkMeter::new();
-            // Phase A: read the block (and its priming window) in.
-            let a_cost = (block.len() as u64 + WINDOW as u64) / 16;
-            // Phase B: the real compression work, metered.
-            let dict = &data[consumed.saturating_sub(WINDOW)..consumed];
-            consumed += block.len();
-            let tokens = deflate_block_primed(dict, block, &mut meter);
-            let b_cost = meter.take();
-            // Phase C: write the encoded output in order.
-            let c_cost = encode(&tokens).len() as u64 / 8;
-            trace.push(IterationRecord::new(a_cost, b_cost, c_cost));
-        }
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let data = self.input(size);
-        let mut m = WorkMeter::new();
-        let mut out = Vec::new();
-        let mut consumed = 0usize;
-        for block in split_blocks(&data, BlockMode::Fixed(self.block_size(size))) {
-            let dict = &data[consumed.saturating_sub(WINDOW)..consumed];
-            consumed += block.len();
-            out.extend(encode(&deflate_block_primed(dict, block, &mut m)));
-        }
-        fnv1a(out)
+        self.walk(size).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -356,16 +350,9 @@ impl Workload for Gzip {
         // stream state *so far* — read from versioned memory, updated,
         // written back — so a stale racing read that escaped conflict
         // detection would corrupt the committed bytes.
-        let data = self.input(size);
-        let mut spans = Vec::new();
-        let mut consumed = 0usize;
-        for block in split_blocks(&data, BlockMode::Fixed(self.block_size(size))) {
-            let start = consumed;
-            consumed += block.len();
-            spans.push((start.saturating_sub(WINDOW), start, consumed));
-        }
+        let (trace, data, spans) = self.walk(size);
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let (dict_start, start, end) = spans[iter as usize];
                 let mut meter = WorkMeter::new();
@@ -523,14 +510,6 @@ mod tests {
         let b: u64 = t.records().iter().map(|r| r.b_cost).sum();
         let c: u64 = t.records().iter().map(|r| r.c_cost).sum();
         assert!(b > 10 * (a + c), "B must dominate: a={a} b={b} c={c}");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Gzip.checksum(InputSize::Test),
-            Gzip.checksum(InputSize::Test)
-        );
     }
 
     #[test]

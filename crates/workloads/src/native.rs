@@ -3,9 +3,10 @@
 //! [`Workload::trace`](crate::Workload::trace) captures *what happened*
 //! in a sequential run; a [`VersionedJob`] packages the same run so each
 //! iteration can be **re-executed for real** on an [`Engine`]'s worker
-//! threads. The job owns whatever prefix state the kernel needs (input
-//! spans, interpreter snapshots, annealer checkpoints, …) plus two
-//! bodies:
+//! threads. A kernel walks its loop once to build its job: the walk
+//! yields the trace and whatever prefix state the kernel restores from
+//! (input spans, interpreter snapshots, annealer checkpoints, …), and
+//! the job owns that state plus two bodies:
 //!
 //! * the *versioned* body runs an iteration with its loop-carried state
 //!   flowing through a [`ConcurrentVersionedMemory`] — reads forward
@@ -588,6 +589,22 @@ mod tests {
             let job = w.versioned_job(InputSize::Test);
             let traced: u64 = job.trace().records().iter().map(|r| r.b_cost).sum();
             assert_eq!(job.sequential().work, traced, "{}", w.meta().spec_id);
+        }
+    }
+
+    /// A kernel builds its job and its trace from the same walk of its
+    /// loop: the job the executor runs and the trace the simulator
+    /// schedules describe one run.
+    #[test]
+    fn every_kernels_job_carries_its_workload_trace() {
+        for w in all_workloads() {
+            let job = w.versioned_job(InputSize::Test);
+            assert_eq!(
+                job.trace(),
+                &w.trace(InputSize::Test),
+                "{}",
+                w.meta().spec_id
+            );
         }
     }
 

@@ -15,7 +15,7 @@
 //!
 //! Scalability is limited only by the time to parse the longest sentence.
 
-use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -209,6 +209,29 @@ impl Parser {
     fn batch_size(&self, size: InputSize) -> usize {
         500 * size.factor() as usize
     }
+
+    /// Processes the batch once, one item an iteration: the trace and
+    /// the items.
+    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<Item>) {
+        let items = generate_batch(self.batch_size(size), 0x197);
+        let mut trace = IterationTrace::new();
+        for item in &items {
+            match item {
+                Item::Command => {
+                    // Commands execute in phase A: cheap, synchronized.
+                    trace.push(IterationRecord::new(8, 1, 1));
+                }
+                Item::Sentence(tags) => {
+                    let mut meter = WorkMeter::new();
+                    let ok = parse(tags, &mut meter);
+                    let a_cost = tags.len() as u64; // tokenize/read
+                    let c_cost = if ok { 4 } else { 2 }; // print verdict
+                    trace.push(IterationRecord::new(a_cost, meter.take().max(1), c_cost));
+                }
+            }
+        }
+        (trace, items)
+    }
 }
 
 impl Workload for Parser {
@@ -231,37 +254,7 @@ impl Workload for Parser {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let items = generate_batch(self.batch_size(size), 0x197);
-        let mut trace = IterationTrace::new();
-        for item in &items {
-            match item {
-                Item::Command => {
-                    // Commands execute in phase A: cheap, synchronized.
-                    trace.push(IterationRecord::new(8, 1, 1));
-                }
-                Item::Sentence(tags) => {
-                    let mut meter = WorkMeter::new();
-                    let ok = parse(tags, &mut meter);
-                    let a_cost = tags.len() as u64; // tokenize/read
-                    let c_cost = if ok { 4 } else { 2 }; // print verdict
-                    trace.push(IterationRecord::new(a_cost, meter.take().max(1), c_cost));
-                }
-            }
-        }
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let items = generate_batch(self.batch_size(size), 0x197);
-        let mut meter = WorkMeter::new();
-        let verdicts: Vec<u8> = items
-            .iter()
-            .map(|item| match item {
-                Item::Command => 2u8,
-                Item::Sentence(tags) => u8::from(parse(tags, &mut meter)),
-            })
-            .collect();
-        fnv1a(verdicts)
+        self.walk(size).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -271,9 +264,9 @@ impl Workload for Parser {
         // the counter; rejecting iterations and commands write back the
         // value they read — the silent-store bet the substrate
         // validates at commit instead of squashing on.
-        let items = generate_batch(self.batch_size(size), 0x197);
+        let (trace, items) = self.walk(size);
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| match &items[iter as usize] {
                 Item::Command => (vec![2u8], 1),
                 Item::Sentence(tags) => {
@@ -430,14 +423,6 @@ mod tests {
         }
         let frac = yes as f64 / total as f64;
         assert!(frac > 0.1 && frac < 0.9, "parse fraction {frac}");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Parser.checksum(InputSize::Test),
-            Parser.checksum(InputSize::Test)
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! mostly violated. The generated input here has the same density of
 //! true inter-statement dependences.
 
-use crate::common::{fnv1a, fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -213,6 +213,47 @@ impl Perlbmk {
     fn statement_count(&self, size: InputSize) -> usize {
         500 * size.factor() as usize
     }
+
+    /// Interprets the program once, one statement an iteration: the
+    /// trace and the statements. `before` sees the VM at each statement
+    /// boundary.
+    fn walk(&self, size: InputSize, mut before: impl FnMut(&Vm)) -> (IterationTrace, Vec<Vec<Op>>) {
+        let program = generate_program(self.statement_count(size), 0x253);
+        let stmts: Vec<Vec<Op>> = statements(&program)
+            .into_iter()
+            .map(<[Op]>::to_vec)
+            .collect();
+        // last_writer[v] = statement index that last wrote v.
+        let mut last_writer = [usize::MAX; 64];
+        let mut trace = IterationTrace::speculative();
+        let mut vm = Vm::new();
+        for (i, stmt) in stmts.iter().enumerate() {
+            before(&vm);
+            let mut meter = WorkMeter::new();
+            for &op in stmt {
+                vm.step(op, &mut meter);
+            }
+            let (reads, writes) = var_sets(stmt);
+            // The real dynamic dependence: reading a var some earlier
+            // statement wrote violates the independence speculation.
+            let misspec = reads
+                .iter()
+                .filter_map(|v| {
+                    let w = last_writer[*v as usize];
+                    (w != usize::MAX).then_some(w)
+                })
+                .max();
+            for v in &writes {
+                last_writer[*v as usize] = i;
+            }
+            let mut rec = IterationRecord::new(2, meter.take().max(1), 1);
+            if let Some(j) = misspec {
+                rec = rec.with_misspec_on(j as u64);
+            }
+            trace.push(rec);
+        }
+        (trace, stmts)
+    }
 }
 
 impl Workload for Perlbmk {
@@ -237,44 +278,7 @@ impl Workload for Perlbmk {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let program = generate_program(self.statement_count(size), 0x253);
-        let stmts = statements(&program);
-        // last_writer[v] = statement index that last wrote v.
-        let mut last_writer = [usize::MAX; 64];
-        let mut trace = IterationTrace::speculative();
-        for (i, stmt) in stmts.iter().enumerate() {
-            let mut meter = WorkMeter::new();
-            let mut vm = Vm::new();
-            for &op in stmt.iter() {
-                vm.step(op, &mut meter);
-            }
-            let (reads, writes) = var_sets(stmt);
-            // The real dynamic dependence: reading a var some earlier
-            // statement wrote violates the independence speculation.
-            let misspec = reads
-                .iter()
-                .filter_map(|v| {
-                    let w = last_writer[*v as usize];
-                    (w != usize::MAX).then_some(w)
-                })
-                .max();
-            for v in &writes {
-                last_writer[*v as usize] = i;
-            }
-            let mut rec = IterationRecord::new(2, meter.take().max(1), 1);
-            if let Some(j) = misspec {
-                rec = rec.with_misspec_on(j as u64);
-            }
-            trace.push(rec);
-        }
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let program = generate_program(self.statement_count(size), 0x253);
-        let mut meter = WorkMeter::new();
-        let vm = run(&program, &mut meter);
-        fnv1a(vm.output().iter().flat_map(|x| x.to_le_bytes()))
+        self.walk(size, |_| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -283,22 +287,10 @@ impl Workload for Perlbmk {
         // the interpreter threads across statements. Statements that
         // print nothing leave both slots unchanged, so their write-backs
         // are silent-store bets.
-        let program = generate_program(self.statement_count(size), 0x253);
-        let stmts: Vec<Vec<Op>> = statements(&program)
-            .into_iter()
-            .map(<[Op]>::to_vec)
-            .collect();
-        let mut vars_before = Vec::with_capacity(stmts.len());
-        let mut vm = Vm::new();
-        let mut prepass = WorkMeter::new();
-        for stmt in &stmts {
-            vars_before.push(vm.vars());
-            for &op in stmt {
-                vm.step(op, &mut prepass);
-            }
-        }
+        let mut vars_before = Vec::new();
+        let (trace, stmts) = self.walk(size, |vm| vars_before.push(vm.vars()));
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let i = iter as usize;
                 let mut vm = Vm::with_vars(vars_before[i]);
@@ -469,14 +461,6 @@ mod tests {
             .filter(|r| r.misspec_on.is_some())
             .count();
         assert!(close * 2 > total, "{close}/{total} within distance 4");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Perlbmk.checksum(InputSize::Test),
-            Perlbmk.checksum(InputSize::Test)
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! through the whole schedule and the paper's speedup saturates at ~2× on
 //! 8 threads.
 
-use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -209,22 +209,25 @@ pub fn uloop_iter(
 }
 
 /// The cooling schedule of `uloop`: 30.0, ×0.75 per outer iteration,
-/// down to 0.3. Shared between [`uloop`] and the native prepass so the
-/// two can never drift apart.
+/// down to 0.3.
 pub fn schedule() -> impl Iterator<Item = f64> {
     std::iter::successors(Some(30.0), |t| Some(t * 0.75)).take_while(|t| *t > 0.3)
 }
 
-/// Runs the full annealing schedule, reporting each iteration.
+/// Runs the full annealing schedule. Calls `before(placement, rng,
+/// temperature)` ahead of every iteration — the state it starts from —
+/// and `on_iter(outcome, work)` after it.
 pub fn uloop(
     place: &mut CellPlacement,
     iters_per_temp: usize,
     seed: u64,
+    mut before: impl FnMut(&CellPlacement, &YacmRandom, f64),
     mut on_iter: impl FnMut(&ExchangeOutcome, u64),
 ) -> i64 {
     let mut rng = YacmRandom::new(seed);
     for temperature in schedule() {
         for _ in 0..iters_per_temp {
+            before(place, &rng, temperature);
             let mut m = WorkMeter::new();
             let outcome = uloop_iter(place, &mut rng, temperature, &mut m);
             on_iter(&outcome, m.total().max(1));
@@ -248,6 +251,36 @@ impl Twolf {
     }
 
     const WINDOW: usize = 32;
+
+    /// Anneals the instance once: the trace of its iterations and the
+    /// final placement. `before` sees the state each iteration starts
+    /// from.
+    fn walk(
+        &self,
+        size: InputSize,
+        before: impl FnMut(&CellPlacement, &YacmRandom, f64),
+    ) -> (IterationTrace, CellPlacement) {
+        let mut place = self.instance();
+        let mut trace = IterationTrace::speculative();
+        let mut recent = Vec::new();
+        uloop(
+            &mut place,
+            self.iters_per_temp(size),
+            0x300_5EED,
+            before,
+            |outcome, cost| {
+                // As in vpr, the global wirelength accumulator chains every
+                // accepted exchange; net sharing conflicts the rest.
+                let mut rec = IterationRecord::new(1, cost, 1);
+                if let Some(j) = last_collision(&recent, &outcome.nets_touched, Twolf::WINDOW) {
+                    rec = rec.with_misspec_on(j);
+                }
+                trace.push(rec);
+                recent.push(outcome.accepted.then(|| outcome.nets_touched.clone()));
+            },
+        );
+        (trace, place)
+    }
 }
 
 impl Workload for Twolf {
@@ -272,44 +305,7 @@ impl Workload for Twolf {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let mut place = self.instance();
-        let mut trace = IterationTrace::speculative();
-        let mut recent: Vec<(bool, Vec<u32>)> = Vec::new();
-        let mut index = 0usize;
-        uloop(
-            &mut place,
-            self.iters_per_temp(size),
-            0x300_5EED,
-            |outcome, cost| {
-                // As in vpr, the global wirelength accumulator chains every
-                // accepted exchange; net sharing conflicts the rest.
-                let mut misspec = None;
-                let start = index.saturating_sub(Twolf::WINDOW);
-                for j in (start..index).rev() {
-                    let (acc, nets) = &recent[j];
-                    if *acc
-                        && (nets.iter().any(|n| outcome.nets_touched.contains(n)) || j + 2 >= index)
-                    {
-                        misspec = Some(j as u64);
-                        break;
-                    }
-                }
-                let mut rec = IterationRecord::new(1, cost, 1);
-                if let Some(j) = misspec {
-                    rec = rec.with_misspec_on(j);
-                }
-                trace.push(rec);
-                recent.push((outcome.accepted, outcome.nets_touched.clone()));
-                index += 1;
-            },
-        );
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let mut place = self.instance();
-        let cost = uloop(&mut place, self.iters_per_temp(size), 0x300_5EED, |_, _| {});
-        fnv1a(cost.to_le_bytes())
+        self.walk(size, |_, _, _| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -318,23 +314,18 @@ impl Workload for Twolf {
         // `uloop` threads across iterations. Rejected exchanges leave
         // both slots unchanged, so their write-backs are silent-store
         // bets — the annealer's dominant case at low acceptance rates.
-        let base = self.instance();
-        let iters_per_temp = self.iters_per_temp(size);
         type Snapshot = (Vec<(u16, u16)>, YacmRandom, f64);
         let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut place = base.clone();
-        let mut rng = YacmRandom::new(0x300_5EED);
-        for temperature in schedule() {
-            for _ in 0..iters_per_temp {
-                snaps.push((place.pos.clone(), rng.clone(), temperature));
-                let mut m = WorkMeter::new();
-                uloop_iter(&mut place, &mut rng, temperature, &mut m);
-            }
-        }
+        let (trace, base) = self.walk(size, |place, rng, temperature| {
+            snaps.push((place.pos.clone(), rng.clone(), temperature));
+        });
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let i = iter as usize;
+                // Every slot holds a cell, so `set_positions` rewrites the
+                // whole slot map: any placement of this netlist restores
+                // the snapshot.
                 let mut place = base.clone();
                 place.set_positions(&snaps[i].0);
                 let (_, ref rng0, temperature) = snaps[i];
@@ -459,7 +450,7 @@ mod tests {
         let mut p = Twolf.instance();
         let mut m = WorkMeter::new();
         let before = p.total_cost(&mut m);
-        let after = uloop(&mut p, 70, 1, |_, _| {});
+        let after = uloop(&mut p, 70, 1, |_, _, _| {}, |_, _| {});
         assert!(after < before, "{before} -> {after}");
     }
 
@@ -468,14 +459,6 @@ mod tests {
         let t = Twolf.trace(InputSize::Test);
         let rate = t.misspec_rate();
         assert!(rate > 0.35, "misspec rate {rate} too low for twolf");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Twolf.checksum(InputSize::Test),
-            Twolf.checksum(InputSize::Test)
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   are real events of the B-tree here and are the limiting factor, as
 //!   in the paper.
 
-use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -495,6 +495,40 @@ impl Vortex {
         }
         tree
     }
+
+    /// Runs the transaction stream once against the seeded tree: the
+    /// trace and the transactions. `before` sees the tree ahead of each
+    /// transaction.
+    fn walk(&self, size: InputSize, mut before: impl FnMut(&BTree)) -> (IterationTrace, Vec<Txn>) {
+        let mut setup_meter = WorkMeter::new();
+        let mut tree = self.seeded_tree(&mut setup_meter);
+        let txns = generate_txns(self.txn_count(size), 0x255);
+        let mut trace = IterationTrace::speculative();
+        let mut prev_rebalanced = false;
+        let mut prev_status = Status::Normal;
+        for (i, txn) in txns.iter().enumerate() {
+            before(&tree);
+            let mut meter = WorkMeter::new();
+            let (status, rebalances) = exec_txn(&mut tree, *txn, &mut meter);
+            // Alias misspeculation: the previous transaction restructured
+            // the tree this one traverses. STATUS value misspeculation:
+            // the previous call did not return NORMAL.
+            let misspec = i > 0 && (prev_rebalanced || prev_status != Status::Normal);
+            let b_cost = meter.take().max(1);
+            // Table 1: the parallelized loops cover ~90% of vortex's
+            // runtime; the rest (command dispatch in BMT_Test and the
+            // non-parallel Lookup path) stays in the sequential phase A.
+            let a_cost = 2 + b_cost / 7;
+            let mut rec = IterationRecord::new(a_cost, b_cost, 1);
+            if misspec {
+                rec = rec.with_misspec_on((i - 1) as u64);
+            }
+            trace.push(rec);
+            prev_rebalanced = rebalances > 0;
+            prev_status = status;
+        }
+        (trace, txns)
+    }
 }
 
 impl Workload for Vortex {
@@ -521,42 +555,7 @@ impl Workload for Vortex {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let mut setup_meter = WorkMeter::new();
-        let mut tree = self.seeded_tree(&mut setup_meter);
-        let txns = generate_txns(self.txn_count(size), 0x255);
-        let mut trace = IterationTrace::speculative();
-        let mut prev_rebalanced = false;
-        let mut prev_status = Status::Normal;
-        for (i, txn) in txns.iter().enumerate() {
-            let mut meter = WorkMeter::new();
-            let (status, rebalances) = exec_txn(&mut tree, *txn, &mut meter);
-            // Alias misspeculation: the previous transaction restructured
-            // the tree this one traverses. STATUS value misspeculation:
-            // the previous call did not return NORMAL.
-            let misspec = i > 0 && (prev_rebalanced || prev_status != Status::Normal);
-            let b_cost = meter.take().max(1);
-            // Table 1: the parallelized loops cover ~90% of vortex's
-            // runtime; the rest (command dispatch in BMT_Test and the
-            // non-parallel Lookup path) stays in the sequential phase A.
-            let a_cost = 2 + b_cost / 7;
-            let mut rec = IterationRecord::new(a_cost, b_cost, 1);
-            if misspec {
-                rec = rec.with_misspec_on((i - 1) as u64);
-            }
-            trace.push(rec);
-            prev_rebalanced = rebalances > 0;
-            prev_status = status;
-        }
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let mut meter = WorkMeter::new();
-        let mut tree = self.seeded_tree(&mut meter);
-        for txn in generate_txns(self.txn_count(size), 0x255) {
-            exec_txn(&mut tree, txn, &mut meter);
-        }
-        fnv1a((tree.len() as u64).to_le_bytes()) ^ tree.rebalances()
+        self.walk(size, |_| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -566,21 +565,15 @@ impl Workload for Vortex {
         // lookups that hit leave both slots unchanged, so their
         // write-backs are silent-store bets.
         //
-        // The tree is persistent, so the prepass keeps an O(1) snapshot
+        // The tree is persistent, so the walk keeps an O(1) snapshot
         // before every transaction, and an iteration runs its one
         // transaction on a clone of it, copying only the paths it
         // touches: the clock `VersionedJob::accumulating` reads times the
         // transaction, not a restore.
-        let txns = generate_txns(self.txn_count(size), 0x255);
-        let mut setup = WorkMeter::new();
-        let mut tree = self.seeded_tree(&mut setup);
-        let mut snaps = Vec::with_capacity(txns.len());
-        for txn in &txns {
-            snaps.push(tree.clone());
-            exec_txn(&mut tree, *txn, &mut setup);
-        }
+        let mut snaps = Vec::new();
+        let (trace, txns) = self.walk(size, |tree| snaps.push(tree.clone()));
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let i = iter as usize;
                 let mut tree = snaps[i].clone();
@@ -752,14 +745,6 @@ mod tests {
         let t = Vortex.trace(InputSize::Test);
         let rate = t.misspec_rate();
         assert!(rate > 0.02 && rate < 0.4, "misspec rate {rate}");
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(
-            Vortex.checksum(InputSize::Test),
-            Vortex.checksum(InputSize::Test)
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! 80% of the time"), so "good parallel performance requires many
 //! threads" in the late region — the paper's 3.59× at 15 threads.
 
-use crate::common::{fnv1a, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::VersionedJob;
 use seqpar::{IterationRecord, IterationTrace, Technique};
@@ -156,25 +156,28 @@ pub struct SwapOutcome {
 }
 
 /// The cooling schedule of `try_place`: 40.0, ×0.8 per outer iteration,
-/// down to 0.01. Shared between [`anneal`] and the native prepass so the
-/// two can never drift apart.
+/// down to 0.01.
 pub fn schedule() -> impl Iterator<Item = f64> {
     std::iter::successors(Some(40.0), |t| Some(t * 0.8)).take_while(|t| *t > 0.01)
 }
 
 /// The annealing schedule driver (vpr's `try_place`).
 ///
-/// Calls `on_swap(outer_iteration, outcome)` for every inner `try_swap`.
+/// Calls `before(placement, rng, temperature)` ahead of every inner
+/// `try_swap` — the state that swap starts from — and
+/// `on_swap(outer_iteration, outcome, work)` after it.
 pub fn anneal(
     place: &mut Placement,
     moves_per_temp: usize,
     seed: u64,
+    mut before: impl FnMut(&Placement, &Prng, f64),
     mut on_swap: impl FnMut(usize, &SwapOutcome, u64),
 ) -> i64 {
     let mut rng = Prng::new(seed);
     let mut meter = WorkMeter::new();
     for (outer, temperature) in schedule().enumerate() {
         for _ in 0..moves_per_temp {
+            before(place, &rng, temperature);
             let mut m = WorkMeter::new();
             let outcome = try_swap(place, &mut rng, temperature, &mut m);
             on_swap(outer, &outcome, m.total().max(1));
@@ -253,6 +256,35 @@ impl Vpr {
     /// Conflict window: how many in-flight earlier iterations a
     /// speculative swap can collide with (bounded by machine width).
     const WINDOW: usize = 32;
+
+    /// Anneals the instance once: the trace of its moves and the final
+    /// placement. `before` sees the state each move starts from.
+    fn walk(
+        &self,
+        size: InputSize,
+        before: impl FnMut(&Placement, &Prng, f64),
+    ) -> (IterationTrace, Placement) {
+        let mut place = self.instance();
+        let mut trace = IterationTrace::speculative();
+        let mut recent = Vec::new();
+        anneal(
+            &mut place,
+            self.moves_per_temp(size),
+            0xABCD,
+            before,
+            |_, outcome, cost| {
+                // Real collisions, so misspeculation is high while hot
+                // and low once cold (§4.3.4).
+                let mut rec = IterationRecord::new(1, cost, 1);
+                if let Some(j) = last_collision(&recent, &outcome.nets_touched, Vpr::WINDOW) {
+                    rec = rec.with_misspec_on(j);
+                }
+                trace.push(rec);
+                recent.push(outcome.accepted.then(|| outcome.nets_touched.clone()));
+            },
+        );
+        (trace, place)
+    }
 }
 
 impl Workload for Vpr {
@@ -278,50 +310,7 @@ impl Workload for Vpr {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        let mut place = self.instance();
-        let mut trace = IterationTrace::speculative();
-        // Ring buffer of recent iterations: (accepted, nets touched).
-        let mut recent: Vec<(bool, Vec<u32>)> = Vec::new();
-        let mut index = 0usize;
-        anneal(
-            &mut place,
-            self.moves_per_temp(size),
-            0xABCD,
-            |_outer, outcome, cost| {
-                // Real collisions, most recent first: every *accepted* swap
-                // updates the global placement cost and its blocks'
-                // coordinates, so this iteration truly depends on the last
-                // accepted swap in the speculation window — which is why the
-                // misspeculation rate tracks the acceptance rate (high while
-                // hot, low once cold, §4.3.4). Net sharing with an accepted
-                // swap conflicts the bounding-box loads as well.
-                let mut misspec = None;
-                let window_start = index.saturating_sub(Vpr::WINDOW);
-                for j in (window_start..index).rev() {
-                    let (acc, nets) = &recent[j];
-                    if *acc
-                        && (nets.iter().any(|n| outcome.nets_touched.contains(n)) || j + 2 >= index)
-                    {
-                        misspec = Some(j as u64);
-                        break;
-                    }
-                }
-                let mut rec = IterationRecord::new(1, cost, 1);
-                if let Some(j) = misspec {
-                    rec = rec.with_misspec_on(j);
-                }
-                trace.push(rec);
-                recent.push((outcome.accepted, outcome.nets_touched.clone()));
-                index += 1;
-            },
-        );
-        trace
-    }
-
-    fn checksum(&self, size: InputSize) -> u64 {
-        let mut place = self.instance();
-        let final_cost = anneal(&mut place, self.moves_per_temp(size), 0xABCD, |_, _, _| {});
-        fnv1a(final_cost.to_le_bytes())
+        self.walk(size, |_, _, _| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -329,23 +318,17 @@ impl Workload for Vpr {
         // sum of accepted cost deltas — the running placement cost the
         // annealer threads across moves. Rejected moves leave both slots
         // unchanged, so their write-backs are silent-store bets.
-        let base = self.instance();
-        let moves_per_temp = self.moves_per_temp(size);
         type Snapshot = (Vec<(u16, u16)>, Prng, f64);
         let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut place = base.clone();
-        let mut rng = Prng::new(0xABCD);
-        for temperature in schedule() {
-            for _ in 0..moves_per_temp {
-                snaps.push((place.pos.clone(), rng.clone(), temperature));
-                let mut m = WorkMeter::new();
-                try_swap(&mut place, &mut rng, temperature, &mut m);
-            }
-        }
+        let (trace, base) = self.walk(size, |place, rng, temperature| {
+            snaps.push((place.pos.clone(), rng.clone(), temperature));
+        });
         VersionedJob::accumulating(
-            self.trace(size),
+            trace,
             move |iter| {
                 let i = iter as usize;
+                // `set_positions` rebuilds the whole occupancy grid, so
+                // any placement of this netlist restores the snapshot.
                 let mut place = base.clone();
                 place.set_positions(&snaps[i].0);
                 let (_, ref rng0, temperature) = snaps[i];
@@ -468,7 +451,7 @@ mod tests {
         let mut p = Placement::generate(12, 80, 120, 4);
         let mut m = WorkMeter::new();
         let before = p.total_cost(&mut m);
-        let after = anneal(&mut p, 100, 7, |_, _, _| {});
+        let after = anneal(&mut p, 100, 7, |_, _, _| {}, |_, _, _| {});
         assert!(
             after < before,
             "annealing must improve: {before} -> {after}"
@@ -480,15 +463,21 @@ mod tests {
     fn acceptance_rate_falls_as_temperature_drops() {
         let mut p = Placement::generate(14, 120, 180, 5);
         let mut accepted_by_outer: Vec<(u64, u64)> = Vec::new();
-        anneal(&mut p, 100, 9, |outer, o, _| {
-            if accepted_by_outer.len() <= outer {
-                accepted_by_outer.resize(outer + 1, (0, 0));
-            }
-            accepted_by_outer[outer].1 += 1;
-            if o.accepted {
-                accepted_by_outer[outer].0 += 1;
-            }
-        });
+        anneal(
+            &mut p,
+            100,
+            9,
+            |_, _, _| {},
+            |outer, o, _| {
+                if accepted_by_outer.len() <= outer {
+                    accepted_by_outer.resize(outer + 1, (0, 0));
+                }
+                accepted_by_outer[outer].1 += 1;
+                if o.accepted {
+                    accepted_by_outer[outer].0 += 1;
+                }
+            },
+        );
         let rate = |i: usize| {
             let (a, t) = accepted_by_outer[i];
             a as f64 / t as f64
@@ -517,11 +506,6 @@ mod tests {
             rate(&late)
         );
         assert!(rate(&early) > 0.6, "early misspeculation {}", rate(&early));
-    }
-
-    #[test]
-    fn checksum_is_stable() {
-        assert_eq!(Vpr.checksum(InputSize::Test), Vpr.checksum(InputSize::Test));
     }
 
     #[test]
