@@ -204,10 +204,10 @@ pub fn native_sweep(
         .iter()
         .map(|&t| {
             let plan = kind.plan(t);
-            // A warmed engine sized to the plan's core footprint keeps
+            // A warmed engine sized to the plan's seats keeps
             // pool-spawn cost out of the recorded wall clock while
             // still letting pool width bound real parallelism.
-            let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
+            let engine = Engine::new(EngineConfig::for_plan(&plan));
             engine.warm();
             let report = engine
                 .run(&versioned.job_spec(&plan, config.clone()).0)
@@ -556,7 +556,7 @@ pub fn trace_native(
     let job = w.versioned_job(size);
     let plan = kind.plan(threads);
     let seq = job.sequential();
-    let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
+    let engine = Engine::new(EngineConfig::for_plan(&plan));
     engine.warm();
     let (spec, _mem) = job.job_spec(&plan, config.clone().with_tracing(true));
     let mut report = engine
@@ -1012,7 +1012,7 @@ pub fn conflict_calibration(
         .map(|r| r.region.clone());
 
     let versioned = w.versioned_job(size);
-    let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
+    let engine = Engine::new(EngineConfig::for_plan(&plan));
     engine.warm();
     let report = engine
         .run(&versioned.job_spec(&plan, ExecConfig::default()).0)

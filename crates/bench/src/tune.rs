@@ -171,14 +171,14 @@ impl TunableWorkload {
     }
 
     /// A warmed persistent [`Engine`] sized to exactly the candidate's
-    /// core footprint, so pool width — not outstanding-item caps —
+    /// seats, the calling thread filling one, so pool width — not outstanding-item caps —
     /// still bounds the candidate's real parallelism. Built once per
     /// contender and reused across every validation repetition, which
     /// keeps thread-spawn cost out of the timed runs the winner is
     /// crowned on.
     fn engine_for(&self, candidate: &Candidate) -> Engine {
         let plan = self.mint_plan(candidate);
-        let engine = Engine::new(EngineConfig::with_workers(plan.cores_required()));
+        let engine = Engine::new(EngineConfig::for_plan(&plan));
         engine.warm();
         engine
     }

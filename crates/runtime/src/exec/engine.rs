@@ -95,6 +95,15 @@ impl EngineConfig {
     pub fn with_workers(workers: usize) -> Self {
         Self { workers }
     }
+
+    /// A pool with one worker per seat of `plan` but one: the thread
+    /// that runs the job fills the last seat.
+    pub fn for_plan(plan: &ExecutionPlan) -> Self {
+        let seats: usize = (0..plan.stage_count())
+            .map(|s| plan.stage(s).cores().len())
+            .sum();
+        Self::with_workers(seats.saturating_sub(1))
+    }
 }
 
 /// One submittable unit of work: a task graph, the plan to run it

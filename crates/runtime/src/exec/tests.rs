@@ -16,10 +16,7 @@ fn run_on(
     plan: &ExecutionPlan,
     body: impl NativeBody + 'static,
 ) -> Result<NativeReport, ExecError> {
-    let seats: usize = (0..plan.stage_count())
-        .map(|s| plan.stage(s).cores().len())
-        .sum();
-    Engine::new(EngineConfig::with_workers(seats.saturating_sub(1))).run(&JobSpec {
+    Engine::new(EngineConfig::for_plan(plan)).run(&JobSpec {
         graph: Arc::new(graph.clone()),
         plan: Arc::new(plan.clone()),
         body: Arc::new(body),

@@ -19,7 +19,7 @@
 
 use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
@@ -262,12 +262,12 @@ impl Gap {
     const ARENA: usize = 700;
 
     /// Interprets the program once, one statement an iteration: the
-    /// trace and the program. `before(i, interp)` sees the interpreter
-    /// ahead of statement `i`.
+    /// trace and the program. `before` sees the interpreter ahead of
+    /// each statement.
     fn walk(
         &self,
         size: InputSize,
-        mut before: impl FnMut(usize, &Interp),
+        mut before: impl FnMut(&Interp),
     ) -> (IterationTrace, Vec<Stmt>) {
         let program = generate_program(self.statement_count(size), 0x254);
         let mut interp = Interp::new(Self::ARENA);
@@ -275,7 +275,7 @@ impl Gap {
         let mut last_gc_stmt = usize::MAX;
         let mut trace = IterationTrace::speculative();
         for (i, stmt) in program.iter().enumerate() {
-            before(i, &interp);
+            before(&interp);
             let mut meter = WorkMeter::new();
             let collected = interp.exec(*stmt, &mut meter);
             // Real dependence events, worst first: a collection moved
@@ -328,7 +328,7 @@ impl Workload for Gap {
     }
 
     fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_, _| {}).0
+        self.walk(size, |_| {}).0
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
@@ -336,27 +336,15 @@ impl Workload for Gap {
         // value and the cumulative garbage-collection count — the heap
         // summary and GC clock the interpreter threads across statements.
         // Each record is value (8 bytes le) + collected flag (1 byte).
-        const K: usize = 8;
-        let mut ckpts = Vec::new();
-        let (trace, program) = self.walk(size, |i, interp| {
-            if i % K == 0 {
-                ckpts.push(interp.clone());
-            }
-        });
+        let mut points = RestorePoints::new();
+        let (trace, program) = self.walk(size, |interp| points.offer(|| interp.clone()));
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let i = iter as usize;
-                let mut interp = ckpts[i / K].clone();
-                // The replay restores the prefix state: its work belongs
-                // to the statements it repeats, not to this one.
-                let mut replay = WorkMeter::new();
-                for stmt in &program[(i / K) * K..i] {
-                    interp.exec(*stmt, &mut replay);
-                }
+            points.runner(Interp::clone, move |interp, iter| {
+                let stmt = program[iter as usize];
                 let mut meter = WorkMeter::new();
-                let collected = interp.exec(program[i], &mut meter);
-                let value = match interp.var(program[i].writes()) {
+                let collected = interp.exec(stmt, &mut meter);
+                let value = match interp.var(stmt.writes()) {
                     Val::Int(x) => x,
                     Val::Ref(r) => r as i64 + 1_000_000,
                     Val::Nil => -1,
@@ -364,7 +352,7 @@ impl Workload for Gap {
                 let mut bytes = value.to_le_bytes().to_vec();
                 bytes.push(u8::from(collected));
                 (bytes, meter.take().max(1))
-            },
+            }),
             2,
             |_, bytes, acc| {
                 acc[0] = fnv1a_fold(acc[0], &bytes[..8]);

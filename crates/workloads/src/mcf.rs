@@ -21,7 +21,7 @@
 
 use crate::common::{InputSize, IrModel, Prng, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -338,31 +338,28 @@ impl Workload for Mcf {
         // simplex's running flow and cost totals, plus the potential-
         // regeneration counter (`refresh_potential`'s generation — the
         // very state the paper's mcf speculation bets on). The sweep
-        // itself runs from a per-iteration snapshot; the totals each
-        // iteration emits are read from versioned memory, accumulated
+        // runs on a solver restored from a point (every iteration keeps
+        // one: it outlasts a quarter of the grain target); the totals
+        // each iteration emits are read from versioned memory, accumulated
         // (wrapping u64 arithmetic over the i64 deltas' bit patterns),
         // and written back, so they carry real cross-iteration
         // dependences for the conflict detector. A stable-potential
         // iteration leaves the generation as it read it — the silent
         // bet the conflict detector validates at commit.
-        let mut snaps = Vec::new();
-        let trace = self.walk(size, |solver| snaps.push(solver.clone()));
-        // Drops the snapshot ahead of the step that found no path.
-        snaps.truncate(trace.len());
+        let mut points = RestorePoints::new();
+        let trace = self.walk(size, |solver| points.offer(|| solver.clone()));
         let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let mut solver = snaps[iter as usize].clone();
-                let (costs, flow_delta, cost_delta) = solver
-                    .step()
-                    .expect("snapshots precede augmenting iterations");
+            points.runner(Solver::clone, |solver, _| {
+                let (costs, flow_delta, cost_delta) =
+                    solver.step().expect("every traced iteration augments");
                 let mut bytes = Vec::with_capacity(17);
                 bytes.extend(flow_delta.to_le_bytes());
                 bytes.extend(cost_delta.to_le_bytes());
                 bytes.push(u8::from(costs.potentials_changed));
                 (bytes, (costs.serial + costs.parallel + costs.apply).max(1))
-            },
+            }),
             3,
             move |_, bytes, totals| {
                 totals[0] = totals[0].wrapping_add(word(&bytes[..8]));

@@ -4,20 +4,20 @@
 //! in a sequential run; a [`VersionedJob`] packages the same run so each
 //! iteration can be **re-executed for real** on an [`Engine`]'s worker
 //! threads. A kernel walks its loop once to build its job: the walk
-//! yields the trace and whatever prefix state the kernel restores from
-//! (input spans, interpreter snapshots, annealer checkpoints, …), and
-//! the job owns that state plus two bodies:
+//! yields the trace and a [`RangeRunner`] — per-iteration inputs, or
+//! sparse `RestorePoints` of the loop's state — and the job owns it
+//! plus two bodies, each of which hands the runner a chunk of
+//! iterations to run on one live state, restored once:
 //!
-//! * the *versioned* body runs an iteration with its loop-carried state
-//!   flowing through a [`ConcurrentVersionedMemory`] — reads forward
-//!   uncommitted stores from earlier iterations, conflicting writes
-//!   squash later readers at the substrate;
-//! * the *sequential oracle* computes the same iteration's output from
-//!   precomputed prefix state with no substrate — what validation, the
-//!   sequential fallback, and a replay job (`JobSpec::mem == None`) run.
+//! * the *versioned* body threads the chunk's loop-carried state through
+//!   a [`ConcurrentVersionedMemory`] — reads forward uncommitted stores
+//!   from earlier chunks, conflicting writes squash later readers;
+//! * the *sequential oracle* runs the chunk with no substrate — what
+//!   validation, the sequential fallback, and a replay job
+//!   (`JobSpec::mem == None`) run.
 //!
-//! Determinism: each oracle call depends only on the iteration, and a
-//! versioned call only on the iteration and the values it read — never
+//! Determinism: each oracle call depends only on its iterations, and a
+//! versioned call only on its iterations and the values it read — never
 //! on thread timing — so the executor's in-order commit yields the same
 //! output stream on every run.
 //!
@@ -34,7 +34,7 @@ use seqpar_runtime::{
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A timed sequential reference run of a [`VersionedJob`].
@@ -48,20 +48,146 @@ pub struct SequentialRun {
     pub wall: Duration,
 }
 
-/// One iteration with no substrate: its output bytes and metered work,
-/// from precomputed prefix state — what the sequential oracle and the
-/// sequential fallback run.
-pub type SequentialIterationBody = dyn Fn(u64) -> (Vec<u8>, u64) + Send + Sync;
+/// What a job runs its loop with: `run(iters, emit)` restores the state
+/// before `iters` at most once, unmetered, then runs them in order, handing
+/// `emit` each one's record bytes and metered work. Any
+/// `Fn(u64) -> (Vec<u8>, u64)` is a runner that restores nothing.
+pub trait RangeRunner: Send + Sync + 'static {
+    /// Runs `iters` in order, emitting every record.
+    fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64));
 
-/// What a task runs: the iterations of one chunk, in order, inside the
-/// chunk's one version `v` of the job's [`ConcurrentVersionedMemory`] —
-/// reads forward uncommitted stores from earlier versions, conflicting
-/// writes squash later readers; their bytes concatenated, their work
-/// summed. It issues only `read`/`write` on `v` (the executor owns the
-/// version's lifecycle) and is a pure function of the iterations and the
-/// values read, so a squash-and-replay reproduces the sequential result.
-type ChunkBody =
-    dyn Fn(Range<u64>, VersionId, &ConcurrentVersionedMemory) -> (Vec<u8>, u64) + Send + Sync;
+    /// A range that starts on a multiple of this replays nothing.
+    fn stride(&self) -> u64 {
+        1
+    }
+}
+
+impl<F: Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static> RangeRunner for F {
+    fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)) {
+        for i in iters {
+            let (bytes, work) = self(i);
+            emit(&bytes, work);
+        }
+    }
+}
+
+/// The states a kernel's walk passes through, kept sparsely: the state
+/// before iteration `i` only when `i` is a multiple of the stride then in
+/// force, a power of two the walk's own clock widens until a stride of
+/// iterations lasts a quarter of [`GRAIN_TARGET_NS`]. So a chunk the time
+/// term of the grain sizes starts on a point; a shorter one replays less
+/// than a stride, unmetered.
+pub(crate) struct RestorePoints<P> {
+    points: Vec<(u64, P)>,
+    stride: u64,
+    offered: u64,
+    /// The walk's time before the last capture, and when it resumed.
+    walked: Duration,
+    resumed: Instant,
+}
+
+impl<P: Send + Sync + 'static> RestorePoints<P> {
+    pub(crate) fn new() -> Self {
+        Self {
+            points: Vec::new(),
+            stride: 1,
+            offered: 0,
+            walked: Duration::ZERO,
+            resumed: Instant::now(),
+        }
+    }
+
+    /// Offers the state before the walk's next iteration, captured only
+    /// if kept. Reads the clock only at a multiple of the stride.
+    pub(crate) fn offer(&mut self, capture: impl FnOnce() -> P) {
+        let i = self.offered;
+        self.offered += 1;
+        if !i.is_multiple_of(self.stride) {
+            return;
+        }
+        if i > 0 {
+            self.walked += self.resumed.elapsed();
+            let fits = u128::from(GRAIN_TARGET_NS / 4 * i) / self.walked.as_nanos().max(1);
+            #[cfg(test)]
+            let fits = if tests::EVERY_POINT.get() { 0 } else { fits };
+            if fits > u128::from(self.stride) {
+                self.stride = 1 << fits.ilog2();
+            }
+        }
+        if i.is_multiple_of(self.stride) {
+            self.points.push((i, capture()));
+        }
+        self.resumed = Instant::now();
+    }
+
+    /// The latest point at or before iteration `a`.
+    fn at(&self, a: u64) -> &(u64, P) {
+        let later = self.points.partition_point(|(i, _)| *i <= a);
+        &self.points[later - 1]
+    }
+
+    /// The runner that resumes the walked loop: `restore` turns a point
+    /// into live state, `step(state, i)` runs iteration `i` on it. A range
+    /// that starts where the last one ended (the next chunk on one seat)
+    /// resumes that one's state instead.
+    pub(crate) fn runner<S: Send + 'static>(
+        self,
+        restore: impl Fn(&P) -> S + Send + Sync + 'static,
+        step: impl Fn(&mut S, u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
+    ) -> impl RangeRunner {
+        let left = Mutex::new(None);
+        Resume(
+            self.stride,
+            move |iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)| {
+                let resumed = left.lock().expect("nothing panics under the lock").take();
+                let mut live = match resumed.filter(|(at, _)| *at == iters.start) {
+                    Some((_, live)) => live,
+                    None => {
+                        let (from, point) = self.at(iters.start);
+                        let mut live = restore(point);
+                        // The replay restores the range's state: its work
+                        // belongs to the iterations it repeats.
+                        for i in *from..iters.start {
+                            step(&mut live, i);
+                        }
+                        live
+                    }
+                };
+                for i in iters.clone() {
+                    let (bytes, work) = step(&mut live, i);
+                    emit(&bytes, work);
+                }
+                *left.lock().expect("nothing panics under the lock") = Some((iters.end, live));
+            },
+        )
+    }
+}
+
+/// A runner of ranges with the stride of its restore points.
+struct Resume<F>(u64, F);
+
+impl<F> RangeRunner for Resume<F>
+where
+    F: Fn(Range<u64>, &mut dyn FnMut(&[u8], u64)) + Send + Sync + 'static,
+{
+    fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)) {
+        (self.1)(iters, emit);
+    }
+
+    fn stride(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What a task runs: one chunk's iterations in order, their bytes
+/// concatenated, their work summed. Given a version `v` of the job's
+/// [`ConcurrentVersionedMemory`] it threads the loop-carried state through
+/// `v` with `read`/`write` alone, a pure function of the iterations and
+/// the values read, so a squash-and-replay reproduces the sequential
+/// result; given none it is the sequential oracle.
+type ChunkBody = dyn Fn(Range<u64>, Option<(VersionId, &ConcurrentVersionedMemory)>) -> (Vec<u8>, u64)
+    + Send
+    + Sync;
 
 /// How long a task should run. The executor spends 0.3 µs on a task
 /// with no carried state and 0.55–1.0 µs on one with (the benchmark's
@@ -75,23 +201,6 @@ const GRAIN_TARGET_NS: u64 = 32_000;
 /// of a seat's share at most.
 const TASKS_PER_SEAT: usize = 8;
 
-/// Runs `one` over `iters` in order and concatenates what it returns.
-fn in_order(mut iters: Range<u64>, mut one: impl FnMut(u64) -> (Vec<u8>, u64)) -> (Vec<u8>, u64) {
-    let Some(first) = iters.next() else {
-        return (Vec::new(), 0);
-    };
-    // The first record's buffer takes the others: a one-iteration chunk
-    // hands its body's own allocation on untouched.
-    let (mut bytes, mut work) = one(first);
-    bytes.reserve(bytes.len() * (iters.end - iters.start) as usize);
-    for i in iters {
-        let (more, w) = one(i);
-        bytes.extend_from_slice(&more);
-        work += w;
-    }
-    (bytes, work)
-}
-
 /// A workload packaged for **conflict-driven** native execution: its
 /// loop-carried state flows through [`Addr`]-keyed accesses to a
 /// [`ConcurrentVersionedMemory`], and squashes originate from the
@@ -101,11 +210,11 @@ fn in_order(mut iters: Range<u64>, mut one: impl FnMut(u64) -> (Vec<u8>, u64)) -
 pub struct VersionedJob {
     trace: IterationTrace,
     body: Arc<ChunkBody>,
-    oracle: Arc<SequentialIterationBody>,
     /// Mean wall time of one iteration, measured once at construction
     /// and never again: [`grain`](VersionedJob::grain) reads only this,
     /// so one job builds one graph per plan however often it is asked.
     iteration_ns: u64,
+    restore_stride: u64,
 }
 
 impl fmt::Debug for VersionedJob {
@@ -113,6 +222,7 @@ impl fmt::Debug for VersionedJob {
         f.debug_struct("VersionedJob")
             .field("iterations", &self.trace.len())
             .field("iteration_ns", &self.iteration_ns)
+            .field("restore_stride", &self.restore_stride)
             .finish_non_exhaustive()
     }
 }
@@ -129,94 +239,92 @@ impl VersionedJob {
     /// loop-carried accumulators threaded through versioned memory at
     /// `Addr(0) .. Addr(slots)`.
     ///
-    /// Each iteration computes its bytes via `compute`, merges them into
-    /// the slot values via `fold(iter, bytes, slots)`, and appends the
-    /// folded slot values little-endian to its emitted record — so a
-    /// stale racing read that escaped conflict detection would corrupt
-    /// the committed byte stream, which the differential suite pins
-    /// against the sequential oracle. A chunk of iterations touches the
-    /// substrate once: it runs every `compute` first, then reads every
-    /// slot, folds its iterations in order on the values it read, and
-    /// writes every slot back (writes whose value did not change are
+    /// Each iteration's bytes come from `runner`; the job merges them
+    /// into the slot values via `fold(iter, bytes, slots)` and appends
+    /// the folded slot values little-endian to the iteration's emitted
+    /// record — so a stale racing read that escaped conflict detection
+    /// would corrupt the committed byte stream, which the differential
+    /// suite pins against the sequential oracle. A chunk of iterations
+    /// touches the substrate once: it runs its range first, then reads
+    /// every slot, folds its iterations in order on the values it read,
+    /// and writes every slot back (writes whose value did not change are
     /// elided by the substrate's silent-store rule and become read-set
     /// bets). Reading that late keeps the window in which an earlier
     /// chunk's write can squash this one as short as the folds.
     ///
-    /// The oracle is derived at construction by folding the slots in
-    /// program order, so body/oracle agreement — for every iteration
-    /// `i`, `oracle(i)` is what the body returns when its reads observe
-    /// the committed state of iterations `0..i`, which is what makes
-    /// versioned output byte-identical to [`VersionedJob::sequential`] —
-    /// holds for any `fold`; that pass is also the clock
-    /// [`grain`](VersionedJob::grain) reads. So `compute` should restore
-    /// only what its iteration can change: the clock then times the
-    /// iteration, not its restore.
+    /// The oracle's slot values come from one construction pass over the
+    /// whole loop, folding in program order, so body/oracle agreement —
+    /// what makes versioned output byte-identical to
+    /// [`VersionedJob::sequential`] — holds for any `fold`. That pass is
+    /// also the clock [`grain`](VersionedJob::grain) reads: the live
+    /// loop's time, restored once.
     pub fn accumulating(
         trace: IterationTrace,
-        compute: impl Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
+        runner: impl RangeRunner,
         slots: usize,
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
-        let compute: Arc<SequentialIterationBody> = Arc::new(compute);
-        // Prefix accumulator states, in program order: prefix[i] is the
-        // slot vector *after* iteration i folded in.
+        let n = trace.len();
+        // The slot values after each iteration folded in, in program
+        // order: iteration i's are `prefix[i * slots..][..slots]`.
         let started = Instant::now();
-        let mut prefix: Vec<Vec<u64>> = Vec::with_capacity(trace.len());
+        let mut prefix = Vec::with_capacity(n * slots);
         let mut state = vec![0u64; slots];
-        for i in 0..trace.len() as u64 {
-            let (bytes, _) = compute(i);
-            fold(i, &bytes, &mut state);
-            prefix.push(state.clone());
-        }
-        let iteration_ns = (started.elapsed().as_nanos() / trace.len().max(1) as u128) as u64;
-        let oracle = {
-            let compute = Arc::clone(&compute);
-            move |iter: u64| {
-                let (mut bytes, work) = compute(iter);
-                for v in &prefix[iter as usize] {
-                    bytes.extend(v.to_le_bytes());
-                }
-                (bytes, work)
-            }
-        };
+        let mut i = 0u64;
+        runner.run(0..n as u64, &mut |bytes, _| {
+            fold(i, bytes, &mut state);
+            prefix.extend_from_slice(&state);
+            i += 1;
+        });
+        let iteration_ns = (started.elapsed().as_nanos() / n.max(1) as u128) as u64;
+        let restore_stride = runner.stride();
         let carried = 8 * slots;
-        let body = move |iters: Range<u64>, v: VersionId, m: &ConcurrentVersionedMemory| {
+        let body = move |iters: Range<u64>,
+                         mem: Option<(VersionId, &ConcurrentVersionedMemory)>| {
             // Every record goes straight into the task's output, with
             // room left after each for the slot values it does not know
             // yet; `ends` remembers where the records stop.
             let len = (iters.end - iters.start) as usize;
             let (mut out, mut ends) = (Vec::new(), Vec::with_capacity(len));
             let mut work = 0u64;
-            for i in iters.clone() {
-                let (bytes, w) = compute(i);
+            runner.run(iters.clone(), &mut |bytes, w| {
                 if ends.is_empty() {
                     out.reserve((bytes.len() + carried) * len);
                 }
-                out.extend_from_slice(&bytes);
+                out.extend_from_slice(bytes);
                 out.resize(out.len() + carried, 0);
                 ends.push(out.len());
                 work += w;
-            }
-            let mut state: Vec<u64> = (0..slots as u64).map(|s| m.read(v, Addr(s))).collect();
+            });
+            let mut state: Vec<u64> = mem.map_or_else(Vec::new, |(v, m)| {
+                (0..slots as u64).map(|s| m.read(v, Addr(s))).collect()
+            });
             let mut start = 0;
             for (i, end) in iters.zip(ends) {
                 let (bytes, tail) = out[start..end].split_at_mut(end - start - carried);
-                fold(i, bytes, &mut state);
-                for (dst, val) in tail.chunks_exact_mut(8).zip(&state) {
+                let after = if mem.is_some() {
+                    fold(i, bytes, &mut state);
+                    &state[..]
+                } else {
+                    &prefix[i as usize * slots..][..slots]
+                };
+                for (dst, val) in tail.chunks_exact_mut(8).zip(after) {
                     dst.copy_from_slice(&val.to_le_bytes());
                 }
                 start = end;
             }
-            for (s, val) in state.iter().enumerate() {
-                m.write(v, Addr(s as u64), *val);
+            if let Some((v, m)) = mem {
+                for (s, val) in state.iter().enumerate() {
+                    m.write(v, Addr(s as u64), *val);
+                }
             }
             (out, work)
         };
         Self {
             trace,
             body: Arc::new(body),
-            oracle: Arc::new(oracle),
             iteration_ns,
+            restore_stride,
         }
     }
 
@@ -244,13 +352,7 @@ impl VersionedJob {
     /// output must be byte-identical.
     pub fn sequential(&self) -> SequentialRun {
         let started = Instant::now();
-        let mut output = Vec::new();
-        let mut work = 0u64;
-        for i in 0..self.trace.len() as u64 {
-            let (bytes, w) = (self.oracle)(i);
-            output.extend(bytes);
-            work += w;
-        }
+        let (output, work) = (self.body)(0..self.trace.len() as u64, None);
         SequentialRun {
             output,
             work,
@@ -261,8 +363,8 @@ impl VersionedJob {
     /// Runs the job on real threads under `plan`, with every attempt's
     /// loop-carried state routed through a fresh
     /// [`ConcurrentVersionedMemory`] — the one-shot convenience: an
-    /// [`Engine`] of its own with one worker per seat of the plan but
-    /// one — the calling thread fills the last seat — dropped on return. Returns the report (whose
+    /// [`Engine`] sized by [`EngineConfig::for_plan`], dropped on
+    /// return. Returns the report (whose
     /// [`mem`](NativeReport::mem) field carries the substrate counters)
     /// together with the memory itself, so callers can inspect the
     /// committed loop-carried state. Callers that run more than one job
@@ -279,10 +381,7 @@ impl VersionedJob {
         config: ExecConfig,
     ) -> Result<(NativeReport, Arc<ConcurrentVersionedMemory>), ExecError> {
         let (spec, mem) = self.job_spec(plan, config);
-        let seats: usize = (0..plan.stage_count())
-            .map(|s| plan.stage(s).cores().len())
-            .sum();
-        let report = Engine::new(EngineConfig::with_workers(seats.saturating_sub(1))).run(&spec)?;
+        let report = Engine::new(EngineConfig::for_plan(plan)).run(&spec)?;
         Ok((report, mem))
     }
 
@@ -347,17 +446,13 @@ impl VersionedJob {
         let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
         let mem = Arc::new(ConcurrentVersionedMemory::new());
         let body = Arc::clone(&self.body);
-        let oracle = Arc::clone(&self.oracle);
         let (k, n) = (k as u64, self.trace.len() as u64);
         let task_body = move |task: TaskId, ctx: &TaskCtx<'_>| {
             if ctx.stage.0 != emit_stage {
                 return TaskOutput::empty();
             }
             let iters = ctx.iter * k..n.min((ctx.iter + 1) * k);
-            let (bytes, work) = match ctx.mem {
-                Some(m) => body(iters, VersionId(u64::from(task.0)), m),
-                None => in_order(iters, |i| oracle(i)),
-            };
+            let (bytes, work) = body(iters, ctx.mem.map(|m| (VersionId(u64::from(task.0)), m)));
             TaskOutput { bytes, work }
         };
         let task_body: Arc<dyn NativeBody> = Arc::new(task_body);
@@ -380,6 +475,12 @@ mod tests {
     use crate::{all_workloads, InputSize};
     use seqpar::IterationRecord;
     use seqpar_runtime::FaultPlan;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while a test builds jobs that keep every restore point.
+        pub(super) static EVERY_POINT: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// A synthetic `accumulating` loop of `n` short iterations. With
     /// `slots` > 0 its fold is order-sensitive (multiply-then-add) and
@@ -388,7 +489,7 @@ mod tests {
         let trace = (0..n).map(|i| IterationRecord::new(1, 5 + i % 3, 1));
         VersionedJob::accumulating(
             trace.collect(),
-            |i| {
+            |i: u64| {
                 (
                     i.wrapping_mul(0x9E37_79B9).to_le_bytes()[..3].to_vec(),
                     1 + i % 4,
@@ -439,7 +540,8 @@ mod tests {
         for i in 0..job.len() as u64 {
             let v = VersionId(i);
             mem.begin(v);
-            assert_eq!((job.body)(i..i + 1, v, &mem), (job.oracle)(i), "{id} @ {i}");
+            let versioned = (job.body)(i..i + 1, Some((v, &mem)));
+            assert_eq!(versioned, (job.body)(i..i + 1, None), "{id} @ {i}");
             mem.try_commit(v).expect("nothing runs beside it");
         }
         slots(&mem)
@@ -454,14 +556,20 @@ mod tests {
     }
 
     impl Case {
-        fn all() -> Vec<Case> {
-            let case = |(id, job): (String, VersionedJob)| Case {
+        fn new(id: String, job: VersionedJob) -> Case {
+            Case {
                 seq: job.sequential(),
                 slots: sequential_slots(&id, &job),
                 id,
                 job,
-            };
-            jobs().into_iter().map(case).collect()
+            }
+        }
+
+        fn all() -> Vec<Case> {
+            jobs()
+                .into_iter()
+                .map(|(id, job)| Case::new(id, job))
+                .collect()
         }
 
         /// The grains worth running: one iteration per task, odd and
@@ -688,5 +796,161 @@ mod tests {
         // A sleep is never short; a short pass can be preempted into a
         // long one, so the fast side gets three constructions to be fast.
         assert_eq!((0..3).map(|_| build(fast).grain(&plan)).max(), Some(8));
+    }
+
+    /// Pins the rule of [`RestorePoints`] on walks whose states are
+    /// their own indices: point 0 is kept, every kept index is a multiple
+    /// of the stride in force when it was kept, that stride is a power of
+    /// two that never narrows, and a range resumes from the latest point
+    /// at or before its start.
+    #[test]
+    fn restore_points_keep_strided_states_and_resume_from_the_latest() {
+        let walk = |n: u64, slow: bool| {
+            let mut points = RestorePoints::new();
+            let mut last = 1;
+            for i in 0..n {
+                let kept = points.points.len();
+                points.offer(|| i);
+                let stride = points.stride;
+                assert!(
+                    stride.is_power_of_two() && stride >= last,
+                    "{stride} after {last}"
+                );
+                if points.points.len() > kept {
+                    assert_eq!(i % stride, 0, "kept {i} at stride {stride}");
+                }
+                last = stride;
+                if slow {
+                    std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS / 4));
+                }
+            }
+            points
+        };
+        // An iteration that outlasts a quarter of the target keeps every
+        // point; a cheap one widens the stride.
+        let slow = walk(40, true);
+        assert_eq!(slow.stride, 1);
+        assert_eq!(slow.points.len(), 40);
+        let fast = walk(20_000, false);
+        assert_eq!(fast.points[0], (0, 0));
+        assert!(
+            fast.stride > 1,
+            "a no-op iteration fits the quarter many times"
+        );
+        assert!(fast.stride <= GRAIN_TARGET_NS / 4);
+        for a in (0..20_000)
+            .step_by(97)
+            .chain([fast.stride - 1, fast.stride, 19_999])
+        {
+            let &(from, state) = fast.at(a);
+            assert_eq!(from, state);
+            assert!(from <= a, "{from} > {a}");
+            let next = fast.points.iter().find(|(i, _)| *i > from);
+            assert!(
+                next.is_none_or(|(i, _)| *i > a),
+                "a later point precedes {a}"
+            );
+        }
+        // The runner restores once and replays up to the range unmetered.
+        let runner = fast.runner(
+            |&i| i,
+            |live, i| {
+                assert_eq!(*live, i, "the live state is the one before {i}");
+                *live += 1;
+                (vec![i as u8], 1)
+            },
+        );
+        for range in [0..1, 5..9, 1_000..1_003, 19_990..20_000] {
+            let (mut bytes, mut work) = (Vec::new(), 0);
+            runner.run(range.clone(), &mut |b, w| {
+                bytes.extend_from_slice(b);
+                work += w;
+            });
+            let expected: Vec<u8> = range.clone().map(|i| i as u8).collect();
+            assert_eq!((bytes, work), (expected, range.end - range.start));
+        }
+    }
+
+    /// The kernels that resume their loop from restore points.
+    const RESUMED: [&str; 6] = ["vpr", "twolf", "vortex", "gap", "perlbmk", "mcf"];
+
+    /// A job built to keep every restore point and the default sparse job
+    /// run the same loop: the same sequential bytes and work, and at
+    /// grains below, at and above the sparse stride — below it a chunk
+    /// replays — the same committed bytes, work and slots, fault-free and
+    /// under `FaultPlan::seeded(7)`. `every_mode` runs each grain in both
+    /// modes; otherwise the modes alternate from grain to grain. One seat:
+    /// the substrate's races are [`every_grain_full_matrix`]'s.
+    fn sparse_points_commit_what_every_point_does(size: InputSize, every_mode: bool) {
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let plan = ExecutionPlan::tls(1);
+        for w in all_workloads() {
+            if !RESUMED.contains(&w.meta().name) {
+                continue;
+            }
+            let id = w.meta().spec_id.to_string();
+            EVERY_POINT.set(true);
+            let dense = Case::new(format!("{id} (every point)"), w.versioned_job(size));
+            EVERY_POINT.set(false);
+            let job = w.versioned_job(size);
+            assert_eq!(dense.job.restore_stride, 1, "{id}");
+            let seq = job.sequential();
+            assert_eq!((&seq.output, seq.work), (&dense.seq.output, dense.seq.work));
+            let s = job.restore_stride as usize;
+            let mut grains = vec![1, 3, s - 1, s, 2 * s, job.len()];
+            grains.retain(|&k| k > 0);
+            grains.sort_unstable();
+            grains.dedup();
+            let sparse = Case {
+                id: format!("{id} (stride {s})"),
+                job,
+                seq: dense.seq.clone(),
+                slots: dense.slots.clone(),
+            };
+            for case in [&dense, &sparse] {
+                for (g, &k) in grains.iter().enumerate() {
+                    // On one seat a chunk resumes the state the one before
+                    // left; run backwards, every chunk restores from its
+                    // latest point, and one below the stride replays.
+                    let n = case.job.len() as u64;
+                    let starts: Vec<u64> = (0..n).step_by(k).collect();
+                    let runs: Vec<_> = starts
+                        .iter()
+                        .rev()
+                        .map(|&a| (case.job.body)(a..n.min(a + k as u64), None))
+                        .collect();
+                    let output: Vec<u8> = runs.iter().rev().flat_map(|(b, _)| b.clone()).collect();
+                    let work: u64 = runs.iter().map(|(_, w)| w).sum();
+                    assert_eq!(output, case.seq.output, "{}: k = {k} backwards", case.id);
+                    assert_eq!(work, case.seq.work, "{}: k = {k} backwards", case.id);
+                    for chaos in [false, true] {
+                        if every_mode || chaos == (g % 2 == 1) {
+                            case.check(
+                                &engine,
+                                k,
+                                &plan,
+                                Mode {
+                                    chaos,
+                                    replay: false,
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_restore_points_commit_what_every_point_does() {
+        sparse_points_commit_what_every_point_does(InputSize::Test, false);
+    }
+
+    /// The same at `Train`, where the strides are wider; CI runs it in
+    /// release.
+    #[test]
+    #[ignore = "Train size; CI runs it in release with the Train pins"]
+    fn sparse_restore_points_commit_what_every_point_does_at_train() {
+        sparse_points_commit_what_every_point_does(InputSize::Train, true);
     }
 }

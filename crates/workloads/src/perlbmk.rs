@@ -19,7 +19,7 @@
 
 use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode as IrOp, Program};
@@ -77,22 +77,6 @@ impl Vm {
     /// The current stack depth (`PL_stack_sp`).
     pub fn stack_depth(&self) -> usize {
         self.stack.len()
-    }
-
-    /// The variable file — the cross-statement state a native task must
-    /// snapshot to re-execute a statement out of order.
-    pub fn vars(&self) -> [i64; 64] {
-        self.vars
-    }
-
-    /// Creates a VM whose variables start from a snapshot (empty stack
-    /// and output, as at any statement boundary).
-    pub fn with_vars(vars: [i64; 64]) -> Self {
-        Self {
-            stack: Vec::new(),
-            vars,
-            output: Vec::new(),
-        }
     }
 
     /// Executes one op, accruing work.
@@ -287,20 +271,25 @@ impl Workload for Perlbmk {
         // the interpreter threads across statements. Statements that
         // print nothing leave both slots unchanged, so their write-backs
         // are silent-store bets.
-        let mut vars_before = Vec::new();
-        let (trace, stmts) = self.walk(size, |vm| vars_before.push(vm.vars()));
+        let mut points = RestorePoints::new();
+        // A point is the variable file: at a statement boundary the
+        // stack is empty, and a statement's output is its own.
+        let (trace, stmts) = self.walk(size, |vm| {
+            points.offer(|| Vm {
+                vars: vm.vars,
+                ..Vm::new()
+            });
+        });
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let i = iter as usize;
-                let mut vm = Vm::with_vars(vars_before[i]);
+            points.runner(Vm::clone, move |vm, iter| {
                 let mut meter = WorkMeter::new();
-                for &op in &stmts[i] {
+                for &op in &stmts[iter as usize] {
                     vm.step(op, &mut meter);
                 }
-                let bytes: Vec<u8> = vm.output().iter().flat_map(|x| x.to_le_bytes()).collect();
+                let bytes = vm.output.drain(..).flat_map(i64::to_le_bytes).collect();
                 (bytes, meter.take().max(1))
-            },
+            }),
             2,
             |_, bytes, acc| {
                 if !bytes.is_empty() {

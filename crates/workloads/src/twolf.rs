@@ -18,7 +18,7 @@
 
 use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -127,21 +127,6 @@ impl CellPlacement {
     /// Total wirelength.
     pub fn total_cost(&self, meter: &mut WorkMeter) -> i64 {
         (0..self.nets.len()).map(|n| self.net_cost(n, meter)).sum()
-    }
-
-    /// Overwrites every cell's coordinates from a snapshot, rebuilding
-    /// the slot map. Used by native re-execution to rewind the placement
-    /// to an earlier state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` does not have one entry per cell.
-    pub fn set_positions(&mut self, pos: &[(u16, u16)]) {
-        assert_eq!(pos.len(), self.pos.len(), "one coordinate per cell");
-        self.pos.copy_from_slice(pos);
-        for (c, &(r, col)) in pos.iter().enumerate() {
-            self.slot[r as usize * self.cols + col as usize] = c;
-        }
     }
 
     fn swap_cells(&mut self, a: usize, b: usize) {
@@ -314,28 +299,32 @@ impl Workload for Twolf {
         // `uloop` threads across iterations. Rejected exchanges leave
         // both slots unchanged, so their write-backs are silent-store
         // bets — the annealer's dominant case at low acceptance rates.
-        type Snapshot = (Vec<(u16, u16)>, YacmRandom, f64);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let (trace, base) = self.walk(size, |place, rng, temperature| {
-            snaps.push((place.pos.clone(), rng.clone(), temperature));
+        let mut points = RestorePoints::new();
+        let (trace, base) = self.walk(size, |place, rng, _| {
+            points.offer(|| (place.pos.clone(), rng.clone()));
         });
+        let (per_temp, temperatures): (_, Vec<f64>) =
+            (self.iters_per_temp(size), schedule().collect());
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let i = iter as usize;
-                // Every slot holds a cell, so `set_positions` rewrites the
-                // whole slot map: any placement of this netlist restores
-                // the snapshot.
-                let mut place = base.clone();
-                place.set_positions(&snaps[i].0);
-                let (_, ref rng0, temperature) = snaps[i];
-                let mut rng = rng0.clone();
-                let mut meter = WorkMeter::new();
-                let outcome = uloop_iter(&mut place, &mut rng, temperature, &mut meter);
-                let mut bytes = vec![u8::from(outcome.accepted)];
-                bytes.extend((outcome.nets_touched.len() as u32).to_le_bytes());
-                (bytes, meter.take().max(1))
-            },
+            points.runner(
+                // Cells swapped in turn into their kept slots displace none before.
+                move |(pos, rng)| {
+                    let mut place = base.clone();
+                    for (c, &(r, col)) in pos.iter().enumerate() {
+                        place.swap_cells(c, place.slot[r as usize * place.cols + col as usize]);
+                    }
+                    (place, rng.clone())
+                },
+                move |(place, rng), iter| {
+                    let temperature = temperatures[iter as usize / per_temp];
+                    let mut meter = WorkMeter::new();
+                    let outcome = uloop_iter(place, rng, temperature, &mut meter);
+                    let mut bytes = vec![u8::from(outcome.accepted)];
+                    bytes.extend((outcome.nets_touched.len() as u32).to_le_bytes());
+                    (bytes, meter.take().max(1))
+                },
+            ),
             2,
             |_, bytes, acc| {
                 if bytes[0] == 1 {

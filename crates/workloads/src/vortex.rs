@@ -18,7 +18,7 @@
 
 use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -564,28 +564,22 @@ impl Workload for Vortex {
         // clock the database threads across transactions. Read-only
         // lookups that hit leave both slots unchanged, so their
         // write-backs are silent-store bets.
-        //
-        // The tree is persistent, so the walk keeps an O(1) snapshot
-        // before every transaction, and an iteration runs its one
-        // transaction on a clone of it, copying only the paths it
-        // touches: the clock `VersionedJob::accumulating` reads times the
-        // transaction, not a restore.
-        let mut snaps = Vec::new();
-        let (trace, txns) = self.walk(size, |tree| snaps.push(tree.clone()));
+        // The tree is persistent: a point is an O(1) clone, and a chunk
+        // copies only the paths its transactions touch.
+        let mut points = RestorePoints::new();
+        let (trace, txns) = self.walk(size, |tree| points.offer(|| tree.clone()));
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let i = iter as usize;
-                let mut tree = snaps[i].clone();
+            points.runner(BTree::clone, move |tree, iter| {
                 let mut meter = WorkMeter::new();
-                let (status, rebalances) = exec_txn(&mut tree, txns[i], &mut meter);
+                let (status, rebalances) = exec_txn(tree, txns[iter as usize], &mut meter);
                 let mut bytes = vec![match status {
                     Status::Normal => 0u8,
                     Status::NotFound => 1u8,
                 }];
                 bytes.extend(rebalances.to_le_bytes());
                 (bytes, meter.take().max(1))
-            },
+            }),
             2,
             |_, bytes, acc| {
                 acc[0] += u64::from(bytes[0]);

@@ -18,7 +18,7 @@
 
 use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
+use crate::native::{RestorePoints, VersionedJob};
 use seqpar::{IterationRecord, IterationTrace, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
@@ -105,23 +105,6 @@ impl Placement {
 
     fn cell_index(&self, x: u16, y: u16) -> usize {
         y as usize * self.grid + x as usize
-    }
-
-    /// Overwrites every block's coordinates from a snapshot, rebuilding
-    /// the occupancy grid. Used by native re-execution to rewind the
-    /// placement to an earlier state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` does not have one entry per block.
-    pub fn set_positions(&mut self, pos: &[(u16, u16)]) {
-        assert_eq!(pos.len(), self.pos.len(), "one coordinate per block");
-        self.pos.copy_from_slice(pos);
-        self.cell.fill(usize::MAX);
-        for (b, &(x, y)) in pos.iter().enumerate() {
-            let c = self.cell_index(x, y);
-            self.cell[c] = b;
-        }
     }
 
     /// Moves block `b` to `(x, y)`, swapping with any occupant. Returns
@@ -318,27 +301,32 @@ impl Workload for Vpr {
         // sum of accepted cost deltas — the running placement cost the
         // annealer threads across moves. Rejected moves leave both slots
         // unchanged, so their write-backs are silent-store bets.
-        type Snapshot = (Vec<(u16, u16)>, Prng, f64);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let (trace, base) = self.walk(size, |place, rng, temperature| {
-            snaps.push((place.pos.clone(), rng.clone(), temperature));
+        let mut points = RestorePoints::new();
+        let (trace, base) = self.walk(size, |place, rng, _| {
+            points.offer(|| (place.pos.clone(), rng.clone()));
         });
+        let (moves, temperatures): (_, Vec<f64>) =
+            (self.moves_per_temp(size), schedule().collect());
         VersionedJob::accumulating(
             trace,
-            move |iter| {
-                let i = iter as usize;
-                // `set_positions` rebuilds the whole occupancy grid, so
-                // any placement of this netlist restores the snapshot.
-                let mut place = base.clone();
-                place.set_positions(&snaps[i].0);
-                let (_, ref rng0, temperature) = snaps[i];
-                let mut rng = rng0.clone();
-                let mut meter = WorkMeter::new();
-                let outcome = try_swap(&mut place, &mut rng, temperature, &mut meter);
-                let mut bytes = vec![u8::from(outcome.accepted)];
-                bytes.extend(outcome.delta.to_le_bytes());
-                (bytes, meter.take().max(1))
-            },
+            points.runner(
+                // Blocks moved in turn to their kept cells displace none before.
+                move |(pos, rng)| {
+                    let mut place = base.clone();
+                    for (b, &(x, y)) in pos.iter().enumerate() {
+                        place.apply_move(b, x, y);
+                    }
+                    (place, rng.clone())
+                },
+                move |(place, rng), iter| {
+                    let temperature = temperatures[iter as usize / moves];
+                    let mut meter = WorkMeter::new();
+                    let outcome = try_swap(place, rng, temperature, &mut meter);
+                    let mut bytes = vec![u8::from(outcome.accepted)];
+                    bytes.extend(outcome.delta.to_le_bytes());
+                    (bytes, meter.take().max(1))
+                },
+            ),
             2,
             |_, bytes, acc| {
                 if bytes[0] == 1 {

@@ -75,7 +75,7 @@ proptest! {
             // Byte-identical to the oracle under the candidate's own
             // executor knobs.
             let (spec, _mem) = job.job_spec(&plan, TunableWorkload::exec_config());
-            let native = Engine::new(EngineConfig::with_workers(plan.cores_required()))
+            let native = Engine::new(EngineConfig::for_plan(&plan))
                 .run(&spec)
                 .expect("emitted plan matches the machine");
             prop_assert_eq!(
