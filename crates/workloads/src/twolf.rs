@@ -129,6 +129,14 @@ impl CellPlacement {
         (0..self.nets.len()).map(|n| self.net_cost(n, meter)).sum()
     }
 
+    /// Rewinds to a snapshot of this netlist's placement: each cell in
+    /// turn swaps into its kept slot, so it displaces none placed before.
+    pub fn set_positions(&mut self, pos: &[(u16, u16)]) {
+        for (c, &(r, col)) in pos.iter().enumerate() {
+            self.swap_cells(c, self.slot[r as usize * self.cols + col as usize]);
+        }
+    }
+
     fn swap_cells(&mut self, a: usize, b: usize) {
         let (pa, pb) = (self.pos[a], self.pos[b]);
         self.pos.swap(a, b);
@@ -172,15 +180,12 @@ pub fn uloop_iter(
             nets_touched.push(n);
         }
     }
-    let before: i64 = nets_touched
-        .iter()
-        .map(|&n| place.net_cost(n as usize, meter))
-        .sum();
+    let cost = |p: &CellPlacement, m: &mut WorkMeter| -> i64 {
+        nets_touched.iter().map(|&n| p.net_cost(n as _, m)).sum()
+    };
+    let before = cost(place, meter);
     place.swap_cells(a, b);
-    let after: i64 = nets_touched
-        .iter()
-        .map(|&n| place.net_cost(n as usize, meter))
-        .sum();
+    let after = cost(place, meter);
     let delta = after - before;
     meter.add(6);
     let accepted = delta <= 0 || rng.unit() < (-(delta as f64) / temperature.max(1e-9)).exp();
@@ -218,8 +223,7 @@ pub fn uloop(
             on_iter(&outcome, m.total().max(1));
         }
     }
-    let mut m = WorkMeter::new();
-    place.total_cost(&mut m)
+    place.total_cost(&mut WorkMeter::new())
 }
 
 /// The 300.twolf workload.
@@ -308,12 +312,9 @@ impl Workload for Twolf {
         VersionedJob::accumulating(
             trace,
             points.runner(
-                // Cells swapped in turn into their kept slots displace none before.
                 move |(pos, rng)| {
                     let mut place = base.clone();
-                    for (c, &(r, col)) in pos.iter().enumerate() {
-                        place.swap_cells(c, place.slot[r as usize * place.cols + col as usize]);
-                    }
+                    place.set_positions(pos);
                     (place, rng.clone())
                 },
                 move |(place, rng), iter| {

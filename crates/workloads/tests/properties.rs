@@ -317,6 +317,35 @@ proptest! {
         }
     }
 
+    /// `set_positions` rewinds: after arbitrary annealing steps, restoring
+    /// a snapshot reproduces the snapshot's cost and coordinates exactly,
+    /// and the slot map stays consistent (further exchanges still work).
+    #[test]
+    fn twolf_snapshot_rewind_round_trips(seed in any::<u64>()) {
+        let mut place = twolf::CellPlacement::generate(4, 6, 30, seed);
+        let mut m = WorkMeter::new();
+        let snapshot = place.pos.clone();
+        let cost_at_snapshot = place.total_cost(&mut m);
+        let mut rng = twolf::YacmRandom::new(seed ^ 0xF00D);
+        for _ in 0..15 {
+            twolf::uloop_iter(&mut place, &mut rng, 25.0, &mut m);
+        }
+        place.set_positions(&snapshot);
+        prop_assert_eq!(&place.pos, &snapshot);
+        prop_assert_eq!(place.total_cost(&mut m), cost_at_snapshot);
+        // The rebuilt slot map must support further exchanges without
+        // corrupting the bijection.
+        twolf::uloop_iter(&mut place, &mut rng, 25.0, &mut m);
+        let mut seen = vec![false; place.cell_count()];
+        for &(r, c) in &place.pos {
+            let i = r as usize * 6 + c as usize;
+            prop_assert!(!seen[i], "two cells share a slot");
+            seen[i] = true;
+        }
+    }
+
+    /// The full annealer is deterministic in its seed and only ever
+    /// improves or keeps the cost when the temperature floor is cold.
     #[test]
     fn twolf_uloop_is_seed_deterministic(seed in any::<u64>()) {
         let mut a = twolf::CellPlacement::generate(3, 5, 20, seed);
