@@ -27,10 +27,13 @@ pub const COMM_LATENCY: u64 = 10;
 /// dispatch/commit bookkeeping that the simulator does not price.
 pub const WORKER_TAX_PERMILLE: u64 = 30;
 
-/// Cycles every commit pays the versioned memory whatever the plan: a
-/// reclamation fold amortized over the substrate's cadence of 8
-/// (`24 / 8`) plus the lookup walk down the seven versions left
-/// un-reclaimed between folds (`2 × 7`).
+/// Cycles every commit pays the versioned memory whatever the plan. The
+/// figure is a reading of the substrate before it kept one version
+/// chain per address, when commit folded retired write buffers every
+/// 8th commit (`24 / 8`) and a lookup walked the seven buffers left
+/// between folds (`2 × 7`); that mechanism is gone, and the figure stays
+/// so scores stay bit-identical until ROADMAP 5 (a) replaces it with a
+/// measured commit cost.
 const COMMIT_COST: f64 = 17.0;
 
 /// Base cycles of one cross-worker conflict probe, scaled by the

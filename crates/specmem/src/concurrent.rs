@@ -12,27 +12,33 @@
 //! shares. Every operation takes `&self` and is safe to call from many
 //! threads at once:
 //!
-//! * **Address sharding.** Per-address state (write buffers, read sets,
-//!   committed values) is split across [`SHARD_COUNT`] shards by address
-//!   hash, each behind its own mutex, so accesses to different shards
-//!   never contend. A single read or write touches exactly one shard.
+//! * **One version chain per address.** Conflict is defined per
+//!   variable, so the state is indexed by address: each address has one
+//!   cell holding its committed value, the live versions' buffered
+//!   stores to it and the live versions' first observations of it, both
+//!   in version order. A lookup is a binary search in one cell; a write
+//!   re-validates only the later readers of that one address. Cells are
+//!   split across [`SHARD_COUNT`] shards by a multiplicative hash of the
+//!   address, each behind its own mutex, so accesses to different
+//!   shards never contend and a single read or write touches exactly
+//!   one shard.
 //! * **A global version registry** (`RwLock`) holds one handle per
 //!   active version: its squashed-by mark (an atomic, so a conflicting
 //!   writer in one shard can doom a version without taking any other
-//!   lock) and per-version operation counters. Lock order is always
-//!   registry → shard, never the reverse.
-//! * **Epoch-style reclamation of committed versions.** Commit does not
-//!   scatter a version's writes into a flat map immediately: the write
-//!   buffer is *retired* whole, tagged with the commit epoch, and stays
-//!   walkable (newest-retired-first) for lookups. A retired buffer is
-//!   folded into the flat base map only once every active version began
-//!   after it committed — i.e. once no concurrent version's lookups can
-//!   logically traverse it — mirroring epoch-based reclamation schemes.
-//!   [`ConcurrentVersionedMemory::pending_reclaim`] exposes the
-//!   retired-but-unfolded count.
+//!   lock), per-version operation counters and the addresses the
+//!   version holds entries at. Lock order is always registry → shard,
+//!   never the reverse.
+//! * **Commit and rollback visit only what the version touched.** The
+//!   oldest live version's entries lead every cell's lists, so commit
+//!   pops them and stores the written value as the committed value, at
+//!   each address the handle lists and nowhere else; it is published at
+//!   once, with nothing left to reclaim. Rollback removes the version's
+//!   entries the same way and squashes exactly the later readers whose
+//!   inherited value changed. A cell left holding nothing is dropped.
 //! * **Statistics stay exact under concurrency**: every counter in the
-//!   [`MemStats`] snapshot is an atomic updated inside the operation
-//!   that it counts.
+//!   [`MemStats`] snapshot is updated inside the operation that it
+//!   counts — an access's under the shard lock it already holds, the
+//!   rest in atomics.
 //!
 //! The intended executor protocol (one version per task attempt):
 //! workers [`begin`](ConcurrentVersionedMemory::begin) a version and
@@ -49,91 +55,40 @@
 use crate::memory::{Addr, CommitError, VersionId};
 use crate::stats::MemStats;
 use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default number of address shards. Sixteen keeps contention
 /// negligible for the executor's worker counts (≤ the machine's cores)
 /// without oversizing the lock table; a shard sweep ({1, 4, 16, 64}
 /// under 1–32 threads, PR 6) is how this default was chosen. Override
-/// it with [`ConcurrentVersionedMemory::with_config`].
+/// it with [`ConcurrentVersionedMemory::with_shards`].
 pub const SHARD_COUNT: usize = 16;
-
-/// Default epoch-reclamation cadence: retired write buffers are folded
-/// into the flat base map on every `RECLAIM_CADENCE`-th commit rather
-/// than on every commit. Folding is pure bookkeeping — lookups walk
-/// retired buffers either way — so batching it off the commit frontier
-/// shortens the frontier's critical section; BENCHMARKS.md records the
-/// measured win.
-pub const RECLAIM_CADENCE: u64 = 8;
-
-/// Construction-time tuning knobs for [`ConcurrentVersionedMemory`].
-///
-/// The two knobs the perf baseline profiles: how finely per-address
-/// state is sharded across mutexes, and how often commit folds retired
-/// write buffers into the flat base map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemConfig {
-    /// Address shard count. **A value of 0 is clamped to 1** — a
-    /// sharded map needs at least one shard, and rejecting 0 at every
-    /// call site would make the knob un-sweepable; the clamp is pinned
-    /// by a regression test.
-    pub shards: usize,
-    /// Fold retired buffers into the base map every this-many commits.
-    /// **A value of 0 is clamped to 1** (reclaim on every commit, the
-    /// eager pre-tuning behaviour).
-    pub reclaim_cadence: u64,
-}
-
-impl Default for MemConfig {
-    fn default() -> Self {
-        Self {
-            shards: SHARD_COUNT,
-            reclaim_cadence: RECLAIM_CADENCE,
-        }
-    }
-}
-
-/// Sentinel for "not squashed" in a handle's atomic squashed-by slot.
-const NOT_SQUASHED: u64 = u64::MAX;
 
 /// Sentinel for "no inline version active".
 const INLINE_NONE: u64 = u64::MAX;
 
 /// Per-version bookkeeping that must be reachable from any shard: the
-/// squashed-by mark and the attempt's operation counters.
-#[derive(Debug)]
+/// squashed-by mark, the attempt's operation counters and its footprint.
+#[derive(Debug, Default)]
 struct Handle {
-    /// Epoch at `begin` time; gates reclamation of retired buffers.
-    birth_epoch: u64,
-    /// `VersionId.0` of the squashing version, or [`NOT_SQUASHED`].
+    /// `1 + VersionId.0` of the squashing version, or 0.
     squashed_by: AtomicU64,
     reads: AtomicU64,
     forwards: AtomicU64,
     writes: AtomicU64,
     silent_stores: AtomicU64,
+    /// Every address whose cell holds an entry of this version: all
+    /// that commit and rollback visit.
+    touched: Footprint,
 }
 
 impl Handle {
-    fn new(birth_epoch: u64) -> Self {
-        Self {
-            birth_epoch,
-            squashed_by: AtomicU64::new(NOT_SQUASHED),
-            reads: AtomicU64::new(0),
-            forwards: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            silent_stores: AtomicU64::new(0),
-        }
-    }
-
     fn squashed_by(&self) -> Option<VersionId> {
         match self.squashed_by.load(Ordering::Acquire) {
-            NOT_SQUASHED => None,
-            by => Some(VersionId(by)),
+            0 => None,
+            by => Some(VersionId(by - 1)),
         }
     }
 
@@ -141,77 +96,156 @@ impl Handle {
     /// Returns whether this call won the race (counts the violation).
     fn mark_squashed(&self, by: VersionId) -> bool {
         self.squashed_by
-            .compare_exchange(NOT_SQUASHED, by.0, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(0, by.0 + 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 }
 
-/// One version's footprint within one shard.
+/// Addresses held in a [`Footprint`]'s slots before it spills.
+const FOOTPRINT_SLOTS: usize = 4;
+
+/// The addresses a version holds cell entries at, each recorded once.
+/// The first few sit in atomic slots, so recording one costs one atomic
+/// add and no allocation; the rest spill to a locked list.
 #[derive(Debug, Default)]
-struct ShardVersion {
-    writes: BTreeMap<Addr, u64>,
-    /// Address -> value observed at first read (or silent-store bet).
-    reads: HashMap<Addr, u64>,
+struct Footprint {
+    len: AtomicUsize,
+    slots: [AtomicU64; FOOTPRINT_SLOTS],
+    spill: Mutex<Vec<Addr>>,
 }
 
-/// The state of one address shard.
+impl Footprint {
+    fn record(&self, addr: Addr) {
+        match self.slots.get(self.len.fetch_add(1, Ordering::Relaxed)) {
+            Some(slot) => slot.store(addr.0, Ordering::Relaxed),
+            None => self.spill.lock().push(addr),
+        }
+    }
+
+    /// Every recorded address. Records happen under the registry read
+    /// lock and the footprint is taken apart under its write lock, which
+    /// orders every record before this.
+    fn into_addrs(self) -> impl Iterator<Item = Addr> {
+        let held = self.len.into_inner().min(FOOTPRINT_SLOTS);
+        let slots = self.slots.into_iter().take(held);
+        slots
+            .map(|slot| Addr(slot.into_inner()))
+            .chain(self.spill.into_inner())
+    }
+}
+
+/// `(VersionId.0, value)` entries of live versions, oldest first.
+type Chain = VecDeque<(u64, u64)>;
+
+/// The index of `v`'s entry in `chain`, if it has one.
+fn position(chain: &Chain, v: u64) -> Option<usize> {
+    let i = chain.partition_point(|&(w, _)| w < v);
+    chain.get(i).is_some_and(|&(w, _)| w == v).then_some(i)
+}
+
+/// Everything the memory knows about one address.
+#[derive(Debug, Default)]
+struct Cell {
+    /// The newest committed store, if any has committed.
+    committed: Option<u64>,
+    /// Live versions' buffered stores.
+    writers: Chain,
+    /// Live versions' first observations: reads, and the values of
+    /// elided silent stores (bets). A version that wrote first records
+    /// none.
+    readers: Chain,
+}
+
+impl Cell {
+    /// The value the writer before `writers[i]` left, else committed
+    /// state, else `0`.
+    fn before(&self, i: usize) -> u64 {
+        match i.checked_sub(1) {
+            Some(j) => self.writers[j].1,
+            None => self.committed.unwrap_or(0),
+        }
+    }
+
+    /// Records `v`'s first observation unless it already has one;
+    /// whether it did.
+    fn observe(&mut self, v: u64, value: u64) -> bool {
+        let i = self.readers.partition_point(|&(w, _)| w < v);
+        if self.readers.get(i).is_some_and(|&(w, _)| w == v) {
+            return false;
+        }
+        self.readers.insert(i, (v, value));
+        true
+    }
+
+    /// The later readers whose recorded observation disagrees with what
+    /// they now inherit, after the store at `v` changed to leave
+    /// `value`: those after `v` up to and including the next writer,
+    /// which all inherit `v`'s slot in the chain. A recorded observation
+    /// is by construction an inherited read, so this — not what the
+    /// reader sees now, which its own later store would shadow — is
+    /// what it is held to.
+    fn stale_readers(&self, v: u64, value: u64) -> impl Iterator<Item = u64> + '_ {
+        let next = self.writers.partition_point(|&(w, _)| w <= v);
+        let last = self.writers.get(next).map_or(u64::MAX, |&(w, _)| w);
+        let first = self.readers.partition_point(|&(w, _)| w <= v);
+        self.readers
+            .range(first..)
+            .take_while(move |&&(w, _)| w <= last)
+            .filter(move |&&(_, observed)| observed != value)
+            .map(|&(w, _)| w)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.committed.is_none() && self.writers.is_empty() && self.readers.is_empty()
+    }
+}
+
+/// Hashes an address with one multiply and fold instead of SipHash.
+/// Addresses come from the programs the executor runs, not from an
+/// adversary, and slot addresses are small consecutive integers the
+/// multiply spreads over the whole word; the fold brings the high half
+/// down to the low bits the map indexes by.
+#[derive(Debug, Default)]
+struct AddrHasher(u64);
+
+/// The one mix both the shard pick and the shard's map use.
+fn mix(addr: u64) -> u64 {
+    let x = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = mix(bytes.iter().fold(self.0, |h, &b| h << 8 | u64::from(b)));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(n);
+    }
+}
+
+/// One address shard: its cells, and what the accesses to them counted.
+/// An access already holds its shard's lock, so counting there costs no
+/// shared atomic.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Active versions' buffers, keyed by `VersionId.0` (commit order).
-    live: BTreeMap<u64, ShardVersion>,
-    /// Committed-but-unreclaimed write buffers: `version -> (commit
-    /// epoch, writes)`. Lookups walk these newest-first after the live
-    /// chain; reclamation folds the old prefix into `base`.
-    retired: BTreeMap<u64, (u64, BTreeMap<Addr, u64>)>,
-    /// Reclaimed committed state.
-    base: HashMap<Addr, u64>,
+    cells: HashMap<Addr, Cell, BuildHasherDefault<AddrHasher>>,
+    /// This shard's share of `reads`, `forwards`, `writes` and
+    /// `silent_stores`; the other fields stay 0.
+    ops: MemStats,
 }
 
-impl Shard {
-    /// The value visible to `v` at `addr` plus whether it was forwarded
-    /// from another active version's uncommitted buffer.
-    fn lookup(&self, v: VersionId, addr: Addr) -> (u64, bool) {
-        self.newest(Bound::Included(v.0), v, addr)
-    }
-
-    /// What `v` reads at `addr` before any write of its own: the newest
-    /// write among versions strictly *before* `v`, else committed
-    /// state. A recorded observation is by construction such a read, so
-    /// this — not [`lookup`](Shard::lookup), which `v`'s own later store
-    /// to `addr` would shadow — is what it is re-validated against.
-    fn inherited(&self, v: VersionId, addr: Addr) -> u64 {
-        self.newest(Bound::Excluded(v.0), v, addr).0
-    }
-
-    /// The newest write to `addr` among live versions up to `upto`,
-    /// else the committed value, else `0`; the flag is whether a
-    /// version other than `v` supplied it.
-    fn newest(&self, upto: Bound<u64>, v: VersionId, addr: Addr) -> (u64, bool) {
-        let chain = self.live.range((Bound::Unbounded, upto));
-        if let Some((id, value)) = chain
-            .rev()
-            .find_map(|(id, sv)| sv.writes.get(&addr).map(|&value| (*id, value)))
-        {
-            return (value, id != v.0);
-        }
-        let committed = self
-            .retired
-            .values()
-            .rev()
-            .find_map(|(_, writes)| writes.get(&addr))
-            .or_else(|| self.base.get(&addr));
-        (committed.copied().unwrap_or(0), false)
-    }
-}
-
-/// Atomic twins of every [`MemStats`] counter.
+/// Atomic twins of the [`MemStats`] counters no shard keeps, plus the
+/// reads and writes inline stretches fold in.
 #[derive(Debug, Default)]
 struct AtomicStats {
     begins: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
-    forwards: AtomicU64,
-    silent_stores: AtomicU64,
     violations: AtomicU64,
     commits: AtomicU64,
     rollbacks: AtomicU64,
@@ -223,11 +257,10 @@ impl AtomicStats {
             begins: self.begins.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
-            forwards: self.forwards.load(Ordering::Relaxed),
-            silent_stores: self.silent_stores.load(Ordering::Relaxed),
             violations: self.violations.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
+            ..MemStats::default()
         }
     }
 }
@@ -376,30 +409,17 @@ pub struct VersionProbe {
 pub struct ConcurrentVersionedMemory {
     /// Active versions, keyed by `VersionId.0`. Lock order: registry
     /// before any shard.
-    registry: RwLock<BTreeMap<u64, Arc<Handle>>>,
+    registry: RwLock<BTreeMap<u64, Handle>>,
     shards: Vec<Mutex<Shard>>,
-    /// Advances on every commit; versions stamp it at begin.
-    epoch: AtomicU64,
     /// `1 + VersionId.0` of the newest committed version (0 = none):
     /// guards against recycling a committed id.
     committed_watermark: AtomicU64,
-    /// Retired buffers folded into base so far.
-    reclaimed: AtomicU64,
-    /// Retired-but-unfolded buffers across all shards (a cheap gate so
-    /// quiescing skips the shard walk when nothing is pending).
-    retired_count: AtomicU64,
     /// `VersionId.0` of the active inline version, or [`INLINE_NONE`].
     /// Checked first (one relaxed load) by `read`/`write`.
     inline: AtomicU64,
     /// The inline stretch's accumulated writes. Lock order:
     /// registry → `inline_buf` → shard.
     inline_buf: Mutex<InlineBuf>,
-    /// Commits since the last reclamation pass (only mutated under the
-    /// registry write lock a commit holds, so plain atomics with
-    /// relaxed ordering are race-free here).
-    commits_since_reclaim: AtomicU64,
-    /// Reclaim every this-many commits (≥ 1).
-    reclaim_cadence: u64,
     stats: AtomicStats,
 }
 
@@ -410,39 +430,25 @@ impl Default for ConcurrentVersionedMemory {
 }
 
 impl ConcurrentVersionedMemory {
-    /// Creates an empty memory (all addresses read as `0`) with the
-    /// default [`MemConfig`].
+    /// Creates an empty memory (all addresses read as `0`) with
+    /// [`SHARD_COUNT`] shards.
     pub fn new() -> Self {
-        Self::with_config(MemConfig::default())
+        Self::with_shards(SHARD_COUNT)
     }
 
-    /// Creates an empty memory with `shards` address shards and the
-    /// default reclamation cadence. Shorthand for
-    /// [`with_config`](Self::with_config); the same 0-clamps-to-1 rule
-    /// applies.
+    /// Creates an empty memory with `shards` address shards. **A value
+    /// of 0 is clamped to 1** — a sharded map needs at least one shard,
+    /// and rejecting 0 at every call site would make the count
+    /// un-sweepable; the clamp is pinned by a regression test.
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_config(MemConfig {
-            shards,
-            ..MemConfig::default()
-        })
-    }
-
-    /// Creates an empty memory tuned by `config`. Zero shard counts and
-    /// zero cadences are clamped to 1 (see [`MemConfig`]).
-    pub fn with_config(config: MemConfig) -> Self {
         Self {
             registry: RwLock::new(BTreeMap::new()),
-            shards: (0..config.shards.max(1))
+            shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
-            epoch: AtomicU64::new(0),
             committed_watermark: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
-            retired_count: AtomicU64::new(0),
             inline: AtomicU64::new(INLINE_NONE),
             inline_buf: Mutex::new(InlineBuf::default()),
-            commits_since_reclaim: AtomicU64::new(0),
-            reclaim_cadence: config.reclaim_cadence.max(1),
             stats: AtomicStats::default(),
         }
     }
@@ -452,10 +458,10 @@ impl ConcurrentVersionedMemory {
         self.shards.len()
     }
 
+    /// The shard of `addr`, picked by the high half of its mix so the
+    /// shard's map still sees every low bit vary.
     fn shard(&self, addr: Addr) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        addr.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[(mix(addr.0) >> 32) as usize % self.shards.len()]
     }
 
     /// Opens a new speculative version.
@@ -478,17 +484,17 @@ impl ConcurrentVersionedMemory {
         // can never observe pre-stretch state or route its ops through
         // the overlay. (The executor also closes eagerly via
         // `end_inline`; this keeps correctness independent of that
-        // courtesy.)
-        self.inline.store(INLINE_NONE, Ordering::Release);
-        self.flush_inline();
-        let handle = Arc::new(Handle::new(self.epoch.load(Ordering::Acquire)));
-        let prev = reg.insert(v.0, handle);
+        // courtesy.) With no stretch open the overlay is empty.
+        if self.inline.swap(INLINE_NONE, Ordering::AcqRel) != INLINE_NONE {
+            self.flush_inline();
+        }
+        let prev = reg.insert(v.0, Handle::default());
         assert!(prev.is_none(), "version {v} is already active");
         self.stats.begins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Opens `v` on the **inline fast path**: no registry handle, no
-    /// per-version shard buffers — reads and writes go through one flat
+    /// per-version cell entries — reads and writes go through one flat
     /// overlay. Only legal when the memory is quiescent (no active
     /// version); returns `false` without opening anything otherwise, and
     /// the caller must fall back to [`begin`](Self::begin).
@@ -529,12 +535,6 @@ impl ConcurrentVersionedMemory {
             INLINE_NONE,
             "inline version already open"
         );
-        // Quiesce: fold retired buffers into the flat base map so it is
-        // authoritative for inline reads and the eventual flush (a
-        // retired buffer would otherwise shadow flushed values).
-        if self.retired_count.load(Ordering::Acquire) > 0 {
-            self.reclaim(&reg);
-        }
         self.inline_buf.lock().version_writes = 0;
         self.inline.store(v.0, Ordering::Release);
         self.stats.begins.fetch_add(1, Ordering::Relaxed);
@@ -583,10 +583,9 @@ impl ConcurrentVersionedMemory {
         self.flush_inline();
     }
 
-    /// Publishes the inline overlay into the base map. Retired buffers
-    /// are empty whenever the overlay is non-empty (the stretch began
-    /// quiescent and nothing committed through shards since), so base
-    /// inserts cannot be shadowed.
+    /// Publishes the inline overlay into committed state. The stretch
+    /// began quiescent and no version has begun since, so no cell holds
+    /// a live entry the new committed values could slip under.
     fn flush_inline(&self) {
         let mut buf = self.inline_buf.lock();
         buf.fold_counters(&self.stats);
@@ -594,7 +593,8 @@ impl ConcurrentVersionedMemory {
             return;
         }
         for (addr, value) in buf.drain() {
-            self.shard(addr).lock().base.insert(addr, value);
+            let mut shard = self.shard(addr).lock();
+            shard.cells.entry(addr).or_default().committed = Some(value);
         }
     }
 
@@ -614,14 +614,11 @@ impl ConcurrentVersionedMemory {
 
     /// The committed value at `addr`, if any write has ever committed.
     pub fn committed(&self, addr: Addr) -> Option<u64> {
-        let shard = self.shard(addr).lock();
-        shard
-            .retired
-            .values()
-            .rev()
-            .find_map(|(_, writes)| writes.get(&addr))
-            .or_else(|| shard.base.get(&addr))
-            .copied()
+        self.shard(addr)
+            .lock()
+            .cells
+            .get(&addr)
+            .and_then(|c| c.committed)
     }
 
     /// Reads `addr` from version `v`, recording the first observation in
@@ -647,17 +644,20 @@ impl ConcurrentVersionedMemory {
         let handle = reg
             .get(&v.0)
             .unwrap_or_else(|| panic!("read from inactive version {v}"));
-        let mut shard = self.shard(addr).lock();
-        let (value, forwarded) = shard.lookup(v, addr);
-        if forwarded {
-            self.stats.forwards.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.shard(addr).lock();
+        let shard = &mut *guard;
+        let cell = shard.cells.entry(addr).or_default();
+        let i = cell.writers.partition_point(|&(w, _)| w <= v.0);
+        let value = cell.before(i);
+        let own = i > 0 && cell.writers[i - 1].0 == v.0;
+        if i > 0 && !own {
+            shard.ops.forwards += 1;
             handle.forwards.fetch_add(1, Ordering::Relaxed);
         }
-        let sv = shard.live.entry(v.0).or_default();
-        if !sv.writes.contains_key(&addr) {
-            sv.reads.entry(addr).or_insert(value);
+        if !own && cell.observe(v.0, value) {
+            handle.touched.record(addr);
         }
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        shard.ops.reads += 1;
         handle.reads.fetch_add(1, Ordering::Relaxed);
         value
     }
@@ -672,9 +672,10 @@ impl ConcurrentVersionedMemory {
     /// squashes `v`). A store over `v`'s own previous write is never
     /// silent.
     ///
-    /// A genuine store eagerly invalidates every later active version
-    /// whose recorded observation of `addr` no longer matches what it
-    /// would now read, returning the versions squashed by this call.
+    /// A genuine store eagerly invalidates every later active reader of
+    /// `addr` whose recorded observation no longer matches what it
+    /// would now read, returning the versions squashed by this call in
+    /// ascending order.
     ///
     /// # Panics
     ///
@@ -691,55 +692,47 @@ impl ConcurrentVersionedMemory {
         let handle = reg
             .get(&v.0)
             .unwrap_or_else(|| panic!("write from inactive version {v}"));
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
         handle.writes.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(addr).lock();
-        let (visible, _) = shard.lookup(v, addr);
-        let own = shard
-            .live
-            .get(&v.0)
-            .is_some_and(|sv| sv.writes.contains_key(&addr));
-        if visible == value && !own {
-            self.stats.silent_stores.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.shard(addr).lock();
+        let shard = &mut *guard;
+        shard.ops.writes += 1;
+        let cell = shard.cells.entry(addr).or_default();
+        let i = cell.writers.partition_point(|&(w, _)| w < v.0);
+        if cell.writers.get(i).is_some_and(|&(w, _)| w == v.0) {
+            cell.writers[i].1 = value;
+        } else if cell.before(i) == value {
+            shard.ops.silent_stores += 1;
             handle.silent_stores.fetch_add(1, Ordering::Relaxed);
-            shard
-                .live
-                .entry(v.0)
-                .or_default()
-                .reads
-                .entry(addr)
-                .or_insert(value);
+            if cell.observe(v.0, value) {
+                handle.touched.record(addr);
+            }
             return Vec::new();
-        }
-        shard
-            .live
-            .entry(v.0)
-            .or_default()
-            .writes
-            .insert(addr, value);
-        // Eager conflict detection against later readers of this shard.
-        let laters: Vec<u64> = shard
-            .live
-            .range((Bound::Excluded(v.0), Bound::Unbounded))
-            .map(|(id, _)| *id)
-            .collect();
-        let mut squashed = Vec::new();
-        for w in laters {
-            let observed = shard.live[&w].reads.get(&addr).copied();
-            let Some(observed) = observed else { continue };
-            let visible_now = shard.inherited(VersionId(w), addr);
-            if observed != visible_now {
-                // The registry read lock we hold keeps `w`'s handle
-                // alive: commit/rollback remove versions only under the
-                // registry write lock.
-                let doomed = reg.get(&w).expect("live version has a handle");
-                if doomed.mark_squashed(v) {
-                    self.stats.violations.fetch_add(1, Ordering::Relaxed);
-                    squashed.push(VersionId(w));
-                }
+        } else {
+            cell.writers.insert(i, (v.0, value));
+            if position(&cell.readers, v.0).is_none() {
+                handle.touched.record(addr);
             }
         }
-        squashed
+        // Eager conflict detection against this address's later readers.
+        // The registry read lock we hold keeps their handles in place:
+        // commit/rollback remove versions only under the write lock.
+        cell.stale_readers(v.0, value)
+            .filter(|w| self.doom(&reg, *w, v))
+            .map(VersionId)
+            .collect()
+    }
+
+    /// Marks live version `w` squashed by `by`; whether this call did it
+    /// (and counted the violation) rather than an earlier one.
+    fn doom(&self, reg: &BTreeMap<u64, Handle>, w: u64, by: VersionId) -> bool {
+        let doomed = reg
+            .get(&w)
+            .expect("a cell entry's version has a handle")
+            .mark_squashed(by);
+        if doomed {
+            self.stats.violations.fetch_add(1, Ordering::Relaxed);
+        }
+        doomed
     }
 
     /// Checks whether `v` could commit right now, without committing:
@@ -757,9 +750,8 @@ impl ConcurrentVersionedMemory {
         self.commit_check_batch(&[v]).1.map_or(Ok(()), Err)
     }
 
-    /// Attempts to commit `v`, retiring its write buffer into committed
-    /// state (published immediately; *reclaimed* into the flat base map
-    /// once every active version postdates this commit).
+    /// Attempts to commit `v`, publishing its buffered stores into
+    /// committed state at once.
     /// [`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)
     /// at k = 1.
     ///
@@ -772,18 +764,14 @@ impl ConcurrentVersionedMemory {
     ///   with [`rollback`](ConcurrentVersionedMemory::rollback) and
     ///   re-execute.
     pub fn try_commit(&self, v: VersionId) -> Result<(), CommitError> {
-        self.commit_prefix(&[v], |_| {}).map_or(Ok(()), Err)
+        self.try_commit_batch(&[v]).1.map_or(Ok(()), Err)
     }
 
     /// The commit rule, stated once: how many of `vs` (a consecutive
     /// frontier run, oldest first) could commit right now assuming each
     /// earlier element does, and the verdict on the first that could
-    /// not. `passed` sees the handle of every version that can.
-    fn committable(
-        reg: &BTreeMap<u64, Arc<Handle>>,
-        vs: &[VersionId],
-        mut passed: impl FnMut(&Handle),
-    ) -> (usize, Option<CommitError>) {
+    /// not.
+    fn committable(reg: &BTreeMap<u64, Handle>, vs: &[VersionId]) -> (usize, Option<CommitError>) {
         let mut oldest = reg.keys();
         for (i, v) in vs.iter().enumerate() {
             let Some(handle) = reg.get(&v.0) else {
@@ -797,7 +785,6 @@ impl ConcurrentVersionedMemory {
             if oldest.next() != Some(&v.0) {
                 return (i, Some(CommitError::NotOldest));
             }
-            passed(handle);
         }
         (vs.len(), None)
     }
@@ -813,165 +800,101 @@ impl ConcurrentVersionedMemory {
     /// returned count; `None` means the whole run is committable.
     #[must_use]
     pub fn commit_check_batch(&self, vs: &[VersionId]) -> (usize, Option<CommitError>) {
-        Self::committable(&self.registry.read(), vs, |_| {})
+        Self::committable(&self.registry.read(), vs)
     }
 
     /// Commits the longest committable prefix of `vs` (a consecutive
     /// frontier run, oldest first) under a *single* registry write-lock
-    /// acquisition and one pass over each shard, returning the number
-    /// of published write-buffer entries for every committed version
-    /// plus the error for the first version that could not commit.
+    /// acquisition, returning for every committed version the number of
+    /// addresses whose buffered store it published (silent stores and
+    /// repeated stores to one address publish nothing more), plus the
+    /// error for the first version that could not commit.
     ///
-    /// Each version receives its own retirement epoch tag, the commit
-    /// watermark advances past the last committed version, and
-    /// reclamation cadence accounting counts every commit — observable
-    /// state is identical to committing the versions one at a time;
-    /// only the lock traffic is amortized.
+    /// Observable state is identical to committing the versions one at
+    /// a time; only the lock traffic is amortized.
     #[must_use]
     pub fn try_commit_batch(&self, vs: &[VersionId]) -> (Vec<u64>, Option<CommitError>) {
-        let mut writes = Vec::new();
-        let stopped = self.commit_prefix(vs, |w| writes.push(w));
-        (writes, stopped)
-    }
-
-    /// The one commit routine: publishes the committable prefix of `vs`,
-    /// reporting each committed version's write count to `published`
-    /// (the counter `probe` reports, captured before the handle leaves
-    /// the registry), and returns what stopped the run.
-    fn commit_prefix(
-        &self,
-        vs: &[VersionId],
-        mut published: impl FnMut(u64),
-    ) -> Option<CommitError> {
         let mut reg = self.registry.write();
-        let (n, stopped) = Self::committable(&reg, vs, |handle| {
-            published(handle.writes.load(Ordering::Relaxed));
-        });
-        let run = &vs[..n];
-        let Some(last) = run.last() else {
-            return stopped;
-        };
-        for v in run {
-            reg.remove(&v.0);
-        }
-        // One epoch block for the run; tags stay strictly increasing in
-        // commit order.
-        let base = self.epoch.fetch_add(run.len() as u64, Ordering::AcqRel);
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for (i, v) in run.iter().enumerate() {
-                if let Some(sv) = shard.live.remove(&v.0) {
-                    if !sv.writes.is_empty() {
-                        shard.retired.insert(v.0, (base + i as u64, sv.writes));
-                        self.retired_count.fetch_add(1, Ordering::Release);
+        let (n, stopped) = Self::committable(&reg, vs);
+        let published = vs[..n]
+            .iter()
+            .map(|v| {
+                let handle = reg.remove(&v.0).expect("a committable version is active");
+                // `v` is the oldest live version, so its entries lead
+                // every list it is in.
+                let mut published = 0;
+                for addr in handle.touched.into_addrs() {
+                    let mut shard = self.shard(addr).lock();
+                    let cell = shard
+                        .cells
+                        .get_mut(&addr)
+                        .expect("a touched address has a cell");
+                    if cell.writers.front().is_some_and(|&(w, _)| w == v.0) {
+                        cell.committed = cell.writers.pop_front().map(|(_, value)| value);
+                        published += 1;
+                    }
+                    if cell.readers.front().is_some_and(|&(w, _)| w == v.0) {
+                        cell.readers.pop_front();
+                    }
+                    if cell.is_empty() {
+                        shard.cells.remove(&addr);
                     }
                 }
-            }
+                published
+            })
+            .collect();
+        if let Some(last) = vs[..n].last() {
+            self.committed_watermark
+                .store(last.0 + 1, Ordering::Release);
+            self.stats.commits.fetch_add(n as u64, Ordering::Relaxed);
         }
-        self.committed_watermark
-            .store(last.0 + 1, Ordering::Release);
-        self.stats
-            .commits
-            .fetch_add(run.len() as u64, Ordering::Relaxed);
-        // Reclamation is batched: folding retired buffers is pure
-        // bookkeeping (lookups walk them either way), so it runs only
-        // every `reclaim_cadence`-th commit to keep the in-order commit
-        // frontier's critical section short.
-        let since = self
-            .commits_since_reclaim
-            .fetch_add(run.len() as u64, Ordering::Relaxed)
-            + run.len() as u64;
-        if since >= self.reclaim_cadence {
-            self.commits_since_reclaim.store(0, Ordering::Relaxed);
-            self.reclaim(&reg);
-        }
-        stopped
-    }
-
-    /// Folds retired buffers that predate every active version into the
-    /// base map, oldest-first (the fold must be a prefix so newer
-    /// retired writes keep shadowing older ones during lookups).
-    fn reclaim(&self, reg: &BTreeMap<u64, Arc<Handle>>) {
-        let min_birth = reg
-            .values()
-            .map(|h| h.birth_epoch)
-            .min()
-            .unwrap_or(u64::MAX);
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            while let Some((&version, &(tag, _))) = shard.retired.iter().next() {
-                if tag >= min_birth {
-                    break;
-                }
-                let (_, writes) = shard.retired.remove(&version).expect("peeked entry");
-                for (addr, value) in writes {
-                    shard.base.insert(addr, value);
-                }
-                self.reclaimed.fetch_add(1, Ordering::Relaxed);
-                self.retired_count.fetch_sub(1, Ordering::Release);
-            }
-        }
+        (published, stopped)
     }
 
     /// Discards version `v` entirely (its writes never happened). Later
     /// versions whose recorded observations no longer match — they
     /// consumed a now-revoked forwarded value — are squashed, and
-    /// returned.
+    /// returned in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not active.
     pub fn rollback(&self, v: VersionId) -> Vec<VersionId> {
         let mut reg = self.registry.write();
-        reg.remove(&v.0)
+        let handle = reg
+            .remove(&v.0)
             .unwrap_or_else(|| panic!("rollback of inactive {v}"));
         self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
-        let reg = &*reg;
         let mut squashed = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let Some(removed) = shard.live.remove(&v.0) else {
-                continue;
-            };
-            let laters: Vec<u64> = shard
-                .live
-                .range((Bound::Excluded(v.0), Bound::Unbounded))
-                .map(|(id, _)| *id)
-                .collect();
-            for w in laters {
-                for addr in removed.writes.keys() {
-                    let Some(&observed) = shard.live[&w].reads.get(addr) else {
-                        continue;
-                    };
-                    let visible_now = shard.inherited(VersionId(w), *addr);
-                    if observed != visible_now {
-                        let doomed = reg.get(&w).expect("live version has a handle");
-                        if doomed.mark_squashed(v) {
-                            self.stats.violations.fetch_add(1, Ordering::Relaxed);
-                            squashed.push(VersionId(w));
-                        }
-                        break;
-                    }
-                }
+        for addr in handle.touched.into_addrs() {
+            let mut shard = self.shard(addr).lock();
+            let cell = shard
+                .cells
+                .get_mut(&addr)
+                .expect("a touched address has a cell");
+            if let Some(i) = position(&cell.writers, v.0) {
+                cell.writers.remove(i);
+                let exposed = cell.before(i);
+                squashed.extend(
+                    cell.stale_readers(v.0, exposed)
+                        .filter(|w| self.doom(&reg, *w, v))
+                        .map(VersionId),
+                );
+            }
+            if let Some(i) = position(&cell.readers, v.0) {
+                cell.readers.remove(i);
+            }
+            if cell.is_empty() {
+                shard.cells.remove(&addr);
             }
         }
+        squashed.sort_unstable();
         squashed
     }
 
     /// The number of currently active versions.
     pub fn active_count(&self) -> usize {
         self.registry.read().len()
-    }
-
-    /// Committed write buffers retired but not yet folded into the base
-    /// map (awaiting epoch reclamation), summed over shards.
-    pub fn pending_reclaim(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().retired.len()).sum()
-    }
-
-    /// Retired buffers reclaimed (folded into the base map) so far.
-    pub fn reclaimed_versions(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
     }
 
     /// A snapshot of `v`'s operation counters, or `None` if `v` is not
@@ -998,7 +921,15 @@ impl ConcurrentVersionedMemory {
     /// (individual counters are exact; cross-counter invariants may be
     /// mid-update while other threads operate).
     pub fn stats(&self) -> MemStats {
-        self.stats.snapshot()
+        let mut total = self.stats.snapshot();
+        for shard in &self.shards {
+            let ops = shard.lock().ops;
+            total.reads += ops.reads;
+            total.forwards += ops.forwards;
+            total.writes += ops.writes;
+            total.silent_stores += ops.silent_stores;
+        }
+        total
     }
 }
 
@@ -1127,30 +1058,103 @@ mod tests {
         }
     }
 
+    /// A commit publishes the version's stores at once, while later
+    /// versions that read them are still live: they go on reading the
+    /// same values, now from committed state rather than forwarded.
     #[test]
-    fn epoch_reclamation_folds_only_prefixes_no_active_version_needs() {
-        // Cadence 1 = the eager pre-tuning behaviour this test pins.
-        let m = ConcurrentVersionedMemory::with_config(MemConfig {
-            reclaim_cadence: 1,
-            ..MemConfig::default()
-        });
-        m.begin(VersionId(0));
+    fn commit_publishes_at_once_under_live_readers() {
+        let m = ConcurrentVersionedMemory::new();
+        for v in 0..3 {
+            m.begin(VersionId(v));
+        }
         m.write(VersionId(0), Addr(1), 10);
-        // v1 begins BEFORE v0 commits: its birth epoch pins v0's buffer.
-        m.begin(VersionId(1));
-        m.write(VersionId(1), Addr(2), 20);
-        m.try_commit(VersionId(0)).unwrap();
-        assert_eq!(m.pending_reclaim(), 1, "v1 still pins v0's buffer");
         assert_eq!(m.read(VersionId(1), Addr(1)), 10);
+        assert_eq!(m.stats().forwards, 1);
+        m.try_commit(VersionId(0)).unwrap();
+        assert_eq!(m.committed(Addr(1)), Some(10), "published at commit");
+        assert_eq!(m.read(VersionId(2), Addr(1)), 10);
+        assert_eq!(m.stats().forwards, 1, "committed state, not a forward");
+        // A later store still squashes a live reader of the committed
+        // value, and only the one that read too early.
+        assert_eq!(m.write(VersionId(1), Addr(1), 11), vec![VersionId(2)]);
         m.try_commit(VersionId(1)).unwrap();
-        // No active versions: the next commit's reclaim folds everything.
-        m.begin(VersionId(2));
-        m.try_commit(VersionId(2)).unwrap();
-        assert_eq!(m.pending_reclaim(), 0);
-        assert_eq!(m.reclaimed_versions(), 2);
-        // Folding preserved newest-wins visibility.
-        assert_eq!(m.committed(Addr(1)), Some(10));
-        assert_eq!(m.committed(Addr(2)), Some(20));
+        assert_eq!(m.committed(Addr(1)), Some(11));
+        assert!(m.is_squashed(VersionId(2)));
+    }
+
+    /// Three writers on one address: rolling back the middle one hands
+    /// its readers the oldest writer's value, so exactly the readers
+    /// that consumed the middle value squash — including the newest
+    /// writer, which read before it wrote — and nobody reading the
+    /// oldest or the newest value does.
+    #[test]
+    fn rolling_back_a_middle_writer_reexposes_the_older_value() {
+        let m = ConcurrentVersionedMemory::new();
+        for v in 0..7 {
+            m.begin(VersionId(v));
+        }
+        let a = Addr(3);
+        m.write(VersionId(0), a, 1);
+        m.write(VersionId(2), a, 2);
+        assert_eq!(m.read(VersionId(1), a), 1);
+        // A silent-store bet on the middle value is a read of it too.
+        assert!(m.write(VersionId(3), a, 2).is_empty());
+        assert_eq!(m.read(VersionId(4), a), 2);
+        m.write(VersionId(4), a, 3);
+        assert_eq!(m.read(VersionId(5), a), 3);
+        assert_eq!(m.rollback(VersionId(2)), vec![VersionId(3), VersionId(4)]);
+        for (v, doomed) in [(0, false), (1, false), (3, true), (4, true), (5, false)] {
+            assert_eq!(m.is_squashed(VersionId(v)), doomed, "v{v}");
+        }
+        assert_eq!(m.read(VersionId(6), a), 3, "the newest store still wins");
+        m.try_commit(VersionId(0)).unwrap();
+        m.try_commit(VersionId(1)).unwrap();
+        assert_eq!(m.committed(a), Some(1));
+    }
+
+    /// A commit reports the stores it published: none for a version
+    /// whose every store was silent, one for two stores to one address.
+    #[test]
+    fn commit_reports_the_writer_entries_it_folded() {
+        let m = ConcurrentVersionedMemory::new();
+        let (v0, v1) = (VersionId(0), VersionId(1));
+        m.begin(v0);
+        m.begin(v1);
+        assert!(m.write(v0, Addr(1), 0).is_empty());
+        assert!(m.write(v0, Addr(2), 0).is_empty());
+        m.write(v1, Addr(1), 5);
+        m.write(v1, Addr(1), 6);
+        assert_eq!(m.probe(v0).map(|p| p.writes), Some(2));
+        assert_eq!(m.probe(v1).map(|p| p.writes), Some(2));
+        assert_eq!(m.try_commit_batch(&[v0, v1]), (vec![0, 1], None));
+        assert_eq!(m.committed(Addr(1)), Some(6));
+        assert_eq!(
+            m.committed(Addr(2)),
+            None,
+            "a silent store publishes nothing"
+        );
+    }
+
+    /// A version that touches more addresses than its footprint has
+    /// slots still commits, and rolls back, at every one of them.
+    #[test]
+    fn a_wide_footprint_commits_and_rolls_back_every_address() {
+        let m = ConcurrentVersionedMemory::new();
+        let wide = 3 * FOOTPRINT_SLOTS as u64;
+        for v in 0..3 {
+            m.begin(VersionId(v));
+        }
+        for a in 0..wide {
+            m.write(VersionId(0), Addr(a), a + 1);
+            m.write(VersionId(1), Addr(a), a + 2);
+            assert_eq!(m.read(VersionId(2), Addr(a)), a + 2);
+        }
+        let squashed = m.rollback(VersionId(1));
+        assert_eq!(squashed, vec![VersionId(2)]);
+        assert_eq!(m.try_commit_batch(&[VersionId(0)]), (vec![wide], None));
+        for a in 0..wide {
+            assert_eq!(m.committed(Addr(a)), Some(a + 1), "addr {a}");
+        }
     }
 
     #[test]
@@ -1178,31 +1182,6 @@ mod tests {
             assert_eq!(m.read(VersionId(1), Addr(5)), 0);
             let squashed = m.write(VersionId(0), Addr(5), 9);
             assert_eq!(squashed, vec![VersionId(1)], "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn reclaim_cadence_batches_folding_without_changing_visibility() {
-        let m = ConcurrentVersionedMemory::with_config(MemConfig {
-            shards: 4,
-            reclaim_cadence: 4,
-        });
-        // Four committed writers, no concurrent pinners: with cadence 1
-        // all would fold immediately; with cadence 4 the first three
-        // commits leave buffers retired-but-walkable.
-        for i in 0..3u64 {
-            m.begin(VersionId(i));
-            m.write(VersionId(i), Addr(i), i + 10);
-            m.try_commit(VersionId(i)).unwrap();
-            assert_eq!(m.committed(Addr(i)), Some(i + 10), "visible pre-fold");
-        }
-        assert_eq!(m.pending_reclaim(), 3, "cadence defers folding");
-        m.begin(VersionId(3));
-        m.write(VersionId(3), Addr(3), 13);
-        m.try_commit(VersionId(3)).unwrap();
-        assert_eq!(m.pending_reclaim(), 0, "4th commit folds everything");
-        for i in 0..4u64 {
-            assert_eq!(m.committed(Addr(i)), Some(i + 10), "visible post-fold");
         }
     }
 

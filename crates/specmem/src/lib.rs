@@ -20,7 +20,8 @@
 //! * versions commit strictly in order, publishing their buffers.
 //!
 //! Every operation takes `&self`; the [`concurrent`] module documents the
-//! sharding, the registry and the reclamation that make that safe.
+//! per-address version chains, the sharding and the registry that make
+//! that safe.
 //!
 //! # Example
 //!
@@ -53,6 +54,6 @@ pub mod concurrent;
 pub mod memory;
 pub mod stats;
 
-pub use concurrent::{ConcurrentVersionedMemory, MemConfig, VersionProbe};
+pub use concurrent::{ConcurrentVersionedMemory, VersionProbe};
 pub use memory::{Addr, CommitError, VersionId};
 pub use stats::MemStats;

@@ -17,10 +17,13 @@
 //! single-threaded in program order, where nothing may ever squash. All
 //! must land on the state of the model interpreter ([`interpret`]): the
 //! reference is twenty lines over a flat map, not a second memory.
+//! Deep chains — dozens of versions live on a handful of addresses —
+//! are driven the executor's way instead, by [`check_pipelined`].
 
 use proptest::prelude::*;
 use seqpar_specmem::{Addr, CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 /// One memory operation of a version's program.
@@ -34,6 +37,24 @@ enum Op {
     /// `dst = read(src) + delta` — the read-dependent write that makes
     /// stale reads observable in committed state.
     Accum { src: u64, dst: u64, delta: u64 },
+}
+
+impl Op {
+    /// The same operation on addresses folded into `0..addrs`.
+    fn within(self, addrs: u64) -> Self {
+        match self {
+            Op::Read { addr } => Op::Read { addr: addr % addrs },
+            Op::Put { addr, val } => Op::Put {
+                addr: addr % addrs,
+                val,
+            },
+            Op::Accum { src, dst, delta } => Op::Accum {
+                src: src % addrs,
+                dst: dst % addrs,
+                delta,
+            },
+        }
+    }
 }
 
 fn op_strategy(addrs: u64) -> impl Strategy<Value = Op> {
@@ -196,6 +217,86 @@ fn check_concurrent(
     }
 }
 
+/// The longest frontier run one commit takes, as the executor's.
+const COMMIT_RUN: usize = 16;
+
+/// Drives `programs` the executor's way: two worker threads take
+/// versions in id order and run them, while this thread commits the
+/// finished prefix through `commit_check_batch` / `try_commit_batch` in
+/// runs of up to [`COMMIT_RUN`], rolling back and replaying (at the
+/// frontier, where nothing can squash it again) every version a
+/// conflict squashed. Panics if the committed state is not `expected`.
+fn check_pipelined(
+    mem: &ConcurrentVersionedMemory,
+    programs: &[Vec<Op>],
+    expected: &HashMap<u64, u64>,
+) {
+    let next = AtomicUsize::new(0);
+    let done: Vec<AtomicBool> = programs.iter().map(|_| AtomicBool::new(false)).collect();
+    let barrier = Barrier::new(2);
+    let mut replays = 0;
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                barrier.wait();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(program) = programs.get(i) else {
+                        break;
+                    };
+                    run_attempt(mem, VersionId(i as u64), program);
+                    done[i].store(true, Ordering::Release);
+                }
+            });
+        }
+        let mut frontier = 0;
+        while frontier < programs.len() {
+            let run: Vec<VersionId> = (frontier..programs.len())
+                .take(COMMIT_RUN)
+                .take_while(|&i| done[i].load(Ordering::Acquire))
+                .map(|i| VersionId(i as u64))
+                .collect();
+            if run.is_empty() {
+                std::thread::yield_now();
+                continue;
+            }
+            let (ready, stopped) = mem.commit_check_batch(&run);
+            let (published, left) = mem.try_commit_batch(&run[..ready]);
+            assert_eq!(
+                (published.len(), left),
+                (ready, None),
+                "a checked run commits"
+            );
+            frontier += ready;
+            match stopped {
+                None => {}
+                Some(CommitError::Squashed { .. }) => {
+                    let v = run[ready];
+                    mem.rollback(v);
+                    replays += 1;
+                    run_attempt(mem, v, &programs[frontier]);
+                }
+                Some(e) => panic!("commit of {} failed: {e}", run[ready]),
+            }
+        }
+    });
+    assert!(
+        replays <= programs.len(),
+        "a replay at the frontier squashed"
+    );
+    assert_eq!(mem.active_count(), 0);
+    for (addr, val) in expected {
+        assert_eq!(
+            mem.committed(Addr(*addr)).unwrap_or(0),
+            *val,
+            "pipelined state diverged at {} (shards {}) running {:?}",
+            addr,
+            mem.shard_count(),
+            programs
+        );
+    }
+}
+
 /// The generated case behind this suite's one-in-eleven flake, kept as
 /// a fixed input. Version 2 can compute `a1 = 4` from version 1's
 /// transient `a0 = 2` and forward it; version 3 reads that 4, derives
@@ -272,6 +373,31 @@ proptest! {
         prop_assert_eq!(mem.stats().violations, 0);
         for (addr, val) in &expected {
             prop_assert_eq!(mem.committed(Addr(*addr)).unwrap_or(0), *val);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Deep chains: 16–48 versions on 2–4 addresses, so every cell
+    /// carries many live writers and readers at once.
+    #[test]
+    fn deep_chains_commit_program_order_state_in_frontier_runs(
+        programs in proptest::collection::vec(
+            proptest::collection::vec(op_strategy(4), 1..8),
+            16..49,
+        ),
+        addrs in 2..5u64,
+    ) {
+        let programs: Vec<Vec<Op>> = programs
+            .iter()
+            .map(|program| program.iter().map(|op| op.within(addrs)).collect())
+            .collect();
+        let expected = interpret(&programs);
+        for &shards in SHARD_COUNTS {
+            let mem = ConcurrentVersionedMemory::with_shards(shards);
+            check_pipelined(&mem, &programs, &expected);
         }
     }
 }

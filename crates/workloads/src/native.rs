@@ -189,10 +189,16 @@ type ChunkBody = dyn Fn(Range<u64>, Option<(VersionId, &ConcurrentVersionedMemor
     + Send
     + Sync;
 
-/// How long a task should run. The executor spends 0.3 µs on a task
-/// with no carried state and 0.55–1.0 µs on one with (the benchmark's
-/// `exec.overhead_ns_per_task.*`), so a task of 32 µs outlasts its own
-/// overhead 30–100 times: at most 3 % of the wall is hand-off and commit.
+/// How long a task should run. Handing a task over costs the executor
+/// 0.3 µs with no carried state and 0.55–1.0 µs with (the benchmark's
+/// `exec.overhead_ns_per_task.*`), and at one seat a kernel chunk also
+/// pays the versioned memory for its version: begin, two slot reads, two
+/// slot writes, a check and a commit in a run of 16 took 1.73 µs while
+/// lookups walked every live version of a shard, and take 0.72 µs on
+/// one version chain per address (medians on a 2-vCPU x86-64 host,
+/// EXPERIMENTS.md "One version chain per address"). A task of 32 µs so
+/// outlasts its overhead 19–25 times (12–14 before): 4–5 % of the wall
+/// is hand-off, substrate and commit (7–9 % before).
 const GRAIN_TARGET_NS: u64 = 32_000;
 
 /// Chunking never leaves a seat of the plan's widest stage fewer tasks
