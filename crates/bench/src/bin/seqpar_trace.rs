@@ -197,18 +197,14 @@ fn main() {
             if seats(&exec_plan) == 1 {
                 println!("one-seat plan: issued inline, nothing to overlap");
             } else {
-                println!(
-                    "no decisions: the run never left its opening probe \
-                     (window {}, no conflict)",
-                    g.final_window
-                );
+                println!("no decisions: nothing collapsed the run, which opened as a probe");
             }
         } else {
             print!("{gov_summary}");
         }
         println!(
-            "counters: {} degraded commits, {} reprobes, window finished at {} (min {})",
-            g.degraded_commits, g.reprobes, g.final_window, g.min_window
+            "counters: {} degraded commits, {} degrades, {} reprobes",
+            g.degraded_commits, g.degrades, g.reprobes
         );
         println!();
     }

@@ -306,7 +306,7 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         "silent"
     ));
     if governed {
-        out.push_str(&format!("{:>7}{:>9}{:>9}", "gov-w", "degrades", "reprobes"));
+        out.push_str(&format!("{:>9}{:>9}", "degrades", "reprobes"));
     }
     out.push('\n');
     for p in &curve.points {
@@ -329,10 +329,7 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         }
         if governed {
             let g = p.governor.expect("governed curve");
-            out.push_str(&format!(
-                "{:>7}{:>9}{:>9}",
-                g.final_window, g.degrades, g.reprobes
-            ));
+            out.push_str(&format!("{:>9}{:>9}", g.degrades, g.reprobes));
         }
         out.push('\n');
     }
@@ -717,51 +714,30 @@ pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
 }
 
 /// Renders the speculation governor's decision stream as a short
-/// summary block: window moves (split up/down with the final cap),
-/// collapses to sequential issue (with the misspeculation rate that
-/// tripped the last one), and re-probes. Built from the timeline's
-/// `GovernorThrottle` / `GovernorDegrade` / `GovernorReprobe` events;
+/// summary block: collapses to sequential issue (with the
+/// misspeculation rate that tripped the last one) and re-probes. Built
+/// from the timeline's `GovernorDegrade` / `GovernorReprobe` events;
 /// returns the empty string when the timeline carries none (an
-/// ungoverned run).
+/// ungoverned run, or a governed one that never switched posture).
 pub fn render_governor_summary(timeline: &Timeline) -> String {
-    let mut ups = 0u64;
-    let mut downs = 0u64;
-    let mut final_window: Option<u32> = None;
     let mut degrades = 0u64;
     let mut last_rate: Option<u32> = None;
     let mut reprobes = 0u64;
     for e in timeline.events() {
         match e.kind {
-            TraceEventKind::GovernorThrottle { from, to, .. } => {
-                if to > from {
-                    ups += 1;
-                } else {
-                    downs += 1;
-                }
-                final_window = Some(to);
-            }
             TraceEventKind::GovernorDegrade { rate_permille, .. } => {
                 degrades += 1;
                 last_rate = Some(rate_permille);
-                final_window = Some(1);
             }
-            TraceEventKind::GovernorReprobe { window, .. } => {
-                reprobes += 1;
-                final_window = Some(window);
-            }
+            TraceEventKind::GovernorReprobe { .. } => reprobes += 1,
             _ => {}
         }
     }
-    if ups + downs + degrades + reprobes == 0 {
+    if degrades + reprobes == 0 {
         return String::new();
     }
     let mut out = String::new();
     out.push_str("### speculation governor (frontier decisions)\n");
-    out.push_str(&format!(
-        "throttle: {} window moves ({ups} up, {downs} down), final window {}\n",
-        ups + downs,
-        final_window.unwrap_or(1)
-    ));
     match last_rate {
         Some(rate) => out.push_str(&format!(
             "degrade:  {degrades} collapses to sequential issue (last at {rate}\u{2030} misspec), \
@@ -1264,15 +1240,13 @@ mod tests {
             .unwrap()
             .timeline(&graph, Some(&cfg));
         // The opening probe and two re-probes meet a conflict; the third
-        // re-probe finds the loop quiet and the window grows.
+        // re-probe finds the loop quiet and it stays pipelined.
         let stats = stats.expect("governed");
         assert_eq!((stats.degrades, stats.reprobes), (3, 3), "{stats:?}");
-        assert!(stats.grows > 0, "{stats:?}");
         let block = render_governor_summary(&timeline);
         assert!(block.contains("speculation governor"));
         assert!(block.contains("3 collapses to sequential issue"));
         assert!(block.contains("3 re-probes"));
-        assert!(block.contains("window moves"));
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub(super) struct CommitUnit {
     /// The speculation governor, when
     /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it
     /// on. Fed strictly at the frontier (plus early conflict squashes),
-    /// it owns the runahead window cap and the inline collapse.
+    /// it owns the posture: pipelined, probing or inline.
     governor: Option<Governor>,
 }
 
@@ -153,17 +153,13 @@ impl CommitUnit {
     }
 
     /// The exclusive upper bound on task ids the dispatcher may release,
-    /// when the governor is gating runahead: the commit frontier plus
-    /// the current window cap, or the frontier alone while degraded
-    /// (inline issue replaces dispatch). `None` when ungoverned.
+    /// when the governor's posture sets one: the commit frontier alone
+    /// while inline (inline issue replaces dispatch), the frontier plus
+    /// the probe's window while probing. `None` when pipelined or
+    /// ungoverned: the board's lane windows are then the only bound.
     pub(super) fn dispatch_limit(&self) -> Option<u64> {
-        self.governor.as_ref().map(|g| {
-            if g.degraded() {
-                self.next as u64
-            } else {
-                self.next as u64 + u64::from(g.window())
-            }
-        })
+        let window = self.governor.as_ref()?.window()?;
+        Some(self.next as u64 + u64::from(window))
     }
 
     /// Whether the governor has collapsed the loop to sequential inline
@@ -172,14 +168,11 @@ impl CommitUnit {
         self.governor.as_ref().is_some_and(Governor::degraded)
     }
 
-    /// Translates governor events into frontier trace events, stamped
-    /// with the frontier task that drove the decision.
-    fn trace_governor(&mut self, task: u32, events: Vec<GovernorEvent>) {
-        for e in events {
+    /// Translates a governor decision into a frontier trace event,
+    /// stamped with the frontier task that drove it.
+    fn trace_governor(&mut self, task: u32, event: Option<GovernorEvent>) {
+        if let Some(e) = event {
             self.trace.record(match e {
-                GovernorEvent::Throttle { from, to } => {
-                    TraceEventKind::GovernorThrottle { task, from, to }
-                }
                 GovernorEvent::Degrade { rate_permille } => TraceEventKind::GovernorDegrade {
                     task,
                     rate_permille,
@@ -195,8 +188,8 @@ impl CommitUnit {
     /// its reactions.
     fn governor_conflict(&mut self, task: u32) {
         if let Some(g) = self.governor.as_mut() {
-            let events = g.on_conflict();
-            self.trace_governor(task, events);
+            let event = g.on_conflict();
+            self.trace_governor(task, event);
         }
     }
 
@@ -209,8 +202,8 @@ impl CommitUnit {
         let Some(g) = self.governor.as_mut() else {
             return;
         };
-        let events = g.on_commit(count);
-        self.trace_governor(task, events);
+        let event = g.on_commit(count);
+        self.trace_governor(task, event);
     }
 
     /// Discards `task`'s open memory version, if any, so its replay's

@@ -97,8 +97,8 @@ pub struct NativeReport {
     /// access granularity, while the committed output stays
     /// byte-identical.
     pub mem: Option<MemStats>,
-    /// The speculation governor's decision counters (window moves,
-    /// degraded periods, re-probes) when the run was governed
+    /// The speculation governor's decision counters (collapses,
+    /// degraded commits, re-probes) when the run was governed
     /// ([`ExecConfig::governor`](super::ExecConfig::governor)); `None`
     /// when the governor was off. Like conflict counts, these are
     /// timing-dependent — they react to real races.

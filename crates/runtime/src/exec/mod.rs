@@ -213,12 +213,14 @@ pub struct ExecConfig {
     /// returned on [`NativeReport::timeline`]. Off by default — when
     /// off, recording is a single branch per would-be event.
     pub trace: bool,
-    /// The contention-aware speculation governor: AIMD runahead
-    /// throttling and graceful degradation to sequential inline issue
-    /// under conflict storms (see [`GovernorConfig`]). `None` (the
-    /// default) reproduces the ungoverned protocol exactly — runahead is
-    /// bounded only by queue capacity and nothing collapses to inline
-    /// issue. Either way every squashed attempt is requeued at once.
+    /// The contention-aware speculation governor: a posture switch that
+    /// degrades gracefully to sequential inline issue under conflict
+    /// storms and probes its way back (see [`GovernorConfig`]). While
+    /// pipelined it sets no limit of its own, so runahead is bounded by
+    /// queue capacity alone, as in an ungoverned run. `None` (the
+    /// default) reproduces the ungoverned protocol exactly — nothing
+    /// collapses to inline issue. Either way every squashed attempt is
+    /// requeued at once.
     pub governor: Option<GovernorConfig>,
 }
 
@@ -447,10 +449,11 @@ impl Dispatcher {
     /// `pool`. Each admission is traced as a `QueuePush` with the lane's
     /// claimable count right after it.
     ///
-    /// Without a governor `limit` is `None`. With one, requeued items
-    /// past the dynamic speculation window stay pending (skipped, not
-    /// popped) so a held-back front item can never starve an admitted
-    /// one behind it — in particular never the frontier task.
+    /// `limit` is `None` unless a governor closes admission (inline) or
+    /// narrows it to a probe's window. Then requeued items past it stay
+    /// pending (skipped, not popped) so a held-back front item can never
+    /// starve an admitted one behind it — in particular never the
+    /// frontier task.
     fn admit(
         &mut self,
         job: &Arc<JobShared>,
@@ -783,16 +786,15 @@ impl<'a> Turn<'a> {
         Ok(())
     }
 
-    /// Opens the board to whatever the governor's window and the lane
-    /// windows allow.
+    /// Opens the board to whatever the lane windows and the governor's
+    /// posture allow.
     fn admit(&mut self) {
         let f = &mut *self.f;
         let frontier = f.commit.committed_tasks() as u64;
         let limit = f.commit.dispatch_limit();
-        if let Some(limit) = limit {
-            let window = usize::try_from(limit - frontier).unwrap_or(usize::MAX);
-            self.job.board.set_window(window);
-        }
+        self.job
+            .board
+            .set_window(limit.map(|l| usize::try_from(l - frontier).unwrap_or(usize::MAX)));
         f.dispatch.admit(self.job, self.pool, limit, &mut f.trace);
     }
 

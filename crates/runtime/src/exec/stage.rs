@@ -287,11 +287,11 @@ impl Board {
     }
 
     /// Derives the batch threshold from the narrowest lane window,
-    /// further capped by the governor's runahead `window`: half of it,
-    /// at least 1.
-    pub(super) fn set_window(&self, window: usize) {
-        self.wake_at
-            .store((self.narrowest.min(window) / 2).max(1) as u64, SeqCst);
+    /// further capped by the governor's runahead `window` when its
+    /// posture sets one (inline or probing): half of it, at least 1.
+    pub(super) fn set_window(&self, window: Option<usize>) {
+        let window = window.map_or(self.narrowest, |w| w.min(self.narrowest));
+        self.wake_at.store((window / 2).max(1) as u64, SeqCst);
     }
 
     // --- the runner whose turn it is ---------------------------------------
@@ -765,5 +765,28 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         seat: seat.id,
         busy,
         events: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A governor window caps the batch threshold only while it sets
+    /// one: with none (a pipelined governor, or no governor) the board's
+    /// own threshold, half its narrowest lane window, is back.
+    #[test]
+    fn without_a_governor_window_the_batch_threshold_is_the_boards_own() {
+        let mut graph = TaskGraph::new(1);
+        for i in 0..8 {
+            graph.add_task(0, i, 1, &[], &[]);
+        }
+        let board = Board::new(&graph, &ExecutionPlan::tls(2), 32);
+        let own = board.wake_at.load(SeqCst);
+        assert_eq!(own, (32 + 2) / 2, "half of queue capacity plus two seats");
+        for (window, wake_at) in [(Some(4), 2), (Some(0), 1), (None, own)] {
+            board.set_window(window);
+            assert_eq!(board.wake_at.load(SeqCst), wake_at, "{window:?}");
+        }
     }
 }

@@ -1239,8 +1239,8 @@ fn the_watchdog_counts_publications_not_wakes() {
 /// the rest of its window — have read the counter, and they hold their
 /// completions back until it has written. So they are published already
 /// squashed, from past the frontier, squashed on arrival, and go
-/// straight back in line — where the window the governor shrank on
-/// hearing them may keep some pending a while. Every one must come back.
+/// straight back in line — where a full lane window may keep some
+/// pending a while. Every one must come back.
 #[test]
 fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
     let (iters, quiet) = (64u64, 4u64);

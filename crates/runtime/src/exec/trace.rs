@@ -274,18 +274,6 @@ pub enum TraceEventKind {
         /// Buffered writes published.
         writes: u64,
     },
-    /// The speculation governor moved the runahead window cap (AIMD:
-    /// multiplicative shrink on a conflict burst, additive growth after
-    /// a clean window). `task` is the frontier task whose outcome drove
-    /// the decision.
-    GovernorThrottle {
-        /// The frontier task whose commit/squash triggered the move.
-        task: u32,
-        /// Window cap before the move.
-        from: u32,
-        /// Window cap after the move.
-        to: u32,
-    },
     /// The windowed misspeculation rate crossed the ceiling: the
     /// governor collapsed the loop to sequential inline issue.
     GovernorDegrade {
@@ -299,7 +287,7 @@ pub enum TraceEventKind {
     GovernorReprobe {
         /// The frontier task whose commit ended the degraded period.
         task: u32,
-        /// The probe's window cap.
+        /// The probe's window: tasks it may run past the frontier.
         window: u32,
     },
 }
@@ -319,7 +307,6 @@ impl TraceEventKind {
             | TraceEventKind::VersionReads { task, .. }
             | TraceEventKind::VersionConflict { task, .. }
             | TraceEventKind::VersionCommit { task, .. }
-            | TraceEventKind::GovernorThrottle { task, .. }
             | TraceEventKind::GovernorDegrade { task, .. }
             | TraceEventKind::GovernorReprobe { task, .. }
             | TraceEventKind::FallbackActivated { from_task: task } => Some(TaskId(*task)),
@@ -796,7 +783,6 @@ impl Timeline {
                 | TraceEventKind::VersionCommit { .. }
                 // Governor decisions are frontier-side annotations with
                 // no cross-thread counterpart to pair up.
-                | TraceEventKind::GovernorThrottle { .. }
                 | TraceEventKind::GovernorDegrade { .. }
                 | TraceEventKind::GovernorReprobe { .. } => {}
             }
@@ -1144,15 +1130,6 @@ impl Timeline {
                         "{{\"name\":\"version commit t{task}\",\"cat\":\"memory\",\
                          \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
                          \"args\":{{\"task\":{task},\"stage\":{stage},\"writes\":{writes}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::GovernorThrottle { task, from, to } => {
-                    entries.push(format!(
-                        "{{\"name\":\"governor throttle {from}\\u2192{to}\",\
-                         \"cat\":\"governor\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\
-                         \"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"from\":{from},\"to\":{to}}}}}",
                         ts_us(e.ts)
                     ));
                 }

@@ -306,7 +306,7 @@ pub struct TraceCheck {
     /// `"i"` instants (commits, squashes, speculation decisions).
     pub instants: usize,
     /// The subset of instants in the `governor` category
-    /// (throttle/degrade/reprobe decisions).
+    /// (degrade/reprobe decisions).
     pub governor: usize,
     /// `"C"` counter samples (queue occupancy).
     pub counters: usize,

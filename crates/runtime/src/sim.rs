@@ -235,9 +235,9 @@ impl SimResult {
     /// feeds `on_conflict` once, as its squash does natively, then the
     /// task's in-order commit feeds `on_commit`.
     /// It reads no clock, so its decisions are a function of that
-    /// sequence alone, and they surface as the same `GovernorThrottle` /
-    /// `GovernorDegrade` / `GovernorReprobe` events the native frontier
-    /// emits, stamped at the frontier cycle. A fault-free native *replay*
+    /// sequence alone, and they surface as the same `GovernorDegrade` /
+    /// `GovernorReprobe` events the native frontier emits, stamped at the
+    /// frontier cycle. A fault-free native *replay*
     /// therefore reports the twin's [`GovernorStats`] exactly (the
     /// governed property in `crates/runtime/tests/properties.rs` holds
     /// the two to each other). Where the two part, structurally:
@@ -249,18 +249,18 @@ impl SimResult {
     ///   here is a frontier conflict;
     /// * the twin models no faults: natively, a first attempt that
     ///   panicked replays non-speculatively and its violation is never
-    ///   fed in;
-    /// * the governor's one-seat rule counts the distinct cores of the
-    ///   placements here and the board's seats natively, which count a
-    ///   core once per stage that uses it — `three_phase(1)` is one seat
-    ///   to the twin and three to the board.
+    ///   fed in.
+    ///
+    /// The governor's one-seat rule counts seats as the board does: a
+    /// core once per stage that uses it, here the distinct `(stage,
+    /// core)` pairs of the placements.
     ///
     /// The timing model itself is *not* re-run under the governor's
-    /// window decisions — the analytic schedule stays the plan's. The
+    /// posture switches — the analytic schedule stays the plan's. The
     /// twin answers "what would the governor have decided given this
-    /// commit/conflict sequence"; re-timing the model under a dynamic
-    /// window would make the placements it annotates disagree with the
-    /// schedule that was simulated.
+    /// commit/conflict sequence"; re-timing the model under inline
+    /// stretches would make the placements it annotates disagree with
+    /// the schedule that was simulated.
     pub fn timeline(
         &self,
         graph: &TaskGraph,
@@ -324,17 +324,18 @@ impl SimResult {
         let mut frontier_events: Vec<TraceEvent> = Vec::with_capacity(placements.len());
         let mut frontier = 0u64;
         let mut gov = governor.map(|cfg| {
-            // The twin's seats are the cores the schedule used: one of
-            // them and the governor holds the run inline, as natively.
-            let cores: HashSet<usize> = placements.iter().map(|p| p.core).collect();
-            Governor::new(*cfg, cores.len())
+            // The twin's seats are the stage/core pairs the schedule
+            // used, as the board counts them: one of them and the
+            // governor holds the run inline, as natively.
+            let seats: HashSet<(u8, usize)> = placements
+                .iter()
+                .map(|p| (graph.task(p.task).stage.0, p.core))
+                .collect();
+            Governor::new(*cfg, seats.len())
         });
-        let push_gov = |events: &mut Vec<TraceEvent>, ts: u64, task: u32, decisions| {
-            for d in decisions {
+        let push_gov = |events: &mut Vec<TraceEvent>, ts: u64, task: u32, decision| {
+            if let Some(d) = decision {
                 let kind = match d {
-                    GovernorEvent::Throttle { from, to } => {
-                        TraceEventKind::GovernorThrottle { task, from, to }
-                    }
                     GovernorEvent::Degrade { rate_permille } => TraceEventKind::GovernorDegrade {
                         task,
                         rate_permille,
@@ -360,8 +361,8 @@ impl SimResult {
                 // dependences manifested, as natively.
                 match gov.as_mut() {
                     Some(g) if violated > 0 => {
-                        let evs = g.on_conflict();
-                        push_gov(&mut frontier_events, frontier, idx as u32, evs);
+                        let decided = g.on_conflict();
+                        push_gov(&mut frontier_events, frontier, idx as u32, decided);
                     }
                     _ => {}
                 }
@@ -406,8 +407,8 @@ impl SimResult {
                 },
             });
             if let Some(g) = gov.as_mut() {
-                let evs = g.on_commit(1);
-                push_gov(&mut frontier_events, frontier, idx as u32, evs);
+                let decided = g.on_commit(1);
+                push_gov(&mut frontier_events, frontier, idx as u32, decided);
             }
         }
         let timeline = Timeline::stitch(
@@ -1215,16 +1216,14 @@ mod tests {
         // the quiet tail at least one re-probe.
         assert!(stats.degraded_commits > 0, "degraded stretch counted");
         assert!(stats.reprobes > 0, "quiet stretches re-probe");
-        assert!(stats.degrades > 0, "the storm collapses the window");
+        assert!(stats.degrades > 0, "the storm collapses the loop");
         let kinds: Vec<_> = timeline
             .events()
             .iter()
             .filter(|e| {
                 matches!(
                     e.kind,
-                    TraceEventKind::GovernorDegrade { .. }
-                        | TraceEventKind::GovernorReprobe { .. }
-                        | TraceEventKind::GovernorThrottle { .. }
+                    TraceEventKind::GovernorDegrade { .. } | TraceEventKind::GovernorReprobe { .. }
                 )
             })
             .collect();
@@ -1246,9 +1245,7 @@ mod tests {
         assert_eq!(no_stats, None);
         assert!(plain.events().iter().all(|e| !matches!(
             e.kind,
-            TraceEventKind::GovernorDegrade { .. }
-                | TraceEventKind::GovernorReprobe { .. }
-                | TraceEventKind::GovernorThrottle { .. }
+            TraceEventKind::GovernorDegrade { .. } | TraceEventKind::GovernorReprobe { .. }
         )));
     }
 
