@@ -244,11 +244,11 @@ pub fn native_sweep(
 }
 
 /// One line on the grain `job` runs at under `plan`: its iterations and
-/// the time of one as measured when it was built (the job's `Debug`),
-/// how many tasks of how many iterations that makes, and which of
-/// [`VersionedJob::grain`]'s two bounds allows no larger `k` — its floor
-/// of 8 tasks per seat of the plan's widest stage when doubling `k`
-/// would break that, else (the floor would allow it) the ~32 µs
+/// the time of one as its first sequential run measured it (the job's
+/// `Debug`), how many tasks of how many iterations that makes, and which
+/// of [`VersionedJob::grain`]'s two bounds allows no larger `k` — its
+/// floor of 8 tasks per seat of the plan's widest stage when doubling
+/// `k` would break that, else (the floor would allow it) the ~32 µs
 /// task-length target. Coarsening is never silent: `seqpar-trace` and
 /// `figures --native` print this for every job they run.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
@@ -1143,8 +1143,8 @@ mod tests {
         let line = render_grain(&job(Duration::from_micros(40)), &plan);
         assert!(line.contains("-> 64 tasks of k = 1 "), "{line}");
         assert!(line.contains("under the ~32 us target"), "{line}");
-        // Short ones reach the floor (a preempted construction reads
-        // long, so three tries).
+        // Short ones reach the floor (a preempted first run reads long,
+        // so three tries).
         let lines: Vec<String> = (0..3)
             .map(|_| render_grain(&job(Duration::ZERO), &plan))
             .collect();

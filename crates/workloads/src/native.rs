@@ -34,7 +34,7 @@ use seqpar_runtime::{
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A timed sequential reference run of a [`VersionedJob`].
@@ -216,10 +216,11 @@ const TASKS_PER_SEAT: usize = 8;
 pub struct VersionedJob {
     trace: IterationTrace,
     body: Arc<ChunkBody>,
-    /// Mean wall time of one iteration, measured once at construction
-    /// and never again: [`grain`](VersionedJob::grain) reads only this,
-    /// so one job builds one graph per plan however often it is asked.
-    iteration_ns: u64,
+    /// Mean wall time of one iteration, set by the first
+    /// [`sequential`](VersionedJob::sequential) run of the job or a clone:
+    /// [`grain`](VersionedJob::grain) reads only this, so one job builds
+    /// one graph per plan however often it is asked.
+    iteration_ns: Arc<OnceLock<u64>>,
     restore_stride: u64,
 }
 
@@ -227,7 +228,7 @@ impl fmt::Debug for VersionedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VersionedJob")
             .field("iterations", &self.trace.len())
-            .field("iteration_ns", &self.iteration_ns)
+            .field("iteration_ns", &self.clock())
             .field("restore_stride", &self.restore_stride)
             .finish_non_exhaustive()
     }
@@ -258,31 +259,22 @@ impl VersionedJob {
     /// bets). Reading that late keeps the window in which an earlier
     /// chunk's write can squash this one as short as the folds.
     ///
-    /// The oracle's slot values come from one construction pass over the
-    /// whole loop, folding in program order, so body/oracle agreement —
-    /// what makes versioned output byte-identical to
-    /// [`VersionedJob::sequential`] — holds for any `fold`. That pass is
-    /// also the clock [`grain`](VersionedJob::grain) reads: the live
-    /// loop's time, restored once.
+    /// The oracle folds the same way from the slot values before its
+    /// range — zeros at iteration 0, else a table built by one pass over
+    /// the whole loop the first time a range starts mid-loop (the
+    /// fallback's, a replay's) — so body/oracle agreement, which makes
+    /// versioned output byte-identical to [`VersionedJob::sequential`],
+    /// holds for any `fold`. Construction runs no iteration.
     pub fn accumulating(
         trace: IterationTrace,
         runner: impl RangeRunner,
         slots: usize,
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
-        let n = trace.len();
-        // The slot values after each iteration folded in, in program
-        // order: iteration i's are `prefix[i * slots..][..slots]`.
-        let started = Instant::now();
-        let mut prefix = Vec::with_capacity(n * slots);
-        let mut state = vec![0u64; slots];
-        let mut i = 0u64;
-        runner.run(0..n as u64, &mut |bytes, _| {
-            fold(i, bytes, &mut state);
-            prefix.extend_from_slice(&state);
-            i += 1;
-        });
-        let iteration_ns = (started.elapsed().as_nanos() / n.max(1) as u128) as u64;
+        let n = trace.len() as u64;
+        // The slot values before each iteration, in program order:
+        // iteration i's are `prefix[i * slots..][..slots]`.
+        let prefix = OnceLock::new();
         let restore_stride = runner.stride();
         let carried = 8 * slots;
         let body = move |iters: Range<u64>,
@@ -302,19 +294,25 @@ impl VersionedJob {
                 ends.push(out.len());
                 work += w;
             });
-            let mut state: Vec<u64> = mem.map_or_else(Vec::new, |(v, m)| {
-                (0..slots as u64).map(|s| m.read(v, Addr(s))).collect()
-            });
+            let mut state: Vec<u64> = match mem {
+                Some((v, m)) => (0..slots as u64).map(|s| m.read(v, Addr(s))).collect(),
+                None if iters.start == 0 || slots == 0 => vec![0; slots],
+                None => prefix.get_or_init(|| {
+                    let (mut table, mut state) = (Vec::new(), vec![0; slots]);
+                    runner.run(0..n, &mut |bytes, _| {
+                        let i = (table.len() / slots) as u64;
+                        table.extend_from_slice(&state);
+                        fold(i, bytes, &mut state);
+                    });
+                    table
+                })[iters.start as usize * slots..][..slots]
+                    .to_vec(),
+            };
             let mut start = 0;
             for (i, end) in iters.zip(ends) {
                 let (bytes, tail) = out[start..end].split_at_mut(end - start - carried);
-                let after = if mem.is_some() {
-                    fold(i, bytes, &mut state);
-                    &state[..]
-                } else {
-                    &prefix[i as usize * slots..][..slots]
-                };
-                for (dst, val) in tail.chunks_exact_mut(8).zip(after) {
+                fold(i, bytes, &mut state);
+                for (dst, val) in tail.chunks_exact_mut(8).zip(&state) {
                     dst.copy_from_slice(&val.to_le_bytes());
                 }
                 start = end;
@@ -329,7 +327,7 @@ impl VersionedJob {
         Self {
             trace,
             body: Arc::new(body),
-            iteration_ns,
+            iteration_ns: Arc::default(),
             restore_stride,
         }
     }
@@ -355,15 +353,26 @@ impl VersionedJob {
 
     /// Runs every iteration in order on the calling thread through the
     /// sequential oracle — the reference against which versioned native
-    /// output must be byte-identical.
+    /// output must be byte-identical. The job's first run sets its clock.
     pub fn sequential(&self) -> SequentialRun {
+        let n = self.trace.len();
         let started = Instant::now();
-        let (output, work) = (self.body)(0..self.trace.len() as u64, None);
-        SequentialRun {
-            output,
-            work,
-            wall: started.elapsed(),
+        let (output, work) = (self.body)(0..n as u64, None);
+        let wall = started.elapsed();
+        let ns = (wall.as_nanos() / n.max(1) as u128) as u64;
+        let _ = self.iteration_ns.set(ns);
+        SequentialRun { output, work, wall }
+    }
+
+    /// What the first sequential run's clock read, running one if none has.
+    fn clock(&self) -> u64 {
+        if self.iteration_ns.get().is_none() {
+            self.sequential();
         }
+        *self
+            .iteration_ns
+            .get()
+            .expect("a sequential run sets the clock")
     }
 
     /// Runs the job on real threads under `plan`, with every attempt's
@@ -393,16 +402,17 @@ impl VersionedJob {
 
     /// How many consecutive iterations make one task under `plan`: the
     /// largest power of two that keeps a task no longer than ~32 µs by
-    /// the iteration time measured at construction — long enough that
+    /// the iteration time of the job's first sequential run (run here if
+    /// none has) — long enough that
     /// the executor's per-task cost (0.3–1.0 µs) is ≤ 3 % of it — and
     /// leaves every seat of the plan's widest stage at least 8 tasks;
     /// 1 when a single iteration already outlasts the target or the loop
-    /// is too short to share out. A pure function of the job and the
-    /// plan, and a power of two so that ordinary timing wobble between
+    /// is too short to share out. A pure function of the job's clock and
+    /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
         let cap = self.trace.len() / (TASKS_PER_SEAT * widest_stage(plan).max(1));
-        let wanted = GRAIN_TARGET_NS / self.iteration_ns.max(1);
+        let wanted = GRAIN_TARGET_NS / self.clock().max(1);
         let k = wanted.min(cap as u64).max(1);
         1 << k.ilog2()
     }
@@ -722,10 +732,11 @@ mod tests {
         }
     }
 
-    /// A job identical to `job` but for what its clock read.
+    /// A job identical to `job` but for its clock, a fresh one that read
+    /// `iteration_ns`.
     fn measured_at(job: &VersionedJob, iteration_ns: u64) -> VersionedJob {
         VersionedJob {
-            iteration_ns,
+            iteration_ns: Arc::new(OnceLock::from(iteration_ns)),
             ..job.clone()
         }
     }
@@ -783,13 +794,18 @@ mod tests {
         assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(4)), 1);
     }
 
-    /// Construction reads the clock: 64 short iterations chunk by 8
-    /// under `tls(1)`, the same 64 made to outlast the target do not.
+    /// The first sequential run reads the clock: 64 short iterations
+    /// chunk by 8 under `tls(1)`, the same 64 made to outlast the target
+    /// do not.
     #[test]
-    fn construction_measures_what_an_iteration_costs() {
+    fn the_first_sequential_run_is_the_clock() {
         let build = |compute: fn(u64) -> (Vec<u8>, u64)| {
             let trace = (0..64).map(|_| IterationRecord::new(1, 1, 1));
-            VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {})
+            let job = VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {});
+            let seq = job.sequential();
+            let per_iteration = (seq.wall.as_nanos() / 64) as u64;
+            assert_eq!(job.iteration_ns.get(), Some(&per_iteration));
+            job
         };
         let slow = |i: u64| {
             std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS));
@@ -798,10 +814,56 @@ mod tests {
         let fast = |i: u64| (vec![i as u8], 1);
         let plan = ExecutionPlan::tls(1);
         assert_eq!(build(slow).grain(&plan), 1);
-        assert!(build(slow).iteration_ns >= GRAIN_TARGET_NS);
-        // A sleep is never short; a short pass can be preempted into a
-        // long one, so the fast side gets three constructions to be fast.
+        assert!(build(slow).clock() >= GRAIN_TARGET_NS);
+        // A sleep is never short; a short run can be preempted into a
+        // long one, so the fast side gets three jobs to be fast.
         assert_eq!((0..3).map(|_| build(fast).grain(&plan)).max(), Some(8));
+    }
+
+    /// Building a job runs none of its loop, its first sequential run is
+    /// the only one its clock needs, and a mid-loop oracle range pays one
+    /// full pass for the prefix table, once.
+    #[test]
+    fn a_job_runs_its_loop_once() {
+        let n = 64u64;
+        let ran = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let build = || {
+            let ran = Arc::clone(&ran);
+            let trace = (0..n).map(|_| IterationRecord::new(1, 1, 1));
+            let compute = move |i: u64| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                (vec![i as u8], 1)
+            };
+            VersionedJob::accumulating(trace.collect(), compute, 2, |i, bytes, state| {
+                state[0] = state[0].wrapping_mul(31).wrapping_add(u64::from(bytes[0]));
+                state[1] += i;
+            })
+        };
+        let ran_since = || ran.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let plan = ExecutionPlan::tls(1);
+        let job = build();
+        let twin = job.clone();
+        assert_eq!(ran_since(), 0, "construction");
+        let seq = job.sequential();
+        assert_eq!(ran_since(), n, "sequential");
+        let k = job.grain(&plan);
+        assert_eq!(k, twin.grain(&plan), "a clone shares the clock");
+        assert_eq!(ran_since(), 0, "grain after a sequential run");
+        let fresh = build();
+        assert_eq!(fresh.grain(&plan), fresh.grain(&plan));
+        assert_eq!(ran_since(), n, "grain on a fresh job, twice");
+        // Oracle ranges from the end backwards: the first starts mid-loop
+        // and builds the table; every one folds from the state before it.
+        let mut runs = Vec::new();
+        let starts: Vec<u64> = (0..n).step_by(5).collect();
+        for (r, &start) in starts.iter().rev().enumerate() {
+            let range = start..n.min(start + 5);
+            runs.push((job.body)(range.clone(), None));
+            let pass = if r == 0 { n } else { 0 };
+            assert_eq!(ran_since(), pass + range.end - range.start, "{range:?}");
+        }
+        let output: Vec<u8> = runs.iter().rev().flat_map(|(b, _)| b.clone()).collect();
+        assert_eq!(output, seq.output);
     }
 
     /// Pins the rule of [`RestorePoints`] on walks whose states are
