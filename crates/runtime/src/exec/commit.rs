@@ -567,8 +567,7 @@ impl CommitUnit {
                     task: done.task,
                     attempt: done.attempt,
                 });
-                self.output.extend_from_slice(&done.output.bytes);
-                self.work += done.output.work;
+                self.append(job, done.task, &done.output);
             }
             let last = batch.last().expect("non-empty batch").task;
             self.advance(batch.len());
@@ -642,8 +641,7 @@ impl CommitUnit {
             task,
             attempt: DEGRADED_ATTEMPT,
         });
-        self.output.extend_from_slice(&output.bytes);
-        self.work += output.work;
+        self.append(job, task, output);
         self.advance(1);
         self.governor_commit(task, 1);
     }
@@ -652,16 +650,28 @@ impl CommitUnit {
     /// the sequential fallback after budget exhaustion or a watchdog
     /// trip. Speculation counters stay frozen at their pre-fallback
     /// values; only `attempts` and `fallback_tasks` advance.
-    pub(super) fn commit_inline(&mut self, output: &TaskOutput) {
+    pub(super) fn commit_inline(&mut self, job: &JobShared, output: &TaskOutput) {
+        let task = self.next as u32;
         self.attempts += 1;
         self.recovery.fallback_tasks += 1;
         self.trace.record(TraceEventKind::Commit {
-            task: self.next as u32,
+            task,
             attempt: FALLBACK_ATTEMPT,
         });
-        self.output.extend_from_slice(&output.bytes);
-        self.work += output.work;
+        self.append(job, task, output);
         self.advance(1);
+    }
+
+    /// Appends the committing attempt's bytes to the stream and lets the
+    /// body finish them there ([`NativeBody::commit`](super::NativeBody::commit)),
+    /// in place: the tail costs no allocation of its own.
+    fn append(&mut self, job: &JobShared, task: u32, output: &TaskOutput) {
+        let start = self.output.len();
+        self.output.extend_from_slice(&output.bytes);
+        job.spec
+            .body
+            .commit(TaskId(task), &mut self.output[start..]);
+        self.work += output.work;
     }
 
     /// Finalizes the run (moving the output and the events out): one

@@ -35,7 +35,10 @@
 //!   `stage.rs`, the turn's steps below).
 //! * **In-order commit**: a reorder buffer releases task outputs in
 //!   task order (the sequential program order), exactly the commit
-//!   discipline the paper's versioned memory enforces.
+//!   discipline the paper's versioned memory enforces. As a task's bytes
+//!   join the stream the body finishes them ([`NativeBody::commit`]):
+//!   order-dependent state folds there, in serial phase C, where no
+//!   attempt can conflict on it.
 //! * **Misspeculation rollback**, its squash source a mode of the job
 //!   ([`JobSpec::mem`]):
 //!   * *Conflict-driven* (`mem: Some`, what every workload and every
@@ -352,10 +355,22 @@ impl TaskCtx<'_> {
 
 /// The real computation behind a task graph: the executor calls
 /// [`NativeBody::run`] on worker threads, one call per dispatch (so a
-/// squashed task's body runs again for the re-execution).
+/// squashed task's body runs again for the re-execution), and
+/// [`NativeBody::commit`] once per task, on the attempt that commits.
 pub trait NativeBody: Send + Sync {
     /// Executes `task` and returns its output.
     fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput;
+
+    /// Finishes `task`'s committed bytes as they join the output stream:
+    /// called for every task exactly once, in task order, under the
+    /// frontier lock — by the batch drain, the degraded inline commit and
+    /// the sequential fallback alike. What a body folds here is the
+    /// paper's serial phase C: order-dependent state no speculative
+    /// attempt touches, so none conflicts on it. It must not panic. The
+    /// default does nothing.
+    fn commit(&self, task: TaskId, bytes: &mut [u8]) {
+        let _ = (task, bytes);
+    }
 }
 
 impl<F> NativeBody for F
@@ -842,7 +857,7 @@ impl<'a> Turn<'a> {
         });
         for task in from..job.spec.graph.len() {
             let output = job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
-            f.commit.commit_inline(&output);
+            f.commit.commit_inline(job, &output);
         }
         Ok(())
     }

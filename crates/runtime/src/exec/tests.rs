@@ -533,6 +533,82 @@ fn traced_fallback_commits_carry_the_fallback_attempt() {
         .any(|e| matches!(e.kind, TraceEventKind::FallbackActivated { .. })));
 }
 
+/// A body that emits one placeholder byte per task — a wrong one on a
+/// speculative B task of the iterations in `violate_at` — and whose commit
+/// stamps it with the number of commits before it, logging the task.
+struct Stamping {
+    violate_at: Vec<u64>,
+    log: Arc<Mutex<Vec<u32>>>,
+}
+
+impl NativeBody for Stamping {
+    fn run(&self, _: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
+        let stale = ctx.stage.0 == 1 && ctx.speculative() && self.violate_at.contains(&ctx.iter);
+        TaskOutput::bytes(vec![if stale { 0xEE } else { 0xFF }])
+    }
+
+    fn commit(&self, task: TaskId, bytes: &mut [u8]) {
+        let mut log = self.log.lock().unwrap();
+        assert_eq!(bytes, [0xFF], "task {}: a squashed attempt's bytes", task.0);
+        bytes[0] = log.len() as u8;
+        log.push(task.0);
+    }
+}
+
+/// The commit hook runs once per task, in task order, on the committed
+/// attempt's bytes in the stream — whichever path commits it: the batch
+/// drain past squashed attempts, the governor's inline issue, the
+/// fallback after a panic at budget 0.
+#[test]
+fn the_commit_hook_finishes_every_task_once_in_order() {
+    let iters = 30u64;
+    let violated = vec![3, 4, 17];
+    let panic = ExecConfig::default()
+        .with_faults(FaultPlan::none().with_forced(b_task(5), 0, FaultKind::WorkerPanic))
+        .with_retry_budget(0);
+    let (three, tls) = (ExecutionPlan::three_phase(4), ExecutionPlan::tls(1));
+    let governed = ExecConfig::default().with_governor(GovernorConfig::default());
+    let cases = [
+        (
+            "drain",
+            ExecConfig::default(),
+            three_phase_graph(iters, &violated),
+            three.clone(),
+        ),
+        ("inline", governed, counter_graph(iters), tls),
+        (
+            "fallback",
+            panic,
+            three_phase_graph(iters, &violated),
+            three,
+        ),
+    ];
+    for (path, config, graph, plan) in cases {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let body = Stamping {
+            violate_at: violated.clone(),
+            log: Arc::clone(&log),
+        };
+        let report = run(config, &graph, &plan, body).unwrap();
+        let tasks = graph.len() as u32;
+        assert_eq!(
+            *log.lock().unwrap(),
+            (0..tasks).collect::<Vec<_>>(),
+            "{path}"
+        );
+        let stamps: Vec<u8> = (0..tasks as u8).collect();
+        assert_eq!(report.output, stamps, "{path}");
+        match path {
+            "drain" => assert_eq!(report.squashes, violated.len() as u64),
+            "inline" => {
+                let g = report.governor.expect("governed");
+                assert_eq!(g.degraded_commits, u64::from(tasks), "{path}");
+            }
+            _ => assert!(report.fallback_activated, "{path}"),
+        }
+    }
+}
+
 // --- versioned-memory runs -------------------------------------------
 
 /// A single-stage TLS loop over a shared counter: each task reads the

@@ -402,12 +402,12 @@ impl Workload for Bzip2 {
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state through the substrate: the output stream's
+        // Loop-carried state, folded at commit: the output stream's
         // rolling checksum and cumulative compressed length — the
         // combined-CRC and bit-stream position a real bzip2 carries
         // across blocks. Block compression itself is block-local.
         let (trace, blocks) = self.walk(size);
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             move |iter| {
                 let mut meter = WorkMeter::new();

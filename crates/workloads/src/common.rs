@@ -155,11 +155,12 @@ pub trait Workload: fmt::Debug {
 
     /// The kernel packaged for real-thread execution: the same run as
     /// [`Workload::trace`] (both come from one walk of the loop), with
-    /// every iteration re-executable on worker threads and its
-    /// loop-carried state flowing through
-    /// [`Addr`](seqpar_specmem::Addr)-keyed accesses to a
+    /// every iteration re-executable on worker threads inside a version
+    /// of a
     /// [`ConcurrentVersionedMemory`](seqpar_specmem::ConcurrentVersionedMemory)
-    /// (see [`VersionedJob`]). This is the one native packaging:
+    /// and its checksum tail folded at commit (see
+    /// [`VersionedJob::accumulating_at_commit`]). This is the one native
+    /// packaging:
     /// benchmarks and figures run its
     /// [`job_spec`](VersionedJob::job_spec) on an
     /// [`Engine`](seqpar_runtime::Engine), and the differential tests

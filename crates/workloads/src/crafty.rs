@@ -277,12 +277,10 @@ impl Workload for Crafty {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: the running best root score and a wrapping
         // tally of all subtree scores — the alpha bound and node
-        // statistics a real search threads across root moves. Most
-        // subtrees fail to improve the best score, so its write-back is
-        // usually *silent* and becomes a read-set bet the conflict
-        // detector validates at commit.
+        // statistics a real search threads across root moves, folded at
+        // commit.
         let (trace, tasks) = self.walk(size);
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             move |iter| {
                 let (reply, sub_depth) = tasks[iter as usize];

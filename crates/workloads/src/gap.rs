@@ -334,11 +334,12 @@ impl Workload for Gap {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: a rolling hash of every statement's result
         // value and the cumulative garbage-collection count — the heap
-        // summary and GC clock the interpreter threads across statements.
+        // summary and GC clock the interpreter threads across statements,
+        // folded at commit.
         // Each record is value (8 bytes le) + collected flag (1 byte).
         let mut points = RestorePoints::new();
         let (trace, program) = self.walk(size, |interp| points.offer(|| interp.clone()));
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(Interp::clone, move |interp, iter| {
                 let stmt = program[iter as usize];

@@ -574,10 +574,11 @@ impl Workload for Gcc {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: a rolling hash of the emitted assembly and
         // the cumulative assembly length — the object-file checksum and
-        // write cursor the driver threads across functions. Compilation
-        // itself is function-local under per-function label numbering.
+        // write cursor the driver threads across functions, folded at
+        // commit. Compilation itself is function-local under
+        // per-function label numbering.
         let (trace, unit) = self.walk(size, LabelNumbering::PerFunction);
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             move |iter| {
                 let func = &unit[iter as usize];

@@ -343,15 +343,14 @@ impl Workload for Gzip {
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state through the substrate: the deflate stream's
-        // rolling output checksum and cumulative compressed length.
-        // Block compression itself is block-local (primed from the raw
-        // input window), but each iteration's emitted record folds the
-        // stream state *so far* — read from versioned memory, updated,
-        // written back — so a stale racing read that escaped conflict
-        // detection would corrupt the committed bytes.
+        // Loop-carried state: the deflate stream's rolling output
+        // checksum and cumulative compressed length. Block compression
+        // itself is block-local (primed from the raw input window); each
+        // iteration's emitted record ends with the stream state *so
+        // far*, which the commit folds in order (phase C), so a record
+        // committed out of place would corrupt the committed bytes.
         let (trace, data, spans) = self.walk(size);
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             move |iter| {
                 let (dict_start, start, end) = spans[iter as usize];

@@ -334,22 +334,18 @@ impl Workload for Mcf {
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state through the substrate: the network
-        // simplex's running flow and cost totals, plus the potential-
-        // regeneration counter (`refresh_potential`'s generation — the
-        // very state the paper's mcf speculation bets on). The sweep
-        // runs on a solver restored from a point (every iteration keeps
-        // one: it outlasts a quarter of the grain target); the totals
-        // each iteration emits are read from versioned memory, accumulated
-        // (wrapping u64 arithmetic over the i64 deltas' bit patterns),
-        // and written back, so they carry real cross-iteration
-        // dependences for the conflict detector. A stable-potential
-        // iteration leaves the generation as it read it — the silent
-        // bet the conflict detector validates at commit.
+        // Loop-carried state: the network simplex's running flow and
+        // cost totals, plus the potential-regeneration counter
+        // (`refresh_potential`'s generation — the very state the paper's
+        // mcf speculation bets on). The sweep runs on a solver restored
+        // from a point (every iteration keeps one: it outlasts a quarter
+        // of the grain target); the totals each iteration emits are
+        // accumulated at commit (wrapping u64 arithmetic over the i64
+        // deltas' bit patterns).
         let mut points = RestorePoints::new();
         let trace = self.walk(size, |solver| points.offer(|| solver.clone()));
         let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(Solver::clone, |solver, _| {
                 let (costs, flow_delta, cost_delta) =

@@ -6,15 +6,25 @@
 //! threads. A kernel walks its loop once to build its job: the walk
 //! yields the trace and a [`RangeRunner`] — per-iteration inputs, or
 //! sparse `RestorePoints` of the loop's state — and the job owns it
-//! plus two bodies, each of which hands the runner a chunk of
-//! iterations to run on one live state, restored once:
+//! plus a body that hands the runner a chunk of iterations to run on one
+//! live state, restored once. Every record ends in a *tail*: the values
+//! of the loop's checksum slots after it, folded in program order. Who
+//! folds the tail is the constructor's choice:
 //!
-//! * the *versioned* body threads the chunk's loop-carried state through
-//!   a [`ConcurrentVersionedMemory`] — reads forward uncommitted stores
-//!   from earlier chunks, conflicting writes squash later readers;
-//! * the *sequential oracle* runs the chunk with no substrate — what
-//!   validation, the sequential fallback, and a replay job
-//!   (`JobSpec::mem == None`) run.
+//! * [`accumulating_at_commit`](VersionedJob::accumulating_at_commit),
+//!   every kernel: the chunk only runs its range (the paper's phase B)
+//!   and leaves its tails empty, and the commit unit folds them in task
+//!   order ([`NativeBody::commit`], phase C), so chunks make no substrate
+//!   access and never conflict on the slots;
+//! * [`accumulating`](VersionedJob::accumulating), the substrate's own
+//!   test: the chunk threads the slots through a
+//!   [`ConcurrentVersionedMemory`] inside its version — reads forward
+//!   uncommitted stores from earlier chunks, conflicting writes squash
+//!   later readers.
+//!
+//! Handed no version, the body is the *sequential oracle*: what
+//! validation, the sequential fallback, and a replay job
+//! (`JobSpec::mem == None`) run.
 //!
 //! Determinism: each oracle call depends only on its iterations, and a
 //! versioned call only on its iterations and the values it read — never
@@ -29,7 +39,7 @@
 use seqpar::IterationTrace;
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobSpec, NativeBody, NativeReport,
-    TaskCtx, TaskId, TaskOutput,
+    TaskCtx, TaskGraph, TaskId, TaskOutput,
 };
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
@@ -181,24 +191,102 @@ where
 
 /// What a task runs: one chunk's iterations in order, their bytes
 /// concatenated, their work summed. Given a version `v` of the job's
-/// [`ConcurrentVersionedMemory`] it threads the loop-carried state through
-/// `v` with `read`/`write` alone, a pure function of the iterations and
-/// the values read, so a squash-and-replay reproduces the sequential
-/// result; given none it is the sequential oracle.
+/// [`ConcurrentVersionedMemory`] it threads whatever loop-carried state
+/// it speculates on through `v` with `read`/`write` alone, a pure
+/// function of the iterations and the values read, so a squash-and-replay
+/// reproduces the sequential result; given none it is the sequential
+/// oracle.
 type ChunkBody = dyn Fn(Range<u64>, Option<(VersionId, &ConcurrentVersionedMemory)>) -> (Vec<u8>, u64)
     + Send
     + Sync;
 
+/// The order-dependent end of a loop: `slots` accumulators that
+/// `fold(iter, bytes, slots)` merges every record into, in program order
+/// from zeros, and whose values after the fold are appended to the
+/// record little-endian — so a stale value anywhere corrupts the
+/// committed byte stream, which the differential suites pin against the
+/// sequential oracle.
+struct Tail {
+    slots: usize,
+    fold: Box<Fold>,
+}
+
+/// `fold(iter, bytes, slots)`: merges iteration `iter`'s record into the
+/// slot values.
+type Fold = dyn Fn(u64, &[u8], &mut [u64]) + Send + Sync;
+
+impl Tail {
+    /// Bytes after each record: the slot values once folded.
+    fn carried(&self) -> usize {
+        8 * self.slots
+    }
+
+    /// Runs `iters` into one buffer, each record followed by its tail.
+    /// Until the fold fills a tail, its first eight bytes hold the
+    /// record's length: all a fold needs to find the records of a chunk
+    /// it did not emit. With no slots a record has no tail.
+    fn emit(&self, runner: &dyn RangeRunner, iters: Range<u64>) -> (Vec<u8>, u64) {
+        let len = (iters.end - iters.start) as usize;
+        let carried = self.carried();
+        let (mut out, mut work) = (Vec::new(), 0u64);
+        runner.run(iters, &mut |bytes, w| {
+            if out.is_empty() {
+                out.reserve((bytes.len() + carried) * len);
+            }
+            out.extend_from_slice(bytes);
+            if carried > 0 {
+                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                out.resize(out.len() + carried - 8, 0);
+            }
+            work += w;
+        });
+        (out, work)
+    }
+
+    /// Folds the records [`emit`](Tail::emit) left in `out`, the first
+    /// of them iteration `first`, in order on `state`, and writes each
+    /// one's slot values into its tail. `tails` is scratch for where the
+    /// tails start, found from the last record back.
+    fn fold(&self, first: u64, out: &mut [u8], state: &mut [u64], tails: &mut Vec<usize>) {
+        let carried = self.carried();
+        if carried == 0 {
+            return;
+        }
+        tails.clear();
+        let mut end = out.len();
+        while end > 0 {
+            let tail = end - carried;
+            let len = u64::from_le_bytes(out[tail..tail + 8].try_into().expect("eight bytes"));
+            tails.push(tail);
+            end = tail - len as usize;
+        }
+        let mut start = 0;
+        for (i, &tail) in (first..).zip(tails.iter().rev()) {
+            let (bytes, rest) = out[start..].split_at_mut(tail - start);
+            (self.fold)(i, bytes, state);
+            for (dst, val) in rest[..carried].chunks_exact_mut(8).zip(&*state) {
+                dst.copy_from_slice(&val.to_le_bytes());
+            }
+            start = tail + carried;
+        }
+    }
+}
+
+/// A run's fold at commit: the slot values after the last committed
+/// task, and the fold's scratch.
+struct Committed {
+    state: Vec<u64>,
+    tails: Vec<usize>,
+}
+
 /// How long a task should run. Handing a task over costs the executor
 /// 0.3 µs with no carried state and 0.55–1.0 µs with (the benchmark's
 /// `exec.overhead_ns_per_task.*`), and at one seat a kernel chunk also
-/// pays the versioned memory for its version: begin, two slot reads, two
-/// slot writes, a check and a commit in a run of 16 took 1.73 µs while
-/// lookups walked every live version of a shard, and take 0.72 µs on
-/// one version chain per address (medians on a 2-vCPU x86-64 host,
-/// EXPERIMENTS.md "One version chain per address"). A task of 32 µs so
-/// outlasts its overhead 19–25 times (12–14 before): 4–5 % of the wall
-/// is hand-off, substrate and commit (7–9 % before).
+/// pays the versioned memory for its version — begin, a check and a
+/// commit with nothing read or written, since its checksum tail folds at
+/// commit — and that fold (EXPERIMENTS.md "The checksum tail folds at
+/// commit"). A task of 32 µs so outlasts its overhead 20 times and more:
+/// under 5 % of the wall is hand-off, substrate and commit.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
 /// Chunking never leaves a seat of the plan's widest stage fewer tasks
@@ -207,15 +295,21 @@ const GRAIN_TARGET_NS: u64 = 32_000;
 /// of a seat's share at most.
 const TASKS_PER_SEAT: usize = 8;
 
-/// A workload packaged for **conflict-driven** native execution: its
-/// loop-carried state flows through [`Addr`]-keyed accesses to a
+/// A workload packaged for **conflict-driven** native execution: each
+/// task runs a chunk of the loop inside a version of a
 /// [`ConcurrentVersionedMemory`], and squashes originate from the
 /// substrate's conflict detection at access granularity, not from the
-/// trace's recorded dependence events.
+/// trace's recorded dependence events. What a chunk speculates on is the
+/// constructor's choice: [`accumulating`](VersionedJob::accumulating)
+/// threads the checksum slots through [`Addr`]-keyed accesses,
+/// [`accumulating_at_commit`](VersionedJob::accumulating_at_commit)
+/// folds them at commit, outside any version.
 #[derive(Clone)]
 pub struct VersionedJob {
     trace: IterationTrace,
     body: Arc<ChunkBody>,
+    /// The tail the commit folds, when the chunks leave it empty.
+    at_commit: Option<Arc<Tail>>,
     /// Mean wall time of one iteration, set by the first
     /// [`sequential`](VersionedJob::sequential) run of the job or a clone:
     /// [`grain`](VersionedJob::grain) reads only this, so one job builds
@@ -228,8 +322,9 @@ impl fmt::Debug for VersionedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VersionedJob")
             .field("iterations", &self.trace.len())
-            .field("iteration_ns", &self.clock())
+            .field("iteration_ns", &self.iteration_ns.get())
             .field("restore_stride", &self.restore_stride)
+            .field("folds_at_commit", &self.at_commit.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -241,10 +336,10 @@ fn widest_stage(plan: &ExecutionPlan) -> usize {
 }
 
 impl VersionedJob {
-    /// Packages a kernel whose iterations are individually pure — the
-    /// shape of every native body in the suite — with `slots`
-    /// loop-carried accumulators threaded through versioned memory at
-    /// `Addr(0) .. Addr(slots)`.
+    /// Packages a loop whose iterations are individually pure with
+    /// `slots` loop-carried accumulators threaded through versioned
+    /// memory at `Addr(0) .. Addr(slots)`: the substrate's own test, every
+    /// pair of consecutive chunks a true dependence.
     ///
     /// Each iteration's bytes come from `runner`; the job merges them
     /// into the slot values via `fold(iter, bytes, slots)` and appends
@@ -272,28 +367,18 @@ impl VersionedJob {
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
         let n = trace.len() as u64;
+        let restore_stride = runner.stride();
+        let tail = Tail {
+            slots,
+            fold: Box::new(fold),
+        };
         // The slot values before each iteration, in program order:
         // iteration i's are `prefix[i * slots..][..slots]`.
         let prefix = OnceLock::new();
-        let restore_stride = runner.stride();
-        let carried = 8 * slots;
         let body = move |iters: Range<u64>,
                          mem: Option<(VersionId, &ConcurrentVersionedMemory)>| {
-            // Every record goes straight into the task's output, with
-            // room left after each for the slot values it does not know
-            // yet; `ends` remembers where the records stop.
             let len = (iters.end - iters.start) as usize;
-            let (mut out, mut ends) = (Vec::new(), Vec::with_capacity(len));
-            let mut work = 0u64;
-            runner.run(iters.clone(), &mut |bytes, w| {
-                if ends.is_empty() {
-                    out.reserve((bytes.len() + carried) * len);
-                }
-                out.extend_from_slice(bytes);
-                out.resize(out.len() + carried, 0);
-                ends.push(out.len());
-                work += w;
-            });
+            let (mut out, work) = tail.emit(&runner, iters.clone());
             let mut state: Vec<u64> = match mem {
                 Some((v, m)) => (0..slots as u64).map(|s| m.read(v, Addr(s))).collect(),
                 None if iters.start == 0 || slots == 0 => vec![0; slots],
@@ -302,21 +387,18 @@ impl VersionedJob {
                     runner.run(0..n, &mut |bytes, _| {
                         let i = (table.len() / slots) as u64;
                         table.extend_from_slice(&state);
-                        fold(i, bytes, &mut state);
+                        (tail.fold)(i, bytes, &mut state);
                     });
                     table
                 })[iters.start as usize * slots..][..slots]
                     .to_vec(),
             };
-            let mut start = 0;
-            for (i, end) in iters.zip(ends) {
-                let (bytes, tail) = out[start..end].split_at_mut(end - start - carried);
-                fold(i, bytes, &mut state);
-                for (dst, val) in tail.chunks_exact_mut(8).zip(&state) {
-                    dst.copy_from_slice(&val.to_le_bytes());
-                }
-                start = end;
-            }
+            tail.fold(
+                iters.start,
+                &mut out,
+                &mut state,
+                &mut Vec::with_capacity(len),
+            );
             if let Some((v, m)) = mem {
                 for (s, val) in state.iter().enumerate() {
                     m.write(v, Addr(s as u64), *val);
@@ -327,6 +409,39 @@ impl VersionedJob {
         Self {
             trace,
             body: Arc::new(body),
+            at_commit: None,
+            iteration_ns: Arc::default(),
+            restore_stride,
+        }
+    }
+
+    /// [`accumulating`](VersionedJob::accumulating)'s loop, records and
+    /// bytes, with the tail in serial phase C (§3.2): a chunk runs its
+    /// range and emits its records with their tails empty, touching no
+    /// substrate address, and the commit folds them in order on the slot
+    /// values every earlier task left, outside any version. So no chunk
+    /// conflicts with another on the tail, and the oracle a fallback or a
+    /// replay runs mid-loop needs no slot values before its range. What
+    /// every kernel of the suite builds. Construction runs no iteration.
+    pub fn accumulating_at_commit(
+        trace: IterationTrace,
+        runner: impl RangeRunner,
+        slots: usize,
+        fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
+    ) -> Self {
+        let restore_stride = runner.stride();
+        let tail = Arc::new(Tail {
+            slots,
+            fold: Box::new(fold),
+        });
+        let emit = Arc::clone(&tail);
+        let body = move |iters: Range<u64>, _: Option<(VersionId, &ConcurrentVersionedMemory)>| {
+            emit.emit(&runner, iters)
+        };
+        Self {
+            trace,
+            body: Arc::new(body),
+            at_commit: Some(tail),
             iteration_ns: Arc::default(),
             restore_stride,
         }
@@ -352,12 +467,16 @@ impl VersionedJob {
     }
 
     /// Runs every iteration in order on the calling thread through the
-    /// sequential oracle — the reference against which versioned native
-    /// output must be byte-identical. The job's first run sets its clock.
+    /// sequential oracle, its tail folded — the reference against which
+    /// versioned native output must be byte-identical. The job's first
+    /// run sets its clock.
     pub fn sequential(&self) -> SequentialRun {
         let n = self.trace.len();
         let started = Instant::now();
-        let (output, work) = (self.body)(0..n as u64, None);
+        let (mut output, work) = (self.body)(0..n as u64, None);
+        if let Some(tail) = &self.at_commit {
+            tail.fold(0, &mut output, &mut vec![0; tail.slots], &mut Vec::new());
+        }
         let wall = started.elapsed();
         let ns = (wall.as_nanos() / n.max(1) as u128) as u64;
         let _ = self.iteration_ns.set(ns);
@@ -375,14 +494,13 @@ impl VersionedJob {
             .expect("a sequential run sets the clock")
     }
 
-    /// Runs the job on real threads under `plan`, with every attempt's
-    /// loop-carried state routed through a fresh
-    /// [`ConcurrentVersionedMemory`] — the one-shot convenience: an
-    /// [`Engine`] sized by [`EngineConfig::for_plan`], dropped on
-    /// return. Returns the report (whose
-    /// [`mem`](NativeReport::mem) field carries the substrate counters)
-    /// together with the memory itself, so callers can inspect the
-    /// committed loop-carried state. Callers that run more than one job
+    /// Runs the job on real threads under `plan`, every attempt inside
+    /// its own version of a fresh [`ConcurrentVersionedMemory`] — the
+    /// one-shot convenience: an [`Engine`] sized by
+    /// [`EngineConfig::for_plan`], dropped on return. Returns the report
+    /// (whose [`mem`](NativeReport::mem) field carries the substrate
+    /// counters) together with the memory itself, so callers can inspect
+    /// what the run committed there. Callers that run more than one job
     /// keep an engine and hand it [`VersionedJob::job_spec`]s.
     ///
     /// # Errors
@@ -419,7 +537,7 @@ impl VersionedJob {
 
     /// Packages the job as a submittable unit for an [`Engine`], with a
     /// fresh private substrate. Returns the spec and the substrate
-    /// handle so the caller can inspect committed loop-carried state
+    /// handle so the caller can inspect what the run committed there
     /// after the job's report arrives.
     ///
     /// The graph is the trace [`chunked`](IterationTrace::chunked) by
@@ -436,52 +554,100 @@ impl VersionedJob {
     /// one version and emits their records back to back, so the
     /// committed stream is the sequential one at any grain. Oracle and
     /// fallback attempts see [`TaskCtx::mem`]` == None` and run the
-    /// sequential twin over the same iterations.
+    /// sequential twin over the same iterations. A job that folds its
+    /// tail at commit folds it in [`NativeBody::commit`], from zeros at
+    /// iteration 0: the spec's body owns the run's slot values.
     pub fn job_spec(
         &self,
         plan: &ExecutionPlan,
         config: ExecConfig,
     ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
-        self.job_spec_at(self.grain(plan), plan, config)
+        let (spec, mem, _) = self.job_spec_at(self.grain(plan), plan, config);
+        (spec, mem)
     }
 
     /// [`job_spec`](VersionedJob::job_spec) with the grain given, not
-    /// measured: the one place a graph and a task body are built.
+    /// measured: the one place a graph and a task body are built. Also
+    /// returns the slot values the run's commits fold, for inspection.
     fn job_spec_at(
         &self,
         k: usize,
         plan: &ExecutionPlan,
         config: ExecConfig,
-    ) -> (JobSpec, Arc<ConcurrentVersionedMemory>) {
+    ) -> (
+        JobSpec,
+        Arc<ConcurrentVersionedMemory>,
+        Arc<Mutex<Committed>>,
+    ) {
         let chunks = self.trace.chunked(k);
         let graph = Arc::new(if plan.stage_count() == 1 {
             chunks.tls_task_graph()
         } else {
             chunks.task_graph()
         });
-        let emit_stage = if graph.stage_count() == 1 { 0u8 } else { 1u8 };
         let mem = Arc::new(ConcurrentVersionedMemory::new());
-        let body = Arc::clone(&self.body);
-        let (k, n) = (k as u64, self.trace.len() as u64);
-        let task_body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-            if ctx.stage.0 != emit_stage {
-                return TaskOutput::empty();
-            }
-            let iters = ctx.iter * k..n.min((ctx.iter + 1) * k);
-            let (bytes, work) = body(iters, ctx.mem.map(|m| (VersionId(u64::from(task.0)), m)));
-            TaskOutput { bytes, work }
+        let committed = Arc::new(Mutex::new(Committed {
+            state: vec![0; self.at_commit.as_ref().map_or(0, |t| t.slots)],
+            tails: Vec::new(),
+        }));
+        let tasks = ChunkTasks {
+            emit_stage: if graph.stage_count() == 1 { 0 } else { 1 },
+            graph: Arc::clone(&graph),
+            body: Arc::clone(&self.body),
+            k: k as u64,
+            n: self.trace.len() as u64,
+            at_commit: self.at_commit.clone(),
+            committed: Arc::clone(&committed),
         };
-        let task_body: Arc<dyn NativeBody> = Arc::new(task_body);
-        (
-            JobSpec {
-                graph,
-                plan: Arc::new(plan.clone()),
-                body: task_body,
-                mem: Some(Arc::clone(&mem)),
-                config,
-            },
-            mem,
-        )
+        let spec = JobSpec {
+            graph,
+            plan: Arc::new(plan.clone()),
+            body: Arc::new(tasks),
+            mem: Some(Arc::clone(&mem)),
+            config,
+        };
+        (spec, mem, committed)
+    }
+}
+
+/// The task body of one run at grain `k`: a transform task runs its
+/// chunk, and, when the job folds its tail at commit, its commit folds
+/// the chunk's records on the slot values of the run.
+struct ChunkTasks {
+    graph: Arc<TaskGraph>,
+    body: Arc<ChunkBody>,
+    emit_stage: u8,
+    k: u64,
+    n: u64,
+    at_commit: Option<Arc<Tail>>,
+    committed: Arc<Mutex<Committed>>,
+}
+
+impl NativeBody for ChunkTasks {
+    fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
+        if ctx.stage.0 != self.emit_stage {
+            return TaskOutput::empty();
+        }
+        let iters = ctx.iter * self.k..self.n.min((ctx.iter + 1) * self.k);
+        let (bytes, work) = (self.body)(iters, ctx.mem.map(|m| (VersionId(u64::from(task.0)), m)));
+        TaskOutput { bytes, work }
+    }
+
+    fn commit(&self, task: TaskId, bytes: &mut [u8]) {
+        let Some(tail) = &self.at_commit else {
+            return;
+        };
+        let t = self.graph.task(task);
+        if t.stage.0 != self.emit_stage {
+            return;
+        }
+        let first = t.iter * self.k;
+        let mut c = self.committed.lock().expect("a fold does not panic");
+        let Committed { state, tails } = &mut *c;
+        if first == 0 {
+            state.fill(0);
+        }
+        tail.fold(first, bytes, state, tails);
     }
 }
 
@@ -490,8 +656,9 @@ mod tests {
     use super::*;
     use crate::{all_workloads, InputSize};
     use seqpar::IterationRecord;
-    use seqpar_runtime::FaultPlan;
+    use seqpar_runtime::{FaultKind, FaultPlan};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     thread_local! {
         /// Set while a test builds jobs that keep every restore point.
@@ -538,29 +705,62 @@ mod tests {
         jobs
     }
 
-    /// Every kernel keeps its carried state below this address.
-    const SLOTS: u64 = 8;
+    /// Every job keeps no more checksum slots than this.
+    const SLOTS: usize = 8;
 
-    fn slots(mem: &ConcurrentVersionedMemory) -> Vec<u64> {
-        (0..SLOTS)
+    /// The slot values a run left: committed to the substrate by an
+    /// `accumulating` job, folded by the commit tail of one that folds at
+    /// commit — which writes no slot, and no substrate address at all.
+    fn slots(job: &VersionedJob, mem: &ConcurrentVersionedMemory, folded: &[u64]) -> Vec<u64> {
+        let mut slots: Vec<u64> = (0..SLOTS as u64)
             .map(|s| mem.committed(Addr(s)).unwrap_or(0))
-            .collect()
+            .collect();
+        if job.at_commit.is_some() {
+            assert_eq!(mem.stats().writes, 0, "a chunk writes no slot");
+            slots[..folded.len()].copy_from_slice(folded);
+        }
+        slots
     }
 
-    /// What the sequential loop leaves in memory: the versioned body run
-    /// one iteration per version, each committed before the next begins.
-    /// Its records are the oracle's, which pins body/oracle agreement on
-    /// the way.
+    /// What the sequential loop leaves: the versioned body run one
+    /// iteration per version, each committed before the next begins and
+    /// its tail folded then. Its records are the oracle's, which pins
+    /// body/oracle agreement on the way.
     fn sequential_slots(id: &str, job: &VersionedJob) -> Vec<u64> {
         let mem = ConcurrentVersionedMemory::new();
+        let slots_at_commit = job.at_commit.as_ref().map_or(0, |t| t.slots);
+        let mut c = Committed {
+            state: vec![0; slots_at_commit],
+            tails: Vec::new(),
+        };
         for i in 0..job.len() as u64 {
             let v = VersionId(i);
             mem.begin(v);
-            let versioned = (job.body)(i..i + 1, Some((v, &mem)));
-            assert_eq!(versioned, (job.body)(i..i + 1, None), "{id} @ {i}");
+            let (mut versioned, work) = (job.body)(i..i + 1, Some((v, &mem)));
+            assert_eq!(
+                (versioned.clone(), work),
+                (job.body)(i..i + 1, None),
+                "{id} @ {i}"
+            );
             mem.try_commit(v).expect("nothing runs beside it");
+            if let Some(tail) = &job.at_commit {
+                tail.fold(i, &mut versioned, &mut c.state, &mut c.tails);
+            }
         }
-        slots(&mem)
+        slots(job, &mem, &c.state)
+    }
+
+    impl VersionedJob {
+        /// Oracle chunks that cover the loop in order, concatenated and,
+        /// if the job folds its tail at commit, folded as the commits
+        /// would: the sequential stream.
+        fn folded<'a>(&self, chunks: impl Iterator<Item = &'a Vec<u8>>) -> Vec<u8> {
+            let mut output: Vec<u8> = chunks.flatten().copied().collect();
+            if let Some(tail) = &self.at_commit {
+                tail.fold(0, &mut output, &mut vec![0; tail.slots], &mut Vec::new());
+            }
+            output
+        }
     }
 
     /// A job with what its sequential run commits and leaves in memory.
@@ -612,7 +812,7 @@ mod tests {
                 FaultPlan::none()
             };
             let config = ExecConfig::default().with_faults(faults);
-            let (mut spec, mem) = job.job_spec_at(k, plan, config);
+            let (mut spec, mem, committed) = job.job_spec_at(k, plan, config);
             if mode.replay {
                 spec.mem = None;
             }
@@ -624,10 +824,13 @@ mod tests {
             assert_eq!(report.output, seq.output, "{what}: bytes");
             assert_eq!(report.work, seq.work, "{what}: work");
             // The fallback and a replay run the oracle, which leaves the
-            // substrate alone.
+            // substrate alone; every commit folds a tail that folds there.
+            let folded = &committed.lock().expect("no fold panics").state;
             if !mode.replay && !report.fallback_activated {
-                assert_eq!(slots(&mem), self.slots, "{what}: memory");
+                assert_eq!(slots(job, &mem, folded), self.slots, "{what}: memory");
                 assert_eq!(mem.active_count(), 0, "{what}: version left open");
+            } else if job.at_commit.is_some() {
+                assert_eq!(slots(job, &mem, folded), self.slots, "{what}: folded");
             }
         }
     }
@@ -820,28 +1023,44 @@ mod tests {
         assert_eq!((0..3).map(|_| build(fast).grain(&plan)).max(), Some(8));
     }
 
+    /// A loop of `n` one-byte iterations with an order-sensitive
+    /// two-slot tail, folded by its chunks or at commit, and counters of
+    /// the iterations it ran and of those that were iteration 0 — each
+    /// full pass over the loop runs one.
+    fn counted(n: u64, at_commit: bool) -> (VersionedJob, Arc<AtomicU64>, Arc<AtomicU64>) {
+        let (ran, zeros) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (r, z) = (Arc::clone(&ran), Arc::clone(&zeros));
+        let trace = (0..n).map(|_| IterationRecord::new(1, 1, 1)).collect();
+        let compute = move |i: u64| {
+            r.fetch_add(1, Relaxed);
+            z.fetch_add(u64::from(i == 0), Relaxed);
+            (vec![i as u8], 1)
+        };
+        let fold = |i: u64, bytes: &[u8], state: &mut [u64]| {
+            state[0] = state[0].wrapping_mul(31).wrapping_add(u64::from(bytes[0]));
+            state[1] += i;
+        };
+        let job = if at_commit {
+            VersionedJob::accumulating_at_commit(trace, compute, 2, fold)
+        } else {
+            VersionedJob::accumulating(trace, compute, 2, fold)
+        };
+        (job, ran, zeros)
+    }
+
     /// Building a job runs none of its loop, its first sequential run is
     /// the only one its clock needs, and a mid-loop oracle range pays one
-    /// full pass for the prefix table, once.
+    /// full pass for the prefix table, once — unless the job folds its
+    /// tail at commit: then an oracle range runs its own iterations and
+    /// no more, and a replay and a fallback from mid-loop run iteration 0
+    /// once, on task 0's one attempt. The fold makes each the sequential
+    /// stream.
     #[test]
     fn a_job_runs_its_loop_once() {
         let n = 64u64;
-        let ran = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let build = || {
-            let ran = Arc::clone(&ran);
-            let trace = (0..n).map(|_| IterationRecord::new(1, 1, 1));
-            let compute = move |i: u64| {
-                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                (vec![i as u8], 1)
-            };
-            VersionedJob::accumulating(trace.collect(), compute, 2, |i, bytes, state| {
-                state[0] = state[0].wrapping_mul(31).wrapping_add(u64::from(bytes[0]));
-                state[1] += i;
-            })
-        };
-        let ran_since = || ran.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let (job, ran, _) = counted(n, false);
+        let ran_since = || ran.swap(0, Relaxed);
         let plan = ExecutionPlan::tls(1);
-        let job = build();
         let twin = job.clone();
         assert_eq!(ran_since(), 0, "construction");
         let seq = job.sequential();
@@ -849,9 +1068,9 @@ mod tests {
         let k = job.grain(&plan);
         assert_eq!(k, twin.grain(&plan), "a clone shares the clock");
         assert_eq!(ran_since(), 0, "grain after a sequential run");
-        let fresh = build();
+        let (fresh, ran_fresh, _) = counted(n, false);
         assert_eq!(fresh.grain(&plan), fresh.grain(&plan));
-        assert_eq!(ran_since(), n, "grain on a fresh job, twice");
+        assert_eq!(ran_fresh.load(Relaxed), n, "grain on a fresh job, twice");
         // Oracle ranges from the end backwards: the first starts mid-loop
         // and builds the table; every one folds from the state before it.
         let mut runs = Vec::new();
@@ -862,8 +1081,48 @@ mod tests {
             let pass = if r == 0 { n } else { 0 };
             assert_eq!(ran_since(), pass + range.end - range.start, "{range:?}");
         }
-        let output: Vec<u8> = runs.iter().rev().flat_map(|(b, _)| b.clone()).collect();
-        assert_eq!(output, seq.output);
+        assert_eq!(job.folded(runs.iter().rev().map(|(b, _)| b)), seq.output);
+
+        let (kernel, ran, zeros) = counted(n, true);
+        let seq = kernel.sequential();
+        assert_eq!((ran.swap(0, Relaxed), zeros.swap(0, Relaxed)), (n, 1));
+        let mut runs = Vec::new();
+        for &start in starts.iter().rev() {
+            let range = start..n.min(start + 5);
+            runs.push((kernel.body)(range.clone(), None));
+            assert_eq!(ran.swap(0, Relaxed), range.end - range.start, "{range:?}");
+        }
+        assert_eq!(kernel.folded(runs.iter().rev().map(|(b, _)| b)), seq.output);
+        zeros.swap(0, Relaxed);
+        let engine = Engine::new(EngineConfig::for_plan(&plan));
+        let (mut replay, _, _) = kernel.job_spec_at(4, &plan, ExecConfig::default());
+        replay.mem = None;
+        let report = engine.run(&replay).expect("a replay runs");
+        assert_eq!(report.output, seq.output, "replay");
+        assert_eq!(zeros.swap(0, Relaxed), 1, "replay");
+        let faults = FaultPlan::none().with_forced(3, 0, FaultKind::WorkerPanic);
+        let config = ExecConfig::default()
+            .with_faults(faults)
+            .with_retry_budget(0);
+        let (spec, mem, _) = kernel.job_spec_at(4, &plan, config);
+        let report = engine.run(&spec).expect("the fallback runs");
+        assert!(report.fallback_activated, "a panic at budget 0 falls back");
+        assert_eq!(report.output, seq.output, "fallback");
+        assert_eq!(zeros.swap(0, Relaxed), 1, "fallback");
+        assert_eq!(mem.stats().reads + mem.stats().writes, 0, "no slot access");
+    }
+
+    /// Formatting a job reads its clock and runs none of its loop.
+    #[test]
+    fn formatting_a_job_runs_none_of_its_loop() {
+        let (job, ran, _) = counted(64, true);
+        let fresh = format!("{job:?}");
+        assert!(fresh.contains("iteration_ns: None"), "{fresh}");
+        assert_eq!(ran.load(Relaxed), 0, "formatting a fresh job");
+        job.sequential();
+        ran.swap(0, Relaxed);
+        assert!(format!("{job:?}").contains("iteration_ns: Some("));
+        assert_eq!(ran.load(Relaxed), 0, "formatting a measured job");
     }
 
     /// Pins the rule of [`RestorePoints`] on walks whose states are
@@ -987,7 +1246,7 @@ mod tests {
                         .rev()
                         .map(|&a| (case.job.body)(a..n.min(a + k as u64), None))
                         .collect();
-                    let output: Vec<u8> = runs.iter().rev().flat_map(|(b, _)| b.clone()).collect();
+                    let output = case.job.folded(runs.iter().rev().map(|(b, _)| b));
                     let work: u64 = runs.iter().map(|(_, w)| w).sum();
                     assert_eq!(output, case.seq.output, "{}: k = {k} backwards", case.id);
                     assert_eq!(work, case.seq.work, "{}: k = {k} backwards", case.id);

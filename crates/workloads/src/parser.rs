@@ -258,14 +258,11 @@ impl Workload for Parser {
     }
 
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state through the substrate: the batch's running
+        // Loop-carried state, folded at commit: the batch's running
         // accepted-sentence count (the `results` accumulator the IR
-        // model stores through). Accepting iterations genuinely change
-        // the counter; rejecting iterations and commands write back the
-        // value they read — the silent-store bet the substrate
-        // validates at commit instead of squashing on.
+        // model stores through).
         let (trace, items) = self.walk(size);
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             move |iter| match &items[iter as usize] {
                 Item::Command => (vec![2u8], 1),

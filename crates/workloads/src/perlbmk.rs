@@ -268,9 +268,7 @@ impl Workload for Perlbmk {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: a rolling hash of every printed value and
         // the cumulative printed-word count — the output-buffer summary
-        // the interpreter threads across statements. Statements that
-        // print nothing leave both slots unchanged, so their write-backs
-        // are silent-store bets.
+        // the interpreter threads across statements, folded at commit.
         let mut points = RestorePoints::new();
         // A point is the variable file: at a statement boundary the
         // stack is empty, and a statement's output is its own.
@@ -280,7 +278,7 @@ impl Workload for Perlbmk {
                 ..Vm::new()
             });
         });
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(Vm::clone, move |vm, iter| {
                 let mut meter = WorkMeter::new();

@@ -300,16 +300,14 @@ impl Workload for Twolf {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: the accepted-exchange count and the total
         // nets touched by accepted exchanges — the cost-table bookkeeping
-        // `uloop` threads across iterations. Rejected exchanges leave
-        // both slots unchanged, so their write-backs are silent-store
-        // bets — the annealer's dominant case at low acceptance rates.
+        // `uloop` threads across iterations, folded at commit.
         let mut points = RestorePoints::new();
         let (trace, base) = self.walk(size, |place, rng, _| {
             points.offer(|| (place.pos.clone(), rng.clone()));
         });
         let (per_temp, temperatures): (_, Vec<f64>) =
             (self.iters_per_temp(size), schedule().collect());
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(
                 move |(pos, rng)| {

@@ -561,14 +561,13 @@ impl Workload for Vortex {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: the not-found transaction count and the
         // cumulative rebalance total — the error log and structural-edit
-        // clock the database threads across transactions. Read-only
-        // lookups that hit leave both slots unchanged, so their
-        // write-backs are silent-store bets.
+        // clock the database threads across transactions, folded at
+        // commit.
         // The tree is persistent: a point is an O(1) clone, and a chunk
         // copies only the paths its transactions touch.
         let mut points = RestorePoints::new();
         let (trace, txns) = self.walk(size, |tree| points.offer(|| tree.clone()));
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(BTree::clone, move |tree, iter| {
                 let mut meter = WorkMeter::new();

@@ -299,15 +299,14 @@ impl Workload for Vpr {
     fn versioned_job(&self, size: InputSize) -> VersionedJob {
         // Loop-carried state: the accepted-move count and the wrapping
         // sum of accepted cost deltas — the running placement cost the
-        // annealer threads across moves. Rejected moves leave both slots
-        // unchanged, so their write-backs are silent-store bets.
+        // annealer threads across moves, folded at commit.
         let mut points = RestorePoints::new();
         let (trace, base) = self.walk(size, |place, rng, _| {
             points.offer(|| (place.pos.clone(), rng.clone()));
         });
         let (moves, temperatures): (_, Vec<f64>) =
             (self.moves_per_temp(size), schedule().collect());
-        VersionedJob::accumulating(
+        VersionedJob::accumulating_at_commit(
             trace,
             points.runner(
                 // Blocks moved in turn to their kept cells displace none before.

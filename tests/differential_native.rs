@@ -23,8 +23,8 @@
 use seqpar::IterationTrace;
 use seqpar_bench::{simulate, PlanKind};
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, JobSpec, NativeReport,
-    SimConfig, Simulator, TaskCtx, TaskId,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, JobSpec, NativeBody,
+    NativeReport, SimConfig, Simulator, TaskCtx, TaskId, TaskOutput,
 };
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize, VersionedJob};
 use std::collections::BTreeMap;
@@ -49,8 +49,8 @@ fn jobs() -> Vec<(&'static str, VersionedJob)> {
 fn replay(job: &VersionedJob, plan: &ExecutionPlan, config: ExecConfig) -> JobSpec {
     let (mut spec, _mem) = job.job_spec(plan, config);
     spec.mem = None;
-    let (graph, oracle) = (Arc::clone(&spec.graph), Arc::clone(&spec.body));
-    spec.body = Arc::new(move |task: TaskId, ctx: &TaskCtx<'_>| {
+    let graph = Arc::clone(&spec.graph);
+    wrap(&mut spec, move |oracle, task, ctx| {
         let mut out = oracle.run(task, ctx);
         let violated = graph.spec_deps(graph.task(task)).iter().any(|d| d.violated);
         if ctx.speculative() && violated {
@@ -62,6 +62,35 @@ fn replay(job: &VersionedJob, plan: &ExecutionPlan, config: ExecConfig) -> JobSp
         out
     });
     spec
+}
+
+/// A body that runs each task through `run(inner, task, ctx)` and
+/// leaves its commit to `inner`'s, which folds the job's tail.
+struct Wrapped<F> {
+    inner: Arc<dyn NativeBody>,
+    run: F,
+}
+
+impl<F> NativeBody for Wrapped<F>
+where
+    F: Fn(&dyn NativeBody, TaskId, &TaskCtx<'_>) -> TaskOutput + Send + Sync,
+{
+    fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
+        (self.run)(&*self.inner, task, ctx)
+    }
+
+    fn commit(&self, task: TaskId, bytes: &mut [u8]) {
+        self.inner.commit(task, bytes);
+    }
+}
+
+/// Replaces `spec`'s body with `run` around it.
+fn wrap<F>(spec: &mut JobSpec, run: F)
+where
+    F: Fn(&dyn NativeBody, TaskId, &TaskCtx<'_>) -> TaskOutput + Send + Sync + 'static,
+{
+    let inner = Arc::clone(&spec.body);
+    spec.body = Arc::new(Wrapped { inner, run });
 }
 
 /// Runs `spec` on an engine of its own, one worker per seat of its plan.
@@ -394,8 +423,8 @@ fn violated_speculation_emits_bytes_the_rollback_discards() {
     // (task, attempt) -> the bytes that attempt emitted.
     type Emitted = BTreeMap<(u32, u32), Vec<u8>>;
     let emitted: Arc<Mutex<Emitted>> = Arc::default();
-    let (body, log) = (Arc::clone(&spec.body), Arc::clone(&emitted));
-    spec.body = Arc::new(move |task: TaskId, ctx: &TaskCtx<'_>| {
+    let log = Arc::clone(&emitted);
+    wrap(&mut spec, move |body, task, ctx| {
         let out = body.run(task, ctx);
         let mut log = log.lock().expect("no body panics");
         log.insert((task.0, ctx.attempt), out.bytes.clone());

@@ -1,10 +1,11 @@
 //! Full-matrix differential suite for conflict-driven native
-//! execution: **all 11 workloads** route their loop-carried state
-//! through the `ConcurrentVersionedMemory` substrate
-//! (`Workload::versioned_job` is the one native packaging, run here
-//! through `VersionedJob::execute`'s one-shot engine), squashes
-//! originate from the substrate's conflict detection (not the trace's
-//! recorded `SpecDep` events), and still:
+//! execution: **all 11 workloads** run every task inside a version of
+//! the `ConcurrentVersionedMemory` substrate (`Workload::versioned_job`
+//! is the one native packaging, run here through
+//! `VersionedJob::execute`'s one-shot engine) with their checksum tail
+//! folded at commit, and an `accumulating` loop threads its tail through
+//! the substrate, so squashes originate from the substrate's conflict
+//! detection (not the trace's recorded `SpecDep` events), and still:
 //!
 //! * the committed output stream is byte-identical to the sequential
 //!   oracle at every thread count in {1, 2, 4, 8} and under injected
@@ -14,17 +15,25 @@
 //!   (`VersionOpen`/`VersionReads`/`VersionConflict`/`VersionCommit`)
 //!   present on both sides.
 
+use seqpar::IterationRecord;
 use seqpar_runtime::{
     ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig, SimConfig, Simulator, SquashReason,
     TraceEventKind,
 };
 use seqpar_specmem::Addr;
-use seqpar_workloads::{all_workloads, workload_by_name, InputSize, VersionedJob};
+use seqpar_workloads::{all_workloads, InputSize, VersionedJob};
 
 /// Thread counts exercised per workload.
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
+/// Every kernel, and [`accepted_count`]: the one whose chunks conflict.
 fn versioned_jobs() -> Vec<(&'static str, VersionedJob)> {
+    let mut jobs = kernel_jobs();
+    jobs.push(("accepted-count", accepted_count()));
+    jobs
+}
+
+fn kernel_jobs() -> Vec<(&'static str, VersionedJob)> {
     all_workloads()
         .into_iter()
         .map(|w| (w.meta().spec_id, w.versioned_job(InputSize::Test)))
@@ -99,12 +108,24 @@ fn versioned_squashes_originate_from_the_substrate() {
     }
 }
 
+/// An `accumulating` loop of 500 iterations, every third of which is
+/// accepted: its accepted count lives at `Addr(0)` of the substrate.
+fn accepted_count() -> VersionedJob {
+    let trace = (0..500).map(|i| IterationRecord::new(1, 20 + i % 7, 1));
+    VersionedJob::accumulating(
+        trace.collect(),
+        |i: u64| (vec![u8::from(i.is_multiple_of(3))], 1),
+        1,
+        |_, verdict, accepted| accepted[0] += u64::from(verdict[0] == 1),
+    )
+}
+
 /// (c) The committed loop-carried memory state equals what a sequential
-/// run computes — parser's accepted-count accumulator checked exactly.
+/// run computes — an `accumulating` loop's accepted count checked
+/// exactly.
 #[test]
 fn versioned_memory_state_matches_sequential() {
-    let parser = workload_by_name("197.parser").expect("parser exists");
-    let job = parser.versioned_job(InputSize::Test);
+    let job = accepted_count();
     let seq = job.sequential();
     // The oracle's last record carries the final accepted count in its
     // trailing 8 bytes.
@@ -263,24 +284,33 @@ fn governed_chaos_runs_stay_byte_identical() {
     }
 }
 
-/// (f) Every workload's substrate counters are non-trivial: a run that
-/// silently bypassed `ConcurrentVersionedMemory` (regressing to
-/// replay without a substrate) would report zero reads/writes/commits and
-/// fail loudly here.
+/// (f) An `accumulating` job's substrate counters are non-trivial: a run
+/// that silently bypassed `ConcurrentVersionedMemory` (regressing to
+/// replay without a substrate) would report zero reads/writes/commits
+/// and fail loudly here. A kernel's chunks fold their tail at commit, so
+/// they read and write nothing, and every task still opens and commits
+/// one version.
 #[test]
 fn every_workload_exercises_the_substrate() {
-    for (id, job) in versioned_jobs() {
-        let (r, _mem) = job
+    let (r, _mem) = accepted_count()
+        .execute(&ExecutionPlan::tls(4), ExecConfig::default())
+        .expect("plan matches graph");
+    let stats = r.mem.expect("versioned runs report memory stats");
+    assert!(stats.reads > 0, "no substrate reads recorded");
+    assert!(stats.writes > 0, "no substrate writes recorded");
+    assert!(stats.commits > 0, "no substrate commits recorded");
+    assert_eq!(stats.commits, r.tasks_committed, "one commit per task");
+    for (id, job) in kernel_jobs() {
+        let (r, mem) = job
             .execute(&ExecutionPlan::tls(4), ExecConfig::default())
             .expect("plan matches graph");
         let stats = r.mem.expect("versioned runs report memory stats");
-        assert!(stats.reads > 0, "{id}: no substrate reads recorded");
-        assert!(stats.writes > 0, "{id}: no substrate writes recorded");
-        assert!(stats.commits > 0, "{id}: no substrate commits recorded");
-        assert!(
-            stats.forwards > 0 || stats.commits > 0,
-            "{id}: neither forwards nor commits observed"
+        assert_eq!(
+            (stats.reads, stats.writes),
+            (0, 0),
+            "{id}: a chunk that folds at commit accesses no address"
         );
+        assert_eq!(mem.committed(Addr(0)), None, "{id}");
         assert_eq!(
             stats.commits, r.tasks_committed,
             "{id}: one substrate commit per committed task"
