@@ -10,10 +10,10 @@
 //! of blocks (the paper: "the input file's size ... only a few
 //! independent blocks exist to compress in parallel").
 
-use crate::common::{fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
+use crate::common::{synthetic_text, InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 use std::collections::BinaryHeap;
@@ -351,34 +351,35 @@ pub struct Bzip2;
 impl Bzip2 {
     /// Paper: block count is small (a few MB at high compression).
     const BLOCKS: usize = 10;
+}
 
-    fn input(&self, size: InputSize) -> Vec<u8> {
-        let block = 6 * 1024 * size.factor() as usize;
-        synthetic_text(Self::BLOCKS * block, 0x256)
+/// bzip2's loop: one block an iteration. Block compression is
+/// block-local; the tail is the output stream's checksum and length, the
+/// combined-CRC and bit-stream position a real bzip2 carries across
+/// blocks.
+struct Blocks(Vec<Vec<u8>>);
+
+impl Kernel for Blocks {
+    type State = ();
+    type Point = ();
+    /// The compressed block's length.
+    type Seen = usize;
+    type Book = ();
+    const SPECULATIVE: bool = false;
+
+    fn start(&self) {}
+
+    fn step(&self, _: &mut (), i: u64) -> Option<(Vec<u8>, u64, usize)> {
+        let mut meter = WorkMeter::new();
+        let out = compress_block(self.0.get(i as usize)?, &mut meter);
+        let len = out.len();
+        Some((out, meter.take().max(1), len))
     }
 
-    fn block_size(&self, size: InputSize) -> usize {
-        6 * 1024 * size.factor() as usize
-    }
-
-    /// Compresses the input once, one block an iteration: the trace and
-    /// the blocks.
-    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<Vec<u8>>) {
-        let blocks: Vec<Vec<u8>> = self
-            .input(size)
-            .chunks(self.block_size(size))
-            .map(<[u8]>::to_vec)
-            .collect();
-        let mut trace = IterationTrace::new();
-        for block in &blocks {
-            let mut meter = WorkMeter::new();
-            let a_cost = block.len() as u64 / 8; // read
-            let out = compress_block(block, &mut meter);
-            let b_cost = meter.take();
-            let c_cost = out.len() as u64 / 8; // ordered write
-            trace.push(IterationRecord::new(a_cost, b_cost, c_cost));
-        }
-        (trace, blocks)
+    fn record(&self, _: &mut (), i: u64, work: u64, out: usize) -> IterationRecord {
+        // A reads the block; C writes it in order.
+        let a_cost = self.0[i as usize].len() as u64 / 8;
+        IterationRecord::new(a_cost, work, out as u64 / 8)
     }
 }
 
@@ -397,31 +398,10 @@ impl Workload for Bzip2 {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state, folded at commit: the output stream's
-        // rolling checksum and cumulative compressed length — the
-        // combined-CRC and bit-stream position a real bzip2 carries
-        // across blocks. Block compression itself is block-local.
-        let (trace, blocks) = self.walk(size);
-        VersionedJob::accumulating_at_commit(
-            trace,
-            move |iter| {
-                let mut meter = WorkMeter::new();
-                (
-                    compress_block(&blocks[iter as usize], &mut meter),
-                    meter.take().max(1),
-                )
-            },
-            2,
-            |_, bytes, acc| {
-                acc[0] = fnv1a_fold(acc[0], bytes);
-                acc[1] += bytes.len() as u64;
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        let block = 6 * 1024 * size.factor() as usize;
+        let input = synthetic_text(Self::BLOCKS * block, 0x256);
+        KernelLoop::new(Blocks(input.chunks(block).map(<[u8]>::to_vec).collect()))
     }
 
     fn ir_model(&self) -> IrModel {

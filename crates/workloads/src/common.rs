@@ -2,8 +2,8 @@
 //! randomness, input sizing, and the [`Workload`] trait.
 
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::IterationTrace;
+use crate::native::{KernelLoop, VersionedJob};
+use seqpar::{IterationRecord, IterationTrace};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{FuncId, Program};
 use std::fmt;
@@ -146,26 +146,36 @@ pub trait Workload: fmt::Debug {
     /// Static information about the benchmark (Table 1 row).
     fn meta(&self) -> WorkloadMeta;
 
+    /// The hot loop at `size`, described once: its state before
+    /// iteration 0, one step that runs an iteration on live state, what a
+    /// restore point keeps, and the rule that records each step. Building
+    /// it generates the inputs and runs no iteration.
+    fn kernel(&self, size: InputSize) -> KernelLoop;
+
     /// Runs the kernel on the given input size and returns the measured
-    /// iteration trace of the parallelized loop.
-    fn trace(&self, size: InputSize) -> IterationTrace;
+    /// iteration trace of the parallelized loop: one pass of
+    /// [`Workload::kernel`], keeping no output and no restore point.
+    fn trace(&self, size: InputSize) -> IterationTrace {
+        self.kernel(size).trace()
+    }
 
     /// The IR model of the hot loop for the compiler pipeline.
     fn ir_model(&self) -> IrModel;
 
-    /// The kernel packaged for real-thread execution: the same run as
-    /// [`Workload::trace`] (both come from one walk of the loop), with
-    /// every iteration re-executable on worker threads inside a version
-    /// of a
+    /// The kernel packaged for real-thread execution: the same steps as
+    /// [`Workload::trace`], with every iteration re-executable on worker
+    /// threads inside a version of a
     /// [`ConcurrentVersionedMemory`](seqpar_specmem::ConcurrentVersionedMemory)
-    /// and its checksum tail folded at commit (see
-    /// [`VersionedJob::accumulating_at_commit`]). This is the one native
-    /// packaging:
-    /// benchmarks and figures run its
+    /// and its checksum tail folded at commit. Building it runs no
+    /// iteration: its first [`sequential`](VersionedJob::sequential) run
+    /// is the one pass that also records its trace and restore points.
+    /// This is the one native packaging: benchmarks and figures run its
     /// [`job_spec`](VersionedJob::job_spec) on an
     /// [`Engine`](seqpar_runtime::Engine), and the differential tests
     /// derive their deterministic replay from the same spec.
-    fn versioned_job(&self, size: InputSize) -> VersionedJob;
+    fn versioned_job(&self, size: InputSize) -> VersionedJob {
+        VersionedJob::recording(self.kernel(size))
+    }
 }
 
 /// Human-readable stage names for a plan with `stage_count` stages —
@@ -194,26 +204,38 @@ pub fn stage_labels(stage_count: u8) -> Vec<String> {
     }
 }
 
-/// The annealers' dependence rule (vpr, twolf): a move depends on the
-/// latest *accepted* move among the last `window` that touched one of
+/// What the annealers' record rule remembers: for every move in order,
+/// the nets it touched if it was accepted.
+pub(crate) type History = Vec<Option<Vec<u32>>>;
+
+/// The annealers' conflict window (vpr, twolf): how many in-flight
+/// earlier moves a speculative move can collide with (bounded by
+/// machine width).
+const WINDOW: usize = 32;
+
+/// The annealers' record rule (vpr, twolf): a move depends on the
+/// latest *accepted* move among the last [`WINDOW`] that touched one of
 /// the nets in `touched`, or that ran at most two moves before it —
 /// every accepted move updates the global cost the next ones read, so
-/// misspeculation tracks the acceptance rate. `recent` holds, for every
-/// earlier move in order, the nets it touched if it was accepted.
-pub(crate) fn last_collision(
-    recent: &[Option<Vec<u32>>],
-    touched: &[u32],
-    window: usize,
-) -> Option<u64> {
+/// misspeculation tracks the acceptance rate. This move joins `recent`.
+pub(crate) fn annealer_record(
+    recent: &mut History,
+    accepted: bool,
+    touched: Vec<u32>,
+    work: u64,
+) -> IterationRecord {
     let i = recent.len();
-    (i.saturating_sub(window)..i)
+    let mut record = IterationRecord::new(1, work, 1);
+    record.misspec_on = (i.saturating_sub(WINDOW)..i)
         .rev()
         .find(|&j| {
             recent[j]
                 .as_ref()
                 .is_some_and(|nets| nets.iter().any(|n| touched.contains(n)) || j + 2 >= i)
         })
-        .map(|j| j as u64)
+        .map(|j| j as u64);
+    recent.push(accepted.then_some(touched));
+    record
 }
 
 /// FNV-1a, the digest tests take of a kernel's committed output.

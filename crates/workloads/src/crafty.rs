@@ -17,8 +17,8 @@
 
 use crate::common::{InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 use std::collections::HashMap;
@@ -209,44 +209,52 @@ pub fn root_tasks(root: Position, depth: u32) -> Vec<(usize, Position, u32)> {
 pub struct Crafty;
 
 impl Crafty {
-    fn depth(&self, size: InputSize) -> u32 {
-        match size {
-            InputSize::Test => 6,
-            InputSize::Train => 7,
-            InputSize::Ref => 8,
-        }
+    const ROOT: Position = 0x186_186_186;
+}
+
+/// crafty's loop: one (root move, reply) subtree an iteration, its
+/// `(reply, depth)`. Iterative deepening: each depth contributes one
+/// round of (root move, reply) tasks. Each task's cost is the real node
+/// count of its subtree search, full window (parallel tasks cannot share
+/// each other's alpha bounds). The tail is the running best root score
+/// and a wrapping tally of all subtree scores: the alpha bound and node
+/// statistics a real search threads across root moves.
+struct Subtrees(Vec<(Position, u32)>);
+
+impl Kernel for Subtrees {
+    type State = ();
+    type Point = ();
+    type Seen = ();
+    type Book = ();
+    const SPECULATIVE: bool = false;
+
+    fn start(&self) {}
+
+    fn step(&self, _: &mut (), i: u64) -> Option<(Vec<u8>, u64, ())> {
+        let &(reply, depth) = self.0.get(i as usize)?;
+        let (mut meter, mut tt) = (WorkMeter::new(), TransTable::new());
+        let score = search(
+            reply,
+            depth,
+            i32::MIN + 1,
+            i32::MAX - 1,
+            &mut tt,
+            &mut meter,
+        );
+        Some((score.to_le_bytes().to_vec(), meter.take().max(1), ()))
     }
 
-    const ROOT: Position = 0x186_186_186;
+    fn record(&self, _: &mut (), _: u64, work: u64, _: ()) -> IterationRecord {
+        // A: move generation + MakeMove; C: merge best score.
+        IterationRecord::new(2, work, 1)
+    }
 
-    /// Searches every round's subtrees once, one an iteration: the trace
-    /// and each task's `(reply, depth)`.
-    ///
-    /// Iterative deepening: each depth contributes one round of (root
-    /// move, reply) tasks. Each task's cost is the real node count of its
-    /// subtree search, full window (parallel tasks cannot share each
-    /// other's alpha bounds).
-    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<(Position, u32)>) {
-        let tasks: Vec<(Position, u32)> = (2..=self.depth(size))
-            .flat_map(|d| root_tasks(Self::ROOT, d))
-            .map(|(_, reply, sub_depth)| (reply, sub_depth))
-            .collect();
-        let mut trace = IterationTrace::new();
-        for &(reply, sub_depth) in &tasks {
-            let mut meter = WorkMeter::new();
-            let mut tt = TransTable::new();
-            let _ = search(
-                reply,
-                sub_depth,
-                i32::MIN + 1,
-                i32::MAX - 1,
-                &mut tt,
-                &mut meter,
-            );
-            // A: move generation + MakeMove; C: merge best score.
-            trace.push(IterationRecord::new(2, meter.take().max(1), 1));
+    fn fold(&self, i: u64, bytes: &[u8], acc: &mut [u64]) {
+        let score = i64::from(i32::from_le_bytes(bytes.try_into().expect("four bytes")));
+        if i == 0 || score > acc[0] as i64 {
+            acc[0] = score as u64;
         }
-        (trace, tasks)
+        acc[1] = acc[1].wrapping_add(score as u64);
     }
 }
 
@@ -270,41 +278,16 @@ impl Workload for Crafty {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the running best root score and a wrapping
-        // tally of all subtree scores — the alpha bound and node
-        // statistics a real search threads across root moves, folded at
-        // commit.
-        let (trace, tasks) = self.walk(size);
-        VersionedJob::accumulating_at_commit(
-            trace,
-            move |iter| {
-                let (reply, sub_depth) = tasks[iter as usize];
-                let mut meter = WorkMeter::new();
-                let mut tt = TransTable::new();
-                let score = search(
-                    reply,
-                    sub_depth,
-                    i32::MIN + 1,
-                    i32::MAX - 1,
-                    &mut tt,
-                    &mut meter,
-                );
-                (score.to_le_bytes().to_vec(), meter.take().max(1))
-            },
-            2,
-            |iter, bytes, acc| {
-                let score = i64::from(i32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
-                if iter == 0 || score > acc[0] as i64 {
-                    acc[0] = score as u64;
-                }
-                acc[1] = acc[1].wrapping_add(score as u64);
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        let depth = match size {
+            InputSize::Test => 6,
+            InputSize::Train => 7,
+            InputSize::Ref => 8,
+        };
+        let tasks = (2..=depth).flat_map(|d| root_tasks(Self::ROOT, d));
+        KernelLoop::new(Subtrees(
+            tasks.map(|(_, reply, sub)| (reply, sub)).collect(),
+        ))
     }
 
     fn ir_model(&self) -> IrModel {

@@ -19,8 +19,8 @@
 
 use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 
@@ -253,57 +253,84 @@ pub fn generate_program(count: usize, seed: u64) -> Vec<Stmt> {
 pub struct Gap;
 
 impl Gap {
-    fn statement_count(&self, size: InputSize) -> usize {
-        400 * size.factor() as usize
-    }
-
     /// Arena capacity: small enough that collections are frequent, as in
     /// gap's workspace under its default -m setting.
     const ARENA: usize = 700;
+}
 
-    /// Interprets the program once, one statement an iteration: the
-    /// trace and the program. `before` sees the interpreter ahead of
-    /// each statement.
-    fn walk(
-        &self,
-        size: InputSize,
-        mut before: impl FnMut(&Interp),
-    ) -> (IterationTrace, Vec<Stmt>) {
-        let program = generate_program(self.statement_count(size), 0x254);
-        let mut interp = Interp::new(Self::ARENA);
-        let mut last_writer = [usize::MAX; 32];
-        let mut last_gc_stmt = usize::MAX;
-        let mut trace = IterationTrace::speculative();
-        for (i, stmt) in program.iter().enumerate() {
-            before(&interp);
-            let mut meter = WorkMeter::new();
-            let collected = interp.exec(*stmt, &mut meter);
-            // Real dependence events, worst first: a collection moved
-            // every object, so this statement conflicts with its
-            // predecessor; otherwise reading a recently-written variable
-            // conflicts with its writer.
-            let mut misspec = None;
-            if collected && i > 0 {
-                misspec = Some((i - 1) as u64);
-                last_gc_stmt = i;
-            } else if let Some(src) = stmt.reads() {
-                let w = last_writer[src as usize];
-                if w != usize::MAX {
-                    misspec = Some(w as u64);
-                }
-            } else if last_gc_stmt != usize::MAX && i == last_gc_stmt + 1 {
-                // The statement right after a collection still sees moved
-                // pointers.
-                misspec = Some(last_gc_stmt as u64);
-            }
-            last_writer[stmt.writes() as usize] = i;
-            let mut rec = IterationRecord::new(1, meter.take().max(1), 1);
-            if let Some(j) = misspec {
-                rec = rec.with_misspec_on(j);
-            }
-            trace.push(rec);
-        }
-        (trace, program)
+/// gap's loop: one statement of the program an iteration. A record is
+/// the written variable's value (8 bytes le) and whether the statement
+/// collected (1 byte); the tail is a rolling hash of the values and the
+/// collection count, the heap summary and GC clock the interpreter
+/// threads across statements.
+struct Statements(Vec<Stmt>);
+
+/// What gap's record rule remembers: the statement that last wrote each
+/// variable, and the last statement that collected.
+#[derive(Default)]
+struct Writers {
+    last_writer: [Option<u64>; 32],
+    last_gc: Option<u64>,
+}
+
+impl Kernel for Statements {
+    type State = Interp;
+    type Point = Interp;
+    /// Whether the statement collected.
+    type Seen = bool;
+    type Book = Writers;
+
+    fn start(&self) -> Interp {
+        Interp::new(Gap::ARENA)
+    }
+
+    fn step(&self, interp: &mut Interp, i: u64) -> Option<(Vec<u8>, u64, bool)> {
+        let stmt = *self.0.get(i as usize)?;
+        let mut meter = WorkMeter::new();
+        let collected = interp.exec(stmt, &mut meter);
+        let value = match interp.var(stmt.writes()) {
+            Val::Int(x) => x,
+            Val::Ref(r) => r as i64 + 1_000_000,
+            Val::Nil => -1,
+        };
+        let mut bytes = value.to_le_bytes().to_vec();
+        bytes.push(u8::from(collected));
+        Some((bytes, meter.take().max(1), collected))
+    }
+
+    fn point(&self, interp: &Interp) -> Option<Interp> {
+        Some(interp.clone())
+    }
+
+    fn restore(&self, interp: &Interp) -> Interp {
+        interp.clone()
+    }
+
+    fn record(&self, book: &mut Writers, i: u64, work: u64, collected: bool) -> IterationRecord {
+        let stmt = self.0[i as usize];
+        // Real dependence events, worst first: a collection moved every
+        // object, so this statement conflicts with its predecessor;
+        // otherwise reading a recently-written variable conflicts with
+        // its writer.
+        let misspec = if collected && i > 0 {
+            book.last_gc = Some(i);
+            Some(i - 1)
+        } else if let Some(src) = stmt.reads() {
+            book.last_writer[src as usize]
+        } else {
+            // The statement right after a collection still sees moved
+            // pointers.
+            book.last_gc.filter(|&gc| i == gc + 1)
+        };
+        book.last_writer[stmt.writes() as usize] = Some(i);
+        let mut record = IterationRecord::new(1, work, 1);
+        record.misspec_on = misspec;
+        record
+    }
+
+    fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {
+        acc[0] = fnv1a_fold(acc[0], &bytes[..8]);
+        acc[1] += u64::from(bytes[8]);
     }
 }
 
@@ -327,39 +354,11 @@ impl Workload for Gap {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_| {}).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: a rolling hash of every statement's result
-        // value and the cumulative garbage-collection count — the heap
-        // summary and GC clock the interpreter threads across statements,
-        // folded at commit.
-        // Each record is value (8 bytes le) + collected flag (1 byte).
-        let mut points = RestorePoints::new();
-        let (trace, program) = self.walk(size, |interp| points.offer(|| interp.clone()));
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(Interp::clone, move |interp, iter| {
-                let stmt = program[iter as usize];
-                let mut meter = WorkMeter::new();
-                let collected = interp.exec(stmt, &mut meter);
-                let value = match interp.var(stmt.writes()) {
-                    Val::Int(x) => x,
-                    Val::Ref(r) => r as i64 + 1_000_000,
-                    Val::Nil => -1,
-                };
-                let mut bytes = value.to_le_bytes().to_vec();
-                bytes.push(u8::from(collected));
-                (bytes, meter.take().max(1))
-            }),
-            2,
-            |_, bytes, acc| {
-                acc[0] = fnv1a_fold(acc[0], &bytes[..8]);
-                acc[1] += u64::from(bytes[8]);
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        KernelLoop::new(Statements(generate_program(
+            400 * size.factor() as usize,
+            0x254,
+        )))
     }
 
     fn ir_model(&self) -> IrModel {

@@ -18,10 +18,10 @@
 //!   syntactically, equivalent output. Both numbering schemes are
 //!   implemented so the ablation is visible.
 
-use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 use std::collections::HashMap;
@@ -499,50 +499,63 @@ impl Gcc {
     /// predecessor. This is the ablation baseline for the paper's
     /// per-function renumbering fix.
     pub fn trace_with_global_labels(&self, size: InputSize) -> seqpar::IterationTrace {
-        self.walk(size, LabelNumbering::Global).0
+        self.compile(size, LabelNumbering::Global).trace()
     }
 
-    fn function_count(&self, size: InputSize) -> usize {
+    fn compile(&self, size: InputSize, numbering: LabelNumbering) -> KernelLoop {
         // gcc compiles one file per run: function count is bounded.
-        match size {
+        let functions = match size {
             InputSize::Test => 48,
             InputSize::Train => 64,
             InputSize::Ref => 96,
-        }
+        };
+        let unit = generate_unit(functions, 0x176);
+        KernelLoop::new(Compile { unit, numbering })
+    }
+}
+
+/// gcc's loop: one function of the unit an iteration, compiled under
+/// `numbering`. The symbol table and the label counter carry across
+/// functions, but a function's assembly and work read neither under
+/// per-function numbering: every range starts from an empty table. The
+/// tail is the object file's checksum and write cursor.
+struct Compile {
+    unit: Vec<MiniFunc>,
+    numbering: LabelNumbering,
+}
+
+impl Kernel for Compile {
+    type State = (SymbolTable, u32);
+    type Point = ();
+    /// Whether the symbol table grew, and the assembly's length.
+    type Seen = (bool, usize);
+    type Book = ();
+
+    fn start(&self) -> Self::State {
+        (SymbolTable::new(), 0)
     }
 
-    /// Compiles the unit once, one function an iteration, under
-    /// `numbering`: the trace and the unit's functions.
-    fn walk(&self, size: InputSize, numbering: LabelNumbering) -> (IterationTrace, Vec<MiniFunc>) {
-        let unit = generate_unit(self.function_count(size), 0x176);
-        let mut symtab = SymbolTable::new();
-        let mut label_base = 0u32;
-        let mut trace = IterationTrace::speculative();
-        for (i, func) in unit.iter().enumerate() {
-            // Phase A: the parse loop reads the function in (linear).
-            let a_cost = func.ops.len() as u64;
-            let mut meter = WorkMeter::new();
-            let (asm, grew) = compile_function(
-                func,
-                &mut symtab,
-                &mut label_base,
-                numbering,
-                i as u32,
-                &mut meter,
-            );
-            let b_cost = meter.take().max(1);
-            // Phase C: print assembly in order.
-            let c_cost = asm.len() as u64 / 16;
-            let mut rec = IterationRecord::new(a_cost, b_cost, c_cost);
-            // Residual misspeculation: the obstack behind the symbol
-            // table grew, relocating it under concurrent readers. A
-            // global counter makes every function depend on the last.
-            if i > 0 && (grew || numbering == LabelNumbering::Global) {
-                rec = rec.with_misspec_on((i - 1) as u64);
-            }
-            trace.push(rec);
-        }
-        (trace, unit)
+    fn step(&self, state: &mut Self::State, i: u64) -> Option<(Vec<u8>, u64, Self::Seen)> {
+        let (symtab, labels) = state;
+        let func = self.unit.get(i as usize)?;
+        let mut meter = WorkMeter::new();
+        let (asm, grew) =
+            compile_function(func, symtab, labels, self.numbering, i as u32, &mut meter);
+        let len = asm.len();
+        Some((asm.into_bytes(), meter.take().max(1), (grew, len)))
+    }
+
+    fn record(&self, _: &mut (), i: u64, work: u64, (grew, asm): (bool, usize)) -> IterationRecord {
+        // A: the parse loop reads the function in (linear). C: print
+        // assembly in order.
+        let a_cost = self.unit[i as usize].ops.len() as u64;
+        let mut record = IterationRecord::new(a_cost, work, asm as u64 / 16);
+        // Residual misspeculation: the obstack behind the symbol table
+        // grew, relocating it under concurrent readers. A global counter
+        // makes every function depend on the last.
+        let global = self.numbering == LabelNumbering::Global;
+        record.misspec_on = (i > 0 && (grew || global)).then(|| i - 1);
+        record
     }
 }
 
@@ -567,40 +580,8 @@ impl Workload for Gcc {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, LabelNumbering::PerFunction).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: a rolling hash of the emitted assembly and
-        // the cumulative assembly length — the object-file checksum and
-        // write cursor the driver threads across functions, folded at
-        // commit. Compilation itself is function-local under
-        // per-function label numbering.
-        let (trace, unit) = self.walk(size, LabelNumbering::PerFunction);
-        VersionedJob::accumulating_at_commit(
-            trace,
-            move |iter| {
-                let func = &unit[iter as usize];
-                let mut meter = WorkMeter::new();
-                let mut symtab = SymbolTable::new();
-                let mut label_base = 0u32;
-                let (asm, _) = compile_function(
-                    func,
-                    &mut symtab,
-                    &mut label_base,
-                    LabelNumbering::PerFunction,
-                    iter as u32,
-                    &mut meter,
-                );
-                (asm.into_bytes(), meter.take().max(1))
-            },
-            2,
-            |_, bytes, acc| {
-                acc[0] = fnv1a_fold(acc[0], bytes);
-                acc[1] += bytes.len() as u64;
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        self.compile(size, LabelNumbering::PerFunction)
     }
 
     fn ir_model(&self) -> IrModel {

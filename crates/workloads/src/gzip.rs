@@ -13,10 +13,10 @@
 //! Phase A reads each block, the replicated phase B runs `deflate_block`,
 //! and phase C concatenates outputs in order.
 
-use crate::common::{fnv1a_fold, synthetic_text, InputSize, IrModel, WorkMeter, Workload};
+use crate::common::{synthetic_text, InputSize, IrModel, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program, YBranchHint};
 
@@ -268,55 +268,69 @@ impl Prober {
 pub struct Gzip;
 
 impl Gzip {
-    fn input(&self, size: InputSize) -> Vec<u8> {
-        synthetic_text(256 * 1024 * size.factor() as usize, 0x164)
-    }
-
-    fn block_size(&self, _size: InputSize) -> usize {
-        // Scaled-down pigz blocks: 16 windows long, many blocks per run.
-        32 * 1024
-    }
-
-    /// Compresses the input once, one block an iteration: the trace, the
-    /// input, and each block's `(dictionary start, start, end)` in it.
-    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<u8>, Vec<(usize, usize, usize)>) {
-        let data = self.input(size);
-        // Fixed boundaries plus raw-input priming make blocks truly
-        // independent: no speculation events; the per-block dictionary is
-        // privatized by the TLS memory.
-        let mut trace = IterationTrace::new();
-        let mut spans = Vec::new();
-        let mut consumed = 0usize;
-        for block in split_blocks(&data, BlockMode::Fixed(self.block_size(size))) {
-            let mut meter = WorkMeter::new();
-            // Phase A: read the block (and its priming window) in.
-            let a_cost = (block.len() as u64 + WINDOW as u64) / 16;
-            // Phase B: the real compression work, metered.
-            let (dict, start) = (consumed.saturating_sub(WINDOW), consumed);
-            consumed += block.len();
-            let tokens = deflate_block_primed(&data[dict..start], block, &mut meter);
-            let b_cost = meter.take();
-            // Phase C: write the encoded output in order.
-            let c_cost = encode(&tokens).len() as u64 / 8;
-            trace.push(IterationRecord::new(a_cost, b_cost, c_cost));
-            spans.push((dict, start, consumed));
-        }
-        (trace, data, spans)
+    /// gzip's loop over its input at `size`, cut into blocks by `mode`,
+    /// each block primed by up to a window of the input before it.
+    fn deflate(&self, size: InputSize, mode: BlockMode) -> Deflate {
+        let data = synthetic_text(256 * 1024 * size.factor() as usize, 0x164);
+        let blocks = split_blocks(&data, mode);
+        let mut consumed = 0;
+        let spans = blocks
+            .iter()
+            .map(|block| {
+                let start = consumed;
+                consumed += block.len();
+                (start.saturating_sub(WINDOW), start, consumed)
+            })
+            .collect();
+        Deflate { data, spans }
     }
 
     /// Compression ratio (compressed/original) under a block mode — used
     /// to verify the paper's "<1% compression loss" claim.
     pub fn compression_ratio(&self, size: InputSize, mode: BlockMode) -> f64 {
-        let data = self.input(size);
-        let mut total = 0usize;
-        let mut consumed = 0usize;
-        for block in split_blocks(&data, mode) {
-            let mut m = WorkMeter::new();
-            let dict = &data[consumed.saturating_sub(WINDOW)..consumed];
-            total += encode(&deflate_block_primed(dict, block, &mut m)).len();
-            consumed += block.len();
-        }
-        total as f64 / data.len() as f64
+        let deflate = self.deflate(size, mode);
+        let blocks = (0..).map_while(|i| deflate.step(&mut (), i));
+        let total: usize = blocks.map(|(.., encoded)| encoded).sum();
+        total as f64 / deflate.data.len() as f64
+    }
+}
+
+/// gzip's loop: one block an iteration, its `(dictionary start, start,
+/// end)` in the input. Fixed boundaries plus raw-input priming make
+/// blocks truly independent: no speculation events; the per-block
+/// dictionary is privatized by the TLS memory. The tail is the deflate
+/// stream's rolling checksum and compressed length so far.
+struct Deflate {
+    data: Vec<u8>,
+    spans: Vec<(usize, usize, usize)>,
+}
+
+impl Kernel for Deflate {
+    type State = ();
+    type Point = ();
+    /// The encoded block's length.
+    type Seen = usize;
+    type Book = ();
+    const SPECULATIVE: bool = false;
+
+    fn start(&self) {}
+
+    fn step(&self, _: &mut (), i: u64) -> Option<(Vec<u8>, u64, usize)> {
+        let &(dict, start, end) = self.spans.get(i as usize)?;
+        let mut meter = WorkMeter::new();
+        let tokens =
+            deflate_block_primed(&self.data[dict..start], &self.data[start..end], &mut meter);
+        let encoded = encode(&tokens);
+        let len = encoded.len();
+        Some((encoded, meter.take().max(1), len))
+    }
+
+    fn record(&self, _: &mut (), i: u64, work: u64, encoded: usize) -> IterationRecord {
+        // A reads the block and its priming window in, B compresses, C
+        // writes the encoded output in order.
+        let (_, start, end) = self.spans[i as usize];
+        let a_cost = (end - start + WINDOW) as u64 / 16;
+        IterationRecord::new(a_cost, work, encoded as u64 / 8)
     }
 }
 
@@ -338,33 +352,9 @@ impl Workload for Gzip {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the deflate stream's rolling output
-        // checksum and cumulative compressed length. Block compression
-        // itself is block-local (primed from the raw input window); each
-        // iteration's emitted record ends with the stream state *so
-        // far*, which the commit folds in order (phase C), so a record
-        // committed out of place would corrupt the committed bytes.
-        let (trace, data, spans) = self.walk(size);
-        VersionedJob::accumulating_at_commit(
-            trace,
-            move |iter| {
-                let (dict_start, start, end) = spans[iter as usize];
-                let mut meter = WorkMeter::new();
-                let tokens =
-                    deflate_block_primed(&data[dict_start..start], &data[start..end], &mut meter);
-                (encode(&tokens), meter.take().max(1))
-            },
-            2,
-            |_, bytes, stream| {
-                stream[0] = fnv1a_fold(stream[0], bytes);
-                stream[1] += bytes.len() as u64;
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        // Scaled-down pigz blocks: 16 windows long, many blocks per run.
+        KernelLoop::new(self.deflate(size, BlockMode::Fixed(32 * 1024)))
     }
 
     fn ir_model(&self) -> IrModel {

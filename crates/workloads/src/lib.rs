@@ -57,7 +57,7 @@ pub mod vpr;
 
 pub use common::{stage_labels, InputSize, Prng, WorkMeter, Workload};
 pub use meta::WorkloadMeta;
-pub use native::{SequentialRun, VersionedJob};
+pub use native::{KernelLoop, SequentialRun, VersionedJob};
 
 /// All eleven workloads, in SPEC numbering order.
 pub fn all_workloads() -> Vec<Box<dyn Workload>> {

@@ -21,8 +21,8 @@
 
 use crate::common::{InputSize, IrModel, Prng, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 
@@ -129,9 +129,13 @@ impl Solver {
 
     /// Runs one augmenting iteration: a Bellman-Ford pricing sweep, path
     /// extraction, and augmentation. Returns the phase costs plus the
-    /// flow and cost shipped by this augmentation, or `None` when no
-    /// augmenting path remains.
+    /// flow and cost shipped by this augmentation, or `None` once the
+    /// solve has ended: no augmenting path remains, or more than 10 000
+    /// iterations ran — a defensive bound for malformed instances.
     pub fn step(&mut self) -> Option<(IterationCosts, i64, i64)> {
+        if self.iterations > 10_000 {
+            return None;
+        }
         let n = self.n;
         let (source, sink) = (0, n - 1);
         // Bellman-Ford over the residual network.
@@ -202,24 +206,11 @@ impl Solver {
 }
 
 /// Solves min-cost max-flow from node 0 to node `nodes-1`. Calls
-/// `before(solver)` ahead of every step, including a final one that
-/// finds no augmenting path, and `on_iteration(costs)` after every
-/// augmenting one.
-pub fn solve(
-    net: &Network,
-    mut before: impl FnMut(&Solver),
-    mut on_iteration: impl FnMut(IterationCosts),
-) -> FlowResult {
+/// `on_iteration(costs)` after every augmenting iteration.
+pub fn solve(net: &Network, mut on_iteration: impl FnMut(IterationCosts)) -> FlowResult {
     let mut solver = Solver::new(net);
-    loop {
-        before(&solver);
-        let Some((costs, _, _)) = solver.step() else {
-            break;
-        };
+    while let Some((costs, _, _)) = solver.step() {
         on_iteration(costs);
-        if solver.result().iterations > 10_000 {
-            break; // defensive bound for malformed instances
-        }
     }
     solver.result()
 }
@@ -271,34 +262,61 @@ pub fn generate_network(layers: usize, width: usize, seed: u64) -> Network {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Mcf;
 
-impl Mcf {
-    fn network(&self, size: InputSize) -> Network {
-        let (layers, width) = match size {
-            InputSize::Test => (6, 10),
-            InputSize::Train => (8, 16),
-            InputSize::Ref => (10, 24),
-        };
-        generate_network(layers, width, 0x181)
+/// mcf's loop: one augmenting iteration of the solver on a network a
+/// step, until the solve ends. The tail is the network simplex's running
+/// flow and cost totals, plus the potential-regeneration counter
+/// (`refresh_potential`'s generation — the very state the paper's mcf
+/// speculation bets on), in wrapping u64 arithmetic over the i64 deltas'
+/// bit patterns.
+struct Augment(Network);
+
+impl Kernel for Augment {
+    type State = Solver;
+    type Point = Solver;
+    type Seen = IterationCosts;
+    type Book = ();
+    const SLOTS: usize = 3;
+
+    fn start(&self) -> Solver {
+        Solver::new(&self.0)
     }
 
-    /// Solves the instance once: one record per augmenting iteration.
-    /// `before` sees the solver ahead of every step.
-    fn walk(&self, size: InputSize, before: impl FnMut(&Solver)) -> IterationTrace {
-        let mut trace = IterationTrace::speculative();
-        solve(&self.network(size), before, |c| {
-            // Phase A: pivot selection / path extraction (serial).
-            // Phase B: the arc-pricing sweeps.
-            // Phase C: augmentation applied in order.
-            let mut rec =
-                IterationRecord::new(c.serial + c.parallel / 3, 2 * c.parallel / 3, c.apply);
-            // refresh_potential speculation: violated when the sweep was
-            // still changing potentials at its end.
-            if !trace.is_empty() && c.potentials_changed {
-                rec = rec.with_misspec_on(trace.len() as u64 - 1);
-            }
-            trace.push(rec);
-        });
-        trace
+    fn step(&self, solver: &mut Solver, _: u64) -> Option<(Vec<u8>, u64, IterationCosts)> {
+        let (costs, flow_delta, cost_delta) = solver.step()?;
+        let mut bytes = Vec::with_capacity(17);
+        bytes.extend(flow_delta.to_le_bytes());
+        bytes.extend(cost_delta.to_le_bytes());
+        bytes.push(u8::from(costs.potentials_changed));
+        let work = costs.serial + costs.parallel + costs.apply;
+        Some((bytes, work.max(1), costs))
+    }
+
+    /// Its ~30 µs iteration keeps every point.
+    fn point(&self, solver: &Solver) -> Option<Solver> {
+        Some(solver.clone())
+    }
+
+    fn restore(&self, solver: &Solver) -> Solver {
+        solver.clone()
+    }
+
+    fn record(&self, _: &mut (), i: u64, _: u64, c: IterationCosts) -> IterationRecord {
+        // Phase A: pivot selection / path extraction (serial).
+        // Phase B: the arc-pricing sweeps.
+        // Phase C: augmentation applied in order.
+        let mut record =
+            IterationRecord::new(c.serial + c.parallel / 3, 2 * c.parallel / 3, c.apply);
+        // refresh_potential speculation: violated when the sweep was
+        // still changing potentials at its end.
+        record.misspec_on = (i > 0 && c.potentials_changed).then(|| i - 1);
+        record
+    }
+
+    fn fold(&self, _: u64, bytes: &[u8], totals: &mut [u64]) {
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+        totals[0] = totals[0].wrapping_add(word(&bytes[..8]));
+        totals[1] = totals[1].wrapping_add(word(&bytes[8..16]));
+        totals[2] += u64::from(bytes[16]);
     }
 }
 
@@ -329,40 +347,13 @@ impl Workload for Mcf {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_| {})
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the network simplex's running flow and
-        // cost totals, plus the potential-regeneration counter
-        // (`refresh_potential`'s generation — the very state the paper's
-        // mcf speculation bets on). The sweep runs on a solver restored
-        // from a point (every iteration keeps one: it outlasts a quarter
-        // of the grain target); the totals each iteration emits are
-        // accumulated at commit (wrapping u64 arithmetic over the i64
-        // deltas' bit patterns).
-        let mut points = RestorePoints::new();
-        let trace = self.walk(size, |solver| points.offer(|| solver.clone()));
-        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(Solver::clone, |solver, _| {
-                let (costs, flow_delta, cost_delta) =
-                    solver.step().expect("every traced iteration augments");
-                let mut bytes = Vec::with_capacity(17);
-                bytes.extend(flow_delta.to_le_bytes());
-                bytes.extend(cost_delta.to_le_bytes());
-                bytes.push(u8::from(costs.potentials_changed));
-                (bytes, (costs.serial + costs.parallel + costs.apply).max(1))
-            }),
-            3,
-            move |_, bytes, totals| {
-                totals[0] = totals[0].wrapping_add(word(&bytes[..8]));
-                totals[1] = totals[1].wrapping_add(word(&bytes[8..16]));
-                totals[2] += u64::from(bytes[16]);
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        let (layers, width) = match size {
+            InputSize::Test => (6, 10),
+            InputSize::Train => (8, 16),
+            InputSize::Ref => (10, 24),
+        };
+        KernelLoop::new(Augment(generate_network(layers, width, 0x181)))
     }
 
     fn ir_model(&self) -> IrModel {
@@ -472,7 +463,7 @@ mod tests {
 
     #[test]
     fn solves_the_diamond_optimally() {
-        let r = solve(&diamond(), |_| {}, |_| {});
+        let r = solve(&diamond(), |_| {});
         assert_eq!(r.flow, 2);
         assert_eq!(r.cost, 1 + 1 + 2 + 2);
         assert_eq!(r.iterations, 2);
@@ -504,7 +495,7 @@ mod tests {
                 },
             ],
         };
-        let r = solve(&net, |_| {}, |c| costs_seen.push(c));
+        let r = solve(&net, |c| costs_seen.push(c));
         assert_eq!(r.flow, 6);
         // 1 unit at cost 1 plus 5 units at cost 3.
         assert_eq!(r.cost, 1 + 15);
@@ -521,7 +512,7 @@ mod tests {
                 cost: 1,
             }],
         };
-        let r = solve(&net, |_| {}, |_| {});
+        let r = solve(&net, |_| {});
         assert_eq!(r.flow, 0);
         assert_eq!(r.cost, 0);
     }
@@ -564,7 +555,7 @@ mod tests {
                 },
             ],
         };
-        let r = solve(&net, |_| {}, |_| {});
+        let r = solve(&net, |_| {});
         assert_eq!(r.flow, 3);
         // Optimal: 0-1-2-3 (3), 0-1-3 (11), 0-2-3 (11) -> 25.
         assert_eq!(r.cost, 25);
@@ -573,7 +564,7 @@ mod tests {
     #[test]
     fn generated_networks_have_positive_flow() {
         let net = generate_network(5, 8, 1);
-        let r = solve(&net, |_| {}, |_| {});
+        let r = solve(&net, |_| {});
         assert!(r.flow > 0);
         assert!(r.iterations > 10);
     }

@@ -1,20 +1,20 @@
 //! Native (real-thread) execution of workload kernels.
 //!
-//! [`Workload::trace`](crate::Workload::trace) captures *what happened*
-//! in a sequential run; a [`VersionedJob`] packages the same run so each
-//! iteration can be **re-executed for real** on an [`Engine`]'s worker
-//! threads. A kernel walks its loop once to build its job: the walk
-//! yields the trace and a [`RangeRunner`] — per-iteration inputs, or
-//! sparse `RestorePoints` of the loop's state — and the job owns it
-//! plus a body that hands the runner a chunk of iterations to run on one
-//! live state, restored once. Every record ends in a *tail*: the values
-//! of the loop's checksum slots after it, folded in program order. Who
-//! folds the tail is the constructor's choice:
+//! A kernel describes its hot loop once, as a `Kernel` (handed out as
+//! a [`KernelLoop`]).
+//! [`Workload::trace`](crate::Workload::trace) is one pass of its steps
+//! that keeps only the trace; a [`VersionedJob`] runs the same steps
+//! **for real** on an [`Engine`]'s worker threads. A kernel job's first
+//! sequential run is its one pass: it emits the bytes, reads the clock,
+//! and records the trace and sparse restore points, from which a chunk
+//! of iterations restores once. Every record ends in a *tail*: the
+//! values of the loop's checksum slots after it, folded in program
+//! order. Who folds the tail is the constructor's choice:
 //!
-//! * [`accumulating_at_commit`](VersionedJob::accumulating_at_commit),
-//!   every kernel: the chunk only runs its range (the paper's phase B)
-//!   and leaves its tails empty, and the commit unit folds them in task
-//!   order ([`NativeBody::commit`], phase C), so chunks make no substrate
+//! * a kernel's job ([`Workload::versioned_job`](crate::Workload::versioned_job)):
+//!   the chunk only runs its range (the paper's phase B) and leaves its
+//!   tails empty, and the commit unit folds them in task order
+//!   ([`NativeBody::commit`], phase C), so chunks make no substrate
 //!   access and never conflict on the slots;
 //! * [`accumulating`](VersionedJob::accumulating), the substrate's own
 //!   test: the chunk threads the slots through a
@@ -36,7 +36,8 @@
 //! `k` from the job's measured iteration time). To the executor, the
 //! substrate and the simulator a chunk is an ordinary task.
 
-use seqpar::IterationTrace;
+use crate::common::fnv1a_fold;
+use seqpar::{IterationRecord, IterationTrace};
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobSpec, NativeBody, NativeReport,
     TaskCtx, TaskGraph, TaskId, TaskOutput,
@@ -54,7 +55,8 @@ pub struct SequentialRun {
     pub output: Vec<u8>,
     /// Total metered work.
     pub work: u64,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run's steps and fold — on a kernel job's
+    /// first run, not of the trace and the points it records.
     pub wall: Duration,
 }
 
@@ -81,124 +83,211 @@ impl<F: Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static> RangeRunner for F {
     }
 }
 
-/// The states a kernel's walk passes through, kept sparsely: the state
-/// before iteration `i` only when `i` is a multiple of the stride then in
-/// force, a power of two the walk's own clock widens until a stride of
-/// iterations lasts a quarter of [`GRAIN_TARGET_NS`]. So a chunk the time
-/// term of the grain sizes starts on a point; a shorter one replays less
-/// than a stride, unmetered.
-pub(crate) struct RestorePoints<P> {
-    points: Vec<(u64, P)>,
-    stride: u64,
-    offered: u64,
-    /// The walk's time before the last capture, and when it resumed.
-    walked: Duration,
-    resumed: Instant,
+/// A kernel's hot loop, described once: the trace, the job's oracle and
+/// its chunks all run [`step`](Kernel::step).
+pub(crate) trait Kernel: Send + Sync + 'static {
+    /// The loop's live state.
+    type State: Send + 'static;
+    /// What a restore point keeps of the state.
+    type Point: Send + Sync + 'static;
+    /// What the record rule reads of a step besides its work.
+    type Seen;
+    /// What the record rule carries from one iteration to the next.
+    type Book: Default;
+
+    /// Whether phase B runs speculatively ([`IterationTrace::speculative`]).
+    const SPECULATIVE: bool = true;
+    /// The checksum slots the commit folds every record into.
+    const SLOTS: usize = 2;
+
+    /// The state before iteration 0.
+    fn start(&self) -> Self::State;
+
+    /// Runs iteration `i` on `state`: its bytes, its work and what the
+    /// record rule reads of it; `None` once the loop has ended.
+    fn step(&self, state: &mut Self::State, i: u64) -> Option<(Vec<u8>, u64, Self::Seen)>;
+
+    /// What a restore point keeps of `state`. A loop that keeps none
+    /// starts every range from [`start`](Kernel::start): its state holds
+    /// nothing a step's bytes or work read.
+    fn point(&self, _state: &Self::State) -> Option<Self::Point> {
+        None
+    }
+
+    /// The live state a point stands for.
+    fn restore(&self, _point: &Self::Point) -> Self::State {
+        self.start()
+    }
+
+    /// Iteration `i`'s trace record, from its step's work and what it saw.
+    fn record(&self, book: &mut Self::Book, i: u64, work: u64, seen: Self::Seen)
+        -> IterationRecord;
+
+    /// Merges iteration `i`'s record into the slot values, in program
+    /// order from zeros. By default they are an output stream's rolling
+    /// FNV-1a checksum and its length so far.
+    fn fold(&self, _i: u64, bytes: &[u8], slots: &mut [u64]) {
+        slots[0] = fnv1a_fold(slots[0], bytes);
+        slots[1] += bytes.len() as u64;
+    }
 }
 
-impl<P: Send + Sync + 'static> RestorePoints<P> {
-    pub(crate) fn new() -> Self {
+/// Runs `kernel`'s iteration `i`: every step of a pass or a range is
+/// taken here, where a test counts them.
+fn step<K: Kernel>(kernel: &K, state: &mut K::State, i: u64) -> Option<(Vec<u8>, u64, K::Seen)> {
+    let step = kernel.step(state, i);
+    #[cfg(test)]
+    tests::STEPS.set(tests::STEPS.get() + u64::from(step.is_some()));
+    step
+}
+
+/// A kernel's loop at one input size, described once: what
+/// [`Workload::trace`](crate::Workload::trace) records and
+/// [`Workload::versioned_job`](crate::Workload::versioned_job) runs.
+/// Building one generates the loop's inputs and runs none of it.
+#[derive(Clone)]
+pub struct KernelLoop {
+    pass: Arc<dyn Fn(bool) -> (IterationTrace, Option<Kept>) + Send + Sync>,
+    tail: Arc<Tail>,
+}
+
+/// A job's pass's runner, output (as [`Tail::emit`] lays it), work and clock.
+type Kept = (Box<dyn RangeRunner>, Vec<u8>, u64, Duration);
+
+impl fmt::Debug for KernelLoop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KernelLoop").finish_non_exhaustive()
+    }
+}
+
+impl KernelLoop {
+    pub(crate) fn new<K: Kernel>(kernel: K) -> Self {
+        let kernel = Arc::new(kernel);
+        let folds = Arc::clone(&kernel);
+        let tail = Tail {
+            slots: K::SLOTS,
+            fold: Box::new(move |i, bytes, slots| folds.fold(i, bytes, slots)),
+        };
         Self {
-            points: Vec::new(),
-            stride: 1,
-            offered: 0,
-            walked: Duration::ZERO,
-            resumed: Instant::now(),
+            pass: Arc::new(move |kept| pass(&kernel, kept)),
+            tail: Arc::new(tail),
         }
     }
 
-    /// Offers the state before the walk's next iteration, captured only
-    /// if kept. Reads the clock only at a multiple of the stride.
-    pub(crate) fn offer(&mut self, capture: impl FnOnce() -> P) {
-        let i = self.offered;
-        self.offered += 1;
-        if !i.is_multiple_of(self.stride) {
-            return;
+    /// The loop's trace, from a pass that keeps nothing else.
+    pub(crate) fn trace(&self) -> IterationTrace {
+        (self.pass)(false).0
+    }
+}
+
+/// Runs `kernel`'s loop once from its start, recording the trace. A
+/// job's pass (`kept`) also keeps the output, sparse restore points and
+/// a clock of the steps alone: before every `stride`-th step it reads the
+/// clock and pauses it to keep a point and record the steps since. The
+/// stride is a power of two the clock widens until a stride of steps
+/// lasts a quarter of [`GRAIN_TARGET_NS`]: so a chunk the grain's time
+/// term sizes starts on a point; a shorter one replays under a stride.
+fn pass<K: Kernel>(kernel: &Arc<K>, kept: bool) -> (IterationTrace, Option<Kept>) {
+    let (mut trace, mut book) = (IterationTrace::new(), K::Book::default());
+    trace.speculative = K::SPECULATIVE;
+    // The steps the rule has yet to read, each one's work and what it saw.
+    let mut pending: Vec<(u64, K::Seen)> = Vec::new();
+    let mut record = |pending: &mut Vec<_>| {
+        for (work, seen) in pending.drain(..) {
+            let i = trace.len() as u64;
+            trace.push(kernel.record(&mut book, i, work, seen));
         }
-        if i > 0 {
-            self.walked += self.resumed.elapsed();
-            let fits = u128::from(GRAIN_TARGET_NS / 4 * i) / self.walked.as_nanos().max(1);
+    };
+    let mut live = kernel.start();
+    let (mut out, mut work, mut points, mut stride) = (Vec::new(), 0, Vec::new(), 1);
+    // The steps' time before the last pause, and when they resumed.
+    let (mut walked, mut resumed) = (Duration::ZERO, Instant::now());
+    for i in 0u64.. {
+        if kept && i.is_multiple_of(stride) {
+            walked += resumed.elapsed();
+            let fits = u128::from(GRAIN_TARGET_NS / 4 * i) / walked.as_nanos().max(1);
             #[cfg(test)]
             let fits = if tests::EVERY_POINT.get() { 0 } else { fits };
-            if fits > u128::from(self.stride) {
-                self.stride = 1 << fits.ilog2();
+            if fits > u128::from(stride) {
+                stride = 1 << fits.ilog2();
             }
-        }
-        if i.is_multiple_of(self.stride) {
-            self.points.push((i, capture()));
-        }
-        self.resumed = Instant::now();
-    }
-
-    /// The latest point at or before iteration `a`.
-    fn at(&self, a: u64) -> &(u64, P) {
-        let later = self.points.partition_point(|(i, _)| *i <= a);
-        &self.points[later - 1]
-    }
-
-    /// The runner that resumes the walked loop: `restore` turns a point
-    /// into live state, `step(state, i)` runs iteration `i` on it. A range
-    /// that starts where the last one ended (the next chunk on one seat)
-    /// resumes that one's state instead.
-    pub(crate) fn runner<S: Send + 'static>(
-        self,
-        restore: impl Fn(&P) -> S + Send + Sync + 'static,
-        step: impl Fn(&mut S, u64) -> (Vec<u8>, u64) + Send + Sync + 'static,
-    ) -> impl RangeRunner {
-        let left = Mutex::new(None);
-        Resume(
-            self.stride,
-            move |iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)| {
-                let resumed = left.lock().expect("nothing panics under the lock").take();
-                let mut live = match resumed.filter(|(at, _)| *at == iters.start) {
-                    Some((_, live)) => live,
-                    None => {
-                        let (from, point) = self.at(iters.start);
-                        let mut live = restore(point);
-                        // The replay restores the range's state: its work
-                        // belongs to the iterations it repeats.
-                        for i in *from..iters.start {
-                            step(&mut live, i);
-                        }
-                        live
-                    }
-                };
-                for i in iters.clone() {
-                    let (bytes, work) = step(&mut live, i);
-                    emit(&bytes, work);
+            if i.is_multiple_of(stride) {
+                if let Some(point) = kernel.point(&live) {
+                    #[cfg(test)]
+                    tests::POINTS.set(tests::POINTS.get() + 1);
+                    points.push((i, point));
                 }
-                *left.lock().expect("nothing panics under the lock") = Some((iters.end, live));
-            },
-        )
+                record(&mut pending);
+            }
+            resumed = Instant::now();
+        }
+        let Some((bytes, w, seen)) = step(&**kernel, &mut live, i) else {
+            break;
+        };
+        pending.push((w, seen));
+        if kept {
+            push_record(&mut out, &bytes, K::SLOTS);
+            work += w;
+        } else {
+            record(&mut pending);
+        }
     }
+    let clocked = walked + resumed.elapsed();
+    record(&mut pending);
+    out.shrink_to_fit();
+    let kept = kept.then(|| {
+        let runner = Resume {
+            kernel: Arc::clone(kernel),
+            stride: if points.is_empty() { 1 } else { stride },
+            points,
+            left: Mutex::new(None),
+        };
+        (Box::new(runner) as Box<dyn RangeRunner>, out, work, clocked)
+    });
+    (trace, kept)
 }
 
-/// A runner of ranges with the stride of its restore points.
-struct Resume<F>(u64, F);
+/// Runs ranges of a recorded kernel loop: a range restores the latest
+/// point at or before it and replays up to it, unmetered (a loop with no
+/// points starts from its start), unless it starts where the last range
+/// ended — the next chunk on one seat — and resumes that one's state.
+struct Resume<K: Kernel> {
+    kernel: Arc<K>,
+    points: Vec<(u64, K::Point)>,
+    stride: u64,
+    left: Mutex<Option<(u64, K::State)>>,
+}
 
-impl<F> RangeRunner for Resume<F>
-where
-    F: Fn(Range<u64>, &mut dyn FnMut(&[u8], u64)) + Send + Sync + 'static,
-{
+impl<K: Kernel> RangeRunner for Resume<K> {
     fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)) {
-        (self.1)(iters, emit);
+        let kernel = &*self.kernel;
+        let left = self.left.lock().expect("no panic under the lock").take();
+        let later = self.points.partition_point(|(i, _)| *i <= iters.start);
+        let mut live = match (left, later.checked_sub(1)) {
+            (Some((end, live)), _) if end == iters.start => live,
+            (_, None) => kernel.start(),
+            (_, Some(p)) => {
+                let (from, point) = &self.points[p];
+                let mut live = kernel.restore(point);
+                // The replay restores the range's state: its work belongs
+                // to the iterations it repeats.
+                for i in *from..iters.start {
+                    step(kernel, &mut live, i);
+                }
+                live
+            }
+        };
+        for i in iters.clone() {
+            let (bytes, work, _) = step(kernel, &mut live, i).expect("the loop runs this far");
+            emit(&bytes, work);
+        }
+        *self.left.lock().expect("no panic under the lock") = Some((iters.end, live));
     }
 
     fn stride(&self) -> u64 {
-        self.0
+        self.stride
     }
 }
-
-/// What a task runs: one chunk's iterations in order, their bytes
-/// concatenated, their work summed. Given a version `v` of the job's
-/// [`ConcurrentVersionedMemory`] it threads whatever loop-carried state
-/// it speculates on through `v` with `read`/`write` alone, a pure
-/// function of the iterations and the values read, so a squash-and-replay
-/// reproduces the sequential result; given none it is the sequential
-/// oracle.
-type ChunkBody = dyn Fn(Range<u64>, Option<(VersionId, &ConcurrentVersionedMemory)>) -> (Vec<u8>, u64)
-    + Send
-    + Sync;
 
 /// The order-dependent end of a loop: `slots` accumulators that
 /// `fold(iter, bytes, slots)` merges every record into, in program order
@@ -215,29 +304,33 @@ struct Tail {
 /// slot values.
 type Fold = dyn Fn(u64, &[u8], &mut [u64]) + Send + Sync;
 
+/// Appends a record and, with `slots`, its tail. Until a fold fills the
+/// tail, its first eight bytes hold the record's length: all a fold
+/// needs to find the records of a chunk it did not emit.
+fn push_record(out: &mut Vec<u8>, bytes: &[u8], slots: usize) {
+    out.extend_from_slice(bytes);
+    if slots > 0 {
+        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        out.resize(out.len() + 8 * slots - 8, 0);
+    }
+}
+
 impl Tail {
     /// Bytes after each record: the slot values once folded.
     fn carried(&self) -> usize {
         8 * self.slots
     }
 
-    /// Runs `iters` into one buffer, each record followed by its tail.
-    /// Until the fold fills a tail, its first eight bytes hold the
-    /// record's length: all a fold needs to find the records of a chunk
-    /// it did not emit. With no slots a record has no tail.
+    /// Runs `iters` into one buffer, each record followed by its tail
+    /// ([`push_record`]). With no slots a record has no tail.
     fn emit(&self, runner: &dyn RangeRunner, iters: Range<u64>) -> (Vec<u8>, u64) {
         let len = (iters.end - iters.start) as usize;
-        let carried = self.carried();
         let (mut out, mut work) = (Vec::new(), 0u64);
         runner.run(iters, &mut |bytes, w| {
             if out.is_empty() {
-                out.reserve((bytes.len() + carried) * len);
+                out.reserve((bytes.len() + self.carried()) * len);
             }
-            out.extend_from_slice(bytes);
-            if carried > 0 {
-                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                out.resize(out.len() + carried - 8, 0);
-            }
+            push_record(&mut out, bytes, self.slots);
             work += w;
         });
         (out, work)
@@ -301,30 +394,42 @@ const TASKS_PER_SEAT: usize = 8;
 /// substrate's conflict detection at access granularity, not from the
 /// trace's recorded dependence events. What a chunk speculates on is the
 /// constructor's choice: [`accumulating`](VersionedJob::accumulating)
-/// threads the checksum slots through [`Addr`]-keyed accesses,
-/// [`accumulating_at_commit`](VersionedJob::accumulating_at_commit)
-/// folds them at commit, outside any version.
+/// threads the checksum slots through [`Addr`]-keyed accesses, a
+/// kernel's job folds them at commit, outside any version.
 #[derive(Clone)]
 pub struct VersionedJob {
-    trace: IterationTrace,
-    body: Arc<ChunkBody>,
-    /// The tail the commit folds, when the chunks leave it empty.
-    at_commit: Option<Arc<Tail>>,
+    body: Arc<Body>,
     /// Mean wall time of one iteration, set by the first
     /// [`sequential`](VersionedJob::sequential) run of the job or a clone:
     /// [`grain`](VersionedJob::grain) reads only this, so one job builds
     /// one graph per plan however often it is asked.
     iteration_ns: Arc<OnceLock<u64>>,
-    restore_stride: u64,
+}
+
+/// A job's trace and the runner of its iterations.
+type Recorded = (IterationTrace, Box<dyn RangeRunner>);
+
+/// What a job runs, shared by its clones.
+struct Body {
+    /// The trace and the runner: given to
+    /// [`accumulating`](VersionedJob::accumulating), recorded by a kernel
+    /// job's first sequential run from its loop.
+    recorded: OnceLock<Recorded>,
+    kernel: Option<KernelLoop>,
+    tail: Arc<Tail>,
+    /// An `accumulating` job's slot values before each iteration, in
+    /// program order: iteration i's are `prefix[i * slots..][..slots]`.
+    prefix: OnceLock<Vec<u64>>,
 }
 
 impl fmt::Debug for VersionedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let recorded = self.body.recorded.get();
         f.debug_struct("VersionedJob")
-            .field("iterations", &self.trace.len())
+            .field("iterations", &recorded.map(|(trace, _)| trace.len()))
             .field("iteration_ns", &self.iteration_ns.get())
-            .field("restore_stride", &self.restore_stride)
-            .field("folds_at_commit", &self.at_commit.is_some())
+            .field("restore_stride", &recorded.map(|(_, r)| r.stride()))
+            .field("folds_at_commit", &self.body.at_commit())
             .finish_non_exhaustive()
     }
 }
@@ -333,6 +438,64 @@ impl fmt::Debug for VersionedJob {
 fn widest_stage(plan: &ExecutionPlan) -> usize {
     let seats = |s| plan.stage(s).cores().len();
     (0..plan.stage_count()).map(seats).max().unwrap_or(0)
+}
+
+impl Body {
+    fn recorded(&self) -> &Recorded {
+        let recorded = self.recorded.get();
+        recorded.expect("a sequential run records the loop")
+    }
+
+    /// Whether the commit folds the tail, not the chunk: a kernel's job.
+    fn at_commit(&self) -> bool {
+        self.kernel.is_some()
+    }
+
+    /// What a task runs: one chunk's iterations in order, their bytes
+    /// concatenated, their work summed. Given a version `v` of the job's
+    /// [`ConcurrentVersionedMemory`], an `accumulating` chunk threads its
+    /// slots through `v` with `read`/`write` alone, a pure function of the
+    /// iterations and the values read, so a squash-and-replay reproduces
+    /// the sequential result; given none it is the sequential oracle.
+    fn run(
+        &self,
+        iters: Range<u64>,
+        mem: Option<(VersionId, &ConcurrentVersionedMemory)>,
+    ) -> (Vec<u8>, u64) {
+        let (trace, runner) = self.recorded();
+        let (mut out, work) = self.tail.emit(&**runner, iters.clone());
+        if self.at_commit() {
+            return (out, work);
+        }
+        let slots = self.tail.slots;
+        let mut state: Vec<u64> = match mem {
+            Some((v, m)) => (0..slots as u64).map(|s| m.read(v, Addr(s))).collect(),
+            None if iters.start == 0 || slots == 0 => vec![0; slots],
+            None => self.prefix.get_or_init(|| {
+                let (mut table, mut state) = (Vec::new(), vec![0; slots]);
+                runner.run(0..trace.len() as u64, &mut |bytes, _| {
+                    let i = (table.len() / slots) as u64;
+                    table.extend_from_slice(&state);
+                    (self.tail.fold)(i, bytes, &mut state);
+                });
+                table
+            })[iters.start as usize * slots..][..slots]
+                .to_vec(),
+        };
+        let len = (iters.end - iters.start) as usize;
+        self.tail.fold(
+            iters.start,
+            &mut out,
+            &mut state,
+            &mut Vec::with_capacity(len),
+        );
+        if let Some((v, m)) = mem {
+            for (s, val) in state.iter().enumerate() {
+                m.write(v, Addr(s as u64), *val);
+            }
+        }
+        (out, work)
+    }
 }
 
 impl VersionedJob {
@@ -366,84 +529,37 @@ impl VersionedJob {
         slots: usize,
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
-        let n = trace.len() as u64;
-        let restore_stride = runner.stride();
+        let recorded = (trace, Box::new(runner) as Box<dyn RangeRunner>);
         let tail = Tail {
             slots,
             fold: Box::new(fold),
         };
-        // The slot values before each iteration, in program order:
-        // iteration i's are `prefix[i * slots..][..slots]`.
-        let prefix = OnceLock::new();
-        let body = move |iters: Range<u64>,
-                         mem: Option<(VersionId, &ConcurrentVersionedMemory)>| {
-            let len = (iters.end - iters.start) as usize;
-            let (mut out, work) = tail.emit(&runner, iters.clone());
-            let mut state: Vec<u64> = match mem {
-                Some((v, m)) => (0..slots as u64).map(|s| m.read(v, Addr(s))).collect(),
-                None if iters.start == 0 || slots == 0 => vec![0; slots],
-                None => prefix.get_or_init(|| {
-                    let (mut table, mut state) = (Vec::new(), vec![0; slots]);
-                    runner.run(0..n, &mut |bytes, _| {
-                        let i = (table.len() / slots) as u64;
-                        table.extend_from_slice(&state);
-                        (tail.fold)(i, bytes, &mut state);
-                    });
-                    table
-                })[iters.start as usize * slots..][..slots]
-                    .to_vec(),
-            };
-            tail.fold(
-                iters.start,
-                &mut out,
-                &mut state,
-                &mut Vec::with_capacity(len),
-            );
-            if let Some((v, m)) = mem {
-                for (s, val) in state.iter().enumerate() {
-                    m.write(v, Addr(s as u64), *val);
-                }
-            }
-            (out, work)
-        };
-        Self {
-            trace,
-            body: Arc::new(body),
-            at_commit: None,
-            iteration_ns: Arc::default(),
-            restore_stride,
-        }
+        Self::new(OnceLock::from(recorded), None, Arc::new(tail))
     }
 
-    /// [`accumulating`](VersionedJob::accumulating)'s loop, records and
-    /// bytes, with the tail in serial phase C (§3.2): a chunk runs its
-    /// range and emits its records with their tails empty, touching no
-    /// substrate address, and the commit folds them in order on the slot
-    /// values every earlier task left, outside any version. So no chunk
-    /// conflicts with another on the tail, and the oracle a fallback or a
-    /// replay runs mid-loop needs no slot values before its range. What
-    /// every kernel of the suite builds. Construction runs no iteration.
-    pub fn accumulating_at_commit(
-        trace: IterationTrace,
-        runner: impl RangeRunner,
-        slots: usize,
-        fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
-    ) -> Self {
-        let restore_stride = runner.stride();
-        let tail = Arc::new(Tail {
-            slots,
-            fold: Box::new(fold),
-        });
-        let emit = Arc::clone(&tail);
-        let body = move |iters: Range<u64>, _: Option<(VersionId, &ConcurrentVersionedMemory)>| {
-            emit.emit(&runner, iters)
+    /// A kernel's job: [`accumulating`](VersionedJob::accumulating)'s
+    /// records and bytes, with the tail in serial phase C (§3.2). A chunk
+    /// runs its range and emits its records with their tails empty,
+    /// touching no substrate address, and the commit folds them in order
+    /// on the slot values every earlier task left, outside any version.
+    /// So no chunk conflicts with another on the tail, and the oracle a
+    /// fallback or a replay runs mid-loop needs no slot values before its
+    /// range. Construction runs no iteration.
+    pub(crate) fn recording(kernel: KernelLoop) -> Self {
+        let tail = Arc::clone(&kernel.tail);
+        Self::new(OnceLock::new(), Some(kernel), tail)
+    }
+
+    fn new(recorded: OnceLock<Recorded>, kernel: Option<KernelLoop>, tail: Arc<Tail>) -> Self {
+        let body = Body {
+            recorded,
+            kernel,
+            tail,
+            prefix: OnceLock::new(),
         };
         Self {
-            trace,
             body: Arc::new(body),
-            at_commit: Some(tail),
             iteration_ns: Arc::default(),
-            restore_stride,
         }
     }
 
@@ -451,33 +567,51 @@ impl VersionedJob {
     /// what the simulator's per-iteration figures and the tuner read.
     /// The graph a run executes is built from this trace
     /// [`chunked`](IterationTrace::chunked) by
-    /// [`grain`](VersionedJob::grain), and is [`JobSpec::graph`].
+    /// [`grain`](VersionedJob::grain), and is [`JobSpec::graph`]. A
+    /// kernel job nothing has run records it with a sequential run.
     pub fn trace(&self) -> &IterationTrace {
-        &self.trace
+        if self.body.recorded.get().is_none() {
+            self.sequential();
+        }
+        &self.body.recorded().0
     }
 
     /// Number of loop iterations.
     pub fn len(&self) -> usize {
-        self.trace.len()
+        self.trace().len()
     }
 
     /// Whether the job has no iterations.
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
+        self.trace().is_empty()
     }
 
     /// Runs every iteration in order on the calling thread through the
     /// sequential oracle, its tail folded — the reference against which
     /// versioned native output must be byte-identical. The job's first
-    /// run sets its clock.
+    /// run sets its clock; a kernel job's first run is its one pass, which
+    /// also records the trace and the restore points, untimed.
     pub fn sequential(&self) -> SequentialRun {
-        let n = self.trace.len();
+        let mut first = None;
+        if let Some(kernel) = &self.body.kernel {
+            self.body.recorded.get_or_init(|| {
+                let (trace, kept) = (kernel.pass)(true);
+                let (runner, output, work, clocked) = kept.expect("a job's pass keeps its run");
+                first = Some((output, work, clocked));
+                (trace, runner)
+            });
+        }
+        let n = self.len();
         let started = Instant::now();
-        let (mut output, work) = (self.body)(0..n as u64, None);
-        if let Some(tail) = &self.at_commit {
+        let (mut output, work, clocked) = first.unwrap_or_else(|| {
+            let (output, work) = self.body.run(0..n as u64, None);
+            (output, work, Duration::ZERO)
+        });
+        if self.body.at_commit() {
+            let tail = &self.body.tail;
             tail.fold(0, &mut output, &mut vec![0; tail.slots], &mut Vec::new());
         }
-        let wall = started.elapsed();
+        let wall = clocked + started.elapsed();
         let ns = (wall.as_nanos() / n.max(1) as u128) as u64;
         let _ = self.iteration_ns.set(ns);
         SequentialRun { output, work, wall }
@@ -529,7 +663,7 @@ impl VersionedJob {
     /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
-        let cap = self.trace.len() / (TASKS_PER_SEAT * widest_stage(plan).max(1));
+        let cap = self.len() / (TASKS_PER_SEAT * widest_stage(plan).max(1));
         let wanted = GRAIN_TARGET_NS / self.clock().max(1);
         let k = wanted.min(cap as u64).max(1);
         1 << k.ilog2()
@@ -579,15 +713,16 @@ impl VersionedJob {
         Arc<ConcurrentVersionedMemory>,
         Arc<Mutex<Committed>>,
     ) {
-        let chunks = self.trace.chunked(k);
+        let chunks = self.trace().chunked(k);
         let graph = Arc::new(if plan.stage_count() == 1 {
             chunks.tls_task_graph()
         } else {
             chunks.task_graph()
         });
         let mem = Arc::new(ConcurrentVersionedMemory::new());
+        let folded = self.body.tail.slots * usize::from(self.body.at_commit());
         let committed = Arc::new(Mutex::new(Committed {
-            state: vec![0; self.at_commit.as_ref().map_or(0, |t| t.slots)],
+            state: vec![0; folded],
             tails: Vec::new(),
         }));
         let tasks = ChunkTasks {
@@ -595,8 +730,7 @@ impl VersionedJob {
             graph: Arc::clone(&graph),
             body: Arc::clone(&self.body),
             k: k as u64,
-            n: self.trace.len() as u64,
-            at_commit: self.at_commit.clone(),
+            n: self.len() as u64,
             committed: Arc::clone(&committed),
         };
         let spec = JobSpec {
@@ -615,11 +749,10 @@ impl VersionedJob {
 /// the chunk's records on the slot values of the run.
 struct ChunkTasks {
     graph: Arc<TaskGraph>,
-    body: Arc<ChunkBody>,
+    body: Arc<Body>,
     emit_stage: u8,
     k: u64,
     n: u64,
-    at_commit: Option<Arc<Tail>>,
     committed: Arc<Mutex<Committed>>,
 }
 
@@ -629,16 +762,14 @@ impl NativeBody for ChunkTasks {
             return TaskOutput::empty();
         }
         let iters = ctx.iter * self.k..self.n.min((ctx.iter + 1) * self.k);
-        let (bytes, work) = (self.body)(iters, ctx.mem.map(|m| (VersionId(u64::from(task.0)), m)));
+        let version = ctx.mem.map(|m| (VersionId(u64::from(task.0)), m));
+        let (bytes, work) = self.body.run(iters, version);
         TaskOutput { bytes, work }
     }
 
     fn commit(&self, task: TaskId, bytes: &mut [u8]) {
-        let Some(tail) = &self.at_commit else {
-            return;
-        };
         let t = self.graph.task(task);
-        if t.stage.0 != self.emit_stage {
+        if !self.body.at_commit() || t.stage.0 != self.emit_stage {
             return;
         }
         let first = t.iter * self.k;
@@ -647,7 +778,7 @@ impl NativeBody for ChunkTasks {
         if first == 0 {
             state.fill(0);
         }
-        tail.fold(first, bytes, state, tails);
+        self.body.tail.fold(first, bytes, state, tails);
     }
 }
 
@@ -661,8 +792,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     thread_local! {
-        /// Set while a test builds jobs that keep every restore point.
+        /// Set while a test runs passes that keep every restore point.
         pub(super) static EVERY_POINT: Cell<bool> = const { Cell::new(false) };
+        /// Kernel steps run on this thread.
+        pub(super) static STEPS: Cell<u64> = const { Cell::new(0) };
+        /// Restore points kept on this thread.
+        pub(super) static POINTS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// A synthetic `accumulating` loop of `n` short iterations. With
@@ -715,7 +850,7 @@ mod tests {
         let mut slots: Vec<u64> = (0..SLOTS as u64)
             .map(|s| mem.committed(Addr(s)).unwrap_or(0))
             .collect();
-        if job.at_commit.is_some() {
+        if job.body.at_commit() {
             assert_eq!(mem.stats().writes, 0, "a chunk writes no slot");
             slots[..folded.len()].copy_from_slice(folded);
         }
@@ -728,22 +863,22 @@ mod tests {
     /// body/oracle agreement on the way.
     fn sequential_slots(id: &str, job: &VersionedJob) -> Vec<u64> {
         let mem = ConcurrentVersionedMemory::new();
-        let slots_at_commit = job.at_commit.as_ref().map_or(0, |t| t.slots);
+        let (tail, at_commit) = (&job.body.tail, job.body.at_commit());
         let mut c = Committed {
-            state: vec![0; slots_at_commit],
+            state: vec![0; if at_commit { tail.slots } else { 0 }],
             tails: Vec::new(),
         };
         for i in 0..job.len() as u64 {
             let v = VersionId(i);
             mem.begin(v);
-            let (mut versioned, work) = (job.body)(i..i + 1, Some((v, &mem)));
+            let (mut versioned, work) = job.body.run(i..i + 1, Some((v, &mem)));
             assert_eq!(
                 (versioned.clone(), work),
-                (job.body)(i..i + 1, None),
+                job.body.run(i..i + 1, None),
                 "{id} @ {i}"
             );
             mem.try_commit(v).expect("nothing runs beside it");
-            if let Some(tail) = &job.at_commit {
+            if at_commit {
                 tail.fold(i, &mut versioned, &mut c.state, &mut c.tails);
             }
         }
@@ -756,10 +891,17 @@ mod tests {
         /// would: the sequential stream.
         fn folded<'a>(&self, chunks: impl Iterator<Item = &'a Vec<u8>>) -> Vec<u8> {
             let mut output: Vec<u8> = chunks.flatten().copied().collect();
-            if let Some(tail) = &self.at_commit {
+            if self.body.at_commit() {
+                let tail = &self.body.tail;
                 tail.fold(0, &mut output, &mut vec![0; tail.slots], &mut Vec::new());
             }
             output
+        }
+
+        /// The stride of the job's restore points, recorded if need be.
+        fn restore_stride(&self) -> u64 {
+            self.trace();
+            self.body.recorded.get().expect("recorded").1.stride()
         }
     }
 
@@ -829,7 +971,7 @@ mod tests {
             if !mode.replay && !report.fallback_activated {
                 assert_eq!(slots(job, &mem, folded), self.slots, "{what}: memory");
                 assert_eq!(mem.active_count(), 0, "{what}: version left open");
-            } else if job.at_commit.is_some() {
+            } else if job.body.at_commit() {
                 assert_eq!(slots(job, &mem, folded), self.slots, "{what}: folded");
             }
         }
@@ -919,20 +1061,27 @@ mod tests {
         }
     }
 
-    /// A kernel builds its job and its trace from the same walk of its
-    /// loop: the job the executor runs and the trace the simulator
-    /// schedules describe one run.
+    /// A kernel's job records its trace on the same steps that
+    /// [`Workload::trace`](crate::Workload::trace) runs: the job the
+    /// executor runs and the trace the simulator schedules describe one
+    /// run.
+    fn jobs_carry_their_workload_traces(size: InputSize) {
+        for w in all_workloads() {
+            let job = w.versioned_job(size);
+            assert_eq!(job.trace(), &w.trace(size), "{}", w.meta().spec_id);
+        }
+    }
+
     #[test]
     fn every_kernels_job_carries_its_workload_trace() {
-        for w in all_workloads() {
-            let job = w.versioned_job(InputSize::Test);
-            assert_eq!(
-                job.trace(),
-                &w.trace(InputSize::Test),
-                "{}",
-                w.meta().spec_id
-            );
-        }
+        jobs_carry_their_workload_traces(InputSize::Test);
+    }
+
+    /// The same at `Train`; CI runs it in release.
+    #[test]
+    #[ignore = "Train size; CI runs it in release with the Train pins"]
+    fn every_kernels_job_carries_its_workload_trace_at_train() {
+        jobs_carry_their_workload_traces(InputSize::Train);
     }
 
     /// A job identical to `job` but for its clock, a fresh one that read
@@ -1023,29 +1172,62 @@ mod tests {
         assert_eq!((0..3).map(|_| build(fast).grain(&plan)).max(), Some(8));
     }
 
-    /// A loop of `n` one-byte iterations with an order-sensitive
-    /// two-slot tail, folded by its chunks or at commit, and counters of
-    /// the iterations it ran and of those that were iteration 0 — each
-    /// full pass over the loop runs one.
-    fn counted(n: u64, at_commit: bool) -> (VersionedJob, Arc<AtomicU64>, Arc<AtomicU64>) {
-        let (ran, zeros) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        let (r, z) = (Arc::clone(&ran), Arc::clone(&zeros));
+    /// The order-sensitive two-slot tail of [`counted`] and [`Counted`].
+    fn fold_counted(i: u64, bytes: &[u8], state: &mut [u64]) {
+        state[0] = state[0].wrapping_mul(31).wrapping_add(u64::from(bytes[0]));
+        state[1] += i;
+    }
+
+    /// An `accumulating` loop of `n` one-byte iterations, and a counter
+    /// of the iterations it ran.
+    fn counted(n: u64) -> (VersionedJob, Arc<AtomicU64>) {
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&ran);
         let trace = (0..n).map(|_| IterationRecord::new(1, 1, 1)).collect();
         let compute = move |i: u64| {
             r.fetch_add(1, Relaxed);
-            z.fetch_add(u64::from(i == 0), Relaxed);
             (vec![i as u8], 1)
         };
-        let fold = |i: u64, bytes: &[u8], state: &mut [u64]| {
-            state[0] = state[0].wrapping_mul(31).wrapping_add(u64::from(bytes[0]));
-            state[1] += i;
-        };
-        let job = if at_commit {
-            VersionedJob::accumulating_at_commit(trace, compute, 2, fold)
-        } else {
-            VersionedJob::accumulating(trace, compute, 2, fold)
-        };
-        (job, ran, zeros)
+        (
+            VersionedJob::accumulating(trace, compute, 2, fold_counted),
+            ran,
+        )
+    }
+
+    /// [`counted`]'s loop described as a kernel, its tail folded at
+    /// commit, counting the steps that were iteration 0: each full pass
+    /// over the loop runs one.
+    struct Counted {
+        n: u64,
+        zeros: Arc<AtomicU64>,
+    }
+
+    impl Kernel for Counted {
+        type State = ();
+        type Point = ();
+        type Seen = ();
+        type Book = ();
+        const SLOTS: usize = 2;
+
+        fn start(&self) {}
+
+        fn step(&self, _: &mut (), i: u64) -> Option<(Vec<u8>, u64, ())> {
+            self.zeros.fetch_add(u64::from(i == 0), Relaxed);
+            (i < self.n).then(|| (vec![i as u8], 1, ()))
+        }
+
+        fn record(&self, _: &mut (), _: u64, _: u64, _: ()) -> IterationRecord {
+            IterationRecord::new(1, 1, 1)
+        }
+
+        fn fold(&self, i: u64, bytes: &[u8], slots: &mut [u64]) {
+            fold_counted(i, bytes, slots);
+        }
+    }
+
+    /// The steps run on this thread since the last call.
+    fn steps() -> u64 {
+        STEPS.replace(0)
     }
 
     /// Building a job runs none of its loop, its first sequential run is
@@ -1054,11 +1236,12 @@ mod tests {
     /// tail at commit: then an oracle range runs its own iterations and
     /// no more, and a replay and a fallback from mid-loop run iteration 0
     /// once, on task 0's one attempt. The fold makes each the sequential
-    /// stream.
+    /// stream. Every kernel's first sequential run is the only pass its
+    /// trace, its restore points and its clock need.
     #[test]
     fn a_job_runs_its_loop_once() {
         let n = 64u64;
-        let (job, ran, _) = counted(n, false);
+        let (job, ran) = counted(n);
         let ran_since = || ran.swap(0, Relaxed);
         let plan = ExecutionPlan::tls(1);
         let twin = job.clone();
@@ -1068,7 +1251,7 @@ mod tests {
         let k = job.grain(&plan);
         assert_eq!(k, twin.grain(&plan), "a clone shares the clock");
         assert_eq!(ran_since(), 0, "grain after a sequential run");
-        let (fresh, ran_fresh, _) = counted(n, false);
+        let (fresh, ran_fresh) = counted(n);
         assert_eq!(fresh.grain(&plan), fresh.grain(&plan));
         assert_eq!(ran_fresh.load(Relaxed), n, "grain on a fresh job, twice");
         // Oracle ranges from the end backwards: the first starts mid-loop
@@ -1077,20 +1260,23 @@ mod tests {
         let starts: Vec<u64> = (0..n).step_by(5).collect();
         for (r, &start) in starts.iter().rev().enumerate() {
             let range = start..n.min(start + 5);
-            runs.push((job.body)(range.clone(), None));
+            runs.push(job.body.run(range.clone(), None));
             let pass = if r == 0 { n } else { 0 };
             assert_eq!(ran_since(), pass + range.end - range.start, "{range:?}");
         }
         assert_eq!(job.folded(runs.iter().rev().map(|(b, _)| b)), seq.output);
 
-        let (kernel, ran, zeros) = counted(n, true);
+        let zeros = Arc::new(AtomicU64::new(0));
+        let z = Arc::clone(&zeros);
+        let kernel = VersionedJob::recording(KernelLoop::new(Counted { n, zeros: z }));
+        steps();
         let seq = kernel.sequential();
-        assert_eq!((ran.swap(0, Relaxed), zeros.swap(0, Relaxed)), (n, 1));
+        assert_eq!((steps(), zeros.swap(0, Relaxed)), (n, 1));
         let mut runs = Vec::new();
         for &start in starts.iter().rev() {
             let range = start..n.min(start + 5);
-            runs.push((kernel.body)(range.clone(), None));
-            assert_eq!(ran.swap(0, Relaxed), range.end - range.start, "{range:?}");
+            runs.push(kernel.body.run(range.clone(), None));
+            assert_eq!(steps(), range.end - range.start, "{range:?}");
         }
         assert_eq!(kernel.folded(runs.iter().rev().map(|(b, _)| b)), seq.output);
         zeros.swap(0, Relaxed);
@@ -1110,12 +1296,34 @@ mod tests {
         assert_eq!(report.output, seq.output, "fallback");
         assert_eq!(zeros.swap(0, Relaxed), 1, "fallback");
         assert_eq!(mem.stats().reads + mem.stats().writes, 0, "no slot access");
+
+        for w in all_workloads() {
+            let id = w.meta().spec_id;
+            steps();
+            let job = w.versioned_job(InputSize::Test);
+            let twin = job.clone();
+            assert_eq!(steps(), 0, "{id}: construction");
+            let seq = job.sequential();
+            let n = job.len() as u64;
+            assert_eq!(steps(), n, "{id}: the first sequential run");
+            assert_eq!(job.trace().len(), twin.len(), "{id}");
+            let _ = job.job_spec(&plan, ExecConfig::default());
+            assert_eq!(job.grain(&plan), twin.grain(&plan), "{id}");
+            assert_eq!(steps(), 0, "{id}: len, trace, grain and job_spec");
+            POINTS.set(0);
+            assert_eq!(&w.trace(InputSize::Test), job.trace(), "{id}");
+            assert_eq!((steps(), POINTS.get()), (n, 0), "{id}: Workload::trace");
+            let again = job.sequential();
+            assert_eq!(steps(), n, "{id}: a second sequential run");
+            assert_eq!((again.output, again.work), (seq.output, seq.work), "{id}");
+        }
     }
 
-    /// Formatting a job reads its clock and runs none of its loop.
+    /// Formatting a job reads its clock and runs none of its loop, and
+    /// formatting a kernel's job records none of it.
     #[test]
     fn formatting_a_job_runs_none_of_its_loop() {
-        let (job, ran, _) = counted(64, true);
+        let (job, ran) = counted(64);
         let fresh = format!("{job:?}");
         assert!(fresh.contains("iteration_ns: None"), "{fresh}");
         assert_eq!(ran.load(Relaxed), 0, "formatting a fresh job");
@@ -1123,71 +1331,98 @@ mod tests {
         ran.swap(0, Relaxed);
         assert!(format!("{job:?}").contains("iteration_ns: Some("));
         assert_eq!(ran.load(Relaxed), 0, "formatting a measured job");
+        let kernel = all_workloads()[1].versioned_job(InputSize::Test);
+        steps();
+        let fresh = format!("{kernel:?}");
+        assert!(fresh.contains("iterations: None"), "{fresh}");
+        assert!(fresh.contains("restore_stride: None"), "{fresh}");
+        assert_eq!(steps(), 0, "formatting a kernel job nothing has run");
     }
 
-    /// Pins the rule of [`RestorePoints`] on walks whose states are
-    /// their own indices: point 0 is kept, every kept index is a multiple
-    /// of the stride in force when it was kept, that stride is a power of
-    /// two that never narrows, and a range resumes from the latest point
-    /// at or before its start.
+    /// A loop of `n` iterations whose state is the index of the next one,
+    /// kept whole as a point; the indices kept are logged. `slow` steps
+    /// outlast a quarter of the grain target.
+    struct Indexed {
+        n: u64,
+        slow: bool,
+        kept: Mutex<Vec<u64>>,
+    }
+
+    impl Kernel for Indexed {
+        type State = u64;
+        type Point = u64;
+        type Seen = ();
+        type Book = ();
+        const SLOTS: usize = 0;
+
+        fn start(&self) -> u64 {
+            0
+        }
+
+        fn step(&self, live: &mut u64, i: u64) -> Option<(Vec<u8>, u64, ())> {
+            assert_eq!(*live, i, "the live state is the one before {i}");
+            if self.slow {
+                std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS / 4));
+            }
+            *live += 1;
+            (i < self.n).then(|| (vec![i as u8], 1, ()))
+        }
+
+        fn point(&self, live: &u64) -> Option<u64> {
+            self.kept.lock().expect("no panic").push(*live);
+            Some(*live)
+        }
+
+        fn restore(&self, point: &u64) -> u64 {
+            *point
+        }
+
+        fn record(&self, _: &mut (), _: u64, _: u64, _: ()) -> IterationRecord {
+            IterationRecord::new(1, 1, 1)
+        }
+
+        fn fold(&self, _: u64, _: &[u8], _: &mut [u64]) {}
+    }
+
+    /// Pins the rule of a job's restore points on a loop whose states are
+    /// their own indices: point 0 is kept; the stride only widens, so the
+    /// distance between consecutive points never shrinks; each point is a
+    /// multiple of the stride in force, which is a power of two at or
+    /// above its distance from the one before; and a range resumes from
+    /// the latest point at or before its start.
     #[test]
     fn restore_points_keep_strided_states_and_resume_from_the_latest() {
-        let walk = |n: u64, slow: bool| {
-            let mut points = RestorePoints::new();
-            let mut last = 1;
-            for i in 0..n {
-                let kept = points.points.len();
-                points.offer(|| i);
-                let stride = points.stride;
-                assert!(
-                    stride.is_power_of_two() && stride >= last,
-                    "{stride} after {last}"
-                );
-                if points.points.len() > kept {
-                    assert_eq!(i % stride, 0, "kept {i} at stride {stride}");
-                }
-                last = stride;
-                if slow {
-                    std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS / 4));
-                }
-            }
-            points
+        let pass_of = |n: u64, slow: bool| {
+            let kernel = Arc::new(Indexed {
+                n,
+                slow,
+                kept: Mutex::default(),
+            });
+            let (trace, kept) = pass(&kernel, true);
+            assert_eq!(trace.len() as u64, n);
+            let runner = kept.expect("a job's pass keeps its run").0;
+            let points = kernel.kept.lock().expect("no panic").clone();
+            (points, runner)
         };
         // An iteration that outlasts a quarter of the target keeps every
-        // point; a cheap one widens the stride.
-        let slow = walk(40, true);
-        assert_eq!(slow.stride, 1);
-        assert_eq!(slow.points.len(), 40);
-        let fast = walk(20_000, false);
-        assert_eq!(fast.points[0], (0, 0));
-        assert!(
-            fast.stride > 1,
-            "a no-op iteration fits the quarter many times"
-        );
-        assert!(fast.stride <= GRAIN_TARGET_NS / 4);
-        for a in (0..20_000)
-            .step_by(97)
-            .chain([fast.stride - 1, fast.stride, 19_999])
-        {
-            let &(from, state) = fast.at(a);
-            assert_eq!(from, state);
-            assert!(from <= a, "{from} > {a}");
-            let next = fast.points.iter().find(|(i, _)| *i > from);
-            assert!(
-                next.is_none_or(|(i, _)| *i > a),
-                "a later point precedes {a}"
-            );
+        // point, the state before the step that ends the loop included; a
+        // cheap one widens the stride.
+        let (slow, runner) = pass_of(40, true);
+        assert_eq!(runner.stride(), 1);
+        assert_eq!(slow, (0..=40).collect::<Vec<_>>());
+        let (fast, runner) = pass_of(20_000, false);
+        let stride = runner.stride();
+        assert!(stride > 1, "a no-op iteration fits the quarter many times");
+        assert!(stride.is_power_of_two() && stride <= GRAIN_TARGET_NS / 4);
+        assert_eq!(fast[0], 0);
+        let gaps: Vec<u64> = fast.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(gaps.windows(2).all(|g| g[0] <= g[1]), "{gaps:?}");
+        for (&at, &gap) in fast[1..].iter().zip(&gaps) {
+            assert_eq!(at % gap.next_power_of_two(), 0, "{at} after {gap}");
+            assert!(gap <= stride, "{gap} > {stride}");
         }
         // The runner restores once and replays up to the range unmetered.
-        let runner = fast.runner(
-            |&i| i,
-            |live, i| {
-                assert_eq!(*live, i, "the live state is the one before {i}");
-                *live += 1;
-                (vec![i as u8], 1)
-            },
-        );
-        for range in [0..1, 5..9, 1_000..1_003, 19_990..20_000] {
+        for range in [0..1, 5..9, 1_000..1_003, 19_990..20_000, 7..8] {
             let (mut bytes, mut work) = (Vec::new(), 0);
             runner.run(range.clone(), &mut |b, w| {
                 bytes.extend_from_slice(b);
@@ -1220,10 +1455,10 @@ mod tests {
             let dense = Case::new(format!("{id} (every point)"), w.versioned_job(size));
             EVERY_POINT.set(false);
             let job = w.versioned_job(size);
-            assert_eq!(dense.job.restore_stride, 1, "{id}");
+            assert_eq!(dense.job.restore_stride(), 1, "{id}");
             let seq = job.sequential();
             assert_eq!((&seq.output, seq.work), (&dense.seq.output, dense.seq.work));
-            let s = job.restore_stride as usize;
+            let s = job.restore_stride() as usize;
             let mut grains = vec![1, 3, s - 1, s, 2 * s, job.len()];
             grains.retain(|&k| k > 0);
             grains.sort_unstable();
@@ -1244,7 +1479,7 @@ mod tests {
                     let runs: Vec<_> = starts
                         .iter()
                         .rev()
-                        .map(|&a| (case.job.body)(a..n.min(a + k as u64), None))
+                        .map(|&a| case.job.body.run(a..n.min(a + k as u64), None))
                         .collect();
                     let output = case.job.folded(runs.iter().rev().map(|(b, _)| b));
                     let work: u64 = runs.iter().map(|(_, w)| w).sum();

@@ -17,8 +17,8 @@
 
 use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::VersionedJob;
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 
@@ -205,32 +205,48 @@ fn grammatical_sentence(rng: &mut Prng, target: usize) -> Vec<Tag> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Parser;
 
-impl Parser {
-    fn batch_size(&self, size: InputSize) -> usize {
-        500 * size.factor() as usize
+/// parser's loop: one item of the batch an iteration. The tail is the
+/// batch's running accepted-sentence count (the `results` accumulator
+/// the IR model stores through).
+struct Batch(Vec<Item>);
+
+impl Kernel for Batch {
+    type State = ();
+    type Point = ();
+    /// Whether the item was a sentence that parsed.
+    type Seen = bool;
+    type Book = ();
+    const SPECULATIVE: bool = false;
+    const SLOTS: usize = 1;
+
+    fn start(&self) {}
+
+    fn step(&self, _: &mut (), i: u64) -> Option<(Vec<u8>, u64, bool)> {
+        let (verdict, work) = match self.0.get(i as usize)? {
+            Item::Command => (2, 1),
+            Item::Sentence(tags) => {
+                let mut meter = WorkMeter::new();
+                let ok = parse(tags, &mut meter);
+                (u8::from(ok), meter.take().max(1))
+            }
+        };
+        Some((vec![verdict], work, verdict == 1))
     }
 
-    /// Processes the batch once, one item an iteration: the trace and
-    /// the items.
-    fn walk(&self, size: InputSize) -> (IterationTrace, Vec<Item>) {
-        let items = generate_batch(self.batch_size(size), 0x197);
-        let mut trace = IterationTrace::new();
-        for item in &items {
-            match item {
-                Item::Command => {
-                    // Commands execute in phase A: cheap, synchronized.
-                    trace.push(IterationRecord::new(8, 1, 1));
-                }
-                Item::Sentence(tags) => {
-                    let mut meter = WorkMeter::new();
-                    let ok = parse(tags, &mut meter);
-                    let a_cost = tags.len() as u64; // tokenize/read
-                    let c_cost = if ok { 4 } else { 2 }; // print verdict
-                    trace.push(IterationRecord::new(a_cost, meter.take().max(1), c_cost));
-                }
+    fn record(&self, _: &mut (), i: u64, work: u64, parsed: bool) -> IterationRecord {
+        match &self.0[i as usize] {
+            // Commands execute in phase A: cheap, synchronized.
+            Item::Command => IterationRecord::new(8, 1, 1),
+            // A tokenizes and reads; C prints the verdict.
+            Item::Sentence(tags) => {
+                let c_cost = if parsed { 4 } else { 2 };
+                IterationRecord::new(tags.len() as u64, work, c_cost)
             }
         }
-        (trace, items)
+    }
+
+    fn fold(&self, _: u64, verdict: &[u8], accepted: &mut [u64]) {
+        accepted[0] += u64::from(verdict[0] == 1);
     }
 }
 
@@ -253,28 +269,8 @@ impl Workload for Parser {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state, folded at commit: the batch's running
-        // accepted-sentence count (the `results` accumulator the IR
-        // model stores through).
-        let (trace, items) = self.walk(size);
-        VersionedJob::accumulating_at_commit(
-            trace,
-            move |iter| match &items[iter as usize] {
-                Item::Command => (vec![2u8], 1),
-                Item::Sentence(tags) => {
-                    let mut meter = WorkMeter::new();
-                    let ok = parse(tags, &mut meter);
-                    (vec![u8::from(ok)], meter.take().max(1))
-                }
-            },
-            1,
-            |_, verdict, accepted| accepted[0] += u64::from(verdict[0] == 1),
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        KernelLoop::new(Batch(generate_batch(500 * size.factor() as usize, 0x197)))
     }
 
     fn ir_model(&self) -> IrModel {

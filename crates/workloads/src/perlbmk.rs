@@ -19,10 +19,11 @@
 
 use crate::common::{fnv1a_fold, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode as IrOp, Program};
+use std::collections::BTreeMap;
 
 /// Virtual-machine operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,50 +194,58 @@ pub fn run(program: &[Op], meter: &mut WorkMeter) -> Vm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Perlbmk;
 
-impl Perlbmk {
-    fn statement_count(&self, size: InputSize) -> usize {
-        500 * size.factor() as usize
+/// perlbmk's loop: one statement of the program an iteration. The tail
+/// is a rolling hash of every printed value and the printed-word count:
+/// the output-buffer summary the interpreter threads across statements.
+struct Runops(Vec<Vec<Op>>);
+
+impl Kernel for Runops {
+    type State = Vm;
+    type Point = Vm;
+    type Seen = ();
+    /// The statement that last wrote each variable.
+    type Book = BTreeMap<u8, u64>;
+
+    fn start(&self) -> Vm {
+        Vm::new()
     }
 
-    /// Interprets the program once, one statement an iteration: the
-    /// trace and the statements. `before` sees the VM at each statement
-    /// boundary.
-    fn walk(&self, size: InputSize, mut before: impl FnMut(&Vm)) -> (IterationTrace, Vec<Vec<Op>>) {
-        let program = generate_program(self.statement_count(size), 0x253);
-        let stmts: Vec<Vec<Op>> = statements(&program)
-            .into_iter()
-            .map(<[Op]>::to_vec)
-            .collect();
-        // last_writer[v] = statement index that last wrote v.
-        let mut last_writer = [usize::MAX; 64];
-        let mut trace = IterationTrace::speculative();
-        let mut vm = Vm::new();
-        for (i, stmt) in stmts.iter().enumerate() {
-            before(&vm);
-            let mut meter = WorkMeter::new();
-            for &op in stmt {
-                vm.step(op, &mut meter);
-            }
-            let (reads, writes) = var_sets(stmt);
-            // The real dynamic dependence: reading a var some earlier
-            // statement wrote violates the independence speculation.
-            let misspec = reads
-                .iter()
-                .filter_map(|v| {
-                    let w = last_writer[*v as usize];
-                    (w != usize::MAX).then_some(w)
-                })
-                .max();
-            for v in &writes {
-                last_writer[*v as usize] = i;
-            }
-            let mut rec = IterationRecord::new(2, meter.take().max(1), 1);
-            if let Some(j) = misspec {
-                rec = rec.with_misspec_on(j as u64);
-            }
-            trace.push(rec);
+    fn step(&self, vm: &mut Vm, i: u64) -> Option<(Vec<u8>, u64, ())> {
+        let mut meter = WorkMeter::new();
+        for &op in self.0.get(i as usize)? {
+            vm.step(op, &mut meter);
         }
-        (trace, stmts)
+        let printed = vm.output.drain(..).flat_map(i64::to_le_bytes).collect();
+        Some((printed, meter.take().max(1), ()))
+    }
+
+    /// The variable file: at a statement boundary the stack is empty,
+    /// and a statement's output is its own.
+    fn point(&self, vm: &Vm) -> Option<Vm> {
+        Some(Vm {
+            vars: vm.vars,
+            ..Vm::new()
+        })
+    }
+
+    fn restore(&self, vm: &Vm) -> Vm {
+        vm.clone()
+    }
+
+    fn record(&self, last: &mut Self::Book, i: u64, work: u64, _: ()) -> IterationRecord {
+        let (reads, writes) = var_sets(&self.0[i as usize]);
+        // The real dynamic dependence: reading a var some earlier
+        // statement wrote violates the independence speculation.
+        let misspec = reads.iter().filter_map(|v| last.get(v).copied()).max();
+        last.extend(writes.into_iter().map(|v| (v, i)));
+        let mut record = IterationRecord::new(2, work, 1);
+        record.misspec_on = misspec;
+        record
+    }
+
+    fn fold(&self, _: u64, printed: &[u8], acc: &mut [u64]) {
+        acc[0] = fnv1a_fold(acc[0], printed);
+        acc[1] += printed.len() as u64 / 8;
     }
 }
 
@@ -261,41 +270,14 @@ impl Workload for Perlbmk {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_| {}).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: a rolling hash of every printed value and
-        // the cumulative printed-word count — the output-buffer summary
-        // the interpreter threads across statements, folded at commit.
-        let mut points = RestorePoints::new();
-        // A point is the variable file: at a statement boundary the
-        // stack is empty, and a statement's output is its own.
-        let (trace, stmts) = self.walk(size, |vm| {
-            points.offer(|| Vm {
-                vars: vm.vars,
-                ..Vm::new()
-            });
-        });
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(Vm::clone, move |vm, iter| {
-                let mut meter = WorkMeter::new();
-                for &op in &stmts[iter as usize] {
-                    vm.step(op, &mut meter);
-                }
-                let bytes = vm.output.drain(..).flat_map(i64::to_le_bytes).collect();
-                (bytes, meter.take().max(1))
-            }),
-            2,
-            |_, bytes, acc| {
-                if !bytes.is_empty() {
-                    acc[0] = fnv1a_fold(acc[0], bytes);
-                    acc[1] += bytes.len() as u64 / 8;
-                }
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        let program = generate_program(500 * size.factor() as usize, 0x253);
+        KernelLoop::new(Runops(
+            statements(&program)
+                .into_iter()
+                .map(<[Op]>::to_vec)
+                .collect(),
+        ))
     }
 
     fn ir_model(&self) -> IrModel {

@@ -16,10 +16,10 @@
 //! through the whole schedule and the paper's speedup saturates at ~2× on
 //! 8 threads.
 
-use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{annealer_record, History, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 use std::sync::Arc;
@@ -204,20 +204,17 @@ pub fn schedule() -> impl Iterator<Item = f64> {
     std::iter::successors(Some(30.0), |t| Some(t * 0.75)).take_while(|t| *t > 0.3)
 }
 
-/// Runs the full annealing schedule. Calls `before(placement, rng,
-/// temperature)` ahead of every iteration — the state it starts from —
-/// and `on_iter(outcome, work)` after it.
+/// Runs the full annealing schedule. Calls `on_iter(outcome, work)`
+/// after every iteration.
 pub fn uloop(
     place: &mut CellPlacement,
     iters_per_temp: usize,
     seed: u64,
-    mut before: impl FnMut(&CellPlacement, &YacmRandom, f64),
     mut on_iter: impl FnMut(&ExchangeOutcome, u64),
 ) -> i64 {
     let mut rng = YacmRandom::new(seed);
     for temperature in schedule() {
         for _ in 0..iters_per_temp {
-            before(place, &rng, temperature);
             let mut m = WorkMeter::new();
             let outcome = uloop_iter(place, &mut rng, temperature, &mut m);
             on_iter(&outcome, m.total().max(1));
@@ -234,41 +231,61 @@ impl Twolf {
     fn instance(&self) -> CellPlacement {
         CellPlacement::generate(8, 16, 340, 0x300)
     }
+}
 
-    fn iters_per_temp(&self, size: InputSize) -> usize {
-        70 * size.factor() as usize
+/// twolf's loop, `uloop`'s iterations in order: the instance before the
+/// first, how many iterations each temperature of the schedule runs, and
+/// the schedule. The tail is the accepted-exchange count and the total
+/// nets touched by accepted exchanges: the cost-table bookkeeping
+/// `uloop` threads across iterations.
+struct Uloop {
+    instance: CellPlacement,
+    per_temp: usize,
+    temperatures: Vec<f64>,
+}
+
+impl Kernel for Uloop {
+    type State = (CellPlacement, YacmRandom);
+    type Point = (Vec<(u16, u16)>, YacmRandom);
+    type Seen = ExchangeOutcome;
+    type Book = History;
+
+    fn start(&self) -> Self::State {
+        (self.instance.clone(), YacmRandom::new(0x300_5EED))
     }
 
-    const WINDOW: usize = 32;
+    fn step(&self, (place, rng): &mut Self::State, i: u64) -> Option<(Vec<u8>, u64, Self::Seen)> {
+        let &temperature = self.temperatures.get(i as usize / self.per_temp)?;
+        let mut meter = WorkMeter::new();
+        let outcome = uloop_iter(place, rng, temperature, &mut meter);
+        let mut bytes = vec![u8::from(outcome.accepted)];
+        bytes.extend((outcome.nets_touched.len() as u32).to_le_bytes());
+        Some((bytes, meter.take().max(1), outcome))
+    }
 
-    /// Anneals the instance once: the trace of its iterations and the
-    /// final placement. `before` sees the state each iteration starts
-    /// from.
-    fn walk(
-        &self,
-        size: InputSize,
-        before: impl FnMut(&CellPlacement, &YacmRandom, f64),
-    ) -> (IterationTrace, CellPlacement) {
-        let mut place = self.instance();
-        let mut trace = IterationTrace::speculative();
-        let mut recent = Vec::new();
-        uloop(
-            &mut place,
-            self.iters_per_temp(size),
-            0x300_5EED,
-            before,
-            |outcome, cost| {
-                // As in vpr, the global wirelength accumulator chains every
-                // accepted exchange; net sharing conflicts the rest.
-                let mut rec = IterationRecord::new(1, cost, 1);
-                if let Some(j) = last_collision(&recent, &outcome.nets_touched, Twolf::WINDOW) {
-                    rec = rec.with_misspec_on(j);
-                }
-                trace.push(rec);
-                recent.push(outcome.accepted.then(|| outcome.nets_touched.clone()));
-            },
-        );
-        (trace, place)
+    fn point(&self, (place, rng): &Self::State) -> Option<Self::Point> {
+        Some((place.pos.clone(), rng.clone()))
+    }
+
+    fn restore(&self, (pos, rng): &Self::Point) -> Self::State {
+        let mut place = self.instance.clone();
+        place.set_positions(pos);
+        (place, rng.clone())
+    }
+
+    /// As in vpr, the global wirelength accumulator chains every accepted
+    /// exchange; net sharing conflicts the rest.
+    fn record(&self, recent: &mut History, _: u64, work: u64, o: Self::Seen) -> IterationRecord {
+        annealer_record(recent, o.accepted, o.nets_touched, work)
+    }
+
+    fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {
+        if bytes[0] == 1 {
+            acc[0] += 1;
+            acc[1] += u64::from(u32::from_le_bytes(
+                bytes[1..5].try_into().expect("four bytes"),
+            ));
+        }
     }
 }
 
@@ -293,46 +310,12 @@ impl Workload for Twolf {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_, _, _| {}).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the accepted-exchange count and the total
-        // nets touched by accepted exchanges — the cost-table bookkeeping
-        // `uloop` threads across iterations, folded at commit.
-        let mut points = RestorePoints::new();
-        let (trace, base) = self.walk(size, |place, rng, _| {
-            points.offer(|| (place.pos.clone(), rng.clone()));
-        });
-        let (per_temp, temperatures): (_, Vec<f64>) =
-            (self.iters_per_temp(size), schedule().collect());
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(
-                move |(pos, rng)| {
-                    let mut place = base.clone();
-                    place.set_positions(pos);
-                    (place, rng.clone())
-                },
-                move |(place, rng), iter| {
-                    let temperature = temperatures[iter as usize / per_temp];
-                    let mut meter = WorkMeter::new();
-                    let outcome = uloop_iter(place, rng, temperature, &mut meter);
-                    let mut bytes = vec![u8::from(outcome.accepted)];
-                    bytes.extend((outcome.nets_touched.len() as u32).to_le_bytes());
-                    (bytes, meter.take().max(1))
-                },
-            ),
-            2,
-            |_, bytes, acc| {
-                if bytes[0] == 1 {
-                    acc[0] += 1;
-                    acc[1] +=
-                        u64::from(u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]));
-                }
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        KernelLoop::new(Uloop {
+            instance: self.instance(),
+            per_temp: 70 * size.factor() as usize,
+            temperatures: schedule().collect(),
+        })
     }
 
     fn ir_model(&self) -> IrModel {
@@ -438,7 +421,7 @@ mod tests {
         let mut p = Twolf.instance();
         let mut m = WorkMeter::new();
         let before = p.total_cost(&mut m);
-        let after = uloop(&mut p, 70, 1, |_, _, _| {}, |_, _| {});
+        let after = uloop(&mut p, 70, 1, |_, _| {});
         assert!(after < before, "{before} -> {after}");
     }
 

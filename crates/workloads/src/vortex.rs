@@ -18,8 +18,8 @@
 
 use crate::common::{InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 use std::sync::Arc;
@@ -481,53 +481,68 @@ pub fn exec_txn(tree: &mut BTree, txn: Txn, meter: &mut WorkMeter) -> (Status, u
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Vortex;
 
-impl Vortex {
-    fn txn_count(&self, size: InputSize) -> usize {
-        600 * size.factor() as usize
-    }
+/// vortex's loop: one transaction of the stream an iteration, against
+/// the seeded tree. A record is the status (1 byte) and the rebalances
+/// (8 bytes le); the tail is the not-found count and the rebalance total,
+/// the error log and structural-edit clock the database threads across
+/// transactions.
+struct Transactions(Vec<Txn>);
 
-    fn seeded_tree(&self, meter: &mut WorkMeter) -> BTree {
+impl Kernel for Transactions {
+    type State = BTree;
+    type Point = BTree;
+    /// Whether the transaction rebalanced the tree or did not return
+    /// NORMAL; the book keeps the previous one's.
+    type Seen = bool;
+    type Book = bool;
+
+    fn start(&self) -> BTree {
         let mut tree = BTree::new();
         let mut rng = Prng::new(0xDB);
         for _ in 0..8_000 {
             let k = rng.below(KEY_SPACE);
-            tree.insert(k, k ^ 0x5555, meter);
+            tree.insert(k, k ^ 0x5555, &mut WorkMeter::new());
         }
         tree
     }
 
-    /// Runs the transaction stream once against the seeded tree: the
-    /// trace and the transactions. `before` sees the tree ahead of each
-    /// transaction.
-    fn walk(&self, size: InputSize, mut before: impl FnMut(&BTree)) -> (IterationTrace, Vec<Txn>) {
-        let mut setup_meter = WorkMeter::new();
-        let mut tree = self.seeded_tree(&mut setup_meter);
-        let txns = generate_txns(self.txn_count(size), 0x255);
-        let mut trace = IterationTrace::speculative();
-        let mut prev_rebalanced = false;
-        let mut prev_status = Status::Normal;
-        for (i, txn) in txns.iter().enumerate() {
-            before(&tree);
-            let mut meter = WorkMeter::new();
-            let (status, rebalances) = exec_txn(&mut tree, *txn, &mut meter);
-            // Alias misspeculation: the previous transaction restructured
-            // the tree this one traverses. STATUS value misspeculation:
-            // the previous call did not return NORMAL.
-            let misspec = i > 0 && (prev_rebalanced || prev_status != Status::Normal);
-            let b_cost = meter.take().max(1);
-            // Table 1: the parallelized loops cover ~90% of vortex's
-            // runtime; the rest (command dispatch in BMT_Test and the
-            // non-parallel Lookup path) stays in the sequential phase A.
-            let a_cost = 2 + b_cost / 7;
-            let mut rec = IterationRecord::new(a_cost, b_cost, 1);
-            if misspec {
-                rec = rec.with_misspec_on((i - 1) as u64);
-            }
-            trace.push(rec);
-            prev_rebalanced = rebalances > 0;
-            prev_status = status;
-        }
-        (trace, txns)
+    fn step(&self, tree: &mut BTree, i: u64) -> Option<(Vec<u8>, u64, bool)> {
+        let &txn = self.0.get(i as usize)?;
+        let mut meter = WorkMeter::new();
+        let (status, rebalances) = exec_txn(tree, txn, &mut meter);
+        let failed = status == Status::NotFound;
+        let mut bytes = vec![u8::from(failed)];
+        bytes.extend(rebalances.to_le_bytes());
+        Some((bytes, meter.take().max(1), rebalances > 0 || failed))
+    }
+
+    /// The tree is persistent: a point is an O(1) clone, and a chunk
+    /// copies only the paths its transactions touch.
+    fn point(&self, tree: &BTree) -> Option<BTree> {
+        Some(tree.clone())
+    }
+
+    fn restore(&self, tree: &BTree) -> BTree {
+        tree.clone()
+    }
+
+    fn record(&self, disturbed: &mut bool, i: u64, work: u64, now: bool) -> IterationRecord {
+        // Alias misspeculation: the previous transaction restructured the
+        // tree this one traverses. STATUS value misspeculation: the
+        // previous call did not return NORMAL.
+        let misspec = i > 0 && *disturbed;
+        *disturbed = now;
+        // Table 1: the parallelized loops cover ~90% of vortex's runtime;
+        // the rest (command dispatch in BMT_Test and the non-parallel
+        // Lookup path) stays in the sequential phase A.
+        let mut record = IterationRecord::new(2 + work / 7, work, 1);
+        record.misspec_on = misspec.then(|| i - 1);
+        record
+    }
+
+    fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {
+        acc[0] += u64::from(bytes[0]);
+        acc[1] += u64::from_le_bytes(bytes[1..9].try_into().expect("eight bytes"));
     }
 }
 
@@ -554,39 +569,11 @@ impl Workload for Vortex {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_| {}).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the not-found transaction count and the
-        // cumulative rebalance total — the error log and structural-edit
-        // clock the database threads across transactions, folded at
-        // commit.
-        // The tree is persistent: a point is an O(1) clone, and a chunk
-        // copies only the paths its transactions touch.
-        let mut points = RestorePoints::new();
-        let (trace, txns) = self.walk(size, |tree| points.offer(|| tree.clone()));
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(BTree::clone, move |tree, iter| {
-                let mut meter = WorkMeter::new();
-                let (status, rebalances) = exec_txn(tree, txns[iter as usize], &mut meter);
-                let mut bytes = vec![match status {
-                    Status::Normal => 0u8,
-                    Status::NotFound => 1u8,
-                }];
-                bytes.extend(rebalances.to_le_bytes());
-                (bytes, meter.take().max(1))
-            }),
-            2,
-            |_, bytes, acc| {
-                acc[0] += u64::from(bytes[0]);
-                acc[1] += u64::from_le_bytes([
-                    bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7], bytes[8],
-                ]);
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        KernelLoop::new(Transactions(generate_txns(
+            600 * size.factor() as usize,
+            0x255,
+        )))
     }
 
     fn ir_model(&self) -> IrModel {

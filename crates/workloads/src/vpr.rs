@@ -16,10 +16,10 @@
 //! 80% of the time"), so "good parallel performance requires many
 //! threads" in the late region — the paper's 3.59× at 15 threads.
 
-use crate::common::{last_collision, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{annealer_record, History, InputSize, IrModel, Prng, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
-use crate::native::{RestorePoints, VersionedJob};
-use seqpar::{IterationRecord, IterationTrace, Technique};
+use crate::native::{Kernel, KernelLoop};
+use seqpar::{IterationRecord, Technique};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{ExternEffect, FunctionBuilder, Opcode, Program};
 use std::sync::Arc;
@@ -146,21 +146,18 @@ pub fn schedule() -> impl Iterator<Item = f64> {
 
 /// The annealing schedule driver (vpr's `try_place`).
 ///
-/// Calls `before(placement, rng, temperature)` ahead of every inner
-/// `try_swap` — the state that swap starts from — and
-/// `on_swap(outer_iteration, outcome, work)` after it.
+/// Calls `on_swap(outer_iteration, outcome, work)` after every inner
+/// `try_swap`.
 pub fn anneal(
     place: &mut Placement,
     moves_per_temp: usize,
     seed: u64,
-    mut before: impl FnMut(&Placement, &Prng, f64),
     mut on_swap: impl FnMut(usize, &SwapOutcome, u64),
 ) -> i64 {
     let mut rng = Prng::new(seed);
     let mut meter = WorkMeter::new();
     for (outer, temperature) in schedule().enumerate() {
         for _ in 0..moves_per_temp {
-            before(place, &rng, temperature);
             let mut m = WorkMeter::new();
             let outcome = try_swap(place, &mut rng, temperature, &mut m);
             on_swap(outer, &outcome, m.total().max(1));
@@ -227,46 +224,61 @@ pub fn try_swap(
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Vpr;
 
-impl Vpr {
-    fn instance(&self) -> Placement {
-        Placement::generate(16, 200, 240, 0x175)
+/// vpr's loop, `try_place`'s moves in order: the instance before the
+/// first, how many moves each temperature of the schedule runs, and the
+/// schedule. The tail is the accepted-move count and the wrapping sum of
+/// accepted cost deltas: the running placement cost the annealer
+/// threads across moves.
+struct Place {
+    instance: Placement,
+    moves: usize,
+    temperatures: Vec<f64>,
+}
+
+impl Kernel for Place {
+    type State = (Placement, Prng);
+    type Point = (Vec<(u16, u16)>, Prng);
+    type Seen = SwapOutcome;
+    type Book = History;
+
+    fn start(&self) -> Self::State {
+        (self.instance.clone(), Prng::new(0xABCD))
     }
 
-    fn moves_per_temp(&self, size: InputSize) -> usize {
-        60 * size.factor() as usize
+    fn step(&self, (place, rng): &mut Self::State, i: u64) -> Option<(Vec<u8>, u64, SwapOutcome)> {
+        let &temperature = self.temperatures.get(i as usize / self.moves)?;
+        let mut meter = WorkMeter::new();
+        let outcome = try_swap(place, rng, temperature, &mut meter);
+        let mut bytes = vec![u8::from(outcome.accepted)];
+        bytes.extend(outcome.delta.to_le_bytes());
+        Some((bytes, meter.take().max(1), outcome))
     }
 
-    /// Conflict window: how many in-flight earlier iterations a
-    /// speculative swap can collide with (bounded by machine width).
-    const WINDOW: usize = 32;
+    fn point(&self, (place, rng): &Self::State) -> Option<Self::Point> {
+        Some((place.pos.clone(), rng.clone()))
+    }
 
-    /// Anneals the instance once: the trace of its moves and the final
-    /// placement. `before` sees the state each move starts from.
-    fn walk(
-        &self,
-        size: InputSize,
-        before: impl FnMut(&Placement, &Prng, f64),
-    ) -> (IterationTrace, Placement) {
-        let mut place = self.instance();
-        let mut trace = IterationTrace::speculative();
-        let mut recent = Vec::new();
-        anneal(
-            &mut place,
-            self.moves_per_temp(size),
-            0xABCD,
-            before,
-            |_, outcome, cost| {
-                // Real collisions, so misspeculation is high while hot
-                // and low once cold (§4.3.4).
-                let mut rec = IterationRecord::new(1, cost, 1);
-                if let Some(j) = last_collision(&recent, &outcome.nets_touched, Vpr::WINDOW) {
-                    rec = rec.with_misspec_on(j);
-                }
-                trace.push(rec);
-                recent.push(outcome.accepted.then(|| outcome.nets_touched.clone()));
-            },
-        );
-        (trace, place)
+    fn restore(&self, (pos, rng): &Self::Point) -> Self::State {
+        // Blocks moved in turn to their kept cells displace none before.
+        let mut place = self.instance.clone();
+        for (b, &(x, y)) in pos.iter().enumerate() {
+            place.apply_move(b, x, y);
+        }
+        (place, rng.clone())
+    }
+
+    /// Real collisions, so misspeculation is high while hot and low once
+    /// cold (§4.3.4).
+    fn record(&self, recent: &mut History, _: u64, work: u64, o: SwapOutcome) -> IterationRecord {
+        annealer_record(recent, o.accepted, o.nets_touched, work)
+    }
+
+    fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {
+        if bytes[0] == 1 {
+            acc[0] += 1;
+            let delta = i64::from_le_bytes(bytes[1..9].try_into().expect("eight bytes"));
+            acc[1] = acc[1].wrapping_add(delta as u64);
+        }
     }
 }
 
@@ -292,52 +304,12 @@ impl Workload for Vpr {
         }
     }
 
-    fn trace(&self, size: InputSize) -> IterationTrace {
-        self.walk(size, |_, _, _| {}).0
-    }
-
-    fn versioned_job(&self, size: InputSize) -> VersionedJob {
-        // Loop-carried state: the accepted-move count and the wrapping
-        // sum of accepted cost deltas — the running placement cost the
-        // annealer threads across moves, folded at commit.
-        let mut points = RestorePoints::new();
-        let (trace, base) = self.walk(size, |place, rng, _| {
-            points.offer(|| (place.pos.clone(), rng.clone()));
-        });
-        let (moves, temperatures): (_, Vec<f64>) =
-            (self.moves_per_temp(size), schedule().collect());
-        VersionedJob::accumulating_at_commit(
-            trace,
-            points.runner(
-                // Blocks moved in turn to their kept cells displace none before.
-                move |(pos, rng)| {
-                    let mut place = base.clone();
-                    for (b, &(x, y)) in pos.iter().enumerate() {
-                        place.apply_move(b, x, y);
-                    }
-                    (place, rng.clone())
-                },
-                move |(place, rng), iter| {
-                    let temperature = temperatures[iter as usize / moves];
-                    let mut meter = WorkMeter::new();
-                    let outcome = try_swap(place, rng, temperature, &mut meter);
-                    let mut bytes = vec![u8::from(outcome.accepted)];
-                    bytes.extend(outcome.delta.to_le_bytes());
-                    (bytes, meter.take().max(1))
-                },
-            ),
-            2,
-            |_, bytes, acc| {
-                if bytes[0] == 1 {
-                    acc[0] += 1;
-                    let delta = i64::from_le_bytes([
-                        bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-                        bytes[8],
-                    ]);
-                    acc[1] = acc[1].wrapping_add(delta as u64);
-                }
-            },
-        )
+    fn kernel(&self, size: InputSize) -> KernelLoop {
+        KernelLoop::new(Place {
+            instance: Placement::generate(16, 200, 240, 0x175),
+            moves: 60 * size.factor() as usize,
+            temperatures: schedule().collect(),
+        })
     }
 
     fn ir_model(&self) -> IrModel {
@@ -438,7 +410,7 @@ mod tests {
         let mut p = Placement::generate(12, 80, 120, 4);
         let mut m = WorkMeter::new();
         let before = p.total_cost(&mut m);
-        let after = anneal(&mut p, 100, 7, |_, _, _| {}, |_, _, _| {});
+        let after = anneal(&mut p, 100, 7, |_, _, _| {});
         assert!(
             after < before,
             "annealing must improve: {before} -> {after}"
@@ -450,21 +422,15 @@ mod tests {
     fn acceptance_rate_falls_as_temperature_drops() {
         let mut p = Placement::generate(14, 120, 180, 5);
         let mut accepted_by_outer: Vec<(u64, u64)> = Vec::new();
-        anneal(
-            &mut p,
-            100,
-            9,
-            |_, _, _| {},
-            |outer, o, _| {
-                if accepted_by_outer.len() <= outer {
-                    accepted_by_outer.resize(outer + 1, (0, 0));
-                }
-                accepted_by_outer[outer].1 += 1;
-                if o.accepted {
-                    accepted_by_outer[outer].0 += 1;
-                }
-            },
-        );
+        anneal(&mut p, 100, 9, |outer, o, _| {
+            if accepted_by_outer.len() <= outer {
+                accepted_by_outer.resize(outer + 1, (0, 0));
+            }
+            accepted_by_outer[outer].1 += 1;
+            if o.accepted {
+                accepted_by_outer[outer].0 += 1;
+            }
+        });
         let rate = |i: usize| {
             let (a, t) = accepted_by_outer[i];
             a as f64 / t as f64

@@ -64,7 +64,7 @@ fn trace_digest(trace: &seqpar::IterationTrace) -> u64 {
 }
 
 /// The same pins at `InputSize::Train`, plus a digest of every trace
-/// record: a kernel's walk runs at every size, and `Test` exercises only
+/// record: a kernel's pass runs at every size, and `Test` exercises only
 /// the shortest. Several seconds in a debug build, so tier-1 skips it and
 /// CI's `test` job runs it in release. The constants were generated at
 /// the commit before each kernel's trace, checksum and restore-point

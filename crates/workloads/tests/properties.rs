@@ -260,7 +260,7 @@ proptest! {
     #[test]
     fn mcf_flow_respects_capacity_and_conservation(seed in any::<u64>()) {
         let net = mcf::generate_network(4, 5, seed);
-        let r = mcf::solve(&net, |_| {}, |_| {});
+        let r = mcf::solve(&net, |_| {});
         // Flow is bounded by the source arcs' total capacity.
         let source_cap: i64 = net.arcs.iter().filter(|a| a.from == 0).map(|a| a.cap).sum();
         prop_assert!(r.flow <= source_cap);
@@ -350,8 +350,8 @@ proptest! {
     fn twolf_uloop_is_seed_deterministic(seed in any::<u64>()) {
         let mut a = twolf::CellPlacement::generate(3, 5, 20, seed);
         let mut b = twolf::CellPlacement::generate(3, 5, 20, seed);
-        let ca = twolf::uloop(&mut a, 8, seed ^ 1, |_, _, _| {}, |_, _| {});
-        let cb = twolf::uloop(&mut b, 8, seed ^ 1, |_, _, _| {}, |_, _| {});
+        let ca = twolf::uloop(&mut a, 8, seed ^ 1, |_, _| {});
+        let cb = twolf::uloop(&mut b, 8, seed ^ 1, |_, _| {});
         prop_assert_eq!(ca, cb);
         prop_assert_eq!(a.pos, b.pos);
     }
