@@ -581,7 +581,7 @@ impl CommitUnit {
 
     /// Commits the frontier task from an output computed inline, under
     /// the frontier lock, while the governor holds the loop degraded.
-    /// Unlike [`commit_inline`](Self::commit_inline) this is *not*
+    /// Unlike [`commit_fallback`](Self::commit_fallback) this is *not*
     /// terminal: the version opened for the inline attempt is published
     /// through the substrate, and the governor keeps counting toward its
     /// next re-probe, after which pipelined dispatch resumes.
@@ -589,37 +589,21 @@ impl CommitUnit {
     /// The inline version cannot have been squashed: it opened after
     /// every earlier task committed, writes and rollbacks only squash
     /// *later* readers, and forwarding only flows earlier→later.
-    ///
-    /// `inline_fast` says the attempt ran on the substrate's inline
-    /// fast path ([`try_begin_inline`](ConcurrentVersionedMemory::try_begin_inline))
-    /// and must be sealed with
-    /// [`commit_inline`](ConcurrentVersionedMemory::commit_inline)
-    /// rather than the versioned commit sweep.
-    pub(super) fn commit_degraded(
-        &mut self,
-        job: &JobShared,
-        output: &TaskOutput,
-        inline_fast: bool,
-    ) {
+    pub(super) fn commit_degraded(&mut self, job: &JobShared, output: &TaskOutput) {
         let graph = &*job.spec.graph;
         let task = self.next as u32;
         self.attempts += 1;
         if let Some(m) = job.spec.mem.as_deref() {
             let v = VersionId(u64::from(task));
-            let writes = if inline_fast {
-                m.commit_inline(v)
-            } else {
-                let (writes, stopped) = m.try_commit_batch(&[v]);
-                assert!(
-                    stopped.is_none(),
-                    "a version opened at the frontier cannot be squashed: {stopped:?}"
-                );
-                writes[0]
-            };
+            let (writes, stopped) = m.try_commit_batch(&[v]);
+            assert!(
+                stopped.is_none(),
+                "a version opened at the frontier cannot be squashed: {stopped:?}"
+            );
             self.trace.record(TraceEventKind::VersionCommit {
                 stage: graph.task(TaskId(task)).stage.0,
                 task,
-                writes,
+                writes: writes[0],
             });
         } else {
             // Trace-driven runs tally survivors at every commit (rung 3
@@ -650,7 +634,7 @@ impl CommitUnit {
     /// the sequential fallback after budget exhaustion or a watchdog
     /// trip. Speculation counters stay frozen at their pre-fallback
     /// values; only `attempts` and `fallback_tasks` advance.
-    pub(super) fn commit_inline(&mut self, job: &JobShared, output: &TaskOutput) {
+    pub(super) fn commit_fallback(&mut self, job: &JobShared, output: &TaskOutput) {
         let task = self.next as u32;
         self.attempts += 1;
         self.recovery.fallback_tasks += 1;

@@ -52,15 +52,18 @@ const HISTORY: u32 = u32::BITS;
 
 /// Knobs for the speculation governor — the two that a test or a caller
 /// really varies; the probe's shape and the rate history are constants
-/// of this module. Plain integers, so the config stays `Copy + Eq` and
-/// serializes into run manifests.
+/// of this module. Plain integers, so the config stays `Copy + Eq`.
 ///
-/// The default is calibrated against the PR 6 ungoverned baseline
-/// (BENCHMARKS.md): storm workloads (vpr, twolf, parser) run ~40-50%
-/// conflict rates at 8 threads, so the degrade ceiling sits well below
-/// that while staying above the noise floor of clean workloads, and
-/// the reprobe period is long enough that a storm's probes — a few
-/// squashes each — stay a low single-digit percent of its commits.
+/// The defaults date from the first ungoverned baseline (BENCHMARKS.md,
+/// "Two findings code comments still cite"), when vpr, twolf and parser
+/// ran ~40–50 % conflict rates at 8 threads: the degrade ceiling
+/// sits well below that and above the noise floor of clean loops, and
+/// the reprobe period keeps a storm's probes — a few squashes each — a
+/// low single-digit percent of its commits. No kernel conflicts now
+/// (each folds its checksum tail at commit); what storms is an
+/// `accumulating` loop with a carried slot — the benchmark ladder's
+/// carried rungs, this module's tests — and the defaults have not been
+/// re-measured against it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorConfig {
     /// Windowed misspeculation ceiling in permille (conflicts per 1000

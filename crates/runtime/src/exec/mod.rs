@@ -404,7 +404,6 @@ struct Dispatcher {
     /// Per lane: attempts admitted and not yet absorbed.
     outstanding: Vec<usize>,
     in_flight: Vec<bool>,
-    in_flight_count: usize,
     /// Scratch for handing parked seats back.
     seats: Vec<Seat>,
 }
@@ -426,7 +425,6 @@ impl Dispatcher {
             released: vec![0; lanes],
             outstanding: vec![0; lanes],
             in_flight: vec![false; n],
-            in_flight_count: 0,
             seats: Vec::new(),
         };
         for (idx, task) in graph.tasks().iter().enumerate() {
@@ -454,7 +452,6 @@ impl Dispatcher {
             occupancy,
         });
         self.in_flight[item.task as usize] = true;
-        self.in_flight_count += 1;
         self.outstanding[lane] += 1;
     }
 
@@ -543,7 +540,6 @@ impl Dispatcher {
     fn absorbed(&mut self, job: &JobShared, task: u32) {
         if self.in_flight[task as usize] {
             self.in_flight[task as usize] = false;
-            self.in_flight_count -= 1;
             self.outstanding[lane_of(job, task)] -= 1;
         }
     }
@@ -713,12 +709,6 @@ impl<'a> Turn<'a> {
     /// outcome for the caller's report.
     fn end(&mut self, stopped: Result<(), Stop>) {
         self.job.board.close();
-        // Close any open inline stretch so committed memory state
-        // (and the caller's post-run inspection) reflects every
-        // inline-committed task, on success and error paths alike.
-        if let Some(m) = self.job.spec.mem.as_deref() {
-            m.end_inline();
-        }
         self.f.outcome = Some(match stopped {
             Ok(()) => Ok(false),
             Err(Stop::FallBack) => self.fall_back().map(|()| true),
@@ -731,11 +721,13 @@ impl<'a> Turn<'a> {
     /// is — *through* the substrate, so committed memory state stays
     /// exact for the eventual re-probe — instead of paying cross-thread
     /// dispatch for window-1 throughput. The stretch runs as a tight
-    /// loop under this one lock acquisition: per commit it pays the
-    /// substrate's inline fast path plus one buffered-completion check,
-    /// not a board round trip. It ends when the governor re-probes, or
-    /// at a frontier task a runner holds (a straggler from before the
-    /// collapse, which arrives over the ring).
+    /// loop under this one lock acquisition: per commit it pays one
+    /// ordinary version (opened here, committed at once, never
+    /// squashable) plus one buffered-completion check, not a board
+    /// round trip. A body that panics has its version rolled back, so
+    /// the failed task publishes nothing. The stretch ends when the
+    /// governor re-probes, or at a frontier task a runner holds (a
+    /// straggler from before the collapse, which arrives over the ring).
     fn issue_inline_stretch(&mut self) -> Result<(), Stop> {
         let job = self.job;
         let graph = &*job.spec.graph;
@@ -751,31 +743,26 @@ impl<'a> Turn<'a> {
                 break;
             }
             let stage = graph.task(TaskId(next32)).stage.0;
-            // Prefer the substrate's inline fast path: with nothing
-            // speculative in flight, per-version machinery (registry
-            // handles, shard buffers, the commit sweep) is pure
-            // overhead, and it is exactly what would drag inline issue
-            // below the sequential baseline the governor promises to
-            // stay near. Stragglers from before the collapse force the
-            // full versioned protocol.
-            let mut inline_fast = false;
+            let v = VersionId(u64::from(next32));
             if let Some(m) = mem {
-                let v = VersionId(u64::from(next32));
-                inline_fast = f.dispatch.in_flight_count == 0 && m.try_begin_inline(v);
-                if !inline_fast {
-                    m.begin(v);
-                }
+                m.begin(v);
                 f.trace.record(TraceEventKind::VersionOpen {
                     stage,
                     task: next32,
                     attempt: DEGRADED_ATTEMPT,
                 });
             }
-            let output = job.run_here(next32, DEGRADED_ATTEMPT, mem)?;
+            let output = job
+                .run_here(next32, DEGRADED_ATTEMPT, mem)
+                .inspect_err(|_| {
+                    if let Some(m) = mem {
+                        m.rollback(v);
+                    }
+                })?;
             // The probe costs a registry read lock: only traced runs
             // pay it.
-            if let (false, true, Some(m)) = (inline_fast, f.trace.enabled(), mem) {
-                if let Some(p) = m.probe(VersionId(u64::from(next32))) {
+            if let (true, Some(m)) = (f.trace.enabled(), mem) {
+                if let Some(p) = m.probe(v) {
                     f.trace.record(TraceEventKind::VersionReads {
                         stage,
                         task: next32,
@@ -785,15 +772,7 @@ impl<'a> Turn<'a> {
                     });
                 }
             }
-            f.commit.commit_degraded(job, &output, inline_fast);
-            // The governor may have left degraded mode on that commit
-            // (re-probe): publish the inline stretch's overlay before
-            // any pipelined version can begin and read around it.
-            if inline_fast && !f.commit.governor_degraded() {
-                if let Some(m) = mem {
-                    m.end_inline();
-                }
-            }
+            f.commit.commit_degraded(job, &output);
             f.dispatch.propagate(next);
             // Flush successors buffered past the frontier.
             self.drain_frontier()?;
@@ -857,7 +836,7 @@ impl<'a> Turn<'a> {
         });
         for task in from..job.spec.graph.len() {
             let output = job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
-            f.commit.commit_inline(job, &output);
+            f.commit.commit_fallback(job, &output);
         }
         Ok(())
     }

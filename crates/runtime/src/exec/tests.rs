@@ -670,6 +670,39 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
     );
 }
 
+/// A degraded task whose body panics publishes none of its stores: in a
+/// governed one-seat counter loop, task 5 writes `got + 100` and then
+/// panics. The run fails on task 5, the counter holds the five
+/// increments before it, and no version is left open.
+#[test]
+fn a_panicking_degraded_task_publishes_nothing() {
+    let body = |task: TaskId, ctx: &TaskCtx<'_>| {
+        let Some(m) = ctx.mem else {
+            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+        };
+        let v = VersionId(u64::from(task.0));
+        let got = m.read(v, Addr(0));
+        if task.0 == 5 {
+            m.write(v, Addr(0), got + 100);
+            panic!("the body fails after its store");
+        }
+        m.write(v, Addr(0), got + 1);
+        TaskOutput::bytes(got.to_le_bytes().to_vec())
+    };
+    let mem = Arc::new(ConcurrentVersionedMemory::new());
+    let err = run_on(
+        Some(Arc::clone(&mem)),
+        ExecConfig::default().with_governor(GovernorConfig::default()),
+        &counter_graph(10),
+        &ExecutionPlan::tls(1),
+        body,
+    )
+    .unwrap_err();
+    assert_eq!(err, ExecError::TaskFailed { task: TaskId(5) });
+    assert_eq!(mem.committed(Addr(0)), Some(5));
+    assert_eq!(mem.active_count(), 0);
+}
+
 #[test]
 fn versioned_runs_ignore_recorded_spec_deps() {
     // Every B task carries a *violated* recorded dependence — a replay

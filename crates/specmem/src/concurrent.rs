@@ -50,7 +50,9 @@
 //! on conflict — and [`try_commit`](ConcurrentVersionedMemory::try_commit)
 //! to publish the write buffer when the attempt survives (the executor
 //! uses their batch forms; the single-version ones are the same routine
-//! at k = 1).
+//! at k = 1). A task the governor issues inline, on the frontier's own
+//! thread, is no exception: it opens and commits one ordinary version,
+//! which nothing can squash, since every earlier version has committed.
 
 use crate::memory::{Addr, CommitError, VersionId};
 use crate::stats::MemStats;
@@ -65,9 +67,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// under 1–32 threads, PR 6) is how this default was chosen. Override
 /// it with [`ConcurrentVersionedMemory::with_shards`].
 pub const SHARD_COUNT: usize = 16;
-
-/// Sentinel for "no inline version active".
-const INLINE_NONE: u64 = u64::MAX;
 
 /// Per-version bookkeeping that must be reachable from any shard: the
 /// squashed-by mark, the attempt's operation counters and its footprint.
@@ -239,13 +238,10 @@ struct Shard {
     ops: MemStats,
 }
 
-/// Atomic twins of the [`MemStats`] counters no shard keeps, plus the
-/// reads and writes inline stretches fold in.
+/// Atomic twins of the [`MemStats`] counters no shard keeps.
 #[derive(Debug, Default)]
 struct AtomicStats {
     begins: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
     violations: AtomicU64,
     commits: AtomicU64,
     rollbacks: AtomicU64,
@@ -255,117 +251,11 @@ impl AtomicStats {
     fn snapshot(&self) -> MemStats {
         MemStats {
             begins: self.begins.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
             violations: self.violations.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
             ..MemStats::default()
         }
-    }
-}
-
-/// State of the **inline fast path**: a non-speculative stretch in
-/// which exactly one version at a time is open and nobody else touches
-/// the memory (the executor's governor-degraded sequential issue).
-/// Writes accumulate in one flat overlay instead of per-version
-/// buffers; the overlay is published into committed state when the
-/// stretch ends. Keeping the whole stretch in one map is what makes an
-/// inline iteration cost a hash lookup instead of the full versioned
-/// protocol (registry handle, shard buffers, commit sweep).
-#[derive(Debug, Default)]
-struct InlineBuf {
-    /// Dense overlay for small addresses (`addr.0 <
-    /// INLINE_DENSE_LIMIT`): loop-carried slots are tiny indices, and an
-    /// indexed load beats a `HashMap` probe by an order of magnitude on
-    /// the per-op fast path. `dense_set[i]` marks `dense[i]` live.
-    dense: Vec<u64>,
-    dense_set: Vec<bool>,
-    /// Distinct dense addresses currently set (so emptiness and flush
-    /// skip scanning the vectors).
-    dense_dirty: usize,
-    /// Overlay spill for addresses past the dense limit, newest-wins.
-    spill: HashMap<Addr, u64>,
-    /// Writes issued by the currently open inline version (reported by
-    /// [`ConcurrentVersionedMemory::commit_inline`] for tracing).
-    version_writes: u64,
-    /// Reads/writes issued during the stretch, folded into the global
-    /// [`MemStats`] at each inline commit — batching them under the
-    /// already-held overlay lock keeps atomic traffic off the per-op
-    /// path.
-    reads: u64,
-    writes: u64,
-}
-
-/// Addresses below this go to the dense overlay vector; the rest spill
-/// to a map. 4096 slots × 8 bytes keeps the worst-case overlay at one
-/// page-scale allocation.
-const INLINE_DENSE_LIMIT: u64 = 4096;
-
-impl InlineBuf {
-    #[inline]
-    fn get(&self, addr: Addr) -> Option<u64> {
-        let i = addr.0 as usize;
-        if addr.0 < INLINE_DENSE_LIMIT {
-            if i < self.dense.len() && self.dense_set[i] {
-                Some(self.dense[i])
-            } else {
-                None
-            }
-        } else {
-            self.spill.get(&addr).copied()
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, addr: Addr, value: u64) {
-        let i = addr.0 as usize;
-        if addr.0 < INLINE_DENSE_LIMIT {
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, 0);
-                self.dense_set.resize(i + 1, false);
-            }
-            if !self.dense_set[i] {
-                self.dense_set[i] = true;
-                self.dense_dirty += 1;
-            }
-            self.dense[i] = value;
-        } else {
-            self.spill.insert(addr, value);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.dense_dirty == 0 && self.spill.is_empty()
-    }
-
-    /// Folds the stretch's batched op counters into the global stats.
-    fn fold_counters(&mut self, stats: &AtomicStats) {
-        if self.reads > 0 {
-            stats
-                .reads
-                .fetch_add(std::mem::take(&mut self.reads), Ordering::Relaxed);
-        }
-        if self.writes > 0 {
-            stats
-                .writes
-                .fetch_add(std::mem::take(&mut self.writes), Ordering::Relaxed);
-        }
-    }
-
-    /// Drains every overlay entry, leaving the buffers empty but with
-    /// their capacity retained for the next stretch.
-    fn drain(&mut self) -> Vec<(Addr, u64)> {
-        let mut out = Vec::with_capacity(self.dense_dirty + self.spill.len());
-        for (i, set) in self.dense_set.iter_mut().enumerate() {
-            if *set {
-                *set = false;
-                out.push((Addr(i as u64), self.dense[i]));
-            }
-        }
-        self.dense_dirty = 0;
-        out.extend(self.spill.drain());
-        out
     }
 }
 
@@ -414,12 +304,6 @@ pub struct ConcurrentVersionedMemory {
     /// `1 + VersionId.0` of the newest committed version (0 = none):
     /// guards against recycling a committed id.
     committed_watermark: AtomicU64,
-    /// `VersionId.0` of the active inline version, or [`INLINE_NONE`].
-    /// Checked first (one relaxed load) by `read`/`write`.
-    inline: AtomicU64,
-    /// The inline stretch's accumulated writes. Lock order:
-    /// registry → `inline_buf` → shard.
-    inline_buf: Mutex<InlineBuf>,
     stats: AtomicStats,
 }
 
@@ -447,8 +331,6 @@ impl ConcurrentVersionedMemory {
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             committed_watermark: AtomicU64::new(0),
-            inline: AtomicU64::new(INLINE_NONE),
-            inline_buf: Mutex::new(InlineBuf::default()),
             stats: AtomicStats::default(),
         }
     }
@@ -477,125 +359,9 @@ impl ConcurrentVersionedMemory {
             v.0 >= self.committed_watermark.load(Ordering::Acquire),
             "version {v} has already committed"
         );
-        // Self-healing for the inline fast path: the first versioned
-        // begin after an inline stretch closes it (an inline commit
-        // pre-opens the successor id, which this begin may be claiming)
-        // and publishes the stretch's overlay, so a speculative reader
-        // can never observe pre-stretch state or route its ops through
-        // the overlay. (The executor also closes eagerly via
-        // `end_inline`; this keeps correctness independent of that
-        // courtesy.) With no stretch open the overlay is empty.
-        if self.inline.swap(INLINE_NONE, Ordering::AcqRel) != INLINE_NONE {
-            self.flush_inline();
-        }
         let prev = reg.insert(v.0, Handle::default());
         assert!(prev.is_none(), "version {v} is already active");
         self.stats.begins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Opens `v` on the **inline fast path**: no registry handle, no
-    /// per-version cell entries — reads and writes go through one flat
-    /// overlay. Only legal when the memory is quiescent (no active
-    /// version); returns `false` without opening anything otherwise, and
-    /// the caller must fall back to [`begin`](Self::begin).
-    ///
-    /// The caller contract is the governor-degraded executor's:
-    /// between `try_begin_inline` and the matching
-    /// [`commit_inline`](Self::commit_inline), no other version may be
-    /// begun and no other thread may touch the memory. Successive
-    /// inline versions may share one stretch; the accumulated overlay
-    /// is published by [`end_inline`](Self::end_inline) (or by the next
-    /// versioned [`begin`](Self::begin), which self-heals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a version with this id has already committed, or if an
-    /// inline version is already open.
-    pub fn try_begin_inline(&self, v: VersionId) -> bool {
-        // Stretch continuation: the previous inline commit pre-opened
-        // exactly this id (and reset the per-version write counter), so
-        // consecutive inline versions cost one atomic load — no
-        // registry lock, no overlay touch. A versioned `begin` in
-        // between would have closed the stretch (`inline` back to the
-        // sentinel) and this falls through to the full open.
-        if self.inline.load(Ordering::Acquire) == v.0 {
-            self.stats.begins.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        let reg = self.registry.read();
-        if !reg.is_empty() {
-            return false;
-        }
-        assert!(
-            v.0 >= self.committed_watermark.load(Ordering::Acquire),
-            "version {v} has already committed"
-        );
-        assert_eq!(
-            self.inline.load(Ordering::Acquire),
-            INLINE_NONE,
-            "inline version already open"
-        );
-        self.inline_buf.lock().version_writes = 0;
-        self.inline.store(v.0, Ordering::Release);
-        self.stats.begins.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Commits the open inline version (it cannot have been squashed —
-    /// nothing else was live). Returns the number of writes it issued,
-    /// for tracing. The stretch's overlay stays unpublished so the next
-    /// inline version keeps reading it; see
-    /// [`end_inline`](Self::end_inline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not the open inline version.
-    pub fn commit_inline(&self, v: VersionId) -> u64 {
-        assert_eq!(
-            self.inline.load(Ordering::Acquire),
-            v.0,
-            "commit_inline of a version that is not the open inline version"
-        );
-        let writes = {
-            let mut buf = self.inline_buf.lock();
-            buf.fold_counters(&self.stats);
-            std::mem::take(&mut buf.version_writes)
-        };
-        // Pre-open the successor id: in a degraded stretch the executor
-        // commits consecutive frontier tasks, so the next
-        // `try_begin_inline` hits the continuation fast path. Anything
-        // else (a versioned `begin`, `end_inline`) closes the stretch
-        // first.
-        self.inline.store(v.0 + 1, Ordering::Release);
-        self.committed_watermark.store(v.0 + 1, Ordering::Release);
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        writes
-    }
-
-    /// Ends an inline stretch: publishes the overlay's accumulated
-    /// writes into committed state. Idempotent and cheap when no
-    /// stretch is open. The executor calls this when the governor
-    /// re-probes speculation and once at run end (so
-    /// [`committed`](Self::committed) reflects inline work); a
-    /// versioned [`begin`](Self::begin) also flushes defensively.
-    pub fn end_inline(&self) {
-        self.inline.store(INLINE_NONE, Ordering::Release);
-        self.flush_inline();
-    }
-
-    /// Publishes the inline overlay into committed state. The stretch
-    /// began quiescent and no version has begun since, so no cell holds
-    /// a live entry the new committed values could slip under.
-    fn flush_inline(&self) {
-        let mut buf = self.inline_buf.lock();
-        buf.fold_counters(&self.stats);
-        if buf.is_empty() {
-            return;
-        }
-        for (addr, value) in buf.drain() {
-            let mut shard = self.shard(addr).lock();
-            shard.cells.entry(addr).or_default().committed = Some(value);
-        }
     }
 
     /// Whether `v` is currently active (begun, not yet finished).
@@ -632,14 +398,6 @@ impl ConcurrentVersionedMemory {
     ///
     /// Panics if `v` is not active.
     pub fn read(&self, v: VersionId, addr: Addr) -> u64 {
-        if self.inline.load(Ordering::Acquire) == v.0 {
-            let value = {
-                let mut buf = self.inline_buf.lock();
-                buf.reads += 1;
-                buf.get(addr)
-            };
-            return value.unwrap_or_else(|| self.committed(addr).unwrap_or(0));
-        }
         let reg = self.registry.read();
         let handle = reg
             .get(&v.0)
@@ -681,13 +439,6 @@ impl ConcurrentVersionedMemory {
     ///
     /// Panics if `v` is not active.
     pub fn write(&self, v: VersionId, addr: Addr, value: u64) -> Vec<VersionId> {
-        if self.inline.load(Ordering::Acquire) == v.0 {
-            let mut buf = self.inline_buf.lock();
-            buf.writes += 1;
-            buf.set(addr, value);
-            buf.version_writes += 1;
-            return Vec::new();
-        }
         let reg = self.registry.read();
         let handle = reg
             .get(&v.0)
@@ -931,6 +682,35 @@ impl ConcurrentVersionedMemory {
         }
         total
     }
+
+    /// [`begin`](Self::begin)s `v` if no version is active, and returns
+    /// whether it did; the look and the open are two steps, so nothing
+    /// else may begin meanwhile. Kept only while
+    /// `benchmark/src/probes.rs` calls it; new code calls `begin`.
+    pub fn try_begin_inline(&self, v: VersionId) -> bool {
+        let idle = self.active_count() == 0;
+        if idle {
+            self.begin(v);
+        }
+        idle
+    }
+
+    /// [`try_commit_batch`](Self::try_commit_batch) of `v` alone: the
+    /// number of addresses it published. Kept only while
+    /// `benchmark/src/probes.rs` calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` cannot commit.
+    pub fn commit_inline(&self, v: VersionId) -> u64 {
+        let (published, stopped) = self.try_commit_batch(&[v]);
+        assert!(stopped.is_none(), "commit of {v} refused: {stopped:?}");
+        published[0]
+    }
+
+    /// Does nothing: every version publishes at its commit. Kept only
+    /// while `benchmark/src/probes.rs` calls it.
+    pub fn end_inline(&self) {}
 }
 
 #[cfg(test)]

@@ -19,6 +19,11 @@
 //!   read squashes that version (eager conflict detection),
 //! * versions commit strictly in order, publishing their buffers.
 //!
+//! That is the one protocol. A non-speculative stretch — the executor
+//! issuing tasks one at a time on the frontier's own thread — is a run
+//! of ordinary versions, each opened after its predecessor committed,
+//! so none of them can conflict.
+//!
 //! Every operation takes `&self`; the [`concurrent`] module documents the
 //! per-address version chains, the sharding and the registry that make
 //! that safe.

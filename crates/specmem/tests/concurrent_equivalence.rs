@@ -13,7 +13,8 @@
 //! back and re-executes squashed versions — repeated at shard counts
 //! {1, 4, 16, 64} so the configurable shard knob cannot silently break
 //! linearized equivalence, and again behind a generated prefix of
-//! versions issued on the inline fast path (see [`Prefix`]) — and (b)
+//! versions opened and committed one at a time, as the executor issues
+//! a governor-degraded stretch (see [`Prefix`]) — and (b)
 //! single-threaded in program order, where nothing may ever squash. All
 //! must land on the state of the model interpreter ([`interpret`]): the
 //! reference is twenty lines over a flat map, not a second memory.
@@ -120,14 +121,13 @@ const SHARD_COUNTS: &[usize] = &[1, 4, 16, 64];
 /// executor's governor-degraded stretch followed by a re-probe.
 #[derive(Clone, Copy, Debug)]
 struct Prefix {
-    /// This many versions (fewer than the case has) run one at a time
-    /// on the inline fast path — `try_begin_inline`, the ops,
-    /// `commit_inline` — and nobody calls `end_inline`: the first racing
-    /// version's `begin` has to publish the overlay itself.
+    /// This many versions (fewer than the case has) run one at a time,
+    /// each an ordinary version — `begin`, the ops, `try_commit` — that
+    /// commits before the next one opens.
     len: usize,
     /// The first racing version is opened before the prefix runs, as a
-    /// pre-collapse straggler would be: `try_begin_inline` must refuse,
-    /// and the prefix falls back to `begin` / `try_commit`.
+    /// pre-collapse straggler would be, so every prefix version opens
+    /// and commits with a later version live.
     straggler: bool,
 }
 
@@ -160,15 +160,9 @@ fn check_concurrent(
     }
     for (i, program) in head.iter().enumerate() {
         let v = VersionId(i as u64);
-        let inline = mem.try_begin_inline(v);
-        assert_eq!(inline, !prefix.straggler, "inline open of {v}");
-        if inline {
-            run_ops(mem, v, program);
-            mem.commit_inline(v);
-        } else {
-            run_attempt(mem, v, program);
-            mem.try_commit(v).expect("an in-order version commits");
-        }
+        run_attempt(mem, v, program);
+        mem.try_commit(v).expect("an in-order version commits");
+        assert_eq!(mem.active_count(), usize::from(prefix.straggler), "{v}");
     }
     let barrier = Barrier::new(racing.len());
     std::thread::scope(|scope| {
@@ -345,16 +339,16 @@ proptest! {
             proptest::collection::vec(op_strategy(5), 1..8),
             2..6,
         ),
-        inline in any::<usize>(),
+        head in any::<usize>(),
         straggler in any::<bool>(),
     ) {
         let expected = interpret(&programs);
 
         // (a) Concurrent: one thread per version, racing freely, then
-        // again behind the generated inline prefix — each repeated at
-        // every shard count so the configurable knob can't silently
-        // break linearized equivalence.
-        let prefix = Prefix { len: inline % programs.len(), straggler };
+        // again behind the generated one-at-a-time prefix — each
+        // repeated at every shard count so the configurable knob can't
+        // silently break linearized equivalence.
+        let prefix = Prefix { len: head % programs.len(), straggler };
         for &shards in SHARD_COUNTS {
             for prefix in [Prefix::NONE, prefix] {
                 let mem = ConcurrentVersionedMemory::with_shards(shards);

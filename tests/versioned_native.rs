@@ -120,6 +120,12 @@ fn accepted_count() -> VersionedJob {
     )
 }
 
+/// The accepted count an [`accepted_count`] oracle ends on: its last
+/// record carries it in its trailing 8 bytes.
+fn final_count(output: &[u8]) -> u64 {
+    u64::from_le_bytes(output[output.len() - 8..].try_into().unwrap())
+}
+
 /// (c) The committed loop-carried memory state equals what a sequential
 /// run computes — an `accumulating` loop's accepted count checked
 /// exactly.
@@ -127,9 +133,7 @@ fn accepted_count() -> VersionedJob {
 fn versioned_memory_state_matches_sequential() {
     let job = accepted_count();
     let seq = job.sequential();
-    // The oracle's last record carries the final accepted count in its
-    // trailing 8 bytes.
-    let expected = u64::from_le_bytes(seq.output[seq.output.len() - 8..].try_into().unwrap());
+    let expected = final_count(&seq.output);
     let (r, mem) = job
         .execute(&ExecutionPlan::tls(4), ExecConfig::default())
         .expect("plan matches graph");
@@ -215,7 +219,10 @@ fn sim_and_native_timelines_agree_on_commit_order() {
 /// `committed == attempts - squashes` invariant holds across early
 /// squashes / frontier replays / degraded inline commits, and the report
 /// carries governor stats (a one-seat plan's count every commit as
-/// inline); with it off the report carries none.
+/// inline); with it off the report carries none. Either way the
+/// substrate is left exact: no version open, the accepted-count loop's
+/// counter at its sequential value, and on a one-seat plan one ordinary
+/// version opened and committed per task.
 #[test]
 fn governed_runs_stay_byte_identical_across_the_matrix() {
     for (id, job) in versioned_jobs() {
@@ -226,9 +233,29 @@ fn governed_runs_stay_byte_identical_across_the_matrix() {
                 if governed {
                     config = config.with_governor(GovernorConfig::default());
                 }
-                let (r, _mem) = job
+                let (r, mem) = job
                     .execute(&ExecutionPlan::tls(t), config)
                     .expect("plan matches graph");
+                assert_eq!(
+                    mem.active_count(),
+                    0,
+                    "{id}: governed={governed} left a version open at {t} threads"
+                );
+                if id == "accepted-count" {
+                    assert_eq!(
+                        mem.committed(Addr(0)),
+                        Some(final_count(&seq.output)).filter(|&v| v > 0),
+                        "{id}: governed={governed} counter diverged at {t} threads"
+                    );
+                }
+                if t == 1 {
+                    let stats = mem.stats();
+                    assert_eq!(
+                        (stats.begins, stats.commits),
+                        (r.tasks_committed, r.tasks_committed),
+                        "{id}: governed={governed} one seat opens and commits one version a task"
+                    );
+                }
                 assert_eq!(
                     r.output, seq.output,
                     "{id}: governed={governed} output diverged at {t} threads"
