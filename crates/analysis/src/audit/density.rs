@@ -16,8 +16,8 @@
 //! the same region together under an independence assumption. Scaled
 //! by the replicated stage's pool size — `k` concurrent iterations
 //! give a distance-one carried write `k - 1` chances to collide — the
-//! resulting [`ConflictProfile`] predicts the squash rate a governed
-//! run will observe.
+//! resulting [`ConflictProfile`] predicts the squash rate a native
+//! run of the plan will observe.
 
 use super::{access_of, object_name, MemAccess};
 use crate::effects::Effects;

@@ -22,10 +22,10 @@
 //!   concurrent iteration pair conflicts on the dependence's address
 //!   region and squashes. Aggregated over regions and scaled by the
 //!   replicated stage's pool size, the estimate predicts the squash
-//!   rate a governed run will observe — which the parallelizer uses
+//!   rate a native run will observe — which the parallelizer uses
 //!   to rescind speculation too dense to pay, the tuner to price
 //!   conflict probes, and `figures conflicts` to set beside the rate
-//!   the governor measures.
+//!   a native run records.
 //!
 //! The lint pipeline consumes the same inference to emit the `SP01xx`
 //! and `SP02xx` annotation-hygiene warnings (dead, redundant, and

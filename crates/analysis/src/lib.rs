@@ -23,7 +23,8 @@
 //!    speculation candidates;
 //! 9. [`audit`] — interprocedural annotation inference (provably
 //!    commutative callees need no hand annotation) and the static
-//!    conflict-density estimate that seeds the runtime governor.
+//!    conflict-density estimate the parallelizer rescinds dense
+//!    speculation by and the tuner prices conflict probes from.
 //!
 //! Downstream of the pipeline, [`lint`] audits the partitioner's
 //! output, and [`tune`] searches the plan space it spans: a

@@ -174,8 +174,9 @@ impl LintCode {
                 "A speculated dependence manifests often according to the profile, so \
                  the runtime will squash and replay frequently — legal, but the \
                  replay cost can erase the speedup the speculation was meant to buy.\n\
-                 Fix: synchronize the dependence instead, or gate the loop with the \
-                 contention governor so squash storms degrade gracefully."
+                 Fix: synchronize the dependence instead. The `Parallelizer` does so \
+                 itself for a memory dependence this dense: its density rescind \
+                 restores the edge and the partitioner synchronizes it."
             }
             LintCode::SequentialStageOnPool => {
                 "A sequential partition stage is mapped onto a multi-core pool. \

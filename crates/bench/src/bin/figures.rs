@@ -39,12 +39,11 @@
 //! the full timeline toolkit — Gantt view, critical path, Perfetto
 //! export — use the `seqpar-trace` binary.
 //!
-//! Native runs are *governed* by default: the contention-aware
-//! speculation governor (a posture switch between pipelined and
-//! sequential inline issue — see DESIGN.md) runs with default knobs,
-//! and the tables gain its columns: `degrades` (collapses to sequential
-//! issue) and `reprobes`. `--no-governor` reproduces the ungoverned
-//! executor and drops the columns.
+//! Native runs are *governed* by default, which changes nothing here:
+//! the speculation governor issues only a plan of one seat in total
+//! inline (see DESIGN.md), and a DSWP plan has a seat per stage, three
+//! at least, so every native point runs as ungoverned.
+//! `--no-governor` is kept for scripts that pass it.
 //!
 //! `--fault-seed N` (native mode only) arms the deterministic fault
 //! injector with `FaultPlan::seeded(N)`: worker panics and stalls are
@@ -238,10 +237,6 @@ fn run_native(
                 let mem = seqpar_bench::render_memory_summary(&run.timeline, &labels);
                 if !mem.is_empty() {
                     print!("{mem}");
-                }
-                let gov = seqpar_bench::render_governor_summary(&run.timeline);
-                if !gov.is_empty() {
-                    print!("{gov}");
                 }
                 println!();
             }

@@ -39,8 +39,8 @@
 //! no panic reported recovered — 2 on usage errors.
 
 use seqpar_bench::{
-    json, render_critical_path, render_governor_summary, render_grain, render_memory_summary,
-    render_timeline_gantt, render_trace_summary, trace_native, PlanKind,
+    json, render_critical_path, render_grain, render_memory_summary, render_timeline_gantt,
+    render_trace_summary, trace_native, PlanKind,
 };
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, GovernorConfig,
@@ -190,22 +190,12 @@ fn main() {
         println!();
     }
     if let Some(g) = report.governor {
-        let gov_summary = render_governor_summary(timeline);
-        if gov_summary.is_empty() {
-            // Governed, but nothing to decide: say which way.
-            println!("### speculation governor (frontier decisions)");
-            if seats(&exec_plan) == 1 {
-                println!("one-seat plan: issued inline, nothing to overlap");
-            } else {
-                println!("no decisions: nothing collapsed the run, which opened as a probe");
-            }
+        println!("### speculation governor");
+        if g.degraded_commits == report.tasks_committed {
+            println!("one-seat plan: issued inline");
         } else {
-            print!("{gov_summary}");
+            println!("pipelined, bounded by the board's lane windows");
         }
-        println!(
-            "counters: {} degraded commits, {} degrades, {} reprobes",
-            g.degraded_commits, g.degrades, g.reprobes
-        );
         println!();
     }
     print!("{}", render_timeline_gantt(timeline));
@@ -226,10 +216,10 @@ fn main() {
         queue_capacity: 128,
         ..SimConfig::default()
     });
-    let (sim_timeline, _) = sim
+    let sim_timeline = sim
         .run(graph, &exec_plan)
         .expect("plan matches machine")
-        .timeline(graph, None);
+        .timeline(graph);
     if sim_timeline.commit_order() == timeline.commit_order() {
         println!(
             "sim/native commit order: agree ({} tasks)",
@@ -356,8 +346,7 @@ fn multi_job_trace(
     }
 }
 
-/// The seats of `plan`: its cores summed over its stages, which is what
-/// the governor's one-seat rule counts.
+/// The seats of `plan`: its cores summed over its stages.
 fn seats(plan: &ExecutionPlan) -> usize {
     (0..plan.stage_count())
         .map(|s| plan.stage(s).cores().len())
@@ -421,14 +410,9 @@ fn check_file(path: &str) {
     match json::check_chrome_trace(&text) {
         Ok(check) => {
             println!(
-                "{path}: valid Chrome trace ({} events: {} slices, {} instants \
-                 ({} governor decisions), {} counter samples, {} metadata records)",
-                check.events,
-                check.slices,
-                check.instants,
-                check.governor,
-                check.counters,
-                check.metadata
+                "{path}: valid Chrome trace ({} events: {} slices, {} instants, \
+                 {} counter samples, {} metadata records)",
+                check.events, check.slices, check.instants, check.counters, check.metadata
             );
         }
         Err(e) => {

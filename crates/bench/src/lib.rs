@@ -19,8 +19,8 @@ pub use seqpar_analysis::tune::PlanKind;
 
 use seqpar::IterationTrace;
 use seqpar_runtime::{
-    ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, GovernorStats,
-    NativeReport, SimConfig, SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
+    ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport,
+    SimConfig, SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
 };
 use seqpar_specmem::MemStats;
 use seqpar_workloads::{InputSize, VersionedJob, Workload, WorkloadMeta};
@@ -60,10 +60,6 @@ pub struct SweepPoint {
     /// Versioned-memory substrate counters for conflict-driven runs.
     /// `None` for simulator-only sweeps.
     pub mem: Option<MemStats>,
-    /// Speculation-governor counters, when the run was governed
-    /// ([`ExecConfig::governor`] set). `None` for simulator-only sweeps
-    /// and ungoverned native runs.
-    pub governor: Option<GovernorStats>,
 }
 
 /// A full speedup curve for one benchmark.
@@ -158,7 +154,6 @@ pub fn sweep_trace(
                 panics_recovered: None,
                 grain: None,
                 mem: None,
-                governor: None,
             }
         })
         .collect();
@@ -229,7 +224,6 @@ pub fn native_sweep(
                 panics_recovered: Some(report.recovery.panics_recovered),
                 grain: Some(versioned.grain(&plan)),
                 mem: report.mem,
-                governor: report.governor,
             }
         })
         .collect();
@@ -288,10 +282,6 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         "## {}: native execution (sequential {seq_wall_ms:.2} ms; conflict-driven on versioned memory)\n",
         curve.spec_id,
     ));
-    // The governor columns render only for governed curves: every
-    // point of a governed sweep carries stats (the same `ExecConfig`
-    // produced each point), and an ungoverned table stays byte-stable.
-    let governed = curve.points.iter().all(|p| p.governor.is_some());
     out.push_str(&format!(
         "{:>8}{:>7}{:>14}{:>14}{:>14}{:>10}{:>11}{:>10}{:>11}{:>8}",
         "threads",
@@ -305,9 +295,6 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
         "conflicts",
         "silent"
     ));
-    if governed {
-        out.push_str(&format!("{:>9}{:>9}", "degrades", "reprobes"));
-    }
     out.push('\n');
     for p in &curve.points {
         out.push_str(&format!(
@@ -326,10 +313,6 @@ pub fn render_native_curve(curve: &SweepResult) -> String {
                 m.forwards, m.violations, m.silent_stores
             )),
             None => out.push_str(&format!("{:>10}{:>11}{:>8}", "-", "-", "-")),
-        }
-        if governed {
-            let g = p.governor.expect("governed curve");
-            out.push_str(&format!("{:>9}{:>9}", g.degrades, g.reprobes));
         }
         out.push('\n');
     }
@@ -709,43 +692,6 @@ pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
             "{label:<16}{:>9}{:>9}{:>10}{:>11}{:>9}{:>9}\n",
             m.opens, m.reads, m.forwards, m.conflicts, m.commits, m.writes
         ));
-    }
-    out
-}
-
-/// Renders the speculation governor's decision stream as a short
-/// summary block: collapses to sequential issue (with the
-/// misspeculation rate that tripped the last one) and re-probes. Built
-/// from the timeline's `GovernorDegrade` / `GovernorReprobe` events;
-/// returns the empty string when the timeline carries none (an
-/// ungoverned run, or a governed one that never switched posture).
-pub fn render_governor_summary(timeline: &Timeline) -> String {
-    let mut degrades = 0u64;
-    let mut last_rate: Option<u32> = None;
-    let mut reprobes = 0u64;
-    for e in timeline.events() {
-        match e.kind {
-            TraceEventKind::GovernorDegrade { rate_permille, .. } => {
-                degrades += 1;
-                last_rate = Some(rate_permille);
-            }
-            TraceEventKind::GovernorReprobe { .. } => reprobes += 1,
-            _ => {}
-        }
-    }
-    if degrades + reprobes == 0 {
-        return String::new();
-    }
-    let mut out = String::new();
-    out.push_str("### speculation governor (frontier decisions)\n");
-    match last_rate {
-        Some(rate) => out.push_str(&format!(
-            "degrade:  {degrades} collapses to sequential issue (last at {rate}\u{2030} misspec), \
-             {reprobes} re-probes\n"
-        )),
-        None => out.push_str(&format!(
-            "degrade:  {degrades} collapses to sequential issue, {reprobes} re-probes\n"
-        )),
     }
     out
 }
@@ -1195,10 +1141,10 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let (timeline, _) = sim
+        let timeline = sim
             .run(&graph, &ExecutionPlan::three_phase(4))
             .unwrap()
-            .timeline(&graph, None);
+            .timeline(&graph);
         timeline.validate().unwrap();
 
         let labels = seqpar_workloads::stage_labels(timeline.stage_count());
@@ -1216,46 +1162,6 @@ mod tests {
         let line = render_critical_path(&path, timeline.unit());
         assert!(line.contains("critical path"));
         assert!(line.contains("cycles"));
-
-        // Ungoverned timelines have no governor block.
-        assert!(render_governor_summary(&timeline).is_empty());
-    }
-
-    #[test]
-    fn governor_summary_renders_the_governed_twin() {
-        use seqpar_runtime::GovernorConfig;
-        // A carried counter on two seats: for its first 40 iterations
-        // every one depends on the one before, then the loop goes quiet.
-        let mut trace = IterationTrace::new();
-        for i in 0..120u64 {
-            let record = seqpar::IterationRecord::new(2, 20, 2);
-            trace.push(match i {
-                1..40 => record.with_misspec_on(i - 1),
-                _ => record,
-            });
-        }
-        let graph = trace.tls_task_graph();
-        let sim = Simulator::new(SimConfig {
-            cores: 2,
-            comm_latency: 0,
-            ..SimConfig::default()
-        });
-        let cfg = GovernorConfig {
-            reprobe_period: 16,
-            ..GovernorConfig::default()
-        };
-        let (timeline, stats) = sim
-            .run(&graph, &ExecutionPlan::tls(2))
-            .unwrap()
-            .timeline(&graph, Some(&cfg));
-        // The opening probe and two re-probes meet a conflict; the third
-        // re-probe finds the loop quiet and it stays pipelined.
-        let stats = stats.expect("governed");
-        assert_eq!((stats.degrades, stats.reprobes), (3, 3), "{stats:?}");
-        let block = render_governor_summary(&timeline);
-        assert!(block.contains("speculation governor"));
-        assert!(block.contains("3 collapses to sequential issue"));
-        assert!(block.contains("3 re-probes"));
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //! against the retry budget.
 
 use super::faults::RecoveryCounts;
-use super::governor::{Governor, GovernorEvent};
-use super::metrics::{NativeReport, WorkerStat};
+use super::metrics::{GovernorStats, NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
 use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
@@ -113,22 +112,14 @@ pub(super) struct CommitUnit {
     /// trace events.
     seat_stats: Vec<(Duration, u64)>,
     worker_events: Vec<TraceEvent>,
-    /// The speculation governor, when
+    /// The governor's counters, when
     /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it
-    /// on. Fed strictly at the frontier (plus early conflict squashes),
-    /// it owns the posture: pipelined, probing or inline.
-    governor: Option<Governor>,
+    /// on: a held run's inline commits.
+    governor: Option<GovernorStats>,
 }
 
 impl CommitUnit {
-    /// `seats` is the plan's seat count ([`Board::seats`](super::stage::Board::seats)),
-    /// which the governor's one-seat rule keys on.
-    pub(super) fn new(
-        watermark: Arc<AtomicU64>,
-        trace: TraceBuffer,
-        config: &ExecConfig,
-        seats: usize,
-    ) -> Self {
+    pub(super) fn new(watermark: Arc<AtomicU64>, trace: TraceBuffer, config: &ExecConfig) -> Self {
         Self {
             watermark,
             next: 0,
@@ -148,62 +139,8 @@ impl CommitUnit {
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
             trace,
-            governor: config.governor.map(|g| Governor::new(g, seats)),
+            governor: config.governor.map(|_| GovernorStats::default()),
         }
-    }
-
-    /// The exclusive upper bound on task ids the dispatcher may release,
-    /// when the governor's posture sets one: the commit frontier alone
-    /// while inline (inline issue replaces dispatch), the frontier plus
-    /// the probe's window while probing. `None` when pipelined or
-    /// ungoverned: the board's lane windows are then the only bound.
-    pub(super) fn dispatch_limit(&self) -> Option<u64> {
-        let window = self.governor.as_ref()?.window()?;
-        Some(self.next as u64 + u64::from(window))
-    }
-
-    /// Whether the governor has collapsed the loop to sequential inline
-    /// issue.
-    pub(super) fn governor_degraded(&self) -> bool {
-        self.governor.as_ref().is_some_and(Governor::degraded)
-    }
-
-    /// Translates a governor decision into a frontier trace event,
-    /// stamped with the frontier task that drove it.
-    fn trace_governor(&mut self, task: u32, event: Option<GovernorEvent>) {
-        if let Some(e) = event {
-            self.trace.record(match e {
-                GovernorEvent::Degrade { rate_permille } => TraceEventKind::GovernorDegrade {
-                    task,
-                    rate_permille,
-                },
-                GovernorEvent::Reprobe { window } => {
-                    TraceEventKind::GovernorReprobe { task, window }
-                }
-            });
-        }
-    }
-
-    /// Feeds one conflict squash into the governor, when on, and traces
-    /// its reactions.
-    fn governor_conflict(&mut self, task: u32) {
-        if let Some(g) = self.governor.as_mut() {
-            let event = g.on_conflict();
-            self.trace_governor(task, event);
-        }
-    }
-
-    /// Feeds a whole batch-drained run of `count` commits into the
-    /// governor in one call (stamped with the batch's last task),
-    /// amortizing the frontier's governor traffic the same way the
-    /// substrate's batch commit amortizes its lock traffic, and traces
-    /// its reactions.
-    fn governor_commit(&mut self, task: u32, count: u64) {
-        let Some(g) = self.governor.as_mut() else {
-            return;
-        };
-        let event = g.on_commit(count);
-        self.trace_governor(task, event);
     }
 
     /// Discards `task`'s open memory version, if any, so its replay's
@@ -268,9 +205,8 @@ impl CommitUnit {
 
     /// Takes one completion off the board into the reorder buffer. A
     /// turn accepts everything the runners published and then runs one
-    /// [`drain`](Self::drain) over the lot. Returns a work item to
-    /// requeue only for an early conflict squash (below).
-    pub(super) fn accept(&mut self, job: &JobShared, mut done: WorkerDone) -> Option<WorkItem> {
+    /// [`drain`](Self::drain) over the lot.
+    pub(super) fn accept(&mut self, mut done: WorkerDone) {
         if self.seat_stats.len() <= done.seat {
             self.seat_stats.resize(done.seat + 1, (Duration::ZERO, 0));
         }
@@ -282,46 +218,7 @@ impl CommitUnit {
             // Stale completion for an already-committed task (cannot
             // happen under the one-outstanding-attempt-per-task
             // protocol; tolerated defensively).
-            return None;
-        }
-        // Early conflict squash (governed versioned runs only): a
-        // completion whose version is already doomed need not wait in
-        // the reorder buffer for the frontier to discover the conflict —
-        // squashing it on arrival is what lets the governor hear a storm
-        // when it happens, not when the frontier reaches the victim.
-        // Panicked attempts are excluded (the frontier's panic rung owns
-        // their rollback and their retry-budget charge), as is the
-        // frontier task itself (the frontier's conflict rung takes it).
-        if self.governor.is_some() && !done.panicked && (done.task as usize) > self.next {
-            if let Some(m) = job.spec.mem.as_deref() {
-                let v = VersionId(u64::from(done.task));
-                if let Some(by) = m.squash_info(v) {
-                    let stage = job.spec.graph.task(TaskId(done.task)).stage.0;
-                    // Charged here instead of at the frontier: this
-                    // attempt never reaches the reorder buffer, and the
-                    // `committed == attempts - squashes` invariant must
-                    // keep holding.
-                    self.attempts += 1;
-                    if done.stalled {
-                        self.recovery.stalls_absorbed += 1;
-                    }
-                    self.squashes += 1;
-                    self.violations += 1;
-                    self.trace.record(TraceEventKind::VersionConflict {
-                        stage,
-                        task: done.task,
-                        by: by.0 as u32,
-                    });
-                    self.trace.record(TraceEventKind::Squash {
-                        task: done.task,
-                        attempt: done.attempt,
-                        reason: SquashReason::MemoryConflict,
-                    });
-                    m.rollback(v);
-                    self.governor_conflict(done.task);
-                    return Some(again(done.task, done.attempt));
-                }
-            }
+            return;
         }
         let slot = done.task as usize - self.next;
         if self.buffer.len() <= slot {
@@ -330,14 +227,11 @@ impl CommitUnit {
         if self.buffer[slot].replace(done).is_none() {
             self.buffered += 1;
         }
-        None
     }
 
     /// Commits as far in task order as the reorder buffer allows,
     /// applying the recovery ladder to each attempt reaching the
-    /// frontier. Called once per batch of accepted completions, and
-    /// after a degraded inline commit to flush buffered successors past
-    /// the advanced frontier.
+    /// frontier. Called once per batch of accepted completions.
     ///
     /// The `attempts` counter is charged here — at frontier processing,
     /// not at receipt — so it depends only on the per-task attempt
@@ -350,22 +244,16 @@ impl CommitUnit {
     /// lock acquisition (replay runs bound the clean prefix at the first
     /// recorded misspeculation instead), publishes that prefix with one
     /// [`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)
-    /// sweep, and feeds the governor once per batch. The decision
-    /// ladder itself is unchanged — every attempt still passes panic →
-    /// misspeculation → commit in task order, and a rung failure
-    /// anywhere simply truncates the batch, leaving the failing attempt
-    /// to be handled when it reaches the frontier on the next pass — so
-    /// counters, trace events, and the
-    /// output stream are identical to the per-task protocol; only the
-    /// lock and governor traffic is amortized.
+    /// sweep. The decision ladder itself is unchanged — every attempt
+    /// still passes panic → misspeculation → commit in task order, and a
+    /// rung failure anywhere simply truncates the batch, leaving the
+    /// failing attempt to be handled when it reaches the frontier on the
+    /// next pass — so counters, trace events, and the output stream are
+    /// identical to the per-task protocol; only the lock traffic is
+    /// amortized.
     ///
     /// Returns the squashed attempts to re-dispatch.
     pub(super) fn drain(&mut self, job: &JobShared) -> Result<Vec<WorkItem>, Stop> {
-        // Fast path for the governed tight loop: with nothing buffered
-        // (the common case while degraded) there is nothing to flush.
-        if self.buffered == 0 {
-            return Ok(Vec::new());
-        }
         let (graph, mem) = (&*job.spec.graph, job.spec.mem.as_deref());
         let mut redispatch = Vec::new();
         let mut versions = std::mem::take(&mut self.versions);
@@ -439,7 +327,6 @@ impl CommitUnit {
                                 reason: SquashReason::MemoryConflict,
                             });
                             m.rollback(VersionId(u64::from(done.task)));
-                            self.governor_conflict(done.task);
                             redispatch.push(again(done.task, done.attempt));
                         }
                         other => {
@@ -501,10 +388,6 @@ impl CommitUnit {
                     attempt: done.attempt,
                     reason: SquashReason::Misspeculation,
                 });
-                // The governor treats a trace-driven misspeculation as a
-                // frontier conflict: once per squashed task, however many
-                // of its dependences manifested.
-                self.governor_conflict(done.task);
                 redispatch.push(again(done.task, done.attempt));
                 break;
             }
@@ -569,9 +452,7 @@ impl CommitUnit {
                 });
                 self.append(job, done.task, &done.output);
             }
-            let last = batch.last().expect("non-empty batch").task;
             self.advance(batch.len());
-            self.governor_commit(last, batch.len() as u64);
             batch.clear();
         }
         self.versions = versions;
@@ -579,12 +460,10 @@ impl CommitUnit {
         Ok(redispatch)
     }
 
-    /// Commits the frontier task from an output computed inline, under
-    /// the frontier lock, while the governor holds the loop degraded.
-    /// Unlike [`commit_fallback`](Self::commit_fallback) this is *not*
-    /// terminal: the version opened for the inline attempt is published
-    /// through the substrate, and the governor keeps counting toward its
-    /// next re-probe, after which pipelined dispatch resumes.
+    /// Commits the frontier task from an output a held run computed
+    /// inline, under the frontier lock. Unlike
+    /// [`commit_fallback`](Self::commit_fallback) the version opened for
+    /// the inline attempt is published through the substrate.
     ///
     /// The inline version cannot have been squashed: it opened after
     /// every earlier task committed, writes and rollbacks only squash
@@ -607,7 +486,7 @@ impl CommitUnit {
             });
         } else {
             // Trace-driven runs tally survivors at every commit (rung 3
-            // does the same for replays); a degraded inline commit ran
+            // does the same for replays); an inline commit ran
             // non-speculatively, so nothing manifested and everything
             // recorded survives.
             let t = graph.task(TaskId(task));
@@ -627,7 +506,9 @@ impl CommitUnit {
         });
         self.append(job, task, output);
         self.advance(1);
-        self.governor_commit(task, 1);
+        if let Some(g) = self.governor.as_mut() {
+            g.degraded_commits += 1;
+        }
     }
 
     /// Commits one task executed in-order under the frontier lock —
@@ -711,7 +592,7 @@ impl CommitUnit {
                 .mem
                 .as_deref()
                 .map(ConcurrentVersionedMemory::stats),
-            governor: self.governor.as_ref().map(Governor::stats),
+            governor: self.governor,
         }
     }
 }

@@ -6,8 +6,8 @@
 //! calling thread, [`Engine::submit`] from a thread of its own,
 //! returning at once with a [`JobHandle`] — either way one more of the
 //! job's body-runners, not a watcher. Any number of jobs run
-//! concurrently, each with its own commit frontier, governor, fault
-//! plan, trace buffers, and (for versioned jobs) memory substrate. A
+//! concurrently, each with its own commit frontier, fault plan, trace
+//! buffers, and (for versioned jobs) memory substrate. A
 //! caller with one loop to run builds an engine one narrower than the
 //! plan and drops it afterwards; a harness that runs many keeps one
 //! warmed engine and pays thread start-up once.
@@ -24,9 +24,9 @@
 //!   [`JobId`] and travels to the job's frontier inside the attempt's
 //!   completion, so the [`Timeline`](super::Timeline)s of concurrent
 //!   jobs never mix;
-//! - commit frontiers, governors and retry budgets live behind each
-//!   job's own frontier lock; a conflict storm in one job can throttle
-//!   only that job's dispatch window.
+//! - commit frontiers and retry budgets live behind each job's own
+//!   frontier lock; a conflict storm in one job squashes only that
+//!   job's attempts.
 //!
 //! # Scheduling and liveness
 //!
@@ -77,8 +77,8 @@ pub struct EngineConfig {
     /// OS threads in the shared worker pool ([`Engine::new`] clamps it
     /// to at least 1), not counting the thread each job is run from,
     /// which works too. Spawned lazily on the first ticket handed to
-    /// the pool, so an engine that only ever runs governor-degraded or
-    /// one-seat jobs costs no threads.
+    /// the pool, so an engine that only ever runs one-seat jobs costs
+    /// no threads.
     pub workers: usize,
 }
 
@@ -228,8 +228,8 @@ impl EngineInner {
 
 impl Pool for EngineInner {
     /// Starts the pool first if this is its first ticket — so an engine
-    /// whose jobs never dispatch past their callers (governor-degraded
-    /// end to end, or one seat wide) never pays thread start-up.
+    /// whose jobs never dispatch past their callers (one seat wide)
+    /// never pays thread start-up.
     fn queue(&self, ticket: Ticket) {
         self.ensure_workers();
         self.injector.push(ticket);
@@ -339,7 +339,7 @@ impl Engine {
     /// performs; core- and queue-count limits are physical-machine model
     /// parameters and do not constrain native execution). Returns
     /// [`ExecError::TaskFailed`] only when a body panics where no
-    /// replay exists (the sequential fallback or a degraded inline
+    /// replay exists (the sequential fallback or a held run's inline
     /// attempt); pipelined worker panics are recovered, not raised.
     pub fn run(&self, spec: &JobSpec) -> Result<NativeReport, ExecError> {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
@@ -360,8 +360,8 @@ fn engine_worker(injector: &Injector<Ticket>) {
 }
 
 /// Runs one job end to end from the calling thread — the one place a
-/// job is set up: plan validation, the board, the commit unit (whose
-/// governor is told how many seats the board has), the frontier, then
+/// job is set up: plan validation, the board, the commit unit, the
+/// frontier, then
 /// [`call`], which works the job to its report.
 fn run_engine_job(
     pool: &EngineInner,
@@ -392,8 +392,7 @@ fn run_engine_job(
     let clock = TraceClock::new(spec.config.trace);
     let buffer = || TraceBuffer::for_job(clock, job);
     let board = Board::new(graph, plan, spec.config.queue_capacity);
-    let seats = board.seats().len();
-    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config, seats);
+    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config);
     let frontier = Frontier::new(spec, board.lane_count(), commit, buffer());
     let shared = Arc::new(JobShared {
         job,

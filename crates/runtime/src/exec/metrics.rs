@@ -3,11 +3,33 @@
 //! wall-clock / per-worker timing.
 
 use super::faults::RecoveryCounts;
-use super::governor::GovernorStats;
 use super::trace::{JobId, Timeline};
 use crate::task::StageId;
 use seqpar_specmem::MemStats;
+use serde::{Deserialize, Serialize};
 use std::time::Duration;
+
+/// The speculation governor's counters, reported in
+/// [`NativeReport::governor`] next to `MemStats` and `RecoveryCounts`.
+/// The governor has one rule (see
+/// [`ExecConfig::governor`](super::ExecConfig::governor)), so one
+/// counter moves.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GovernorStats {
+    /// Always 0; kept while the benchmark reads it.
+    pub shrinks: u64,
+    /// Always 0; kept while the benchmark reads it.
+    pub grows: u64,
+    /// Always 0; kept while the benchmark reads it.
+    pub degrades: u64,
+    /// Always 0; kept while the benchmark reads it.
+    pub reprobes: u64,
+    /// Always 0; kept while the benchmark reads it.
+    pub backoffs: u64,
+    /// Tasks a held run (one seat, governed) committed inline: all of
+    /// them. 0 for a wider plan.
+    pub degraded_commits: u64,
+}
 
 /// Timing for one seat of the plan (one core assigned to one stage),
 /// whichever threads served it.
@@ -97,11 +119,10 @@ pub struct NativeReport {
     /// access granularity, while the committed output stays
     /// byte-identical.
     pub mem: Option<MemStats>,
-    /// The speculation governor's decision counters (collapses,
-    /// degraded commits, re-probes) when the run was governed
+    /// The speculation governor's counters when the run was governed
     /// ([`ExecConfig::governor`](super::ExecConfig::governor)); `None`
-    /// when the governor was off. Like conflict counts, these are
-    /// timing-dependent — they react to real races.
+    /// when the governor was off. A function of the plan's seat count
+    /// and the tasks committed.
     pub governor: Option<GovernorStats>,
 }
 

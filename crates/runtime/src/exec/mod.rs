@@ -85,15 +85,13 @@
 mod commit;
 mod engine;
 mod faults;
-pub(crate) mod governor;
 mod metrics;
 mod stage;
 mod trace;
 
 pub use engine::{Engine, EngineConfig, JobHandle, JobSpec};
 pub use faults::{supervise_task, FaultKind, FaultPlan, RecoveryCounts, TaskSupervision};
-pub use governor::{GovernorConfig, GovernorStats};
-pub use metrics::{NativeReport, PlanDelta, WorkerStat};
+pub use metrics::{GovernorStats, NativeReport, PlanDelta, WorkerStat};
 pub use trace::{
     CriticalPath, DurationStats, JobId, SquashReason, StageMetrics, TimeUnit, Timeline,
     TraceDefect, TraceEvent, TraceEventKind,
@@ -104,6 +102,7 @@ use crate::task::{StageId, TaskGraph, TaskId};
 use commit::{CommitUnit, Stop};
 use engine::{hand, Pool};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
+use serde::{Deserialize, Serialize};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -117,11 +116,11 @@ use trace::TraceBuffer;
 /// fallback-committed tasks, which have no worker-side dispatch.
 pub const FALLBACK_ATTEMPT: u32 = u32::MAX;
 
-/// The attempt number governor-degraded inline commits run at. Like
-/// [`FALLBACK_ATTEMPT`] these tasks execute under the frontier lock
-/// with no runner-side dispatch events — but unlike the fallback they
-/// still run *through* the versioned-memory substrate and the run stays
-/// live: pipelined dispatch resumes at the governor's next re-probe.
+/// The attempt number a held run's inline commits run at (see
+/// [`ExecConfig::governor`]). Like [`FALLBACK_ATTEMPT`] these tasks
+/// execute under the frontier lock with no runner-side dispatch events
+/// — but unlike the fallback they still run *through* the
+/// versioned-memory substrate, one ordinary version each.
 pub const DEGRADED_ATTEMPT: u32 = u32::MAX - 1;
 
 /// Why a native run could not produce a report.
@@ -137,7 +136,7 @@ pub enum ExecError {
     /// simulator's checks).
     Invalid(SimError),
     /// A task body panicked where no replay is possible: on the
-    /// sequential fallback path or in a degraded inline attempt. The
+    /// sequential fallback path or in a held run's inline attempt. The
     /// body itself cannot produce the task's sequential result, so the
     /// run has no legal outcome.
     TaskFailed {
@@ -216,14 +215,14 @@ pub struct ExecConfig {
     /// returned on [`NativeReport::timeline`]. Off by default — when
     /// off, recording is a single branch per would-be event.
     pub trace: bool,
-    /// The contention-aware speculation governor: a posture switch that
-    /// degrades gracefully to sequential inline issue under conflict
-    /// storms and probes its way back (see [`GovernorConfig`]). While
-    /// pipelined it sets no limit of its own, so runahead is bounded by
-    /// queue capacity alone, as in an ungoverned run. `None` (the
-    /// default) reproduces the ungoverned protocol exactly — nothing
-    /// collapses to inline issue. Either way every squashed attempt is
-    /// requeued at once.
+    /// The speculation governor, which is the plan's seat count: a
+    /// governed plan with **one seat in total** has nobody to overlap
+    /// with, so the job's calling thread issues every task inline, in
+    /// order, each through one ordinary version, for the whole run. A
+    /// wider governed plan runs exactly as an ungoverned one: the lane
+    /// windows bound it, and every squashed attempt is requeued at once.
+    /// Whether a loop should speculate at all is the plan's decision,
+    /// made before the run. `None` (the default) never issues inline.
     pub governor: Option<GovernorConfig>,
 }
 
@@ -281,13 +280,19 @@ impl ExecConfig {
         self
     }
 
-    /// Enables the speculation governor with the given knobs (see
-    /// [`ExecConfig::governor`]; set the field to `None` to disable).
+    /// Enables the speculation governor (see [`ExecConfig::governor`];
+    /// set the field to `None` to disable).
     pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
         self.governor = Some(governor);
         self
     }
 }
+
+/// The speculation governor's configuration: nothing left to set. Its
+/// one rule keys on the plan (see [`ExecConfig::governor`]); the type
+/// stays because callers name it to turn the governor on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GovernorConfig {}
 
 /// What one task produced: the bytes it contributes to the in-order
 /// output stream plus the work units it really performed.
@@ -363,7 +368,7 @@ pub trait NativeBody: Send + Sync {
 
     /// Finishes `task`'s committed bytes as they join the output stream:
     /// called for every task exactly once, in task order, under the
-    /// frontier lock — by the batch drain, the degraded inline commit and
+    /// frontier lock — by the batch drain, a held run's inline commit and
     /// the sequential fallback alike. What a body folds here is the
     /// paper's serial phase C: order-dependent state no speculative
     /// attempt touches, so none conflicts on it. It must not panic. The
@@ -398,12 +403,10 @@ struct Dispatcher {
     /// Per lane: squashed attempts awaiting readmission, ahead of any
     /// fresh work.
     pending: Vec<VecDeque<WorkItem>>,
-    /// Per lane: fresh tasks before this index are admitted or were
-    /// committed inline.
+    /// Per lane: fresh tasks before this index are admitted.
     released: Vec<usize>,
     /// Per lane: attempts admitted and not yet absorbed.
     outstanding: Vec<usize>,
-    in_flight: Vec<bool>,
     /// Scratch for handing parked seats back.
     seats: Vec<Seat>,
 }
@@ -424,7 +427,6 @@ impl Dispatcher {
             pending: vec![VecDeque::new(); lanes],
             released: vec![0; lanes],
             outstanding: vec![0; lanes],
-            in_flight: vec![false; n],
             seats: Vec::new(),
         };
         for (idx, task) in graph.tasks().iter().enumerate() {
@@ -451,7 +453,6 @@ impl Dispatcher {
             attempt: item.attempt,
             occupancy,
         });
-        self.in_flight[item.task as usize] = true;
         self.outstanding[lane] += 1;
     }
 
@@ -460,43 +461,22 @@ impl Dispatcher {
     /// window. Then hands parked seats their tickets back through
     /// `pool`. Each admission is traced as a `QueuePush` with the lane's
     /// claimable count right after it.
-    ///
-    /// `limit` is `None` unless a governor closes admission (inline) or
-    /// narrows it to a probe's window. Then requeued items past it stay
-    /// pending (skipped, not popped) so a held-back front item can never
-    /// starve an admitted one behind it — in particular never the
-    /// frontier task.
-    fn admit(
-        &mut self,
-        job: &Arc<JobShared>,
-        pool: &dyn Pool,
-        limit: Option<u64>,
-        trace: &mut TraceBuffer,
-    ) {
-        let within = |task: u32| limit.is_none_or(|l| u64::from(task) < l);
+    fn admit(&mut self, job: &Arc<JobShared>, pool: &dyn Pool, trace: &mut TraceBuffer) {
         let board = &job.board;
         'lanes: for lane in 0..board.lane_count() {
             let cap = board.cap(lane);
-            let mut i = 0;
-            while i < self.pending[lane].len() {
-                let item = self.pending[lane][i];
-                if !within(item.task) {
-                    i += 1;
-                    continue;
-                }
+            while let Some(&item) = self.pending[lane].front() {
                 if self.outstanding[lane] >= cap {
                     continue 'lanes;
                 }
                 let occupancy = board.requeue(lane, item);
                 self.admitted(job, lane, item, occupancy, trace);
-                self.pending[lane].remove(i);
+                self.pending[lane].pop_front();
             }
             let from = self.released[lane];
             let mut to = from;
             while let Some(task) = board.task_at(lane, to) {
-                if self.deps_left[task as usize] > 0
-                    || !within(task)
-                    || self.outstanding[lane] + (to - from) >= cap
+                if self.deps_left[task as usize] > 0 || self.outstanding[lane] + (to - from) >= cap
                 {
                     break;
                 }
@@ -504,7 +484,7 @@ impl Dispatcher {
             }
             if to > from {
                 self.released[lane] = to;
-                let occupancy = board.raise(lane, from, to);
+                let occupancy = board.raise(lane, to);
                 for idx in from..to {
                     let task = board.task_at(lane, idx).expect("admitted index");
                     let item = WorkItem { task, attempt: 0 };
@@ -519,29 +499,10 @@ impl Dispatcher {
         }
     }
 
-    /// Takes the frontier task for inline execution on the thread whose
-    /// turn it is, if no runner can reach it: it is the next fresh task
-    /// of its lane, or a squashed attempt awaiting readmission.
-    fn take_inline(&mut self, job: &JobShared, task: u32) -> bool {
-        if self.in_flight[task as usize] || self.deps_left[task as usize] > 0 {
-            return false;
-        }
-        let lane = lane_of(job, task);
-        if job.board.task_at(lane, self.released[lane]) == Some(task) {
-            // The board hears of it at the lane's next `raise`.
-            self.released[lane] += 1;
-            return true;
-        }
-        let pos = self.pending[lane].iter().position(|w| w.task == task);
-        pos.map(|pos| self.pending[lane].remove(pos)).is_some()
-    }
-
-    /// Books a completion taken off the ring.
+    /// Books a completion taken off the ring: every one is an admitted
+    /// attempt.
     fn absorbed(&mut self, job: &JobShared, task: u32) {
-        if self.in_flight[task as usize] {
-            self.in_flight[task as usize] = false;
-            self.outstanding[lane_of(job, task)] -= 1;
-        }
+        self.outstanding[lane_of(job, task)] -= 1;
     }
 
     /// Makes `task`'s result count for its synchronized dependents, on
@@ -627,11 +588,10 @@ fn call(
         }
         let waited = moved.1.elapsed();
         if waited >= deadline {
-            // A whole deadline without a publication or a commit (an
-            // inline stretch on some worker's turn makes only those): a
+            // A whole deadline without a publication or a commit: a
             // stage is wedged, and the rest runs here. The lock is
-            // waited for: only inline and fallback bodies run under it.
-            // Closing the board ends this loop.
+            // waited for: only fallback bodies run under it. Closing the
+            // board ends this loop.
             board.close();
             let mut turn = Turn::wait_for(job, pool);
             if turn.f.outcome.is_none() {
@@ -656,9 +616,10 @@ fn call(
 
 /// One turn at a job's frontier: the lock, and the steps taken under it
 /// — absorb **every** published completion, admit behind them, run one
-/// frontier drain over the lot, issue a degraded inline stretch if the
-/// governor says so, admit again — and the sequential fallback when a
-/// retry budget or the watchdog demands it.
+/// frontier drain over the lot, admit again — and the sequential
+/// fallback when a retry budget or the watchdog demands it. A held run
+/// (one seat, governed) takes one turn, the caller's first, and issues
+/// every task inline in it.
 struct Turn<'a> {
     job: &'a Arc<JobShared>,
     pool: &'a dyn Pool,
@@ -689,6 +650,10 @@ impl<'a> Turn<'a> {
     /// The pipelined protocol's steps; `true` once every task has
     /// committed.
     fn steps(&mut self) -> Result<bool, Stop> {
+        if self.job.spec.config.governor.is_some() && self.job.board.seats().len() == 1 {
+            self.issue_inline()?;
+            return Ok(true);
+        }
         if self.absorb_batch() {
             // The absorbed attempts freed window space and satisfied
             // deps: admit behind them *before* the frontier runs, so
@@ -696,7 +661,6 @@ impl<'a> Turn<'a> {
             self.admit();
             self.drain_frontier()?;
         }
-        self.issue_inline_stretch()?;
         if self.f.commit.committed_tasks() >= self.job.spec.graph.len() {
             return Ok(true);
         }
@@ -716,56 +680,39 @@ impl<'a> Turn<'a> {
         });
     }
 
-    /// Degraded inline issue: while the governor holds the loop
-    /// collapsed, the frontier task runs on the thread whose turn this
-    /// is — *through* the substrate, so committed memory state stays
-    /// exact for the eventual re-probe — instead of paying cross-thread
-    /// dispatch for window-1 throughput. The stretch runs as a tight
-    /// loop under this one lock acquisition: per commit it pays one
-    /// ordinary version (opened here, committed at once, never
-    /// squashable) plus one buffered-completion check, not a board
-    /// round trip. A body that panics has its version rolled back, so
-    /// the failed task publishes nothing. The stretch ends when the
-    /// governor re-probes, or at a frontier task a runner holds (a
-    /// straggler from before the collapse, which arrives over the ring).
-    fn issue_inline_stretch(&mut self) -> Result<(), Stop> {
-        let job = self.job;
+    /// A held run's one turn: every task, in order, on the job's calling
+    /// thread — *through* the substrate, each in one ordinary version
+    /// (opened here, committed at once, never squashable) — under this
+    /// one lock acquisition, with no dispatch at all. A body that panics
+    /// has its version rolled back, so the failed task publishes
+    /// nothing.
+    fn issue_inline(&mut self) -> Result<(), Stop> {
+        let (job, f) = (self.job, &mut *self.f);
         let graph = &*job.spec.graph;
         let mem = job.spec.mem.as_deref();
-        while self.f.commit.governor_degraded() {
-            let f = &mut *self.f;
-            let next = f.commit.committed_tasks();
-            if next >= graph.len() {
-                break;
-            }
-            let next32 = next as u32;
-            if !f.dispatch.take_inline(job, next32) {
-                break;
-            }
-            let stage = graph.task(TaskId(next32)).stage.0;
-            let v = VersionId(u64::from(next32));
+        for task in 0..graph.len() as u32 {
+            let stage = graph.task(TaskId(task)).stage.0;
+            let v = VersionId(u64::from(task));
             if let Some(m) = mem {
                 m.begin(v);
                 f.trace.record(TraceEventKind::VersionOpen {
                     stage,
-                    task: next32,
+                    task,
                     attempt: DEGRADED_ATTEMPT,
                 });
             }
-            let output = job
-                .run_here(next32, DEGRADED_ATTEMPT, mem)
-                .inspect_err(|_| {
-                    if let Some(m) = mem {
-                        m.rollback(v);
-                    }
-                })?;
+            let output = job.run_here(task, DEGRADED_ATTEMPT, mem).inspect_err(|_| {
+                if let Some(m) = mem {
+                    m.rollback(v);
+                }
+            })?;
             // The probe costs a registry read lock: only traced runs
             // pay it.
             if let (true, Some(m)) = (f.trace.enabled(), mem) {
                 if let Some(p) = m.probe(v) {
                     f.trace.record(TraceEventKind::VersionReads {
                         stage,
-                        task: next32,
+                        task,
                         attempt: DEGRADED_ATTEMPT,
                         reads: p.reads,
                         forwards: p.forwards,
@@ -773,23 +720,14 @@ impl<'a> Turn<'a> {
                 }
             }
             f.commit.commit_degraded(job, &output);
-            f.dispatch.propagate(next);
-            // Flush successors buffered past the frontier.
-            self.drain_frontier()?;
         }
         Ok(())
     }
 
-    /// Opens the board to whatever the lane windows and the governor's
-    /// posture allow.
+    /// Opens the board to whatever the lane windows allow.
     fn admit(&mut self) {
         let f = &mut *self.f;
-        let frontier = f.commit.committed_tasks() as u64;
-        let limit = f.commit.dispatch_limit();
-        self.job
-            .board
-            .set_window(limit.map(|l| usize::try_from(l - frontier).unwrap_or(usize::MAX)));
-        f.dispatch.admit(self.job, self.pool, limit, &mut f.trace);
+        f.dispatch.admit(self.job, self.pool, &mut f.trace);
     }
 
     /// Takes every completion the runners have published off the ring
@@ -803,9 +741,7 @@ impl<'a> Turn<'a> {
             if !done.panicked {
                 f.dispatch.propagate(done.task as usize);
             }
-            if let Some(item) = f.commit.accept(job, done) {
-                f.dispatch.pending[lane_of(job, item.task)].push_back(item);
-            }
+            f.commit.accept(done);
         }
         if f.head == before {
             return false;

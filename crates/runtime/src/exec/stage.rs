@@ -19,10 +19,10 @@
 //!
 //! | word | written by | read by |
 //! |---|---|---|
-//! | `Lane::cursor` | runners (CAS claim); the runner whose turn it is only to step over tasks it committed inline, when the lane is fully claimed | all |
+//! | `Lane::cursor` | runners (CAS claim) | all |
 //! | `Lane::limit`, `Lane::requeue` pushes | the runner whose turn it is | runners |
 //! | ring slot (`seq`, completion), `tail` | the publishing runner | the turn (`tail`: also the caller's watchdog) |
-//! | `absorbed`, `wake_at` | the runner whose turn it is | runners (`due`) |
+//! | `absorbed` | the runner whose turn it is | runners (`due`) |
 //! | `JobShared::frontier` (the lock) | whoever wins `try_lock` after a `due` look; the caller, blocking, for its first turn, its watchdog and its report | — |
 //! | `starved`, `parked` | a runner parking its seat; the turn handing seats back | all |
 //! | home slot (waiting flag, seat) | a turn or a spent quantum offering the caller a seat; the caller taking it | both |
@@ -163,8 +163,6 @@ pub(super) struct Board {
     /// `RoundRobin`).
     stage_lanes: Vec<(usize, usize)>,
     seats: Vec<Seat>,
-    /// The smallest lane window: what the batch threshold derives from.
-    narrowest: usize,
     /// Sized to the sum of the lane windows (rounded up to a power of
     /// two), so a published completion always finds its slot free.
     ring: Vec<Slot>,
@@ -172,8 +170,9 @@ pub(super) struct Board {
     tail: Padded<AtomicU64>,
     /// Completions taken off the ring so far.
     absorbed: AtomicU64,
-    /// Pending completions at which a batch is due.
-    wake_at: AtomicU64,
+    /// Pending completions at which a batch is due: half the narrowest
+    /// lane window, at least 1.
+    wake_at: u64,
     /// Seats parked, or about to be, for lack of claimable work.
     starved: AtomicUsize,
     parked: Mutex<Vec<Seat>>,
@@ -248,10 +247,9 @@ impl Board {
                 .collect(),
             lanes,
             stage_lanes,
-            narrowest,
             tail: Padded(AtomicU64::new(0)),
             absorbed: AtomicU64::new(0),
-            wake_at: AtomicU64::new((narrowest / 2).max(1) as u64),
+            wake_at: (narrowest / 2).max(1) as u64,
             starved: AtomicUsize::new(seats.len()),
             parked: Mutex::new(seats.clone()),
             closed: AtomicBool::new(false),
@@ -286,36 +284,12 @@ impl Board {
         self.lanes[lane].tasks.get(idx).copied()
     }
 
-    /// Derives the batch threshold from the narrowest lane window,
-    /// further capped by the governor's runahead `window` when its
-    /// posture sets one (inline or probing): half of it, at least 1.
-    pub(super) fn set_window(&self, window: Option<usize>) {
-        let window = window.map_or(self.narrowest, |w| w.min(self.narrowest));
-        self.wake_at.store((window / 2).max(1) as u64, SeqCst);
-    }
-
     // --- the runner whose turn it is ---------------------------------------
 
-    /// Admits `lane`'s fresh tasks at indices `from..to`. Returns the
-    /// lane's claimable count right after, for the trace.
-    ///
-    /// `from` is past the published limit when a turn committed the
-    /// tasks in between inline. It can only do that to a task no runner
-    /// can reach — every earlier task of the lane has committed,
-    /// hence was claimed, so `cursor == limit` — which is why stepping
-    /// the cursor over them is safe, and stepping it *first* means a
-    /// racing claim either still sees `cursor >= limit` or loses its CAS.
-    pub(super) fn raise(&self, lane: usize, from: usize, to: usize) -> usize {
+    /// Admits `lane`'s fresh tasks up to index `to`. Returns the lane's
+    /// claimable count right after, for the trace.
+    pub(super) fn raise(&self, lane: usize, to: usize) -> usize {
         let l = &self.lanes[lane];
-        let limit = l.limit.load(SeqCst);
-        if limit < from {
-            debug_assert_eq!(
-                l.cursor.0.load(SeqCst),
-                limit,
-                "inline take of a claimable task"
-            );
-            l.cursor.0.store(from, SeqCst);
-        }
         l.limit.store(to, SeqCst);
         l.claimable()
     }
@@ -348,7 +322,7 @@ impl Board {
     pub(super) fn due(&self) -> bool {
         let head = self.absorbed.load(SeqCst);
         let pending = self.tail.0.load(SeqCst).saturating_sub(head);
-        (pending >= self.wake_at.load(SeqCst) || (pending > 0 && self.starved.load(SeqCst) > 0))
+        (pending >= self.wake_at || (pending > 0 && self.starved.load(SeqCst) > 0))
             && self.is_published(head)
     }
 
@@ -584,7 +558,7 @@ pub(super) struct JobShared {
 impl JobShared {
     /// Runs one attempt's body on the calling thread, catching a panic.
     /// [`run_attempt`] passes the job's substrate, the attempt's version
-    /// already open. A turn passes it for a degraded inline attempt, and
+    /// already open. A held run's turn passes it for an inline attempt, and
     /// `None` when it replays a task as the fallback executor — on
     /// purpose even for versioned jobs: a sequential replay must compute
     /// the task's result without opening, or double-applying into, a
@@ -772,21 +746,15 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
 mod tests {
     use super::*;
 
-    /// A governor window caps the batch threshold only while it sets
-    /// one: with none (a pipelined governor, or no governor) the board's
-    /// own threshold, half its narrowest lane window, is back.
     #[test]
-    fn without_a_governor_window_the_batch_threshold_is_the_boards_own() {
+    fn the_batch_threshold_is_half_the_narrowest_lane_window() {
         let mut graph = TaskGraph::new(1);
         for i in 0..8 {
             graph.add_task(0, i, 1, &[], &[]);
         }
         let board = Board::new(&graph, &ExecutionPlan::tls(2), 32);
-        let own = board.wake_at.load(SeqCst);
-        assert_eq!(own, (32 + 2) / 2, "half of queue capacity plus two seats");
-        for (window, wake_at) in [(Some(4), 2), (Some(0), 1), (None, own)] {
-            board.set_window(window);
-            assert_eq!(board.wake_at.load(SeqCst), wake_at, "{window:?}");
-        }
+        assert_eq!(board.wake_at, (32 + 2) / 2, "queue capacity plus two seats");
+        let one = Board::new(&graph, &ExecutionPlan::tls(1), 0);
+        assert_eq!(one.wake_at, 1, "a window of two wakes at every publication");
     }
 }

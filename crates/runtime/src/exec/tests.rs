@@ -557,7 +557,7 @@ impl NativeBody for Stamping {
 
 /// The commit hook runs once per task, in task order, on the committed
 /// attempt's bytes in the stream — whichever path commits it: the batch
-/// drain past squashed attempts, the governor's inline issue, the
+/// drain past squashed attempts, a held run's inline issue, the
 /// fallback after a panic at budget 0.
 #[test]
 fn the_commit_hook_finishes_every_task_once_in_order() {
@@ -948,10 +948,9 @@ fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
         while limit < N {
             // Uneven steps, sometimes outrunning the claimers and
             // sometimes starving them.
-            let from = limit;
             limit = (limit + 1 + limit % 37).min(N);
             published.store(limit, Ordering::SeqCst);
-            board.raise(0, from, limit);
+            board.raise(0, limit);
             if limit % 5 == 0 {
                 while claimed.load(Ordering::SeqCst) < limit {
                     std::hint::spin_loop();
@@ -1272,7 +1271,7 @@ fn the_watchdog_counts_publications_not_wakes() {
     // nothing else left to publish. A trip, the rest sequentially on the
     // caller, still the sequential stream.
     let quick = move |_: TaskId, ctx: &TaskCtx<'_>| tag(ctx);
-    let stalled = config.clone().with_faults(
+    let stalled = config.with_faults(
         FaultPlan::none()
             .with_forced(2 * 2 + 1, 0, FaultKind::StageStall)
             .with_stall_duration(deadline * 6),
@@ -1281,75 +1280,16 @@ fn the_watchdog_counts_publications_not_wakes() {
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));
-
-    // Committing but not publishing: a governed counter loop on two
-    // seats whose opening probe collapses *on the pool worker's turn*.
-    // The probe's window is four tasks. The worker holds one of the
-    // first two and sits on it until the caller has run three others
-    // (each of which waited for the worker to be inside its body), after
-    // which the caller finds its lane dry, parks its seat and sleeps;
-    // only then does the worker touch the counter, which squashes what
-    // the caller ran ahead of it. The worker's publication is due at
-    // once (a seat is starved), so the turn that finds the conflict,
-    // collapses the loop and issues the rest inline — six tasks at
-    // least, three deadlines long — is the worker's, or a later one of
-    // the worker's. The ring's `tail` stands still; the watermark moves.
-    let worker_busy = AtomicBool::new(false);
-    let caller_ran = AtomicUsize::new(0);
-    let inline_on_worker = Arc::new(AtomicBool::new(false));
-    let seen = Arc::clone(&inline_on_worker);
-    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-        let Some(m) = ctx.mem else {
-            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-        };
-        if ctx.attempt == DEGRADED_ATTEMPT {
-            seen.fetch_or(on_pool_worker(), Ordering::SeqCst);
-            std::thread::sleep(deadline / 2);
-        } else if on_pool_worker() {
-            worker_busy.store(true, Ordering::SeqCst);
-            wait_until(|| caller_ran.load(Ordering::SeqCst) >= 3);
-            // No body can see the caller park its seat and go to sleep:
-            // give it the time, or its last turn may absorb this
-            // attempt and issue the stretch itself.
-            std::thread::sleep(deadline / 5);
-        } else {
-            wait_until(|| worker_busy.load(Ordering::SeqCst));
-        }
-        let v = VersionId(u64::from(task.0));
-        let got = m.read(v, Addr(0));
-        m.write(v, Addr(0), got + 1);
-        if ctx.attempt != DEGRADED_ATTEMPT && !on_pool_worker() {
-            caller_ran.fetch_add(1, Ordering::SeqCst);
-        }
-        TaskOutput::bytes(got.to_le_bytes().to_vec())
-    };
-    let iters = 8;
-    let (report, mem) = run_versioned(
-        config.with_governor(GovernorConfig::default()),
-        &counter_graph(iters),
-        &ExecutionPlan::tls(2),
-        body,
-    );
-    assert!(inline_on_worker.load(Ordering::SeqCst));
-    assert!(report.wall > 2 * deadline);
-    let stats = report.governor.expect("governed");
-    assert_eq!((stats.degrades, stats.reprobes), (1, 0), "{stats:?}");
-    assert!(stats.degraded_commits >= iters - 2, "{stats:?}");
-    assert_eq!(report.watchdog_trips, 0, "a committing job is not wedged");
-    assert!(!report.fallback_activated);
-    assert_eq!(report.output, expected_stream(iters));
-    assert_eq!(mem.committed(Addr(0)), Some(iters));
 }
 
-/// Early squashes end to end. Four quiet tasks (private addresses)
-/// graduate the opening probe; from task 4 on every task
-/// read-modify-writes one counter. The first of those are made to race,
-/// by flags, not by luck: task 4 holds its write back until tasks 5–7 —
-/// the rest of its window — have read the counter, and they hold their
-/// completions back until it has written. So they are published already
-/// squashed, from past the frontier, squashed on arrival, and go
-/// straight back in line — where a full lane window may keep some
-/// pending a while. Every one must come back.
+/// Squashes end to end. Tasks 4–7 read-modify-write one counter, every
+/// other task a private address. They are made to race, by flags, not
+/// by luck: task 4 holds its write back until tasks 5–7 have read the
+/// counter, and they hold their completions back until it has written.
+/// So the substrate squashes their versions while they run, the
+/// frontier finds each one squashed when it gets there, and each goes
+/// straight back in line — where a full lane window may keep it pending
+/// a while. Every one must come back, and nothing else squashes.
 #[test]
 fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
     let (iters, quiet) = (64u64, 4u64);
@@ -1362,12 +1302,12 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
             return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
         };
         let v = VersionId(u64::from(task.0));
-        if ctx.iter < quiet {
+        if !(quiet..2 * quiet).contains(&ctx.iter) {
             m.write(v, Addr(1000 + ctx.iter), 1);
             return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
         }
         let got = m.read(v, Addr(0));
-        let raced = ctx.attempt == 0 && ctx.iter < 2 * quiet;
+        let raced = ctx.attempt == 0;
         if raced && ctx.iter == quiet {
             wait_until(|| state[0].load(Ordering::SeqCst) >= 3);
         } else if raced {
@@ -1385,30 +1325,25 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
         }
         TaskOutput::bytes((got + quiet).to_le_bytes().to_vec())
     };
-    let governor = GovernorConfig {
-        reprobe_period: 4,
-        ..GovernorConfig::default()
-    };
     let (report, mem) = run_versioned(
-        ExecConfig::default()
-            .with_governor(governor)
-            .with_tracing(true),
+        ExecConfig::default().with_tracing(true),
         &counter_graph(iters),
         &ExecutionPlan::tls(4),
         body,
     );
     assert_eq!(report.output, expected_stream(iters));
-    assert_eq!(mem.committed(Addr(0)), Some(iters - quiet));
-    let squashes = report.squashes;
-    assert!(squashes >= 3, "the race squashes tasks 5-7, not {squashes}");
+    assert_eq!(mem.committed(Addr(0)), Some(quiet));
+    // The race squashes tasks 5-7, once each.
+    assert_eq!((report.squashes, report.violations), (3, 3));
+    assert_eq!(report.attempts, iters + 3);
     // A squashed attempt that never came back would wedge the frontier
     // until the watchdog fell back to sequential execution.
     assert_eq!(report.watchdog_trips, 0);
     assert!(!report.fallback_activated);
     let timeline = report.timeline.as_ref().expect("tracing was on");
-    timeline.validate().expect("well-formed governed timeline");
-    // Every squashed attempt is followed by its replay: admitted as the
-    // next attempt, or issued inline once the governor collapsed.
+    timeline.validate().expect("well-formed timeline");
+    // Every squashed attempt is followed by its replay, admitted as the
+    // next attempt.
     let events = timeline.events();
     for (at, e) in events.iter().enumerate() {
         let TraceEventKind::Squash { task, attempt, .. } = e.kind else {
@@ -1420,67 +1355,70 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
                 attempt: a,
                 ..
             } => (t, a) == (task, attempt + 1),
-            TraceEventKind::Commit {
-                task: t,
-                attempt: a,
-            } => (t, a) == (task, DEGRADED_ATTEMPT),
             _ => false,
         });
         assert!(back, "task {task} attempt {attempt} never came back");
     }
 }
 
-/// The simulator twin and a native replay hear the same conflict
-/// sequence when one task violates *two* speculated dependences: one
-/// squash, one `on_conflict`, on both sides. 64 tasks of one stage; task
-/// 40 violates its deps on 38 and 39, every other task speculates on its
-/// predecessor without violating. A ceiling of 40‰ sits between one
-/// conflict in a full 32-outcome history (31‰) and two (62‰): counting
-/// the double violation twice would collapse the twin alone.
+/// The governor's one rule: a governed plan with one seat in total is
+/// held inline for the whole run. The caller issues every task in
+/// order, each a non-speculative attempt at [`DEGRADED_ATTEMPT`], so a
+/// replayed violation squashes nothing; nothing is queued, no seat runs
+/// an attempt, and every commit counts as a degraded one. The same plan
+/// ungoverned pipelines on its one seat and squashes what the graph
+/// recorded.
 #[test]
-fn a_double_violation_is_one_conflict_to_the_twin_and_the_frontier() {
-    use crate::{SimConfig, Simulator};
-    let n = 64u32;
+fn a_one_seat_plan_is_held_inline_and_never_probes() {
+    let iters = 3 * WINDOW;
+    let violated: Vec<u64> = (1..iters).step_by(3).collect();
     let mut graph = TaskGraph::new(1);
-    for i in 0..n {
-        let spec: Vec<SpecDep> = match i {
-            0 => Vec::new(),
-            40 => [38, 39]
-                .map(|on| SpecDep {
-                    on: TaskId(on),
-                    violated: true,
-                })
-                .to_vec(),
-            _ => vec![SpecDep {
-                on: TaskId(i - 1),
-                violated: false,
-            }],
-        };
-        graph.add_task(0, u64::from(i), 10, &[], &spec);
+    for i in 0..iters {
+        let spec: Vec<SpecDep> = (i > 0)
+            .then(|| SpecDep {
+                on: TaskId(i as u32 - 1),
+                violated: violated.contains(&i),
+            })
+            .into_iter()
+            .collect();
+        graph.add_task(0, i, 10, &[], &spec);
     }
-    let cfg = GovernorConfig {
-        degrade_ceiling: 40,
-        ..GovernorConfig::default()
-    };
-    let plan = ExecutionPlan::tls(2);
-    let sim = Simulator::new(SimConfig::with_cores(2));
-    let (_, twin) = sim.run(&graph, &plan).unwrap().timeline(&graph, Some(&cfg));
-    // Task 40's speculative bytes are corrupt: only the squash saves them.
-    let body = |task: TaskId, ctx: &TaskCtx<'_>| {
-        let corrupt = task.0 == 40 && ctx.speculative();
-        TaskOutput::bytes(vec![task.0 as u8 ^ u8::from(corrupt)])
-    };
-    let report = run(
-        ExecConfig::default().with_governor(cfg),
+    let plan = ExecutionPlan::tls(1);
+    let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+    let config = ExecConfig::default().with_tracing(true);
+    let held = run(
+        config.clone().with_governor(GovernorConfig::default()),
         &graph,
         &plan,
         body,
     )
     .unwrap();
-    let expected: Vec<u8> = (0..n).map(|t| t as u8).collect();
-    assert_eq!(report.output, expected);
-    assert_eq!(report.squashes, 1);
-    assert_eq!(report.governor, twin);
+    assert_eq!(held.output, expected_stream(iters));
+    assert_eq!(
+        (held.attempts, held.squashes, held.violations),
+        (iters, 0, 0)
+    );
+    assert!(held.workers.is_empty(), "no seat ran an attempt");
+    let stats = GovernorStats {
+        degraded_commits: iters,
+        ..GovernorStats::default()
+    };
+    assert_eq!(held.governor, Some(stats));
+    let timeline = held.timeline.as_ref().expect("tracing was on");
+    timeline.validate().expect("a well-formed held timeline");
+    for e in timeline.events() {
+        match e.kind {
+            TraceEventKind::QueuePush { task, .. } => panic!("task {task} was queued"),
+            TraceEventKind::Commit { task, attempt } => {
+                assert_eq!(attempt, DEGRADED_ATTEMPT, "task {task}");
+            }
+            _ => {}
+        }
+    }
+    let pipelined = run(config, &graph, &plan, body).unwrap();
+    assert_eq!(pipelined.output, expected_stream(iters));
+    assert_eq!(pipelined.squashes, violated.len() as u64);
+    assert_eq!(pipelined.governor, None);
 }
 
 // --- the turn protocol, enumerated ------------------------------------------

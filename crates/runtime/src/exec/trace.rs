@@ -274,22 +274,6 @@ pub enum TraceEventKind {
         /// Buffered writes published.
         writes: u64,
     },
-    /// The windowed misspeculation rate crossed the ceiling: the
-    /// governor collapsed the loop to sequential inline issue.
-    GovernorDegrade {
-        /// The frontier task whose squash tipped the rate over.
-        task: u32,
-        /// The windowed misspeculation rate at the collapse, permille.
-        rate_permille: u32,
-    },
-    /// The governor left degraded mode to probe speculation again at a
-    /// small pipelined window.
-    GovernorReprobe {
-        /// The frontier task whose commit ended the degraded period.
-        task: u32,
-        /// The probe's window: tasks it may run past the frontier.
-        window: u32,
-    },
 }
 
 impl TraceEventKind {
@@ -307,8 +291,6 @@ impl TraceEventKind {
             | TraceEventKind::VersionReads { task, .. }
             | TraceEventKind::VersionConflict { task, .. }
             | TraceEventKind::VersionCommit { task, .. }
-            | TraceEventKind::GovernorDegrade { task, .. }
-            | TraceEventKind::GovernorReprobe { task, .. }
             | TraceEventKind::FallbackActivated { from_task: task } => Some(TaskId(*task)),
             TraceEventKind::WatchdogTrip => None,
         }
@@ -752,7 +734,7 @@ impl Timeline {
                     }
                 }
                 TraceEventKind::Commit { task, attempt } => {
-                    // Fallback and governor-degraded commits run inline
+                    // Fallback and held-run commits run inline
                     // under the frontier lock: no runner-side events.
                     if attempt != super::FALLBACK_ATTEMPT
                         && attempt != super::DEGRADED_ATTEMPT
@@ -780,11 +762,7 @@ impl Timeline {
                 | TraceEventKind::VersionOpen { .. }
                 | TraceEventKind::VersionReads { .. }
                 | TraceEventKind::VersionConflict { .. }
-                | TraceEventKind::VersionCommit { .. }
-                // Governor decisions are frontier-side annotations with
-                // no cross-thread counterpart to pair up.
-                | TraceEventKind::GovernorDegrade { .. }
-                | TraceEventKind::GovernorReprobe { .. } => {}
+                | TraceEventKind::VersionCommit { .. } => {}
             }
         }
         Ok(())
@@ -1130,25 +1108,6 @@ impl Timeline {
                         "{{\"name\":\"version commit t{task}\",\"cat\":\"memory\",\
                          \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
                          \"args\":{{\"task\":{task},\"stage\":{stage},\"writes\":{writes}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::GovernorDegrade {
-                    task,
-                    rate_permille,
-                } => {
-                    entries.push(format!(
-                        "{{\"name\":\"governor degrade\",\"cat\":\"governor\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"g\",\
-                         \"args\":{{\"task\":{task},\"rate_permille\":{rate_permille}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::GovernorReprobe { task, window } => {
-                    entries.push(format!(
-                        "{{\"name\":\"governor reprobe\",\"cat\":\"governor\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"g\",\
-                         \"args\":{{\"task\":{task},\"window\":{window}}}}}",
                         ts_us(e.ts)
                     ));
                 }

@@ -305,9 +305,6 @@ pub struct TraceCheck {
     pub slices: usize,
     /// `"i"` instants (commits, squashes, speculation decisions).
     pub instants: usize,
-    /// The subset of instants in the `governor` category
-    /// (degrade/reprobe decisions).
-    pub governor: usize,
     /// `"C"` counter samples (queue occupancy).
     pub counters: usize,
     /// `"M"` metadata records (process/thread names).
@@ -373,9 +370,6 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                     _ => return Err(format!("instant event {i} has no scope s in t/p/g")),
                 }
                 check.instants += 1;
-                if obj.get("cat").and_then(Value::as_str) == Some("governor") {
-                    check.governor += 1;
-                }
             }
             "C" => {
                 let series_ok = obj

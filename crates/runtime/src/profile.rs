@@ -13,7 +13,7 @@
 //! The profile lives in this crate — not in `seqpar-analysis` — so the
 //! runtime can consume it without a dependency cycle: the plan carries
 //! it as bookkeeping (like the lint stamp) for the lint and `figures
-//! conflicts` tables to set beside the rate the governor measures, and
+//! conflicts` tables to set beside the rate a native run records, and
 //! the tuner prices conflict probes from it.
 
 use serde::{Deserialize, Serialize};
@@ -33,7 +33,7 @@ pub struct RegionConflict {
 /// The static conflict-density estimate for one parallelized loop.
 ///
 /// Densities are expressed in permille (conflicts per thousand
-/// committed iterations) to match the governor's degrade ceiling.
+/// committed iterations).
 ///
 /// ```
 /// use seqpar_runtime::{ConflictProfile, RegionConflict};

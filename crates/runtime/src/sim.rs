@@ -1,14 +1,12 @@
 //! The performance simulator.
 
-use crate::exec::governor::{Governor, GovernorEvent};
 use crate::exec::{
-    supervise_task, FaultPlan, GovernorConfig, GovernorStats, JobId, RecoveryCounts, TimeUnit,
-    Timeline, TraceEvent, TraceEventKind,
+    supervise_task, FaultPlan, JobId, RecoveryCounts, TimeUnit, Timeline, TraceEvent,
+    TraceEventKind,
 };
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -223,49 +221,7 @@ impl SimResult {
     /// `VersionCommit` at every commit — the same four instants a
     /// native job with a substrate ([`JobSpec::mem`](crate::JobSpec::mem))
     /// records from real conflict detection.
-    ///
-    /// With a `governor`, the simulated frontier is also threaded
-    /// through the same speculation-governor automaton the native
-    /// executor runs, so trace consumers can diff the governor's
-    /// decision sequence between the model and the machine; its
-    /// counters come back as the second element (`None` without one).
-    ///
-    /// The governor hears the simulated frontier as the native one hears
-    /// the real frontier: a task with any violated speculated dependence
-    /// feeds `on_conflict` once, as its squash does natively, then the
-    /// task's in-order commit feeds `on_commit`.
-    /// It reads no clock, so its decisions are a function of that
-    /// sequence alone, and they surface as the same `GovernorDegrade` /
-    /// `GovernorReprobe` events the native frontier emits, stamped at the
-    /// frontier cycle. A fault-free native *replay*
-    /// therefore reports the twin's [`GovernorStats`] exactly (the
-    /// governed property in `crates/runtime/tests/properties.rs` holds
-    /// the two to each other). Where the two part, structurally:
-    ///
-    /// * a conflict-driven native job ([`JobSpec::mem`](crate::JobSpec::mem))
-    ///   feeds its governor real races, which are a matter of timing, and
-    ///   may squash attempts past the frontier; the model serializes a
-    ///   violated speculation instead of replaying it, so every conflict
-    ///   here is a frontier conflict;
-    /// * the twin models no faults: natively, a first attempt that
-    ///   panicked replays non-speculatively and its violation is never
-    ///   fed in.
-    ///
-    /// The governor's one-seat rule counts seats as the board does: a
-    /// core once per stage that uses it, here the distinct `(stage,
-    /// core)` pairs of the placements.
-    ///
-    /// The timing model itself is *not* re-run under the governor's
-    /// posture switches — the analytic schedule stays the plan's. The
-    /// twin answers "what would the governor have decided given this
-    /// commit/conflict sequence"; re-timing the model under inline
-    /// stretches would make the placements it annotates disagree with
-    /// the schedule that was simulated.
-    pub fn timeline(
-        &self,
-        graph: &TaskGraph,
-        governor: Option<&GovernorConfig>,
-    ) -> (Timeline, Option<GovernorStats>) {
+    pub fn timeline(&self, graph: &TaskGraph) -> Timeline {
         let placements = &self.placements;
         let mut exec_events: Vec<TraceEvent> = Vec::with_capacity(placements.len() * 2);
         for p in placements {
@@ -323,49 +279,11 @@ impl SimResult {
         // every earlier task have finished.
         let mut frontier_events: Vec<TraceEvent> = Vec::with_capacity(placements.len());
         let mut frontier = 0u64;
-        let mut gov = governor.map(|cfg| {
-            // The twin's seats are the stage/core pairs the schedule
-            // used, as the board counts them: one of them and the
-            // governor holds the run inline, as natively.
-            let seats: HashSet<(u8, usize)> = placements
-                .iter()
-                .map(|p| (graph.task(p.task).stage.0, p.core))
-                .collect();
-            Governor::new(*cfg, seats.len())
-        });
-        let push_gov = |events: &mut Vec<TraceEvent>, ts: u64, task: u32, decision| {
-            if let Some(d) = decision {
-                let kind = match d {
-                    GovernorEvent::Degrade { rate_permille } => TraceEventKind::GovernorDegrade {
-                        task,
-                        rate_permille,
-                    },
-                    GovernorEvent::Reprobe { window } => {
-                        TraceEventKind::GovernorReprobe { task, window }
-                    }
-                };
-                events.push(TraceEvent {
-                    ts,
-                    job: JobId::SOLO,
-                    kind,
-                });
-            }
-        };
         for (idx, p) in placements.iter().enumerate() {
             frontier = frontier.max(p.end);
             let task = graph.task(TaskId(idx as u32));
             if !graph.spec_deps(task).is_empty() {
                 let violated = graph.spec_deps(task).iter().filter(|d| d.violated).count() as u32;
-                // The model serializes a violated speculation at the
-                // frontier: one squash of the task, however many of its
-                // dependences manifested, as natively.
-                match gov.as_mut() {
-                    Some(g) if violated > 0 => {
-                        let decided = g.on_conflict();
-                        push_gov(&mut frontier_events, frontier, idx as u32, decided);
-                    }
-                    _ => {}
-                }
                 frontier_events.push(TraceEvent {
                     ts: frontier,
                     job: JobId::SOLO,
@@ -406,17 +324,12 @@ impl SimResult {
                     attempt: 0,
                 },
             });
-            if let Some(g) = gov.as_mut() {
-                let decided = g.on_commit(1);
-                push_gov(&mut frontier_events, frontier, idx as u32, decided);
-            }
         }
-        let timeline = Timeline::stitch(
+        Timeline::stitch(
             TimeUnit::Cycles,
             graph.stage_count(),
             vec![exec_events, frontier_events],
-        );
-        (timeline, gov.map(|g| g.stats()))
+        )
     }
 }
 
@@ -1159,7 +1072,7 @@ mod tests {
             ..SimConfig::default()
         });
         let r = sim.run(&g, &ExecutionPlan::three_phase(4)).unwrap();
-        let (timeline, _) = r.timeline(&g, None);
+        let timeline = r.timeline(&g);
         timeline
             .validate()
             .expect("simulated traces are well-formed");
@@ -1181,72 +1094,6 @@ mod tests {
         let json = timeline.to_chrome_json(&["A".into(), "B".into(), "C".into()]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
-    }
-
-    #[test]
-    fn governed_timeline_mirrors_the_native_governor_schema() {
-        use crate::exec::GovernorConfig;
-        // A graph with a conflict storm in the middle: tasks 40..60
-        // carry violated speculated dependences on their predecessors.
-        let mut g = TaskGraph::new(1);
-        let mut prev: Option<TaskId> = None;
-        for i in 0..200u64 {
-            let violated = (40..60).contains(&i);
-            let spec: Vec<SpecDep> = prev
-                .filter(|_| violated)
-                .map(|on| SpecDep { on, violated: true })
-                .into_iter()
-                .collect();
-            let deps: Vec<TaskId> = prev.filter(|_| !violated).into_iter().collect();
-            prev = Some(g.add_task(0, i, 10, &deps, &spec));
-        }
-        let sim = Simulator::new(SimConfig::with_cores(4));
-        let cfg = GovernorConfig {
-            reprobe_period: 8,
-            ..GovernorConfig::default()
-        };
-        let result = sim.run(&g, &ExecutionPlan::tls(4)).unwrap();
-        let (timeline, stats) = result.timeline(&g, Some(&cfg));
-        let stats = stats.expect("a governed run reports its governor");
-        timeline
-            .validate()
-            .expect("governed twin stays well-formed");
-        // The run opens pipelined; the storm forces at least one
-        // collapse, whose inline stretch counts as degraded commits, and
-        // the quiet tail at least one re-probe.
-        assert!(stats.degraded_commits > 0, "degraded stretch counted");
-        assert!(stats.reprobes > 0, "quiet stretches re-probe");
-        assert!(stats.degrades > 0, "the storm collapses the loop");
-        let kinds: Vec<_> = timeline
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceEventKind::GovernorDegrade { .. } | TraceEventKind::GovernorReprobe { .. }
-                )
-            })
-            .collect();
-        assert_eq!(
-            kinds
-                .iter()
-                .filter(|e| matches!(e.kind, TraceEventKind::GovernorReprobe { .. }))
-                .count() as u64,
-            stats.reprobes,
-            "every re-probe surfaces as a trace event"
-        );
-        // Determinism: the twin's decision stream is a pure function of
-        // the simulated schedule.
-        let (timeline2, stats2) = result.timeline(&g, Some(&cfg));
-        assert_eq!(Some(stats), stats2);
-        assert_eq!(timeline.events().len(), timeline2.events().len());
-        // The ungoverned path is unchanged: no governor events at all.
-        let (plain, no_stats) = result.timeline(&g, None);
-        assert_eq!(no_stats, None);
-        assert!(plain.events().iter().all(|e| !matches!(
-            e.kind,
-            TraceEventKind::GovernorDegrade { .. } | TraceEventKind::GovernorReprobe { .. }
-        )));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! on conflict — and [`try_commit`](ConcurrentVersionedMemory::try_commit)
 //! to publish the write buffer when the attempt survives (the executor
 //! uses their batch forms; the single-version ones are the same routine
-//! at k = 1). A task the governor issues inline, on the frontier's own
+//! at k = 1). A task a held run issues inline, on the frontier's own
 //! thread, is no exception: it opens and commits one ordinary version,
 //! which nothing can squash, since every earlier version has committed.
 

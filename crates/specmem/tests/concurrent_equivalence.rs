@@ -13,8 +13,8 @@
 //! back and re-executes squashed versions — repeated at shard counts
 //! {1, 4, 16, 64} so the configurable shard knob cannot silently break
 //! linearized equivalence, and again behind a generated prefix of
-//! versions opened and committed one at a time, as the executor issues
-//! a governor-degraded stretch (see [`Prefix`]) — and (b)
+//! versions opened and committed one at a time while a later version is
+//! live (see [`Prefix`]) — and (b)
 //! single-threaded in program order, where nothing may ever squash. All
 //! must land on the state of the model interpreter ([`interpret`]): the
 //! reference is twenty lines over a flat map, not a second memory.
@@ -117,17 +117,17 @@ fn run_ops(mem: &ConcurrentVersionedMemory, v: VersionId, program: &[Op]) {
 /// shard knob must never change linearized equivalence, only contention.
 const SHARD_COUNTS: &[usize] = &[1, 4, 16, 64];
 
-/// How a case's leading versions are issued before the rest race: the
-/// executor's governor-degraded stretch followed by a re-probe.
+/// How a case's leading versions are issued before the rest race: one
+/// at a time, inline, with a later version already live.
 #[derive(Clone, Copy, Debug)]
 struct Prefix {
     /// This many versions (fewer than the case has) run one at a time,
     /// each an ordinary version — `begin`, the ops, `try_commit` — that
     /// commits before the next one opens.
     len: usize,
-    /// The first racing version is opened before the prefix runs, as a
-    /// pre-collapse straggler would be, so every prefix version opens
-    /// and commits with a later version live.
+    /// The first racing version is opened before the prefix runs, so
+    /// every prefix version opens and commits with a later version
+    /// live.
     straggler: bool,
 }
 

@@ -373,10 +373,10 @@ fn timelines_agree_on_task_order() {
             queue_capacity: 128,
             ..SimConfig::default()
         });
-        let (sim_tl, _) = sim
+        let sim_tl = sim
             .run(graph, &ExecutionPlan::three_phase(4))
             .expect("plan matches machine")
-            .timeline(graph, None);
+            .timeline(graph);
         sim_tl
             .validate()
             .unwrap_or_else(|d| panic!("{id}: sim timeline malformed: {d}"));

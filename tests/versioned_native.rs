@@ -178,10 +178,10 @@ fn sim_and_native_timelines_agree_on_commit_order() {
         let plan = ExecutionPlan::tls(4);
         // The graph `execute` runs: the trace at the job's own grain.
         let graph = job.trace().chunked(job.grain(&plan)).tls_task_graph();
-        let (sim_timeline, _) = Simulator::new(SimConfig::default())
+        let sim_timeline = Simulator::new(SimConfig::default())
             .run(&graph, &plan)
             .expect("sim accepts the TLS plan")
-            .timeline(&graph, None);
+            .timeline(&graph);
         let (r, _mem) = job
             .execute(&plan, ExecConfig::default().with_tracing(true))
             .expect("plan matches graph");
