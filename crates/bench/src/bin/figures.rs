@@ -3,17 +3,10 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--size test|train|ref] [--native] [--no-governor] [--fault-seed N] \
-//!     [--lint] [--tuned] [--trace-summary] \
-//!     [fig4|fig5|fig6|fig7|table1|table2|ablations|gantt|conflicts|all]
+//! figures [--size test|train|ref] [--lint] [--tuned] \
+//!     [fig4|fig5|fig6|fig7|table1|table2|ablations|gantt|all]
+//! figures --native [--size test|train|ref] [--fault-seed N] <SPEC ids…|all>
 //! ```
-//!
-//! `conflicts` prints the predicted-vs-observed conflict calibration
-//! table: the audit pass's static conflict-density estimate for every
-//! benchmark next to the squash rate the versioned-memory substrate
-//! recorded in an ungoverned 8-thread native run — 0 for every kernel,
-//! whose chunks fold their checksum tail at commit and so access no
-//! substrate address.
 //!
 //! `--lint` adds a `lint` column to Table 2: each benchmark's partition
 //! and plan are run through the `seqpar-lint` battery and the verdict
@@ -26,29 +19,26 @@
 //! simulator's verdict only; `seqpar-tune` validates winners natively
 //! and persists them as plan artifacts.
 //!
-//! With `--native`, targets name benchmarks (`164.gzip`, ... or `all`)
-//! and each is run on real OS threads via the native executor; the
-//! tables gain wall-clock and wall-clock-speedup columns next to the
-//! simulator's estimate. Native runs default to the `test` input size
-//! (real wall time, not simulated cycles) unless `--size` is given.
-//!
-//! `--trace-summary` (native mode only) re-runs each benchmark once
-//! with structured tracing enabled at the largest swept thread count
-//! and prints the per-stage timeline columns (service-time percentiles,
-//! queue wait, commit latency, busy share) under its native curve. For
-//! the full timeline toolkit — Gantt view, critical path, Perfetto
-//! export — use the `seqpar-trace` binary.
-//!
-//! Native runs are *governed* by default, which changes nothing here:
-//! the speculation governor issues only a plan of one seat in total
-//! inline (see DESIGN.md), and a DSWP plan has a seat per stage, three
-//! at least, so every native point runs as ungoverned.
-//! `--no-governor` is kept for scripts that pass it.
+//! With `--native`, targets name benchmarks (`164.gzip`, … or `all`) and
+//! each runs on real OS threads under `tls` and `three_phase` at one and
+//! two seats, one row each. A row reads sequential ÷ native wall as the
+//! median `[IQR]` of 7 repeats that alternate the order of the sequential
+//! loop, an ungoverned and a governed run, beside the median sequential
+//! wall (the job's first run, which records its trace, is timed on its
+//! own as `first(ms)`), the squash ratio next to the simulator's
+//! misspeculation on the graph the runs executed, and k. A spin-pair
+//! capacity reading before and after each benchmark certifies its
+//! two-seat rows; below 1.8 on either side they print as `shared core`
+//! and stay out of the footer's geomean. Every run's output is
+//! byte-checked against the sequential loop, and a mismatch panics.
+//! Native runs default to the `test` input size (real wall time, not
+//! simulated cycles) unless `--size` is given. For per-stage timelines
+//! use the `seqpar-trace` binary.
 //!
 //! `--fault-seed N` (native mode only) arms the deterministic fault
-//! injector with `FaultPlan::seeded(N)`: worker panics and stalls are
-//! injected and the supervisor must recover — output stays
-//! byte-identical and the table gains a `recovered` column counting
+//! injector with `FaultPlan::seeded(N)` on every native run: worker
+//! panics and stalls are injected and the supervisor must recover —
+//! output stays byte-identical and the `recovered` column counts
 //! recovered panics.
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator
@@ -56,21 +46,18 @@
 //! benchmarks scale, where they saturate, who beats the Moore's-law
 //! reference — are the reproduction target (see EXPERIMENTS.md).
 
+use seqpar_bench::native::{native_kernel, render_native_table};
 use seqpar_bench::{
-    native_sweep, render_curves, render_native_curve, render_table1, render_table2, sweep_workload,
-    table2, PlanKind, SweepResult, NATIVE_THREAD_SWEEP,
+    render_curves, render_table1, render_table2, sweep_workload, table2, PlanKind, SweepResult,
 };
-use seqpar_runtime::{ExecConfig, FaultPlan, GovernorConfig};
-use seqpar_workloads::{all_workloads, workload_by_name, InputSize, Workload};
+use seqpar_workloads::{all_workloads, workload_by_name, InputSize};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut size = None;
     let mut native = false;
-    let mut governed = true;
     let mut lint = false;
     let mut tuned = false;
-    let mut trace_summary = false;
     let mut fault_seed = None;
     let mut targets = Vec::new();
     let mut iter = args.iter();
@@ -78,7 +65,6 @@ fn main() {
         match a.as_str() {
             "--lint" => lint = true,
             "--tuned" => tuned = true,
-            "--trace-summary" => trace_summary = true,
             "--size" => {
                 size = match iter.next().map(String::as_str) {
                     Some("test") => Some(InputSize::Test),
@@ -91,7 +77,6 @@ fn main() {
                 }
             }
             "--native" => native = true,
-            "--no-governor" => governed = false,
             "--fault-seed" => {
                 fault_seed = match iter.next().map(|s| s.parse::<u64>()) {
                     Some(Ok(n)) => Some(n),
@@ -110,25 +95,11 @@ fn main() {
     if native {
         // Real threads measure real seconds: default to the small input so
         // `--native all` stays interactive.
-        run_native(
-            size.unwrap_or(InputSize::Test),
-            &targets,
-            governed,
-            fault_seed,
-            trace_summary,
-        );
+        run_native(size.unwrap_or(InputSize::Test), &targets, fault_seed);
         return;
-    }
-    if !governed {
-        eprintln!("--no-governor only applies to --native runs");
-        std::process::exit(2);
     }
     if fault_seed.is_some() {
         eprintln!("--fault-seed only applies to --native runs");
-        std::process::exit(2);
-    }
-    if trace_summary {
-        eprintln!("--trace-summary only applies to --native runs");
         std::process::exit(2);
     }
     let size = size.unwrap_or(InputSize::Train);
@@ -154,7 +125,6 @@ fn main() {
             "gantt" => gantt(size),
             "table2" => run_table2(size, lint, tuned),
             "ablations" => ablations(size),
-            "conflicts" => conflicts(),
             "all" => {
                 fig(
                     size,
@@ -176,7 +146,6 @@ fn main() {
                 run_table2(size, lint, tuned);
                 ablations(size);
                 gantt(size);
-                conflicts();
             }
             other => {
                 eprintln!("unknown target {other}");
@@ -187,61 +156,29 @@ fn main() {
 }
 
 /// `--native` mode: each target is a benchmark id (or `all`); every
-/// benchmark is executed on real OS threads and its wall-clock columns
-/// printed next to the simulator's estimate at the same thread count.
-fn run_native(
-    size: InputSize,
-    targets: &[String],
-    governed: bool,
-    fault_seed: Option<u64>,
-    trace_summary: bool,
-) {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    println!("## Native execution (real OS threads; host exposes {cores} CPU(s))");
-    println!("wall-clock speedup is bounded by host parallelism; the simulator");
-    println!("column models the paper's 32-core machine at the same thread count\n");
-    let mut config = match fault_seed {
-        Some(seed) => {
-            println!("fault injection armed: FaultPlan::seeded({seed}); the supervisor");
-            println!("must absorb every injected fault and keep output byte-identical\n");
-            ExecConfig::default().with_faults(FaultPlan::seeded(seed))
-        }
-        None => ExecConfig::default(),
-    };
-    if governed {
-        config = config.with_governor(GovernorConfig::default());
-    }
-    let workloads = all_workloads();
+/// benchmark runs its rows of the native table, and the table prints
+/// once all have run.
+fn run_native(size: InputSize, targets: &[String], fault_seed: Option<u64>) {
+    let mut selected = Vec::new();
     for t in targets {
-        let selected: Vec<&dyn Workload> = if t == "all" {
-            workloads.iter().map(std::convert::AsRef::as_ref).collect()
-        } else if let Some(w) = workloads.iter().find(|w| w.meta().spec_id == t.as_str()) {
-            vec![w.as_ref()]
-        } else {
-            eprintln!("unknown benchmark {t} (use a SPEC id like 164.gzip, or all)");
-            std::process::exit(2);
-        };
-        for w in selected {
-            let curve = native_sweep(w, size, PlanKind::Dswp, NATIVE_THREAD_SWEEP, &config);
-            println!("{}", render_native_curve(&curve));
-            if trace_summary {
-                let threads = *NATIVE_THREAD_SWEEP.last().expect("sweep is non-empty");
-                let run = seqpar_bench::trace_native(w, size, PlanKind::Dswp, threads, &config);
-                let labels = seqpar_workloads::stage_labels(run.timeline.stage_count());
-                print!(
-                    "{}",
-                    seqpar_bench::render_trace_summary(&run.timeline, &labels)
-                );
-                let mem = seqpar_bench::render_memory_summary(&run.timeline, &labels);
-                if !mem.is_empty() {
-                    print!("{mem}");
-                }
-                println!();
-            }
+        match t.as_str() {
+            "all" => selected.extend(all_workloads()),
+            id => selected.push(workload_by_name(id).unwrap_or_else(|| {
+                eprintln!("unknown benchmark {id} (use a SPEC id like 164.gzip, or all)");
+                std::process::exit(2);
+            })),
         }
     }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!("## Native table: sequential / native wall, median [IQR] (host exposes {cores} CPU(s); size {size:?})");
+    if let Some(seed) = fault_seed {
+        println!("fault injection armed on every native run: FaultPlan::seeded({seed})");
+    }
+    let kernels: Vec<_> = selected
+        .iter()
+        .map(|w| native_kernel(w.as_ref(), size, fault_seed))
+        .collect();
+    print!("{}", render_native_table(&kernels));
 }
 
 fn fig(size: InputSize, title: &str, ids: &[&str]) {
@@ -300,24 +237,6 @@ fn run_table2(size: InputSize, lint: bool, tuned: bool) {
         }
     }
     println!("{}", render_table2(&rows));
-}
-
-/// Predicted-vs-observed conflict calibration over the whole suite:
-/// the audit pass's static density estimate for the 8-thread plan next
-/// to the squash rate an ungoverned native run actually recorded — 0 for
-/// every kernel, whose checksum tail folds at commit, until the
-/// substrate is given the kernels' own addresses.
-fn conflicts() {
-    println!("## Conflict calibration: static estimate vs versioned-memory substrate\n");
-    println!(
-        "Kernel chunks fold their checksum tail at commit and access no substrate \
-         address, so every observed rate is 0 by construction.\n"
-    );
-    let rows: Vec<_> = all_workloads()
-        .iter()
-        .map(|w| seqpar_bench::conflict_calibration(w.as_ref(), InputSize::Test, 8))
-        .collect();
-    print!("{}", seqpar_bench::render_conflict_table(&rows));
 }
 
 /// Prints the first cycles of 256.bzip2's 8-core schedule — the A/B/C
@@ -448,11 +367,4 @@ fn ablations(size: InputSize) {
             r.queue_stall_cycles
         );
     }
-    let _ = size;
-}
-
-// Silence the unused-trait warning when compiled standalone.
-#[allow(dead_code)]
-fn _assert_traits(w: &dyn Workload) -> &'static str {
-    w.meta().spec_id
 }

@@ -1,12 +1,14 @@
 //! Experiment harness: sweeps, tables, and figure regeneration.
 //!
-//! This crate turns workload traces into the paper's tables and figures.
-//! The entry point is the `figures` binary (`cargo run -p seqpar-bench
-//! --bin figures -- all`); the library half exposes the sweep machinery
-//! so integration tests and Criterion benches can reuse it.
+//! This crate turns workload traces into the paper's tables and figures,
+//! and runs the kernels natively for the [`native`] table. The entry
+//! point is the `figures` binary (`cargo run -p seqpar-bench --bin
+//! figures -- all`); the library half exposes the sweep machinery to the
+//! binaries, the integration tests and the examples.
 
 #![warn(missing_docs)]
 
+pub mod native;
 pub mod tune;
 
 /// The workspace's dependency-free JSON reader (re-exported from
@@ -22,17 +24,11 @@ use seqpar_runtime::{
     ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport,
     SimConfig, SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
 };
-use seqpar_specmem::MemStats;
 use seqpar_workloads::{InputSize, VersionedJob, Workload, WorkloadMeta};
 use std::sync::Arc;
 
 /// The thread counts used throughout the paper's figures.
 pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 6, 8, 10, 12, 15, 16, 20, 24, 28, 32];
-
-/// The thread counts used for native (real OS thread) runs. Wall-clock
-/// scaling is bounded by the host's physical cores, so the sweep stays
-/// within commodity core counts.
-pub const NATIVE_THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
 
 /// One point of a speedup curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,21 +41,6 @@ pub struct SweepPoint {
     pub misspec_rate: f64,
     /// Core utilization.
     pub utilization: f64,
-    /// Wall-clock time of the native (real-thread) run, in milliseconds.
-    /// `None` for simulator-only sweeps.
-    pub native_wall_ms: Option<f64>,
-    /// Wall-clock speedup of the native run over the sequential native
-    /// run. `None` for simulator-only sweeps.
-    pub native_speedup: Option<f64>,
-    /// Worker panics recovered by the native supervisor. `None` for
-    /// simulator-only sweeps.
-    pub panics_recovered: Option<u64>,
-    /// Consecutive iterations per task of the native run
-    /// ([`VersionedJob::grain`]). `None` for simulator-only sweeps.
-    pub grain: Option<usize>,
-    /// Versioned-memory substrate counters for conflict-driven runs.
-    /// `None` for simulator-only sweeps.
-    pub mem: Option<MemStats>,
 }
 
 /// A full speedup curve for one benchmark.
@@ -69,10 +50,6 @@ pub struct SweepResult {
     pub spec_id: String,
     /// The points, in ascending thread order.
     pub points: Vec<SweepPoint>,
-    /// [`render_grain`] of a native sweep's job under its widest plan
-    /// (narrower plans chunk as coarsely or coarser; each point carries
-    /// its own [`SweepPoint::grain`]). `None` for simulator-only sweeps.
-    pub grain: Option<String>,
 }
 
 impl SweepResult {
@@ -139,28 +116,27 @@ pub fn sweep_trace(
         .iter()
         .map(|&t| {
             let r = simulate_graph(&graph, t, kind);
-            let total_spec = r.violations + r.speculations_survived;
             SweepPoint {
                 threads: t,
                 speedup: r.speedup(),
-                misspec_rate: if total_spec == 0 {
-                    0.0
-                } else {
-                    r.violations as f64 / total_spec as f64
-                },
+                misspec_rate: misspec_rate(&r),
                 utilization: r.utilization(),
-                native_wall_ms: None,
-                native_speedup: None,
-                panics_recovered: None,
-                grain: None,
-                mem: None,
             }
         })
         .collect();
     SweepResult {
         spec_id: spec_id.to_string(),
         points,
-        grain: None,
+    }
+}
+
+/// The share of a simulation's speculated dependences that manifested.
+pub fn misspec_rate(r: &SimResult) -> f64 {
+    let speculated = r.violations + r.speculations_survived;
+    if speculated == 0 {
+        0.0
+    } else {
+        r.violations as f64 / speculated as f64
     }
 }
 
@@ -170,81 +146,14 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
     sweep_trace(w.meta().spec_id, &trace, THREAD_SWEEP, kind)
 }
 
-/// Sweeps one workload on *real OS threads* via the native executor,
-/// filling the wall-clock columns of [`SweepPoint`] alongside the
-/// simulator's estimate at the same thread count.
-///
-/// Every native run's output is checked byte-for-byte against the
-/// sequential run — the sweep panics on a mismatch rather than report
-/// timings for an execution that broke sequential semantics. This holds
-/// even when `config` carries a [`FaultPlan`](seqpar_runtime::FaultPlan):
-/// supervised recovery must restore the sequential byte stream.
-///
-/// Every workload runs conflict-driven through its
-/// [`VersionedJob`] — the substrate is
-/// the only native path — so every point carries [`SweepPoint::mem`].
-pub fn native_sweep(
-    w: &dyn Workload,
-    size: InputSize,
-    kind: PlanKind,
-    threads: &[usize],
-    config: &ExecConfig,
-) -> SweepResult {
-    let versioned = w.versioned_job(size);
-    let seq = versioned.sequential();
-    // The simulated column stays per-iteration — the paper's machine at
-    // the paper's grain — whatever grain the native run picked.
-    let graph = graph_of(versioned.trace(), kind);
-    let points = threads
-        .iter()
-        .map(|&t| {
-            let plan = kind.plan(t);
-            // A warmed engine sized to the plan's seats keeps
-            // pool-spawn cost out of the recorded wall clock while
-            // still letting pool width bound real parallelism.
-            let engine = Engine::new(EngineConfig::for_plan(&plan));
-            engine.warm();
-            let report = engine
-                .run(&versioned.job_spec(&plan, config.clone()).0)
-                .expect("plan matches machine and faults are recoverable");
-            assert_eq!(
-                report.output,
-                seq.output,
-                "{}: native output diverged from sequential at {t} threads",
-                w.meta().spec_id
-            );
-            let sim = simulate_graph(&graph, t, kind);
-            SweepPoint {
-                threads: t,
-                speedup: sim.speedup(),
-                misspec_rate: report.misspec_rate(),
-                utilization: sim.utilization(),
-                native_wall_ms: Some(report.wall.as_secs_f64() * 1e3),
-                native_speedup: Some(report.speedup_vs(seq.wall)),
-                panics_recovered: Some(report.recovery.panics_recovered),
-                grain: Some(versioned.grain(&plan)),
-                mem: report.mem,
-            }
-        })
-        .collect();
-    SweepResult {
-        spec_id: w.meta().spec_id.to_string(),
-        points,
-        grain: threads
-            .iter()
-            .max()
-            .map(|&t| render_grain(&versioned, &kind.plan(t))),
-    }
-}
-
 /// One line on the grain `job` runs at under `plan`: its iterations and
 /// the time of one as its first sequential run measured it (the job's
 /// `Debug`), how many tasks of how many iterations that makes, and which
 /// of [`VersionedJob::grain`]'s two bounds allows no larger `k` — its
 /// floor of 8 tasks per seat of the plan's widest stage when doubling
 /// `k` would break that, else (the floor would allow it) the ~32 µs
-/// task-length target. Coarsening is never silent: `seqpar-trace` and
-/// `figures --native` print this for every job they run.
+/// task-length target. Coarsening is never silent: `seqpar-trace` prints
+/// this for every job it runs, and `figures --native` prints each row's k.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
     let k = job.grain(plan);
     let seats = (0..plan.stage_count())
@@ -260,67 +169,6 @@ pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
         "grain: {job:?} -> {} tasks of k = {k} iterations (no larger k keeps {bound})",
         job.len().div_ceil(k)
     )
-}
-
-/// Renders a native sweep as an ASCII table with the wall-clock columns:
-/// simulator speedup, native wall time, and native wall-clock speedup.
-///
-/// Sweeps are conflict-driven on versioned memory for every workload,
-/// so the three substrate columns — eager forwards served, conflict
-/// squashes, and elided silent stores — always render. Their counts are
-/// timing-dependent; only the committed byte stream is deterministic.
-pub fn render_native_curve(curve: &SweepResult) -> String {
-    // wall * wall-speedup recovers the sequential wall time any point
-    // was normalized against.
-    let seq_wall_ms = curve
-        .points
-        .iter()
-        .find_map(|p| Some(p.native_wall_ms? * p.native_speedup?))
-        .unwrap_or(f64::NAN);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## {}: native execution (sequential {seq_wall_ms:.2} ms; conflict-driven on versioned memory)\n",
-        curve.spec_id,
-    ));
-    out.push_str(&format!(
-        "{:>8}{:>7}{:>14}{:>14}{:>14}{:>10}{:>11}{:>10}{:>11}{:>8}",
-        "threads",
-        "grain",
-        "sim-speedup",
-        "wall(ms)",
-        "wall-speedup",
-        "misspec",
-        "recovered",
-        "forwards",
-        "conflicts",
-        "silent"
-    ));
-    out.push('\n');
-    for p in &curve.points {
-        out.push_str(&format!(
-            "{:>8}{:>7}{:>14.2}{:>14.3}{:>14.2}{:>10.3}{:>11}",
-            p.threads,
-            p.grain.map_or("-".to_string(), |k| k.to_string()),
-            p.speedup,
-            p.native_wall_ms.unwrap_or(f64::NAN),
-            p.native_speedup.unwrap_or(f64::NAN),
-            p.misspec_rate,
-            p.panics_recovered.unwrap_or(0)
-        ));
-        match p.mem {
-            Some(m) => out.push_str(&format!(
-                "{:>10}{:>11}{:>8}",
-                m.forwards, m.violations, m.silent_stores
-            )),
-            None => out.push_str(&format!("{:>10}{:>11}{:>8}", "-", "-", "-")),
-        }
-        out.push('\n');
-    }
-    if let Some(grain) = &curve.grain {
-        out.push_str(grain);
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders a set of curves as an ASCII table (threads × benchmarks), the
@@ -518,7 +366,7 @@ pub struct TracedRun {
 /// Runs one workload on real OS threads with structured tracing enabled
 /// and returns the report plus its [`Timeline`].
 ///
-/// As with [`native_sweep`], the committed output is checked
+/// As in the [`native`] table, the committed output is checked
 /// byte-for-byte against the sequential run before anything is
 /// returned — a trace of an execution that broke sequential semantics
 /// would be worse than no trace. Every workload runs conflict-driven on
@@ -562,7 +410,7 @@ pub fn trace_native(
 }
 
 /// Renders a timeline's per-stage histograms as an ASCII table — the
-/// `figures --trace-summary` / `seqpar-trace` terminal view. One row per
+/// `seqpar-trace` terminal view. One row per
 /// stage: attempts, commits, service-time percentiles, queue wait,
 /// commit latency, and each stage's share of total busy time.
 ///
@@ -889,98 +737,6 @@ pub fn render_lint_table(outcomes: &[LintOutcome]) -> String {
     out
 }
 
-/// Predicted-vs-observed conflict density for one workload at one
-/// thread count: the audit pass's static estimate next to what the
-/// versioned-memory substrate actually recorded.
-#[derive(Clone, Debug)]
-pub struct ConflictCalibration {
-    /// Benchmark SPEC id.
-    pub spec_id: String,
-    /// Thread count of the compared plan and run.
-    pub threads: usize,
-    /// Static estimate: predicted squashes per thousand committed
-    /// iterations, from the plan's [`ConflictProfile`].
-    pub predicted_permille: u32,
-    /// The densest predicted region's display name, if any.
-    pub hottest_region: Option<String>,
-    /// Observed squashes per thousand commits in the native run.
-    pub observed_permille: u64,
-    /// Raw substrate squash count (versions squashed by conflicts).
-    pub violations: u64,
-    /// Raw substrate commit count.
-    pub commits: u64,
-}
-
-/// Runs one workload conflict-driven at `threads` and pairs the plan's
-/// static conflict-density estimate with the substrate's observed
-/// squash rate. The run is ungoverned so throttling cannot mask
-/// conflicts the estimate is supposed to predict. A kernel's chunks fold
-/// their checksum tail at commit and touch no substrate address, so the
-/// observed rate is 0 by construction until the substrate is given the
-/// kernels' own addresses: the column is the instrument, not yet a
-/// reading.
-pub fn conflict_calibration(
-    w: &dyn Workload,
-    size: InputSize,
-    threads: usize,
-) -> ConflictCalibration {
-    let model = w.ir_model();
-    let result = seqpar::Parallelizer::new(&model.program)
-        .profile(model.profile.clone())
-        .allow_unsound(true)
-        .parallelize_outermost(model.func)
-        .expect("workload IR model parallelizes");
-    let plan = result.plan(threads);
-    let profile = plan.conflict_profile();
-    let predicted_permille = profile.map_or(0, ConflictProfile::density_permille);
-    let hottest_region = profile
-        .and_then(ConflictProfile::hottest)
-        .map(|r| r.region.clone());
-
-    let versioned = w.versioned_job(size);
-    let engine = Engine::new(EngineConfig::for_plan(&plan));
-    engine.warm();
-    let report = engine
-        .run(&versioned.job_spec(&plan, ExecConfig::default()).0)
-        .expect("plan matches machine");
-    let (violations, commits) = report.mem.map_or((0, 0), |m| (m.violations, m.commits));
-    ConflictCalibration {
-        spec_id: w.meta().spec_id.to_string(),
-        threads,
-        predicted_permille,
-        hottest_region,
-        observed_permille: 1000 * violations / commits.max(1),
-        violations,
-        commits,
-    }
-}
-
-/// Renders predicted-vs-observed conflict densities as a markdown
-/// table. Observed counts are timing-dependent; the table is a
-/// calibration aid, not a determinism fixture.
-pub fn render_conflict_table(rows: &[ConflictCalibration]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| benchmark | threads | predicted ‰ | observed ‰ | squashes/commits | hot region |\n",
-    );
-    out.push_str(
-        "|-----------|--------:|------------:|-----------:|-----------------:|------------|\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {}/{} | {} |\n",
-            r.spec_id,
-            r.threads,
-            r.predicted_permille,
-            r.observed_permille,
-            r.violations,
-            r.commits,
-            r.hottest_region.as_deref().unwrap_or("—"),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,80 +762,18 @@ mod tests {
     }
 
     #[test]
-    fn native_curve_renders_substrate_columns_for_every_workload() {
-        // The shim is gone: every workload's native sweep is
-        // conflict-driven, so the rendered table must carry real
-        // forwards/conflicts/silent counts — never the dash
-        // placeholders — for all 11 benchmarks.
-        for w in seqpar_workloads::all_workloads() {
-            let curve = native_sweep(
-                w.as_ref(),
-                InputSize::Test,
-                PlanKind::Tls,
-                &[2],
-                &ExecConfig::default(),
-            );
-            let table = render_native_curve(&curve);
-            assert!(
-                table.contains("conflict-driven on versioned memory"),
-                "{}: native table must be headed conflict-driven",
-                curve.spec_id
-            );
-            for col in ["forwards", "conflicts", "silent"] {
-                assert!(
-                    table.contains(col),
-                    "{}: missing substrate column {col}",
-                    curve.spec_id
-                );
-            }
-            for line in table.lines().skip(2) {
-                assert!(
-                    !line.split_whitespace().any(|cell| cell == "-"),
-                    "{}: shim dash leaked into rendered row: {line}",
-                    curve.spec_id
-                );
-            }
-            assert!(
-                curve.points.iter().all(|p| p.mem.is_some()),
-                "{}: every sweep point carries substrate counters",
-                curve.spec_id
-            );
-        }
-    }
-
-    #[test]
-    fn conflict_calibration_reports_every_workload() {
-        // The predicted-vs-observed table must carry a row per
-        // benchmark with the static estimate filled in from the plan's
-        // conflict profile.
-        let workloads = seqpar_workloads::all_workloads();
-        let rows: Vec<_> = workloads
-            .iter()
-            .map(|w| conflict_calibration(w.as_ref(), InputSize::Test, 8))
-            .collect();
-        let table = render_conflict_table(&rows);
-        for w in &workloads {
-            assert!(
-                table.contains(w.meta().spec_id),
-                "missing row for {}:\n{table}",
-                w.meta().spec_id
-            );
-        }
-        // The annealers' profiled swap collisions dominate their
-        // static estimates; a speculation-free workload stays quiet.
-        let by_id = |id: &str| rows.iter().find(|r| r.spec_id == id).expect("row");
-        assert!(by_id("175.vpr").predicted_permille > 0);
-        assert_eq!(
-            by_id("175.vpr").hottest_region.as_deref(),
-            Some("block_coords")
-        );
-        assert!(by_id("300.twolf").predicted_permille > 0);
-        assert_eq!(by_id("197.parser").predicted_permille, 0);
-        // No kernel chunk touches a substrate address: nothing to squash.
-        for r in &rows {
-            assert_eq!(r.violations, 0, "{}", r.spec_id);
-            assert_eq!(r.observed_permille, 0, "{}", r.spec_id);
-        }
+    fn lint_workload_estimates_the_annealers_conflict_density() {
+        // The annealers' profiled swap collisions dominate their static
+        // estimates; a speculation-free workload stays quiet.
+        let outcome = |id: &str| {
+            let w = seqpar_workloads::workload_by_name(id).expect("known benchmark");
+            lint_workload(w.as_ref(), 8)
+        };
+        let vpr = outcome("175.vpr");
+        assert!(vpr.predicted_conflict_permille > 0);
+        assert_eq!(vpr.hottest_region.as_deref(), Some("block_coords"));
+        assert!(outcome("300.twolf").predicted_conflict_permille > 0);
+        assert_eq!(outcome("197.parser").predicted_conflict_permille, 0);
     }
 
     #[test]

@@ -661,13 +661,6 @@ impl ConcurrentVersionedMemory {
         })
     }
 
-    /// If `v` is live and doomed, reports who squashed it. Returns
-    /// `None` when `v` is unknown (already committed or rolled back)
-    /// or not squashed.
-    pub fn squash_info(&self, v: VersionId) -> Option<VersionId> {
-        self.registry.read().get(&v.0)?.squashed_by()
-    }
-
     /// A consistent-enough snapshot of the accumulated statistics
     /// (individual counters are exact; cross-counter invariants may be
     /// mid-update while other threads operate).
@@ -788,29 +781,39 @@ mod tests {
         assert!(m.is_squashed(VersionId(1)));
     }
 
+    /// The commit check names who squashed a live doomed version, a
+    /// younger squasher included, and keeps naming it after the squasher
+    /// commits; a version committed, rolled back or never begun is
+    /// unknown, and a live undoomed one is merely not the oldest.
     #[test]
-    fn squash_info_names_the_squasher_of_a_live_doomed_version_only() {
+    fn commit_check_names_the_squasher_of_a_live_doomed_version() {
         let m = ConcurrentVersionedMemory::new();
-        for v in 0..4 {
-            m.begin(VersionId(v));
+        let v = VersionId;
+        for i in 0..4 {
+            m.begin(v(i));
         }
-        assert_eq!(m.read(VersionId(2), Addr(5)), 0);
-        assert_eq!(m.read(VersionId(3), Addr(6)), 0);
-        assert_eq!(m.squash_info(VersionId(2)), None, "live, not doomed");
-        m.write(VersionId(1), Addr(5), 9);
-        m.write(VersionId(0), Addr(6), 9);
-        assert_eq!(m.squash_info(VersionId(2)), Some(VersionId(1)));
-        assert_eq!(m.squash_info(VersionId(3)), Some(VersionId(0)));
-        // Committed, rolled back and never begun: nobody to ask about.
-        m.try_commit(VersionId(0)).unwrap();
-        m.rollback(VersionId(2));
+        assert_eq!(m.read(v(2), Addr(5)), 0);
+        assert_eq!(m.read(v(3), Addr(6)), 0);
         assert_eq!(
-            m.squash_info(VersionId(3)),
-            Some(VersionId(0)),
+            m.commit_check_batch(&[v(2)]),
+            (0, Some(CommitError::NotOldest)),
+            "live, not doomed"
+        );
+        m.write(v(1), Addr(5), 9);
+        m.write(v(0), Addr(6), 9);
+        let squashed = |by| Some(CommitError::Squashed { by: v(by) });
+        assert_eq!(m.commit_check_batch(&[v(0), v(1), v(2)]), (2, squashed(1)));
+        assert_eq!(m.commit_check_batch(&[v(3)]), (0, squashed(0)));
+        m.try_commit(v(0)).unwrap();
+        m.rollback(v(2));
+        assert_eq!(
+            m.commit_check_batch(&[v(1), v(3)]),
+            (1, squashed(0)),
             "still doomed"
         );
-        for v in [0, 2, 7] {
-            assert_eq!(m.squash_info(VersionId(v)), None, "v{v}");
+        for i in [0, 2, 7] {
+            let unknown = (0, Some(CommitError::Unknown));
+            assert_eq!(m.commit_check_batch(&[v(i)]), unknown, "v{i}");
         }
     }
 
