@@ -3,6 +3,11 @@
 //! governed against repeated runs of its own sequential loop, every
 //! output byte-checked, and the two-seat rows certified by the host's
 //! measured capacity.
+//!
+//! A row's engine has a worker per distinct core of its plan but one
+//! ([`EngineConfig::for_plan`]), and [`Engine::new`] spawns at least one.
+//! So a `three_phase(1)` row, whose three stages share core 0, still runs
+//! on two threads, the caller and that worker: it is no one-core reading.
 
 use crate::{geomean, misspec_rate, simulate_graph, PlanKind};
 use seqpar_runtime::{Engine, EngineConfig, ExecConfig, FaultPlan, GovernorConfig};
@@ -144,7 +149,8 @@ pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>)
     }
 }
 
-/// One row on a warmed engine sized to the plan. Repeat `r` runs the
+/// One row on a warmed engine sized to the plan (two threads for a
+/// `three_phase(1)` row; see the module doc). Repeat `r` runs the
 /// sequential loop, the ungoverned and the governed run in an order
 /// rotated by `r`, so no column always runs first.
 fn native_row(

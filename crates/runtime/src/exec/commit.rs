@@ -47,8 +47,6 @@ use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMP
 use crate::task::{StageId, TaskId};
 use seqpar_specmem::{CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The work item that replays a squashed attempt: straight back in
@@ -79,7 +77,6 @@ impl From<ExecError> for Stop {
 /// The commit-side state: reorder buffer, counters, and the growing
 /// output stream.
 pub(super) struct CommitUnit {
-    watermark: Arc<AtomicU64>,
     /// Index of the next task to commit.
     next: usize,
     /// Finished-but-uncommitted results: a ring offset by `next`, so
@@ -119,9 +116,8 @@ pub(super) struct CommitUnit {
 }
 
 impl CommitUnit {
-    pub(super) fn new(watermark: Arc<AtomicU64>, trace: TraceBuffer, config: &ExecConfig) -> Self {
+    pub(super) fn new(trace: TraceBuffer, config: &ExecConfig) -> Self {
         Self {
-            watermark,
             next: 0,
             buffer: VecDeque::new(),
             buffered: 0,
@@ -191,8 +187,7 @@ impl CommitUnit {
         done
     }
 
-    /// Moves the frontier `by` tasks on, retiring their slots, and
-    /// publishes the new watermark.
+    /// Moves the frontier `by` tasks on, retiring their slots.
     fn advance(&mut self, by: usize) {
         for _ in 0..by {
             if let Some(Some(_)) = self.buffer.pop_front() {
@@ -200,7 +195,6 @@ impl CommitUnit {
             }
         }
         self.next += by;
-        self.watermark.store(self.next as u64, Ordering::Release);
     }
 
     /// Takes one completion off the board into the reorder buffer. A

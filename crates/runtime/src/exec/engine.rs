@@ -46,9 +46,10 @@
 //! the job has no seat for it; that sleep is the watchdog. Task bodies
 //! never block on other tasks (ordering is enforced at each job's
 //! commit frontier), so a busy pool delays jobs but cannot deadlock
-//! them. Size the pool to the widest single plan *minus one* — the
-//! caller fills the last seat, and every job in flight brings its own
-//! runner; an undersized pool degrades to time-slicing.
+//! them. Size the pool to the most cores a single plan names *minus
+//! one* — the caller is the last, and every job in flight brings its
+//! own runner; seats on one core, or a pool smaller than the seats,
+//! time-slice.
 //!
 //! # Lifecycle
 //!
@@ -66,6 +67,7 @@ use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
 use crate::plan::ExecutionPlan;
 use crate::task::TaskGraph;
 use seqpar_specmem::ConcurrentVersionedMemory;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::JoinHandle;
@@ -96,13 +98,15 @@ impl EngineConfig {
         Self { workers }
     }
 
-    /// A pool with one worker per seat of `plan` but one: the thread
-    /// that runs the job fills the last seat.
+    /// A pool with one worker per distinct core of `plan` but one: the
+    /// thread that runs the job is the last. Stages that share a core
+    /// share its thread, so `three_phase(2)` gets one worker, and a
+    /// one-core plan none ([`Engine::new`] still spawns one).
     pub fn for_plan(plan: &ExecutionPlan) -> Self {
-        let seats: usize = (0..plan.stage_count())
-            .map(|s| plan.stage(s).cores().len())
-            .sum();
-        Self::with_workers(seats.saturating_sub(1))
+        let cores: BTreeSet<usize> = (0..plan.stage_count())
+            .flat_map(|s| plan.stage(s).cores())
+            .collect();
+        Self::with_workers(cores.len().saturating_sub(1))
     }
 }
 
@@ -385,19 +389,17 @@ fn run_engine_job(
         return Ok(report);
     }
 
-    let watermark = Arc::new(AtomicU64::new(0));
     // One shared clock, one private buffer per recording site: the
     // commit frontier, the dispatcher, and every ticket a runner
     // serves. All no-ops when tracing is off.
     let clock = TraceClock::new(spec.config.trace);
     let buffer = || TraceBuffer::for_job(clock, job);
     let board = Board::new(graph, plan, spec.config.queue_capacity);
-    let commit = CommitUnit::new(Arc::clone(&watermark), buffer(), &spec.config);
+    let commit = CommitUnit::new(buffer(), &spec.config);
     let frontier = Frontier::new(spec, board.lane_count(), commit, buffer());
     let shared = Arc::new(JobShared {
         job,
         spec: spec.clone(),
-        watermark,
         clock,
         board,
         frontier: Mutex::new(frontier),

@@ -105,7 +105,6 @@ use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use serde::{Deserialize, Serialize};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 use trace::TraceBuffer;
@@ -352,7 +351,7 @@ impl TaskCtx<'_> {
     /// value speculation would really have computed); re-executions
     /// (`attempt > 0`) run after every earlier task committed and must
     /// produce the true result. Branching on this flag rather than on
-    /// the racy commit watermark keeps outputs deterministic.
+    /// how far the racing commits have got keeps outputs deterministic.
     pub fn speculative(&self) -> bool {
         self.attempt == 0
     }
@@ -572,10 +571,10 @@ fn call(
     let board = &job.board;
     Turn::wait_for(job, pool).take();
     let deadline = job.spec.config.watchdog_deadline;
-    // Publications plus commits, neither ever falling: what the job had
-    // done when it last moved, and when this thread noticed.
-    let progress = || board.published() + job.watermark.load(Ordering::Acquire);
-    let mut moved = (progress(), Instant::now());
+    // Publications, which never fall and precede every commit of an
+    // open board: what the job had done when it last moved, and when
+    // this thread noticed.
+    let mut moved = (board.published(), Instant::now());
     let mut watchdog_trips = 0;
     while !board.is_closed() {
         if let Some(seat) = board.take_home() {
@@ -583,15 +582,15 @@ fn call(
             while stage::serve(job, seat, pool) {}
             continue;
         }
-        if progress() != moved.0 {
-            moved = (progress(), Instant::now());
+        if board.published() != moved.0 {
+            moved = (board.published(), Instant::now());
         }
         let waited = moved.1.elapsed();
         if waited >= deadline {
-            // A whole deadline without a publication or a commit: a
-            // stage is wedged, and the rest runs here. The lock is
-            // waited for: only fallback bodies run under it. Closing the
-            // board ends this loop.
+            // A whole deadline without a publication: a stage is wedged,
+            // and the rest runs here. The lock is waited for: only
+            // fallback bodies run under it. Closing the board ends this
+            // loop.
             board.close();
             let mut turn = Turn::wait_for(job, pool);
             if turn.f.outcome.is_none() {

@@ -541,15 +541,13 @@ impl<T> Injector<T> {
 }
 
 /// One job as its runners share it: the spec every attempt runs
-/// against, the commit watermark the caller's watchdog reads, the trace
-/// clock, the board, and the frontier one of them at a time takes a
-/// turn at. Every ticket of the job holds an `Arc` of it, so a runner
-/// serves each attempt against this job's graph, body, substrate and
-/// fault plan — never a neighbour's.
+/// against, the trace clock, the board, and the frontier one of them at
+/// a time takes a turn at. Every ticket of the job holds an `Arc` of it,
+/// so a runner serves each attempt against this job's graph, body,
+/// substrate and fault plan — never a neighbour's.
 pub(super) struct JobShared {
     pub job: JobId,
     pub spec: JobSpec,
-    pub watermark: Arc<AtomicU64>,
     pub clock: TraceClock,
     pub board: Board,
     pub frontier: Mutex<Frontier>,

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// Runs one job on an engine of its own — one runner per seat of `plan`,
+/// Runs one job on an engine of its own — one runner per core of `plan`,
 /// the calling thread being the last — dropped on return.
 fn run_on(
     mem: Option<Arc<ConcurrentVersionedMemory>>,
@@ -1227,6 +1227,18 @@ fn dropping_the_engine_lets_submitted_jobs_finish_on_the_pool() {
 fn an_engine_has_at_least_one_worker() {
     let engine = Engine::new(EngineConfig::with_workers(0));
     assert_eq!(engine.config().workers, 1);
+}
+
+/// `for_plan` counts the plan's distinct cores, not its seats: stages
+/// that share a core share its thread.
+#[test]
+fn an_engine_for_a_plan_has_a_worker_per_core_but_one() {
+    let workers = |plan: ExecutionPlan| EngineConfig::for_plan(&plan).workers;
+    assert_eq!(workers(ExecutionPlan::tls(1)), 0);
+    assert_eq!(workers(ExecutionPlan::tls(2)), 1);
+    assert_eq!(workers(ExecutionPlan::three_phase(1)), 0);
+    assert_eq!(workers(ExecutionPlan::three_phase(2)), 1);
+    assert_eq!(workers(ExecutionPlan::three_phase(4)), 3);
 }
 
 #[test]

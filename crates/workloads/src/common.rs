@@ -168,7 +168,8 @@ pub trait Workload: fmt::Debug {
     /// [`ConcurrentVersionedMemory`](seqpar_specmem::ConcurrentVersionedMemory)
     /// and its checksum tail folded at commit. Building it runs no
     /// iteration: its first [`sequential`](VersionedJob::sequential) run
-    /// is the one pass that also records its trace and restore points.
+    /// is the one pass that also records its trace, and the first plan
+    /// with two or more seats keeps its restore points.
     /// This is the one native packaging: benchmarks and figures run its
     /// [`job_spec`](VersionedJob::job_spec) on an
     /// [`Engine`](seqpar_runtime::Engine), and the differential tests

@@ -298,6 +298,9 @@ impl Kernel for Statements {
         Some((bytes, meter.take().max(1), collected))
     }
 
+    /// The whole interpreter, kept before each chunk of a plan with two
+    /// or more seats: the job's first sequential run keeps none, so the
+    /// clones do not slow the steps its clock times.
     fn point(&self, interp: &Interp) -> Option<Interp> {
         Some(interp.clone())
     }

@@ -291,7 +291,9 @@ impl Kernel for Augment {
         Some((bytes, work.max(1), costs))
     }
 
-    /// Its ~30 µs iteration keeps every point.
+    /// The whole solver. Only a plan with two or more seats keeps points,
+    /// one before each of its chunks: at its k = 1 that is one per ~30 µs
+    /// iteration, ~3 MiB at `Train`.
     fn point(&self, solver: &Solver) -> Option<Solver> {
         Some(solver.clone())
     }

@@ -5,10 +5,10 @@
 //! [`Workload::trace`](crate::Workload::trace) is one pass of its steps
 //! that keeps only the trace; a [`VersionedJob`] runs the same steps
 //! **for real** on an [`Engine`]'s worker threads. A kernel job's first
-//! sequential run is its one pass: it emits the bytes, reads the clock,
-//! and records the trace and sparse restore points, from which a chunk
-//! of iterations restores once. Every record ends in a *tail*: the
-//! values of the loop's checksum slots after it, folded in program
+//! sequential run is its one pass: it emits the bytes, reads the clock
+//! and records the trace. A plan with two or more seats keeps restore
+//! points, from which each chunk restores. Every record ends in a *tail*:
+//! the values of the loop's checksum slots after it, folded in program
 //! order. Who folds the tail is the constructor's choice:
 //!
 //! * a kernel's job ([`Workload::versioned_job`](crate::Workload::versioned_job)):
@@ -56,7 +56,7 @@ pub struct SequentialRun {
     /// Total metered work.
     pub work: u64,
     /// Wall-clock time of the run's steps and fold — on a kernel job's
-    /// first run, not of the trace and the points it records.
+    /// first run, not of the record rule that writes its trace.
     pub wall: Duration,
 }
 
@@ -67,11 +67,6 @@ pub struct SequentialRun {
 pub trait RangeRunner: Send + Sync + 'static {
     /// Runs `iters` in order, emitting every record.
     fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64));
-
-    /// A range that starts on a multiple of this replays nothing.
-    fn stride(&self) -> u64 {
-        1
-    }
 }
 
 impl<F: Fn(u64) -> (Vec<u8>, u64) + Send + Sync + 'static> RangeRunner for F {
@@ -107,9 +102,9 @@ pub(crate) trait Kernel: Send + Sync + 'static {
     /// record rule reads of it; `None` once the loop has ended.
     fn step(&self, state: &mut Self::State, i: u64) -> Option<(Vec<u8>, u64, Self::Seen)>;
 
-    /// What a restore point keeps of `state`. A loop that keeps none
-    /// starts every range from [`start`](Kernel::start): its state holds
-    /// nothing a step's bytes or work read.
+    /// What a restore point keeps of `state` ([`Resume`]). A loop that
+    /// keeps none starts every range from [`start`](Kernel::start): its
+    /// state holds nothing a step's bytes or work read.
     fn point(&self, _state: &Self::State) -> Option<Self::Point> {
         None
     }
@@ -147,12 +142,9 @@ fn step<K: Kernel>(kernel: &K, state: &mut K::State, i: u64) -> Option<(Vec<u8>,
 /// Building one generates the loop's inputs and runs none of it.
 #[derive(Clone)]
 pub struct KernelLoop {
-    pass: Arc<dyn Fn(bool) -> (IterationTrace, Option<Kept>) + Send + Sync>,
+    runs: Arc<dyn Loop>,
     tail: Arc<Tail>,
 }
-
-/// A job's pass's runner, output (as [`Tail::emit`] lays it), work and clock.
-type Kept = (Box<dyn RangeRunner>, Vec<u8>, u64, Duration);
 
 impl fmt::Debug for KernelLoop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -162,130 +154,126 @@ impl fmt::Debug for KernelLoop {
 
 impl KernelLoop {
     pub(crate) fn new<K: Kernel>(kernel: K) -> Self {
-        let kernel = Arc::new(kernel);
-        let folds = Arc::clone(&kernel);
-        let tail = Tail {
+        let runs = Arc::new(Resume {
+            kernel,
+            points: OnceLock::new(),
+            left: Mutex::new(None),
+        });
+        let folds = Arc::clone(&runs);
+        let tail = Arc::new(Tail {
             slots: K::SLOTS,
-            fold: Box::new(move |i, bytes, slots| folds.fold(i, bytes, slots)),
-        };
-        Self {
-            pass: Arc::new(move |kept| pass(&kernel, kept)),
-            tail: Arc::new(tail),
-        }
+            fold: Box::new(move |i, bytes, slots| folds.kernel.fold(i, bytes, slots)),
+        });
+        Self { runs, tail }
     }
 
     /// The loop's trace, from a pass that keeps nothing else.
     pub(crate) fn trace(&self) -> IterationTrace {
-        (self.pass)(false).0
+        self.runs.pass(false).0
     }
 }
 
-/// Runs `kernel`'s loop once from its start, recording the trace. A
-/// job's pass (`kept`) also keeps the output, sparse restore points and
-/// a clock of the steps alone: before every `stride`-th step it reads the
-/// clock and pauses it to keep a point and record the steps since. The
-/// stride is a power of two the clock widens until a stride of steps
-/// lasts a quarter of [`GRAIN_TARGET_NS`]: so a chunk the grain's time
-/// term sizes starts on a point; a shorter one replays under a stride.
-fn pass<K: Kernel>(kernel: &Arc<K>, kept: bool) -> (IterationTrace, Option<Kept>) {
-    let (mut trace, mut book) = (IterationTrace::new(), K::Book::default());
-    trace.speculative = K::SPECULATIVE;
-    // The steps the rule has yet to read, each one's work and what it saw.
-    let mut pending: Vec<(u64, K::Seen)> = Vec::new();
-    let mut record = |pending: &mut Vec<_>| {
-        for (work, seen) in pending.drain(..) {
-            let i = trace.len() as u64;
-            trace.push(kernel.record(&mut book, i, work, seen));
-        }
-    };
-    let mut live = kernel.start();
-    let (mut out, mut work, mut points, mut stride) = (Vec::new(), 0, Vec::new(), 1);
-    // The steps' time before the last pause, and when they resumed.
-    let (mut walked, mut resumed) = (Duration::ZERO, Instant::now());
-    for i in 0u64.. {
-        if kept && i.is_multiple_of(stride) {
-            walked += resumed.elapsed();
-            let fits = u128::from(GRAIN_TARGET_NS / 4 * i) / walked.as_nanos().max(1);
-            #[cfg(test)]
-            let fits = if tests::EVERY_POINT.get() { 0 } else { fits };
-            if fits > u128::from(stride) {
-                stride = 1 << fits.ilog2();
-            }
-            if i.is_multiple_of(stride) {
-                if let Some(point) = kernel.point(&live) {
-                    #[cfg(test)]
-                    tests::POINTS.set(tests::POINTS.get() + 1);
-                    points.push((i, point));
-                }
-                record(&mut pending);
-            }
-            resumed = Instant::now();
-        }
-        let Some((bytes, w, seen)) = step(&**kernel, &mut live, i) else {
-            break;
-        };
-        pending.push((w, seen));
-        if kept {
-            push_record(&mut out, &bytes, K::SLOTS);
-            work += w;
-        } else {
-            record(&mut pending);
-        }
-    }
-    let clocked = walked + resumed.elapsed();
-    record(&mut pending);
-    out.shrink_to_fit();
-    let kept = kept.then(|| {
-        let runner = Resume {
-            kernel: Arc::clone(kernel),
-            stride: if points.is_empty() { 1 } else { stride },
-            points,
-            left: Mutex::new(None),
-        };
-        (Box::new(runner) as Box<dyn RangeRunner>, out, work, clocked)
-    });
-    (trace, kept)
+/// A kernel's loop, its type erased: a job's pass, points and ranges.
+trait Loop: RangeRunner {
+    /// Runs the loop once, recording the trace; a job's pass (`kept`) also
+    /// keeps the output (as [`Tail::emit`] lays it), the work and a clock
+    /// of the steps alone, not of the record rule. It keeps no point.
+    fn pass(&self, kept: bool) -> (IterationTrace, Option<(Vec<u8>, u64, Duration)>);
+    /// Keeps the state before every multiple of `k` below `n` as a point,
+    /// walking the loop once, untimed; a later call keeps nothing.
+    fn keep(&self, k: u64, n: u64);
+    /// The kept points' stride, once kept.
+    fn stride(&self) -> Option<u64>;
 }
 
-/// Runs ranges of a recorded kernel loop: a range restores the latest
-/// point at or before it and replays up to it, unmetered (a loop with no
-/// points starts from its start), unless it starts where the last range
-/// ended — the next chunk on one seat — and resumes that one's state.
+/// Runs ranges of a kernel's loop. A range that starts where the last
+/// one ended (the next chunk on one seat) resumes the state it left; any
+/// other restores the latest point at or before it and replays up to it,
+/// unmetered. A plan with two or more seats keeps points at its grain
+/// ([`Loop::keep`]), so none of its chunks replays; a one-seat plan keeps
+/// none, and a range of it that cannot resume replays from the start.
 struct Resume<K: Kernel> {
-    kernel: Arc<K>,
-    points: Vec<(u64, K::Point)>,
-    stride: u64,
+    kernel: K,
+    points: OnceLock<Points<K::Point>>,
     left: Mutex<Option<(u64, K::State)>>,
 }
 
+/// Restore points' stride, and each point after the iteration it precedes.
+type Points<P> = (u64, Vec<(u64, P)>);
+
 impl<K: Kernel> RangeRunner for Resume<K> {
     fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)) {
-        let kernel = &*self.kernel;
+        let kernel = &self.kernel;
         let left = self.left.lock().expect("no panic under the lock").take();
-        let later = self.points.partition_point(|(i, _)| *i <= iters.start);
-        let mut live = match (left, later.checked_sub(1)) {
-            (Some((end, live)), _) if end == iters.start => live,
-            (_, None) => kernel.start(),
-            (_, Some(p)) => {
-                let (from, point) = &self.points[p];
-                let mut live = kernel.restore(point);
-                // The replay restores the range's state: its work belongs
-                // to the iterations it repeats.
-                for i in *from..iters.start {
-                    step(kernel, &mut live, i);
-                }
-                live
+        let points = self.points.get().map_or(&[][..], |(_, points)| points);
+        let later = points.partition_point(|(i, _)| *i <= iters.start);
+        let (from, mut live) = match (left, later.checked_sub(1)) {
+            (Some((end, live)), _) if end == iters.start => (end, live),
+            (_, Some(p)) => (points[p].0, kernel.restore(&points[p].1)),
+            (_, None) => {
+                let keeps = iters.start > 0 && kernel.point(&kernel.start()).is_some();
+                (if keeps { 0 } else { iters.start }, kernel.start())
             }
         };
+        // The replay restores the range's state: its work belongs to the
+        // iterations it repeats.
+        for i in from..iters.start {
+            step(kernel, &mut live, i);
+        }
         for i in iters.clone() {
             let (bytes, work, _) = step(kernel, &mut live, i).expect("the loop runs this far");
             emit(&bytes, work);
         }
         *self.left.lock().expect("no panic under the lock") = Some((iters.end, live));
     }
+}
 
-    fn stride(&self) -> u64 {
-        self.stride
+impl<K: Kernel> Loop for Resume<K> {
+    fn pass(&self, kept: bool) -> (IterationTrace, Option<(Vec<u8>, u64, Duration)>) {
+        let kernel = &self.kernel;
+        let (mut live, mut out, mut work) = (kernel.start(), Vec::new(), 0);
+        // Each step's work and what the record rule reads of it.
+        let mut seen: Vec<(u64, K::Seen)> = Vec::new();
+        let started = Instant::now();
+        while let Some((bytes, w, s)) = step(kernel, &mut live, seen.len() as u64) {
+            if kept {
+                push_record(&mut out, &bytes, K::SLOTS);
+                work += w;
+            }
+            seen.push((w, s));
+        }
+        let clocked = started.elapsed();
+        let (mut trace, mut book) = (IterationTrace::new(), K::Book::default());
+        trace.speculative = K::SPECULATIVE;
+        for (i, (w, s)) in (0..).zip(seen) {
+            trace.push(kernel.record(&mut book, i, w, s));
+        }
+        out.shrink_to_fit();
+        (trace, kept.then_some((out, work, clocked)))
+    }
+
+    fn keep(&self, k: u64, n: u64) {
+        self.points.get_or_init(|| {
+            #[cfg(test)]
+            let k = if tests::EVERY_POINT.get() { 1 } else { k };
+            let (mut live, mut points) = (self.kernel.start(), Vec::new());
+            for i in 0..n {
+                if i.is_multiple_of(k) {
+                    let Some(point) = self.kernel.point(&live) else {
+                        break;
+                    };
+                    #[cfg(test)]
+                    tests::POINTS.set(tests::POINTS.get() + 1);
+                    points.push((i, point));
+                }
+                step(&self.kernel, &mut live, i);
+            }
+            (k, points)
+        });
+    }
+
+    fn stride(&self) -> Option<u64> {
+        self.points.get().map(|(k, _)| *k)
     }
 }
 
@@ -379,7 +367,8 @@ struct Committed {
 /// commit with nothing read or written, since its checksum tail folds at
 /// commit — and that fold (EXPERIMENTS.md "The checksum tail folds at
 /// commit"). A task of 32 µs so outlasts its overhead 20 times and more:
-/// under 5 % of the wall is hand-off, substrate and commit.
+/// under 5 % of the wall is hand-off, substrate and commit. The first
+/// plan with two or more seats keeps restore points at the k this sets.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
 /// Chunking never leaves a seat of the plan's widest stage fewer tasks
@@ -406,15 +395,13 @@ pub struct VersionedJob {
     iteration_ns: Arc<OnceLock<u64>>,
 }
 
-/// A job's trace and the runner of its iterations.
-type Recorded = (IterationTrace, Box<dyn RangeRunner>);
-
 /// What a job runs, shared by its clones.
 struct Body {
-    /// The trace and the runner: given to
-    /// [`accumulating`](VersionedJob::accumulating), recorded by a kernel
-    /// job's first sequential run from its loop.
-    recorded: OnceLock<Recorded>,
+    /// The trace: given to [`accumulating`](VersionedJob::accumulating),
+    /// recorded by a kernel job's first sequential run from its loop.
+    trace: OnceLock<IterationTrace>,
+    /// What runs the iterations: a kernel job's is its loop.
+    runner: Arc<dyn RangeRunner>,
     kernel: Option<KernelLoop>,
     tail: Arc<Tail>,
     /// An `accumulating` job's slot values before each iteration, in
@@ -424,11 +411,11 @@ struct Body {
 
 impl fmt::Debug for VersionedJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let recorded = self.body.recorded.get();
+        let (trace, kernel) = (self.body.trace.get(), self.body.kernel.as_ref());
         f.debug_struct("VersionedJob")
-            .field("iterations", &recorded.map(|(trace, _)| trace.len()))
+            .field("iterations", &trace.map(IterationTrace::len))
             .field("iteration_ns", &self.iteration_ns.get())
-            .field("restore_stride", &recorded.map(|(_, r)| r.stride()))
+            .field("restore_stride", &kernel.and_then(|k| k.runs.stride()))
             .field("folds_at_commit", &self.body.at_commit())
             .finish_non_exhaustive()
     }
@@ -441,11 +428,6 @@ fn widest_stage(plan: &ExecutionPlan) -> usize {
 }
 
 impl Body {
-    fn recorded(&self) -> &Recorded {
-        let recorded = self.recorded.get();
-        recorded.expect("a sequential run records the loop")
-    }
-
     /// Whether the commit folds the tail, not the chunk: a kernel's job.
     fn at_commit(&self) -> bool {
         self.kernel.is_some()
@@ -462,8 +444,8 @@ impl Body {
         iters: Range<u64>,
         mem: Option<(VersionId, &ConcurrentVersionedMemory)>,
     ) -> (Vec<u8>, u64) {
-        let (trace, runner) = self.recorded();
-        let (mut out, work) = self.tail.emit(&**runner, iters.clone());
+        let runner = &*self.runner;
+        let (mut out, work) = self.tail.emit(runner, iters.clone());
         if self.at_commit() {
             return (out, work);
         }
@@ -473,7 +455,8 @@ impl Body {
             None if iters.start == 0 || slots == 0 => vec![0; slots],
             None => self.prefix.get_or_init(|| {
                 let (mut table, mut state) = (Vec::new(), vec![0; slots]);
-                runner.run(0..trace.len() as u64, &mut |bytes, _| {
+                let n = self.trace.get().expect("an accumulating job's trace").len();
+                runner.run(0..n as u64, &mut |bytes, _| {
                     let i = (table.len() / slots) as u64;
                     table.extend_from_slice(&state);
                     (self.tail.fold)(i, bytes, &mut state);
@@ -529,12 +512,16 @@ impl VersionedJob {
         slots: usize,
         fold: impl Fn(u64, &[u8], &mut [u64]) + Send + Sync + 'static,
     ) -> Self {
-        let recorded = (trace, Box::new(runner) as Box<dyn RangeRunner>);
         let tail = Tail {
             slots,
             fold: Box::new(fold),
         };
-        Self::new(OnceLock::from(recorded), None, Arc::new(tail))
+        Self::new(
+            OnceLock::from(trace),
+            Arc::new(runner),
+            None,
+            Arc::new(tail),
+        )
     }
 
     /// A kernel's job: [`accumulating`](VersionedJob::accumulating)'s
@@ -546,21 +533,25 @@ impl VersionedJob {
     /// fallback or a replay runs mid-loop needs no slot values before its
     /// range. Construction runs no iteration.
     pub(crate) fn recording(kernel: KernelLoop) -> Self {
-        let tail = Arc::clone(&kernel.tail);
-        Self::new(OnceLock::new(), Some(kernel), tail)
+        let (runs, tail) = (Arc::clone(&kernel.runs), Arc::clone(&kernel.tail));
+        Self::new(OnceLock::new(), runs, Some(kernel), tail)
     }
 
-    fn new(recorded: OnceLock<Recorded>, kernel: Option<KernelLoop>, tail: Arc<Tail>) -> Self {
+    fn new(
+        trace: OnceLock<IterationTrace>,
+        runner: Arc<dyn RangeRunner>,
+        kernel: Option<KernelLoop>,
+        tail: Arc<Tail>,
+    ) -> Self {
         let body = Body {
-            recorded,
+            trace,
+            runner,
             kernel,
             tail,
             prefix: OnceLock::new(),
         };
-        Self {
-            body: Arc::new(body),
-            iteration_ns: Arc::default(),
-        }
+        let (body, iteration_ns) = (Arc::new(body), Arc::default());
+        Self { body, iteration_ns }
     }
 
     /// The recorded trace, one record per iteration whatever the grain:
@@ -570,10 +561,13 @@ impl VersionedJob {
     /// [`grain`](VersionedJob::grain), and is [`JobSpec::graph`]. A
     /// kernel job nothing has run records it with a sequential run.
     pub fn trace(&self) -> &IterationTrace {
-        if self.body.recorded.get().is_none() {
+        if self.body.trace.get().is_none() {
             self.sequential();
         }
-        &self.body.recorded().0
+        self.body
+            .trace
+            .get()
+            .expect("a sequential run records the loop")
     }
 
     /// Number of loop iterations.
@@ -590,15 +584,14 @@ impl VersionedJob {
     /// sequential oracle, its tail folded — the reference against which
     /// versioned native output must be byte-identical. The job's first
     /// run sets its clock; a kernel job's first run is its one pass, which
-    /// also records the trace and the restore points, untimed.
+    /// also records the trace, untimed, and keeps no restore point.
     pub fn sequential(&self) -> SequentialRun {
         let mut first = None;
         if let Some(kernel) = &self.body.kernel {
-            self.body.recorded.get_or_init(|| {
-                let (trace, kept) = (kernel.pass)(true);
-                let (runner, output, work, clocked) = kept.expect("a job's pass keeps its run");
-                first = Some((output, work, clocked));
-                (trace, runner)
+            self.body.trace.get_or_init(|| {
+                let (trace, kept) = kernel.runs.pass(true);
+                first = kept;
+                trace
             });
         }
         let n = self.len();
@@ -703,6 +696,8 @@ impl VersionedJob {
     /// [`job_spec`](VersionedJob::job_spec) with the grain given, not
     /// measured: the one place a graph and a task body are built. Also
     /// returns the slot values the run's commits fold, for inspection.
+    /// The first call whose emitting stage has two or more seats keeps
+    /// a kernel job's restore points, at `k`: one seat resumes instead.
     fn job_spec_at(
         &self,
         k: usize,
@@ -714,19 +709,24 @@ impl VersionedJob {
         Arc<Mutex<Committed>>,
     ) {
         let chunks = self.trace().chunked(k);
-        let graph = Arc::new(if plan.stage_count() == 1 {
-            chunks.tls_task_graph()
+        let (graph, emit_stage) = if plan.stage_count() == 1 {
+            (chunks.tls_task_graph(), 0)
         } else {
-            chunks.task_graph()
-        });
+            (chunks.task_graph(), 1)
+        };
+        let seats = plan.stage(emit_stage).cores().len();
+        if let Some(kernel) = self.body.kernel.as_ref().filter(|_| seats > 1) {
+            kernel.runs.keep(k as u64, self.len() as u64);
+        }
         let mem = Arc::new(ConcurrentVersionedMemory::new());
         let folded = self.body.tail.slots * usize::from(self.body.at_commit());
         let committed = Arc::new(Mutex::new(Committed {
             state: vec![0; folded],
             tails: Vec::new(),
         }));
+        let graph = Arc::new(graph);
         let tasks = ChunkTasks {
-            emit_stage: if graph.stage_count() == 1 { 0 } else { 1 },
+            emit_stage,
             graph: Arc::clone(&graph),
             body: Arc::clone(&self.body),
             k: k as u64,
@@ -860,7 +860,8 @@ mod tests {
     /// What the sequential loop leaves: the versioned body run one
     /// iteration per version, each committed before the next begins and
     /// its tail folded then. Its records are the oracle's, which pins
-    /// body/oracle agreement on the way.
+    /// body/oracle agreement on the way: the oracle runs in a pass of its
+    /// own, so that each of its ranges resumes the one before.
     fn sequential_slots(id: &str, job: &VersionedJob) -> Vec<u64> {
         let mem = ConcurrentVersionedMemory::new();
         let (tail, at_commit) = (&job.body.tail, job.body.at_commit());
@@ -868,19 +869,19 @@ mod tests {
             state: vec![0; if at_commit { tail.slots } else { 0 }],
             tails: Vec::new(),
         };
+        let mut records = Vec::new();
         for i in 0..job.len() as u64 {
             let v = VersionId(i);
             mem.begin(v);
             let (mut versioned, work) = job.body.run(i..i + 1, Some((v, &mem)));
-            assert_eq!(
-                (versioned.clone(), work),
-                job.body.run(i..i + 1, None),
-                "{id} @ {i}"
-            );
+            records.push((versioned.clone(), work));
             mem.try_commit(v).expect("nothing runs beside it");
             if at_commit {
                 tail.fold(i, &mut versioned, &mut c.state, &mut c.tails);
             }
+        }
+        for (i, record) in (0..).zip(records) {
+            assert_eq!(record, job.body.run(i..i + 1, None), "{id} @ {i}");
         }
         slots(job, &mem, &c.state)
     }
@@ -898,10 +899,10 @@ mod tests {
             output
         }
 
-        /// The stride of the job's restore points, recorded if need be.
+        /// The stride of a kernel job's restore points, once kept.
         fn restore_stride(&self) -> u64 {
-            self.trace();
-            self.body.recorded.get().expect("recorded").1.stride()
+            let kernel = self.body.kernel.as_ref().expect("a kernel's job");
+            kernel.runs.stride().expect("the points are kept")
         }
     }
 
@@ -1237,7 +1238,8 @@ mod tests {
     /// no more, and a replay and a fallback from mid-loop run iteration 0
     /// once, on task 0's one attempt. The fold makes each the sequential
     /// stream. Every kernel's first sequential run is the only pass its
-    /// trace, its restore points and its clock need.
+    /// trace and its clock need; the first plan with two seats walks a
+    /// loop that keeps restore points once more, and no later plan does.
     #[test]
     fn a_job_runs_its_loop_once() {
         let n = 64u64;
@@ -1296,6 +1298,9 @@ mod tests {
         assert_eq!(report.output, seq.output, "fallback");
         assert_eq!(zeros.swap(0, Relaxed), 1, "fallback");
         assert_eq!(mem.stats().reads + mem.stats().writes, 0, "no slot access");
+        steps();
+        let _ = kernel.job_spec(&ExecutionPlan::tls(2), ExecConfig::default());
+        assert_eq!(steps(), 0, "a loop that keeps no point walks none");
 
         for w in all_workloads() {
             let id = w.meta().spec_id;
@@ -1316,11 +1321,21 @@ mod tests {
             let again = job.sequential();
             assert_eq!(steps(), n, "{id}: a second sequential run");
             assert_eq!((again.output, again.work), (seq.output, seq.work), "{id}");
+            let _ = job.job_spec(&ExecutionPlan::tls(2), ExecConfig::default());
+            let walked = if RESUMED.contains(&w.meta().name) {
+                n
+            } else {
+                0
+            };
+            assert_eq!(steps(), walked, "{id}: a two-seat plan's points");
+            let _ = job.job_spec(&ExecutionPlan::tls(4), ExecConfig::default());
+            assert_eq!(steps(), 0, "{id}: the points are kept once");
         }
     }
 
     /// Formatting a job reads its clock and runs none of its loop, and
-    /// formatting a kernel's job records none of it.
+    /// formatting a kernel's job records none of it: it prints the stride
+    /// of the restore points a two-seat plan kept, and none before.
     #[test]
     fn formatting_a_job_runs_none_of_its_loop() {
         let (job, ran) = counted(64);
@@ -1337,15 +1352,24 @@ mod tests {
         assert!(fresh.contains("iterations: None"), "{fresh}");
         assert!(fresh.contains("restore_stride: None"), "{fresh}");
         assert_eq!(steps(), 0, "formatting a kernel job nothing has run");
+        let _ = kernel.job_spec(&ExecutionPlan::tls(1), ExecConfig::default());
+        steps();
+        let one = format!("{kernel:?}");
+        assert!(one.contains("iterations: Some("), "{one}");
+        assert!(one.contains("restore_stride: None"), "{one}: one seat");
+        let two = ExecutionPlan::tls(2);
+        let _ = kernel.job_spec(&two, ExecConfig::default());
+        steps();
+        let kept = format!("{kernel:?}");
+        let stride = format!("restore_stride: Some({})", kernel.grain(&two));
+        assert!(kept.contains(&stride), "{kept}");
+        assert_eq!(steps(), 0, "formatting a kernel job that has run");
     }
 
     /// A loop of `n` iterations whose state is the index of the next one,
-    /// kept whole as a point; the indices kept are logged. `slow` steps
-    /// outlast a quarter of the grain target.
+    /// kept whole as a point.
     struct Indexed {
         n: u64,
-        slow: bool,
-        kept: Mutex<Vec<u64>>,
     }
 
     impl Kernel for Indexed {
@@ -1361,15 +1385,11 @@ mod tests {
 
         fn step(&self, live: &mut u64, i: u64) -> Option<(Vec<u8>, u64, ())> {
             assert_eq!(*live, i, "the live state is the one before {i}");
-            if self.slow {
-                std::thread::sleep(Duration::from_nanos(GRAIN_TARGET_NS / 4));
-            }
             *live += 1;
             (i < self.n).then(|| (vec![i as u8], 1, ()))
         }
 
         fn point(&self, live: &u64) -> Option<u64> {
-            self.kept.lock().expect("no panic").push(*live);
             Some(*live)
         }
 
@@ -1385,80 +1405,85 @@ mod tests {
     }
 
     /// Pins the rule of a job's restore points on a loop whose states are
-    /// their own indices: point 0 is kept; the stride only widens, so the
-    /// distance between consecutive points never shrinks; each point is a
-    /// multiple of the stride in force, which is a power of two at or
-    /// above its distance from the one before; and a range resumes from
-    /// the latest point at or before its start.
+    /// their own indices: the pass keeps none; a walk at `k` keeps the
+    /// state before every multiple of `k` below `n`, in one pass, and a
+    /// second walk keeps nothing; a range resumes the state the last one
+    /// left, or else restores the latest point at or before its start and
+    /// replays up to it unmetered — from the loop's start while no point
+    /// is kept.
     #[test]
     fn restore_points_keep_strided_states_and_resume_from_the_latest() {
-        let pass_of = |n: u64, slow: bool| {
-            let kernel = Arc::new(Indexed {
-                n,
-                slow,
-                kept: Mutex::default(),
-            });
-            let (trace, kept) = pass(&kernel, true);
-            assert_eq!(trace.len() as u64, n);
-            let runner = kept.expect("a job's pass keeps its run").0;
-            let points = kernel.kept.lock().expect("no panic").clone();
-            (points, runner)
+        let n = 100;
+        let runs = Resume {
+            kernel: Indexed { n },
+            points: OnceLock::new(),
+            left: Mutex::new(None),
         };
-        // An iteration that outlasts a quarter of the target keeps every
-        // point, the state before the step that ends the loop included; a
-        // cheap one widens the stride.
-        let (slow, runner) = pass_of(40, true);
-        assert_eq!(runner.stride(), 1);
-        assert_eq!(slow, (0..=40).collect::<Vec<_>>());
-        let (fast, runner) = pass_of(20_000, false);
-        let stride = runner.stride();
-        assert!(stride > 1, "a no-op iteration fits the quarter many times");
-        assert!(stride.is_power_of_two() && stride <= GRAIN_TARGET_NS / 4);
-        assert_eq!(fast[0], 0);
-        let gaps: Vec<u64> = fast.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(gaps.windows(2).all(|g| g[0] <= g[1]), "{gaps:?}");
-        for (&at, &gap) in fast[1..].iter().zip(&gaps) {
-            assert_eq!(at % gap.next_power_of_two(), 0, "{at} after {gap}");
-            assert!(gap <= stride, "{gap} > {stride}");
-        }
-        // The runner restores once and replays up to the range unmetered.
-        for range in [0..1, 5..9, 1_000..1_003, 19_990..20_000, 7..8] {
+        let (trace, kept) = runs.pass(true);
+        assert_eq!(trace.len() as u64, n);
+        assert!(
+            kept.is_some() && runs.stride().is_none(),
+            "a pass keeps none"
+        );
+        // Each range's steps, replay included.
+        let run = |range: Range<u64>| {
+            steps();
             let (mut bytes, mut work) = (Vec::new(), 0);
-            runner.run(range.clone(), &mut |b, w| {
+            runs.run(range.clone(), &mut |b, w| {
                 bytes.extend_from_slice(b);
                 work += w;
             });
             let expected: Vec<u8> = range.clone().map(|i| i as u8).collect();
             assert_eq!((bytes, work), (expected, range.end - range.start));
+            steps()
+        };
+        assert_eq!(run(40..45), 45, "no point: replayed from the start");
+        assert_eq!(run(45..50), 5, "resumed");
+        steps();
+        runs.keep(8, n);
+        assert_eq!((runs.stride(), steps()), (Some(8), n), "one walk");
+        runs.keep(4, n);
+        assert_eq!((runs.stride(), steps()), (Some(8), 0), "kept once");
+        let points = &runs.points.get().expect("kept").1;
+        let every_eighth: Vec<(u64, u64)> = (0..n).step_by(8).map(|i| (i, i)).collect();
+        assert_eq!(points, &every_eighth);
+        for (range, replayed) in [(0..1, 0), (40..48, 0), (5..9, 5), (99..100, 3), (7..8, 7)] {
+            assert_eq!(run(range.clone()), range.end - range.start + replayed);
         }
+        assert_eq!(run(8..16), 8, "resumed");
     }
 
     /// The kernels that resume their loop from restore points.
     const RESUMED: [&str; 6] = ["vpr", "twolf", "vortex", "gap", "perlbmk", "mcf"];
 
-    /// A job built to keep every restore point and the default sparse job
-    /// run the same loop: the same sequential bytes and work, and at
-    /// grains below, at and above the sparse stride — below it a chunk
-    /// replays — the same committed bytes, work and slots, fault-free and
-    /// under `FaultPlan::seeded(7)`. `every_mode` runs each grain in both
-    /// modes; otherwise the modes alternate from grain to grain. One seat:
-    /// the substrate's races are [`every_grain_full_matrix`]'s.
+    /// A job whose two-seat plan kept every restore point and the default
+    /// sparse job, whose plan kept them at its grain, run the same loop:
+    /// the same sequential bytes and work, and at grains below, at and
+    /// above the sparse stride — below it a chunk replays — the same
+    /// committed bytes, work and slots, fault-free and under
+    /// `FaultPlan::seeded(7)`. `every_mode` runs each grain in both
+    /// modes; otherwise the modes alternate from grain to grain. Two seats
+    /// on two runners, so chunks restore; the substrate's races are
+    /// [`every_grain_full_matrix`]'s.
     fn sparse_points_commit_what_every_point_does(size: InputSize, every_mode: bool) {
         let engine = Engine::new(EngineConfig::with_workers(1));
-        let plan = ExecutionPlan::tls(1);
+        let plan = ExecutionPlan::tls(2);
         for w in all_workloads() {
             if !RESUMED.contains(&w.meta().name) {
                 continue;
             }
             let id = w.meta().spec_id.to_string();
-            EVERY_POINT.set(true);
             let dense = Case::new(format!("{id} (every point)"), w.versioned_job(size));
+            EVERY_POINT.set(true);
+            let _ = dense.job.job_spec(&plan, ExecConfig::default());
             EVERY_POINT.set(false);
             let job = w.versioned_job(size);
-            assert_eq!(dense.job.restore_stride(), 1, "{id}");
             let seq = job.sequential();
             assert_eq!((&seq.output, seq.work), (&dense.seq.output, dense.seq.work));
+            let _ = job.job_spec(&plan, ExecConfig::default());
+            assert_eq!(dense.job.restore_stride(), 1, "{id}");
             let s = job.restore_stride() as usize;
+            assert_eq!(s, job.grain(&plan), "{id}: kept at the plan's grain");
             let mut grains = vec![1, 3, s - 1, s, 2 * s, job.len()];
             grains.retain(|&k| k > 0);
             grains.sort_unstable();
@@ -1471,9 +1496,8 @@ mod tests {
             };
             for case in [&dense, &sparse] {
                 for (g, &k) in grains.iter().enumerate() {
-                    // On one seat a chunk resumes the state the one before
-                    // left; run backwards, every chunk restores from its
-                    // latest point, and one below the stride replays.
+                    // Run backwards, every chunk restores from its latest
+                    // point, and one below the stride replays.
                     let n = case.job.len() as u64;
                     let starts: Vec<u64> = (0..n).step_by(k).collect();
                     let runs: Vec<_> = starts
@@ -1514,5 +1538,59 @@ mod tests {
     #[ignore = "Train size; CI runs it in release with the Train pins"]
     fn sparse_restore_points_commit_what_every_point_does_at_train() {
         sparse_points_commit_what_every_point_does(InputSize::Train, true);
+    }
+
+    /// One-seat plans keep no restore point: not the first sequential
+    /// run, not `job_spec` at `tls(1)` or at `three_phase(2)` (phase B on
+    /// one seat), not an engine run of either. The first `tls(2)`
+    /// `job_spec` keeps a loop's points in one walk of its `n` steps, at
+    /// that plan's grain `k`, and no later plan walks again. Run
+    /// backwards, so that no chunk resumes, each chunk at `k` then takes
+    /// exactly its own steps: none replays.
+    fn only_a_plan_with_two_seats_keeps_points(size: InputSize) {
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        for w in all_workloads() {
+            let id = w.meta().spec_id;
+            let job = w.versioned_job(size);
+            POINTS.set(0);
+            let seq = job.sequential();
+            for plan in [ExecutionPlan::tls(1), ExecutionPlan::three_phase(2)] {
+                let (spec, _) = job.job_spec(&plan, ExecConfig::default());
+                let report = engine.run(&spec).expect("a fault-free run");
+                assert_eq!(report.output, seq.output, "{id}");
+            }
+            assert_eq!(POINTS.get(), 0, "{id}: one seat");
+            let (n, two) = (job.len() as u64, ExecutionPlan::tls(2));
+            let k = job.grain(&two) as u64;
+            steps();
+            let _ = job.job_spec(&two, ExecConfig::default());
+            let keeps = RESUMED.contains(&w.meta().name);
+            let walk = if keeps { (n, n.div_ceil(k)) } else { (0, 0) };
+            assert_eq!((steps(), POINTS.replace(0)), walk, "{id}: k = {k}");
+            for plan in [two, ExecutionPlan::tls(4)] {
+                let _ = job.job_spec(&plan, ExecConfig::default());
+            }
+            assert_eq!((steps(), POINTS.get()), (0, 0), "{id}: kept once");
+            let starts: Vec<u64> = (0..n).step_by(k as usize).collect();
+            let mut runs = Vec::new();
+            for &start in starts.iter().rev() {
+                let range = start..n.min(start + k);
+                runs.push(job.body.run(range.clone(), None));
+                assert_eq!(steps(), range.end - range.start, "{id}: {range:?}");
+            }
+            assert_eq!(job.folded(runs.iter().rev().map(|(b, _)| b)), seq.output);
+        }
+    }
+
+    #[test]
+    fn only_a_plan_with_two_seats_keeps_restore_points() {
+        only_a_plan_with_two_seats_keeps_points(InputSize::Test);
+    }
+
+    /// The same at `Train`, the rig's size; CI runs it in release.
+    #[test]
+    #[ignore = "Train size; CI runs it in release with the Train pins"]
+    fn only_a_plan_with_two_seats_keeps_restore_points_at_train() {
+        only_a_plan_with_two_seats_keeps_points(InputSize::Train);
     }
 }

@@ -219,8 +219,9 @@ impl Kernel for Runops {
         Some((printed, meter.take().max(1), ()))
     }
 
-    /// The variable file: at a statement boundary the stack is empty,
-    /// and a statement's output is its own.
+    /// The variable file, kept before each chunk of a plan with two or
+    /// more seats: at a statement boundary the stack is empty, and a
+    /// statement's output is its own.
     fn point(&self, vm: &Vm) -> Option<Vm> {
         Some(Vm {
             vars: vm.vars,

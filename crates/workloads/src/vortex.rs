@@ -517,7 +517,10 @@ impl Kernel for Transactions {
     }
 
     /// The tree is persistent: a point is an O(1) clone, and a chunk
-    /// copies only the paths its transactions touch.
+    /// copies only the paths its transactions touch. The steps after a
+    /// point copy every path they write, so the job's first sequential
+    /// run, whose clock sets the grain, keeps none; only a plan with two
+    /// or more seats does, one before each of its chunks.
     fn point(&self, tree: &BTree) -> Option<BTree> {
         Some(tree.clone())
     }

@@ -254,6 +254,8 @@ impl Kernel for Place {
         Some((bytes, meter.take().max(1), outcome))
     }
 
+    /// The coordinates and the RNG, kept before each chunk of a plan with
+    /// two or more seats; a restore rebuilds the occupancy map.
     fn point(&self, (place, rng): &Self::State) -> Option<Self::Point> {
         Some((place.pos.clone(), rng.clone()))
     }
