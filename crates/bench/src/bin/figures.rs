@@ -23,7 +23,7 @@
 //! each runs on real OS threads under `tls` and `three_phase` at one and
 //! two seats, one row each. A row reads sequential ÷ native wall as the
 //! median `[IQR]` of 7 repeats that alternate the order of the sequential
-//! loop, an ungoverned and a governed run, beside the median sequential
+//! loop and the native run, beside the median sequential
 //! wall (the job's first run, which records its trace, is timed on its
 //! own as `first(ms)`), the squash ratio next to the simulator's
 //! misspeculation on the graph the runs executed, and k. A spin-pair

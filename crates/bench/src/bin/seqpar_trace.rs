@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! seqpar-trace <workload> [--threads N] [--plan dswp|tls] [--size test|train|ref]
-//!              [--fault-seed N] [--no-governor] [--out trace.json]
+//!              [--fault-seed N] [--out trace.json]
 //! seqpar-trace <w1>,<w2>,... [--threads N] [--plan dswp|tls] [--out trace.json]
 //! seqpar-trace --check trace.json
 //! ```
@@ -43,8 +43,8 @@ use seqpar_bench::{
     render_trace_summary, trace_native, PlanKind,
 };
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, GovernorConfig,
-    NativeReport, SimConfig, Simulator, Timeline, TraceEventKind,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, NativeReport, SimConfig,
+    Simulator, Timeline, TraceEventKind,
 };
 use seqpar_workloads::{all_workloads, stage_labels, InputSize, Workload};
 
@@ -56,7 +56,6 @@ fn main() {
     let mut fault_seed = None;
     let mut out_path = None;
     let mut check_path = None;
-    let mut governed = true;
     let mut target = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -96,7 +95,6 @@ fn main() {
                 Some(p) => check_path = Some(p.clone()),
                 None => usage("--check needs a path"),
             },
-            "--no-governor" => governed = false,
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
             }
@@ -120,7 +118,6 @@ fn main() {
             kind,
             size,
             fault_seed,
-            governed,
             out_path.as_deref(),
         );
         return;
@@ -132,9 +129,6 @@ fn main() {
     };
 
     let mut config = ExecConfig::default();
-    if governed {
-        config = config.with_governor(GovernorConfig::default());
-    }
     if let Some(seed) = fault_seed {
         config = config.with_faults(FaultPlan::seeded(seed));
     }
@@ -187,15 +181,6 @@ fn main() {
     let mem_summary = render_memory_summary(timeline, &labels);
     if !mem_summary.is_empty() {
         print!("{mem_summary}");
-        println!();
-    }
-    if let Some(g) = report.governor {
-        println!("### speculation governor");
-        if g.degraded_commits == report.tasks_committed {
-            println!("one-seat plan: issued inline");
-        } else {
-            println!("pipelined, bounded by the board's lane windows");
-        }
         println!();
     }
     print!("{}", render_timeline_gantt(timeline));
@@ -251,7 +236,6 @@ fn main() {
 /// persistent engine, byte-check each against its own sequential run,
 /// merge the JobId-tagged timelines, and optionally export the merged
 /// stream as Chrome JSON (one process row per job).
-#[allow(clippy::too_many_arguments)]
 fn multi_job_trace(
     workloads: &[Box<dyn Workload>],
     targets: &str,
@@ -259,13 +243,9 @@ fn multi_job_trace(
     kind: PlanKind,
     size: InputSize,
     fault_seed: Option<u64>,
-    governed: bool,
     out_path: Option<&str>,
 ) {
     let mut config = ExecConfig::default().with_tracing(true);
-    if governed {
-        config = config.with_governor(GovernorConfig::default());
-    }
     if let Some(seed) = fault_seed {
         config = config
             .with_faults(FaultPlan::seeded(seed))
@@ -355,8 +335,8 @@ fn seats(plan: &ExecutionPlan) -> usize {
 
 /// Exits 1 if the run proves nothing about the pipelined path: a plan
 /// with somebody to overlap with, yet no attempt ran on a runner
-/// (everything was issued inline at the frontier); or `faults`
-/// panicked attempts that runners did run — inline issue is never
+/// (everything was committed at the frontier); or `faults` panicked
+/// attempts that runners did run — the sequential fallback is never
 /// sabotaged — and the report recovered from none. The frontier handles
 /// a panic before any conflict check, so every one counts.
 fn require_real_work(
@@ -437,7 +417,7 @@ fn usage(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
         "usage: seqpar-trace <workload> [--threads N] [--plan dswp|tls] \
-         [--size test|train|ref] [--fault-seed N] [--no-governor] [--out trace.json]\n\
+         [--size test|train|ref] [--fault-seed N] [--out trace.json]\n\
          \x20      seqpar-trace <w1>,<w2>,... [--threads N] [--plan dswp|tls] [--out trace.json]\n\
          \x20      seqpar-trace --check trace.json"
     );

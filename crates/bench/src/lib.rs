@@ -21,8 +21,8 @@ pub use seqpar_analysis::tune::PlanKind;
 
 use seqpar::IterationTrace;
 use seqpar_runtime::{
-    ConflictProfile, CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport,
-    SimConfig, SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
+    CriticalPath, Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport, SimConfig,
+    SimResult, Simulator, TaskGraph, TimeUnit, Timeline, TraceEventKind,
 };
 use seqpar_workloads::{InputSize, VersionedJob, Workload, WorkloadMeta};
 use std::sync::Arc;
@@ -679,15 +679,15 @@ pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
         .parallelize_outermost(model.func)
         .expect("workload IR model parallelizes");
     let plan = result.plan(cores);
-    let profile = plan.conflict_profile();
+    // Priced for the plan's widest pool: its iterations race each other.
+    let widest = (0..plan.stage_count()).map(|s| plan.stage(s).cores().len());
+    let profile = result.conflict_profile().scaled(widest.max().unwrap_or(1));
     LintOutcome {
         spec_id: w.meta().spec_id,
         report: result.lint_plan(&plan),
         plan_stamped: plan.is_linted() && plan.lint_stamp_intact(),
-        predicted_conflict_permille: profile.map_or(0, ConflictProfile::density_permille),
-        hottest_region: profile
-            .and_then(ConflictProfile::hottest)
-            .map(|r| r.region.clone()),
+        predicted_conflict_permille: profile.density_permille(),
+        hottest_region: profile.hottest().map(|r| r.region.clone()),
     }
 }
 

@@ -1,8 +1,7 @@
 //! The native table: every kernel on real OS threads under the TLS and
-//! the three-phase plan at one and two seats, each run ungoverned and
-//! governed against repeated runs of its own sequential loop, every
-//! output byte-checked, and the two-seat rows certified by the host's
-//! measured capacity.
+//! the three-phase plan at one and two seats, each run against repeated
+//! runs of its own sequential loop, every output byte-checked, and the
+//! two-seat rows certified by the host's measured capacity.
 //!
 //! A row's engine has a worker per distinct core of its plan but one
 //! ([`EngineConfig::for_plan`]), and [`Engine::new`] spawns at least one.
@@ -10,7 +9,7 @@
 //! on two threads, the caller and that worker: it is no one-core reading.
 
 use crate::{geomean, misspec_rate, simulate_graph, PlanKind};
-use seqpar_runtime::{Engine, EngineConfig, ExecConfig, FaultPlan, GovernorConfig};
+use seqpar_runtime::{Engine, EngineConfig, ExecConfig, FaultPlan};
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -68,7 +67,7 @@ impl Spread {
 }
 
 /// One plan at one width: what [`NATIVE_REPEATS`] alternated repeats of
-/// the sequential loop, an ungoverned and a governed run read.
+/// the sequential loop and a native run read.
 #[derive(Clone, Debug)]
 pub struct NativeRow {
     /// TLS or three-phase.
@@ -79,10 +78,8 @@ pub struct NativeRow {
     pub k: usize,
     /// Median wall of the repeated sequential runs, in milliseconds.
     pub baseline_ms: f64,
-    /// Sequential ÷ ungoverned wall, per repeat (above 1 is faster).
-    pub ungoverned: Spread,
-    /// Sequential ÷ governed wall, per repeat.
-    pub governed: Spread,
+    /// Sequential ÷ native wall, per repeat (above 1 is faster).
+    pub native: Spread,
     /// Squashes ÷ committed tasks over every native run of the row.
     pub squash_ratio: f64,
     /// Misspeculation the simulator reads on the graph the runs executed.
@@ -151,8 +148,8 @@ pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>)
 
 /// One row on a warmed engine sized to the plan (two threads for a
 /// `three_phase(1)` row; see the module doc). Repeat `r` runs the
-/// sequential loop, the ungoverned and the governed run in an order
-/// rotated by `r`, so no column always runs first.
+/// sequential loop and the native run in an order rotated by `r`, so
+/// neither always runs first.
 fn native_row(
     spec_id: &str,
     job: &VersionedJob,
@@ -164,16 +161,12 @@ fn native_row(
     let plan = kind.plan(width);
     let engine = Engine::new(EngineConfig::for_plan(&plan));
     engine.warm();
-    let configs = [
-        config.clone(),
-        config.clone().with_governor(GovernorConfig::default()),
-    ];
-    let (mut baseline, mut ratios) = (Vec::new(), [Vec::new(), Vec::new()]);
+    let (mut baseline, mut ratios) = (Vec::new(), Vec::new());
     let (mut squashes, mut tasks, mut recovered) = (0, 0, 0);
     let mut graph = None;
     for r in 0..NATIVE_REPEATS {
-        let (mut seq, mut native) = (0.0, [0.0; 2]);
-        for slot in (0..3).map(|i| (i + r) % 3) {
+        let (mut seq, mut native) = (0.0, 0.0);
+        for slot in (0..2).map(|i| (i + r) % 2) {
             if slot == 0 {
                 let run = job.sequential();
                 assert_eq!(
@@ -183,7 +176,7 @@ fn native_row(
                 seq = run.wall.as_secs_f64();
                 continue;
             }
-            let (spec, _mem) = job.job_spec(&plan, configs[slot - 1].clone());
+            let (spec, _mem) = job.job_spec(&plan, config.clone());
             let report = engine
                 .run(&spec)
                 .expect("plan matches machine and faults are recoverable");
@@ -193,16 +186,14 @@ fn native_row(
                 "{spec_id}: native output diverged from sequential under {}",
                 plan_name(kind, width)
             );
-            native[slot - 1] = report.wall.as_secs_f64();
+            native = report.wall.as_secs_f64();
             squashes += report.squashes;
             tasks += report.tasks_committed;
             recovered += report.recovery.panics_recovered;
             graph.get_or_insert(spec.graph);
         }
         baseline.push(seq);
-        for (ratio, wall) in ratios.iter_mut().zip(native) {
-            ratio.push(seq / wall);
-        }
+        ratios.push(seq / native);
     }
     let graph = graph.expect("a row runs natively");
     NativeRow {
@@ -210,8 +201,7 @@ fn native_row(
         width,
         k: job.grain(&plan),
         baseline_ms: 1e3 * Spread::of(&baseline).median,
-        ungoverned: Spread::of(&ratios[0]),
-        governed: Spread::of(&ratios[1]),
+        native: Spread::of(&ratios),
         squash_ratio: squashes as f64 / tasks.max(1) as f64,
         sim_misspec: misspec_rate(&simulate_graph(&graph, width, kind)),
         recovered,
@@ -236,13 +226,12 @@ fn ms(d: Duration) -> f64 {
 /// [`CLEAN_KERNELS`] only.
 pub fn render_native_table(kernels: &[NativeKernel]) -> String {
     let mut out = format!(
-        "{:<14}{:<16}{:>5}{:>10}{:>16}{:>16}{:>8}{:>13}{:>10}{:>10}{:>11}  certificate\n",
+        "{:<14}{:<16}{:>5}{:>10}{:>16}{:>8}{:>13}{:>10}{:>10}{:>11}  certificate\n",
         "kernel",
         "plan",
         "k",
         "seq(ms)",
-        "ungoverned",
-        "governed",
+        "native",
         "squash",
         "sim-misspec",
         "build(ms)",
@@ -261,12 +250,11 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
                 (_, false) => format!("shared core {readings}"),
             };
             out.push_str(&format!(
-                "{:<14}{plan:<16}{:>5}{:>10.2}{:>16}{:>16}{:>8.3}{:>13.3}{:>10.2}{:>10.2}{:>11}  {certificate}\n",
+                "{:<14}{plan:<16}{:>5}{:>10.2}{:>16}{:>8.3}{:>13.3}{:>10.2}{:>10.2}{:>11}  {certificate}\n",
                 kernel.spec_id,
                 row.k,
                 row.baseline_ms,
-                spread(row.ungoverned),
-                spread(row.governed),
+                spread(row.native),
                 row.squash_ratio,
                 row.sim_misspec,
                 kernel.build_ms,
@@ -286,17 +274,13 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
         out.push_str("no certified tls(2) row of a clean kernel: no two-core result\n");
     } else {
         out.push_str(&format!(
-            "geomean over {} of {} clean kernels at tls(2), certified rows only: ungoverned {:.2}, governed {:.2}\n",
+            "geomean over {} of {} clean kernels at tls(2), certified rows only: {:.2}\n",
             clean.len(),
             CLEAN_KERNELS.len(),
-            geomean(clean.iter().map(|r| r.ungoverned.median)),
-            geomean(clean.iter().map(|r| r.governed.median)),
+            geomean(clean.iter().map(|r| r.native.median)),
         ));
     }
-    let runs: usize = kernels
-        .iter()
-        .map(|k| 2 * NATIVE_REPEATS * k.rows.len())
-        .sum();
+    let runs: usize = kernels.iter().map(|k| NATIVE_REPEATS * k.rows.len()).sum();
     out.push_str(&format!(
         "{runs} native runs, each byte-identical to the sequential loop\n"
     ));
@@ -370,8 +354,7 @@ mod tests {
             width,
             k: 1,
             baseline_ms: 10.0,
-            ungoverned: spread,
-            governed: spread,
+            native: spread,
             squash_ratio: 0.0,
             sim_misspec: 0.0,
             recovered: 0,
@@ -421,10 +404,12 @@ mod tests {
         assert!(line("197.parser", "tls(2)").ends_with("shared core 1.20/1.90"));
         assert!(line("176.gcc", "tls(1)").ends_with("  -"));
         assert!(
-            table.contains("geomean over 1 of 5 clean kernels at tls(2), certified rows only: ungoverned 1.60, governed 1.60"),
+            table.contains(
+                "geomean over 1 of 5 clean kernels at tls(2), certified rows only: 1.60\n"
+            ),
             "{table}"
         );
-        assert!(table.contains("112 native runs"), "{table}");
+        assert!(table.contains("56 native runs"), "{table}");
 
         let shared = render_native_table(&kernels[1..3]);
         assert!(shared.contains("no two-core result"), "{shared}");
@@ -451,7 +436,7 @@ mod tests {
         let rows = table.lines().filter(|l| l.starts_with("197.parser"));
         assert_eq!(rows.count(), 4, "{table}");
         assert!(
-            table.contains("56 native runs, each byte-identical"),
+            table.contains("28 native runs, each byte-identical"),
             "{table}"
         );
     }

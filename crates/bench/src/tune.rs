@@ -20,9 +20,7 @@ use seqpar_analysis::tune::{
     tune, Candidate, NativeValidation, PlanArtifact, ScoredCandidate, TuneConfig, TuneError,
     TuneInput, TuneResult,
 };
-use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, GovernorConfig, NativeReport, PlanDelta,
-};
+use seqpar_runtime::{Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport, PlanDelta};
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 
 /// Interleaved repetitions per contender during native validation:
@@ -163,11 +161,10 @@ impl TunableWorkload {
     }
 
     /// The native executor configuration every contender runs: the
-    /// paper's 32-entry queues under the default governor — the one
-    /// `figures --native` and `seqpar-trace` run, which measures the
-    /// loop's conflict rate instead of presuming it.
+    /// default, with the paper's 32-entry queues — the one
+    /// `figures --native` and `seqpar-trace` run.
     pub fn exec_config() -> ExecConfig {
-        ExecConfig::default().with_governor(GovernorConfig::default())
+        ExecConfig::default()
     }
 
     /// A warmed persistent [`Engine`] sized to exactly the candidate's

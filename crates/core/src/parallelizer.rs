@@ -102,8 +102,8 @@ impl ParallelizedLoop {
     }
 
     /// The static conflict-density estimate for this loop, at
-    /// replication factor 1 (see [`Self::plan`] for the scaled copy a
-    /// concrete plan carries).
+    /// replication factor 1 ([`ConflictProfile::scaled`] prices it for a
+    /// plan's replicated pool).
     pub fn conflict_profile(&self) -> &ConflictProfile {
         &self.conflict_profile
     }
@@ -112,19 +112,13 @@ impl ParallelizedLoop {
     ///
     /// When both the partition audit and the plan-shape check are
     /// clean, the plan is stamped as linted; the native executor
-    /// debug-asserts the stamp still matches at run time. The plan
-    /// also carries the conflict-density estimate, scaled for the
-    /// replicated stage's pool, for reports to set beside the rate a
-    /// governed run measures.
+    /// debug-asserts the stamp still matches at run time.
     pub fn plan(&self, cores: usize) -> ExecutionPlan {
         let mut plan = ExecutionPlan::three_phase(cores);
         if self.lint.is_clean() && lint::check_plan_shape(&self.stage_plan, &plan).is_clean() {
             plan.stamp_linted();
         }
-        // The three-phase layout gives the replicated stage a pool of
-        // `cores - 2` workers on 4+ cores and a single worker below.
-        let replication = if cores >= 4 { cores - 2 } else { 1 };
-        plan.with_conflict_profile(self.conflict_profile.scaled(replication))
+        plan
     }
 
     /// The partition collapsed to the TLS single-stage view: every PDG
@@ -149,8 +143,6 @@ impl ParallelizedLoop {
     /// view — the three-phase partition for multi-stage plans, the
     /// collapsed [`Self::tls_stage_plan`] for one-stage plans — and
     /// stamped as linted only when everything is clean at deny level.
-    /// The attached conflict profile is scaled to the widest stage
-    /// pool, the plan's real replication.
     ///
     /// # Panics
     ///
@@ -168,11 +160,7 @@ impl ParallelizedLoop {
         if self.lint.is_clean() && lint::check_plan_shape(stage_view, &plan).is_clean() {
             plan.stamp_linted();
         }
-        let replication = (0..plan.stage_count())
-            .map(|s| plan.stage(s).cores().len())
-            .max()
-            .unwrap_or(1);
-        plan.with_conflict_profile(self.conflict_profile.scaled(replication))
+        plan
     }
 }
 
@@ -506,19 +494,17 @@ mod tests {
         let result = Parallelizer::new(&p).parallelize_outermost(f).unwrap();
 
         // A narrow hand-shaped three-phase plan over a clean partition
-        // is stamped, and its profile scales to the widest pool.
+        // is stamped.
         let narrow = result.plan_custom(vec![
             StageAssignment::serial(0),
             StageAssignment::round_robin(vec![1, 2]),
             StageAssignment::serial(3),
         ]);
         assert!(narrow.is_linted() && narrow.lint_stamp_intact());
-        assert_eq!(narrow.conflict_profile().unwrap().replication, 2);
 
         // A one-stage plan checks against the collapsed TLS view.
         let tls = result.plan_custom(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]);
         assert!(tls.is_linted());
-        assert_eq!(tls.conflict_profile().unwrap().replication, 4);
         assert_eq!(result.tls_stage_plan().stage_count(), 1);
         assert!(result.tls_stage_plan().is_replicated(0));
 
@@ -838,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_carry_the_scaled_conflict_profile() {
+    fn the_result_carries_the_profiled_conflict_density() {
         let (p, f, profile) = spec_fixture(0.05);
         let result = Parallelizer::new(&p)
             .profile(profile)
@@ -848,14 +834,11 @@ mod tests {
         assert_eq!(cp.hottest().unwrap().region, "acc");
         assert_eq!(cp.density_permille(), 50);
         assert_eq!(cp.trip_count, 1000);
-        let plan = result.plan(8);
-        let carried = plan.conflict_profile().unwrap();
-        // The three-phase plan gives stage B six of eight cores; the
-        // scaled estimate is denser than the pairwise one.
-        assert_eq!(carried.replication, 6);
-        assert!(carried.density_permille() > cp.density_permille());
-        // Below four cores the pool is a single worker.
-        assert_eq!(result.plan(2).conflict_profile().unwrap().replication, 1);
+        // The three-phase plan at eight cores gives stage B six; the
+        // estimate scaled for them is denser than the pairwise one.
+        let six = cp.scaled(6);
+        assert_eq!(six.replication, 6);
+        assert!(six.density_permille() > cp.density_permille());
     }
 
     #[test]

@@ -40,10 +40,10 @@
 //! against the retry budget.
 
 use super::faults::RecoveryCounts;
-use super::metrics::{GovernorStats, NativeReport, WorkerStat};
+use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
-use super::{ExecConfig, ExecError, TaskOutput, DEGRADED_ATTEMPT, FALLBACK_ATTEMPT};
+use super::{ExecConfig, ExecError, TaskOutput, FALLBACK_ATTEMPT};
 use crate::task::{StageId, TaskId};
 use seqpar_specmem::{CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
@@ -109,10 +109,6 @@ pub(super) struct CommitUnit {
     /// trace events.
     seat_stats: Vec<(Duration, u64)>,
     worker_events: Vec<TraceEvent>,
-    /// The governor's counters, when
-    /// [`ExecConfig::governor`](super::ExecConfig::governor) turned it
-    /// on: a held run's inline commits.
-    governor: Option<GovernorStats>,
 }
 
 impl CommitUnit {
@@ -135,7 +131,6 @@ impl CommitUnit {
             seat_stats: Vec::new(),
             worker_events: Vec::new(),
             trace,
-            governor: config.governor.map(|_| GovernorStats::default()),
         }
     }
 
@@ -454,55 +449,14 @@ impl CommitUnit {
         Ok(redispatch)
     }
 
-    /// Commits the frontier task from an output a held run computed
-    /// inline, under the frontier lock. Unlike
-    /// [`commit_fallback`](Self::commit_fallback) the version opened for
-    /// the inline attempt is published through the substrate.
-    ///
-    /// The inline version cannot have been squashed: it opened after
-    /// every earlier task committed, writes and rollbacks only squash
-    /// *later* readers, and forwarding only flows earlier→later.
-    pub(super) fn commit_degraded(&mut self, job: &JobShared, output: &TaskOutput) {
-        let graph = &*job.spec.graph;
-        let task = self.next as u32;
-        self.attempts += 1;
-        if let Some(m) = job.spec.mem.as_deref() {
-            let v = VersionId(u64::from(task));
-            let (writes, stopped) = m.try_commit_batch(&[v]);
-            assert!(
-                stopped.is_none(),
-                "a version opened at the frontier cannot be squashed: {stopped:?}"
-            );
-            self.trace.record(TraceEventKind::VersionCommit {
-                stage: graph.task(TaskId(task)).stage.0,
-                task,
-                writes: writes[0],
-            });
-        } else {
-            // Trace-driven runs tally survivors at every commit (rung 3
-            // does the same for replays); an inline commit ran
-            // non-speculatively, so nothing manifested and everything
-            // recorded survives.
-            let t = graph.task(TaskId(task));
-            let survived = graph.spec_deps(t).iter().filter(|d| !d.violated).count() as u64;
-            self.speculations_survived += survived;
-            if !graph.spec_deps(t).is_empty() {
-                self.trace.record(TraceEventKind::SpecDecision {
-                    task,
-                    violated: 0,
-                    survived: survived as u32,
-                });
-            }
+    /// Rolls back the version of every attempt in the reorder buffer:
+    /// the sequential fallback commits none of them, so none stays open.
+    /// (An attempt still running on a straggler keeps its version.)
+    pub(super) fn discard_buffered(&mut self, job: &JobShared) {
+        for done in self.buffer.drain(..).flatten() {
+            Self::rollback_version(job, done.task);
         }
-        self.trace.record(TraceEventKind::Commit {
-            task,
-            attempt: DEGRADED_ATTEMPT,
-        });
-        self.append(job, task, output);
-        self.advance(1);
-        if let Some(g) = self.governor.as_mut() {
-            g.degraded_commits += 1;
-        }
+        self.buffered = 0;
     }
 
     /// Commits one task executed in-order under the frontier lock —
@@ -586,7 +540,7 @@ impl CommitUnit {
                 .mem
                 .as_deref()
                 .map(ConcurrentVersionedMemory::stats),
-            governor: self.governor,
+            governor: None,
         }
     }
 }

@@ -138,7 +138,7 @@ pub struct JobSpec {
     /// graphs.
     pub mem: Option<Arc<ConcurrentVersionedMemory>>,
     /// Per-job supervision parameters: fault plan, retry budget,
-    /// governor, tracing, validation, watchdog. `queue_capacity` sizes
+    /// tracing, watchdog. `queue_capacity` sizes
     /// the job's per-stage admission windows.
     pub config: ExecConfig,
 }
@@ -343,8 +343,8 @@ impl Engine {
     /// performs; core- and queue-count limits are physical-machine model
     /// parameters and do not constrain native execution). Returns
     /// [`ExecError::TaskFailed`] only when a body panics where no
-    /// replay exists (the sequential fallback or a held run's inline
-    /// attempt); pipelined worker panics are recovered, not raised.
+    /// replay exists (the sequential fallback); pipelined worker panics
+    /// are recovered, not raised.
     pub fn run(&self, spec: &JobSpec) -> Result<NativeReport, ExecError> {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         run_engine_job(&self.inner, job, spec)

@@ -9,11 +9,9 @@ use seqpar_specmem::MemStats;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// The speculation governor's counters, reported in
-/// [`NativeReport::governor`] next to `MemStats` and `RecoveryCounts`.
-/// The governor has one rule (see
-/// [`ExecConfig::governor`](super::ExecConfig::governor)), so one
-/// counter moves.
+/// A shim, kept only while `benchmark/` reads it: the counters of a
+/// runtime governor there no longer is. No run reports one
+/// ([`NativeReport::governor`] is always `None`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorStats {
     /// Always 0; kept while the benchmark reads it.
@@ -26,8 +24,7 @@ pub struct GovernorStats {
     pub reprobes: u64,
     /// Always 0; kept while the benchmark reads it.
     pub backoffs: u64,
-    /// Tasks a held run (one seat, governed) committed inline: all of
-    /// them. 0 for a wider plan.
+    /// Always 0; kept while the benchmark reads it.
     pub degraded_commits: u64,
 }
 
@@ -100,8 +97,8 @@ pub struct NativeReport {
     /// pipelined. The output is byte-identical either way.
     pub fallback_activated: bool,
     /// Per-seat timing: one entry per plan core that served at least
-    /// one attempt (none at all when every task committed inline at the
-    /// frontier). Each completion carries its seat and body time, so
+    /// one attempt (none at all when the sequential fallback committed
+    /// every task). Each completion carries its seat and body time, so
     /// on a run without fallback the `tasks` add up to `attempts`.
     pub workers: Vec<WorkerStat>,
     /// The structured execution timeline, present when the run was
@@ -119,10 +116,8 @@ pub struct NativeReport {
     /// access granularity, while the committed output stays
     /// byte-identical.
     pub mem: Option<MemStats>,
-    /// The speculation governor's counters when the run was governed
-    /// ([`ExecConfig::governor`](super::ExecConfig::governor)); `None`
-    /// when the governor was off. A function of the plan's seat count
-    /// and the tasks committed.
+    /// Always `None`: there is no runtime governor. A shim, kept only
+    /// while `benchmark/` reads it.
     pub governor: Option<GovernorStats>,
 }
 

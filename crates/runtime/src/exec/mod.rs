@@ -101,7 +101,7 @@ use crate::sim::SimError;
 use crate::task::{StageId, TaskGraph, TaskId};
 use commit::{CommitUnit, Stop};
 use engine::{hand, Pool};
-use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
+use seqpar_specmem::ConcurrentVersionedMemory;
 use serde::{Deserialize, Serialize};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
@@ -114,13 +114,6 @@ use trace::TraceBuffer;
 /// Trace consumers see it on the [`TraceEventKind::Commit`] events of
 /// fallback-committed tasks, which have no worker-side dispatch.
 pub const FALLBACK_ATTEMPT: u32 = u32::MAX;
-
-/// The attempt number a held run's inline commits run at (see
-/// [`ExecConfig::governor`]). Like [`FALLBACK_ATTEMPT`] these tasks
-/// execute under the frontier lock with no runner-side dispatch events
-/// — but unlike the fallback they still run *through* the
-/// versioned-memory substrate, one ordinary version each.
-pub const DEGRADED_ATTEMPT: u32 = u32::MAX - 1;
 
 /// Why a native run could not produce a report.
 ///
@@ -135,9 +128,8 @@ pub enum ExecError {
     /// simulator's checks).
     Invalid(SimError),
     /// A task body panicked where no replay is possible: on the
-    /// sequential fallback path or in a held run's inline attempt. The
-    /// body itself cannot produce the task's sequential result, so the
-    /// run has no legal outcome.
+    /// sequential fallback path. The body itself cannot produce the
+    /// task's sequential result, so the run has no legal outcome.
     TaskFailed {
         /// The task whose body failed.
         task: TaskId,
@@ -214,15 +206,6 @@ pub struct ExecConfig {
     /// returned on [`NativeReport::timeline`]. Off by default — when
     /// off, recording is a single branch per would-be event.
     pub trace: bool,
-    /// The speculation governor, which is the plan's seat count: a
-    /// governed plan with **one seat in total** has nobody to overlap
-    /// with, so the job's calling thread issues every task inline, in
-    /// order, each through one ordinary version, for the whole run. A
-    /// wider governed plan runs exactly as an ungoverned one: the lane
-    /// windows bound it, and every squashed attempt is requeued at once.
-    /// Whether a loop should speculate at all is the plan's decision,
-    /// made before the run. `None` (the default) never issues inline.
-    pub governor: Option<GovernorConfig>,
 }
 
 impl Default for ExecConfig {
@@ -233,7 +216,6 @@ impl Default for ExecConfig {
             watchdog_deadline: Duration::from_secs(30),
             fault_plan: FaultPlan::none(),
             trace: false,
-            governor: None,
         }
     }
 }
@@ -279,17 +261,18 @@ impl ExecConfig {
         self
     }
 
-    /// Enables the speculation governor (see [`ExecConfig::governor`];
-    /// set the field to `None` to disable).
-    pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
-        self.governor = Some(governor);
+    /// Returns the config unchanged: there is no runtime governor.
+    /// Whether a loop speculates is its plan's decision, made before
+    /// the run, and a one-seat plan runs the same board, frontier and
+    /// substrate as any other. A shim, kept only while `benchmark/`
+    /// calls it.
+    pub fn with_governor(self, _governor: GovernorConfig) -> Self {
         self
     }
 }
 
-/// The speculation governor's configuration: nothing left to set. Its
-/// one rule keys on the plan (see [`ExecConfig::governor`]); the type
-/// stays because callers name it to turn the governor on.
+/// Nothing to configure: the argument of the [`ExecConfig::with_governor`]
+/// shim, kept only while `benchmark/` names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorConfig {}
 
@@ -367,8 +350,8 @@ pub trait NativeBody: Send + Sync {
 
     /// Finishes `task`'s committed bytes as they join the output stream:
     /// called for every task exactly once, in task order, under the
-    /// frontier lock — by the batch drain, a held run's inline commit and
-    /// the sequential fallback alike. What a body folds here is the
+    /// frontier lock — by the batch drain and the sequential fallback
+    /// alike. What a body folds here is the
     /// paper's serial phase C: order-dependent state no speculative
     /// attempt touches, so none conflicts on it. It must not panic. The
     /// default does nothing.
@@ -616,9 +599,7 @@ fn call(
 /// One turn at a job's frontier: the lock, and the steps taken under it
 /// — absorb **every** published completion, admit behind them, run one
 /// frontier drain over the lot, admit again — and the sequential
-/// fallback when a retry budget or the watchdog demands it. A held run
-/// (one seat, governed) takes one turn, the caller's first, and issues
-/// every task inline in it.
+/// fallback when a retry budget or the watchdog demands it.
 struct Turn<'a> {
     job: &'a Arc<JobShared>,
     pool: &'a dyn Pool,
@@ -649,10 +630,6 @@ impl<'a> Turn<'a> {
     /// The pipelined protocol's steps; `true` once every task has
     /// committed.
     fn steps(&mut self) -> Result<bool, Stop> {
-        if self.job.spec.config.governor.is_some() && self.job.board.seats().len() == 1 {
-            self.issue_inline()?;
-            return Ok(true);
-        }
         if self.absorb_batch() {
             // The absorbed attempts freed window space and satisfied
             // deps: admit behind them *before* the frontier runs, so
@@ -677,50 +654,6 @@ impl<'a> Turn<'a> {
             Err(Stop::FallBack) => self.fall_back().map(|()| true),
             Err(Stop::Failed(e)) => Err(e),
         });
-    }
-
-    /// A held run's one turn: every task, in order, on the job's calling
-    /// thread — *through* the substrate, each in one ordinary version
-    /// (opened here, committed at once, never squashable) — under this
-    /// one lock acquisition, with no dispatch at all. A body that panics
-    /// has its version rolled back, so the failed task publishes
-    /// nothing.
-    fn issue_inline(&mut self) -> Result<(), Stop> {
-        let (job, f) = (self.job, &mut *self.f);
-        let graph = &*job.spec.graph;
-        let mem = job.spec.mem.as_deref();
-        for task in 0..graph.len() as u32 {
-            let stage = graph.task(TaskId(task)).stage.0;
-            let v = VersionId(u64::from(task));
-            if let Some(m) = mem {
-                m.begin(v);
-                f.trace.record(TraceEventKind::VersionOpen {
-                    stage,
-                    task,
-                    attempt: DEGRADED_ATTEMPT,
-                });
-            }
-            let output = job.run_here(task, DEGRADED_ATTEMPT, mem).inspect_err(|_| {
-                if let Some(m) = mem {
-                    m.rollback(v);
-                }
-            })?;
-            // The probe costs a registry read lock: only traced runs
-            // pay it.
-            if let (true, Some(m)) = (f.trace.enabled(), mem) {
-                if let Some(p) = m.probe(v) {
-                    f.trace.record(TraceEventKind::VersionReads {
-                        stage,
-                        task,
-                        attempt: DEGRADED_ATTEMPT,
-                        reads: p.reads,
-                        forwards: p.forwards,
-                    });
-                }
-            }
-            f.commit.commit_degraded(job, &output);
-        }
-        Ok(())
     }
 
     /// Opens the board to whatever the lane windows allow.
@@ -762,9 +695,11 @@ impl<'a> Turn<'a> {
 
     /// Graceful degradation: commits every remaining task in order on
     /// this thread, fault-free and non-speculative — exactly a resumed
-    /// sequential run.
+    /// sequential run — after rolling back the versions of the attempts
+    /// it will not commit.
     fn fall_back(&mut self) -> Result<(), ExecError> {
         let (job, f) = (self.job, &mut *self.f);
+        f.commit.discard_buffered(job);
         let from = f.commit.committed_tasks();
         f.trace.record(TraceEventKind::FallbackActivated {
             from_task: from as u32,

@@ -556,8 +556,8 @@ pub(super) struct JobShared {
 impl JobShared {
     /// Runs one attempt's body on the calling thread, catching a panic.
     /// [`run_attempt`] passes the job's substrate, the attempt's version
-    /// already open. A held run's turn passes it for an inline attempt, and
-    /// `None` when it replays a task as the fallback executor — on
+    /// already open, and the turn passes `None` when it replays a task
+    /// as the fallback executor — on
     /// purpose even for versioned jobs: a sequential replay must compute
     /// the task's result without opening, or double-applying into, a
     /// memory version.

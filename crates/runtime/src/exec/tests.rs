@@ -557,8 +557,8 @@ impl NativeBody for Stamping {
 
 /// The commit hook runs once per task, in task order, on the committed
 /// attempt's bytes in the stream — whichever path commits it: the batch
-/// drain past squashed attempts, a held run's inline issue, the
-/// fallback after a panic at budget 0.
+/// drain past squashed attempts, on four seats or one, and the fallback
+/// after a panic at budget 0.
 #[test]
 fn the_commit_hook_finishes_every_task_once_in_order() {
     let iters = 30u64;
@@ -567,7 +567,6 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
         .with_faults(FaultPlan::none().with_forced(b_task(5), 0, FaultKind::WorkerPanic))
         .with_retry_budget(0);
     let (three, tls) = (ExecutionPlan::three_phase(4), ExecutionPlan::tls(1));
-    let governed = ExecConfig::default().with_governor(GovernorConfig::default());
     let cases = [
         (
             "drain",
@@ -575,7 +574,7 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
             three_phase_graph(iters, &violated),
             three.clone(),
         ),
-        ("inline", governed, counter_graph(iters), tls),
+        ("one seat", ExecConfig::default(), counter_graph(iters), tls),
         (
             "fallback",
             panic,
@@ -600,10 +599,7 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
         assert_eq!(report.output, stamps, "{path}");
         match path {
             "drain" => assert_eq!(report.squashes, violated.len() as u64),
-            "inline" => {
-                let g = report.governor.expect("governed");
-                assert_eq!(g.degraded_commits, u64::from(tasks), "{path}");
-            }
+            "one seat" => assert!(!report.fallback_activated, "{path}"),
             _ => assert!(report.fallback_activated, "{path}"),
         }
     }
@@ -670,10 +666,13 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
     );
 }
 
-/// A degraded task whose body panics publishes none of its stores: in a
-/// governed one-seat counter loop, task 5 writes `got + 100` and then
-/// panics. The run fails on task 5, the counter holds the five
-/// increments before it, and no version is left open.
+/// A task whose body panics publishes none of its stores: in a one-seat
+/// counter loop, task 5 writes `got + 100` and then panics on every
+/// attempt that has a version. Each panicked version is rolled back, and
+/// once the retry budget is spent the run degrades to the sequential
+/// fallback, which runs the rest without the substrate. The stream is the
+/// sequential one, the counter holds the five increments before task 5,
+/// and no version is left open.
 #[test]
 fn a_panicking_degraded_task_publishes_nothing() {
     let body = |task: TaskId, ctx: &TaskCtx<'_>| {
@@ -689,16 +688,14 @@ fn a_panicking_degraded_task_publishes_nothing() {
         m.write(v, Addr(0), got + 1);
         TaskOutput::bytes(got.to_le_bytes().to_vec())
     };
-    let mem = Arc::new(ConcurrentVersionedMemory::new());
-    let err = run_on(
-        Some(Arc::clone(&mem)),
-        ExecConfig::default().with_governor(GovernorConfig::default()),
+    let (report, mem) = run_versioned(
+        ExecConfig::default(),
         &counter_graph(10),
         &ExecutionPlan::tls(1),
         body,
-    )
-    .unwrap_err();
-    assert_eq!(err, ExecError::TaskFailed { task: TaskId(5) });
+    );
+    assert_eq!(report.output, expected_stream(10));
+    assert!(report.fallback_activated, "the budget is spent on task 5");
     assert_eq!(mem.committed(Addr(0)), Some(5));
     assert_eq!(mem.active_count(), 0);
 }
@@ -1373,15 +1370,17 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
     }
 }
 
-/// The governor's one rule: a governed plan with one seat in total is
-/// held inline for the whole run. The caller issues every task in
-/// order, each a non-speculative attempt at [`DEGRADED_ATTEMPT`], so a
-/// replayed violation squashes nothing; nothing is queued, no seat runs
-/// an attempt, and every commit counts as a degraded one. The same plan
-/// ungoverned pipelines on its one seat and squashes what the graph
-/// recorded.
+/// There is no runtime governor: `with_governor` returns the config it
+/// is given, and a one-seat plan under it runs the board, the frontier
+/// and the pipelined path like any other. Every task is queued once,
+/// each replayed violation squashes and is queued again, and no report
+/// carries governor counters.
 #[test]
-fn a_one_seat_plan_is_held_inline_and_never_probes() {
+fn with_governor_changes_nothing_and_a_one_seat_plan_pipelines() {
+    assert_eq!(
+        ExecConfig::default().with_governor(GovernorConfig::default()),
+        ExecConfig::default()
+    );
     let iters = 3 * WINDOW;
     let violated: Vec<u64> = (1..iters).step_by(3).collect();
     let mut graph = TaskGraph::new(1);
@@ -1397,40 +1396,27 @@ fn a_one_seat_plan_is_held_inline_and_never_probes() {
     }
     let plan = ExecutionPlan::tls(1);
     let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-    let config = ExecConfig::default().with_tracing(true);
-    let held = run(
-        config.clone().with_governor(GovernorConfig::default()),
-        &graph,
-        &plan,
-        body,
-    )
-    .unwrap();
-    assert_eq!(held.output, expected_stream(iters));
-    assert_eq!(
-        (held.attempts, held.squashes, held.violations),
-        (iters, 0, 0)
-    );
-    assert!(held.workers.is_empty(), "no seat ran an attempt");
-    let stats = GovernorStats {
-        degraded_commits: iters,
-        ..GovernorStats::default()
-    };
-    assert_eq!(held.governor, Some(stats));
-    let timeline = held.timeline.as_ref().expect("tracing was on");
-    timeline.validate().expect("a well-formed held timeline");
+    let config = ExecConfig::default()
+        .with_tracing(true)
+        .with_governor(GovernorConfig::default());
+    let report = run(config, &graph, &plan, body).unwrap();
+    assert_eq!(report.output, expected_stream(iters));
+    assert_eq!(report.squashes, violated.len() as u64);
+    assert_eq!(report.governor, None);
+    let timeline = report.timeline.as_ref().expect("tracing was on");
+    timeline
+        .validate()
+        .expect("a well-formed one-seat timeline");
+    let mut pushed = vec![0; iters as usize];
     for e in timeline.events() {
-        match e.kind {
-            TraceEventKind::QueuePush { task, .. } => panic!("task {task} was queued"),
-            TraceEventKind::Commit { task, attempt } => {
-                assert_eq!(attempt, DEGRADED_ATTEMPT, "task {task}");
-            }
-            _ => {}
+        if let TraceEventKind::QueuePush {
+            task, attempt: 0, ..
+        } = e.kind
+        {
+            pushed[task as usize] += 1;
         }
     }
-    let pipelined = run(config, &graph, &plan, body).unwrap();
-    assert_eq!(pipelined.output, expected_stream(iters));
-    assert_eq!(pipelined.squashes, violated.len() as u64);
-    assert_eq!(pipelined.governor, None);
+    assert!(pushed.iter().all(|&n| n == 1), "{pushed:?}");
 }
 
 // --- the turn protocol, enumerated ------------------------------------------

@@ -734,10 +734,9 @@ impl Timeline {
                     }
                 }
                 TraceEventKind::Commit { task, attempt } => {
-                    // Fallback and held-run commits run inline
-                    // under the frontier lock: no runner-side events.
+                    // Fallback commits run inline under the frontier
+                    // lock: no runner-side events.
                     if attempt != super::FALLBACK_ATTEMPT
-                        && attempt != super::DEGRADED_ATTEMPT
                         && !completed_set.contains_key(&(e.job, task, attempt))
                     {
                         return Err(TraceDefect::CommitWithoutCompletion { task, attempt });

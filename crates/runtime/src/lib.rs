@@ -59,7 +59,7 @@ pub use exec::{
     FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec, NativeBody,
     NativeReport, PlanDelta, RecoveryCounts, SquashReason, StageMetrics, TaskCtx, TaskOutput,
     TaskSupervision, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
-    DEGRADED_ATTEMPT, FALLBACK_ATTEMPT,
+    FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};

@@ -1,7 +1,6 @@
 //! Execution plans: which core(s) run each pipeline stage.
 
 use crate::json;
-use crate::profile::ConflictProfile;
 use serde::{Deserialize, Serialize};
 
 /// How one stage's tasks are placed on cores.
@@ -85,9 +84,7 @@ impl StageAssignment {
 /// The per-stage placement for one parallelized loop.
 ///
 /// Equality compares the stage assignments only; the lint stamp (see
-/// [`ExecutionPlan::stamp_linted`]) and the conflict profile (see
-/// [`ExecutionPlan::with_conflict_profile`]) are bookkeeping, not
-/// identity.
+/// [`ExecutionPlan::stamp_linted`]) is bookkeeping, not identity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionPlan {
     stages: Vec<StageAssignment>,
@@ -97,11 +94,6 @@ pub struct ExecutionPlan {
     /// serde: a deserialized plan is unstamped until re-linted.
     #[serde(skip)]
     lint_stamp: Option<u64>,
-    /// Static conflict-density estimate attached by the parallelizer's
-    /// audit pass, scaled to this plan's replication factor. Reports
-    /// set it beside the measured rate; absent on hand-built plans.
-    #[serde(skip)]
-    conflict_profile: Option<ConflictProfile>,
 }
 
 impl PartialEq for ExecutionPlan {
@@ -111,8 +103,7 @@ impl PartialEq for ExecutionPlan {
 }
 
 // Equality is over the stage assignments only (see `PartialEq`), and
-// `StageAssignment` equality is total, so the reflexivity `Eq` asserts
-// holds even though the skipped bookkeeping fields carry floats.
+// `StageAssignment` equality is total.
 impl Eq for ExecutionPlan {}
 
 impl ExecutionPlan {
@@ -126,7 +117,6 @@ impl ExecutionPlan {
         Self {
             stages,
             lint_stamp: None,
-            conflict_profile: None,
         }
     }
 
@@ -288,26 +278,12 @@ impl ExecutionPlan {
         self.lint_stamp.is_none_or(|s| s == self.fingerprint())
     }
 
-    /// Attaches a static conflict-density estimate (bookkeeping, like
-    /// the lint stamp: not part of plan identity and skipped by serde).
-    #[must_use]
-    pub fn with_conflict_profile(mut self, profile: ConflictProfile) -> Self {
-        self.conflict_profile = Some(profile);
-        self
-    }
-
-    /// The attached conflict-density estimate, when the parallelizer's
-    /// audit pass produced one.
-    pub fn conflict_profile(&self) -> Option<&ConflictProfile> {
-        self.conflict_profile.as_ref()
-    }
-
     /// Serializes the stage assignments as the JSON array persisted
     /// inside plan artifacts (see `AUTOTUNING.md` for the schema):
     /// `[{"kind": "serial", "core": 0}, {"kind": "parallel",
-    /// "cores": [1, 2]}, ...]`. Bookkeeping (lint stamp, conflict
-    /// profile) is deliberately not serialized — a loaded plan must be
-    /// re-linted before it can claim a stamp.
+    /// "cores": [1, 2]}, ...]`. The lint stamp is deliberately not
+    /// serialized — a loaded plan must be re-linted before it can claim
+    /// a stamp.
     pub fn stages_to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, s) in self.stages.iter().enumerate() {
@@ -464,17 +440,6 @@ mod tests {
         let mut stamped = ExecutionPlan::three_phase(4);
         stamped.stamp_linted();
         assert_eq!(plain, stamped);
-    }
-
-    #[test]
-    fn conflict_profile_is_bookkeeping_not_identity() {
-        let plain = ExecutionPlan::three_phase(4);
-        let profiled = ExecutionPlan::three_phase(4)
-            .with_conflict_profile(ConflictProfile::new(vec![], 100).scaled(2));
-        assert_eq!(plain, profiled);
-        assert_eq!(plain.fingerprint(), profiled.fingerprint());
-        assert!(plain.conflict_profile().is_none());
-        assert_eq!(profiled.conflict_profile().unwrap().replication, 2);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! regions into a per-iteration conflict probability, scaled by the
 //! replication factor the plan gives the parallel stage.
 //!
-//! The profile lives in this crate — not in `seqpar-analysis` — so the
-//! runtime can consume it without a dependency cycle: the plan carries
-//! it as bookkeeping (like the lint stamp) for the lint and `figures
-//! conflicts` tables to set beside the rate a native run records, and
-//! the tuner prices conflict probes from it.
+//! The profile lives in this crate, below both `seqpar-analysis`, whose
+//! audit pass computes it, and `seqpar`, whose parallelized loop keeps
+//! it at replication 1. No plan carries it, and the executor never reads
+//! it: the lint table prices it for a plan's widest pool, and the tuner
+//! prices each candidate's conflict probes from it.
 
 use serde::{Deserialize, Serialize};
 

@@ -50,9 +50,8 @@
 //! on conflict — and [`try_commit`](ConcurrentVersionedMemory::try_commit)
 //! to publish the write buffer when the attempt survives (the executor
 //! uses their batch forms; the single-version ones are the same routine
-//! at k = 1). A task a held run issues inline, on the frontier's own
-//! thread, is no exception: it opens and commits one ordinary version,
-//! which nothing can squash, since every earlier version has committed.
+//! at k = 1). A one-seat plan's tasks are no exception: each opens and
+//! commits one ordinary version through the same frontier.
 
 use crate::memory::{Addr, CommitError, VersionId};
 use crate::stats::MemStats;

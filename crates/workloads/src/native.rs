@@ -179,9 +179,9 @@ trait Loop: RangeRunner {
     /// keeps the output (as [`Tail::emit`] lays it), the work and a clock
     /// of the steps alone, not of the record rule. It keeps no point.
     fn pass(&self, kept: bool) -> (IterationTrace, Option<(Vec<u8>, u64, Duration)>);
-    /// Keeps the state before every multiple of `k` below `n` as a point,
-    /// walking the loop once, untimed; a later call keeps nothing.
-    fn keep(&self, k: u64, n: u64);
+    /// Keeps the state before every multiple of `k` as a point, walking
+    /// the loop once to its end, untimed; a later call keeps nothing.
+    fn keep(&self, k: u64);
     /// The kept points' stride, once kept.
     fn stride(&self) -> Option<u64>;
 }
@@ -190,8 +190,11 @@ trait Loop: RangeRunner {
 /// one ended (the next chunk on one seat) resumes the state it left; any
 /// other restores the latest point at or before it and replays up to it,
 /// unmetered. A plan with two or more seats keeps points at its grain
-/// ([`Loop::keep`]), so none of its chunks replays; a one-seat plan keeps
-/// none, and a range of it that cannot resume replays from the start.
+/// ([`Loop::keep`]), so none of its chunks replays. A one-seat plan keeps
+/// none while its ranges resume; the first of its ranges past iteration 0
+/// that cannot (a retry, a replay job's squashed chunk) keeps them, once,
+/// at its own length, so a run that reruns every chunk walks the loop
+/// once more, not once per chunk.
 struct Resume<K: Kernel> {
     kernel: K,
     points: OnceLock<Points<K::Point>>,
@@ -205,15 +208,9 @@ impl<K: Kernel> RangeRunner for Resume<K> {
     fn run(&self, iters: Range<u64>, emit: &mut dyn FnMut(&[u8], u64)) {
         let kernel = &self.kernel;
         let left = self.left.lock().expect("no panic under the lock").take();
-        let points = self.points.get().map_or(&[][..], |(_, points)| points);
-        let later = points.partition_point(|(i, _)| *i <= iters.start);
-        let (from, mut live) = match (left, later.checked_sub(1)) {
-            (Some((end, live)), _) if end == iters.start => (end, live),
-            (_, Some(p)) => (points[p].0, kernel.restore(&points[p].1)),
-            (_, None) => {
-                let keeps = iters.start > 0 && kernel.point(&kernel.start()).is_some();
-                (if keeps { 0 } else { iters.start }, kernel.start())
-            }
+        let (from, mut live) = match left {
+            Some((end, live)) if end == iters.start => (end, live),
+            _ => self.restore(&iters),
         };
         // The replay restores the range's state: its work belongs to the
         // iterations it repeats.
@@ -225,6 +222,26 @@ impl<K: Kernel> RangeRunner for Resume<K> {
             emit(&bytes, work);
         }
         *self.left.lock().expect("no panic under the lock") = Some((iters.end, live));
+    }
+}
+
+impl<K: Kernel> Resume<K> {
+    /// The latest point at or before `iters`, and the state it stands
+    /// for, keeping points at the range's length first if none are kept
+    /// and the range starts past iteration 0. A loop that keeps no point
+    /// starts the range itself from [`Kernel::start`].
+    fn restore(&self, iters: &Range<u64>) -> (u64, K::State) {
+        if iters.start > 0 && self.points.get().is_none() {
+            self.keep(iters.end - iters.start);
+        }
+        let points = self.points.get().map_or(&[][..], |(_, points)| points);
+        match points.partition_point(|(i, _)| *i <= iters.start) {
+            0 => (iters.start, self.kernel.start()),
+            later => {
+                let (i, point) = &points[later - 1];
+                (*i, self.kernel.restore(point))
+            }
+        }
     }
 }
 
@@ -252,21 +269,29 @@ impl<K: Kernel> Loop for Resume<K> {
         (trace, kept.then_some((out, work, clocked)))
     }
 
-    fn keep(&self, k: u64, n: u64) {
+    fn keep(&self, k: u64) {
         self.points.get_or_init(|| {
             #[cfg(test)]
             let k = if tests::EVERY_POINT.get() { 1 } else { k };
             let (mut live, mut points) = (self.kernel.start(), Vec::new());
-            for i in 0..n {
-                if i.is_multiple_of(k) {
-                    let Some(point) = self.kernel.point(&live) else {
-                        break;
-                    };
+            for i in 0u64.. {
+                let point = if i.is_multiple_of(k) {
+                    match self.kernel.point(&live) {
+                        None => break,
+                        point => point,
+                    }
+                } else {
+                    None
+                };
+                // A point taken at the loop's end precedes no iteration.
+                if step(&self.kernel, &mut live, i).is_none() {
+                    break;
+                }
+                if let Some(point) = point {
                     #[cfg(test)]
                     tests::POINTS.set(tests::POINTS.get() + 1);
                     points.push((i, point));
                 }
-                step(&self.kernel, &mut live, i);
             }
             (k, points)
         });
@@ -716,7 +741,7 @@ impl VersionedJob {
         };
         let seats = plan.stage(emit_stage).cores().len();
         if let Some(kernel) = self.body.kernel.as_ref().filter(|_| seats > 1) {
-            kernel.runs.keep(k as u64, self.len() as u64);
+            kernel.runs.keep(k as u64);
         }
         let mem = Arc::new(ConcurrentVersionedMemory::new());
         let folded = self.body.tail.slots * usize::from(self.body.at_commit());
@@ -1404,29 +1429,35 @@ mod tests {
         fn fold(&self, _: u64, _: &[u8], _: &mut [u64]) {}
     }
 
-    /// Pins the rule of a job's restore points on a loop whose states are
-    /// their own indices: the pass keeps none; a walk at `k` keeps the
-    /// state before every multiple of `k` below `n`, in one pass, and a
-    /// second walk keeps nothing; a range resumes the state the last one
-    /// left, or else restores the latest point at or before its start and
-    /// replays up to it unmetered — from the loop's start while no point
-    /// is kept.
-    #[test]
-    fn restore_points_keep_strided_states_and_resume_from_the_latest() {
-        let n = 100;
-        let runs = Resume {
+    /// `Indexed { n }`'s ranges, nothing kept yet.
+    fn indexed(n: u64) -> Resume<Indexed> {
+        Resume {
             kernel: Indexed { n },
             points: OnceLock::new(),
             left: Mutex::new(None),
-        };
+        }
+    }
+
+    /// Pins the rule of a job's restore points on a loop whose states are
+    /// their own indices: the pass keeps none; a walk at `k` keeps the
+    /// state before every multiple of `k` to the loop's end, in one pass,
+    /// and a second walk keeps nothing; a range resumes the state the
+    /// last one left, or else restores the latest point at or before its
+    /// start and replays up to it unmetered. While no point is kept, a
+    /// range from iteration 0 starts the loop, and one past it first
+    /// keeps points at its own length.
+    #[test]
+    fn restore_points_keep_strided_states_and_resume_from_the_latest() {
+        let n = 100;
+        let runs = indexed(n);
         let (trace, kept) = runs.pass(true);
         assert_eq!(trace.len() as u64, n);
         assert!(
             kept.is_some() && runs.stride().is_none(),
             "a pass keeps none"
         );
-        // Each range's steps, replay included.
-        let run = |range: Range<u64>| {
+        // Each range's steps, replay and walk included.
+        let run = |runs: &Resume<Indexed>, range: Range<u64>| {
             steps();
             let (mut bytes, mut work) = (Vec::new(), 0);
             runs.run(range.clone(), &mut |b, w| {
@@ -1437,20 +1468,47 @@ mod tests {
             assert_eq!((bytes, work), (expected, range.end - range.start));
             steps()
         };
-        assert_eq!(run(40..45), 45, "no point: replayed from the start");
-        assert_eq!(run(45..50), 5, "resumed");
+        assert_eq!(run(&runs, 0..5), 5, "no point: the loop's start");
+        assert_eq!(runs.stride(), None, "a range from 0 keeps none");
+        assert_eq!(run(&runs, 40..45), n + 5, "no point: one walk, then 40");
+        assert_eq!(runs.stride(), Some(5), "kept at the range's length");
+        assert_eq!(run(&runs, 45..50), 5, "resumed");
+        assert_eq!(run(&runs, 42..44), 4, "replayed from 40");
+        let runs = indexed(n);
         steps();
-        runs.keep(8, n);
+        runs.keep(8);
         assert_eq!((runs.stride(), steps()), (Some(8), n), "one walk");
-        runs.keep(4, n);
+        runs.keep(4);
         assert_eq!((runs.stride(), steps()), (Some(8), 0), "kept once");
         let points = &runs.points.get().expect("kept").1;
         let every_eighth: Vec<(u64, u64)> = (0..n).step_by(8).map(|i| (i, i)).collect();
         assert_eq!(points, &every_eighth);
         for (range, replayed) in [(0..1, 0), (40..48, 0), (5..9, 5), (99..100, 3), (7..8, 7)] {
-            assert_eq!(run(range.clone()), range.end - range.start + replayed);
+            assert_eq!(
+                run(&runs, range.clone()),
+                range.end - range.start + replayed
+            );
         }
-        assert_eq!(run(8..16), 8, "resumed");
+        assert_eq!(run(&runs, 8..16), 8, "resumed");
+    }
+
+    /// A one-seat run that reruns every chunk — a replay job whose every
+    /// chunk is squashed and run again — walks the loop once to keep
+    /// points at the chunk's length and then takes each range's own
+    /// steps: linear in the loop, where replaying every rerun from the
+    /// loop's start was quadratic.
+    #[test]
+    fn rerunning_every_chunk_walks_the_loop_once() {
+        let (n, k) = (1_000, 8);
+        let runs = indexed(n);
+        steps();
+        for start in (0..n).step_by(k as usize) {
+            for _ in 0..2 {
+                runs.run(start..n.min(start + k), &mut |_, _| {});
+            }
+        }
+        assert_eq!(steps(), 3 * n, "two runs of every range and one walk");
+        assert_eq!(runs.stride(), Some(k));
     }
 
     /// The kernels that resume their loop from restore points.

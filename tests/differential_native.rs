@@ -93,12 +93,10 @@ where
     spec.body = Arc::new(Wrapped { inner, run });
 }
 
-/// Runs `spec` on an engine of its own, one worker per seat of its plan.
+/// Runs `spec` on an engine of its own, sized as production sizes one
+/// ([`EngineConfig::for_plan`]: a worker per distinct core but one).
 fn run(spec: &JobSpec) -> NativeReport {
-    let seats = (0..spec.plan.stage_count())
-        .map(|s| spec.plan.stage(s).cores().len())
-        .sum();
-    Engine::new(EngineConfig::with_workers(seats))
+    Engine::new(EngineConfig::for_plan(&spec.plan))
         .run(spec)
         .expect("plan matches graph and every fault is recoverable")
 }

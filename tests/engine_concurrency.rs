@@ -7,14 +7,13 @@
 //!   other jobs;
 //! * every [`NativeReport`](seqpar_runtime::NativeReport) is stamped
 //!   with its own [`JobId`] and carries only that job's squash /
-//!   commit / governor counts — nothing bleeds across the shards of
-//!   the commit frontier;
+//!   commit counts — nothing bleeds across the shards of the commit
+//!   frontier;
 //! * chaos (seeds 7 and 42, overridable via `SEQPAR_CHAOS_SEED`)
 //!   through the shared pool still commits every job byte-identically.
 
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig, JobId,
-    SquashReason, TraceEventKind,
+    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, JobId, SquashReason, TraceEventKind,
 };
 use seqpar_workloads::{workload_by_name, InputSize, VersionedJob};
 
@@ -83,17 +82,14 @@ fn concurrent_jobs_commit_their_own_sequential_stream() {
 }
 
 /// (b) Per-job configuration stays per-job: with three jobs sharing the
-/// pool and only one of them governed, only that job's report carries
-/// governor stats, and only traced jobs carry timelines whose every
-/// event bears the owning job's id.
+/// pool and two of them traced, only the traced jobs carry timelines,
+/// and every event of each bears the owning job's id.
 #[test]
 fn job_isolation_keeps_stats_and_traces_apart() {
     let engine = Engine::new(EngineConfig::with_workers(8));
-    // gzip: governed + traced; mcf: traced only; parser: plain.
+    // gzip and mcf: traced; parser: plain.
     let configs = [
-        ExecConfig::default()
-            .with_tracing(true)
-            .with_governor(GovernorConfig::default()),
+        ExecConfig::default().with_tracing(true),
         ExecConfig::default().with_tracing(true),
         ExecConfig::default(),
     ];
@@ -110,11 +106,6 @@ fn job_isolation_keeps_stats_and_traces_apart() {
         let job_id = handle.id();
         let r = handle.wait().expect("plan matches graph");
         assert_eq!(r.output, seq.output, "{id}: output diverged");
-        assert_eq!(
-            r.governor.is_some(),
-            i == 0,
-            "{id}: governor stats present iff this job was governed"
-        );
         assert_eq!(
             r.timeline.is_some(),
             i < 2,

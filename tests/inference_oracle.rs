@@ -5,11 +5,10 @@
 //! annotation — the audit pass proves their RNG/allocator state
 //! encapsulated and mints the group itself. If that inference were ever
 //! wrong (the state secretly order-sensitive), the erased dependences
-//! would let iterations commit out of order and the governed native run
-//! would diverge from sequential execution. So: for random thread
-//! counts, the plan derived from the inferred partition, under the
-//! default governor, must commit byte-identical output to the
-//! sequential run, every time.
+//! would let iterations commit out of order and the native run would
+//! diverge from sequential execution. So: for random thread counts, the
+//! plan derived from the inferred partition must commit byte-identical
+//! output to the sequential run, every time.
 //!
 //! Cases are drawn from the offline proptest stub's deterministic
 //! per-test RNG, so the sampled population is stable across machines.
@@ -17,7 +16,7 @@
 use proptest::prelude::*;
 use seqpar::Technique;
 use seqpar_ir::Opcode;
-use seqpar_runtime::{ExecConfig, GovernorConfig};
+use seqpar_runtime::ExecConfig;
 use seqpar_workloads::{workload_by_name, InputSize};
 
 /// The workloads whose hand annotations the audit pass replaced.
@@ -26,8 +25,8 @@ const INFERRED: &[&str] = &["175.vpr", "300.twolf", "197.parser"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Governed native output stays byte-identical to sequential for
-    /// every plan built on audit-inferred commutativity.
+    /// Native output stays byte-identical to sequential for every plan
+    /// built on audit-inferred commutativity.
     #[test]
     fn inferred_commutativity_never_contradicts_the_sequential_oracle(
         which in 0..INFERRED.len(),
@@ -59,21 +58,18 @@ proptest! {
             w.meta().spec_id
         );
 
-        // Execute under the default governor: the configuration
-        // `figures --native` and every tuner contender run.
+        // Execute under the default config: the one `figures --native`
+        // and every tuner contender run.
         let plan = result.plan(threads.max(3));
         let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
         let run = job
-            .execute(
-                &plan,
-                ExecConfig::default().with_governor(GovernorConfig::default()),
-            )
+            .execute(&plan, ExecConfig::default())
             .expect("plan matches machine")
             .0;
         prop_assert_eq!(
             &run.output, &seq.output,
-            "{}: inferred-commutative governed run diverged at {} threads",
+            "{}: inferred-commutative run diverged at {} threads",
             w.meta().spec_id, threads
         );
     }

@@ -3,7 +3,7 @@
 //! at any budget or thread count — must be lint-clean at deny level,
 //! mint with an intact lint stamp, and commit byte-identical output to
 //! the sequential oracle when executed natively under the configuration
-//! every contender runs (32-entry queues, default governor). The tuner
+//! every contender runs (the default: 32-entry queues). The tuner
 //! is allowed to lose races; it is never allowed to trade correctness
 //! for speed.
 //!
