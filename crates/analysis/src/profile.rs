@@ -8,7 +8,6 @@
 //! value stability.
 
 use seqpar_ir::{Function, InstId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Observed manifestation frequency of memory-dependence edges.
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 /// `freq(src, dst)` is the fraction of loop iterations in which the
 /// dynamic dependence from `src` to `dst` actually occurred. Static
 /// may-alias edges absent from the profile take [`MemProfile::default_freq`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemProfile {
     entries: HashMap<(InstId, InstId), f64>,
     /// Frequency assumed for profiled-but-unrecorded edges.
@@ -84,7 +83,7 @@ impl MemProfile {
 
 /// Observed taken-probability of conditional branches, keyed by the block
 /// whose terminator branches.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BranchProfile {
     entries: HashMap<seqpar_ir::BlockId, f64>,
 }
@@ -129,7 +128,7 @@ impl BranchProfile {
 /// This is what nominates value-speculation candidates — e.g. 253.perlbmk's
 /// `PL_stack_sp` having the same value at every `NEXTSTATE` (§4.1.3), or
 /// 186.crafty's search state restored by `UnMakeMove` (§4.3.1).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ValueProfile {
     entries: HashMap<ValueId, f64>,
 }
@@ -160,7 +159,7 @@ impl ValueProfile {
 }
 
 /// All profile information about one loop, as produced by a profiling run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopProfile {
     /// Memory-dependence manifestation frequencies.
     pub memory: MemProfile,

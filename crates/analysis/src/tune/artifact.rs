@@ -80,7 +80,7 @@ impl PlanArtifact {
         }
     }
 
-    /// Serializes to the versioned JSON schema (stable key order,
+    /// Renders to the versioned JSON schema (stable key order,
     /// trailing newline).
     pub fn to_json(&self) -> String {
         let c = &self.candidate;

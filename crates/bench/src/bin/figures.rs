@@ -250,17 +250,15 @@ fn gantt(size: InputSize) {
         queue_capacity: 128,
         ..seqpar_runtime::SimConfig::default()
     });
+    let graph = trace.task_graph();
     let r = sim
-        .run(
-            &trace.task_graph(),
-            &seqpar_runtime::ExecutionPlan::three_phase(8),
-        )
+        .run(&graph, &seqpar_runtime::ExecutionPlan::three_phase(8))
         .expect("valid plan");
     println!("## Figure 3 (schedule view): 256.bzip2 on 8 cores");
     println!("core 0 = phase A (read), cores 1-6 = phase B (transform), core 7 = phase C (write)");
     print!(
         "{}",
-        seqpar_bench::render_gantt(&r.placements, 8, r.makespan)
+        seqpar_bench::render_timeline_gantt(&r.timeline(&graph))
     );
     println!();
 }

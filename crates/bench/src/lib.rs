@@ -312,36 +312,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     out
 }
 
-/// Renders the first `width` cycles of a traced schedule as an ASCII
-/// Gantt chart (one row per core), for examples and debugging.
-pub fn render_gantt(
-    placements: &[seqpar_runtime::TaskPlacement],
-    cores: usize,
-    width: u64,
-) -> String {
-    const COLUMNS: usize = 72;
-    let scale = (width.max(1) as f64) / COLUMNS as f64;
-    let mut rows = vec![vec![b'.'; COLUMNS]; cores];
-    for p in placements {
-        if p.start >= width {
-            continue;
-        }
-        let lo = (p.start as f64 / scale) as usize;
-        let hi = (((p.end.min(width)) as f64 / scale) as usize).max(lo + 1);
-        let glyph = b"ABCDEFGHIJ"[p.task.0 as usize % 10];
-        for cell in rows[p.core].iter_mut().take(hi.min(COLUMNS)).skip(lo) {
-            *cell = glyph;
-        }
-    }
-    let mut out = String::new();
-    for (c, row) in rows.iter().enumerate() {
-        out.push_str(&format!("core {c:>2} |"));
-        out.push_str(std::str::from_utf8(row).expect("ascii"));
-        out.push('\n');
-    }
-    out
-}
-
 /// A traced native run of one workload: the report, its structured
 /// timeline, and the sequential wall time it was checked against.
 #[derive(Clone, Debug)]
@@ -545,8 +515,8 @@ pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
 }
 
 /// Renders a timeline as an ASCII Gantt chart, one row per core, built
-/// from its dispatch/complete slices — the executed-schedule twin of
-/// [`render_gantt`] (which draws simulator placements).
+/// from its dispatch/complete slices: a native run's, or a simulated
+/// schedule's through [`SimResult::timeline`](seqpar_runtime::SimResult::timeline).
 ///
 /// Glyphs cycle `A..J` by task id; squashed attempts draw like any
 /// other slice (they occupied the core just the same).
@@ -685,7 +655,7 @@ pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
     LintOutcome {
         spec_id: w.meta().spec_id,
         report: result.lint_plan(&plan),
-        plan_stamped: plan.is_linted() && plan.lint_stamp_intact(),
+        plan_stamped: plan.is_linted(),
         predicted_conflict_permille: profile.density_permille(),
         hottest_region: profile.hottest().map(|r| r.region.clone()),
     }
@@ -813,10 +783,9 @@ mod tests {
             comm_latency: 0,
             ..SimConfig::default()
         });
-        let r = sim
-            .run(&trace.task_graph(), &ExecutionPlan::three_phase(4))
-            .unwrap();
-        let chart = render_gantt(&r.placements, 4, r.makespan);
+        let graph = trace.task_graph();
+        let r = sim.run(&graph, &ExecutionPlan::three_phase(4)).unwrap();
+        let chart = render_timeline_gantt(&r.timeline(&graph));
         assert_eq!(chart.lines().count(), 4);
         assert!(chart.contains("core  0 |"));
         // Busy cores show glyphs, not only idle dots.

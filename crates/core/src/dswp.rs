@@ -18,10 +18,9 @@
 
 use crate::scc::SccDecomposition;
 use seqpar_analysis::pdg::LoopPdg;
-use serde::{Deserialize, Serialize};
 
 /// The paper's three phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Sequential producer stage.
     A,

@@ -500,7 +500,7 @@ mod tests {
             StageAssignment::round_robin(vec![1, 2]),
             StageAssignment::serial(3),
         ]);
-        assert!(narrow.is_linted() && narrow.lint_stamp_intact());
+        assert!(narrow.is_linted());
 
         // A one-stage plan checks against the collapsed TLS view.
         let tls = result.plan_custom(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]);
@@ -756,7 +756,6 @@ mod tests {
         assert!(result.lint_report().is_clean());
         let plan = result.plan(4);
         assert!(plan.is_linted());
-        assert!(plan.lint_stamp_intact());
     }
 
     /// An accumulator loop with a profiled carried dependence between

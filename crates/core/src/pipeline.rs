@@ -8,10 +8,9 @@
 //! events (misspeculations) that actually occurred.
 
 use seqpar_runtime::{ExecutionPlan, SpecDep, TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Measurements for one loop iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IterationRecord {
     /// Cycles spent in the sequential produce phase (A).
     pub a_cost: u64,
@@ -49,7 +48,7 @@ impl IterationRecord {
 }
 
 /// The measured execution trace of one parallelized loop.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IterationTrace {
     records: Vec<IterationRecord>,
     /// Whether phase B runs speculatively (records `SpecDep`s between

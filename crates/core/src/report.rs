@@ -1,11 +1,10 @@
 //! Reporting which techniques a parallelization required (paper Table 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A technique from the paper's toolbox (the "Techniques Required" column
 /// of Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Technique {
     /// Decoupled software pipelining (always present).
     Dswp,
@@ -48,7 +47,7 @@ impl fmt::Display for Technique {
 }
 
 /// Summary of one loop's parallelization.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParallelizationReport {
     /// Name of the function containing the loop.
     pub function: String,

@@ -25,10 +25,9 @@
 use seqpar_analysis::pdg::{DepKind, LoopPdg, PdgEdge, PdgNode};
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{Opcode, Program};
-use serde::{Deserialize, Serialize};
 
 /// The flavour of speculation applied to one edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpecKind {
     /// Memory dependence assumed absent.
     Alias,
@@ -98,7 +97,7 @@ impl SpeculationSet {
 }
 
 /// Tuning knobs for speculation selection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeculationConfig {
     /// Maximum acceptable per-edge misspeculation probability.
     pub max_misspec: f64,

@@ -2,11 +2,10 @@
 
 use crate::ids::{BlockId, InstId, ValueId};
 use crate::inst::{Inst, Terminator};
-use serde::{Deserialize, Serialize};
 
 /// A basic block: a straight-line sequence of instructions ending in a
 /// [`Terminator`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// Human-readable name used by the printer.
     pub name: String,
@@ -28,7 +27,7 @@ impl Block {
 }
 
 /// A function: an arena of instructions organized into basic blocks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Instructions, opcodes, memory references, and terminators.
 
 use crate::ids::{BlockId, FuncId, MemObjId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A commutative-group identifier.
@@ -10,7 +9,7 @@ use std::fmt;
 /// and must execute atomically with respect to one another, but may execute
 /// in **any order** (paper §2.3.2). `malloc` and `free`, for example,
 /// belong to one group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommGroupId(pub u32);
 
 impl fmt::Display for CommGroupId {
@@ -26,7 +25,7 @@ impl fmt::Display for CommGroupId {
 /// often taking the true path is acceptable — e.g. `1e-5` on a
 /// dictionary-reset branch tells the compiler not to force a reset more than
 /// about once per 100 000 iterations.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct YBranchHint {
     /// Maximum acceptable frequency of compiler-forced true-path takes, as
     /// a fraction of dynamic executions of this branch.
@@ -66,7 +65,7 @@ impl YBranchHint {
 /// to distinct fields of the same object never alias (the paper exploits
 /// this in 176.gcc, where bit-flags sharing a byte caused spurious
 /// conflicts until split into separate locations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Pointer operand (a virtual register holding an address).
     pub base: ValueId,
@@ -106,7 +105,7 @@ impl MemRef {
 }
 
 /// The target of a call instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Callee {
     /// A function defined in the enclosing [`crate::Program`].
     Internal(FuncId),
@@ -118,7 +117,7 @@ pub enum Callee {
 ///
 /// Whole-program scope (paper §2.2) lets the compiler see through calls;
 /// for externals we approximate that visibility with a declared summary.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExternEffect {
     /// Abstract objects the function may read.
     pub reads: Vec<MemObjId>,
@@ -166,7 +165,7 @@ impl ExternEffect {
 /// cares about the def/use shape of an instruction, not its exact
 /// semantics. Memory and control effects are what the parallelizer reasons
 /// about.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Opcode {
     /// Integer constant.
     Const(i64),
@@ -242,7 +241,7 @@ impl Opcode {
 /// An instruction optionally defines one SSA value (`def`) and uses zero or
 /// more values (`operands`). Loads and stores additionally reference
 /// memory through the opcode's [`MemRef`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Inst {
     /// The operation performed.
     pub opcode: Opcode,
@@ -273,7 +272,7 @@ impl Inst {
 }
 
 /// Basic-block terminators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),

@@ -8,12 +8,11 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::Function;
 use crate::ids::{BlockId, InstId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a loop within a [`LoopForest`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LoopId(pub u32);
 
 impl fmt::Display for LoopId {
@@ -24,7 +23,7 @@ impl fmt::Display for LoopId {
 
 /// A natural loop: a header block plus the body reachable backwards from
 /// its latches.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Loop {
     /// The unique header (target of the back edges).
     pub header: BlockId,
@@ -46,7 +45,7 @@ impl Loop {
 }
 
 /// The set of natural loops of a function, organized as a forest.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopForest {
     loops: Vec<Loop>,
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// Renders a function as human-readable text.
 ///
 /// The format is stable enough for golden tests but is not a parseable
-/// serialization; use the `serde` impls for that.
+/// serialization.
 pub fn function_to_string(func: &Function) -> String {
     let mut out = String::new();
     let params: Vec<String> = func

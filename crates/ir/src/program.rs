@@ -3,11 +3,10 @@
 use crate::function::Function;
 use crate::ids::{FuncId, MemObjId};
 use crate::inst::ExternEffect;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A global variable or other statically named memory object.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Global {
     /// Name of the object.
     pub name: String,
@@ -16,7 +15,7 @@ pub struct Global {
 }
 
 /// A declared external function with a memory-effect summary.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExternFn {
     /// Name used at call sites.
     pub name: String,
@@ -31,7 +30,7 @@ pub struct ExternFn {
 /// and modify code across procedure boundaries. `Program` gives analyses
 /// that visibility: every function, global, and external effect summary is
 /// available to every pass.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     /// Program name, used in diagnostics.
     pub name: String,

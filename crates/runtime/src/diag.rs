@@ -19,11 +19,10 @@
 
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::sim::SimError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How serious a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but not unsound: execution may proceed.
     Warn,
@@ -44,7 +43,7 @@ impl fmt::Display for Severity {
 ///
 /// The code namespaces are `SP00xx` (static lint, deny), `SP01xx`
 /// (static lint, warn), and `SPR0xx` (runtime validation).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     code: &'static str,
     severity: Severity,
@@ -157,7 +156,7 @@ pub struct PlanShape {
     /// Number of stages in the plan.
     pub stages: u8,
     /// The first stage with an empty core pool, if any (possible via
-    /// deserialization; the constructors reject it).
+    /// a raw enum literal; the constructors reject it).
     pub empty_stage: Option<u8>,
     /// Cores the plan requires (highest index + 1).
     pub cores_required: usize,

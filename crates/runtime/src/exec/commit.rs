@@ -14,7 +14,7 @@
 //! Fault supervision reuses the same squash machinery. Each attempt
 //! reaching the frontier passes a fixed decision ladder — worker panic
 //! → misspeculation squash → commit (the same ladder
-//! [`supervise_task`](super::faults::supervise_task) replays as a pure
+//! [`predict_recovery`](super::predict_recovery) folds as a pure
 //! function) — and every recovery decision is made *here*, strictly in
 //! task order, from nothing but `(task, attempt)` and the
 //! [`FaultPlan`](super::FaultPlan). That is what keeps the recovery
@@ -338,8 +338,8 @@ impl CommitUnit {
             // protocol — never charged against the retry budget. (If
             // attempt 0 panicked instead, the replay is attempt ≥ 1 and
             // no longer speculative, so this squash never fires and the
-            // task's violations go untallied — deterministically so; the
-            // simulated twin accounts identically.) The check is
+            // task's violations go untallied — deterministically so;
+            // `predict_recovery` accounts identically.) The check is
             // side-effect-free, so a mid-run failure leaves the attempt
             // buffered — it is handled as the frontier task on the next
             // pass, after the clean prefix below commits, exactly as the

@@ -9,15 +9,15 @@
 //!
 //! The same plan drives both sides of the differential harness: the
 //! native executor consults it on worker threads and at the commit
-//! frontier, while [`supervise_task`] replays the identical commit-time
-//! decision procedure as a pure function so the simulator (and tests)
-//! can predict every recovery counter without spawning a thread.
+//! frontier, while [`predict_recovery`] folds the identical commit-time
+//! decision procedure as a pure function, so tests can predict every
+//! deterministic counter of a replay run without spawning a thread.
 
-use serde::{Deserialize, Serialize};
+use crate::task::TaskGraph;
 use std::time::Duration;
 
 /// One class of injected fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker panics instead of running the task's body.
     WorkerPanic,
@@ -35,7 +35,7 @@ pub enum FaultKind {
 /// so two runs with the same seed report identical counts. (The
 /// exceptions, `NativeReport::attempts` and `watchdog_trips`, are
 /// documented on their own fields.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryCounts {
     /// Worker panics (injected or real) converted into squash-and-replay
     /// re-dispatches instead of aborting the run — the only replays
@@ -68,7 +68,7 @@ impl RecoveryCounts {
 /// per-mille bands, plus an explicit `forced` list for targeted tests.
 /// The default plan ([`FaultPlan::none`]) injects nothing and costs one
 /// branch per dispatch.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
     panic_permille: u16,
@@ -206,40 +206,33 @@ fn splitmix64(mut x: u64) -> u64 {
 /// What supervising one task at the commit frontier does, as predicted
 /// by replaying the supervisor's decision procedure as a pure function.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TaskSupervision {
+struct Supervision {
     /// Recovery counters charged while supervising this task (partial
     /// counts up to budget exhaustion when `exhausted`).
-    pub counts: RecoveryCounts,
+    counts: RecoveryCounts,
     /// Whether the attempt-0 misspeculation squash fired (it does not
     /// when attempt 0 panicked — the panic is handled first and the
     /// replay is no longer speculative).
-    pub misspec_squashed: bool,
+    misspec_squashed: bool,
     /// Total body dispatches the task consumed (including squashed and
-    /// panicked attempts), when not `exhausted`.
-    pub attempts: u32,
+    /// panicked attempts, the exhausting one included).
+    attempts: u32,
     /// The task exhausted its retry budget: the executor abandons
     /// worker dispatch and falls back to in-order sequential execution
     /// of every remaining task.
-    pub exhausted: bool,
+    exhausted: bool,
 }
 
 /// Replays the commit-frontier supervision protocol for one task as a
-/// pure function of the fault plan — the simulated twin of the native
-/// executor's recovery path, used by [`Simulator::run_with_faults`](crate::Simulator::run_with_faults)
-/// (see [`crate::sim`]) and the differential chaos tests.
+/// pure function of the fault plan: one step of [`predict_recovery`].
 ///
 /// `violated` says whether the task has at least one violated
 /// speculated dependence (so its genuine attempt 0 gets the normal
 /// misspeculation squash). The decision order per attempt mirrors
 /// `CommitUnit::drain` exactly: worker panic → misspeculation squash →
 /// commit. Only a panic is charged against `retry_budget`.
-pub fn supervise_task(
-    plan: &FaultPlan,
-    retry_budget: u32,
-    task: u32,
-    violated: bool,
-) -> TaskSupervision {
-    let mut sup = TaskSupervision::default();
+fn supervise_task(plan: &FaultPlan, retry_budget: u32, task: u32, violated: bool) -> Supervision {
+    let mut sup = Supervision::default();
     for attempt in 0u32.. {
         sup.attempts += 1;
         let fault = plan.fault_at(task, attempt);
@@ -261,9 +254,87 @@ pub fn supervise_task(
     sup
 }
 
+/// The deterministic counters of a replay run, as [`predict_recovery`]
+/// derives them; each field is the [`NativeReport`](crate::NativeReport)
+/// field of the same name.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryPrediction {
+    /// Panics recovered, stalls absorbed and tasks the sequential
+    /// fallback committed.
+    pub recovery: RecoveryCounts,
+    /// Body attempts: squashed, panicked and fallback ones included.
+    pub attempts: u64,
+    /// Misspeculation squashes.
+    pub squashes: u64,
+    /// Violated speculated dependences, tallied at their squash.
+    pub violations: u64,
+    /// Speculated dependences that held, tallied at their task's commit
+    /// before any fallback.
+    pub speculations_survived: u64,
+}
+
+/// Predicts what a replay run of `graph` under `faults` and
+/// `retry_budget` reports, without a thread. A replay run is a job
+/// without a substrate ([`JobSpec::mem`](crate::JobSpec::mem) unset):
+/// its misspeculations are the graph's recorded violated
+/// [`SpecDep`](crate::SpecDep)s.
+///
+/// The commit frontier decides every counter strictly in task order
+/// from `(task, attempt)` alone, so the prediction folds the per-task
+/// ladder over the tasks in that order. When a task exhausts the budget,
+/// the executor stops dispatching and commits that task and every later
+/// one inline, one attempt each: the speculation counters freeze and
+/// `recovery.fallback_tasks` counts the tail.
+pub fn predict_recovery(
+    graph: &TaskGraph,
+    faults: &FaultPlan,
+    retry_budget: u32,
+) -> RecoveryPrediction {
+    let mut p = RecoveryPrediction::default();
+    for (idx, task) in graph.tasks().iter().enumerate() {
+        let deps = graph.spec_deps(task);
+        let violated = deps.iter().filter(|d| d.violated).count() as u64;
+        let sup = supervise_task(faults, retry_budget, idx as u32, violated > 0);
+        p.recovery.absorb(&sup.counts);
+        p.attempts += u64::from(sup.attempts);
+        if sup.misspec_squashed {
+            p.squashes += 1;
+            p.violations += violated;
+        }
+        if sup.exhausted {
+            let tail = (graph.len() - idx) as u64;
+            p.recovery.fallback_tasks = tail;
+            p.attempts += tail;
+            break;
+        }
+        p.speculations_survived += deps.len() as u64 - violated;
+    }
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::SpecDep;
+    use crate::{ExecutionPlan, SimConfig, Simulator};
+
+    /// A TLS chain of `n` tasks, each speculating on its predecessor;
+    /// the dependences of every fifth task manifest.
+    fn chain(n: u64) -> TaskGraph {
+        let mut g = TaskGraph::new(1);
+        let mut prev = None;
+        for i in 0..n {
+            let spec: Vec<SpecDep> = prev
+                .map(|on| SpecDep {
+                    on,
+                    violated: i % 5 == 0,
+                })
+                .into_iter()
+                .collect();
+            prev = Some(g.add_task(0, i, 10, &[], &spec));
+        }
+        g
+    }
 
     #[test]
     fn fault_draws_are_deterministic_and_seed_sensitive() {
@@ -340,5 +411,70 @@ mod tests {
         let normal = supervise_task(&FaultPlan::none(), 3, 2, true);
         assert!(normal.misspec_squashed);
         assert_eq!(normal.attempts, 2);
+    }
+
+    #[test]
+    fn fault_simulation_is_deterministic_and_inert_plans_change_nothing() {
+        let g = chain(180);
+        let n = g.len() as u64;
+        let sim = Simulator::new(SimConfig::with_cores(4));
+        let clean = sim.run(&g, &ExecutionPlan::tls(4)).unwrap();
+        let inert = predict_recovery(&g, &FaultPlan::none(), 3);
+        assert_eq!(
+            inert.recovery,
+            RecoveryCounts::default(),
+            "an inert fault plan must change nothing"
+        );
+        assert_eq!(inert.violations, clean.violations);
+        assert_eq!(inert.speculations_survived, clean.speculations_survived);
+        // Tasks 5, 10, …, 175 squash once each and commit on attempt 1.
+        assert_eq!(inert.squashes, 35);
+        assert_eq!(inert.attempts, n + inert.squashes);
+
+        let faults = FaultPlan::seeded(42);
+        let a = predict_recovery(&g, &faults, 3);
+        assert_eq!(a, predict_recovery(&g, &faults, 3), "same seed, same chaos");
+        assert!(
+            a.recovery.panics_recovered > 0,
+            "seed 42 injects something over 180 tasks"
+        );
+        assert_eq!(a.recovery.fallback_tasks, 0);
+        // Every task commits once; every squash and every panic costs
+        // one more attempt.
+        assert_eq!(
+            a.attempts,
+            n + a.squashes + a.recovery.panics_recovered,
+            "replayed attempts are counted"
+        );
+    }
+
+    #[test]
+    fn fault_simulation_budget_exhaustion_serializes_the_tail() {
+        let g = chain(60);
+        let n = g.len() as u64;
+        // Panic on every attempt: task 0 exhausts any finite budget.
+        let always = FaultPlan::none().with_panic_permille(1000);
+        let r = predict_recovery(&g, &always, 2);
+        assert_eq!(r.recovery.fallback_tasks, n);
+        assert_eq!(r.violations, 0, "speculation counters freeze at fallback");
+        assert_eq!(r.speculations_survived, 0);
+        // Each task ran once in the fallback tail, plus the three
+        // charged attempts task 0 burned pipelined.
+        assert_eq!(r.attempts, n + 3);
+
+        // Task 15 misspeculates, then its replays panic past budget 1:
+        // its squash is tallied before the counters freeze.
+        let late = FaultPlan::none()
+            .with_forced(15, 1, FaultKind::WorkerPanic)
+            .with_forced(15, 2, FaultKind::WorkerPanic);
+        let r = predict_recovery(&g, &late, 1);
+        assert_eq!(r.recovery.fallback_tasks, n - 15);
+        assert_eq!(r.recovery.panics_recovered, 2);
+        assert_eq!((r.squashes, r.violations), (3, 3), "tasks 5, 10 and 15");
+        // Tasks 1..15 committed pipelined; 5 and 10 held no dependence.
+        assert_eq!(r.speculations_survived, 14 - 2);
+        // 15 first attempts, two squash replays, task 15's three
+        // attempts, and the tail.
+        assert_eq!(r.attempts, 15 + 2 + 3 + (n - 15));
     }
 }

@@ -6,13 +6,12 @@ use super::faults::RecoveryCounts;
 use super::trace::{JobId, Timeline};
 use crate::task::StageId;
 use seqpar_specmem::MemStats;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A shim, kept only while `benchmark/` reads it: the counters of a
 /// runtime governor there no longer is. No run reports one
 /// ([`NativeReport::governor`] is always `None`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GovernorStats {
     /// Always 0; kept while the benchmark reads it.
     pub shrinks: u64,
@@ -174,17 +173,6 @@ impl NativeReport {
         }
         let busy: f64 = self.workers.iter().map(|w| w.busy.as_secs_f64()).sum();
         busy / (self.wall.as_secs_f64() * self.workers.len() as f64)
-    }
-
-    /// Wall-clock speedup against a measured sequential run.
-    ///
-    /// A zero-wall report (the division-by-zero edge) reports `0.0` —
-    /// "no speedup measured" — rather than infinity.
-    pub fn speedup_vs(&self, sequential: Duration) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        sequential.as_secs_f64() / self.wall.as_secs_f64()
     }
 
     /// Fraction of attempts that were squashed.

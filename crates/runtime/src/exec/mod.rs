@@ -90,7 +90,7 @@ mod stage;
 mod trace;
 
 pub use engine::{Engine, EngineConfig, JobHandle, JobSpec};
-pub use faults::{supervise_task, FaultKind, FaultPlan, RecoveryCounts, TaskSupervision};
+pub use faults::{predict_recovery, FaultKind, FaultPlan, RecoveryCounts, RecoveryPrediction};
 pub use metrics::{GovernorStats, NativeReport, PlanDelta, WorkerStat};
 pub use trace::{
     CriticalPath, DurationStats, JobId, SquashReason, StageMetrics, TimeUnit, Timeline,
@@ -102,7 +102,6 @@ use crate::task::{StageId, TaskGraph, TaskId};
 use commit::{CommitUnit, Stop};
 use engine::{hand, Pool};
 use seqpar_specmem::ConcurrentVersionedMemory;
-use serde::{Deserialize, Serialize};
 use stage::{JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
 use std::sync::{Arc, MutexGuard};
@@ -273,7 +272,7 @@ impl ExecConfig {
 
 /// Nothing to configure: the argument of the [`ExecConfig::with_governor`]
 /// shim, kept only while `benchmark/` names it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GovernorConfig {}
 
 /// What one task produced: the bytes it contributes to the in-order

@@ -3,7 +3,7 @@ use crate::plan::ExecutionPlan;
 use crate::task::{SpecDep, TaskGraph, TaskId};
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -397,20 +397,39 @@ fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     assert!(a.recovery.panics_recovered > 0);
 
     // The pure predictor replays the frontier protocol exactly.
-    let mut predicted = RecoveryCounts::default();
-    let mut attempts = 0u64;
-    let mut squashes = 0u64;
-    for (idx, task) in graph.tasks().iter().enumerate() {
-        let violated = graph.spec_deps(task).iter().any(|d| d.violated);
-        let sup = supervise_task(&faults, 3, idx as u32, violated);
-        assert!(!sup.exhausted);
-        predicted.absorb(&sup.counts);
-        attempts += sup.attempts as u64;
-        squashes += sup.misspec_squashed as u64;
-    }
-    assert_eq!(a.recovery, predicted);
-    assert_eq!(a.attempts, attempts);
-    assert_eq!(a.squashes, squashes);
+    let predicted = predict_recovery(&graph, &faults, 3);
+    assert_eq!(predicted.recovery.fallback_tasks, 0);
+    assert_eq!(a.recovery, predicted.recovery);
+    assert_eq!(a.attempts, predicted.attempts);
+    assert_eq!(a.squashes, predicted.squashes);
+    assert_eq!(a.violations, predicted.violations);
+    assert_eq!(a.speculations_survived, predicted.speculations_survived);
+}
+
+#[test]
+fn an_exhausted_misspeculated_task_keeps_its_squash_in_the_prediction() {
+    // B_5 misspeculates on attempt 0 and its replay panics past a budget
+    // of 0: the squash and its violation are tallied before the
+    // sequential fallback freezes the speculation counters.
+    let violate = vec![3, 5];
+    let graph = three_phase_graph(20, &violate);
+    let faults = FaultPlan::none().with_forced(b_task(5), 1, FaultKind::WorkerPanic);
+    let config = ExecConfig::default()
+        .with_faults(faults.clone())
+        .with_retry_budget(0);
+    let report = run_faulted(20, &violate, config);
+    assert!(report.fallback_activated);
+    let predicted = predict_recovery(&graph, &faults, 0);
+    assert_eq!((predicted.squashes, predicted.violations), (2, 2));
+    assert_eq!(predicted.recovery.fallback_tasks, 60 - u64::from(b_task(5)));
+    assert_eq!(report.recovery, predicted.recovery);
+    assert_eq!(report.attempts, predicted.attempts);
+    assert_eq!(report.squashes, predicted.squashes);
+    assert_eq!(report.violations, predicted.violations);
+    assert_eq!(
+        report.speculations_survived,
+        predicted.speculations_survived
+    );
 }
 
 #[test]
@@ -1074,20 +1093,41 @@ fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
     // so the seat the worker holds never runs dry: only the quantum —
     // hand the ticket on after a window of claims — lets B's ticket
     // reach the worker before A is done. The log is the worker's alone.
+    //
+    // A job's own thread runs at most `LEAD` tasks ahead of the worker's
+    // share of that job, so neither job can finish on its own thread
+    // while the host keeps the worker off the CPU: what the assertions
+    // see is the quantum's interleaving, not the OS scheduler's. The
+    // deadline is a backstop: past it nobody waits, and a worker that
+    // never came fails the assertions instead of hanging the run.
     const TASKS: u64 = 4_000;
+    const LEAD: u64 = 256;
     let log: Arc<Mutex<Vec<(u8, u32)>>> = Arc::default();
     let b_submitted = Arc::new(AtomicBool::new(false));
+    let on_worker: Arc<[AtomicU64; 2]> = Arc::default();
+    let at_home: Arc<[AtomicU64; 2]> = Arc::default();
+    let deadline = Instant::now() + Duration::from_secs(10);
     let spec = |job: u8| {
         let log = Arc::clone(&log);
         let gate = Arc::clone(&b_submitted);
+        let (on_worker, at_home) = (Arc::clone(&on_worker), Arc::clone(&at_home));
         let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
             // A does not start until B is in: otherwise a fast A could
             // finish before B's first turn has handed out its tickets.
             while job == 0 && task.0 == 0 && !gate.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
+            let j = usize::from(job);
             if on_pool_worker() {
                 log.lock().unwrap().push((job, task.0));
+                on_worker[j].fetch_add(1, Ordering::SeqCst);
+            } else {
+                let ahead = at_home[j].fetch_add(1, Ordering::SeqCst);
+                while on_worker[j].load(Ordering::SeqCst) + LEAD <= ahead
+                    && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
             }
             std::hint::black_box((0..2_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
             TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())

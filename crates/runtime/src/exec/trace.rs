@@ -24,13 +24,12 @@
 //! reference and a capture walkthrough.
 
 use crate::task::{StageId, TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
 /// The unit of [`TraceEvent::ts`] timestamps in a [`Timeline`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeUnit {
     /// Real nanoseconds since the run started — native executor
     /// timelines.
@@ -51,7 +50,7 @@ impl fmt::Display for TimeUnit {
 
 /// Why the commit unit discarded an attempt (the decision ladder of
 /// `CommitUnit::drain`, in ladder order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SquashReason {
     /// The worker panicked (injected or real); the attempt produced
     /// nothing and is replayed under the retry budget.
@@ -83,10 +82,7 @@ impl fmt::Display for SquashReason {
 /// belongs to, so timelines from concurrent jobs sharing one worker
 /// pool can be merged (see [`Timeline::merge`]) and still validated per
 /// job. The simulator twin stamps [`JobId::SOLO`].
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl JobId {
@@ -103,16 +99,14 @@ impl fmt::Display for JobId {
 }
 
 /// One timestamped trace event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When the event happened, in the owning [`Timeline`]'s
     /// [`TimeUnit`] (nanoseconds since run start for native runs,
     /// cycles for simulated ones).
     pub ts: u64,
     /// The job this event belongs to ([`JobId::SOLO`] in simulated
-    /// timelines). Defaults on deserialization so pre-engine trace
-    /// files stay loadable.
-    #[serde(default)]
+    /// timelines).
     pub job: JobId,
     /// What happened.
     pub kind: TraceEventKind,
@@ -125,7 +119,7 @@ pub struct TraceEvent {
 /// with each squash-and-replay re-dispatch;
 /// [`FALLBACK_ATTEMPT`](super::FALLBACK_ATTEMPT) marks a commit made by
 /// the in-order sequential fallback, which has no worker-side dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// The dispatcher enqueued an attempt on its stage's input queue.
     /// `occupancy` is the queue length right after the push.
@@ -1498,8 +1492,7 @@ mod tests {
 
     #[test]
     fn job_id_defaults_to_solo() {
-        // Pre-engine call sites (and deserialized pre-engine trace
-        // files, via `#[serde(default)]`) land on SOLO.
+        // Call sites outside an engine land on SOLO.
         assert_eq!(JobId::default(), JobId::SOLO);
         assert_eq!(JobId::SOLO.to_string(), "job0");
     }

@@ -55,10 +55,10 @@ pub mod validate;
 
 pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
-    supervise_task, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
+    predict_recovery, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
     FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec, NativeBody,
-    NativeReport, PlanDelta, RecoveryCounts, SquashReason, StageMetrics, TaskCtx, TaskOutput,
-    TaskSupervision, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
+    NativeReport, PlanDelta, RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics,
+    TaskCtx, TaskOutput, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
     FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};

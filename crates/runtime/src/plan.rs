@@ -1,10 +1,9 @@
 //! Execution plans: which core(s) run each pipeline stage.
 
 use crate::json;
-use serde::{Deserialize, Serialize};
 
 /// How one stage's tasks are placed on cores.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StageAssignment {
     /// Every task of the stage runs, in iteration order, on one core.
     ///
@@ -85,15 +84,13 @@ impl StageAssignment {
 ///
 /// Equality compares the stage assignments only; the lint stamp (see
 /// [`ExecutionPlan::stamp_linted`]) is bookkeeping, not identity.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     stages: Vec<StageAssignment>,
-    /// Fingerprint recorded when the plan passed the static soundness
-    /// lint, used by the native executor to debug-assert that a linted
-    /// plan was not mutated between linting and execution. Skipped by
-    /// serde: a deserialized plan is unstamped until re-linted.
-    #[serde(skip)]
-    lint_stamp: Option<u64>,
+    /// Whether the plan passed the static soundness lint. The stages
+    /// are private and `stamp_linted` is the only `&mut self` method, so
+    /// a stamped plan keeps the shape the lint saw.
+    linted: bool,
 }
 
 impl PartialEq for ExecutionPlan {
@@ -116,7 +113,7 @@ impl ExecutionPlan {
         assert!(!stages.is_empty(), "a plan needs at least one stage");
         Self {
             stages,
-            lint_stamp: None,
+            linted: false,
         }
     }
 
@@ -202,9 +199,9 @@ impl ExecutionPlan {
     ///
     /// The [`StageAssignment::parallel`]/[`StageAssignment::round_robin`]
     /// constructors reject empty pools, but a plan can still arrive with
-    /// one through deserialization or a raw enum literal; the simulator
-    /// and the native executor both validate with this instead of
-    /// panicking mid-schedule.
+    /// one through a raw enum literal; the simulator and the native
+    /// executor both validate with this instead of panicking
+    /// mid-schedule.
     pub fn first_empty_stage(&self) -> Option<u8> {
         self.stages.iter().enumerate().find_map(|(i, s)| match s {
             StageAssignment::Serial { .. } => None,
@@ -257,28 +254,17 @@ impl ExecutionPlan {
         hash
     }
 
-    /// Records that this plan, as currently shaped, passed the static
-    /// soundness lint. The native executor debug-asserts
-    /// [`ExecutionPlan::lint_stamp_intact`] before running.
+    /// Records that this plan passed the static soundness lint.
     pub fn stamp_linted(&mut self) {
-        self.lint_stamp = Some(self.fingerprint());
+        self.linted = true;
     }
 
-    /// Whether the plan carries a lint stamp at all.
+    /// Whether the plan carries a lint stamp.
     pub fn is_linted(&self) -> bool {
-        self.lint_stamp.is_some()
+        self.linted
     }
 
-    /// Whether the lint stamp (if any) still matches the plan's current
-    /// structure. Unstamped plans — hand-built or deserialized — pass
-    /// trivially; a stamped plan whose stages were mutated afterwards
-    /// does not, which is the invariant the native executor
-    /// debug-asserts.
-    pub fn lint_stamp_intact(&self) -> bool {
-        self.lint_stamp.is_none_or(|s| s == self.fingerprint())
-    }
-
-    /// Serializes the stage assignments as the JSON array persisted
+    /// Writes the stage assignments as the JSON array persisted
     /// inside plan artifacts (see `AUTOTUNING.md` for the schema):
     /// `[{"kind": "serial", "core": 0}, {"kind": "parallel",
     /// "cores": [1, 2]}, ...]`. The lint stamp is deliberately not
@@ -419,19 +405,13 @@ mod tests {
     fn lint_stamp_tracks_plan_structure() {
         let mut p = ExecutionPlan::three_phase(4);
         assert!(!p.is_linted());
-        assert!(p.lint_stamp_intact(), "unstamped plans pass trivially");
         p.stamp_linted();
         assert!(p.is_linted());
-        assert!(p.lint_stamp_intact());
         // Structurally equal plans fingerprint identically; different
         // shapes do not.
         assert_eq!(p.fingerprint(), ExecutionPlan::three_phase(4).fingerprint());
         assert_ne!(p.fingerprint(), ExecutionPlan::three_phase(5).fingerprint());
         assert_ne!(p.fingerprint(), ExecutionPlan::tls(4).fingerprint());
-        // A mutated stamped plan is caught.
-        let mut tampered = p.clone();
-        tampered.stages[0] = StageAssignment::serial(3);
-        assert!(!tampered.lint_stamp_intact());
     }
 
     #[test]

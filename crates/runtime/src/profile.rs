@@ -16,10 +16,8 @@
 //! it: the lint table prices it for a plan's widest pool, and the tuner
 //! prices each candidate's conflict probes from it.
 
-use serde::{Deserialize, Serialize};
-
 /// One address region's predicted contribution to conflicts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegionConflict {
     /// Display name of the abstract object (global or allocation site).
     pub region: String,
@@ -57,7 +55,7 @@ pub struct RegionConflict {
 /// assert_eq!(wide.density_permille(), 672);
 /// assert!(!wide.is_quiet());
 /// ```
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct ConflictProfile {
     /// Per-region estimates, densest first.
     pub regions: Vec<RegionConflict>,

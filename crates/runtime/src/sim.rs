@@ -1,17 +1,13 @@
 //! The performance simulator.
 
-use crate::exec::{
-    supervise_task, FaultPlan, JobId, RecoveryCounts, TimeUnit, Timeline, TraceEvent,
-    TraceEventKind,
-};
+use crate::exec::{JobId, TimeUnit, Timeline, TraceEvent, TraceEventKind};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Machine model parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of cores.
     pub cores: usize,
@@ -69,7 +65,7 @@ pub enum SimError {
         available: usize,
     },
     /// A parallel or round-robin stage has an empty core pool (possible
-    /// via deserialization; the constructors reject it).
+    /// via a raw enum literal; the constructors reject it).
     EmptyStagePool {
         /// The stage with no cores.
         stage: u8,
@@ -110,7 +106,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// Occupancy statistics for one stage-to-stage channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChannelStat {
     /// Producer stage.
     pub producer: u8,
@@ -122,7 +118,7 @@ pub struct ChannelStat {
 }
 
 /// Where and when one task executed (see [`SimResult::placements`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TaskPlacement {
     /// The task.
     pub task: crate::task::TaskId,
@@ -135,7 +131,7 @@ pub struct TaskPlacement {
 }
 
 /// The outcome of one simulation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimResult {
     /// Parallel execution time in cycles.
     pub makespan: u64,
@@ -151,20 +147,12 @@ pub struct SimResult {
     pub violations: u64,
     /// Speculated dependences that were successfully broken.
     pub speculations_survived: u64,
-    /// Fault-recovery tallies when simulated under a
-    /// [`FaultPlan`] (see
-    /// [`Simulator::run_with_faults`]); all zero for fault-free runs.
-    /// Defined identically to
-    /// [`NativeReport::recovery`](crate::NativeReport::recovery) so
-    /// differential chaos tests can compare them directly.
-    pub recovery: RecoveryCounts,
     /// Per-channel peak queue occupancy.
     pub channel_stats: Vec<ChannelStat>,
     /// Each task's placement — which core ran it and when — in task
-    /// order: the schedule itself, for visualization
-    /// (`seqpar_bench::render_gantt`), validation
+    /// order: the schedule itself, for validation
     /// ([`check_schedule`](crate::check_schedule)) and
-    /// [`SimResult::timeline`].
+    /// [`SimResult::timeline`], which the Gantt view draws.
     pub placements: Vec<TaskPlacement>,
 }
 
@@ -533,103 +521,9 @@ impl Simulator {
             queue_stall_cycles: queue_stall,
             violations,
             speculations_survived: survived,
-            recovery: RecoveryCounts::default(),
             channel_stats,
             placements,
         })
-    }
-
-    /// Simulates `graph` under `plan` with `faults` injected — the
-    /// simulated twin of the native executor's supervised recovery, so
-    /// differential chaos tests can predict the native recovery
-    /// counters exactly.
-    ///
-    /// Each task is passed through [`supervise_task`], the same pure
-    /// commit-frontier decision procedure the native executor applies:
-    /// its per-task attempt count inflates the task's simulated cost,
-    /// its recovery tallies accumulate into [`SimResult::recovery`],
-    /// and `violations`/`speculations_survived` are re-derived under
-    /// fault semantics (a task whose first attempt panicked replays
-    /// non-speculatively, so its violations go untallied — exactly as
-    /// at the native frontier). When a task exhausts `retry_budget`,
-    /// the remaining tasks are serialized into an in-order tail — the
-    /// timing model of the native sequential fallback — and the
-    /// speculation counters freeze, with `recovery.fallback_tasks`
-    /// counting the tail.
-    ///
-    /// With an inert plan this reduces to [`Simulator::run`] (plus
-    /// identical counters).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`] for the validation failures.
-    pub fn run_with_faults(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecutionPlan,
-        faults: &FaultPlan,
-        retry_budget: u32,
-    ) -> Result<SimResult, SimError> {
-        if faults.is_inert() {
-            return self.run(graph, plan);
-        }
-        // First pass: replay the supervision automaton per task, in
-        // task (= commit) order, to find the per-task attempt counts,
-        // the recovery tallies, and the fallback point if any.
-        let n = graph.len();
-        let mut recovery = RecoveryCounts::default();
-        let mut violations = 0u64;
-        let mut survived = 0u64;
-        let mut attempts_total = 0usize;
-        let mut attempts_of = vec![1u32; n];
-        let mut fallback_from: Option<usize> = None;
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            let violated = graph.spec_deps(task).iter().any(|d| d.violated);
-            let sup = supervise_task(faults, retry_budget, idx as u32, violated);
-            recovery.absorb(&sup.counts);
-            attempts_of[idx] = sup.attempts;
-            attempts_total += sup.attempts as usize;
-            if sup.exhausted {
-                // The native executor abandons dispatch here and
-                // re-runs tasks idx..n inline, one attempt each.
-                fallback_from = Some(idx);
-                recovery.fallback_tasks = (n - idx) as u64;
-                attempts_total += n - idx;
-                break;
-            }
-            if sup.misspec_squashed {
-                violations += graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64;
-            }
-            survived += graph.spec_deps(task).iter().filter(|d| !d.violated).count() as u64;
-        }
-        // Second pass: rebuild the graph with fault-inflated costs (a
-        // replayed task occupies its core once per attempt) and, after
-        // the fallback point, a fully serialized in-order tail — then
-        // reuse the ordinary timing model.
-        let mut twin = TaskGraph::with_capacity(graph.stage_count(), n, 0, 0);
-        let mut prev: Option<TaskId> = None;
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            let in_tail = fallback_from.is_some_and(|f| idx >= f);
-            let id = if in_tail {
-                twin.add_task(task.stage.0, task.iter, task.cost, prev.as_slice(), &[])
-            } else {
-                twin.add_task(
-                    task.stage.0,
-                    task.iter,
-                    task.cost * attempts_of[idx] as u64,
-                    graph.deps(task),
-                    graph.spec_deps(task),
-                )
-            };
-            prev = Some(id);
-        }
-        let mut result = self.run(&twin, plan)?;
-        result.serial_cycles = graph.serial_cycles();
-        result.tasks_executed = attempts_total;
-        result.violations = violations;
-        result.speculations_survived = survived;
-        result.recovery = recovery;
-        Ok(result)
     }
 }
 
@@ -919,7 +813,7 @@ mod tests {
 
     #[test]
     fn empty_stage_pool_is_an_error_not_a_panic() {
-        // The constructors forbid empty pools, but a deserialized plan
+        // The constructors forbid empty pools, but a raw enum literal
         // can carry one; the simulator must reject it typed-ly.
         let g = three_phase_graph(2, 1, 1, 1);
         let raw = ExecutionPlan::new(vec![
@@ -938,54 +832,6 @@ mod tests {
             StageAssignment::serial(1),
         ]);
         assert_eq!(sim.run(&g, &rr), Err(SimError::EmptyStagePool { stage: 1 }));
-    }
-
-    #[test]
-    fn fault_simulation_is_deterministic_and_inert_plans_change_nothing() {
-        let g = three_phase_graph(60, 5, 40, 5);
-        let plan = ExecutionPlan::three_phase(4);
-        let sim = Simulator::new(SimConfig {
-            cores: 4,
-            comm_latency: 0,
-            ..SimConfig::default()
-        });
-        let clean = sim.run(&g, &plan).unwrap();
-        let inert = sim
-            .run_with_faults(&g, &plan, &crate::FaultPlan::none(), 3)
-            .unwrap();
-        assert_eq!(clean, inert, "an inert fault plan must change nothing");
-
-        let faults = crate::FaultPlan::seeded(42);
-        let a = sim.run_with_faults(&g, &plan, &faults, 3).unwrap();
-        let b = sim.run_with_faults(&g, &plan, &faults, 3).unwrap();
-        assert_eq!(a, b, "same seed, same simulated chaos");
-        assert!(
-            a.recovery.panics_recovered > 0,
-            "seed 42 injects something over 180 tasks"
-        );
-        // Replayed attempts cost real (simulated) time.
-        assert!(a.makespan >= clean.makespan);
-        assert!(a.tasks_executed > clean.tasks_executed);
-    }
-
-    #[test]
-    fn fault_simulation_budget_exhaustion_serializes_the_tail() {
-        let g = three_phase_graph(20, 5, 40, 5);
-        let plan = ExecutionPlan::three_phase(4);
-        let sim = Simulator::new(SimConfig {
-            cores: 4,
-            comm_latency: 0,
-            ..SimConfig::default()
-        });
-        // Panic on every attempt: task 0 exhausts any finite budget.
-        let always = crate::FaultPlan::none().with_panic_permille(1000);
-        let r = sim.run_with_faults(&g, &plan, &always, 2).unwrap();
-        assert_eq!(r.recovery.fallback_tasks, g.len() as u64);
-        assert_eq!(r.violations, 0, "speculation counters freeze at fallback");
-        assert_eq!(r.speculations_survived, 0);
-        // Each task ran once in the fallback tail, plus the three
-        // charged attempts task 0 burned pipelined.
-        assert_eq!(r.tasks_executed, g.len() + 3);
     }
 
     #[test]

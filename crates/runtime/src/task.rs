@@ -1,10 +1,9 @@
 //! Tasks and task graphs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a task within a [`TaskGraph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -16,7 +15,7 @@ impl fmt::Display for TaskId {
 /// Index of a pipeline stage (the paper's *phase*: A = 0, B = 1, C = 2 in
 /// the three-phase pattern of §3.2, though any number of stages is
 /// allowed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageId(pub u8);
 
 impl fmt::Display for StageId {
@@ -31,7 +30,7 @@ impl fmt::Display for StageId {
 /// dependences actually manifested: a violated one behaves exactly like a
 /// synchronized dependence (serialization), a non-violated one costs
 /// nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpecDep {
     /// The producer task this task speculated past.
     pub on: TaskId,
@@ -40,7 +39,7 @@ pub struct SpecDep {
 }
 
 /// A contiguous run of entries in one of the graph's dependence arenas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct DepRange {
     start: u32,
     len: u32,
@@ -60,7 +59,7 @@ impl DepRange {
 /// per-task `Vec`s: graphs hold three contiguous allocations no matter
 /// how many tasks they contain, which keeps a live graph from
 /// fragmenting the heap under the executor's allocation-heavy bodies.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Task {
     /// The stage (phase) this task belongs to.
     pub stage: StageId,
@@ -77,7 +76,7 @@ pub struct Task {
 /// Tasks must be added in lexicographic `(iter, stage)` order and
 /// dependences must point backwards in that order; [`TaskGraph::add_task`]
 /// enforces this so the simulator can schedule in a single pass.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TaskGraph {
     stages: u8,
     tasks: Vec<Task>,

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use seqpar_runtime::{
     ChannelStat, Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig,
-    JobSpec, NativeBody, NativeReport, RecoveryCounts, SimConfig, SimResult, Simulator,
-    StageAssignment, TaskCtx, TaskGraph, TaskId, TaskOutput, TaskPlacement,
+    JobSpec, NativeBody, NativeReport, SimConfig, SimResult, Simulator, StageAssignment, TaskCtx,
+    TaskGraph, TaskId, TaskOutput, TaskPlacement,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,7 +79,6 @@ fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimRes
         queue_stall_cycles: 0,
         violations: 0,
         speculations_survived: 0,
-        recovery: RecoveryCounts::default(),
         channel_stats: Vec::new(),
         placements: Vec::new(),
     };

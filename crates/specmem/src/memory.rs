@@ -1,12 +1,11 @@
 //! The vocabulary of the versioned memory: addresses, version tokens
 //! and why a commit can fail.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// An abstract memory address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 impl fmt::Display for Addr {
@@ -17,7 +16,7 @@ impl fmt::Display for Addr {
 
 /// A speculative version token. Ordering is commit order: lower ids are
 /// logically earlier iterations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId(pub u64);
 
 impl fmt::Display for VersionId {

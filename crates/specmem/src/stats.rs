@@ -1,11 +1,10 @@
 //! Counters reported by the versioned memory model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation counters accumulated by a
 /// [`ConcurrentVersionedMemory`](crate::ConcurrentVersionedMemory).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Versions opened.
     pub begins: u64,

@@ -181,7 +181,7 @@ pub fn inflate_primed(dict: &[u8], tokens: &[Token]) -> Vec<u8> {
     out.split_off(dict.len())
 }
 
-/// Serializes tokens to bytes (a fixed-width stand-in for Huffman coding,
+/// Encodes tokens as bytes (a fixed-width stand-in for Huffman coding,
 /// good enough to compare compressed sizes).
 pub fn encode(tokens: &[Token]) -> Vec<u8> {
     let mut out = Vec::new();

@@ -1,12 +1,11 @@
 //! Static per-benchmark information — the rows of the paper's Table 1.
 
 use seqpar::Technique;
-use serde::Serialize;
 
 /// One row of Table 1: the loop parallelized, its share of execution
 /// time, the source lines the programmer changed (total, and within the
 /// augmented sequential model only), and the techniques required.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadMeta {
     /// SPEC identifier, e.g. `"164.gzip"`.
     pub spec_id: &'static str,

@@ -78,18 +78,25 @@ fn main() {
 
     // 4. Peek at the actual schedule: phase A streams on core 0, the
     //    replicated phase B fills the middle cores, phase C commits in
-    //    order on the last core.
+    //    order on the last core. Tasks are placed in order, so the
+    //    schedule of the first 50 iterations is the first cycles of the
+    //    whole one.
     let sim = seqpar_runtime::Simulator::new(seqpar_runtime::SimConfig {
         cores: 6,
         comm_latency: 0,
         ..seqpar_runtime::SimConfig::default()
     });
+    let mut head = IterationTrace::new();
+    for &record in &trace.records()[..50] {
+        head.push(record);
+    }
+    let graph = head.task_graph();
     let result = sim
-        .run(&trace.task_graph(), &parallelized.plan(6))
+        .run(&graph, &parallelized.plan(6))
         .expect("plan is valid");
     println!("\nfirst cycles of the 6-core schedule (distinct letters = tasks):");
     print!(
         "{}",
-        seqpar_bench::render_gantt(&result.placements, 6, result.makespan / 40)
+        seqpar_bench::render_timeline_gantt(&result.timeline(&graph))
     );
 }

@@ -23,8 +23,8 @@
 use seqpar::IterationTrace;
 use seqpar_bench::{simulate, PlanKind};
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, JobSpec, NativeBody,
-    NativeReport, SimConfig, Simulator, TaskCtx, TaskId, TaskOutput,
+    predict_recovery, Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan,
+    JobSpec, NativeBody, NativeReport, SimConfig, Simulator, TaskCtx, TaskId, TaskOutput,
 };
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize, VersionedJob};
 use std::collections::BTreeMap;
@@ -245,9 +245,8 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// Differential chaos: with deterministic worker panics injected, the
 /// supervised native run still commits the byte-identical sequential
 /// stream, actually recovers panics (nonzero count), and every
-/// deterministic counter matches the simulator's faulted twin
-/// ([`Simulator::run_with_faults`]) exactly — the recovery protocol is
-/// the same pure function on both sides.
+/// deterministic counter matches its pure twin ([`predict_recovery`])
+/// exactly — the recovery protocol is the same function on both sides.
 #[test]
 fn chaos_native_recovery_matches_simulator_twin() {
     let seed = chaos_seed();
@@ -272,22 +271,18 @@ fn chaos_native_recovery_matches_simulator_twin() {
             native.recovery.panics_recovered > 0,
             "{id}: chaos plan (seed {seed}) injected no panics"
         );
-        let sim = Simulator::new(SimConfig {
-            cores: threads,
-            comm_latency: 10,
-            queue_capacity: 128,
-            ..SimConfig::default()
-        });
-        let twin = sim
-            .run_with_faults(&spec.graph, &plan, &faults, budget)
-            .expect("twin accepts the same plan");
+        let twin = predict_recovery(&spec.graph, &faults, budget);
         assert_eq!(
             native.recovery, twin.recovery,
             "{id}: recovery counters disagree with the twin at seed {seed}"
         );
         assert_eq!(
-            native.attempts, twin.tasks_executed as u64,
+            native.attempts, twin.attempts,
             "{id}: attempt counts disagree with the twin at seed {seed}"
+        );
+        assert_eq!(
+            native.squashes, twin.squashes,
+            "{id}: squash counts disagree with the twin at seed {seed}"
         );
         assert_eq!(
             native.violations, twin.violations,
