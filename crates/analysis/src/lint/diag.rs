@@ -38,7 +38,8 @@ pub enum LintCode {
     /// that reach live-out state.
     YBranchLiveOut,
     /// `SP0007`: the execution plan's shape does not fit the
-    /// partition (stage count, empty core pool).
+    /// partition (stage count, empty core pool) or the native executor
+    /// (more than one stage, a round-robin stage).
     PlanShape,
     /// `SP0101` (warn): a speculated dependence misfires often enough
     /// to threaten the speedup.
@@ -166,9 +167,12 @@ impl LintCode {
             LintCode::PlanShape => {
                 "The execution plan's shape does not fit the partition: stage counts \
                  disagree or a stage has an empty core pool, so the runtime could not \
-                 map the partition onto workers at all.\n\
+                 map the partition onto workers at all. Or it does not fit the native \
+                 executor, which runs one dynamically assigned stage: the plan has \
+                 more than one stage, or a round-robin one.\n\
                  Fix: lay out the plan from the partition (stage count and a \
-                 non-empty pool per stage) rather than by hand."
+                 non-empty pool per stage) rather than by hand; natively, one \
+                 `Serial` or `Parallel` stage over the one-stage view of the loop."
             }
             LintCode::HighMisspec => {
                 "A speculated dependence manifests often according to the profile, so \

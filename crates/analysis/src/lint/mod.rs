@@ -38,7 +38,7 @@ use crate::effects::{EffectSummary, Effects};
 use crate::pdg::{DepKind, LoopPdg, PdgNode};
 use crate::points_to::{AbstractObj, PointsTo};
 use seqpar_ir::{BlockId, Loop, LoopForest, Opcode, Program};
-use seqpar_runtime::{Diagnostic, ExecutionPlan, PlanShape, Severity};
+use seqpar_runtime::{Diagnostic, Engine, ExecutionPlan, PlanShape, Severity};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -289,16 +289,18 @@ pub fn check_plan_shape(stages: &StagePlan, plan: &ExecutionPlan) -> LintReport 
     LintReport { entries }
 }
 
-/// Structural findings about an execution plan: shape mismatches
-/// (deny) and sequential stages wastefully given multi-core pools
-/// (warn).
+/// Structural findings about an execution plan: shape mismatches and
+/// layouts the native executor refuses ([`Engine::check_plan`]) (deny),
+/// and sequential stages wastefully given multi-core pools (warn).
 fn plan_lints(stages: &StagePlan, plan: &ExecutionPlan) -> Vec<Lint> {
     let mut lints = Vec::new();
     let shape = PlanShape::of(plan);
-    if let Err(e) = shape.check_against(stages.stage_count()) {
-        lints.push(Lint::PlanShape {
-            detail: e.to_string(),
-        });
+    let refused = match shape.check_against(stages.stage_count()) {
+        Err(e) => Some(e.to_string()),
+        Ok(()) => Engine::check_plan(plan).err().map(|e| e.to_string()),
+    };
+    if let Some(detail) = refused {
+        lints.push(Lint::PlanShape { detail });
     }
     for stage in 0..plan.stage_count().min(stages.stage_count()) {
         if !stages.is_replicated(stage) && shape.multi_core[stage as usize] {

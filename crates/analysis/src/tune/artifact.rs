@@ -17,7 +17,7 @@
 //! fingerprint would fail the integrity check.
 
 use super::search::{ScoredCandidate, TuneResult};
-use super::space::{Candidate, PlanKind};
+use super::space::Candidate;
 use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
@@ -91,7 +91,7 @@ impl PlanArtifact {
         let _ = writeln!(out, "  \"budget\": {},", self.budget);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"fingerprint\": \"{:#x}\",", self.fingerprint);
-        let _ = writeln!(out, "  \"graph\": \"{}\",", c.kind.as_str());
+        let _ = writeln!(out, "  \"graph\": \"tls\",");
         let _ = writeln!(out, "  \"width\": {},", c.width);
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
@@ -135,13 +135,22 @@ impl PlanArtifact {
         let budget = req_u64(obj_get(obj, "budget")?)?;
         let threads = req_u64(obj_get(obj, "threads")?)?;
         let fingerprint = req_hex(obj_get(obj, "fingerprint")?)?;
-        let kind = PlanKind::parse(req_str(obj_get(obj, "graph")?)?)?;
+        match req_str(obj_get(obj, "graph")?)? {
+            "tls" => {}
+            "dswp" => {
+                return Err(
+                    "a \"dswp\" artifact: the native executor runs one stage, so a three-phase plan is no tuner result any more"
+                        .to_string(),
+                )
+            }
+            other => return Err(format!("unknown plan graph {other:?}")),
+        }
         let width = req_u64(obj_get(obj, "width")?)? as usize;
         let sim_cost = req_f64(obj_get(obj, "sim_cost")?)?;
         let sim_makespan = req_u64(obj_get(obj, "sim_makespan")?)?;
         let baseline_cost = req_f64(obj_get(obj, "baseline_cost")?)?;
 
-        let candidate = Candidate { kind, width };
+        let candidate = Candidate { width };
         if candidate.shape_key() != fingerprint {
             return Err(format!(
                 "artifact fingerprint {fingerprint:#x} does not match the plan rebuilt from its knobs ({:#x}) — refusing a tampered artifact",
@@ -298,6 +307,23 @@ mod tests {
         );
         let err = PlanArtifact::from_json(&edited).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
+    }
+
+    /// A three-phase artifact, which schema 4 could carry while the
+    /// tuner searched DSWP, names a plan the native executor refuses:
+    /// it is refused on load, fingerprint or not.
+    #[test]
+    fn loader_refuses_a_dswp_artifact() {
+        let result = tune(&input(), &TuneConfig::default()).unwrap();
+        let text = PlanArtifact::from_result(&result, &result.best).to_json();
+        assert!(text.contains("\"graph\": \"tls\","), "{text}");
+        let dswp = text.replace("\"graph\": \"tls\",", "\"graph\": \"dswp\",");
+        let err = PlanArtifact::from_json(&dswp).unwrap_err();
+        assert!(err.contains("\"dswp\" artifact"), "{err}");
+        let other = text.replace("\"graph\": \"tls\",", "\"graph\": \"doall\",");
+        assert!(PlanArtifact::from_json(&other)
+            .unwrap_err()
+            .contains("unknown plan graph"));
     }
 
     #[test]

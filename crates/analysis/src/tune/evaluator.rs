@@ -15,7 +15,7 @@
 //! validation of the top-K candidates remains the ground truth.
 
 use super::space::{Candidate, TuneInput};
-use seqpar_runtime::{SimConfig, SimError, SimResult, Simulator};
+use seqpar_runtime::{SimConfig, SimError, SimResult, Simulator, TaskGraph};
 
 /// Core-to-core communication latency used for every evaluation, in
 /// cycles — the same value the bench harness simulates with, so tuned
@@ -76,14 +76,14 @@ pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score
         comm_latency: COMM_LATENCY,
         ..SimConfig::default()
     });
-    let result = sim.run(input.graph_for(candidate.kind), &plan)?;
+    let result = sim.run(&input.tls_graph, &plan)?;
 
     let makespan = result.makespan;
     let workers = plan.cores_required() as u64;
     let worker_tax = (makespan * WORKER_TAX_PERMILLE * workers.saturating_sub(1)) as f64 / 1000.0;
 
-    let mem_cost = mem_cost(input, candidate, &result);
-    let replay_cost = replay_cost(&result);
+    let mem_cost = mem_cost(input, candidate);
+    let replay_cost = replay_cost(&input.tls_graph, &result);
 
     let cost = makespan as f64 + worker_tax + mem_cost + replay_cost;
     Ok(Score {
@@ -97,11 +97,11 @@ pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score
     })
 }
 
-/// The analytic versioned-memory term: every commit pays
-/// [`COMMIT_COST`] plus a conflict probe against each neighbour in the
-/// pool, scaled by the predicted density at this width.
-fn mem_cost(input: &TuneInput, candidate: &Candidate, result: &SimResult) -> f64 {
-    let commits = result.tasks_executed as f64;
+/// The analytic versioned-memory term: every commit — one per task of
+/// the graph — pays [`COMMIT_COST`] plus a conflict probe against each
+/// neighbour in the pool, scaled by the predicted density at this width.
+fn mem_cost(input: &TuneInput, candidate: &Candidate) -> f64 {
+    let commits = input.tls_graph.len() as f64;
     let neighbours = candidate.width.saturating_sub(1) as f64;
     let density = input
         .conflict_profile
@@ -113,9 +113,9 @@ fn mem_cost(input: &TuneInput, candidate: &Candidate, result: &SimResult) -> f64
 }
 
 /// The analytic squash-replay term: each violated speculation natively
-/// re-executes about one average task body.
-fn replay_cost(result: &SimResult) -> f64 {
-    let avg_task = result.serial_cycles as f64 / result.tasks_executed.max(1) as f64;
+/// re-executes about one average task body of `graph`.
+fn replay_cost(graph: &TaskGraph, result: &SimResult) -> f64 {
+    let avg_task = result.serial_cycles as f64 / graph.len().max(1) as f64;
     result.violations as f64 * avg_task
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The rest of this crate decides whether a loop *can* be parallelized;
 //! this module searches for how it *should* be. The paper's compiler
-//! picks two things per loop (§3.2) — the plan shape (three-phase DSWP
-//! vs single-stage TLS) and the replication width — and the paper's
-//! simulator prices any such pair in deterministic virtual cycles. The
-//! autotuner closes the loop:
+//! picks a plan shape and a replication width per loop (§3.2); the
+//! native executor runs one shape, the single-stage TLS plan, so the
+//! tuner picks its width, and the paper's simulator prices each width
+//! in deterministic virtual cycles. The autotuner closes the loop:
 //!
 //! 1. [`space`] — the candidate representation and the enumeration of
 //!    every candidate a core budget allows, each gated through the

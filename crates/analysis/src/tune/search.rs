@@ -1,8 +1,7 @@
 //! The deterministic search driver.
 //!
-//! The space of [`super::space`] is small — `threads` TLS widths plus
-//! `threads - 2` DSWP widths, 14 candidates at 8 threads — so the
-//! search scores all of it rather than walking a neighbourhood: it takes
+//! The space of [`super::space`] is small — `threads` TLS widths, 8
+//! candidates at 8 threads — so the search scores all of it rather than walking a neighbourhood: it takes
 //! [`Candidate::space`] in order (the harness's default, full-width TLS
 //! candidate first), lint-gates each candidate and scores it, until the
 //! evaluation budget is spent. The cheapest candidate wins, ties going
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(config.top_k, 3);
 ///
 /// // The budget is a ceiling: the search stops earlier, once it has
-/// // scored the whole space — 14 candidates at 8 threads.
+/// // scored the whole space — 8 candidates at 8 threads.
 /// let deep = TuneConfig { budget: 256, ..TuneConfig::default() };
 /// assert_eq!(deep.threads, config.threads);
 /// ```
@@ -156,9 +155,8 @@ impl From<seqpar_runtime::SimError> for TuneError {
 /// let config = TuneConfig { budget: 24, threads: 4, top_k: 2 };
 /// let result = tune(&input, &config).unwrap();
 ///
-/// // The budget covers the whole space: four TLS widths, and DSWP with
-/// // a phase B of two workers or one.
-/// assert_eq!(result.evals, 6);
+/// // The budget covers the whole space: the four TLS widths.
+/// assert_eq!(result.evals, 4);
 ///
 /// // Deterministic: a second call reproduces the exact search.
 /// let replay = tune(&input, &config).unwrap();
@@ -323,7 +321,7 @@ mod tests {
             top_k: 3,
         };
         let result = tune(&input, &config).unwrap();
-        // The budget stops the search short of the space's 14.
+        // The budget stops the search short of the space's 8.
         assert_eq!(result.evals, config.budget);
         assert!(result.top_k.len() <= config.top_k);
         let shapes: std::collections::BTreeSet<u64> = result

@@ -20,8 +20,9 @@
 //! and persists them as plan artifacts.
 //!
 //! With `--native`, targets name benchmarks (`164.gzip`, … or `all`) and
-//! each runs on real OS threads under `tls` and `three_phase` at one and
-//! two seats, one row each. A row reads sequential ÷ native wall as the
+//! each runs on real OS threads under `tls(1)` and `tls(2)`, one row
+//! each (the native executor runs one stage; the simulated figures keep
+//! the paper's three-phase plan). A row reads sequential ÷ native wall as the
 //! median `[IQR]` of 7 repeats that alternate the order of the sequential
 //! loop and the native run, beside the median sequential
 //! wall (the job's first run, which records its trace, is timed on its

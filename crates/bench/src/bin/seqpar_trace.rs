@@ -3,14 +3,15 @@
 //! Usage:
 //!
 //! ```text
-//! seqpar-trace <workload> [--threads N] [--plan dswp|tls] [--size test|train|ref]
+//! seqpar-trace <workload> [--threads N] [--size test|train|ref]
 //!              [--fault-seed N] [--out trace.json]
-//! seqpar-trace <w1>,<w2>,... [--threads N] [--plan dswp|tls] [--out trace.json]
+//! seqpar-trace <w1>,<w2>,... [--threads N] [--out trace.json]
 //! seqpar-trace --check trace.json
 //! ```
 //!
 //! The workload (a SPEC id like `164.gzip`, or its short name `gzip`)
-//! is run on real OS threads with [`ExecConfig::trace`] enabled; its
+//! is run under `tls(N)`, the native executor's one-stage plan, on real
+//! OS threads with [`ExecConfig::trace`] enabled; its
 //! committed output is checked byte-for-byte against the sequential
 //! run; and the stitched timeline is validated, summarized (per-stage
 //! service/queue/commit histograms), rendered as a terminal Gantt
@@ -40,7 +41,7 @@
 
 use seqpar_bench::{
     json, render_critical_path, render_grain, render_memory_summary, render_timeline_gantt,
-    render_trace_summary, trace_native, PlanKind,
+    render_trace_summary, trace_native,
 };
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, NativeReport, SimConfig,
@@ -51,7 +52,6 @@ use seqpar_workloads::{all_workloads, stage_labels, InputSize, Workload};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = 4usize;
-    let mut kind = PlanKind::Dswp;
     let mut size = InputSize::Test;
     let mut fault_seed = None;
     let mut out_path = None;
@@ -64,13 +64,6 @@ fn main() {
                 threads = match iter.next().map(|s| s.parse::<usize>()) {
                     Some(Ok(n)) if n >= 1 => n,
                     other => usage(&format!("--threads needs an integer >= 1, got {other:?}")),
-                }
-            }
-            "--plan" => {
-                kind = match iter.next().map(String::as_str).map(PlanKind::parse) {
-                    Some(Ok(k)) => k,
-                    Some(Err(e)) => usage(&format!("{e} (use dswp|tls)")),
-                    None => usage("--plan needs dswp|tls"),
                 }
             }
             "--size" => {
@@ -115,7 +108,6 @@ fn main() {
             &workloads,
             &target,
             threads,
-            kind,
             size,
             fault_seed,
             out_path.as_deref(),
@@ -132,14 +124,13 @@ fn main() {
     if let Some(seed) = fault_seed {
         config = config.with_faults(FaultPlan::seeded(seed));
     }
-    let exec_plan = kind.plan(threads);
+    let exec_plan = ExecutionPlan::tls(threads);
     let meta = w.meta();
     println!(
-        "## {}: traced native run ({threads} threads, {} plan)",
-        meta.spec_id,
-        kind.as_str()
+        "## {}: traced native run ({threads} threads, tls plan)",
+        meta.spec_id
     );
-    let run = trace_native(w, size, kind, threads, &config);
+    let run = trace_native(w, size, threads, &config);
     let report = &run.report;
     println!("{}", run.grain);
     println!(
@@ -240,7 +231,6 @@ fn multi_job_trace(
     workloads: &[Box<dyn Workload>],
     targets: &str,
     threads: usize,
-    kind: PlanKind,
     size: InputSize,
     fault_seed: Option<u64>,
     out_path: Option<&str>,
@@ -251,12 +241,11 @@ fn multi_job_trace(
             .with_faults(FaultPlan::seeded(seed))
             .with_retry_budget(4);
     }
-    let exec_plan = kind.plan(threads);
+    let exec_plan = ExecutionPlan::tls(threads);
     let engine = Engine::new(EngineConfig::with_workers(threads));
     engine.warm();
     println!(
-        "## multi-job traced run: {targets} concurrently on one {threads}-worker engine ({} plan)",
-        kind.as_str()
+        "## multi-job traced run: {targets} concurrently on one {threads}-worker engine (tls plan)"
     );
     // Submit every job before waiting on any: they overlap on the pool.
     let mut submitted = Vec::new();
@@ -326,13 +315,6 @@ fn multi_job_trace(
     }
 }
 
-/// The seats of `plan`: its cores summed over its stages.
-fn seats(plan: &ExecutionPlan) -> usize {
-    (0..plan.stage_count())
-        .map(|s| plan.stage(s).cores().len())
-        .sum()
-}
-
 /// Exits 1 if the run proves nothing about the pipelined path: a plan
 /// with somebody to overlap with, yet no attempt ran on a runner
 /// (everything was committed at the frontier); or `faults` panicked
@@ -347,11 +329,9 @@ fn require_real_work(
     faults: &FaultPlan,
 ) {
     let on_runners: u64 = report.workers.iter().map(|w| w.tasks).sum();
-    if seats(plan) > 1 && on_runners == 0 {
-        eprintln!(
-            "{id}: VACUOUS: a {}-seat plan, and no attempt ran on a runner",
-            seats(plan)
-        );
+    let seats = Engine::seats(plan);
+    if seats > 1 && on_runners == 0 {
+        eprintln!("{id}: VACUOUS: a {seats}-seat plan, and no attempt ran on a runner");
         std::process::exit(1);
     }
     if faults.is_inert() {
@@ -416,9 +396,9 @@ fn find_workload<'a>(workloads: &'a [Box<dyn Workload>], name: &str) -> Option<&
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
-        "usage: seqpar-trace <workload> [--threads N] [--plan dswp|tls] \
+        "usage: seqpar-trace <workload> [--threads N] \
          [--size test|train|ref] [--fault-seed N] [--out trace.json]\n\
-         \x20      seqpar-trace <w1>,<w2>,... [--threads N] [--plan dswp|tls] [--out trace.json]\n\
+         \x20      seqpar-trace <w1>,<w2>,... [--threads N] [--out trace.json]\n\
          \x20      seqpar-trace --check trace.json"
     );
     std::process::exit(2);

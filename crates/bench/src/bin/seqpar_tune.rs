@@ -8,8 +8,8 @@
 //! seqpar-tune --check FILE...
 //! ```
 //!
-//! Tuning mode scores each named workload's plan space — every plan
-//! kind at every width the core budget allows, lint-gated, until the
+//! Tuning mode scores each named workload's plan space — the TLS plan
+//! at every width the core budget allows, lint-gated, until the
 //! budget runs out (`seqpar_analysis::tune`) — re-validates the top-K
 //! finalists natively (byte-identical output against the sequential
 //! oracle, median wall clock of interleaved repetitions), prints the

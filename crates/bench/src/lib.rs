@@ -150,18 +150,14 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
 /// the time of one as its first sequential run measured it (the job's
 /// `Debug`), how many tasks of how many iterations that makes, and which
 /// of [`VersionedJob::grain`]'s two bounds allows no larger `k` — its
-/// floor of 8 tasks per seat of the plan's widest stage when doubling
-/// `k` would break that, else (the floor would allow it) the ~32 µs
-/// task-length target. Coarsening is never silent: `seqpar-trace` prints
+/// floor of 8 tasks per seat of the plan when doubling `k` would break
+/// that, else (the floor would allow it) the ~32 µs task-length target. Coarsening is never silent: `seqpar-trace` prints
 /// this for every job it runs, and `figures --native` prints each row's k.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
     let k = job.grain(plan);
-    let seats = (0..plan.stage_count())
-        .map(|s| plan.stage(s).cores().len())
-        .max()
-        .unwrap_or(1);
+    let seats = Engine::seats(plan);
     let bound = if job.len() / (2 * k) < 8 * seats {
-        format!("8 tasks for each of the widest stage's {seats} seats")
+        format!("8 tasks for each of the plan's {seats} seats")
     } else {
         "a task under the ~32 us target".to_string()
     };
@@ -333,8 +329,9 @@ pub struct TracedRun {
     pub grain: String,
 }
 
-/// Runs one workload on real OS threads with structured tracing enabled
-/// and returns the report plus its [`Timeline`].
+/// Runs one workload under `tls(threads)` on real OS threads with
+/// structured tracing enabled and returns the report plus its
+/// [`Timeline`].
 ///
 /// As in the [`native`] table, the committed output is checked
 /// byte-for-byte against the sequential run before anything is
@@ -347,12 +344,11 @@ pub struct TracedRun {
 pub fn trace_native(
     w: &dyn Workload,
     size: InputSize,
-    kind: PlanKind,
     threads: usize,
     config: &ExecConfig,
 ) -> TracedRun {
     let job = w.versioned_job(size);
-    let plan = kind.plan(threads);
+    let plan = ExecutionPlan::tls(threads);
     let seq = job.sequential();
     let engine = Engine::new(EngineConfig::for_plan(&plan));
     engine.warm();
@@ -649,9 +645,8 @@ pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
         .parallelize_outermost(model.func)
         .expect("workload IR model parallelizes");
     let plan = result.plan(cores);
-    // Priced for the plan's widest pool: its iterations race each other.
-    let widest = (0..plan.stage_count()).map(|s| plan.stage(s).cores().len());
-    let profile = result.conflict_profile().scaled(widest.max().unwrap_or(1));
+    // Priced for the plan's seats: its iterations race each other.
+    let profile = result.conflict_profile().scaled(Engine::seats(&plan));
     LintOutcome {
         spec_id: w.meta().spec_id,
         report: result.lint_plan(&plan),
@@ -830,13 +825,7 @@ mod tests {
     #[test]
     fn traced_native_run_exports_a_valid_chrome_trace() {
         let w = seqpar_workloads::workload_by_name("164.gzip").expect("gzip exists");
-        let run = trace_native(
-            w.as_ref(),
-            InputSize::Test,
-            PlanKind::Dswp,
-            4,
-            &ExecConfig::default(),
-        );
+        let run = trace_native(w.as_ref(), InputSize::Test, 4, &ExecConfig::default());
         run.timeline.validate().unwrap();
         assert!(run.report.timeline.is_none(), "timeline was detached");
         let labels = seqpar_workloads::stage_labels(run.timeline.stage_count());

@@ -1,12 +1,13 @@
-//! The native table: every kernel on real OS threads under the TLS and
-//! the three-phase plan at one and two seats, each run against repeated
-//! runs of its own sequential loop, every output byte-checked, and the
-//! two-seat rows certified by the host's measured capacity.
+//! The native table: every kernel on real OS threads under the TLS plan
+//! at one and two seats, each run against repeated runs of its own
+//! sequential loop, every output byte-checked, and the two-seat row
+//! certified by the host's measured capacity. The native executor runs
+//! one stage; the three-phase plan is the simulator's (EXPERIMENTS.md
+//! "The native executor runs one stage" has the last table that ran it
+//! natively).
 //!
-//! A row's engine has a worker per distinct core of its plan but one
+//! A row's engine has a worker per seat of its plan but one
 //! ([`EngineConfig::for_plan`]), and [`Engine::new`] spawns at least one.
-//! So a `three_phase(1)` row, whose three stages share core 0, still runs
-//! on two threads, the caller and that worker: it is no one-core reading.
 
 use crate::{geomean, misspec_rate, simulate_graph, PlanKind};
 use seqpar_runtime::{Engine, EngineConfig, ExecConfig, FaultPlan};
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// The widths every plan kind runs at.
+/// The widths the TLS plan runs at.
 pub const NATIVE_WIDTHS: [usize; 2] = [1, 2];
 
 /// Alternated repeats behind each row's medians.
@@ -66,12 +67,10 @@ impl Spread {
     }
 }
 
-/// One plan at one width: what [`NATIVE_REPEATS`] alternated repeats of
-/// the sequential loop and a native run read.
+/// `tls(width)`: what [`NATIVE_REPEATS`] alternated repeats of the
+/// sequential loop and a native run read.
 #[derive(Clone, Debug)]
 pub struct NativeRow {
-    /// TLS or three-phase.
-    pub kind: PlanKind,
     /// Seats the plan is built for.
     pub width: usize,
     /// Iterations per task ([`VersionedJob::grain`]).
@@ -100,7 +99,7 @@ pub struct NativeKernel {
     pub first_run_ms: f64,
     /// [`parallel_capacity`] before and after the kernel's rows.
     pub capacity: [f64; 2],
-    /// One row per plan kind and width.
+    /// One row per width.
     pub rows: Vec<NativeRow>,
 }
 
@@ -111,8 +110,8 @@ impl NativeKernel {
     }
 }
 
-/// Runs one workload's rows: TLS then three-phase at each of
-/// [`NATIVE_WIDTHS`], between two capacity readings. `fault_seed` arms
+/// Runs one workload's rows, `tls` at each of [`NATIVE_WIDTHS`], between
+/// two capacity readings. `fault_seed` arms
 /// [`FaultPlan::seeded`] on every native run.
 ///
 /// # Panics
@@ -132,10 +131,9 @@ pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>)
         Some(seed) => ExecConfig::default().with_faults(FaultPlan::seeded(seed)),
         None => ExecConfig::default(),
     };
-    let rows = [PlanKind::Tls, PlanKind::Dswp]
+    let rows = NATIVE_WIDTHS
         .into_iter()
-        .flat_map(|kind| NATIVE_WIDTHS.map(|width| (kind, width)))
-        .map(|(kind, width)| native_row(w.meta().spec_id, &job, &oracle, kind, width, &config))
+        .map(|width| native_row(w.meta().spec_id, &job, &oracle, width, &config))
         .collect();
     NativeKernel {
         spec_id: w.meta().spec_id.to_string(),
@@ -146,19 +144,17 @@ pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>)
     }
 }
 
-/// One row on a warmed engine sized to the plan (two threads for a
-/// `three_phase(1)` row; see the module doc). Repeat `r` runs the
+/// One row on a warmed engine sized to the plan. Repeat `r` runs the
 /// sequential loop and the native run in an order rotated by `r`, so
 /// neither always runs first.
 fn native_row(
     spec_id: &str,
     job: &VersionedJob,
     oracle: &[u8],
-    kind: PlanKind,
     width: usize,
     config: &ExecConfig,
 ) -> NativeRow {
-    let plan = kind.plan(width);
+    let plan = PlanKind::Tls.plan(width);
     let engine = Engine::new(EngineConfig::for_plan(&plan));
     engine.warm();
     let (mut baseline, mut ratios) = (Vec::new(), Vec::new());
@@ -181,10 +177,8 @@ fn native_row(
                 .run(&spec)
                 .expect("plan matches machine and faults are recoverable");
             assert_eq!(
-                report.output,
-                oracle,
-                "{spec_id}: native output diverged from sequential under {}",
-                plan_name(kind, width)
+                report.output, oracle,
+                "{spec_id}: native output diverged from sequential under tls({width})"
             );
             native = report.wall.as_secs_f64();
             squashes += report.squashes;
@@ -197,22 +191,13 @@ fn native_row(
     }
     let graph = graph.expect("a row runs natively");
     NativeRow {
-        kind,
         width,
         k: job.grain(&plan),
         baseline_ms: 1e3 * Spread::of(&baseline).median,
         native: Spread::of(&ratios),
         squash_ratio: squashes as f64 / tasks.max(1) as f64,
-        sim_misspec: misspec_rate(&simulate_graph(&graph, width, kind)),
+        sim_misspec: misspec_rate(&simulate_graph(&graph, width, PlanKind::Tls)),
         recovered,
-    }
-}
-
-/// The `ExecutionPlan` constructor call a row runs, e.g. `tls(2)`.
-fn plan_name(kind: PlanKind, width: usize) -> String {
-    match kind {
-        PlanKind::Tls => format!("tls({width})"),
-        PlanKind::Dswp => format!("three_phase({width})"),
     }
 }
 
@@ -243,7 +228,7 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
     for kernel in kernels {
         let readings = format!("{:.2}/{:.2}", kernel.capacity[0], kernel.capacity[1]);
         for row in &kernel.rows {
-            let plan = plan_name(row.kind, row.width);
+            let plan = format!("tls({})", row.width);
             let certificate = match (row.width, kernel.certified()) {
                 (1, _) => "-".to_string(),
                 (_, true) => format!("certified {readings}"),
@@ -262,7 +247,6 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
                 row.recovered,
             ));
             if kernel.certified()
-                && row.kind == PlanKind::Tls
                 && row.width == 2
                 && CLEAN_KERNELS.contains(&kernel.spec_id.as_str())
             {
@@ -347,10 +331,9 @@ fn spin_throughput(threads: usize, window: Duration) -> f64 {
 mod tests {
     use super::*;
 
-    fn row(kind: PlanKind, width: usize, median: f64) -> NativeRow {
+    fn row(width: usize, median: f64) -> NativeRow {
         let spread = Spread { median, iqr: 0.1 };
         NativeRow {
-            kind,
             width,
             k: 1,
             baseline_ms: 10.0,
@@ -367,7 +350,7 @@ mod tests {
             build_ms: 1.0,
             first_run_ms: 10.0,
             capacity,
-            rows: vec![row(PlanKind::Tls, 1, 0.9), row(PlanKind::Tls, 2, tls2)],
+            rows: vec![row(1, 0.9), row(2, tls2)],
         }
     }
 
@@ -421,22 +404,21 @@ mod tests {
     fn a_kernel_reads_one_checked_row_per_plan_and_width() {
         let w = seqpar_workloads::workload_by_name("197.parser").expect("parser exists");
         let kernel = native_kernel(w.as_ref(), InputSize::Test, None);
-        let plans: Vec<_> = kernel.rows.iter().map(|r| (r.kind, r.width)).collect();
-        assert_eq!(
-            plans,
-            [
-                (PlanKind::Tls, 1),
-                (PlanKind::Tls, 2),
-                (PlanKind::Dswp, 1),
-                (PlanKind::Dswp, 2)
-            ]
-        );
+        let widths: Vec<_> = kernel.rows.iter().map(|r| r.width).collect();
+        assert_eq!(widths, [1, 2]);
         assert!(kernel.rows.iter().all(|r| r.k >= 1));
         let table = render_native_table(&[kernel]);
-        let rows = table.lines().filter(|l| l.starts_with("197.parser"));
-        assert_eq!(rows.count(), 4, "{table}");
+        let rows: Vec<_> = table
+            .lines()
+            .filter(|l| l.starts_with("197.parser"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{table}");
         assert!(
-            table.contains("28 native runs, each byte-identical"),
+            rows[0].contains("tls(1)") && rows[1].contains("tls(2)"),
+            "{table}"
+        );
+        assert!(
+            table.contains("14 native runs, each byte-identical"),
             "{table}"
         );
     }

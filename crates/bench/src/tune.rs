@@ -141,11 +141,9 @@ impl TunableWorkload {
     /// stamps) or if the plan lost its lint stamp — validating an
     /// unaudited plan would be meaningless.
     pub fn mint_plan(&self, candidate: &Candidate) -> ExecutionPlan {
-        let searched = candidate.plan();
-        let stages = (0..searched.stage_count())
-            .map(|s| searched.stage(s).clone())
-            .collect();
-        let plan = self.result.plan_custom(stages);
+        let plan = self
+            .result
+            .plan_custom(vec![candidate.plan().stage(0).clone()]);
         assert_eq!(
             plan.fingerprint(),
             candidate.shape_key(),
@@ -323,7 +321,7 @@ pub fn render_outcome(outcome: &TunedOutcome) -> String {
         r.top_k.len()
     ));
     let c = &outcome.winner.candidate;
-    out.push_str(&format!("winner: {} width {}\n", c.kind.as_str(), c.width));
+    out.push_str(&format!("winner: tls width {}\n", c.width));
     out.push_str(&format!(
         "native: tuned {:.3} ms vs default {:.3} ms -> {:.2}x {}\n",
         native.tuned_wall_ms,

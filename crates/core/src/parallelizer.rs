@@ -94,10 +94,13 @@ impl ParallelizedLoop {
     }
 
     /// Re-audits with a concrete execution plan: the stored partition
-    /// findings plus plan-shape checks for `plan`.
+    /// findings plus plan-shape checks of `plan` against
+    /// [`Self::tls_stage_plan`], the one-stage view the native executor
+    /// runs. A plan of more than one stage, or a round-robin stage, is
+    /// denied (`SP0007`): the engine refuses both.
     pub fn lint_plan(&self, plan: &ExecutionPlan) -> LintReport {
         let mut report = self.lint.clone();
-        report.merge(lint::check_plan_shape(&self.stage_plan, plan));
+        report.merge(lint::check_plan_shape(&self.tls_stage_plan(), plan));
         report
     }
 
@@ -108,24 +111,21 @@ impl ParallelizedLoop {
         &self.conflict_profile
     }
 
-    /// The execution plan for a machine with `cores` cores.
+    /// The execution plan for a machine with `cores` cores: one stage
+    /// replicated over all of them ([`ExecutionPlan::tls`]), the plan
+    /// the native executor runs. The simulator's three-phase model of
+    /// the partition is [`ExecutionPlan::three_phase`].
     ///
-    /// When both the partition audit and the plan-shape check are
-    /// clean, the plan is stamped as linted; the native executor
-    /// debug-asserts the stamp still matches at run time.
+    /// When [`Self::lint_plan`] is clean, the plan is stamped as
+    /// linted.
     pub fn plan(&self, cores: usize) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::three_phase(cores);
-        if self.lint.is_clean() && lint::check_plan_shape(&self.stage_plan, &plan).is_clean() {
-            plan.stamp_linted();
-        }
-        plan
+        self.stamped(ExecutionPlan::tls(cores))
     }
 
     /// The partition collapsed to the TLS single-stage view: every PDG
     /// node in one replicated stage, iterations racing under versioned
-    /// memory. This is the stage plan a one-stage
-    /// [`ExecutionPlan`] (e.g. [`ExecutionPlan::tls`]) is shape-checked
-    /// against in [`Self::plan_custom`].
+    /// memory. This is the stage plan [`Self::lint_plan`] checks every
+    /// plan against.
     pub fn tls_stage_plan(&self) -> StagePlan {
         StagePlan::new(
             vec![0; self.stage_plan.node_count()],
@@ -136,28 +136,24 @@ impl ParallelizedLoop {
     /// Lays out a caller-shaped execution plan over this loop — the
     /// plan-mutation hook the autotuner uses to mint candidate plans
     /// that differ from the canonical [`Self::plan`] layout (narrower
-    /// pools, round-robin placement, merged stages).
+    /// pools, a serial stage).
     ///
-    /// The plan is audited exactly like [`Self::plan`]: the stored
-    /// partition findings plus a shape check against the matching stage
-    /// view — the three-phase partition for multi-stage plans, the
-    /// collapsed [`Self::tls_stage_plan`] for one-stage plans — and
-    /// stamped as linted only when everything is clean at deny level.
+    /// The plan is audited exactly like [`Self::plan`] and stamped as
+    /// linted only when [`Self::lint_plan`] is clean at deny level.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty (an execution plan needs at least
     /// one stage).
     pub fn plan_custom(&self, stages: Vec<seqpar_runtime::StageAssignment>) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::new(stages);
-        let tls_view;
-        let stage_view = if plan.stage_count() == 1 {
-            tls_view = self.tls_stage_plan();
-            &tls_view
-        } else {
-            &self.stage_plan
-        };
-        if self.lint.is_clean() && lint::check_plan_shape(stage_view, &plan).is_clean() {
+        self.stamped(ExecutionPlan::new(stages))
+    }
+
+    /// `plan`, stamped as linted when [`Self::lint_plan`] would be clean
+    /// (without cloning the partition findings).
+    fn stamped(&self, mut plan: ExecutionPlan) -> ExecutionPlan {
+        if self.lint.is_clean() && lint::check_plan_shape(&self.tls_stage_plan(), &plan).is_clean()
+        {
             plan.stamp_linted();
         }
         plan
@@ -493,22 +489,33 @@ mod tests {
         let (p, f) = twolf_like(true);
         let result = Parallelizer::new(&p).parallelize_outermost(f).unwrap();
 
-        // A narrow hand-shaped three-phase plan over a clean partition
-        // is stamped.
+        // One-stage plans check against the collapsed TLS view: a
+        // replicated stage and a serial one are stamped.
+        let tls = result.plan_custom(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]);
+        assert!(tls.is_linted());
+        assert!(result
+            .plan_custom(vec![StageAssignment::serial(0)])
+            .is_linted());
+        assert_eq!(result.tls_stage_plan().stage_count(), 1);
+        assert!(result.tls_stage_plan().is_replicated(0));
+
+        // A hand-shaped three-phase plan over a clean partition fits the
+        // simulator, not the native executor: left unstamped, and so is
+        // a one-stage round-robin plan.
         let narrow = result.plan_custom(vec![
             StageAssignment::serial(0),
             StageAssignment::round_robin(vec![1, 2]),
             StageAssignment::serial(3),
         ]);
-        assert!(narrow.is_linted());
+        assert!(!narrow.is_linted());
+        let round_robin = result.plan_custom(vec![StageAssignment::round_robin(vec![0, 1])]);
+        assert!(!round_robin.is_linted());
+        assert!(result
+            .lint_plan(&round_robin)
+            .deny_codes()
+            .contains(&seqpar_analysis::lint::LintCode::PlanShape));
 
-        // A one-stage plan checks against the collapsed TLS view.
-        let tls = result.plan_custom(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]);
-        assert!(tls.is_linted());
-        assert_eq!(result.tls_stage_plan().stage_count(), 1);
-        assert!(result.tls_stage_plan().is_replicated(0));
-
-        // A two-stage plan matches neither view: left unstamped.
+        // A two-stage plan matches no view: left unstamped.
         let mismatched = result.plan_custom(vec![
             StageAssignment::serial(0),
             StageAssignment::parallel(vec![1, 2]),
@@ -681,8 +688,9 @@ mod tests {
     fn plan_matches_trace_stage_count() {
         let (p, f) = twolf_like(true);
         let result = Parallelizer::new(&p).parallelize_outermost(f).unwrap();
+        // The one stage of a TLS trace's task graph.
         let plan = result.plan(8);
-        assert_eq!(plan.stage_count(), 3);
+        assert_eq!(plan.stage_count(), 1);
         assert_eq!(plan.cores_required(), 8);
     }
 

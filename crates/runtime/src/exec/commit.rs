@@ -507,7 +507,7 @@ impl CommitUnit {
             .filter(|(_, &(_, tasks))| tasks > 0)
             .map(|(seat, &(busy, tasks))| WorkerStat {
                 core: seat.core,
-                stage: StageId(seat.stage),
+                stage: StageId(0),
                 busy,
                 tasks,
             })

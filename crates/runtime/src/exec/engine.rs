@@ -64,10 +64,9 @@ use super::commit::CommitUnit;
 use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
 use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
-use crate::plan::ExecutionPlan;
-use crate::task::TaskGraph;
+use crate::plan::{ExecutionPlan, StageAssignment};
+use crate::task::{TaskGraph, TaskId};
 use seqpar_specmem::ConcurrentVersionedMemory;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::JoinHandle;
@@ -98,15 +97,11 @@ impl EngineConfig {
         Self { workers }
     }
 
-    /// A pool with one worker per distinct core of `plan` but one: the
-    /// thread that runs the job is the last. Stages that share a core
-    /// share its thread, so `three_phase(2)` gets one worker, and a
-    /// one-core plan none ([`Engine::new`] still spawns one).
+    /// A pool with one worker per seat of `plan`'s stage but one: the
+    /// thread that runs the job is the last. A one-seat plan gets none
+    /// ([`Engine::new`] still spawns one).
     pub fn for_plan(plan: &ExecutionPlan) -> Self {
-        let cores: BTreeSet<usize> = (0..plan.stage_count())
-            .flat_map(|s| plan.stage(s).cores())
-            .collect();
-        Self::with_workers(cores.len().saturating_sub(1))
+        Self::with_workers(Engine::seats(plan).saturating_sub(1))
     }
 }
 
@@ -138,8 +133,8 @@ pub struct JobSpec {
     /// graphs.
     pub mem: Option<Arc<ConcurrentVersionedMemory>>,
     /// Per-job supervision parameters: fault plan, retry budget,
-    /// tracing, watchdog. `queue_capacity` sizes
-    /// the job's per-stage admission windows.
+    /// tracing, watchdog. `queue_capacity` sizes the job's admission
+    /// window.
     pub config: ExecConfig,
 }
 
@@ -298,6 +293,31 @@ impl Engine {
         }
     }
 
+    /// The seats the engine gives `plan`: the cores of its one stage.
+    pub fn seats(plan: &ExecutionPlan) -> usize {
+        plan.stage(0).cores().len()
+    }
+
+    /// Whether the engine runs `plan`: one `Serial` or `Parallel`
+    /// stage. [`Engine::run`] refuses anything else with the error
+    /// returned here, and the static lint reports it as `SP0007`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::MultiStage`] for a plan of more than one stage,
+    /// [`ExecError::StaticAssignment`] for a round-robin stage.
+    pub fn check_plan(plan: &ExecutionPlan) -> Result<(), ExecError> {
+        if plan.stage_count() > 1 {
+            return Err(ExecError::MultiStage {
+                stages: plan.stage_count(),
+            });
+        }
+        match plan.stage(0) {
+            StageAssignment::Serial { .. } | StageAssignment::Parallel { .. } => Ok(()),
+            _ => Err(ExecError::StaticAssignment),
+        }
+    }
+
     /// The pool parameters in use.
     pub fn config(&self) -> &EngineConfig {
         &self.inner.config
@@ -342,6 +362,10 @@ impl Engine {
     /// when a stage has no cores — the same checks the simulator
     /// performs; core- and queue-count limits are physical-machine model
     /// parameters and do not constrain native execution). Returns
+    /// [`ExecError::MultiStage`], [`ExecError::StaticAssignment`] or
+    /// [`ExecError::SynchronizedDep`] for a plan of more than one
+    /// stage, a round-robin stage, or a graph with a synchronized
+    /// dependence: the engine runs one dynamically assigned stage. Returns
     /// [`ExecError::TaskFailed`] only when a body panics where no
     /// replay exists (the sequential fallback); pipelined worker panics
     /// are recovered, not raised.
@@ -363,10 +387,22 @@ fn engine_worker(injector: &Injector<Ticket>) {
     }
 }
 
+/// Whether the engine runs `graph` under `plan`: the simulator's shape
+/// checks, then [`Engine::check_plan`] and no synchronized dependence.
+fn check(graph: &TaskGraph, plan: &ExecutionPlan) -> Result<(), ExecError> {
+    crate::diag::PlanShape::of(plan).check_against(graph.stage_count())?;
+    Engine::check_plan(plan)?;
+    match graph.tasks().iter().position(|t| !graph.deps(t).is_empty()) {
+        Some(idx) => Err(ExecError::SynchronizedDep {
+            task: TaskId(idx as u32),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Runs one job end to end from the calling thread — the one place a
 /// job is set up: plan validation, the board, the commit unit, the
-/// frontier, then
-/// [`call`], which works the job to its report.
+/// frontier, then [`call`], which works the job to its report.
 fn run_engine_job(
     pool: &EngineInner,
     job: JobId,
@@ -374,7 +410,7 @@ fn run_engine_job(
 ) -> Result<NativeReport, ExecError> {
     let graph = &*spec.graph;
     let plan = &*spec.plan;
-    crate::diag::PlanShape::of(plan).check_against(graph.stage_count())?;
+    check(graph, plan)?;
     let started = Instant::now();
     if graph.is_empty() {
         let mut report = NativeReport::empty(started.elapsed());
@@ -389,7 +425,7 @@ fn run_engine_job(
     let buffer = || TraceBuffer::for_job(clock, job);
     let board = Board::new(graph, plan, spec.config.queue_capacity);
     let commit = CommitUnit::new(buffer(), &spec.config);
-    let frontier = Frontier::new(spec, board.lane_count(), commit, buffer());
+    let frontier = Frontier::new(commit, buffer());
     let shared = Arc::new(JobShared {
         job,
         spec: spec.clone(),

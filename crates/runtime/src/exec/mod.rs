@@ -5,24 +5,30 @@
 //! on OS threads. The paper has one machine (§3.1: cores, queues, one
 //! versioned memory) and so does this module: the engine is the only
 //! owner of worker threads, and a [`JobSpec`] — a
-//! [`TaskGraph`], the
+//! [`TaskGraph`](crate::TaskGraph), the
 //! [`ExecutionPlan`](crate::ExecutionPlan) to run it under, a
 //! [`NativeBody`] supplying each task's real computation, an optional
 //! versioned memory and an [`ExecConfig`] — handed to [`Engine::run`]
 //! or [`Engine::submit`] is the only way in. A run enforces the paper's
 //! execution model with real concurrency primitives:
 //!
-//! * **Bounded windows** (§3.1's 32-entry core-to-core queues): each
-//!   stage is a *lane* — its tasks in iteration order, an atomic claim
+//! * **One stage** (the paper's speculative phase, run as TLS): a job's
+//!   plan has one `Serial` or `Parallel` stage and its graph no
+//!   synchronized dependence, or the run is refused
+//!   ([`ExecError::MultiStage`], [`ExecError::StaticAssignment`],
+//!   [`ExecError::SynchronizedDep`]). The paper's serial phase C runs
+//!   on the frontier's turn, as each task commits
+//!   ([`NativeBody::commit`]); the [`Simulator`](crate::Simulator)
+//!   keeps the three-phase pipeline.
+//! * **Bounded windows** (§3.1's 32-entry core-to-core queues): the
+//!   stage is a *lane* — its tasks in task order, an atomic claim
 //!   cursor the runners advance, and an atomic limit admission raises.
-//!   At most [`ExecConfig::queue_capacity`] attempts plus one per
-//!   assigned core are admitted and not yet absorbed; a stage that
-//!   runs that far ahead of the commit frontier finds nothing to claim.
-//! * **Replicated parallel stages** (§3.2's dynamic least-loaded
-//!   assignment): a `Parallel` stage's workers share one lane, so the
-//!   next task goes to whichever worker frees up first — the runnable
-//!   equivalent of "least work enqueued". `RoundRobin` stages get one
-//!   lane per worker, fed statically by iteration number.
+//!   At most [`ExecConfig::queue_capacity`] attempts plus one per seat
+//!   are admitted and not yet absorbed; a lane that runs that far
+//!   ahead of the commit frontier has nothing to claim.
+//! * **Dynamic least-loaded assignment** (§3.2): every seat claims from
+//!   the one lane, so the next task goes to whichever runner frees up
+//!   first — the runnable equivalent of "least work enqueued".
 //! * **No thread that only watches** (§3.1's machine has none): every
 //!   thread of a job runs bodies — the pool's workers and the thread
 //!   that called [`Engine::run`], which holds a seat like the rest.
@@ -98,7 +104,7 @@ pub use trace::{
 };
 
 use crate::sim::SimError;
-use crate::task::{StageId, TaskGraph, TaskId};
+use crate::task::TaskId;
 use commit::{CommitUnit, Stop};
 use engine::{hand, Pool};
 use seqpar_specmem::ConcurrentVersionedMemory;
@@ -126,6 +132,22 @@ pub enum ExecError {
     /// The plan failed validation against the graph (shared with the
     /// simulator's checks).
     Invalid(SimError),
+    /// The plan has more than one stage. The engine runs one: the
+    /// three-phase pipeline is the simulator's.
+    MultiStage {
+        /// The plan's stage count.
+        stages: u8,
+    },
+    /// The plan's stage assigns iterations to cores statically
+    /// (round-robin): the engine's seats claim from one lane, first come
+    /// first served, so it cannot honour that assignment.
+    StaticAssignment,
+    /// The graph carries a synchronized dependence, which a one-stage
+    /// run would not wait for.
+    SynchronizedDep {
+        /// The task that waits on another.
+        task: TaskId,
+    },
     /// A task body panicked where no replay is possible: on the
     /// sequential fallback path. The body itself cannot produce the
     /// task's sequential result, so the run has no legal outcome.
@@ -150,6 +172,17 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Invalid(e) => write!(f, "invalid plan: {e}"),
+            ExecError::MultiStage { stages } => {
+                write!(f, "a {stages}-stage plan: the engine runs one stage")
+            }
+            ExecError::StaticAssignment => {
+                write!(f, "a round-robin stage: the engine assigns dynamically")
+            }
+            ExecError::SynchronizedDep { task } => write!(
+                f,
+                "task {} waits on a synchronized dependence: a one-stage graph has none",
+                task.0
+            ),
             ExecError::TaskFailed { task } => write!(
                 f,
                 "task {} failed un-replayably (body panicked on the sequential path)",
@@ -177,11 +210,11 @@ impl std::error::Error for ExecError {
 /// to share across runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Entries per stage input queue (the paper models 32-entry
+    /// Entries of the stage's input queue (the paper models 32-entry
     /// hardware queues; [`crate::SimConfig::queue_capacity`] is the
-    /// simulated twin of this knob): a stage's admission window is this
-    /// plus one in-service slot per core assigned to it. Values below 1
-    /// are clamped to 1 (see [`ExecConfig::with_queue_capacity`]).
+    /// simulated twin of this knob): the admission window is this plus
+    /// one in-service slot per seat. Values below 1 are clamped to 1
+    /// (see [`ExecConfig::with_queue_capacity`]).
     pub queue_capacity: usize,
     /// Worker-panic replays allowed per task (misspeculation and
     /// conflict replays are part of the normal protocol and are not
@@ -224,8 +257,8 @@ impl ExecConfig {
     ///
     /// `queue_capacity` is clamped to a minimum of 1 — **explicitly**:
     /// a queue that holds nothing models no hardware. Capacity 0
-    /// therefore behaves exactly like capacity 1 (one queued item
-    /// per stage, maximum backpressure), which the regression test
+    /// therefore behaves exactly like capacity 1 (one queued item,
+    /// maximum backpressure), which the regression test
     /// `zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage`
     /// pins down.
     pub fn with_queue_capacity(queue_capacity: usize) -> Self {
@@ -280,8 +313,7 @@ pub struct GovernorConfig {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaskOutput {
     /// Bytes appended to the committed output stream (commit order =
-    /// task order). Most stages of most workloads emit nothing; the
-    /// transform stage emits its iteration's output.
+    /// task order).
     pub bytes: Vec<u8>,
     /// Work units performed (a deterministic cost meter, the native
     /// twin of simulated task cost).
@@ -303,8 +335,6 @@ impl TaskOutput {
 /// Execution context handed to [`NativeBody::run`].
 #[derive(Debug)]
 pub struct TaskCtx<'a> {
-    /// The stage this task belongs to.
-    pub stage: StageId,
     /// The task's [`Task::iter`](crate::Task::iter): the loop iteration
     /// it came from in a graph with one task per iteration, the index of
     /// a chunk of consecutive iterations in a coarsened one (what
@@ -368,132 +398,66 @@ where
     }
 }
 
-/// The admission state over a job's [`Board`](stage::Board): which tasks
-/// are ready, which squashed attempts await readmission, and how much
-/// of each lane's window is in use. Part of the [`Frontier`], so only
-/// the runner whose turn it is touches it; the board carries only what
-/// admission publishes.
+/// The admission state over a job's [`Board`](stage::Board): which
+/// squashed attempts await readmission, how far fresh tasks are
+/// released, and how much of the window is in use. Part of the
+/// [`Frontier`], so only the runner whose turn it is touches it; the
+/// board carries only what admission publishes. Speculated deps do not
+/// gate admission — running ahead of them is what speculation means —
+/// and a job has no other kind.
+#[derive(Default)]
 struct Dispatcher {
-    /// Outstanding synchronized deps per task. Speculated deps
-    /// deliberately do NOT gate dispatch — running ahead of them is
-    /// what speculation means.
-    deps_left: Vec<usize>,
-    /// The reverse edges, and whether each task's have been followed.
-    dependents: Vec<Vec<u32>>,
-    propagated: Vec<bool>,
-    /// Per lane: squashed attempts awaiting readmission, ahead of any
-    /// fresh work.
-    pending: Vec<VecDeque<WorkItem>>,
-    /// Per lane: fresh tasks before this index are admitted.
-    released: Vec<usize>,
-    /// Per lane: attempts admitted and not yet absorbed.
-    outstanding: Vec<usize>,
+    /// Squashed attempts awaiting readmission, ahead of any fresh work.
+    pending: VecDeque<WorkItem>,
+    /// Fresh tasks before this index are admitted.
+    released: usize,
+    /// Attempts admitted and not yet absorbed.
+    outstanding: usize,
     /// Scratch for handing parked seats back.
     seats: Vec<Seat>,
 }
 
-/// The lane `task` of `job` is claimed from.
-fn lane_of(job: &JobShared, task: u32) -> usize {
-    let t = job.spec.graph.task(TaskId(task));
-    job.board.lane_of(t.stage, t.iter)
-}
-
 impl Dispatcher {
-    fn new(graph: &TaskGraph, lanes: usize) -> Self {
-        let n = graph.len();
-        let mut dispatch = Dispatcher {
-            deps_left: vec![0; n],
-            dependents: vec![Vec::new(); n],
-            propagated: vec![false; n],
-            pending: vec![VecDeque::new(); lanes],
-            released: vec![0; lanes],
-            outstanding: vec![0; lanes],
-            seats: Vec::new(),
-        };
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            let task_deps = graph.deps(task);
-            dispatch.deps_left[idx] = task_deps.len();
-            for d in task_deps {
-                dispatch.dependents[d.0 as usize].push(idx as u32);
-            }
-        }
-        dispatch
-    }
-
-    fn admitted(
-        &mut self,
-        job: &JobShared,
-        lane: usize,
-        item: WorkItem,
-        occupancy: usize,
-        trace: &mut TraceBuffer,
-    ) {
+    fn admitted(&mut self, item: WorkItem, occupancy: usize, trace: &mut TraceBuffer) {
         trace.record(TraceEventKind::QueuePush {
-            stage: job.spec.graph.task(TaskId(item.task)).stage.0,
             task: item.task,
             attempt: item.attempt,
             occupancy,
         });
-        self.outstanding[lane] += 1;
+        self.outstanding += 1;
     }
 
-    /// Admits whatever is ready and fits: per lane, requeued squashes
-    /// first, then the dep-free prefix of fresh tasks, up to the lane's
-    /// window. Then hands parked seats their tickets back through
-    /// `pool`. Each admission is traced as a `QueuePush` with the lane's
-    /// claimable count right after it.
+    /// Admits whatever fits the window: requeued squashes first, then
+    /// fresh tasks in order. Then hands parked seats their tickets back
+    /// through `pool`. Each admission is traced as a `QueuePush` with
+    /// the claimable count right after it.
     fn admit(&mut self, job: &Arc<JobShared>, pool: &dyn Pool, trace: &mut TraceBuffer) {
         let board = &job.board;
-        'lanes: for lane in 0..board.lane_count() {
-            let cap = board.cap(lane);
-            while let Some(&item) = self.pending[lane].front() {
-                if self.outstanding[lane] >= cap {
-                    continue 'lanes;
-                }
-                let occupancy = board.requeue(lane, item);
-                self.admitted(job, lane, item, occupancy, trace);
-                self.pending[lane].pop_front();
-            }
-            let from = self.released[lane];
-            let mut to = from;
-            while let Some(task) = board.task_at(lane, to) {
-                if self.deps_left[task as usize] > 0 || self.outstanding[lane] + (to - from) >= cap
-                {
-                    break;
-                }
-                to += 1;
-            }
-            if to > from {
-                self.released[lane] = to;
-                let occupancy = board.raise(lane, to);
-                for idx in from..to {
-                    let task = board.task_at(lane, idx).expect("admitted index");
-                    let item = WorkItem { task, attempt: 0 };
-                    let occupancy = occupancy.saturating_sub(to - 1 - idx);
-                    self.admitted(job, lane, item, occupancy, trace);
-                }
+        let cap = board.cap();
+        while self.outstanding < cap {
+            let Some(item) = self.pending.pop_front() else {
+                break;
+            };
+            let occupancy = board.requeue(item);
+            self.admitted(item, occupancy, trace);
+        }
+        let from = self.released;
+        let to = board.len().min(from + cap.saturating_sub(self.outstanding));
+        if to > from {
+            self.released = to;
+            let occupancy = board.raise(to);
+            for idx in from..to {
+                let item = WorkItem {
+                    task: idx as u32,
+                    attempt: 0,
+                };
+                let occupancy = occupancy.saturating_sub(to - 1 - idx);
+                self.admitted(item, occupancy, trace);
             }
         }
         board.unpark_claimable(&mut self.seats);
         for seat in self.seats.drain(..) {
             hand(pool, job, seat);
-        }
-    }
-
-    /// Books a completion taken off the ring: every one is an admitted
-    /// attempt.
-    fn absorbed(&mut self, job: &JobShared, task: u32) {
-        self.outstanding[lane_of(job, task)] -= 1;
-    }
-
-    /// Makes `task`'s result count for its synchronized dependents, on
-    /// its first *productive* completion (a panicked attempt ran
-    /// nothing, so its replay's completion propagates instead).
-    fn propagate(&mut self, task: usize) {
-        if !std::mem::replace(&mut self.propagated[task], true) {
-            for &dep in &self.dependents[task] {
-                self.deps_left[dep as usize] -= 1;
-            }
         }
     }
 }
@@ -514,9 +478,9 @@ struct Frontier {
 }
 
 impl Frontier {
-    fn new(spec: &JobSpec, lanes: usize, commit: CommitUnit, trace: TraceBuffer) -> Self {
+    fn new(commit: CommitUnit, trace: TraceBuffer) -> Self {
         Self {
-            dispatch: Dispatcher::new(&spec.graph, lanes),
+            dispatch: Dispatcher::default(),
             commit,
             trace,
             head: 0,
@@ -526,7 +490,7 @@ impl Frontier {
 }
 
 /// A runner's look at its job's frontier, after its own publication and
-/// when its lane ran dry: while a batch is due, try for the turn. A
+/// when the lane ran dry: while a batch is due, try for the turn. A
 /// loser goes back to claiming, because the holder **looks again after
 /// it unlocks** (this very loop) and the loser's publication or
 /// `starved` bump precedes its failed `try_lock`. A straggler's
@@ -630,9 +594,9 @@ impl<'a> Turn<'a> {
     /// committed.
     fn steps(&mut self) -> Result<bool, Stop> {
         if self.absorb_batch() {
-            // The absorbed attempts freed window space and satisfied
-            // deps: admit behind them *before* the frontier runs, so
-            // the other runners claim on while this one commits.
+            // The absorbed attempts freed window space: admit behind
+            // them *before* the frontier runs, so the other runners
+            // claim on while this one commits.
             self.admit();
             self.drain_frontier()?;
         }
@@ -655,7 +619,7 @@ impl<'a> Turn<'a> {
         });
     }
 
-    /// Opens the board to whatever the lane windows allow.
+    /// Opens the board to whatever the window allows.
     fn admit(&mut self) {
         let f = &mut *self.f;
         f.dispatch.admit(self.job, self.pool, &mut f.trace);
@@ -668,10 +632,7 @@ impl<'a> Turn<'a> {
         let before = f.head;
         while let Some(done) = job.board.take_published(f.head) {
             f.head += 1;
-            f.dispatch.absorbed(job, done.task);
-            if !done.panicked {
-                f.dispatch.propagate(done.task as usize);
-            }
+            f.dispatch.outstanding -= 1;
             f.commit.accept(done);
         }
         if f.head == before {
@@ -686,9 +647,7 @@ impl<'a> Turn<'a> {
     /// attempt's output is gone).
     fn drain_frontier(&mut self) -> Result<(), Stop> {
         let (job, f) = (self.job, &mut *self.f);
-        for item in f.commit.drain(job)? {
-            f.dispatch.pending[lane_of(job, item.task)].push_back(item);
-        }
+        f.dispatch.pending.extend(f.commit.drain(job)?);
         Ok(())
     }
 

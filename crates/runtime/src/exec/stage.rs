@@ -1,13 +1,11 @@
-//! The per-job board: stage claim lanes, the completion ring, the seats,
+//! The per-job board: the claim lane, the completion ring, the seats,
 //! and the claim loop every body-runner runs over them.
 //!
-//! A pipeline stage is a [`Lane`]: its tasks in iteration order, an
-//! atomic claim `cursor` the runners advance, and an atomic `limit` that
-//! admission raises. `Serial` and `Parallel` stages own one lane — so a
-//! `Parallel` stage's next task goes to whichever runner frees up first,
-//! the dynamic least-loaded discipline of paper §3.2 — and a
-//! `RoundRobin` stage owns one lane per seat, fed statically by
-//! iteration number. What the plan calls a core is a [`Seat`]; a runner
+//! A job's one stage is a [`Lane`]: its tasks in task order, an atomic
+//! claim `cursor` the runners advance, and an atomic `limit` that
+//! admission raises. Every seat claims from it, so the next task goes to
+//! whichever runner frees up first, the dynamic least-loaded discipline
+//! of paper §3.2. What the plan calls a core is a [`Seat`]; a runner
 //! — a pool worker, or the job's own calling thread — holding a seat's
 //! *ticket* loops claim → [`run_attempt`] → publish ([`serve`]),
 //! publishing completions into a sequence-numbered ring. Nobody watches
@@ -42,8 +40,8 @@ use super::engine::{JobSpec, Pool};
 use super::faults::FaultKind;
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
 use super::{take_turns, ExecError, Frontier, TaskCtx, TaskOutput};
-use crate::plan::{ExecutionPlan, StageAssignment};
-use crate::task::{StageId, TaskGraph, TaskId};
+use crate::plan::ExecutionPlan;
+use crate::task::{TaskGraph, TaskId};
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,9 +93,6 @@ pub(super) struct WorkerDone {
 pub(super) struct Seat {
     /// Index into the board's seat list (and the per-seat statistics).
     pub id: usize,
-    /// The lane this seat claims from.
-    pub lane: usize,
-    pub stage: u8,
     /// The plan core the seat models.
     pub core: usize,
 }
@@ -107,14 +102,14 @@ pub(super) struct Seat {
 #[repr(align(64))]
 struct Padded<T>(T);
 
-/// One stage's (or one `RoundRobin` seat's) claimable task sequence.
+/// The job's claimable task sequence: task indices `0..len`, released
+/// in order.
 struct Lane {
-    /// Task indices in release (= iteration) order.
-    tasks: Vec<u32>,
-    /// The lane's window: at most this many attempts admitted and not
-    /// yet absorbed (`queue_capacity` + the seats serving the lane).
+    len: usize,
+    /// The window: at most this many attempts admitted and not yet
+    /// absorbed (`queue_capacity` + the seats).
     cap: usize,
-    /// Next index of `tasks` to claim.
+    /// Next task index to claim.
     cursor: Padded<AtomicUsize>,
     /// Indices below this are claimable.
     limit: AtomicUsize,
@@ -125,9 +120,9 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(cap: usize) -> Self {
+    fn new(len: usize, cap: usize) -> Self {
         Self {
-            tasks: Vec::new(),
+            len,
             cap,
             cursor: Padded(AtomicUsize::new(0)),
             limit: AtomicUsize::new(0),
@@ -155,23 +150,20 @@ struct Slot {
     done: Mutex<Option<WorkerDone>>,
 }
 
-/// The shared state of one job: claim lanes, completion ring, parked
+/// The shared state of one job: claim lane, completion ring, parked
 /// seats. See the module docs for who writes what.
 pub(super) struct Board {
-    lanes: Vec<Lane>,
-    /// First lane and lane count of each stage (count > 1 only for
-    /// `RoundRobin`).
-    stage_lanes: Vec<(usize, usize)>,
+    lane: Lane,
     seats: Vec<Seat>,
-    /// Sized to the sum of the lane windows (rounded up to a power of
-    /// two), so a published completion always finds its slot free.
+    /// Sized to the window (rounded up to a power of two), so a
+    /// published completion always finds its slot free.
     ring: Vec<Slot>,
     /// Sequence number the next publication draws.
     tail: Padded<AtomicU64>,
     /// Completions taken off the ring so far.
     absorbed: AtomicU64,
-    /// Pending completions at which a batch is due: half the narrowest
-    /// lane window, at least 1.
+    /// Pending completions at which a batch is due: half the window, at
+    /// least 1.
     wake_at: u64,
     /// Seats parked, or about to be, for lack of claimable work.
     starved: AtomicUsize,
@@ -190,54 +182,20 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Board {
-    /// Builds the board `plan` describes over `graph`'s tasks, each
-    /// lane's window `capacity` plus its seats. Must be called on the
-    /// job's calling thread: that is the thread a seat in the home slot
-    /// and the end of the job wake. Every seat starts parked; the first
+    /// Builds the board of `plan`'s one stage over `graph`'s tasks, its
+    /// window `capacity` plus its seats. Must be called on the job's
+    /// calling thread: that is the thread a seat in the home slot and
+    /// the end of the job wake. Every seat starts parked; the first
     /// admission hands them out, the first of them home.
     pub(super) fn new(graph: &TaskGraph, plan: &ExecutionPlan, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let mut lanes = Vec::new();
-        let mut stage_lanes = Vec::new();
-        let mut seats = Vec::new();
-        let mut seat = |lane: usize, stage: u8, core: usize| {
-            seats.push(Seat {
-                id: seats.len(),
-                lane,
-                stage,
-                core,
-            });
-        };
-        for stage in 0..plan.stage_count() {
-            let first = lanes.len();
-            match plan.stage(stage) {
-                StageAssignment::Serial { core } => {
-                    lanes.push(Lane::new(capacity + 1));
-                    seat(first, stage, *core);
-                }
-                StageAssignment::Parallel { cores } => {
-                    lanes.push(Lane::new(capacity + cores.len()));
-                    for &core in cores {
-                        seat(first, stage, core);
-                    }
-                }
-                StageAssignment::RoundRobin { cores } => {
-                    for &core in cores {
-                        seat(lanes.len(), stage, core);
-                        lanes.push(Lane::new(capacity + 1));
-                    }
-                }
-            }
-            stage_lanes.push((first, lanes.len() - first));
-        }
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            let (first, count) = stage_lanes[task.stage.0 as usize];
-            lanes[first + (task.iter % count as u64) as usize]
-                .tasks
-                .push(idx as u32);
-        }
-        let window: usize = lanes.iter().map(|l| l.cap).sum();
-        let narrowest = lanes.iter().map(|l| l.cap).min().unwrap_or(1);
+        let seats: Vec<Seat> = plan
+            .stage(0)
+            .cores()
+            .into_iter()
+            .enumerate()
+            .map(|(id, core)| Seat { id, core })
+            .collect();
+        let window = capacity.max(1) + seats.len();
         Self {
             ring: (0..window.next_power_of_two())
                 .map(|_| Slot {
@@ -245,11 +203,10 @@ impl Board {
                     done: Mutex::new(None),
                 })
                 .collect(),
-            lanes,
-            stage_lanes,
+            lane: Lane::new(graph.len(), window),
             tail: Padded(AtomicU64::new(0)),
             absorbed: AtomicU64::new(0),
-            wake_at: (narrowest / 2).max(1) as u64,
+            wake_at: (window / 2).max(1) as u64,
             starved: AtomicUsize::new(seats.len()),
             parked: Mutex::new(seats.clone()),
             closed: AtomicBool::new(false),
@@ -259,44 +216,34 @@ impl Board {
         }
     }
 
-    /// The lane a task of `stage` and iteration `iter` is claimed from.
-    pub(super) fn lane_of(&self, stage: StageId, iter: u64) -> usize {
-        let (first, count) = self.stage_lanes[stage.0 as usize];
-        first + (iter % count as u64) as usize
-    }
-
-    pub(super) fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     pub(super) fn seats(&self) -> &[Seat] {
         &self.seats
     }
 
-    /// The window of `lane`: its bound on admitted-but-unabsorbed
-    /// attempts, and the ticket quantum of the seats serving it.
-    pub(super) fn cap(&self, lane: usize) -> usize {
-        self.lanes[lane].cap
+    /// The window: the bound on admitted-but-unabsorbed attempts, and
+    /// the ticket quantum of every seat.
+    pub(super) fn cap(&self) -> usize {
+        self.lane.cap
     }
 
-    /// The `idx`-th task of `lane` in release order.
-    pub(super) fn task_at(&self, lane: usize, idx: usize) -> Option<u32> {
-        self.lanes[lane].tasks.get(idx).copied()
+    /// The number of tasks, the end of the release order.
+    pub(super) fn len(&self) -> usize {
+        self.lane.len
     }
 
     // --- the runner whose turn it is ---------------------------------------
 
-    /// Admits `lane`'s fresh tasks up to index `to`. Returns the lane's
-    /// claimable count right after, for the trace.
-    pub(super) fn raise(&self, lane: usize, to: usize) -> usize {
-        let l = &self.lanes[lane];
+    /// Admits fresh tasks up to index `to`. Returns the claimable count
+    /// right after, for the trace.
+    pub(super) fn raise(&self, to: usize) -> usize {
+        let l = &self.lane;
         l.limit.store(to, SeqCst);
         l.claimable()
     }
 
     /// Admits a squash redispatch; runners claim it before the cursor.
-    pub(super) fn requeue(&self, lane: usize, item: WorkItem) -> usize {
-        let l = &self.lanes[lane];
+    pub(super) fn requeue(&self, item: WorkItem) -> usize {
+        let l = &self.lane;
         let mut q = lock(&l.requeue);
         q.push_back(item);
         l.requeued.store(q.len(), SeqCst);
@@ -338,8 +285,8 @@ impl Board {
         self.absorbed.store(head, SeqCst);
     }
 
-    /// Takes back the parked seats that have claimable work again, at
-    /// most one per claimable attempt; the caller hands their tickets
+    /// Takes back parked seats while there is claimable work for them,
+    /// at most one per claimable attempt; the caller hands their tickets
     /// to the pool. Call after [`raise`](Self::raise) /
     /// [`requeue`](Self::requeue): those stores precede this load of
     /// `starved` and this scan, [`park`] increments `starved` before its
@@ -350,17 +297,9 @@ impl Board {
             return;
         }
         let mut parked = lock(&self.parked);
-        let mut i = 0;
-        while i < parked.len() {
-            let lane = parked[i].lane;
-            let taken = out.iter().filter(|s| s.lane == lane).count();
-            if self.lanes[lane].claimable() > taken {
-                out.push(parked.swap_remove(i));
-                self.starved.fetch_sub(1, SeqCst);
-            } else {
-                i += 1;
-            }
-        }
+        let wanted = self.lane.claimable().min(parked.len());
+        out.extend(parked.drain(..wanted));
+        self.starved.fetch_sub(wanted, SeqCst);
     }
 
     /// Ends the job: claims fail from here on, tickets still queued
@@ -404,11 +343,11 @@ impl Board {
 
     // --- every runner -------------------------------------------------------
 
-    /// Claims `lane`'s next attempt: a requeued squash first, else the
+    /// Claims the next attempt: a requeued squash first, else the
     /// cursor's task if it is below the limit. Returns the attempt and
-    /// the lane's claimable count right after the claim.
-    pub(super) fn claim(&self, lane: usize) -> Option<(WorkItem, usize)> {
-        let l = &self.lanes[lane];
+    /// the claimable count right after the claim.
+    pub(super) fn claim(&self) -> Option<(WorkItem, usize)> {
+        let l = &self.lane;
         if l.requeued.load(SeqCst) > 0 {
             let mut q = lock(&l.requeue);
             if let Some(item) = q.pop_front() {
@@ -426,7 +365,7 @@ impl Board {
             match l.cursor.0.compare_exchange_weak(at, at + 1, SeqCst, SeqCst) {
                 Ok(_) => {
                     let item = WorkItem {
-                        task: l.tasks[at],
+                        task: at as u32,
                         attempt: 0,
                     };
                     return Some((item, l.requeued.load(SeqCst) + limit - at - 1));
@@ -438,9 +377,9 @@ impl Board {
 
     /// [`claim`](Self::claim), retried [`SPINS`] times on an empty
     /// lane.
-    fn claim_or_spin(&self, lane: usize) -> Option<(WorkItem, usize)> {
+    fn claim_or_spin(&self) -> Option<(WorkItem, usize)> {
         for _ in 0..SPINS {
-            if let Some(claimed) = self.claim(lane) {
+            if let Some(claimed) = self.claim() {
                 return Some(claimed);
             }
             if self.closed.load(SeqCst) {
@@ -475,14 +414,14 @@ impl Board {
 /// seat: this runner takes the turn itself, or lost the `try_lock` to a
 /// holder whose look after unlocking sees the bump, or nothing is
 /// published yet and the publisher's own look will see it. A turn that
-/// admits into this very lane is found by the second look.
+/// admits meanwhile is found by the second look.
 fn park(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
     let board = &job.board;
     board.starved.fetch_add(1, SeqCst);
-    if board.lanes[seat.lane].claimable() == 0 {
+    if board.lane.claimable() == 0 {
         take_turns(job, pool);
         let mut parked = lock(&board.parked);
-        if board.lanes[seat.lane].claimable() == 0 {
+        if board.lane.claimable() == 0 {
             parked.push(seat);
             return true;
         }
@@ -575,7 +514,6 @@ impl JobShared {
     ) -> Result<TaskOutput, ExecError> {
         let t = self.spec.graph.task(TaskId(task));
         let ctx = TaskCtx {
-            stage: t.stage,
             iter: t.iter,
             attempt,
             mem,
@@ -599,7 +537,7 @@ const SPINS: u32 = 64;
 /// Returns whether the quantum ran out: a pool worker then hands the
 /// ticket on, so concurrent jobs share a small pool. Otherwise the
 /// ticket is spent — the seat is parked on the board, and the next turn
-/// that admits into its lane hands it out again, or the job is over.
+/// that admits work hands it out again, or the job is over.
 pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
     let board = &job.board;
     let mut trace = TraceBuffer::for_job(job.clock, job.job);
@@ -608,10 +546,10 @@ pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
         if board.closed.load(SeqCst) {
             return false;
         }
-        if claims >= board.cap(seat.lane) {
+        if claims >= board.cap() {
             return true;
         }
-        let Some((item, occupancy)) = board.claim_or_spin(seat.lane) else {
+        let Some((item, occupancy)) = board.claim_or_spin() else {
             if park(job, seat, pool) {
                 return false;
             }
@@ -619,7 +557,6 @@ pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
         };
         claims += 1;
         trace.record(TraceEventKind::QueuePop {
-            stage: seat.stage,
             task: item.task,
             attempt: item.attempt,
             occupancy,
@@ -640,6 +577,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     let faults = &job.spec.config.fault_plan;
     let mem = job.spec.mem.as_deref();
     let fault = faults.fault_at(item.task, item.attempt);
+    let stage = job.spec.graph.task(TaskId(item.task)).stage.0;
     if fault == Some(FaultKind::WorkerPanic) {
         // Injected panic: the attempt dies before the body runs.
         // Reported through the same `panicked` channel as a caught
@@ -649,13 +587,13 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         // shows up as a (zero-length) slice.
         trace.record(TraceEventKind::Dispatch {
             core: seat.core,
-            stage: seat.stage,
+            stage,
             task: item.task,
             attempt: item.attempt,
         });
         trace.record(TraceEventKind::Complete {
             core: seat.core,
-            stage: seat.stage,
+            stage,
             task: item.task,
             attempt: item.attempt,
             panicked: true,
@@ -674,7 +612,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     }
     trace.record(TraceEventKind::Dispatch {
         core: seat.core,
-        stage: seat.stage,
+        stage,
         task: item.task,
         attempt: item.attempt,
     });
@@ -692,7 +630,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     if let Some(m) = mem {
         m.begin(version);
         trace.record(TraceEventKind::VersionOpen {
-            stage: seat.stage,
+            stage,
             task: item.task,
             attempt: item.attempt,
         });
@@ -707,7 +645,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         // costs a registry read lock, so untraced runs skip it.
         if let Some(probe) = m.probe(version) {
             trace.record(TraceEventKind::VersionReads {
-                stage: seat.stage,
+                stage,
                 task: item.task,
                 attempt: item.attempt,
                 reads: probe.reads,
@@ -722,7 +660,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     let output = result.unwrap_or_else(|_| TaskOutput::empty());
     trace.record(TraceEventKind::Complete {
         core: seat.core,
-        stage: seat.stage,
+        stage,
         task: item.task,
         attempt: item.attempt,
         panicked,
@@ -745,7 +683,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_batch_threshold_is_half_the_narrowest_lane_window() {
+    fn the_batch_threshold_is_half_the_window() {
         let mut graph = TaskGraph::new(1);
         for i in 0..8 {
             graph.add_task(0, i, 1, &[], &[]);

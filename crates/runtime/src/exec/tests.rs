@@ -48,45 +48,29 @@ fn run_versioned(
     (report, mem)
 }
 
-/// The canonical three-phase graph: A serial, B parallel, C serial with
-/// a loop-carried chain; B_i speculates on B_{i-1} with violations at
-/// the given iterations.
-fn three_phase_graph(iters: u64, violate_at: &[u64]) -> TaskGraph {
-    let mut graph = TaskGraph::new(3);
-    let mut prev_a = None;
-    let mut prev_b: Option<TaskId> = None;
-    let mut prev_c = None;
+/// The canonical speculative loop: one stage, task `i` is iteration `i`
+/// and speculates on task `i - 1`, with violations at the given
+/// iterations.
+fn speculative_graph(iters: u64, violate_at: &[u64]) -> TaskGraph {
+    let mut graph = TaskGraph::new(1);
     for i in 0..iters {
-        let a_deps: Vec<TaskId> = prev_a.into_iter().collect();
-        let a = graph.add_task(0, i, 10, &a_deps, &[]);
-        let spec: Vec<SpecDep> = prev_b
-            .map(|on| SpecDep {
-                on,
+        let spec: Vec<SpecDep> = (i > 0)
+            .then(|| SpecDep {
+                on: TaskId(i as u32 - 1),
                 violated: violate_at.contains(&i),
             })
             .into_iter()
             .collect();
-        let b = graph.add_task(1, i, 40, &[a], &spec);
-        let mut c_deps = vec![b];
-        if let Some(c) = prev_c {
-            c_deps.push(c);
-        }
-        let c = graph.add_task(2, i, 10, &c_deps, &[]);
-        prev_a = Some(a);
-        prev_b = Some(b);
-        prev_c = Some(c);
+        graph.add_task(0, i, 40, &[], &spec);
     }
     graph
 }
 
-/// A body that emits each B task's iteration tag — and a deliberately
+/// A body that emits each task's iteration tag — and a deliberately
 /// corrupt tag while speculative, so a missed squash or a phantom
 /// squash both corrupt the output stream.
 fn tagging_body(violate_at: Vec<u64>) -> impl NativeBody {
     move |task: TaskId, ctx: &TaskCtx<'_>| {
-        if ctx.stage.0 != 1 {
-            return TaskOutput::empty();
-        }
         let mut bytes = ctx.iter.to_le_bytes().to_vec();
         if ctx.speculative() && violate_at.contains(&ctx.iter) {
             bytes[0] ^= 0xFF; // stale value speculation would produce
@@ -104,12 +88,12 @@ fn expected_stream(iters: u64) -> Vec<u8> {
 
 #[test]
 fn pipeline_output_matches_sequential_order() {
-    let graph = three_phase_graph(50, &[]);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(50, &[]);
+    let plan = ExecutionPlan::tls(4);
     let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert_eq!(report.output, expected_stream(50));
-    assert_eq!(report.tasks_committed, 150);
-    assert_eq!(report.attempts, 150);
+    assert_eq!(report.tasks_committed, 50);
+    assert_eq!(report.attempts, 50);
     assert_eq!(report.squashes, 0);
     assert_eq!(report.violations, 0);
     assert_eq!(report.speculations_survived, 49);
@@ -118,8 +102,8 @@ fn pipeline_output_matches_sequential_order() {
 #[test]
 fn violated_speculation_squashes_and_reexecutes() {
     let violate = vec![3, 7, 20];
-    let graph = three_phase_graph(30, &violate);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(30, &violate);
+    let plan = ExecutionPlan::tls(4);
     let report = run(
         ExecConfig::default(),
         &graph,
@@ -134,78 +118,118 @@ fn violated_speculation_squashes_and_reexecutes() {
     assert_eq!(report.squashes, violate.len() as u64);
     assert_eq!(report.violations, violate.len() as u64);
     assert_eq!(report.speculations_survived, 29 - violate.len() as u64);
-    assert_eq!(report.attempts, 90 + violate.len() as u64);
+    assert_eq!(report.attempts, 30 + violate.len() as u64);
 }
 
 #[test]
 fn single_core_plan_still_completes() {
-    let graph = three_phase_graph(20, &[5]);
-    let plan = ExecutionPlan::three_phase(1);
+    let graph = speculative_graph(20, &[5]);
+    let plan = ExecutionPlan::tls(1);
     let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![5])).unwrap();
     assert_eq!(report.output, expected_stream(20));
-    assert_eq!(report.threads(), 3); // one worker per stage, all core 0
-}
-
-#[test]
-fn round_robin_assignment_matches_shared_queue_output() {
-    let graph = three_phase_graph(40, &[2, 9]);
-    let [dynamic, static_rr] = [
-        ExecutionPlan::three_phase(6),
-        ExecutionPlan::three_phase_static(6),
-    ]
-    .map(|plan| {
-        run(
-            ExecConfig::default(),
-            &graph,
-            &plan,
-            tagging_body(vec![2, 9]),
-        )
-        .unwrap()
-    });
-    assert_eq!(dynamic.output, static_rr.output);
-    assert_eq!(dynamic.squashes, static_rr.squashes);
+    assert_eq!(report.threads(), 1); // one seat, on core 0
 }
 
 #[test]
 fn tiny_queues_apply_backpressure_without_deadlock() {
-    let graph = three_phase_graph(200, &[17, 90, 91]);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(200, &[17, 90, 91]);
+    let plan = ExecutionPlan::tls(4);
     let config = ExecConfig::with_queue_capacity(1);
     let report = run(config, &graph, &plan, tagging_body(vec![17, 90, 91])).unwrap();
     assert_eq!(report.output, expected_stream(200));
     assert_eq!(report.squashes, 3);
 }
 
+/// The engine refuses, with a typed error and before any body runs, a
+/// plan the graph does not match and every job that is not one
+/// dynamically assigned stage without synchronized dependences —
+/// through `run` and `submit` alike.
 #[test]
 fn stage_mismatch_is_rejected() {
-    let graph = three_phase_graph(4, &[]);
-    let plan = ExecutionPlan::tls(4); // 1-stage plan vs 3-stage graph
-    let err = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap_err();
+    use crate::plan::StageAssignment;
+    let refused = |graph: &TaskGraph, plan: &ExecutionPlan| {
+        let body = |_: TaskId, _: &TaskCtx<'_>| -> TaskOutput { panic!("a refused job ran") };
+        let err = run(ExecConfig::default(), graph, plan, body).unwrap_err();
+        let submitted = Engine::new(EngineConfig::with_workers(1)).submit(JobSpec {
+            graph: Arc::new(graph.clone()),
+            plan: Arc::new(plan.clone()),
+            body: Arc::new(body),
+            mem: None,
+            config: ExecConfig::default(),
+        });
+        assert_eq!(submitted.wait().unwrap_err(), err);
+        err
+    };
+    let graph = speculative_graph(4, &[]);
+    // A three-stage plan against a one-stage graph.
+    let err = refused(&graph, &ExecutionPlan::three_phase(4));
     assert!(matches!(
         err,
         ExecError::Invalid(SimError::StageMismatch { .. })
     ));
+
+    // The paper's three-phase pipeline, graph and plan agreeing.
+    let mut three = TaskGraph::new(3);
+    for i in 0..4 {
+        let a = three.add_task(0, i, 10, &[], &[]);
+        let b = three.add_task(1, i, 40, &[a], &[]);
+        three.add_task(2, i, 10, &[b], &[]);
+    }
+    assert_eq!(
+        refused(&three, &ExecutionPlan::three_phase(4)),
+        ExecError::MultiStage { stages: 3 }
+    );
+
+    // One stage, statically assigned.
+    let rr = ExecutionPlan::new(vec![StageAssignment::round_robin(vec![0, 1])]);
+    assert_eq!(refused(&graph, &rr), ExecError::StaticAssignment);
+
+    // One stage whose task 2 waits on task 1.
+    let mut synced = TaskGraph::new(1);
+    let t0 = synced.add_task(0, 0, 10, &[], &[]);
+    let t1 = synced.add_task(0, 1, 10, &[], &[]);
+    synced.add_task(0, 2, 10, &[t1], &[]);
+    synced.add_task(
+        0,
+        3,
+        10,
+        &[],
+        &[SpecDep {
+            on: t0,
+            violated: false,
+        }],
+    );
+    assert_eq!(
+        refused(&synced, &ExecutionPlan::tls(2)),
+        ExecError::SynchronizedDep { task: TaskId(2) }
+    );
+
+    // The plan half alone, as the static lint asks it.
+    assert_eq!(
+        Engine::check_plan(&ExecutionPlan::three_phase(4)),
+        Err(ExecError::MultiStage { stages: 3 })
+    );
+    assert_eq!(Engine::check_plan(&rr), Err(ExecError::StaticAssignment));
+    assert_eq!(Engine::check_plan(&ExecutionPlan::tls(2)), Ok(()));
 }
 
 #[test]
 fn empty_stage_pool_is_rejected() {
-    let graph = three_phase_graph(4, &[]);
-    let plan = ExecutionPlan::new(vec![
-        crate::plan::StageAssignment::serial(0),
-        crate::plan::StageAssignment::Parallel { cores: vec![] },
-        crate::plan::StageAssignment::serial(1),
-    ]);
+    let graph = speculative_graph(4, &[]);
+    let plan = ExecutionPlan::new(vec![crate::plan::StageAssignment::Parallel {
+        cores: vec![],
+    }]);
     let err = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap_err();
     assert_eq!(
         err,
-        ExecError::Invalid(SimError::EmptyStagePool { stage: 1 })
+        ExecError::Invalid(SimError::EmptyStagePool { stage: 0 })
     );
 }
 
 #[test]
 fn empty_graph_commits_nothing() {
-    let graph = TaskGraph::new(3);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = TaskGraph::new(1);
+    let plan = ExecutionPlan::tls(4);
     let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert!(report.output.is_empty());
     assert_eq!(report.tasks_committed, 0);
@@ -214,8 +238,8 @@ fn empty_graph_commits_nothing() {
 #[test]
 fn repeated_runs_are_deterministic() {
     let violate = vec![1, 4, 11, 12];
-    let graph = three_phase_graph(60, &violate);
-    let plan = ExecutionPlan::three_phase(8);
+    let graph = speculative_graph(60, &violate);
+    let plan = ExecutionPlan::tls(8);
     let once = || {
         run(
             ExecConfig::default(),
@@ -239,16 +263,11 @@ fn repeated_runs_are_deterministic() {
 // Fault injection and supervised recovery.
 // ---------------------------------------------------------------------
 
-/// Task index of phase B of iteration `i` in `three_phase_graph`.
-fn b_task(i: u64) -> u32 {
-    (3 * i + 1) as u32
-}
-
 /// Runs the canonical graph under `config` and asserts the output is
 /// still byte-identical to sequential; returns the report.
 fn run_faulted(iters: u64, violate: &[u64], config: ExecConfig) -> NativeReport {
-    let graph = three_phase_graph(iters, violate);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(iters, violate);
+    let plan = ExecutionPlan::tls(4);
     let report = run(config, &graph, &plan, tagging_body(violate.to_vec()))
         .expect("recoverable faults never abort the run");
     assert_eq!(
@@ -256,14 +275,14 @@ fn run_faulted(iters: u64, violate: &[u64], config: ExecConfig) -> NativeReport 
         expected_stream(iters),
         "output must stay byte-identical to sequential under faults"
     );
-    assert_eq!(report.tasks_committed, 3 * iters);
+    assert_eq!(report.tasks_committed, iters);
     report
 }
 
 #[test]
 fn injected_worker_panic_is_recovered() {
     let config = ExecConfig::default().with_faults(FaultPlan::none().with_forced(
-        b_task(5),
+        5,
         0,
         FaultKind::WorkerPanic,
     ));
@@ -271,7 +290,7 @@ fn injected_worker_panic_is_recovered() {
     assert_eq!(report.recovery.panics_recovered, 1);
     assert!(!report.fallback_activated);
     // The panicked attempt costs exactly one extra dispatch.
-    assert_eq!(report.attempts, 60 + 1);
+    assert_eq!(report.attempts, 20 + 1);
 }
 
 #[test]
@@ -279,7 +298,7 @@ fn injected_stall_is_absorbed_within_the_deadline() {
     let config = ExecConfig::default()
         .with_faults(
             FaultPlan::none()
-                .with_forced(b_task(5), 0, FaultKind::StageStall)
+                .with_forced(5, 0, FaultKind::StageStall)
                 .with_stall_duration(Duration::from_millis(5)),
         )
         .with_retry_budget(0);
@@ -290,55 +309,98 @@ fn injected_stall_is_absorbed_within_the_deadline() {
         !report.fallback_activated,
         "a finished stall costs no retry"
     );
-    assert_eq!(report.attempts, 60);
+    assert_eq!(report.attempts, 20);
+}
+
+thread_local! {
+    /// Set on a pool worker once it has begun its first body.
+    static SLOWED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `body`, after holding the first `held` pool workers to run one,
+/// on their first body, for `hold(rank)`: `rank` counts the workers
+/// from 0 in the order they began. The caller runs no body until `held`
+/// workers have begun (or two seconds passed), so the held tasks are the
+/// pool's whichever tasks they are, and what the caller can reach it
+/// runs and then waits. Also returns the count of workers that began.
+fn hold_workers(
+    held: usize,
+    hold: impl Fn(usize) -> Duration + Send + Sync + 'static,
+    body: impl NativeBody + 'static,
+) -> (impl NativeBody + 'static, Arc<AtomicUsize>) {
+    let begun = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&begun);
+    let wrapped = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        if !on_pool_worker() {
+            wait_until(|| seen.load(Ordering::SeqCst) >= held);
+        } else if !SLOWED.with(|s| s.replace(true)) {
+            let rank = seen.fetch_add(1, Ordering::SeqCst);
+            if rank < held {
+                std::thread::sleep(hold(rank));
+            }
+        }
+        body.run(task, ctx)
+    };
+    (wrapped, begun)
 }
 
 #[test]
 fn watchdog_trips_on_a_wedged_stage_and_falls_back() {
-    // One B task sleeps for 10× the watchdog deadline: the pipeline
-    // wedges at the commit frontier and the idle caller must degrade to
-    // sequential execution — with the output still byte-identical.
+    // Every first attempt runs behind an injected stall of three
+    // watchdog deadlines, and a pool worker's first task then sleeps for
+    // ten more: the pipeline wedges at the commit frontier, the caller
+    // runs what it can reach (three stalls at most, one task being the
+    // held worker's), and idle, it must degrade to sequential execution
+    // — with the output still byte-identical. Every task either commits
+    // a stalled first attempt or runs in the fallback.
+    let deadline = Duration::from_millis(60);
+    let iters = 4;
+    let (body, begun) = hold_workers(1, move |_| 10 * deadline, tagging_body(vec![]));
+    let faults = (0..iters as u32).fold(
+        FaultPlan::none().with_stall_duration(3 * deadline),
+        |faults, task| faults.with_forced(task, 0, FaultKind::StageStall),
+    );
     let config = ExecConfig::default()
-        .with_faults(
-            FaultPlan::none()
-                .with_forced(b_task(5), 0, FaultKind::StageStall)
-                .with_stall_duration(Duration::from_millis(600)),
-        )
-        .with_watchdog_deadline(Duration::from_millis(60));
-    let report = run_faulted(20, &[], config);
+        .with_faults(faults)
+        .with_watchdog_deadline(deadline);
+    let graph = speculative_graph(iters, &[]);
+    let report = run(config, &graph, &ExecutionPlan::tls(4), body)
+        .expect("recoverable faults never abort the run");
+    assert!(begun.load(Ordering::SeqCst) >= 1, "a worker was held");
+    assert_eq!(report.output, expected_stream(iters));
+    assert_eq!(report.tasks_committed, iters);
     assert!(report.watchdog_trips >= 1);
     assert!(report.fallback_activated);
     assert!(report.recovery.fallback_tasks > 0);
+    assert_eq!(
+        report.recovery.stalls_absorbed + report.recovery.fallback_tasks,
+        iters
+    );
 }
 
 #[test]
 fn budget_zero_degrades_to_sequential_fallback_instead_of_aborting() {
     let config = ExecConfig::default()
-        .with_faults(FaultPlan::none().with_forced(b_task(5), 0, FaultKind::WorkerPanic))
+        .with_faults(FaultPlan::none().with_forced(5, 0, FaultKind::WorkerPanic))
         .with_retry_budget(0);
     let report = run_faulted(20, &[], config);
     assert!(report.fallback_activated);
     assert_eq!(report.recovery.panics_recovered, 1);
-    // Tasks 0..=15 committed pipelined (the frontier stood at B_5 =
-    // task 16 when the budget ran out); 16.. ran sequentially.
-    assert_eq!(report.recovery.fallback_tasks, 60 - 16);
+    // Tasks 0..=4 committed pipelined (the frontier stood at task 5
+    // when the budget ran out); 5.. ran sequentially.
+    assert_eq!(report.recovery.fallback_tasks, 20 - 5);
     assert_eq!(report.watchdog_trips, 0);
 }
 
 #[test]
 fn real_body_panic_is_squashed_and_replayed() {
-    let graph = three_phase_graph(20, &[]);
-    let plan = ExecutionPlan::three_phase(4);
-    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-        if ctx.stage.0 == 1 && ctx.iter == 7 && ctx.attempt == 0 {
+    let graph = speculative_graph(20, &[]);
+    let plan = ExecutionPlan::tls(4);
+    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
+        if ctx.iter == 7 && ctx.attempt == 0 {
             panic!("flaky body");
         }
-        if ctx.stage.0 == 1 {
-            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
-        } else {
-            let _ = task;
-            TaskOutput::empty()
-        }
+        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
     };
     let report = run(ExecConfig::default(), &graph, &plan, body).unwrap();
     assert_eq!(report.output, expected_stream(20));
@@ -351,10 +413,10 @@ fn unreplayable_body_panic_is_a_typed_error() {
     // A body that panics on *every* attempt of one task: the budget
     // exhausts, the fallback re-runs it sequentially, and that panic is
     // unrecoverable — surfaced as ExecError::TaskFailed, not a crash.
-    let graph = three_phase_graph(8, &[]);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(8, &[]);
+    let plan = ExecutionPlan::tls(4);
     let body = move |_: TaskId, ctx: &TaskCtx<'_>| -> TaskOutput {
-        if ctx.stage.0 == 1 && ctx.iter == 2 {
+        if ctx.iter == 2 {
             panic!("permanently broken body");
         }
         TaskOutput::empty()
@@ -366,7 +428,7 @@ fn unreplayable_body_panic_is_a_typed_error() {
         body,
     )
     .unwrap_err();
-    assert_eq!(err, ExecError::TaskFailed { task: TaskId(7) });
+    assert_eq!(err, ExecError::TaskFailed { task: TaskId(2) });
 }
 
 #[test]
@@ -380,9 +442,9 @@ fn a_dead_job_thread_is_reported_as_what_it_is() {
 #[test]
 fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     let violate = vec![3, 9];
-    let iters = 40u64;
-    let graph = three_phase_graph(iters, &violate);
-    let plan = ExecutionPlan::three_phase(4);
+    let iters = 120u64;
+    let graph = speculative_graph(iters, &violate);
+    let plan = ExecutionPlan::tls(4);
     let faults = FaultPlan::seeded(7);
     let config = ExecConfig::default().with_faults(faults.clone());
     let [a, b] = [config.clone(), config]
@@ -408,12 +470,12 @@ fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
 
 #[test]
 fn an_exhausted_misspeculated_task_keeps_its_squash_in_the_prediction() {
-    // B_5 misspeculates on attempt 0 and its replay panics past a budget
-    // of 0: the squash and its violation are tallied before the
+    // Task 5 misspeculates on attempt 0 and its replay panics past a
+    // budget of 0: the squash and its violation are tallied before the
     // sequential fallback freezes the speculation counters.
     let violate = vec![3, 5];
-    let graph = three_phase_graph(20, &violate);
-    let faults = FaultPlan::none().with_forced(b_task(5), 1, FaultKind::WorkerPanic);
+    let graph = speculative_graph(20, &violate);
+    let faults = FaultPlan::none().with_forced(5, 1, FaultKind::WorkerPanic);
     let config = ExecConfig::default()
         .with_faults(faults.clone())
         .with_retry_budget(0);
@@ -421,7 +483,7 @@ fn an_exhausted_misspeculated_task_keeps_its_squash_in_the_prediction() {
     assert!(report.fallback_activated);
     let predicted = predict_recovery(&graph, &faults, 0);
     assert_eq!((predicted.squashes, predicted.violations), (2, 2));
-    assert_eq!(predicted.recovery.fallback_tasks, 60 - u64::from(b_task(5)));
+    assert_eq!(predicted.recovery.fallback_tasks, 20 - 5);
     assert_eq!(report.recovery, predicted.recovery);
     assert_eq!(report.attempts, predicted.attempts);
     assert_eq!(report.squashes, predicted.squashes);
@@ -445,8 +507,8 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
     assert_eq!(one.queue_capacity, 1);
 
     let violate = vec![2, 9];
-    let graph = three_phase_graph(30, &violate);
-    let plan = ExecutionPlan::three_phase(4); // phase B is Parallel
+    let graph = speculative_graph(30, &violate);
+    let plan = ExecutionPlan::tls(4); // one Parallel stage
     let [r0, r1] = [zero, one]
         .map(|config| run(config, &graph, &plan, tagging_body(violate.clone())).unwrap());
     assert_eq!(r0.output, expected_stream(30));
@@ -460,8 +522,8 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
 
 #[test]
 fn untraced_runs_carry_no_timeline() {
-    let graph = three_phase_graph(10, &[]);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(10, &[]);
+    let plan = ExecutionPlan::tls(4);
     let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
     assert!(report.timeline.is_none(), "tracing is off by default");
 }
@@ -469,8 +531,8 @@ fn untraced_runs_carry_no_timeline() {
 #[test]
 fn traced_run_yields_a_well_formed_timeline() {
     let violate = vec![3, 11];
-    let graph = three_phase_graph(25, &violate);
-    let plan = ExecutionPlan::three_phase(4);
+    let graph = speculative_graph(25, &violate);
+    let plan = ExecutionPlan::tls(4);
     let report = run(
         ExecConfig::default().with_tracing(true),
         &graph,
@@ -482,7 +544,7 @@ fn traced_run_yields_a_well_formed_timeline() {
     let timeline = report.timeline.as_ref().expect("tracing was on");
     timeline.validate().expect("native traces are well-formed");
     assert_eq!(timeline.unit(), TimeUnit::Nanos);
-    assert_eq!(timeline.stage_count(), 3);
+    assert_eq!(timeline.stage_count(), 1);
     // Commits are the sequential order, one per task.
     let order = timeline.commit_order();
     assert_eq!(order.len(), graph.len());
@@ -495,24 +557,24 @@ fn traced_run_yields_a_well_formed_timeline() {
         .count() as u64;
     assert_eq!(squash_events, report.squashes);
     let metrics = timeline.stage_metrics();
-    assert_eq!(metrics.len(), 3);
+    assert_eq!(metrics.len(), 1);
     let attempts: u64 = metrics.iter().map(|m| m.attempts).sum();
     assert_eq!(attempts, report.attempts);
     let committed: u64 = metrics.iter().map(|m| m.committed).sum();
     assert_eq!(committed, report.tasks_committed);
-    // Phase B carries the two squashed replays, so it attempts strictly
-    // more than phase A. (Not a wall-clock comparison: these bodies run
-    // in nanoseconds, so real service times are scheduler noise.)
-    assert_eq!(metrics[0].attempts, 25);
-    assert_eq!(metrics[1].attempts, 25 + violate.len() as u64);
+    // The stage carries the two squashed replays on top of one attempt
+    // per task. (Not a wall-clock comparison: these bodies run in
+    // nanoseconds, so real service times are scheduler noise.)
+    assert_eq!(metrics[0].committed, 25);
+    assert_eq!(metrics[0].attempts, 25 + violate.len() as u64);
     // The critical path is non-trivial and starts inside the graph.
     let cp = timeline.critical_path(&graph);
     assert!(cp.length > 0);
     assert!(!cp.tasks.is_empty());
     // The Chrome export wraps every slice.
-    let json = timeline.to_chrome_json(&["A".into(), "B".into(), "C".into()]);
+    let json = timeline.to_chrome_json(&["tls".into()]);
     assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("B t4#0"));
+    assert!(json.contains("tls t4#0"));
 }
 
 #[test]
@@ -520,7 +582,7 @@ fn traced_chaos_run_still_validates_and_commits_in_order() {
     let config = ExecConfig::default()
         .with_faults(FaultPlan::seeded(7))
         .with_tracing(true);
-    let report = run_faulted(40, &[4, 19], config);
+    let report = run_faulted(120, &[4, 19], config);
     let timeline = report.timeline.as_ref().expect("tracing was on");
     timeline
         .validate()
@@ -531,7 +593,7 @@ fn traced_chaos_run_still_validates_and_commits_in_order() {
 #[test]
 fn traced_fallback_commits_carry_the_fallback_attempt() {
     let config = ExecConfig::default()
-        .with_faults(FaultPlan::none().with_forced(b_task(5), 0, FaultKind::WorkerPanic))
+        .with_faults(FaultPlan::none().with_forced(5, 0, FaultKind::WorkerPanic))
         .with_retry_budget(0)
         .with_tracing(true);
     let report = run_faulted(20, &[], config);
@@ -553,7 +615,7 @@ fn traced_fallback_commits_carry_the_fallback_attempt() {
 }
 
 /// A body that emits one placeholder byte per task — a wrong one on a
-/// speculative B task of the iterations in `violate_at` — and whose commit
+/// speculative task of the iterations in `violate_at` — and whose commit
 /// stamps it with the number of commits before it, logging the task.
 struct Stamping {
     violate_at: Vec<u64>,
@@ -562,7 +624,7 @@ struct Stamping {
 
 impl NativeBody for Stamping {
     fn run(&self, _: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
-        let stale = ctx.stage.0 == 1 && ctx.speculative() && self.violate_at.contains(&ctx.iter);
+        let stale = ctx.speculative() && self.violate_at.contains(&ctx.iter);
         TaskOutput::bytes(vec![if stale { 0xEE } else { 0xFF }])
     }
 
@@ -583,23 +645,23 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
     let iters = 30u64;
     let violated = vec![3, 4, 17];
     let panic = ExecConfig::default()
-        .with_faults(FaultPlan::none().with_forced(b_task(5), 0, FaultKind::WorkerPanic))
+        .with_faults(FaultPlan::none().with_forced(5, 0, FaultKind::WorkerPanic))
         .with_retry_budget(0);
-    let (three, tls) = (ExecutionPlan::three_phase(4), ExecutionPlan::tls(1));
+    let (four, one) = (ExecutionPlan::tls(4), ExecutionPlan::tls(1));
     let cases = [
         (
             "drain",
             ExecConfig::default(),
-            three_phase_graph(iters, &violated),
-            three.clone(),
+            speculative_graph(iters, &violated),
+            four.clone(),
         ),
-        ("one seat", ExecConfig::default(), counter_graph(iters), tls),
         (
-            "fallback",
-            panic,
-            three_phase_graph(iters, &violated),
-            three,
+            "one seat",
+            ExecConfig::default(),
+            speculative_graph(iters, &violated),
+            one,
         ),
+        ("fallback", panic, speculative_graph(iters, &violated), four),
     ];
     for (path, config, graph, plan) in cases {
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -618,7 +680,10 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
         assert_eq!(report.output, stamps, "{path}");
         match path {
             "drain" => assert_eq!(report.squashes, violated.len() as u64),
-            "one seat" => assert!(!report.fallback_activated, "{path}"),
+            "one seat" => {
+                assert!(!report.fallback_activated, "{path}");
+                assert_eq!(report.squashes, violated.len() as u64);
+            }
             _ => assert!(report.fallback_activated, "{path}"),
         }
     }
@@ -721,26 +786,21 @@ fn a_panicking_degraded_task_publishes_nothing() {
 
 #[test]
 fn versioned_runs_ignore_recorded_spec_deps() {
-    // Every B task carries a *violated* recorded dependence — a replay
-    // job would squash all of them. The bodies
-    // never touch memory, so the substrate sees no conflicts and the
-    // versioned frontier must squash nothing: the recording is not the
-    // squash source any more.
+    // Every task but the first carries a *violated* recorded dependence
+    // — a replay job would squash all of them. The bodies never touch
+    // memory, so the substrate sees no conflicts and the versioned
+    // frontier must squash nothing: the recording is not the squash
+    // source any more.
     let iters = 20;
     let violate: Vec<u64> = (1..iters).collect();
-    let graph = three_phase_graph(iters, &violate);
-    let plan = ExecutionPlan::three_phase(4);
-    let body = |_: TaskId, ctx: &TaskCtx<'_>| {
-        if ctx.stage.0 != 1 {
-            return TaskOutput::empty();
-        }
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
-    };
+    let graph = speculative_graph(iters, &violate);
+    let plan = ExecutionPlan::tls(4);
+    let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
     let (report, _mem) = run_versioned(ExecConfig::default(), &graph, &plan, body);
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.squashes, 0);
     assert_eq!(report.violations, 0);
-    assert_eq!(report.attempts, iters * 3);
+    assert_eq!(report.attempts, iters);
     // The same job as a replay, for contrast, squashes every violation.
     let replay = run(ExecConfig::default(), &graph, &plan, body).unwrap();
     assert_eq!(replay.squashes, iters - 1);
@@ -888,9 +948,8 @@ fn wait_until(ready: impl Fn() -> bool) {
 const WINDOW: u64 = 33;
 const WAKE_AT: u64 = WINDOW / 2;
 
-/// Runs `iters` iterations under `plan` — the counter loop on a `tls`
-/// plan, the three-phase graph on a three-stage one — and asserts the
-/// run is prompt, trip-free and byte-identical: nobody watches the ring,
+/// Runs the counter loop for `iters` iterations under `plan` and asserts
+/// the run is prompt, trip-free and byte-identical: nobody watches the ring,
 /// so nothing but a runner's own look after publishing, and the turn it
 /// tries for when its lane runs dry, gets a completion absorbed.
 /// `versioned` threads the counter through the substrate (conflict
@@ -904,10 +963,7 @@ fn run_prompt(
     let config = ExecConfig::default().with_faults(faults);
     let deadline = config.watchdog_deadline;
     let started = Instant::now();
-    let report = if plan.stage_count() == 3 {
-        let graph = three_phase_graph(iters, &[]);
-        run(config, &graph, plan, tagging_body(vec![])).unwrap()
-    } else if versioned {
+    let report = if versioned {
         let (report, mem) = run_versioned(config, &counter_graph(iters), plan, counter_body());
         assert_eq!(mem.committed(Addr(0)), Some(iters));
         report
@@ -942,7 +998,7 @@ fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
                     let mut mine = Vec::new();
                     start.wait();
                     while claimed.load(Ordering::SeqCst) < N {
-                        let Some((item, _)) = board.claim(0) else {
+                        let Some((item, _)) = board.claim() else {
                             std::hint::spin_loop();
                             continue;
                         };
@@ -966,7 +1022,7 @@ fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
             // sometimes starving them.
             limit = (limit + 1 + limit % 37).min(N);
             published.store(limit, Ordering::SeqCst);
-            board.raise(0, limit);
+            board.raise(limit);
             if limit % 5 == 0 {
                 while claimed.load(Ordering::SeqCst) < limit {
                     std::hint::spin_loop();
@@ -989,12 +1045,11 @@ fn no_wake_is_lost_at_the_tail_of_a_job() {
     // reaches half a window pending: only a runner running out of
     // claimable work gets their completions absorbed — the caller alone
     // on `tls(1)`, whichever of two runners parks last on `tls(2)`, and
-    // on the three-stage plan the one whose publication finds a
-    // downstream seat starved.
+    // of four on `tls(4)`.
     let plans = [
         ExecutionPlan::tls(1),
         ExecutionPlan::tls(2),
-        ExecutionPlan::three_phase(4),
+        ExecutionPlan::tls(4),
     ];
     for plan in &plans {
         for iters in [1, WAKE_AT - 1, WAKE_AT, WINDOW + 1] {
@@ -1030,31 +1085,23 @@ fn a_panicked_attempt_with_every_runner_parked_resumes_promptly() {
 
 #[test]
 fn a_starved_stage_does_not_wait_for_half_a_window() {
-    // A is an independent serial stage, so its runner (the caller: A's
-    // is the first seat with anything to claim) has a window of
-    // claimable work from the start and never runs dry; B_i needs A_i.
-    // From A_8 on, A's body blocks until B_0 has *started* — which it
-    // only can once a turn absorbs A_0 and admits it. Eight pending
-    // completions are short of the threshold, so nothing but the
-    // starvation rule (B's seats are parked) makes A's runner take that
-    // turn.
+    // Eight seats and a queue of one: a window of nine, a batch due at
+    // four pending. Tasks 0 and 1 publish at once; tasks 2-8 block until
+    // task 9 has *started* — which it only can once a turn absorbs
+    // something and admits it. Seven runners end up blocked and the
+    // eighth finds the lane empty with two completions pending, short
+    // of the threshold, so nothing but the starvation rule (its seat is
+    // parking) makes it take that turn.
     let iters = 64u64;
-    let mut graph = TaskGraph::new(3);
-    let mut prev_c = None;
-    for i in 0..iters {
-        let a = graph.add_task(0, i, 10, &[], &[]);
-        let b = graph.add_task(1, i, 10, &[a], &[]);
-        let c_deps: Vec<TaskId> = [Some(b), prev_c].into_iter().flatten().collect();
-        prev_c = Some(graph.add_task(2, i, 10, &c_deps, &[]));
-    }
-    let b0_started = AtomicBool::new(false);
+    let graph = speculative_graph(iters, &[]);
+    let started = AtomicBool::new(false);
     let gave_up = Arc::new(AtomicBool::new(false));
     let timed_out = Arc::clone(&gave_up);
     let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
-        match ctx.stage.0 {
-            0 if ctx.iter >= 8 => {
+        match ctx.iter {
+            2..=8 => {
                 let since = Instant::now();
-                while !b0_started.load(Ordering::SeqCst) {
+                while !started.load(Ordering::SeqCst) {
                     if since.elapsed() > Duration::from_secs(10) {
                         timed_out.store(true, Ordering::SeqCst);
                         break;
@@ -1062,25 +1109,21 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
                     std::thread::yield_now();
                 }
             }
-            1 => b0_started.store(true, Ordering::SeqCst),
+            9 => started.store(true, Ordering::SeqCst),
             _ => {}
         }
-        if ctx.stage.0 == 1 {
-            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
-        } else {
-            TaskOutput::empty()
-        }
+        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
     };
     let report = run(
-        ExecConfig::default(),
+        ExecConfig::with_queue_capacity(1),
         &graph,
-        &ExecutionPlan::three_phase(4),
+        &ExecutionPlan::tls(8),
         body,
     )
     .unwrap();
     assert!(
         !gave_up.load(Ordering::SeqCst),
-        "B_0 was not admitted until half a window of A had completed"
+        "task 9 was not admitted until half a window had completed"
     );
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.watchdog_trips, 0);
@@ -1166,13 +1209,23 @@ fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
 
 #[test]
 fn the_caller_holds_a_seat_of_an_eight_seat_plan_on_seven_workers() {
+    // A pool body does not finish before the caller has run one, so
+    // seven workers cannot drain the job while the host keeps the caller
+    // off the CPU. The deadline is a backstop: past it nobody waits, and
+    // a caller that never ran a body fails the assertions instead of
+    // hanging the run.
     const TASKS: u64 = 800;
     let caller = std::thread::current().id();
     let on_caller = Arc::new(AtomicUsize::new(0));
     let count = Arc::clone(&on_caller);
+    let deadline = Instant::now() + Duration::from_secs(2);
     let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
         if std::thread::current().id() == caller {
             count.fetch_add(1, Ordering::SeqCst);
+        } else {
+            while count.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
         }
         std::hint::black_box((0..20_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
         TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
@@ -1266,66 +1319,55 @@ fn an_engine_has_at_least_one_worker() {
     assert_eq!(engine.config().workers, 1);
 }
 
-/// `for_plan` counts the plan's distinct cores, not its seats: stages
-/// that share a core share its thread.
+/// `for_plan` counts the seats of the plan's stage, the caller being
+/// the last.
 #[test]
 fn an_engine_for_a_plan_has_a_worker_per_core_but_one() {
     let workers = |plan: ExecutionPlan| EngineConfig::for_plan(&plan).workers;
     assert_eq!(workers(ExecutionPlan::tls(1)), 0);
     assert_eq!(workers(ExecutionPlan::tls(2)), 1);
-    assert_eq!(workers(ExecutionPlan::three_phase(1)), 0);
-    assert_eq!(workers(ExecutionPlan::three_phase(2)), 1);
-    assert_eq!(workers(ExecutionPlan::three_phase(4)), 3);
+    assert_eq!(workers(ExecutionPlan::tls(4)), 3);
+    let serial = ExecutionPlan::new(vec![crate::plan::StageAssignment::serial(3)]);
+    assert_eq!(workers(serial), 0);
 }
 
 #[test]
 fn the_watchdog_counts_publications_not_wakes() {
-    // A_i feeds B_i, a serial stage each, few enough iterations for one
-    // window: the caller claims every A (the first seat with anything
-    // to claim is its), hands B's ticket to the pool from the turn that
-    // admits B_0, and has nothing left to do but watch.
+    // Five pool workers each hold their first task for a different
+    // multiple of half the deadline; the caller runs no body until all
+    // five have begun, then runs the rest and has nothing left to do but
+    // watch. Nothing it waits for wakes it — every task is admitted from
+    // the start — but a publication comes every half deadline.
+    const HELD: usize = 5;
     let deadline = Duration::from_millis(150);
     let iters = WAKE_AT - 4;
-    let mut graph = TaskGraph::new(2);
-    for i in 0..iters {
-        let a = graph.add_task(0, i, 10, &[], &[]);
-        graph.add_task(1, i, 10, &[a], &[]);
-    }
-    let plan = ExecutionPlan::new(vec![
-        crate::plan::StageAssignment::serial(0),
-        crate::plan::StageAssignment::serial(1),
-    ]);
-    let tag = |ctx: &TaskCtx<'_>| match ctx.stage.0 {
-        0 => TaskOutput::empty(),
-        _ => TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec()),
-    };
-    // Slow but publishing: every B takes a good part of the deadline and
-    // the job several deadlines. The caller's timed-out sleeps find the
-    // ring moving.
-    let slow = move |_: TaskId, ctx: &TaskCtx<'_>| {
-        if ctx.stage.0 == 1 {
-            assert!(on_pool_worker(), "the caller was to be left idle");
-            std::thread::sleep(deadline / 5);
-        }
-        tag(ctx)
-    };
+    let tag = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+    let half = deadline / 2;
+    let (slow, begun) = hold_workers(HELD, move |rank| half * (rank as u32 + 1), tag);
     let config = ExecConfig::default().with_watchdog_deadline(deadline);
-    let report = run(config.clone(), &graph, &plan, slow).unwrap();
+    let plan = ExecutionPlan::tls(HELD + 1);
+    let report = run(config.clone(), &counter_graph(iters), &plan, slow).unwrap();
+    assert_eq!(
+        begun.load(Ordering::SeqCst),
+        HELD,
+        "the caller was to be left idle"
+    );
     assert!(report.wall > 2 * deadline);
     assert_eq!(report.watchdog_trips, 0, "a publishing job is not wedged");
     assert!(!report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));
 
-    // Wedged: B_2 stalls on the pool worker past the deadline with
-    // nothing else left to publish. A trip, the rest sequentially on the
-    // caller, still the sequential stream.
-    let quick = move |_: TaskId, ctx: &TaskCtx<'_>| tag(ctx);
-    let stalled = config.with_faults(
-        FaultPlan::none()
-            .with_forced(2 * 2 + 1, 0, FaultKind::StageStall)
-            .with_stall_duration(deadline * 6),
-    );
-    let report = run(stalled, &graph, &plan, quick).unwrap();
+    // Wedged: a worker holds its task past the deadline with nothing
+    // else left to publish. A trip, the rest sequentially on the caller,
+    // still the sequential stream.
+    let (stalled, _) = hold_workers(1, move |_| deadline * 6, tag);
+    let report = run(
+        config,
+        &counter_graph(iters),
+        &ExecutionPlan::tls(2),
+        stalled,
+    )
+    .unwrap();
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));

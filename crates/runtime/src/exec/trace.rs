@@ -121,11 +121,10 @@ pub struct TraceEvent {
 /// the in-order sequential fallback, which has no worker-side dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// The dispatcher enqueued an attempt on its stage's input queue.
-    /// `occupancy` is the queue length right after the push.
+    /// The dispatcher enqueued an attempt on the job's queue (the
+    /// native executor's: it runs one stage, so queue events name
+    /// none). `occupancy` is the queue length right after the push.
     QueuePush {
-        /// The stage whose queue received the item.
-        stage: u8,
         /// The enqueued task.
         task: u32,
         /// The enqueued attempt number.
@@ -137,8 +136,6 @@ pub enum TraceEventKind {
     /// right after the pop, so push/pop pairs bracket the queue-wait
     /// interval and the occupancy series tracks backpressure.
     QueuePop {
-        /// The stage whose queue the item came from.
-        stage: u8,
         /// The dequeued task.
         task: u32,
         /// The dequeued attempt number.
@@ -779,14 +776,11 @@ impl Timeline {
                 TraceEventKind::QueuePush { task, attempt, .. } => {
                     push.insert((e.job, task, attempt), e.ts);
                 }
-                TraceEventKind::QueuePop {
-                    stage,
-                    task,
-                    attempt,
-                    ..
-                } => {
+                TraceEventKind::QueuePop { task, attempt, .. } => {
+                    // Only the native executor queues, and it runs one
+                    // stage.
                     if let Some(&p) = push.get(&(e.job, task, attempt)) {
-                        queue_wait[stage as usize].push(e.ts.saturating_sub(p));
+                        queue_wait[0].push(e.ts.saturating_sub(p));
                     }
                 }
                 TraceEventKind::Dispatch { task, attempt, .. } => {
@@ -997,16 +991,12 @@ impl Timeline {
                         core + 1
                     ));
                 }
-                TraceEventKind::QueuePush {
-                    stage, occupancy, ..
-                }
-                | TraceEventKind::QueuePop {
-                    stage, occupancy, ..
-                } => {
+                TraceEventKind::QueuePush { occupancy, .. }
+                | TraceEventKind::QueuePop { occupancy, .. } => {
                     entries.push(format!(
                         "{{\"name\":\"queue {}\",\"ph\":\"C\",\"ts\":{:.3},\"pid\":{pid},\
                          \"args\":{{\"entries\":{occupancy}}}}}",
-                        escape_json(&label(stage)),
+                        escape_json(&label(0)),
                         ts_us(e.ts)
                     ));
                 }
@@ -1278,7 +1268,6 @@ mod tests {
             ev(
                 0,
                 TraceEventKind::QueuePush {
-                    stage: 0,
                     task: 0,
                     attempt: 0,
                     occupancy: 1,
@@ -1287,7 +1276,6 @@ mod tests {
             ev(
                 4,
                 TraceEventKind::QueuePop {
-                    stage: 0,
                     task: 0,
                     attempt: 0,
                     occupancy: 0,

@@ -139,7 +139,9 @@ pub struct SimResult {
     pub serial_cycles: u64,
     /// Busy cycles per core.
     pub core_busy: Vec<u64>,
-    /// Number of tasks executed.
+    /// Number of tasks executed: always the graph's length, since every
+    /// task runs once. No crate reads it; the field stays only because
+    /// `benchmark/src/plansim.rs` does.
     pub tasks_executed: usize,
     /// Cycles tasks were delayed waiting for queue space (backpressure).
     pub queue_stall_cycles: u64,

@@ -16,8 +16,9 @@ fn build_graph(costs: &[(u64, u64, u64, bool)]) -> TaskGraph {
     build_graph_at(costs, 0..)
 }
 
-/// Phase B of [`build_graph`] alone, as the one stage of a `tls` loop:
-/// each task speculates on its predecessor.
+/// Phase B of [`build_graph`] alone, as the one stage of a `tls` loop —
+/// the graph the native executor runs: each task speculates on its
+/// predecessor.
 fn build_chain(costs: &[(u64, u64, u64, bool)]) -> TaskGraph {
     let mut g = TaskGraph::new(1);
     let mut prev: Option<TaskId> = None;
@@ -154,9 +155,9 @@ fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimRes
     r
 }
 
-/// Runs `graph` on the native executor with a body that emits each
-/// B-stage iteration's number (and deliberately garbage bytes on a
-/// to-be-squashed speculative attempt, which in-order commit must
+/// Runs `graph`, a [`build_chain`], on the native executor with a body
+/// that emits each iteration's number (and deliberately garbage bytes on
+/// a to-be-squashed speculative attempt, which in-order commit must
 /// discard).
 fn run_native(graph: &TaskGraph, threads: usize, queue_capacity: usize) -> NativeReport {
     run_native_with(
@@ -169,20 +170,15 @@ fn run_native(graph: &TaskGraph, threads: usize, queue_capacity: usize) -> Nativ
 /// [`run_native`] with a caller-supplied config — the entry point the
 /// chaos properties use to arm a [`FaultPlan`].
 fn run_native_with(graph: &TaskGraph, threads: usize, config: ExecConfig) -> NativeReport {
-    run_native_on(graph, &ExecutionPlan::three_phase(threads), config)
+    run_native_on(graph, &ExecutionPlan::tls(threads), config)
 }
 
-/// [`run_native_with`] under an arbitrary `plan`, of three stages (over
-/// [`build_graph`]) or one (over [`build_chain`]): the middle stage
-/// emits.
+/// [`run_native_with`] under an arbitrary one-stage `plan`.
 fn run_native_on(graph: &TaskGraph, plan: &ExecutionPlan, config: ExecConfig) -> NativeReport {
     let graph = Arc::new(graph.clone());
     let tasks = Arc::clone(&graph);
     let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
         let t = tasks.task(task);
-        if t.stage.0 != tasks.stage_count() / 2 {
-            return TaskOutput::empty();
-        }
         if ctx.speculative() && tasks.spec_deps(t).iter().any(|d| d.violated) {
             // The misspeculated attempt: whatever it produces must never
             // reach the output stream.
@@ -205,10 +201,7 @@ fn run(
     plan: &ExecutionPlan,
     body: impl NativeBody + 'static,
 ) -> NativeReport {
-    let seats = (0..plan.stage_count())
-        .map(|s| plan.stage(s).cores().len())
-        .sum();
-    Engine::new(EngineConfig::with_workers(seats))
+    Engine::new(EngineConfig::with_workers(Engine::seats(plan)))
         .run(&JobSpec {
             graph,
             plan: Arc::new(plan.clone()),
@@ -352,7 +345,7 @@ proptest! {
         costs in proptest::collection::vec((0..100u64, 0..500u64, 0..50u64, any::<bool>()), 1..40),
         threads in 1usize..9
     ) {
-        let g = build_graph(&costs);
+        let g = build_chain(&costs);
         let r = run_native(&g, threads, 32);
         prop_assert_eq!(r.output, expected_stream(costs.len()));
         prop_assert_eq!(r.tasks_committed, g.len() as u64);
@@ -371,7 +364,7 @@ proptest! {
         let n = costs.len();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let g = build_graph(&costs);
+            let g = build_chain(&costs);
             let r = run_native(&g, threads, cap);
             tx.send(r).ok();
         });
@@ -390,14 +383,14 @@ proptest! {
         costs in proptest::collection::vec((0..100u64, 0..500u64, 0..50u64, any::<bool>()), 2..40),
         threads in 2usize..9
     ) {
-        let g = build_graph(&costs);
+        let g = build_chain(&costs);
         let a = run_native(&g, threads, 32);
         let b = run_native(&g, threads, 32);
         prop_assert_eq!(a.squashes, b.squashes);
         prop_assert_eq!(a.violations, b.violations);
         prop_assert_eq!(a.attempts, b.attempts);
         prop_assert_eq!(&a.output, &b.output);
-        // build_graph attaches one spec dep to every B task after the
+        // build_chain attaches one spec dep to every task after the
         // first, violated when the iteration's flag is set.
         let expected = costs[1..].iter().filter(|(_, _, _, m)| *m).count() as u64;
         prop_assert_eq!(a.squashes, expected);
@@ -424,7 +417,7 @@ proptest! {
         let n = costs.len();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let g = build_graph(&costs);
+            let g = build_chain(&costs);
             let config = ExecConfig::default()
                 .with_faults(FaultPlan::seeded(seed))
                 .with_retry_budget(budget);
@@ -437,7 +430,7 @@ proptest! {
             .expect("faulted native run hung");
         prop_assert_eq!(&a.output, &expected_stream(n));
         prop_assert_eq!(&b.output, &a.output);
-        prop_assert_eq!(a.tasks_committed, 3 * n as u64);
+        prop_assert_eq!(a.tasks_committed, n as u64);
         prop_assert_eq!(a.recovery, b.recovery);
         prop_assert_eq!(a.attempts, b.attempts);
         prop_assert_eq!(a.squashes, b.squashes);
@@ -465,7 +458,7 @@ proptest! {
         let n = costs.len();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let g = build_graph(&costs);
+            let g = build_chain(&costs);
             let mut config = ExecConfig::default()
                 .with_retry_budget(budget)
                 .with_tracing(true);
@@ -496,30 +489,24 @@ proptest! {
     }
 
     /// The board hands every admitted attempt to exactly one claim,
-    /// whatever the lane shape (one shared lane per `Parallel` stage,
-    /// one lane per seat under `RoundRobin`), the window, or the chaos
-    /// on top: in the trace, admissions (`QueuePush`) and claims
-    /// (`QueuePop`) pair one to one with no attempt admitted or claimed
-    /// twice, no lane is ever admitted past its window, and — every
-    /// completion carrying its seat — the seats' task counts add up to
-    /// the attempts the frontier processed.
+    /// whatever the width, the window, or the chaos on top: in the
+    /// trace, admissions (`QueuePush`) and claims (`QueuePop`) pair one
+    /// to one with no attempt admitted or claimed twice, the lane is
+    /// never admitted past its window, and — every completion carrying
+    /// its seat — the seats' task counts add up to the attempts the
+    /// frontier processed.
     #[test]
     fn every_admitted_attempt_is_claimed_exactly_once(
         costs in proptest::collection::vec((0..100u64, 0..500u64, 0..50u64, any::<bool>()), 1..60),
-        threads in 2usize..7,
+        threads in 1usize..7,
         cap in 1usize..6,
-        round_robin in any::<bool>(),
         faulted in any::<bool>(),
         seed in any::<u64>()
     ) {
         use seqpar_runtime::TraceEventKind::{QueuePop, QueuePush};
         let n = costs.len();
-        let g = build_graph(&costs);
-        let plan = if round_robin {
-            ExecutionPlan::three_phase_static(threads)
-        } else {
-            ExecutionPlan::three_phase(threads)
-        };
+        let g = build_chain(&costs);
+        let plan = ExecutionPlan::tls(threads);
         let mut config = ExecConfig::with_queue_capacity(cap).with_tracing(true);
         if faulted {
             config = config.with_faults(FaultPlan::seeded(seed));
@@ -531,18 +518,13 @@ proptest! {
         let mut popped = std::collections::BTreeMap::new();
         for e in timeline.events() {
             match e.kind {
-                QueuePush { stage, task, attempt, occupancy } => {
+                QueuePush { task, attempt, occupancy, .. } => {
                     *pushed.entry((task, attempt)).or_insert(0u32) += 1;
-                    // A shared lane's window is the capacity plus its
-                    // seats; a per-seat lane's is the capacity plus one.
-                    let seats = match plan.stage(stage) {
-                        seqpar_runtime::StageAssignment::Parallel { cores } => cores.len(),
-                        _ => 1,
-                    };
+                    // The window is the capacity plus the seats.
                     prop_assert!(
-                        occupancy <= cap + seats,
-                        "stage {} admitted to occupancy {} past its window {}",
-                        stage, occupancy, cap + seats
+                        occupancy <= cap + threads,
+                        "admitted to occupancy {} past the window {}",
+                        occupancy, cap + threads
                     );
                 }
                 QueuePop { task, attempt, .. } => {
@@ -567,8 +549,7 @@ proptest! {
     /// chaos seeds 7 and 42 the CI matrix pins — a governed run always
     /// terminates (raced against a timeout, so a stall fails fast
     /// instead of hanging the suite) and commits the exact sequential
-    /// byte stream. One thread is a one-seat `tls` plan over the graph's
-    /// phase B; wider plans are three-phase. `with_governor` changes
+    /// byte stream, at one seat and wider. `with_governor` changes
     /// nothing: every one of them runs the pipelined path.
     #[test]
     fn governed_runs_never_deadlock_and_keep_sequential_output(
@@ -578,11 +559,7 @@ proptest! {
         seed in prop_oneof![Just(7u64), Just(42u64), any::<u64>()],
     ) {
         let n = costs.len();
-        let (g, plan) = if threads == 1 {
-            (build_chain(&costs), ExecutionPlan::tls(1))
-        } else {
-            (build_graph(&costs), ExecutionPlan::three_phase(threads))
-        };
+        let (g, plan) = (build_chain(&costs), ExecutionPlan::tls(threads));
         let tasks = g.len() as u64;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {

@@ -396,10 +396,10 @@ struct Committed {
 /// plan with two or more seats keeps restore points at the k this sets.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
-/// Chunking never leaves a seat of the plan's widest stage fewer tasks
-/// than this: enough for the claim cursors to even out iterations of
-/// unequal length across seats, and for a squash to throw away an eighth
-/// of a seat's share at most.
+/// Chunking never leaves a seat of the plan fewer tasks than this:
+/// enough for the claim cursor to even out iterations of unequal length
+/// across seats, and for a squash to throw away an eighth of a seat's
+/// share at most.
 const TASKS_PER_SEAT: usize = 8;
 
 /// A workload packaged for **conflict-driven** native execution: each
@@ -444,12 +444,6 @@ impl fmt::Debug for VersionedJob {
             .field("folds_at_commit", &self.body.at_commit())
             .finish_non_exhaustive()
     }
-}
-
-/// The seats of `plan`'s widest stage.
-fn widest_stage(plan: &ExecutionPlan) -> usize {
-    let seats = |s| plan.stage(s).cores().len();
-    (0..plan.stage_count()).map(seats).max().unwrap_or(0)
 }
 
 impl Body {
@@ -675,13 +669,13 @@ impl VersionedJob {
     /// the iteration time of the job's first sequential run (run here if
     /// none has) — long enough that
     /// the executor's per-task cost (0.3–1.0 µs) is ≤ 3 % of it — and
-    /// leaves every seat of the plan's widest stage at least 8 tasks;
+    /// leaves every seat of the plan at least 8 tasks;
     /// 1 when a single iteration already outlasts the target or the loop
     /// is too short to share out. A pure function of the job's clock and
     /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
-        let cap = self.len() / (TASKS_PER_SEAT * widest_stage(plan).max(1));
+        let cap = self.len() / (TASKS_PER_SEAT * Engine::seats(plan).max(1));
         let wanted = GRAIN_TARGET_NS / self.clock().max(1);
         let k = wanted.min(cap as u64).max(1);
         1 << k.ilog2()
@@ -698,14 +692,11 @@ impl VersionedJob {
     /// [`TaskCtx::iter`] is the chunk's index, and whatever compares the
     /// run with a simulation task by task must simulate
     /// [`JobSpec::graph`], not a graph of [`trace`](VersionedJob::trace).
-    /// One-stage plans execute the TLS task graph; multi-stage plans
-    /// the three-phase DSWP graph, with only the transform stage (the
-    /// single TLS stage, or phase B) touching memory and emitting
-    /// bytes; A and C model read/write phases and emit nothing. The
-    /// transform task runs its chunk's iterations in order inside its
-    /// one version and emits their records back to back, so the
-    /// committed stream is the sequential one at any grain. Oracle and
-    /// fallback attempts see [`TaskCtx::mem`]` == None` and run the
+    /// The graph is the TLS task graph, for the engine's one-stage
+    /// plans; the engine refuses any other plan. A task runs its chunk's
+    /// iterations in order inside its one version and emits their
+    /// records back to back, so the committed stream is the sequential
+    /// one at any grain. Oracle and fallback attempts see [`TaskCtx::mem`]` == None` and run the
     /// sequential twin over the same iterations. A job that folds its
     /// tail at commit folds it in [`NativeBody::commit`], from zeros at
     /// iteration 0: the spec's body owns the run's slot values.
@@ -721,8 +712,8 @@ impl VersionedJob {
     /// [`job_spec`](VersionedJob::job_spec) with the grain given, not
     /// measured: the one place a graph and a task body are built. Also
     /// returns the slot values the run's commits fold, for inspection.
-    /// The first call whose emitting stage has two or more seats keeps
-    /// a kernel job's restore points, at `k`: one seat resumes instead.
+    /// The first call whose plan has two or more seats keeps a kernel
+    /// job's restore points, at `k`: one seat resumes instead.
     fn job_spec_at(
         &self,
         k: usize,
@@ -733,14 +724,9 @@ impl VersionedJob {
         Arc<ConcurrentVersionedMemory>,
         Arc<Mutex<Committed>>,
     ) {
-        let chunks = self.trace().chunked(k);
-        let (graph, emit_stage) = if plan.stage_count() == 1 {
-            (chunks.tls_task_graph(), 0)
-        } else {
-            (chunks.task_graph(), 1)
-        };
-        let seats = plan.stage(emit_stage).cores().len();
-        if let Some(kernel) = self.body.kernel.as_ref().filter(|_| seats > 1) {
+        let graph = self.trace().chunked(k).tls_task_graph();
+        let keeps = Engine::seats(plan) > 1;
+        if let Some(kernel) = self.body.kernel.as_ref().filter(|_| keeps) {
             kernel.runs.keep(k as u64);
         }
         let mem = Arc::new(ConcurrentVersionedMemory::new());
@@ -751,7 +737,6 @@ impl VersionedJob {
         }));
         let graph = Arc::new(graph);
         let tasks = ChunkTasks {
-            emit_stage,
             graph: Arc::clone(&graph),
             body: Arc::clone(&self.body),
             k: k as u64,
@@ -769,13 +754,12 @@ impl VersionedJob {
     }
 }
 
-/// The task body of one run at grain `k`: a transform task runs its
-/// chunk, and, when the job folds its tail at commit, its commit folds
-/// the chunk's records on the slot values of the run.
+/// The task body of one run at grain `k`: a task runs its chunk, and,
+/// when the job folds its tail at commit, its commit folds the chunk's
+/// records on the slot values of the run — the paper's serial phase C.
 struct ChunkTasks {
     graph: Arc<TaskGraph>,
     body: Arc<Body>,
-    emit_stage: u8,
     k: u64,
     n: u64,
     committed: Arc<Mutex<Committed>>,
@@ -783,9 +767,6 @@ struct ChunkTasks {
 
 impl NativeBody for ChunkTasks {
     fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
-        if ctx.stage.0 != self.emit_stage {
-            return TaskOutput::empty();
-        }
         let iters = ctx.iter * self.k..self.n.min((ctx.iter + 1) * self.k);
         let version = ctx.mem.map(|m| (VersionId(u64::from(task.0)), m));
         let (bytes, work) = self.body.run(iters, version);
@@ -793,11 +774,10 @@ impl NativeBody for ChunkTasks {
     }
 
     fn commit(&self, task: TaskId, bytes: &mut [u8]) {
-        let t = self.graph.task(task);
-        if !self.body.at_commit() || t.stage.0 != self.emit_stage {
+        if !self.body.at_commit() {
             return;
         }
-        let first = t.iter * self.k;
+        let first = self.graph.task(task).iter * self.k;
         let mut c = self.committed.lock().expect("a fold does not panic");
         let Committed { state, tails } = &mut *c;
         if first == 0 {
@@ -812,7 +792,7 @@ mod tests {
     use super::*;
     use crate::{all_workloads, InputSize};
     use seqpar::IterationRecord;
-    use seqpar_runtime::{FaultKind, FaultPlan};
+    use seqpar_runtime::{FaultKind, FaultPlan, StageAssignment};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -973,7 +953,7 @@ mod tests {
         /// sequential bytes, work and memory.
         fn check(&self, engine: &Engine, k: usize, plan: &ExecutionPlan, mode: Mode) {
             let Case { id, job, seq, .. } = self;
-            let what = format!("{id}: k = {k}, {} stage(s), {mode:?}", plan.stage_count());
+            let what = format!("{id}: k = {k}, {} seat(s), {mode:?}", Engine::seats(plan));
             let faults = if mode.chaos {
                 FaultPlan::seeded(7)
             } else {
@@ -984,8 +964,7 @@ mod tests {
             if mode.replay {
                 spec.mem = None;
             }
-            let tasks = job.len().div_ceil(k) * usize::from(plan.stage_count());
-            assert_eq!(spec.graph.len(), tasks, "{what}");
+            assert_eq!(spec.graph.len(), job.len().div_ceil(k), "{what}");
             let report = engine
                 .run(&spec)
                 .expect("every seeded fault is recoverable");
@@ -1034,7 +1013,7 @@ mod tests {
         [
             ExecutionPlan::tls(1),
             ExecutionPlan::tls(4),
-            ExecutionPlan::three_phase(4),
+            ExecutionPlan::tls(2),
         ]
     }
 
@@ -1126,8 +1105,8 @@ mod tests {
             ExecutionPlan::tls(1),
             ExecutionPlan::tls(4),
             ExecutionPlan::tls(8),
-            ExecutionPlan::three_phase(4),
-            ExecutionPlan::three_phase(8),
+            ExecutionPlan::tls(2),
+            ExecutionPlan::tls(6),
         ];
         let mut all = jobs();
         let long = synthetic(4096, 2);
@@ -1141,15 +1120,10 @@ mod tests {
                 assert_eq!(k, job.clone().grain(plan), "{id}: frozen in the job");
                 assert!(k.is_power_of_two(), "{id}: k = {k}");
                 let tasks = job.len().div_ceil(k);
-                let floor = job.len().min(TASKS_PER_SEAT * widest_stage(plan));
+                let floor = job.len().min(TASKS_PER_SEAT * Engine::seats(plan));
                 assert!(tasks >= floor, "{id}: {tasks} tasks of k = {k} < {floor}");
                 let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
-                let stages = usize::from(plan.stage_count());
-                assert_eq!(
-                    spec.graph.len(),
-                    tasks * stages,
-                    "{id}: job_spec runs at grain"
-                );
+                assert_eq!(spec.graph.len(), tasks, "{id}: job_spec runs at grain");
             }
         }
         // The target binds: 32 µs of 100 ns iterations, rounded down.
@@ -1157,8 +1131,8 @@ mod tests {
         assert_eq!(fine.grain(&ExecutionPlan::tls(1)), 256);
         // The cap binds: 4096 iterations over 8 × 8 tasks.
         assert_eq!(fine.grain(&ExecutionPlan::tls(8)), 64);
-        // The widest stage counts, not the plan's total: B has 6 seats.
-        assert_eq!(fine.grain(&ExecutionPlan::three_phase(8)), 64);
+        // And at 6 seats: 4096 iterations over 6 × 8 tasks, rounded down.
+        assert_eq!(fine.grain(&ExecutionPlan::tls(6)), 64);
         // One iteration that outlasts the target — or half of it: two
         // would overshoot — is a task.
         assert_eq!(measured_at(&long, 32_000).grain(&ExecutionPlan::tls(1)), 1);
@@ -1599,8 +1573,8 @@ mod tests {
     }
 
     /// One-seat plans keep no restore point: not the first sequential
-    /// run, not `job_spec` at `tls(1)` or at `three_phase(2)` (phase B on
-    /// one seat), not an engine run of either. The first `tls(2)`
+    /// run, not `job_spec` at `tls(1)` or at a serial stage on core 1,
+    /// not an engine run of either. The first `tls(2)`
     /// `job_spec` keeps a loop's points in one walk of its `n` steps, at
     /// that plan's grain `k`, and no later plan walks again. Run
     /// backwards, so that no chunk resumes, each chunk at `k` then takes
@@ -1612,7 +1586,8 @@ mod tests {
             let job = w.versioned_job(size);
             POINTS.set(0);
             let seq = job.sequential();
-            for plan in [ExecutionPlan::tls(1), ExecutionPlan::three_phase(2)] {
+            let serial = ExecutionPlan::new(vec![StageAssignment::serial(1)]);
+            for plan in [ExecutionPlan::tls(1), serial] {
                 let (spec, _) = job.job_spec(&plan, ExecConfig::default());
                 let report = engine.run(&spec).expect("a fault-free run");
                 assert_eq!(report.output, seq.output, "{id}");

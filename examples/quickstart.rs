@@ -92,7 +92,7 @@ fn main() {
     }
     let graph = head.task_graph();
     let result = sim
-        .run(&graph, &parallelized.plan(6))
+        .run(&graph, &seqpar_runtime::ExecutionPlan::three_phase(6))
         .expect("plan is valid");
     println!("\nfirst cycles of the 6-core schedule (distinct letters = tasks):");
     print!(

@@ -94,7 +94,7 @@ where
 }
 
 /// Runs `spec` on an engine of its own, sized as production sizes one
-/// ([`EngineConfig::for_plan`]: a worker per distinct core but one).
+/// ([`EngineConfig::for_plan`]: a worker per seat but one).
 fn run(spec: &JobSpec) -> NativeReport {
     Engine::new(EngineConfig::for_plan(&spec.plan))
         .run(spec)
@@ -115,7 +115,7 @@ fn recorded_misspeculations(spec: &JobSpec) -> u64 {
 }
 
 /// (a) Native output is byte-identical to sequential for every workload
-/// at every thread count, under the paper's three-phase DSWP plan.
+/// at every thread count, under the TLS plan the engine runs.
 #[test]
 fn native_output_is_byte_identical_to_sequential() {
     for (id, job) in jobs() {
@@ -125,7 +125,7 @@ fn native_output_is_byte_identical_to_sequential() {
             "{id}: sequential run produced output"
         );
         for &t in THREADS {
-            let plan = ExecutionPlan::three_phase(t);
+            let plan = ExecutionPlan::tls(t);
             let r = run(&replay(&job, &plan, ExecConfig::default()));
             assert_eq!(
                 r.output, seq.output,
@@ -146,13 +146,13 @@ fn native_output_is_byte_identical_to_sequential() {
 fn native_misspec_counts_match_simulator() {
     for (id, job) in jobs() {
         for &t in THREADS {
-            let plan = ExecutionPlan::three_phase(t);
+            let plan = ExecutionPlan::tls(t);
             let spec = replay(&job, &plan, ExecConfig::default());
             // Squashes are a native-only notion (one per squashed attempt);
             // the graph predicts them exactly: one per violated task.
             let expected_squashes = recorded_misspeculations(&spec);
             let native = run(&spec);
-            let sim = simulate(&ran(&job, &plan), t, PlanKind::Dswp);
+            let sim = simulate(&ran(&job, &plan), t, PlanKind::Tls);
             assert_eq!(
                 native.violations, sim.violations,
                 "{id}: violation counts disagree at {t} threads"
@@ -208,7 +208,7 @@ fn tls_plan_agrees_with_simulator_and_sequential() {
 #[test]
 fn native_execution_is_deterministic_across_runs() {
     for (id, job) in jobs() {
-        let spec = replay(&job, &ExecutionPlan::three_phase(8), ExecConfig::default());
+        let spec = replay(&job, &ExecutionPlan::tls(8), ExecConfig::default());
         let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: outputs differ across runs");
         assert_eq!(a.work, b.work, "{id}: work counters differ across runs");
@@ -257,7 +257,7 @@ fn chaos_native_recovery_matches_simulator_twin() {
         let w = workload_by_name(id).expect("known benchmark");
         let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
-        let plan = ExecutionPlan::three_phase(threads);
+        let plan = ExecutionPlan::tls(threads);
         let config = ExecConfig::default()
             .with_faults(faults.clone())
             .with_retry_budget(budget);
@@ -302,7 +302,7 @@ fn chaos_recovery_counters_are_deterministic_across_runs() {
     let seed = chaos_seed();
     let config = ExecConfig::default().with_faults(chaos_plan(seed));
     for (id, job) in jobs() {
-        let spec = replay(&job, &ExecutionPlan::three_phase(4), config.clone());
+        let spec = replay(&job, &ExecutionPlan::tls(4), config.clone());
         let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: chaos outputs differ across runs");
         assert_eq!(
@@ -325,7 +325,7 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
     let config = ExecConfig::default()
         .with_faults(chaos_plan(chaos_seed()))
         .with_retry_budget(0);
-    let report = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
+    let report = run(&replay(&job, &ExecutionPlan::tls(4), config));
     assert_eq!(
         report.output, seq.output,
         "sequential fallback broke sequential semantics"
@@ -349,7 +349,7 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
 fn timelines_agree_on_task_order() {
     for (id, job) in jobs() {
         let config = ExecConfig::default().with_tracing(true);
-        let spec = replay(&job, &ExecutionPlan::three_phase(4), config);
+        let spec = replay(&job, &ExecutionPlan::tls(4), config);
         let graph = &*spec.graph;
         let native = run(&spec);
         let native_tl = native
@@ -367,7 +367,7 @@ fn timelines_agree_on_task_order() {
             ..SimConfig::default()
         });
         let sim_tl = sim
-            .run(graph, &ExecutionPlan::three_phase(4))
+            .run(graph, &ExecutionPlan::tls(4))
             .expect("plan matches machine")
             .timeline(graph);
         sim_tl
@@ -393,7 +393,7 @@ fn native_execution_survives_tiny_queues() {
     for (id, job) in jobs() {
         let seq = job.sequential();
         let config = ExecConfig::with_queue_capacity(1);
-        let r = run(&replay(&job, &ExecutionPlan::three_phase(4), config));
+        let r = run(&replay(&job, &ExecutionPlan::tls(4), config));
         assert_eq!(
             r.output, seq.output,
             "{id}: capacity-1 queues broke sequential semantics"
@@ -410,7 +410,7 @@ fn native_execution_survives_tiny_queues() {
 fn violated_speculation_emits_bytes_the_rollback_discards() {
     let w = workload_by_name("175.vpr").expect("known benchmark");
     let job = w.versioned_job(InputSize::Test);
-    let mut spec = replay(&job, &ExecutionPlan::three_phase(4), ExecConfig::default());
+    let mut spec = replay(&job, &ExecutionPlan::tls(4), ExecConfig::default());
     let expected_squashes = recorded_misspeculations(&spec);
     assert!(expected_squashes > 0, "vpr misspeculates at every size");
     // (task, attempt) -> the bytes that attempt emitted.

@@ -98,7 +98,7 @@ fn job_isolation_keeps_stats_and_traces_apart() {
         .zip(configs)
         .map(|((id, job), config)| {
             let seq = job.sequential();
-            let (spec, _mem) = job.job_spec(&ExecutionPlan::three_phase(4), config);
+            let (spec, _mem) = job.job_spec(&ExecutionPlan::tls(3), config);
             (id, seq, engine.submit(spec))
         })
         .collect();

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use seqpar::Technique;
 use seqpar_ir::Opcode;
-use seqpar_runtime::ExecConfig;
+use seqpar_runtime::{ExecConfig, StageAssignment};
 use seqpar_workloads::{workload_by_name, InputSize};
 
 /// The workloads whose hand annotations the audit pass replaced.
@@ -58,9 +58,10 @@ proptest! {
             w.meta().spec_id
         );
 
-        // Execute under the default config: the one `figures --native`
-        // and every tuner contender run.
-        let plan = result.plan(threads.max(3));
+        // Execute the one-stage plan the native executor runs, laid out
+        // over this loop, under the default config: the one
+        // `figures --native` and every tuner contender run.
+        let plan = result.plan_custom(vec![StageAssignment::parallel((0..threads).collect())]);
         let job = w.versioned_job(InputSize::Test);
         let seq = job.sequential();
         let run = job

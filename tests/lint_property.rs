@@ -6,7 +6,10 @@
 //! run on the native executor without error and commit byte-identical
 //! output to the sequential run. Conversely, a plan the shape check
 //! denies must also be refused by the executor — the static and
-//! dynamic validators may not disagree in either direction.
+//! dynamic validators may not disagree in either direction. The lint
+//! audits a plan against the one-stage view of the loop, the graph the
+//! native executor runs, and denies what that executor refuses: more
+//! than one stage, or a round-robin stage.
 //!
 //! Cases are drawn from the offline proptest stub's deterministic
 //! per-test RNG, so the sampled plan population is stable across runs
@@ -46,7 +49,7 @@ fn build_plan(stages: &[(usize, usize, usize)]) -> ExecutionPlan {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Lint-clean random plans execute natively with zero oracle
     /// mismatches; shape-denied plans are refused by the executor too.
@@ -54,7 +57,7 @@ proptest! {
     fn deny_clean_plans_run_fault_free_natively(
         stages in proptest::collection::vec(
             (0..3usize, 1..4usize, 0..6usize),
-            2..5,
+            1..4,
         )
     ) {
         let w = workload_by_name("256.bzip2").expect("bzip2 exists");

@@ -152,7 +152,8 @@ fn plans_from_parallelized_loops_run_on_the_simulator() {
     for w in all_workloads() {
         let result = parallelize(w.as_ref());
         let trace = w.trace(seqpar_workloads::InputSize::Test);
-        let graph = trace.task_graph();
+        // `plan` is one stage: the TLS graph's shape.
+        let graph = trace.tls_task_graph();
         for cores in [4usize, 16] {
             let plan = result.plan(cores);
             let sim = Simulator::new(SimConfig::with_cores(cores));

@@ -94,7 +94,7 @@ proptest! {
     }
 }
 
-/// Every kernel at `Train` under the default configuration: all 14
+/// Every kernel at `Train` under the default configuration: all 8
 /// candidates of the 8-core space are scored, none is lint-pruned, and
 /// the winner costs what the cheapest of them costs. (A walk from the
 /// baseline to its nearest local optimum stopped at perlbmk's `tls 4`,
@@ -103,7 +103,7 @@ proptest! {
 fn the_winner_is_the_minimum_of_the_whole_space() {
     let config = TuneConfig::default();
     let space = Candidate::space(config.threads);
-    assert_eq!(space.len(), 14);
+    assert_eq!(space.len(), 8);
     for w in all_workloads() {
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Train);
         let id = tunable.spec_id();
