@@ -27,9 +27,9 @@
 //!    speculation by and the tuner prices conflict probes from.
 //!
 //! Downstream of the pipeline, [`lint`] audits the partitioner's
-//! output, and [`tune`] searches the plan space it spans: a
-//! feedback-directed, simulator-scored, lint-gated autotuner whose
-//! winners the bench harness validates natively (see `AUTOTUNING.md`).
+//! output, and [`tune`] scores the plan space it spans: a
+//! feedback-directed, simulator-scored autotuner whose every row the
+//! bench harness validates natively (see `AUTOTUNING.md`).
 //!
 //! # Example
 //!

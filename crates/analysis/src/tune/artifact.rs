@@ -2,8 +2,8 @@
 //!
 //! A winning plan is only useful if a later session (or CI) can reload
 //! it, re-check it, and re-run it. The artifact records everything the
-//! search's outcome depends on — the budget, the core budget, every
-//! candidate knob, and the plan's structural fingerprint (the
+//! search's outcome depends on — the core budget, the candidate's one
+//! knob, and the plan's structural fingerprint (the
 //! same FNV-1a value the lint stamp carries) — plus the simulator
 //! scores and, when the bench glue validated natively, the measured
 //! wall clocks. Loading re-derives the candidate from the knobs and
@@ -22,7 +22,7 @@ use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Version tag of the artifact schema; bump on breaking field changes.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 4;
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 5;
 
 /// Native validation figures attached by the bench glue after it
 /// re-runs the winner and the untuned default on real threads.
@@ -43,8 +43,6 @@ pub struct NativeValidation {
 pub struct PlanArtifact {
     /// The workload the plan was tuned for.
     pub workload: String,
-    /// Evaluation budget of the search.
-    pub budget: u64,
     /// Core budget the plan fits in.
     pub threads: u64,
     /// Structural fingerprint of the plan (equals the lint stamp once
@@ -67,7 +65,6 @@ impl PlanArtifact {
     pub fn from_result(result: &TuneResult, winner: &ScoredCandidate) -> Self {
         Self {
             workload: result.workload.clone(),
-            budget: result.config.budget as u64,
             threads: result.config.threads as u64,
             fingerprint: winner.candidate.shape_key(),
             candidate: winner.candidate,
@@ -88,21 +85,18 @@ impl PlanArtifact {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {ARTIFACT_SCHEMA_VERSION},");
         let _ = writeln!(out, "  \"workload\": \"{}\",", self.workload);
-        let _ = writeln!(out, "  \"budget\": {},", self.budget);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"fingerprint\": \"{:#x}\",", self.fingerprint);
-        let _ = writeln!(out, "  \"graph\": \"tls\",");
         let _ = writeln!(out, "  \"width\": {},", c.width);
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
         let _ = writeln!(out, "  \"sim_makespan\": {},", self.sim_makespan);
+        let _ = writeln!(out, "  \"baseline_cost\": {},", self.baseline_cost);
         match &self.native {
             None => {
-                let _ = writeln!(out, "  \"baseline_cost\": {},", self.baseline_cost);
                 let _ = writeln!(out, "  \"native\": null");
             }
             Some(n) => {
-                let _ = writeln!(out, "  \"baseline_cost\": {},", self.baseline_cost);
                 let _ = writeln!(out, "  \"native\": {{");
                 let _ = writeln!(out, "    \"tuned_wall_ms\": {},", n.tuned_wall_ms);
                 let _ = writeln!(out, "    \"default_wall_ms\": {},", n.default_wall_ms);
@@ -132,19 +126,8 @@ impl PlanArtifact {
             ));
         }
         let workload = req_str(obj_get(obj, "workload")?)?.to_string();
-        let budget = req_u64(obj_get(obj, "budget")?)?;
         let threads = req_u64(obj_get(obj, "threads")?)?;
         let fingerprint = req_hex(obj_get(obj, "fingerprint")?)?;
-        match req_str(obj_get(obj, "graph")?)? {
-            "tls" => {}
-            "dswp" => {
-                return Err(
-                    "a \"dswp\" artifact: the native executor runs one stage, so a three-phase plan is no tuner result any more"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown plan graph {other:?}")),
-        }
         let width = req_u64(obj_get(obj, "width")?)? as usize;
         let sim_cost = req_f64(obj_get(obj, "sim_cost")?)?;
         let sim_makespan = req_u64(obj_get(obj, "sim_makespan")?)?;
@@ -179,7 +162,6 @@ impl PlanArtifact {
 
         Ok(Self {
             workload,
-            budget,
             threads,
             fingerprint,
             candidate,
@@ -257,15 +239,11 @@ mod tests {
     #[test]
     fn artifact_round_trips() {
         let input = input();
-        let result = tune(
-            &input,
-            &TuneConfig {
-                budget: 16,
-                threads: 4,
-                top_k: 2,
-            },
-        )
-        .unwrap();
+        let config = TuneConfig {
+            threads: 4,
+            ..TuneConfig::default()
+        };
+        let result = tune(&input, &config).unwrap();
         let mut artifact = PlanArtifact::from_result(&result, &result.best);
         artifact.native = Some(NativeValidation {
             tuned_wall_ms: 1.25,
@@ -275,7 +253,7 @@ mod tests {
         let text = artifact.to_json();
         let back = PlanArtifact::from_json(&text).unwrap();
         assert_eq!(back, artifact);
-        assert!(text.contains("\"schema_version\": 4,"), "{text}");
+        assert!(text.contains("\"schema_version\": 5,"), "{text}");
     }
 
     #[test]
@@ -309,21 +287,26 @@ mod tests {
         assert!(err.contains("does not match"), "{err}");
     }
 
-    /// A three-phase artifact, which schema 4 could carry while the
-    /// tuner searched DSWP, names a plan the native executor refuses:
-    /// it is refused on load, fingerprint or not.
+    /// A three-phase plan, which schema 4 could carry while the tuner
+    /// searched DSWP, is one the native executor refuses: a schema-4
+    /// artifact is refused by its version, and a schema-5 one whose
+    /// embedded plan was edited to three phases by its fingerprint.
     #[test]
     fn loader_refuses_a_dswp_artifact() {
         let result = tune(&input(), &TuneConfig::default()).unwrap();
-        let text = PlanArtifact::from_result(&result, &result.best).to_json();
-        assert!(text.contains("\"graph\": \"tls\","), "{text}");
-        let dswp = text.replace("\"graph\": \"tls\",", "\"graph\": \"dswp\",");
-        let err = PlanArtifact::from_json(&dswp).unwrap_err();
-        assert!(err.contains("\"dswp\" artifact"), "{err}");
-        let other = text.replace("\"graph\": \"tls\",", "\"graph\": \"doall\",");
-        assert!(PlanArtifact::from_json(&other)
-            .unwrap_err()
-            .contains("unknown plan graph"));
+        let artifact = PlanArtifact::from_result(&result, &result.best);
+        let text = artifact.to_json();
+        let v4 = text.replace("\"schema_version\": 5,", "\"schema_version\": 4,");
+        let v4 = v4.replace("\"width\":", "\"graph\": \"dswp\",\n  \"width\":");
+        assert_eq!(
+            PlanArtifact::from_json(&v4).unwrap_err(),
+            "unknown artifact schema_version 4 (expected 5)"
+        );
+        let plan = artifact.candidate.plan().stages_to_json();
+        let dswp = seqpar_runtime::ExecutionPlan::three_phase(8).stages_to_json();
+        assert!(text.contains(&plan), "{text}");
+        let err = PlanArtifact::from_json(&text.replace(&plan, &dswp)).unwrap_err();
+        assert!(err.contains("embedded plan stages disagree"), "{err}");
     }
 
     #[test]
@@ -338,7 +321,7 @@ mod tests {
         // queue capacity) is refused by version before any field is read.
         assert_eq!(
             PlanArtifact::from_json("{\"schema_version\": 3}").unwrap_err(),
-            "unknown artifact schema_version 3 (expected 4)"
+            "unknown artifact schema_version 3 (expected 5)"
         );
         assert!(PlanArtifact::from_json("{}")
             .unwrap_err()

@@ -3,7 +3,7 @@
 //! The paper's simulator prices what it models — task costs, queue
 //! backpressure, communication latency, and the serialization of
 //! violated speculative dependences — in virtual cycles, deterministic
-//! and fast enough to burn a search budget on. It deliberately does
+//! and fast enough to score the whole space with. It deliberately does
 //! *not* model the native substrate's overheads: versioned-memory
 //! probes and folds, squash *replay* work ("no additional cost to
 //! misspeculation", §3.1), or per-worker scheduling cost. Those are
@@ -12,7 +12,7 @@
 //! the simulated makespan; the
 //! constants are documented in `AUTOTUNING.md` together with the
 //! measured sim-score-vs-native-wall-clock divergence. Native
-//! validation of the top-K candidates remains the ground truth.
+//! validation of every row remains the ground truth.
 
 use super::space::{Candidate, TuneInput};
 use seqpar_runtime::{SimConfig, SimError, SimResult, Simulator, TaskGraph};
@@ -67,8 +67,8 @@ pub struct Score {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] when the candidate's plan and graph
-/// disagree — which the lint gate is supposed to make impossible.
+/// Propagates [`SimError`] when the candidate's plan and the TLS graph
+/// disagree — which a one-stage graph never does.
 pub fn score_candidate(input: &TuneInput, candidate: &Candidate) -> Result<Score, SimError> {
     let plan = candidate.plan();
     let sim = Simulator::new(SimConfig {

@@ -8,24 +8,22 @@
 //! in deterministic virtual cycles. The autotuner closes the loop:
 //!
 //! 1. [`space`] — the candidate representation and the enumeration of
-//!    every candidate a core budget allows, each gated through the
-//!    `seqpar-lint` plan-shape check before any budget is spent on it;
+//!    every width a core budget allows;
 //! 2. [`evaluator`] — the simulator-backed cost model: simulated
 //!    makespan plus analytic terms for the native overheads the
 //!    simulator deliberately omits (worker scheduling tax,
 //!    versioned-memory probes and folds, squash replay);
-//! 3. [`search`] — a deterministic scan that scores the space in order
-//!    until the budget runs out and keeps the cheapest as winner and
-//!    top-K;
+//! 3. [`search`] — scores the space once, in order, keeps every row,
+//!    and names the cheapest as the winner;
 //! 4. [`artifact`] — the reproducible JSON plan artifacts `seqpar-tune`
 //!    writes, keyed by the plan's lint-stamp fingerprint and
 //!    integrity-checked on reload.
 //!
 //! The simulator score is a *surrogate*: the bench glue re-validates
-//! the top-K natively (byte-identical output against the sequential
-//! oracle, median wall clock against the untuned default) before a plan
-//! is declared a winner. `AUTOTUNING.md` documents the whole story —
-//! knobs, cost model, divergence, reproducibility contract, and schema.
+//! every row natively (byte-identical output against the sequential
+//! oracle, median wall clock against the untuned default) and crowns
+//! the fastest. `AUTOTUNING.md` documents the whole story — the space,
+//! cost model, divergence, reproducibility contract, and schema.
 
 pub mod artifact;
 pub mod evaluator;

@@ -1,45 +1,39 @@
 //! The deterministic search driver.
 //!
 //! The space of [`super::space`] is small — `threads` TLS widths, 8
-//! candidates at 8 threads — so the search scores all of it rather than walking a neighbourhood: it takes
+//! candidates at 8 threads — so the search scores all of it: it takes
 //! [`Candidate::space`] in order (the harness's default, full-width TLS
-//! candidate first), lint-gates each candidate and scores it, until the
-//! evaluation budget is spent. The cheapest candidate wins, ties going
-//! to the earlier one. Nothing is drawn from a random stream, so a
-//! `(TuneInput, TuneConfig)` pair replays to the identical winner and
-//! top-K — the reproducibility contract `AUTOTUNING.md` documents.
+//! candidate first), scores each candidate once, and keeps every row.
+//! The cheapest row wins, ties going to the earlier one. Nothing is
+//! drawn from a random stream, so a `(TuneInput, TuneConfig)` pair
+//! replays to the identical table — the reproducibility contract
+//! `AUTOTUNING.md` documents.
 
 use super::evaluator::{score_candidate, Score};
 use super::space::{Candidate, TuneInput};
 use std::fmt;
 
-/// Tuning-run parameters: the evaluation budget, the core budget
-/// candidates must fit in, and how many finalists to keep.
+/// Tuning-run parameters: the core budget the table spans.
 ///
 /// ```
 /// use seqpar_analysis::tune::TuneConfig;
 ///
-/// // The defaults match the CI smoke job: at most 48 simulator
-/// // evaluations, an 8-core budget, 3 natively validated finalists.
+/// // An 8-core budget: the table is the TLS plan at widths 8 down to 1.
 /// let config = TuneConfig::default();
-/// assert_eq!(config.budget, 48);
 /// assert_eq!(config.threads, 8);
-/// assert_eq!(config.top_k, 3);
 ///
-/// // The budget is a ceiling: the search stops earlier, once it has
-/// // scored the whole space — 8 candidates at 8 threads.
-/// let deep = TuneConfig { budget: 256, ..TuneConfig::default() };
-/// assert_eq!(deep.threads, config.threads);
+/// // The budget is inert: the search scores the whole space whatever
+/// // it says.
+/// let tiny = TuneConfig { budget: 1, ..TuneConfig::default() };
+/// assert_eq!(tiny.threads, config.threads);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
-    /// Simulator evaluations the search may spend, the baseline's
-    /// included (lint-pruned candidates do not count).
+    /// Inert: the search scores every candidate whatever this says.
+    /// Kept only while `benchmark/` names it.
     pub budget: usize,
     /// Core budget: no candidate plan may require more cores.
     pub threads: usize,
-    /// How many finalists to hand to native validation.
-    pub top_k: usize,
 }
 
 impl Default for TuneConfig {
@@ -47,7 +41,6 @@ impl Default for TuneConfig {
         Self {
             budget: 48,
             threads: 8,
-            top_k: 3,
         }
     }
 }
@@ -61,28 +54,23 @@ pub struct ScoredCandidate {
     pub score: Score,
 }
 
-/// The outcome of one tuning run.
+/// The outcome of one tuning run: the scored table.
 #[derive(Clone, Debug)]
 pub struct TuneResult {
     /// The workload that was tuned.
     pub workload: String,
     /// The configuration that produced this result.
     pub config: TuneConfig,
-    /// The untuned baseline (TLS at the full core budget) and its
-    /// score.
+    /// Every candidate of [`Candidate::space`] with its score, in
+    /// space order: the baseline first, then narrower pools.
+    pub rows: Vec<ScoredCandidate>,
+    /// The untuned baseline (TLS at the full core budget), `rows[0]`.
     pub baseline: ScoredCandidate,
-    /// The best candidate found (lowest cost, the earlier one in
-    /// [`Candidate::space`] on a tie; equals `baseline` when nothing
-    /// scored below it).
+    /// The cheapest row, the earlier one on a tie (equals `baseline`
+    /// when nothing scored below it).
     pub best: ScoredCandidate,
-    /// The `top_k` cheapest candidates scored, best first — the set the
-    /// bench glue validates natively. Every candidate has a plan shape
-    /// of its own, so no two finalists share one.
-    pub top_k: Vec<ScoredCandidate>,
-    /// Simulator evaluations actually spent (baseline included).
+    /// Simulator evaluations spent: `rows.len()`.
     pub evals: usize,
-    /// Candidates discarded by the `seqpar-lint` gate before evaluation.
-    pub pruned_by_lint: usize,
 }
 
 /// A tuning run failed before the search could start.
@@ -96,8 +84,9 @@ pub enum TuneError {
         /// Deny-level finding count of the partition report.
         denials: usize,
     },
-    /// The simulator rejected a plan/graph pairing (a lint-gate bug if
-    /// it ever fires).
+    /// The simulator rejected a candidate's plan against the TLS graph
+    /// (a one-stage plan runs any one-stage graph, so this is a bug in
+    /// the graph's construction if it ever fires).
     Sim(seqpar_runtime::SimError),
 }
 
@@ -108,7 +97,7 @@ impl fmt::Display for TuneError {
                 f,
                 "partition of {workload} has {denials} deny-level lint finding(s); refusing to tune an unsound loop"
             ),
-            TuneError::Sim(e) => write!(f, "simulator rejected a gated candidate: {e:?}"),
+            TuneError::Sim(e) => write!(f, "simulator rejected a candidate: {e:?}"),
         }
     }
 }
@@ -121,7 +110,7 @@ impl From<seqpar_runtime::SimError> for TuneError {
     }
 }
 
-/// Runs the feedback-directed search for one workload.
+/// Scores the whole plan space of one workload.
 ///
 /// The search is fully deterministic in `(input, config)`; see the
 /// module docs for the order it scores in and [`TuneResult`] for what
@@ -152,30 +141,28 @@ impl From<seqpar_runtime::SimError> for TuneError {
 ///     conflict_profile: None,
 /// };
 ///
-/// let config = TuneConfig { budget: 24, threads: 4, top_k: 2 };
+/// let config = TuneConfig { threads: 4, ..TuneConfig::default() };
 /// let result = tune(&input, &config).unwrap();
 ///
-/// // The budget covers the whole space: the four TLS widths.
+/// // One row per TLS width, in space order, the baseline first.
 /// assert_eq!(result.evals, 4);
+/// let widths: Vec<usize> = result.rows.iter().map(|r| r.candidate.width).collect();
+/// assert_eq!(widths, [4, 3, 2, 1]);
+/// assert_eq!(result.baseline, result.rows[0]);
 ///
-/// // Deterministic: a second call reproduces the exact search.
+/// // Deterministic: a second call reproduces the exact table.
 /// let replay = tune(&input, &config).unwrap();
-/// assert_eq!(result.top_k, replay.top_k);
-/// assert_eq!(result.best.candidate, replay.best.candidate);
+/// assert_eq!(result.rows, replay.rows);
 ///
-/// // The winner never scores worse than the untuned baseline, and
-/// // every finalist passed the lint gate.
-/// assert!(result.best.score.cost <= result.baseline.score.cost);
-/// for finalist in &result.top_k {
-///     assert!(input.lint_candidate(&finalist.candidate).is_clean());
-/// }
+/// // The winner never scores worse than any row.
+/// assert!(result.rows.iter().all(|r| result.best.score.cost <= r.score.cost));
 /// ```
 ///
 /// # Errors
 ///
 /// [`TuneError::UnsoundPartition`] when the partition report already
 /// carries deny-level findings; [`TuneError::Sim`] if the simulator
-/// rejects a gated candidate (which the gate should prevent).
+/// rejects a candidate.
 pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneError> {
     if !input.partition_report.is_clean() {
         return Err(TuneError::UnsoundPartition {
@@ -184,40 +171,25 @@ pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneEr
         });
     }
 
-    let threads = config.threads.max(1);
-    let budget = config.budget.max(1);
-    let mut scored: Vec<ScoredCandidate> = Vec::new();
-    let mut pruned_by_lint = 0usize;
-    for candidate in Candidate::space(threads) {
-        if scored.len() == budget {
-            break;
-        }
-        if !input.lint_candidate(&candidate).is_clean() {
-            pruned_by_lint += 1;
-            continue;
-        }
-        let score = score_candidate(input, &candidate)?;
-        scored.push(ScoredCandidate { candidate, score });
-    }
-    // The baseline leads the space, and a clean partition passes the
-    // one-stage shape check at any width.
-    let baseline = *scored.first().expect("the baseline passes the lint gate");
-    debug_assert_eq!(baseline.candidate, Candidate::default_for(threads));
-    let evals = scored.len();
-
-    // A stable sort: of two candidates that cost the same, the earlier
-    // in the space stays ahead.
-    scored.sort_by(|a, b| a.score.cost.total_cmp(&b.score.cost));
-    scored.truncate(config.top_k.max(1));
-
+    let rows = Candidate::space(config.threads)
+        .into_iter()
+        .map(|candidate| {
+            let score = score_candidate(input, &candidate)?;
+            Ok(ScoredCandidate { candidate, score })
+        })
+        .collect::<Result<Vec<_>, TuneError>>()?;
+    // `min_by` keeps the first of equal rows: the earlier in the space.
+    let best = *rows
+        .iter()
+        .min_by(|a, b| a.score.cost.total_cmp(&b.score.cost))
+        .expect("the space holds the baseline");
     Ok(TuneResult {
         workload: input.workload.clone(),
         config: *config,
-        baseline,
-        best: scored[0],
-        top_k: scored,
-        evals,
-        pruned_by_lint,
+        baseline: rows[0],
+        best,
+        evals: rows.len(),
+        rows,
     })
 }
 
@@ -276,63 +248,33 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let input = input(true);
-        let config = TuneConfig {
-            budget: 32,
-            threads: 8,
-            top_k: 3,
-        };
+        let config = TuneConfig::default();
         let a = tune(&input, &config).unwrap();
         let b = tune(&input, &config).unwrap();
-        assert_eq!(a.top_k, b.top_k);
+        assert_eq!(a.rows, b.rows);
         assert_eq!(a.best, b.best);
         assert_eq!(a.evals, b.evals);
-        assert_eq!(a.pruned_by_lint, b.pruned_by_lint);
     }
 
     #[test]
     fn no_candidate_in_the_space_beats_the_winner() {
         for hot in [true, false] {
             let input = input(hot);
-            let config = TuneConfig {
-                budget: 200,
-                threads: 8,
-                top_k: 3,
-            };
+            let config = TuneConfig::default();
             let result = tune(&input, &config).unwrap();
             let space = Candidate::space(config.threads);
-            assert_eq!(result.evals, space.len(), "budget to spare");
-            for c in space {
+            assert_eq!(result.evals, space.len());
+            assert_eq!(result.rows.len(), space.len());
+            for (row, c) in result.rows.iter().zip(space) {
+                assert_eq!(row.candidate, c, "rows keep the space's order");
                 let cost = score_candidate(&input, &c).unwrap().cost;
+                assert_eq!(row.score.cost, cost, "{c:?}");
                 assert!(
                     cost >= result.best.score.cost,
                     "{c:?} is cheaper than the winner: {cost} < {}",
                     result.best.score.cost
                 );
             }
-        }
-    }
-
-    #[test]
-    fn budget_is_respected_and_top_k_is_shape_diverse() {
-        let input = input(false);
-        let config = TuneConfig {
-            budget: 5,
-            threads: 8,
-            top_k: 3,
-        };
-        let result = tune(&input, &config).unwrap();
-        // The budget stops the search short of the space's 8.
-        assert_eq!(result.evals, config.budget);
-        assert!(result.top_k.len() <= config.top_k);
-        let shapes: std::collections::BTreeSet<u64> = result
-            .top_k
-            .iter()
-            .map(|s| s.candidate.shape_key())
-            .collect();
-        assert_eq!(shapes.len(), result.top_k.len(), "finalist shapes dedup");
-        for finalist in &result.top_k {
-            assert!(input.lint_candidate(&finalist.candidate).is_clean());
-            assert!(finalist.candidate.plan().cores_required() <= config.threads);
         }
     }
 

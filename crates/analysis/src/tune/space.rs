@@ -5,11 +5,10 @@
 //! single-stage TLS plan's replicated pool is. The native executor runs
 //! one stage, so the paper's three-phase DSWP pipeline is no candidate:
 //! it stays the simulator's ([`PlanKind::Dswp`]).
-//! [`Candidate::space`] lists every width a core budget allows; each is
-//! gated through the `seqpar-lint` plan-shape check before the evaluator
-//! spends budget on it ([`TuneInput::lint_candidate`]).
+//! [`Candidate::space`] lists every width a core budget allows, and the
+//! search scores each of them once.
 
-use crate::lint::{check_plan_shape, LintReport, StagePlan};
+use crate::lint::{LintReport, StagePlan};
 use seqpar_runtime::{ConflictProfile, ExecutionPlan, TaskGraph};
 
 /// Which plan shape the simulator runs a loop under, and with it which
@@ -97,54 +96,20 @@ pub struct TuneInput {
     /// The partitioner's three-phase stage view. Unread, and kept for
     /// the same literal as `dswp_graph`.
     pub pipeline_stages: StagePlan,
-    /// The collapsed single-replicated-stage view, for shape-checking
-    /// candidates.
+    /// The collapsed single-replicated-stage view. Unread, and kept for
+    /// the same literal as `dswp_graph`.
     pub tls_stages: StagePlan,
-    /// The partition-level `seqpar-lint` findings, computed once and
-    /// merged into every candidate's report.
+    /// The partition-level `seqpar-lint` findings: a deny among them
+    /// refuses the whole search.
     pub partition_report: LintReport,
     /// The loop's static conflict profile at replication 1, if the
     /// audit pass produced one.
     pub conflict_profile: Option<ConflictProfile>,
 }
 
-impl TuneInput {
-    /// Gates one candidate through the `seqpar-lint` soundness check:
-    /// the stored partition findings merged with the plan-shape audit
-    /// of the candidate's materialized plan against the single-stage
-    /// view. A candidate is searchable only when the merged report is
-    /// clean at deny level.
-    pub fn lint_candidate(&self, candidate: &Candidate) -> LintReport {
-        let mut report = self.partition_report.clone();
-        report.merge(check_plan_shape(&self.tls_stages, &candidate.plan()));
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::StageKind;
-
-    fn tiny_input() -> TuneInput {
-        let mut dswp = TaskGraph::new(3);
-        let mut tls = TaskGraph::new(1);
-        for i in 0..8u64 {
-            let a = dswp.add_task(0, i, 2, &[], &[]);
-            let b = dswp.add_task(1, i, 10, &[a], &[]);
-            dswp.add_task(2, i, 1, &[b], &[]);
-            tls.add_task(0, i, 13, &[], &[]);
-        }
-        TuneInput {
-            workload: "test".to_string(),
-            dswp_graph: dswp,
-            tls_graph: tls,
-            pipeline_stages: StagePlan::three_phase(vec![]),
-            tls_stages: StagePlan::new(vec![], vec![StageKind::Replicated]),
-            partition_report: LintReport::default(),
-            conflict_profile: None,
-        }
-    }
 
     #[test]
     fn default_candidate_is_the_harness_baseline() {
@@ -168,22 +133,5 @@ mod tests {
                 assert_eq!(c.plan().stage_count(), 1, "{c:?} at {t}");
             }
         }
-    }
-
-    #[test]
-    fn lint_gate_passes_matching_shapes_and_denies_mismatches() {
-        let input = tiny_input();
-        for c in Candidate::space(4) {
-            assert!(input.lint_candidate(&c).is_clean(), "{c:?}");
-        }
-        // Force a mismatch: a one-stage plan checked against the
-        // three-stage view.
-        let tls = Candidate::default_for(4);
-        let mut report = input.partition_report.clone();
-        report.merge(check_plan_shape(
-            &StagePlan::three_phase(vec![]),
-            &tls.plan(),
-        ));
-        assert!(!report.is_clean(), "shape mismatch is a deny");
     }
 }

@@ -3,25 +3,25 @@
 //! Usage:
 //!
 //! ```text
-//! seqpar-tune [164.gzip ... | all] [--budget N] [--threads N] [--top-k N]
+//! seqpar-tune [164.gzip ... | all] [--threads N]
 //!     [--size test|train|ref] [--out-dir DIR] [--no-native]
 //! seqpar-tune --check FILE...
 //! ```
 //!
 //! Tuning mode scores each named workload's plan space — the TLS plan
-//! at every width the core budget allows, lint-gated, until the
-//! budget runs out (`seqpar_analysis::tune`) — re-validates the top-K
-//! finalists natively (byte-identical output against the sequential
-//! oracle, median wall clock of interleaved repetitions), prints the
-//! verdict plus the sim-cost-vs-wall-clock
-//! correlation pairs, and — with `--out-dir` — persists each winner as
-//! a reproducible plan artifact named `<spec_id>.plan.json`, keyed by
-//! the plan's lint-stamp fingerprint. Re-running with the same budget
-//! and thread count replays the identical search.
+//! at every width the core budget allows, each once
+//! (`seqpar_analysis::tune`) — re-validates every row natively
+//! (byte-identical output against the sequential oracle, median wall
+//! clock of interleaved repetitions), prints the table with each row's
+//! sim cost beside its native wall and the natively fastest row as the
+//! winner, and — with `--out-dir` — persists each winner as a
+//! reproducible plan artifact named `<spec_id>.plan.json`, keyed by the
+//! plan's lint-stamp fingerprint. Re-running with the same thread
+//! count replays the identical table.
 //!
-//! `--no-native` skips native validation (simulator scores only, no
-//! wall clocks in the artifact) — useful for quick looks at the search
-//! itself.
+//! `--no-native` skips native validation (simulator scores only, the
+//! cheapest row wins, no wall clocks in the artifact) — useful for
+//! quick looks at the search itself.
 //!
 //! `--check` mode loads each named plan-artifact file through the
 //! schema- and integrity-checking loader and fails on the first
@@ -29,7 +29,7 @@
 //! `tune-smoke` job runs it over every artifact it just produced.
 
 use seqpar_analysis::tune::{PlanArtifact, TuneConfig};
-use seqpar_bench::tune::{render_outcome, TunableWorkload};
+use seqpar_bench::tune::{render_outcome, render_search, TunableWorkload};
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize, Workload};
 
 fn main() {
@@ -47,9 +47,7 @@ fn main() {
         match a.as_str() {
             "--check" => checking = true,
             "--no-native" => native = false,
-            "--budget" => config.budget = parse_count(iter.next(), "--budget"),
             "--threads" => config.threads = parse_count(iter.next(), "--threads"),
-            "--top-k" => config.top_k = parse_count(iter.next(), "--top-k"),
             "--size" => {
                 size = match iter.next().map(String::as_str) {
                     Some("test") => InputSize::Test,
@@ -66,6 +64,7 @@ fn main() {
                 );
             }
             other if checking => check_files.push(other.to_string()),
+            other if other.starts_with("--") => die(&format!("unknown flag {other}")),
             other => targets.push(other.to_string()),
         }
     }
@@ -106,10 +105,7 @@ fn main() {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
     }
-    println!(
-        "seqpar-tune: budget {}, threads {}, top-k {}, size {size}\n",
-        config.budget, config.threads, config.top_k
-    );
+    println!("seqpar-tune: threads {}, size {size}\n", config.threads);
     let mut beat = 0usize;
     for w in &selected {
         let tunable = TunableWorkload::prepare(*w, size);
@@ -131,12 +127,8 @@ fn main() {
             }
             outcome.artifact
         } else {
-            let r = &result;
-            println!(
-                "## {}: baseline cost {:.0} -> best cost {:.0} ({} evals, {} lint-pruned; native validation skipped)\n",
-                r.workload, r.baseline.score.cost, r.best.score.cost, r.evals, r.pruned_by_lint
-            );
-            PlanArtifact::from_result(r, &r.best)
+            println!("{}", render_search(&result));
+            PlanArtifact::from_result(&result, &result.best)
         };
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{}.plan.json", artifact.workload);

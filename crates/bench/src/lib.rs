@@ -630,20 +630,29 @@ pub struct LintOutcome {
     pub hottest_region: Option<String>,
 }
 
-/// Runs the full `seqpar-lint` battery over one workload's IR model.
+/// Parallelizes `w`'s IR model exactly as the library pipeline would —
+/// same builder, same profile — except with `allow_unsound`, so that a
+/// deny-level partition is *reported* (by the lint, or by the tuner's
+/// own refusal) rather than refused.
 ///
-/// The model is parallelized exactly as the library pipeline would —
-/// same builder, same profile — except with `allow_unsound` so that
-/// deny-level findings are *reported* rather than refused, which is
-/// what a lint driver wants. The partition report is then merged with
-/// the plan-shape check of the `cores`-way plan.
-pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
+/// # Panics
+///
+/// Panics if the model does not parallelize at all: every workload in
+/// the suite does.
+pub fn parallelize_model(w: &dyn Workload) -> seqpar::ParallelizedLoop {
     let model = w.ir_model();
-    let result = seqpar::Parallelizer::new(&model.program)
-        .profile(model.profile.clone())
+    seqpar::Parallelizer::new(&model.program)
+        .profile(model.profile)
         .allow_unsound(true)
         .parallelize_outermost(model.func)
-        .expect("workload IR model parallelizes");
+        .expect("workload IR model parallelizes")
+}
+
+/// Runs the full `seqpar-lint` battery over one workload's IR model
+/// ([`parallelize_model`]): the partition report merged with the
+/// plan-shape check of the `cores`-way plan.
+pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
+    let result = parallelize_model(w);
     let plan = result.plan(cores);
     // Priced for the plan's seats: its iterations race each other.
     let profile = result.conflict_profile().scaled(Engine::seats(&plan));

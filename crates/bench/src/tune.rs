@@ -4,16 +4,15 @@
 //! sees task graphs and lint reports; this module supplies what the
 //! analysis crate cannot reach — real workloads, the native executor,
 //! and the wall clock. [`TunableWorkload::prepare`] assembles a
-//! [`TuneInput`] from a workload's IR model and recorded trace,
-//! [`TunableWorkload::validate_native`] re-runs the search's top-K
-//! finalists (plus the untuned default) on real OS threads with
-//! interleaved repetitions — all under one executor configuration
-//! ([`TunableWorkload::exec_config`]), so contenders differ in plan
-//! alone — byte-checks every run against the
-//! sequential oracle, and fills the winning plan's
-//! [`PlanArtifact`] with measured [`NativeValidation`] figures. The
-//! `seqpar-tune` binary drives these entry points; `AUTOTUNING.md`
-//! documents the whole story.
+//! [`TuneInput`] from a workload's IR model and recorded trace, and
+//! [`TunableWorkload::validate_native`] runs every row of the scored
+//! table (the untuned default first) on real OS threads in interleaved
+//! repetitions — all under one executor configuration
+//! ([`TunableWorkload::exec_config`]), so rows differ in plan alone —
+//! byte-checks every run against the sequential oracle, and fills the
+//! natively fastest row's [`PlanArtifact`] with measured
+//! [`NativeValidation`] figures. The `seqpar-tune` binary drives these
+//! entry points; `AUTOTUNING.md` documents the whole story.
 
 use seqpar::ParallelizedLoop;
 use seqpar_analysis::tune::{
@@ -23,9 +22,9 @@ use seqpar_analysis::tune::{
 use seqpar_runtime::{Engine, EngineConfig, ExecConfig, ExecutionPlan, NativeReport, PlanDelta};
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 
-/// Interleaved repetitions per contender during native validation:
-/// the recorded wall time is the per-contender median, so one scheduler
-/// hiccup cannot crown (or dethrone) a plan.
+/// Interleaved repetitions per row during native validation: the
+/// recorded wall time is the per-row median, so one scheduler hiccup
+/// cannot crown (or dethrone) a plan.
 pub const VALIDATE_REPS: usize = 3;
 
 /// One workload prepared for tuning: the analysis-side search input,
@@ -39,19 +38,15 @@ pub struct TunableWorkload {
     input: TuneInput,
 }
 
-/// One (simulator cost, native wall clock) pair from native validation,
-/// for the sim-score-vs-wall-clock correlation table in
-/// `EXPERIMENTS.md`.
+/// One row of the table after native validation: the candidate with
+/// its simulator score beside its median native wall clock — the pairs
+/// the sim-score-vs-wall-clock table in `EXPERIMENTS.md` collects.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CorrelationPoint {
-    /// Structural fingerprint of the contender's plan.
-    pub fingerprint: u64,
-    /// The evaluator's surrogate cost (virtual cycles).
-    pub sim_cost: f64,
+pub struct NativeRow {
+    /// The candidate and its evaluator score.
+    pub scored: ScoredCandidate,
     /// Median native wall clock, milliseconds.
-    pub native_wall_ms: f64,
-    /// Whether this contender is the untuned default.
-    pub is_default: bool,
+    pub wall_ms: f64,
 }
 
 /// A tuning run carried through native validation.
@@ -59,15 +54,16 @@ pub struct CorrelationPoint {
 pub struct TunedOutcome {
     /// The search result the validation started from.
     pub result: TuneResult,
-    /// The natively fastest finalist (which may differ from the
-    /// simulator's pick — the surrogate score is advisory).
+    /// Every row of the table in its order, the default first, with
+    /// its median native wall.
+    pub rows: Vec<NativeRow>,
+    /// The natively fastest row, the default included (it may differ
+    /// from the simulator's pick — the surrogate score is advisory).
     pub winner: ScoredCandidate,
     /// The winner's artifact with [`PlanArtifact::native`] filled in.
     pub artifact: PlanArtifact,
-    /// Tuned-vs-default comparison of the median runs.
+    /// Winner-vs-default comparison of the median runs.
     pub delta: PlanDelta,
-    /// Per-contender (sim cost, native wall) pairs, default first.
-    pub correlation: Vec<CorrelationPoint>,
 }
 
 impl TunableWorkload {
@@ -82,12 +78,7 @@ impl TunableWorkload {
     /// Panics if the workload's IR model does not parallelize at all —
     /// every workload in the suite must.
     pub fn prepare(w: &dyn Workload, size: InputSize) -> Self {
-        let model = w.ir_model();
-        let result = seqpar::Parallelizer::new(&model.program)
-            .profile(model.profile.clone())
-            .allow_unsound(true)
-            .parallelize_outermost(model.func)
-            .expect("workload IR model parallelizes");
+        let result = crate::parallelize_model(w);
         let job = w.versioned_job(size);
         let trace = job.trace();
         let profile = result.conflict_profile();
@@ -123,7 +114,7 @@ impl TunableWorkload {
     /// # Errors
     ///
     /// Propagates [`TuneError`] from the search (unsound partition, or
-    /// a simulator rejection the lint gate should have prevented).
+    /// a simulator rejection).
     pub fn tune(&self, config: &TuneConfig) -> Result<TuneResult, TuneError> {
         tune(&self.input, config)
     }
@@ -166,11 +157,11 @@ impl TunableWorkload {
     }
 
     /// A warmed persistent [`Engine`] sized to exactly the candidate's
-    /// seats, the calling thread filling one, so pool width — not outstanding-item caps —
-    /// still bounds the candidate's real parallelism. Built once per
-    /// contender and reused across every validation repetition, which
-    /// keeps thread-spawn cost out of the timed runs the winner is
-    /// crowned on.
+    /// seats, the calling thread filling one, so pool width — not
+    /// outstanding-item caps — still bounds the candidate's real
+    /// parallelism. Built once per row and reused across every
+    /// validation repetition, which keeps thread-spawn cost out of the
+    /// timed runs the winner is crowned on.
     fn engine_for(&self, candidate: &Candidate) -> Engine {
         let plan = self.mint_plan(candidate);
         let engine = Engine::new(EngineConfig::for_plan(&plan));
@@ -204,40 +195,34 @@ impl TunableWorkload {
         report
     }
 
-    /// Re-validates a search result natively: the untuned default and
-    /// every distinct top-K finalist run [`VALIDATE_REPS`] times in
+    /// Re-validates a search result natively: every row of the table,
+    /// the untuned default first, runs [`VALIDATE_REPS`] times in
     /// interleaved rounds, every run byte-checked against the
-    /// sequential oracle, and the natively fastest finalist (by median
-    /// wall clock) is crowned — the simulator score only nominates,
-    /// the wall clock elects. The winner's artifact carries the
-    /// measured [`NativeValidation`], and every contender contributes a
-    /// [`CorrelationPoint`].
+    /// sequential oracle, and the natively fastest row (by median wall
+    /// clock, the default included) is crowned — the simulator score
+    /// only ranks, the wall clock elects. The winner's artifact carries
+    /// the measured [`NativeValidation`].
     ///
     /// # Panics
     ///
-    /// Panics if the result has no finalists (the search always returns
-    /// at least the baseline) or any run breaks sequential semantics.
+    /// Panics if any run breaks sequential semantics.
     pub fn validate_native(&self, result: TuneResult) -> TunedOutcome {
-        let default = Candidate::default_for(result.config.threads.max(1));
-        // Contenders: the default first, then finalists that differ
-        // from it (the baseline is usually also finalist #1 when
-        // nothing improved on it).
-        let mut contenders = vec![default];
-        for f in &result.top_k {
-            if !contenders.contains(&f.candidate) {
-                contenders.push(f.candidate);
-            }
-        }
         let seq = self.job.sequential();
-        // One warmed engine per contender, built before any timed
-        // round: each candidate keeps its own pool width across reps.
-        let engines: Vec<Engine> = contenders.iter().map(|c| self.engine_for(c)).collect();
-        let mut reps: Vec<Vec<NativeReport>> = (0..contenders.len())
+        // One warmed engine per row, built before any timed round: each
+        // candidate keeps its own pool width across reps.
+        let engines: Vec<Engine> = result
+            .rows
+            .iter()
+            .map(|r| self.engine_for(&r.candidate))
+            .collect();
+        let mut reps: Vec<Vec<NativeReport>> = result
+            .rows
+            .iter()
             .map(|_| Vec::with_capacity(VALIDATE_REPS))
             .collect();
         for _round in 0..VALIDATE_REPS {
-            for (i, c) in contenders.iter().enumerate() {
-                reps[i].push(self.run_candidate(&engines[i], c, &seq.output));
+            for ((row, engine), runs) in result.rows.iter().zip(&engines).zip(&mut reps) {
+                runs.push(self.run_candidate(engine, &row.candidate, &seq.output));
             }
         }
         let medians: Vec<NativeReport> = reps
@@ -247,46 +232,21 @@ impl TunableWorkload {
                 runs.swap_remove(runs.len() / 2)
             })
             .collect();
-
-        let sim_cost_of = |candidate: &Candidate| -> f64 {
-            if *candidate == result.baseline.candidate {
-                result.baseline.score.cost
-            } else {
-                result
-                    .top_k
-                    .iter()
-                    .find(|f| f.candidate == *candidate)
-                    .map_or(f64::NAN, |f| f.score.cost)
-            }
-        };
-        let correlation: Vec<CorrelationPoint> = contenders
+        let rows: Vec<NativeRow> = result
+            .rows
             .iter()
             .zip(&medians)
-            .enumerate()
-            .map(|(i, (c, report))| CorrelationPoint {
-                fingerprint: c.shape_key(),
-                sim_cost: sim_cost_of(c),
-                native_wall_ms: report.wall.as_secs_f64() * 1e3,
-                is_default: i == 0,
+            .map(|(&scored, report)| NativeRow {
+                scored,
+                wall_ms: report.wall.as_secs_f64() * 1e3,
             })
             .collect();
 
-        // Crown the natively fastest *tuned* contender; when the
-        // default is the only contender (no finalist differed), it
-        // wins by forfeit.
-        let tuned_range = 1..contenders.len();
-        let winner_idx = tuned_range
-            .clone()
-            .min_by(|&a, &b| medians[a].wall.cmp(&medians[b].wall))
-            .unwrap_or(0);
-        let winner_candidate = contenders[winner_idx];
-        let winner = result
-            .top_k
-            .iter()
-            .find(|f| f.candidate == winner_candidate)
-            .copied()
-            .unwrap_or(result.baseline);
-
+        // `min_by_key` keeps the first of equal walls: the earlier row.
+        let winner_idx = (0..medians.len())
+            .min_by_key(|&i| medians[i].wall)
+            .expect("the table holds the default");
+        let winner = result.rows[winner_idx];
         let delta = medians[winner_idx].delta_vs(&medians[0]);
         let mut artifact = PlanArtifact::from_result(&result, &winner);
         artifact.native = Some(NativeValidation {
@@ -296,52 +256,73 @@ impl TunableWorkload {
         });
         TunedOutcome {
             result,
+            rows,
             winner,
             artifact,
             delta,
-            correlation,
         }
     }
 }
 
-/// Renders a tuned outcome as the terminal block `seqpar-tune` prints:
-/// the search summary, the native verdict, and the correlation pairs.
+/// Renders a search the way `seqpar-tune --no-native` prints it: the
+/// summary line, every row's simulator cost, and the simulated winner.
+pub fn render_search(result: &TuneResult) -> String {
+    render(result, None)
+}
+
+/// Renders a validated outcome the way `seqpar-tune` prints it: the
+/// summary line, every row's simulator cost beside its median native
+/// wall, the winner, and the native verdict.
 pub fn render_outcome(outcome: &TunedOutcome) -> String {
-    let r = &outcome.result;
-    let native = outcome.artifact.native.expect("validated outcome");
-    let mut out = String::new();
+    render(&outcome.result, Some(outcome))
+}
+
+fn render(result: &TuneResult, outcome: Option<&TunedOutcome>) -> String {
+    let winner = outcome.map_or(result.best, |o| o.winner).candidate;
+    let mut out = format!(
+        "## {}: {} rows, baseline cost {:.0} -> best cost {:.0}\n",
+        result.workload,
+        result.rows.len(),
+        result.baseline.score.cost,
+        result.best.score.cost
+    );
+    let native_col = if outcome.is_some() { "  native ms" } else { "" };
     out.push_str(&format!(
-        "## {}: budget {} ({} evals, {} lint-pruned)\n",
-        r.workload, r.config.budget, r.evals, r.pruned_by_lint
+        "  width  fingerprint             sim cost{native_col}\n"
     ));
-    out.push_str(&format!(
-        "baseline cost {:.0} -> best cost {:.0} ({} finalists)\n",
-        r.baseline.score.cost,
-        r.best.score.cost,
-        r.top_k.len()
-    ));
-    let c = &outcome.winner.candidate;
-    out.push_str(&format!("winner: tls width {}\n", c.width));
-    out.push_str(&format!(
-        "native: tuned {:.3} ms vs default {:.3} ms -> {:.2}x {}\n",
-        native.tuned_wall_ms,
-        native.default_wall_ms,
-        native.speedup_vs_default,
-        if native.speedup_vs_default > 1.0 {
-            "(beats default)"
-        } else {
-            "(default holds)"
-        }
-    ));
-    out.push_str("correlation (sim cost vs native wall):\n");
-    for p in &outcome.correlation {
+    for (i, row) in result.rows.iter().enumerate() {
+        let c = row.candidate;
         out.push_str(&format!(
-            "  {:#018x}  cost {:>12.0}  wall {:>9.3} ms{}\n",
-            p.fingerprint,
-            p.sim_cost,
-            p.native_wall_ms,
-            if p.is_default { "  [default]" } else { "" }
+            "  {:>5}  {:#018x}  {:>12.0}",
+            c.width,
+            c.shape_key(),
+            row.score.cost
         ));
+        if let Some(o) = outcome {
+            out.push_str(&format!("  {:>9.3}", o.rows[i].wall_ms));
+        }
+        if i == 0 {
+            out.push_str("  [default]");
+        }
+        if c == winner {
+            out.push_str("  [winner]");
+        }
+        out.push('\n');
+    }
+    out.push_str(&format!("winner: tls width {}", winner.width));
+    match outcome.and_then(|o| o.artifact.native) {
+        None => out.push_str(" (simulated; native validation skipped)\n"),
+        Some(n) => out.push_str(&format!(
+            "\nnative: tuned {:.3} ms vs default {:.3} ms -> {:.2}x {}\n",
+            n.tuned_wall_ms,
+            n.default_wall_ms,
+            n.speedup_vs_default,
+            if n.speedup_vs_default > 1.0 {
+                "(beats default)"
+            } else {
+                "(default holds)"
+            }
+        )),
     }
     out
 }
@@ -368,9 +349,8 @@ mod tests {
     fn tune_workload_validates_natively_and_round_trips_artifacts() {
         let w = workload_by_name("164.gzip").expect("gzip exists");
         let config = TuneConfig {
-            budget: 12,
             threads: 4,
-            top_k: 2,
+            ..TuneConfig::default()
         };
         let tunable = TunableWorkload::prepare(w.as_ref(), InputSize::Test);
         let outcome = tunable.validate_native(tunable.tune(&config).unwrap());
@@ -380,18 +360,32 @@ mod tests {
             (native.speedup_vs_default - outcome.delta.speedup_vs_baseline).abs() < 1e-9,
             "artifact and delta agree"
         );
-        // Default first, then at least the winner; costs come from the
-        // search, walls from the native runs.
-        assert!(outcome.correlation.len() >= 2);
-        assert!(outcome.correlation[0].is_default);
-        assert!(outcome.correlation.iter().all(|p| p.native_wall_ms > 0.0));
+        // Every row ran, in the table's order, the default first; costs
+        // come from the search, walls from the native runs.
+        let scored: Vec<ScoredCandidate> = outcome.rows.iter().map(|r| r.scored).collect();
+        assert_eq!(scored, outcome.result.rows);
+        assert_eq!(scored[0].candidate, Candidate::default_for(4));
+        assert!(outcome.rows.iter().all(|r| r.wall_ms > 0.0));
+        // The crown goes to the fastest row, the default included.
+        let fastest = outcome
+            .rows
+            .iter()
+            .map(|r| r.wall_ms)
+            .fold(f64::INFINITY, f64::min);
+        let winner = outcome
+            .rows
+            .iter()
+            .find(|r| r.scored == outcome.winner)
+            .expect("the winner is a row");
+        assert_eq!(winner.wall_ms, fastest);
+        assert_eq!(native.tuned_wall_ms, fastest);
         // The artifact round-trips through its JSON schema with the
         // native block intact.
         let back = PlanArtifact::from_json(&outcome.artifact.to_json()).unwrap();
         assert_eq!(back, outcome.artifact);
         let rendered = render_outcome(&outcome);
-        assert!(rendered.contains("164.gzip"));
-        assert!(rendered.contains("correlation"));
+        assert!(rendered.starts_with("## 164.gzip: 4 rows,"), "{rendered}");
+        assert!(rendered.contains("[winner]"), "{rendered}");
     }
 
     #[test]

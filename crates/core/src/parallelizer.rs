@@ -169,7 +169,6 @@ pub struct Parallelizer<'p> {
     program: &'p Program,
     spec_config: SpeculationConfig,
     profile: Option<LoopProfile>,
-    nested: bool,
     reductions: bool,
     allow_unsound: bool,
     infer: bool,
@@ -182,7 +181,6 @@ impl<'p> Parallelizer<'p> {
             program,
             spec_config: SpeculationConfig::default(),
             profile: None,
-            nested: false,
             reductions: false,
             allow_unsound: false,
             infer: true,
@@ -198,13 +196,6 @@ impl<'p> Parallelizer<'p> {
     /// Supplies profile data for the target loop (builder style).
     pub fn profile(mut self, profile: LoopProfile) -> Self {
         self.profile = Some(profile);
-        self
-    }
-
-    /// Marks this parallelization as nested (multiple loop levels or
-    /// unrolled recursion, as in 186.crafty) for reporting purposes.
-    pub fn nested(mut self, nested: bool) -> Self {
-        self.nested = nested;
         self
     }
 
@@ -308,8 +299,7 @@ impl<'p> Parallelizer<'p> {
         let commutative = apply_commutative(&mut pdg);
         // 1b. Sound value-fact pruning: constant carried values never
         // order iterations.
-        let invariant_pruned = prune_constant_carried_edges(self.program, &mut pdg);
-        let _ = invariant_pruned;
+        prune_constant_carried_edges(self.program, &mut pdg);
         // 1c. Classic transformations: reduction expansion (§2.1).
         let reductions = if self.reductions {
             apply_reductions(self.program, &mut pdg)
@@ -404,9 +394,6 @@ impl<'p> Parallelizer<'p> {
         }
         if ybranch.edges_removed > 0 {
             techniques.push(Technique::YBranch);
-        }
-        if self.nested {
-            techniques.push(Technique::Nested);
         }
         if reductions.any() {
             techniques.push(Technique::ReductionExpansion);
@@ -640,16 +627,6 @@ mod tests {
             .parallelize(f, &forest, seqpar_ir::LoopId(99))
             .unwrap_err();
         assert_eq!(err, ParallelizeError::UnknownLoop);
-    }
-
-    #[test]
-    fn nested_flag_is_reported() {
-        let (p, f) = twolf_like(true);
-        let result = Parallelizer::new(&p)
-            .nested(true)
-            .parallelize_outermost(f)
-            .unwrap();
-        assert!(result.report().uses(Technique::Nested));
     }
 
     #[test]

@@ -175,33 +175,6 @@ fn native_misspec_counts_match_simulator() {
     }
 }
 
-/// The same two properties under the TLS single-stage plan: a different
-/// graph shape (one stage, speculation on every carried dependence) must
-/// not break sequential semantics or the counter agreement.
-#[test]
-fn tls_plan_agrees_with_simulator_and_sequential() {
-    for (id, job) in jobs() {
-        let seq = job.sequential();
-        for &t in &[2usize, 4] {
-            let plan = ExecutionPlan::tls(t);
-            let native = run(&replay(&job, &plan, ExecConfig::default()));
-            assert_eq!(
-                native.output, seq.output,
-                "{id}: TLS native output diverged at {t} threads"
-            );
-            let sim = simulate(&ran(&job, &plan), t, PlanKind::Tls);
-            assert_eq!(
-                native.violations, sim.violations,
-                "{id}: TLS violation counts disagree at {t} threads"
-            );
-            assert_eq!(
-                native.speculations_survived, sim.speculations_survived,
-                "{id}: TLS survived-speculation counts disagree at {t} threads"
-            );
-        }
-    }
-}
-
 /// Determinism regression: two native runs of the same job produce
 /// identical outputs and identical work counters — commit order and
 /// squash decisions must not depend on thread interleaving.
