@@ -1,13 +1,13 @@
 //! Reproducible plan artifacts: the JSON files `seqpar-tune` writes.
 //!
-//! A winning plan is only useful if a later session (or CI) can reload
-//! it, re-check it, and re-run it. The artifact records everything the
-//! search's outcome depends on — the core budget, the candidate's one
-//! knob, and the plan's structural fingerprint (the
-//! same FNV-1a value the lint stamp carries) — plus the simulator
-//! scores and, when the bench glue validated natively, the measured
-//! wall clocks. Loading re-derives the candidate from the knobs and
-//! refuses an artifact whose recorded fingerprint disagrees with the
+//! An artifact is the search's answer: the simulator's cheapest row
+//! (`TuneResult::best`), the same bytes whether or not the rows also ran
+//! natively, so every process that tunes the same workload at the same
+//! core budget writes the same file. It records the core budget, the
+//! candidate's one knob, the plan's structural fingerprint (the same
+//! FNV-1a value the lint stamp carries) and the simulator scores; no
+//! wall clock enters it. Loading re-derives the candidate from the knobs
+//! and refuses an artifact whose recorded fingerprint disagrees with the
 //! rebuilt plan, so a hand-edited file cannot smuggle an unaudited
 //! shape past the loader. `AUTOTUNING.md` documents the schema
 //! field-by-field.
@@ -16,27 +16,13 @@
 //! as `f64`, which silently rounds integers above 2^53, and a rounded
 //! fingerprint would fail the integrity check.
 
-use super::search::{ScoredCandidate, TuneResult};
+use super::search::TuneResult;
 use super::space::Candidate;
 use seqpar_runtime::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Version tag of the artifact schema; bump on breaking field changes.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 5;
-
-/// Native validation figures attached by the bench glue after it
-/// re-runs the winner and the untuned default on real threads.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NativeValidation {
-    /// Median wall clock of the tuned plan, milliseconds.
-    pub tuned_wall_ms: f64,
-    /// Median wall clock of the untuned (full-width TLS) default,
-    /// milliseconds.
-    pub default_wall_ms: f64,
-    /// `default_wall_ms / tuned_wall_ms` — above 1.0 means the tuned
-    /// plan wins.
-    pub speedup_vs_default: f64,
-}
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 6;
 
 /// One tuned plan, ready to persist or reload.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,13 +42,13 @@ pub struct PlanArtifact {
     pub sim_makespan: u64,
     /// The untuned baseline's evaluator cost, for the recorded margin.
     pub baseline_cost: f64,
-    /// Native validation figures, when the glue measured them.
-    pub native: Option<NativeValidation>,
 }
 
 impl PlanArtifact {
-    /// Builds the artifact for a finished search's winner.
-    pub fn from_result(result: &TuneResult, winner: &ScoredCandidate) -> Self {
+    /// Builds the artifact for a finished search's winner, its cheapest
+    /// row.
+    pub fn from_result(result: &TuneResult) -> Self {
+        let winner = &result.best;
         Self {
             workload: result.workload.clone(),
             threads: result.config.threads as u64,
@@ -71,9 +57,6 @@ impl PlanArtifact {
             sim_cost: winner.score.cost,
             sim_makespan: winner.score.makespan,
             baseline_cost: result.baseline.score.cost,
-            // The analysis crate never measures wall clocks; the bench
-            // glue fills this in after native validation.
-            native: None,
         }
     }
 
@@ -91,19 +74,7 @@ impl PlanArtifact {
         let _ = writeln!(out, "  \"plan\": {},", c.plan().stages_to_json());
         let _ = writeln!(out, "  \"sim_cost\": {},", self.sim_cost);
         let _ = writeln!(out, "  \"sim_makespan\": {},", self.sim_makespan);
-        let _ = writeln!(out, "  \"baseline_cost\": {},", self.baseline_cost);
-        match &self.native {
-            None => {
-                let _ = writeln!(out, "  \"native\": null");
-            }
-            Some(n) => {
-                let _ = writeln!(out, "  \"native\": {{");
-                let _ = writeln!(out, "    \"tuned_wall_ms\": {},", n.tuned_wall_ms);
-                let _ = writeln!(out, "    \"default_wall_ms\": {},", n.default_wall_ms);
-                let _ = writeln!(out, "    \"speedup_vs_default\": {}", n.speedup_vs_default);
-                let _ = writeln!(out, "  }}");
-            }
-        }
+        let _ = writeln!(out, "  \"baseline_cost\": {}", self.baseline_cost);
         out.push_str("}\n");
         out
     }
@@ -148,18 +119,6 @@ impl PlanArtifact {
             return Err("embedded plan stages disagree with the candidate knobs".to_string());
         }
 
-        let native = match obj.get("native") {
-            None | Some(Value::Null) => None,
-            Some(v) => {
-                let n = v.as_object().ok_or("native is not an object")?;
-                Some(NativeValidation {
-                    tuned_wall_ms: req_f64(obj_get(n, "tuned_wall_ms")?)?,
-                    default_wall_ms: req_f64(obj_get(n, "default_wall_ms")?)?,
-                    speedup_vs_default: req_f64(obj_get(n, "speedup_vs_default")?)?,
-                })
-            }
-        };
-
         Ok(Self {
             workload,
             threads,
@@ -168,7 +127,6 @@ impl PlanArtifact {
             sim_cost,
             sim_makespan,
             baseline_cost,
-            native,
         })
     }
 }
@@ -244,23 +202,19 @@ mod tests {
             ..TuneConfig::default()
         };
         let result = tune(&input, &config).unwrap();
-        let mut artifact = PlanArtifact::from_result(&result, &result.best);
-        artifact.native = Some(NativeValidation {
-            tuned_wall_ms: 1.25,
-            default_wall_ms: 2.5,
-            speedup_vs_default: 2.0,
-        });
+        let artifact = PlanArtifact::from_result(&result);
         let text = artifact.to_json();
         let back = PlanArtifact::from_json(&text).unwrap();
         assert_eq!(back, artifact);
-        assert!(text.contains("\"schema_version\": 5,"), "{text}");
+        assert!(text.contains("\"schema_version\": 6,"), "{text}");
+        assert!(!text.contains("native"), "{text}");
     }
 
     #[test]
     fn loader_refuses_tampered_fingerprints() {
         let input = input();
         let result = tune(&input, &TuneConfig::default()).unwrap();
-        let artifact = PlanArtifact::from_result(&result, &result.best);
+        let artifact = PlanArtifact::from_result(&result);
         let text = artifact.to_json();
         let tampered = text.replace(
             &format!("{:#x}", artifact.fingerprint),
@@ -274,7 +228,7 @@ mod tests {
     fn loader_refuses_inconsistent_knobs() {
         let input = input();
         let result = tune(&input, &TuneConfig::default()).unwrap();
-        let artifact = PlanArtifact::from_result(&result, &result.best);
+        let artifact = PlanArtifact::from_result(&result);
         // Edit the width by hand without re-fingerprinting.
         let text = artifact.to_json();
         let width = format!("\"width\": {},", artifact.candidate.width);
@@ -289,24 +243,49 @@ mod tests {
 
     /// A three-phase plan, which schema 4 could carry while the tuner
     /// searched DSWP, is one the native executor refuses: a schema-4
-    /// artifact is refused by its version, and a schema-5 one whose
+    /// artifact is refused by its version, and a schema-6 one whose
     /// embedded plan was edited to three phases by its fingerprint.
     #[test]
     fn loader_refuses_a_dswp_artifact() {
         let result = tune(&input(), &TuneConfig::default()).unwrap();
-        let artifact = PlanArtifact::from_result(&result, &result.best);
+        let artifact = PlanArtifact::from_result(&result);
         let text = artifact.to_json();
-        let v4 = text.replace("\"schema_version\": 5,", "\"schema_version\": 4,");
+        let v4 = text.replace("\"schema_version\": 6,", "\"schema_version\": 4,");
         let v4 = v4.replace("\"width\":", "\"graph\": \"dswp\",\n  \"width\":");
         assert_eq!(
             PlanArtifact::from_json(&v4).unwrap_err(),
-            "unknown artifact schema_version 4 (expected 5)"
+            "unknown artifact schema_version 4 (expected 6)"
         );
         let plan = artifact.candidate.plan().stages_to_json();
         let dswp = seqpar_runtime::ExecutionPlan::three_phase(8).stages_to_json();
         assert!(text.contains(&plan), "{text}");
         let err = PlanArtifact::from_json(&text.replace(&plan, &dswp)).unwrap_err();
         assert!(err.contains("embedded plan stages disagree"), "{err}");
+    }
+
+    /// Schema 5 carried a `native` block: the walls of whichever row won
+    /// a wall-clock race, so two runs of one search could write two
+    /// different plans. Such a file is refused by its version.
+    #[test]
+    fn loader_refuses_a_schema_5_artifact_with_a_native_block() {
+        let result = tune(&input(), &TuneConfig::default()).unwrap();
+        let text = PlanArtifact::from_result(&result).to_json();
+        let baseline = format!("\"baseline_cost\": {}\n", result.baseline.score.cost);
+        assert!(text.contains(&baseline), "{text}");
+        let v5 = text
+            .replace("\"schema_version\": 6,", "\"schema_version\": 5,")
+            .replace(
+                &baseline,
+                &format!(
+                    "{},\n  \"native\": {{\"tuned_wall_ms\": 1.25, \"default_wall_ms\": 2.5, \"speedup_vs_default\": 2.0}}\n",
+                    baseline.trim_end()
+                ),
+            );
+        assert!(seqpar_runtime::json::parse(&v5).is_ok(), "{v5}");
+        assert_eq!(
+            PlanArtifact::from_json(&v5).unwrap_err(),
+            "unknown artifact schema_version 5 (expected 6)"
+        );
     }
 
     #[test]
@@ -321,7 +300,7 @@ mod tests {
         // queue capacity) is refused by version before any field is read.
         assert_eq!(
             PlanArtifact::from_json("{\"schema_version\": 3}").unwrap_err(),
-            "unknown artifact schema_version 3 (expected 5)"
+            "unknown artifact schema_version 3 (expected 6)"
         );
         assert!(PlanArtifact::from_json("{}")
             .unwrap_err()

@@ -19,18 +19,21 @@
 //!    writes, keyed by the plan's lint-stamp fingerprint and
 //!    integrity-checked on reload.
 //!
-//! The simulator score is a *surrogate*: the bench glue re-validates
-//! every row natively (byte-identical output against the sequential
-//! oracle, median wall clock against the untuned default) and crowns
-//! the fastest. `AUTOTUNING.md` documents the whole story — the space,
-//! cost model, divergence, reproducibility contract, and schema.
+//! The cheapest row is the answer, and the artifact holds it, as the
+//! paper's compiler fixes a loop's plan before the run. The bench glue
+//! may also run every row natively through the native table's
+//! instrument (every run byte-checked against the sequential oracle)
+//! and print each row's sequential ÷ native ratio beside its cost; the
+//! runs change no byte of the artifact. `AUTOTUNING.md` documents the
+//! whole story — the space, cost model, divergence, reproducibility
+//! contract, and schema.
 
 pub mod artifact;
 pub mod evaluator;
 pub mod search;
 pub mod space;
 
-pub use artifact::{NativeValidation, PlanArtifact, ARTIFACT_SCHEMA_VERSION};
+pub use artifact::{PlanArtifact, ARTIFACT_SCHEMA_VERSION};
 pub use evaluator::{score_candidate, Score};
 pub use search::{tune, ScoredCandidate, TuneConfig, TuneError, TuneResult};
 pub use space::{Candidate, PlanKind, TuneInput};

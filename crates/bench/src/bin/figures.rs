@@ -16,8 +16,8 @@
 //! (default budget, 8-core budget — see AUTOTUNING.md) searches each benchmark's plan space and the column
 //! shows the winner's simulated speedup with its evaluator cost delta
 //! against the untuned default, e.g. `4.12x (-18%)`. This is the
-//! simulator's verdict only; `seqpar-tune` validates winners natively
-//! and persists them as plan artifacts.
+//! simulator's verdict, the one `seqpar-tune` persists as plan
+//! artifacts.
 //!
 //! With `--native`, targets name benchmarks (`164.gzip`, … or `all`) and
 //! each runs on real OS threads under `tls(1)` and `tls(2)`, one row
@@ -29,8 +29,9 @@
 //! own as `first(ms)`), the squash ratio next to the simulator's
 //! misspeculation on the graph the runs executed, and k. A spin-pair
 //! capacity reading before and after each benchmark certifies its
-//! two-seat rows; below 1.8 on either side they print as `shared core`
-//! and stay out of the footer's geomean. Every run's output is
+//! two-seat rows; below 1.8, or above the two CPUs the pair can use,
+//! on either side they print as `shared core` and stay out of the
+//! footer's geomean. Every run's output is
 //! byte-checked against the sequential loop, and a mismatch panics.
 //! Native runs default to the `test` input size (real wall time, not
 //! simulated cycles) unless `--size` is given. For per-stage timelines
@@ -47,7 +48,7 @@
 //! benchmarks scale, where they saturate, who beats the Moore's-law
 //! reference — are the reproduction target (see EXPERIMENTS.md).
 
-use seqpar_bench::native::{native_kernel, render_native_table};
+use seqpar_bench::native::{native_kernel, render_native_table, NATIVE_WIDTHS};
 use seqpar_bench::{
     render_curves, render_table1, render_table2, sweep_workload, table2, PlanKind, SweepResult,
 };
@@ -175,9 +176,10 @@ fn run_native(size: InputSize, targets: &[String], fault_seed: Option<u64>) {
     if let Some(seed) = fault_seed {
         println!("fault injection armed on every native run: FaultPlan::seeded({seed})");
     }
+    let plans = NATIVE_WIDTHS.map(|width| PlanKind::Tls.plan(width));
     let kernels: Vec<_> = selected
         .iter()
-        .map(|w| native_kernel(w.as_ref(), size, fault_seed))
+        .map(|w| native_kernel(w.as_ref(), size, &plans, fault_seed))
         .collect();
     print!("{}", render_native_table(&kernels));
 }

@@ -10,18 +10,18 @@
 //!
 //! Tuning mode scores each named workload's plan space — the TLS plan
 //! at every width the core budget allows, each once
-//! (`seqpar_analysis::tune`) — re-validates every row natively
-//! (byte-identical output against the sequential oracle, median wall
-//! clock of interleaved repetitions), prints the table with each row's
-//! sim cost beside its native wall and the natively fastest row as the
-//! winner, and — with `--out-dir` — persists each winner as a
-//! reproducible plan artifact named `<spec_id>.plan.json`, keyed by the
-//! plan's lint-stamp fingerprint. Re-running with the same thread
-//! count replays the identical table.
+//! (`seqpar_analysis::tune`) — and names the cheapest row the winner.
+//! It runs every row natively through the native table's instrument
+//! (`seqpar_bench::native`: rotated repeats against the sequential
+//! loop, every run byte-checked) and prints the table with each row's
+//! sim cost beside its sequential ÷ native ratio, median `[IQR]`, and the
+//! kernel's capacity certificate. With `--out-dir` it persists each
+//! winner as a reproducible plan artifact named `<spec_id>.plan.json`,
+//! keyed by the plan's lint-stamp fingerprint. Re-running with the same
+//! thread count writes the same artifacts.
 //!
-//! `--no-native` skips native validation (simulator scores only, the
-//! cheapest row wins, no wall clocks in the artifact) — useful for
-//! quick looks at the search itself.
+//! `--no-native` skips the native runs; the winner and the artifacts
+//! are the same.
 //!
 //! `--check` mode loads each named plan-artifact file through the
 //! schema- and integrity-checking loader and fails on the first
@@ -29,7 +29,7 @@
 //! `tune-smoke` job runs it over every artifact it just produced.
 
 use seqpar_analysis::tune::{PlanArtifact, TuneConfig};
-use seqpar_bench::tune::{render_outcome, render_search, TunableWorkload};
+use seqpar_bench::tune::{render, TunableWorkload};
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize, Workload};
 
 fn main() {
@@ -106,7 +106,6 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
     }
     println!("seqpar-tune: threads {}, size {size}\n", config.threads);
-    let mut beat = 0usize;
     for w in &selected {
         let tunable = TunableWorkload::prepare(*w, size);
         let result = match tunable.tune(&config) {
@@ -118,30 +117,15 @@ fn main() {
                 continue;
             }
         };
-        let artifact = if native {
-            let outcome = tunable.validate_native(result);
-            print!("{}", render_outcome(&outcome));
-            println!();
-            if outcome.delta.beats_baseline() {
-                beat += 1;
-            }
-            outcome.artifact
-        } else {
-            println!("{}", render_search(&result));
-            PlanArtifact::from_result(&result, &result.best)
-        };
+        let kernel = native.then(|| tunable.run_native(&result));
+        println!("{}", render(&result, kernel.as_ref()));
+        let artifact = PlanArtifact::from_result(&result);
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{}.plan.json", artifact.workload);
             std::fs::write(&path, artifact.to_json())
                 .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
             println!("wrote {path}");
         }
-    }
-    if native {
-        println!(
-            "\n{beat}/{} workload(s): tuned plan beat the default natively",
-            selected.len()
-        );
     }
 }
 
@@ -159,16 +143,7 @@ fn check(files: &[String]) {
             }
         };
         match PlanArtifact::from_json(&text) {
-            Ok(a) => println!(
-                "{f}: ok ({}, fingerprint {:#x}, native {})",
-                a.workload,
-                a.fingerprint,
-                if a.native.is_some() {
-                    "validated"
-                } else {
-                    "absent"
-                }
-            ),
+            Ok(a) => println!("{f}: ok ({}, fingerprint {:#x})", a.workload, a.fingerprint),
             Err(e) => {
                 eprintln!("{f}: INVALID: {e}");
                 failed = true;

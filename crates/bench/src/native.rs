@@ -1,22 +1,24 @@
-//! The native table: every kernel on real OS threads under the TLS plan
-//! at one and two seats, each run against repeated runs of its own
-//! sequential loop, every output byte-checked, and the two-seat row
-//! certified by the host's measured capacity. The native executor runs
-//! one stage; the three-phase plan is the simulator's (EXPERIMENTS.md
-//! "The native executor runs one stage" has the last table that ran it
-//! natively).
+//! The one native instrument: a kernel's plans on real OS threads, each
+//! run against repeated runs of its own sequential loop, every output
+//! byte-checked, and the kernel's two-seat rows certified by the host's
+//! measured capacity. The native table runs the TLS plan at one and two
+//! seats; `seqpar-tune` runs every row of its table through the same
+//! code. The native executor runs one stage; the three-phase plan is the
+//! simulator's (EXPERIMENTS.md "The native executor runs one stage" has
+//! the last table that ran it natively).
 //!
 //! A row's engine has a worker per seat of its plan but one
 //! ([`EngineConfig::for_plan`]), and [`Engine::new`] spawns at least one.
 
 use crate::{geomean, misspec_rate, simulate_graph, PlanKind};
-use seqpar_runtime::{Engine, EngineConfig, ExecConfig, FaultPlan};
+use seqpar_runtime::{Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan};
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// The widths the TLS plan runs at.
+/// The widths the native table runs the TLS plan at.
 pub const NATIVE_WIDTHS: [usize; 2] = [1, 2];
 
 /// Alternated repeats behind each row's medians.
@@ -25,6 +27,11 @@ pub const NATIVE_REPEATS: usize = 7;
 /// The capacity both readings around a kernel must reach for its
 /// two-seat rows to count as two cores' work.
 pub const CERTIFIED_CAPACITY: f64 = 1.8;
+
+/// How far a capacity reading may sit above what the pair of spinning
+/// threads can use of the host before it reads as a slow one-thread
+/// reference rather than as capacity.
+pub const CAPACITY_SLACK: f64 = 0.05;
 
 /// The kernels whose chunks compute from their own inputs rather than
 /// restore state their sequential pass recorded: the footer's geomean
@@ -44,6 +51,12 @@ pub struct Spread {
     pub median: f64,
     /// The third quartile minus the first.
     pub iqr: f64,
+}
+
+impl fmt::Display for Spread {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.2} [{:.2}]", self.median, self.iqr)
+    }
 }
 
 impl Spread {
@@ -67,11 +80,11 @@ impl Spread {
     }
 }
 
-/// `tls(width)`: what [`NATIVE_REPEATS`] alternated repeats of the
+/// One plan: what [`NATIVE_REPEATS`] alternated repeats of the
 /// sequential loop and a native run read.
 #[derive(Clone, Debug)]
 pub struct NativeRow {
-    /// Seats the plan is built for.
+    /// Seats the plan is built for ([`ExecutionPlan::cores_required`]).
     pub width: usize,
     /// Iterations per task ([`VersionedJob::grain`]).
     pub k: usize,
@@ -99,27 +112,55 @@ pub struct NativeKernel {
     pub first_run_ms: f64,
     /// [`parallel_capacity`] before and after the kernel's rows.
     pub capacity: [f64; 2],
-    /// One row per width.
+    /// CPUs the host exposed while the kernel ran.
+    pub cpus: usize,
+    /// One row per plan, in the order the plans were given.
     pub rows: Vec<NativeRow>,
 }
 
 impl NativeKernel {
-    /// Whether both capacity readings reach [`CERTIFIED_CAPACITY`].
+    /// Whether both capacity readings [`certify`](certifies) two cores.
     pub fn certified(&self) -> bool {
-        self.capacity.iter().all(|&c| c >= CERTIFIED_CAPACITY)
+        self.capacity.iter().all(|&c| certifies(c, self.cpus))
+    }
+
+    /// The two readings, named by whether they certify:
+    /// `certified a/b` or `shared core a/b`.
+    pub fn certificate(&self) -> String {
+        let verdict = if self.certified() {
+            "certified"
+        } else {
+            "shared core"
+        };
+        format!("{verdict} {:.2}/{:.2}", self.capacity[0], self.capacity[1])
     }
 }
 
-/// Runs one workload's rows, `tls` at each of [`NATIVE_WIDTHS`], between
-/// two capacity readings. `fault_seed` arms
-/// [`FaultPlan::seeded`] on every native run.
+/// Whether one [`parallel_capacity`] reading on a host of `cpus` CPUs
+/// shows two free cores: at least [`CERTIFIED_CAPACITY`], and at most
+/// what the two spinning threads can use of the host (two CPUs, or
+/// fewer on a smaller host) plus [`CAPACITY_SLACK`]. A reading above
+/// that ceiling is a one-thread reference that ran slow.
+pub fn certifies(reading: f64, cpus: usize) -> bool {
+    let ceiling = cpus.min(2) as f64 + CAPACITY_SLACK;
+    (CERTIFIED_CAPACITY..=ceiling).contains(&reading)
+}
+
+/// Runs one workload's `plans`, a row each in their order, between two
+/// capacity readings. `fault_seed` arms [`FaultPlan::seeded`] on every
+/// native run.
 ///
 /// # Panics
 ///
 /// Panics if any run's output differs from the job's first sequential
 /// run: a wall of an execution that broke sequential semantics is no
 /// reading.
-pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>) -> NativeKernel {
+pub fn native_kernel(
+    w: &dyn Workload,
+    size: InputSize,
+    plans: &[ExecutionPlan],
+    fault_seed: Option<u64>,
+) -> NativeKernel {
     let before = parallel_capacity();
     let started = Instant::now();
     let job = w.versioned_job(size);
@@ -131,15 +172,16 @@ pub fn native_kernel(w: &dyn Workload, size: InputSize, fault_seed: Option<u64>)
         Some(seed) => ExecConfig::default().with_faults(FaultPlan::seeded(seed)),
         None => ExecConfig::default(),
     };
-    let rows = NATIVE_WIDTHS
-        .into_iter()
-        .map(|width| native_row(w.meta().spec_id, &job, &oracle, width, &config))
+    let rows = plans
+        .iter()
+        .map(|plan| native_row(w.meta().spec_id, &job, &oracle, plan, &config))
         .collect();
     NativeKernel {
         spec_id: w.meta().spec_id.to_string(),
         build_ms,
         first_run_ms,
         capacity: [before, parallel_capacity()],
+        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         rows,
     }
 }
@@ -151,11 +193,11 @@ fn native_row(
     spec_id: &str,
     job: &VersionedJob,
     oracle: &[u8],
-    width: usize,
+    plan: &ExecutionPlan,
     config: &ExecConfig,
 ) -> NativeRow {
-    let plan = PlanKind::Tls.plan(width);
-    let engine = Engine::new(EngineConfig::for_plan(&plan));
+    let width = plan.cores_required();
+    let engine = Engine::new(EngineConfig::for_plan(plan));
     engine.warm();
     let (mut baseline, mut ratios) = (Vec::new(), Vec::new());
     let (mut squashes, mut tasks, mut recovered) = (0, 0, 0);
@@ -172,7 +214,7 @@ fn native_row(
                 seq = run.wall.as_secs_f64();
                 continue;
             }
-            let (spec, _mem) = job.job_spec(&plan, config.clone());
+            let (spec, _mem) = job.job_spec(plan, config.clone());
             let report = engine
                 .run(&spec)
                 .expect("plan matches machine and faults are recoverable");
@@ -192,7 +234,7 @@ fn native_row(
     let graph = graph.expect("a row runs natively");
     NativeRow {
         width,
-        k: job.grain(&plan),
+        k: job.grain(plan),
         baseline_ms: 1e3 * Spread::of(&baseline).median,
         native: Spread::of(&ratios),
         squash_ratio: squashes as f64 / tasks.max(1) as f64,
@@ -205,10 +247,9 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Renders kernels' rows as one table. A two-seat row reads `shared
-/// core` unless its kernel is [`certified`](NativeKernel::certified),
-/// and the footer's geomean counts the certified `tls(2)` rows of
-/// [`CLEAN_KERNELS`] only.
+/// Renders kernels' rows as one table. A two-seat row carries its
+/// kernel's [`certificate`](NativeKernel::certificate), and the footer's
+/// geomean counts the certified `tls(2)` rows of [`CLEAN_KERNELS`] only.
 pub fn render_native_table(kernels: &[NativeKernel]) -> String {
     let mut out = format!(
         "{:<14}{:<16}{:>5}{:>10}{:>16}{:>8}{:>13}{:>10}{:>10}{:>11}  certificate\n",
@@ -223,23 +264,20 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
         "first(ms)",
         "recovered",
     );
-    let spread = |s: Spread| format!("{:.2} [{:.2}]", s.median, s.iqr);
     let mut clean = Vec::new();
     for kernel in kernels {
-        let readings = format!("{:.2}/{:.2}", kernel.capacity[0], kernel.capacity[1]);
         for row in &kernel.rows {
             let plan = format!("tls({})", row.width);
-            let certificate = match (row.width, kernel.certified()) {
-                (1, _) => "-".to_string(),
-                (_, true) => format!("certified {readings}"),
-                (_, false) => format!("shared core {readings}"),
+            let certificate = match row.width {
+                1 => "-".to_string(),
+                _ => kernel.certificate(),
             };
             out.push_str(&format!(
                 "{:<14}{plan:<16}{:>5}{:>10.2}{:>16}{:>8.3}{:>13.3}{:>10.2}{:>10.2}{:>11}  {certificate}\n",
                 kernel.spec_id,
                 row.k,
                 row.baseline_ms,
-                spread(row.native),
+                row.native.to_string(),
                 row.squash_ratio,
                 row.sim_misspec,
                 kernel.build_ms,
@@ -271,16 +309,25 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
     out
 }
 
-/// Throughput of two spinning threads ÷ that of one, the one read
-/// before and after the pair so that drift between the windows does not
-/// read as capacity: ~2 on two free cores, ~1 when the second core is
-/// not really there. The benchmark's host probe reads it the same way.
+/// Throughput of two spinning threads ÷ that of one: ~2 on two free
+/// cores, ~1 when the second core is not really there. The one-thread
+/// reference is the best one-thread spin this process has read, the two
+/// around the pair included, so one slow window cannot read as extra
+/// capacity.
 pub fn parallel_capacity() -> f64 {
     let window = Duration::from_millis(50);
-    let before = spin_throughput(1, window);
+    best_one_thread(spin_throughput(1, window));
     let two = spin_throughput(2, window);
-    let after = spin_throughput(1, window);
-    two / ((before + after) / 2.0).max(1.0)
+    let one = best_one_thread(spin_throughput(1, window));
+    two / one.max(1.0)
+}
+
+/// Folds a one-thread `reading` into the best this process has read and
+/// returns that best. A statistic that publishes nothing else, so
+/// `Relaxed`; non-negative floats order as their bits do.
+fn best_one_thread(reading: f64) -> f64 {
+    static BEST: AtomicU64 = AtomicU64::new(0);
+    f64::from_bits(BEST.fetch_max(reading.to_bits(), Ordering::Relaxed)).max(reading)
 }
 
 /// Spins on `threads` threads for about `window` and returns rounds per
@@ -350,8 +397,21 @@ mod tests {
             build_ms: 1.0,
             first_run_ms: 10.0,
             capacity,
+            cpus: 2,
             rows: vec![row(1, 0.9), row(2, tls2)],
         }
+    }
+
+    #[test]
+    fn a_certificate_reads_between_the_floor_and_the_host() {
+        assert!(!certifies(2.43, 2), "above two CPUs");
+        assert!(certifies(1.95, 2));
+        assert!(!certifies(1.7, 2), "below the floor");
+        assert!(certifies(2.04, 2) && !certifies(2.06, 2));
+        // Two spinning threads use at most two CPUs of a larger host,
+        // and one CPU never certifies two.
+        assert!(!certifies(2.43, 8));
+        assert!(!certifies(1.95, 1));
     }
 
     #[test]
@@ -372,6 +432,8 @@ mod tests {
             kernel("164.gzip", [1.9, 1.85], 1.6),
             kernel("176.gcc", [1.95, 1.79], 1.0),
             kernel("197.parser", [1.2, 1.9], 1.0),
+            // A reading above the host's two CPUs fails, too.
+            kernel("186.crafty", [1.9, 2.43], 1.2),
             // Certified but not clean: printed, not averaged.
             kernel("255.vortex", [1.9, 1.9], 0.3),
         ];
@@ -385,6 +447,7 @@ mod tests {
         assert!(line("164.gzip", "tls(2)").ends_with("certified 1.90/1.85"));
         assert!(line("176.gcc", "tls(2)").ends_with("shared core 1.95/1.79"));
         assert!(line("197.parser", "tls(2)").ends_with("shared core 1.20/1.90"));
+        assert!(line("186.crafty", "tls(2)").ends_with("shared core 1.90/2.43"));
         assert!(line("176.gcc", "tls(1)").ends_with("  -"));
         assert!(
             table.contains(
@@ -392,9 +455,9 @@ mod tests {
             ),
             "{table}"
         );
-        assert!(table.contains("56 native runs"), "{table}");
+        assert!(table.contains("70 native runs"), "{table}");
 
-        let shared = render_native_table(&kernels[1..3]);
+        let shared = render_native_table(&kernels[1..4]);
         assert!(shared.contains("no two-core result"), "{shared}");
     }
 
@@ -403,7 +466,8 @@ mod tests {
     #[test]
     fn a_kernel_reads_one_checked_row_per_plan_and_width() {
         let w = seqpar_workloads::workload_by_name("197.parser").expect("parser exists");
-        let kernel = native_kernel(w.as_ref(), InputSize::Test, None);
+        let plans = NATIVE_WIDTHS.map(|width| PlanKind::Tls.plan(width));
+        let kernel = native_kernel(w.as_ref(), InputSize::Test, &plans, None);
         let widths: Vec<_> = kernel.rows.iter().map(|r| r.width).collect();
         assert_eq!(widths, [1, 2]);
         assert!(kernel.rows.iter().all(|r| r.k >= 1));

@@ -44,7 +44,7 @@ use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
 use super::{ExecConfig, ExecError, TaskOutput, FALLBACK_ATTEMPT};
-use crate::task::{StageId, TaskId};
+use crate::task::TaskId;
 use seqpar_specmem::{CommitError, ConcurrentVersionedMemory, VersionId};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -507,7 +507,6 @@ impl CommitUnit {
             .filter(|(_, &(_, tasks))| tasks > 0)
             .map(|(seat, &(busy, tasks))| WorkerStat {
                 core: seat.core,
-                stage: StageId(0),
                 busy,
                 tasks,
             })

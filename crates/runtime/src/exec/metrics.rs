@@ -4,7 +4,6 @@
 
 use super::faults::RecoveryCounts;
 use super::trace::{JobId, Timeline};
-use crate::task::StageId;
 use seqpar_specmem::MemStats;
 use std::time::Duration;
 
@@ -27,14 +26,12 @@ pub struct GovernorStats {
     pub degraded_commits: u64,
 }
 
-/// Timing for one seat of the plan (one core assigned to one stage),
+/// Timing for one seat of the plan (one core of its one stage),
 /// whichever threads served it.
 #[derive(Clone, Debug)]
 pub struct WorkerStat {
     /// The plan core this worker modelled.
     pub core: usize,
-    /// The stage it served.
-    pub stage: StageId,
     /// Total time spent inside task bodies.
     pub busy: Duration,
     /// Executions performed (including squashed attempts).
@@ -194,61 +191,5 @@ impl NativeReport {
             return 0.0;
         }
         self.squashes as f64 / self.attempts as f64
-    }
-
-    /// Compares this run (the tuned plan) against a baseline run of the
-    /// same job (the default plan) — the tuned-vs-default delta the
-    /// autotuner's native validation records into plan artifacts.
-    ///
-    /// ```
-    /// use seqpar_runtime::NativeReport;
-    /// use std::time::Duration;
-    ///
-    /// let tuned = NativeReport::empty(Duration::from_millis(5));
-    /// let default_plan = NativeReport::empty(Duration::from_millis(10));
-    /// let delta = tuned.delta_vs(&default_plan);
-    /// assert_eq!(delta.speedup_vs_baseline, 2.0);
-    /// assert!(delta.beats_baseline());
-    /// ```
-    pub fn delta_vs(&self, baseline: &NativeReport) -> PlanDelta {
-        PlanDelta {
-            tuned_wall: self.wall,
-            baseline_wall: baseline.wall,
-            speedup_vs_baseline: if self.wall.is_zero() {
-                0.0
-            } else {
-                baseline.wall.as_secs_f64() / self.wall.as_secs_f64()
-            },
-            squash_delta: self.squashes as i64 - baseline.squashes as i64,
-            attempt_delta: self.attempts as i64 - baseline.attempts as i64,
-        }
-    }
-}
-
-/// The tuned-vs-default comparison of two native runs of the same job:
-/// what [`NativeReport::delta_vs`] computes and the autotuner persists.
-///
-/// Both runs must have committed byte-identical output (the callers'
-/// invariant) — the delta is purely about cost, never about results.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PlanDelta {
-    /// Wall clock of the tuned run.
-    pub tuned_wall: Duration,
-    /// Wall clock of the baseline (default-plan) run.
-    pub baseline_wall: Duration,
-    /// `baseline_wall / tuned_wall` — above 1.0 means the tuned plan
-    /// won. `0.0` for a zero-wall tuned run (defined, not infinite).
-    pub speedup_vs_baseline: f64,
-    /// Squashes of the tuned run minus the baseline's (negative when
-    /// tuning calmed the conflict storm).
-    pub squash_delta: i64,
-    /// Body executions of the tuned run minus the baseline's.
-    pub attempt_delta: i64,
-}
-
-impl PlanDelta {
-    /// Whether the tuned run was strictly faster than the baseline.
-    pub fn beats_baseline(&self) -> bool {
-        self.speedup_vs_baseline > 1.0
     }
 }

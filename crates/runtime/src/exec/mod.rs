@@ -97,7 +97,7 @@ mod trace;
 
 pub use engine::{Engine, EngineConfig, JobHandle, JobSpec};
 pub use faults::{predict_recovery, FaultKind, FaultPlan, RecoveryCounts, RecoveryPrediction};
-pub use metrics::{GovernorStats, NativeReport, PlanDelta, WorkerStat};
+pub use metrics::{GovernorStats, NativeReport, WorkerStat};
 pub use trace::{
     CriticalPath, DurationStats, JobId, SquashReason, StageMetrics, TimeUnit, Timeline,
     TraceDefect, TraceEvent, TraceEventKind,

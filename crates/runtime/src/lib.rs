@@ -57,8 +57,8 @@ pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
     predict_recovery, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
     FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec, NativeBody,
-    NativeReport, PlanDelta, RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics,
-    TaskCtx, TaskOutput, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
+    NativeReport, RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics, TaskCtx,
+    TaskOutput, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
     FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};

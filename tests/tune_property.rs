@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use seqpar_analysis::tune::{score_candidate, Candidate, TuneConfig};
 use seqpar_bench::tune::TunableWorkload;
-use seqpar_runtime::{Engine, EngineConfig};
+use seqpar_runtime::{Engine, EngineConfig, ExecConfig};
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize};
 
 /// A cross-section of the suite: a pipeline-friendly compressor, a
@@ -53,7 +53,7 @@ proptest! {
 
             // Byte-identical to the oracle under the shared executor
             // configuration.
-            let (spec, _mem) = job.job_spec(&plan, TunableWorkload::exec_config());
+            let (spec, _mem) = job.job_spec(&plan, ExecConfig::default());
             let native = Engine::new(EngineConfig::for_plan(&plan))
                 .run(&spec)
                 .expect("emitted plan matches the machine");
