@@ -40,8 +40,8 @@
 //! no panic reported recovered — 2 on usage errors.
 
 use seqpar_bench::{
-    json, render_critical_path, render_grain, render_memory_summary, render_timeline_gantt,
-    render_trace_summary, trace_native,
+    json, render_critical_path, render_grain, render_timeline_gantt, render_trace_summary,
+    trace_native,
 };
 use seqpar_runtime::{
     Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan, NativeReport, SimConfig,
@@ -169,20 +169,16 @@ fn main() {
     let labels = stage_labels(timeline.stage_count());
     print!("{}", render_trace_summary(timeline, &labels));
     println!();
-    let mem_summary = render_memory_summary(timeline, &labels);
-    if !mem_summary.is_empty() {
-        print!("{mem_summary}");
-        println!();
-    }
     print!("{}", render_timeline_gantt(timeline));
 
-    // Critical path and simulated twin over the task graph the run
-    // executed, at the grain it executed it.
-    let graph = &*run.graph;
     println!(
         "{}",
-        render_critical_path(&timeline.critical_path(graph), timeline.unit())
+        render_critical_path(&timeline.critical_path(), timeline.unit())
     );
+
+    // The simulated twin runs the task graph the run executed, at the
+    // grain it executed it.
+    let graph = &*run.graph;
 
     // Differential check: the simulator's timeline of the same plan must
     // commit tasks in the same order (always sequential order, for both).

@@ -321,9 +321,9 @@ pub struct TracedRun {
     /// Wall-clock milliseconds of the sequential reference run.
     pub sequential_wall_ms: f64,
     /// The task graph the run executed ([`JobSpec::graph`](seqpar_runtime::JobSpec::graph)):
-    /// what a critical path or a simulated twin of *this* run is taken
-    /// over — a graph re-derived from a second job's trace need not
-    /// have the same grain.
+    /// what a simulated twin of *this* run is taken over — a graph
+    /// re-derived from a second job's trace need not have the same
+    /// grain.
     pub graph: Arc<TaskGraph>,
     /// [`render_grain`] of the job that ran.
     pub grain: String,
@@ -337,10 +337,8 @@ pub struct TracedRun {
 /// byte-for-byte against the sequential run before anything is
 /// returned — a trace of an execution that broke sequential semantics
 /// would be worse than no trace. Every workload runs conflict-driven on
-/// the versioned-memory substrate, so reports carry
-/// [`NativeReport::mem`] and timelines the
-/// `VersionOpen`/`VersionReads`/`VersionConflict`/`VersionCommit`
-/// events.
+/// the versioned-memory substrate, so reports carry its counters in
+/// [`NativeReport::mem`].
 pub fn trace_native(
     w: &dyn Workload,
     size: InputSize,
@@ -424,87 +422,6 @@ pub fn render_trace_summary(timeline: &Timeline, labels: &[String]) -> String {
             m.service.max,
             m.queue_wait.p50,
             m.commit_latency.p50,
-        ));
-    }
-    out
-}
-
-/// Renders the versioned-memory substrate's per-stage activity as an
-/// ASCII table: versions opened, tracked reads, eager forwards served,
-/// conflict squashes, and version commits (with total committed
-/// writes). Built from the timeline's
-/// `VersionOpen`/`VersionReads`/`VersionConflict`/`VersionCommit`
-/// events; returns the empty string when the timeline carries none
-/// (e.g. a replay job, whose [`JobSpec`](seqpar_runtime::JobSpec) has no
-/// substrate).
-pub fn render_memory_summary(timeline: &Timeline, labels: &[String]) -> String {
-    #[derive(Clone, Copy, Default)]
-    struct StageMem {
-        opens: u64,
-        reads: u64,
-        forwards: u64,
-        conflicts: u64,
-        commits: u64,
-        writes: u64,
-    }
-    let mut stages: Vec<(u8, StageMem)> = Vec::new();
-    let slot = |stage: u8, stages: &mut Vec<(u8, StageMem)>| -> usize {
-        if let Some(i) = stages.iter().position(|(s, _)| *s == stage) {
-            i
-        } else {
-            stages.push((stage, StageMem::default()));
-            stages.sort_by_key(|(s, _)| *s);
-            stages
-                .iter()
-                .position(|(s, _)| *s == stage)
-                .expect("just inserted")
-        }
-    };
-    for e in timeline.events() {
-        match e.kind {
-            TraceEventKind::VersionOpen { stage, .. } => {
-                let i = slot(stage, &mut stages);
-                stages[i].1.opens += 1;
-            }
-            TraceEventKind::VersionReads {
-                stage,
-                reads,
-                forwards,
-                ..
-            } => {
-                let i = slot(stage, &mut stages);
-                stages[i].1.reads += reads;
-                stages[i].1.forwards += forwards;
-            }
-            TraceEventKind::VersionConflict { stage, .. } => {
-                let i = slot(stage, &mut stages);
-                stages[i].1.conflicts += 1;
-            }
-            TraceEventKind::VersionCommit { stage, writes, .. } => {
-                let i = slot(stage, &mut stages);
-                stages[i].1.commits += 1;
-                stages[i].1.writes += writes;
-            }
-            _ => {}
-        }
-    }
-    if stages.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    out.push_str("### memory substrate (per stage; counts are timing-dependent)\n");
-    out.push_str(&format!(
-        "{:<16}{:>9}{:>9}{:>10}{:>11}{:>9}{:>9}\n",
-        "stage", "opens", "reads", "forwards", "conflicts", "commits", "writes"
-    ));
-    for (stage, m) in &stages {
-        let label = labels
-            .get(usize::from(*stage))
-            .cloned()
-            .unwrap_or_else(|| format!("stage {stage}"));
-        out.push_str(&format!(
-            "{label:<16}{:>9}{:>9}{:>10}{:>11}{:>9}{:>9}\n",
-            m.opens, m.reads, m.forwards, m.conflicts, m.commits, m.writes
         ));
     }
     out
@@ -825,7 +742,7 @@ mod tests {
         assert_eq!(gantt.lines().count(), 4, "one row per plan core");
         assert!(gantt.bytes().filter(u8::is_ascii_uppercase).count() > 10);
 
-        let path = timeline.critical_path(&graph);
+        let path = timeline.critical_path();
         let line = render_critical_path(&path, timeline.unit());
         assert!(line.contains("critical path"));
         assert!(line.contains("cycles"));

@@ -301,15 +301,9 @@ impl CommitUnit {
                         self.recovery.stalls_absorbed += 1;
                     }
                     match stopped {
-                        Some(CommitError::Squashed { by }) => {
-                            let stage = graph.task(TaskId(done.task)).stage.0;
+                        Some(CommitError::Squashed { .. }) => {
                             self.squashes += 1;
                             self.violations += 1;
-                            self.trace.record(TraceEventKind::VersionConflict {
-                                stage,
-                                task: done.task,
-                                by: by.0 as u32,
-                            });
                             self.trace.record(TraceEventKind::Squash {
                                 task: done.task,
                                 attempt: done.attempt,
@@ -402,19 +396,12 @@ impl CommitUnit {
                 // the check and this sweep, and the batch commit cannot
                 // come up short.
                 versions.truncate(batch.len());
-                let (writes, stopped) = m.try_commit_batch(&versions);
+                let (published, stopped) = m.try_commit_batch(&versions);
                 assert_eq!(
-                    writes.len(),
+                    published.len(),
                     batch.len(),
                     "checked batch must commit in full: {stopped:?}"
                 );
-                for (done, w) in batch.iter().zip(writes) {
-                    self.trace.record(TraceEventKind::VersionCommit {
-                        stage: graph.task(TaskId(done.task)).stage.0,
-                        task: done.task,
-                        writes: w,
-                    });
-                }
             } else {
                 for done in &batch {
                     let task = graph.task(TaskId(done.task));

@@ -569,9 +569,9 @@ pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
 }
 
 /// Runs one attempt end to end — fault injection, version open, the
-/// body under `catch_unwind`, version probe, and the dispatch/complete
-/// trace pair — and returns the completion to report, the body time it
-/// charges to `seat` included. The events stay in `trace`; the caller
+/// body under `catch_unwind`, and the dispatch/complete trace pair —
+/// and returns the completion to report, the body time it charges to
+/// `seat` included. The events stay in `trace`; the caller
 /// decides how they travel.
 fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuffer) -> WorkerDone {
     let faults = &job.spec.config.fault_plan;
@@ -626,33 +626,12 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     // body runs. A squashed predecessor attempt was rolled back at
     // the frontier before this re-dispatch, so `begin` never sees a
     // live duplicate.
-    let version = VersionId(u64::from(item.task));
     if let Some(m) = mem {
-        m.begin(version);
-        trace.record(TraceEventKind::VersionOpen {
-            stage,
-            task: item.task,
-            attempt: item.attempt,
-        });
+        m.begin(VersionId(u64::from(item.task)));
     }
     let started = Instant::now();
     let result = job.run_here(item.task, item.attempt, mem);
     let busy = started.elapsed();
-    if let (Some(m), Ok(_), true) = (mem, &result, trace.enabled()) {
-        // What the attempt actually did to its version, recorded
-        // from the worker's side while the version is still open
-        // (the frontier decides later whether it commits). The probe
-        // costs a registry read lock, so untraced runs skip it.
-        if let Some(probe) = m.probe(version) {
-            trace.record(TraceEventKind::VersionReads {
-                stage,
-                task: item.task,
-                attempt: item.attempt,
-                reads: probe.reads,
-                forwards: probe.forwards,
-            });
-        }
-    }
     // A real body panic no longer kills the run: the worker survives
     // and the commit unit squashes and replays the attempt under the
     // task's retry budget.

@@ -23,8 +23,8 @@
 //! See `OBSERVABILITY.md` at the repository root for the full schema
 //! reference and a capture walkthrough.
 
-use crate::task::{StageId, TaskGraph, TaskId};
-use std::collections::HashMap;
+use crate::task::{StageId, TaskId};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
@@ -213,58 +213,6 @@ pub enum TraceEventKind {
     /// The heartbeat watchdog fired: no completion arrived within
     /// [`ExecConfig::watchdog_deadline`](super::ExecConfig::watchdog_deadline).
     WatchdogTrip,
-    /// An attempt opened a version in the concurrent versioned-memory
-    /// substrate (versioned runs only; recorded by the worker at
-    /// dispatch, one instant per attempt).
-    VersionOpen {
-        /// The task's stage.
-        stage: u8,
-        /// The task whose attempt opened the version.
-        task: u32,
-        /// The attempt number (version ids are per-task; each replay
-        /// re-opens the id with a fresh buffer).
-        attempt: u32,
-    },
-    /// The speculative reads an attempt issued through its version:
-    /// how many were tracked into the read set, and how many of those
-    /// were satisfied by *eagerly forwarding* an uncommitted store from
-    /// an earlier active version (paper §2.1).
-    VersionReads {
-        /// The task's stage.
-        stage: u8,
-        /// The reading task.
-        task: u32,
-        /// The attempt that issued the reads.
-        attempt: u32,
-        /// Tracked reads issued.
-        reads: u64,
-        /// Reads satisfied by eager forwarding.
-        forwards: u64,
-    },
-    /// The commit frontier found the attempt's version invalidated: an
-    /// earlier version's non-silent write (or rollback) contradicted a
-    /// value this version observed. Paired with a
-    /// [`Squash`](TraceEventKind::Squash) carrying
-    /// [`SquashReason::MemoryConflict`].
-    VersionConflict {
-        /// The invalidated task's stage.
-        stage: u8,
-        /// The invalidated task.
-        task: u32,
-        /// The task whose version squashed it.
-        by: u32,
-    },
-    /// In-order commit published the version's write buffer to committed
-    /// state (versioned runs only; accompanies the task's
-    /// [`Commit`](TraceEventKind::Commit)).
-    VersionCommit {
-        /// The committing task's stage.
-        stage: u8,
-        /// The committing task.
-        task: u32,
-        /// Buffered writes published.
-        writes: u64,
-    },
 }
 
 impl TraceEventKind {
@@ -278,10 +226,6 @@ impl TraceEventKind {
             | TraceEventKind::Squash { task, .. }
             | TraceEventKind::Commit { task, .. }
             | TraceEventKind::SpecDecision { task, .. }
-            | TraceEventKind::VersionOpen { task, .. }
-            | TraceEventKind::VersionReads { task, .. }
-            | TraceEventKind::VersionConflict { task, .. }
-            | TraceEventKind::VersionCommit { task, .. }
             | TraceEventKind::FallbackActivated { from_task: task } => Some(TaskId(*task)),
             TraceEventKind::WatchdogTrip => None,
         }
@@ -525,8 +469,9 @@ impl StageMetrics {
     }
 }
 
-/// The critical path estimate: the longest dependence chain through the
-/// run, weighted by each task's measured service time.
+/// The critical path estimate: the longest chain of tasks the run
+/// serialized, weighted by each task's measured service time (see
+/// [`Timeline::critical_path`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Total weight of the chain, in the timeline's [`TimeUnit`].
@@ -744,15 +689,7 @@ impl Timeline {
                 TraceEventKind::QueuePush { .. }
                 | TraceEventKind::SpecDecision { .. }
                 | TraceEventKind::FallbackActivated { .. }
-                | TraceEventKind::WatchdogTrip
-                // Versioned-memory events carry no ordering constraints
-                // of their own: opens/reads are worker-side annotations,
-                // conflicts and version-commits are frontier-side twins
-                // of Squash/Commit events (which ARE constrained above).
-                | TraceEventKind::VersionOpen { .. }
-                | TraceEventKind::VersionReads { .. }
-                | TraceEventKind::VersionConflict { .. }
-                | TraceEventKind::VersionCommit { .. } => {}
+                | TraceEventKind::WatchdogTrip => {}
             }
         }
         Ok(())
@@ -829,18 +766,22 @@ impl Timeline {
         out
     }
 
-    /// Estimates the critical path: the heaviest chain through the
-    /// dependence graph (synchronized dependences plus *violated*
-    /// speculated ones — the edges that really serialized execution),
-    /// with each task weighted by its committing attempt's measured
-    /// service time. Tasks committed by the sequential fallback carry
-    /// zero weight (they have no worker-side measurement), so the
-    /// estimate covers the pipelined portion of the run.
-    pub fn critical_path(&self, graph: &TaskGraph) -> CriticalPath {
+    /// Estimates the critical path: the heaviest chain of tasks the run
+    /// serialized, with each task weighted by its committing attempt's
+    /// measured service time. The only serialization a timeline shows is
+    /// a squash: the re-execution starts only after every earlier task
+    /// has committed (commit is in order), so a task with a
+    /// [`Squash`](TraceEventKind::Squash) event chains after the task
+    /// before it, and every other task may overlap its predecessors.
+    /// Tasks committed by the sequential fallback carry zero weight (they
+    /// have no worker-side measurement), so the estimate covers the
+    /// pipelined portion of the run.
+    pub fn critical_path(&self) -> CriticalPath {
         // Service time of the attempt each task committed at.
         let mut dispatch: HashMap<(u32, u32), u64> = HashMap::new();
         let mut complete: HashMap<(u32, u32), u64> = HashMap::new();
         let mut weight: HashMap<u32, u64> = HashMap::new();
+        let mut squashed: HashSet<u32> = HashSet::new();
         for e in &self.events {
             match e.kind {
                 TraceEventKind::Dispatch { task, attempt, .. } => {
@@ -849,50 +790,40 @@ impl Timeline {
                 TraceEventKind::Complete { task, attempt, .. } => {
                     complete.insert((task, attempt), e.ts);
                 }
+                TraceEventKind::Squash { task, .. } => {
+                    squashed.insert(task);
+                }
                 TraceEventKind::Commit { task, attempt } => {
-                    if let (Some(&d), Some(&c)) = (
+                    let service = match (
                         dispatch.get(&(task, attempt)),
                         complete.get(&(task, attempt)),
                     ) {
-                        weight.insert(task, c.saturating_sub(d));
-                    }
+                        (Some(&d), Some(&c)) => c.saturating_sub(d),
+                        _ => 0,
+                    };
+                    weight.insert(task, service);
                 }
                 _ => {}
             }
         }
-        let n = graph.len();
+        // Task `idx` chains after `idx - 1` iff it was squashed.
+        let chained = |idx: usize| idx > 0 && squashed.contains(&(idx as u32));
+        let n = weight.keys().max().map_or(0, |&t| t as usize + 1);
         let mut best = vec![0u64; n];
-        let mut pred: Vec<Option<u32>> = vec![None; n];
         let (mut tail, mut tail_len) = (None, 0u64);
-        for (idx, task) in graph.tasks().iter().enumerate() {
-            let w = weight.get(&(idx as u32)).copied().unwrap_or(0);
-            let mut longest = 0u64;
-            let mut via = None;
-            let serializing = graph.deps(task).iter().copied().chain(
-                graph
-                    .spec_deps(task)
-                    .iter()
-                    .filter(|s| s.violated)
-                    .map(|s| s.on),
-            );
-            for d in serializing {
-                if best[d.0 as usize] >= longest {
-                    longest = best[d.0 as usize];
-                    via = Some(d.0);
-                }
-            }
-            best[idx] = longest + w;
-            pred[idx] = via;
+        for idx in 0..n {
+            let before = if chained(idx) { best[idx - 1] } else { 0 };
+            best[idx] = before + weight.get(&(idx as u32)).copied().unwrap_or(0);
             if best[idx] >= tail_len {
                 tail_len = best[idx];
-                tail = Some(idx as u32);
+                tail = Some(idx);
             }
         }
         let mut tasks = Vec::new();
         let mut cursor = tail;
-        while let Some(t) = cursor {
-            tasks.push(TaskId(t));
-            cursor = pred[t as usize];
+        while let Some(idx) = cursor {
+            tasks.push(TaskId(idx as u32));
+            cursor = chained(idx).then(|| idx - 1);
         }
         tasks.reverse();
         CriticalPath {
@@ -1044,53 +975,6 @@ impl Timeline {
                     entries.push(format!(
                         "{{\"name\":\"watchdog trip\",\"cat\":\"recovery\",\"ph\":\"i\",\
                          \"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"g\",\"args\":{{}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::VersionOpen {
-                    stage,
-                    task,
-                    attempt,
-                } => {
-                    entries.push(format!(
-                        "{{\"name\":\"version open t{task}#{attempt}\",\"cat\":\"memory\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"attempt\":{attempt},\"stage\":{stage}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::VersionReads {
-                    stage,
-                    task,
-                    attempt,
-                    reads,
-                    forwards,
-                } => {
-                    entries.push(format!(
-                        "{{\"name\":\"version reads t{task}#{attempt}\",\"cat\":\"memory\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"attempt\":{attempt},\"stage\":{stage},\
-                         \"reads\":{reads},\"forwards\":{forwards}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::VersionConflict { stage, task, by } => {
-                    entries.push(format!(
-                        "{{\"name\":\"version conflict t{task} by t{by}\",\"cat\":\"memory\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"by\":{by},\"stage\":{stage}}}}}",
-                        ts_us(e.ts)
-                    ));
-                }
-                TraceEventKind::VersionCommit {
-                    stage,
-                    task,
-                    writes,
-                } => {
-                    entries.push(format!(
-                        "{{\"name\":\"version commit t{task}\",\"cat\":\"memory\",\
-                         \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":0,\"s\":\"t\",\
-                         \"args\":{{\"task\":{task},\"stage\":{stage},\"writes\":{writes}}}}}",
                         ts_us(e.ts)
                     ));
                 }
@@ -1295,25 +1179,47 @@ mod tests {
 
     #[test]
     fn critical_path_follows_serializing_edges() {
-        // Two-stage chain: t0 -> t1 (sync dep); t1's service dominates.
-        let mut g = TaskGraph::new(2);
-        let a = g.add_task(0, 0, 1, &[], &[]);
-        g.add_task(1, 0, 1, &[a], &[]);
+        // t1's first attempt is squashed, so its replay (30) chains after
+        // t0 (10); t2 (35) overlapped t1 and chains after nothing.
+        let squash = ev(
+            12,
+            TraceEventKind::Squash {
+                task: 1,
+                attempt: 0,
+                reason: SquashReason::MemoryConflict,
+            },
+        );
         let t = Timeline::stitch(
             TimeUnit::Nanos,
-            2,
+            1,
+            vec![
+                vec![dispatch(0, 0, 0), complete(10, 0, 0)],
+                vec![dispatch(1, 1, 0), complete(5, 1, 0)],
+                vec![dispatch(12, 1, 1), complete(42, 1, 1)],
+                vec![dispatch(2, 2, 0), complete(37, 2, 0)],
+                vec![commit(11, 0, 0), squash, commit(43, 1, 1), commit(44, 2, 0)],
+            ],
+        );
+        t.validate().expect("legal trace");
+        let cp = t.critical_path();
+        assert_eq!(cp.length, 40);
+        assert_eq!(cp.tasks, vec![TaskId(0), TaskId(1)]);
+        // Without the squash nothing serializes: the heaviest task alone.
+        let clean = Timeline::stitch(
+            TimeUnit::Nanos,
+            1,
             vec![vec![
                 dispatch(0, 0, 0),
                 complete(10, 0, 0),
-                dispatch(10, 1, 0),
-                complete(40, 1, 0),
+                dispatch(0, 1, 0),
+                complete(30, 1, 0),
                 commit(11, 0, 0),
-                commit(41, 1, 0),
+                commit(31, 1, 0),
             ]],
         );
-        let cp = t.critical_path(&g);
-        assert_eq!(cp.length, 40);
-        assert_eq!(cp.tasks, vec![TaskId(0), TaskId(1)]);
+        let cp = clean.critical_path();
+        assert_eq!(cp.length, 30);
+        assert_eq!(cp.tasks, vec![TaskId(1)]);
     }
 
     #[test]

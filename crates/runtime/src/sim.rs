@@ -201,16 +201,6 @@ impl SimResult {
     /// task (attempt 0) where the native timeline shows a squashed
     /// attempt 0 and a committing attempt 1; commit order — the
     /// sequential program order — is identical on both sides.
-    ///
-    /// The paper's model presumes versioned-memory hardware, so the
-    /// simulated timeline also carries the substrate's event twins:
-    /// a `VersionOpen` at each task's dispatch, a `VersionReads` at its
-    /// completion (one tracked read per speculated dependence, the
-    /// surviving ones counted as eager forwards), a `VersionConflict`
-    /// at the frontier for every manifested dependence, and a
-    /// `VersionCommit` at every commit — the same four instants a
-    /// native job with a substrate ([`JobSpec::mem`](crate::JobSpec::mem))
-    /// records from real conflict detection.
     pub fn timeline(&self, graph: &TaskGraph) -> Timeline {
         let placements = &self.placements;
         let mut exec_events: Vec<TraceEvent> = Vec::with_capacity(placements.len() * 2);
@@ -226,32 +216,6 @@ impl SimResult {
                     attempt: 0,
                 },
             });
-            exec_events.push(TraceEvent {
-                ts: p.start,
-                job: JobId::SOLO,
-                kind: TraceEventKind::VersionOpen {
-                    stage: task.stage.0,
-                    task: p.task.0,
-                    attempt: 0,
-                },
-            });
-            if !graph.spec_deps(task).is_empty() {
-                // The modelled version tracks one read per speculated
-                // dependence; the ones that did not manifest were
-                // satisfied by eager forwarding.
-                let survived = graph.spec_deps(task).iter().filter(|d| !d.violated).count() as u64;
-                exec_events.push(TraceEvent {
-                    ts: p.end,
-                    job: JobId::SOLO,
-                    kind: TraceEventKind::VersionReads {
-                        stage: task.stage.0,
-                        task: p.task.0,
-                        attempt: 0,
-                        reads: graph.spec_deps(task).len() as u64,
-                        forwards: survived,
-                    },
-                });
-            }
             exec_events.push(TraceEvent {
                 ts: p.end,
                 job: JobId::SOLO,
@@ -283,29 +247,7 @@ impl SimResult {
                         survived: graph.spec_deps(task).len() as u32 - violated,
                     },
                 });
-                for dep in graph.spec_deps(task).iter().filter(|d| d.violated) {
-                    frontier_events.push(TraceEvent {
-                        ts: frontier,
-                        job: JobId::SOLO,
-                        kind: TraceEventKind::VersionConflict {
-                            stage: task.stage.0,
-                            task: idx as u32,
-                            by: dep.on.0,
-                        },
-                    });
-                }
             }
-            frontier_events.push(TraceEvent {
-                ts: frontier,
-                job: JobId::SOLO,
-                kind: TraceEventKind::VersionCommit {
-                    stage: task.stage.0,
-                    task: idx as u32,
-                    // The analytic model carries no write counts; the
-                    // twin records the commit instant, not a volume.
-                    writes: 0,
-                },
-            });
             frontier_events.push(TraceEvent {
                 ts: frontier,
                 job: JobId::SOLO,

@@ -25,9 +25,8 @@
 //! * **A global version registry** (`RwLock`) holds one handle per
 //!   active version: its squashed-by mark (an atomic, so a conflicting
 //!   writer in one shard can doom a version without taking any other
-//!   lock), per-version operation counters and the addresses the
-//!   version holds entries at. Lock order is always registry → shard,
-//!   never the reverse.
+//!   lock) and the addresses the version holds entries at. Lock order
+//!   is always registry → shard, never the reverse.
 //! * **Commit and rollback visit only what the version touched.** The
 //!   oldest live version's entries lead every cell's lists, so commit
 //!   pops them and stores the written value as the committed value, at
@@ -35,10 +34,11 @@
 //!   once, with nothing left to reclaim. Rollback removes the version's
 //!   entries the same way and squashes exactly the later readers whose
 //!   inherited value changed. A cell left holding nothing is dropped.
-//! * **Statistics stay exact under concurrency**: every counter in the
-//!   [`MemStats`] snapshot is updated inside the operation that it
-//!   counts — an access's under the shard lock it already holds, the
-//!   rest in atomics.
+//! * **Statistics are counted once, exact under concurrency**: every
+//!   counter in the [`MemStats`] snapshot is updated inside the
+//!   operation that it counts — an access's under the shard lock it
+//!   already holds, the rest in atomics — and there is no per-version
+//!   twin of any of them.
 //!
 //! The intended executor protocol (one version per task attempt):
 //! workers [`begin`](ConcurrentVersionedMemory::begin) a version and
@@ -68,15 +68,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const SHARD_COUNT: usize = 16;
 
 /// Per-version bookkeeping that must be reachable from any shard: the
-/// squashed-by mark, the attempt's operation counters and its footprint.
+/// squashed-by mark and the footprint.
 #[derive(Debug, Default)]
 struct Handle {
     /// `1 + VersionId.0` of the squashing version, or 0.
     squashed_by: AtomicU64,
-    reads: AtomicU64,
-    forwards: AtomicU64,
-    writes: AtomicU64,
-    silent_stores: AtomicU64,
     /// Every address whose cell holds an entry of this version: all
     /// that commit and rollback visit.
     touched: Footprint,
@@ -258,22 +254,6 @@ impl AtomicStats {
     }
 }
 
-/// A per-version operation summary, read from the version's handle
-/// without touching any shard (used by the executor to trace an
-/// attempt's memory behaviour).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VersionProbe {
-    /// Tracked reads the version issued.
-    pub reads: u64,
-    /// Reads satisfied by eager forwarding from an earlier uncommitted
-    /// version.
-    pub forwards: u64,
-    /// Stores issued (including elided silent ones).
-    pub writes: u64,
-    /// Stores elided by the silent-store rule.
-    pub silent_stores: u64,
-}
-
 /// Thread-safe, address-sharded versioned speculative memory.
 ///
 /// See the [module docs](self) for the design and the
@@ -409,13 +389,11 @@ impl ConcurrentVersionedMemory {
         let own = i > 0 && cell.writers[i - 1].0 == v.0;
         if i > 0 && !own {
             shard.ops.forwards += 1;
-            handle.forwards.fetch_add(1, Ordering::Relaxed);
         }
         if !own && cell.observe(v.0, value) {
             handle.touched.record(addr);
         }
         shard.ops.reads += 1;
-        handle.reads.fetch_add(1, Ordering::Relaxed);
         value
     }
 
@@ -442,7 +420,6 @@ impl ConcurrentVersionedMemory {
         let handle = reg
             .get(&v.0)
             .unwrap_or_else(|| panic!("write from inactive version {v}"));
-        handle.writes.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.shard(addr).lock();
         let shard = &mut *guard;
         shard.ops.writes += 1;
@@ -452,7 +429,6 @@ impl ConcurrentVersionedMemory {
             cell.writers[i].1 = value;
         } else if cell.before(i) == value {
             shard.ops.silent_stores += 1;
-            handle.silent_stores.fetch_add(1, Ordering::Relaxed);
             if cell.observe(v.0, value) {
                 handle.touched.record(addr);
             }
@@ -645,19 +621,6 @@ impl ConcurrentVersionedMemory {
     /// The number of currently active versions.
     pub fn active_count(&self) -> usize {
         self.registry.read().len()
-    }
-
-    /// A snapshot of `v`'s operation counters, or `None` if `v` is not
-    /// active.
-    pub fn probe(&self, v: VersionId) -> Option<VersionProbe> {
-        let reg = self.registry.read();
-        let h = reg.get(&v.0)?;
-        Some(VersionProbe {
-            reads: h.reads.load(Ordering::Relaxed),
-            forwards: h.forwards.load(Ordering::Relaxed),
-            writes: h.writes.load(Ordering::Relaxed),
-            silent_stores: h.silent_stores.load(Ordering::Relaxed),
-        })
     }
 
     /// A consistent-enough snapshot of the accumulated statistics
@@ -906,8 +869,8 @@ mod tests {
         assert!(m.write(v0, Addr(2), 0).is_empty());
         m.write(v1, Addr(1), 5);
         m.write(v1, Addr(1), 6);
-        assert_eq!(m.probe(v0).map(|p| p.writes), Some(2));
-        assert_eq!(m.probe(v1).map(|p| p.writes), Some(2));
+        assert_eq!(m.stats().writes, 4);
+        assert_eq!(m.stats().silent_stores, 2);
         assert_eq!(m.try_commit_batch(&[v0, v1]), (vec![0, 1], None));
         assert_eq!(m.committed(Addr(1)), Some(6));
         assert_eq!(

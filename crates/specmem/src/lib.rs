@@ -59,6 +59,6 @@ pub mod concurrent;
 pub mod memory;
 pub mod stats;
 
-pub use concurrent::{ConcurrentVersionedMemory, VersionProbe};
+pub use concurrent::ConcurrentVersionedMemory;
 pub use memory::{Addr, CommitError, VersionId};
 pub use stats::MemStats;
