@@ -15,7 +15,7 @@ use seqpar_runtime::{Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan}
 use seqpar_workloads::{InputSize, VersionedJob, Workload};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Once};
 use std::time::{Duration, Instant};
 
 /// The widths the native table runs the TLS plan at.
@@ -313,9 +313,14 @@ pub fn render_native_table(kernels: &[NativeKernel]) -> String {
 /// cores, ~1 when the second core is not really there. The one-thread
 /// reference is the best one-thread spin this process has read, the two
 /// around the pair included, so one slow window cannot read as extra
-/// capacity.
+/// capacity. A process's first reading spins one more one-thread window
+/// first, so that its reference, too, is the best of three.
 pub fn parallel_capacity() -> f64 {
+    static WARM_UP: Once = Once::new();
     let window = Duration::from_millis(50);
+    WARM_UP.call_once(|| {
+        best_one_thread(spin_throughput(1, window));
+    });
     best_one_thread(spin_throughput(1, window));
     let two = spin_throughput(2, window);
     let one = best_one_thread(spin_throughput(1, window));

@@ -2,7 +2,7 @@
 
 use crate::exec::{JobId, TimeUnit, Timeline, TraceEvent, TraceEventKind};
 use crate::plan::{ExecutionPlan, StageAssignment};
-use crate::task::{TaskGraph, TaskId};
+use crate::task::{StageId, Task, TaskGraph, TaskId};
 use std::error::Error;
 use std::fmt;
 
@@ -130,7 +130,9 @@ pub struct TaskPlacement {
     pub end: u64,
 }
 
-/// The outcome of one simulation.
+/// The outcome of one simulation. Per-channel queue occupancy is not
+/// stored: [`SimResult::channel_stats`] derives it from the placements
+/// when a caller asks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResult {
     /// Parallel execution time in cycles.
@@ -149,12 +151,11 @@ pub struct SimResult {
     pub violations: u64,
     /// Speculated dependences that were successfully broken.
     pub speculations_survived: u64,
-    /// Per-channel peak queue occupancy.
-    pub channel_stats: Vec<ChannelStat>,
     /// Each task's placement — which core ran it and when — in task
     /// order: the schedule itself, for validation
-    /// ([`check_schedule`](crate::check_schedule)) and
-    /// [`SimResult::timeline`], which the Gantt view draws.
+    /// ([`check_schedule`](crate::check_schedule)),
+    /// [`SimResult::timeline`], which the Gantt view draws, and
+    /// [`SimResult::channel_stats`], which derives queue occupancy.
     pub placements: Vec<TaskPlacement>,
 }
 
@@ -177,6 +178,45 @@ impl SimResult {
             let busy: u64 = self.core_busy.iter().sum();
             busy as f64 / (self.makespan * cores) as f64
         }
+    }
+
+    /// Per-channel peak queue occupancy of `graph` (the graph this result
+    /// was simulated from), in [`TaskGraph::channels`] order, derived from
+    /// the placements on request: an entry lives from its producer's
+    /// finish to its consumer's start, for every iteration both stages
+    /// ran, and a dequeue counts before an enqueue at the same cycle.
+    pub fn channel_stats(&self, graph: &TaskGraph) -> Vec<ChannelStat> {
+        let tasks = graph.tasks();
+        let mut stats = Vec::with_capacity(graph.channels().len());
+        for &(s, t) in graph.channels() {
+            let (mut enqueues, mut dequeues) = (Vec::new(), Vec::new());
+            let mut from = 0;
+            for (task, p) in tasks.iter().zip(&self.placements) {
+                if task.stage != s {
+                    continue;
+                }
+                if let Some(consumer) = seek(tasks, &mut from, task.iter, t) {
+                    enqueues.push(p.end);
+                    dequeues.push(self.placements[consumer].start);
+                }
+            }
+            enqueues.sort_unstable();
+            dequeues.sort_unstable();
+            let mut freed = 0;
+            let mut max_occupancy = 0;
+            for (filled, &at) in enqueues.iter().enumerate() {
+                while dequeues.get(freed).is_some_and(|&d| d <= at) {
+                    freed += 1;
+                }
+                max_occupancy = max_occupancy.max((filled + 1).saturating_sub(freed));
+            }
+            stats.push(ChannelStat {
+                producer: s.0,
+                consumer: t.0,
+                max_occupancy,
+            });
+        }
+        stats
     }
 
     /// Renders the simulated schedule of `graph` (the graph this result
@@ -265,16 +305,16 @@ impl SimResult {
     }
 }
 
-/// `(iter, start, end)` of one scheduled task, in its stage's list.
-type Span = (u64, u64, u64);
-
-/// The span of iteration `iter` in `list` (ascending in `iter`), searched
-/// from `*from`, which is left at the first span not before `iter`.
-fn seek(list: &[Span], from: &mut usize, iter: u64) -> Option<Span> {
-    while list.get(*from).is_some_and(|span| span.0 < iter) {
+/// The index of the task of `stage` at `iter` in `tasks` (strictly
+/// ascending in `(iter, stage)`), searched from `*from`, which is left at
+/// the first task not before it.
+fn seek(tasks: &[Task], from: &mut usize, iter: u64, stage: StageId) -> Option<usize> {
+    let before = |task: &Task| (task.iter, task.stage) < (iter, stage);
+    while tasks.get(*from).is_some_and(before) {
         *from += 1;
     }
-    list.get(*from).copied().filter(|span| span.0 == iter)
+    let found = tasks.get(*from)?;
+    (found.iter == iter && found.stage == stage).then_some(*from)
 }
 
 /// The list-scheduling performance simulator.
@@ -337,35 +377,29 @@ impl Simulator {
             });
         }
 
-        let n = graph.len();
-        let mut stage_len = vec![0usize; graph.stage_count() as usize];
-        for task in graph.tasks() {
-            stage_len[task.stage.0 as usize] += 1;
-        }
-        // by_stage[s] = stage s's spans as scheduled, ascending in `iter`;
-        // cursor[c] = how far channel c's look-backs have read its consumer's.
-        let mut by_stage: Vec<_> = stage_len
-            .iter()
-            .map(|&l| Vec::<Span>::with_capacity(l))
-            .collect();
+        // cursor[c] = how far channel c's look-backs have read the tasks
+        // scheduled so far.
         let mut cursor = vec![0usize; channels.len()];
         let lat = self.config.comm_latency;
         let mut core_avail = vec![0u64; self.config.cores];
         let mut core_busy = vec![0u64; self.config.cores];
+        let (mut makespan, mut serial_cycles) = (0u64, 0u64);
         let mut queue_stall = 0u64;
         let mut violations = 0u64;
         let mut survived = 0u64;
-        let mut placements: Vec<TaskPlacement> = Vec::with_capacity(n);
+        let mut placements: Vec<TaskPlacement> = Vec::with_capacity(graph.len());
 
         for (idx, task) in graph.tasks().iter().enumerate() {
             // Pick the core.
             let core = match plan.stage(task.stage.0) {
                 StageAssignment::Serial { core } => *core,
                 StageAssignment::Parallel { cores } => {
-                    // Least work enqueued = earliest available. The
-                    // empty-pool case was rejected up front
-                    // (`SimError::EmptyStagePool`), so the fallback arm
-                    // is unreachable rather than a panic site.
+                    // Least work enqueued = earliest available: the first
+                    // minimum of a linear scan (DESIGN.md, "The simulator",
+                    // says why it stays one). The empty-pool case was
+                    // rejected up front (`SimError::EmptyStagePool`), so
+                    // the fallback arm is unreachable rather than a panic
+                    // site.
                     cores
                         .iter()
                         .min_by_key(|c| core_avail[**c])
@@ -393,12 +427,14 @@ impl Simulator {
             // of its consumers by more than the queue capacity.
             let mut queue_ready = 0u64;
             if let Some(target) = task.iter.checked_sub(self.config.queue_capacity as u64) {
-                // Channels are a handful (`TaskGraph::channels` scans them
-                // per dependence), so no per-stage index of them is kept.
+                // Channels are a handful, so no per-stage index of them
+                // is kept.
                 for (c, (s, t)) in channels.iter().enumerate() {
                     if *s == task.stage {
-                        let slot = seek(&by_stage[t.0 as usize], &mut cursor[c], target);
-                        queue_ready = queue_ready.max(slot.map_or(0, |span| span.1));
+                        let scheduled = &graph.tasks()[..idx];
+                        if let Some(consumer) = seek(scheduled, &mut cursor[c], target, *t) {
+                            queue_ready = queue_ready.max(placements[consumer].start);
+                        }
                     }
                 }
             }
@@ -410,7 +446,8 @@ impl Simulator {
             let end = start + task.cost;
             core_avail[core] = end;
             core_busy[core] += task.cost;
-            by_stage[task.stage.0 as usize].push((task.iter, start, end));
+            makespan = makespan.max(end);
+            serial_cycles += task.cost;
             placements.push(TaskPlacement {
                 task: TaskId(idx as u32),
                 core,
@@ -419,53 +456,14 @@ impl Simulator {
             });
         }
 
-        // Post-hoc channel occupancy: an entry lives from the producer's
-        // finish to the consumer's start, for every iteration both stages ran.
-        let longest = stage_len.iter().copied().max().unwrap_or(0);
-        let mut enqueues: Vec<u64> = Vec::with_capacity(longest);
-        let mut dequeues: Vec<u64> = Vec::with_capacity(longest);
-        let mut channel_stats = Vec::with_capacity(channels.len());
-        for (s, t) in &channels {
-            enqueues.clear();
-            dequeues.clear();
-            let mut from = 0;
-            for &(iter, _, end) in &by_stage[s.0 as usize] {
-                if let Some((_, start, _)) = seek(&by_stage[t.0 as usize], &mut from, iter) {
-                    enqueues.push(end);
-                    dequeues.push(start);
-                }
-            }
-            // A serial stage's column is already in order.
-            for column in [&mut enqueues, &mut dequeues] {
-                if !column.is_sorted() {
-                    column.sort_unstable();
-                }
-            }
-            // Dequeues before enqueues at equal timestamps.
-            let mut freed = 0;
-            let mut max_occupancy = 0;
-            for (filled, &at) in enqueues.iter().enumerate() {
-                while dequeues.get(freed).is_some_and(|&d| d <= at) {
-                    freed += 1;
-                }
-                max_occupancy = max_occupancy.max((filled + 1).saturating_sub(freed));
-            }
-            channel_stats.push(ChannelStat {
-                producer: s.0,
-                consumer: t.0,
-                max_occupancy,
-            });
-        }
-
         Ok(SimResult {
-            makespan: placements.iter().map(|p| p.end).max().unwrap_or(0),
-            serial_cycles: graph.serial_cycles(),
+            makespan,
+            serial_cycles,
             core_busy,
-            tasks_executed: n,
+            tasks_executed: graph.len(),
             queue_stall_cycles: queue_stall,
             violations,
             speculations_survived: survived,
-            channel_stats,
             placements,
         })
     }
@@ -594,12 +592,12 @@ mod tests {
     /// A cost-1 producer on core 0 feeding a cost-100 consumer on core 1,
     /// zero latency: the producer stage runs at `iters`, the consumer
     /// stage at those of them `consumes` keeps. Returns the producers'
-    /// starts and the whole result.
+    /// starts, the whole result and the channel's peak occupancy.
     fn look_back(
         iters: &[u64],
         consumes: impl Fn(u64) -> bool,
         cap: usize,
-    ) -> (Vec<u64>, SimResult) {
+    ) -> (Vec<u64>, SimResult, usize) {
         let mut g = TaskGraph::new(2);
         for &i in iters {
             let p = g.add_task(0, i, 1, &[], &[]);
@@ -616,28 +614,29 @@ mod tests {
         let plan = ExecutionPlan::new(vec![StageAssignment::serial(0), StageAssignment::serial(1)]);
         let r = Simulator::new(cfg).run(&g, &plan).unwrap();
         let produced = r.placements.iter().filter(|p| g.task(p.task).stage.0 == 0);
-        (produced.map(|p| p.start).collect(), r)
+        let peak = r.channel_stats(&g)[0].max_occupancy;
+        (produced.map(|p| p.start).collect(), r, peak)
     }
 
     #[test]
     fn look_back_lands_only_on_an_exact_iteration() {
         // Capacity at or past the iteration count: no target exists.
-        let (starts, r) = look_back(&[0, 1, 2, 3], |_| true, 4);
+        let (starts, r, peak) = look_back(&[0, 1, 2, 3], |_| true, 4);
         assert_eq!(starts, [0, 1, 2, 3]);
         assert_eq!(r.queue_stall_cycles, 0);
         // Entries 1, 2, 3 wait for a consumer still busy with entry 0.
-        assert_eq!(r.channel_stats[0].max_occupancy, 3);
+        assert_eq!(peak, 3);
         // Gaps in the numbering: at capacity 1 only 6 finds its `iter - 1`
         // (5, whose consumer starts at 101); 5 and 200 look back at
         // iterations nobody ran.
-        let (starts, r) = look_back(&[0, 5, 6, 200], |_| true, 1);
+        let (starts, r, peak) = look_back(&[0, 5, 6, 200], |_| true, 1);
         assert_eq!(starts, [0, 1, 101, 102]);
         assert_eq!(r.queue_stall_cycles, 99);
-        assert_eq!(r.channel_stats[0].max_occupancy, 2);
+        assert_eq!(peak, 2);
         // A consumer stage that skips odd iterations: 2 and 4 look back
         // at none of its tasks, 3 and 5 at the ones that started at 101
         // and 201.
-        let (starts, r) = look_back(&[0, 1, 2, 3, 4, 5], |i| i % 2 == 0, 1);
+        let (starts, r, _) = look_back(&[0, 1, 2, 3, 4, 5], |i| i % 2 == 0, 1);
         assert_eq!(starts, [0, 1, 2, 101, 102, 201]);
         assert_eq!(r.queue_stall_cycles, 98 + 98);
     }
@@ -646,7 +645,7 @@ mod tests {
     fn queue_capacity_zero_looks_back_at_the_producers_own_iteration() {
         // Downstream, that consumer has not been scheduled yet: nothing
         // constrains, however slow the consumer.
-        let (starts, r) = look_back(&[0, 1, 2, 3], |_| true, 0);
+        let (starts, r, _) = look_back(&[0, 1, 2, 3], |_| true, 0);
         assert_eq!(starts, [0, 1, 2, 3]);
         assert_eq!(r.queue_stall_cycles, 0);
         // A channel that points *backwards* (stage 1 feeds the next
@@ -708,7 +707,7 @@ mod tests {
         // Entries 1, 2, 3 are queued when entry 0 arrives at cycle 100,
         // the cycle its consumer takes it: the dequeue counts first, so
         // the peak is 3, not 4.
-        assert_eq!(r.channel_stats[0].max_occupancy, 3);
+        assert_eq!(r.channel_stats(&g)[0].max_occupancy, 3);
     }
 
     #[test]
@@ -809,8 +808,9 @@ mod tests {
         };
         let plan = ExecutionPlan::new(vec![StageAssignment::serial(0), StageAssignment::serial(1)]);
         let r = Simulator::new(cfg).run(&g, &plan).unwrap();
-        assert_eq!(r.channel_stats.len(), 1);
-        let ch = r.channel_stats[0];
+        let stats = r.channel_stats(&g);
+        assert_eq!(stats.len(), 1);
+        let ch = stats[0];
         assert_eq!((ch.producer, ch.consumer), (0, 1));
         assert!(
             ch.max_occupancy <= 8 + 1,

@@ -82,6 +82,7 @@ pub struct TaskGraph {
     tasks: Vec<Task>,
     dep_arena: Vec<TaskId>,
     spec_arena: Vec<SpecDep>,
+    channels: Vec<(StageId, StageId)>,
 }
 
 impl TaskGraph {
@@ -108,6 +109,7 @@ impl TaskGraph {
             tasks: Vec::with_capacity(tasks),
             dep_arena: Vec::with_capacity(deps),
             spec_arena: Vec::with_capacity(spec_deps),
+            channels: Vec::new(),
         }
     }
 
@@ -140,8 +142,9 @@ impl TaskGraph {
             );
         }
         let id = TaskId(self.tasks.len() as u32);
-        for d in deps {
+        for &d in deps {
             assert!(d.0 < id.0, "dependence {d} must precede task {id}");
+            self.record_channel(d, StageId(stage));
         }
         for s in spec_deps {
             assert!(
@@ -149,6 +152,7 @@ impl TaskGraph {
                 "speculated dependence {} must precede task {id}",
                 s.on
             );
+            self.record_channel(s.on, StageId(stage));
         }
         let dep_range = DepRange {
             start: self.dep_arena.len() as u32,
@@ -218,20 +222,20 @@ impl TaskGraph {
     }
 
     /// The distinct cross-stage channels implied by the dependences, as
-    /// `(producer stage, consumer stage)` pairs.
-    pub fn channels(&self) -> Vec<(StageId, StageId)> {
-        let mut out = Vec::new();
-        for t in &self.tasks {
-            let deps = self.deps(t).iter().copied();
-            let specs = self.spec_deps(t).iter().map(|s| s.on);
-            for d in deps.chain(specs) {
-                let src = self.task(d).stage;
-                if src != t.stage && !out.contains(&(src, t.stage)) {
-                    out.push((src, t.stage));
-                }
-            }
+    /// `(producer stage, consumer stage)` pairs, in the order their first
+    /// dependence (synchronized or speculated) was added. Each is recorded
+    /// once, by [`TaskGraph::add_task`], so reading them scans nothing.
+    pub fn channels(&self) -> &[(StageId, StageId)] {
+        &self.channels
+    }
+
+    /// Records the channel from `producer`'s stage to `stage`, unless it
+    /// stays within one stage or is known already.
+    fn record_channel(&mut self, producer: TaskId, stage: StageId) {
+        let channel = (self.task(producer).stage, stage);
+        if channel.0 != stage && !self.channels.contains(&channel) {
+            self.channels.push(channel);
         }
-        out
     }
 }
 
@@ -284,39 +288,51 @@ mod tests {
     fn a_reserved_graph_is_the_graph_it_would_have_grown_into() {
         let fill = |mut g: TaskGraph| {
             let a = g.add_task(0, 0, 5, &[], &[]);
-            g.add_task(1, 0, 7, &[a], &[]);
+            let b = g.add_task(1, 0, 7, &[a], &[]);
+            let spec = SpecDep {
+                on: b,
+                violated: true,
+            };
+            g.add_task(0, 1, 3, &[a], &[spec]);
             g
         };
-        // Too little room is only a reserve, not a limit.
-        for (tasks, deps) in [(2, 1), (0, 0), (1, 0)] {
-            let reserved = fill(TaskGraph::with_capacity(2, tasks, deps, 0));
+        // Too little room is only a reserve, not a limit; the channels
+        // recorded on the way are the same either way.
+        for (tasks, deps, specs) in [(3, 2, 1), (0, 0, 0), (1, 0, 0)] {
+            let reserved = fill(TaskGraph::with_capacity(2, tasks, deps, specs));
             assert_eq!(reserved, fill(TaskGraph::new(2)));
+            assert_eq!(
+                reserved.channels(),
+                [(StageId(0), StageId(1)), (StageId(1), StageId(0))]
+            );
         }
     }
 
     #[test]
     fn channels_derive_from_dependences() {
-        let mut g = TaskGraph::new(3);
+        let mut g = TaskGraph::new(4);
         let a = g.add_task(0, 0, 1, &[], &[]);
+        // The first dependence into stage 2 comes from stage 1, so 1 -> 2
+        // is recorded before 0 -> 2, which the same task also has.
         let b = g.add_task(1, 0, 1, &[a], &[]);
-        g.add_task(2, 0, 1, &[b], &[]);
+        let c = g.add_task(2, 0, 1, &[b, a], &[]);
+        // 1 -> 3 is reached only through a speculated dependence (never
+        // violated), and it is recorded after the synchronized 2 -> 3.
+        let spec = |on| SpecDep {
+            on,
+            violated: false,
+        };
+        g.add_task(3, 0, 1, &[c], &[spec(b)]);
+        // Same-stage dependences, synchronized or speculated, add nothing.
         let a1 = g.add_task(0, 1, 1, &[a], &[]);
-        g.add_task(
-            1,
-            1,
-            1,
-            &[a1],
-            &[SpecDep {
-                on: b,
-                violated: false,
-            }],
-        );
-        let ch = g.channels();
-        assert!(ch.contains(&(StageId(0), StageId(1))));
-        assert!(ch.contains(&(StageId(1), StageId(2))));
-        // Same-stage deps (a -> a1) are not channels.
-        assert!(!ch.contains(&(StageId(0), StageId(0))));
-        assert_eq!(ch.len(), 2);
+        let b1 = g.add_task(1, 1, 1, &[a1, b], &[spec(b)]);
+        g.add_task(2, 1, 1, &[b1, c], &[]);
+        let channels = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)];
+        let expected: Vec<_> = channels
+            .iter()
+            .map(|&(s, t)| (StageId(s), StageId(t)))
+            .collect();
+        assert_eq!(g.channels(), expected);
     }
 
     #[test]

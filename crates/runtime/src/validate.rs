@@ -281,7 +281,7 @@ pub fn check_schedule(
     for (idx, task) in graph.tasks().iter().enumerate() {
         start_of.insert((task.stage.0, task.iter), place(idx as u32).start);
     }
-    for (s, t) in graph.channels() {
+    for &(s, t) in graph.channels() {
         let k = config.queue_capacity as u64;
         let mut overrun = false;
         for task in graph.tasks() {

@@ -64,12 +64,29 @@ fn build_graph_at(
     g
 }
 
-/// The simulator's model as it was first written — two hash maps keyed by
-/// `(stage, iter)`, a dependence list per task, a sorted event list per
-/// channel — kept as the oracle `Simulator::run`'s flat tables answer to.
-/// Like `concurrent_equivalence`'s `interpret`, it stays simple, not fast.
-fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimResult {
-    let channels = g.channels();
+/// The simulator's model as it was first written — a scan of every
+/// dependence for the channels, two hash maps keyed by `(stage, iter)`, a
+/// dependence list per task, a sorted event list per channel — kept as
+/// the oracle `Simulator::run`'s flat tables and
+/// `SimResult::channel_stats` answer to. It reads nothing the graph
+/// records for the simulator (not `TaskGraph::channels`), and returns
+/// each channel's peak occupancy beside the result. Like
+/// `concurrent_equivalence`'s `interpret`, it stays simple, not fast.
+fn reference_run(
+    g: &TaskGraph,
+    plan: &ExecutionPlan,
+    cfg: &SimConfig,
+) -> (SimResult, Vec<ChannelStat>) {
+    let mut channels = Vec::new();
+    for t in g.tasks() {
+        let specs = g.spec_deps(t).iter().map(|s| s.on);
+        for d in g.deps(t).iter().copied().chain(specs) {
+            let src = g.task(d).stage;
+            if src != t.stage && !channels.contains(&(src, t.stage)) {
+                channels.push((src, t.stage));
+            }
+        }
+    }
     let (mut start_at, mut end_at) = (HashMap::<(u8, u64), u64>::new(), HashMap::new());
     let mut core_avail = vec![0u64; cfg.cores];
     let mut r = SimResult {
@@ -80,7 +97,6 @@ fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimRes
         queue_stall_cycles: 0,
         violations: 0,
         speculations_survived: 0,
-        channel_stats: Vec::new(),
         placements: Vec::new(),
     };
     for (idx, task) in g.tasks().iter().enumerate() {
@@ -130,6 +146,7 @@ fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimRes
             end,
         });
     }
+    let mut channel_stats = Vec::new();
     for (s, t) in channels {
         // An entry lives from its producer's finish to its consumer's
         // start; `-1` sorts first, so a dequeue counts before an enqueue
@@ -146,13 +163,13 @@ fn reference_run(g: &TaskGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimRes
             occupancy += delta;
             max_occupancy = max_occupancy.max(occupancy);
         }
-        r.channel_stats.push(ChannelStat {
+        channel_stats.push(ChannelStat {
             producer: s.0,
             consumer: t.0,
             max_occupancy: max_occupancy as usize,
         });
     }
-    r
+    (r, channel_stats)
 }
 
 /// Runs `graph`, a [`build_chain`], on the native executor with a body
@@ -295,8 +312,9 @@ proptest! {
     }
 
     /// Every schedule the simulator emits passes the independent
-    /// constraint checker, and every field of its result is the
-    /// reference model's, for arbitrary graphs — iterations numbered
+    /// constraint checker, and every field of its result, and every
+    /// channel's peak occupancy, is the reference model's, for arbitrary
+    /// graphs — iterations numbered
     /// with gaps — machine shapes, queue capacities from 0 up, and
     /// plans: least-loaded, round-robin, and one whose serial stages
     /// share their cores with the pool.
@@ -333,7 +351,9 @@ proptest! {
             let violations = seqpar_runtime::check_schedule(&g, &plan, &cfg, &result.placements);
             prop_assert!(violations.is_empty(), "{violations:?}");
         }
-        prop_assert_eq!(result, reference_run(&g, &plan, &cfg));
+        let (reference, occupancy) = reference_run(&g, &plan, &cfg);
+        prop_assert_eq!(result.channel_stats(&g), occupancy);
+        prop_assert_eq!(result, reference);
     }
 
     /// In-order commit never reorders: whatever the thread interleaving

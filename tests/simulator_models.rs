@@ -2,7 +2,7 @@
 //! traces whose optimal schedules are known analytically.
 
 use seqpar::{IterationRecord, IterationTrace};
-use seqpar_bench::{simulate, PlanKind, THREAD_SWEEP};
+use seqpar_bench::{simulate_graph, PlanKind, THREAD_SWEEP};
 use seqpar_runtime::{ExecutionPlan, SimConfig, SimResult, Simulator, StageAssignment, TaskGraph};
 use seqpar_workloads::{all_workloads, InputSize};
 
@@ -184,12 +184,53 @@ fn digest(h: &mut u64, x: u64) {
     }
 }
 
+/// One digest per kernel over `size` × `THREAD_SWEEP` × {DSWP, TLS} of
+/// makespan, stall cycles, violations, per-core busy cycles and every
+/// channel's peak occupancy, and, with `placements`, every task's core,
+/// start and end cycle. Prints every kernel's digest before it asserts,
+/// so a change that is meant to move the model can regenerate them all.
+fn assert_simulation_pinned(size: InputSize, pinned: [(&str, u64); 11], placements: bool) {
+    let suite = all_workloads();
+    assert_eq!(suite.len(), pinned.len());
+    let mut read = Vec::new();
+    for (w, (spec_id, _)) in suite.iter().zip(pinned) {
+        assert_eq!(w.meta().spec_id, spec_id);
+        let trace = w.trace(size);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let graphs = [
+            (PlanKind::Dswp, trace.task_graph()),
+            (PlanKind::Tls, trace.tls_task_graph()),
+        ];
+        for &threads in THREAD_SWEEP {
+            for (kind, graph) in &graphs {
+                let r = simulate_graph(graph, threads, *kind);
+                digest(&mut h, r.makespan);
+                digest(&mut h, r.queue_stall_cycles);
+                digest(&mut h, r.violations);
+                r.core_busy.iter().for_each(|&b| digest(&mut h, b));
+                for c in r.channel_stats(graph) {
+                    digest(&mut h, c.max_occupancy as u64);
+                }
+                if placements {
+                    for p in &r.placements {
+                        digest(&mut h, p.core as u64);
+                        digest(&mut h, p.start);
+                        digest(&mut h, p.end);
+                    }
+                }
+            }
+        }
+        println!("(\"{spec_id}\", {h:#018x}),");
+        read.push((spec_id, h));
+    }
+    assert_eq!(read, pinned);
+}
+
 /// Nothing else in tier-1 pins a simulated cycle of the real kernels: one
-/// digest per kernel over `InputSize::Test` × `THREAD_SWEEP` × {DSWP, TLS}
-/// of makespan, stall cycles, violations, per-core busy cycles and every
-/// channel's peak occupancy. The constants were generated at the commit
-/// before `Simulator::run` moved from hash maps to per-stage tables
-/// (PR 20); a change that is meant to move the model regenerates them and
+/// digest per kernel at `InputSize::Test` (see
+/// [`assert_simulation_pinned`]). The constants were generated at the
+/// commit before `Simulator::run` moved from hash maps to per-stage
+/// tables; a change that is meant to move the model regenerates them and
 /// says so.
 #[test]
 fn simulated_statistics_of_every_kernel_are_pinned() {
@@ -206,24 +247,29 @@ fn simulated_statistics_of_every_kernel_are_pinned() {
         ("256.bzip2", 0x0c97_396a_efdc_3430),
         ("300.twolf", 0x7100_1811_555e_1692),
     ];
-    let suite = all_workloads();
-    assert_eq!(suite.len(), PINNED.len());
-    for (w, (spec_id, pinned)) in suite.iter().zip(PINNED) {
-        assert_eq!(w.meta().spec_id, spec_id);
-        let trace = w.trace(InputSize::Test);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &threads in THREAD_SWEEP {
-            for kind in [PlanKind::Dswp, PlanKind::Tls] {
-                let r = simulate(&trace, threads, kind);
-                digest(&mut h, r.makespan);
-                digest(&mut h, r.queue_stall_cycles);
-                digest(&mut h, r.violations);
-                r.core_busy.iter().for_each(|&b| digest(&mut h, b));
-                for c in &r.channel_stats {
-                    digest(&mut h, c.max_occupancy as u64);
-                }
-            }
-        }
-        assert_eq!(h, pinned, "{spec_id}: digest {h:#018x}");
-    }
+    assert_simulation_pinned(InputSize::Test, PINNED, false);
+}
+
+/// The same pin at `InputSize::Train`, the size the `plan-sim` benchmark
+/// simulates, over every placement as well. Release-only (CI's kernel
+/// pins at `Train`): `cargo test --release --test simulator_models --
+/// --ignored`. The constants were generated before the simulator
+/// recorded channels at graph build and computed occupancy on request.
+#[test]
+#[ignore = "Train-size sweep; run in release with --ignored"]
+fn simulated_schedules_of_every_kernel_are_pinned_at_train() {
+    const PINNED: [(&str, u64); 11] = [
+        ("164.gzip", 0x5e7c_5bb9_4140_f6d0),
+        ("175.vpr", 0xa208_05c8_e8ee_8548),
+        ("176.gcc", 0x37f5_b90c_ff82_0a19),
+        ("181.mcf", 0x1de3_350a_ecb6_16b0),
+        ("186.crafty", 0xb178_81aa_a831_7b42),
+        ("197.parser", 0xa09d_f5c2_8b73_8a15),
+        ("253.perlbmk", 0xd3a3_f614_f369_5e48),
+        ("254.gap", 0xccfb_5f15_a36d_3e02),
+        ("255.vortex", 0xdd1e_83b3_8368_ef83),
+        ("256.bzip2", 0x91b7_1fae_a85a_f4c1),
+        ("300.twolf", 0xf34e_10e6_a72d_7bf6),
+    ];
+    assert_simulation_pinned(InputSize::Train, PINNED, true);
 }
