@@ -149,20 +149,21 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
 /// One line on the grain `job` runs at under `plan`: its iterations and
 /// the time of one as its first sequential run measured it (the job's
 /// `Debug`), how many tasks of how many iterations that makes, and which
-/// of [`VersionedJob::grain`]'s two bounds allows no larger `k` — its
-/// floor of 8 tasks per seat of the plan when doubling `k` would break
-/// that, else (the floor would allow it) the ~32 µs task-length target. Coarsening is never silent: `seqpar-trace` prints
-/// this for every job it runs, and `figures --native` prints each row's k.
+/// of [`VersionedJob::grain`]'s two bounds set `k` — its floor of 8
+/// tasks per seat of the plan when doubling `k` would break that, else
+/// the ~32 µs task-length target, which no smaller `k` reaches.
+/// Coarsening is never silent: `seqpar-trace` prints this for every job
+/// it runs, and `figures --native` prints each row's k.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
     let k = job.grain(plan);
     let seats = Engine::seats(plan);
     let bound = if job.len() / (2 * k) < 8 * seats {
-        format!("8 tasks for each of the plan's {seats} seats")
+        format!("no larger k keeps 8 tasks for each of the plan's {seats} seats")
     } else {
-        "a task under the ~32 us target".to_string()
+        "no smaller k reaches the ~32 us target".to_string()
     };
     format!(
-        "grain: {job:?} -> {} tasks of k = {k} iterations (no larger k keeps {bound})",
+        "grain: {job:?} -> {} tasks of k = {k} iterations ({bound})",
         job.len().div_ceil(k)
     )
 }
@@ -682,7 +683,7 @@ mod tests {
         // Iterations that outlast the target: k = 1, and not for the floor.
         let line = render_grain(&job(Duration::from_micros(40)), &plan);
         assert!(line.contains("-> 64 tasks of k = 1 "), "{line}");
-        assert!(line.contains("under the ~32 us target"), "{line}");
+        assert!(line.contains("reaches the ~32 us target"), "{line}");
         // Short ones reach the floor (a preempted first run reads long,
         // so three tries).
         let lines: Vec<String> = (0..3)

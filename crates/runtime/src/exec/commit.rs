@@ -279,10 +279,10 @@ impl CommitUnit {
                 redispatch.push(again(done.task, done.attempt));
                 continue;
             }
-            // 2b. Conflict-driven misspeculation, batched: one registry
-            // lock acquisition answers the conflict rung for the whole
-            // run. `ok` is the length of the conflict-free prefix; the
-            // check runs *before* publication — nothing irrevocable has
+            // 2b. Conflict-driven misspeculation, batched: one call
+            // answers the conflict rung for the whole run. `ok` is the
+            // length of the conflict-free prefix; the check runs
+            // *before* publication — nothing irrevocable has
             // happened yet — and, like rung 2a, a conflict squash is
             // never charged against the retry budget.
             let mut ok = run;
@@ -387,10 +387,10 @@ impl CommitUnit {
             }
             if let Some(m) = mem {
                 // Publish the surviving versions' write buffers — the
-                // one irrevocable memory step, taken last, under one
-                // registry lock for the whole batch. Every version in
-                // the batch is in the registry's oldest unsquashed
-                // prefix (rung 2b), its body has completed (no further
+                // one irrevocable memory step, taken last, in one call
+                // for the whole batch. Every version in the batch is in
+                // the substrate's oldest unsquashed prefix (rung 2b),
+                // its body has completed (no further
                 // writes), and writes/rollbacks only squash *later*
                 // readers — so nothing can doom a batch member between
                 // the check and this sweep, and the batch commit cannot

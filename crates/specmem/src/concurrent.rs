@@ -7,125 +7,153 @@
 //! detects conflicts eagerly, applies the silent-store rule and commits
 //! strictly in order. One rule decides every commit — a version commits
 //! iff nothing it read was reordered past a conflicting write (Colvin's
-//! parallelized sequential composition, PAPERS.md) — and it is stated
-//! once, in the private `committable` routine every commit entry point
-//! shares. Every operation takes `&self` and is safe to call from many
-//! threads at once:
+//! parallelized sequential composition, PAPERS.md) — stated once, in the
+//! private `committable`. Every operation takes `&self`:
 //!
-//! * **One version chain per address.** Conflict is defined per
-//!   variable, so the state is indexed by address: each address has one
-//!   cell holding its committed value, the live versions' buffered
-//!   stores to it and the live versions' first observations of it, both
-//!   in version order. A lookup is a binary search in one cell; a write
-//!   re-validates only the later readers of that one address. Cells are
-//!   split across [`SHARD_COUNT`] shards by a multiplicative hash of the
-//!   address, each behind its own mutex, so accesses to different
-//!   shards never contend and a single read or write touches exactly
-//!   one shard.
-//! * **A global version registry** (`RwLock`) holds one handle per
-//!   active version: its squashed-by mark (an atomic, so a conflicting
-//!   writer in one shard can doom a version without taking any other
-//!   lock) and the addresses the version holds entries at. Lock order
-//!   is always registry → shard, never the reverse.
-//! * **Commit and rollback visit only what the version touched.** The
-//!   oldest live version's entries lead every cell's lists, so commit
-//!   pops them and stores the written value as the committed value, at
-//!   each address the handle lists and nowhere else; it is published at
-//!   once, with nothing left to reclaim. Rollback removes the version's
-//!   entries the same way and squashes exactly the later readers whose
-//!   inherited value changed. A cell left holding nothing is dropped.
-//! * **Statistics are counted once, exact under concurrency**: every
-//!   counter in the [`MemStats`] snapshot is updated inside the
-//!   operation that it counts — an access's under the shard lock it
-//!   already holds, the rest in atomics — and there is no per-version
-//!   twin of any of them.
+//! * **One version chain per address.** Each address has one cell: its
+//!   committed value, and the live versions' stores to it and first
+//!   observations of it, in version order. A write re-validates only the
+//!   later readers of its one address. Cells are split across
+//!   [`SHARD_COUNT`] mutex-guarded shards by a hash of the address.
+//! * **A slot table of live versions,** indexed by id modulo its length
+//!   (a power of two), holds each one's squashed-by mark (an atomic, so a
+//!   writer in one shard dooms a version without another lock) and the
+//!   addresses it holds entries at. Ids are task ids, dense and in commit
+//!   order, so finding a version is an index and a compare, and `begin`
+//!   one compare-and-swap. Every operation takes the table's `RwLock`
+//!   shared; a `begin` whose slot another live version holds takes it
+//!   exclusive to double the table, which shrinks back once no version
+//!   is live. Lock order: table → shard.
+//! * **Commit and rollback visit only the addresses the slot lists,**
+//!   then free the slot, so no cell names a version whose slot another
+//!   holds. Commit publishes the oldest version's stores at once;
+//!   rollback squashes exactly the later readers whose inherited value
+//!   changed.
+//! * **Statistics are counted once**, inside the operation they count.
 //!
-//! The intended executor protocol (one version per task attempt):
-//! workers [`begin`](ConcurrentVersionedMemory::begin) a version and
-//! issue [`read`](ConcurrentVersionedMemory::read)s and
-//! [`write`](ConcurrentVersionedMemory::write)s while the attempt runs;
-//! the in-order commit frontier calls
-//! [`commit_check`](ConcurrentVersionedMemory::commit_check) — squashing
-//! and [`rollback`](ConcurrentVersionedMemory::rollback)ing the version
-//! on conflict — and [`try_commit`](ConcurrentVersionedMemory::try_commit)
-//! to publish the write buffer when the attempt survives (the executor
-//! uses their batch forms; the single-version ones are the same routine
-//! at k = 1). A one-seat plan's tasks are no exception: each opens and
-//! commits one ordinary version through the same frontier.
+//! The executor's protocol, one version per task attempt: a runner
+//! [`begin`](ConcurrentVersionedMemory::begin)s a version and reads and
+//! writes in it; once the attempt is over, the in-order commit frontier
+//! checks it ([`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)),
+//! rolls it back on conflict and publishes it when it survives
+//! ([`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)).
 
 use crate::memory::{Addr, CommitError, VersionId};
 use crate::stats::MemStats;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Default number of address shards. Sixteen keeps contention
-/// negligible for the executor's worker counts (≤ the machine's cores)
-/// without oversizing the lock table; a shard sweep ({1, 4, 16, 64}
-/// under 1–32 threads, PR 6) is how this default was chosen. Override
-/// it with [`ConcurrentVersionedMemory::with_shards`].
+/// Default number of address shards, chosen by a sweep of {1, 4, 16, 64}
+/// under 1–32 threads; override it with
+/// [`ConcurrentVersionedMemory::with_shards`].
 pub const SHARD_COUNT: usize = 16;
 
-/// Per-version bookkeeping that must be reachable from any shard: the
-/// squashed-by mark and the footprint.
+/// A fresh table's slots, past a one- or two-seat run's live window.
+const MIN_SLOTS: usize = 16;
+
+/// The widest live window the table spans: a `begin` past it panics.
+const MAX_SLOTS: usize = 1 << 20;
+
+/// Set in a slot's `held` once a commit or rollback claims its version.
+const CLOSING: u64 = 1 << 63;
+
+/// Addresses a [`Slot`] records in atomics before it spills to a list.
+const FOOTPRINT_SLOTS: usize = 4;
+
+/// A live version's bookkeeping, reachable from any shard.
 #[derive(Debug, Default)]
-struct Handle {
+struct Slot {
+    /// `1 + VersionId.0` of the version holding the slot, or 0; and
+    /// [`CLOSING`] once a commit or rollback has claimed it.
+    held: AtomicU64,
     /// `1 + VersionId.0` of the squashing version, or 0.
     squashed_by: AtomicU64,
-    /// Every address whose cell holds an entry of this version: all
-    /// that commit and rollback visit.
-    touched: Footprint,
+    /// How many addresses the version holds cell entries at, each recorded
+    /// once: the first few in `touched` (no lock, no allocation), the rest
+    /// in `spill`.
+    len: AtomicUsize,
+    touched: [AtomicU64; FOOTPRINT_SLOTS],
+    spill: Mutex<Vec<Addr>>,
 }
 
-impl Handle {
+impl Slot {
     fn squashed_by(&self) -> Option<VersionId> {
-        match self.squashed_by.load(Ordering::Acquire) {
-            0 => None,
-            by => Some(VersionId(by - 1)),
-        }
+        self.squashed_by
+            .load(Ordering::Acquire)
+            .checked_sub(1)
+            .map(VersionId)
     }
 
-    /// Marks the version squashed by `by` unless already doomed.
-    /// Returns whether this call won the race (counts the violation).
+    /// Marks the version squashed by `by` unless doomed; whether it did.
     fn mark_squashed(&self, by: VersionId) -> bool {
         self.squashed_by
             .compare_exchange(0, by.0 + 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
-}
 
-/// Addresses held in a [`Footprint`]'s slots before it spills.
-const FOOTPRINT_SLOTS: usize = 4;
+    /// Claims live `v` for its commit or rollback; whether none had.
+    fn claim(&self, v: u64) -> bool {
+        let (open, closing) = (v + 1, (v + 1) | CLOSING);
+        self.held
+            .compare_exchange(open, closing, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
 
-/// The addresses a version holds cell entries at, each recorded once.
-/// The first few sit in atomic slots, so recording one costs one atomic
-/// add and no allocation; the rest spill to a locked list.
-#[derive(Debug, Default)]
-struct Footprint {
-    len: AtomicUsize,
-    slots: [AtomicU64; FOOTPRINT_SLOTS],
-    spill: Mutex<Vec<Addr>>,
-}
-
-impl Footprint {
     fn record(&self, addr: Addr) {
-        match self.slots.get(self.len.fetch_add(1, Ordering::Relaxed)) {
+        match self.touched.get(self.len.fetch_add(1, Ordering::Relaxed)) {
             Some(slot) => slot.store(addr.0, Ordering::Relaxed),
             None => self.spill.lock().push(addr),
         }
     }
 
-    /// Every recorded address. Records happen under the registry read
-    /// lock and the footprint is taken apart under its write lock, which
-    /// orders every record before this.
-    fn into_addrs(self) -> impl Iterator<Item = Addr> {
-        let held = self.len.into_inner().min(FOOTPRINT_SLOTS);
-        let slots = self.slots.into_iter().take(held);
-        slots
-            .map(|slot| Addr(slot.into_inner()))
-            .chain(self.spill.into_inner())
+    /// Calls `f` on every recorded address and forgets them, keeping the
+    /// spill's capacity. Records are the version's own accesses: the hand-off
+    /// that ends its attempt orders them all before its commit or rollback.
+    fn drain(&self, mut f: impl FnMut(Addr)) {
+        let len = self.len.load(Ordering::Relaxed);
+        self.len.store(0, Ordering::Relaxed);
+        for slot in &self.touched[..len.min(FOOTPRINT_SLOTS)] {
+            f(Addr(slot.load(Ordering::Relaxed)));
+        }
+        if len > FOOTPRINT_SLOTS {
+            let mut spill = std::mem::take(&mut *self.spill.lock());
+            spill.drain(..).for_each(f);
+            *self.spill.lock() = spill;
+        }
     }
+
+    /// Frees the slot, no cell entry left; `begin`'s CAS acquires it.
+    fn release(&self) {
+        self.squashed_by.store(0, Ordering::Relaxed);
+        self.held.store(0, Ordering::Release);
+    }
+}
+
+/// A table of `len` free slots.
+fn table(len: usize) -> Vec<Slot> {
+    (0..len).map(|_| Slot::default()).collect()
+}
+
+/// The slot `v` indexes, whoever holds it.
+fn slot_of(slots: &[Slot], v: u64) -> &Slot {
+    &slots[v as usize & (slots.len() - 1)]
+}
+
+/// `v`'s slot, if `v` is live (an id `begin` refuses never is).
+fn live(slots: &[Slot], v: u64) -> Option<&Slot> {
+    let slot = slot_of(slots, v);
+    (v < CLOSING - 1 && slot.held.load(Ordering::Acquire) & !CLOSING == v + 1).then_some(slot)
+}
+
+/// Whether a version in `lo..hi` is live: each slot an id of the range
+/// indexes (every slot, for a range as wide as the table) holds one.
+fn any_live(slots: &[Slot], lo: u64, hi: u64) -> bool {
+    let ids = lo + 1..=hi;
+    (lo..hi)
+        .take(slots.len())
+        .any(|u| ids.contains(&(slot_of(slots, u).held.load(Ordering::Acquire) & !CLOSING)))
 }
 
 /// `(VersionId.0, value)` entries of live versions, oldest first.
@@ -144,15 +172,13 @@ struct Cell {
     committed: Option<u64>,
     /// Live versions' buffered stores.
     writers: Chain,
-    /// Live versions' first observations: reads, and the values of
-    /// elided silent stores (bets). A version that wrote first records
-    /// none.
+    /// Live versions' first observations: reads, and elided silent
+    /// stores' values (bets). A version that wrote first records none.
     readers: Chain,
 }
 
 impl Cell {
-    /// The value the writer before `writers[i]` left, else committed
-    /// state, else `0`.
+    /// What the writer before `writers[i]` left, else committed, else 0.
     fn before(&self, i: usize) -> u64 {
         match i.checked_sub(1) {
             Some(j) => self.writers[j].1,
@@ -160,8 +186,7 @@ impl Cell {
         }
     }
 
-    /// Records `v`'s first observation unless it already has one;
-    /// whether it did.
+    /// Records `v`'s first observation unless it has one; whether it did.
     fn observe(&mut self, v: u64, value: u64) -> bool {
         let i = self.readers.partition_point(|&(w, _)| w < v);
         if self.readers.get(i).is_some_and(|&(w, _)| w == v) {
@@ -172,12 +197,11 @@ impl Cell {
     }
 
     /// The later readers whose recorded observation disagrees with what
-    /// they now inherit, after the store at `v` changed to leave
-    /// `value`: those after `v` up to and including the next writer,
-    /// which all inherit `v`'s slot in the chain. A recorded observation
-    /// is by construction an inherited read, so this — not what the
-    /// reader sees now, which its own later store would shadow — is
-    /// what it is held to.
+    /// they now inherit, after the store at `v` changed to leave `value`:
+    /// those after `v` up to and including the next writer. A recorded
+    /// observation is an inherited read, so this — not what the reader
+    /// sees now, which its own later store would shadow — is what it is
+    /// held to.
     fn stale_readers(&self, v: u64, value: u64) -> impl Iterator<Item = u64> + '_ {
         let next = self.writers.partition_point(|&(w, _)| w <= v);
         let last = self.writers.get(next).map_or(u64::MAX, |&(w, _)| w);
@@ -188,17 +212,11 @@ impl Cell {
             .filter(move |&&(_, observed)| observed != value)
             .map(|&(w, _)| w)
     }
-
-    fn is_empty(&self) -> bool {
-        self.committed.is_none() && self.writers.is_empty() && self.readers.is_empty()
-    }
 }
 
-/// Hashes an address with one multiply and fold instead of SipHash.
-/// Addresses come from the programs the executor runs, not from an
-/// adversary, and slot addresses are small consecutive integers the
-/// multiply spreads over the whole word; the fold brings the high half
-/// down to the low bits the map indexes by.
+/// Hashes an address with one multiply and fold instead of SipHash:
+/// addresses come from the executor's programs, not an adversary, and the
+/// multiply spreads small consecutive ones over the word.
 #[derive(Debug, Default)]
 struct AddrHasher(u64);
 
@@ -222,14 +240,12 @@ impl Hasher for AddrHasher {
     }
 }
 
-/// One address shard: its cells, and what the accesses to them counted.
-/// An access already holds its shard's lock, so counting there costs no
-/// shared atomic.
+/// One address shard: its cells, and what the accesses to them counted
+/// (under the lock the access holds, so no shared atomic).
 #[derive(Debug, Default)]
 struct Shard {
     cells: HashMap<Addr, Cell, BuildHasherDefault<AddrHasher>>,
-    /// This shard's share of `reads`, `forwards`, `writes` and
-    /// `silent_stores`; the other fields stay 0.
+    /// This shard's `reads`, `forwards`, `writes` and `silent_stores`.
     ops: MemStats,
 }
 
@@ -256,8 +272,8 @@ impl AtomicStats {
 
 /// Thread-safe, address-sharded versioned speculative memory.
 ///
-/// See the [module docs](self) for the design and the
-/// [crate docs](crate) for the semantics. All methods take `&self`.
+/// See the [module docs](self) for the design, the [crate docs](crate)
+/// for the semantics.
 ///
 /// # Example
 ///
@@ -276,12 +292,10 @@ impl AtomicStats {
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentVersionedMemory {
-    /// Active versions, keyed by `VersionId.0`. Lock order: registry
-    /// before any shard.
-    registry: RwLock<BTreeMap<u64, Handle>>,
+    /// Live versions' slots, each at `VersionId.0` modulo the length.
+    slots: RwLock<Vec<Slot>>,
     shards: Vec<Mutex<Shard>>,
-    /// `1 + VersionId.0` of the newest committed version (0 = none):
-    /// guards against recycling a committed id.
+    /// `1 +` the newest committed id (0: none), so none is reopened.
     committed_watermark: AtomicU64,
     stats: AtomicStats,
 }
@@ -293,22 +307,17 @@ impl Default for ConcurrentVersionedMemory {
 }
 
 impl ConcurrentVersionedMemory {
-    /// Creates an empty memory (all addresses read as `0`) with
-    /// [`SHARD_COUNT`] shards.
+    /// An empty memory (every address reads 0), [`SHARD_COUNT`] shards.
     pub fn new() -> Self {
         Self::with_shards(SHARD_COUNT)
     }
 
     /// Creates an empty memory with `shards` address shards. **A value
-    /// of 0 is clamped to 1** — a sharded map needs at least one shard,
-    /// and rejecting 0 at every call site would make the count
-    /// un-sweepable; the clamp is pinned by a regression test.
+    /// of 0 is clamped to 1**, so the count stays sweepable from 0.
     pub fn with_shards(shards: usize) -> Self {
         Self {
-            registry: RwLock::new(BTreeMap::new()),
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            slots: RwLock::new(table(MIN_SLOTS)),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             committed_watermark: AtomicU64::new(0),
             stats: AtomicStats::default(),
         }
@@ -319,8 +328,8 @@ impl ConcurrentVersionedMemory {
         self.shards.len()
     }
 
-    /// The shard of `addr`, picked by the high half of its mix so the
-    /// shard's map still sees every low bit vary.
+    /// The shard of `addr`, by the high half of its mix (the map's hash
+    /// keeps the low).
     fn shard(&self, addr: Addr) -> &Mutex<Shard> {
         &self.shards[(mix(addr.0) >> 32) as usize % self.shards.len()]
     }
@@ -329,58 +338,85 @@ impl ConcurrentVersionedMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the version is already active, or if a version with
-    /// this id has already committed (ids are commit order; re-opening
-    /// a committed id would corrupt it).
+    /// Panics if the version is already active, if a version with this
+    /// id has already committed (ids are commit order; re-opening a
+    /// committed id would corrupt it), if a live version's id is 2^20 or
+    /// more away, or if `v` is 2^63 − 1 or more.
     pub fn begin(&self, v: VersionId) {
-        let mut reg = self.registry.write();
+        assert!(v.0 < CLOSING - 1, "version {v} is past the last id");
         assert!(
             v.0 >= self.committed_watermark.load(Ordering::Acquire),
             "version {v} has already committed"
         );
-        let prev = reg.insert(v.0, Handle::default());
-        assert!(prev.is_none(), "version {v} is already active");
+        loop {
+            let slots = self.slots.read();
+            let slot = &slot_of(&slots, v.0).held;
+            match slot.compare_exchange(0, v.0 + 1, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => break,
+                Err(held) => assert!(held != v.0 + 1, "version {v} is already active"),
+            }
+            let seen = slots.len();
+            drop(slots);
+            self.grow(seen);
+        }
         self.stats.begins.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Doubles the table unless another `begin` did since it read `seen`
+    /// slots. Live ids less than the length apart never share a slot, so
+    /// the table spans at most twice the live window.
+    fn grow(&self, seen: usize) {
+        let mut slots = self.slots.write();
+        if slots.len() == seen {
+            assert!(2 * seen <= MAX_SLOTS, "live versions span {MAX_SLOTS} ids");
+            let mut grown = table(2 * seen);
+            for slot in slots.drain(..) {
+                if let Some(v) = slot.held.load(Ordering::Relaxed).checked_sub(1) {
+                    grown[v as usize % (2 * seen)] = slot;
+                }
+            }
+            *slots = grown;
+        }
+    }
+
+    /// Ends a commit or rollback: a grown table returns to [`MIN_SLOTS`]
+    /// once no version is live.
+    fn settle(&self, slots: RwLockReadGuard<'_, Vec<Slot>>) {
+        if slots.len() > MIN_SLOTS && self.active_count() == 0 {
+            drop(slots);
+            let mut slots = self.slots.write();
+            if slots.iter_mut().all(|slot| *slot.held.get_mut() == 0) {
+                *slots = table(MIN_SLOTS);
+            }
+        }
     }
 
     /// Whether `v` is currently active (begun, not yet finished).
     pub fn is_active(&self, v: VersionId) -> bool {
-        self.registry.read().contains_key(&v.0)
+        live(&self.slots.read(), v.0).is_some()
     }
 
-    /// Whether `v` has been squashed by a conflicting write or a
-    /// rollback's revoked forward.
+    /// Whether `v` has been squashed by a conflict or a revoked forward.
     pub fn is_squashed(&self, v: VersionId) -> bool {
-        self.registry
-            .read()
-            .get(&v.0)
-            .is_some_and(|h| h.squashed_by().is_some())
+        live(&self.slots.read(), v.0).is_some_and(|slot| slot.squashed_by().is_some())
     }
 
     /// The committed value at `addr`, if any write has ever committed.
     pub fn committed(&self, addr: Addr) -> Option<u64> {
-        self.shard(addr)
-            .lock()
-            .cells
-            .get(&addr)
-            .and_then(|c| c.committed)
+        self.shard(addr).lock().cells.get(&addr)?.committed
     }
 
     /// Reads `addr` from version `v`, recording the first observation in
-    /// the read set for commit-time validation. The value is the newest
-    /// write among versions `<= v` (eager forwarding of uncommitted
-    /// stores), else the committed value, else `0`. The read set also
-    /// holds silent-store bets — see
-    /// [`write`](ConcurrentVersionedMemory::write).
+    /// the read set for commit-time validation: the newest write among
+    /// versions `<= v` (eager forwarding of uncommitted stores), else the
+    /// committed value, else `0`.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not active.
     pub fn read(&self, v: VersionId, addr: Addr) -> u64 {
-        let reg = self.registry.read();
-        let handle = reg
-            .get(&v.0)
-            .unwrap_or_else(|| panic!("read from inactive version {v}"));
+        let slots = self.slots.read();
+        let handle = live(&slots, v.0).unwrap_or_else(|| panic!("read from inactive version {v}"));
         let mut guard = self.shard(addr).lock();
         let shard = &mut *guard;
         let cell = shard.cells.entry(addr).or_default();
@@ -391,7 +427,7 @@ impl ConcurrentVersionedMemory {
             shard.ops.forwards += 1;
         }
         if !own && cell.observe(v.0, value) {
-            handle.touched.record(addr);
+            handle.record(addr);
         }
         shard.ops.reads += 1;
         value
@@ -399,27 +435,19 @@ impl ConcurrentVersionedMemory {
 
     /// Writes `value` to `addr` in version `v`.
     ///
-    /// **The silent-store rule**: a store whose value equals what `v`
-    /// already observes at `addr` is elided — it enters no write buffer
-    /// and can never squash a later reader — and the elided value is
-    /// recorded into the *read set* as a bet to be validated at commit
-    /// (an earlier version writing a different value later still
-    /// squashes `v`). A store over `v`'s own previous write is never
-    /// silent.
-    ///
-    /// A genuine store eagerly invalidates every later active reader of
-    /// `addr` whose recorded observation no longer matches what it
-    /// would now read, returning the versions squashed by this call in
-    /// ascending order.
+    /// **The silent-store rule**: a store of the value `v` already
+    /// observes at `addr` is elided — it can never squash a later reader
+    /// — and recorded in the *read set* as a bet (an earlier version
+    /// writing a different value still squashes `v`); a store over `v`'s
+    /// own write is never silent. A genuine store squashes every later
+    /// reader of `addr` it invalidates, returned in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not active.
     pub fn write(&self, v: VersionId, addr: Addr, value: u64) -> Vec<VersionId> {
-        let reg = self.registry.read();
-        let handle = reg
-            .get(&v.0)
-            .unwrap_or_else(|| panic!("write from inactive version {v}"));
+        let slots = self.slots.read();
+        let handle = live(&slots, v.0).unwrap_or_else(|| panic!("write from inactive version {v}"));
         let mut guard = self.shard(addr).lock();
         let shard = &mut *guard;
         shard.ops.writes += 1;
@@ -430,30 +458,28 @@ impl ConcurrentVersionedMemory {
         } else if cell.before(i) == value {
             shard.ops.silent_stores += 1;
             if cell.observe(v.0, value) {
-                handle.touched.record(addr);
+                handle.record(addr);
             }
             return Vec::new();
         } else {
             cell.writers.insert(i, (v.0, value));
             if position(&cell.readers, v.0).is_none() {
-                handle.touched.record(addr);
+                handle.record(addr);
             }
         }
-        // Eager conflict detection against this address's later readers.
-        // The registry read lock we hold keeps their handles in place:
-        // commit/rollback remove versions only under the write lock.
+        // Eager conflict detection: each later reader still has its entry
+        // here, under our shard lock, so it still holds its slot.
         cell.stale_readers(v.0, value)
-            .filter(|w| self.doom(&reg, *w, v))
+            .filter(|w| self.doom(&slots, *w, v))
             .map(VersionId)
             .collect()
     }
 
     /// Marks live version `w` squashed by `by`; whether this call did it
-    /// (and counted the violation) rather than an earlier one.
-    fn doom(&self, reg: &BTreeMap<u64, Handle>, w: u64, by: VersionId) -> bool {
-        let doomed = reg
-            .get(&w)
-            .expect("a cell entry's version has a handle")
+    /// (and counted the violation).
+    fn doom(&self, slots: &[Slot], w: u64, by: VersionId) -> bool {
+        let doomed = live(slots, w)
+            .expect("a cell entry's version holds its slot")
             .mark_squashed(by);
         if doomed {
             self.stats.violations.fetch_add(1, Ordering::Relaxed);
@@ -461,13 +487,9 @@ impl ConcurrentVersionedMemory {
         doomed
     }
 
-    /// Checks whether `v` could commit right now, without committing:
-    /// the same squashed/ordering tests as
-    /// [`try_commit`](ConcurrentVersionedMemory::try_commit), split out
-    /// so an in-order commit frontier can resolve conflicts (squash and
-    /// re-dispatch) *before* irrevocably publishing the write buffer.
-    /// [`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)
-    /// at k = 1.
+    /// Checks whether `v` could commit right now, without committing, so
+    /// an in-order frontier can squash and re-dispatch *before* publishing
+    /// anything: [`commit_check_batch`](Self::commit_check_batch) at k = 1.
     ///
     /// # Errors
     ///
@@ -476,156 +498,144 @@ impl ConcurrentVersionedMemory {
         self.commit_check_batch(&[v]).1.map_or(Ok(()), Err)
     }
 
-    /// Attempts to commit `v`, publishing its buffered stores into
-    /// committed state at once.
-    /// [`try_commit_batch`](ConcurrentVersionedMemory::try_commit_batch)
-    /// at k = 1.
+    /// Attempts to commit `v`, publishing its buffered stores at once:
+    /// [`try_commit_batch`](Self::try_commit_batch) at k = 1.
     ///
     /// # Errors
     ///
-    /// * [`CommitError::Unknown`] — `v` is not active;
-    /// * [`CommitError::NotOldest`] — an earlier version must commit
-    ///   first;
-    /// * [`CommitError::Squashed`] — `v` was invalidated; roll it back
-    ///   with [`rollback`](ConcurrentVersionedMemory::rollback) and
-    ///   re-execute.
+    /// [`CommitError::Unknown`] if `v` is not active,
+    /// [`CommitError::NotOldest`] if an earlier version must commit first,
+    /// [`CommitError::Squashed`] if `v` was invalidated (roll it back and
+    /// re-execute).
     pub fn try_commit(&self, v: VersionId) -> Result<(), CommitError> {
-        self.try_commit_batch(&[v]).1.map_or(Ok(()), Err)
+        self.commit_run(&[v], |_| {}).map_or(Ok(()), Err)
     }
 
-    /// The commit rule, stated once: how many of `vs` (a consecutive
-    /// frontier run, oldest first) could commit right now assuming each
-    /// earlier element does, and the verdict on the first that could
-    /// not.
-    fn committable(reg: &BTreeMap<u64, Handle>, vs: &[VersionId]) -> (usize, Option<CommitError>) {
-        let mut oldest = reg.keys();
+    /// The commit rule: how many of `vs` (a consecutive frontier run,
+    /// oldest first) could commit now, each earlier one committed first,
+    /// and the verdict on the first that could not.
+    fn committable(&self, slots: &[Slot], vs: &[VersionId]) -> (usize, Option<CommitError>) {
+        // No live version is older than the committed watermark.
+        let mut floor = self.committed_watermark.load(Ordering::Acquire);
         for (i, v) in vs.iter().enumerate() {
-            let Some(handle) = reg.get(&v.0) else {
+            let Some(slot) = live(slots, v.0) else {
                 return (i, Some(CommitError::Unknown));
             };
-            if let Some(by) = handle.squashed_by() {
+            if let Some(by) = slot.squashed_by() {
                 return (i, Some(CommitError::Squashed { by }));
             }
             // `v` must be the i-th oldest active version: once the
             // first i elements commit, it becomes the oldest.
-            if oldest.next() != Some(&v.0) {
+            if v.0 < floor || any_live(slots, floor, v.0) {
                 return (i, Some(CommitError::NotOldest));
             }
+            floor = v.0 + 1;
         }
         (vs.len(), None)
     }
 
-    /// Checks a *consecutive frontier run* of versions in one registry
-    /// read-lock acquisition: returns how many of `vs` (a strict
-    /// prefix-first slice, oldest first) could commit right now, plus
-    /// the error that stopped the run. The batch entry point exists so
-    /// a commit frontier draining `k` buffered completions pays one
-    /// lock acquisition instead of `k`.
-    ///
-    /// The returned error is the verdict for `vs[n]` where `n` is the
-    /// returned count; `None` means the whole run is committable.
+    /// Checks a *consecutive frontier run* (oldest first) at once: how
+    /// many of `vs` could commit now, and the verdict on the next one.
     #[must_use]
     pub fn commit_check_batch(&self, vs: &[VersionId]) -> (usize, Option<CommitError>) {
-        Self::committable(&self.registry.read(), vs)
+        self.committable(&self.slots.read(), vs)
     }
 
-    /// Commits the longest committable prefix of `vs` (a consecutive
-    /// frontier run, oldest first) under a *single* registry write-lock
-    /// acquisition, returning for every committed version the number of
-    /// addresses whose buffered store it published (silent stores and
-    /// repeated stores to one address publish nothing more), plus the
-    /// error for the first version that could not commit.
-    ///
-    /// Observable state is identical to committing the versions one at
-    /// a time; only the lock traffic is amortized.
+    /// Commits the longest committable prefix of `vs` (a frontier run,
+    /// oldest first) as one at a time would: per version, the addresses
+    /// whose store it published; the error of the first that could not.
     #[must_use]
     pub fn try_commit_batch(&self, vs: &[VersionId]) -> (Vec<u64>, Option<CommitError>) {
-        let mut reg = self.registry.write();
-        let (n, stopped) = Self::committable(&reg, vs);
-        let published = vs[..n]
-            .iter()
-            .map(|v| {
-                let handle = reg.remove(&v.0).expect("a committable version is active");
-                // `v` is the oldest live version, so its entries lead
-                // every list it is in.
-                let mut published = 0;
-                for addr in handle.touched.into_addrs() {
-                    let mut shard = self.shard(addr).lock();
-                    let cell = shard
-                        .cells
-                        .get_mut(&addr)
-                        .expect("a touched address has a cell");
-                    if cell.writers.front().is_some_and(|&(w, _)| w == v.0) {
-                        cell.committed = cell.writers.pop_front().map(|(_, value)| value);
-                        published += 1;
-                    }
-                    if cell.readers.front().is_some_and(|&(w, _)| w == v.0) {
-                        cell.readers.pop_front();
-                    }
-                    if cell.is_empty() {
-                        shard.cells.remove(&addr);
-                    }
-                }
-                published
-            })
-            .collect();
-        if let Some(last) = vs[..n].last() {
-            self.committed_watermark
-                .store(last.0 + 1, Ordering::Release);
-            self.stats.commits.fetch_add(n as u64, Ordering::Relaxed);
-        }
+        let mut published = Vec::new();
+        let stopped = self.commit_run(vs, |n| published.push(n));
         (published, stopped)
     }
 
-    /// Discards version `v` entirely (its writes never happened). Later
-    /// versions whose recorded observations no longer match — they
-    /// consumed a now-revoked forwarded value — are squashed, and
-    /// returned in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not active.
-    pub fn rollback(&self, v: VersionId) -> Vec<VersionId> {
-        let mut reg = self.registry.write();
-        let handle = reg
-            .remove(&v.0)
-            .unwrap_or_else(|| panic!("rollback of inactive {v}"));
-        self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
-        let mut squashed = Vec::new();
-        for addr in handle.touched.into_addrs() {
+    /// [`try_commit_batch`](Self::try_commit_batch), handing `each`
+    /// committed version's published count over.
+    fn commit_run(&self, vs: &[VersionId], mut each: impl FnMut(u64)) -> Option<CommitError> {
+        let slots = self.slots.read();
+        let (mut n, mut stopped) = self.committable(&slots, vs);
+        // A commit or rollback of the same version racing this one keeps it.
+        if let Some(j) = vs[..n]
+            .iter()
+            .position(|v| !slot_of(&slots, v.0).claim(v.0))
+        {
+            (n, stopped) = (j, Some(CommitError::Unknown));
+        }
+        for v in &vs[..n] {
+            let (slot, mut published) = (slot_of(&slots, v.0), 0);
+            // `v` is the oldest live version: its store is the committed value.
+            self.take_apart(slot, v.0, |cell, _, value| {
+                cell.committed = Some(value);
+                published += 1;
+            });
+            // Raised before the slot frees: the next commit waits for that.
+            self.committed_watermark.store(v.0 + 1, Ordering::Release);
+            slot.release();
+            each(published);
+        }
+        self.stats.commits.fetch_add(n as u64, Ordering::Relaxed);
+        self.settle(slots);
+        stopped
+    }
+
+    /// Removes claimed version `v`'s entries from every cell it touched,
+    /// handing `f` each cell it had stored to with the store's index and
+    /// value; the caller frees the slot.
+    fn take_apart(&self, slot: &Slot, v: u64, mut f: impl FnMut(&mut Cell, usize, u64)) {
+        slot.drain(|addr| {
             let mut shard = self.shard(addr).lock();
             let cell = shard
                 .cells
                 .get_mut(&addr)
                 .expect("a touched address has a cell");
-            if let Some(i) = position(&cell.writers, v.0) {
-                cell.writers.remove(i);
-                let exposed = cell.before(i);
-                squashed.extend(
-                    cell.stale_readers(v.0, exposed)
-                        .filter(|w| self.doom(&reg, *w, v))
-                        .map(VersionId),
-                );
+            if let Some(i) = position(&cell.writers, v) {
+                let (_, value) = cell.writers.remove(i).expect("a found entry");
+                f(cell, i, value);
             }
-            if let Some(i) = position(&cell.readers, v.0) {
+            if let Some(i) = position(&cell.readers, v) {
                 cell.readers.remove(i);
             }
-            if cell.is_empty() {
+            if cell.committed.is_none() && cell.writers.is_empty() && cell.readers.is_empty() {
                 shard.cells.remove(&addr);
             }
-        }
+        });
+    }
+
+    /// Discards version `v` entirely (its writes never happened), and
+    /// squashes and returns, in ascending order, the later versions that
+    /// consumed a now-revoked forwarded value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not active.
+    pub fn rollback(&self, v: VersionId) -> Vec<VersionId> {
+        let slots = self.slots.read();
+        let slot = live(&slots, v.0)
+            .filter(|slot| slot.claim(v.0))
+            .unwrap_or_else(|| panic!("rollback of inactive {v}"));
+        let mut squashed = Vec::new();
+        self.take_apart(slot, v.0, |cell, i, _| {
+            let stale = cell.stale_readers(v.0, cell.before(i));
+            squashed.extend(stale.filter(|w| self.doom(&slots, *w, v)).map(VersionId));
+        });
+        slot.release();
+        self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
+        self.settle(slots);
         squashed.sort_unstable();
         squashed
     }
 
-    /// The number of currently active versions.
+    /// The number of currently active versions: begun, and neither
+    /// committed nor rolled back (exact while no operation is in flight).
     pub fn active_count(&self) -> usize {
-        self.registry.read().len()
+        let stats = self.stats.snapshot();
+        stats.begins.saturating_sub(stats.commits + stats.rollbacks) as usize
     }
 
-    /// A consistent-enough snapshot of the accumulated statistics
-    /// (individual counters are exact; cross-counter invariants may be
-    /// mid-update while other threads operate).
+    /// A snapshot of the statistics: each counter exact, their relations
+    /// possibly mid-update while other threads operate.
     pub fn stats(&self) -> MemStats {
         let mut total = self.stats.snapshot();
         for shard in &self.shards {
@@ -638,33 +648,23 @@ impl ConcurrentVersionedMemory {
         total
     }
 
-    /// [`begin`](Self::begin)s `v` if no version is active, and returns
-    /// whether it did; the look and the open are two steps, so nothing
-    /// else may begin meanwhile. Kept only while
-    /// `benchmark/src/probes.rs` calls it; new code calls `begin`.
+    /// [`begin`](Self::begin)s `v` if no version is active (two steps:
+    /// nothing else may begin meanwhile). Kept only while `benchmark/`
+    /// calls it.
     pub fn try_begin_inline(&self, v: VersionId) -> bool {
-        let idle = self.active_count() == 0;
-        if idle {
-            self.begin(v);
-        }
-        idle
+        (self.active_count() == 0).then(|| self.begin(v)).is_some()
     }
 
-    /// [`try_commit_batch`](Self::try_commit_batch) of `v` alone: the
-    /// number of addresses it published. Kept only while
-    /// `benchmark/src/probes.rs` calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` cannot commit.
+    /// [`try_commit`](Self::try_commit), returning the addresses `v`
+    /// published or panicking. Kept only while `benchmark/` calls it.
     pub fn commit_inline(&self, v: VersionId) -> u64 {
-        let (published, stopped) = self.try_commit_batch(&[v]);
+        let mut published = 0;
+        let stopped = self.commit_run(&[v], |n| published = n);
         assert!(stopped.is_none(), "commit of {v} refused: {stopped:?}");
-        published[0]
+        published
     }
 
-    /// Does nothing: every version publishes at its commit. Kept only
-    /// while `benchmark/src/probes.rs` calls it.
+    /// Does nothing. Kept only while `benchmark/` calls it.
     pub fn end_inline(&self) {}
 }
 
@@ -945,6 +945,144 @@ mod tests {
         m.begin(VersionId(0));
         m.try_commit(VersionId(0)).unwrap();
         m.begin(VersionId(0));
+    }
+
+    /// The slots in `m`'s table.
+    fn table_len(m: &ConcurrentVersionedMemory) -> usize {
+        m.slots.read().len()
+    }
+
+    /// Ids many times the table's length reuse its slots: one version at
+    /// a time, or a few live at once, never grows it.
+    #[test]
+    fn ids_far_past_the_table_reuse_its_slots() {
+        let m = ConcurrentVersionedMemory::new();
+        let far = 10 * MIN_SLOTS as u64;
+        for v in (0..far).map(VersionId) {
+            m.begin(v);
+            let seen = m.read(v, Addr(0));
+            assert!(m.write(v, Addr(0), seen + 1).is_empty());
+            assert_eq!(m.try_commit(v), Ok(()));
+        }
+        for v in (far..far + 3 * MIN_SLOTS as u64).step_by(4) {
+            let vs: Vec<VersionId> = (v..v + 4).map(VersionId).collect();
+            vs.iter().for_each(|&w| m.begin(w));
+            vs.iter()
+                .for_each(|&w| assert!(m.write(w, Addr(w.0), w.0).is_empty()));
+            assert_eq!(m.try_commit_batch(&vs), (vec![1; 4], None));
+        }
+        assert_eq!(m.committed(Addr(0)), Some(far));
+        assert_eq!(table_len(&m), MIN_SLOTS);
+        assert_eq!(m.active_count(), 0);
+    }
+
+    /// Versions begun out of order and with gaps (5, then 2) commit in
+    /// id order, the ids between them never begun.
+    #[test]
+    fn sparse_out_of_order_begins_commit_in_id_order() {
+        let m = ConcurrentVersionedMemory::new();
+        let v = VersionId;
+        m.begin(v(5));
+        m.begin(v(2));
+        m.write(v(2), Addr(1), 7);
+        assert_eq!(m.read(v(5), Addr(1)), 7, "forwarded across the gap");
+        for gap in [0, 3, 4] {
+            assert!(!m.is_active(v(gap)), "v{gap}");
+        }
+        assert_eq!(m.commit_check(v(5)), Err(CommitError::NotOldest));
+        assert_eq!(m.commit_check_batch(&[v(2), v(5)]), (2, None));
+        assert_eq!(
+            m.try_commit_batch(&[v(5), v(2)]).1,
+            Some(CommitError::NotOldest)
+        );
+        assert_eq!(m.try_commit_batch(&[v(2), v(5)]), (vec![1, 0], None));
+        assert_eq!(m.committed(Addr(1)), Some(7));
+        // The ids past the last one are never live.
+        assert!(!m.is_active(v(u64::MAX)));
+        assert_eq!(m.commit_check(v(u64::MAX)), Err(CommitError::Unknown));
+    }
+
+    /// A middle version rolled back and begun again takes its slot back
+    /// and commits between its neighbours.
+    #[test]
+    fn a_middle_version_rolled_back_begins_again() {
+        let m = ConcurrentVersionedMemory::new();
+        let v = VersionId;
+        (0..3).for_each(|i| m.begin(v(i)));
+        m.write(v(1), Addr(0), 4);
+        assert_eq!(m.read(v(2), Addr(0)), 4);
+        assert_eq!(m.rollback(v(1)), vec![v(2)]);
+        assert!(!m.is_active(v(1)));
+        assert_eq!(
+            m.commit_check_batch(&[v(0), v(2)]),
+            (1, Some(CommitError::Squashed { by: v(1) }))
+        );
+        m.rollback(v(2));
+        m.begin(v(1));
+        m.begin(v(2));
+        m.write(v(1), Addr(0), 5);
+        assert_eq!(m.read(v(2), Addr(0)), 5);
+        assert_eq!(
+            m.try_commit_batch(&[v(0), v(1), v(2)]),
+            (vec![0, 1, 0], None)
+        );
+        assert_eq!(m.committed(Addr(0)), Some(5));
+    }
+
+    /// A committed id panics on `begin` even once a later live version
+    /// holds the slot it indexes.
+    #[test]
+    #[should_panic(expected = "already committed")]
+    fn recycling_a_committed_id_whose_slot_is_taken_panics() {
+        let m = ConcurrentVersionedMemory::new();
+        let slots = MIN_SLOTS as u64;
+        (0..=slots).for_each(|i| m.begin(VersionId(i)));
+        m.try_commit(VersionId(0)).unwrap();
+        assert!(m.is_active(VersionId(slots)));
+        m.begin(VersionId(0));
+    }
+
+    /// The top bit of a slot's word marks a claimed version, so the ids
+    /// that would need it are refused.
+    #[test]
+    #[should_panic(expected = "past the last id")]
+    fn an_id_past_the_last_panics() {
+        ConcurrentVersionedMemory::new().begin(VersionId(u64::MAX));
+    }
+
+    /// 4 096 live versions, each reading its predecessor's store, opened
+    /// after 3 000 committed ones so that the ids the table rehashes lie
+    /// past its length: the table grows to hold exactly them, forwards
+    /// down the whole chain, commits it in runs of 16 and returns to its
+    /// first size.
+    #[test]
+    fn a_4096_deep_live_chain_grows_the_table_and_commits() {
+        const FROM: u64 = 3_000;
+        const DEPTH: u64 = 4096;
+        let m = ConcurrentVersionedMemory::new();
+        for v in (0..FROM).map(VersionId) {
+            m.begin(v);
+            assert_eq!(m.try_commit(v), Ok(()));
+        }
+        for v in (FROM..FROM + DEPTH).map(VersionId) {
+            m.begin(v);
+            let seen = if v.0 == FROM {
+                0
+            } else {
+                m.read(v, Addr(v.0 - 1))
+            };
+            m.write(v, Addr(v.0), seen + 1);
+        }
+        assert_eq!(table_len(&m), DEPTH as usize);
+        assert_eq!(m.active_count(), DEPTH as usize);
+        assert_eq!(m.stats().forwards, DEPTH - 1);
+        let chain: Vec<VersionId> = (FROM..FROM + DEPTH).map(VersionId).collect();
+        for run in chain.chunks(16) {
+            assert_eq!(m.commit_check_batch(run), (run.len(), None));
+            assert_eq!(m.try_commit_batch(run), (vec![1; run.len()], None));
+        }
+        assert_eq!(m.committed(Addr(FROM + DEPTH - 1)), Some(DEPTH));
+        assert_eq!(table_len(&m), MIN_SLOTS);
     }
 
     /// The single-version entry points are the batch ones at k = 1:

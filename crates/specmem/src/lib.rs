@@ -25,8 +25,8 @@
 //! so none of them can conflict.
 //!
 //! Every operation takes `&self`; the [`concurrent`] module documents the
-//! per-address version chains, the sharding and the registry that make
-//! that safe.
+//! per-address version chains, the sharding and the slot table of live
+//! versions that make that safe.
 //!
 //! # Example
 //!

@@ -219,38 +219,63 @@ const COMMIT_RUN: usize = 16;
 /// finished prefix through `commit_check_batch` / `try_commit_batch` in
 /// runs of up to [`COMMIT_RUN`], rolling back and replaying (at the
 /// frontier, where nothing can squash it again) every version a
-/// conflict squashed. Panics if the committed state is not `expected`.
+/// conflict squashed. Once `pause.0` versions have committed, the
+/// frontier waits until `pause.1` more have finished, so at least that
+/// many are live at once, past the ids already committed. Panics if the
+/// committed state is not `expected`.
 fn check_pipelined(
     mem: &ConcurrentVersionedMemory,
     programs: &[Vec<Op>],
     expected: &HashMap<u64, u64>,
+    pause: (usize, usize),
 ) {
     let next = AtomicUsize::new(0);
     let done: Vec<AtomicBool> = programs.iter().map(|_| AtomicBool::new(false)).collect();
     let barrier = Barrier::new(2);
     let mut replays = 0;
     std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                barrier.wait();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(program) = programs.get(i) else {
-                        break;
-                    };
-                    run_attempt(mem, VersionId(i as u64), program);
-                    done[i].store(true, Ordering::Release);
-                }
-            });
-        }
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(program) = programs.get(i) else {
+                            break;
+                        };
+                        run_attempt(mem, VersionId(i as u64), program);
+                        done[i].store(true, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        // Both workers gone and a version still unfinished: one panicked,
+        // and waiting on it would hang the test instead of failing it.
+        let gone = || {
+            workers
+                .iter()
+                .all(std::thread::ScopedJoinHandle::is_finished)
+        };
+        let finished = || done.iter().filter(|d| d.load(Ordering::Acquire)).count();
+        let mut paused = false;
         let mut frontier = 0;
         while frontier < programs.len() {
+            if !paused && frontier >= pause.0 {
+                paused = true;
+                let held = (frontier + pause.1).min(programs.len());
+                while finished() < held {
+                    assert!(!(gone() && finished() < held), "a worker died");
+                    std::thread::yield_now();
+                }
+            }
             let run: Vec<VersionId> = (frontier..programs.len())
                 .take(COMMIT_RUN)
                 .take_while(|&i| done[i].load(Ordering::Acquire))
                 .map(|i| VersionId(i as u64))
                 .collect();
             if run.is_empty() {
+                let stuck = gone() && !done[frontier].load(Ordering::Acquire);
+                assert!(!stuck, "a worker died");
                 std::thread::yield_now();
                 continue;
             }
@@ -391,7 +416,31 @@ proptest! {
         let expected = interpret(&programs);
         for &shards in SHARD_COUNTS {
             let mem = ConcurrentVersionedMemory::with_shards(shards);
-            check_pipelined(&mem, &programs, &expected);
+            check_pipelined(&mem, &programs, &expected, (0, 0));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Long runs: 40–120 versions, ids wrapping the substrate's slot
+    /// table several times, and a frontier that pauses after up to 40
+    /// commits until up to 64 more versions are live, so the table grows
+    /// mid-run over ids past its length.
+    #[test]
+    fn long_runs_wrap_and_grow_the_slot_table(
+        programs in proptest::collection::vec(
+            proptest::collection::vec(op_strategy(4), 1..6),
+            40..121,
+        ),
+        at in 0..41usize,
+        hold in 0..65usize,
+    ) {
+        let expected = interpret(&programs);
+        for &shards in SHARD_COUNTS {
+            let mem = ConcurrentVersionedMemory::with_shards(shards);
+            check_pipelined(&mem, &programs, &expected, (at, hold));
         }
     }
 }

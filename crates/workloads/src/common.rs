@@ -205,37 +205,61 @@ pub fn stage_labels(stage_count: u8) -> Vec<String> {
     }
 }
 
-/// What the annealers' record rule remembers: for every move in order,
-/// the nets it touched if it was accepted.
-pub(crate) type History = Vec<Option<Vec<u32>>>;
-
 /// The annealers' conflict window (vpr, twolf): how many in-flight
 /// earlier moves a speculative move can collide with (bounded by
 /// machine width).
 const WINDOW: usize = 32;
 
+/// What the annealers' record rule remembers: per net, the latest
+/// accepted move that touched it, and whether the last two moves were
+/// accepted. A move so costs the rule its own nets, not the nets of
+/// every move in the window.
+#[derive(Debug, Default)]
+pub(crate) struct Touches {
+    /// Moves recorded so far.
+    moves: usize,
+    /// Per net id, `1 +` the latest accepted move that touched it (0:
+    /// none has).
+    latest: Vec<usize>,
+    /// Whether move `moves − 1` (bit 0) and `moves − 2` (bit 1) were
+    /// accepted.
+    accepted: u8,
+}
+
 /// The annealers' record rule (vpr, twolf): a move depends on the
 /// latest *accepted* move among the last [`WINDOW`] that touched one of
 /// the nets in `touched`, or that ran at most two moves before it —
 /// every accepted move updates the global cost the next ones read, so
-/// misspeculation tracks the acceptance rate. This move joins `recent`.
+/// misspeculation tracks the acceptance rate. This move joins `book`.
 pub(crate) fn annealer_record(
-    recent: &mut History,
+    book: &mut Touches,
     accepted: bool,
     touched: Vec<u32>,
     work: u64,
 ) -> IterationRecord {
-    let i = recent.len();
+    let i = book.moves;
+    let last_two = (1..=2).filter(|&back| (book.accepted >> (back - 1)) & 1 == 1);
+    let shared = touched
+        .iter()
+        .filter_map(|&n| book.latest.get(n as usize).and_then(|&j| j.checked_sub(1)))
+        .filter(|&j| j + WINDOW >= i);
     let mut record = IterationRecord::new(1, work, 1);
-    record.misspec_on = (i.saturating_sub(WINDOW)..i)
-        .rev()
-        .find(|&j| {
-            recent[j]
-                .as_ref()
-                .is_some_and(|nets| nets.iter().any(|n| touched.contains(n)) || j + 2 >= i)
-        })
+    record.misspec_on = last_two
+        .map(|back| i - back)
+        .chain(shared)
+        .max()
         .map(|j| j as u64);
-    recent.push(accepted.then_some(touched));
+    if accepted {
+        for n in touched {
+            let n = n as usize;
+            if n >= book.latest.len() {
+                book.latest.resize(n + 1, 0);
+            }
+            book.latest[n] = i + 1;
+        }
+    }
+    book.accepted = ((book.accepted << 1) & 0b10) | u8::from(accepted);
+    book.moves += 1;
     record
 }
 

@@ -385,15 +385,15 @@ struct Committed {
     tails: Vec<usize>,
 }
 
-/// How long a task should run. Handing a task over costs the executor
-/// 0.3 µs with no carried state and 0.55–1.0 µs with (the benchmark's
-/// `exec.overhead_ns_per_task.*`), and at one seat a kernel chunk also
-/// pays the versioned memory for its version — begin, a check and a
-/// commit with nothing read or written, since its checksum tail folds at
-/// commit — and that fold (EXPERIMENTS.md "The checksum tail folds at
-/// commit"). A task of 32 µs so outlasts its overhead 20 times and more:
-/// under 5 % of the wall is hand-off, substrate and commit. The first
-/// plan with two or more seats keeps restore points at the k this sets.
+/// How long a task should run, at least. At one seat a kernel chunk pays
+/// a fixed cost of ~0.6–2 µs beside its body (measured per chunk, 2-vCPU
+/// x86-64): the claim (~60 ns), the substrate's `begin` (140–210 ns),
+/// the publish (~100 ns) and the frontier's turn (360–1 100 ns: absorb,
+/// the check and commit of its empty version, appending its bytes with
+/// the checksum tail's fold, admitting the next). A task that reaches
+/// 32 µs so outlasts that cost 16 times and more: hand-off, substrate
+/// and commit are ≤ 3–5 % of the wall. The first plan with two or more
+/// seats keeps restore points at the k this sets.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
 /// Chunking never leaves a seat of the plan fewer tasks than this:
@@ -665,20 +665,19 @@ impl VersionedJob {
     }
 
     /// How many consecutive iterations make one task under `plan`: the
-    /// largest power of two that keeps a task no longer than ~32 µs by
-    /// the iteration time of the job's first sequential run (run here if
-    /// none has) — long enough that
-    /// the executor's per-task cost (0.3–1.0 µs) is ≤ 3 % of it — and
-    /// leaves every seat of the plan at least 8 tasks;
-    /// 1 when a single iteration already outlasts the target or the loop
+    /// smallest power of two whose chunk reaches ~32 µs by the iteration
+    /// time of the job's first sequential run (run here if none has) —
+    /// long enough that the per-chunk cost (0.6–2 µs at one seat) is
+    /// ≤ 3–5 % of it — unless that leaves a seat of the plan fewer than
+    /// 8 tasks, when it is the largest power of two that leaves each 8;
+    /// 1 when a single iteration already reaches the target or the loop
     /// is too short to share out. A pure function of the job's clock and
     /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
         let cap = self.len() / (TASKS_PER_SEAT * Engine::seats(plan).max(1));
-        let wanted = GRAIN_TARGET_NS / self.clock().max(1);
-        let k = wanted.min(cap as u64).max(1);
-        1 << k.ilog2()
+        let reaches = GRAIN_TARGET_NS.div_ceil(self.clock().max(1));
+        (reaches.next_power_of_two() as usize).min(1 << cap.max(1).ilog2())
     }
 
     /// Packages the job as a submittable unit for an [`Engine`], with a
@@ -1122,22 +1121,30 @@ mod tests {
                 let tasks = job.len().div_ceil(k);
                 let floor = job.len().min(TASKS_PER_SEAT * Engine::seats(plan));
                 assert!(tasks >= floor, "{id}: {tasks} tasks of k = {k} < {floor}");
+                // A chunk reaches the target unless the cap binds, and
+                // only a one-iteration chunk may reach twice the target.
+                let chunk_ns = k as u64 * job.clock().max(1);
+                let capped = 2 * k > job.len() / (TASKS_PER_SEAT * Engine::seats(plan));
+                assert!(chunk_ns >= GRAIN_TARGET_NS || capped, "{id}: k = {k}");
+                assert!(chunk_ns < 2 * GRAIN_TARGET_NS || k == 1, "{id}: k = {k}");
                 let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
                 assert_eq!(spec.graph.len(), tasks, "{id}: job_spec runs at grain");
             }
         }
-        // The target binds: 32 µs of 100 ns iterations, rounded down.
+        // The target binds: 32 µs of 100 ns iterations, rounded up.
         let fine = measured_at(&long, 100);
-        assert_eq!(fine.grain(&ExecutionPlan::tls(1)), 256);
+        assert_eq!(fine.grain(&ExecutionPlan::tls(1)), 512);
         // The cap binds: 4096 iterations over 8 × 8 tasks.
         assert_eq!(fine.grain(&ExecutionPlan::tls(8)), 64);
         // And at 6 seats: 4096 iterations over 6 × 8 tasks, rounded down.
         assert_eq!(fine.grain(&ExecutionPlan::tls(6)), 64);
-        // One iteration that outlasts the target — or half of it: two
-        // would overshoot — is a task.
+        // One iteration that reaches the target is a task; one just
+        // short of it takes two, and one just past half of it too.
         assert_eq!(measured_at(&long, 32_000).grain(&ExecutionPlan::tls(1)), 1);
-        assert_eq!(measured_at(&long, 16_001).grain(&ExecutionPlan::tls(1)), 1);
+        assert_eq!(measured_at(&long, 31_999).grain(&ExecutionPlan::tls(1)), 2);
+        assert_eq!(measured_at(&long, 16_001).grain(&ExecutionPlan::tls(1)), 2);
         assert_eq!(measured_at(&long, 16_000).grain(&ExecutionPlan::tls(1)), 2);
+        assert_eq!(measured_at(&long, 15_999).grain(&ExecutionPlan::tls(1)), 4);
         // A loop too short to share out is not chunked.
         assert_eq!(
             measured_at(&synthetic(15, 2), 100).grain(&ExecutionPlan::tls(1)),

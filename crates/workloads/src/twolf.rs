@@ -16,7 +16,7 @@
 //! through the whole schedule and the paper's speedup saturates at ~2× on
 //! 8 threads.
 
-use crate::common::{annealer_record, History, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{annealer_record, InputSize, IrModel, Prng, Touches, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::{Kernel, KernelLoop};
 use seqpar::{IterationRecord, Technique};
@@ -248,7 +248,7 @@ impl Kernel for Uloop {
     type State = (CellPlacement, YacmRandom);
     type Point = (Vec<(u16, u16)>, YacmRandom);
     type Seen = ExchangeOutcome;
-    type Book = History;
+    type Book = Touches;
 
     fn start(&self) -> Self::State {
         (self.instance.clone(), YacmRandom::new(0x300_5EED))
@@ -277,8 +277,8 @@ impl Kernel for Uloop {
 
     /// As in vpr, the global wirelength accumulator chains every accepted
     /// exchange; net sharing conflicts the rest.
-    fn record(&self, recent: &mut History, _: u64, work: u64, o: Self::Seen) -> IterationRecord {
-        annealer_record(recent, o.accepted, o.nets_touched, work)
+    fn record(&self, book: &mut Touches, _: u64, work: u64, o: Self::Seen) -> IterationRecord {
+        annealer_record(book, o.accepted, o.nets_touched, work)
     }
 
     fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {

@@ -16,7 +16,7 @@
 //! 80% of the time"), so "good parallel performance requires many
 //! threads" in the late region — the paper's 3.59× at 15 threads.
 
-use crate::common::{annealer_record, History, InputSize, IrModel, Prng, WorkMeter, Workload};
+use crate::common::{annealer_record, InputSize, IrModel, Prng, Touches, WorkMeter, Workload};
 use crate::meta::WorkloadMeta;
 use crate::native::{Kernel, KernelLoop};
 use seqpar::{IterationRecord, Technique};
@@ -239,7 +239,7 @@ impl Kernel for Place {
     type State = (Placement, Prng);
     type Point = (Vec<(u16, u16)>, Prng);
     type Seen = SwapOutcome;
-    type Book = History;
+    type Book = Touches;
 
     fn start(&self) -> Self::State {
         (self.instance.clone(), Prng::new(0xABCD))
@@ -271,8 +271,8 @@ impl Kernel for Place {
 
     /// Real collisions, so misspeculation is high while hot and low once
     /// cold (§4.3.4).
-    fn record(&self, recent: &mut History, _: u64, work: u64, o: SwapOutcome) -> IterationRecord {
-        annealer_record(recent, o.accepted, o.nets_touched, work)
+    fn record(&self, book: &mut Touches, _: u64, work: u64, o: SwapOutcome) -> IterationRecord {
+        annealer_record(book, o.accepted, o.nets_touched, work)
     }
 
     fn fold(&self, _: u64, bytes: &[u8], acc: &mut [u64]) {
