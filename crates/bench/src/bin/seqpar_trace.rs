@@ -19,13 +19,13 @@
 //! plan (commit order must agree — speculation replay differs by
 //! design, see OBSERVABILITY.md).
 //!
-//! A comma-separated workload list runs every named job **concurrently
-//! on one persistent engine** (`--threads` sizes the shared pool);
-//! each job's output is still byte-checked against its own sequential
-//! run, the per-job timelines are merged with `Timeline::merge` into
-//! one JobId-tagged stream, and `--out` exports that merged stream as
-//! Chrome JSON where each job renders as its own process row (pid =
-//! job id; see OBSERVABILITY.md for the schema).
+//! A comma-separated workload list runs the named jobs **one after
+//! another on one engine** (`--threads` sizes its pool), as the
+//! benchmark runs its jobs; each job's output is byte-checked against
+//! its own sequential run, the per-job timelines are merged with
+//! `Timeline::merge` into one JobId-tagged stream, and `--out` exports
+//! that merged stream as Chrome JSON where each job renders as its own
+//! process row (pid = job id; see OBSERVABILITY.md for the schema).
 //!
 //! `--out PATH` additionally exports the timeline as Chrome
 //! `trace_event` JSON — load it in [Perfetto](https://ui.perfetto.dev)
@@ -219,8 +219,8 @@ fn main() {
     }
 }
 
-/// Multi-job mode: run every comma-named workload concurrently on one
-/// persistent engine, byte-check each against its own sequential run,
+/// Multi-job mode: run every comma-named workload, one after another on
+/// one engine, byte-check each against its own sequential run,
 /// merge the JobId-tagged timelines, and optionally export the merged
 /// stream as Chrome JSON (one process row per job).
 fn multi_job_trace(
@@ -241,36 +241,34 @@ fn multi_job_trace(
     let engine = Engine::new(EngineConfig::with_workers(threads));
     engine.warm();
     println!(
-        "## multi-job traced run: {targets} concurrently on one {threads}-worker engine (tls plan)"
+        "## multi-job traced run: {targets} one after another on one {threads}-worker engine \
+         (tls plan)"
     );
-    // Submit every job before waiting on any: they overlap on the pool.
-    let mut submitted = Vec::new();
+    let mut timelines = Vec::new();
+    let mut stage_count = 0;
     for name in targets.split(',') {
         let name = name.trim();
         let Some(w) = find_workload(workloads, name) else {
             usage(&format!("unknown workload {name} in the job list"));
         };
+        let id = w.meta().spec_id;
         let job = w.versioned_job(size);
         let seq = job.sequential();
-        println!("{}: {}", w.meta().spec_id, render_grain(&job, &exec_plan));
-        let handle = engine.submit(job.job_spec(&exec_plan, config.clone()).0);
-        submitted.push((w.meta().spec_id, seq, handle));
-    }
-    let mut timelines = Vec::new();
-    let mut stage_count = 0;
-    for (id, seq, handle) in submitted {
-        let job_id = handle.id();
-        let mut report = handle.wait().unwrap_or_else(|e| {
-            eprintln!("{id}: job failed: {e}");
-            std::process::exit(1);
-        });
+        println!("{id}: {}", render_grain(&job, &exec_plan));
+        let mut report = engine
+            .run(&job.job_spec(&exec_plan, config.clone()).0)
+            .unwrap_or_else(|e| {
+                eprintln!("{id}: job failed: {e}");
+                std::process::exit(1);
+            });
         if report.output != seq.output {
             eprintln!("{id}: output DIVERGED from sequential");
             std::process::exit(1);
         }
         println!(
-            "job {job_id} {id}: wall {:.3} ms (sequential {:.3} ms); {} tasks committed \
+            "job {} {id}: wall {:.3} ms (sequential {:.3} ms); {} tasks committed \
              in {} attempts, {} squashed; output byte-identical to sequential",
+            report.job,
             report.wall.as_secs_f64() * 1e3,
             seq.wall.as_secs_f64() * 1e3,
             report.tasks_committed,

@@ -1,64 +1,42 @@
 //! The engine: the one owner of worker threads.
 //!
-//! An [`Engine`] owns one long-lived pool of OS threads, spawned lazily
-//! on the first ticket the pool is handed and shared by every job given
-//! to it. A job is a [`JobSpec`]; [`Engine::run`] runs it from the
-//! calling thread, [`Engine::submit`] from a thread of its own,
-//! returning at once with a [`JobHandle`] — either way one more of the
-//! job's body-runners, not a watcher. Any number of jobs run
-//! concurrently, each with its own commit frontier, fault plan, trace
-//! buffers, and (for versioned jobs) memory substrate. A
-//! caller with one loop to run builds an engine one narrower than the
-//! plan and drops it afterwards; a harness that runs many keeps one
-//! warmed engine and pays thread start-up once.
-//!
-//! # Job isolation invariants
-//!
-//! Jobs share only the stateless worker threads. Everything stateful
-//! is keyed by the job:
-//!
-//! - every ticket carries an `Arc` of its job's shared state, so a
-//!   worker executes each attempt against that job's board, graph,
-//!   body, substrate, and fault plan — never a neighbour's;
-//! - every trace event a runner records is stamped with the job's
-//!   [`JobId`] and travels to the job's frontier inside the attempt's
-//!   completion, so the [`Timeline`](super::Timeline)s of concurrent
-//!   jobs never mix;
-//! - commit frontiers and retry budgets live behind each job's own
-//!   frontier lock; a conflict storm in one job squashes only that
-//!   job's attempts.
+//! An [`Engine`] owns one long-lived pool of OS threads, spawned on the
+//! first job of more than one seat (or by [`Engine::warm`]), and runs
+//! one job at a time on it, as the paper's runtime runs one
+//! parallelized loop at a time. A job is a [`JobSpec`];
+//! [`Engine::run`] runs it from the calling thread, one more of the
+//! job's body-runners, not a watcher, and refuses a second job while one
+//! is in flight ([`ExecError::Busy`]). A caller with one loop to run
+//! builds an engine one narrower than the plan and drops it afterwards;
+//! a harness that runs many keeps one warmed engine and pays thread
+//! start-up once.
 //!
 //! # Scheduling and liveness
 //!
-//! The injector carries *tickets* — (job, seat) pairs — not tasks. A
-//! runner holding a ticket runs the claim loop of [`super::stage`]
-//! over that job's board, touching no engine-wide state per task, and
-//! takes a turn at that job's frontier when its own publication makes
-//! a batch due. It gives the ticket up in one of two ways: after one
-//! window of claims (the *ticket quantum*) a pool worker hands it on —
-//! to the job's own caller if that is waiting for a seat, else to the
-//! injector's tail, so a pool smaller than the sum of its jobs' seats
+//! The injector carries *tickets* — seats of the job in flight — not
+//! tasks. A runner holding a ticket runs the claim loop of
+//! [`super::stage`] over the job's board, touching no engine-wide state
+//! per task, and takes a turn at the job's frontier when its own
+//! publication makes a batch due. It gives the ticket up in one of two
+//! ways: after one window of claims (the *ticket quantum*) a pool worker
+//! hands it on — to the job's caller if that is waiting for a seat, else
+//! to the injector's tail, so a pool smaller than the plan's seats
 //! round-robins between them; when its lane runs dry it parks the seat
-//! on the job's board, and the next turn that admits into the lane
-//! hands the ticket out again. The thread that called `run` (or the job
-//! thread of `submit`) serves seats of *its* job only, so it returns
-//! within one attempt of the job's last commit, and sleeps only while
-//! the job has no seat for it; that sleep is the watchdog. Task bodies
-//! never block on other tasks (ordering is enforced at each job's
-//! commit frontier), so a busy pool delays jobs but cannot deadlock
-//! them. Size the pool to the most cores a single plan names *minus
-//! one* — the caller is the last, and every job in flight brings its
-//! own runner; seats on one core, or a pool smaller than the seats,
-//! time-slice.
+//! on the job's board, and the next turn that admits into the lane hands
+//! the ticket out again. The thread that called `run` serves seats of
+//! its job only, so it returns within one attempt of the job's last
+//! commit, and sleeps only while the job has no seat for it; that sleep
+//! is the watchdog. Task bodies never block on other tasks (ordering is
+//! enforced at the commit frontier), so a small pool delays a job but
+//! cannot deadlock it. Size the pool to the seats of the widest plan
+//! *minus one* — the caller is the last; seats on one core, or a pool
+//! smaller than the seats, time-slice.
 //!
-//! # Lifecycle
-//!
-//! The pool lives as long as anything can still hand it a ticket: the
-//! [`Engine`] handle, and the job thread of every submitted job.
-//! Dropping the handle with jobs in flight therefore costs them
-//! nothing — they finish on the pool, no watchdog trips, no fallback
-//! runs — and the last job thread to finish closes the injector and
-//! joins the workers, which hold only the injector themselves.
+//! A job ends when its board closes. A straggler still inside a body on
+//! a pool worker (a fallen-back job's) publishes into the closed board,
+//! which its ticket keeps alive, and only then takes the next job's
+//! ticket: every trace event, seat statistic and completion of a job
+//! travels to that job's frontier, never to the next one's.
 
 use super::commit::CommitUnit;
 use super::stage::{serve, Board, Injector, JobShared, Seat};
@@ -67,19 +45,17 @@ use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
 use crate::plan::{ExecutionPlan, StageAssignment};
 use crate::task::{TaskGraph, TaskId};
 use seqpar_specmem::ConcurrentVersionedMemory;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Pool parameters for an [`Engine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// OS threads in the shared worker pool ([`Engine::new`] clamps it
-    /// to at least 1), not counting the thread each job is run from,
-    /// which works too. Spawned lazily on the first ticket handed to
-    /// the pool, so an engine that only ever runs one-seat jobs costs
-    /// no threads.
+    /// OS threads in the worker pool ([`Engine::new`] clamps it to at
+    /// least 1), not counting the thread each job is run from, which
+    /// works too. Spawned on the first job of more than one seat, so an
+    /// engine that only ever runs one-seat jobs costs no threads.
     pub workers: usize,
 }
 
@@ -105,7 +81,7 @@ impl EngineConfig {
     }
 }
 
-/// One submittable unit of work: a task graph, the plan to run it
+/// One job: a task graph, the plan to run it
 /// under, the body computing each task, an optional versioned-memory
 /// substrate, and the per-job supervision parameters. Everything is
 /// owned (`Arc`'d) because the engine's threads outlive any borrow the
@@ -138,133 +114,42 @@ pub struct JobSpec {
     pub config: ExecConfig,
 }
 
-/// A handle to a submitted job. [`JobHandle::wait`] blocks until the
-/// job's report is ready. Dropping the handle without waiting detaches
-/// the job: it still runs to completion, its report is discarded.
-#[derive(Debug)]
-pub struct JobHandle {
-    job: JobId,
-    thread: JoinHandle<Result<NativeReport, ExecError>>,
-}
-
-impl JobHandle {
-    /// The engine-assigned id of this job: the `job` field of its
-    /// report and the stamp on all its trace events. Each engine counts
-    /// its jobs from 1; [`JobId::SOLO`] (0) is the simulator's stamp.
-    pub fn id(&self) -> JobId {
-        self.job
-    }
-
-    /// Blocks until the job finishes and returns its report.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as for [`Engine::run`]; additionally
-    /// [`ExecError::WorkersDisconnected`] if the job's thread died
-    /// without producing a report (a runtime invariant violation,
-    /// reported rather than hanging).
-    pub fn wait(self) -> Result<NativeReport, ExecError> {
-        self.thread
-            .join()
-            .unwrap_or(Err(ExecError::WorkersDisconnected))
-    }
-}
-
-/// What the injector carries: the right to serve one seat of one job,
+/// What the injector carries: the right to serve one seat of the job,
 /// with the job state its attempts run against.
 pub(super) struct Ticket {
     job: Arc<JobShared>,
     seat: Seat,
 }
 
-/// The way to the injector — a trait because a pool worker holds only
-/// the injector, while a job's calling thread has the pool to start.
-pub(super) trait Pool {
-    fn queue(&self, ticket: Ticket);
-}
-
-impl Pool for Injector<Ticket> {
-    fn queue(&self, ticket: Ticket) {
-        self.push(ticket);
-    }
-}
-
 /// Where a seat's ticket goes when a turn unparks it or a quantum is
 /// spent: to the job's own caller if that is waiting, else to `pool`.
-pub(super) fn hand(pool: &dyn Pool, job: &Arc<JobShared>, seat: Seat) {
+pub(super) fn hand(pool: &Injector<Ticket>, job: &Arc<JobShared>, seat: Seat) {
     if !job.board.offer_home(seat) {
         let job = Arc::clone(job);
-        pool.queue(Ticket { job, seat });
+        pool.push(Ticket { job, seat });
     }
 }
 
-pub(super) struct EngineInner {
-    config: EngineConfig,
-    /// Closed when the last holder of the pool (the [`Engine`] handle
-    /// or a submitted job's thread) drops it, so the workers exit.
-    injector: Arc<Injector<Ticket>>,
-    spawn: Once,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    next_job: AtomicU64,
-}
-
-impl EngineInner {
-    fn ensure_workers(&self) {
-        self.spawn.call_once(|| {
-            let mut handles = self.workers.lock().expect("engine worker list poisoned");
-            for idx in 0..self.config.workers {
-                let injector = Arc::clone(&self.injector);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("seqpar-engine-{idx}"))
-                        .spawn(move || engine_worker(&injector))
-                        .expect("spawn engine pool worker"),
-                );
-            }
-        });
-    }
-}
-
-impl Pool for EngineInner {
-    /// Starts the pool first if this is its first ticket — so an engine
-    /// whose jobs never dispatch past their callers (one seat wide)
-    /// never pays thread start-up.
-    fn queue(&self, ticket: Ticket) {
-        self.ensure_workers();
-        self.injector.push(ticket);
-    }
-}
-
-impl Drop for EngineInner {
-    fn drop(&mut self) {
-        // Close the injector first; blocked workers then see it and
-        // exit, making the joins finite.
-        self.injector.close();
-        let workers =
-            std::mem::take(&mut *self.workers.lock().expect("engine worker list poisoned"));
-        for w in workers {
-            let _ = w.join();
-        }
-    }
-}
-
-/// A long-lived, lazily-spawned shared worker pool running any number
-/// of jobs concurrently. See the module docs for the isolation,
-/// liveness and lifecycle story.
+/// A long-lived, lazily-spawned worker pool that runs one job at a time.
+/// See the module docs for the liveness story.
 ///
-/// [`Engine::run`] and [`Engine::submit`] take `&self`, so one engine
-/// serves every thread that can borrow it — one per process (or per
-/// benchmark harness) is the intended shape. Dropping the engine
-/// closes the pool and joins its threads once no submitted job is left
-/// running on it.
-#[derive(Debug)]
+/// [`Engine::run`] takes `&self`, so one engine serves every thread that
+/// can borrow it, one job after another — one per process (or per
+/// benchmark harness) is the intended shape. Dropping the engine closes
+/// the pool and joins its threads.
 pub struct Engine {
-    inner: Arc<EngineInner>,
+    config: EngineConfig,
+    /// Closed on drop, so the workers exit.
+    injector: Arc<Injector<Ticket>>,
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+    /// Held for the length of a run, so the engine admits one job at a
+    /// time; the count of jobs admitted so far.
+    admitted: Mutex<u64>,
 }
 
-impl std::fmt::Debug for EngineInner {
+impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineInner")
+        f.debug_struct("Engine")
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -276,20 +161,28 @@ impl Default for Engine {
     }
 }
 
+impl Drop for Engine {
+    fn drop(&mut self) {
+        // Close the injector first; blocked workers then see it and
+        // exit, making the joins finite.
+        self.injector.close();
+        for w in self.workers.take().into_iter().flatten() {
+            let _ = w.join();
+        }
+    }
+}
+
 impl Engine {
     /// Creates an engine whose pool will hold `config.workers` threads
-    /// (at least 1). No threads start until the first ticket goes to
-    /// the pool (or an explicit [`Engine::warm`]).
+    /// (at least 1). No threads start until the first job of more than
+    /// one seat (or an explicit [`Engine::warm`]).
     pub fn new(mut config: EngineConfig) -> Self {
         config.workers = config.workers.max(1);
         Self {
-            inner: Arc::new(EngineInner {
-                config,
-                injector: Arc::new(Injector::new()),
-                spawn: Once::new(),
-                workers: Mutex::new(Vec::new()),
-                next_job: AtomicU64::new(1),
-            }),
+            config,
+            injector: Arc::new(Injector::new()),
+            workers: OnceLock::new(),
+            admitted: Mutex::new(0),
         }
     }
 
@@ -320,29 +213,24 @@ impl Engine {
 
     /// The pool parameters in use.
     pub fn config(&self) -> &EngineConfig {
-        &self.inner.config
+        &self.config
     }
 
-    /// Spawns the worker pool now instead of on the first dispatch.
-    /// Benchmark harnesses call this outside the timed region so
-    /// measured runs never include thread-startup cost.
+    /// Spawns the worker pool now instead of on the first job of more
+    /// than one seat. Benchmark harnesses call this outside the timed
+    /// region so measured runs never include thread-startup cost.
     pub fn warm(&self) {
-        self.inner.ensure_workers();
-    }
-
-    /// Submits `spec` and returns immediately. The job runs from a
-    /// thread of its own — one more body-runner — and the shared pool; call
-    /// [`JobHandle::wait`] for the report. Jobs submitted concurrently
-    /// execute concurrently; outputs and per-job counters are exactly
-    /// what the same spec produces alone on an engine of its own.
-    pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
-        let inner = Arc::clone(&self.inner);
-        let thread = std::thread::Builder::new()
-            .name(format!("seqpar-job-{}", job.0))
-            .spawn(move || run_engine_job(&inner, job, &spec))
-            .expect("spawn engine job thread");
-        JobHandle { job, thread }
+        self.workers.get_or_init(|| {
+            (0..self.config.workers)
+                .map(|idx| {
+                    let injector = Arc::clone(&self.injector);
+                    std::thread::Builder::new()
+                        .name(format!("seqpar-engine-{idx}"))
+                        .spawn(move || engine_worker(&injector))
+                        .expect("spawn engine pool worker")
+                })
+                .collect()
+        });
     }
 
     /// Runs `spec` to completion **from the calling thread**, which
@@ -350,12 +238,14 @@ impl Engine {
     /// seat of the job like any pool worker: `workers` pool threads
     /// plus this one run bodies. This is the path benchmark harnesses
     /// time: a warmed engine plus `run` keeps every thread spawn out of
-    /// the measured region. For concurrent jobs use [`Engine::submit`],
-    /// which does the same from a background thread.
+    /// the measured region.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Invalid`] when the plan fails validation
+    /// Returns [`ExecError::Busy`], before looking at the job, while
+    /// another job is in flight on this engine: one started from another
+    /// thread, or the job whose body is calling. Returns
+    /// [`ExecError::Invalid`] when the plan fails validation
     /// ([`SimError::StageMismatch`](crate::SimError::StageMismatch) when
     /// plan and graph disagree on stage count,
     /// [`SimError::EmptyStagePool`](crate::SimError::EmptyStagePool)
@@ -370,15 +260,49 @@ impl Engine {
     /// replay exists (the sequential fallback); pipelined worker panics
     /// are recovered, not raised.
     pub fn run(&self, spec: &JobSpec) -> Result<NativeReport, ExecError> {
-        let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
-        run_engine_job(&self.inner, job, spec)
+        let mut admitted = match self.admitted.try_lock() {
+            Ok(admitted) => admitted,
+            // A run that panicked leaves the count valid: admit the next.
+            Err(TryLockError::Poisoned(admitted)) => admitted.into_inner(),
+            Err(TryLockError::WouldBlock) => return Err(ExecError::Busy),
+        };
+        *admitted += 1;
+        let job = JobId(*admitted);
+        let graph = &*spec.graph;
+        let plan = &*spec.plan;
+        check(graph, plan)?;
+        let started = Instant::now();
+        if graph.is_empty() {
+            let mut report = NativeReport::empty(started.elapsed());
+            report.job = job;
+            return Ok(report);
+        }
+        if Engine::seats(plan) > 1 {
+            self.warm();
+        }
+
+        // One shared clock, one private buffer per recording site: the
+        // commit frontier, the dispatcher, and every ticket a runner
+        // serves. All no-ops when tracing is off.
+        let clock = TraceClock::new(spec.config.trace);
+        let buffer = || TraceBuffer::for_job(clock, job);
+        let board = Board::new(graph, plan, spec.config.queue_capacity);
+        let commit = CommitUnit::new(buffer(), &spec.config);
+        let frontier = Frontier::new(commit, buffer());
+        let shared = Arc::new(JobShared {
+            job,
+            spec: spec.clone(),
+            clock,
+            board,
+            frontier: Mutex::new(frontier),
+        });
+        call(&shared, &self.injector, started)
     }
 }
 
 /// One pool worker: serves whatever ticket the injector hands it, over
 /// *that* job's board and state, and hands the ticket on when its
-/// quantum is up. Stateless between tickets — this is what makes the
-/// pool shareable.
+/// quantum is up. Stateless between tickets.
 fn engine_worker(injector: &Injector<Ticket>) {
     while let Some(Ticket { job, seat }) = injector.pop() {
         if serve(&job, seat, injector) {
@@ -398,40 +322,4 @@ fn check(graph: &TaskGraph, plan: &ExecutionPlan) -> Result<(), ExecError> {
         }),
         None => Ok(()),
     }
-}
-
-/// Runs one job end to end from the calling thread — the one place a
-/// job is set up: plan validation, the board, the commit unit, the
-/// frontier, then [`call`], which works the job to its report.
-fn run_engine_job(
-    pool: &EngineInner,
-    job: JobId,
-    spec: &JobSpec,
-) -> Result<NativeReport, ExecError> {
-    let graph = &*spec.graph;
-    let plan = &*spec.plan;
-    check(graph, plan)?;
-    let started = Instant::now();
-    if graph.is_empty() {
-        let mut report = NativeReport::empty(started.elapsed());
-        report.job = job;
-        return Ok(report);
-    }
-
-    // One shared clock, one private buffer per recording site: the
-    // commit frontier, the dispatcher, and every ticket a runner
-    // serves. All no-ops when tracing is off.
-    let clock = TraceClock::new(spec.config.trace);
-    let buffer = || TraceBuffer::for_job(clock, job);
-    let board = Board::new(graph, plan, spec.config.queue_capacity);
-    let commit = CommitUnit::new(buffer(), &spec.config);
-    let frontier = Frontier::new(commit, buffer());
-    let shared = Arc::new(JobShared {
-        job,
-        spec: spec.clone(),
-        clock,
-        board,
-        frontier: Mutex::new(frontier),
-    });
-    call(&shared, pool, started)
 }

@@ -38,8 +38,7 @@ pub struct WorkerStat {
     pub tasks: u64,
 }
 
-/// The result of one job ([`Engine::run`](super::Engine::run) or
-/// [`JobHandle::wait`](super::JobHandle::wait)).
+/// The result of one job ([`Engine::run`](super::Engine::run)).
 ///
 /// `violations` and `speculations_survived` are defined identically to
 /// [`SimResult`](crate::SimResult)'s fields — one count per speculated
@@ -56,11 +55,9 @@ pub struct WorkerStat {
 #[derive(Clone, Debug)]
 pub struct NativeReport {
     /// The job this report describes, as numbered by the
-    /// [`Engine`](super::Engine) that ran it (a submitted job's is its
-    /// [`JobHandle::id`](super::JobHandle::id)). Every counter, trace
-    /// event, and stat below is scoped to this job alone — an engine
-    /// running many jobs concurrently never bleeds one job's numbers
-    /// into another's report.
+    /// [`Engine`](super::Engine) that ran it. Every counter, trace
+    /// event, and stat below is scoped to this job alone — not even a
+    /// straggler of the engine's previous job bleeds into its report.
     pub job: JobId,
     /// Wall-clock time for the whole run.
     pub wall: Duration,

@@ -9,7 +9,9 @@
 //! [`ExecutionPlan`](crate::ExecutionPlan) to run it under, a
 //! [`NativeBody`] supplying each task's real computation, an optional
 //! versioned memory and an [`ExecConfig`] — handed to [`Engine::run`]
-//! or [`Engine::submit`] is the only way in. A run enforces the paper's
+//! is the only way in. Like the paper's runtime, an engine runs one
+//! parallelized loop at a time: a second `run` while one is in flight
+//! is refused ([`ExecError::Busy`]). A run enforces the paper's
 //! execution model with real concurrency primitives:
 //!
 //! * **One stage** (the paper's speculative phase, run as TLS): a job's
@@ -95,7 +97,7 @@ mod metrics;
 mod stage;
 mod trace;
 
-pub use engine::{Engine, EngineConfig, JobHandle, JobSpec};
+pub use engine::{Engine, EngineConfig, JobSpec};
 pub use faults::{predict_recovery, FaultKind, FaultPlan, RecoveryCounts, RecoveryPrediction};
 pub use metrics::{GovernorStats, NativeReport, WorkerStat};
 pub use trace::{
@@ -106,9 +108,9 @@ pub use trace::{
 use crate::sim::SimError;
 use crate::task::TaskId;
 use commit::{CommitUnit, Stop};
-use engine::{hand, Pool};
+use engine::{hand, Ticket};
 use seqpar_specmem::ConcurrentVersionedMemory;
-use stage::{JobShared, Seat, WorkItem};
+use stage::{Injector, JobShared, Seat, WorkItem};
 use std::collections::VecDeque;
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
@@ -155,11 +157,10 @@ pub enum ExecError {
         /// The task whose body failed.
         task: TaskId,
     },
-    /// A submitted job's thread died before reporting (a runtime
-    /// invariant violation). [`JobHandle::wait`] — its one producer —
-    /// returns this instead of hanging forever; whatever the job had
-    /// committed died with the thread.
-    WorkersDisconnected,
+    /// The engine was running another job: it runs one at a time. A
+    /// body that calls [`Engine::run`] on the engine running it gets
+    /// this too, rather than waiting for its own job.
+    Busy,
 }
 
 impl From<SimError> for ExecError {
@@ -188,9 +189,7 @@ impl std::fmt::Display for ExecError {
                 "task {} failed un-replayably (body panicked on the sequential path)",
                 task.0
             ),
-            ExecError::WorkersDisconnected => {
-                write!(f, "job thread died before reporting")
-            }
+            ExecError::Busy => write!(f, "the engine is running another job"),
         }
     }
 }
@@ -431,7 +430,7 @@ impl Dispatcher {
     /// fresh tasks in order. Then hands parked seats their tickets back
     /// through `pool`. Each admission is traced as a `QueuePush` with
     /// the claimable count right after it.
-    fn admit(&mut self, job: &Arc<JobShared>, pool: &dyn Pool, trace: &mut TraceBuffer) {
+    fn admit(&mut self, job: &Arc<JobShared>, pool: &Injector<Ticket>, trace: &mut TraceBuffer) {
         let board = &job.board;
         let cap = board.cap();
         while self.outstanding < cap {
@@ -495,7 +494,7 @@ impl Frontier {
 /// it unlocks** (this very loop) and the loser's publication or
 /// `starved` bump precedes its failed `try_lock`. A straggler's
 /// publication into an ended job stays due for ever: hence `is_closed`.
-fn take_turns(job: &Arc<JobShared>, pool: &dyn Pool) {
+fn take_turns(job: &Arc<JobShared>, pool: &Injector<Ticket>) {
     while !job.board.is_closed() && job.board.due() {
         let Ok(f) = job.frontier.try_lock() else {
             return;
@@ -511,7 +510,7 @@ fn take_turns(job: &Arc<JobShared>, pool: &dyn Pool) {
 /// sleep doubles as the watchdog.
 fn call(
     job: &Arc<JobShared>,
-    pool: &dyn Pool,
+    pool: &Injector<Ticket>,
     started: Instant,
 ) -> Result<NativeReport, ExecError> {
     let board = &job.board;
@@ -565,14 +564,14 @@ fn call(
 /// fallback when a retry budget or the watchdog demands it.
 struct Turn<'a> {
     job: &'a Arc<JobShared>,
-    pool: &'a dyn Pool,
+    pool: &'a Injector<Ticket>,
     f: MutexGuard<'a, Frontier>,
 }
 
 impl<'a> Turn<'a> {
     /// Blocks for the frontier: the caller's first turn, its watchdog,
     /// and its report.
-    fn wait_for(job: &'a Arc<JobShared>, pool: &'a dyn Pool) -> Self {
+    fn wait_for(job: &'a Arc<JobShared>, pool: &'a Injector<Ticket>) -> Self {
         let f = job
             .frontier
             .lock()

@@ -36,7 +36,7 @@
 //! sides and need the single total order. `exec/tests.rs` enumerates
 //! every interleaving of both over a model of these words.
 
-use super::engine::{JobSpec, Pool};
+use super::engine::{JobSpec, Ticket};
 use super::faults::FaultKind;
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
 use super::{take_turns, ExecError, Frontier, TaskCtx, TaskOutput};
@@ -415,7 +415,7 @@ impl Board {
 /// holder whose look after unlocking sees the bump, or nothing is
 /// published yet and the publisher's own look will see it. A turn that
 /// admits meanwhile is found by the second look.
-fn park(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
+fn park(job: &Arc<JobShared>, seat: Seat, pool: &Injector<Ticket>) -> bool {
     let board = &job.board;
     board.starved.fetch_add(1, SeqCst);
     if board.lane.claimable() == 0 {
@@ -431,7 +431,7 @@ fn park(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
 }
 
 /// A blocking MPMC queue of tickets: how an idle worker is handed a
-/// seat. The engine owns one for all its jobs. Touched once per ticket,
+/// seat. The engine owns one for every job it runs. Touched once per ticket,
 /// never per task.
 pub(super) struct Injector<T> {
     /// The queue, and whether it has been closed.
@@ -482,8 +482,8 @@ impl<T> Injector<T> {
 /// One job as its runners share it: the spec every attempt runs
 /// against, the trace clock, the board, and the frontier one of them at
 /// a time takes a turn at. Every ticket of the job holds an `Arc` of it,
-/// so a runner serves each attempt against this job's graph, body,
-/// substrate and fault plan — never a neighbour's.
+/// so a straggler still running one of its attempts after the job ended
+/// publishes into this job's closed board, never the next job's.
 pub(super) struct JobShared {
     pub job: JobId,
     pub spec: JobSpec,
@@ -535,10 +535,11 @@ const SPINS: u32 = 64;
 /// completion carries the attempt's timing and trace events with it.
 ///
 /// Returns whether the quantum ran out: a pool worker then hands the
-/// ticket on, so concurrent jobs share a small pool. Otherwise the
+/// ticket on, so a pool smaller than the seats round-robins them and a
+/// waiting caller gets a seat back. Otherwise the
 /// ticket is spent — the seat is parked on the board, and the next turn
 /// that admits work hands it out again, or the job is over.
-pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &dyn Pool) -> bool {
+pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &Injector<Ticket>) -> bool {
     let board = &job.board;
     let mut trace = TraceBuffer::for_job(job.clock, job.job);
     let mut claims = 0;

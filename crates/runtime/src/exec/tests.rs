@@ -142,23 +142,13 @@ fn tiny_queues_apply_backpressure_without_deadlock() {
 
 /// The engine refuses, with a typed error and before any body runs, a
 /// plan the graph does not match and every job that is not one
-/// dynamically assigned stage without synchronized dependences —
-/// through `run` and `submit` alike.
+/// dynamically assigned stage without synchronized dependences.
 #[test]
 fn stage_mismatch_is_rejected() {
     use crate::plan::StageAssignment;
     let refused = |graph: &TaskGraph, plan: &ExecutionPlan| {
         let body = |_: TaskId, _: &TaskCtx<'_>| -> TaskOutput { panic!("a refused job ran") };
-        let err = run(ExecConfig::default(), graph, plan, body).unwrap_err();
-        let submitted = Engine::new(EngineConfig::with_workers(1)).submit(JobSpec {
-            graph: Arc::new(graph.clone()),
-            plan: Arc::new(plan.clone()),
-            body: Arc::new(body),
-            mem: None,
-            config: ExecConfig::default(),
-        });
-        assert_eq!(submitted.wait().unwrap_err(), err);
-        err
+        run(ExecConfig::default(), graph, plan, body).unwrap_err()
     };
     let graph = speculative_graph(4, &[]);
     // A three-stage plan against a one-stage graph.
@@ -379,6 +369,86 @@ fn watchdog_trips_on_a_wedged_stage_and_falls_back() {
 }
 
 #[test]
+fn a_clean_job_after_a_fallen_back_one_commits_only_its_own() {
+    // Job 1 falls back on the watchdog while a pool worker is held in
+    // one of its bodies, so it ends with a straggler still running. Job
+    // 2 runs on the same engine; midway, it lets the straggler go, which
+    // publishes into job 1's closed board and then serves job 2. Job 2
+    // commits its own bytes, and nothing of job 1 reaches its report or
+    // its timeline.
+    let held = Arc::new(AtomicBool::new(false));
+    let released = Arc::new(AtomicBool::new(false));
+    let returned = Arc::new(AtomicBool::new(false));
+    let first = {
+        let (held, released, returned) = (held.clone(), released.clone(), returned.clone());
+        let body = tagging_body(vec![]);
+        move |task: TaskId, ctx: &TaskCtx<'_>| {
+            if !on_pool_worker() {
+                wait_until(|| held.load(Ordering::SeqCst));
+            } else if !held.swap(true, Ordering::SeqCst) {
+                let since = Instant::now();
+                while !released.load(Ordering::SeqCst) && since.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                returned.store(true, Ordering::SeqCst);
+            }
+            body.run(task, ctx)
+        }
+    };
+    let second = {
+        let (released, returned) = (released.clone(), returned.clone());
+        let body = tagging_body(vec![]);
+        move |task: TaskId, ctx: &TaskCtx<'_>| {
+            match ctx.iter {
+                8 => released.store(true, Ordering::SeqCst),
+                40 => wait_until(|| returned.load(Ordering::SeqCst)),
+                _ => {}
+            }
+            body.run(task, ctx)
+        }
+    };
+    let plan = Arc::new(ExecutionPlan::tls(4));
+    let engine = Engine::new(EngineConfig::for_plan(&plan));
+    let spec = |iters: u64, body: Arc<dyn NativeBody>, config: ExecConfig| JobSpec {
+        graph: Arc::new(speculative_graph(iters, &[])),
+        plan: Arc::clone(&plan),
+        body,
+        mem: None,
+        config,
+    };
+    let wedged = ExecConfig::default().with_watchdog_deadline(Duration::from_millis(60));
+    let one = engine.run(&spec(4, Arc::new(first), wedged)).unwrap();
+    assert!(held.load(Ordering::SeqCst), "a worker was held");
+    assert!(one.fallback_activated && one.watchdog_trips >= 1);
+    assert_eq!(one.output, expected_stream(4));
+    assert!(
+        !returned.load(Ordering::SeqCst),
+        "the straggler outlives its job"
+    );
+
+    let iters = 64;
+    let traced = ExecConfig::default().with_tracing(true);
+    let two = engine.run(&spec(iters, Arc::new(second), traced)).unwrap();
+    assert!(
+        returned.load(Ordering::SeqCst),
+        "the straggler went mid-job"
+    );
+    assert_ne!(two.job, one.job);
+    assert_eq!(two.output, expected_stream(iters));
+    assert_eq!((two.tasks_committed, two.attempts), (iters, iters));
+    assert!(!two.fallback_activated);
+    assert_eq!(two.watchdog_trips, 0);
+    assert_eq!(two.recovery, RecoveryCounts::default());
+    let served: u64 = two.workers.iter().map(|w| w.tasks).sum();
+    assert_eq!(served, two.attempts, "no completion of job 1 is booked");
+    let timeline = two.timeline.as_ref().expect("tracing was on");
+    timeline.validate().expect("a well-formed timeline");
+    assert!(timeline.events().iter().all(|e| e.job == two.job));
+    assert_eq!(timeline.commit_order().len(), iters as usize);
+}
+
+#[test]
 fn budget_zero_degrades_to_sequential_fallback_instead_of_aborting() {
     let config = ExecConfig::default()
         .with_faults(FaultPlan::none().with_forced(5, 0, FaultKind::WorkerPanic))
@@ -429,14 +499,6 @@ fn unreplayable_body_panic_is_a_typed_error() {
     )
     .unwrap_err();
     assert_eq!(err, ExecError::TaskFailed { task: TaskId(2) });
-}
-
-#[test]
-fn a_dead_job_thread_is_reported_as_what_it_is() {
-    assert_eq!(
-        ExecError::WorkersDisconnected.to_string(),
-        "job thread died before reporting"
-    );
 }
 
 #[test]
@@ -1150,81 +1212,73 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
 }
 
 #[test]
-fn two_jobs_share_a_one_worker_engine_by_the_ticket_quantum() {
-    // Two seats a job: each job's own thread serves one, and the two
-    // left over share the single pool worker. Turns keep A's lane fed,
-    // so the seat the worker holds never runs dry: only the quantum —
-    // hand the ticket on after a window of claims — lets B's ticket
-    // reach the worker before A is done. The log is the worker's alone.
-    //
-    // A job's own thread runs at most `LEAD` tasks ahead of the worker's
-    // share of that job, so neither job can finish on its own thread
-    // while the host keeps the worker off the CPU: what the assertions
-    // see is the quantum's interleaving, not the OS scheduler's. The
-    // deadline is a backstop: past it nobody waits, and a worker that
-    // never came fails the assertions instead of hanging the run.
+fn a_plan_wider_than_its_runners_serves_every_seat_by_the_quantum() {
+    // Three seats, two runners: the caller holds seat 0 and the one
+    // pool worker the other two. Turns keep the lane fed, so the seat
+    // the worker holds never runs dry: only the quantum — hand the
+    // ticket on after a window of claims — brings the third seat to it
+    // before the job is done. The caller runs at most `LEAD` tasks ahead
+    // of the worker, so the job cannot finish on the caller while the
+    // host keeps the worker off the CPU. The deadline is a backstop:
+    // past it nobody waits, and the assertions fail instead.
     const TASKS: u64 = 4_000;
     const LEAD: u64 = 256;
-    let log: Arc<Mutex<Vec<(u8, u32)>>> = Arc::default();
-    let b_submitted = Arc::new(AtomicBool::new(false));
-    let on_worker: Arc<[AtomicU64; 2]> = Arc::default();
-    let at_home: Arc<[AtomicU64; 2]> = Arc::default();
+    let on_worker = Arc::new(AtomicU64::new(0));
+    let at_home = Arc::new(AtomicU64::new(0));
     let deadline = Instant::now() + Duration::from_secs(10);
-    let spec = |job: u8| {
-        let log = Arc::clone(&log);
-        let gate = Arc::clone(&b_submitted);
+    let body = {
         let (on_worker, at_home) = (Arc::clone(&on_worker), Arc::clone(&at_home));
-        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-            // A does not start until B is in: otherwise a fast A could
-            // finish before B's first turn has handed out its tickets.
-            while job == 0 && task.0 == 0 && !gate.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let j = usize::from(job);
+        move |_: TaskId, ctx: &TaskCtx<'_>| {
             if on_pool_worker() {
-                log.lock().unwrap().push((job, task.0));
-                on_worker[j].fetch_add(1, Ordering::SeqCst);
+                on_worker.fetch_add(1, Ordering::SeqCst);
             } else {
-                let ahead = at_home[j].fetch_add(1, Ordering::SeqCst);
-                while on_worker[j].load(Ordering::SeqCst) + LEAD <= ahead
-                    && Instant::now() < deadline
+                let ahead = at_home.fetch_add(1, Ordering::SeqCst);
+                while on_worker.load(Ordering::SeqCst) + LEAD <= ahead && Instant::now() < deadline
                 {
                     std::thread::yield_now();
                 }
             }
             std::hint::black_box((0..2_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
             TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
-        };
-        JobSpec {
-            graph: Arc::new(counter_graph(TASKS)),
-            plan: Arc::new(ExecutionPlan::tls(2)),
-            body: Arc::new(body),
-            mem: None,
-            config: ExecConfig::default(),
         }
     };
-    let engine = Engine::new(EngineConfig::with_workers(1));
-    let a = engine.submit(spec(0));
-    let b = engine.submit(spec(1));
-    b_submitted.store(true, Ordering::SeqCst);
-    for handle in [a, b] {
-        let report = handle.wait().unwrap();
-        assert_eq!(report.output, expected_stream(TASKS));
-        assert_eq!(report.watchdog_trips, 0);
-        let served: u64 = report.workers.iter().map(|w| w.tasks).sum();
-        assert_eq!(served, report.attempts, "every completion books its seat");
+    let report = Engine::new(EngineConfig::with_workers(1))
+        .run(&JobSpec {
+            graph: Arc::new(counter_graph(TASKS)),
+            plan: Arc::new(ExecutionPlan::tls(3)),
+            body: Arc::new(body),
+            mem: None,
+            config: ExecConfig::default().with_tracing(true),
+        })
+        .unwrap();
+    assert_eq!(report.output, expected_stream(TASKS));
+    assert_eq!(report.watchdog_trips, 0);
+    for core in 0..3 {
+        let seat = report.workers.iter().find(|w| w.core == core);
+        assert!(
+            seat.is_some_and(|w| w.tasks > 0),
+            "seat {core} served nothing: {:?}",
+            report.workers
+        );
     }
-    let log = log.lock().unwrap();
-    let first_b = log.iter().position(|&(job, _)| job == 1).unwrap();
-    let last_a = log.iter().rposition(|&(job, _)| job == 0).unwrap();
+    let served: u64 = report.workers.iter().map(|w| w.tasks).sum();
+    assert_eq!(served, report.attempts, "every completion books its seat");
+    // Round-robin, not a hand-over at the end: the worker went back and
+    // forth between its two seats many times.
+    let timeline = report.timeline.as_ref().expect("tracing was on");
+    let pool_seats: Vec<usize> = timeline
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Dispatch { core, .. } if core > 0 => Some(core),
+            _ => None,
+        })
+        .collect();
+    let switches = pool_seats.windows(2).filter(|w| w[0] != w[1]).count();
     assert!(
-        first_b < last_a,
-        "job B first ran at {first_b}, after job A's last task at {last_a}"
+        switches >= 8,
+        "only {switches} switches between seats 1 and 2"
     );
-    // Interleaved, not merely overlapped at the edges: the worker went
-    // back and forth between the jobs many times.
-    let switches = log.windows(2).filter(|w| w[0].0 != w[1].0).count();
-    assert!(switches >= 8, "only {switches} switches between the jobs");
 }
 
 #[test]
@@ -1284,53 +1338,6 @@ fn a_traced_one_seat_run_on_the_caller_alone_yields_a_full_timeline() {
     assert_eq!(metrics[0].committed, iters);
     let m = &metrics[0];
     assert!(!m.service.is_empty() && !m.queue_wait.is_empty() && !m.commit_latency.is_empty());
-}
-
-#[test]
-fn dropping_the_engine_lets_submitted_jobs_finish_on_the_pool() {
-    // Each job's thread holds the pool, so the handle going
-    // away mid-run costs the jobs nothing: no ticket is lost, no
-    // watchdog waits out its deadline, no fallback runs.
-    const TASKS: u64 = 2_000;
-    let engine = Engine::new(EngineConfig::with_workers(2));
-    // Both jobs' first tasks and this thread: past it, both jobs are on
-    // the pool, and neither gets further until the engine is gone.
-    let in_flight = Arc::new(Barrier::new(3));
-    let dropped = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-    let handles = [(); 2].map(|()| {
-        let (in_flight, dropped) = (Arc::clone(&in_flight), Arc::clone(&dropped));
-        let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-            if task.0 == 0 && ctx.attempt == 0 {
-                in_flight.wait();
-                while !dropped.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-            }
-            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
-        };
-        engine.submit(JobSpec {
-            graph: Arc::new(counter_graph(TASKS)),
-            plan: Arc::new(ExecutionPlan::tls(2)),
-            body: Arc::new(body),
-            mem: None,
-            config: ExecConfig::default(),
-        })
-    });
-    in_flight.wait();
-    drop(engine);
-    dropped.store(true, Ordering::SeqCst);
-    for handle in handles {
-        let report = handle.wait().unwrap();
-        assert_eq!(report.output, expected_stream(TASKS));
-        assert_eq!(report.watchdog_trips, 0);
-        assert!(!report.fallback_activated);
-    }
-    assert!(
-        started.elapsed() < ExecConfig::default().watchdog_deadline / 4,
-        "took {:?}: the jobs lost their pool",
-        started.elapsed()
-    );
 }
 
 #[test]

@@ -79,9 +79,9 @@ impl fmt::Display for SquashReason {
 
 /// Identifies one job on an [`Engine`](super::Engine), which numbers
 /// its jobs from 1. Every trace event carries the id of the job it
-/// belongs to, so timelines from concurrent jobs sharing one worker
-/// pool can be merged (see [`Timeline::merge`]) and still validated per
-/// job. The simulator twin stamps [`JobId::SOLO`].
+/// belongs to, so the timelines of jobs run one after another on one
+/// engine can be merged (see [`Timeline::merge`]) and still validated
+/// per job. The simulator twin stamps [`JobId::SOLO`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
@@ -515,7 +515,7 @@ impl Timeline {
         }
     }
 
-    /// Merges per-job timelines (from concurrent jobs on one engine)
+    /// Merges per-job timelines (say, of jobs run on one engine)
     /// into a single multi-job timeline. Events keep their [`JobId`]
     /// stamps, so [`validate`](Timeline::validate) still checks each
     /// job's commit order independently and

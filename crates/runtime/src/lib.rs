@@ -56,10 +56,9 @@ pub mod validate;
 pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
     predict_recovery, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
-    FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobHandle, JobId, JobSpec, NativeBody,
-    NativeReport, RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics, TaskCtx,
-    TaskOutput, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
-    FALLBACK_ATTEMPT,
+    FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobId, JobSpec, NativeBody, NativeReport,
+    RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics, TaskCtx, TaskOutput, TimeUnit,
+    Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat, FALLBACK_ATTEMPT,
 };
 pub use plan::{ExecutionPlan, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};

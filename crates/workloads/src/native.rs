@@ -385,15 +385,19 @@ struct Committed {
     tails: Vec<usize>,
 }
 
-/// How long a task should run, at least. At one seat a kernel chunk pays
-/// a fixed cost of ~0.6–2 µs beside its body (measured per chunk, 2-vCPU
-/// x86-64): the claim (~60 ns), the substrate's `begin` (140–210 ns),
-/// the publish (~100 ns) and the frontier's turn (360–1 100 ns: absorb,
-/// the check and commit of its empty version, appending its bytes with
-/// the checksum tail's fold, admitting the next). A task that reaches
-/// 32 µs so outlasts that cost 16 times and more: hand-off, substrate
-/// and commit are ≤ 3–5 % of the wall. The first plan with two or more
-/// seats keeps restore points at the k this sets.
+/// How long a task should run, at least. At one seat a chunk pays a
+/// fixed cost beside its body: the claim, the substrate's `begin`
+/// (~55 ns), the publish and the frontier's turn (absorb, the check and
+/// commit of its version, appending its bytes, admitting the next). Jobs
+/// of 1 to 15 one-iteration chunks of a tiny `accumulating` loop, run
+/// back to back on one warmed engine at `tls(1)` (hot caches, 2-vCPU
+/// x86-64), read ~0.4–0.7 µs a chunk with no slot, ~0.65–1.05 µs with
+/// one carried slot, and ~2.2–4.5 µs a job: the slope and intercept of a
+/// line through the median walls, the upper ends from a slower host band
+/// minutes later. A task that reaches 32 µs outlasts that cost some 30
+/// times and more: hand-off, substrate and commit are ≤ ~3 % of the
+/// wall. The first plan with two or more seats keeps restore points at
+/// the k this sets.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
 /// Chunking never leaves a seat of the plan fewer tasks than this:
@@ -667,9 +671,10 @@ impl VersionedJob {
     /// How many consecutive iterations make one task under `plan`: the
     /// smallest power of two whose chunk reaches ~32 µs by the iteration
     /// time of the job's first sequential run (run here if none has) —
-    /// long enough that the per-chunk cost (0.6–2 µs at one seat) is
-    /// ≤ 3–5 % of it — unless that leaves a seat of the plan fewer than
-    /// 8 tasks, when it is the largest power of two that leaves each 8;
+    /// long enough that the per-chunk cost (~0.4–1 µs at one seat,
+    /// measured where the target is defined) is ≤ ~3 % of it — unless
+    /// that leaves a seat of the plan fewer than 8 tasks, when it is the
+    /// largest power of two that leaves each 8;
     /// 1 when a single iteration already reaches the target or the loop
     /// is too short to share out. A pure function of the job's clock and
     /// the plan, and a power of two so that ordinary timing wobble between

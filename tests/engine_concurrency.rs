@@ -1,23 +1,24 @@
-//! Engine-level concurrency differential suite: several versioned
-//! workload jobs share **one** persistent [`Engine`] pool at the same
-//! time, and each must behave exactly as it would alone —
+//! One engine, many jobs, one at a time: the shape of every harness
+//! that measures or byte-checks the native executor.
 //!
-//! * every job's committed byte stream is identical to its own
-//!   sequential oracle, even while the pool interleaves tasks from the
-//!   other jobs;
-//! * every [`NativeReport`](seqpar_runtime::NativeReport) is stamped
-//!   with its own [`JobId`] and carries only that job's squash /
-//!   commit counts — nothing bleeds across the shards of the commit
-//!   frontier;
-//! * chaos (seeds 7 and 42, overridable via `SEQPAR_CHAOS_SEED`)
-//!   through the shared pool still commits every job byte-identically.
+//! * a job on an engine other jobs have used commits exactly what it
+//!   commits on a one-shot engine of its own, under an id its engine
+//!   assigned;
+//! * a second `run` while a job is in flight — from another thread, or
+//!   from a body of that job — is refused with [`ExecError::Busy`]
+//!   instead of waiting, and the engine admits the next job once the
+//!   first is done.
 
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, JobId, SquashReason, TraceEventKind,
+    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobId, JobSpec, TaskCtx, TaskGraph,
+    TaskId, TaskOutput,
 };
 use seqpar_workloads::{workload_by_name, InputSize, VersionedJob};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// The three concurrently-submitted workloads named by the issue.
+/// The three workloads each engine here runs, one after another.
 const CONCURRENT: &[&str] = &["164.gzip", "181.mcf", "197.parser"];
 
 fn jobs() -> Vec<(&'static str, VersionedJob)> {
@@ -30,105 +31,7 @@ fn jobs() -> Vec<(&'static str, VersionedJob)> {
         .collect()
 }
 
-/// (a) Three jobs submitted concurrently to one 8-worker engine each
-/// commit their own sequential byte stream, and each report is stamped
-/// with the id of the handle that produced it (never the simulator's
-/// `JobId::SOLO`, never another job's id).
-#[test]
-fn concurrent_jobs_commit_their_own_sequential_stream() {
-    let engine = Engine::new(EngineConfig::with_workers(8));
-    let submitted: Vec<_> = jobs()
-        .into_iter()
-        .map(|(id, job)| {
-            let seq = job.sequential();
-            let (spec, mem) = job.job_spec(&ExecutionPlan::tls(4), ExecConfig::default());
-            (id, seq, engine.submit(spec), mem)
-        })
-        .collect();
-    let mut seen = Vec::new();
-    for (id, seq, handle, mem) in submitted {
-        let job_id = handle.id();
-        assert_ne!(job_id, JobId::SOLO, "{id}: engine jobs get real ids");
-        let r = handle.wait().expect("plan matches graph");
-        assert_eq!(r.job, job_id, "{id}: report stamped with its own job id");
-        assert_eq!(
-            r.output, seq.output,
-            "{id}: concurrent engine run diverged from sequential"
-        );
-        assert_eq!(
-            r.tasks_committed,
-            r.attempts - r.squashes,
-            "{id}: per-job attempt accounting broke under sharing"
-        );
-        let stats = r.mem.expect("versioned runs report memory stats");
-        assert_eq!(
-            stats.commits, r.tasks_committed,
-            "{id}: substrate commits scoped to this job alone"
-        );
-        assert_eq!(
-            r.squashes, stats.violations,
-            "{id}: frontier squashes pair with this job's own violations"
-        );
-        assert_eq!(mem.active_count(), 0, "{id}: no version left open");
-        seen.push(job_id);
-    }
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(
-        seen.len(),
-        CONCURRENT.len(),
-        "job ids are unique per submit"
-    );
-}
-
-/// (b) Per-job configuration stays per-job: with three jobs sharing the
-/// pool and two of them traced, only the traced jobs carry timelines,
-/// and every event of each bears the owning job's id.
-#[test]
-fn job_isolation_keeps_stats_and_traces_apart() {
-    let engine = Engine::new(EngineConfig::with_workers(8));
-    // gzip and mcf: traced; parser: plain.
-    let configs = [
-        ExecConfig::default().with_tracing(true),
-        ExecConfig::default().with_tracing(true),
-        ExecConfig::default(),
-    ];
-    let submitted: Vec<_> = jobs()
-        .into_iter()
-        .zip(configs)
-        .map(|((id, job), config)| {
-            let seq = job.sequential();
-            let (spec, _mem) = job.job_spec(&ExecutionPlan::tls(3), config);
-            (id, seq, engine.submit(spec))
-        })
-        .collect();
-    for (i, (id, seq, handle)) in submitted.into_iter().enumerate() {
-        let job_id = handle.id();
-        let r = handle.wait().expect("plan matches graph");
-        assert_eq!(r.output, seq.output, "{id}: output diverged");
-        assert_eq!(
-            r.timeline.is_some(),
-            i < 2,
-            "{id}: timeline present iff this job traced"
-        );
-        if let Some(timeline) = r.timeline.as_ref() {
-            timeline.validate().expect("engine traces are well-formed");
-            assert!(
-                timeline.events().iter().all(|e| e.job == job_id),
-                "{id}: every trace event bears the owning job's id"
-            );
-            // Fault-free versioned runs squash only on memory conflicts,
-            // on a shared pool exactly as on a private one.
-            for e in timeline.events() {
-                if let TraceEventKind::Squash { reason, .. } = e.kind {
-                    assert_eq!(reason, SquashReason::MemoryConflict, "{id}");
-                }
-            }
-        }
-    }
-}
-
-/// (c) Private pool ≡ shared pool: for each workload, one job on the
+/// Private pool ≡ shared pool: for each workload, one job on the
 /// one-shot engine [`VersionedJob::execute`] builds and drops and the
 /// same job on an engine other jobs have used commit the same bytes
 /// with the same frontier counters, each under an id its own engine
@@ -182,42 +85,82 @@ fn engine_path_matches_solo_path() {
     assert_eq!(shared_ids.len(), CONCURRENT.len(), "distinct job ids");
 }
 
-/// (d) Chaos through the shared pool: all three jobs run concurrently
-/// with the seeded fault plan (panics, stalls) and still commit
-/// byte-identically with
-/// well-formed, job-pure traces. `SEQPAR_CHAOS_SEED` overrides the
-/// seed set, matching the CI engine-stress job.
-#[test]
-fn concurrent_chaos_jobs_stay_byte_identical() {
-    let engine = Engine::new(EngineConfig::with_workers(8));
-    for plan in FaultPlan::seeded_from_env(&[7, 42]) {
-        let submitted: Vec<_> = jobs()
-            .into_iter()
-            .map(|(id, job)| {
-                let seq = job.sequential();
-                let config = ExecConfig::default()
-                    .with_faults(plan.clone())
-                    .with_retry_budget(4)
-                    .with_tracing(true);
-                let (spec, _mem) = job.job_spec(&ExecutionPlan::tls(8), config);
-                (id, seq, engine.submit(spec))
-            })
-            .collect();
-        for (id, seq, handle) in submitted {
-            let job_id = handle.id();
-            let r = handle
-                .wait()
-                .expect("recoverable faults never abort the run");
-            assert_eq!(
-                r.output, seq.output,
-                "{id}: chaos diverged on the shared engine"
-            );
-            let timeline = r.timeline.as_ref().expect("tracing was on");
-            timeline.validate().expect("chaos traces are well-formed");
-            assert!(
-                timeline.events().iter().all(|e| e.job == job_id),
-                "{id}: chaos traces never leak events across jobs"
-            );
-        }
+/// A job of `iters` one-iteration tasks under `tls(1)`, so every body
+/// runs on the thread that called `run`; each commits its iteration.
+fn one_seat_job(iters: u64, body: impl Fn(u64) + Send + Sync + 'static) -> JobSpec {
+    let mut graph = TaskGraph::new(1);
+    for i in 0..iters {
+        graph.add_task(0, i, 1, &[], &[]);
     }
+    JobSpec {
+        graph: Arc::new(graph),
+        plan: Arc::new(ExecutionPlan::tls(1)),
+        body: Arc::new(move |_: TaskId, ctx: &TaskCtx<'_>| {
+            body(ctx.iter);
+            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        }),
+        mem: None,
+        config: ExecConfig::default(),
+    }
+}
+
+/// Two threads call `run` on one engine: the second is refused at once
+/// while the first job is in flight, as is a body of that job calling
+/// `run` on its own engine — which could otherwise only wait for
+/// itself. A refused run numbers no job, and once the first job is done
+/// the engine admits the next.
+#[test]
+fn a_second_run_while_one_is_in_flight_is_refused() {
+    let engine = Arc::new(Engine::new(EngineConfig::with_workers(1)));
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let nested = Arc::new(Mutex::new(None));
+    let first = {
+        let (engine, started, release, nested) = (
+            Arc::clone(&engine),
+            Arc::clone(&started),
+            Arc::clone(&release),
+            Arc::clone(&nested),
+        );
+        one_seat_job(4, move |iter| {
+            if iter == 0 {
+                let inner = engine.run(&one_seat_job(1, |_| {})).map(|r| r.job);
+                *nested.lock().unwrap() = Some(inner);
+                started.store(true, Ordering::SeqCst);
+                // A backstop: a refusal that never came fails below.
+                let since = Instant::now();
+                while !release.load(Ordering::SeqCst) && since.elapsed() < Duration::from_secs(10) {
+                    std::thread::yield_now();
+                }
+            }
+        })
+    };
+    let second = one_seat_job(3, |_| {});
+    let (one, refused) = std::thread::scope(|scope| {
+        let running = scope.spawn(|| engine.run(&first));
+        while !started.load(Ordering::SeqCst) && !running.is_finished() {
+            std::thread::yield_now();
+        }
+        let refused = engine.run(&second).map(|r| r.job);
+        release.store(true, Ordering::SeqCst);
+        (running.join().expect("the first job's thread"), refused)
+    });
+    assert_eq!(refused, Err(ExecError::Busy), "another thread's run");
+    assert_eq!(
+        *nested.lock().unwrap(),
+        Some(Err(ExecError::Busy)),
+        "a body's run on its own engine"
+    );
+    let one = one.expect("the first job runs to its end");
+    assert_eq!(one.job, JobId(1));
+    assert_eq!(
+        one.output,
+        (0..4u64).flat_map(u64::to_le_bytes).collect::<Vec<_>>()
+    );
+    let two = engine.run(&second).expect("the engine admits the next job");
+    assert_eq!(two.job, JobId(2), "refused runs number no job");
+    assert_eq!(
+        two.output,
+        (0..3u64).flat_map(u64::to_le_bytes).collect::<Vec<_>>()
+    );
 }
