@@ -149,15 +149,18 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
 /// One line on the grain `job` runs at under `plan`: its iterations and
 /// the time of one as its first sequential run measured it (the job's
 /// `Debug`), how many tasks of how many iterations that makes, and which
-/// of [`VersionedJob::grain`]'s two bounds set `k` — its floor of 8
-/// tasks per seat of the plan when doubling `k` would break that, else
-/// the ~32 µs task-length target, which no smaller `k` reaches.
-/// Coarsening is never silent: `seqpar-trace` prints this for every job
-/// it runs, and `figures --native` prints each row's k.
+/// of [`VersionedJob::grain`]'s rules set `k` — at one seat the whole
+/// loop; else its floor of 8 tasks per seat of the plan when doubling
+/// `k` would break that, else the ~32 µs task-length target, which no
+/// smaller `k` reaches. Coarsening is never silent: `seqpar-trace`
+/// prints this for every job it runs, and `figures --native` prints
+/// each row's k.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
     let k = job.grain(plan);
     let seats = Engine::seats(plan);
-    let bound = if job.len() / (2 * k) < 8 * seats {
+    let bound = if seats <= 1 {
+        "one seat: the loop is one task".to_string()
+    } else if job.len() / (2 * k) < 8 * seats {
         format!("no larger k keeps 8 tasks for each of the plan's {seats} seats")
     } else {
         "no smaller k reaches the ~32 us target".to_string()
@@ -670,28 +673,38 @@ mod tests {
 
     #[test]
     fn grain_line_names_the_bound_that_allows_no_larger_k() {
-        // 64 iterations under tls(1): the floor of 8 tasks allows k = 8.
+        // 128 iterations under tls(2): the floor of 8 tasks a seat
+        // allows k = 8.
         let job = |pause: Duration| {
-            let trace = (0..64).map(|_| seqpar::IterationRecord::new(1, 1, 1));
+            let trace = (0..128).map(|_| seqpar::IterationRecord::new(1, 1, 1));
             let compute = move |i: u64| {
                 std::thread::sleep(pause);
                 (vec![i as u8], 1)
             };
             VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {})
         };
-        let plan = ExecutionPlan::tls(1);
+        let plan = ExecutionPlan::tls(2);
         // Iterations that outlast the target: k = 1, and not for the floor.
-        let line = render_grain(&job(Duration::from_micros(40)), &plan);
-        assert!(line.contains("-> 64 tasks of k = 1 "), "{line}");
+        let slow = job(Duration::from_micros(40));
+        let line = render_grain(&slow, &plan);
+        assert!(line.contains("-> 128 tasks of k = 1 "), "{line}");
         assert!(line.contains("reaches the ~32 us target"), "{line}");
         // Short ones reach the floor (a preempted first run reads long,
         // so three tries).
         let lines: Vec<String> = (0..3)
             .map(|_| render_grain(&job(Duration::ZERO), &plan))
             .collect();
-        let capped =
-            |l: &String| l.contains("-> 8 tasks of k = 8 ") && l.contains("8 tasks for each");
+        let capped = |l: &String| {
+            l.contains("-> 16 tasks of k = 8 ")
+                && l.contains("8 tasks for each of the plan's 2 seats")
+        };
         assert!(lines.iter().any(capped), "{lines:?}");
+        // One seat takes the loop whole, however long an iteration.
+        for measured in [slow, job(Duration::ZERO)] {
+            let line = render_grain(&measured, &ExecutionPlan::tls(1));
+            assert!(line.contains("-> 1 tasks of k = 128 "), "{line}");
+            assert!(line.contains("(one seat: the loop is one task)"), "{line}");
+        }
     }
 
     #[test]

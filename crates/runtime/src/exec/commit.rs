@@ -421,15 +421,15 @@ impl CommitUnit {
                     }
                 }
             }
-            for done in &batch {
+            let committed = batch.len();
+            for done in batch.drain(..) {
                 self.trace.record(TraceEventKind::Commit {
                     task: done.task,
                     attempt: done.attempt,
                 });
-                self.append(job, done.task, &done.output);
+                self.append(job, done.task, done.output);
             }
-            self.advance(batch.len());
-            batch.clear();
+            self.advance(committed);
         }
         self.versions = versions;
         self.batch = batch;
@@ -450,7 +450,7 @@ impl CommitUnit {
     /// the sequential fallback after budget exhaustion or a watchdog
     /// trip. Speculation counters stay frozen at their pre-fallback
     /// values; only `attempts` and `fallback_tasks` advance.
-    pub(super) fn commit_fallback(&mut self, job: &JobShared, output: &TaskOutput) {
+    pub(super) fn commit_fallback(&mut self, job: &JobShared, output: TaskOutput) {
         let task = self.next as u32;
         self.attempts += 1;
         self.recovery.fallback_tasks += 1;
@@ -464,10 +464,16 @@ impl CommitUnit {
 
     /// Appends the committing attempt's bytes to the stream and lets the
     /// body finish them there ([`NativeBody::commit`](super::NativeBody::commit)),
-    /// in place: the tail costs no allocation of its own.
-    fn append(&mut self, job: &JobShared, task: u32, output: &TaskOutput) {
+    /// in place: the tail costs no allocation of its own. Into an empty
+    /// stream the bytes move, not copy, so a one-task run holds its
+    /// output once.
+    fn append(&mut self, job: &JobShared, task: u32, output: TaskOutput) {
         let start = self.output.len();
-        self.output.extend_from_slice(&output.bytes);
+        if start == 0 {
+            self.output = output.bytes;
+        } else {
+            self.output.extend_from_slice(&output.bytes);
+        }
         job.spec
             .body
             .commit(TaskId(task), &mut self.output[start..]);

@@ -663,7 +663,7 @@ impl<'a> Turn<'a> {
         });
         for task in from..job.spec.graph.len() {
             let output = job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
-            f.commit.commit_fallback(job, &output);
+            f.commit.commit_fallback(job, output);
         }
         Ok(())
     }

@@ -130,6 +130,31 @@ fn single_core_plan_still_completes() {
     assert_eq!(report.threads(), 1); // one seat, on core 0
 }
 
+/// The first commit's bytes become the stream, not a copy of them: a
+/// one-task run reports the very buffer its body returned, whether the
+/// task commits from the frontier or from the sequential fallback.
+#[test]
+fn the_first_commit_moves_its_bytes_into_the_stream() {
+    let graph = speculative_graph(1, &[]);
+    let fallback = ExecConfig::default()
+        .with_faults(FaultPlan::none().with_forced(0, 0, FaultKind::WorkerPanic))
+        .with_retry_budget(0);
+    for (config, falls_back) in [(ExecConfig::default(), false), (fallback, true)] {
+        let returned = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&returned);
+        let body = move |_: TaskId, _: &TaskCtx<'_>| {
+            let bytes = vec![7u8; 4096];
+            r.store(bytes.as_ptr() as usize, Ordering::Relaxed);
+            TaskOutput::bytes(bytes)
+        };
+        let (report, _) = run_versioned(config, &graph, &ExecutionPlan::tls(1), body);
+        assert_eq!(report.fallback_activated, falls_back);
+        assert_eq!(report.output, vec![7; 4096]);
+        let at = report.output.as_ptr() as usize;
+        assert_eq!(at, returned.load(Ordering::Relaxed), "moved, not copied");
+    }
+}
+
 #[test]
 fn tiny_queues_apply_backpressure_without_deadlock() {
     let graph = speculative_graph(200, &[17, 90, 91]);

@@ -385,25 +385,27 @@ struct Committed {
     tails: Vec<usize>,
 }
 
-/// How long a task should run, at least. At one seat a chunk pays a
-/// fixed cost beside its body: the claim, the substrate's `begin`
-/// (~55 ns), the publish and the frontier's turn (absorb, the check and
-/// commit of its version, appending its bytes, admitting the next). Jobs
-/// of 1 to 15 one-iteration chunks of a tiny `accumulating` loop, run
-/// back to back on one warmed engine at `tls(1)` (hot caches, 2-vCPU
-/// x86-64), read ~0.4–0.7 µs a chunk with no slot, ~0.65–1.05 µs with
-/// one carried slot, and ~2.2–4.5 µs a job: the slope and intercept of a
-/// line through the median walls, the upper ends from a slower host band
+/// How long a task should run, at least, under a plan of two or more
+/// seats (at one seat the loop is one task). A chunk pays a fixed cost
+/// beside its body: the claim, the substrate's `begin` (~55 ns), the
+/// publish and the frontier's turn (absorb, the check and commit of its
+/// version, appending its bytes, admitting the next). Jobs of 1 to 15
+/// one-iteration chunks of a tiny `accumulating` loop, run back to back
+/// on one warmed engine at `tls(1)` (hot caches, 2-vCPU x86-64), read
+/// ~0.4–0.7 µs a chunk with no slot, ~0.65–1.05 µs with one carried
+/// slot, and ~2.2–4.5 µs a job: the slope and intercept of a line
+/// through the median walls, the upper ends from a slower host band
 /// minutes later. A task that reaches 32 µs outlasts that cost some 30
 /// times and more: hand-off, substrate and commit are ≤ ~3 % of the
 /// wall. The first plan with two or more seats keeps restore points at
 /// the k this sets.
 const GRAIN_TARGET_NS: u64 = 32_000;
 
-/// Chunking never leaves a seat of the plan fewer tasks than this:
-/// enough for the claim cursor to even out iterations of unequal length
-/// across seats, and for a squash to throw away an eighth of a seat's
-/// share at most.
+/// Chunking never leaves a seat of a plan of two or more seats fewer
+/// tasks than this: enough for the claim cursor to even out iterations
+/// of unequal length across seats, and for a squash to throw away an
+/// eighth of a seat's share at most. A lone seat has no one to even out
+/// with and nothing that squashes it, so it takes the loop whole.
 const TASKS_PER_SEAT: usize = 8;
 
 /// A workload packaged for **conflict-driven** native execution: each
@@ -668,19 +670,29 @@ impl VersionedJob {
         Ok((report, mem))
     }
 
-    /// How many consecutive iterations make one task under `plan`: the
-    /// smallest power of two whose chunk reaches ~32 µs by the iteration
-    /// time of the job's first sequential run (run here if none has) —
-    /// long enough that the per-chunk cost (~0.4–1 µs at one seat,
-    /// measured where the target is defined) is ≤ ~3 % of it — unless
-    /// that leaves a seat of the plan fewer than 8 tasks, when it is the
-    /// largest power of two that leaves each 8;
+    /// How many consecutive iterations make one task under `plan`.
+    ///
+    /// One seat: the loop is one task, `k = len()`. The seat has nothing
+    /// to balance against, nothing runs beside it and nothing can squash
+    /// it, so every chunk after the first would only pay the per-chunk
+    /// cost again (~0.4–1 µs: claim, `begin`, publish, frontier turn).
+    /// The clock is not read, so every process builds the same graph.
+    ///
+    /// Two or more seats: the smallest power of two whose chunk reaches
+    /// ~32 µs by the iteration time of the job's first sequential run
+    /// (run here if none has) — long enough that the per-chunk cost is
+    /// ≤ ~3 % of it — unless that leaves a seat of the plan fewer than 8
+    /// tasks, when it is the largest power of two that leaves each 8;
     /// 1 when a single iteration already reaches the target or the loop
     /// is too short to share out. A pure function of the job's clock and
     /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
-        let cap = self.len() / (TASKS_PER_SEAT * Engine::seats(plan).max(1));
+        let seats = Engine::seats(plan);
+        if seats <= 1 {
+            return self.len().max(1);
+        }
+        let cap = self.len() / (TASKS_PER_SEAT * seats);
         let reaches = GRAIN_TARGET_NS.div_ceil(self.clock().max(1));
         (reaches.next_power_of_two() as usize).min(1 << cap.max(1).ilog2())
     }
@@ -1102,18 +1114,17 @@ mod tests {
         }
     }
 
-    /// Pins the rule of [`VersionedJob::grain`].
+    /// Pins the rule of [`VersionedJob::grain`] under two or more seats.
     #[test]
     fn grain_is_a_stable_power_of_two_that_keeps_every_seat_fed() {
         let plans = [
-            ExecutionPlan::tls(1),
             ExecutionPlan::tls(4),
             ExecutionPlan::tls(8),
             ExecutionPlan::tls(2),
             ExecutionPlan::tls(6),
         ];
         let mut all = jobs();
-        let long = synthetic(4096, 2);
+        let long = synthetic(8192, 2);
         for ns in [0, 1, 100, 1_000, 15_999, 16_000, 31_999, 32_000, 1 << 40] {
             all.push((format!("synthetic @ {ns} ns"), measured_at(&long, ns)));
         }
@@ -1137,37 +1148,59 @@ mod tests {
             }
         }
         // The target binds: 32 µs of 100 ns iterations, rounded up.
+        let two = ExecutionPlan::tls(2);
         let fine = measured_at(&long, 100);
-        assert_eq!(fine.grain(&ExecutionPlan::tls(1)), 512);
-        // The cap binds: 4096 iterations over 8 × 8 tasks.
-        assert_eq!(fine.grain(&ExecutionPlan::tls(8)), 64);
-        // And at 6 seats: 4096 iterations over 6 × 8 tasks, rounded down.
-        assert_eq!(fine.grain(&ExecutionPlan::tls(6)), 64);
+        assert_eq!(fine.grain(&two), 512);
+        // The cap binds: 8192 iterations over 8 × 8 tasks.
+        assert_eq!(fine.grain(&ExecutionPlan::tls(8)), 128);
+        // And at 6 seats: 8192 iterations over 6 × 8 tasks, rounded down.
+        assert_eq!(fine.grain(&ExecutionPlan::tls(6)), 128);
         // One iteration that reaches the target is a task; one just
         // short of it takes two, and one just past half of it too.
-        assert_eq!(measured_at(&long, 32_000).grain(&ExecutionPlan::tls(1)), 1);
-        assert_eq!(measured_at(&long, 31_999).grain(&ExecutionPlan::tls(1)), 2);
-        assert_eq!(measured_at(&long, 16_001).grain(&ExecutionPlan::tls(1)), 2);
-        assert_eq!(measured_at(&long, 16_000).grain(&ExecutionPlan::tls(1)), 2);
-        assert_eq!(measured_at(&long, 15_999).grain(&ExecutionPlan::tls(1)), 4);
+        assert_eq!(measured_at(&long, 32_000).grain(&two), 1);
+        assert_eq!(measured_at(&long, 31_999).grain(&two), 2);
+        assert_eq!(measured_at(&long, 16_001).grain(&two), 2);
+        assert_eq!(measured_at(&long, 16_000).grain(&two), 2);
+        assert_eq!(measured_at(&long, 15_999).grain(&two), 4);
         // A loop too short to share out is not chunked.
-        assert_eq!(
-            measured_at(&synthetic(15, 2), 100).grain(&ExecutionPlan::tls(1)),
-            1
-        );
+        assert_eq!(measured_at(&synthetic(15, 2), 100).grain(&two), 1);
         assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(4)), 1);
     }
 
-    /// The first sequential run reads the clock: 64 short iterations
-    /// chunk by 8 under `tls(1)`, the same 64 made to outlast the target
+    /// One seat: the loop is one task, on every kernel and synthetic
+    /// loop, whatever its clock read — and a serial stage is one seat.
+    #[test]
+    fn a_one_seat_grain_is_the_whole_loop() {
+        let plans = [
+            ExecutionPlan::tls(1),
+            ExecutionPlan::new(vec![StageAssignment::serial(1)]),
+        ];
+        let mut all = jobs();
+        for n in [1, 15, 4096] {
+            for ns in [0, 1, 100, 32_000, 1 << 40] {
+                all.push((format!("{n} @ {ns} ns"), measured_at(&synthetic(n, 2), ns)));
+            }
+        }
+        for (id, job) in &all {
+            for plan in &plans {
+                assert_eq!(job.grain(plan), job.len(), "{id}");
+                let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
+                assert_eq!(spec.graph.len(), 1, "{id}: one task");
+            }
+        }
+        assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(1)), 1);
+    }
+
+    /// The first sequential run reads the clock: 128 short iterations
+    /// chunk by 8 under `tls(2)`, the same 128 made to outlast the target
     /// do not.
     #[test]
     fn the_first_sequential_run_is_the_clock() {
         let build = |compute: fn(u64) -> (Vec<u8>, u64)| {
-            let trace = (0..64).map(|_| IterationRecord::new(1, 1, 1));
+            let trace = (0..128).map(|_| IterationRecord::new(1, 1, 1));
             let job = VersionedJob::accumulating(trace.collect(), compute, 0, |_, _, _| {});
             let seq = job.sequential();
-            let per_iteration = (seq.wall.as_nanos() / 64) as u64;
+            let per_iteration = (seq.wall.as_nanos() / 128) as u64;
             assert_eq!(job.iteration_ns.get(), Some(&per_iteration));
             job
         };
@@ -1176,7 +1209,7 @@ mod tests {
             (vec![i as u8], 1)
         };
         let fast = |i: u64| (vec![i as u8], 1);
-        let plan = ExecutionPlan::tls(1);
+        let plan = ExecutionPlan::tls(2);
         assert_eq!(build(slow).grain(&plan), 1);
         assert!(build(slow).clock() >= GRAIN_TARGET_NS);
         // A sleep is never short; a short run can be preempted into a
@@ -1243,7 +1276,8 @@ mod tests {
     }
 
     /// Building a job runs none of its loop, its first sequential run is
-    /// the only one its clock needs, and a mid-loop oracle range pays one
+    /// the only one its clock needs — a one-seat grain reads no clock, so
+    /// on a fresh job it runs nothing — and a mid-loop oracle range pays one
     /// full pass for the prefix table, once — unless the job folds its
     /// tail at commit: then an oracle range runs its own iterations and
     /// no more, and a replay and a fallback from mid-loop run iteration 0
@@ -1261,11 +1295,14 @@ mod tests {
         assert_eq!(ran_since(), 0, "construction");
         let seq = job.sequential();
         assert_eq!(ran_since(), n, "sequential");
-        let k = job.grain(&plan);
-        assert_eq!(k, twin.grain(&plan), "a clone shares the clock");
+        let two = ExecutionPlan::tls(2);
+        let k = job.grain(&two);
+        assert_eq!(k, twin.grain(&two), "a clone shares the clock");
         assert_eq!(ran_since(), 0, "grain after a sequential run");
         let (fresh, ran_fresh) = counted(n);
-        assert_eq!(fresh.grain(&plan), fresh.grain(&plan));
+        assert_eq!(fresh.grain(&plan), n as usize);
+        assert_eq!(ran_fresh.load(Relaxed), 0, "one seat: grain reads no clock");
+        assert_eq!(fresh.grain(&two), fresh.grain(&two));
         assert_eq!(ran_fresh.load(Relaxed), n, "grain on a fresh job, twice");
         // Oracle ranges from the end backwards: the first starts mid-loop
         // and builds the table; every one folds from the state before it.
@@ -1341,6 +1378,44 @@ mod tests {
             assert_eq!(steps(), walked, "{id}: a two-seat plan's points");
             let _ = job.job_spec(&ExecutionPlan::tls(4), ExecConfig::default());
             assert_eq!(steps(), 0, "{id}: the points are kept once");
+        }
+    }
+
+    /// A one-seat job is one task, and a panic on its first attempt costs
+    /// one replay of the loop, not the fallback: the injected panic fires
+    /// before the body runs, so the loop runs once, from iteration 0,
+    /// inside a version, and commits the sequential bytes — on every
+    /// kernel, and on a loop that counts its passes.
+    #[test]
+    fn a_one_task_job_replays_its_loop_once_after_a_panic() {
+        let plan = ExecutionPlan::tls(1);
+        let engine = Engine::new(EngineConfig::for_plan(&plan));
+        let faults = FaultPlan::none().with_forced(0, 0, FaultKind::WorkerPanic);
+        let config = ExecConfig::default().with_faults(faults);
+        let zeros = Arc::new(AtomicU64::new(0));
+        let z = Arc::clone(&zeros);
+        let counted = VersionedJob::recording(KernelLoop::new(Counted { n: 64, zeros: z }));
+        let mut all = vec![("counted".to_string(), counted)];
+        all.extend(all_workloads().iter().map(|w| {
+            let id = w.meta().spec_id.to_string();
+            (id, w.versioned_job(InputSize::Test))
+        }));
+        for (id, job) in all {
+            let seq = job.sequential();
+            let (spec, mem) = job.job_spec(&plan, config.clone());
+            assert_eq!(spec.graph.len(), 1, "{id}: one task");
+            zeros.store(0, Relaxed);
+            steps();
+            let report = engine.run(&spec).expect("a replay commits the task");
+            assert_eq!(report.output, seq.output, "{id}: bytes");
+            assert_eq!(report.work, seq.work, "{id}: work");
+            assert_eq!((report.tasks_committed, report.attempts), (1, 2), "{id}");
+            assert_eq!(report.recovery.panics_recovered, 1, "{id}");
+            assert!(!report.fallback_activated, "{id}: replayed, no fallback");
+            assert_eq!(mem.active_count(), 0, "{id}: version left open");
+            assert_eq!(steps(), job.len() as u64, "{id}: the loop runs once");
+            let passes = u64::from(id == "counted");
+            assert_eq!(zeros.load(Relaxed), passes, "{id}: from iteration 0");
         }
     }
 
