@@ -21,7 +21,7 @@
 use super::diag::{describe_inst, Lint};
 use super::races::{conflict_objects, unknown_conflict};
 use super::{Access, Ctx};
-use crate::audit::{infer_commutativity_with, INFERRED_GROUP_BIT};
+use crate::audit::INFERRED_GROUP_BIT;
 use crate::pdg::PdgNode;
 use crate::points_to::AbstractObj;
 use seqpar_ir::{CommGroupId, Opcode, Terminator};
@@ -35,9 +35,7 @@ pub(super) fn check(ctx: &Ctx) -> Vec<Lint> {
 
 /// `SP0201`, `SP0103`, and `SP0202` for hand commutative groups.
 fn commutative_hygiene(ctx: &Ctx) -> Vec<Lint> {
-    let program = ctx.input.program;
     let pdg = ctx.input.pdg;
-    let inferred = infer_commutativity_with(program, pdg, &ctx.points_to, &ctx.effects);
     let mut lints = Vec::new();
     let mut audited: BTreeSet<CommGroupId> = BTreeSet::new();
 
@@ -56,7 +54,7 @@ fn commutative_hygiene(ctx: &Ctx) -> Vec<Lint> {
             .filter(|&n| pdg.commutative_group(n) == Some(group))
             .collect();
 
-        if inferred.iter().any(|g| g.nodes.contains(&node)) {
+        if ctx.inferred.iter().any(|g| g.nodes.contains(&node)) {
             lints.push(Lint::RedundantCommutative {
                 node,
                 group: group.0,

@@ -34,6 +34,7 @@ mod races;
 
 pub use diag::{Lint, LintCode};
 
+use crate::audit::{infer_commutativity_with, InferredGroup};
 use crate::effects::{EffectSummary, Effects};
 use crate::pdg::{DepKind, LoopPdg, PdgNode};
 use crate::points_to::{AbstractObj, PointsTo};
@@ -243,18 +244,49 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Runs every checker over one parallelized loop.
+/// Runs every checker over one parallelized loop, computing the
+/// whole-program facts, the loop forest and the commutativity inference
+/// internally.
 ///
 /// # Panics
 ///
 /// Panics if `input.stages` does not cover exactly the PDG's nodes.
 pub fn run(input: &LintInput) -> LintReport {
+    let points_to = PointsTo::analyze(input.program);
+    let effects = Effects::analyze(input.program, &points_to);
+    let forest = LoopForest::build(input.program.function(input.pdg.func()));
+    let inferred = infer_commutativity_with(input.program, input.pdg, &points_to, &effects);
+    run_with(input, &points_to, &effects, &forest, &inferred)
+}
+
+/// [`run`] with what the parallelizer has computed already: the
+/// program's points-to and effect facts, the loop forest of the PDG's
+/// function, and the commutativity inference over the PDG's nodes
+/// (which the annotation and speculation passes leave as they are, so
+/// inferring before or after them gives the same groups).
+///
+/// # Panics
+///
+/// Panics if `input.stages` does not cover exactly the PDG's nodes.
+pub fn run_with(
+    input: &LintInput,
+    points_to: &PointsTo,
+    effects: &Effects,
+    forest: &LoopForest,
+    inferred: &[InferredGroup],
+) -> LintReport {
     assert_eq!(
         input.stages.node_count(),
         input.pdg.node_count(),
         "stage plan must assign a stage to every PDG node"
     );
-    let ctx = Ctx::new(input);
+    let ctx = Ctx {
+        input,
+        points_to,
+        effects,
+        forest,
+        inferred,
+    };
     let mut lints = Vec::new();
     lints.extend(flow::check(&ctx));
     lints.extend(races::check(&ctx));
@@ -332,28 +364,17 @@ impl Access {
 }
 
 /// Shared analysis context: whole-program points-to and effect
-/// summaries computed once, plus the loop structure of the linted
-/// function.
+/// summaries computed once, the loop structure of the linted function,
+/// and the commutativity the audit pass infers for the loop.
 pub(crate) struct Ctx<'a> {
     pub input: &'a LintInput<'a>,
-    pub points_to: PointsTo,
-    pub effects: Effects,
-    forest: LoopForest,
+    pub points_to: &'a PointsTo,
+    pub effects: &'a Effects,
+    forest: &'a LoopForest,
+    pub inferred: &'a [InferredGroup],
 }
 
-impl<'a> Ctx<'a> {
-    fn new(input: &'a LintInput<'a>) -> Self {
-        let points_to = PointsTo::analyze(input.program);
-        let effects = Effects::analyze(input.program, &points_to);
-        let forest = LoopForest::build(input.program.function(input.pdg.func()));
-        Self {
-            input,
-            points_to,
-            effects,
-            forest,
-        }
-    }
-
+impl Ctx<'_> {
     /// The loop the PDG was built over.
     pub fn linted_loop(&self) -> &Loop {
         self.forest.get(self.input.pdg.loop_id())

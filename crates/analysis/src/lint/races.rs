@@ -56,7 +56,7 @@ pub(super) fn check(ctx: &Ctx) -> Vec<Lint> {
     }
 
     let reset_state = ctx.ybranch_reset_objects();
-    let aliases = AliasQuery::new(input.program, &ctx.points_to);
+    let aliases = AliasQuery::new(input.program, ctx.points_to);
     let mut lints = Vec::new();
 
     for (i, (m, am)) in members.iter().enumerate() {

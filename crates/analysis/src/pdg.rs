@@ -80,6 +80,25 @@ impl LoopPdg {
         loop_id: LoopId,
         profile: Option<&LoopProfile>,
     ) -> Self {
+        let points_to = PointsTo::analyze(program);
+        let effects = Effects::analyze(program, &points_to);
+        Self::build_with(
+            program, func, forest, loop_id, profile, &points_to, &effects,
+        )
+    }
+
+    /// [`LoopPdg::build`] with precomputed whole-program points-to and
+    /// effect facts (a caller that runs several passes over one program
+    /// computes them once).
+    pub fn build_with(
+        program: &Program,
+        func: FuncId,
+        forest: &LoopForest,
+        loop_id: LoopId,
+        profile: Option<&LoopProfile>,
+        points_to: &PointsTo,
+        effects: &Effects,
+    ) -> Self {
         let f = program.function(func);
         let l = forest.get(loop_id);
         // Nodes: instructions in block order, plus a Branch node per
@@ -146,11 +165,9 @@ impl LoopPdg {
         }
 
         // Memory dependences refined by profile.
-        let points_to = PointsTo::analyze(program);
-        let aliases = AliasQuery::new(program, &points_to);
-        let effects = Effects::analyze(program, &points_to);
+        let aliases = AliasQuery::new(program, points_to);
         let mem_profile = profile.map(|p| &p.memory);
-        for d in mem_deps(program, func, &scope, &aliases, &effects, mem_profile) {
+        for d in mem_deps(program, func, &scope, &aliases, effects, mem_profile) {
             edges.push(PdgEdge {
                 src: index[&PdgNode::Inst(d.src)],
                 dst: index[&PdgNode::Inst(d.dst)],

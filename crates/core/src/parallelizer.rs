@@ -8,8 +8,10 @@ use crate::reductions::apply_reductions;
 use crate::report::{ParallelizationReport, Technique};
 use crate::speculation::{select, SpecKind, SpeculationConfig, SpeculationSet};
 use seqpar_analysis::audit;
+use seqpar_analysis::effects::Effects;
 use seqpar_analysis::lint::{self, LintInput, LintReport, SpeculatedDep, StageKind, StagePlan};
 use seqpar_analysis::pdg::{DepKind, LoopPdg};
+use seqpar_analysis::points_to::PointsTo;
 use seqpar_analysis::profile::LoopProfile;
 use seqpar_ir::{FuncId, LoopForest, LoopId, Program};
 use seqpar_runtime::{ConflictProfile, ExecutionPlan};
@@ -268,7 +270,18 @@ impl<'p> Parallelizer<'p> {
         if loop_id.0 as usize >= forest.len() {
             return Err(ParallelizeError::UnknownLoop);
         }
-        let mut pdg = LoopPdg::build(self.program, func, forest, loop_id, self.profile.as_ref());
+        // Whole-program facts, computed once for every pass below.
+        let points_to = PointsTo::analyze(self.program);
+        let effects = Effects::analyze(self.program, &points_to);
+        let mut pdg = LoopPdg::build_with(
+            self.program,
+            func,
+            forest,
+            loop_id,
+            self.profile.as_ref(),
+            &points_to,
+            &effects,
+        );
 
         // 0. The audit pass proves commutativity the program text never
         // annotated and injects the inferred groups before the
@@ -278,12 +291,10 @@ impl<'p> Parallelizer<'p> {
         // means the sequential run observed the callee's state carrying
         // order-sensitive values across iterations — that dependence
         // belongs to validated speculation, not to an unordered group.
-        let inferred = if self.infer {
-            audit::infer_commutativity(self.program, &pdg)
-        } else {
-            Vec::new()
-        };
-        for g in &inferred {
+        // The lint pass reads the inference whether or not it is applied.
+        let inferred = audit::infer_commutativity_with(self.program, &pdg, &points_to, &effects);
+        let applied = if self.infer { &inferred[..] } else { &[] };
+        for g in applied {
             if self.profile.is_some() && profile_refutes_inference(&pdg, &g.nodes) {
                 continue;
             }
@@ -347,20 +358,23 @@ impl<'p> Parallelizer<'p> {
         // 4a. Static conflict-density estimate: the speculated deps are
         // the only dependences that can still conflict (and squash) at
         // run time, so they are what the estimate is built from.
-        let conflict_profile = audit::conflict_profile(
+        let conflict_profile = audit::conflict_profile_with(
             self.program,
             &pdg,
+            &points_to,
+            &effects,
             &speculated,
             self.profile.as_ref().map_or(0, |p| p.trip_count),
         );
-        let lint_report = lint::run(&LintInput {
+        let lint_input = LintInput {
             program: self.program,
             pdg: &pdg,
             stages: &stage_plan,
             speculated: &speculated,
             privatized: &reductions.privatized_nodes,
             plan: None,
-        });
+        };
+        let lint_report = lint::run_with(&lint_input, &points_to, &effects, forest, &inferred);
         if !lint_report.is_clean() && !self.allow_unsound {
             return Err(ParallelizeError::Unsound {
                 codes: lint_report

@@ -7,7 +7,7 @@
 //! iteration with the measured phase costs and the dynamic dependence
 //! events (misspeculations) that actually occurred.
 
-use seqpar_runtime::{ExecutionPlan, SpecDep, TaskGraph, TaskId};
+use seqpar_runtime::{ChainLink, ChainShape, ExecutionPlan, TaskGraph};
 
 /// Measurements for one loop iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -169,63 +169,39 @@ impl IterationTrace {
     /// task (plus speculation events), phase-C tasks consuming phase B in
     /// iteration order.
     pub fn task_graph(&self) -> TaskGraph {
-        let n = self.records.len();
-        // A waits on the previous A, B on its A, C on its B and the
-        // previous C; iteration j's B task is the (3j + 1)-th added.
-        let deps = (4 * n).saturating_sub(2);
-        let mut g = TaskGraph::with_capacity(3, 3 * n, deps, self.spec_dep_count());
-        let mut prev_a: Option<TaskId> = None;
-        let mut prev_c: Option<TaskId> = None;
-        for (i, r) in self.records.iter().enumerate() {
-            let iter = i as u64;
-            let ta = g.add_task(0, iter, r.a_cost, prev_a.as_slice(), &[]);
-            let (spec, len) = self.spec_deps_for(i, |j| TaskId(3 * j as u32 + 1));
-            let tb = g.add_task(1, iter, r.b_cost, &[ta], &spec[..len]);
-            let tc = match prev_c {
-                Some(pc) => g.add_task(2, iter, r.c_cost, &[tb, pc], &[]),
-                None => g.add_task(2, iter, r.c_cost, &[tb], &[]),
-            };
-            prev_a = Some(ta);
-            prev_c = Some(tc);
-        }
-        g
+        let shape = ChainShape {
+            carried: [true, false, true],
+            speculated: 1,
+        };
+        TaskGraph::chain(shape, self.links(|r| [r.a_cost, r.b_cost, r.c_cost]))
     }
 
     /// Builds the TLS-style task graph: one stage, one task per
     /// iteration, consecutive iterations linked by speculation.
     pub fn tls_task_graph(&self) -> TaskGraph {
-        let n = self.records.len();
-        let mut g = TaskGraph::with_capacity(1, n, 0, self.spec_dep_count());
-        for (i, r) in self.records.iter().enumerate() {
-            let (spec, len) = self.spec_deps_for(i, |j| TaskId(j as u32));
-            g.add_task(0, i as u64, r.total(), &[], &spec[..len]);
-        }
-        g
-    }
-
-    /// The speculation events of iteration `i` — the producer it truly
-    /// depended on, if any, then the neighbour it speculated past — as a
-    /// stack buffer and how much of it is filled; `id_of` maps an earlier
-    /// iteration to its task in the graph being built.
-    fn spec_deps_for(&self, i: usize, id_of: impl Fn(u64) -> TaskId) -> ([SpecDep; 2], usize) {
-        let (r, i) = (&self.records[i], i as u64);
-        let dep = |j, violated| SpecDep {
-            on: id_of(j),
-            violated,
+        let shape = ChainShape {
+            carried: [false],
+            speculated: 0,
         };
-        let neighbour = self.speculative && i > 0 && r.misspec_on != Some(i - 1);
-        match (r.misspec_on, neighbour) {
-            (Some(j), true) => ([dep(j, true), dep(i - 1, false)], 2),
-            (Some(j), false) => ([dep(j, true); 2], 1),
-            (None, true) => ([dep(i - 1, false); 2], 1),
-            (None, false) => ([dep(0, false); 2], 0),
-        }
+        TaskGraph::chain(shape, self.links(|r| [r.total()]))
     }
 
-    /// How many speculation events the whole trace carries.
-    fn spec_dep_count(&self) -> usize {
-        let count = |i| self.spec_deps_for(i, |_| TaskId(0)).1;
-        (0..self.records.len()).map(count).sum()
+    /// One chain link per iteration, its tasks costed by `costs`. An
+    /// iteration's speculation events are the producer it truly depended
+    /// on, if any, then — in a speculative trace — the neighbour it
+    /// speculated past, unless that neighbour is the producer.
+    fn links<'a, const S: usize>(
+        &'a self,
+        costs: impl Fn(&IterationRecord) -> [u64; S] + Clone + 'a,
+    ) -> impl ExactSizeIterator<Item = ChainLink<S>> + Clone + 'a {
+        self.records.iter().enumerate().map(move |(i, r)| {
+            let i = i as u64;
+            ChainLink {
+                costs: costs(r),
+                violated_on: r.misspec_on,
+                past_previous: self.speculative && i > 0 && r.misspec_on != Some(i - 1),
+            }
+        })
     }
 
     /// The standard execution plan for this trace on `cores` cores.
@@ -255,7 +231,8 @@ impl Extend<IterationRecord> for IterationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqpar_runtime::{SimConfig, Simulator};
+    use crate::tls::{self, CarriedHandling};
+    use seqpar_runtime::{SimConfig, Simulator, SpecDep, StageId, TaskId};
 
     fn trace(n: u64, misspec_every: Option<u64>) -> IterationTrace {
         let mut t = IterationTrace::speculative();
@@ -366,6 +343,105 @@ mod tests {
         assert_eq!(g.spec_deps(b2).len(), 2);
         assert!(g.spec_deps(b2).iter().any(|s| s.violated));
         assert!(g.spec_deps(b2).iter().any(|s| !s.violated));
+    }
+
+    fn spec(on: u32, violated: bool) -> SpecDep {
+        SpecDep {
+            on: TaskId(on),
+            violated,
+        }
+    }
+
+    fn stage_pairs(pairs: &[(u8, u8)]) -> Vec<(StageId, StageId)> {
+        pairs
+            .iter()
+            .map(|&(s, t)| (StageId(s), StageId(t)))
+            .collect()
+    }
+
+    #[test]
+    fn an_empty_trace_builds_empty_graphs_of_each_shape() {
+        let t = IterationTrace::speculative();
+        for (g, stages) in [
+            (t.task_graph(), 3),
+            (t.tls_task_graph(), 1),
+            (tls::task_graph(&t, CarriedHandling::Synchronize), 1),
+        ] {
+            assert!(g.is_empty());
+            assert_eq!(g.stage_count(), stages);
+            assert!(g.channels().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_iteration_has_no_carried_edge_and_nothing_to_speculate_on() {
+        let mut t = IterationTrace::speculative();
+        t.push(IterationRecord::new(1, 2, 3));
+        let g = t.task_graph();
+        let tasks = g.tasks();
+        assert_eq!(tasks.len(), 3);
+        assert!(g.deps(&tasks[0]).is_empty());
+        assert_eq!(g.deps(&tasks[1]), [TaskId(0)]);
+        assert_eq!(g.deps(&tasks[2]), [TaskId(1)]);
+        assert!(tasks.iter().all(|task| g.spec_deps(task).is_empty()));
+        let tls = t.tls_task_graph();
+        assert_eq!(tls.len(), 1);
+        assert!(tls.deps(&tls.tasks()[0]).is_empty());
+        assert!(tls.spec_deps(&tls.tasks()[0]).is_empty());
+        assert_eq!(tls.serial_cycles(), 6);
+    }
+
+    #[test]
+    fn a_misspeculation_on_the_previous_iteration_replaces_the_neighbour_edge() {
+        let t = trace_with(3, &[(2, 1)]);
+        // B2 (task 7) keeps one event: the violated one on B1 (task 4).
+        let g = t.task_graph();
+        assert_eq!(g.spec_deps(&g.tasks()[7]), [spec(4, true)]);
+        assert_eq!(g.spec_deps(&g.tasks()[4]), [spec(1, false)]);
+        let tls = t.tls_task_graph();
+        assert_eq!(tls.spec_deps(&tls.tasks()[2]), [spec(1, true)]);
+    }
+
+    #[test]
+    fn a_misspeculation_far_back_keeps_the_neighbour_edge_after_it() {
+        let t = trace_with(6, &[(5, 1)]);
+        let g = t.task_graph();
+        // B5 is task 16: violated on B1 (task 4), then past B4 (task 13).
+        assert_eq!(
+            g.spec_deps(&g.tasks()[16]),
+            [spec(4, true), spec(13, false)]
+        );
+        // C5 waits on B5 and C4; A5 on A4.
+        assert_eq!(g.deps(&g.tasks()[17]), [TaskId(16), TaskId(14)]);
+        assert_eq!(g.deps(&g.tasks()[15]), [TaskId(12)]);
+        let tls = t.tls_task_graph();
+        assert_eq!(
+            tls.spec_deps(&tls.tasks()[5]),
+            [spec(1, true), spec(4, false)]
+        );
+        // A non-speculative trace keeps the violated event alone.
+        let plain = IterationTrace {
+            speculative: false,
+            ..t
+        };
+        let plain = plain.tls_task_graph();
+        assert_eq!(plain.spec_deps(&plain.tasks()[5]), [spec(1, true)]);
+    }
+
+    #[test]
+    fn channels_follow_the_shape() {
+        let t = trace_with(4, &[(3, 0)]);
+        assert_eq!(t.task_graph().channels(), stage_pairs(&[(0, 1), (1, 2)]));
+        assert!(t.tls_task_graph().channels().is_empty());
+        assert!(tls::task_graph(&t, CarriedHandling::Synchronize)
+            .channels()
+            .is_empty());
+        let one = trace_with(1, &[]);
+        assert_eq!(one.task_graph().channels(), stage_pairs(&[(0, 1), (1, 2)]));
+        assert_eq!(
+            t.chunked(3).task_graph().channels(),
+            stage_pairs(&[(0, 1), (1, 2)])
+        );
     }
 
     /// `n` records of distinct costs; `deps` lists `(iteration, producer)`.

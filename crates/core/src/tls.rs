@@ -10,7 +10,7 @@
 //! *synchronized* than speculated.
 
 use crate::pipeline::IterationTrace;
-use seqpar_runtime::{ExecutionPlan, SpecDep, TaskGraph, TaskId};
+use seqpar_runtime::{ChainLink, ChainShape, ExecutionPlan, SpecDep, TaskGraph};
 
 /// How the TLS parallelization treats loop-carried dependences.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,13 +33,16 @@ pub fn task_graph(trace: &IterationTrace, handling: CarriedHandling) -> TaskGrap
     match handling {
         CarriedHandling::Speculate => trace.tls_task_graph(),
         CarriedHandling::Synchronize => {
-            let n = trace.len();
-            let mut g = TaskGraph::with_capacity(1, n, n.saturating_sub(1), 0);
-            let mut prev: Option<TaskId> = None;
-            for (i, r) in trace.records().iter().enumerate() {
-                prev = Some(g.add_task(0, i as u64, r.total(), prev.as_slice(), &[]));
-            }
-            g
+            let shape = ChainShape {
+                carried: [true],
+                speculated: 0,
+            };
+            let links = trace.records().iter().map(|r| ChainLink {
+                costs: [r.total()],
+                violated_on: None,
+                past_previous: false,
+            });
+            TaskGraph::chain(shape, links)
         }
     }
 }

@@ -63,5 +63,5 @@ pub use exec::{
 pub use plan::{ExecutionPlan, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};
 pub use sim::{ChannelStat, SimConfig, SimError, SimResult, Simulator, TaskPlacement};
-pub use task::{SpecDep, StageId, Task, TaskGraph, TaskId};
+pub use task::{ChainLink, ChainShape, SpecDep, StageId, Task, TaskGraph, TaskId};
 pub use validate::{check_schedule, ScheduleViolation};

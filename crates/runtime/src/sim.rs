@@ -327,11 +327,12 @@ fn seek(tasks: &[Task], from: &mut usize, iter: u64, stage: StageId) -> Option<u
 /// its stage's pool (parallel stages, matching the dynamic assignment of
 /// paper §3.2).
 ///
-/// The pass relies on the order [`TaskGraph::add_task`] enforces — strictly
-/// ascending `(iter, stage)`: each stage's tasks arrive ascending in `iter`,
-/// so the iteration a producer looks back at for queue space only moves
-/// forward and one cursor per channel finds it, whatever gaps the numbering
-/// has (DESIGN.md, "The simulator").
+/// The pass relies on the order every [`TaskGraph`] keeps
+/// ([`TaskGraph::add_task`] checks it, [`TaskGraph::chain`] writes it) —
+/// strictly ascending `(iter, stage)`: each stage's tasks arrive
+/// ascending in `iter`, so the iteration a producer looks back at for
+/// queue space only moves forward and one cursor per channel finds it,
+/// whatever gaps the numbering has (DESIGN.md, "The simulator").
 #[derive(Clone, Debug, Default)]
 pub struct Simulator {
     config: SimConfig,

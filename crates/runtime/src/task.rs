@@ -56,9 +56,10 @@ impl DepRange {
 ///
 /// Dependence lists live in flat per-graph arenas (see
 /// [`TaskGraph::deps`] and [`TaskGraph::spec_deps`]) rather than in
-/// per-task `Vec`s: graphs hold three contiguous allocations no matter
-/// how many tasks they contain, which keeps a live graph from
-/// fragmenting the heap under the executor's allocation-heavy bodies.
+/// per-task `Vec`s: a graph holds four allocations (tasks, the two
+/// arenas, and its handful of channels) no matter how many tasks it
+/// contains, which keeps a live graph from fragmenting the heap under
+/// the executor's allocation-heavy bodies.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Task {
     /// The stage (phase) this task belongs to.
@@ -71,11 +72,40 @@ pub struct Task {
     spec_deps: DepRange,
 }
 
+/// The shape of a per-iteration chain ([`TaskGraph::chain`]): every
+/// iteration is one task per stage, in stage order, and each task after
+/// the first of its iteration waits on the one before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainShape<const S: usize> {
+    /// `carried[s]`: stage `s`'s task also waits on stage `s`'s task of
+    /// the previous iteration (a serial stage).
+    pub carried: [bool; S],
+    /// The stage whose tasks carry an iteration's speculated dependences.
+    pub speculated: usize,
+}
+
+/// One iteration of a per-iteration chain ([`TaskGraph::chain`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainLink<const S: usize> {
+    /// The cost of the iteration's task in each stage.
+    pub costs: [u64; S],
+    /// The earlier iteration whose speculated-stage task this one's truly
+    /// depended on: a violated speculated dependence, listed first.
+    pub violated_on: Option<u64>,
+    /// Whether this iteration's speculated-stage task speculated past the
+    /// previous iteration's: a surviving speculated dependence, listed
+    /// after the violated one.
+    pub past_previous: bool,
+}
+
 /// The dynamic task graph of one parallelized loop execution.
 ///
-/// Tasks must be added in lexicographic `(iter, stage)` order and
-/// dependences must point backwards in that order; [`TaskGraph::add_task`]
-/// enforces this so the simulator can schedule in a single pass.
+/// Tasks are in lexicographic `(iter, stage)` order and dependences point
+/// backwards in that order, so the simulator can schedule in a single
+/// pass. Two paths build one: [`TaskGraph::add_task`] appends any task and
+/// checks every rule as it goes, and [`TaskGraph::chain`] writes a whole
+/// per-iteration chain — every graph a measured trace derives — from index
+/// arithmetic. Both build the same graph from the same tasks.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TaskGraph {
     stages: u8,
@@ -92,24 +122,122 @@ impl TaskGraph {
     ///
     /// Panics if `stages` is zero.
     pub fn new(stages: u8) -> Self {
-        Self::with_capacity(stages, 0, 0, 0)
-    }
-
-    /// [`TaskGraph::new`] with room reserved for `tasks` tasks carrying
-    /// `deps` synchronized and `spec_deps` speculated dependences in
-    /// total: a builder that knows its sizes never regrows an arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero.
-    pub fn with_capacity(stages: u8, tasks: usize, deps: usize, spec_deps: usize) -> Self {
         assert!(stages > 0, "a pipeline needs at least one stage");
         Self {
             stages,
-            tasks: Vec::with_capacity(tasks),
-            dep_arena: Vec::with_capacity(deps),
-            spec_arena: Vec::with_capacity(spec_deps),
-            channels: Vec::new(),
+            ..Self::default()
+        }
+    }
+
+    /// A per-iteration chain of `links.len()` iterations, written in one
+    /// pass: task `s` of iteration `i` is `TaskId(i·S + s)` and waits on
+    /// task `s − 1` of its iteration, then — when `shape.carried[s]` — on
+    /// task `s` of iteration `i − 1`; the `shape.speculated` task carries
+    /// the link's violated dependence, then its surviving one on the
+    /// previous iteration. The channels are the chain's `(s − 1, s)` pairs,
+    /// known from the shape. The result equals what [`TaskGraph::add_task`]
+    /// builds from the same tasks, arenas and channels included; only the
+    /// checks the shape makes true by construction are skipped.
+    ///
+    /// `links` is walked twice: once to size the speculation arena, once
+    /// to write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `S` is zero or above 255, if `shape.speculated` is out of
+    /// range while a link speculates, or if a speculated dependence does
+    /// not point at an earlier iteration.
+    #[inline]
+    pub fn chain<const S: usize, I>(shape: ChainShape<S>, links: I) -> Self
+    where
+        I: ExactSizeIterator<Item = ChainLink<S>> + Clone,
+    {
+        assert!(S > 0, "a pipeline needs at least one stage");
+        let stages = u8::try_from(S).expect("a pipeline has at most 255 stages");
+        let n = links.len();
+        let spec_deps: usize = links
+            .clone()
+            .map(|l| usize::from(l.violated_on.is_some()) + usize::from(l.past_previous))
+            .sum();
+        let carried = shape.carried.iter().filter(|&&c| c).count();
+        let deps = n * (S - 1) + n.saturating_sub(1) * carried;
+        assert!(
+            spec_deps == 0 || shape.speculated < S,
+            "speculated stage {} out of range",
+            shape.speculated
+        );
+        let mut tasks = Vec::with_capacity(n * S);
+        let mut dep_arena = Vec::with_capacity(deps);
+        // Each speculated task writes both of its candidate entries and
+        // keeps those that exist, so no branch depends on the trace; the
+        // one spare slot takes the last task's discarded entries.
+        let unset = SpecDep {
+            on: TaskId(0),
+            violated: false,
+        };
+        let mut spec_arena = vec![unset; spec_deps + 1];
+        let mut spec_len = 0;
+        let stride = S as u32;
+        for (i, link) in links.enumerate() {
+            let base = i as u32 * stride;
+            for s in 0..S {
+                let id = base + s as u32;
+                let dep_start = dep_arena.len() as u32;
+                if s > 0 {
+                    dep_arena.push(TaskId(id - 1));
+                }
+                if shape.carried[s] && i > 0 {
+                    dep_arena.push(TaskId(id - stride));
+                }
+                let spec_start = spec_len as u32;
+                if s == shape.speculated {
+                    let producer = link.violated_on.unwrap_or(0);
+                    assert!(
+                        link.violated_on.is_none_or(|j| j < i as u64),
+                        "speculated dependence on iteration {producer} must precede iteration {i}"
+                    );
+                    assert!(
+                        i > 0 || !link.past_previous,
+                        "speculated dependence of iteration 0 must precede it"
+                    );
+                    spec_arena[spec_len] = SpecDep {
+                        on: TaskId(producer as u32 * stride + s as u32),
+                        violated: true,
+                    };
+                    spec_len += usize::from(link.violated_on.is_some());
+                    spec_arena[spec_len] = SpecDep {
+                        on: TaskId(id.wrapping_sub(stride)),
+                        violated: false,
+                    };
+                    spec_len += usize::from(link.past_previous);
+                }
+                tasks.push(Task {
+                    stage: StageId(s as u8),
+                    iter: i as u64,
+                    cost: link.costs[s],
+                    deps: DepRange {
+                        start: dep_start,
+                        len: dep_arena.len() as u32 - dep_start,
+                    },
+                    spec_deps: DepRange {
+                        start: spec_start,
+                        len: spec_len as u32 - spec_start,
+                    },
+                });
+            }
+        }
+        spec_arena.truncate(spec_len);
+        let channels = if n > 0 {
+            (1..stages).map(|s| (StageId(s - 1), StageId(s))).collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            stages,
+            tasks,
+            dep_arena,
+            spec_arena,
+            channels,
         }
     }
 
@@ -118,7 +246,9 @@ impl TaskGraph {
         self.stages
     }
 
-    /// Adds a task and returns its id.
+    /// Adds a task and returns its id: the general, checked entry for a
+    /// graph of any shape (hand-built graphs, tests). A graph that is a
+    /// per-iteration chain is written faster by [`TaskGraph::chain`].
     ///
     /// # Panics
     ///
@@ -224,7 +354,8 @@ impl TaskGraph {
     /// The distinct cross-stage channels implied by the dependences, as
     /// `(producer stage, consumer stage)` pairs, in the order their first
     /// dependence (synchronized or speculated) was added. Each is recorded
-    /// once, by [`TaskGraph::add_task`], so reading them scans nothing.
+    /// once, by [`TaskGraph::add_task`] or [`TaskGraph::chain`], so reading
+    /// them scans nothing.
     pub fn channels(&self) -> &[(StageId, StageId)] {
         &self.channels
     }
@@ -279,33 +410,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn zero_stage_pipeline_is_rejected_with_a_reserve_too() {
-        TaskGraph::with_capacity(0, 8, 8, 8);
-    }
-
-    #[test]
-    fn a_reserved_graph_is_the_graph_it_would_have_grown_into() {
-        let fill = |mut g: TaskGraph| {
-            let a = g.add_task(0, 0, 5, &[], &[]);
-            let b = g.add_task(1, 0, 7, &[a], &[]);
-            let spec = SpecDep {
-                on: b,
-                violated: true,
-            };
-            g.add_task(0, 1, 3, &[a], &[spec]);
-            g
+    fn a_speculated_dependence_on_a_later_stage_records_a_backward_channel() {
+        let mut g = TaskGraph::new(2);
+        let a = g.add_task(0, 0, 5, &[], &[]);
+        let b = g.add_task(1, 0, 7, &[a], &[]);
+        let spec = SpecDep {
+            on: b,
+            violated: true,
         };
-        // Too little room is only a reserve, not a limit; the channels
-        // recorded on the way are the same either way.
-        for (tasks, deps, specs) in [(3, 2, 1), (0, 0, 0), (1, 0, 0)] {
-            let reserved = fill(TaskGraph::with_capacity(2, tasks, deps, specs));
-            assert_eq!(reserved, fill(TaskGraph::new(2)));
-            assert_eq!(
-                reserved.channels(),
-                [(StageId(0), StageId(1)), (StageId(1), StageId(0))]
-            );
-        }
+        g.add_task(0, 1, 3, &[a], &[spec]);
+        assert_eq!(
+            g.channels(),
+            [(StageId(0), StageId(1)), (StageId(1), StageId(0))]
+        );
     }
 
     #[test]
@@ -333,6 +450,98 @@ mod tests {
             .map(|&(s, t)| (StageId(s), StageId(t)))
             .collect();
         assert_eq!(g.channels(), expected);
+    }
+
+    /// A three-stage chain (serial first and last stages, speculation in
+    /// the middle) through `chain` and through `add_task`.
+    fn chains(links: &[ChainLink<3>]) -> (TaskGraph, TaskGraph) {
+        let direct = direct_chain(links);
+        let mut checked = TaskGraph::new(3);
+        for (i, link) in links.iter().enumerate() {
+            let iter = i as u64;
+            let id = |j: u64, s: u32| TaskId(3 * j as u32 + s);
+            let carried = |s| iter.checked_sub(1).map(|p| id(p, s));
+            let mut spec: Vec<SpecDep> = link
+                .violated_on
+                .map(|j| SpecDep {
+                    on: id(j, 1),
+                    violated: true,
+                })
+                .into_iter()
+                .collect();
+            if link.past_previous {
+                spec.push(SpecDep {
+                    on: id(iter - 1, 1),
+                    violated: false,
+                });
+            }
+            let a = checked.add_task(0, iter, link.costs[0], carried(0).as_slice(), &[]);
+            let b = checked.add_task(1, iter, link.costs[1], &[a], &spec);
+            let c_deps: Vec<TaskId> = std::iter::once(b).chain(carried(2)).collect();
+            checked.add_task(2, iter, link.costs[2], &c_deps, &[]);
+        }
+        (direct, checked)
+    }
+
+    fn direct_chain(links: &[ChainLink<3>]) -> TaskGraph {
+        let shape = ChainShape {
+            carried: [true, false, true],
+            speculated: 1,
+        };
+        TaskGraph::chain(shape, links.iter().copied())
+    }
+
+    fn link(violated_on: Option<u64>, past_previous: bool) -> ChainLink<3> {
+        ChainLink {
+            costs: [1, 10, 2],
+            violated_on,
+            past_previous,
+        }
+    }
+
+    #[test]
+    fn a_chain_is_the_graph_add_task_builds() {
+        let links = [
+            link(None, false),
+            link(None, true),
+            link(Some(0), true),
+            link(Some(2), false),
+            link(None, false),
+        ];
+        for n in 0..=links.len() {
+            let (direct, checked) = chains(&links[..n]);
+            assert_eq!(direct, checked, "{n} iterations");
+        }
+        let (direct, _) = chains(&links);
+        assert_eq!(
+            direct.channels(),
+            [(StageId(0), StageId(1)), (StageId(1), StageId(2))]
+        );
+        assert_eq!(
+            direct.spec_deps(direct.task(TaskId(7))),
+            [
+                SpecDep {
+                    on: TaskId(1),
+                    violated: true
+                },
+                SpecDep {
+                    on: TaskId(4),
+                    violated: false
+                }
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "must precede")]
+    fn a_chain_rejects_a_speculated_dependence_on_its_own_iteration() {
+        direct_chain(&[link(None, false), link(Some(1), false)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must precede")]
+    fn a_chain_rejects_speculating_past_a_previous_iteration_it_does_not_have() {
+        direct_chain(&[link(None, true)]);
     }
 
     #[test]

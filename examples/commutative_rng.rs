@@ -9,7 +9,7 @@
 //! Run with `cargo run --example commutative_rng`.
 
 use seqpar::{Parallelizer, Stage, Technique};
-use seqpar_bench::{simulate, PlanKind};
+use seqpar_bench::{simulate_graph, PlanKind};
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 use seqpar_workloads::{InputSize, Workload};
 
@@ -79,8 +79,9 @@ fn main() {
         trace.len(),
         trace.misspec_rate() * 100.0
     );
+    let graph = trace.task_graph();
     for cores in [2usize, 8, 32] {
-        let r = simulate(&trace, cores, PlanKind::Dswp);
+        let r = simulate_graph(&graph, cores, PlanKind::Dswp);
         println!("  {cores:>2} cores -> speedup {:.2}", r.speedup());
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release --example compress_pipeline`.
 
-use seqpar_bench::{simulate, PlanKind};
+use seqpar_bench::{simulate_graph, PlanKind};
 use seqpar_workloads::gzip::{BlockMode, Gzip};
 use seqpar_workloads::{InputSize, Workload};
 
@@ -39,8 +39,9 @@ fn main() {
         trace.misspec_rate() * 100.0
     );
     println!("{:>8}{:>10}", "cores", "speedup");
+    let graph = trace.task_graph();
     for cores in [1usize, 2, 4, 8, 16, 32] {
-        let r = simulate(&trace, cores, PlanKind::Dswp);
+        let r = simulate_graph(&graph, cores, PlanKind::Dswp);
         println!("{cores:>8}{:>10.2}", r.speedup());
     }
 }

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use seqpar::{IterationRecord, IterationTrace, Parallelizer, SpeculationConfig};
-use seqpar_bench::{simulate, PlanKind};
+use seqpar_bench::{simulate_graph, PlanKind};
 use seqpar_ir::{CommGroupId, ExternEffect, FunctionBuilder, Opcode, Program};
 
 fn main() {
@@ -67,8 +67,9 @@ fn main() {
         trace.push(IterationRecord::new(4, 80 + (i * 37) % 60, 4));
     }
     println!("\n{:>8}{:>10}{:>13}", "cores", "speedup", "utilization");
+    let graph = trace.task_graph();
     for cores in [2usize, 4, 8, 16, 32] {
-        let r = simulate(&trace, cores, PlanKind::Dswp);
+        let r = simulate_graph(&graph, cores, PlanKind::Dswp);
         println!(
             "{cores:>8}{:>10.2}{:>12.0}%",
             r.speedup(),
