@@ -37,9 +37,10 @@ pub enum LintCode {
     /// `SP0006`: an erased Y-branch control dependence guards stores
     /// that reach live-out state.
     YBranchLiveOut,
-    /// `SP0007`: the execution plan's shape does not fit the
-    /// partition (stage count, empty core pool) or the native executor
-    /// (more than one stage, a round-robin stage).
+    /// `SP0007`: the execution plan's shape does not fit the native
+    /// engine (more than one stage, a round-robin stage, an empty pool:
+    /// what `ExecutionPlan::seats` refuses) or the partition (stage
+    /// count).
     PlanShape,
     /// `SP0101` (warn): a speculated dependence misfires often enough
     /// to threaten the speedup.

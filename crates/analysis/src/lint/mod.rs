@@ -39,7 +39,7 @@ use crate::effects::{EffectSummary, Effects};
 use crate::pdg::{DepKind, LoopPdg, PdgNode};
 use crate::points_to::{AbstractObj, PointsTo};
 use seqpar_ir::{BlockId, Loop, LoopForest, Opcode, Program};
-use seqpar_runtime::{Diagnostic, Engine, ExecutionPlan, PlanShape, Severity};
+use seqpar_runtime::{Diagnostic, ExecutionPlan, PlanShape, Severity};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -321,15 +321,19 @@ pub fn check_plan_shape(stages: &StagePlan, plan: &ExecutionPlan) -> LintReport 
     LintReport { entries }
 }
 
-/// Structural findings about an execution plan: shape mismatches and
-/// layouts the native executor refuses ([`Engine::check_plan`]) (deny),
-/// and sequential stages wastefully given multi-core pools (warn).
+/// Structural findings about an execution plan: layouts the native
+/// engine refuses ([`ExecutionPlan::seats`], the refusal's own text) and
+/// shape mismatches (deny), and sequential stages wastefully given
+/// multi-core pools (warn).
 fn plan_lints(stages: &StagePlan, plan: &ExecutionPlan) -> Vec<Lint> {
     let mut lints = Vec::new();
     let shape = PlanShape::of(plan);
-    let refused = match shape.check_against(stages.stage_count()) {
-        Err(e) => Some(e.to_string()),
-        Ok(()) => Engine::check_plan(plan).err().map(|e| e.to_string()),
+    let refused = match plan.seats() {
+        Err(refusal) => Some(refusal.to_string()),
+        Ok(_) => shape
+            .check_against(stages.stage_count())
+            .err()
+            .map(|e| e.to_string()),
     };
     if let Some(detail) = refused {
         lints.push(Lint::PlanShape { detail });

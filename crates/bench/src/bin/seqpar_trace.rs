@@ -157,13 +157,7 @@ fn main() {
         std::process::exit(1);
     }
     println!("timeline: {} events, well-formed", timeline.len());
-    require_real_work(
-        meta.spec_id,
-        report,
-        timeline,
-        &exec_plan,
-        &config.fault_plan,
-    );
+    require_real_work(meta.spec_id, report, timeline, threads, &config.fault_plan);
     println!();
 
     let labels = stage_labels(timeline.stage_count());
@@ -276,7 +270,7 @@ fn multi_job_trace(
             report.squashes,
         );
         let timeline = report.timeline.take().expect("tracing was on");
-        require_real_work(id, &report, &timeline, &exec_plan, &config.fault_plan);
+        require_real_work(id, &report, &timeline, threads, &config.fault_plan);
         stage_count = stage_count.max(timeline.stage_count());
         timelines.push(timeline);
     }
@@ -309,8 +303,8 @@ fn multi_job_trace(
     }
 }
 
-/// Exits 1 if the run proves nothing about the pipelined path: a plan
-/// with somebody to overlap with, yet no attempt ran on a runner
+/// Exits 1 if the run proves nothing about the pipelined path: a plan of
+/// `seats` seats, somebody to overlap with, yet no attempt ran on a runner
 /// (everything was committed at the frontier); or `faults` panicked
 /// attempts that runners did run — the sequential fallback is never
 /// sabotaged — and the report recovered from none. The frontier handles
@@ -319,11 +313,10 @@ fn require_real_work(
     id: &str,
     report: &NativeReport,
     timeline: &Timeline,
-    plan: &ExecutionPlan,
+    seats: usize,
     faults: &FaultPlan,
 ) {
     let on_runners: u64 = report.workers.iter().map(|w| w.tasks).sum();
-    let seats = Engine::seats(plan);
     if seats > 1 && on_runners == 0 {
         eprintln!("{id}: VACUOUS: a {seats}-seat plan, and no attempt ran on a runner");
         std::process::exit(1);

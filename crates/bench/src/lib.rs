@@ -157,7 +157,7 @@ pub fn sweep_workload(w: &dyn Workload, size: InputSize, kind: PlanKind) -> Swee
 /// each row's k.
 pub fn render_grain(job: &VersionedJob, plan: &ExecutionPlan) -> String {
     let k = job.grain(plan);
-    let seats = Engine::seats(plan);
+    let seats = plan.seats().map_or(1, std::num::NonZeroUsize::get);
     let bound = if seats <= 1 {
         "one seat: the loop is one task".to_string()
     } else if job.len() / (2 * k) < 8 * seats {
@@ -324,10 +324,9 @@ pub struct TracedRun {
     pub timeline: Timeline,
     /// Wall-clock milliseconds of the sequential reference run.
     pub sequential_wall_ms: f64,
-    /// The task graph the run executed ([`JobSpec::graph`](seqpar_runtime::JobSpec::graph)):
-    /// what a simulated twin of *this* run is taken over — a graph
-    /// re-derived from a second job's trace need not have the same
-    /// grain.
+    /// The task graph the run executed ([`VersionedJob::graph`]): what a
+    /// simulated twin of *this* run is taken over — a graph re-derived
+    /// from a second job's trace need not have the same grain.
     pub graph: Arc<TaskGraph>,
     /// [`render_grain`] of the job that ran.
     pub grain: String,
@@ -372,7 +371,7 @@ pub fn trace_native(
         report,
         timeline,
         sequential_wall_ms: seq.wall.as_secs_f64() * 1e3,
-        graph: spec.graph,
+        graph: Arc::new(job.graph(&plan)),
         grain: render_grain(&job, &plan),
     }
 }
@@ -576,7 +575,7 @@ pub fn lint_workload(w: &dyn Workload, cores: usize) -> LintOutcome {
     let result = parallelize_model(w);
     let plan = result.plan(cores);
     // Priced for the plan's seats: its iterations race each other.
-    let profile = result.conflict_profile().scaled(Engine::seats(&plan));
+    let profile = result.conflict_profile().scaled(cores);
     LintOutcome {
         spec_id: w.meta().spec_id,
         report: result.lint_plan(&plan),

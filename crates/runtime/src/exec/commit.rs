@@ -4,9 +4,10 @@
 //! sequential program order — which is what makes the executor's output
 //! byte-identical to sequential execution no matter how threads
 //! interleave. The commit point is also where misspeculation is
-//! resolved: a speculative first attempt of a task whose speculated
-//! dependence manifested (a violated [`SpecDep`](crate::SpecDep)) is
-//! squashed here, its output discarded, and the task sent back for
+//! resolved: on a replay job, a speculative first attempt of a task
+//! whose recorded speculated dependence manifested (a
+//! [`SpecRecord`] with a violation) is squashed here,
+//! its output discarded, and the task sent back for
 //! re-execution. Because every earlier task has already committed by
 //! then, the re-execution observes fully committed state — the native
 //! analogue of a TLS restart reading committed memory versions.
@@ -25,9 +26,9 @@
 //! makes [`CommitUnit::drain`] demand the sequential fallback instead
 //! of aborting the run.
 //!
-//! Jobs with a substrate ([`JobSpec::mem`](super::JobSpec::mem))
+//! Jobs with a substrate ([`JobMode::Versioned`])
 //! swap the misspeculation rung's *source*: instead of replaying the
-//! graph's recorded [`SpecDep`](crate::SpecDep) violations, the frontier
+//! recorded violations, the frontier
 //! asks the [`ConcurrentVersionedMemory`] whether the attempt's version
 //! survived
 //! ([`commit_check_batch`](ConcurrentVersionedMemory::commit_check_batch)
@@ -39,7 +40,8 @@
 //! byte-identical to sequential execution, and they are never charged
 //! against the retry budget.
 
-use super::faults::RecoveryCounts;
+use super::engine::JobMode;
+use super::faults::{RecoveryCounts, SpecRecord};
 use super::metrics::{NativeReport, WorkerStat};
 use super::stage::{JobShared, WorkItem, WorkerDone};
 use super::trace::{SquashReason, TimeUnit, Timeline, TraceBuffer, TraceEvent, TraceEventKind};
@@ -141,7 +143,7 @@ impl CommitUnit {
     /// leaves nothing open), and a recycled id with a live version would
     /// panic the substrate.
     fn rollback_version(job: &JobShared, task: u32) {
-        if let Some(m) = job.spec.mem.as_deref() {
+        if let Some(m) = job.spec.mode.mem() {
             let v = VersionId(u64::from(task));
             if m.is_active(v) {
                 m.rollback(v);
@@ -243,7 +245,11 @@ impl CommitUnit {
     ///
     /// Returns the squashed attempts to re-dispatch.
     pub(super) fn drain(&mut self, job: &JobShared) -> Result<Vec<WorkItem>, Stop> {
-        let (graph, mem) = (&*job.spec.graph, job.spec.mem.as_deref());
+        let mem = job.spec.mode.mem();
+        let recorded = |task: u32| match &job.spec.mode {
+            JobMode::Replay(table) => table.get(task as usize).copied().unwrap_or_default(),
+            JobMode::Versioned(_) => SpecRecord::default(),
+        };
         let mut redispatch = Vec::new();
         let mut versions = std::mem::take(&mut self.versions);
         let mut batch = std::mem::take(&mut self.batch);
@@ -343,11 +349,9 @@ impl CommitUnit {
             while batch.len() < ok {
                 let at = self.next + batch.len();
                 let done = self.peek(at).expect("peeked run entry");
-                let violated = if mem.is_none() && done.attempt == 0 {
-                    let task = graph.task(TaskId(done.task));
-                    graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64
-                } else {
-                    0
+                let violated = match done.attempt {
+                    0 => u64::from(recorded(done.task).violated),
+                    _ => 0,
                 };
                 if violated == 0 {
                     batch.push(self.take(at).expect("peeked run entry"));
@@ -404,19 +408,16 @@ impl CommitUnit {
                 );
             } else {
                 for done in &batch {
-                    let task = graph.task(TaskId(done.task));
-                    let violated =
-                        graph.spec_deps(task).iter().filter(|d| d.violated).count() as u64;
-                    let survived = graph.spec_deps(task).len() as u64 - violated;
-                    self.speculations_survived += survived;
-                    if !graph.spec_deps(task).is_empty() {
+                    let SpecRecord { violated, survived } = recorded(done.task);
+                    self.speculations_survived += u64::from(survived);
+                    if violated + survived > 0 {
                         // The runtime outcome of this task's
                         // speculation, recorded once, at the attempt
                         // that commits.
                         self.trace.record(TraceEventKind::SpecDecision {
                             task: done.task,
-                            violated: violated as u32,
-                            survived: survived as u32,
+                            violated,
+                            survived,
                         });
                     }
                 }
@@ -481,10 +482,9 @@ impl CommitUnit {
     }
 
     /// Finalizes the run (moving the output and the events out): one
-    /// [`WorkerStat`] per seat of `job`'s board that ran an accepted
-    /// attempt and, when tracing was on, the frontier's events stitched
-    /// with the dispatcher's and the runners' into the report's
-    /// [`Timeline`].
+    /// [`WorkerStat`] per seat that ran an accepted attempt and, when
+    /// tracing was on, the frontier's events stitched with the
+    /// dispatcher's and the runners' into the report's [`Timeline`].
     pub(super) fn report(
         &mut self,
         job: &JobShared,
@@ -492,17 +492,12 @@ impl CommitUnit {
         (watchdog_trips, fallback_activated): (u64, bool),
         dispatch_events: Vec<TraceEvent>,
     ) -> NativeReport {
-        let workers = job
-            .board
-            .seats()
+        let workers = self
+            .seat_stats
             .iter()
-            .zip(&self.seat_stats)
+            .enumerate()
             .filter(|(_, &(_, tasks))| tasks > 0)
-            .map(|(seat, &(busy, tasks))| WorkerStat {
-                core: seat.core,
-                busy,
-                tasks,
-            })
+            .map(|(core, &(busy, tasks))| WorkerStat { core, busy, tasks })
             .collect();
         let timeline = self.trace.enabled().then(|| {
             let buffers = vec![
@@ -510,7 +505,8 @@ impl CommitUnit {
                 dispatch_events,
                 std::mem::take(&mut self.worker_events),
             ];
-            Timeline::stitch(TimeUnit::Nanos, job.spec.graph.stage_count(), buffers)
+            // One stage: the trace schema keeps a stage count.
+            Timeline::stitch(TimeUnit::Nanos, 1, buffers)
         });
         NativeReport {
             job: job.job,
@@ -527,11 +523,7 @@ impl CommitUnit {
             fallback_activated,
             workers,
             timeline,
-            mem: job
-                .spec
-                .mem
-                .as_deref()
-                .map(ConcurrentVersionedMemory::stats),
+            mem: job.spec.mode.mem().map(ConcurrentVersionedMemory::stats),
             governor: None,
         }
     }

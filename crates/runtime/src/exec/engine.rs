@@ -39,12 +39,12 @@
 //! travels to that job's frontier, never to the next one's.
 
 use super::commit::CommitUnit;
+use super::faults::SpecRecord;
 use super::stage::{serve, Board, Injector, JobShared, Seat};
 use super::trace::{JobId, TraceBuffer, TraceClock};
 use super::{call, ExecConfig, ExecError, Frontier, NativeBody, NativeReport};
-use crate::plan::{ExecutionPlan, StageAssignment};
-use crate::task::{TaskGraph, TaskId};
 use seqpar_specmem::ConcurrentVersionedMemory;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -72,46 +72,59 @@ impl EngineConfig {
     pub fn with_workers(workers: usize) -> Self {
         Self { workers }
     }
-
-    /// A pool with one worker per seat of `plan`'s stage but one: the
-    /// thread that runs the job is the last. A one-seat plan gets none
-    /// ([`Engine::new`] still spawns one).
-    pub fn for_plan(plan: &ExecutionPlan) -> Self {
-        Self::with_workers(Engine::seats(plan).saturating_sub(1))
-    }
 }
 
-/// One job: a task graph, the plan to run it
-/// under, the body computing each task, an optional versioned-memory
-/// substrate, and the per-job supervision parameters. Everything is
-/// owned (`Arc`'d) because the engine's threads outlive any borrow the
-/// caller could offer.
+/// One job: its task count, the seats of its one stage, the body
+/// computing each task, where its squashes come from, and the per-job
+/// supervision parameters — the TLS stage the engine runs, and nothing
+/// it would have to refuse. Everything is owned (`Arc`'d) because the
+/// engine's threads outlive any borrow the caller could offer.
 // No `Debug`: `dyn NativeBody` has nothing printable.
 #[derive(Clone)]
 #[allow(missing_debug_implementations)]
 pub struct JobSpec {
-    /// The task graph to execute.
-    pub graph: Arc<TaskGraph>,
-    /// The execution plan (stage-to-core assignment) to run it under.
-    pub plan: Arc<ExecutionPlan>,
+    /// How many tasks the job runs: task `i` is the `i`-th in commit
+    /// (program) order.
+    pub tasks: usize,
+    /// The runners the stage admits at once (the plan's cores): the
+    /// caller holds one, the engine's pool serves the rest.
+    pub seats: NonZeroUsize,
     /// The computation behind each task.
     pub body: Arc<dyn NativeBody>,
-    /// The job's private versioned-memory substrate, and with it the
-    /// squash source. `Some`: every attempt runs inside version
-    /// `VersionId(task.0)` of it (handed to the body as
-    /// [`TaskCtx::mem`](super::TaskCtx::mem)), the substrate detects
-    /// conflicts at access granularity, and the graph's recorded
-    /// [`SpecDep`](crate::SpecDep) violations are ignored. `None`:
-    /// *replay* — the recorded violations drive the squashes, so
-    /// squash counts are a function of the graph alone and line up with
-    /// the simulator's. The substrate must be fresh and is never shared
-    /// between jobs: version ids are task indices, which collide across
-    /// graphs.
-    pub mem: Option<Arc<ConcurrentVersionedMemory>>,
+    /// The squash source.
+    pub mode: JobMode,
     /// Per-job supervision parameters: fault plan, retry budget,
     /// tracing, watchdog. `queue_capacity` sizes the job's admission
     /// window.
     pub config: ExecConfig,
+}
+
+/// Where a job's squashes come from.
+#[derive(Clone, Debug)]
+pub enum JobMode {
+    /// The job's private versioned-memory substrate: every attempt runs
+    /// inside version `VersionId(task.0)` of it (handed to the body as
+    /// [`TaskCtx::mem`](super::TaskCtx::mem)), and the substrate detects
+    /// conflicts at access granularity. It must be fresh and is never
+    /// shared between jobs: version ids are task indices, which collide
+    /// across jobs. What every workload and every benchmark runs.
+    Versioned(Arc<ConcurrentVersionedMemory>),
+    /// *Replay*: each task's recorded speculation, in task order
+    /// ([`SpecRecord::table`]). The speculative attempt of a task with a
+    /// violation is squashed, so squash counts are a function of the
+    /// recording alone and line up with the simulator's. A task past
+    /// the table's end recorded none.
+    Replay(Arc<[SpecRecord]>),
+}
+
+impl JobMode {
+    /// The substrate of a versioned job.
+    pub(super) fn mem(&self) -> Option<&ConcurrentVersionedMemory> {
+        match self {
+            JobMode::Versioned(mem) => Some(mem),
+            JobMode::Replay(_) => None,
+        }
+    }
 }
 
 /// What the injector carries: the right to serve one seat of the job,
@@ -186,31 +199,6 @@ impl Engine {
         }
     }
 
-    /// The seats the engine gives `plan`: the cores of its one stage.
-    pub fn seats(plan: &ExecutionPlan) -> usize {
-        plan.stage(0).cores().len()
-    }
-
-    /// Whether the engine runs `plan`: one `Serial` or `Parallel`
-    /// stage. [`Engine::run`] refuses anything else with the error
-    /// returned here, and the static lint reports it as `SP0007`.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::MultiStage`] for a plan of more than one stage,
-    /// [`ExecError::StaticAssignment`] for a round-robin stage.
-    pub fn check_plan(plan: &ExecutionPlan) -> Result<(), ExecError> {
-        if plan.stage_count() > 1 {
-            return Err(ExecError::MultiStage {
-                stages: plan.stage_count(),
-            });
-        }
-        match plan.stage(0) {
-            StageAssignment::Serial { .. } | StageAssignment::Parallel { .. } => Ok(()),
-            _ => Err(ExecError::StaticAssignment),
-        }
-    }
-
     /// The pool parameters in use.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -245,17 +233,6 @@ impl Engine {
     /// Returns [`ExecError::Busy`], before looking at the job, while
     /// another job is in flight on this engine: one started from another
     /// thread, or the job whose body is calling. Returns
-    /// [`ExecError::Invalid`] when the plan fails validation
-    /// ([`SimError::StageMismatch`](crate::SimError::StageMismatch) when
-    /// plan and graph disagree on stage count,
-    /// [`SimError::EmptyStagePool`](crate::SimError::EmptyStagePool)
-    /// when a stage has no cores — the same checks the simulator
-    /// performs; core- and queue-count limits are physical-machine model
-    /// parameters and do not constrain native execution). Returns
-    /// [`ExecError::MultiStage`], [`ExecError::StaticAssignment`] or
-    /// [`ExecError::SynchronizedDep`] for a plan of more than one
-    /// stage, a round-robin stage, or a graph with a synchronized
-    /// dependence: the engine runs one dynamically assigned stage. Returns
     /// [`ExecError::TaskFailed`] only when a body panics where no
     /// replay exists (the sequential fallback); pipelined worker panics
     /// are recovered, not raised.
@@ -268,16 +245,13 @@ impl Engine {
         };
         *admitted += 1;
         let job = JobId(*admitted);
-        let graph = &*spec.graph;
-        let plan = &*spec.plan;
-        check(graph, plan)?;
         let started = Instant::now();
-        if graph.is_empty() {
+        if spec.tasks == 0 {
             let mut report = NativeReport::empty(started.elapsed());
             report.job = job;
             return Ok(report);
         }
-        if Engine::seats(plan) > 1 {
+        if spec.seats.get() > 1 {
             self.warm();
         }
 
@@ -286,7 +260,7 @@ impl Engine {
         // serves. All no-ops when tracing is off.
         let clock = TraceClock::new(spec.config.trace);
         let buffer = || TraceBuffer::for_job(clock, job);
-        let board = Board::new(graph, plan, spec.config.queue_capacity);
+        let board = Board::new(spec.tasks, spec.seats.get(), spec.config.queue_capacity);
         let commit = CommitUnit::new(buffer(), &spec.config);
         let frontier = Frontier::new(commit, buffer());
         let shared = Arc::new(JobShared {
@@ -308,18 +282,5 @@ fn engine_worker(injector: &Injector<Ticket>) {
         if serve(&job, seat, injector) {
             hand(injector, &job, seat);
         }
-    }
-}
-
-/// Whether the engine runs `graph` under `plan`: the simulator's shape
-/// checks, then [`Engine::check_plan`] and no synchronized dependence.
-fn check(graph: &TaskGraph, plan: &ExecutionPlan) -> Result<(), ExecError> {
-    crate::diag::PlanShape::of(plan).check_against(graph.stage_count())?;
-    Engine::check_plan(plan)?;
-    match graph.tasks().iter().position(|t| !graph.deps(t).is_empty()) {
-        Some(idx) => Err(ExecError::SynchronizedDep {
-            task: TaskId(idx as u32),
-        }),
-        None => Ok(()),
     }
 }

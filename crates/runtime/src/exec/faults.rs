@@ -11,10 +11,44 @@
 //! native executor consults it on worker threads and at the commit
 //! frontier, while [`predict_recovery`] folds the identical commit-time
 //! decision procedure as a pure function, so tests can predict every
-//! deterministic counter of a replay run without spawning a thread.
+//! deterministic counter of a replay run without spawning a thread. Both
+//! read a replay's misspeculations from one table ([`SpecRecord::table`]).
 
 use crate::task::TaskGraph;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// One task's recorded speculation: of the speculated dependences the
+/// trace recorded for it, how many manifested and how many held. A
+/// replay job ([`JobMode::Replay`](super::JobMode::Replay)) carries one
+/// per task, in task order, and squashes the speculative attempt of
+/// every task with a violation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpecRecord {
+    /// Speculated dependences that manifested.
+    pub violated: u32,
+    /// Speculated dependences that held.
+    pub survived: u32,
+}
+
+impl SpecRecord {
+    /// Each task's record in `graph`, in task order: the table a replay
+    /// job and [`predict_recovery`] read.
+    pub fn table(graph: &TaskGraph) -> Arc<[SpecRecord]> {
+        graph
+            .tasks()
+            .iter()
+            .map(|task| {
+                let deps = graph.spec_deps(task);
+                let violated = deps.iter().filter(|d| d.violated).count() as u32;
+                SpecRecord {
+                    violated,
+                    survived: deps.len() as u32 - violated,
+                }
+            })
+            .collect()
+    }
+}
 
 /// One class of injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,11 +307,9 @@ pub struct RecoveryPrediction {
     pub speculations_survived: u64,
 }
 
-/// Predicts what a replay run of `graph` under `faults` and
-/// `retry_budget` reports, without a thread. A replay run is a job
-/// without a substrate ([`JobSpec::mem`](crate::JobSpec::mem) unset):
-/// its misspeculations are the graph's recorded violated
-/// [`SpecDep`](crate::SpecDep)s.
+/// Predicts what a replay run of the tasks `recorded` describes (one
+/// [`SpecRecord`] a task, in task order) reports under `faults` and
+/// `retry_budget`, without a thread.
 ///
 /// The commit frontier decides every counter strictly in task order
 /// from `(task, attempt)` alone, so the prediction folds the per-task
@@ -286,28 +318,26 @@ pub struct RecoveryPrediction {
 /// one inline, one attempt each: the speculation counters freeze and
 /// `recovery.fallback_tasks` counts the tail.
 pub fn predict_recovery(
-    graph: &TaskGraph,
+    recorded: &[SpecRecord],
     faults: &FaultPlan,
     retry_budget: u32,
 ) -> RecoveryPrediction {
     let mut p = RecoveryPrediction::default();
-    for (idx, task) in graph.tasks().iter().enumerate() {
-        let deps = graph.spec_deps(task);
-        let violated = deps.iter().filter(|d| d.violated).count() as u64;
-        let sup = supervise_task(faults, retry_budget, idx as u32, violated > 0);
+    for (idx, r) in recorded.iter().enumerate() {
+        let sup = supervise_task(faults, retry_budget, idx as u32, r.violated > 0);
         p.recovery.absorb(&sup.counts);
         p.attempts += u64::from(sup.attempts);
         if sup.misspec_squashed {
             p.squashes += 1;
-            p.violations += violated;
+            p.violations += u64::from(r.violated);
         }
         if sup.exhausted {
-            let tail = (graph.len() - idx) as u64;
+            let tail = (recorded.len() - idx) as u64;
             p.recovery.fallback_tasks = tail;
             p.attempts += tail;
             break;
         }
-        p.speculations_survived += deps.len() as u64 - violated;
+        p.speculations_survived += u64::from(r.survived);
     }
     p
 }
@@ -419,7 +449,8 @@ mod tests {
         let n = g.len() as u64;
         let sim = Simulator::new(SimConfig::with_cores(4));
         let clean = sim.run(&g, &ExecutionPlan::tls(4)).unwrap();
-        let inert = predict_recovery(&g, &FaultPlan::none(), 3);
+        let table = SpecRecord::table(&g);
+        let inert = predict_recovery(&table, &FaultPlan::none(), 3);
         assert_eq!(
             inert.recovery,
             RecoveryCounts::default(),
@@ -432,8 +463,12 @@ mod tests {
         assert_eq!(inert.attempts, n + inert.squashes);
 
         let faults = FaultPlan::seeded(42);
-        let a = predict_recovery(&g, &faults, 3);
-        assert_eq!(a, predict_recovery(&g, &faults, 3), "same seed, same chaos");
+        let a = predict_recovery(&table, &faults, 3);
+        assert_eq!(
+            a,
+            predict_recovery(&table, &faults, 3),
+            "same seed, same chaos"
+        );
         assert!(
             a.recovery.panics_recovered > 0,
             "seed 42 injects something over 180 tasks"
@@ -454,7 +489,8 @@ mod tests {
         let n = g.len() as u64;
         // Panic on every attempt: task 0 exhausts any finite budget.
         let always = FaultPlan::none().with_panic_permille(1000);
-        let r = predict_recovery(&g, &always, 2);
+        let table = SpecRecord::table(&g);
+        let r = predict_recovery(&table, &always, 2);
         assert_eq!(r.recovery.fallback_tasks, n);
         assert_eq!(r.violations, 0, "speculation counters freeze at fallback");
         assert_eq!(r.speculations_survived, 0);
@@ -467,7 +503,7 @@ mod tests {
         let late = FaultPlan::none()
             .with_forced(15, 1, FaultKind::WorkerPanic)
             .with_forced(15, 2, FaultKind::WorkerPanic);
-        let r = predict_recovery(&g, &late, 1);
+        let r = predict_recovery(&table, &late, 1);
         assert_eq!(r.recovery.fallback_tasks, n - 15);
         assert_eq!(r.recovery.panics_recovered, 2);
         assert_eq!((r.squashes, r.violations), (3, 3), "tasks 5, 10 and 15");

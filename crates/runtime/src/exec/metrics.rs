@@ -26,11 +26,10 @@ pub struct GovernorStats {
     pub degraded_commits: u64,
 }
 
-/// Timing for one seat of the plan (one core of its one stage),
-/// whichever threads served it.
+/// Timing for one seat of the job, whichever threads served it.
 #[derive(Clone, Debug)]
 pub struct WorkerStat {
-    /// The plan core this worker modelled.
+    /// The seat's index: core `i` of a `tls` plan.
     pub core: usize,
     /// Total time spent inside task bodies.
     pub busy: Duration,
@@ -102,9 +101,9 @@ pub struct NativeReport {
     /// A snapshot of the concurrent versioned memory's counters
     /// (reads, eager forwards, silent stores suppressed, conflict
     /// squashes, commits, rollbacks) when the job carried one
-    /// ([`JobSpec::mem`](super::JobSpec::mem)); `None` for replay
-    /// jobs. Unlike the
-    /// frontier-decided counters above, conflict counts here are
+    /// ([`JobMode::Versioned`](super::JobMode::Versioned)); `None` for
+    /// replay jobs. Unlike the frontier-decided counters above, conflict
+    /// counts here are
     /// genuinely timing-dependent — they record real races detected at
     /// access granularity, while the committed output stays
     /// byte-identical.

@@ -1,27 +1,24 @@
 //! The real-thread pipelined executor.
 //!
 //! [`Simulator`](crate::Simulator) *estimates* what a plan would do on
-//! the paper's modelled hardware; an [`Engine`] actually *runs* the plan
+//! the paper's modelled hardware; an [`Engine`] actually *runs* a loop
 //! on OS threads. The paper has one machine (§3.1: cores, queues, one
 //! versioned memory) and so does this module: the engine is the only
-//! owner of worker threads, and a [`JobSpec`] — a
-//! [`TaskGraph`](crate::TaskGraph), the
-//! [`ExecutionPlan`](crate::ExecutionPlan) to run it under, a
-//! [`NativeBody`] supplying each task's real computation, an optional
-//! versioned memory and an [`ExecConfig`] — handed to [`Engine::run`]
-//! is the only way in. Like the paper's runtime, an engine runs one
-//! parallelized loop at a time: a second `run` while one is in flight
-//! is refused ([`ExecError::Busy`]). A run enforces the paper's
-//! execution model with real concurrency primitives:
+//! owner of worker threads, and a [`JobSpec`] — a task count, the seats
+//! of the one stage, a [`NativeBody`] supplying each task's real
+//! computation, a [`JobMode`] and an [`ExecConfig`] — handed to
+//! [`Engine::run`] is the only way in. Like the paper's runtime, an
+//! engine runs one parallelized loop at a time: a second `run` while one
+//! is in flight is refused ([`ExecError::Busy`]). A run enforces the
+//! paper's execution model with real concurrency primitives:
 //!
-//! * **One stage** (the paper's speculative phase, run as TLS): a job's
-//!   plan has one `Serial` or `Parallel` stage and its graph no
-//!   synchronized dependence, or the run is refused
-//!   ([`ExecError::MultiStage`], [`ExecError::StaticAssignment`],
-//!   [`ExecError::SynchronizedDep`]). The paper's serial phase C runs
-//!   on the frontier's turn, as each task commits
-//!   ([`NativeBody::commit`]); the [`Simulator`](crate::Simulator)
-//!   keeps the three-phase pipeline.
+//! * **One stage** (the paper's speculative phase, run as TLS): a job is
+//!   one stage of tasks and nothing else can be written down. Mapping a
+//!   plan onto seats, and refusing the plans that do not map, happens
+//!   before a job exists, where the static lint checks the same. The
+//!   paper's serial phase C runs on the frontier's turn, as each task
+//!   commits ([`NativeBody::commit`]); the
+//!   [`Simulator`](crate::Simulator) keeps the three-phase pipeline.
 //! * **Bounded windows** (§3.1's 32-entry core-to-core queues): the
 //!   stage is a *lane* — its tasks in task order, an atomic claim
 //!   cursor the runners advance, and an atomic limit admission raises.
@@ -47,38 +44,37 @@
 //!   join the stream the body finishes them ([`NativeBody::commit`]):
 //!   order-dependent state folds there, in serial phase C, where no
 //!   attempt can conflict on it.
-//! * **Misspeculation rollback**, its squash source a mode of the job
-//!   ([`JobSpec::mem`]):
-//!   * *Conflict-driven* (`mem: Some`, what every workload and every
-//!     benchmark runs): the task bodies route their speculative state
-//!     through the job's [`ConcurrentVersionedMemory`], each attempt
-//!     running inside its own version. Reads eagerly forward
-//!     uncommitted stores from earlier versions; a non-silent write
-//!     that contradicts a value a later version already observed
-//!     squashes that version *at the memory substrate*, at access
-//!     granularity — real conflict detection. The commit frontier
-//!     checks the version
+//! * **Misspeculation rollback**, its squash source the job's
+//!   [`JobMode`]:
+//!   * *Conflict-driven* ([`JobMode::Versioned`], what every workload
+//!     and every benchmark runs): the task bodies route their
+//!     speculative state through the job's
+//!     [`ConcurrentVersionedMemory`], each attempt running inside its
+//!     own version. Reads eagerly forward uncommitted stores from
+//!     earlier versions; a non-silent write that contradicts a value a
+//!     later version already observed squashes that version *at the
+//!     memory substrate*, at access granularity — real conflict
+//!     detection. The commit frontier checks the version
 //!     ([`ConcurrentVersionedMemory::commit_check_batch`]) before
 //!     irrevocably publishing anything, rolls conflicted versions back,
 //!     and re-dispatches.
-//!   * *Replay* (`mem: None`): the dynamic dependence events recorded
-//!     in the task graph drive squashes — the paper's own method of
+//!   * *Replay* ([`JobMode::Replay`]): each task's recorded speculation
+//!     ([`SpecRecord`]) drives squashes — the paper's own method of
 //!     replaying the dependences that actually occurred. A task's first
 //!     attempt is dispatched without waiting for its speculated
 //!     producers — that is what makes it speculative — so when a
-//!     speculated dependence *manifested* (a violated
-//!     [`SpecDep`](crate::SpecDep)), the commit unit rejects the
+//!     speculated dependence *manifested*, the commit unit rejects the
 //!     attempt, discards its output, and re-dispatches the task. It is
 //!     kept as the deterministic reference that ties the native squash,
-//!     violation and recovery counters to the simulator's, and costs
-//!     one rung of the commit ladder and one `Option`.
+//!     violation and recovery counters to the simulator's (and to
+//!     [`predict_recovery`], which reads the same table).
 //!
 //!   Either way the re-execution starts only after every earlier task
 //!   has committed (commit is in-order), mirroring how a TLS restart
 //!   re-reads committed memory versions.
 //!
 //! Because commit order is fixed and replayed squash decisions depend
-//! only on the recorded dependence events — not on thread timing — a
+//! only on the recorded speculation — not on thread timing — a
 //! replay's output byte stream, squash count, and per-task work
 //! counters are fully deterministic across runs and thread
 //! interleavings. On a conflict-driven run the *conflict counts* are
@@ -97,15 +93,16 @@ mod metrics;
 mod stage;
 mod trace;
 
-pub use engine::{Engine, EngineConfig, JobSpec};
-pub use faults::{predict_recovery, FaultKind, FaultPlan, RecoveryCounts, RecoveryPrediction};
+pub use engine::{Engine, EngineConfig, JobMode, JobSpec};
+pub use faults::{
+    predict_recovery, FaultKind, FaultPlan, RecoveryCounts, RecoveryPrediction, SpecRecord,
+};
 pub use metrics::{GovernorStats, NativeReport, WorkerStat};
 pub use trace::{
     CriticalPath, DurationStats, JobId, SquashReason, StageMetrics, TimeUnit, Timeline,
     TraceDefect, TraceEvent, TraceEventKind,
 };
 
-use crate::sim::SimError;
 use crate::task::TaskId;
 use commit::{CommitUnit, Stop};
 use engine::{hand, Ticket};
@@ -131,25 +128,6 @@ pub const FALLBACK_ATTEMPT: u32 = u32::MAX;
 /// produced at all.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// The plan failed validation against the graph (shared with the
-    /// simulator's checks).
-    Invalid(SimError),
-    /// The plan has more than one stage. The engine runs one: the
-    /// three-phase pipeline is the simulator's.
-    MultiStage {
-        /// The plan's stage count.
-        stages: u8,
-    },
-    /// The plan's stage assigns iterations to cores statically
-    /// (round-robin): the engine's seats claim from one lane, first come
-    /// first served, so it cannot honour that assignment.
-    StaticAssignment,
-    /// The graph carries a synchronized dependence, which a one-stage
-    /// run would not wait for.
-    SynchronizedDep {
-        /// The task that waits on another.
-        task: TaskId,
-    },
     /// A task body panicked where no replay is possible: on the
     /// sequential fallback path. The body itself cannot produce the
     /// task's sequential result, so the run has no legal outcome.
@@ -163,27 +141,9 @@ pub enum ExecError {
     Busy,
 }
 
-impl From<SimError> for ExecError {
-    fn from(e: SimError) -> Self {
-        ExecError::Invalid(e)
-    }
-}
-
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Invalid(e) => write!(f, "invalid plan: {e}"),
-            ExecError::MultiStage { stages } => {
-                write!(f, "a {stages}-stage plan: the engine runs one stage")
-            }
-            ExecError::StaticAssignment => {
-                write!(f, "a round-robin stage: the engine assigns dynamically")
-            }
-            ExecError::SynchronizedDep { task } => write!(
-                f,
-                "task {} waits on a synchronized dependence: a one-stage graph has none",
-                task.0
-            ),
             ExecError::TaskFailed { task } => write!(
                 f,
                 "task {} failed un-replayably (body panicked on the sequential path)",
@@ -194,14 +154,7 @@ impl std::fmt::Display for ExecError {
     }
 }
 
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Invalid(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for ExecError {}
 
 /// Machine and supervision parameters for native execution.
 ///
@@ -334,16 +287,11 @@ impl TaskOutput {
 /// Execution context handed to [`NativeBody::run`].
 #[derive(Debug)]
 pub struct TaskCtx<'a> {
-    /// The task's [`Task::iter`](crate::Task::iter): the loop iteration
-    /// it came from in a graph with one task per iteration, the index of
-    /// a chunk of consecutive iterations in a coarsened one (what
-    /// `seqpar_workloads::VersionedJob` builds).
-    pub iter: u64,
     /// 0 for the original (speculative) dispatch; incremented by each
     /// rollback re-execution.
     pub attempt: u32,
     /// The concurrent versioned memory this attempt's speculative state
-    /// flows through, when the job carries one ([`JobSpec::mem`]). The
+    /// flows through, when the job is [`JobMode::Versioned`]. The
     /// executor has already opened version `VersionId(task.0)` for the
     /// attempt; the body issues `read`/`write` against it and must
     /// **not** begin, commit, or roll it back itself. `None` on replay
@@ -368,7 +316,7 @@ impl TaskCtx<'_> {
     }
 }
 
-/// The real computation behind a task graph: the executor calls
+/// The real computation behind a job's tasks: the executor calls
 /// [`NativeBody::run`] on worker threads, one call per dispatch (so a
 /// squashed task's body runs again for the re-execution), and
 /// [`NativeBody::commit`] once per task, on the attempt that commits.
@@ -599,7 +547,7 @@ impl<'a> Turn<'a> {
             self.admit();
             self.drain_frontier()?;
         }
-        if self.f.commit.committed_tasks() >= self.job.spec.graph.len() {
+        if self.f.commit.committed_tasks() >= self.job.spec.tasks {
             return Ok(true);
         }
         self.admit();
@@ -661,7 +609,7 @@ impl<'a> Turn<'a> {
         f.trace.record(TraceEventKind::FallbackActivated {
             from_task: from as u32,
         });
-        for task in from..job.spec.graph.len() {
+        for task in from..job.spec.tasks {
             let output = job.run_here(task as u32, FALLBACK_ATTEMPT, None)?;
             f.commit.commit_fallback(job, output);
         }

@@ -40,8 +40,7 @@ use super::engine::{JobSpec, Ticket};
 use super::faults::FaultKind;
 use super::trace::{JobId, TraceBuffer, TraceClock, TraceEvent, TraceEventKind};
 use super::{take_turns, ExecError, Frontier, TaskCtx, TaskOutput};
-use crate::plan::ExecutionPlan;
-use crate::task::{TaskGraph, TaskId};
+use crate::task::TaskId;
 use seqpar_specmem::{ConcurrentVersionedMemory, VersionId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +52,7 @@ use std::time::{Duration, Instant};
 /// One dispatch of one task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct WorkItem {
-    /// Index of the task in the graph.
+    /// Index of the task in commit order.
     pub task: u32,
     /// 0 for the speculative first attempt; >0 for rollback
     /// re-executions.
@@ -84,17 +83,15 @@ pub(super) struct WorkerDone {
     pub events: Vec<TraceEvent>,
 }
 
-/// One core of the plan: the unit a runner serves, and the key its
-/// timing and trace events are charged to. A seat's *ticket* is the
-/// right to serve it; exactly one exists, held by a runner, queued in
-/// an [`Injector`], waiting in the home slot, or parked on the
-/// [`Board`].
+/// One seat of the job: the unit a runner serves, and the key its
+/// timing and trace events are charged to (a plan core, to a trace
+/// reader). A seat's *ticket* is the right to serve it; exactly one
+/// exists, held by a runner, queued in an [`Injector`], waiting in the
+/// home slot, or parked on the [`Board`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Seat {
-    /// Index into the board's seat list (and the per-seat statistics).
+    /// Index into the board's seats (and the per-seat statistics).
     pub id: usize,
-    /// The plan core the seat models.
-    pub core: usize,
 }
 
 /// Keeps a word every claim or publication hammers off the cache lines
@@ -154,7 +151,6 @@ struct Slot {
 /// seats. See the module docs for who writes what.
 pub(super) struct Board {
     lane: Lane,
-    seats: Vec<Seat>,
     /// Sized to the window (rounded up to a power of two), so a
     /// published completion always finds its slot free.
     ring: Vec<Slot>,
@@ -182,20 +178,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Board {
-    /// Builds the board of `plan`'s one stage over `graph`'s tasks, its
-    /// window `capacity` plus its seats. Must be called on the job's
+    /// Builds the board of a stage of `tasks` tasks and `seats` seats,
+    /// its window `capacity` plus its seats. Must be called on the job's
     /// calling thread: that is the thread a seat in the home slot and
     /// the end of the job wake. Every seat starts parked; the first
     /// admission hands them out, the first of them home.
-    pub(super) fn new(graph: &TaskGraph, plan: &ExecutionPlan, capacity: usize) -> Self {
-        let seats: Vec<Seat> = plan
-            .stage(0)
-            .cores()
-            .into_iter()
-            .enumerate()
-            .map(|(id, core)| Seat { id, core })
-            .collect();
-        let window = capacity.max(1) + seats.len();
+    pub(super) fn new(tasks: usize, seats: usize, capacity: usize) -> Self {
+        let window = capacity.max(1) + seats;
         Self {
             ring: (0..window.next_power_of_two())
                 .map(|_| Slot {
@@ -203,21 +192,16 @@ impl Board {
                     done: Mutex::new(None),
                 })
                 .collect(),
-            lane: Lane::new(graph.len(), window),
+            lane: Lane::new(tasks, window),
             tail: Padded(AtomicU64::new(0)),
             absorbed: AtomicU64::new(0),
             wake_at: (window / 2).max(1) as u64,
-            starved: AtomicUsize::new(seats.len()),
-            parked: Mutex::new(seats.clone()),
+            starved: AtomicUsize::new(seats),
+            parked: Mutex::new((0..seats).map(|id| Seat { id }).collect()),
             closed: AtomicBool::new(false),
-            seats,
             home: Mutex::new((true, None)),
             caller: std::thread::current(),
         }
-    }
-
-    pub(super) fn seats(&self) -> &[Seat] {
-        &self.seats
     }
 
     /// The window: the bound on admitted-but-unabsorbed attempts, and
@@ -512,12 +496,7 @@ impl JobShared {
         attempt: u32,
         mem: Option<&ConcurrentVersionedMemory>,
     ) -> Result<TaskOutput, ExecError> {
-        let t = self.spec.graph.task(TaskId(task));
-        let ctx = TaskCtx {
-            iter: t.iter,
-            attempt,
-            mem,
-        };
+        let ctx = TaskCtx { attempt, mem };
         catch_unwind(AssertUnwindSafe(|| self.spec.body.run(TaskId(task), &ctx)))
             .map_err(|_| ExecError::TaskFailed { task: TaskId(task) })
     }
@@ -576,9 +555,10 @@ pub(super) fn serve(job: &Arc<JobShared>, seat: Seat, pool: &Injector<Ticket>) -
 /// decides how they travel.
 fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuffer) -> WorkerDone {
     let faults = &job.spec.config.fault_plan;
-    let mem = job.spec.mem.as_deref();
+    let mem = job.spec.mode.mem();
     let fault = faults.fault_at(item.task, item.attempt);
-    let stage = job.spec.graph.task(TaskId(item.task)).stage.0;
+    // The one stage, to the trace.
+    let stage = 0;
     if fault == Some(FaultKind::WorkerPanic) {
         // Injected panic: the attempt dies before the body runs.
         // Reported through the same `panicked` channel as a caught
@@ -587,13 +567,13 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         // trace still gets a dispatch/complete pair so the attempt
         // shows up as a (zero-length) slice.
         trace.record(TraceEventKind::Dispatch {
-            core: seat.core,
+            core: seat.id,
             stage,
             task: item.task,
             attempt: item.attempt,
         });
         trace.record(TraceEventKind::Complete {
-            core: seat.core,
+            core: seat.id,
             stage,
             task: item.task,
             attempt: item.attempt,
@@ -612,7 +592,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
         };
     }
     trace.record(TraceEventKind::Dispatch {
-        core: seat.core,
+        core: seat.id,
         stage,
         task: item.task,
         attempt: item.attempt,
@@ -639,7 +619,7 @@ fn run_attempt(job: &JobShared, seat: Seat, item: WorkItem, trace: &mut TraceBuf
     let panicked = result.is_err();
     let output = result.unwrap_or_else(|_| TaskOutput::empty());
     trace.record(TraceEventKind::Complete {
-        core: seat.core,
+        core: seat.id,
         stage,
         task: item.task,
         attempt: item.attempt,
@@ -664,13 +644,9 @@ mod tests {
 
     #[test]
     fn the_batch_threshold_is_half_the_window() {
-        let mut graph = TaskGraph::new(1);
-        for i in 0..8 {
-            graph.add_task(0, i, 1, &[], &[]);
-        }
-        let board = Board::new(&graph, &ExecutionPlan::tls(2), 32);
+        let board = Board::new(8, 2, 32);
         assert_eq!(board.wake_at, (32 + 2) / 2, "queue capacity plus two seats");
-        let one = Board::new(&graph, &ExecutionPlan::tls(1), 0);
+        let one = Board::new(8, 1, 0);
         assert_eq!(one.wake_at, 1, "a window of two wakes at every publication");
     }
 }

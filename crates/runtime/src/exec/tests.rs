@@ -1,85 +1,99 @@
 use super::*;
 use crate::plan::ExecutionPlan;
-use crate::task::{SpecDep, TaskGraph, TaskId};
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// Runs one job on an engine of its own — one runner per core of `plan`,
-/// the calling thread being the last — dropped on return.
+/// Runs a job of `tasks` tasks on `seats` seats on an engine of its own
+/// — one runner per seat, the calling thread being the last — dropped on
+/// return.
 fn run_on(
-    mem: Option<Arc<ConcurrentVersionedMemory>>,
+    mode: JobMode,
     config: ExecConfig,
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
+    tasks: u64,
+    seats: usize,
     body: impl NativeBody + 'static,
 ) -> Result<NativeReport, ExecError> {
-    Engine::new(EngineConfig::for_plan(plan)).run(&JobSpec {
-        graph: Arc::new(graph.clone()),
-        plan: Arc::new(plan.clone()),
+    let seats = NonZeroUsize::new(seats).expect("a job has a seat");
+    Engine::new(EngineConfig::with_workers(seats.get() - 1)).run(&JobSpec {
+        tasks: tasks as usize,
+        seats,
         body: Arc::new(body),
-        mem,
+        mode,
         config,
     })
 }
 
-/// Runs `graph` under `plan` as a replay job (`mem: None`): the graph's
-/// recorded violations are the squash source.
-fn run(
-    config: ExecConfig,
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    body: impl NativeBody + 'static,
-) -> Result<NativeReport, ExecError> {
-    run_on(None, config, graph, plan, body)
+/// The canonical speculative loop as a replay table: task `i` speculates
+/// on task `i - 1`, and the dependence manifested at the tasks in
+/// `violate_at`.
+fn speculative(tasks: u64, violate_at: &[u64]) -> Arc<[SpecRecord]> {
+    (0..tasks)
+        .map(|i| match i {
+            0 => SpecRecord::default(),
+            i if violate_at.contains(&i) => SpecRecord {
+                violated: 1,
+                survived: 0,
+            },
+            _ => SpecRecord {
+                violated: 0,
+                survived: 1,
+            },
+        })
+        .collect()
 }
 
-/// [`run`] through a fresh substrate, handed back for inspection.
+/// Runs the canonical speculative loop ([`speculative`]) as a replay
+/// job: the recorded violations are the squash source.
+fn run(
+    config: ExecConfig,
+    tasks: u64,
+    violate_at: &[u64],
+    seats: usize,
+    body: impl NativeBody + 'static,
+) -> Result<NativeReport, ExecError> {
+    let mode = JobMode::Replay(speculative(tasks, violate_at));
+    run_on(mode, config, tasks, seats, body)
+}
+
+/// A replay that recorded no speculation: only a panic squashes.
+fn unrecorded() -> JobMode {
+    JobMode::Replay(Arc::new([]))
+}
+
+/// [`run_on`] through a fresh substrate, handed back for inspection.
 fn run_versioned(
     config: ExecConfig,
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
+    tasks: u64,
+    seats: usize,
     body: impl NativeBody + 'static,
 ) -> (NativeReport, Arc<ConcurrentVersionedMemory>) {
     let mem = Arc::new(ConcurrentVersionedMemory::new());
-    let report = run_on(Some(Arc::clone(&mem)), config, graph, plan, body).unwrap();
+    let mode = JobMode::Versioned(Arc::clone(&mem));
+    let report = run_on(mode, config, tasks, seats, body).unwrap();
     (report, mem)
 }
 
-/// The canonical speculative loop: one stage, task `i` is iteration `i`
-/// and speculates on task `i - 1`, with violations at the given
-/// iterations.
-fn speculative_graph(iters: u64, violate_at: &[u64]) -> TaskGraph {
-    let mut graph = TaskGraph::new(1);
-    for i in 0..iters {
-        let spec: Vec<SpecDep> = (i > 0)
-            .then(|| SpecDep {
-                on: TaskId(i as u32 - 1),
-                violated: violate_at.contains(&i),
-            })
-            .into_iter()
-            .collect();
-        graph.add_task(0, i, 40, &[], &spec);
-    }
-    graph
-}
-
-/// A body that emits each task's iteration tag — and a deliberately
-/// corrupt tag while speculative, so a missed squash or a phantom
-/// squash both corrupt the output stream.
+/// A body that emits each task's index — and a deliberately corrupt tag
+/// while speculative, so a missed squash or a phantom squash both
+/// corrupt the output stream.
 fn tagging_body(violate_at: Vec<u64>) -> impl NativeBody {
     move |task: TaskId, ctx: &TaskCtx<'_>| {
-        let mut bytes = ctx.iter.to_le_bytes().to_vec();
-        if ctx.speculative() && violate_at.contains(&ctx.iter) {
+        let i = u64::from(task.0);
+        let mut bytes = i.to_le_bytes().to_vec();
+        if ctx.speculative() && violate_at.contains(&i) {
             bytes[0] ^= 0xFF; // stale value speculation would produce
         }
-        TaskOutput {
-            bytes,
-            work: task.0 as u64 + 1,
-        }
+        TaskOutput { bytes, work: i + 1 }
     }
+}
+
+/// A body that emits each task's index.
+fn tag(task: TaskId, _: &TaskCtx<'_>) -> TaskOutput {
+    TaskOutput::bytes(u64::from(task.0).to_le_bytes().to_vec())
 }
 
 fn expected_stream(iters: u64) -> Vec<u8> {
@@ -88,9 +102,7 @@ fn expected_stream(iters: u64) -> Vec<u8> {
 
 #[test]
 fn pipeline_output_matches_sequential_order() {
-    let graph = speculative_graph(50, &[]);
-    let plan = ExecutionPlan::tls(4);
-    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
+    let report = run(ExecConfig::default(), 50, &[], 4, tagging_body(vec![])).unwrap();
     assert_eq!(report.output, expected_stream(50));
     assert_eq!(report.tasks_committed, 50);
     assert_eq!(report.attempts, 50);
@@ -102,12 +114,11 @@ fn pipeline_output_matches_sequential_order() {
 #[test]
 fn violated_speculation_squashes_and_reexecutes() {
     let violate = vec![3, 7, 20];
-    let graph = speculative_graph(30, &violate);
-    let plan = ExecutionPlan::tls(4);
     let report = run(
         ExecConfig::default(),
-        &graph,
-        &plan,
+        30,
+        &violate,
+        4,
         tagging_body(violate.clone()),
     )
     .unwrap();
@@ -123,9 +134,7 @@ fn violated_speculation_squashes_and_reexecutes() {
 
 #[test]
 fn single_core_plan_still_completes() {
-    let graph = speculative_graph(20, &[5]);
-    let plan = ExecutionPlan::tls(1);
-    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![5])).unwrap();
+    let report = run(ExecConfig::default(), 20, &[5], 1, tagging_body(vec![5])).unwrap();
     assert_eq!(report.output, expected_stream(20));
     assert_eq!(report.threads(), 1); // one seat, on core 0
 }
@@ -135,7 +144,6 @@ fn single_core_plan_still_completes() {
 /// task commits from the frontier or from the sequential fallback.
 #[test]
 fn the_first_commit_moves_its_bytes_into_the_stream() {
-    let graph = speculative_graph(1, &[]);
     let fallback = ExecConfig::default()
         .with_faults(FaultPlan::none().with_forced(0, 0, FaultKind::WorkerPanic))
         .with_retry_budget(0);
@@ -147,7 +155,7 @@ fn the_first_commit_moves_its_bytes_into_the_stream() {
             r.store(bytes.as_ptr() as usize, Ordering::Relaxed);
             TaskOutput::bytes(bytes)
         };
-        let (report, _) = run_versioned(config, &graph, &ExecutionPlan::tls(1), body);
+        let (report, _) = run_versioned(config, 1, 1, body);
         assert_eq!(report.fallback_activated, falls_back);
         assert_eq!(report.output, vec![7; 4096]);
         let at = report.output.as_ptr() as usize;
@@ -157,95 +165,22 @@ fn the_first_commit_moves_its_bytes_into_the_stream() {
 
 #[test]
 fn tiny_queues_apply_backpressure_without_deadlock() {
-    let graph = speculative_graph(200, &[17, 90, 91]);
-    let plan = ExecutionPlan::tls(4);
     let config = ExecConfig::with_queue_capacity(1);
-    let report = run(config, &graph, &plan, tagging_body(vec![17, 90, 91])).unwrap();
+    let report = run(
+        config,
+        200,
+        &[17, 90, 91],
+        4,
+        tagging_body(vec![17, 90, 91]),
+    )
+    .unwrap();
     assert_eq!(report.output, expected_stream(200));
     assert_eq!(report.squashes, 3);
 }
 
-/// The engine refuses, with a typed error and before any body runs, a
-/// plan the graph does not match and every job that is not one
-/// dynamically assigned stage without synchronized dependences.
-#[test]
-fn stage_mismatch_is_rejected() {
-    use crate::plan::StageAssignment;
-    let refused = |graph: &TaskGraph, plan: &ExecutionPlan| {
-        let body = |_: TaskId, _: &TaskCtx<'_>| -> TaskOutput { panic!("a refused job ran") };
-        run(ExecConfig::default(), graph, plan, body).unwrap_err()
-    };
-    let graph = speculative_graph(4, &[]);
-    // A three-stage plan against a one-stage graph.
-    let err = refused(&graph, &ExecutionPlan::three_phase(4));
-    assert!(matches!(
-        err,
-        ExecError::Invalid(SimError::StageMismatch { .. })
-    ));
-
-    // The paper's three-phase pipeline, graph and plan agreeing.
-    let mut three = TaskGraph::new(3);
-    for i in 0..4 {
-        let a = three.add_task(0, i, 10, &[], &[]);
-        let b = three.add_task(1, i, 40, &[a], &[]);
-        three.add_task(2, i, 10, &[b], &[]);
-    }
-    assert_eq!(
-        refused(&three, &ExecutionPlan::three_phase(4)),
-        ExecError::MultiStage { stages: 3 }
-    );
-
-    // One stage, statically assigned.
-    let rr = ExecutionPlan::new(vec![StageAssignment::round_robin(vec![0, 1])]);
-    assert_eq!(refused(&graph, &rr), ExecError::StaticAssignment);
-
-    // One stage whose task 2 waits on task 1.
-    let mut synced = TaskGraph::new(1);
-    let t0 = synced.add_task(0, 0, 10, &[], &[]);
-    let t1 = synced.add_task(0, 1, 10, &[], &[]);
-    synced.add_task(0, 2, 10, &[t1], &[]);
-    synced.add_task(
-        0,
-        3,
-        10,
-        &[],
-        &[SpecDep {
-            on: t0,
-            violated: false,
-        }],
-    );
-    assert_eq!(
-        refused(&synced, &ExecutionPlan::tls(2)),
-        ExecError::SynchronizedDep { task: TaskId(2) }
-    );
-
-    // The plan half alone, as the static lint asks it.
-    assert_eq!(
-        Engine::check_plan(&ExecutionPlan::three_phase(4)),
-        Err(ExecError::MultiStage { stages: 3 })
-    );
-    assert_eq!(Engine::check_plan(&rr), Err(ExecError::StaticAssignment));
-    assert_eq!(Engine::check_plan(&ExecutionPlan::tls(2)), Ok(()));
-}
-
-#[test]
-fn empty_stage_pool_is_rejected() {
-    let graph = speculative_graph(4, &[]);
-    let plan = ExecutionPlan::new(vec![crate::plan::StageAssignment::Parallel {
-        cores: vec![],
-    }]);
-    let err = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap_err();
-    assert_eq!(
-        err,
-        ExecError::Invalid(SimError::EmptyStagePool { stage: 0 })
-    );
-}
-
 #[test]
 fn empty_graph_commits_nothing() {
-    let graph = TaskGraph::new(1);
-    let plan = ExecutionPlan::tls(4);
-    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
+    let report = run(ExecConfig::default(), 0, &[], 4, tagging_body(vec![])).unwrap();
     assert!(report.output.is_empty());
     assert_eq!(report.tasks_committed, 0);
 }
@@ -253,13 +188,12 @@ fn empty_graph_commits_nothing() {
 #[test]
 fn repeated_runs_are_deterministic() {
     let violate = vec![1, 4, 11, 12];
-    let graph = speculative_graph(60, &violate);
-    let plan = ExecutionPlan::tls(8);
     let once = || {
         run(
             ExecConfig::default(),
-            &graph,
-            &plan,
+            60,
+            &violate,
+            8,
             tagging_body(violate.clone()),
         )
         .unwrap()
@@ -281,9 +215,7 @@ fn repeated_runs_are_deterministic() {
 /// Runs the canonical graph under `config` and asserts the output is
 /// still byte-identical to sequential; returns the report.
 fn run_faulted(iters: u64, violate: &[u64], config: ExecConfig) -> NativeReport {
-    let graph = speculative_graph(iters, violate);
-    let plan = ExecutionPlan::tls(4);
-    let report = run(config, &graph, &plan, tagging_body(violate.to_vec()))
+    let report = run(config, iters, violate, 4, tagging_body(violate.to_vec()))
         .expect("recoverable faults never abort the run");
     assert_eq!(
         report.output,
@@ -378,9 +310,7 @@ fn watchdog_trips_on_a_wedged_stage_and_falls_back() {
     let config = ExecConfig::default()
         .with_faults(faults)
         .with_watchdog_deadline(deadline);
-    let graph = speculative_graph(iters, &[]);
-    let report = run(config, &graph, &ExecutionPlan::tls(4), body)
-        .expect("recoverable faults never abort the run");
+    let report = run(config, iters, &[], 4, body).expect("recoverable faults never abort the run");
     assert!(begun.load(Ordering::SeqCst) >= 1, "a worker was held");
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.tasks_committed, iters);
@@ -425,7 +355,7 @@ fn a_clean_job_after_a_fallen_back_one_commits_only_its_own() {
         let (released, returned) = (released.clone(), returned.clone());
         let body = tagging_body(vec![]);
         move |task: TaskId, ctx: &TaskCtx<'_>| {
-            match ctx.iter {
+            match task.0 {
                 8 => released.store(true, Ordering::SeqCst),
                 40 => wait_until(|| returned.load(Ordering::SeqCst)),
                 _ => {}
@@ -433,13 +363,12 @@ fn a_clean_job_after_a_fallen_back_one_commits_only_its_own() {
             body.run(task, ctx)
         }
     };
-    let plan = Arc::new(ExecutionPlan::tls(4));
-    let engine = Engine::new(EngineConfig::for_plan(&plan));
+    let engine = Engine::new(EngineConfig::with_workers(3));
     let spec = |iters: u64, body: Arc<dyn NativeBody>, config: ExecConfig| JobSpec {
-        graph: Arc::new(speculative_graph(iters, &[])),
-        plan: Arc::clone(&plan),
+        tasks: iters as usize,
+        seats: NonZeroUsize::new(4).unwrap(),
         body,
-        mem: None,
+        mode: JobMode::Replay(speculative(iters, &[])),
         config,
     };
     let wedged = ExecConfig::default().with_watchdog_deadline(Duration::from_millis(60));
@@ -489,15 +418,13 @@ fn budget_zero_degrades_to_sequential_fallback_instead_of_aborting() {
 
 #[test]
 fn real_body_panic_is_squashed_and_replayed() {
-    let graph = speculative_graph(20, &[]);
-    let plan = ExecutionPlan::tls(4);
-    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
-        if ctx.iter == 7 && ctx.attempt == 0 {
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        if task.0 == 7 && ctx.attempt == 0 {
             panic!("flaky body");
         }
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        tag(task, ctx)
     };
-    let report = run(ExecConfig::default(), &graph, &plan, body).unwrap();
+    let report = run(ExecConfig::default(), 20, &[], 4, body).unwrap();
     assert_eq!(report.output, expected_stream(20));
     assert_eq!(report.recovery.panics_recovered, 1);
     assert!(!report.fallback_activated);
@@ -508,21 +435,13 @@ fn unreplayable_body_panic_is_a_typed_error() {
     // A body that panics on *every* attempt of one task: the budget
     // exhausts, the fallback re-runs it sequentially, and that panic is
     // unrecoverable — surfaced as ExecError::TaskFailed, not a crash.
-    let graph = speculative_graph(8, &[]);
-    let plan = ExecutionPlan::tls(4);
-    let body = move |_: TaskId, ctx: &TaskCtx<'_>| -> TaskOutput {
-        if ctx.iter == 2 {
+    let body = move |task: TaskId, _: &TaskCtx<'_>| -> TaskOutput {
+        if task.0 == 2 {
             panic!("permanently broken body");
         }
         TaskOutput::empty()
     };
-    let err = run(
-        ExecConfig::default().with_retry_budget(1),
-        &graph,
-        &plan,
-        body,
-    )
-    .unwrap_err();
+    let err = run(ExecConfig::default().with_retry_budget(1), 8, &[], 4, body).unwrap_err();
     assert_eq!(err, ExecError::TaskFailed { task: TaskId(2) });
 }
 
@@ -530,12 +449,10 @@ fn unreplayable_body_panic_is_a_typed_error() {
 fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     let violate = vec![3, 9];
     let iters = 120u64;
-    let graph = speculative_graph(iters, &violate);
-    let plan = ExecutionPlan::tls(4);
     let faults = FaultPlan::seeded(7);
     let config = ExecConfig::default().with_faults(faults.clone());
     let [a, b] = [config.clone(), config]
-        .map(|config| run(config, &graph, &plan, tagging_body(violate.clone())).unwrap());
+        .map(|config| run(config, iters, &violate, 4, tagging_body(violate.clone())).unwrap());
     assert_eq!(a.output, b.output);
     assert_eq!(a.recovery, b.recovery);
     assert_eq!(a.attempts, b.attempts);
@@ -546,7 +463,7 @@ fn seeded_chaos_is_deterministic_and_matches_the_predictor() {
     assert!(a.recovery.panics_recovered > 0);
 
     // The pure predictor replays the frontier protocol exactly.
-    let predicted = predict_recovery(&graph, &faults, 3);
+    let predicted = predict_recovery(&speculative(iters, &violate), &faults, 3);
     assert_eq!(predicted.recovery.fallback_tasks, 0);
     assert_eq!(a.recovery, predicted.recovery);
     assert_eq!(a.attempts, predicted.attempts);
@@ -561,14 +478,13 @@ fn an_exhausted_misspeculated_task_keeps_its_squash_in_the_prediction() {
     // budget of 0: the squash and its violation are tallied before the
     // sequential fallback freezes the speculation counters.
     let violate = vec![3, 5];
-    let graph = speculative_graph(20, &violate);
     let faults = FaultPlan::none().with_forced(5, 1, FaultKind::WorkerPanic);
     let config = ExecConfig::default()
         .with_faults(faults.clone())
         .with_retry_budget(0);
     let report = run_faulted(20, &violate, config);
     assert!(report.fallback_activated);
-    let predicted = predict_recovery(&graph, &faults, 0);
+    let predicted = predict_recovery(&speculative(20, &violate), &faults, 0);
     assert_eq!((predicted.squashes, predicted.violations), (2, 2));
     assert_eq!(predicted.recovery.fallback_tasks, 20 - 5);
     assert_eq!(report.recovery, predicted.recovery);
@@ -594,10 +510,8 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
     assert_eq!(one.queue_capacity, 1);
 
     let violate = vec![2, 9];
-    let graph = speculative_graph(30, &violate);
-    let plan = ExecutionPlan::tls(4); // one Parallel stage
     let [r0, r1] = [zero, one]
-        .map(|config| run(config, &graph, &plan, tagging_body(violate.clone())).unwrap());
+        .map(|config| run(config, 30, &violate, 4, tagging_body(violate.clone())).unwrap());
     assert_eq!(r0.output, expected_stream(30));
     assert_eq!(r0.output, r1.output);
     assert_eq!(r0.squashes, r1.squashes);
@@ -609,21 +523,18 @@ fn zero_capacity_clamps_to_one_and_both_drain_a_parallel_stage() {
 
 #[test]
 fn untraced_runs_carry_no_timeline() {
-    let graph = speculative_graph(10, &[]);
-    let plan = ExecutionPlan::tls(4);
-    let report = run(ExecConfig::default(), &graph, &plan, tagging_body(vec![])).unwrap();
+    let report = run(ExecConfig::default(), 10, &[], 4, tagging_body(vec![])).unwrap();
     assert!(report.timeline.is_none(), "tracing is off by default");
 }
 
 #[test]
 fn traced_run_yields_a_well_formed_timeline() {
     let violate = vec![3, 11];
-    let graph = speculative_graph(25, &violate);
-    let plan = ExecutionPlan::tls(4);
     let report = run(
         ExecConfig::default().with_tracing(true),
-        &graph,
-        &plan,
+        25,
+        &violate,
+        4,
         tagging_body(violate.clone()),
     )
     .unwrap();
@@ -634,7 +545,7 @@ fn traced_run_yields_a_well_formed_timeline() {
     assert_eq!(timeline.stage_count(), 1);
     // Commits are the sequential order, one per task.
     let order = timeline.commit_order();
-    assert_eq!(order.len(), graph.len());
+    assert_eq!(order.len(), 25);
     assert!(order.iter().enumerate().all(|(i, t)| t.0 as usize == i));
     // Event tallies line up with the report's counters.
     let squash_events = timeline
@@ -710,8 +621,8 @@ struct Stamping {
 }
 
 impl NativeBody for Stamping {
-    fn run(&self, _: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
-        let stale = ctx.speculative() && self.violate_at.contains(&ctx.iter);
+    fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
+        let stale = ctx.speculative() && self.violate_at.contains(&u64::from(task.0));
         TaskOutput::bytes(vec![if stale { 0xEE } else { 0xFF }])
     }
 
@@ -734,30 +645,19 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
     let panic = ExecConfig::default()
         .with_faults(FaultPlan::none().with_forced(5, 0, FaultKind::WorkerPanic))
         .with_retry_budget(0);
-    let (four, one) = (ExecutionPlan::tls(4), ExecutionPlan::tls(1));
     let cases = [
-        (
-            "drain",
-            ExecConfig::default(),
-            speculative_graph(iters, &violated),
-            four.clone(),
-        ),
-        (
-            "one seat",
-            ExecConfig::default(),
-            speculative_graph(iters, &violated),
-            one,
-        ),
-        ("fallback", panic, speculative_graph(iters, &violated), four),
+        ("drain", ExecConfig::default(), 4),
+        ("one seat", ExecConfig::default(), 1),
+        ("fallback", panic, 4),
     ];
-    for (path, config, graph, plan) in cases {
+    for (path, config, seats) in cases {
         let log = Arc::new(Mutex::new(Vec::new()));
         let body = Stamping {
             violate_at: violated.clone(),
             log: Arc::clone(&log),
         };
-        let report = run(config, &graph, &plan, body).unwrap();
-        let tasks = graph.len() as u32;
+        let report = run(config, iters, &violated, seats, body).unwrap();
+        let tasks = iters as u32;
         assert_eq!(
             *log.lock().unwrap(),
             (0..tasks).collect::<Vec<_>>(),
@@ -784,14 +684,6 @@ fn the_commit_hook_finishes_every_task_once_in_order() {
 /// committed output stream pins both the byte-identity guarantee and
 /// the substrate's conflict detection (a stale racing read that
 /// escaped squashing would emit the wrong tag).
-fn counter_graph(iters: u64) -> TaskGraph {
-    let mut graph = TaskGraph::new(1);
-    for i in 0..iters {
-        graph.add_task(0, i, 10, &[], &[]);
-    }
-    graph
-}
-
 fn counter_body() -> impl NativeBody {
     |task: TaskId, ctx: &TaskCtx<'_>| {
         let value = if let Some(m) = ctx.mem {
@@ -802,7 +694,7 @@ fn counter_body() -> impl NativeBody {
         } else {
             // Sequential oracle / fallback path: task `i` observes the
             // `i` increments before it, without touching the substrate.
-            ctx.iter
+            u64::from(task.0)
         };
         TaskOutput::bytes(value.to_le_bytes().to_vec())
     }
@@ -811,12 +703,10 @@ fn counter_body() -> impl NativeBody {
 #[test]
 fn versioned_run_commits_sequential_output_and_memory_state() {
     let iters = 40;
-    let graph = counter_graph(iters);
-    let plan = ExecutionPlan::tls(4);
     let (report, mem) = run_versioned(
         ExecConfig::default().with_retry_budget(0),
-        &graph,
-        &plan,
+        iters,
+        4,
         counter_body(),
     );
     assert_eq!(report.output, expected_stream(iters));
@@ -848,7 +738,7 @@ fn versioned_run_commits_sequential_output_and_memory_state() {
 fn a_panicking_degraded_task_publishes_nothing() {
     let body = |task: TaskId, ctx: &TaskCtx<'_>| {
         let Some(m) = ctx.mem else {
-            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+            return tag(task, ctx);
         };
         let v = VersionId(u64::from(task.0));
         let got = m.read(v, Addr(0));
@@ -859,12 +749,7 @@ fn a_panicking_degraded_task_publishes_nothing() {
         m.write(v, Addr(0), got + 1);
         TaskOutput::bytes(got.to_le_bytes().to_vec())
     };
-    let (report, mem) = run_versioned(
-        ExecConfig::default(),
-        &counter_graph(10),
-        &ExecutionPlan::tls(1),
-        body,
-    );
+    let (report, mem) = run_versioned(ExecConfig::default(), 10, 1, body);
     assert_eq!(report.output, expected_stream(10));
     assert!(report.fallback_activated, "the budget is spent on task 5");
     assert_eq!(mem.committed(Addr(0)), Some(5));
@@ -873,23 +758,19 @@ fn a_panicking_degraded_task_publishes_nothing() {
 
 #[test]
 fn versioned_runs_ignore_recorded_spec_deps() {
-    // Every task but the first carries a *violated* recorded dependence
-    // — a replay job would squash all of them. The bodies never touch
-    // memory, so the substrate sees no conflicts and the versioned
-    // frontier must squash nothing: the recording is not the squash
-    // source any more.
+    // Every task but the first recorded a *violated* dependence — a
+    // replay job squashes all of them. A versioned job carries no
+    // recording: the bodies never touch memory, so the substrate sees no
+    // conflicts and the versioned frontier must squash nothing.
     let iters = 20;
     let violate: Vec<u64> = (1..iters).collect();
-    let graph = speculative_graph(iters, &violate);
-    let plan = ExecutionPlan::tls(4);
-    let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
-    let (report, _mem) = run_versioned(ExecConfig::default(), &graph, &plan, body);
+    let (report, _mem) = run_versioned(ExecConfig::default(), iters, 4, tag);
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.squashes, 0);
     assert_eq!(report.violations, 0);
     assert_eq!(report.attempts, iters);
     // The same job as a replay, for contrast, squashes every violation.
-    let replay = run(ExecConfig::default(), &graph, &plan, body).unwrap();
+    let replay = run(ExecConfig::default(), iters, &violate, 4, tag).unwrap();
     assert_eq!(replay.squashes, iters - 1);
 }
 
@@ -902,11 +783,8 @@ fn versioned_runs_ignore_recorded_spec_deps() {
 fn critical_path_chains_only_squashed_tasks() {
     let iters = 20;
     let violate: Vec<u64> = (1..iters).collect();
-    let graph = speculative_graph(iters, &violate);
-    let plan = ExecutionPlan::tls(4);
-    let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
     let traced = ExecConfig::default().with_tracing(true);
-    let (report, _mem) = run_versioned(traced.clone(), &graph, &plan, body);
+    let (report, _mem) = run_versioned(traced.clone(), iters, 4, tag);
     assert_eq!(report.squashes, 0);
     let timeline = report.timeline.as_ref().expect("tracing was on");
     let cp = timeline.critical_path();
@@ -916,7 +794,7 @@ fn critical_path_chains_only_squashed_tasks() {
         "{cp:?} beyond {}",
         timeline.span()
     );
-    let replay = run(traced, &graph, &plan, body).unwrap();
+    let replay = run(traced, iters, &violate, 4, tag).unwrap();
     assert_eq!(replay.squashes, iters - 1);
     let cp = replay
         .timeline
@@ -934,12 +812,10 @@ fn critical_path_chains_only_squashed_tasks() {
 #[test]
 fn traced_versioned_run_agrees_with_mem_stats() {
     let iters = 25;
-    let graph = counter_graph(iters);
-    let plan = ExecutionPlan::tls(4);
     let (report, _mem) = run_versioned(
         ExecConfig::default().with_tracing(true),
-        &graph,
-        &plan,
+        iters,
+        4,
         counter_body(),
     );
     assert_eq!(report.output, expected_stream(iters));
@@ -973,13 +849,11 @@ fn versioned_chaos_run_still_commits_sequential_output() {
     // substrate.
     for seed in [7, 42] {
         let iters = 30;
-        let graph = counter_graph(iters);
-        let plan = ExecutionPlan::tls(4);
         let config = ExecConfig::default()
             .with_faults(FaultPlan::seeded(seed))
             .with_retry_budget(4)
             .with_tracing(true);
-        let (report, mem) = run_versioned(config, &graph, &plan, counter_body());
+        let (report, mem) = run_versioned(config, iters, 4, counter_body());
         assert_eq!(report.output, expected_stream(iters), "seed {seed}");
         assert_eq!(report.tasks_committed, iters);
         report
@@ -1008,18 +882,17 @@ fn a_body_panic_after_a_write_rolls_its_version_back() {
             let v = VersionId(u64::from(task.0));
             let got = m.read(v, Addr(0));
             m.write(v, Addr(0), got + 1);
-            if ctx.iter == mid && ctx.attempt == 0 {
+            if u64::from(task.0) == mid && ctx.attempt == 0 {
                 panic!("body fails after writing its slot");
             }
             got
         } else {
-            ctx.iter
+            u64::from(task.0)
         };
         TaskOutput::bytes(value.to_le_bytes().to_vec())
     };
-    for plan in [ExecutionPlan::tls(2), ExecutionPlan::tls(4)] {
-        let (report, mem) =
-            run_versioned(ExecConfig::default(), &counter_graph(iters), &plan, body);
+    for seats in [2, 4] {
+        let (report, mem) = run_versioned(ExecConfig::default(), iters, seats, body);
         assert_eq!(report.output, expected_stream(iters));
         assert_eq!(mem.committed(Addr(0)), Some(iters));
         assert_eq!(mem.active_count(), 0);
@@ -1061,21 +934,16 @@ const WAKE_AT: u64 = WINDOW / 2;
 /// tries for when its lane runs dry, gets a completion absorbed.
 /// `versioned` threads the counter through the substrate (conflict
 /// replays then make the attempt count a matter of timing).
-fn run_prompt(
-    plan: &ExecutionPlan,
-    iters: u64,
-    faults: FaultPlan,
-    versioned: bool,
-) -> NativeReport {
+fn run_prompt(seats: usize, iters: u64, faults: FaultPlan, versioned: bool) -> NativeReport {
     let config = ExecConfig::default().with_faults(faults);
     let deadline = config.watchdog_deadline;
     let started = Instant::now();
     let report = if versioned {
-        let (report, mem) = run_versioned(config, &counter_graph(iters), plan, counter_body());
+        let (report, mem) = run_versioned(config, iters, seats, counter_body());
         assert_eq!(mem.committed(Addr(0)), Some(iters));
         report
     } else {
-        run(config, &counter_graph(iters), plan, counter_body()).unwrap()
+        run_on(unrecorded(), config, iters, seats, counter_body()).unwrap()
     };
     assert!(
         started.elapsed() < deadline / 4,
@@ -1091,8 +959,7 @@ fn run_prompt(
 #[test]
 fn eight_threads_claim_every_index_once_and_none_past_the_limit() {
     const N: usize = 20_000;
-    let graph = counter_graph(N as u64);
-    let board = Board::new(&graph, &ExecutionPlan::tls(8), 32);
+    let board = Board::new(N, 8, 32);
     // What the raiser has decided to publish, stored *before* the raise:
     // a claim of index `i` must find `i < published`.
     let published = AtomicUsize::new(0);
@@ -1153,14 +1020,9 @@ fn no_wake_is_lost_at_the_tail_of_a_job() {
     // claimable work gets their completions absorbed — the caller alone
     // on `tls(1)`, whichever of two runners parks last on `tls(2)`, and
     // of four on `tls(4)`.
-    let plans = [
-        ExecutionPlan::tls(1),
-        ExecutionPlan::tls(2),
-        ExecutionPlan::tls(4),
-    ];
-    for plan in &plans {
+    for seats in [1, 2, 4] {
         for iters in [1, WAKE_AT - 1, WAKE_AT, WINDOW + 1] {
-            run_prompt(plan, iters, FaultPlan::none(), true);
+            run_prompt(seats, iters, FaultPlan::none(), true);
         }
     }
 }
@@ -1177,15 +1039,15 @@ fn a_panicked_attempt_with_every_runner_parked_resumes_promptly() {
     let faults = FaultPlan::none()
         .with_forced(0, 0, FaultKind::WorkerPanic)
         .with_forced(mid, 0, FaultKind::WorkerPanic);
-    for plan in [ExecutionPlan::tls(1), ExecutionPlan::tls(2)] {
-        let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), false);
+    for seats in [1, 2] {
+        let report = run_prompt(seats, 3 * WINDOW, faults.clone(), false);
         assert_eq!(report.recovery.panics_recovered, 2);
         assert_eq!(report.attempts, 3 * WINDOW + 2);
         // Through the substrate conflict replays make the attempt count
         // a matter of timing, but an injected panic dies before its
         // version opens and a panicked completion goes to the frontier's
         // panic rung whatever else happened: both are recovered.
-        let report = run_prompt(&plan, 3 * WINDOW, faults.clone(), true);
+        let report = run_prompt(seats, 3 * WINDOW, faults.clone(), true);
         assert_eq!(report.recovery.panics_recovered, 2);
     }
 }
@@ -1200,12 +1062,11 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
     // of the threshold, so nothing but the starvation rule (its seat is
     // parking) makes it take that turn.
     let iters = 64u64;
-    let graph = speculative_graph(iters, &[]);
     let started = AtomicBool::new(false);
     let gave_up = Arc::new(AtomicBool::new(false));
     let timed_out = Arc::clone(&gave_up);
-    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
-        match ctx.iter {
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
+        match task.0 {
             2..=8 => {
                 let since = Instant::now();
                 while !started.load(Ordering::SeqCst) {
@@ -1219,15 +1080,9 @@ fn a_starved_stage_does_not_wait_for_half_a_window() {
             9 => started.store(true, Ordering::SeqCst),
             _ => {}
         }
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        tag(task, ctx)
     };
-    let report = run(
-        ExecConfig::with_queue_capacity(1),
-        &graph,
-        &ExecutionPlan::tls(8),
-        body,
-    )
-    .unwrap();
+    let report = run(ExecConfig::with_queue_capacity(1), iters, &[], 8, body).unwrap();
     assert!(
         !gave_up.load(Ordering::SeqCst),
         "task 9 was not admitted until half a window had completed"
@@ -1253,7 +1108,7 @@ fn a_plan_wider_than_its_runners_serves_every_seat_by_the_quantum() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let body = {
         let (on_worker, at_home) = (Arc::clone(&on_worker), Arc::clone(&at_home));
-        move |_: TaskId, ctx: &TaskCtx<'_>| {
+        move |task: TaskId, ctx: &TaskCtx<'_>| {
             if on_pool_worker() {
                 on_worker.fetch_add(1, Ordering::SeqCst);
             } else {
@@ -1263,16 +1118,16 @@ fn a_plan_wider_than_its_runners_serves_every_seat_by_the_quantum() {
                     std::thread::yield_now();
                 }
             }
-            std::hint::black_box((0..2_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
-            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+            std::hint::black_box((0..2_000u64).fold(u64::from(task.0), |x, y| x ^ (x << 7) ^ y));
+            tag(task, ctx)
         }
     };
     let report = Engine::new(EngineConfig::with_workers(1))
         .run(&JobSpec {
-            graph: Arc::new(counter_graph(TASKS)),
-            plan: Arc::new(ExecutionPlan::tls(3)),
+            tasks: TASKS as usize,
+            seats: NonZeroUsize::new(3).unwrap(),
             body: Arc::new(body),
-            mem: None,
+            mode: unrecorded(),
             config: ExecConfig::default().with_tracing(true),
         })
         .unwrap();
@@ -1318,7 +1173,7 @@ fn the_caller_holds_a_seat_of_an_eight_seat_plan_on_seven_workers() {
     let on_caller = Arc::new(AtomicUsize::new(0));
     let count = Arc::clone(&on_caller);
     let deadline = Instant::now() + Duration::from_secs(2);
-    let body = move |_: TaskId, ctx: &TaskCtx<'_>| {
+    let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
         if std::thread::current().id() == caller {
             count.fetch_add(1, Ordering::SeqCst);
         } else {
@@ -1326,11 +1181,10 @@ fn the_caller_holds_a_seat_of_an_eight_seat_plan_on_seven_workers() {
                 std::thread::yield_now();
             }
         }
-        std::hint::black_box((0..20_000u64).fold(ctx.iter, |x, y| x ^ (x << 7) ^ y));
-        TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        std::hint::black_box((0..20_000u64).fold(u64::from(task.0), |x, y| x ^ (x << 7) ^ y));
+        tag(task, ctx)
     };
-    let plan = ExecutionPlan::tls(8);
-    let report = run(ExecConfig::default(), &counter_graph(TASKS), &plan, body).unwrap();
+    let report = run_on(unrecorded(), ExecConfig::default(), TASKS, 8, body).unwrap();
     assert_eq!(report.output, expected_stream(TASKS));
     assert_eq!(report.attempts, TASKS);
     // The first seat handed out goes home: the caller runs bodies, and
@@ -1350,8 +1204,8 @@ fn a_traced_one_seat_run_on_the_caller_alone_yields_a_full_timeline() {
     let iters = 3 * WINDOW;
     let (report, _mem) = run_versioned(
         ExecConfig::default().with_tracing(true),
-        &counter_graph(iters),
-        &ExecutionPlan::tls(1),
+        iters,
+        1,
         counter_body(),
     );
     assert_eq!(report.output, expected_stream(iters));
@@ -1393,12 +1247,10 @@ fn the_watchdog_counts_publications_not_wakes() {
     const HELD: usize = 5;
     let deadline = Duration::from_millis(150);
     let iters = WAKE_AT - 4;
-    let tag = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
     let half = deadline / 2;
     let (slow, begun) = hold_workers(HELD, move |rank| half * (rank as u32 + 1), tag);
     let config = ExecConfig::default().with_watchdog_deadline(deadline);
-    let plan = ExecutionPlan::tls(HELD + 1);
-    let report = run(config.clone(), &counter_graph(iters), &plan, slow).unwrap();
+    let report = run_on(unrecorded(), config.clone(), iters, HELD + 1, slow).unwrap();
     assert_eq!(
         begun.load(Ordering::SeqCst),
         HELD,
@@ -1413,13 +1265,7 @@ fn the_watchdog_counts_publications_not_wakes() {
     // else left to publish. A trip, the rest sequentially on the caller,
     // still the sequential stream.
     let (stalled, _) = hold_workers(1, move |_| deadline * 6, tag);
-    let report = run(
-        config,
-        &counter_graph(iters),
-        &ExecutionPlan::tls(2),
-        stalled,
-    )
-    .unwrap();
+    let report = run_on(unrecorded(), config, iters, 2, stalled).unwrap();
     assert_eq!(report.watchdog_trips, 1);
     assert!(report.fallback_activated);
     assert_eq!(report.output, expected_stream(iters));
@@ -1442,23 +1288,23 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
     let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
         let Some(m) = ctx.mem else {
             // Sequential oracle / fallback path.
-            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+            return tag(task, ctx);
         };
-        let v = VersionId(u64::from(task.0));
-        if !(quiet..2 * quiet).contains(&ctx.iter) {
-            m.write(v, Addr(1000 + ctx.iter), 1);
-            return TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
+        let (i, v) = (u64::from(task.0), VersionId(u64::from(task.0)));
+        if !(quiet..2 * quiet).contains(&i) {
+            m.write(v, Addr(1000 + i), 1);
+            return tag(task, ctx);
         }
         let got = m.read(v, Addr(0));
         let raced = ctx.attempt == 0;
-        if raced && ctx.iter == quiet {
+        if raced && i == quiet {
             wait_until(|| state[0].load(Ordering::SeqCst) >= 3);
         } else if raced {
             state[0].fetch_add(1, Ordering::SeqCst);
             wait_until(|| state[1].load(Ordering::SeqCst) >= 1);
         }
         m.write(v, Addr(0), got + 1);
-        if raced && ctx.iter == quiet {
+        if raced && i == quiet {
             // Last to publish: the frontier stays put until the
             // victims' completions are on the ring.
             state[1].store(1, Ordering::SeqCst);
@@ -1468,12 +1314,7 @@ fn early_squashed_attempts_go_straight_back_in_line_and_all_come_back() {
         }
         TaskOutput::bytes((got + quiet).to_le_bytes().to_vec())
     };
-    let (report, mem) = run_versioned(
-        ExecConfig::default().with_tracing(true),
-        &counter_graph(iters),
-        &ExecutionPlan::tls(4),
-        body,
-    );
+    let (report, mem) = run_versioned(ExecConfig::default().with_tracing(true), iters, 4, body);
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(mem.committed(Addr(0)), Some(quiet));
     // The race squashes tasks 5-7, once each.
@@ -1517,23 +1358,10 @@ fn with_governor_changes_nothing_and_a_one_seat_plan_pipelines() {
     );
     let iters = 3 * WINDOW;
     let violated: Vec<u64> = (1..iters).step_by(3).collect();
-    let mut graph = TaskGraph::new(1);
-    for i in 0..iters {
-        let spec: Vec<SpecDep> = (i > 0)
-            .then(|| SpecDep {
-                on: TaskId(i as u32 - 1),
-                violated: violated.contains(&i),
-            })
-            .into_iter()
-            .collect();
-        graph.add_task(0, i, 10, &[], &spec);
-    }
-    let plan = ExecutionPlan::tls(1);
-    let body = |_: TaskId, ctx: &TaskCtx<'_>| TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec());
     let config = ExecConfig::default()
         .with_tracing(true)
         .with_governor(GovernorConfig::default());
-    let report = run(config, &graph, &plan, body).unwrap();
+    let report = run(config, iters, &violated, 1, tag).unwrap();
     assert_eq!(report.output, expected_stream(iters));
     assert_eq!(report.squashes, violated.len() as u64);
     assert_eq!(report.governor, None);

@@ -145,7 +145,8 @@ pub enum TraceEventKind {
     },
     /// A worker started running an attempt's body.
     Dispatch {
-        /// The plan core the worker models.
+        /// The plan core the worker models (natively, the seat: core
+        /// `i` of a `tls` plan).
         core: usize,
         /// The task's stage.
         stage: u8,
@@ -157,7 +158,8 @@ pub enum TraceEventKind {
     /// A worker finished an attempt (successfully, or by catching a
     /// panic, or after an injected stall).
     Complete {
-        /// The plan core the worker models.
+        /// The plan core the worker models (natively, the seat: core
+        /// `i` of a `tls` plan).
         core: usize,
         /// The task's stage.
         stage: u8,

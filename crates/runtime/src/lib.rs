@@ -56,11 +56,12 @@ pub mod validate;
 pub use diag::{Diagnostic, PlanShape, Severity};
 pub use exec::{
     predict_recovery, CriticalPath, DurationStats, Engine, EngineConfig, ExecConfig, ExecError,
-    FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobId, JobSpec, NativeBody, NativeReport,
-    RecoveryCounts, RecoveryPrediction, SquashReason, StageMetrics, TaskCtx, TaskOutput, TimeUnit,
-    Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat, FALLBACK_ATTEMPT,
+    FaultKind, FaultPlan, GovernorConfig, GovernorStats, JobId, JobMode, JobSpec, NativeBody,
+    NativeReport, RecoveryCounts, RecoveryPrediction, SpecRecord, SquashReason, StageMetrics,
+    TaskCtx, TaskOutput, TimeUnit, Timeline, TraceDefect, TraceEvent, TraceEventKind, WorkerStat,
+    FALLBACK_ATTEMPT,
 };
-pub use plan::{ExecutionPlan, StageAssignment};
+pub use plan::{ExecutionPlan, PlanRefusal, StageAssignment};
 pub use profile::{ConflictProfile, RegionConflict};
 pub use sim::{ChannelStat, SimConfig, SimError, SimResult, Simulator, TaskPlacement};
 pub use task::{ChainLink, ChainShape, SpecDep, StageId, Task, TaskGraph, TaskId};

@@ -1,6 +1,8 @@
 //! Execution plans: which core(s) run each pipeline stage.
 
+use crate::exec::EngineConfig;
 use crate::json;
+use std::num::NonZeroUsize;
 
 /// How one stage's tasks are placed on cores.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,6 +79,50 @@ impl StageAssignment {
                 cores.iter().copied().max().unwrap_or(0)
             }
         }
+    }
+}
+
+/// Why the native engine cannot run a plan: it runs one stage whose
+/// seats claim tasks dynamically (the three-phase pipeline, and a static
+/// assignment, are the simulator's).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanRefusal {
+    /// The plan has more than one stage.
+    MultiStage {
+        /// The plan's stage count.
+        stages: u8,
+    },
+    /// The stage assigns iterations to cores round-robin: the engine's
+    /// seats claim from one lane, first come first served, so it cannot
+    /// honour that assignment.
+    StaticAssignment,
+    /// The stage has no core, so the job would have no seat.
+    EmptyPool,
+}
+
+impl std::fmt::Display for PlanRefusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanRefusal::MultiStage { stages } => {
+                write!(f, "a {stages}-stage plan: the engine runs one stage")
+            }
+            PlanRefusal::StaticAssignment => {
+                write!(f, "a round-robin stage: the engine assigns dynamically")
+            }
+            PlanRefusal::EmptyPool => write!(f, "an empty core pool: the engine needs a seat"),
+        }
+    }
+}
+
+impl std::error::Error for PlanRefusal {}
+
+impl EngineConfig {
+    /// A pool with one worker per seat of `plan` but one
+    /// ([`ExecutionPlan::seats`]): the thread that runs the job is the
+    /// last. A one-seat plan, or one the engine refuses, gets none
+    /// ([`Engine::new`](crate::Engine::new) still spawns one).
+    pub fn for_plan(plan: &ExecutionPlan) -> Self {
+        Self::with_workers(plan.seats().map_or(0, |seats| seats.get() - 1))
     }
 }
 
@@ -193,6 +239,29 @@ impl ExecutionPlan {
     /// The number of stages.
     pub fn stage_count(&self) -> u8 {
         self.stages.len() as u8
+    }
+
+    /// The seats the native engine gives the plan: the cores of its one
+    /// `Serial` or `Parallel` stage. The job adapter sizes a job with it,
+    /// an engine's pool follows it, and the static lint denies
+    /// (`SP0007`) exactly the plans it refuses.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanRefusal::MultiStage`] for a plan of more than one stage,
+    /// then [`PlanRefusal::StaticAssignment`] for a round-robin stage and
+    /// [`PlanRefusal::EmptyPool`] for a stage with no core.
+    pub fn seats(&self) -> Result<NonZeroUsize, PlanRefusal> {
+        match &self.stages[..] {
+            [StageAssignment::Serial { .. }] => Ok(NonZeroUsize::MIN),
+            [StageAssignment::Parallel { cores }] => {
+                NonZeroUsize::new(cores.len()).ok_or(PlanRefusal::EmptyPool)
+            }
+            [StageAssignment::RoundRobin { .. }] => Err(PlanRefusal::StaticAssignment),
+            stages => Err(PlanRefusal::MultiStage {
+                stages: stages.len() as u8,
+            }),
+        }
     }
 
     /// The first stage whose core pool is empty, if any.
@@ -393,6 +462,28 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn parallel_assignment_rejects_empty_pool() {
         StageAssignment::parallel(vec![]);
+    }
+
+    #[test]
+    fn the_engine_seats_one_dynamic_stage_and_refuses_the_rest() {
+        let seats = |plan: &ExecutionPlan| plan.seats().map(NonZeroUsize::get);
+        for n in 1..=8 {
+            assert_eq!(seats(&ExecutionPlan::tls(n)), Ok(n));
+        }
+        assert_eq!(
+            seats(&ExecutionPlan::three_phase(4)),
+            Err(PlanRefusal::MultiStage { stages: 3 })
+        );
+        assert_eq!(
+            seats(&ExecutionPlan::three_phase_static(16)),
+            Err(PlanRefusal::MultiStage { stages: 3 })
+        );
+        let rr = ExecutionPlan::new(vec![StageAssignment::round_robin(vec![0, 1])]);
+        assert_eq!(seats(&rr), Err(PlanRefusal::StaticAssignment));
+        let empty = ExecutionPlan::new(vec![StageAssignment::Parallel { cores: vec![] }]);
+        assert_eq!(seats(&empty), Err(PlanRefusal::EmptyPool));
+        let serial = ExecutionPlan::new(vec![StageAssignment::serial(3)]);
+        assert_eq!(seats(&serial), Ok(1));
     }
 
     #[test]

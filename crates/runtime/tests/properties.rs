@@ -4,10 +4,11 @@
 use proptest::prelude::*;
 use seqpar_runtime::{
     ChannelStat, Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultPlan, GovernorConfig,
-    JobSpec, NativeBody, NativeReport, SimConfig, SimResult, Simulator, StageAssignment, TaskCtx,
-    TaskGraph, TaskId, TaskOutput, TaskPlacement,
+    JobMode, JobSpec, NativeBody, NativeReport, SimConfig, SimResult, Simulator, SpecRecord,
+    StageAssignment, TaskCtx, TaskGraph, TaskId, TaskOutput, TaskPlacement,
 };
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Builds a three-stage pipeline graph from arbitrary per-iteration
@@ -187,46 +188,46 @@ fn run_native(graph: &TaskGraph, threads: usize, queue_capacity: usize) -> Nativ
 /// [`run_native`] with a caller-supplied config — the entry point the
 /// chaos properties use to arm a [`FaultPlan`].
 fn run_native_with(graph: &TaskGraph, threads: usize, config: ExecConfig) -> NativeReport {
-    run_native_on(graph, &ExecutionPlan::tls(threads), config)
+    run_native_on(graph, threads, config)
 }
 
-/// [`run_native_with`] under an arbitrary one-stage `plan`.
-fn run_native_on(graph: &TaskGraph, plan: &ExecutionPlan, config: ExecConfig) -> NativeReport {
-    let graph = Arc::new(graph.clone());
-    let tasks = Arc::clone(&graph);
+/// [`run_native_with`] on `seats` seats, whatever the plan's width.
+fn run_native_on(graph: &TaskGraph, seats: usize, config: ExecConfig) -> NativeReport {
+    let recorded = SpecRecord::table(graph);
+    let table = Arc::clone(&recorded);
     let body = move |task: TaskId, ctx: &TaskCtx<'_>| {
-        let t = tasks.task(task);
-        if ctx.speculative() && tasks.spec_deps(t).iter().any(|d| d.violated) {
+        if ctx.speculative() && table[task.0 as usize].violated > 0 {
             // The misspeculated attempt: whatever it produces must never
             // reach the output stream.
             return TaskOutput::bytes(vec![0xEE; 5]);
         }
         TaskOutput {
-            bytes: ctx.iter.to_le_bytes().to_vec(),
+            bytes: u64::from(task.0).to_le_bytes().to_vec(),
             work: 1,
         }
     };
-    run(config, graph, plan, body)
+    run(config, graph.len(), recorded, seats, body)
 }
 
-/// Runs one replay job (`mem: None`: the graph's recorded violations
-/// drive the squashes) on an engine of its own, one worker per seat of
-/// `plan`.
+/// Runs one replay job of `tasks` tasks (`recorded`, each task's
+/// recorded speculation, drives the squashes) on an engine of its own,
+/// one worker per seat.
 fn run(
     config: ExecConfig,
-    graph: Arc<TaskGraph>,
-    plan: &ExecutionPlan,
+    tasks: usize,
+    recorded: Arc<[SpecRecord]>,
+    seats: usize,
     body: impl NativeBody + 'static,
 ) -> NativeReport {
-    Engine::new(EngineConfig::with_workers(Engine::seats(plan)))
+    Engine::new(EngineConfig::with_workers(seats))
         .run(&JobSpec {
-            graph,
-            plan: Arc::new(plan.clone()),
+            tasks,
+            seats: NonZeroUsize::new(seats).expect("a job has a seat"),
             body: Arc::new(body),
-            mem: None,
+            mode: JobMode::Replay(recorded),
             config,
         })
-        .expect("plan matches graph and every fault is recoverable")
+        .expect("every fault is recoverable")
 }
 
 /// The byte stream a correct in-order commit must produce for
@@ -526,12 +527,11 @@ proptest! {
         use seqpar_runtime::TraceEventKind::{QueuePop, QueuePush};
         let n = costs.len();
         let g = build_chain(&costs);
-        let plan = ExecutionPlan::tls(threads);
         let mut config = ExecConfig::with_queue_capacity(cap).with_tracing(true);
         if faulted {
             config = config.with_faults(FaultPlan::seeded(seed));
         }
-        let r = run_native_on(&g, &plan, config);
+        let r = run_native_on(&g, threads, config);
         prop_assert_eq!(&r.output, &expected_stream(n));
         let timeline = r.timeline.as_ref().expect("traced run carries a timeline");
         let mut pushed = std::collections::BTreeMap::new();
@@ -579,7 +579,7 @@ proptest! {
         seed in prop_oneof![Just(7u64), Just(42u64), any::<u64>()],
     ) {
         let n = costs.len();
-        let (g, plan) = (build_chain(&costs), ExecutionPlan::tls(threads));
+        let g = build_chain(&costs);
         let tasks = g.len() as u64;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -589,7 +589,7 @@ proptest! {
             if faulted {
                 config = config.with_faults(FaultPlan::seeded(seed));
             }
-            tx.send(run_native_on(&g, &plan, config)).ok();
+            tx.send(run_native_on(&g, threads, config)).ok();
         });
         let r = rx
             .recv_timeout(std::time::Duration::from_secs(120))
@@ -635,11 +635,10 @@ proptest! {
 fn a_governed_two_seat_plan_squashes_what_an_ungoverned_one_does() {
     let costs: Vec<_> = (0..64u64).map(|i| (0, 10, 0, i % 2 == 1)).collect();
     let g = build_chain(&costs);
-    let plan = ExecutionPlan::tls(2);
-    let ungoverned = run_native_on(&g, &plan, ExecConfig::default());
+    let ungoverned = run_native_on(&g, 2, ExecConfig::default());
     let governed = run_native_on(
         &g,
-        &plan,
+        2,
         ExecConfig::default().with_governor(GovernorConfig::default()),
     );
     for r in [&ungoverned, &governed] {

@@ -24,7 +24,7 @@
 //!
 //! Handed no version, the body is the *sequential oracle*: what
 //! validation, the sequential fallback, and a replay job
-//! (`JobSpec::mem == None`) run.
+//! ([`JobMode::Replay`]) run.
 //!
 //! Determinism: each oracle call depends only on its iterations, and a
 //! versioned call only on its iterations and the values it read — never
@@ -39,8 +39,8 @@
 use crate::common::fnv1a_fold;
 use seqpar::{IterationRecord, IterationTrace};
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobSpec, NativeBody, NativeReport,
-    TaskCtx, TaskGraph, TaskId, TaskOutput,
+    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobMode, JobSpec, NativeBody,
+    NativeReport, TaskCtx, TaskGraph, TaskId, TaskOutput,
 };
 use seqpar_specmem::{Addr, ConcurrentVersionedMemory, VersionId};
 use std::fmt;
@@ -583,7 +583,7 @@ impl VersionedJob {
     /// what the simulator's per-iteration figures and the tuner read.
     /// The graph a run executes is built from this trace
     /// [`chunked`](IterationTrace::chunked) by
-    /// [`grain`](VersionedJob::grain), and is [`JobSpec::graph`]. A
+    /// [`grain`](VersionedJob::grain): [`graph`](VersionedJob::graph). A
     /// kernel job nothing has run records it with a sequential run.
     pub fn trace(&self) -> &IterationTrace {
         if self.body.trace.get().is_none() {
@@ -657,9 +657,13 @@ impl VersionedJob {
     ///
     /// # Errors
     ///
-    /// Propagates [`ExecError`] from [`Engine::run`]: an invalid plan
-    /// ([`ExecError::Invalid`]) or a task whose body panics where no
-    /// replay exists ([`ExecError::TaskFailed`]).
+    /// Propagates [`ExecError`] from [`Engine::run`]: a task whose body
+    /// panics where no replay exists ([`ExecError::TaskFailed`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`job_spec`](VersionedJob::job_spec), on a plan the engine
+    /// refuses.
     pub fn execute(
         &self,
         plan: &ExecutionPlan,
@@ -687,8 +691,13 @@ impl VersionedJob {
     /// is too short to share out. A pure function of the job's clock and
     /// the plan, and a power of two so that ordinary timing wobble between
     /// two constructions of one job seldom changes the graph.
+    ///
+    /// # Panics
+    ///
+    /// As [`job_spec`](VersionedJob::job_spec), on a plan the engine
+    /// refuses.
     pub fn grain(&self, plan: &ExecutionPlan) -> usize {
-        let seats = Engine::seats(plan);
+        let seats = seats(plan).get();
         if seats <= 1 {
             return self.len().max(1);
         }
@@ -697,25 +706,37 @@ impl VersionedJob {
         (reaches.next_power_of_two() as usize).min(1 << cap.max(1).ilog2())
     }
 
+    /// The task graph a run under `plan` executes: the trace
+    /// [`chunked`](IterationTrace::chunked) by
+    /// [`grain`](VersionedJob::grain)`(plan)`, in TLS form. Whatever
+    /// compares a run with a simulation task by task simulates this, not
+    /// a graph of [`trace`](VersionedJob::trace); its recorded
+    /// speculation is a replay's table
+    /// ([`SpecRecord::table`](seqpar_runtime::SpecRecord::table)).
+    pub fn graph(&self, plan: &ExecutionPlan) -> TaskGraph {
+        self.trace().chunked(self.grain(plan)).tls_task_graph()
+    }
+
     /// Packages the job as a submittable unit for an [`Engine`], with a
     /// fresh private substrate. Returns the spec and the substrate
     /// handle so the caller can inspect what the run committed there
     /// after the job's report arrives.
     ///
-    /// The graph is the trace [`chunked`](IterationTrace::chunked) by
-    /// [`grain`](VersionedJob::grain)`(plan)`: a task is a chunk of that
-    /// many consecutive iterations (the last chunk may be shorter),
-    /// [`TaskCtx::iter`] is the chunk's index, and whatever compares the
-    /// run with a simulation task by task must simulate
-    /// [`JobSpec::graph`], not a graph of [`trace`](VersionedJob::trace).
-    /// The graph is the TLS task graph, for the engine's one-stage
-    /// plans; the engine refuses any other plan. A task runs its chunk's
-    /// iterations in order inside its one version and emits their
-    /// records back to back, so the committed stream is the sequential
-    /// one at any grain. Oracle and fallback attempts see [`TaskCtx::mem`]` == None` and run the
+    /// A task is a chunk of [`grain`](VersionedJob::grain)`(plan)`
+    /// consecutive iterations (the last chunk may be shorter) — task `i`
+    /// runs iterations `i * k ..` — and the spec's seats are the plan's
+    /// ([`ExecutionPlan::seats`]). A task runs its chunk's iterations in
+    /// order inside its one version and emits their records back to back,
+    /// so the committed stream is the sequential one at any grain. Oracle
+    /// and fallback attempts see [`TaskCtx::mem`]` == None` and run the
     /// sequential twin over the same iterations. A job that folds its
     /// tail at commit folds it in [`NativeBody::commit`], from zeros at
     /// iteration 0: the spec's body owns the run's slot values.
+    ///
+    /// # Panics
+    ///
+    /// With the refusal's text, on a plan the engine refuses: more than
+    /// one stage, a round-robin stage, or an empty pool.
     pub fn job_spec(
         &self,
         plan: &ExecutionPlan,
@@ -726,10 +747,10 @@ impl VersionedJob {
     }
 
     /// [`job_spec`](VersionedJob::job_spec) with the grain given, not
-    /// measured: the one place a graph and a task body are built. Also
-    /// returns the slot values the run's commits fold, for inspection.
-    /// The first call whose plan has two or more seats keeps a kernel
-    /// job's restore points, at `k`: one seat resumes instead.
+    /// measured: the one place a task body is built. Also returns the
+    /// slot values the run's commits fold, for inspection. The first
+    /// call whose plan has two or more seats keeps a kernel job's
+    /// restore points, at `k`: one seat resumes instead.
     fn job_spec_at(
         &self,
         k: usize,
@@ -740,9 +761,8 @@ impl VersionedJob {
         Arc<ConcurrentVersionedMemory>,
         Arc<Mutex<Committed>>,
     ) {
-        let graph = self.trace().chunked(k).tls_task_graph();
-        let keeps = Engine::seats(plan) > 1;
-        if let Some(kernel) = self.body.kernel.as_ref().filter(|_| keeps) {
+        let seats = seats(plan);
+        if let Some(kernel) = self.body.kernel.as_ref().filter(|_| seats.get() > 1) {
             kernel.runs.keep(k as u64);
         }
         let mem = Arc::new(ConcurrentVersionedMemory::new());
@@ -751,30 +771,36 @@ impl VersionedJob {
             state: vec![0; folded],
             tails: Vec::new(),
         }));
-        let graph = Arc::new(graph);
         let tasks = ChunkTasks {
-            graph: Arc::clone(&graph),
             body: Arc::clone(&self.body),
             k: k as u64,
             n: self.len() as u64,
             committed: Arc::clone(&committed),
         };
         let spec = JobSpec {
-            graph,
-            plan: Arc::new(plan.clone()),
+            tasks: self.len().div_ceil(k),
+            seats,
             body: Arc::new(tasks),
-            mem: Some(Arc::clone(&mem)),
+            mode: JobMode::Versioned(Arc::clone(&mem)),
             config,
         };
         (spec, mem, committed)
     }
 }
 
+/// The seats the engine gives `plan`.
+///
+/// # Panics
+///
+/// With the refusal's text, on a plan the engine refuses.
+fn seats(plan: &ExecutionPlan) -> std::num::NonZeroUsize {
+    plan.seats().unwrap_or_else(|refusal| panic!("{refusal}"))
+}
+
 /// The task body of one run at grain `k`: a task runs its chunk, and,
 /// when the job folds its tail at commit, its commit folds the chunk's
 /// records on the slot values of the run — the paper's serial phase C.
 struct ChunkTasks {
-    graph: Arc<TaskGraph>,
     body: Arc<Body>,
     k: u64,
     n: u64,
@@ -783,7 +809,8 @@ struct ChunkTasks {
 
 impl NativeBody for ChunkTasks {
     fn run(&self, task: TaskId, ctx: &TaskCtx<'_>) -> TaskOutput {
-        let iters = ctx.iter * self.k..self.n.min((ctx.iter + 1) * self.k);
+        let first = u64::from(task.0) * self.k;
+        let iters = first..self.n.min(first + self.k);
         let version = ctx.mem.map(|m| (VersionId(u64::from(task.0)), m));
         let (bytes, work) = self.body.run(iters, version);
         TaskOutput { bytes, work }
@@ -793,7 +820,7 @@ impl NativeBody for ChunkTasks {
         if !self.body.at_commit() {
             return;
         }
-        let first = self.graph.task(task).iter * self.k;
+        let first = u64::from(task.0) * self.k;
         let mut c = self.committed.lock().expect("a fold does not panic");
         let Committed { state, tails } = &mut *c;
         if first == 0 {
@@ -808,7 +835,7 @@ mod tests {
     use super::*;
     use crate::{all_workloads, InputSize};
     use seqpar::IterationRecord;
-    use seqpar_runtime::{FaultKind, FaultPlan, StageAssignment};
+    use seqpar_runtime::{FaultKind, FaultPlan, SpecRecord, StageAssignment};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -969,7 +996,7 @@ mod tests {
         /// sequential bytes, work and memory.
         fn check(&self, engine: &Engine, k: usize, plan: &ExecutionPlan, mode: Mode) {
             let Case { id, job, seq, .. } = self;
-            let what = format!("{id}: k = {k}, {} seat(s), {mode:?}", Engine::seats(plan));
+            let what = format!("{id}: k = {k}, {} seat(s), {mode:?}", seats(plan));
             let faults = if mode.chaos {
                 FaultPlan::seeded(7)
             } else {
@@ -978,9 +1005,10 @@ mod tests {
             let config = ExecConfig::default().with_faults(faults);
             let (mut spec, mem, committed) = job.job_spec_at(k, plan, config);
             if mode.replay {
-                spec.mem = None;
+                let graph = job.trace().chunked(k).tls_task_graph();
+                spec.mode = JobMode::Replay(SpecRecord::table(&graph));
             }
-            assert_eq!(spec.graph.len(), job.len().div_ceil(k), "{what}");
+            assert_eq!(spec.tasks, job.len().div_ceil(k), "{what}");
             let report = engine
                 .run(&spec)
                 .expect("every seeded fault is recoverable");
@@ -998,7 +1026,7 @@ mod tests {
         }
     }
 
-    /// Conflict-driven or replayed (`JobSpec::mem` cleared), fault-free
+    /// Conflict-driven or replayed (`JobMode::Replay`), fault-free
     /// or under `FaultPlan::seeded(7)`.
     #[derive(Clone, Copy, Debug)]
     struct Mode {
@@ -1135,16 +1163,16 @@ mod tests {
                 assert_eq!(k, job.clone().grain(plan), "{id}: frozen in the job");
                 assert!(k.is_power_of_two(), "{id}: k = {k}");
                 let tasks = job.len().div_ceil(k);
-                let floor = job.len().min(TASKS_PER_SEAT * Engine::seats(plan));
+                let floor = job.len().min(TASKS_PER_SEAT * seats(plan).get());
                 assert!(tasks >= floor, "{id}: {tasks} tasks of k = {k} < {floor}");
                 // A chunk reaches the target unless the cap binds, and
                 // only a one-iteration chunk may reach twice the target.
                 let chunk_ns = k as u64 * job.clock().max(1);
-                let capped = 2 * k > job.len() / (TASKS_PER_SEAT * Engine::seats(plan));
+                let capped = 2 * k > job.len() / (TASKS_PER_SEAT * seats(plan).get());
                 assert!(chunk_ns >= GRAIN_TARGET_NS || capped, "{id}: k = {k}");
                 assert!(chunk_ns < 2 * GRAIN_TARGET_NS || k == 1, "{id}: k = {k}");
                 let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
-                assert_eq!(spec.graph.len(), tasks, "{id}: job_spec runs at grain");
+                assert_eq!(spec.tasks, tasks, "{id}: job_spec runs at grain");
             }
         }
         // The target binds: 32 µs of 100 ns iterations, rounded up.
@@ -1185,7 +1213,7 @@ mod tests {
             for plan in &plans {
                 assert_eq!(job.grain(plan), job.len(), "{id}");
                 let (spec, _mem) = job.job_spec(plan, ExecConfig::default());
-                assert_eq!(spec.graph.len(), 1, "{id}: one task");
+                assert_eq!(spec.tasks, 1, "{id}: one task");
             }
         }
         assert_eq!(synthetic(0, 2).grain(&ExecutionPlan::tls(1)), 1);
@@ -1332,7 +1360,8 @@ mod tests {
         zeros.swap(0, Relaxed);
         let engine = Engine::new(EngineConfig::for_plan(&plan));
         let (mut replay, _, _) = kernel.job_spec_at(4, &plan, ExecConfig::default());
-        replay.mem = None;
+        let graph = kernel.trace().chunked(4).tls_task_graph();
+        replay.mode = JobMode::Replay(SpecRecord::table(&graph));
         let report = engine.run(&replay).expect("a replay runs");
         assert_eq!(report.output, seq.output, "replay");
         assert_eq!(zeros.swap(0, Relaxed), 1, "replay");
@@ -1403,7 +1432,7 @@ mod tests {
         for (id, job) in all {
             let seq = job.sequential();
             let (spec, mem) = job.job_spec(&plan, config.clone());
-            assert_eq!(spec.graph.len(), 1, "{id}: one task");
+            assert_eq!(spec.tasks, 1, "{id}: one task");
             zeros.store(0, Relaxed);
             steps();
             let report = engine.run(&spec).expect("a replay commits the task");

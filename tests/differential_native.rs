@@ -5,8 +5,8 @@
 //! `ExecutionPlan` plus a `TaskGraph` derived from one recorded trace),
 //! so they must agree wherever their semantics overlap. "The same"
 //! means the graph that ran — the job's trace chunked at the grain the
-//! job picked for the plan ([`ran`], or the `JobSpec`'s own `graph`) —
-//! never a per-iteration graph re-derived from `job.trace()`:
+//! job picked for the plan ([`ran`], or `VersionedJob::graph`) — never
+//! a per-iteration graph re-derived from `job.trace()`:
 //!
 //! * the native output stream is byte-identical to the sequential run
 //!   at every thread count (in-order commit restores program order), and
@@ -16,15 +16,17 @@
 //!   never by thread timing.
 //!
 //! The native side is every workload's `versioned_job`, run as a
-//! *replay* ([`replay`]): the same `JobSpec` the benchmarks run, with
-//! its substrate cleared so the recorded dependences, not real races,
-//! decide what squashes.
+//! *replay* ([`replay`]): the same `JobSpec` the benchmarks run, its
+//! substrate swapped for the graph's recorded speculation, so the
+//! recorded dependences, not real races, decide what squashes. The one
+//! table ([`SpecRecord::table`]) drives the run and the predictor alike.
 
 use seqpar::IterationTrace;
 use seqpar_bench::{simulate, PlanKind};
 use seqpar_runtime::{
     predict_recovery, Engine, EngineConfig, ExecConfig, ExecutionPlan, FaultKind, FaultPlan,
-    JobSpec, NativeBody, NativeReport, SimConfig, Simulator, TaskCtx, TaskId, TaskOutput,
+    JobMode, JobSpec, NativeBody, NativeReport, SimConfig, Simulator, SpecRecord, TaskCtx, TaskId,
+    TaskOutput,
 };
 use seqpar_workloads::{all_workloads, workload_by_name, InputSize, VersionedJob};
 use std::collections::BTreeMap;
@@ -40,20 +42,24 @@ fn jobs() -> Vec<(&'static str, VersionedJob)> {
         .collect()
 }
 
-/// `job` under `plan` as a deterministic replay: with no substrate the
-/// graph's recorded violations are the squash source and the body runs
-/// its sequential oracle. The speculative attempt of a task whose
-/// recorded dependence was violated emits corrupted bytes — it ran
-/// ahead of its producer — so byte identity proves each one was
-/// squashed and re-executed.
-fn replay(job: &VersionedJob, plan: &ExecutionPlan, config: ExecConfig) -> JobSpec {
+/// `job` under `plan` as a deterministic replay, and the table it
+/// replays: the recorded speculation of the graph that runs is the
+/// squash source and the body runs its sequential oracle. The
+/// speculative attempt of a task whose recorded dependence was violated
+/// emits corrupted bytes — it ran ahead of its producer — so byte
+/// identity proves each one was squashed and re-executed.
+fn replay(
+    job: &VersionedJob,
+    plan: &ExecutionPlan,
+    config: ExecConfig,
+) -> (JobSpec, Arc<[SpecRecord]>) {
     let (mut spec, _mem) = job.job_spec(plan, config);
-    spec.mem = None;
-    let graph = Arc::clone(&spec.graph);
+    let recorded = SpecRecord::table(&job.graph(plan));
+    spec.mode = JobMode::Replay(Arc::clone(&recorded));
+    let table = Arc::clone(&recorded);
     wrap(&mut spec, move |oracle, task, ctx| {
         let mut out = oracle.run(task, ctx);
-        let violated = graph.spec_deps(graph.task(task)).iter().any(|d| d.violated);
-        if ctx.speculative() && violated {
+        if ctx.speculative() && table[task.0 as usize].violated > 0 {
             match out.bytes.first_mut() {
                 Some(b) => *b ^= 0xFF,
                 None => out.bytes.push(0xFF),
@@ -61,7 +67,7 @@ fn replay(job: &VersionedJob, plan: &ExecutionPlan, config: ExecConfig) -> JobSp
         }
         out
     });
-    spec
+    (spec, recorded)
 }
 
 /// A body that runs each task through `run(inner, task, ctx)` and
@@ -94,9 +100,9 @@ where
 }
 
 /// Runs `spec` on an engine of its own, sized as production sizes one
-/// ([`EngineConfig::for_plan`]: a worker per seat but one).
+/// (`EngineConfig::for_plan`: a worker per seat but one).
 fn run(spec: &JobSpec) -> NativeReport {
-    Engine::new(EngineConfig::for_plan(&spec.plan))
+    Engine::new(EngineConfig::with_workers(spec.seats.get() - 1))
         .run(spec)
         .expect("plan matches graph and every fault is recoverable")
 }
@@ -107,11 +113,10 @@ fn ran(job: &VersionedJob, plan: &ExecutionPlan) -> IterationTrace {
     job.trace().chunked(job.grain(plan))
 }
 
-/// The squashes a replay must report: one per task whose graph records
-/// a violated dependence.
-fn recorded_misspeculations(spec: &JobSpec) -> u64 {
-    let violated = |t| spec.graph.spec_deps(t).iter().any(|d| d.violated);
-    spec.graph.tasks().iter().filter(|&t| violated(t)).count() as u64
+/// The squashes a replay must report: one per task that recorded a
+/// violated dependence.
+fn recorded_misspeculations(recorded: &[SpecRecord]) -> u64 {
+    recorded.iter().filter(|r| r.violated > 0).count() as u64
 }
 
 /// (a) Native output is byte-identical to sequential for every workload
@@ -126,7 +131,7 @@ fn native_output_is_byte_identical_to_sequential() {
         );
         for &t in THREADS {
             let plan = ExecutionPlan::tls(t);
-            let r = run(&replay(&job, &plan, ExecConfig::default()));
+            let r = run(&replay(&job, &plan, ExecConfig::default()).0);
             assert_eq!(
                 r.output, seq.output,
                 "{id}: native output diverged from sequential at {t} threads"
@@ -147,10 +152,10 @@ fn native_misspec_counts_match_simulator() {
     for (id, job) in jobs() {
         for &t in THREADS {
             let plan = ExecutionPlan::tls(t);
-            let spec = replay(&job, &plan, ExecConfig::default());
+            let (spec, recorded) = replay(&job, &plan, ExecConfig::default());
             // Squashes are a native-only notion (one per squashed attempt);
             // the graph predicts them exactly: one per violated task.
-            let expected_squashes = recorded_misspeculations(&spec);
+            let expected_squashes = recorded_misspeculations(&recorded);
             let native = run(&spec);
             let sim = simulate(&ran(&job, &plan), t, PlanKind::Tls);
             assert_eq!(
@@ -181,7 +186,7 @@ fn native_misspec_counts_match_simulator() {
 #[test]
 fn native_execution_is_deterministic_across_runs() {
     for (id, job) in jobs() {
-        let spec = replay(&job, &ExecutionPlan::tls(8), ExecConfig::default());
+        let (spec, _) = replay(&job, &ExecutionPlan::tls(8), ExecConfig::default());
         let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: outputs differ across runs");
         assert_eq!(a.work, b.work, "{id}: work counters differ across runs");
@@ -234,7 +239,7 @@ fn chaos_native_recovery_matches_simulator_twin() {
         let config = ExecConfig::default()
             .with_faults(faults.clone())
             .with_retry_budget(budget);
-        let spec = replay(&job, &plan, config);
+        let (spec, recorded) = replay(&job, &plan, config);
         let native = run(&spec);
         assert_eq!(
             native.output, seq.output,
@@ -244,7 +249,7 @@ fn chaos_native_recovery_matches_simulator_twin() {
             native.recovery.panics_recovered > 0,
             "{id}: chaos plan (seed {seed}) injected no panics"
         );
-        let twin = predict_recovery(&spec.graph, &faults, budget);
+        let twin = predict_recovery(&recorded, &faults, budget);
         assert_eq!(
             native.recovery, twin.recovery,
             "{id}: recovery counters disagree with the twin at seed {seed}"
@@ -275,7 +280,7 @@ fn chaos_recovery_counters_are_deterministic_across_runs() {
     let seed = chaos_seed();
     let config = ExecConfig::default().with_faults(chaos_plan(seed));
     for (id, job) in jobs() {
-        let spec = replay(&job, &ExecutionPlan::tls(4), config.clone());
+        let (spec, _) = replay(&job, &ExecutionPlan::tls(4), config.clone());
         let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.output, b.output, "{id}: chaos outputs differ across runs");
         assert_eq!(
@@ -298,7 +303,7 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
     let config = ExecConfig::default()
         .with_faults(chaos_plan(chaos_seed()))
         .with_retry_budget(0);
-    let report = run(&replay(&job, &ExecutionPlan::tls(4), config));
+    let report = run(&replay(&job, &ExecutionPlan::tls(4), config).0);
     assert_eq!(
         report.output, seq.output,
         "sequential fallback broke sequential semantics"
@@ -322,9 +327,8 @@ fn chaos_budget_zero_degrades_to_sequential_fallback() {
 fn timelines_agree_on_task_order() {
     for (id, job) in jobs() {
         let config = ExecConfig::default().with_tracing(true);
-        let spec = replay(&job, &ExecutionPlan::tls(4), config);
-        let graph = &*spec.graph;
-        let native = run(&spec);
+        let plan = ExecutionPlan::tls(4);
+        let native = run(&replay(&job, &plan, config).0);
         let native_tl = native
             .timeline
             .as_ref()
@@ -339,10 +343,11 @@ fn timelines_agree_on_task_order() {
             queue_capacity: 128,
             ..SimConfig::default()
         });
+        let graph = job.graph(&plan);
         let sim_tl = sim
-            .run(graph, &ExecutionPlan::tls(4))
+            .run(&graph, &plan)
             .expect("plan matches machine")
-            .timeline(graph);
+            .timeline(&graph);
         sim_tl
             .validate()
             .unwrap_or_else(|d| panic!("{id}: sim timeline malformed: {d}"));
@@ -366,7 +371,7 @@ fn native_execution_survives_tiny_queues() {
     for (id, job) in jobs() {
         let seq = job.sequential();
         let config = ExecConfig::with_queue_capacity(1);
-        let r = run(&replay(&job, &ExecutionPlan::tls(4), config));
+        let r = run(&replay(&job, &ExecutionPlan::tls(4), config).0);
         assert_eq!(
             r.output, seq.output,
             "{id}: capacity-1 queues broke sequential semantics"
@@ -383,8 +388,8 @@ fn native_execution_survives_tiny_queues() {
 fn violated_speculation_emits_bytes_the_rollback_discards() {
     let w = workload_by_name("175.vpr").expect("known benchmark");
     let job = w.versioned_job(InputSize::Test);
-    let mut spec = replay(&job, &ExecutionPlan::tls(4), ExecConfig::default());
-    let expected_squashes = recorded_misspeculations(&spec);
+    let (mut spec, recorded) = replay(&job, &ExecutionPlan::tls(4), ExecConfig::default());
+    let expected_squashes = recorded_misspeculations(&recorded);
     assert!(expected_squashes > 0, "vpr misspeculates at every size");
     // (task, attempt) -> the bytes that attempt emitted.
     type Emitted = BTreeMap<(u32, u32), Vec<u8>>;
@@ -400,9 +405,8 @@ fn violated_speculation_emits_bytes_the_rollback_discards() {
     assert_eq!(report.output, job.sequential().output);
     assert_eq!(report.squashes, expected_squashes);
     let emitted = emitted.lock().expect("no body panics");
-    let graph = &spec.graph;
-    for (idx, task) in graph.tasks().iter().enumerate() {
-        if graph.spec_deps(task).iter().any(|d| d.violated) {
+    for (idx, r) in recorded.iter().enumerate() {
+        if r.violated > 0 {
             let idx = idx as u32;
             assert_ne!(
                 emitted[&(idx, 0)],

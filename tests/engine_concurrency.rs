@@ -10,10 +10,11 @@
 //!   first is done.
 
 use seqpar_runtime::{
-    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobId, JobSpec, TaskCtx, TaskGraph,
+    Engine, EngineConfig, ExecConfig, ExecError, ExecutionPlan, JobId, JobMode, JobSpec, TaskCtx,
     TaskId, TaskOutput,
 };
 use seqpar_workloads::{workload_by_name, InputSize, VersionedJob};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -85,21 +86,19 @@ fn engine_path_matches_solo_path() {
     assert_eq!(shared_ids.len(), CONCURRENT.len(), "distinct job ids");
 }
 
-/// A job of `iters` one-iteration tasks under `tls(1)`, so every body
-/// runs on the thread that called `run`; each commits its iteration.
+/// A job of `iters` one-iteration tasks on one seat, so every body
+/// runs on the thread that called `run`; each commits its iteration. A
+/// replay that recorded no speculation: nothing squashes.
 fn one_seat_job(iters: u64, body: impl Fn(u64) + Send + Sync + 'static) -> JobSpec {
-    let mut graph = TaskGraph::new(1);
-    for i in 0..iters {
-        graph.add_task(0, i, 1, &[], &[]);
-    }
     JobSpec {
-        graph: Arc::new(graph),
-        plan: Arc::new(ExecutionPlan::tls(1)),
-        body: Arc::new(move |_: TaskId, ctx: &TaskCtx<'_>| {
-            body(ctx.iter);
-            TaskOutput::bytes(ctx.iter.to_le_bytes().to_vec())
+        tasks: iters as usize,
+        seats: NonZeroUsize::MIN,
+        body: Arc::new(move |task: TaskId, _: &TaskCtx<'_>| {
+            let iter = u64::from(task.0);
+            body(iter);
+            TaskOutput::bytes(iter.to_le_bytes().to_vec())
         }),
-        mem: None,
+        mode: JobMode::Replay(Arc::new([])),
         config: ExecConfig::default(),
     }
 }
