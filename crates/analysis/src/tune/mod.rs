@@ -14,26 +14,23 @@
 //!    simulator deliberately omits (worker scheduling tax,
 //!    versioned-memory probes and folds, squash replay);
 //! 3. [`search`] — scores the space once, in order, keeps every row,
-//!    and names the cheapest as the winner;
-//! 4. [`artifact`] — the reproducible JSON plan artifacts `seqpar-tune`
-//!    writes, keyed by the plan's lint-stamp fingerprint and
-//!    integrity-checked on reload.
+//!    and names the cheapest as the winner.
 //!
-//! The cheapest row is the answer, and the artifact holds it, as the
-//! paper's compiler fixes a loop's plan before the run. The bench glue
-//! may also run every row natively through the native table's
-//! instrument (every run byte-checked against the sequential oracle)
-//! and print each row's sequential ÷ native ratio beside its cost; the
-//! runs change no byte of the artifact. `AUTOTUNING.md` documents the
-//! whole story — the space, cost model, divergence, reproducibility
-//! contract, and schema.
+//! The cheapest row is the answer, as the paper's compiler fixes a
+//! loop's plan before the run. It is a deterministic function of the
+//! trace and the IR model, so any process recomputes it rather than
+//! reading it back from a file; the printed table is the tuner's only
+//! output. The bench glue may also run every row natively through the
+//! native table's instrument (every run byte-checked against the
+//! sequential oracle) and print each row's sequential ÷ native ratio
+//! beside its cost; the runs change neither the table nor the winner.
+//! `AUTOTUNING.md` documents the whole story — the space, cost model,
+//! divergence and reproducibility contract.
 
-pub mod artifact;
 pub mod evaluator;
 pub mod search;
 pub mod space;
 
-pub use artifact::{PlanArtifact, ARTIFACT_SCHEMA_VERSION};
 pub use evaluator::{score_candidate, Score};
 pub use search::{tune, ScoredCandidate, TuneConfig, TuneError, TuneResult};
 pub use space::{Candidate, PlanKind, TuneInput};

@@ -59,8 +59,6 @@ pub struct ScoredCandidate {
 pub struct TuneResult {
     /// The workload that was tuned.
     pub workload: String,
-    /// The configuration that produced this result.
-    pub config: TuneConfig,
     /// Every candidate of [`Candidate::space`] with its score, in
     /// space order: the baseline first, then narrower pools.
     pub rows: Vec<ScoredCandidate>,
@@ -185,7 +183,6 @@ pub fn tune(input: &TuneInput, config: &TuneConfig) -> Result<TuneResult, TuneEr
         .expect("the space holds the baseline");
     Ok(TuneResult {
         workload: input.workload.clone(),
-        config: *config,
         baseline: rows[0],
         best,
         evals: rows.len(),

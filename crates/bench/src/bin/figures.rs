@@ -16,8 +16,7 @@
 //! (default budget, 8-core budget — see AUTOTUNING.md) searches each benchmark's plan space and the column
 //! shows the winner's simulated speedup with its evaluator cost delta
 //! against the untuned default, e.g. `4.12x (-18%)`. This is the
-//! simulator's verdict, the one `seqpar-tune` persists as plan
-//! artifacts.
+//! simulator's verdict, the winner `seqpar-tune` prints.
 //!
 //! With `--native`, targets name benchmarks (`164.gzip`, … or `all`) and
 //! each runs on real OS threads under `tls(1)` and `tls(2)`, one row

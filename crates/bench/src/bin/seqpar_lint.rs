@@ -39,6 +39,16 @@ fn explain(code: LintCode) {
     );
 }
 
+/// The `--cores` argument: any width of one or more, since the plan the
+/// lint audits is `tls(cores)` and there is no `tls(0)`.
+fn parse_cores(arg: Option<&str>) -> Result<usize, String> {
+    let s = arg.ok_or("--cores needs a value")?;
+    match s.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--cores needs an integer >= 1, got {s}")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cores = 8usize;
@@ -71,13 +81,10 @@ fn main() {
                 return;
             }
             "--cores" => {
-                cores = match iter.next().map(|s| s.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 3 => n,
-                    other => {
-                        eprintln!("--cores needs an integer >= 3, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                cores = parse_cores(iter.next().map(String::as_str)).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
             }
             other => targets.push(other.to_string()),
         }
@@ -120,5 +127,24 @@ fn main() {
 
     if outcomes.iter().any(|o| !o.report.is_clean()) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_cores;
+
+    #[test]
+    fn cores_accepts_every_width_the_native_table_runs() {
+        for (arg, cores) in [("1", 1), ("2", 2), ("8", 8)] {
+            assert_eq!(parse_cores(Some(arg)), Ok(cores));
+        }
+        for arg in ["0", "x"] {
+            assert_eq!(
+                parse_cores(Some(arg)),
+                Err(format!("--cores needs an integer >= 1, got {arg}"))
+            );
+        }
+        assert!(parse_cores(None).is_err());
     }
 }

@@ -12,7 +12,7 @@ pub mod native;
 pub mod tune;
 
 /// The workspace's dependency-free JSON reader (re-exported from
-/// `seqpar-runtime`, where the plan-artifact loader also uses it).
+/// `seqpar-runtime`, beside the Chrome trace exporter it checks).
 pub use seqpar_runtime::json;
 
 /// How iterations are scheduled in a sweep: the tuner's plan kind, one

@@ -5,7 +5,7 @@
 //! analysis crate cannot reach — real workloads and the native
 //! executor. [`TunableWorkload::prepare`] assembles a [`TuneInput`]
 //! from a workload's IR model and recorded trace; the search's cheapest
-//! row is its answer, the one [`PlanArtifact::from_result`] persists.
+//! row is its answer, recomputed by every process that asks.
 //! [`TunableWorkload::run_native`] runs every row of the scored table
 //! (the untuned default first) through the native table's instrument
 //! ([`native_kernel`]): rotated repeats against the sequential loop,
@@ -13,8 +13,6 @@
 //! runs are published beside the costs and decide nothing. The
 //! `seqpar-tune` binary drives these entry points; `AUTOTUNING.md`
 //! documents the whole story.
-//!
-//! [`PlanArtifact::from_result`]: seqpar_analysis::tune::PlanArtifact::from_result
 
 use crate::native::{native_kernel, NativeKernel};
 use seqpar::ParallelizedLoop;
@@ -85,28 +83,16 @@ impl<'w> TunableWorkload<'w> {
         tune(&self.input, config)
     }
 
-    /// Mints the lint-stamped execution plan for one candidate via
-    /// [`ParallelizedLoop::plan_custom`] — the stages of the plan the
-    /// candidate scored in the simulator, now carrying the lint stamp
-    /// and the width-scaled conflict profile the native executor
-    /// checks.
+    /// Mints the lint-stamped execution plan for one candidate:
+    /// [`ParallelizedLoop::plan`] at the candidate's width, the plan the
+    /// candidate scored in the simulator, now carrying the lint stamp.
     ///
     /// # Panics
     ///
-    /// Panics if the minted plan's fingerprint disagrees with the
-    /// candidate's shape key (`plan_custom` must not reshape what it
-    /// stamps) or if the plan lost its lint stamp — running an
-    /// unaudited plan would be meaningless.
+    /// Panics if the plan lost its lint stamp — running an unaudited
+    /// plan would be meaningless.
     pub fn mint_plan(&self, candidate: &Candidate) -> ExecutionPlan {
-        let plan = self
-            .result
-            .plan_custom(vec![candidate.plan().stage(0).clone()]);
-        assert_eq!(
-            plan.fingerprint(),
-            candidate.shape_key(),
-            "{}: minted plan shape diverged from the searched candidate",
-            self.spec_id()
-        );
+        let plan = self.result.plan(candidate.width);
         assert!(
             plan.is_linted(),
             "{}: tuned plan failed the lint re-audit at mint time",
@@ -151,17 +137,10 @@ pub fn render(result: &TuneResult, native: Option<&NativeKernel>) -> String {
     } else {
         String::new()
     };
-    out.push_str(&format!(
-        "  width  fingerprint             sim cost{native_col}\n"
-    ));
+    out.push_str(&format!("  width      sim cost{native_col}\n"));
     for (i, row) in result.rows.iter().enumerate() {
         let c = row.candidate;
-        out.push_str(&format!(
-            "  {:>5}  {:#018x}  {:>12.0}",
-            c.width,
-            c.shape_key(),
-            row.score.cost
-        ));
+        out.push_str(&format!("  {:>5}  {:>12.0}", c.width, row.score.cost));
         if let Some(kernel) = native {
             out.push_str(&format!("  {:>13}", kernel.rows[i].native.to_string()));
         }
@@ -183,7 +162,6 @@ pub fn render(result: &TuneResult, native: Option<&NativeKernel>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqpar_analysis::tune::PlanArtifact;
     use seqpar_workloads::workload_by_name;
 
     #[test]
@@ -193,14 +171,14 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             for c in Candidate::space(threads) {
                 let plan = tunable.mint_plan(&c);
-                assert_eq!(plan.fingerprint(), c.shape_key());
+                assert_eq!(plan, c.plan(), "{c:?} at {threads}");
                 assert!(plan.is_linted(), "{c:?} stamps at {threads}");
             }
         }
     }
 
     #[test]
-    fn tune_workload_validates_natively_and_round_trips_artifacts() {
+    fn tune_workload_validates_natively_and_marks_one_winner() {
         let w = workload_by_name("164.gzip").expect("gzip exists");
         let config = TuneConfig {
             threads: 4,
@@ -216,12 +194,6 @@ mod tests {
         assert_eq!(widths, table);
         assert_eq!(result.rows[0].candidate, Candidate::default_for(4));
         assert!(kernel.rows.iter().all(|r| r.native.median > 0.0));
-        // The artifact is the search's answer and round-trips through
-        // its JSON schema.
-        let artifact = PlanArtifact::from_result(&result);
-        assert_eq!(artifact.candidate, result.best.candidate);
-        let back = PlanArtifact::from_json(&artifact.to_json()).unwrap();
-        assert_eq!(back, artifact);
         // `[winner]` marks the cheapest row, and only it.
         let rendered = render(&result, Some(&kernel));
         assert!(rendered.starts_with("## 164.gzip: 4 rows,"), "{rendered}");
@@ -230,8 +202,12 @@ mod tests {
             .filter(|l| l.contains("[winner]"))
             .collect();
         assert_eq!(marked.len(), 1, "{rendered}");
-        let best = format!("{:#018x}", result.best.candidate.shape_key());
-        assert!(marked[0].contains(&best), "{rendered}");
+        let width = marked[0].split_whitespace().next().unwrap();
+        assert_eq!(width, result.best.candidate.width.to_string(), "{rendered}");
+        assert!(
+            rendered.contains(&format!("winner: tls width {width}\n")),
+            "{rendered}"
+        );
         assert!(rendered.contains("certificate: "), "{rendered}");
     }
 

@@ -121,7 +121,13 @@ impl ParallelizedLoop {
     /// When [`Self::lint_plan`] is clean, the plan is stamped as
     /// linted.
     pub fn plan(&self, cores: usize) -> ExecutionPlan {
-        self.stamped(ExecutionPlan::tls(cores))
+        let mut plan = ExecutionPlan::tls(cores);
+        // `lint_plan`'s verdict, without cloning the partition findings.
+        if self.lint.is_clean() && lint::check_plan_shape(&self.tls_stage_plan(), &plan).is_clean()
+        {
+            plan.stamp_linted();
+        }
+        plan
     }
 
     /// The partition collapsed to the TLS single-stage view: every PDG
@@ -133,32 +139,6 @@ impl ParallelizedLoop {
             vec![0; self.stage_plan.node_count()],
             vec![StageKind::Replicated],
         )
-    }
-
-    /// Lays out a caller-shaped execution plan over this loop — the
-    /// plan-mutation hook the autotuner uses to mint candidate plans
-    /// that differ from the canonical [`Self::plan`] layout (narrower
-    /// pools, a serial stage).
-    ///
-    /// The plan is audited exactly like [`Self::plan`] and stamped as
-    /// linted only when [`Self::lint_plan`] is clean at deny level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty (an execution plan needs at least
-    /// one stage).
-    pub fn plan_custom(&self, stages: Vec<seqpar_runtime::StageAssignment>) -> ExecutionPlan {
-        self.stamped(ExecutionPlan::new(stages))
-    }
-
-    /// `plan`, stamped as linted when [`Self::lint_plan`] would be clean
-    /// (without cloning the partition findings).
-    fn stamped(&self, mut plan: ExecutionPlan) -> ExecutionPlan {
-        if self.lint.is_clean() && lint::check_plan_shape(&self.tls_stage_plan(), &plan).is_clean()
-        {
-            plan.stamp_linted();
-        }
-        plan
     }
 }
 
@@ -485,43 +465,42 @@ mod tests {
     }
 
     #[test]
-    fn plan_custom_stamps_matching_shapes_and_refuses_mismatches() {
+    fn one_dynamic_stage_lints_clean_and_other_shapes_are_denied() {
+        use seqpar_analysis::lint::LintCode;
         use seqpar_runtime::StageAssignment;
         let (p, f) = twolf_like(true);
         let result = Parallelizer::new(&p).parallelize_outermost(f).unwrap();
+        let lint = |stages| result.lint_plan(&ExecutionPlan::new(stages));
 
         // One-stage plans check against the collapsed TLS view: a
-        // replicated stage and a serial one are stamped.
-        let tls = result.plan_custom(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]);
-        assert!(tls.is_linted());
-        assert!(result
-            .plan_custom(vec![StageAssignment::serial(0)])
-            .is_linted());
+        // replicated stage and a serial one are clean.
+        assert!(lint(vec![StageAssignment::parallel(vec![0, 1, 2, 3])]).is_clean());
+        assert!(lint(vec![StageAssignment::serial(0)]).is_clean());
         assert_eq!(result.tls_stage_plan().stage_count(), 1);
         assert!(result.tls_stage_plan().is_replicated(0));
+        assert!(result.plan(4).is_linted());
 
-        // A hand-shaped three-phase plan over a clean partition fits the
-        // simulator, not the native executor: left unstamped, and so is
-        // a one-stage round-robin plan.
-        let narrow = result.plan_custom(vec![
-            StageAssignment::serial(0),
-            StageAssignment::round_robin(vec![1, 2]),
-            StageAssignment::serial(3),
-        ]);
-        assert!(!narrow.is_linted());
-        let round_robin = result.plan_custom(vec![StageAssignment::round_robin(vec![0, 1])]);
-        assert!(!round_robin.is_linted());
-        assert!(result
-            .lint_plan(&round_robin)
-            .deny_codes()
-            .contains(&seqpar_analysis::lint::LintCode::PlanShape));
-
-        // A two-stage plan matches no view: left unstamped.
-        let mismatched = result.plan_custom(vec![
-            StageAssignment::serial(0),
-            StageAssignment::parallel(vec![1, 2]),
-        ]);
-        assert!(!mismatched.is_linted());
+        // A three-phase plan over a clean partition fits the simulator,
+        // not the native executor; neither does a one-stage round-robin
+        // plan, and a two-stage plan matches no view.
+        for stages in [
+            vec![
+                StageAssignment::serial(0),
+                StageAssignment::round_robin(vec![1, 2]),
+                StageAssignment::serial(3),
+            ],
+            vec![StageAssignment::round_robin(vec![0, 1])],
+            vec![
+                StageAssignment::serial(0),
+                StageAssignment::parallel(vec![1, 2]),
+            ],
+        ] {
+            let report = lint(stages.clone());
+            assert!(
+                report.deny_codes().contains(&LintCode::PlanShape),
+                "{stages:?}"
+            );
+        }
     }
 
     #[test]

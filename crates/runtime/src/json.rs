@@ -2,14 +2,11 @@
 //!
 //! The workspace has no `serde_json`, so every consumer that answers
 //! "is this file well-formed?" — `seqpar-trace --check` on Chrome
-//! traces, `seqpar-tune --check` on plan artifacts, the benchmark
-//! rig on its own reports — shares this small recursive-descent
-//! parser over the full JSON grammar (objects, arrays, strings with
-//! escapes, numbers, literals). On top of it,
+//! traces, the benchmark rig on its own reports — shares this small
+//! recursive-descent parser over the full JSON grammar (objects,
+//! arrays, strings with escapes, numbers, literals). On top of it,
 //! [`check_chrome_trace`] enforces the subset of the `trace_event`
-//! schema the trace exporter produces, and
-//! [`ExecutionPlan::from_json_value`](crate::ExecutionPlan::from_json_value)
-//! rebuilds execution plans from persisted tuning artifacts.
+//! schema the trace exporter produces.
 //!
 //! It is a *validator*, not a general-purpose serde replacement:
 //! numbers are kept as `f64`, and serialization stays with each

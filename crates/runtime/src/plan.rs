@@ -1,7 +1,6 @@
 //! Execution plans: which core(s) run each pipeline stage.
 
 use crate::exec::EngineConfig;
-use crate::json;
 use std::num::NonZeroUsize;
 
 /// How one stage's tasks are placed on cores.
@@ -290,39 +289,6 @@ impl ExecutionPlan {
             + 1
     }
 
-    /// A structural fingerprint of the stage assignments (FNV-1a over
-    /// the assignment kinds and core indices). Two plans with equal
-    /// stage structure have equal fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf29ce484222325u64;
-        let mut mix = |v: u64| {
-            hash ^= v;
-            hash = hash.wrapping_mul(0x100000001b3);
-        };
-        for s in &self.stages {
-            match s {
-                StageAssignment::Serial { core } => {
-                    mix(1);
-                    mix(*core as u64);
-                }
-                StageAssignment::Parallel { cores } => {
-                    mix(2);
-                    for c in cores {
-                        mix(*c as u64);
-                    }
-                }
-                StageAssignment::RoundRobin { cores } => {
-                    mix(3);
-                    for c in cores {
-                        mix(*c as u64);
-                    }
-                }
-            }
-            mix(u64::MAX); // stage separator
-        }
-        hash
-    }
-
     /// Records that this plan passed the static soundness lint.
     pub fn stamp_linted(&mut self) {
         self.linted = true;
@@ -331,99 +297,6 @@ impl ExecutionPlan {
     /// Whether the plan carries a lint stamp.
     pub fn is_linted(&self) -> bool {
         self.linted
-    }
-
-    /// Writes the stage assignments as the JSON array persisted
-    /// inside plan artifacts (see `AUTOTUNING.md` for the schema):
-    /// `[{"kind": "serial", "core": 0}, {"kind": "parallel",
-    /// "cores": [1, 2]}, ...]`. The lint stamp is deliberately not
-    /// serialized — a loaded plan must be re-linted before it can claim
-    /// a stamp.
-    pub fn stages_to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let pool = |cores: &[usize]| {
-                cores
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            match s {
-                StageAssignment::Serial { core } => {
-                    out.push_str(&format!("{{\"kind\": \"serial\", \"core\": {core}}}"));
-                }
-                StageAssignment::Parallel { cores } => {
-                    out.push_str(&format!(
-                        "{{\"kind\": \"parallel\", \"cores\": [{}]}}",
-                        pool(cores)
-                    ));
-                }
-                StageAssignment::RoundRobin { cores } => {
-                    out.push_str(&format!(
-                        "{{\"kind\": \"round_robin\", \"cores\": [{}]}}",
-                        pool(cores)
-                    ));
-                }
-            }
-        }
-        out.push(']');
-        out
-    }
-
-    /// Rebuilds a plan from the parsed `"stages"` array of a plan
-    /// artifact — the loading half of [`ExecutionPlan::stages_to_json`].
-    /// The result is unstamped: artifact loaders re-lint and re-stamp
-    /// via the parallelizer before execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural defect: a
-    /// non-array value, an unknown stage kind, a missing or non-integer
-    /// core index, or an empty plan or core pool.
-    pub fn from_json_value(stages: &json::Value) -> Result<Self, String> {
-        let arr = stages.as_array().ok_or("stages is not an array")?;
-        if arr.is_empty() {
-            return Err("a plan needs at least one stage".to_string());
-        }
-        let core_of = |v: &json::Value| -> Result<usize, String> {
-            let n = v.as_f64().ok_or("core index is not a number")?;
-            if n.fract() != 0.0 || n < 0.0 {
-                return Err(format!("core index {n} is not a non-negative integer"));
-            }
-            Ok(n as usize)
-        };
-        let pool_of = |s: &json::Value| -> Result<Vec<usize>, String> {
-            let cores = s
-                .get("cores")
-                .and_then(json::Value::as_array)
-                .ok_or("pooled stage missing cores array")?;
-            if cores.is_empty() {
-                return Err("a parallel stage needs at least one core".to_string());
-            }
-            cores.iter().map(core_of).collect()
-        };
-        let mut out = Vec::with_capacity(arr.len());
-        for (i, s) in arr.iter().enumerate() {
-            let kind = s
-                .get("kind")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| format!("stage {i} missing kind"))?;
-            let assignment = match kind {
-                "serial" => StageAssignment::serial(core_of(
-                    s.get("core")
-                        .ok_or_else(|| format!("stage {i} missing core"))?,
-                )?),
-                "parallel" => StageAssignment::Parallel { cores: pool_of(s)? },
-                "round_robin" => StageAssignment::RoundRobin { cores: pool_of(s)? },
-                other => return Err(format!("stage {i} has unknown kind {other:?}")),
-            };
-            out.push(assignment);
-        }
-        Ok(Self::new(out))
     }
 }
 
@@ -498,11 +371,10 @@ mod tests {
         assert!(!p.is_linted());
         p.stamp_linted();
         assert!(p.is_linted());
-        // Structurally equal plans fingerprint identically; different
-        // shapes do not.
-        assert_eq!(p.fingerprint(), ExecutionPlan::three_phase(4).fingerprint());
-        assert_ne!(p.fingerprint(), ExecutionPlan::three_phase(5).fingerprint());
-        assert_ne!(p.fingerprint(), ExecutionPlan::tls(4).fingerprint());
+        // A stamped plan equals its structural twin and no other shape.
+        assert_eq!(p, ExecutionPlan::three_phase(4));
+        assert_ne!(p, ExecutionPlan::three_phase(5));
+        assert_ne!(p, ExecutionPlan::tls(4));
     }
 
     #[test]
@@ -511,36 +383,6 @@ mod tests {
         let mut stamped = ExecutionPlan::three_phase(4);
         stamped.stamp_linted();
         assert_eq!(plain, stamped);
-    }
-
-    #[test]
-    fn plan_json_round_trips_and_loads_unstamped() {
-        let mut plan = ExecutionPlan::new(vec![
-            StageAssignment::serial(0),
-            StageAssignment::parallel(vec![1, 2, 3]),
-            StageAssignment::round_robin(vec![4]),
-        ]);
-        plan.stamp_linted();
-        let text = plan.stages_to_json();
-        let parsed = crate::json::parse(&text).expect("fragment parses");
-        let loaded = ExecutionPlan::from_json_value(&parsed).expect("loads");
-        assert_eq!(loaded, plan, "stage structure survives the round trip");
-        assert_eq!(loaded.fingerprint(), plan.fingerprint());
-        assert!(!loaded.is_linted(), "loaded plans must be re-linted");
-    }
-
-    #[test]
-    fn plan_json_loader_rejects_malformed_stages() {
-        let bad = |text: &str| {
-            let v = crate::json::parse(text).expect("test input parses");
-            ExecutionPlan::from_json_value(&v).unwrap_err()
-        };
-        assert!(bad("{}").contains("not an array"));
-        assert!(bad("[]").contains("at least one stage"));
-        assert!(bad("[{\"kind\": \"magic\"}]").contains("unknown kind"));
-        assert!(bad("[{\"kind\": \"serial\"}]").contains("missing core"));
-        assert!(bad("[{\"kind\": \"serial\", \"core\": 1.5}]").contains("integer"));
-        assert!(bad("[{\"kind\": \"parallel\", \"cores\": []}]").contains("at least one core"));
     }
 
     #[test]

@@ -46,9 +46,10 @@ proptest! {
         let seq = job.sequential();
         for row in &result.rows {
             let c = row.candidate;
-            // Mints with the stamp intact (`mint_plan` also asserts the
-            // shape key matches the searched fingerprint).
+            // Mints with the stamp intact (`mint_plan` also asserts it),
+            // and is the plan the candidate scored.
             let plan = tunable.mint_plan(&c);
+            prop_assert_eq!(&plan, &c.plan());
             prop_assert!(plan.is_linted());
 
             // Byte-identical to the oracle under the shared executor
